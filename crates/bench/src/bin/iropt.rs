@@ -21,12 +21,12 @@
 //!
 //! Run: `cargo run --release -p intercom-bench --bin iropt`
 //! (append `-- --smoke` for the CI smoke mode; the sweep is identical —
-//! the simulator is deterministic — the flag only marks the JSON).
-//! Emits `BENCH_iropt.json` in the current directory.
+//! the simulator is deterministic — the flag only trims the wall-clock
+//! repeats).
 
 use intercom::comm::GroupComm;
 use intercom::ir::{
-    execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram, OptStats, PlanOp, StepKind,
+    execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram, PlanOp, StepKind,
 };
 use intercom::{Comm, ReduceOp};
 use intercom_bench::report::Table;
@@ -236,13 +236,6 @@ fn run_prog<C: Comm + ?Sized>(comm: &C, prog: &CollectiveProgram, n: usize) {
     }
 }
 
-fn stats_json(s: &OptStats) -> String {
-    format!(
-        "{{\"elided\":{},\"fused\":{},\"overlapped\":{},\"coalesced\":{},\"dead_copies\":{}}}",
-        s.elided, s.fused, s.overlapped, s.coalesced, s.dead_copies
-    )
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Smoke mode trims the wall-clock measurement, not the sweep: the
@@ -260,7 +253,6 @@ fn main() {
         "thr us",
         "opt thr us",
     ]);
-    let mut json_rows = Vec::new();
     let mut sim_wins = Vec::new();
     let mut thr_wins = Vec::new();
     for row in rows() {
@@ -297,16 +289,6 @@ fn main() {
             format!("{:.1}", thr_a * 1e6),
             format!("{:.1}", thr_b * 1e6),
         ]);
-        json_rows.push(format!(
-            "{{\"shape\":\"{}\",\"msgs\":{msgs_a},\"opt_msgs\":{msgs_b},\
-             \"wire_bytes\":{bytes_a},\"opt_wire_bytes\":{bytes_b},\
-             \"predicted_secs\":{pred_a:.9},\"opt_predicted_secs\":{pred_b:.9},\
-             \"sim_secs\":{sim_a:.9},\"opt_sim_secs\":{sim_b:.9},\
-             \"threads_secs\":{thr_a:.9},\"opt_threads_secs\":{thr_b:.9},\
-             \"rewrites\":{}}}",
-            row.label,
-            stats_json(&stats),
-        ));
     }
     println!("schedule optimizer A/B (Paragon params, 1xp simulated array + threaded runtime):");
     print!("{}", table.render());
@@ -325,20 +307,4 @@ fn main() {
         "fewer messages AND lower threaded wall time: {}",
         render(&thr_wins)
     );
-
-    let quote = |wins: &[&str]| {
-        wins.iter()
-            .map(|w| format!("\"{w}\""))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"machine\": \"paragon\",\n  \"rows\": [\n    {}\n  ],\n  \
-         \"sim_wins\": [{}],\n  \"threads_wins\": [{}]\n}}\n",
-        json_rows.join(",\n    "),
-        quote(&sim_wins),
-        quote(&thr_wins),
-    );
-    std::fs::write("BENCH_iropt.json", &json).expect("write BENCH_iropt.json");
-    println!("wrote BENCH_iropt.json");
 }

@@ -1,7 +1,7 @@
 //! Observability overhead A/B: the cost of the `intercom-obs` layer on
 //! the transport hot path, measured and gated.
 //!
-//! Five configurations of the 64 KiB planned broadcast hot loop on the
+//! Four configurations of the 64 KiB planned broadcast hot loop on the
 //! threaded backend:
 //!
 //! * **baseline** — `run_world`: no recorder attached, metrics switch
@@ -10,14 +10,8 @@
 //!   relaxed atomic load each).
 //! * **disabled** — `run_world_observed` with `disabled_recorders`: a
 //!   recorder is attached but off. This is the cost every user pays for
-//!   the instrumentation hooks, and the first CI gate: the binary exits
+//!   the instrumentation hooks, and the CI gate: the binary exits
 //!   nonzero unless it stays within 3% of baseline;
-//! * **metrics-off** — baseline with the metrics/flight switches
-//!   asserted off. Second CI gate (the ISSUE's "disabled ≤3%"): the
-//!   all-disabled path must stay within 3% of baseline. Today it runs
-//!   the identical code, so the gate bounds harness noise and pins the
-//!   contract that disabling telemetry costs nothing beyond the
-//!   always-present atomic check;
 //! * **metrics-on** — metrics registry + flight recorder globally
 //!   enabled (no event recorder): per-execute latency histogram,
 //!   per-step flight marks. Reported for information (not gated);
@@ -26,7 +20,6 @@
 //!
 //! Run: `cargo run --release -p intercom-bench --bin obs`
 //! (append `-- --smoke` for the shorter CI gate mode).
-//! Emits `BENCH_obs.json` in the current directory.
 
 use intercom::plan::BcastPlan;
 use intercom::{Comm, Communicator};
@@ -39,8 +32,7 @@ use std::time::Instant;
 const RANKS: usize = 8;
 const BYTES: usize = 64 * 1024;
 
-/// Hard ceiling on disabled-recorder and disabled-metrics overhead,
-/// enforced in smoke mode.
+/// Hard ceiling on disabled-recorder overhead.
 const GATE_MAX_RATIO: f64 = 1.03;
 
 /// One world: warm-up, then `iters` timed planned broadcasts. Returns
@@ -61,15 +53,13 @@ fn bcast_loop(c: &ThreadComm, iters: usize) -> f64 {
 enum Mode {
     Baseline,
     Disabled,
-    MetricsOff,
     MetricsOn,
     Enabled,
 }
 
-const MODES: [Mode; 5] = [
+const MODES: [Mode; 4] = [
     Mode::Baseline,
     Mode::Disabled,
-    Mode::MetricsOff,
     Mode::MetricsOn,
     Mode::Enabled,
 ];
@@ -82,13 +72,6 @@ fn run_once(mode: Mode, iters: usize) -> f64 {
                 bcast_loop(c, iters)
             })
             .0
-        }
-        Mode::MetricsOff => {
-            assert!(
-                !metrics::enabled() && !flight::enabled(),
-                "metrics-off mode requires the telemetry switches off"
-            );
-            run_world(RANKS, move |c| bcast_loop(c, iters))
         }
         Mode::MetricsOn => {
             metrics::set_enabled(true);
@@ -105,21 +88,13 @@ fn run_once(mode: Mode, iters: usize) -> f64 {
     secs.into_iter().fold(0.0f64, f64::max)
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".into()
-    }
-}
-
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (repeats, iters) = if smoke { (5, 400) } else { (9, 1500) };
 
     // Interleave the modes across repeats instead of running each
     // mode's block back to back: a thermal or scheduler drift then
-    // biases all five equally instead of penalizing whichever ran
+    // biases all four equally instead of penalizing whichever ran
     // last.
     let mut best = [f64::INFINITY; MODES.len()];
     for _ in 0..repeats {
@@ -127,13 +102,12 @@ fn main() -> ExitCode {
             best[slot] = best[slot].min(run_once(mode, iters));
         }
     }
-    let [baseline, disabled, metrics_off, metrics_on, enabled] = best;
+    let [baseline, disabled, metrics_on, enabled] = best;
 
     let disabled_ratio = disabled / baseline;
-    let metrics_off_ratio = metrics_off / baseline;
     let metrics_on_ratio = metrics_on / baseline;
     let enabled_ratio = enabled / baseline;
-    let pass = disabled_ratio <= GATE_MAX_RATIO && metrics_off_ratio <= GATE_MAX_RATIO;
+    let pass = disabled_ratio <= GATE_MAX_RATIO;
 
     let mbs = |s: f64| (BYTES as f64 * iters as f64) / s / (1 << 20) as f64;
     let pct = |r: f64| (r - 1.0) * 100.0;
@@ -143,12 +117,6 @@ fn main() -> ExitCode {
         "  disabled recorder:        {:>8.1} MB/s  ({:+.2}% vs baseline, gate <= +{:.0}%)",
         mbs(disabled),
         pct(disabled_ratio),
-        pct(GATE_MAX_RATIO)
-    );
-    println!(
-        "  metrics switch off:       {:>8.1} MB/s  ({:+.2}% vs baseline, gate <= +{:.0}%)",
-        mbs(metrics_off),
-        pct(metrics_off_ratio),
         pct(GATE_MAX_RATIO)
     );
     println!(
@@ -162,33 +130,10 @@ fn main() -> ExitCode {
         pct(enabled_ratio)
     );
 
-    let json = format!(
-        "{{\n  \"ranks\": {RANKS},\n  \"bytes\": {BYTES},\n  \"iters\": {iters},\n  \
-         \"repeats\": {repeats},\n  \"smoke\": {smoke},\n  \
-         \"baseline_secs\": {},\n  \"disabled_recorder_secs\": {},\n  \
-         \"metrics_off_secs\": {},\n  \"metrics_on_secs\": {},\n  \
-         \"enabled_recorder_secs\": {},\n  \"disabled_overhead_ratio\": {},\n  \
-         \"metrics_off_overhead_ratio\": {},\n  \"metrics_on_overhead_ratio\": {},\n  \
-         \"enabled_overhead_ratio\": {},\n  \"gate_max_ratio\": {GATE_MAX_RATIO},\n  \
-         \"pass\": {pass}\n}}\n",
-        json_num(baseline),
-        json_num(disabled),
-        json_num(metrics_off),
-        json_num(metrics_on),
-        json_num(enabled),
-        json_num(disabled_ratio),
-        json_num(metrics_off_ratio),
-        json_num(metrics_on_ratio),
-        json_num(enabled_ratio),
-    );
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json");
-
     if !pass {
         eprintln!(
-            "obs gate FAILED: disabled-recorder {:+.2}% / metrics-off {:+.2}% (limit +{:.0}%)",
+            "obs gate FAILED: disabled-recorder {:+.2}% (limit +{:.0}%)",
             pct(disabled_ratio),
-            pct(metrics_off_ratio),
             pct(GATE_MAX_RATIO)
         );
         return ExitCode::FAILURE;

@@ -9,9 +9,10 @@
 //! | `table3` | Table 3: NX vs iCC on the simulated 16×32 Paragon     | `cargo run -p intercom-bench --release --bin table3` |
 //! | `fig4`   | Fig. 4: collect on 16×32, broadcast on 15×30          | `cargo run -p intercom-bench --release --bin fig4` |
 //!
-//! Criterion benches (`cargo bench -p intercom-bench`) measure the real
-//! threaded backend and the simulator itself, plus the ablations called
-//! out in DESIGN.md §5.
+//! The other bins regenerate EXPERIMENTS.md sections (`section5`,
+//! `crossover_map`, `groups`, `pipelined`, `hypercube`) or measure what
+//! `benchmark/` does not (`iropt`, `obs`). Performance numbers live in
+//! `benchmark/`, not here.
 
 pub mod measure;
 pub mod report;

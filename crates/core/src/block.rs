@@ -32,8 +32,7 @@ pub fn partition(n: usize, p: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "heavy-tests")]
-    use proptest::prelude::*;
+    use crate::SplitMix64;
 
     #[test]
     fn even_split() {
@@ -61,32 +60,36 @@ mod tests {
         assert_eq!(partition(7, 1), vec![0..7]);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    proptest! {
-        #[test]
-        fn prop_partition_covers_exactly(n in 0usize..10_000, p in 1usize..64) {
-            let parts = partition(n, p);
-            prop_assert_eq!(parts.len(), p);
-            prop_assert_eq!(parts[0].start, 0);
-            prop_assert_eq!(parts[p - 1].end, n);
-            for w in parts.windows(2) {
-                prop_assert_eq!(w[0].end, w[1].start);
-            }
-        }
+    /// 512 seeded `(n, p)` shapes with `n < 10_000`, `1 <= p < 64`.
+    fn seeded_shapes() -> impl Iterator<Item = (usize, usize)> {
+        let mut rng = SplitMix64::new(0xb10c);
+        (0..512).map(move |_| (rng.below(10_000), 1 + rng.below(63)))
+    }
 
-        #[test]
-        fn prop_block_sizes_balanced(n in 0usize..10_000, p in 1usize..64) {
+    #[test]
+    fn partition_covers_exactly() {
+        for (n, p) in seeded_shapes() {
+            let parts = partition(n, p);
+            assert_eq!(parts.len(), p);
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts[p - 1].end, n, "n={n} p={p}");
+            assert!(
+                parts.windows(2).all(|w| w[0].end == w[1].start),
+                "n={n} p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_sizes_are_balanced_and_sum_to_n() {
+        for (n, p) in seeded_shapes() {
             for i in 0..p {
                 let s = block_size(n, p, i);
-                prop_assert!(s == n / p || s == n / p + 1);
-                prop_assert_eq!(s, block_range(n, p, i).len());
+                assert!(s == n / p || s == n / p + 1, "n={n} p={p} i={i}");
+                assert_eq!(s, block_range(n, p, i).len());
             }
-        }
-
-        #[test]
-        fn prop_sizes_sum_to_n(n in 0usize..10_000, p in 1usize..64) {
             let total: usize = (0..p).map(|i| block_size(n, p, i)).sum();
-            prop_assert_eq!(total, n);
+            assert_eq!(total, n, "n={n} p={p}");
         }
     }
 }

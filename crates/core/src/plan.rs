@@ -33,26 +33,36 @@ use crate::communicator::Communicator;
 use crate::error::Result;
 use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
-use intercom_cost::{CollectiveOp, Strategy};
+use intercom_cost::HierChoice;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// The shared compiled-program handle every plan wraps: the cached
-/// program (or the lowering error, stashed here and surfaced on the
-/// first execute) plus the private scratch arena the interpreter
-/// re-zeroes — never re-allocates — on each run.
+/// The shared compiled-program handle every plan wraps: the frozen
+/// selection, the cached program (or the lowering error, stashed here
+/// and surfaced on the first execute) plus the private scratch arena
+/// the interpreter re-zeroes — never re-allocates — on each run.
 struct PlanCore<T: Scalar> {
+    choice: HierChoice,
     program: Result<Arc<CollectiveProgram>>,
     scratch: RefCell<Vec<T>>,
 }
 
 impl<T: Scalar> PlanCore<T> {
+    /// Freezes what [`Algo::Auto`](crate::Algo::Auto) would run for
+    /// `op` at `n_bytes` — flat or, on a cluster communicator, the
+    /// two-level hybrid — and compiles it for `n` elements.
     fn compile<C: Comm + ?Sized>(
         cc: &Communicator<'_, C>,
         op: PlanOp,
-        strategy: Option<Strategy>,
+        n_bytes: usize,
         n: usize,
     ) -> Self {
+        let cop = ir::cost_op(op).expect("every planned op takes a strategy");
+        let choice = cc.auto_choice(cop, n_bytes);
+        let (strategy, hier) = match &choice {
+            HierChoice::Flat(s) => (Some(s.clone()), None),
+            HierChoice::Hier(h) => (None, Some(h.clone())),
+        };
         // Persistent plans compile at full optimization: the pass
         // pipeline's rewrites are re-proven by the schedule audit and
         // pinned byte-identical by the differential suites, so the
@@ -63,10 +73,11 @@ impl<T: Scalar> PlanCore<T> {
             n,
             elem_size: std::mem::size_of::<T>(),
             strategy,
-            hier: None,
+            hier,
             opt: ir::OptLevel::Full,
         };
         PlanCore {
+            choice,
             program: ir::global_cache().get_or_compile(&key),
             scratch: RefCell::new(Vec::new()),
         }
@@ -84,20 +95,20 @@ impl<T: Scalar> PlanCore<T> {
 /// element count.
 pub struct BcastPlan<T: Scalar> {
     core: PlanCore<T>,
-    strategy: Strategy,
 }
 
 impl<T: Scalar> BcastPlan<T> {
     /// Plans a broadcast of `len` elements from `root`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, root: usize, len: usize) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::Broadcast, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, Some(strategy.clone()), len);
-        BcastPlan { core, strategy }
+        let bytes = len * std::mem::size_of::<T>();
+        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, bytes, len);
+        BcastPlan { core }
     }
 
-    /// The frozen strategy (for inspection/reporting).
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The frozen selection: flat, or hierarchical on a cluster
+    /// communicator where the two-level hybrid prices lower.
+    pub fn choice(&self) -> &HierChoice {
+        &self.core.choice
     }
 
     /// The compiled schedule this plan executes.
@@ -125,7 +136,6 @@ impl<T: Scalar> BcastPlan<T> {
 /// recursive path.
 pub struct ReducePlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
@@ -137,14 +147,15 @@ impl<T: Elem> ReducePlan<T> {
         len: usize,
         op: ReduceOp,
     ) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::CombineToOne, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, Some(strategy.clone()), len);
-        ReducePlan { core, strategy, op }
+        let bytes = len * std::mem::size_of::<T>();
+        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, bytes, len);
+        ReducePlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The frozen selection: flat, or hierarchical on a cluster
+    /// communicator where the two-level hybrid prices lower.
+    pub fn choice(&self) -> &HierChoice {
+        &self.core.choice
     }
 
     /// The compiled schedule this plan executes.
@@ -170,21 +181,21 @@ impl<T: Elem> ReducePlan<T> {
 /// A frozen combine-to-all (allreduce).
 pub struct AllreducePlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
 impl<T: Elem> AllreducePlan<T> {
     /// Plans an allreduce of `len` elements under `op`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, len: usize, op: ReduceOp) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::CombineToAll, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::AllReduce, Some(strategy.clone()), len);
-        AllreducePlan { core, strategy, op }
+        let bytes = len * std::mem::size_of::<T>();
+        let core = PlanCore::compile(cc, PlanOp::AllReduce, bytes, len);
+        AllreducePlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The frozen selection: flat, or hierarchical on a cluster
+    /// communicator where the two-level hybrid prices lower.
+    pub fn choice(&self) -> &HierChoice {
+        &self.core.choice
     }
 
     /// The compiled schedule this plan executes.
@@ -211,7 +222,6 @@ impl<T: Elem> AllreducePlan<T> {
 /// blocks.
 pub struct ReduceScatterPlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
@@ -219,14 +229,14 @@ impl<T: Elem> ReduceScatterPlan<T> {
     /// Plans a reduce-scatter leaving `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize, op: ReduceOp) -> Self {
         let total = block * cc.size() * std::mem::size_of::<T>();
-        let strategy = cc.auto_strategy(CollectiveOp::DistributedCombine, total);
-        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, Some(strategy.clone()), block);
-        ReduceScatterPlan { core, strategy, op }
+        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, total, block);
+        ReduceScatterPlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The frozen selection: flat, or hierarchical on a cluster
+    /// communicator where the two-level hybrid prices lower.
+    pub fn choice(&self) -> &HierChoice {
+        &self.core.choice
     }
 
     /// The compiled schedule this plan executes.
@@ -259,21 +269,20 @@ impl<T: Elem> ReduceScatterPlan<T> {
 /// A frozen collect (allgather) with equal per-rank blocks.
 pub struct CollectPlan<T: Scalar> {
     core: PlanCore<T>,
-    strategy: Strategy,
 }
 
 impl<T: Scalar> CollectPlan<T> {
     /// Plans a collect of `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize) -> Self {
         let total = block * cc.size() * std::mem::size_of::<T>();
-        let strategy = cc.auto_strategy(CollectiveOp::Collect, total);
-        let core = PlanCore::compile(cc, PlanOp::Collect, Some(strategy.clone()), block);
-        CollectPlan { core, strategy }
+        let core = PlanCore::compile(cc, PlanOp::Collect, total, block);
+        CollectPlan { core }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The frozen selection: flat, or hierarchical on a cluster
+    /// communicator where the two-level hybrid prices lower.
+    pub fn choice(&self) -> &HierChoice {
+        &self.core.choice
     }
 
     /// The compiled schedule this plan executes.
@@ -313,7 +322,7 @@ mod tests {
     use super::*;
     use crate::comm::SelfComm;
     use crate::error::CommError;
-    use intercom_cost::MachineParams;
+    use intercom_cost::{CollectiveOp, MachineParams};
 
     #[test]
     fn plans_run_on_world_of_one() {
@@ -377,13 +386,13 @@ mod tests {
     }
 
     #[test]
-    fn frozen_strategy_matches_auto() {
+    fn frozen_choice_matches_auto() {
         let c = SelfComm;
         let cc = Communicator::world(&c, MachineParams::PARAGON);
         let bp = BcastPlan::<u8>::new(&cc, 0, 4096);
         assert_eq!(
-            *bp.strategy(),
-            cc.auto_strategy(CollectiveOp::Broadcast, 4096)
+            *bp.choice(),
+            HierChoice::Flat(cc.auto_strategy(CollectiveOp::Broadcast, 4096))
         );
     }
 

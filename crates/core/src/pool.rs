@@ -40,8 +40,8 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Fraction of acquires served without allocating, in `[0, 1]` —
-    /// or `None` for a pool that was never asked (disabled, or every
-    /// transfer took the zero-copy rendezvous path). A bypassed pool
+    /// or `None` for a pool that was never asked (every transfer
+    /// took the zero-copy rendezvous path). A bypassed pool
     /// has no hit rate; reporting `1.0` for it would flatter exactly
     /// the shapes that skip pooling.
     pub fn hit_rate(&self) -> Option<f64> {
@@ -116,13 +116,6 @@ impl BufferPool {
     /// An empty pool with the default per-class retention bound.
     pub fn new() -> Self {
         Self::with_max_per_class(DEFAULT_MAX_PER_CLASS)
-    }
-
-    /// A pool that never retains anything: every acquire allocates and
-    /// every release frees. This is the pre-pooling transport behaviour,
-    /// kept as an A/B baseline for the `hotpath` bench.
-    pub fn disabled() -> Self {
-        Self::with_max_per_class(0)
     }
 
     /// An empty pool retaining at most `max_per_class` buffers per size
@@ -274,11 +267,10 @@ mod tests {
 
     #[test]
     fn hit_rate_of_untouched_pool_is_not_applicable() {
-        // A pool nothing ever acquired from (disabled transport, pure
-        // rendezvous traffic) has no hit rate — `Some(1.0)` here would
-        // report perfect pooling for shapes that bypass the pool.
+        // A pool nothing ever acquired from (pure rendezvous traffic)
+        // has no hit rate — `Some(1.0)` here would report perfect
+        // pooling for shapes that bypass the pool.
         assert_eq!(BufferPool::new().stats().hit_rate(), None);
-        assert_eq!(BufferPool::disabled().stats().hit_rate(), None);
     }
 
     #[test]

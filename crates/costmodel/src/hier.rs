@@ -538,6 +538,15 @@ pub enum HierChoice {
     Hier(HierStrategy),
 }
 
+impl fmt::Display for HierChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HierChoice::Flat(s) => s.fmt(f),
+            HierChoice::Hier(h) => h.fmt(f),
+        }
+    }
+}
+
 /// Prices the best hierarchical hybrid against the best flat strategy
 /// (both under the two-level model; flat pays the inter-node level per
 /// [`flat_on_cluster_cost`]) and returns the winner.

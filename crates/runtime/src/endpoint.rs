@@ -27,12 +27,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default size at or above which `sendrecv` payloads skip the pooled
-/// copy entirely: the receiver copies straight out of the sender's
-/// buffer (rendezvous), halving the per-hop memcpy volume for the
+/// Size at or above which `sendrecv` payloads skip the pooled copy
+/// entirely: the receiver copies straight out of the sender's buffer
+/// (rendezvous), halving the per-hop memcpy volume for the
 /// bandwidth-bound regime. Below it, the eager pooled copy wins — the
-/// sender never waits on its peer. `usize::MAX` disables the path (the
-/// bench's pre-PR baseline).
+/// sender never waits on its peer.
 pub const DEFAULT_RENDEZVOUS_THRESHOLD: usize = 32 * 1024;
 
 /// Completion flag of a borrowed (zero-copy) payload.
@@ -237,8 +236,8 @@ impl PeerStash {
 /// pooled buffer immediately, so a `sendrecv` can be implemented as
 /// send-then-receive without deadlock — the §2 machine's "send and
 /// receive at the same time". `sendrecv` payloads at or above the
-/// rendezvous threshold (default
-/// [`DEFAULT_RENDEZVOUS_THRESHOLD`]) skip the copy-in: the receiver
+/// rendezvous threshold
+/// ([`DEFAULT_RENDEZVOUS_THRESHOLD`]) skip the copy-in: the receiver
 /// copies directly out of this rank's buffer and the call blocks until
 /// it has (one memcpy per hop instead of two).
 pub struct ThreadComm {
@@ -248,7 +247,6 @@ pub struct ThreadComm {
     /// `pools[r]` is rank `r`'s payload pool; consumed payloads go back
     /// to the pool of the rank that acquired them.
     pools: Arc<Vec<BufferPool>>,
-    rendezvous_threshold: usize,
     stash: RefCell<Vec<PeerStash>>,
     departed: RefCell<Vec<bool>>,
     /// Retired rendezvous completion flags, reused so steady-state
@@ -278,7 +276,6 @@ impl ThreadComm {
         senders: Vec<Sender<Msg>>,
         inbox: Receiver<Msg>,
         pools: Arc<Vec<BufferPool>>,
-        rendezvous_threshold: usize,
         wait_timeout: Duration,
     ) -> Self {
         debug_assert_eq!(senders.len(), pools.len());
@@ -288,7 +285,6 @@ impl ThreadComm {
             senders,
             inbox,
             pools,
-            rendezvous_threshold,
             stash: RefCell::new((0..p).map(|_| PeerStash::default()).collect()),
             departed: RefCell::new(vec![false; p]),
             completions: RefCell::new(Vec::new()),
@@ -617,7 +613,7 @@ impl ThreadComm {
         // the offer would land in our own mailbox and could only be
         // consumed by a *later* local recv, after the wait — for the
         // self case the eager buffered copy is required.
-        if data.len() >= self.rendezvous_threshold && to != self.rank {
+        if data.len() >= DEFAULT_RENDEZVOUS_THRESHOLD && to != self.rank {
             debug_assert_ne!(stag, FAREWELL_TAG, "Tag::MAX is reserved");
             self.check_peer(to)?;
             let obs = self.obs();
@@ -692,22 +688,9 @@ mod tests {
         let (s0, r0) = channel();
         let (s1, r1) = channel();
         let pools = make_pools(2);
-        let a = ThreadComm::new(
-            0,
-            vec![s0.clone(), s1.clone()],
-            r0,
-            pools.clone(),
-            DEFAULT_RENDEZVOUS_THRESHOLD,
-            Duration::from_secs(30),
-        );
-        let b = ThreadComm::new(
-            1,
-            vec![s0, s1],
-            r1,
-            pools,
-            DEFAULT_RENDEZVOUS_THRESHOLD,
-            Duration::from_secs(30),
-        );
+        let wait = Duration::from_secs(30);
+        let a = ThreadComm::new(0, vec![s0.clone(), s1.clone()], r0, pools.clone(), wait);
+        let b = ThreadComm::new(1, vec![s0, s1], r1, pools, wait);
         (a, b)
     }
 
@@ -782,14 +765,7 @@ mod tests {
         // receive must report Disconnected rather than hang.
         let (_s, r) = channel::<Msg>();
         let (s_other, _r_other) = channel::<Msg>();
-        let lonely = ThreadComm::new(
-            0,
-            vec![s_other],
-            r,
-            make_pools(1),
-            DEFAULT_RENDEZVOUS_THRESHOLD,
-            Duration::from_secs(30),
-        );
+        let lonely = ThreadComm::new(0, vec![s_other], r, make_pools(1), Duration::from_secs(30));
         drop(_s);
         let mut buf = [0u8; 1];
         assert_eq!(lonely.recv(0, 0, &mut buf), Err(CommError::Disconnected));

@@ -1,7 +1,7 @@
 //! World construction: one thread per rank, fully-connected channels.
 
 use crate::chan::channel;
-use crate::endpoint::{Msg, ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD};
+use crate::endpoint::{Msg, ThreadComm};
 use intercom::BufferPool;
 use intercom_obs::{RankRecord, Recorder, RunRecord};
 use std::sync::Arc;
@@ -30,42 +30,7 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Send + Sync,
 {
-    run_world_pooled(p, BufferPool::new, f)
-}
-
-/// [`run_world`] with explicit payload-pool construction per rank.
-pub fn run_world_pooled<T, F>(p: usize, make_pool: impl Fn() -> BufferPool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&ThreadComm) -> T + Send + Sync,
-{
-    run_world_tuned(p, make_pool, DEFAULT_RENDEZVOUS_THRESHOLD, f)
-}
-
-/// [`run_world`] with every transport knob exposed: per-rank pool
-/// construction and the `sendrecv` rendezvous (zero-copy) threshold.
-/// The `hotpath` bench's pre-PR baseline uses
-/// [`BufferPool::disabled`] plus `usize::MAX` (never rendezvous) to
-/// measure the allocate-per-hop, copy-twice transport this PR replaced.
-pub fn run_world_tuned<T, F>(
-    p: usize,
-    make_pool: impl Fn() -> BufferPool,
-    rendezvous_threshold: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&ThreadComm) -> T + Send + Sync,
-{
-    run_world_inner(
-        p,
-        make_pool,
-        rendezvous_threshold,
-        default_wait_timeout(),
-        None,
-        f,
-    )
-    .0
+    run_world_inner(p, default_wait_timeout(), None, f).0
 }
 
 /// [`run_world`] with an explicit bound on every blocking wait: a
@@ -78,15 +43,7 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Send + Sync,
 {
-    run_world_inner(
-        p,
-        BufferPool::new,
-        DEFAULT_RENDEZVOUS_THRESHOLD,
-        deadline,
-        None,
-        f,
-    )
-    .0
+    run_world_inner(p, deadline, None, f).0
 }
 
 /// [`run_world`] with per-rank observability: every `send`/`recv`/
@@ -110,14 +67,7 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Send + Sync,
 {
-    let (out, run) = run_world_inner(
-        p,
-        BufferPool::new,
-        DEFAULT_RENDEZVOUS_THRESHOLD,
-        default_wait_timeout(),
-        Some(recorders),
-        f,
-    );
+    let (out, run) = run_world_inner(p, default_wait_timeout(), Some(recorders), f);
     (
         out,
         run.expect("run_world_inner returns a record when recorders are provided"),
@@ -126,8 +76,6 @@ where
 
 fn run_world_inner<T, F>(
     p: usize,
-    make_pool: impl Fn() -> BufferPool,
-    rendezvous_threshold: usize,
     wait_timeout: Duration,
     recorders: Option<Vec<Recorder>>,
     f: F,
@@ -152,7 +100,7 @@ where
         senders.push(s);
         inboxes.push(r);
     }
-    let pools: Arc<Vec<BufferPool>> = Arc::new((0..p).map(|_| make_pool()).collect());
+    let pools: Arc<Vec<BufferPool>> = Arc::new((0..p).map(|_| BufferPool::new()).collect());
     let f = &f;
     let senders = &senders;
     let pools = &pools;
@@ -165,14 +113,8 @@ where
                 .stack_size(2 * 1024 * 1024);
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    let mut comm = ThreadComm::new(
-                        rank,
-                        senders.clone(),
-                        inbox,
-                        pools.clone(),
-                        rendezvous_threshold,
-                        wait_timeout,
-                    );
+                    let mut comm =
+                        ThreadComm::new(rank, senders.clone(), inbox, pools.clone(), wait_timeout);
                     if let Some(r) = recorder {
                         comm.attach_recorder(r);
                     }
@@ -228,6 +170,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_RENDEZVOUS_THRESHOLD;
     use intercom::Comm;
 
     #[test]

@@ -17,11 +17,14 @@
 //!    range lists, subgroup member lists), bounded and independent of
 //!    payload size.
 //!
-//! The counter is process-global, so measured windows are bracketed by
-//! barriers (warmed planned allreduce) keeping other ranks quiescent —
-//! and the tests themselves are serialized through [`WINDOW`], since
-//! the harness otherwise runs them on concurrent threads whose
-//! allocations would land in each other's windows.
+//! The counter covers every rank thread of the process, so measured
+//! windows are bracketed by barriers (warmed planned allreduce) keeping
+//! other ranks quiescent — and the tests themselves are serialized
+//! through [`WINDOW`], since the harness otherwise runs them on
+//! concurrent threads whose worlds would allocate in each other's
+//! windows. Only threads that opt in through [`RANK_THREAD`] are
+//! counted: the harness formats and prints a finished test's result on
+//! its own threads while the next test's window is already open.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -30,18 +33,32 @@ use intercom::{Comm, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_runtime::{run_world, DEFAULT_RENDEZVOUS_THRESHOLD};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: a pure pass-through to `System` plus a relaxed counter bump;
-// every `GlobalAlloc` contract obligation is discharged by `System`
-// itself, and the counter has no effect on layout or pointers.
+thread_local! {
+    /// Set by every rank closure; const-initialized and without a
+    /// destructor, so reading it inside the allocator never allocates.
+    static RANK_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if RANK_THREAD.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: a pure pass-through to `System` plus a relaxed counter bump
+// behind a thread-local flag read; every `GlobalAlloc` contract
+// obligation is discharged by `System` itself, and the counter has no
+// effect on layout or pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `layout` is forwarded unchanged from our caller, who
         // guarantees it is non-zero-sized as `GlobalAlloc` requires.
         unsafe { System.alloc(layout) }
@@ -55,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr`/`layout` describe a live block from this
         // allocator and `new_size` is non-zero, forwarded unchanged from
         // the caller's `realloc` contract.
@@ -74,12 +91,13 @@ fn window_guard() -> std::sync::MutexGuard<'static, ()> {
     WINDOW.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Counts process-wide allocations during `iters` symmetric `sendrecv`
-/// ping-pong exchanges of `n` bytes between two ranks (after `warmup`
-/// identical exchanges).
+/// Counts the rank threads' allocations during `iters` symmetric
+/// `sendrecv` ping-pong exchanges of `n` bytes between two ranks (after
+/// `warmup` identical exchanges).
 fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
     let _window = window_guard();
     let out = run_world(2, |c| {
+        RANK_THREAD.set(true);
         let peer = 1 - c.rank();
         let mine = vec![c.rank() as u8; n];
         let mut got = vec![0u8; n];
@@ -91,11 +109,21 @@ fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
         // an unconsumed one (depth 2) — growing the mailbox and pulling
         // a second payload buffer from the pool. Both are legitimate
         // one-time warm-up costs, so provision them here rather than
-        // letting a loaded machine pay them inside the window.
+        // letting a loaded machine pay them inside the window. The
+        // tag-2 handshake holds the peer off its receives until both
+        // sends are queued: without it a prompt peer returns the first
+        // buffer in time for the second send to reuse it, and the rank
+        // enters the window owning one buffer.
         c.send(peer, 1, &mine).unwrap();
         c.send(peer, 1, &mine).unwrap();
+        c.send(peer, 2, &[0]).unwrap();
+        c.recv(peer, 2, &mut [0]).unwrap();
         c.recv(peer, 1, &mut got).unwrap();
         c.recv(peer, 1, &mut got).unwrap();
+        // The two provisioned buffers return to this rank's pool only
+        // once the peer has received them; one more exchange proves it
+        // has, so the window cannot open on an empty pool.
+        c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..iters {
             c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
@@ -104,6 +132,9 @@ fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
         // sendrecv returns, rank 1 has completed its side of every
         // iteration, so both ranks' hops fall inside the window.
         let after = ALLOCATIONS.load(Ordering::SeqCst);
+        // The peer may still be inside its last receive: keep this
+        // rank's endpoint teardown out of the peer's window.
+        RANK_THREAD.set(false);
         after - before
     });
     out[0]
@@ -133,10 +164,11 @@ fn rendezvous_hops_allocate_at_most_stray_flags() {
 
 /// Runs `rounds` steady-state repetitions of every planned collective on
 /// a world of `p` ranks and returns the number of heap allocations the
-/// whole process performed during those repetitions (warm-up excluded).
+/// rank threads performed during those repetitions (warm-up excluded).
 fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u64 {
     let _window = window_guard();
     let out = run_world(p, |c| {
+        RANK_THREAD.set(true);
         let cc = Communicator::world(c, MachineParams::PARAGON);
         let bcast = BcastPlan::<f64>::new(&cc, 0, elems);
         let collect = CollectPlan::<f64>::new(&cc, elems);
@@ -169,6 +201,8 @@ fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u6
         // rank's rounds are inside [before, after] on rank 0.
         barrier.execute(&cc, &mut token).unwrap();
         let after = ALLOCATIONS.load(Ordering::SeqCst);
+        // As above: teardown stays out of a slower rank's window.
+        RANK_THREAD.set(false);
         after - before
     });
     out[0]

@@ -142,8 +142,6 @@ impl LogicalMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "heavy-tests")]
-    use proptest::prelude::*;
 
     fn mesh(dims: &[usize]) -> LogicalMesh {
         let p: usize = dims.iter().product();
@@ -225,42 +223,48 @@ mod tests {
         assert_eq!(pairs[5].members(), &[10, 11]);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    proptest! {
-        #[test]
-        fn prop_rank_index_roundtrip(d1 in 1usize..5, d2 in 1usize..5, d3 in 1usize..5) {
-            let m = mesh(&[d1, d2, d3]);
-            for r in 0..d1 * d2 * d3 {
-                prop_assert_eq!(m.rank_of(&m.index_of(r)), r);
+    /// Every 3-D logical mesh with each dimension in `1..5`.
+    fn small_meshes_3d() -> impl Iterator<Item = LogicalMesh> {
+        (1..5).flat_map(|d1| (1..5).flat_map(move |d2| (1..5).map(move |d3| mesh(&[d1, d2, d3]))))
+    }
+
+    #[test]
+    fn rank_index_roundtrip_on_all_small_meshes() {
+        for m in small_meshes_3d() {
+            for r in 0..m.dims().iter().product() {
+                assert_eq!(m.rank_of(&m.index_of(r)), r, "dims {:?}", m.dims());
             }
         }
+    }
 
-        #[test]
-        fn prop_lines_partition_ranks(d1 in 1usize..5, d2 in 1usize..5, dim in 0usize..2) {
-            let m = mesh(&[d1, d2]);
-            let p = d1 * d2;
-            // Lines through a given dimension, collected over all ranks,
-            // cover each rank exactly dims[dim] times.
-            let mut count = vec![0usize; p];
-            for r in 0..p {
-                let line = m.line_through(r, dim);
-                for &n in line.members() {
-                    count[n] += 1;
+    #[test]
+    fn lines_partition_ranks_on_all_small_meshes() {
+        for d1 in 1..5 {
+            for d2 in 1..5 {
+                let m = mesh(&[d1, d2]);
+                let p = d1 * d2;
+                for dim in 0..2 {
+                    // Lines through a given dimension, collected over
+                    // all ranks, cover each rank exactly dims[dim] times.
+                    let mut count = vec![0usize; p];
+                    for r in 0..p {
+                        for &n in m.line_through(r, dim).members() {
+                            count[n] += 1;
+                        }
+                    }
+                    assert!(count.iter().all(|&c| c == m.dims()[dim]), "{d1}x{d2}");
                 }
             }
-            for c in count {
-                prop_assert_eq!(c, m.dims()[dim]);
-            }
         }
+    }
 
-        #[test]
-        fn prop_line_contains_self(d1 in 1usize..5, d2 in 1usize..5, d3 in 1usize..4) {
-            let m = mesh(&[d1, d2, d3]);
-            for r in 0..d1 * d2 * d3 {
+    #[test]
+    fn line_contains_self_on_all_small_meshes() {
+        for m in small_meshes_3d() {
+            for r in 0..m.dims().iter().product() {
                 for d in 0..3 {
                     let line = m.line_through(r, d);
-                    let pos = m.coord_in_dim(r, d);
-                    prop_assert_eq!(line.node(pos), r);
+                    assert_eq!(line.node(m.coord_in_dim(r, d)), r, "dims {:?}", m.dims());
                 }
             }
         }

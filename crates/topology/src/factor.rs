@@ -86,8 +86,6 @@ fn rec(rem: usize, max_dims: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "heavy-tests")]
-    use proptest::prelude::*;
 
     #[test]
     fn primes_of_thirty() {
@@ -178,40 +176,32 @@ mod tests {
         assert_eq!(factorizations(2, 0), vec![vec![2]]);
     }
 
-    #[cfg(feature = "heavy-tests")]
-    proptest! {
-        #[test]
-        fn prop_prime_factors_multiply_back(n in 2usize..10_000) {
-            let f = prime_factors(n);
-            prop_assert_eq!(f.iter().product::<usize>(), n);
+    #[test]
+    fn prime_factors_multiply_back_below_10k() {
+        for n in 2..10_000 {
+            assert_eq!(prime_factors(n).iter().product::<usize>(), n);
         }
+    }
 
-        #[test]
-        fn prop_divisors_divide(n in 1usize..5_000) {
-            for d in divisors(n) {
-                prop_assert_eq!(n % d, 0);
-            }
-        }
-
-        #[test]
-        fn prop_divisors_sorted_unique(n in 1usize..5_000) {
+    #[test]
+    fn divisors_divide_and_are_sorted_unique_below_5k() {
+        for n in 1..5_000 {
             let d = divisors(n);
-            prop_assert!(d.windows(2).all(|w| w[0] < w[1]));
+            assert!(d.iter().all(|&x| n % x == 0), "n={n}");
+            assert!(d.windows(2).all(|w| w[0] < w[1]), "n={n}");
         }
+    }
 
-        #[test]
-        fn prop_factorizations_multiply_back(p in 2usize..200) {
-            for f in factorizations(p, 0) {
-                prop_assert_eq!(f.iter().product::<usize>(), p);
-                prop_assert!(f.iter().all(|&d| d >= 2));
-            }
-        }
-
-        #[test]
-        fn prop_factorizations_distinct(p in 2usize..200) {
+    #[test]
+    fn factorizations_multiply_back_and_are_distinct_below_200() {
+        for p in 2..200 {
             let fs = factorizations(p, 0);
-            let set: std::collections::HashSet<_> = fs.iter().cloned().collect();
-            prop_assert_eq!(set.len(), fs.len());
+            for f in &fs {
+                assert_eq!(f.iter().product::<usize>(), p);
+                assert!(f.iter().all(|&d| d >= 2));
+            }
+            let set: std::collections::HashSet<_> = fs.iter().collect();
+            assert_eq!(set.len(), fs.len(), "p={p}");
         }
     }
 }

@@ -100,8 +100,6 @@ impl fmt::Display for Hypercube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "heavy-tests")]
-    use proptest::prelude::*;
 
     #[test]
     fn sizes() {
@@ -202,16 +200,16 @@ mod tests {
         assert_eq!(seen.len(), c.links());
     }
 
-    #[cfg(feature = "heavy-tests")]
-    proptest! {
-        #[test]
-        fn prop_routes_within_links(d in 1u32..7, seed in any::<u64>()) {
+    #[test]
+    fn every_route_stays_within_link_slots() {
+        for d in 1..7 {
             let c = Hypercube::new(d);
-            let n = c.nodes();
-            let src = (seed as usize) % n;
-            let dst = ((seed >> 16) as usize) % n;
-            for l in c.route(src, dst) {
-                prop_assert!(c.link_slot(l) < c.links());
+            for src in 0..c.nodes() {
+                for dst in 0..c.nodes() {
+                    for l in c.route(src, dst) {
+                        assert!(c.link_slot(l) < c.links(), "d={d} {src}->{dst}");
+                    }
+                }
             }
         }
     }

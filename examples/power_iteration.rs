@@ -58,7 +58,7 @@ fn main() {
             }
             lambda = norm; // Rayleigh-ish estimate for symmetric A
         }
-        (lambda, gather_plan.strategy().to_string())
+        (lambda, gather_plan.choice().to_string())
     });
 
     let (lambda, strategy) = &lambdas[0];

@@ -10,17 +10,19 @@
 //! between stages, or node-major block permutation bug shows up as a
 //! differing word, not a tolerance failure.
 
-use intercom::comm::GroupComm;
+use intercom::comm::{GroupComm, Tag};
+use intercom::plan::AllreducePlan;
 use intercom::{
     algorithms, hier_allreduce, hier_broadcast, hier_collect, hier_reduce, hier_reduce_scatter,
-    Comm, ReduceOp, CALL_TAG_STRIDE,
+    Comm, Communicator, ReduceOp, CALL_TAG_STRIDE,
 };
 use intercom_cost::{
-    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierMachine,
+    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierChoice, HierMachine,
 };
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::{Cluster, Mesh2D};
+use std::cell::Cell;
 
 /// Cluster shapes under test: linear inter-node arrays with fat and
 /// thin nodes, plus a 2x3 inter mesh.
@@ -283,5 +285,147 @@ fn hier_matches_flat_on_the_mesh_simulator() {
             let rep = simulate(&cfg, move |c| differential(c, shape, n, b));
             check(&rep.results, shape, n, b);
         }
+    }
+}
+
+/// Forwards to a backend and counts the messages this rank sends.
+struct CountingComm<'a, C: Comm + ?Sized> {
+    inner: &'a C,
+    sent: Cell<usize>,
+}
+
+impl<C: Comm + ?Sized> Comm for CountingComm<'_, C> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&self, to: usize, tag: Tag, data: &[u8]) -> intercom::Result<()> {
+        self.sent.set(self.sent.get() + 1);
+        self.inner.send(to, tag, data)
+    }
+
+    fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> intercom::Result<()> {
+        self.inner.recv(from, tag, buf)
+    }
+
+    fn sendrecv(
+        &self,
+        to: usize,
+        data: &[u8],
+        from: usize,
+        buf: &mut [u8],
+        tag: Tag,
+    ) -> intercom::Result<()> {
+        self.sent.set(self.sent.get() + 1);
+        self.inner.sendrecv(to, data, from, buf, tag)
+    }
+}
+
+/// Length (in `u64` words) at which the two-level model prices the
+/// hybrid allreduce under every flat strategy on the delta backbone.
+const PLAN_WORDS: usize = 1 << 13;
+
+/// One rank's `(result, messages sent)` for the default-path allreduce
+/// and for an [`AllreducePlan`] of the same call, on a cluster
+/// communicator where `Algo::Auto` resolves to the hierarchical hybrid.
+fn default_vs_plan<C: Comm + ?Sized>(c: &C, cluster: &Cluster) -> [(Vec<u64>, usize); 2] {
+    let counting = CountingComm {
+        inner: c,
+        sent: Cell::new(0),
+    };
+    let cc =
+        Communicator::world_on_cluster(&counting, HierMachine::delta_cluster(), cluster).unwrap();
+    assert!(matches!(
+        cc.auto_choice(CollectiveOp::CombineToAll, PLAN_WORDS * 8),
+        HierChoice::Hier(_)
+    ));
+    let init: Vec<u64> = (0..PLAN_WORDS)
+        .map(|i| contrib_word(cc.rank(), i))
+        .collect();
+
+    let mut direct = init.clone();
+    cc.allreduce(&mut direct, ReduceOp::Sum).unwrap();
+    let direct_msgs = counting.sent.replace(0);
+
+    let plan = AllreducePlan::<u64>::new(&cc, PLAN_WORDS, ReduceOp::Sum);
+    assert!(matches!(plan.choice(), HierChoice::Hier(_)));
+    assert!(
+        plan.program().unwrap().hier.is_some(),
+        "the plan must compile the hierarchical schedule Algo::Auto runs"
+    );
+    let mut planned = init;
+    plan.execute(&cc, &mut planned).unwrap();
+    [(direct, direct_msgs), (planned, counting.sent.get())]
+}
+
+fn check_plan_equals_default(out: &[[(Vec<u64>, usize); 2]]) {
+    let sum_exp: Vec<u64> = (0..PLAN_WORDS)
+        .map(|i| (0..out.len()).map(|r| contrib_word(r, i)).sum())
+        .collect();
+    for (rank, [direct, planned]) in out.iter().enumerate() {
+        assert_eq!(direct.0, sum_exp, "default-path value at rank {rank}");
+        assert_eq!(planned.0, sum_exp, "planned value at rank {rank}");
+        assert_eq!(
+            planned.1, direct.1,
+            "rank {rank}: plan and default path send different message counts"
+        );
+    }
+}
+
+#[test]
+fn plans_freeze_the_hierarchical_choice_on_both_backends() {
+    let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
+    let out = run_world(cluster.ranks(), |c| default_vs_plan(c, &cluster));
+    check_plan_equals_default(&out);
+    let cfg = SimConfig::cluster(cluster, &HierMachine::delta_cluster());
+    let rep = simulate(&cfg, |c| default_vs_plan(c, &cluster));
+    check_plan_equals_default(&rep.results);
+}
+
+/// Executed, not self-graded: on the delta backbone (inter β exactly
+/// 10× intra β) the selected hybrid's virtual time at 256 KiB must be
+/// strictly below the model's best flat strategy on at least two of
+/// three cluster shapes, for broadcast and for allreduce. Virtual time
+/// is deterministic, so there is no tolerance.
+#[test]
+fn hybrids_beat_the_best_flat_strategy_on_the_delta_backbone() {
+    const N: usize = 1 << 18;
+    let machine = HierMachine::delta_cluster();
+    let inter = machine.inter();
+    for op in [CollectiveOp::Broadcast, CollectiveOp::CombineToAll] {
+        let mut wins = 0;
+        for shape in &shapes()[..3] {
+            let cluster = Cluster::new(
+                Mesh2D::new(shape.inter_rows, shape.inter_cols),
+                shape.ranks_per_node,
+            );
+            let hs = select_hier(op, *shape, N, &machine).unwrap();
+            let flat = best_strategy(op, shape.ranks(), N, inter, CostContext::linear_with(inter));
+            let virt = |hier: bool| {
+                let cfg = SimConfig::cluster(cluster, &machine);
+                simulate(&cfg, |c| {
+                    let gc = GroupComm::world(c);
+                    let mut buf = vec![1u8; N];
+                    match (op, hier) {
+                        (CollectiveOp::Broadcast, true) => hier_broadcast(&gc, &hs, 0, &mut buf, 0),
+                        (CollectiveOp::Broadcast, false) => {
+                            algorithms::broadcast(&gc, &flat, 0, &mut buf, 0)
+                        }
+                        (_, true) => hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Max, 0),
+                        (_, false) => algorithms::allreduce(&gc, &flat, &mut buf, ReduceOp::Max, 0),
+                    }
+                    .unwrap();
+                })
+                .elapsed
+            };
+            if virt(true) < virt(false) {
+                wins += 1;
+            }
+        }
+        assert!(wins >= 2, "{op:?}: hybrid wins on only {wins}/3 shapes");
     }
 }

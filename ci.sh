@@ -5,43 +5,46 @@
 # Usage:
 #   ./ci.sh            - the full offline gate
 #   ./ci.sh sanitize   - opt-in: runtime tests under ThreadSanitizer
-#                        (requires a nightly toolchain with -Zsanitizer;
-#                        skipped with a message when unavailable)
+#                        (needs a nightly toolchain with rust-src for
+#                        -Zbuild-std)
 #   ./ci.sh miri       - opt-in: IR interpreter unit tests under Miri
-#                        (requires a nightly toolchain with the miri
-#                        component; skipped with a message when
-#                        unavailable)
+#                        (needs a nightly toolchain with the miri
+#                        component)
+#
+# The two opt-in modes never pass silently: when what they need is
+# missing they print "SKIPPED: <reason>" and exit 77 (the automake
+# "skipped" status), so a caller can tell "checked" from "not checked".
 set -euo pipefail
 cd "$(dirname "$0")"
 
+skip() {
+    echo "SKIPPED: $*"
+    exit 77
+}
+
+have_nightly() {
+    rustup toolchain list 2>/dev/null | grep -q nightly
+}
+
+have_nightly_component() {
+    rustup component list --toolchain nightly 2>/dev/null | grep -q "$1.*installed"
+}
+
 if [[ "${1:-}" == "miri" ]]; then
-    echo "==> Miri (IR interpreter unit tests, nightly, best-effort)"
-    if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
-        echo "miri: no nightly toolchain installed - skipping"
-        exit 0
-    fi
-    if ! rustup component list --toolchain nightly 2>/dev/null \
-            | grep -q "miri.*installed"; then
-        echo "miri: nightly miri component not installed - skipping"
-        exit 0
-    fi
+    echo "==> Miri (IR interpreter unit tests, nightly)"
+    have_nightly || skip "miri needs a nightly toolchain, none is installed"
+    have_nightly_component miri || skip "the nightly miri component is not installed"
     cargo +nightly miri test -p intercom --lib -q ir::
     echo "ci.sh miri: all green"
     exit 0
 fi
 
 if [[ "${1:-}" == "sanitize" ]]; then
-    echo "==> ThreadSanitizer (runtime tests, nightly, best-effort)"
-    if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
-        echo "sanitize: no nightly toolchain installed - skipping"
-        exit 0
-    fi
+    echo "==> ThreadSanitizer (runtime tests, nightly)"
+    have_nightly || skip "sanitize needs a nightly toolchain, none is installed"
+    have_nightly_component rust-src \
+        || skip "nightly rust-src is not installed (needed for -Zbuild-std)"
     host="$(rustc -vV | sed -n 's/^host: //p')"
-    if ! rustup component list --toolchain nightly 2>/dev/null \
-            | grep -q "rust-src.*installed"; then
-        echo "sanitize: nightly rust-src not installed (needed for -Zbuild-std) - skipping"
-        exit 0
-    fi
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -p intercom-runtime -q \
         -Zbuild-std --target "$host"
@@ -57,9 +60,6 @@ cargo test --workspace -q
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy --no-default-features -- -D warnings"
-cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

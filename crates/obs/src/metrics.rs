@@ -469,6 +469,10 @@ pub fn ingest_counters(backend: &str, c: &Counters) {
     reg.counter_add("intercom_reduce_steps_total", l, c.reduce_steps);
     reg.counter_add("intercom_pool_hits_total", l, c.pool_hits);
     reg.counter_add("intercom_pool_misses_total", l, c.pool_misses);
+    for (kind, n) in [("polled", c.polled_waits), ("parked", c.parked_waits)] {
+        let l = &[("backend", backend), ("kind", kind)][..];
+        reg.counter_add("intercom_waits_total", l, n);
+    }
     // Fault-path events (intercom_fault_*_total) are deliberately NOT
     // re-exported here: the fault layer counts them firsthand as they
     // happen, and folding the trace-derived copies in again would

@@ -105,6 +105,12 @@ pub struct Counters {
     pub timeout_waits: u64,
     /// Coordinated-abort poison deliveries observed on this rank.
     pub aborts: u64,
+    /// Receives that found the inbox empty and got their message while
+    /// polling it (threaded backend; no context switch).
+    pub polled_waits: u64,
+    /// Receives that polled out their budget and parked on the inbox
+    /// condvar (threaded backend; a futex wake and a reschedule).
+    pub parked_waits: u64,
     /// Seconds spent blocked waiting for a peer (recv with no matching
     /// message yet, rendezvous completion waits).
     pub wait_secs: f64,
@@ -148,6 +154,8 @@ impl Counters {
         self.naks += other.naks;
         self.timeout_waits += other.timeout_waits;
         self.aborts += other.aborts;
+        self.polled_waits += other.polled_waits;
+        self.parked_waits += other.parked_waits;
         self.wait_secs += other.wait_secs;
         self.transfer_secs += other.transfer_secs;
     }

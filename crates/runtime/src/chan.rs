@@ -9,9 +9,52 @@
 //! steady-state zero-allocation operation, which the transport's
 //! allocation-free guarantee relies on and the counting-allocator test
 //! asserts.
+//!
+//! Wait policy: a receive that finds the queue empty *polls before it
+//! parks*. It looks at a lock-free mirror of the queue length every
+//! [`LOOK_INTERVAL`], giving its core away with `yield_now` between
+//! looks, for at most [`POLL_BUDGET`], and only then sleeps on the
+//! condvar. The mirror is a
+//! hint: every pop, the empty check that precedes a park, and the
+//! parked flag the sender reads live under the mutex, so no wake-up can
+//! be lost. A sender pays the `notify_one` syscall only when the
+//! receiver recorded that it is actually asleep.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// How long an empty-handed receive polls before it parks. A parked
+/// hand-off costs the sender a futex wake and the receiver a reschedule:
+/// about 18 us one way on the reference 2-vCPU guest, 37 us for the
+/// round trip (`runtime.sendrecv_us.8B` 17.6, `runtime.pingpong_rtt_us.8B`
+/// 36.7 before this policy). Polling for about that long bounds the CPU
+/// a wait can waste at what parking straight away would have cost in
+/// wake-up latency (the ski-rental bound), while a peer that answers
+/// within the budget is seen at the next look instead of after two
+/// context switches.
+const POLL_BUDGET: Duration = Duration::from_micros(40);
+
+/// How far apart the looks of the poll phase are, on a clock grid that
+/// starts with the wait. Between two looks the receiver only calls
+/// `yield_now`, so a peer sharing its core has the core until the next
+/// look is due: the yield, not the budget, is what keeps an
+/// oversubscribed world moving (a 2-rank world pinned to one core runs
+/// the same 11 us round as on two).
+///
+/// The interval buys steadiness with latency. Looking back to back
+/// (four `PAUSE`s per yield) made a hop a handful of cache-line
+/// transfers, 4.3 us for a three-call round of a 2-rank world, but what
+/// those transfers cost moves with where the host schedules the vCPUs:
+/// over ten 30-second runs the quartiles of that round's rate were 4-5 %
+/// apart, which at 220 000 rounds/s is more than the repo's benchmark
+/// can tell from a regression (it holds the quartile distance of a rate
+/// to a fifth of the *parent's* rate). On the grid a hop that has to
+/// wait costs a whole number of intervals whatever the transfers cost:
+/// the same round takes 11.6 us and the quartiles are 1.0 % apart (2.5 %
+/// at 3 us, 1.3 % at 5 us).
+const LOOK_INTERVAL: Duration = Duration::from_micros(4);
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -19,11 +62,29 @@ struct State<T> {
     producers: usize,
     /// Cleared when the [`Receiver`] drops; sends then fail fast.
     receiver_alive: bool,
+    /// Set by the receiver immediately before it sleeps on `ready`;
+    /// taken by the sender that wakes it. A sender that finds it clear
+    /// skips the wake-up syscall: the receiver is running (polling, or
+    /// about to re-check the queue under this mutex).
+    parked: bool,
 }
 
 struct Shared<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
+    /// Mirror of `state.queue.len()`, stored under the mutex by whoever
+    /// changed the queue and read without it by the polling receiver. It
+    /// carries no data (the pop re-checks under the lock), so `Relaxed`
+    /// is enough.
+    len: AtomicUsize,
+}
+
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        // Every critical section below is a few queue and flag
+        // updates, none of which can panic.
+        self.state.lock().expect("inbox mutex poisoned")
+    }
 }
 
 /// The sending half; cloning registers another producer.
@@ -56,6 +117,15 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
+/// How a blocking receive got its message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Waited {
+    /// It was queued already, or arrived while the receiver polled.
+    Polled,
+    /// The receiver slept on the condvar at least once.
+    Parked,
+}
+
 /// Creates a connected unbounded channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
@@ -63,8 +133,10 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             producers: 1,
             receiver_alive: true,
+            parked: false,
         }),
         ready: Condvar::new(),
+        len: AtomicUsize::new(0),
     });
     (
         Sender {
@@ -78,17 +150,18 @@ impl<T> Sender<T> {
     /// Enqueues `value`; fails (returning the value) if the receiver has
     /// been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         if !st.receiver_alive {
             return Err(SendError(value));
         }
-        let was_empty = st.queue.is_empty();
         st.queue.push_back(value);
+        self.shared.len.store(st.queue.len(), Ordering::Relaxed);
+        // The receiver sets `parked` under this mutex after finding the
+        // queue empty, so a clear flag proves it will see this push
+        // without being woken.
+        let wake = std::mem::take(&mut st.parked);
         drop(st);
-        // The single consumer only blocks after observing an empty queue
-        // under this same mutex, so a push onto a non-empty queue cannot
-        // race with a sleeping receiver — skip the wakeup syscall.
-        if was_empty {
+        if wake {
             self.shared.ready.notify_one();
         }
         Ok(())
@@ -97,7 +170,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.state.lock().unwrap().producers += 1;
+        self.shared.lock().producers += 1;
         Sender {
             shared: self.shared.clone(),
         }
@@ -107,7 +180,7 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let remaining = {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.lock();
             st.producers -= 1;
             st.producers
         };
@@ -123,42 +196,84 @@ impl<T> Receiver<T> {
     /// Blocks until a message arrives; fails once the queue is drained
     /// and no sender remains.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                return Ok(v);
-            }
-            if st.producers == 0 {
-                return Err(RecvError);
-            }
-            st = self.shared.ready.wait(st).unwrap();
+        match self.recv_until(None) {
+            Ok((v, _)) => Ok(v),
+            Err(_) => Err(RecvError),
         }
     }
 
     /// Blocks until a message arrives or `timeout` elapses. The wait is
     /// deadline-based: spurious condvar wakeups re-wait only for the
     /// remaining time.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.shared.state.lock().unwrap();
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let deadline = Instant::now() + timeout;
+        self.recv_until(Some(deadline)).map(|(v, _)| v)
+    }
+
+    /// The one wait loop: poll the length mirror for the budget, then
+    /// pop under the lock, parking until notified or `deadline` while
+    /// the queue stays empty (`None` waits forever and never reports
+    /// `Timeout`). The budget is spent once per call, not per wake-up.
+    /// Also says whether the wait had to park.
+    pub(crate) fn recv_until(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Result<(T, Waited), RecvTimeoutError> {
+        let shared = &*self.shared;
+        self.poll(deadline);
+        let mut waited = Waited::Polled;
+        let mut st = shared.lock();
         loop {
             if let Some(v) = st.queue.pop_front() {
-                return Ok(v);
+                shared.len.store(st.queue.len(), Ordering::Relaxed);
+                return Ok((v, waited));
             }
             if st.producers == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
                 return Err(RecvTimeoutError::Timeout);
+            }
+            st.parked = true;
+            waited = Waited::Parked;
+            st = match left {
+                None => shared.ready.wait(st).expect("inbox mutex poisoned"),
+                Some(left) => {
+                    let woken = shared.ready.wait_timeout(st, left);
+                    woken.expect("inbox mutex poisoned").0
+                }
             };
-            let (guard, result) = self.shared.ready.wait_timeout(st, remaining).unwrap();
-            st = guard;
-            if result.timed_out() && st.queue.is_empty() && st.producers > 0 {
-                return Err(RecvTimeoutError::Timeout);
+            // Timed out or woken spuriously: nobody took the flag.
+            st.parked = false;
+        }
+    }
+
+    /// Looks at the length mirror every [`LOOK_INTERVAL`] until it is
+    /// non-zero, [`POLL_BUDGET`] is spent or `deadline` passes. The
+    /// clock is first read after one fruitless look, so a message that
+    /// is already there costs none.
+    fn poll(&self, deadline: Option<Instant>) {
+        let ready = || self.shared.len.load(Ordering::Relaxed) != 0;
+        if ready() {
+            return;
+        }
+        let start = Instant::now();
+        let give_up = deadline.map_or(start + POLL_BUDGET, |d| d.min(start + POLL_BUDGET));
+        let mut look = start;
+        while look < give_up {
+            look = (look + LOOK_INTERVAL).min(give_up);
+            // Whoever shares this core (the peer we are waiting for,
+            // in an oversubscribed world) runs until the next look is
+            // due instead of after our budget.
+            loop {
+                std::thread::yield_now();
+                if Instant::now() >= look {
+                    break;
+                }
+            }
+            if ready() {
+                return;
             }
         }
     }
@@ -166,19 +281,29 @@ impl<T> Receiver<T> {
     /// Non-blocking receive: `None` when the queue is currently empty
     /// (regardless of sender liveness).
     pub fn try_recv(&self) -> Option<T> {
-        self.shared.state.lock().unwrap().queue.pop_front()
+        // An empty look needs no lock: a send that happens-before this
+        // call has stored a non-zero length, and a stale zero only sends
+        // the caller on to a blocking receive, which pops under the lock.
+        if self.shared.len.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut st = self.shared.lock();
+        let v = st.queue.pop_front();
+        self.shared.len.store(st.queue.len(), Ordering::Relaxed);
+        v
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.state.lock().unwrap().receiver_alive = false;
+        self.shared.lock().receiver_alive = false;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn roundtrip_preserves_fifo() {
@@ -285,5 +410,144 @@ mod tests {
         got.sort_unstable();
         got.dedup();
         assert_eq!(got.len(), 800);
+    }
+
+    fn far_deadline() -> Instant {
+        Instant::now() + Duration::from_secs(10)
+    }
+
+    /// Spawns a thread that runs `act` the moment `go` is raised, so it
+    /// lands inside the raiser's next wait.
+    fn on_signal<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        go: &'s AtomicBool,
+        act: impl FnOnce() + Send + 's,
+    ) {
+        scope.spawn(move || {
+            while !go.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            act();
+        });
+    }
+
+    #[test]
+    fn message_arriving_during_the_poll_phase_is_returned_without_parking() {
+        // The sender spins on `go` and fires the instant the receiver
+        // enters its wait, well inside the 40 us budget unless the box
+        // preempts it; a handful of attempts makes that irrelevant.
+        let mut polled = 0;
+        for attempt in 0..200u32 {
+            let (tx, rx) = channel();
+            let go = AtomicBool::new(false);
+            let got = std::thread::scope(|s| {
+                on_signal(s, &go, || tx.send(attempt).unwrap());
+                go.store(true, Ordering::Release);
+                rx.recv_until(Some(far_deadline()))
+            });
+            let (v, waited) = got.unwrap();
+            assert_eq!(v, attempt);
+            polled += u32::from(waited == Waited::Polled);
+        }
+        assert!(polled > 0, "no receive was served from the poll phase");
+    }
+
+    #[test]
+    fn message_arriving_after_the_budget_is_returned_from_the_park() {
+        let (tx, rx) = channel();
+        let got = std::thread::scope(|s| {
+            let shared = &rx.shared;
+            s.spawn(move || {
+                // Send only once the receiver has recorded that it sleeps.
+                while !shared.lock().parked {
+                    std::thread::yield_now();
+                }
+                tx.send(9u32).unwrap();
+            });
+            rx.recv_until(Some(far_deadline()))
+        });
+        assert_eq!(got, Ok((9, Waited::Parked)));
+    }
+
+    #[test]
+    fn timeout_shorter_than_the_budget_is_not_rounded_up_to_it() {
+        let timeout = Duration::from_micros(5);
+        assert!(timeout * 4 < POLL_BUDGET);
+        let (_tx, rx) = channel::<u8>();
+        // The best of many trials: a preempted trial says nothing about
+        // the wait policy.
+        let best = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best >= timeout, "returned early: {best:?}");
+        assert!(
+            best < timeout * 4,
+            "waited {best:?} for a {timeout:?} timeout"
+        );
+    }
+
+    #[test]
+    fn disconnect_during_polling_is_reported() {
+        let (tx, rx) = channel::<u8>();
+        let go = AtomicBool::new(false);
+        let start = Instant::now();
+        let got = std::thread::scope(|s| {
+            on_signal(s, &go, || drop(tx));
+            go.store(true, Ordering::Release);
+            rx.recv_timeout(Duration::from_secs(10))
+        });
+        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Eight producers that mostly sleep, so the receiver keeps crossing
+    /// from polling into parking while sends race it: the parked-flag
+    /// protocol must lose no wake-up. Receives are bounded, so a lost
+    /// wake-up fails with `Timeout` instead of hanging the suite.
+    /// (`./ci.sh sanitize` runs this under ThreadSanitizer.)
+    #[test]
+    fn racing_producers_lose_no_wakeup() {
+        const PRODUCERS: u64 = 8;
+        const PER_PRODUCER: u64 = 10_000;
+        let (tx, rx) = channel();
+        let mut next = [0u64; PRODUCERS as usize];
+        let mut parked = 0u64;
+        std::thread::scope(|s| {
+            for t in 0..PRODUCERS {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    let mut rng = intercom::SplitMix64::new(t);
+                    for i in 0..PER_PRODUCER {
+                        match rng.next_u64() % 16 {
+                            // Long enough for the receiver to park.
+                            0 => std::thread::sleep(Duration::from_micros(100)),
+                            1..=4 => std::thread::yield_now(),
+                            _ => {}
+                        }
+                        tx.send((t, i)).unwrap();
+                    }
+                });
+            }
+            let mut rng = intercom::SplitMix64::new(PRODUCERS);
+            for _ in 0..PRODUCERS * PER_PRODUCER {
+                if rng.below(8) == 0 {
+                    std::thread::yield_now();
+                }
+                let ((t, i), waited) = rx
+                    .recv_until(Some(far_deadline()))
+                    .expect("a wake-up was lost");
+                assert_eq!(i, next[t as usize], "producer {t} out of order");
+                next[t as usize] += 1;
+                parked += u64::from(waited == Waited::Parked);
+            }
+        });
+        assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
+        assert_eq!(rx.try_recv(), None);
+        assert!(parked > 0, "the park path was never taken");
     }
 }

@@ -18,7 +18,7 @@
 //! — one memcpy per hop instead of two, which is what bounds the
 //! bandwidth-heavy ring primitives.
 
-use crate::chan::{Receiver, RecvTimeoutError, Sender};
+use crate::chan::{Receiver, RecvTimeoutError, Sender, Waited};
 use intercom::faults::POISON_TAG;
 use intercom::{AbortCause, AbortInfo, BufferPool, Comm, CommError, PoolStats, Result, Tag};
 use intercom_obs::{EventKind, Recorder, TraceEvent};
@@ -373,20 +373,29 @@ impl ThreadComm {
         if self.departed.borrow()[from] {
             return Err(CommError::Disconnected);
         }
-        let deadline = Instant::now() + self.wait_timeout;
+        // The deadline costs a clock read; a message that is already
+        // queued never needs it.
+        let mut deadline = None;
         loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            let msg = match self.inbox.recv_timeout(remaining) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        from,
-                        tag,
-                        waited_ms: self.wait_timeout.as_millis() as u64,
-                    })
+            let msg = match self.inbox.try_recv() {
+                Some(msg) => msg,
+                None => {
+                    let deadline =
+                        *deadline.get_or_insert_with(|| Instant::now() + self.wait_timeout);
+                    match self.inbox.recv_until(Some(deadline)) {
+                        Ok((msg, waited)) => {
+                            self.count_wait(waited);
+                            msg
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
+                        Err(RecvTimeoutError::Timeout) => {
+                            return Err(CommError::Timeout {
+                                from,
+                                tag,
+                                waited_ms: self.wait_timeout.as_millis() as u64,
+                            })
+                        }
+                    }
                 }
             };
             if msg.tag == FAREWELL_TAG {
@@ -403,6 +412,17 @@ impl ThreadComm {
                 return Ok(msg.data);
             }
             self.stash.borrow_mut()[msg.src].push(msg.tag, msg.data);
+        }
+    }
+
+    /// Says where a wait went: resolved while polling the inbox, or
+    /// only after parking on its condvar.
+    fn count_wait(&self, waited: Waited) {
+        if let Some(r) = self.obs() {
+            r.with_counters(|c| match waited {
+                Waited::Polled => c.polled_waits += 1,
+                Waited::Parked => c.parked_waits += 1,
+            });
         }
     }
 

@@ -294,6 +294,26 @@ mod tests {
     }
 
     #[test]
+    fn recorded_waits_say_whether_they_parked() {
+        let (_, run) = run_world_recorded(2, 64, |c| {
+            let mut buf = [0u8; 1];
+            if c.rank() == 0 {
+                // Far longer than the poll budget: rank 1 must park.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                c.send(1, 1, &[7]).unwrap();
+                // Queued before the receive is posted: not a wait.
+                c.send(0, 2, &[8]).unwrap();
+                c.recv(0, 2, &mut buf).unwrap();
+            } else {
+                c.recv(0, 1, &mut buf).unwrap();
+            }
+        });
+        let c = &run.counters;
+        assert_eq!((c[1].polled_waits, c[1].parked_waits), (0, 1));
+        assert_eq!((c[0].polled_waits, c[0].parked_waits), (0, 0));
+    }
+
+    #[test]
     fn observed_with_disabled_recorders_records_nothing() {
         let (out, run) = run_world_observed(3, intercom_obs::disabled_recorders(3), |c| {
             c.send(c.rank(), 1, &[1, 2]).unwrap();

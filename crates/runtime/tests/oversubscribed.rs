@@ -1,0 +1,31 @@
+//! More ranks than cores: a receiver's poll phase must hand its core to
+//! the peer it is waiting for (the `yield_now`s between looks)
+//! instead of burning its whole budget on every hop.
+
+use intercom::{Comm, Communicator, ReduceOp};
+use intercom_cost::MachineParams;
+use intercom_runtime::run_world;
+
+#[test]
+fn oversubscribed_world_completes_small_allreduces() {
+    const ROUNDS: u64 = 1_000;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let p = 4 * cores;
+    let sums = run_world(p, |c| {
+        let cc = Communicator::world(c, MachineParams::PARAGON);
+        let mut sum = 0u64;
+        for round in 0..ROUNDS {
+            let mut v = [c.rank() as u64 + round];
+            cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+            sum += v[0];
+        }
+        sum
+    });
+    // Round r sums rank + r over all ranks: p(p-1)/2 + p*r.
+    let p = p as u64;
+    let expected = ROUNDS * p * (p - 1) / 2 + p * ROUNDS * (ROUNDS - 1) / 2;
+    assert!(
+        sums.iter().all(|&s| s == expected),
+        "{sums:?} != {expected}"
+    );
+}

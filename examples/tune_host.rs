@@ -9,11 +9,13 @@ use intercom_cost::{best_strategy, CollectiveOp, CostContext, MachineParams};
 use intercom_runtime::calibrate;
 
 fn main() {
-    println!("calibrating the threaded backend (ping-pong + stream)...\n");
+    println!(
+        "calibrating the threaded backend (warmed-up ping-pong, median of 5 batches, + stream)...\n"
+    );
     let cal = calibrate();
     let host = cal.machine();
     println!(
-        "measured:  alpha = {:>10.3} us   (Paragon: {:.0} us)",
+        "measured:  alpha = {:>10.3} us   (steady-state hop, received by polling; Paragon: {:.0} us)",
         host.alpha * 1e6,
         MachineParams::PARAGON.alpha * 1e6
     );

@@ -64,17 +64,55 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Each audit writes its --json document, and the sweep sizes in it are
+# pinned: zero failures over fewer schedules than today is a failure.
+audit_dir=target/ci-audit
+mkdir -p "$audit_dir"
+
+# audit NAME [ARG...]: runs one audit mode into $audit_dir/NAME.json.
+audit() {
+    local out="$audit_dir/$1.json"
+    shift
+    cargo run --release -p intercom-verify --bin schedule-audit -- --json "$@" >"$out" || {
+        cat "$out"
+        exit 1
+    }
+}
+
+# audit_count NAME MEMBER KEY: the number at KEY on the line of the
+# document's top-level MEMBER (the audit prints one member per line).
+audit_count() {
+    grep "^  \"$2\":" "$audit_dir/$1.json" | grep -o "\"$3\": *[0-9]*" | head -1 | grep -o '[0-9]*$'
+}
+
+# at_least WHAT ACTUAL MIN
+at_least() {
+    if [[ -z "$2" || "$2" -lt "$3" ]]; then
+        echo "ci.sh: the audit reports ${2:-no} $1, expected at least $3"
+        exit 1
+    fi
+}
+
 echo "==> schedule-audit (static verification sweep)"
-cargo run --release -p intercom-verify --bin schedule-audit
+audit default
+at_least "IR checks" "$(audit_count default checks checks)" 14943
+at_least "optimized-IR checks" "$(audit_count default optsweep checks)" 14943
+at_least "trace cross-checks" "$(audit_count default crosscheck checks)" 2577
+at_least "concurrent scenarios" "$(audit_count default concurrent scenarios)" 13
+at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default.json" | wc -l)" 13
 
 echo "==> schedule-audit --source=concurrent (multi-tenant non-interference sweep)"
-cargo run --release -p intercom-verify --bin schedule-audit -- --source=concurrent
+audit concurrent --source=concurrent
 
 echo "==> schedule-audit --source=chaos (fault-injection sweep, both backends)"
-cargo run --release -p intercom-verify --bin schedule-audit -- --source=chaos
+audit chaos --source=chaos
+at_least "chaos cases" "$(audit_count chaos chaos cases)" 98
 
 echo "==> schedule-audit --source=hier (hierarchical cluster-schedule sweep)"
-cargo run --release -p intercom-verify --bin schedule-audit -- --source=hier
+audit hier --source=hier
+for key in checks opt_checks trace_checks; do
+    at_least "hierarchical $key" "$(audit_count hier hier "$key")" 1227
+done
 
 echo "==> schedule-optimizer A/B bench (smoke)"
 cargo run --release -p intercom-bench --bin iropt -- --smoke >/dev/null

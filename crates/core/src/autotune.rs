@@ -22,30 +22,25 @@
 //! ("Fast Tuning of Intra-Cluster Collective Communications" rebuilt on
 //! verified schedules), end to end.
 
-use crate::ir::{global_cache, OptLevel, PlanCache, PlanKey, PlanOp};
+use crate::ir::{cost_op, global_cache, OptLevel, PlanCache, PlanKey, PlanOp};
 use crate::selector::{choose_strategy, GroupShape};
-use intercom_cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams, Strategy, TunedParams};
+use intercom_cost::{hybrid_cost, CostContext, MachineParams, Strategy, TunedParams};
 use intercom_obs::drift::{DriftConfig, DriftMonitor, DriftVerdict};
 use intercom_obs::residual::ResidualReport;
 
-/// One call shape the tuner re-selects for after a refit: the plan-side
-/// identity (what the cache is keyed on) plus the cost-side identity
-/// (what the selector prices).
+/// One call shape the tuner re-selects for after a refit. What the
+/// cache is keyed on and what the selector prices
+/// ([`cost_op`], [`PlanOp::cost_bytes`]) both follow from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackedShape {
-    /// The compiled op (with root/segment parameters) as cached.
-    pub plan_op: PlanOp,
-    /// The selector-facing collective.
-    pub cost_op: CollectiveOp,
+    /// The collective (with root/segment parameters) as cached.
+    pub op: PlanOp,
     /// The group shape selection runs over.
     pub shape: GroupShape,
     /// Size parameter in elements (the plan key's `n`).
-    pub n_elems: usize,
+    pub n: usize,
     /// Element width in bytes.
     pub elem_size: usize,
-    /// The byte length the selector prices (the communicator passes
-    /// `len · elem_size` for vector-length ops).
-    pub n_cost_bytes: usize,
 }
 
 /// One re-selection performed by a retune: the shape, the stale and
@@ -164,23 +159,30 @@ impl AutoTuner {
         let mut invalidated = 0usize;
         let mut warmed = 0usize;
         for shape in &self.shapes {
-            let old = choose_strategy(shape.cost_op, shape.shape, shape.n_cost_bytes, &old_params);
-            let new = choose_strategy(shape.cost_op, shape.shape, shape.n_cost_bytes, &new_params);
+            // Only ops the selector prices have a choice to revisit.
+            let Some(cop) = cost_op(shape.op) else {
+                continue;
+            };
+            let p = shape.shape.nodes();
+            let bytes = shape.op.cost_bytes(p, shape.n, shape.elem_size);
+            let old = choose_strategy(cop, shape.shape, bytes, &old_params);
+            let new = choose_strategy(cop, shape.shape, bytes, &new_params);
             if old == new {
                 continue;
             }
             // Retire every cached plan of this shape (any strategy,
             // any opt level): each was compiled for a choice priced
-            // under the stale parameters.
+            // under the stale parameters. Plans of other group sizes
+            // share the process-wide cache and are not this shape's.
             let dropped = cache.invalidate_matching(|k| {
-                k.op == shape.plan_op && k.n == shape.n_elems && k.elem_size == shape.elem_size
+                k.op == shape.op && k.p == p && k.n == shape.n && k.elem_size == shape.elem_size
             });
             invalidated += dropped;
             warmed += cache
                 .warm_up([PlanKey {
-                    op: shape.plan_op,
-                    p: shape.shape.nodes(),
-                    n: shape.n_elems,
+                    op: shape.op,
+                    p,
+                    n: shape.n,
                     elem_size: shape.elem_size,
                     strategy: Some(new.clone()),
                     hier: None,
@@ -193,9 +195,7 @@ impl AutoTuner {
                 }
                 GroupShape::Mesh { .. } => CostContext::mesh_with(&new_params),
             };
-            let price = |s: &Strategy| {
-                hybrid_cost(shape.cost_op, s, ctx).eval(shape.n_cost_bytes, &new_params)
-            };
+            let price = |s: &Strategy| hybrid_cost(cop, s, ctx).eval(bytes, &new_params);
             reselections.push(Reselect {
                 shape: shape.clone(),
                 old_cost: price(&old),
@@ -277,12 +277,10 @@ mod tests {
     fn tracked_shapes_deduplicate() {
         let mut tuner = AutoTuner::new(MachineParams::PARAGON_MODEL);
         let shape = TrackedShape {
-            plan_op: PlanOp::Broadcast { root: 0 },
-            cost_op: CollectiveOp::Broadcast,
+            op: PlanOp::Broadcast { root: 0 },
             shape: GroupShape::Linear(8),
-            n_elems: 1024,
+            n: 1024,
             elem_size: 8,
-            n_cost_bytes: 8192,
         };
         tuner.track(shape.clone());
         tuner.track(shape);

@@ -10,9 +10,8 @@ use crate::algorithms;
 use crate::autotune::{AutoTuner, RetuneReport, TrackedShape};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
-use crate::error::Result;
-use crate::hier;
-use crate::ir::PlanOp;
+use crate::error::{CommError, Result};
+use crate::ir::{self, ArgBuf, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use crate::selector::{choose_strategy, GroupShape};
 use intercom_cost::{
@@ -42,14 +41,6 @@ pub enum Algo {
     Auto,
 }
 
-/// What the per-call dispatch resolved to: a flat strategy for the
-/// recursive §6 template, or a hierarchical strategy for the
-/// leader-based compositions of [`crate::hier`].
-enum Decision {
-    Flat(Strategy),
-    Hier(HierStrategy),
-}
-
 /// Tag stride between successive collective calls, comfortably larger
 /// than any recursion's internal stage offsets.
 ///
@@ -77,18 +68,39 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
 }
 
 impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
-    /// The whole world as one group, treated as a linear array.
-    pub fn world(comm: &'a C, machine: MachineParams) -> Self {
-        let gc = GroupComm::world(comm);
-        let shape = GroupShape::Linear(gc.len());
+    fn with_shape(
+        gc: GroupComm<'a, C>,
+        machine: MachineParams,
+        shape: GroupShape,
+        hier: Option<TunedHier>,
+    ) -> Self {
         Communicator {
             gc,
             machine,
             shape,
-            hier: None,
+            hier,
             tuner: RefCell::new(None),
             next_tag: Cell::new(0),
         }
+    }
+
+    /// `Err` unless the machine description covers exactly the world.
+    fn check_world(comm: &C, nodes: usize) -> Result<()> {
+        if nodes == comm.size() {
+            Ok(())
+        } else {
+            Err(CommError::BadBufferSize {
+                expected: comm.size(),
+                actual: nodes,
+            })
+        }
+    }
+
+    /// The whole world as one group, treated as a linear array.
+    pub fn world(comm: &'a C, machine: MachineParams) -> Self {
+        let gc = GroupComm::world(comm);
+        let shape = GroupShape::Linear(gc.len());
+        Self::with_shape(gc, machine, shape, None)
     }
 
     /// The whole world as a two-level cluster (node-major rank order:
@@ -96,51 +108,31 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// selection prices hierarchical hybrids under the per-level
     /// `machine` against the best flat strategy at the network level.
     pub fn world_on_cluster(comm: &'a C, machine: HierMachine, cluster: &Cluster) -> Result<Self> {
-        let gc = GroupComm::world(comm);
-        if cluster.ranks() != gc.len() {
-            return Err(crate::error::CommError::BadBufferSize {
-                expected: gc.len(),
-                actual: cluster.ranks(),
-            });
-        }
+        Self::check_world(comm, cluster.ranks())?;
         let shape = GroupShape::Cluster {
             inter_rows: cluster.inter().rows(),
             inter_cols: cluster.inter().cols(),
             ranks_per_node: cluster.ranks_per_node(),
         };
-        Ok(Communicator {
-            gc,
-            machine: *machine.inter(),
-            shape,
-            hier: Some(TunedHier::new(machine)),
-            tuner: RefCell::new(None),
-            next_tag: Cell::new(0),
-        })
+        let net = *machine.inter();
+        let tuned = Some(TunedHier::new(machine));
+        Ok(Self::with_shape(GroupComm::world(comm), net, shape, tuned))
     }
 
     /// The whole world as a physical `mesh` (row-major rank order):
     /// enables the §7.1 row/column techniques.
     pub fn world_on_mesh(comm: &'a C, machine: MachineParams, mesh: Mesh2D) -> Result<Self> {
-        let gc = GroupComm::world(comm);
-        let shape = if mesh.nodes() == gc.len() {
-            GroupShape::Mesh {
-                rows: mesh.rows(),
-                cols: mesh.cols(),
-            }
-        } else {
-            return Err(crate::error::CommError::BadBufferSize {
-                expected: gc.len(),
-                actual: mesh.nodes(),
-            });
+        Self::check_world(comm, mesh.nodes())?;
+        let shape = GroupShape::Mesh {
+            rows: mesh.rows(),
+            cols: mesh.cols(),
         };
-        Ok(Communicator {
-            gc,
+        Ok(Self::with_shape(
+            GroupComm::world(comm),
             machine,
             shape,
-            hier: None,
-            tuner: RefCell::new(None),
-            next_tag: Cell::new(0),
-        })
+            None,
+        ))
     }
 
     /// The whole world as a physical hypercube (§11's iPSC/860 port):
@@ -152,22 +144,10 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         machine: MachineParams,
         cube: Hypercube,
     ) -> Result<Self> {
-        if cube.nodes() != comm.size() {
-            return Err(crate::error::CommError::BadBufferSize {
-                expected: comm.size(),
-                actual: cube.nodes(),
-            });
-        }
+        Self::check_world(comm, cube.nodes())?;
         let gc = GroupComm::new(comm, cube.gray_ring())?;
         let shape = GroupShape::Linear(gc.len());
-        Ok(Communicator {
-            gc,
-            machine,
-            shape,
-            hier: None,
-            tuner: RefCell::new(None),
-            next_tag: Cell::new(0),
-        })
+        Ok(Self::with_shape(gc, machine, shape, None))
     }
 
     /// A group communicator from an explicit member list (§9). When the
@@ -185,14 +165,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             _ => GroupShape::Linear(members.len()),
         };
         let gc = GroupComm::new(comm, members)?;
-        Ok(Communicator {
-            gc,
-            machine,
-            shape,
-            hier: None,
-            tuner: RefCell::new(None),
-            next_tag: Cell::new(0),
-        })
+        Ok(Self::with_shape(gc, machine, shape, None))
     }
 
     /// My logical rank within the group.
@@ -279,33 +252,6 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         Some(rep)
     }
 
-    /// Registers a call shape with the attached tuner (no-op without
-    /// one). Only [`Algo::Auto`] calls feed the tuner: those are the
-    /// calls whose strategy a refit can change.
-    fn note_shape(
-        &self,
-        algo: &Algo,
-        plan_op: PlanOp,
-        cost_op: CollectiveOp,
-        n_elems: usize,
-        elem_size: usize,
-        n_cost_bytes: usize,
-    ) {
-        if !matches!(algo, Algo::Auto) {
-            return;
-        }
-        if let Some(t) = self.tuner.borrow_mut().as_mut() {
-            t.track(TrackedShape {
-                plan_op,
-                cost_op,
-                shape: self.shape,
-                n_elems,
-                elem_size,
-                n_cost_bytes,
-            });
-        }
-    }
-
     fn fresh_tag(&self) -> Tag {
         let t = self.next_tag.get();
         self.next_tag.set(t.wrapping_add(CALL_TAG_STRIDE));
@@ -318,17 +264,54 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.fresh_tag()
     }
 
-    fn decide(&self, op: CollectiveOp, n_bytes: usize, algo: &Algo) -> Decision {
+    /// Resolves `algo` for a call of `op` over `n` elements of
+    /// `elem_size` bytes. An [`Algo::Auto`] call also registers its
+    /// shape with the attached tuner: those are the calls whose
+    /// strategy a refit can change.
+    fn choose(&self, op: PlanOp, n: usize, elem_size: usize, algo: &Algo) -> HierChoice {
         match algo {
-            Algo::Short => Decision::Flat(Strategy::pure_mst(self.size())),
-            Algo::Long => Decision::Flat(Strategy::pure_long(self.size())),
-            Algo::Hybrid(s) => Decision::Flat(s.clone()),
-            Algo::HierHybrid(h) => Decision::Hier(h.clone()),
-            Algo::Auto => match self.auto_choice(op, n_bytes) {
-                HierChoice::Flat(s) => Decision::Flat(s),
-                HierChoice::Hier(h) => Decision::Hier(h),
-            },
+            Algo::Short => HierChoice::Flat(Strategy::pure_mst(self.size())),
+            Algo::Long => HierChoice::Flat(Strategy::pure_long(self.size())),
+            Algo::Hybrid(s) => HierChoice::Flat(s.clone()),
+            Algo::HierHybrid(h) => HierChoice::Hier(h.clone()),
+            Algo::Auto => {
+                if let Some(t) = self.tuner.borrow_mut().as_mut() {
+                    t.track(TrackedShape {
+                        op,
+                        shape: self.shape,
+                        n,
+                        elem_size,
+                    });
+                }
+                let cop = ir::cost_op(op).expect("selector-driven ops are priced");
+                self.auto_choice(cop, op.cost_bytes(self.size(), n, elem_size))
+            }
         }
+    }
+
+    /// One selector-driven combining call on the direct path.
+    fn run<T: Elem>(
+        &self,
+        op: PlanOp,
+        n: usize,
+        rop: ReduceOp,
+        algo: &Algo,
+        args: &mut [ArgBuf<'_, T>],
+    ) -> Result<()> {
+        let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
+        ir::run_direct(op, Some(&choice), &self.gc, rop, args, self.fresh_tag())
+    }
+
+    /// One selector-driven non-combining call on the direct path.
+    fn run_scalar<T: Scalar>(
+        &self,
+        op: PlanOp,
+        n: usize,
+        algo: &Algo,
+        args: &mut [ArgBuf<'_, T>],
+    ) -> Result<()> {
+        let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
+        ir::run_direct_scalar(op, Some(&choice), &self.gc, args, self.fresh_tag())
     }
 
     /// Broadcast `buf` from `root` to all members (auto-selected
@@ -351,19 +334,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
 
     /// Broadcast with an explicit algorithm choice.
     pub fn bcast_with<T: Scalar>(&self, root: usize, buf: &mut [T], algo: &Algo) -> Result<()> {
-        let bytes = std::mem::size_of_val(&buf[..]);
-        self.note_shape(
-            algo,
-            PlanOp::Broadcast { root },
-            CollectiveOp::Broadcast,
-            buf.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
-        match self.decide(CollectiveOp::Broadcast, bytes, algo) {
-            Decision::Flat(s) => algorithms::broadcast(&self.gc, &s, root, buf, self.fresh_tag()),
-            Decision::Hier(h) => hier::hier_broadcast(&self.gc, &h, root, buf, self.fresh_tag()),
-        }
+        let n = buf.len();
+        self.run_scalar(PlanOp::Broadcast { root }, n, algo, &mut [ArgBuf::Out(buf)])
     }
 
     /// Combine-to-one: ⊕-combine everyone's `buf` onto the root.
@@ -379,19 +351,14 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         op: ReduceOp,
         algo: &Algo,
     ) -> Result<()> {
-        let bytes = std::mem::size_of_val(&buf[..]);
-        self.note_shape(
-            algo,
+        let n = buf.len();
+        self.run(
             PlanOp::Reduce { root },
-            CollectiveOp::CombineToOne,
-            buf.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
-        match self.decide(CollectiveOp::CombineToOne, bytes, algo) {
-            Decision::Flat(s) => algorithms::reduce(&self.gc, &s, root, buf, op, self.fresh_tag()),
-            Decision::Hier(h) => hier::hier_reduce(&self.gc, &h, root, buf, op, self.fresh_tag()),
-        }
+            n,
+            op,
+            algo,
+            &mut [ArgBuf::Out(buf)],
+        )
     }
 
     /// Combine-to-all: ⊕-combine everyone's `buf` onto every member.
@@ -413,19 +380,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
 
     /// Combine-to-all with an explicit algorithm choice.
     pub fn allreduce_with<T: Elem>(&self, buf: &mut [T], op: ReduceOp, algo: &Algo) -> Result<()> {
-        let bytes = std::mem::size_of_val(&buf[..]);
-        self.note_shape(
-            algo,
-            PlanOp::AllReduce,
-            CollectiveOp::CombineToAll,
-            buf.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
-        match self.decide(CollectiveOp::CombineToAll, bytes, algo) {
-            Decision::Flat(s) => algorithms::allreduce(&self.gc, &s, buf, op, self.fresh_tag()),
-            Decision::Hier(h) => hier::hier_allreduce(&self.gc, &h, buf, op, self.fresh_tag()),
-        }
+        let n = buf.len();
+        self.run(PlanOp::AllReduce, n, op, algo, &mut [ArgBuf::Out(buf)])
     }
 
     /// Collect (allgather): concatenate every member's `mine` into `all`
@@ -449,19 +405,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
 
     /// Collect with an explicit algorithm choice.
     pub fn allgather_with<T: Scalar>(&self, mine: &[T], all: &mut [T], algo: &Algo) -> Result<()> {
-        let bytes = std::mem::size_of_val(&all[..]);
-        self.note_shape(
-            algo,
-            PlanOp::Collect,
-            CollectiveOp::Collect,
-            mine.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
-        match self.decide(CollectiveOp::Collect, bytes, algo) {
-            Decision::Flat(s) => algorithms::collect(&self.gc, &s, mine, all, self.fresh_tag()),
-            Decision::Hier(h) => hier::hier_collect(&self.gc, &h, mine, all, self.fresh_tag()),
-        }
+        let args = &mut [ArgBuf::In(mine), ArgBuf::Out(all)];
+        self.run_scalar(PlanOp::Collect, mine.len(), algo, args)
     }
 
     /// Distributed combine (reduce-scatter): ⊕-combine everyone's
@@ -483,23 +428,9 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         op: ReduceOp,
         algo: &Algo,
     ) -> Result<()> {
-        let bytes = std::mem::size_of_val(contrib);
-        self.note_shape(
-            algo,
-            PlanOp::ReduceScatter,
-            CollectiveOp::DistributedCombine,
-            mine.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
-        match self.decide(CollectiveOp::DistributedCombine, bytes, algo) {
-            Decision::Flat(s) => {
-                algorithms::reduce_scatter(&self.gc, &s, contrib, mine, op, self.fresh_tag())
-            }
-            Decision::Hier(h) => {
-                hier::hier_reduce_scatter(&self.gc, &h, contrib, mine, op, self.fresh_tag())
-            }
-        }
+        let n = mine.len();
+        let args = &mut [ArgBuf::In(contrib), ArgBuf::Out(mine)];
+        self.run(PlanOp::ReduceScatter, n, op, algo, args)
     }
 
     /// Scatter the root's `full` into per-member blocks.
@@ -681,8 +612,8 @@ mod tests {
         cc.allreduce(&mut v, ReduceOp::Sum).unwrap(); // Auto: tracked
         cc.allreduce(&mut v, ReduceOp::Sum).unwrap(); // duplicate: deduped
         let tuner = cc.detach_tuner().unwrap();
-        let ops: Vec<CollectiveOp> = tuner.tracked().iter().map(|s| s.cost_op).collect();
-        assert_eq!(ops, [CollectiveOp::Broadcast, CollectiveOp::CombineToAll]);
+        let ops: Vec<PlanOp> = tuner.tracked().iter().map(|s| s.op).collect();
+        assert_eq!(ops, [PlanOp::Broadcast { root: 0 }, PlanOp::AllReduce]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Lowering: from a symbolic per-rank replay to a [`CollectiveProgram`].
 //!
-//! Each rank's algorithm is replayed once against a
+//! Each rank's call is replayed once through the direct-path runner
+//! ([`run_direct`]) against a
 //! [`RecordingComm`](crate::trace::RecordingComm) with the argument
-//! buffers registered as named regions, exactly as the verifier's
-//! extraction does — the algorithms branch only on
+//! buffers registered as named regions — the algorithms branch only on
 //! `(rank, size, n, strategy, root)`, so the replayed operation stream
 //! *is* the schedule. The recorded raw address spans are then resolved
 //! into [`Loc`]s: spans inside a registered argument become
@@ -12,16 +12,15 @@
 //! share bytes) and packed into a per-rank scratch arena.
 
 use super::{
-    fresh_plan_id, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, StageId, Step, StepKind,
+    fresh_plan_id, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp, RankProgram,
+    StageId, Step, StepKind,
 };
-use crate::algorithms::{self, LEVEL_TAG_STRIDE};
+use crate::algorithms::LEVEL_TAG_STRIDE;
 use crate::comm::{GroupComm, Tag};
 use crate::error::Result;
-use crate::hier;
 use crate::op::{Elem, ReduceOp};
-use crate::primitives::pipelined_ring_bcast;
 use crate::trace::{MemSpan, OpRecord, RecordingComm};
-use intercom_cost::{HierStrategy, Strategy};
+use intercom_cost::{HierChoice, HierStrategy, Strategy};
 
 /// Scratch-arena alignment: every temporary cluster starts on a 16-byte
 /// boundary, a multiple of every supported element size.
@@ -46,25 +45,8 @@ pub fn lower(
     n: usize,
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
-    let ranks = (0..p)
-        .map(|rank| match elem_size {
-            1 => lower_rank::<u8>(op, strategy, p, n, rank),
-            2 => lower_rank::<u16>(op, strategy, p, n, rank),
-            4 => lower_rank::<u32>(op, strategy, p, n, rank),
-            8 => lower_rank::<u64>(op, strategy, p, n, rank),
-            other => panic!("unsupported element size {other} (expected 1, 2, 4 or 8)"),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(CollectiveProgram {
-        plan_id: fresh_plan_id(),
-        op,
-        p,
-        n,
-        elem_size,
-        strategy: strategy.cloned(),
-        hier: None,
-        ranks,
-    })
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    lower_choice(op, choice, p, n, elem_size)
 }
 
 /// Lowers one *hierarchical* collective call into a compiled program
@@ -88,157 +70,62 @@ pub fn lower_hier(
     n: usize,
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
-    let p = hs.shape.ranks();
+    let choice = Some(HierChoice::Hier(hs.clone()));
+    lower_choice(op, choice, hs.shape.ranks(), n, elem_size)
+}
+
+fn lower_choice(
+    op: PlanOp,
+    choice: Option<HierChoice>,
+    p: usize,
+    n: usize,
+    elem_size: usize,
+) -> Result<CollectiveProgram> {
     let ranks = (0..p)
         .map(|rank| match elem_size {
-            1 => lower_hier_rank::<u8>(op, hs, p, n, rank),
-            2 => lower_hier_rank::<u16>(op, hs, p, n, rank),
-            4 => lower_hier_rank::<u32>(op, hs, p, n, rank),
-            8 => lower_hier_rank::<u64>(op, hs, p, n, rank),
+            1 => replay_rank::<u8>(op, choice.as_ref(), p, n, rank),
+            2 => replay_rank::<u16>(op, choice.as_ref(), p, n, rank),
+            4 => replay_rank::<u32>(op, choice.as_ref(), p, n, rank),
+            8 => replay_rank::<u64>(op, choice.as_ref(), p, n, rank),
             other => panic!("unsupported element size {other} (expected 1, 2, 4 or 8)"),
         })
         .collect::<Result<Vec<_>>>()?;
+    let (strategy, hier) = match choice {
+        Some(HierChoice::Flat(s)) => (Some(s), None),
+        Some(HierChoice::Hier(h)) => (None, Some(h)),
+        None => (None, None),
+    };
     Ok(CollectiveProgram {
         plan_id: fresh_plan_id(),
         op,
         p,
         n,
         elem_size,
-        strategy: None,
-        hier: Some(hs.clone()),
+        strategy,
+        hier,
         ranks,
     })
 }
 
-/// Replays rank `rank`'s hierarchical composition at base tag 0 with
-/// registered argument buffers, then resolves the recorded spans.
-fn lower_hier_rank<T: Elem + Default>(
+/// Replays rank `rank`'s direct-path call at base tag 0 with its
+/// argument buffers registered by slot name, then resolves the
+/// recorded spans.
+fn replay_rank<T: Elem>(
     op: PlanOp,
-    hs: &HierStrategy,
+    choice: Option<&HierChoice>,
     p: usize,
     n: usize,
     rank: usize,
 ) -> Result<RankProgram> {
     let rec = RecordingComm::new(rank, p);
-    {
-        let gc = GroupComm::world(&rec);
-        match op {
-            PlanOp::Broadcast { root } => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                hier::hier_broadcast(&gc, hs, root, &mut buf, 0)?;
-            }
-            PlanOp::Reduce { root } => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                hier::hier_reduce(&gc, hs, root, &mut buf, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::AllReduce => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                hier::hier_allreduce(&gc, hs, &mut buf, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::ReduceScatter => {
-                let contrib = vec![T::default(); p * n];
-                let mut mine = vec![T::default(); n];
-                rec.register("contrib", &contrib);
-                rec.register("mine", &mine);
-                hier::hier_reduce_scatter(&gc, hs, &contrib, &mut mine, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::Collect => {
-                let mine = vec![T::default(); n];
-                let mut all = vec![T::default(); p * n];
-                rec.register("mine", &mine);
-                rec.register("all", &all);
-                hier::hier_collect(&gc, hs, &mine, &mut all, 0)?;
-            }
-            _ => {
-                return Err(crate::error::CommError::PlanMismatch {
-                    what: "op has no hierarchical lowering",
-                })
-            }
+    let mut bufs = OwnedArgs::<T>::new(op, p, n, rank);
+    for (spec, buf) in &bufs.slots {
+        if let Some(buf) = buf {
+            rec.register(spec.name, buf);
         }
     }
-    resolve_recorded::<T>(rec, op, p, n)
-}
-
-/// Replays rank `rank`'s algorithm at base tag 0 with registered
-/// argument buffers, then resolves the recorded spans.
-fn lower_rank<T: Elem + Default>(
-    op: PlanOp,
-    strategy: Option<&Strategy>,
-    p: usize,
-    n: usize,
-    rank: usize,
-) -> Result<RankProgram> {
-    let rec = RecordingComm::new(rank, p);
-    {
-        let gc = GroupComm::world(&rec);
-        let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
-        match op {
-            PlanOp::Broadcast { root } => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                algorithms::broadcast(&gc, st(), root, &mut buf, 0)?;
-            }
-            PlanOp::Reduce { root } => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::AllReduce => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::ReduceScatter => {
-                let contrib = vec![T::default(); p * n];
-                let mut mine = vec![T::default(); n];
-                rec.register("contrib", &contrib);
-                rec.register("mine", &mine);
-                algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Sum, 0)?;
-            }
-            PlanOp::Collect => {
-                let mine = vec![T::default(); n];
-                let mut all = vec![T::default(); p * n];
-                rec.register("mine", &mine);
-                rec.register("all", &all);
-                algorithms::collect(&gc, st(), &mine, &mut all, 0)?;
-            }
-            PlanOp::Scatter { root } => {
-                let full = vec![T::default(); p * n];
-                let mut mine = vec![T::default(); n];
-                if rank == root {
-                    rec.register("full", &full);
-                }
-                rec.register("mine", &mine);
-                let full = (rank == root).then_some(&full[..]);
-                algorithms::scatter(&gc, root, full, &mut mine, 0)?;
-            }
-            PlanOp::Gather { root } => {
-                let mine = vec![T::default(); n];
-                let mut full = vec![T::default(); p * n];
-                rec.register("mine", &mine);
-                if rank == root {
-                    rec.register("full", &full);
-                }
-                let full = (rank == root).then_some(&mut full[..]);
-                algorithms::gather(&gc, root, &mine, full, 0)?;
-            }
-            PlanOp::Alltoall => {
-                let send = vec![T::default(); p * n];
-                let mut recv = vec![T::default(); p * n];
-                rec.register("send", &send);
-                rec.register("recv", &recv);
-                algorithms::alltoall(&gc, &send, &mut recv, 0)?;
-            }
-            PlanOp::PipelinedBcast { root, segments } => {
-                let mut buf = vec![T::default(); n];
-                rec.register("buf", &buf);
-                pipelined_ring_bcast(&gc, root, &mut buf, segments, 0)?;
-            }
-        }
-    }
+    let gc = GroupComm::world(&rec);
+    run_direct(op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), 0)?;
     resolve_recorded::<T>(rec, op, p, n)
 }
 

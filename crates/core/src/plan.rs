@@ -49,15 +49,11 @@ struct PlanCore<T: Scalar> {
 
 impl<T: Scalar> PlanCore<T> {
     /// Freezes what [`Algo::Auto`](crate::Algo::Auto) would run for
-    /// `op` at `n_bytes` — flat or, on a cluster communicator, the
-    /// two-level hybrid — and compiles it for `n` elements.
-    fn compile<C: Comm + ?Sized>(
-        cc: &Communicator<'_, C>,
-        op: PlanOp,
-        n_bytes: usize,
-        n: usize,
-    ) -> Self {
+    /// `op` over `n` elements — flat or, on a cluster communicator,
+    /// the two-level hybrid — and compiles it.
+    fn compile<C: Comm + ?Sized>(cc: &Communicator<'_, C>, op: PlanOp, n: usize) -> Self {
         let cop = ir::cost_op(op).expect("every planned op takes a strategy");
+        let n_bytes = op.cost_bytes(cc.size(), n, std::mem::size_of::<T>());
         let choice = cc.auto_choice(cop, n_bytes);
         let (strategy, hier) = match &choice {
             HierChoice::Flat(s) => (Some(s.clone()), None),
@@ -100,8 +96,7 @@ pub struct BcastPlan<T: Scalar> {
 impl<T: Scalar> BcastPlan<T> {
     /// Plans a broadcast of `len` elements from `root`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, root: usize, len: usize) -> Self {
-        let bytes = len * std::mem::size_of::<T>();
-        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, bytes, len);
+        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, len);
         BcastPlan { core }
     }
 
@@ -147,8 +142,7 @@ impl<T: Elem> ReducePlan<T> {
         len: usize,
         op: ReduceOp,
     ) -> Self {
-        let bytes = len * std::mem::size_of::<T>();
-        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, bytes, len);
+        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, len);
         ReducePlan { core, op }
     }
 
@@ -187,8 +181,7 @@ pub struct AllreducePlan<T: Elem> {
 impl<T: Elem> AllreducePlan<T> {
     /// Plans an allreduce of `len` elements under `op`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, len: usize, op: ReduceOp) -> Self {
-        let bytes = len * std::mem::size_of::<T>();
-        let core = PlanCore::compile(cc, PlanOp::AllReduce, bytes, len);
+        let core = PlanCore::compile(cc, PlanOp::AllReduce, len);
         AllreducePlan { core, op }
     }
 
@@ -228,8 +221,7 @@ pub struct ReduceScatterPlan<T: Elem> {
 impl<T: Elem> ReduceScatterPlan<T> {
     /// Plans a reduce-scatter leaving `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize, op: ReduceOp) -> Self {
-        let total = block * cc.size() * std::mem::size_of::<T>();
-        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, total, block);
+        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, block);
         ReduceScatterPlan { core, op }
     }
 
@@ -274,8 +266,7 @@ pub struct CollectPlan<T: Scalar> {
 impl<T: Scalar> CollectPlan<T> {
     /// Plans a collect of `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize) -> Self {
-        let total = block * cc.size() * std::mem::size_of::<T>();
-        let core = PlanCore::compile(cc, PlanOp::Collect, total, block);
+        let core = PlanCore::compile(cc, PlanOp::Collect, block);
         CollectPlan { core }
     }
 

@@ -40,7 +40,6 @@ pub mod expr;
 pub mod hier;
 pub mod machine;
 pub mod select;
-pub mod seltab;
 pub mod strategy;
 pub mod table2;
 
@@ -58,7 +57,4 @@ pub use hier::{
 };
 pub use machine::{MachineParams, TunedParams};
 pub use select::{best_mesh_strategy, best_strategy, rank_strategies};
-pub use seltab::{
-    load_or_build, load_or_build_cluster, Geometry, OpTable, Row, Sel, SelectionTable,
-};
 pub use strategy::{ConflictModel, Strategy, StrategyKind};

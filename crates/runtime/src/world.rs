@@ -9,14 +9,10 @@ use std::time::Duration;
 
 /// The default bound on every blocking wait inside the threaded
 /// runtime, generous enough that no healthy collective ever trips it.
-/// Override with the `INTERCOM_WAIT_TIMEOUT_MS` environment variable
-/// (chaos tests shrink it to diagnose scripted stalls in milliseconds).
+/// [`run_world_deadline`] is the way to set another (the chaos harness
+/// shrinks it to diagnose scripted stalls in milliseconds).
 pub fn default_wait_timeout() -> Duration {
-    std::env::var("INTERCOM_WAIT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(30))
+    Duration::from_secs(30)
 }
 
 /// Runs `f` on `p` ranks, each on its own OS thread with a connected

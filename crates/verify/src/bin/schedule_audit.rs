@@ -18,9 +18,18 @@
 //! When auditing the IR, a trace-sourced sweep over a subset of node
 //! counts runs as an independent cross-check on the lowering.
 //!
-//! The sweep is sharded across worker threads over a shared worklist
-//! of `(node count, mesh shape)` units, so auditing both the plain and
-//! the optimized IR (~2× the schedule space) keeps a flat wall-time.
+//! The default run also sweeps **hierarchical cluster schedules**
+//! (`--source=hier` runs the full shape battery): every hierarchical
+//! collective × candidate per-level strategy × size over a battery of
+//! cluster shapes, each verified over the cluster's physical mesh
+//! embedding with per-stage conflict gating — from all three sources,
+//! so the optimized hybrid a plan on a cluster communicator executes is
+//! proven too.
+//!
+//! Flat and hierarchical schedules go through one sweep: a worklist of
+//! [`Unit`]s (a machine plus its strategy menu) sharded across worker
+//! threads, every call verified by
+//! [`intercom_verify::verify_schedule_from`].
 //!
 //! The default run also sweeps a **multi-tenant scenario matrix**
 //! through the concurrent analyzer (`--source=concurrent` runs only
@@ -28,39 +37,36 @@
 //! overlapping submeshes, fully-overlapping distinct-tag-space
 //! tenants, and interleaved groups sharing physical links — every
 //! legitimate workload must prove non-interfering, and the composite
-//! per-link contention is reported for the cost model.
+//! per-link contention is reported for the cost model. And it runs the
+//! reduced **chaos** matrix (`--source=chaos` runs the full one).
 //!
-//! The default run also sweeps **hierarchical cluster schedules**
-//! (`--source=hier` runs the full shape battery): every hierarchical
-//! collective × candidate per-level strategy × size over a battery of
-//! cluster shapes, each verified over the cluster's physical mesh
-//! embedding with per-stage conflict gating.
-//!
-//! The audit then runs the *mutation probes* — deliberately broken
-//! schedules and workloads (including colliding tag bases, shared
-//! memory windows, a cross-tenant wait cycle and a duplicate-node
-//! embedding) — and fails unless each probe is caught, guarding the
-//! checkers themselves against silent rot.
+//! Every family of checks is a [`Section`]; each brings its *mutation
+//! probes* — deliberately broken schedules and workloads (including
+//! colliding tag bases, shared memory windows, a cross-tenant wait
+//! cycle and a duplicate-node embedding) — and the audit fails unless
+//! each probe is caught, guarding the checkers themselves against
+//! silent rot.
 
 use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::groups::{col_members, row_members, submesh_members};
-use intercom::ir::OptStats;
+use intercom::ir::{lower_hier, optimize, OptStats, PlanOp};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::CommError;
 use intercom_cost::{
     enumerate_hier_strategies, enumerate_mesh_strategies, enumerate_strategies, select_hier,
-    ClusterShape, CollectiveOp, HierMachine, HierStrategy, Strategy,
+    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, Strategy,
 };
-use intercom_topology::Mesh2D;
+use intercom_obs::escape_json;
+use intercom_topology::{Cluster, Mesh2D};
 use intercom_verify::{
     analyze_links, chaos_sweep, check_buffer_safety, check_single_port, extract_programs,
-    hang_probe, hier_ir_programs, match_programs, stall_probe, tenant_tag_base, verify_concurrent,
-    verify_schedule, verify_schedule_hier, verify_schedule_ir, verify_schedule_ir_opt, ChaosReport,
-    ConcurrentViolation, Event, HangDiagnosis, Schedule, Source, Tenant, VerifyOp, Violation,
-    Workload,
+    hang_probe, match_programs, programs_of, stall_probe, tenant_tag_base, verify_concurrent,
+    verify_schedule_from, ConcurrentViolation, Event, HangDiagnosis, Schedule, Source, Tenant,
+    Violation, Workload,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Node counts: every size through 17 (covers all small parities and
 /// primes), a composite with many factorizations, a large prime, and a
@@ -81,6 +87,40 @@ const BLOCK_SIZES: [usize; 3] = [0, 1, 13];
 /// menus plus a prime, kept small so CI stays fast.
 const CROSSCHECK_NODE_COUNTS: [usize; 3] = [8, 9, 12];
 
+/// The five collectives that run under a strategy, flat or hierarchical.
+const STRATEGY_OPS: [CollectiveOp; 5] = [
+    CollectiveOp::Broadcast,
+    CollectiveOp::CombineToOne,
+    CollectiveOp::CombineToAll,
+    CollectiveOp::Collect,
+    CollectiveOp::DistributedCombine,
+];
+
+/// Bumped whenever the shape of the `--json` document changes, so CI
+/// consumers can fail fast on a format drift instead of misreading it.
+/// v2: added `source` and the `crosscheck` object. v3: added
+/// `threads`, the `optsweep` object (the full optimized-IR sweep with
+/// its per-pass `rewrites` counts) and, for `--source=ir-opt`, a
+/// top-level `rewrites` object. v4: added the `concurrent` object (the
+/// multi-tenant scenario sweep with its composite contention bounds),
+/// the four concurrent entries in `mutation_probes`, and the
+/// `--source=concurrent` mode that emits a concurrent-only document.
+/// v5: added the `chaos` object (the fault-injection sweep: cases,
+/// byte-identical recoveries, coordinated aborts, retransmissions and
+/// the hang count, which must be zero), the two watchdog-diagnosis
+/// entries in `mutation_probes`, and the `--source=chaos` mode that
+/// runs the full scenario matrix on both backends. v6: added the
+/// `hier` object (the hierarchical sweep: cluster shapes, candidate
+/// strategies and per-stage-gated checks over each cluster's physical
+/// mesh embedding), the three hier entries in `mutation_probes`, and
+/// the `--source=hier` mode that runs the full cluster-shape sweep.
+/// v7: the `hier` object counts every source (`checks` on the lowered
+/// IR, `opt_checks` with their `rewrites` on the optimized IR,
+/// `trace_checks` on the trace extraction) and a fourth hier probe
+/// mutates the optimized program; a member whose sweep did not run is
+/// absent rather than `null`.
+const JSON_SCHEMA_VERSION: u32 = 7;
+
 /// Summed [`OptStats`] across every `ir-opt` verification of a sweep:
 /// how much work each optimizer pass actually did over the full
 /// schedule space. `reverts` counts programs whose rewrite failed the
@@ -97,12 +137,14 @@ struct OptTotals {
 
 impl OptTotals {
     fn add(&mut self, s: &OptStats) {
-        self.elided += s.elided;
-        self.fused += s.fused;
-        self.overlapped += s.overlapped;
-        self.coalesced += s.coalesced;
-        self.dead_copies += s.dead_copies;
-        self.reverts += usize::from(s.reverted);
+        self.merge(&OptTotals {
+            elided: s.elided,
+            fused: s.fused,
+            overlapped: s.overlapped,
+            coalesced: s.coalesced,
+            dead_copies: s.dead_copies,
+            reverts: usize::from(s.reverted),
+        });
     }
 
     fn merge(&mut self, o: &OptTotals) {
@@ -117,55 +159,55 @@ impl OptTotals {
     fn total(&self) -> usize {
         self.elided + self.fused + self.overlapped + self.coalesced + self.dead_copies
     }
-}
 
-struct Stats {
-    source: Source,
-    checks: usize,
-    failures: Vec<String>,
-    /// `(p, schedules verified at that node count)`, in sweep order.
-    per_p: Vec<(usize, usize)>,
-    /// Per-pass rewrite totals; all-zero unless `source` is `IrOpt`.
-    opt: OptTotals,
-    /// Worker threads the sweep was sharded over.
-    threads: usize,
-}
-
-fn run(stats: &mut Stats, mesh: &Mesh2D, op: VerifyOp, st: Option<&Strategy>, n: usize) {
-    stats.checks += 1;
-    let result = match stats.source {
-        Source::Ir => verify_schedule_ir(&op, st, mesh, n),
-        Source::IrOpt => verify_schedule_ir_opt(&op, st, mesh, n).map(|(rep, os)| {
-            stats.opt.add(&os);
-            rep
-        }),
-        Source::Trace => verify_schedule(&op, st, mesh, n),
-        // Hierarchical schedules sweep through `hier_sweep`, never here.
-        Source::Hier => unreachable!("hier programs are audited by hier_sweep"),
-    };
-    match result {
-        Ok(rep) => {
-            if !rep.ok() {
-                stats.failures.push(rep.to_string());
-            }
-        }
-        Err(e) => {
-            let s = st.map(|s| format!(" strategy {s}")).unwrap_or_default();
-            stats.failures.push(format!(
-                "{op} on {}x{} n={n}{s} [{}]: extraction error: {e}",
-                mesh.rows(),
-                mesh.cols(),
-                stats.source,
-            ));
-        }
+    fn json(&self) -> String {
+        format!(
+            "{{\"elided\":{},\"fused\":{},\"overlapped\":{},\"coalesced\":{},\
+             \"dead_copies\":{},\"reverts\":{},\"total\":{}}}",
+            self.elided,
+            self.fused,
+            self.overlapped,
+            self.coalesced,
+            self.dead_copies,
+            self.reverts,
+            self.total(),
+        )
     }
 }
 
-fn shapes(p: usize) -> Vec<(usize, usize)> {
-    (1..=p)
-        .filter(|&r| p.is_multiple_of(r))
-        .map(|r| (r, p / r))
-        .collect()
+impl std::fmt::Display for OptTotals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} (elided {}, fused {}, overlapped {}, coalesced {}, dead copies {}), {} reverts",
+            self.total(),
+            self.elided,
+            self.fused,
+            self.overlapped,
+            self.coalesced,
+            self.dead_copies,
+            self.reverts,
+        )
+    }
+}
+
+/// One collective call to verify on a [`Unit`]'s machine.
+struct Call {
+    op: PlanOp,
+    choice: Option<HierChoice>,
+    n: usize,
+}
+
+/// One machine of the sweep with the strategies to audit on it — the
+/// unit of work the sharded sweep distributes across threads. A flat
+/// mesh is a cluster with one rank per node.
+struct Unit {
+    machine: Cluster,
+    /// Candidate hierarchical strategies per op. `None` on a flat mesh:
+    /// its menu is every enumerable flat strategy, listed by the worker.
+    menu: Option<Vec<(CollectiveOp, Vec<HierStrategy>)>>,
+    vector_sizes: &'static [usize],
+    block_sizes: &'static [usize],
 }
 
 fn roots(p: usize) -> Vec<usize> {
@@ -176,130 +218,321 @@ fn roots(p: usize) -> Vec<usize> {
     }
 }
 
-/// Audits every collective × strategy × size on one mesh shape — the
-/// unit of work the sharded sweep distributes across threads.
-fn audit_shape(stats: &mut Stats, p: usize, r: usize, c: usize) {
-    let mesh = Mesh2D::new(r, c);
-    // A 1×c machine is a linear array: every ordered
-    // factorization is a valid logical mesh. A true 2-D machine
-    // uses the §7.1 mesh-aware strategies (plus the row-major
-    // linear fallbacks they include).
-    let strategies = if r == 1 {
-        enumerate_strategies(p, 0)
-    } else {
-        enumerate_mesh_strategies(r, c, 0)
-    };
-    for st in &strategies {
-        for n in VECTOR_SIZES {
+impl Unit {
+    fn mesh(rows: usize, cols: usize) -> Unit {
+        Unit {
+            machine: Cluster::new(Mesh2D::new(rows, cols), 1),
+            menu: None,
+            vector_sizes: &VECTOR_SIZES,
+            block_sizes: &BLOCK_SIZES,
+        }
+    }
+
+    /// Every collective × strategy × size audited on this machine.
+    fn calls(&self) -> Vec<Call> {
+        let p = self.machine.ranks();
+        let mut out = Vec::new();
+        let mut under = |cop: CollectiveOp, choice: &HierChoice| {
+            let (ops, sizes): (Vec<PlanOp>, _) = match cop {
+                CollectiveOp::Broadcast => (
+                    roots(p)
+                        .iter()
+                        .map(|&root| PlanOp::Broadcast { root })
+                        .collect(),
+                    self.vector_sizes,
+                ),
+                CollectiveOp::CombineToOne => (
+                    roots(p)
+                        .iter()
+                        .map(|&root| PlanOp::Reduce { root })
+                        .collect(),
+                    self.vector_sizes,
+                ),
+                CollectiveOp::CombineToAll => (vec![PlanOp::AllReduce], self.vector_sizes),
+                CollectiveOp::Collect => (vec![PlanOp::Collect], self.block_sizes),
+                CollectiveOp::DistributedCombine => (vec![PlanOp::ReduceScatter], self.block_sizes),
+                _ => unreachable!("only the five strategy ops are swept under a strategy"),
+            };
+            for &n in sizes {
+                for &op in &ops {
+                    out.push(Call {
+                        op,
+                        choice: Some(choice.clone()),
+                        n,
+                    });
+                }
+            }
+        };
+        if let Some(menu) = &self.menu {
+            for (cop, candidates) in menu {
+                for hs in candidates {
+                    under(*cop, &HierChoice::Hier(hs.clone()));
+                }
+            }
+            return out;
+        }
+        // A 1×c machine is a linear array: every ordered factorization
+        // is a valid logical mesh. A true 2-D machine uses the §7.1
+        // mesh-aware strategies (plus the row-major linear fallbacks
+        // they include).
+        let (r, c) = (self.machine.inter().rows(), self.machine.inter().cols());
+        let strategies = if r == 1 {
+            enumerate_strategies(p, 0)
+        } else {
+            enumerate_mesh_strategies(r, c, 0)
+        };
+        for st in strategies {
+            let choice = HierChoice::Flat(st);
+            for cop in STRATEGY_OPS {
+                under(cop, &choice);
+            }
+        }
+        let mut free = |op: PlanOp, n: usize| {
+            out.push(Call {
+                op,
+                choice: None,
+                n,
+            })
+        };
+        for &n in self.block_sizes {
             for root in roots(p) {
-                run(stats, &mesh, VerifyOp::Broadcast { root }, Some(st), n);
-                run(stats, &mesh, VerifyOp::Reduce { root }, Some(st), n);
+                free(PlanOp::Scatter { root }, n);
+                free(PlanOp::Gather { root }, n);
             }
-            run(stats, &mesh, VerifyOp::AllReduce, Some(st), n);
+            free(PlanOp::Alltoall, n);
         }
-        for n in BLOCK_SIZES {
-            run(stats, &mesh, VerifyOp::ReduceScatter, Some(st), n);
-            run(stats, &mesh, VerifyOp::Collect, Some(st), n);
-        }
-    }
-    for n in BLOCK_SIZES {
-        for root in roots(p) {
-            run(stats, &mesh, VerifyOp::Scatter { root }, None, n);
-            run(stats, &mesh, VerifyOp::Gather { root }, None, n);
-        }
-        run(stats, &mesh, VerifyOp::Alltoall, None, n);
-    }
-    for n in VECTOR_SIZES {
-        for root in roots(p) {
-            for segments in [1, 4] {
-                run(
-                    stats,
-                    &mesh,
-                    VerifyOp::PipelinedBcast { root, segments },
-                    None,
-                    n,
-                );
+        for &n in self.vector_sizes {
+            for root in roots(p) {
+                for segments in [1, 4] {
+                    free(PlanOp::PipelinedBcast { root, segments }, n);
+                }
             }
         }
+        out
     }
 }
 
-fn audit(quiet: bool, source: Source, node_counts: &[usize]) -> Stats {
-    // Worklist of (p, rows, cols) units; workers claim the next index
-    // from a shared cursor, so a thread finishing a cheap shape
-    // immediately picks up more work (no static partitioning skew).
-    let units: Vec<(usize, usize, usize)> = node_counts
-        .iter()
-        .flat_map(|&p| shapes(p).into_iter().map(move |(r, c)| (p, r, c)))
-        .collect();
+/// What one sweep of a worklist from one source found.
+#[derive(Default)]
+struct Sweep {
+    /// Schedules verified per unit, in worklist order.
+    checks: Vec<usize>,
+    failures: Vec<String>,
+    /// Per-pass rewrite totals; all-zero unless the source is `IrOpt`.
+    opt: OptTotals,
+    /// Worker threads the sweep was sharded over.
+    threads: usize,
+}
+
+impl Sweep {
+    fn total(&self) -> usize {
+        self.checks.iter().sum()
+    }
+
+    /// Failures plus, since a revert breaks the pipeline's
+    /// deadlock-monotonicity contract even though the program that ran
+    /// is the proven original, one more for any reverted rewrite.
+    fn into_failures(self) -> Vec<String> {
+        let mut failures = self.failures;
+        if self.opt.reverts > 0 {
+            failures.push(format!(
+                "{} optimizer REVERTS (deadlock-monotonicity broken)",
+                self.opt.reverts
+            ));
+        }
+        failures
+    }
+}
+
+/// Verifies every call of every unit from `source`. Workers claim the
+/// next unit from a shared cursor, so a thread finishing a cheap shape
+/// immediately picks up more work (no static partitioning skew); the
+/// per-unit fragments merge in worklist order, so counts and failure
+/// order are deterministic regardless of claim order.
+fn sweep(units: &[Unit], source: Source) -> Sweep {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(units.len().max(1));
     let cursor = AtomicUsize::new(0);
-    // Per-unit fragments, indexed by worklist position so the merged
-    // per-p totals are deterministic regardless of claim order.
-    let fragments: Vec<std::sync::Mutex<Option<Stats>>> =
-        units.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    let fragments: Vec<Mutex<Sweep>> = units.iter().map(|_| Mutex::default()).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(p, r, c)) = units.get(i) else {
+                let Some(unit) = units.get(i) else {
                     break;
                 };
-                let mut local = Stats {
-                    source,
-                    checks: 0,
-                    failures: Vec::new(),
-                    per_p: Vec::new(),
-                    opt: OptTotals::default(),
-                    threads,
-                };
-                audit_shape(&mut local, p, r, c);
-                *fragments[i].lock().unwrap() = Some(local);
+                let mut local = Sweep::default();
+                let calls = unit.calls();
+                local.checks.push(calls.len());
+                for Call { op, choice, n } in &calls {
+                    match verify_schedule_from(op, choice.as_ref(), &unit.machine, *n, source) {
+                        Ok((rep, stats)) => {
+                            local.opt.add(&stats);
+                            if !rep.ok() {
+                                local.failures.push(rep.to_string());
+                            }
+                        }
+                        Err(e) => {
+                            let mesh = unit.machine.phys_mesh();
+                            let under = match choice {
+                                Some(HierChoice::Flat(s)) => format!(" strategy {s}"),
+                                Some(HierChoice::Hier(h)) => format!(" hier {h}"),
+                                None => String::new(),
+                            };
+                            local.failures.push(format!(
+                                "{op} on {}x{} n={n}{under} [{source}]: lowering error: {e}",
+                                mesh.rows(),
+                                mesh.cols(),
+                            ));
+                        }
+                    }
+                }
+                *fragments[i].lock().expect("no worker panicked") = local;
             });
         }
     });
-
-    let mut stats = Stats {
-        source,
-        checks: 0,
-        failures: Vec::new(),
-        per_p: Vec::new(),
-        opt: OptTotals::default(),
+    let mut out = Sweep {
         threads,
+        ..Sweep::default()
     };
-    for &p in node_counts {
-        let before = stats.checks;
-        for (i, &(up, _, _)) in units.iter().enumerate() {
-            if up != p {
-                continue;
-            }
-            let frag = fragments[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every unit was audited");
-            stats.checks += frag.checks;
-            stats.failures.extend(frag.failures);
-            stats.opt.merge(&frag.opt);
-        }
-        stats.per_p.push((p, stats.checks - before));
-        if !quiet {
-            println!(
-                "p={p} [{}]: {} schedules verified{}",
-                source,
-                stats.checks - before,
-                if stats.failures.is_empty() {
-                    ""
-                } else {
-                    " (failures pending)"
-                }
-            );
+    for fragment in fragments {
+        let fragment = fragment.into_inner().expect("no worker panicked");
+        out.checks.extend(fragment.checks);
+        out.failures.extend(fragment.failures);
+        out.opt.merge(&fragment.opt);
+    }
+    out
+}
+
+/// One family of checks in the audit's two output forms, with the
+/// mutation probes that guard its checkers.
+struct Section {
+    /// Summary lines of the text report.
+    summary: String,
+    /// The `"key": value` members this section adds to the `--json`
+    /// document.
+    json: String,
+    failures: Vec<String>,
+    probes: Vec<(&'static str, bool)>,
+}
+
+fn shapes(p: usize) -> Vec<(usize, usize)> {
+    (1..=p)
+        .filter(|&r| p.is_multiple_of(r))
+        .map(|r| (r, p / r))
+        .collect()
+}
+
+fn mesh_units(node_counts: &[usize]) -> Vec<Unit> {
+    node_counts
+        .iter()
+        .flat_map(|&p| shapes(p))
+        .map(|(r, c)| Unit::mesh(r, c))
+        .collect()
+}
+
+/// The flat sweep a run is named after (`--source=ir|ir-opt|trace`),
+/// with the four schedule-level probes.
+fn flat_section(source: Source) -> Section {
+    let units = mesh_units(&NODE_COUNTS);
+    let found = sweep(&units, source);
+    let mut per_p: Vec<(usize, usize)> = Vec::new();
+    for (unit, &checks) in units.iter().zip(&found.checks) {
+        let p = unit.machine.ranks();
+        match per_p.last_mut() {
+            Some((last, sum)) if *last == p => *sum += checks,
+            _ => per_p.push((p, checks)),
         }
     }
-    stats
+    let mut summary: String = per_p
+        .iter()
+        .map(|(p, checks)| format!("p={p} [{source}]: {checks} schedules verified\n"))
+        .collect();
+    summary += &format!(
+        "schedule-audit: {} schedules verified from source {source} ({} threads)",
+        found.total(),
+        found.threads
+    );
+    let per_p: Vec<String> = per_p
+        .iter()
+        .map(|(p, checks)| format!("{{\"p\":{p},\"checks\":{checks}}}"))
+        .collect();
+    let mut json = format!(
+        "\"threads\": {},\n  \"checks\": {},\n  \"per_p\": [{}]",
+        found.threads,
+        found.total(),
+        per_p.join(",")
+    );
+    if source == Source::IrOpt {
+        summary += &format!("\nschedule-audit: rewrites applied: {}", found.opt);
+        json += &format!(",\n  \"rewrites\": {}", found.opt.json());
+    }
+    Section {
+        summary,
+        json,
+        failures: found.into_failures(),
+        probes: vec![
+            ("step-move -> single-port", probe_step_move()),
+            ("tag-bump -> deadlock", probe_tag_bump()),
+            ("span-overlap -> buffer-safety", probe_buffer_overlap()),
+            ("link-share -> conflict", probe_link_conflict()),
+        ],
+    }
+}
+
+/// The default run's repeat of the *full* flat sweep on the optimized
+/// IR: every pass-pipeline rewrite re-proven across the whole schedule
+/// space.
+fn optsweep_section() -> Section {
+    let found = sweep(&mesh_units(&NODE_COUNTS), Source::IrOpt);
+    let (checks, opt) = (found.total(), found.opt);
+    let failures = found.into_failures();
+    Section {
+        summary: format!("schedule-audit: {checks} optimized-IR checks, rewrites re-proven: {opt}"),
+        json: format!(
+            "\"optsweep\": {{\"source\":\"ir-opt\",\"checks\":{checks},\
+             \"failure_count\":{},\"rewrites\":{}}}",
+            failures.len(),
+            opt.json()
+        ),
+        failures,
+        probes: Vec::new(),
+    }
+}
+
+/// The default run's trace-sourced subset: the lowering itself
+/// cross-checked against the unmodified algorithm code.
+fn crosscheck_section() -> Section {
+    let found = sweep(&mesh_units(&CROSSCHECK_NODE_COUNTS), Source::Trace);
+    let checks = found.total();
+    Section {
+        summary: format!(
+            "schedule-audit: {checks} trace-sourced cross-checks (p in {CROSSCHECK_NODE_COUNTS:?})"
+        ),
+        json: format!(
+            "\"crosscheck\": {{\"source\":\"trace\",\"checks\":{checks},\"failure_count\":{}}}",
+            found.failures.len()
+        ),
+        failures: found.failures,
+        probes: Vec::new(),
+    }
+}
+
+/// Moves the first communication of `rank`'s program to the next tag:
+/// its partner then waits on the original tag forever.
+fn bump_first_tag(programs: &mut [Vec<OpRecord>], rank: usize) {
+    let bumped = programs[rank].iter_mut().find_map(|op| match op {
+        OpRecord::Send { tag, .. }
+        | OpRecord::Recv { tag, .. }
+        | OpRecord::SendRecv { tag, .. } => {
+            *tag += 1;
+            Some(())
+        }
+        _ => None,
+    });
+    bumped.expect("the rank communicates");
 }
 
 /// Probe 1: moving a send one step earlier must trip the single-port
@@ -307,7 +540,7 @@ fn audit(quiet: bool, source: Source, node_counts: &[usize]) -> Stats {
 fn probe_step_move() -> bool {
     let st = Strategy::pure_mst(8);
     let programs =
-        extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 8, 64).expect("extract");
+        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).expect("extract");
     let mut sched = match_programs(&programs).expect("valid schedule");
     let idx = sched
         .events
@@ -326,17 +559,8 @@ fn probe_step_move() -> bool {
 fn probe_tag_bump() -> bool {
     let st = Strategy::pure_mst(4);
     let mut programs =
-        extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 32).expect("extract");
-    let bumped = programs[1].iter_mut().find_map(|op| match op {
-        OpRecord::Send { tag, .. }
-        | OpRecord::Recv { tag, .. }
-        | OpRecord::SendRecv { tag, .. } => {
-            *tag += 1;
-            Some(())
-        }
-        _ => None,
-    });
-    bumped.expect("rank 1 communicates");
+        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).expect("extract");
+    bump_first_tag(&mut programs, 1);
     matches!(match_programs(&programs), Err(Violation::Deadlock { .. }))
 }
 
@@ -399,7 +623,7 @@ fn row_tenant(mesh: &Mesh2D, r: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_long(members.len());
     Tenant::lowered(
         format!("row{r}"),
-        &VerifyOp::Collect,
+        &PlanOp::Collect,
         Some(&st),
         2 * members.len(),
         members,
@@ -413,7 +637,7 @@ fn col_tenant(mesh: &Mesh2D, c: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_mst(members.len());
     Tenant::lowered(
         format!("col{c}"),
-        &VerifyOp::AllReduce,
+        &PlanOp::AllReduce,
         Some(&st),
         8,
         members,
@@ -432,7 +656,7 @@ fn submesh_tenant(
     let st = Strategy::pure_mst(members.len());
     Tenant::lowered(
         name,
-        &VerifyOp::Broadcast { root: 0 },
+        &PlanOp::Broadcast { root: 0 },
         Some(&st),
         32,
         members,
@@ -500,7 +724,7 @@ fn concurrent_scenarios() -> Vec<(String, Workload)> {
             .map(|g| {
                 Tenant::lowered(
                     format!("pair{g}"),
-                    &VerifyOp::Broadcast { root: 0 },
+                    &PlanOp::Broadcast { root: 0 },
                     Some(&Strategy::pure_mst(2)),
                     16,
                     vec![g, g + pairs],
@@ -517,38 +741,57 @@ fn concurrent_scenarios() -> Vec<(String, Workload)> {
     out
 }
 
-/// Results of the concurrent scenario sweep.
-struct ConcStats {
-    scenarios: usize,
-    tenants: usize,
-    failures: Vec<String>,
-    /// Worst single-tenant per-link peak across all scenarios.
-    solo_max: usize,
-    /// Worst composite per-link sharing across all scenarios.
-    composite_max: usize,
-}
-
-fn concurrent_sweep(quiet: bool) -> ConcStats {
-    let mut stats = ConcStats {
-        scenarios: 0,
-        tenants: 0,
-        failures: Vec::new(),
-        solo_max: 0,
-        composite_max: 0,
-    };
+/// The multi-tenant scenario sweep with the four concurrent probes.
+fn concurrent_section(verbose: bool) -> Section {
+    let mut summary = String::new();
+    let mut failures = Vec::new();
+    let (mut scenarios, mut tenants, mut solo_max, mut composite_max) = (0, 0, 0, 0);
     for (name, workload) in concurrent_scenarios() {
-        stats.scenarios += 1;
-        stats.tenants += workload.tenants.len();
+        scenarios += 1;
+        tenants += workload.tenants.len();
         let report = verify_concurrent(&workload);
-        stats.solo_max = stats.solo_max.max(report.contention.solo_max);
-        stats.composite_max = stats.composite_max.max(report.contention.composite_max);
+        // Worst single-tenant per-link peak and worst composite
+        // per-link sharing across all scenarios.
+        solo_max = solo_max.max(report.contention.solo_max);
+        composite_max = composite_max.max(report.contention.composite_max);
         if !report.ok() {
-            stats.failures.push(format!("{name}: {report}"));
-        } else if !quiet {
-            println!("concurrent [{name}]: {report}");
+            failures.push(format!("{name}: {report}"));
+        } else if verbose {
+            summary += &format!("concurrent [{name}]: {report}\n");
         }
     }
-    stats
+    summary += &format!(
+        "schedule-audit: {scenarios} concurrent scenarios ({tenants} tenants) verified \
+         non-interfering; composite link sharing {composite_max} (solo max {solo_max})"
+    );
+    Section {
+        summary,
+        json: format!(
+            "\"concurrent\": {{\"scenarios\":{scenarios},\"tenants_checked\":{tenants},\
+             \"failure_count\":{},\"composite\":{{\"solo_max\":{solo_max},\
+             \"composite_max\":{composite_max}}}}}",
+            failures.len()
+        ),
+        failures,
+        probes: vec![
+            (
+                "tenant tag-base collision -> residue + cross-tenant match",
+                probe_concurrent_tag_collision(),
+            ),
+            (
+                "shared memory window -> buffer overlap",
+                probe_concurrent_buffer_overlap(),
+            ),
+            (
+                "cross-tenant wait cycle -> attributed deadlock",
+                probe_concurrent_cross_deadlock(),
+            ),
+            (
+                "duplicate-node embedding -> rejected",
+                probe_concurrent_bad_embedding(),
+            ),
+        ],
+    }
 }
 
 /// Concurrent probe 1: two tenants on the same nodes with the same tag
@@ -559,7 +802,7 @@ fn probe_concurrent_tag_collision() -> bool {
     let mk = |name: &str| {
         Tenant::lowered(
             name,
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             16,
             vec![0, 1, 2, 3],
@@ -584,7 +827,7 @@ fn probe_concurrent_buffer_overlap() -> bool {
     let mk = |i: usize| {
         let mut t = Tenant::lowered(
             format!("t{i}"),
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             16,
             vec![0, 1, 2, 3],
@@ -656,7 +899,7 @@ fn probe_concurrent_cross_deadlock() -> bool {
 fn probe_concurrent_bad_embedding() -> bool {
     let t = Tenant::lowered(
         "dup",
-        &VerifyOp::Broadcast { root: 0 },
+        &PlanOp::Broadcast { root: 0 },
         Some(&Strategy::pure_mst(2)),
         8,
         vec![0, 0],
@@ -701,18 +944,48 @@ fn probe_chaos_stall() -> bool {
     matches!(stall_probe(), HangDiagnosis::Stall { rank: 2, .. })
 }
 
-/// The watchdog-diagnosis probes run with the chaos sweep.
-fn chaos_probes() -> [(&'static str, bool); 2] {
-    [
-        (
-            "seeded hang -> bounded waits + wait-for cycle diagnosis",
-            probe_chaos_hang(),
-        ),
-        (
-            "mid-broadcast stall -> straggler diagnosis",
-            probe_chaos_stall(),
-        ),
-    ]
+/// The fault-injection sweep with the two watchdog-diagnosis probes:
+/// the reduced matrix (`smoke`) in the default run, every scenario ×
+/// collective × backend under `--source=chaos`.
+fn chaos_section(smoke: bool) -> Section {
+    let report = chaos_sweep(smoke);
+    let summary = if smoke {
+        format!("schedule-audit: chaos smoke: {report}")
+    } else {
+        format!("schedule-audit: {report}")
+    };
+    let json = format!(
+        "\"chaos\": {{\"cases\":{},\"recoveries\":{},\"aborts\":{},\"retries\":{},\
+         \"hangs\":{},\"failure_count\":{}}}",
+        report.cases,
+        report.recoveries,
+        report.aborts,
+        report.retries,
+        report.hangs,
+        report.failures.len(),
+    );
+    let mut failures = report.failures;
+    if report.hangs > 0 {
+        failures.push(format!(
+            "chaos: {} hangs (wait expired undiagnosed)",
+            report.hangs
+        ));
+    }
+    Section {
+        summary,
+        json,
+        failures,
+        probes: vec![
+            (
+                "seeded hang -> bounded waits + wait-for cycle diagnosis",
+                probe_chaos_hang(),
+            ),
+            (
+                "mid-broadcast stall -> straggler diagnosis",
+                probe_chaos_stall(),
+            ),
+        ],
+    }
 }
 
 /// Cluster shapes for the hierarchical sweep: linear and 2-D inter-node
@@ -765,101 +1038,96 @@ fn hier_candidates(op: CollectiveOp, shape: ClusterShape) -> Vec<HierStrategy> {
     out
 }
 
-/// Results of the hierarchical sweep.
-struct HierStats {
-    shapes: usize,
-    strategies: usize,
-    checks: usize,
-    failures: Vec<String>,
-}
-
-fn run_hier(stats: &mut HierStats, op: &VerifyOp, hs: &HierStrategy, n: usize) {
-    stats.checks += 1;
-    match verify_schedule_hier(op, hs, n) {
-        Ok(rep) => {
-            if !rep.ok() {
-                stats.failures.push(rep.to_string());
-            }
-        }
-        Err(e) => stats
-            .failures
-            .push(format!("{op} n={n} hier {hs}: lowering error: {e}")),
-    }
-}
-
-/// Sweeps every hierarchical collective × candidate strategy × size
-/// over the cluster shapes. Every schedule must verify with zero
-/// violations over the cluster's physical mesh embedding.
-fn hier_sweep(quiet: bool, full: bool) -> HierStats {
-    let mut stats = HierStats {
-        shapes: 0,
-        strategies: 0,
-        checks: 0,
-        failures: Vec::new(),
+/// The hierarchical sweep — every hierarchical collective × candidate
+/// strategy × size over the cluster shapes, from the lowered IR, the
+/// optimized IR and the trace extraction — with the four hier probes.
+/// `full` (`--source=hier`) takes the whole shape battery and the
+/// degenerate sizes.
+fn hier_section(full: bool) -> Section {
+    let (vector_sizes, block_sizes): (&[usize], &[usize]) = if full {
+        (&VECTOR_SIZES, &BLOCK_SIZES)
+    } else {
+        (&VECTOR_SIZES[1..], &BLOCK_SIZES[1..])
     };
-    let vector_sizes: &[usize] = if full { &[0, 1, 947] } else { &[1, 947] };
-    let block_sizes: &[usize] = if full { &[0, 1, 13] } else { &[1, 13] };
-    for shape in hier_shapes(full) {
-        stats.shapes += 1;
-        let p = shape.ranks();
-        let before = stats.checks;
-        for cost_op in [
-            CollectiveOp::Broadcast,
-            CollectiveOp::CombineToOne,
-            CollectiveOp::CombineToAll,
-            CollectiveOp::Collect,
-            CollectiveOp::DistributedCombine,
-        ] {
-            for hs in &hier_candidates(cost_op, shape) {
-                stats.strategies += 1;
-                match cost_op {
-                    CollectiveOp::Broadcast => {
-                        for &n in vector_sizes {
-                            for root in roots(p) {
-                                run_hier(&mut stats, &VerifyOp::Broadcast { root }, hs, n);
-                            }
-                        }
-                    }
-                    CollectiveOp::CombineToOne => {
-                        for &n in vector_sizes {
-                            for root in roots(p) {
-                                run_hier(&mut stats, &VerifyOp::Reduce { root }, hs, n);
-                            }
-                        }
-                    }
-                    CollectiveOp::CombineToAll => {
-                        for &n in vector_sizes {
-                            run_hier(&mut stats, &VerifyOp::AllReduce, hs, n);
-                        }
-                    }
-                    CollectiveOp::Collect => {
-                        for &n in block_sizes {
-                            run_hier(&mut stats, &VerifyOp::Collect, hs, n);
-                        }
-                    }
-                    CollectiveOp::DistributedCombine => {
-                        for &n in block_sizes {
-                            run_hier(&mut stats, &VerifyOp::ReduceScatter, hs, n);
-                        }
-                    }
-                    _ => unreachable!("only the five hierarchical ops are swept"),
-                }
-            }
-        }
-        if !quiet {
-            println!(
-                "hier {shape} [hier]: {} schedules verified",
-                stats.checks - before
-            );
+    let shapes = hier_shapes(full);
+    let units: Vec<Unit> = shapes
+        .iter()
+        .map(|&shape| Unit {
+            machine: Cluster::new(
+                Mesh2D::new(shape.inter_rows, shape.inter_cols),
+                shape.ranks_per_node,
+            ),
+            menu: Some(
+                STRATEGY_OPS
+                    .iter()
+                    .map(|&cop| (cop, hier_candidates(cop, shape)))
+                    .collect(),
+            ),
+            vector_sizes,
+            block_sizes,
+        })
+        .collect();
+    let strategies: usize = units
+        .iter()
+        .flat_map(|u| u.menu.iter().flatten())
+        .map(|(_, candidates)| candidates.len())
+        .sum();
+    let lowered = sweep(&units, Source::Ir);
+    let optimized = sweep(&units, Source::IrOpt);
+    let traced = sweep(&units, Source::Trace);
+
+    let mut summary = String::new();
+    if full {
+        for (shape, checks) in shapes.iter().zip(&lowered.checks) {
+            summary += &format!("hier {shape} [ir]: {checks} schedules verified\n");
         }
     }
-    stats
+    summary += &format!(
+        "schedule-audit: {} hierarchical schedules verified ({strategies} strategies over {} \
+         cluster shapes), {} optimized (rewrites {}), {} trace cross-checks",
+        lowered.total(),
+        units.len(),
+        optimized.total(),
+        optimized.opt,
+        traced.total(),
+    );
+    let mut json = format!(
+        "\"hier\": {{\"shapes\":{},\"strategies\":{strategies},\"checks\":{},\
+         \"opt_checks\":{},\"trace_checks\":{},\"rewrites\":{}",
+        units.len(),
+        lowered.total(),
+        optimized.total(),
+        traced.total(),
+        optimized.opt.json(),
+    );
+    let mut failures = lowered.into_failures();
+    failures.extend(optimized.into_failures());
+    failures.extend(traced.into_failures());
+    json += &format!(",\"failure_count\":{}}}", failures.len());
+    Section {
+        summary,
+        json,
+        failures,
+        probes: vec![
+            ("hier tag-bump -> deadlock", probe_hier_tag_bump(false)),
+            (
+                "optimized hier tag-bump -> deadlock",
+                probe_hier_tag_bump(true),
+            ),
+            ("hier step-move -> single-port", probe_hier_step_move()),
+            (
+                "mismatched hier template -> rejected",
+                probe_hier_bad_strategy(),
+            ),
+        ],
+    }
 }
 
-/// Hier probe 1: bumping one rank's first tag must deadlock the matcher
-/// — hierarchical programs go through the same rendezvous matching as
-/// flat ones, and their stage-band tags are load-bearing.
-fn probe_hier_tag_bump() -> bool {
+/// Hier probes 1 and 2: bumping one rank's first tag must deadlock the
+/// matcher — hierarchical programs go through the same rendezvous
+/// matching as flat ones, and their stage-band tags are load-bearing,
+/// in the lowered program and in the `optimized` one a plan executes.
+fn probe_hier_tag_bump(optimized: bool) -> bool {
     let shape = ClusterShape::linear(2, 2);
     let hs = select_hier(
         CollectiveOp::CombineToAll,
@@ -868,21 +1136,16 @@ fn probe_hier_tag_bump() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("allreduce has a hierarchy");
-    let mut programs = hier_ir_programs(&VerifyOp::AllReduce, &hs, 32).expect("hier lowers");
-    let bumped = programs[1].iter_mut().find_map(|op| match op {
-        OpRecord::Send { tag, .. }
-        | OpRecord::Recv { tag, .. }
-        | OpRecord::SendRecv { tag, .. } => {
-            *tag += 1;
-            Some(())
-        }
-        _ => None,
-    });
-    bumped.expect("rank 1 communicates");
+    let mut prog = lower_hier(PlanOp::AllReduce, &hs, 32, 1).expect("hier lowers");
+    if optimized {
+        prog = optimize(&prog).0;
+    }
+    let mut programs = programs_of(&prog);
+    bump_first_tag(&mut programs, 1);
     matches!(match_programs(&programs), Err(Violation::Deadlock { .. }))
 }
 
-/// Hier probe 2: pulling the root's intra fan-out send up into its
+/// Hier probe 3: pulling the root's intra fan-out send up into its
 /// inter-stage step must trip the single-port check (the root would
 /// talk to a leader peer and a node-local child at once).
 fn probe_hier_step_move() -> bool {
@@ -894,9 +1157,8 @@ fn probe_hier_step_move() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("broadcast has a hierarchy");
-    let programs =
-        hier_ir_programs(&VerifyOp::Broadcast { root: 0 }, &hs, 64).expect("hier lowers");
-    let mut sched = match_programs(&programs).expect("valid schedule");
+    let prog = lower_hier(PlanOp::Broadcast { root: 0 }, &hs, 64, 1).expect("hier lowers");
+    let mut sched = match_programs(&programs_of(&prog)).expect("valid schedule");
     let sends: Vec<usize> = sched
         .events
         .iter()
@@ -913,7 +1175,7 @@ fn probe_hier_step_move() -> bool {
         .any(|v| matches!(v, Violation::MultiPort { rank: 0, .. }))
 }
 
-/// Hier probe 3: a strategy whose stage sequence disagrees with the
+/// Hier probe 4: a strategy whose stage sequence disagrees with the
 /// op's template must be rejected at lowering, before any check runs.
 fn probe_hier_bad_strategy() -> bool {
     let hs = select_hier(
@@ -923,544 +1185,100 @@ fn probe_hier_bad_strategy() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("broadcast has a hierarchy");
-    verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).is_err()
+    let choice = HierChoice::Hier(hs);
+    let machine = Cluster::linear(2, 2);
+    verify_schedule_from(&PlanOp::AllReduce, Some(&choice), &machine, 16, Source::Ir).is_err()
 }
 
-/// The hierarchical mutation probes run with the hier sweep.
-fn hier_probes() -> [(&'static str, bool); 3] {
-    [
-        ("hier tag-bump -> deadlock", probe_hier_tag_bump()),
-        ("hier step-move -> single-port", probe_hier_step_move()),
-        (
-            "mismatched hier template -> rejected",
-            probe_hier_bad_strategy(),
-        ),
-    ]
-}
-
-fn hier_json(h: &HierStats) -> String {
-    format!(
-        "{{\"shapes\":{},\"strategies\":{},\"checks\":{},\"failure_count\":{}}}",
-        h.shapes,
-        h.strategies,
-        h.checks,
-        h.failures.len(),
-    )
-}
-
-/// `--source=hier`: the full hierarchical sweep (every cluster shape ×
-/// hierarchical op × candidate strategy × size) plus the hier probes.
-fn run_hier_only(json: bool) -> ExitCode {
-    let stats = hier_sweep(json, true);
-    let probes = hier_probes();
-    let ok = stats.failures.is_empty() && probes.iter().all(|(_, caught)| *caught);
+/// The reporting tail every mode shares: the sections' summaries or
+/// JSON members, then the pooled failures and mutation probes, then the
+/// verdict.
+fn report(json: bool, source: &str, sections: Vec<Section>) -> ExitCode {
+    let failures: Vec<&String> = sections.iter().flat_map(|s| &s.failures).collect();
+    let probes: Vec<(&str, bool)> = sections.iter().flat_map(|s| s.probes.clone()).collect();
+    let ok = failures.is_empty() && probes.iter().all(|(_, caught)| *caught);
     if json {
-        let failures: Vec<String> = stats
-            .failures
+        let members: Vec<&str> = sections.iter().map(|s| s.json.as_str()).collect();
+        let failures: Vec<String> = failures
             .iter()
             .map(|f| format!("\"{}\"", escape_json(f)))
             .collect();
-        println!(
-            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"source\": \"hier\",\n  \
-             \"hier\": {},\n  \"failure_count\": {},\n  \"failures\": [{}],\n  \
-             \"mutation_probes\": [{}],\n  \"pass\": {ok}\n}}",
-            hier_json(&stats),
-            failures.len(),
-            failures.join(","),
-            probes_json(&probes),
-        );
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    println!(
-        "schedule-audit: {} hierarchical schedules verified ({} strategies over {} cluster shapes)",
-        stats.checks, stats.strategies, stats.shapes
-    );
-    if !stats.failures.is_empty() {
-        println!("{} FAILURES:", stats.failures.len());
-        for (i, f) in stats.failures.iter().enumerate() {
-            println!("[{i}] {f}");
-        }
-    }
-    let mut probes_ok = true;
-    for (name, caught) in probes {
-        if caught {
-            println!("mutation probe caught: {name}");
-        } else {
-            println!("MUTATION PROBE MISSED: {name}");
-            probes_ok = false;
-        }
-    }
-    if stats.failures.is_empty() && probes_ok {
-        println!("schedule-audit: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("schedule-audit: FAIL");
-        ExitCode::FAILURE
-    }
-}
-
-/// Escapes a string for embedding in a JSON document (std-only — the
-/// workspace ships no serde).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Bumped whenever the shape of the `--json` document changes, so CI
-/// consumers can fail fast on a format drift instead of misreading it.
-/// v2: added `source` and the `crosscheck` object. v3: added
-/// `threads`, the `optsweep` object (the full optimized-IR sweep with
-/// its per-pass `rewrites` counts) and, for `--source=ir-opt`, a
-/// top-level `rewrites` object. v4: added the `concurrent` object (the
-/// multi-tenant scenario sweep with its composite contention bounds),
-/// the four concurrent entries in `mutation_probes`, and the
-/// `--source=concurrent` mode that emits a concurrent-only document.
-/// v5: added the `chaos` object (the fault-injection sweep: cases,
-/// byte-identical recoveries, coordinated aborts, retransmissions and
-/// the hang count, which must be zero), the two watchdog-diagnosis
-/// entries in `mutation_probes`, and the `--source=chaos` mode that
-/// runs the full scenario matrix on both backends. v6: added the
-/// `hier` object (the hierarchical sweep: cluster shapes, candidate
-/// strategies and per-stage-gated checks over each cluster's physical
-/// mesh embedding), the three hier entries in `mutation_probes`, and
-/// the `--source=hier` mode that runs the full cluster-shape sweep.
-const JSON_SCHEMA_VERSION: u32 = 6;
-
-fn chaos_json(c: &ChaosReport) -> String {
-    format!(
-        "{{\"cases\":{},\"recoveries\":{},\"aborts\":{},\"retries\":{},\
-         \"hangs\":{},\"failure_count\":{}}}",
-        c.cases,
-        c.recoveries,
-        c.aborts,
-        c.retries,
-        c.hangs,
-        c.failures.len(),
-    )
-}
-
-/// `--source=chaos`: the full fault-injection matrix (every scenario ×
-/// every collective × both backends) plus the watchdog probes.
-fn run_chaos_only(json: bool) -> ExitCode {
-    let report = chaos_sweep(false);
-    let probes = chaos_probes();
-    let ok = report.ok() && probes.iter().all(|(_, caught)| *caught);
-    if json {
-        let failures: Vec<String> = report
-            .failures
+        let probes: Vec<String> = probes
             .iter()
-            .map(|f| format!("\"{}\"", escape_json(f)))
+            .map(|(name, caught)| {
+                format!("{{\"name\":\"{}\",\"caught\":{caught}}}", escape_json(name))
+            })
             .collect();
         println!(
-            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"source\": \"chaos\",\n  \
-             \"chaos\": {},\n  \"failure_count\": {},\n  \"failures\": [{}],\n  \
+            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"source\": \"{source}\",\n  \
+             {},\n  \"failure_count\": {},\n  \"failures\": [{}],\n  \
              \"mutation_probes\": [{}],\n  \"pass\": {ok}\n}}",
-            chaos_json(&report),
+            members.join(",\n  "),
             failures.len(),
             failures.join(","),
-            probes_json(&probes),
+            probes.join(","),
         );
-        return if ok {
-            ExitCode::SUCCESS
+    } else {
+        for section in &sections {
+            println!("{}", section.summary);
+        }
+        if !failures.is_empty() {
+            println!("{} FAILURES:", failures.len());
+            for (i, f) in failures.iter().enumerate().take(50) {
+                println!("[{i}] {f}");
+            }
+            if failures.len() > 50 {
+                println!("... and {} more", failures.len() - 50);
+            }
+        }
+        for (name, caught) in probes {
+            if caught {
+                println!("mutation probe caught: {name}");
+            } else {
+                println!("MUTATION PROBE MISSED: {name}");
+            }
+        }
+        if ok {
+            println!("schedule-audit: PASS");
         } else {
-            ExitCode::FAILURE
-        };
-    }
-    println!("schedule-audit: {report}");
-    if !report.failures.is_empty() {
-        println!("{} FAILURES:", report.failures.len());
-        for (i, f) in report.failures.iter().enumerate() {
-            println!("[{i}] {f}");
+            println!("schedule-audit: FAIL");
         }
     }
-    let mut probes_ok = true;
-    for (name, caught) in probes {
-        if caught {
-            println!("mutation probe caught: {name}");
-        } else {
-            println!("MUTATION PROBE MISSED: {name}");
-            probes_ok = false;
-        }
-    }
-    if ok && probes_ok {
-        println!("schedule-audit: PASS");
+    if ok {
         ExitCode::SUCCESS
     } else {
-        println!("schedule-audit: FAIL");
         ExitCode::FAILURE
     }
-}
-
-fn concurrent_json(c: &ConcStats) -> String {
-    format!(
-        "{{\"scenarios\":{},\"tenants_checked\":{},\"failure_count\":{},\
-         \"composite\":{{\"solo_max\":{},\"composite_max\":{}}}}}",
-        c.scenarios,
-        c.tenants,
-        c.failures.len(),
-        c.solo_max,
-        c.composite_max,
-    )
-}
-
-/// The concurrent mutation probes, each a deliberately broken workload
-/// the analyzer must reject.
-fn concurrent_probes() -> [(&'static str, bool); 4] {
-    [
-        (
-            "tenant tag-base collision -> residue + cross-tenant match",
-            probe_concurrent_tag_collision(),
-        ),
-        (
-            "shared memory window -> buffer overlap",
-            probe_concurrent_buffer_overlap(),
-        ),
-        (
-            "cross-tenant wait cycle -> attributed deadlock",
-            probe_concurrent_cross_deadlock(),
-        ),
-        (
-            "duplicate-node embedding -> rejected",
-            probe_concurrent_bad_embedding(),
-        ),
-    ]
-}
-
-fn probes_json(probes: &[(&str, bool)]) -> String {
-    probes
-        .iter()
-        .map(|(name, caught)| format!("{{\"name\":\"{}\",\"caught\":{caught}}}", escape_json(name)))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// `--source=concurrent`: only the multi-tenant scenario sweep and its
-/// mutation probes.
-fn run_concurrent_only(json: bool) -> ExitCode {
-    let stats = concurrent_sweep(json);
-    let probes = concurrent_probes();
-    let ok = stats.failures.is_empty() && probes.iter().all(|(_, caught)| *caught);
-    if json {
-        let failures: Vec<String> = stats
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", escape_json(f)))
-            .collect();
-        println!(
-            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"source\": \"concurrent\",\n  \
-             \"concurrent\": {},\n  \"failure_count\": {},\n  \"failures\": [{}],\n  \
-             \"mutation_probes\": [{}],\n  \"pass\": {ok}\n}}",
-            concurrent_json(&stats),
-            failures.len(),
-            failures.join(","),
-            probes_json(&probes),
-        );
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    println!(
-        "schedule-audit: {} concurrent scenarios ({} tenants) verified non-interfering; \
-         composite link sharing {} (solo max {})",
-        stats.scenarios, stats.tenants, stats.composite_max, stats.solo_max
-    );
-    if !stats.failures.is_empty() {
-        println!("{} FAILURES:", stats.failures.len());
-        for (i, f) in stats.failures.iter().enumerate() {
-            println!("[{i}] {f}");
-        }
-    }
-    let mut probes_ok = true;
-    for (name, caught) in probes {
-        if caught {
-            println!("mutation probe caught: {name}");
-        } else {
-            println!("MUTATION PROBE MISSED: {name}");
-            probes_ok = false;
-        }
-    }
-    if stats.failures.is_empty() && probes_ok {
-        println!("schedule-audit: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("schedule-audit: FAIL");
-        ExitCode::FAILURE
-    }
-}
-
-fn rewrites_json(o: &OptTotals) -> String {
-    format!(
-        "{{\"elided\":{},\"fused\":{},\"overlapped\":{},\"coalesced\":{},\
-         \"dead_copies\":{},\"reverts\":{},\"total\":{}}}",
-        o.elided,
-        o.fused,
-        o.overlapped,
-        o.coalesced,
-        o.dead_copies,
-        o.reverts,
-        o.total(),
-    )
 }
 
 fn main() -> ExitCode {
     let json = std::env::args().any(|a| a == "--json");
-    let source = match std::env::args().find(|a| a.starts_with("--source=")) {
-        None => Source::Ir,
-        Some(a) => match a.as_str() {
-            "--source=ir" => Source::Ir,
-            "--source=ir-opt" => Source::IrOpt,
-            "--source=trace" => Source::Trace,
-            "--source=concurrent" => return run_concurrent_only(json),
-            "--source=chaos" => return run_chaos_only(json),
-            "--source=hier" => return run_hier_only(json),
-            other => {
-                eprintln!(
-                    "schedule-audit: unknown option {other} \
-                     (expected ir, ir-opt, trace, concurrent, chaos or hier)"
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let stats = audit(json, source, &NODE_COUNTS);
-    // Auditing the compiled IR proves the deployed artifact. The
-    // default run then repeats the *full* sweep on the optimized IR —
-    // every pass-pipeline rewrite re-proven across the whole schedule
-    // space — and a trace-sourced subset cross-checks the lowering
-    // itself against the unmodified algorithm code.
-    let optsweep = (source == Source::Ir).then(|| audit(true, Source::IrOpt, &NODE_COUNTS));
-    let crosscheck =
-        (source == Source::Ir).then(|| audit(true, Source::Trace, &CROSSCHECK_NODE_COUNTS));
-    // The default run also proves the multi-tenant scenario matrix
-    // non-interfering through the concurrent analyzer, and runs the
-    // reduced chaos matrix (the full one backs `--source=chaos`).
-    let concurrent = (source == Source::Ir).then(|| concurrent_sweep(true));
-    let chaos = (source == Source::Ir).then(|| chaos_sweep(true));
-    // The reduced hierarchical sweep (the full one backs `--source=hier`).
-    let hier = (source == Source::Ir).then(|| hier_sweep(true, false));
-    let mut probes = vec![
-        ("step-move -> single-port", probe_step_move()),
-        ("tag-bump -> deadlock", probe_tag_bump()),
-        ("span-overlap -> buffer-safety", probe_buffer_overlap()),
-        ("link-share -> conflict", probe_link_conflict()),
-    ];
-    if concurrent.is_some() {
-        probes.extend(concurrent_probes());
-    }
-    if chaos.is_some() {
-        probes.extend(chaos_probes());
-    }
-    if hier.is_some() {
-        probes.extend(hier_probes());
-    }
-    // A revert is not a violation (the program that ran is the proven
-    // original) but it breaks the pipeline's deadlock-monotonicity
-    // contract, so the audit treats any revert as a failure.
-    let reverts = stats.opt.reverts + optsweep.as_ref().map_or(0, |o| o.opt.reverts);
-    let ok = stats.failures.is_empty()
-        && optsweep.as_ref().is_none_or(|o| o.failures.is_empty())
-        && crosscheck.as_ref().is_none_or(|c| c.failures.is_empty())
-        && concurrent.as_ref().is_none_or(|c| c.failures.is_empty())
-        && chaos.as_ref().is_none_or(ChaosReport::ok)
-        && hier.as_ref().is_none_or(|h| h.failures.is_empty())
-        && reverts == 0
-        && probes.iter().all(|(_, caught)| *caught);
-
-    if json {
-        let per_p: Vec<String> = stats
-            .per_p
-            .iter()
-            .map(|(p, checks)| format!("{{\"p\":{p},\"checks\":{checks}}}"))
-            .collect();
-        let mut failures: Vec<String> = stats
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", escape_json(f)))
-            .collect();
-        for extra in optsweep.iter().chain(crosscheck.iter()) {
-            failures.extend(
-                extra
-                    .failures
-                    .iter()
-                    .map(|f| format!("\"{}\"", escape_json(f))),
+    let arg = std::env::args().find(|a| a.starts_with("--source="));
+    let source = arg.as_deref().map_or("ir", |a| &a["--source=".len()..]);
+    let sections = match source {
+        // Auditing the compiled IR proves the deployed artifact; the
+        // default run backs it with every other family of checks, the
+        // chaos and hierarchical ones at reduced size.
+        "ir" => vec![
+            flat_section(Source::Ir),
+            optsweep_section(),
+            crosscheck_section(),
+            concurrent_section(false),
+            chaos_section(true),
+            hier_section(false),
+        ],
+        "ir-opt" => vec![flat_section(Source::IrOpt)],
+        "trace" => vec![flat_section(Source::Trace)],
+        "concurrent" => vec![concurrent_section(!json)],
+        "chaos" => vec![chaos_section(false)],
+        "hier" => vec![hier_section(true)],
+        other => {
+            eprintln!(
+                "schedule-audit: unknown option --source={other} \
+                 (expected ir, ir-opt, trace, concurrent, chaos or hier)"
             );
+            return ExitCode::FAILURE;
         }
-        if let Some(c) = &concurrent {
-            failures.extend(c.failures.iter().map(|f| format!("\"{}\"", escape_json(f))));
-        }
-        if let Some(c) = &chaos {
-            failures.extend(c.failures.iter().map(|f| format!("\"{}\"", escape_json(f))));
-        }
-        if let Some(h) = &hier {
-            failures.extend(h.failures.iter().map(|f| format!("\"{}\"", escape_json(f))));
-        }
-        let optsweep_json = match &optsweep {
-            Some(o) => format!(
-                "{{\"source\":\"ir-opt\",\"checks\":{},\"failure_count\":{},\"rewrites\":{}}}",
-                o.checks,
-                o.failures.len(),
-                rewrites_json(&o.opt),
-            ),
-            None => "null".to_string(),
-        };
-        let rewrites_json = if source == Source::IrOpt {
-            rewrites_json(&stats.opt)
-        } else {
-            "null".to_string()
-        };
-        let crosscheck_json = match &crosscheck {
-            Some(c) => format!(
-                "{{\"source\":\"trace\",\"checks\":{},\"failure_count\":{}}}",
-                c.checks,
-                c.failures.len()
-            ),
-            None => "null".to_string(),
-        };
-        let concurrent_json = match &concurrent {
-            Some(c) => concurrent_json(c),
-            None => "null".to_string(),
-        };
-        let chaos_json = match &chaos {
-            Some(c) => chaos_json(c),
-            None => "null".to_string(),
-        };
-        let hier_json = match &hier {
-            Some(h) => hier_json(h),
-            None => "null".to_string(),
-        };
-        println!(
-            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"source\": \"{source}\",\n  \
-             \"threads\": {},\n  \"checks\": {},\n  \
-             \"failure_count\": {},\n  \"failures\": [{}],\n  \"per_p\": [{}],\n  \
-             \"rewrites\": {rewrites_json},\n  \"optsweep\": {optsweep_json},\n  \
-             \"crosscheck\": {crosscheck_json},\n  \"concurrent\": {concurrent_json},\n  \
-             \"chaos\": {chaos_json},\n  \"hier\": {hier_json},\n  \
-             \"mutation_probes\": [{}],\n  \"pass\": {ok}\n}}",
-            stats.threads,
-            stats.checks,
-            failures.len(),
-            failures.join(","),
-            per_p.join(","),
-            probes_json(&probes),
-        );
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    println!(
-        "schedule-audit: {} schedules verified from source {source} ({} threads)",
-        stats.checks, stats.threads
-    );
-    if source == Source::IrOpt {
-        let o = &stats.opt;
-        println!(
-            "schedule-audit: rewrites applied: {} (elided {}, fused {}, overlapped {}, \
-             coalesced {}, dead copies {}), {} reverts",
-            o.total(),
-            o.elided,
-            o.fused,
-            o.overlapped,
-            o.coalesced,
-            o.dead_copies,
-            o.reverts,
-        );
-    }
-    let mut failures = stats.failures;
-    if let Some(o) = optsweep {
-        let t = &o.opt;
-        println!(
-            "schedule-audit: {} optimized-IR checks: {} rewrites re-proven (elided {}, \
-             fused {}, overlapped {}, coalesced {}, dead copies {}), {} reverts",
-            o.checks,
-            t.total(),
-            t.elided,
-            t.fused,
-            t.overlapped,
-            t.coalesced,
-            t.dead_copies,
-            t.reverts,
-        );
-        failures.extend(o.failures);
-    }
-    if let Some(c) = crosscheck {
-        println!(
-            "schedule-audit: {} trace-sourced cross-checks (p in {CROSSCHECK_NODE_COUNTS:?})",
-            c.checks
-        );
-        failures.extend(c.failures);
-    }
-    if let Some(c) = concurrent {
-        println!(
-            "schedule-audit: {} concurrent scenarios ({} tenants) verified non-interfering; \
-             composite link sharing {} (solo max {})",
-            c.scenarios, c.tenants, c.composite_max, c.solo_max
-        );
-        failures.extend(c.failures);
-    }
-    if let Some(c) = chaos {
-        println!("schedule-audit: chaos smoke: {c}");
-        if c.hangs > 0 {
-            failures.push(format!(
-                "chaos smoke: {} hangs (wait expired undiagnosed)",
-                c.hangs
-            ));
-        }
-        failures.extend(c.failures);
-    }
-    if let Some(h) = hier {
-        println!(
-            "schedule-audit: {} hierarchical schedules verified ({} strategies over {} \
-             cluster shapes)",
-            h.checks, h.strategies, h.shapes
-        );
-        failures.extend(h.failures);
-    }
-    if reverts > 0 {
-        println!("schedule-audit: {reverts} optimizer REVERTS (deadlock-monotonicity broken)");
-    }
-    if !failures.is_empty() {
-        println!("{} FAILURES:", failures.len());
-        for (i, f) in failures.iter().enumerate().take(50) {
-            println!("[{i}] {f}");
-        }
-        if failures.len() > 50 {
-            println!("... and {} more", failures.len() - 50);
-        }
-    }
-    let mut probes_ok = true;
-    for (name, caught) in probes {
-        if caught {
-            println!("mutation probe caught: {name}");
-        } else {
-            println!("MUTATION PROBE MISSED: {name}");
-            probes_ok = false;
-        }
-    }
-    if failures.is_empty() && probes_ok && reverts == 0 {
-        println!("schedule-audit: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("schedule-audit: FAIL");
-        ExitCode::FAILURE
-    }
+    };
+    report(json, source, sections)
 }

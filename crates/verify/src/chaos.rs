@@ -26,15 +26,16 @@
 //! can gate on the diagnosis machinery itself.
 
 use crate::checks::Violation;
-use crate::extract::{extract_programs, VerifyOp};
+use crate::extract::extract_programs;
 use crate::schedule::match_programs;
 use intercom::comm::GroupComm;
 use intercom::faults::{FaultEvent, FaultEventKind};
+use intercom::ir::{run_direct, OwnedArgs, PlanOp};
 use intercom::trace::OpRecord;
-use intercom::{algorithms, Comm, ReduceOp, Tag};
 use intercom::{AbortCause, AbortInfo, CollectiveError, CommError, Fault, FaultKind, FaultLayer};
+use intercom::{Comm, ReduceOp, Tag};
 use intercom::{FaultPlan, FaultyComm};
-use intercom_cost::{MachineParams, Strategy};
+use intercom_cost::{HierChoice, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{EventKind, TraceEvent};
 use intercom_runtime::{default_wait_timeout, run_world_deadline};
@@ -46,7 +47,7 @@ use std::time::Duration;
 /// World size of every chaos case (simulated as a 2×3 mesh).
 pub const CHAOS_WORLD: usize = 6;
 
-/// Size parameter of every chaos case ([`VerifyOp`] unit convention);
+/// Size parameter of every chaos case ([`PlanOp::args`] unit convention);
 /// small enough that every message rides the eager path.
 pub const CHAOS_N: usize = 48;
 
@@ -147,24 +148,24 @@ pub fn scenarios() -> Vec<Scenario> {
 }
 
 /// The collectives the sweep exercises (the paper's seven; root 0).
-pub fn chaos_ops() -> Vec<VerifyOp> {
+pub fn chaos_ops() -> Vec<PlanOp> {
     vec![
-        VerifyOp::Broadcast { root: 0 },
-        VerifyOp::Reduce { root: 0 },
-        VerifyOp::AllReduce,
-        VerifyOp::ReduceScatter,
-        VerifyOp::Collect,
-        VerifyOp::Scatter { root: 0 },
-        VerifyOp::Gather { root: 0 },
+        PlanOp::Broadcast { root: 0 },
+        PlanOp::Reduce { root: 0 },
+        PlanOp::AllReduce,
+        PlanOp::ReduceScatter,
+        PlanOp::Collect,
+        PlanOp::Scatter { root: 0 },
+        PlanOp::Gather { root: 0 },
     ]
 }
 
 /// The rank whose first outbound operation the scenario corrupts: for
 /// the to-root collectives the root only receives first, so the fault
 /// moves to a leaf sender.
-pub fn fault_rank(op: &VerifyOp) -> usize {
+pub fn fault_rank(op: &PlanOp) -> usize {
     match op {
-        VerifyOp::Reduce { .. } | VerifyOp::Gather { .. } => 1,
+        PlanOp::Reduce { .. } | PlanOp::Gather { .. } => 1,
         _ => 0,
     }
 }
@@ -172,7 +173,7 @@ pub fn fault_rank(op: &VerifyOp) -> usize {
 /// Builds the scripted plan for one `(scenario, op)` cell. The seed is
 /// derived from the scenario index so corrupted byte positions are
 /// reproducible — and identical across backends.
-pub fn scenario_plan(sc: &Scenario, op: &VerifyOp, seed: u64) -> FaultPlan {
+pub fn scenario_plan(sc: &Scenario, op: &PlanOp, seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_fault(Fault {
         rank: fault_rank(op),
         peer: None,
@@ -197,7 +198,7 @@ pub struct CaseRun {
 /// Runs `op` once under `plan` on `backend` with the chaos world size
 /// and returns the full evidence. An empty plan is the fault-free
 /// baseline the recoverable cases are compared against.
-pub fn run_case(backend: Backend, op: &VerifyOp, plan: &FaultPlan) -> CaseRun {
+pub fn run_case(backend: Backend, op: &PlanOp, plan: &FaultPlan) -> CaseRun {
     let p = CHAOS_WORLD;
     let strategy = op.takes_strategy().then(|| Strategy::pure_mst(p));
     let stalls = plan
@@ -245,7 +246,7 @@ pub fn run_case(backend: Backend, op: &VerifyOp, plan: &FaultPlan) -> CaseRun {
 fn chaos_rank<C: Comm + ?Sized>(
     comm: &C,
     layer: Arc<FaultLayer>,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
 ) -> Result<Vec<u8>, CollectiveError> {
     let rank = comm.rank();
@@ -262,81 +263,34 @@ fn chaos_rank<C: Comm + ?Sized>(
 }
 
 /// Runs one collective with the buffer shapes of
-/// [`crate::extract::extract_program`] (fill pattern `i % 251`) and
-/// returns this rank's output bytes — the value the byte-identity
-/// check compares against the fault-free baseline.
+/// [`crate::extract::extract_programs`] (fill pattern `i % 251`) and
+/// returns every buffer this rank bound, in slot order — the bytes the
+/// byte-identity check compares against the fault-free baseline.
 fn run_op<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> intercom::Result<Vec<u8>> {
-    let gc = GroupComm::world(comm);
-    let p = comm.size();
     let rank = comm.rank();
-    let fill = |buf: &mut [u8]| {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-    };
-    let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
-    match *op {
-        VerifyOp::Broadcast { root } => {
-            let mut buf = vec![0u8; n];
-            if rank == root {
-                fill(&mut buf);
-            }
-            algorithms::broadcast(&gc, st(), root, &mut buf, 0)?;
-            Ok(buf)
-        }
-        VerifyOp::Reduce { root } => {
-            let mut buf = vec![0u8; n];
-            fill(&mut buf);
-            algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0)?;
-            Ok(buf)
-        }
-        VerifyOp::AllReduce => {
-            let mut buf = vec![0u8; n];
-            fill(&mut buf);
-            algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0)?;
-            Ok(buf)
-        }
-        VerifyOp::ReduceScatter => {
-            let mut contrib = vec![0u8; p * n];
-            fill(&mut contrib);
-            let mut mine = vec![0u8; n];
-            algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0)?;
-            Ok(mine)
-        }
-        VerifyOp::Collect => {
-            let mut mine = vec![0u8; n];
-            fill(&mut mine);
-            let mut all = vec![0u8; p * n];
-            algorithms::collect(&gc, st(), &mine, &mut all, 0)?;
-            Ok(all)
-        }
-        VerifyOp::Scatter { root } => {
-            let mut full = vec![0u8; p * n];
-            fill(&mut full);
-            let mut mine = vec![0u8; n];
-            let full = (rank == root).then_some(&full[..]);
-            algorithms::scatter(&gc, root, full, &mut mine, 0)?;
-            Ok(mine)
-        }
-        VerifyOp::Gather { root } => {
-            let mut mine = vec![0u8; n];
-            fill(&mut mine);
-            let mut full = vec![0u8; p * n];
-            {
-                let full = (rank == root).then_some(&mut full[..]);
-                algorithms::gather(&gc, root, &mine, full, 0)?;
-            }
-            Ok(if rank == root { full } else { mine })
-        }
-        VerifyOp::Alltoall | VerifyOp::PipelinedBcast { .. } => {
-            panic!("{} is not part of the chaos matrix", op.name())
-        }
-    }
+    let mut bufs = OwnedArgs::<u8>::new(*op, comm.size(), n, rank);
+    bufs.fill_contribution(*op, rank, |i| (i % 251) as u8);
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    let gc = GroupComm::world(comm);
+    run_direct(
+        *op,
+        choice.as_ref(),
+        &gc,
+        ReduceOp::Max,
+        &mut bufs.bind(),
+        0,
+    )?;
+    Ok(bufs
+        .slots
+        .into_iter()
+        .filter_map(|(_, b)| b)
+        .flatten()
+        .collect())
 }
 
 /// The confirmation round: a star barrier through rank 0 on a reserved
@@ -507,7 +461,7 @@ pub fn hang_probe() -> HangProbe {
 /// rank 2 as the straggler rather than report a deadlock.
 pub fn stall_probe() -> HangDiagnosis {
     let st = Strategy::pure_mst(4);
-    let programs = extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 16)
+    let programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 16)
         .expect("broadcast extracts");
     let first_send = |prog: &[OpRecord]| {
         prog.iter()
@@ -615,12 +569,12 @@ impl fmt::Display for ChaosReport {
 pub fn chaos_sweep(smoke: bool) -> ChaosReport {
     let ops = chaos_ops();
     let scs = scenarios();
-    let (ops, scs): (Vec<VerifyOp>, Vec<Scenario>) = if smoke {
+    let (ops, scs): (Vec<PlanOp>, Vec<Scenario>) = if smoke {
         (
             vec![
-                VerifyOp::Broadcast { root: 0 },
-                VerifyOp::AllReduce,
-                VerifyOp::Gather { root: 0 },
+                PlanOp::Broadcast { root: 0 },
+                PlanOp::AllReduce,
+                PlanOp::Gather { root: 0 },
             ],
             scs.into_iter()
                 .filter(|s| matches!(s.name, "drop-once" | "corrupt-once" | "drop-storm"))
@@ -654,7 +608,7 @@ pub fn chaos_sweep(smoke: bool) -> ChaosReport {
 fn check_case(
     report: &mut ChaosReport,
     backend: Backend,
-    op: &VerifyOp,
+    op: &PlanOp,
     sc: &Scenario,
     baseline: &CaseRun,
     run: &CaseRun,
@@ -852,8 +806,8 @@ mod tests {
             }
         }
         // To-root collectives fault a leaf (the root receives first).
-        assert_eq!(fault_rank(&VerifyOp::Reduce { root: 0 }), 1);
-        assert_eq!(fault_rank(&VerifyOp::Gather { root: 0 }), 1);
+        assert_eq!(fault_rank(&PlanOp::Reduce { root: 0 }), 1);
+        assert_eq!(fault_rank(&PlanOp::Gather { root: 0 }), 1);
     }
 
     #[test]

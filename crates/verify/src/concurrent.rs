@@ -104,7 +104,7 @@ impl Tenant {
     /// is typically [`tenant_tag_base`]`(i)`.
     pub fn lowered(
         name: impl Into<String>,
-        op: &crate::extract::VerifyOp,
+        op: &intercom::ir::PlanOp,
         strategy: Option<&Strategy>,
         n: usize,
         embedding: Vec<usize>,
@@ -902,7 +902,7 @@ pub fn verify_concurrent(workload: &Workload) -> ConcurrentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::VerifyOp;
+    use intercom::ir::PlanOp;
 
     fn span(addr: usize, len: usize) -> MemSpan {
         MemSpan { addr, len }
@@ -932,7 +932,7 @@ mod tests {
             .map(|r| {
                 Tenant::lowered(
                     format!("row{r}"),
-                    &VerifyOp::Collect,
+                    &PlanOp::Collect,
                     Some(&st),
                     6,
                     intercom::groups::row_members(&mesh, r),
@@ -954,7 +954,7 @@ mod tests {
         let mk = |name: &str| {
             Tenant::lowered(
                 name,
-                &VerifyOp::Broadcast { root: 0 },
+                &PlanOp::Broadcast { root: 0 },
                 Some(&st),
                 4,
                 vec![0, 1, 2, 3],
@@ -984,7 +984,7 @@ mod tests {
         let mk = |i: usize| {
             Tenant::lowered(
                 format!("t{i}"),
-                &VerifyOp::Broadcast { root: 0 },
+                &PlanOp::Broadcast { root: 0 },
                 Some(&st),
                 4,
                 vec![0, 1, 2, 3],
@@ -1006,7 +1006,7 @@ mod tests {
         let mk = |i: usize| {
             let mut t = Tenant::lowered(
                 format!("t{i}"),
-                &VerifyOp::Broadcast { root: 0 },
+                &PlanOp::Broadcast { root: 0 },
                 Some(&st),
                 4,
                 vec![0, 1, 2, 3],

@@ -2,192 +2,56 @@
 //!
 //! Every collective in `intercom` branches only on
 //! `(rank, size, n, strategy, root)` — never on received *values* — so
-//! replaying one rank's algorithm against a
+//! replaying one rank's call through the direct-path runner
+//! ([`intercom::ir::run_direct`]) against a
 //! [`RecordingComm`](intercom::trace::RecordingComm) yields exactly the
 //! operation sequence that rank would issue against a real backend.
 //! Running the same call once per rank produces the full symbolic
-//! schedule for the matcher in [`crate::schedule`].
+//! schedule for the matcher in [`crate::schedule`]. The size parameter
+//! `n` follows [`PlanOp::args`], in bytes: the extraction uses `u8`
+//! elements.
 
 use intercom::comm::GroupComm;
-use intercom::primitives::pipelined_ring_bcast;
+use intercom::ir::{run_direct, OwnedArgs, PlanOp};
 use intercom::trace::{OpRecord, RecordingComm};
-use intercom::{algorithms, ReduceOp, Result};
-use intercom_cost::Strategy;
-use std::fmt;
+use intercom::{ReduceOp, Result};
+use intercom_cost::{HierChoice, Strategy};
 
-/// One verifiable collective call. The meaning of the size parameter `n`
-/// (always in bytes; the extraction uses `u8` elements) follows each
-/// collective's natural unit: the *total vector length* for broadcast,
-/// combine-to-one, combine-to-all and the pipelined broadcast, and the
-/// *per-member block length* for collect, distributed combine, scatter,
-/// gather and total exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyOp {
-    /// Broadcast of `n` bytes from `root` (§5 composed algorithm).
-    Broadcast {
-        /// Logical root rank.
-        root: usize,
-    },
-    /// Combine-to-one of `n` bytes to `root`.
-    Reduce {
-        /// Logical root rank.
-        root: usize,
-    },
-    /// Combine-to-all of `n` bytes.
-    AllReduce,
-    /// Distributed combine: `p·n` contributed, `n` kept per member.
-    ReduceScatter,
-    /// Collect (allgather): `n` contributed, `p·n` gathered per member.
-    Collect,
-    /// Scatter of `n`-byte blocks from `root` (strategy-free, §4.2).
-    Scatter {
-        /// Logical root rank.
-        root: usize,
-    },
-    /// Gather of `n`-byte blocks to `root` (strategy-free, §4.2).
-    Gather {
-        /// Logical root rank.
-        root: usize,
-    },
-    /// Total exchange of `n`-byte blocks (extension; not conflict-free).
-    Alltoall,
-    /// Pipelined ring broadcast of `n` bytes in `segments` segments (§8).
-    PipelinedBcast {
-        /// Logical root rank.
-        root: usize,
-        /// Segment count (`m ≥ 1`).
-        segments: usize,
-    },
-}
-
-impl VerifyOp {
-    /// Short collective name, e.g. `"broadcast"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            VerifyOp::Broadcast { .. } => "broadcast",
-            VerifyOp::Reduce { .. } => "reduce",
-            VerifyOp::AllReduce => "allreduce",
-            VerifyOp::ReduceScatter => "reduce_scatter",
-            VerifyOp::Collect => "collect",
-            VerifyOp::Scatter { .. } => "scatter",
-            VerifyOp::Gather { .. } => "gather",
-            VerifyOp::Alltoall => "alltoall",
-            VerifyOp::PipelinedBcast { .. } => "pipelined_bcast",
-        }
-    }
-
-    /// Whether this collective executes under a hybrid [`Strategy`].
-    /// Scatter, gather, total exchange and the pipelined broadcast are
-    /// single-algorithm collectives (§4.2, §8) and take none.
-    pub fn takes_strategy(&self) -> bool {
-        matches!(
-            self,
-            VerifyOp::Broadcast { .. }
-                | VerifyOp::Reduce { .. }
-                | VerifyOp::AllReduce
-                | VerifyOp::ReduceScatter
-                | VerifyOp::Collect
-        )
-    }
-}
-
-impl fmt::Display for VerifyOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VerifyOp::Broadcast { root } => write!(f, "broadcast(root={root})"),
-            VerifyOp::Reduce { root } => write!(f, "reduce(root={root})"),
-            VerifyOp::AllReduce => write!(f, "allreduce"),
-            VerifyOp::ReduceScatter => write!(f, "reduce_scatter"),
-            VerifyOp::Collect => write!(f, "collect"),
-            VerifyOp::Scatter { root } => write!(f, "scatter(root={root})"),
-            VerifyOp::Gather { root } => write!(f, "gather(root={root})"),
-            VerifyOp::Alltoall => write!(f, "alltoall"),
-            VerifyOp::PipelinedBcast { root, segments } => {
-                write!(f, "pipelined_bcast(root={root}, m={segments})")
-            }
-        }
-    }
-}
-
-/// Extracts world rank `rank`'s symbolic program for one collective call
-/// on a world of `p` ranks with size parameter `n` (see [`VerifyOp`] for
-/// its unit). The base tag is 0, so recorded tags encode the recursion
-/// level directly (`tag / LEVEL_TAG_STRIDE`).
+/// Extracts every rank's symbolic program for one collective call on a
+/// world of `p` ranks with size parameter `n`, under a flat or
+/// hierarchical `choice`. The base tag is 0, so recorded tags encode the
+/// recursion level directly (`tag / LEVEL_TAG_STRIDE`).
 ///
 /// # Panics
 ///
-/// Panics if `strategy` is `None` for an op where
-/// [`VerifyOp::takes_strategy`] is true.
-pub fn extract_program(
-    op: &VerifyOp,
-    strategy: Option<&Strategy>,
-    p: usize,
-    n: usize,
-    rank: usize,
-) -> Result<Vec<OpRecord>> {
-    let rec = RecordingComm::new(rank, p);
-    {
-        let gc = GroupComm::world(&rec);
-        let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
-        match *op {
-            VerifyOp::Broadcast { root } => {
-                let mut buf = vec![0u8; n];
-                algorithms::broadcast(&gc, st(), root, &mut buf, 0)?;
-            }
-            VerifyOp::Reduce { root } => {
-                let mut buf = vec![0u8; n];
-                algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Sum, 0)?;
-            }
-            VerifyOp::AllReduce => {
-                let mut buf = vec![0u8; n];
-                algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Sum, 0)?;
-            }
-            VerifyOp::ReduceScatter => {
-                let contrib = vec![0u8; p * n];
-                let mut mine = vec![0u8; n];
-                algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Sum, 0)?;
-            }
-            VerifyOp::Collect => {
-                let mine = vec![0u8; n];
-                let mut all = vec![0u8; p * n];
-                algorithms::collect(&gc, st(), &mine, &mut all, 0)?;
-            }
-            VerifyOp::Scatter { root } => {
-                let full = vec![0u8; p * n];
-                let mut mine = vec![0u8; n];
-                let full = (rank == root).then_some(&full[..]);
-                algorithms::scatter(&gc, root, full, &mut mine, 0)?;
-            }
-            VerifyOp::Gather { root } => {
-                let mine = vec![0u8; n];
-                let mut full = vec![0u8; p * n];
-                let full = (rank == root).then_some(&mut full[..]);
-                algorithms::gather(&gc, root, &mine, full, 0)?;
-            }
-            VerifyOp::Alltoall => {
-                let send = vec![0u8; p * n];
-                let mut recv = vec![0u8; p * n];
-                algorithms::alltoall(&gc, &send, &mut recv, 0)?;
-            }
-            VerifyOp::PipelinedBcast { root, segments } => {
-                let mut buf = vec![0u8; n];
-                pipelined_ring_bcast(&gc, root, &mut buf, segments, 0)?;
-            }
-        }
-    }
-    Ok(rec.into_ops())
-}
-
-/// Extracts all `p` ranks' programs for one collective call.
-pub fn extract_programs(
-    op: &VerifyOp,
-    strategy: Option<&Strategy>,
+/// Panics if `choice` is `None` for an op where
+/// [`PlanOp::takes_strategy`] is true.
+pub fn extract_programs_under(
+    op: &PlanOp,
+    choice: Option<&HierChoice>,
     p: usize,
     n: usize,
 ) -> Result<Vec<Vec<OpRecord>>> {
     (0..p)
-        .map(|rank| extract_program(op, strategy, p, n, rank))
+        .map(|rank| {
+            let rec = RecordingComm::new(rank, p);
+            let mut bufs = OwnedArgs::<u8>::new(*op, p, n, rank);
+            let gc = GroupComm::world(&rec);
+            run_direct(*op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), 0)?;
+            Ok(rec.into_ops())
+        })
         .collect()
+}
+
+/// Extracts all `p` ranks' programs for one flat collective call.
+pub fn extract_programs(
+    op: &PlanOp,
+    strategy: Option<&Strategy>,
+    p: usize,
+    n: usize,
+) -> Result<Vec<Vec<OpRecord>>> {
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    extract_programs_under(op, choice.as_ref(), p, n)
 }
 
 #[cfg(test)]
@@ -198,9 +62,9 @@ mod tests {
     fn single_rank_programs_do_not_communicate() {
         let st = Strategy::pure_mst(1);
         for op in [
-            VerifyOp::Broadcast { root: 0 },
-            VerifyOp::AllReduce,
-            VerifyOp::Collect,
+            PlanOp::Broadcast { root: 0 },
+            PlanOp::AllReduce,
+            PlanOp::Collect,
         ] {
             let progs = extract_programs(&op, Some(&st), 1, 16).unwrap();
             assert!(progs[0].iter().all(|r| matches!(
@@ -212,14 +76,15 @@ mod tests {
             )));
         }
         // Alltoall on a world of one is a single local own-block copy.
-        let progs = extract_programs(&VerifyOp::Alltoall, None, 1, 16).unwrap();
+        let progs = extract_programs(&PlanOp::Alltoall, None, 1, 16).unwrap();
         assert!(progs[0].iter().all(|r| matches!(r, OpRecord::Copy { .. })));
     }
 
     #[test]
     fn mst_bcast_root_sends_log_times() {
         let st = Strategy::pure_mst(8);
-        let prog = extract_program(&VerifyOp::Broadcast { root: 0 }, Some(&st), 8, 64, 0).unwrap();
+        let progs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).unwrap();
+        let prog = &progs[0];
         let sends = prog
             .iter()
             .filter(|r| matches!(r, OpRecord::Send { .. }))
@@ -230,7 +95,8 @@ mod tests {
     #[test]
     fn ring_collect_exchanges_p_minus_1_times() {
         let st = Strategy::pure_long(6);
-        let prog = extract_program(&VerifyOp::Collect, Some(&st), 6, 12, 2).unwrap();
+        let progs = extract_programs(&PlanOp::Collect, Some(&st), 6, 12).unwrap();
+        let prog = &progs[2];
         let xchg = prog
             .iter()
             .filter(|r| matches!(r, OpRecord::SendRecv { .. }))
@@ -241,6 +107,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a strategy")]
     fn missing_strategy_panics() {
-        let _ = extract_program(&VerifyOp::AllReduce, None, 4, 8, 0);
+        let _ = extract_programs(&PlanOp::AllReduce, None, 4, 8);
     }
 }

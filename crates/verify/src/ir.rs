@@ -15,11 +15,10 @@
 //! simulator execute, while trace extraction ([`crate::extract`])
 //! remains as an independent cross-check on the lowering.
 
-use crate::extract::VerifyOp;
-use intercom::ir::{lower, lower_hier, Buf, CollectiveProgram, PlanOp, StepKind};
+use intercom::ir::{lower, Buf, CollectiveProgram, PlanOp, StepKind};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::Result;
-use intercom_cost::{HierStrategy, Strategy};
+use intercom_cost::Strategy;
 
 /// Synthetic base address of argument slot `i` (disjoint `2^40`-byte
 /// windows, far larger than any real buffer).
@@ -38,21 +37,6 @@ fn span(buf: Buf, off: usize, len: usize) -> MemSpan {
     MemSpan {
         addr: base + off,
         len,
-    }
-}
-
-/// The compiled-plan form of a [`VerifyOp`].
-pub fn plan_op(op: &VerifyOp) -> PlanOp {
-    match *op {
-        VerifyOp::Broadcast { root } => PlanOp::Broadcast { root },
-        VerifyOp::Reduce { root } => PlanOp::Reduce { root },
-        VerifyOp::AllReduce => PlanOp::AllReduce,
-        VerifyOp::ReduceScatter => PlanOp::ReduceScatter,
-        VerifyOp::Collect => PlanOp::Collect,
-        VerifyOp::Scatter { root } => PlanOp::Scatter { root },
-        VerifyOp::Gather { root } => PlanOp::Gather { root },
-        VerifyOp::Alltoall => PlanOp::Alltoall,
-        VerifyOp::PipelinedBcast { root, segments } => PlanOp::PipelinedBcast { root, segments },
     }
 }
 
@@ -107,65 +91,29 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
         .collect()
 }
 
-/// Lowers one collective call to the schedule IR (byte elements, the
-/// same size convention as [`crate::extract::extract_programs`]) and
-/// returns its per-rank symbolic programs.
+/// Lowers one flat collective call to the schedule IR (byte elements,
+/// the same size convention as [`crate::extract::extract_programs`])
+/// and returns its per-rank symbolic programs.
 ///
 /// # Panics
 ///
 /// Panics if `strategy` is `None` for an op where
-/// [`VerifyOp::takes_strategy`] is true.
+/// [`PlanOp::takes_strategy`] is true.
 pub fn ir_programs(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
 ) -> Result<Vec<Vec<OpRecord>>> {
-    let prog = lower(plan_op(op), strategy, p, n, 1)?;
-    Ok(programs_of(&prog))
-}
-
-/// Lowers one **hierarchical** collective call to the schedule IR
-/// (byte elements) and returns its per-rank symbolic programs. The
-/// stage-coordinated tag bands survive the conversion — every tag is
-/// `stage · HIER_STAGE_STRIDE + inner` — which is what lets the
-/// verifier gate each stage against its own strategy's conflict
-/// profile.
-///
-/// `Err` when the op has no hierarchical lowering (scatter, gather,
-/// alltoall, pipelined broadcast) or the strategy fails validation.
-pub fn hier_ir_programs(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Result<Vec<Vec<OpRecord>>> {
-    let prog = lower_hier(plan_op(op), hs, n, 1)?;
-    Ok(programs_of(&prog))
-}
-
-/// Lowers one collective call, runs the full
-/// [`optimize`](intercom::ir::optimize) pass pipeline over it, and
-/// returns the *optimized* program's per-rank symbolic programs plus
-/// the optimizer's rewrite counts. This is the `--source=ir-opt` audit
-/// path: the object being verified is the exact artifact an
-/// [`OptLevel::Full`](intercom::ir::OptLevel) plan cache would hand
-/// the runtime.
-///
-/// # Panics
-///
-/// Panics if `strategy` is `None` for an op where
-/// [`VerifyOp::takes_strategy`] is true.
-pub fn ir_opt_programs(
-    op: &VerifyOp,
-    strategy: Option<&Strategy>,
-    p: usize,
-    n: usize,
-) -> Result<(Vec<Vec<OpRecord>>, intercom::ir::OptStats)> {
-    let prog = lower(plan_op(op), strategy, p, n, 1)?;
-    let (opt, stats) = intercom::ir::optimize(&prog);
-    Ok((programs_of(&opt), stats))
+    Ok(programs_of(&lower(*op, strategy, p, n, 1)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract_programs;
+    use crate::extract::{extract_programs, extract_programs_under};
+    use intercom::ir::lower_hier;
+    use intercom_cost::{select_hier, ClusterShape, CollectiveOp, HierChoice, HierMachine};
 
     /// The communication signature — everything the matcher and the
     /// checks see except raw addresses.
@@ -197,16 +145,49 @@ mod tests {
     #[test]
     fn ir_and_trace_programs_share_a_signature() {
         let st = Strategy::pure_long(6);
-        let op = VerifyOp::AllReduce;
+        let op = PlanOp::AllReduce;
         let ir = ir_programs(&op, Some(&st), 6, 23).unwrap();
         let tr = extract_programs(&op, Some(&st), 6, 23).unwrap();
         assert_eq!(signature(&ir), signature(&tr));
     }
 
     #[test]
+    fn hier_ir_and_trace_programs_share_a_signature() {
+        let shapes = [
+            ClusterShape {
+                inter_rows: 2,
+                inter_cols: 2,
+                ranks_per_node: 4,
+            },
+            ClusterShape::linear(8, 2),
+        ];
+        for shape in shapes {
+            let p = shape.ranks();
+            for (op, cop, n) in [
+                (
+                    PlanOp::Broadcast { root: p - 1 },
+                    CollectiveOp::Broadcast,
+                    947,
+                ),
+                (PlanOp::Reduce { root: 0 }, CollectiveOp::CombineToOne, 947),
+                (PlanOp::AllReduce, CollectiveOp::CombineToAll, 947),
+                (PlanOp::Collect, CollectiveOp::Collect, 13),
+                (PlanOp::ReduceScatter, CollectiveOp::DistributedCombine, 13),
+            ] {
+                let hs = select_hier(cop, shape, 4096, &HierMachine::delta_cluster()).unwrap();
+                let ir = programs_of(&lower_hier(op, &hs, n, 1).unwrap());
+                let choice = HierChoice::Hier(hs);
+                let tr = extract_programs_under(&op, Some(&choice), p, n).unwrap();
+                assert_eq!(signature(&ir), signature(&tr), "{op} on {shape}");
+                assert!(signature(&ir).iter().any(|s| !s.is_empty()));
+            }
+        }
+    }
+
+    #[test]
     fn synthetic_spans_separate_args_and_scratch() {
         let st = Strategy::pure_mst(4);
-        let progs = ir_programs(&VerifyOp::Collect, Some(&st), 4, 8).unwrap();
+        let progs = ir_programs(&PlanOp::Collect, Some(&st), 4, 8).unwrap();
         let spans: Vec<MemSpan> = progs
             .iter()
             .flatten()

@@ -31,28 +31,33 @@
 //! 4. **Buffer-region safety** — within one step, a rank's read and
 //!    write byte-ranges never overlap (and no two writes collide).
 //!
-//! Programs reach the checker from two sources. The default,
-//! [`verify_schedule_ir`], checks the **compiled schedule IR**
-//! ([`intercom::ir`]) — the very artifact persistent plans execute — so
-//! the proof is about the deployed schedule, not a re-derivation.
-//! [`verify_schedule`] instead replays the unmodified algorithm code
-//! against a recording backend ([`intercom::trace::RecordingComm`]) and
-//! checks the extracted trace; the audit keeps it as an independent
-//! cross-check on the lowering. The `schedule-audit` binary sweeps all
-//! collectives × every enumerable strategy × a battery of node counts
-//! and mesh shapes, and is wired into `ci.sh` as a hard gate. See
-//! `docs/verification.md` for the schedule model and how the invariants
-//! map back to the paper.
+//! A call is described once — an [`intercom::ir::PlanOp`], a flat or
+//! hierarchical [`intercom_cost::HierChoice`] and a size — and its
+//! programs reach the checker from three sources ([`Source`]), each for
+//! flat and hierarchical calls alike. [`Source::Ir`] checks the
+//! **compiled schedule IR** ([`intercom::ir`]) — the very artifact
+//! persistent plans execute — so the proof is about the deployed
+//! schedule, not a re-derivation; [`Source::IrOpt`] checks it after the
+//! optimizer's pass pipeline, which is what a plan actually runs.
+//! [`Source::Trace`] instead replays the direct-path runner
+//! ([`intercom::ir::run_direct`], the function `Communicator`
+//! dispatches through) against a recording backend and checks the
+//! extracted trace; the audit keeps it as an independent cross-check on
+//! the lowering. [`verify_schedule_from`] is the entry point for any
+//! source; [`verify_schedule_ir`] and [`verify_schedule`] are one-call
+//! forms for a flat call on a mesh.
 //!
-//! **Hierarchical** (cluster) schedules reach the checker through
-//! [`verify_schedule_hier`]: the stage-coordinated composition is
-//! lowered ([`intercom::ir::lower_hier`]), every global rank is placed
-//! on the physical node of the cluster's mesh embedding
-//! ([`intercom_topology::Cluster::phys_mesh`]), and the same four
-//! invariants run unchanged — with link conflicts gated per stage tag
-//! band against each stage's own strategy profile. The audit's
-//! `--source=hier` mode sweeps cluster shapes × hierarchical ops and
-//! gates CI on zero violations.
+//! Whatever the source, one pipeline ([`verify_programs`]) runs the
+//! four invariants. The machine is an [`intercom_topology::Cluster`]: a
+//! flat mesh is the cluster with one rank per node, a **hierarchical**
+//! call places every global rank on the physical node of the cluster's
+//! mesh embedding ([`intercom_topology::Cluster::phys_mesh`]), and link
+//! conflicts are gated per tag against the strategy's own profile — per
+//! stage tag band for a hybrid. The `schedule-audit` binary sweeps all
+//! collectives × every enumerable strategy × a battery of node counts,
+//! mesh shapes and cluster shapes, and is wired into `ci.sh` as a hard
+//! gate. See `docs/verification.md` for the schedule model and how the
+//! invariants map back to the paper.
 //!
 //! Static proofs assume a reliable fabric; the [`chaos`] module tests
 //! what happens when that assumption breaks. It runs a seeded
@@ -85,10 +90,10 @@ pub use concurrent::{
     tenant_tag_base, verify_concurrent, ConcurrentReport, ConcurrentViolation, CtxId, Tenant,
     Workload, TENANT_TAG_STRIDE,
 };
-pub use extract::{extract_program, extract_programs, VerifyOp};
-pub use ir::{hier_ir_programs, ir_opt_programs, ir_programs};
+pub use extract::{extract_programs, extract_programs_under};
+pub use ir::{ir_programs, programs_of};
 pub use report::{
-    verify_programs, verify_schedule, verify_schedule_hier, verify_schedule_ir,
-    verify_schedule_ir_opt, LevelConflict, Report, Source,
+    verify_programs, verify_schedule, verify_schedule_from, verify_schedule_ir, LevelConflict,
+    Report, Source,
 };
 pub use schedule::{match_programs, Event, Schedule};

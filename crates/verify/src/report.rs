@@ -1,37 +1,38 @@
-//! The verification driver: extract → match → check → verdict.
+//! The verification driver: produce programs → match → check → verdict.
 
 use crate::checks::{
     analyze_links, check_buffer_safety, check_program_aliasing, check_single_port, Violation,
 };
-use crate::extract::{extract_programs, VerifyOp};
+use crate::extract::extract_programs_under;
+use crate::ir::programs_of;
 use crate::schedule::match_programs;
+use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::hier::HIER_STAGE_STRIDE;
+use intercom::ir::{lower, lower_hier, optimize, OptStats, PlanOp};
 use intercom::trace::OpRecord;
-use intercom::Result;
-use intercom_cost::{ConflictModel, HierStrategy, StageRole, Strategy};
+use intercom::{CommError, Result, Tag};
+use intercom_cost::{ConflictModel, HierChoice, HierStrategy, StageRole, Strategy};
 use intercom_topology::{Cluster, Mesh2D};
 use std::fmt;
 
-/// Where the verified per-rank programs came from.
+/// Where the verified per-rank programs came from. Every source applies
+/// to flat and hierarchical calls alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
-    /// The compiled schedule IR ([`crate::ir::ir_programs`]): the audit
-    /// proves properties of the artifact the runtime actually executes.
+    /// The compiled schedule IR ([`intercom::ir::lower`] /
+    /// [`intercom::ir::lower_hier`]): the audit proves properties of
+    /// the artifact the runtime actually executes.
     Ir,
-    /// The *optimized* schedule IR ([`crate::ir::ir_opt_programs`]):
-    /// the same compiled artifact after the
-    /// [`intercom::ir::optimize`] pass pipeline. Every rewrite the
-    /// optimizer performs is re-proven against the same four
-    /// invariants as the unoptimized program.
+    /// The *optimized* schedule IR: the same compiled artifact after
+    /// the [`intercom::ir::optimize`] pass pipeline — what an
+    /// [`OptLevel::Full`](intercom::ir::OptLevel) plan runs. Every
+    /// rewrite the optimizer performs is re-proven against the same
+    /// four invariants as the unoptimized program.
     IrOpt,
     /// Trace extraction against a recording backend
-    /// ([`crate::extract::extract_programs`]): an independent
+    /// ([`crate::extract::extract_programs_under`]): an independent
     /// cross-check on the lowering.
     Trace,
-    /// The compiled **hierarchical** schedule IR
-    /// ([`crate::ir::hier_ir_programs`]): a level-tagged composition
-    /// verified over the cluster's physical mesh embedding.
-    Hier,
 }
 
 impl fmt::Display for Source {
@@ -40,7 +41,6 @@ impl fmt::Display for Source {
             Source::Ir => "ir",
             Source::IrOpt => "ir-opt",
             Source::Trace => "trace",
-            Source::Hier => "hier",
         })
     }
 }
@@ -65,13 +65,12 @@ pub struct Report {
     pub op: String,
     /// The hybrid strategy, for strategy collectives.
     pub strategy: Option<Strategy>,
-    /// The hierarchical strategy, for cluster collectives
-    /// ([`verify_schedule_hier`]).
+    /// The hierarchical strategy, for cluster collectives.
     pub hier: Option<HierStrategy>,
     /// Physical mesh shape `(rows, cols)`.
     pub mesh: (usize, usize),
     /// Size parameter passed to the collective (see
-    /// [`VerifyOp`](crate::extract::VerifyOp) for its unit).
+    /// [`PlanOp::args`] for its unit).
     pub n: usize,
     /// Where the verified programs came from.
     pub source: Source,
@@ -134,212 +133,179 @@ impl fmt::Display for Report {
     }
 }
 
-/// Verifies one collective call statically from its **compiled
-/// schedule IR**: lowers the call to a
-/// [`CollectiveProgram`](intercom::ir::CollectiveProgram) — the very
-/// artifact persistent plans execute — and checks the four invariants
-/// on it. This is the audit's default path.
-///
-/// `Err` is returned only when the *lowering* itself fails (the
-/// algorithm rejected its arguments); invariant failures land in
-/// [`Report::violations`].
+/// Verifies one flat collective call statically from its **compiled
+/// schedule IR** on `mesh`, world rank `r` on mesh node `r`: the
+/// audit's default path. See [`verify_schedule_from`].
 pub fn verify_schedule_ir(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
 ) -> Result<Report> {
-    let programs = crate::ir::ir_programs(op, strategy, mesh.nodes(), n)?;
-    Ok(verify_programs(
-        op,
-        strategy,
-        mesh,
-        n,
-        &programs,
-        Source::Ir,
-    ))
+    verify_flat(op, strategy, mesh, n, Source::Ir)
 }
 
-/// Verifies one collective call statically from its **optimized
-/// schedule IR**: lowers, runs the full
-/// [`intercom::ir::optimize`] pass pipeline, and checks the four
-/// invariants on the rewritten program. Returns the optimizer's
-/// per-pass rewrite counts alongside the report so callers (the
-/// audit) can aggregate how much work the pipeline actually did.
-///
-/// `Err` is returned only when the *lowering* itself fails; invariant
-/// failures land in [`Report::violations`].
-pub fn verify_schedule_ir_opt(
-    op: &VerifyOp,
-    strategy: Option<&Strategy>,
-    mesh: &Mesh2D,
-    n: usize,
-) -> Result<(Report, intercom::ir::OptStats)> {
-    let (programs, stats) = crate::ir::ir_opt_programs(op, strategy, mesh.nodes(), n)?;
-    Ok((
-        verify_programs(op, strategy, mesh, n, &programs, Source::IrOpt),
-        stats,
-    ))
-}
-
-/// Verifies one collective call statically from a **trace extraction**:
-/// replays every rank's algorithm against a recording backend, matches
-/// the records into a synchronous schedule, and checks
-/// deadlock-freedom, single-port compliance, buffer-region safety and
-/// link-conflict-freedom on the physical `mesh`. World rank `r` is
-/// placed on mesh node `r` (row-major), matching
-/// `runtime::Communicator::world_on_mesh`.
-///
-/// `Err` is returned only when the *extraction* itself fails (the
-/// algorithm rejected its arguments); invariant failures land in
-/// [`Report::violations`].
+/// Verifies one flat collective call statically from a **trace
+/// extraction** on `mesh`, world rank `r` on mesh node `r` (matching
+/// `Communicator::world_on_mesh`). See [`verify_schedule_from`].
 pub fn verify_schedule(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
 ) -> Result<Report> {
-    let programs = extract_programs(op, strategy, mesh.nodes(), n)?;
-    Ok(verify_programs(
-        op,
-        strategy,
-        mesh,
-        n,
-        &programs,
-        Source::Trace,
-    ))
+    verify_flat(op, strategy, mesh, n, Source::Trace)
 }
 
-/// Verifies one **hierarchical** collective call statically from its
-/// compiled schedule IR: lowers the stage-coordinated composition
-/// ([`intercom::ir::lower_hier`]), places every global rank on the
-/// physical node the cluster embedding assigns it, and checks the same
-/// four invariants as the flat audit over the cluster's physical mesh.
-///
-/// Link conflicts are gated **per stage**: every hierarchical stage
-/// occupies its own tag band ([`HIER_STAGE_STRIDE`]), and the sharing
-/// among one band's same-level messages is bounded by *that stage's*
-/// flat strategy's §6 conflict profile. Strategy-free stages (the
-/// laminar gather/scatter legs) must be conflict-free. Sharing between
-/// different stages or bands is pipeline skew — reported via
-/// `max_link_sharing`/`conflict_free` but not a violation, exactly as
-/// in the flat pipeline.
-///
-/// `Err` is returned only when the *lowering* itself fails (the op has
-/// no hierarchical template, or the strategy failed validation);
-/// invariant failures land in [`Report::violations`].
-pub fn verify_schedule_hier(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Result<Report> {
-    let programs = crate::ir::hier_ir_programs(op, hs, n)?;
-    let cluster = Cluster::new(
-        Mesh2D::new(hs.shape.inter_rows, hs.shape.inter_cols),
-        hs.shape.ranks_per_node,
-    );
-    let phys = cluster.phys_mesh();
-    let mut report = Report {
-        op: op.to_string(),
-        strategy: None,
-        hier: Some(hs.clone()),
-        mesh: (phys.rows(), phys.cols()),
-        n,
-        source: Source::Hier,
-        steps: 0,
-        event_count: 0,
-        max_link_sharing: 0,
-        levels: Vec::new(),
-        conflict_free: false,
-        violations: check_program_aliasing(&programs),
-    };
-    let schedule = match match_programs(&programs) {
-        Ok(s) => s,
-        Err(v) => {
-            report.violations.push(v);
-            return Ok(report);
-        }
-    };
-    report.steps = schedule.steps;
-    report.event_count = schedule.events.len();
-    report.violations.extend(check_single_port(&schedule));
-    report.violations.extend(check_buffer_safety(&schedule));
+fn verify_flat(
+    op: &PlanOp,
+    strategy: Option<&Strategy>,
+    mesh: &Mesh2D,
+    n: usize,
+    source: Source,
+) -> Result<Report> {
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    let machine = Cluster::new(*mesh, 1);
+    verify_schedule_from(op, choice.as_ref(), &machine, n, source).map(|(r, _)| r)
+}
 
-    // Node-major placement: global rank `node·rpn + local` lives on the
-    // physical node the cluster embedding assigns it — not on row-major
-    // node `rank` — so remap every endpoint before routing.
-    let mut placed = schedule.clone();
-    for e in &mut placed.events {
-        e.src = cluster.phys_node(e.src);
-        e.dst = cluster.phys_node(e.dst);
-    }
-    let la = analyze_links(&placed, &phys);
-    report.max_link_sharing = la.max_sharing;
-    report.conflict_free = la.max_sharing <= 1;
-
-    // Tag = stage · HIER_STAGE_STRIDE + inner, where `inner` encodes the
-    // stage strategy's own recursion levels. Stage subgroups embed with
-    // their structure intact — an intra-node column segment and a
-    // linear-inter leader plane are physical lines (LinearArray
-    // profile); on a 2-D inter mesh the plane preserves the rows/cols
-    // structure and selection picks mesh-mapped strategies, gated by
-    // the MeshRowsCols profile, exactly as the flat audit gates them.
-    let profiles: Vec<Option<Vec<f64>>> = hs
-        .stages
-        .iter()
-        .map(|stage| match stage.role {
-            StageRole::Gather | StageRole::Scatter => None,
-            _ => {
-                let model = if stage.strategy.mesh_split.is_some() {
-                    ConflictModel::MeshRowsCols
-                } else {
-                    ConflictModel::LinearArray
-                };
-                Some(stage.strategy.conflict_profile(model, 1.0))
-            }
-        })
-        .collect();
-    let mut by_level: std::collections::BTreeMap<u64, LevelConflict> =
-        std::collections::BTreeMap::new();
-    for (&tag, &observed) in &la.per_tag_max {
-        let stage_idx = (tag / HIER_STAGE_STRIDE) as usize;
-        let inner = ((tag % HIER_STAGE_STRIDE) / intercom::algorithms::LEVEL_TAG_STRIDE) as usize;
-        let predicted = match profiles.get(stage_idx) {
-            Some(Some(profile)) => profile.get(inner).copied().unwrap_or(1.0).ceil() as usize,
-            _ => 1,
-        };
-        let level = tag / intercom::algorithms::LEVEL_TAG_STRIDE;
-        let lc = by_level.entry(level).or_insert(LevelConflict {
-            level,
-            observed: 0,
-            predicted,
-        });
-        lc.observed = lc.observed.max(observed);
-        if observed > predicted {
-            report.violations.push(Violation::ConflictFactorExceeded {
-                level,
-                observed,
-                predicted,
+/// Verifies one collective call statically: produces every rank's
+/// symbolic program from `source` — lowering the call to a
+/// [`CollectiveProgram`](intercom::ir::CollectiveProgram) (the very
+/// artifact persistent plans execute), optionally running the
+/// [`optimize`] pass pipeline over it, or replaying the unmodified
+/// algorithm code against a recording backend — and runs
+/// [`verify_programs`] on the result. The optimizer's per-pass rewrite
+/// counts come back alongside the report (all zero unless `source` is
+/// [`Source::IrOpt`]).
+///
+/// `machine` is where the call runs: a flat mesh is a cluster with one
+/// rank per node, and a hierarchical `choice` must be for the
+/// cluster's own shape.
+///
+/// `Err` is returned only when producing the programs fails (the
+/// algorithm rejected its arguments, the op has no hierarchical
+/// template, or the strategy failed validation); invariant failures
+/// land in [`Report::violations`].
+pub fn verify_schedule_from(
+    op: &PlanOp,
+    choice: Option<&HierChoice>,
+    machine: &Cluster,
+    n: usize,
+    source: Source,
+) -> Result<(Report, OptStats)> {
+    let p = machine.ranks();
+    if let Some(HierChoice::Hier(hs)) = choice {
+        let (inter, s) = (machine.inter(), hs.shape);
+        if (s.inter_rows, s.inter_cols, s.ranks_per_node)
+            != (inter.rows(), inter.cols(), machine.ranks_per_node())
+        {
+            return Err(CommError::StrategyMismatch {
+                strategy_nodes: s.ranks(),
+                group_len: p,
             });
         }
     }
-    report.levels.extend(by_level.into_values());
-    Ok(report)
+    let mut stats = OptStats::default();
+    let programs = if source == Source::Trace {
+        extract_programs_under(op, choice, p, n)?
+    } else {
+        let mut prog = match choice {
+            Some(HierChoice::Hier(hs)) => lower_hier(*op, hs, n, 1)?,
+            Some(HierChoice::Flat(st)) => lower(*op, Some(st), p, n, 1)?,
+            None => lower(*op, None, p, n, 1)?,
+        };
+        if source == Source::IrOpt {
+            (prog, stats) = optimize(&prog);
+        }
+        programs_of(&prog)
+    };
+    let report = verify_programs(op, choice, machine, n, &programs, source);
+    Ok((report, stats))
+}
+
+/// The same-step sharing the §6 cost model predicts among the messages
+/// of one tag, or `None` for a strategy-free call.
+///
+/// Flat strategies recurse one logical dimension per
+/// [`LEVEL_TAG_STRIDE`] of tag, so the level's entry of the strategy's
+/// conflict profile applies. Hierarchical stages each occupy their own
+/// tag band (`tag = stage · HIER_STAGE_STRIDE + inner`), gated by *that
+/// stage's* flat strategy; the strategy-free laminar gather/scatter
+/// legs must be conflict-free. Stage subgroups embed with their
+/// structure intact — an intra-node column segment and a linear-inter
+/// leader plane are physical lines, a 2-D inter mesh keeps its
+/// rows/columns — so each stage is profiled exactly as a flat strategy
+/// would be. `link_excess = 1`: one message per link per direction, the
+/// Delta/Paragon assumption of §2.
+fn predicted_sharing(op: &PlanOp, choice: Option<&HierChoice>) -> Option<impl Fn(Tag) -> usize> {
+    // Mesh-mapped strategies use the rows/columns model (§7.1);
+    // linear-array strategies the generic stride model.
+    let profile = |st: &Strategy| {
+        let model = if st.mesh_split.is_some() {
+            ConflictModel::MeshRowsCols
+        } else {
+            ConflictModel::LinearArray
+        };
+        st.conflict_profile(model, 1.0)
+    };
+    let (stride, stages): (Tag, Vec<Option<Vec<f64>>>) = match choice {
+        Some(HierChoice::Hier(hs)) => (
+            HIER_STAGE_STRIDE,
+            hs.stages
+                .iter()
+                .map(|stage| {
+                    let free = matches!(stage.role, StageRole::Gather | StageRole::Scatter);
+                    (!free).then(|| profile(&stage.strategy))
+                })
+                .collect(),
+        ),
+        // A flat call is one stage spanning the whole tag space.
+        Some(HierChoice::Flat(st)) if op.takes_strategy() => (Tag::MAX, vec![Some(profile(st))]),
+        _ => return None,
+    };
+    Some(move |tag: Tag| {
+        let inner = ((tag % stride) / LEVEL_TAG_STRIDE) as usize;
+        match stages.get((tag / stride) as usize) {
+            Some(Some(profile)) => profile.get(inner).copied().unwrap_or(1.0).ceil() as usize,
+            _ => 1,
+        }
+    })
 }
 
 /// The shared checking pipeline: match per-rank symbolic programs into
-/// a synchronous schedule and run every invariant against the physical
-/// `mesh`, regardless of whether the programs came from the compiled IR
-/// or a trace.
+/// a synchronous schedule and run every invariant, whether the programs
+/// came from the compiled IR or a trace, and whether the call is flat
+/// or hierarchical. Two inputs carry that difference: the placement —
+/// rank `r` sits on `machine.phys_node(r)` of `machine.phys_mesh()`,
+/// which for a mesh (one rank per node) is node `r` of the mesh itself
+/// — and the per-tag predicted sharing ([`predicted_sharing`]).
+///
+/// Link conflicts are gated per *stage* (per tag): the §6 formulas
+/// account each stage's β term separately, so its conflict factor
+/// bounds the sharing among that stage's own messages. Sharing
+/// *between* stages — a scatter tail overlapping a collect head when
+/// blocking ranks drift apart (e.g. `(9, SC)` broadcast on a 3×3 mesh)
+/// — is transient pipeline skew inherent to blocking execution,
+/// reported via `max_link_sharing`/`conflict_free` but not a violation.
 pub fn verify_programs(
-    op: &VerifyOp,
-    strategy: Option<&Strategy>,
-    mesh: &Mesh2D,
+    op: &PlanOp,
+    choice: Option<&HierChoice>,
+    machine: &Cluster,
     n: usize,
     programs: &[Vec<OpRecord>],
     source: Source,
 ) -> Report {
-    let p = mesh.nodes();
+    let mesh = machine.phys_mesh();
+    let (strategy, hier) = match choice {
+        Some(HierChoice::Flat(s)) => (Some(s.clone()), None),
+        Some(HierChoice::Hier(h)) => (None, Some(h.clone())),
+        None => (None, None),
+    };
     let mut report = Report {
         op: op.to_string(),
-        strategy: strategy.cloned(),
-        hier: None,
+        strategy,
+        hier,
         mesh: (mesh.rows(), mesh.cols()),
         n,
         source,
@@ -350,7 +316,7 @@ pub fn verify_programs(
         conflict_free: false,
         violations: check_program_aliasing(programs),
     };
-    let schedule = match match_programs(programs) {
+    let mut schedule = match match_programs(programs) {
         Ok(s) => s,
         Err(v) => {
             report.violations.push(v);
@@ -362,36 +328,20 @@ pub fn verify_programs(
     report.violations.extend(check_single_port(&schedule));
     report.violations.extend(check_buffer_safety(&schedule));
 
-    let la = analyze_links(&schedule, mesh);
+    for e in &mut schedule.events {
+        e.src = machine.phys_node(e.src);
+        e.dst = machine.phys_node(e.dst);
+    }
+    let la = analyze_links(&schedule, &mesh);
     report.max_link_sharing = la.max_sharing;
     report.conflict_free = la.max_sharing <= 1;
 
-    if op.takes_strategy() {
-        let st = strategy.expect("strategy collectives are extracted with a strategy");
-        // §6: the conflict factor bounds how many same-stage messages
-        // interleave over one link. Mesh-mapped strategies use the
-        // rows/columns model (§7.1); linear-array strategies the generic
-        // stride model. `link_excess = 1` — one message per link per
-        // direction, the Delta/Paragon assumption of §2.
-        let model = if st.mesh_split.is_some() {
-            ConflictModel::MeshRowsCols
-        } else {
-            ConflictModel::LinearArray
-        };
-        let profile = st.conflict_profile(model, 1.0);
-        // Gate per *stage* (per tag): the §6 formulas account each
-        // stage's β term separately, so its conflict factor bounds the
-        // sharing among that stage's own messages. Sharing *between*
-        // stages — a scatter tail overlapping a collect head when
-        // blocking ranks drift apart (e.g. `(9, SC)` broadcast on a 3×3
-        // mesh) — is transient pipeline skew inherent to blocking
-        // execution, reported via `max_link_sharing`/`conflict_free`
-        // but not a violation.
+    if let Some(predicted) = predicted_sharing(op, choice) {
         let mut by_level: std::collections::BTreeMap<u64, LevelConflict> =
             std::collections::BTreeMap::new();
         for (&tag, &observed) in &la.per_tag_max {
-            let level = tag / intercom::algorithms::LEVEL_TAG_STRIDE;
-            let predicted = profile.get(level as usize).copied().unwrap_or(1.0).ceil() as usize;
+            let level = tag / LEVEL_TAG_STRIDE;
+            let predicted = predicted(tag);
             let lc = by_level.entry(level).or_insert(LevelConflict {
                 level,
                 observed: 0,
@@ -413,7 +363,7 @@ pub fn verify_programs(
         // (§4); the total exchange is an extension with inherent
         // sharing, bounded by p-1 messages crossing one link.
         let bound = match op {
-            VerifyOp::Alltoall => p.saturating_sub(1).max(1),
+            PlanOp::Alltoall => machine.ranks().saturating_sub(1).max(1),
             _ => 1,
         };
         if la.max_sharing > bound {
@@ -434,11 +384,18 @@ mod tests {
     use super::*;
     use intercom_cost::StrategyKind;
 
+    fn verify_hier(op: &PlanOp, hs: &HierStrategy, n: usize, source: Source) -> Result<Report> {
+        let inter = Mesh2D::new(hs.shape.inter_rows, hs.shape.inter_cols);
+        let machine = Cluster::new(inter, hs.shape.ranks_per_node);
+        let choice = HierChoice::Hier(hs.clone());
+        verify_schedule_from(op, Some(&choice), &machine, n, source).map(|(r, _)| r)
+    }
+
     #[test]
     fn mst_broadcast_on_row_verifies_conflict_free() {
         let mesh = Mesh2D::new(1, 8);
         let st = Strategy::pure_mst(8);
-        let r = verify_schedule(&VerifyOp::Broadcast { root: 0 }, Some(&st), &mesh, 64).unwrap();
+        let r = verify_schedule(&PlanOp::Broadcast { root: 0 }, Some(&st), &mesh, 64).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         assert!(r.conflict_free);
     }
@@ -447,7 +404,7 @@ mod tests {
     fn ring_collect_on_mesh_verifies_conflict_free() {
         let mesh = Mesh2D::new(3, 4);
         let st = Strategy::pure_long(12);
-        let r = verify_schedule(&VerifyOp::Collect, Some(&st), &mesh, 8).unwrap();
+        let r = verify_schedule(&PlanOp::Collect, Some(&st), &mesh, 8).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         assert!(r.conflict_free);
     }
@@ -456,14 +413,14 @@ mod tests {
     fn hybrid_allreduce_verifies() {
         let mesh = Mesh2D::new(1, 12);
         let st = Strategy::new(vec![3, 4], StrategyKind::Mst);
-        let r = verify_schedule(&VerifyOp::AllReduce, Some(&st), &mesh, 24).unwrap();
+        let r = verify_schedule(&PlanOp::AllReduce, Some(&st), &mesh, 24).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
     }
 
     #[test]
     fn alltoall_verifies_within_bound() {
         let mesh = Mesh2D::new(2, 3);
-        let r = verify_schedule(&VerifyOp::Alltoall, None, &mesh, 4).unwrap();
+        let r = verify_schedule(&PlanOp::Alltoall, None, &mesh, 4).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
     }
 
@@ -477,7 +434,7 @@ mod tests {
         // verifies — but it is honestly reported as not conflict-free.
         let mesh = Mesh2D::new(3, 3);
         let st = Strategy::pure_long(9);
-        let r = verify_schedule(&VerifyOp::Broadcast { root: 8 }, Some(&st), &mesh, 947).unwrap();
+        let r = verify_schedule(&PlanOp::Broadcast { root: 8 }, Some(&st), &mesh, 947).unwrap();
         assert!(r.ok(), "cross-stage skew must not be a violation: {r}");
         assert!(!r.conflict_free, "skew sharing must still be reported");
         assert_eq!(r.max_link_sharing, 2);
@@ -491,7 +448,7 @@ mod tests {
         // case where the schedule is valid but not conflict-free.
         let mesh = Mesh2D::new(3, 3);
         let st = Strategy::pure_long(9);
-        let op = VerifyOp::Broadcast { root: 8 };
+        let op = PlanOp::Broadcast { root: 8 };
         let ir = verify_schedule_ir(&op, Some(&st), &mesh, 947).unwrap();
         let tr = verify_schedule(&op, Some(&st), &mesh, 947).unwrap();
         assert_eq!(ir.source, Source::Ir);
@@ -508,10 +465,10 @@ mod tests {
     fn ir_source_verifies_strategy_free_ops() {
         let mesh = Mesh2D::new(2, 3);
         for op in [
-            VerifyOp::Scatter { root: 0 },
-            VerifyOp::Gather { root: 5 },
-            VerifyOp::Alltoall,
-            VerifyOp::PipelinedBcast {
+            PlanOp::Scatter { root: 0 },
+            PlanOp::Gather { root: 5 },
+            PlanOp::Alltoall,
+            PlanOp::PipelinedBcast {
                 root: 0,
                 segments: 4,
             },
@@ -536,21 +493,23 @@ mod tests {
         ] {
             for (op, cost_op) in [
                 (
-                    VerifyOp::Broadcast {
+                    PlanOp::Broadcast {
                         root: shape.ranks() - 1,
                     },
                     CollectiveOp::Broadcast,
                 ),
-                (VerifyOp::AllReduce, CollectiveOp::CombineToAll),
-                (VerifyOp::Collect, CollectiveOp::Collect),
+                (PlanOp::AllReduce, CollectiveOp::CombineToAll),
+                (PlanOp::Collect, CollectiveOp::Collect),
             ] {
                 let hs = select_hier(cost_op, shape, 4096, &m).unwrap();
-                let r = verify_schedule_hier(&op, &hs, 64).unwrap();
-                assert_eq!(r.source, Source::Hier);
-                assert!(r.ok(), "unexpected violations: {r}");
-                assert!(r.event_count > 0);
-                // Every stage band's sharing stayed within its own bound.
-                assert!(r.levels.iter().all(|l| l.observed <= l.predicted));
+                for source in [Source::Ir, Source::IrOpt, Source::Trace] {
+                    let r = verify_hier(&op, &hs, 64, source).unwrap();
+                    assert_eq!(r.source, source);
+                    assert!(r.ok(), "unexpected violations: {r}");
+                    assert!(r.event_count > 0);
+                    // Every stage band's sharing stayed within its own bound.
+                    assert!(r.levels.iter().all(|l| l.observed <= l.predicted));
+                }
             }
         }
     }
@@ -566,10 +525,10 @@ mod tests {
             &HierMachine::delta_cluster(),
         )
         .unwrap();
-        let r = verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).unwrap();
+        let r = verify_hier(&PlanOp::AllReduce, &hs, 16, Source::Ir).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         let s = r.to_string();
-        assert!(s.contains("[hier]"), "{s}");
+        assert!(s.contains("[ir], hier"), "{s}");
         assert!(s.contains("@1x2x3"), "{s}");
         // The cluster's physical embedding is a (rpn·rows)×cols mesh.
         assert_eq!(r.mesh, (3, 2));
@@ -587,7 +546,14 @@ mod tests {
         .unwrap();
         // A broadcast strategy replayed as an allreduce disagrees with
         // the op's template: the error surfaces as Err, not a violation.
-        assert!(verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).is_err());
+        for source in [Source::Ir, Source::Trace] {
+            assert!(verify_hier(&PlanOp::AllReduce, &hs, 16, source).is_err());
+        }
+        // So does a strategy for another cluster shape.
+        let other = Cluster::linear(4, 2);
+        let choice = HierChoice::Hier(hs);
+        let op = PlanOp::Broadcast { root: 0 };
+        assert!(verify_schedule_from(&op, Some(&choice), &other, 16, Source::Ir).is_err());
     }
 
     #[test]
@@ -596,6 +562,6 @@ mod tests {
         // schedule violation.
         let mesh = Mesh2D::new(1, 6);
         let st = Strategy::pure_mst(5);
-        assert!(verify_schedule(&VerifyOp::AllReduce, Some(&st), &mesh, 8).is_err());
+        assert!(verify_schedule(&PlanOp::AllReduce, Some(&st), &mesh, 8).is_err());
     }
 }

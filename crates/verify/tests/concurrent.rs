@@ -4,13 +4,12 @@
 //! concurrency the meshsim simulator actually observes.
 
 use intercom::groups::{col_members, row_members, submesh_members};
+use intercom::ir::PlanOp;
 use intercom::{Comm, Communicator};
 use intercom_cost::{MachineParams, Strategy};
 use intercom_meshsim::{simulate, LinkConcurrency, SimConfig};
 use intercom_topology::Mesh2D;
-use intercom_verify::{
-    tenant_tag_base, verify_concurrent, ConcurrentViolation, Tenant, VerifyOp, Workload,
-};
+use intercom_verify::{tenant_tag_base, verify_concurrent, ConcurrentViolation, Tenant, Workload};
 
 fn machine() -> MachineParams {
     MachineParams {
@@ -28,7 +27,7 @@ fn row_tenant(mesh: &Mesh2D, r: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_long(members.len());
     Tenant::lowered(
         format!("row{r}"),
-        &VerifyOp::Collect,
+        &PlanOp::Collect,
         Some(&st),
         2 * members.len(),
         members,
@@ -43,7 +42,7 @@ fn col_tenant(mesh: &Mesh2D, c: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_mst(members.len());
     Tenant::lowered(
         format!("col{c}"),
-        &VerifyOp::AllReduce,
+        &PlanOp::AllReduce,
         Some(&st),
         8,
         members,
@@ -98,7 +97,7 @@ fn overlapping_submeshes_on_3x3_are_safe_with_distinct_bases() {
     let mk = |name: &str, r0: usize, c0: usize, idx: usize| {
         Tenant::lowered(
             name,
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             32,
             submesh_members(&mesh, r0, c0, 2, 2),
@@ -122,7 +121,7 @@ fn degenerate_1xp_row_with_singleton_columns() {
     let lone = |c: usize, idx: usize| {
         Tenant::lowered(
             format!("lone{c}"),
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&Strategy::pure_mst(1)),
             4,
             col_members(&mesh, c),
@@ -141,7 +140,7 @@ fn disjoint_submeshes_on_1x8_partition_cleanly() {
     let mk = |name: &str, c0: usize, cols: usize, idx: usize| {
         Tenant::lowered(
             name,
-            &VerifyOp::Collect,
+            &PlanOp::Collect,
             Some(&Strategy::pure_long(cols)),
             cols * 2,
             submesh_members(&mesh, 0, c0, 1, cols),
@@ -164,7 +163,7 @@ fn colliding_bases_on_shared_submesh_are_rejected_with_attribution() {
     let mk = |name: &str| {
         Tenant::lowered(
             name,
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             16,
             submesh_members(&mesh, 0, 0, 2, 2),
@@ -199,7 +198,7 @@ fn composite_contention_matches_simulator_observation() {
     let mk = |name: &str, members: Vec<usize>, idx: usize| {
         Tenant::lowered(
             name,
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             N,
             members,

@@ -2,13 +2,14 @@
 //! between the static verifier's conflict verdict and the meshsim
 //! simulator's *observed* link sharing on the same machine.
 
+use intercom::ir::PlanOp;
 use intercom::{Algo, Comm, Communicator};
 use intercom_cost::{
     enumerate_mesh_strategies, enumerate_strategies, MachineParams, Strategy, StrategyKind,
 };
 use intercom_meshsim::{simulate, NetSpec, SimConfig, Trace};
 use intercom_topology::Mesh2D;
-use intercom_verify::{verify_schedule, VerifyOp};
+use intercom_verify::verify_schedule;
 
 fn machine() -> MachineParams {
     MachineParams {
@@ -20,18 +21,18 @@ fn machine() -> MachineParams {
     }
 }
 
-fn all_ops(p: usize) -> Vec<(VerifyOp, bool)> {
+fn all_ops(p: usize) -> Vec<(PlanOp, bool)> {
     let root = p - 1;
     vec![
-        (VerifyOp::Broadcast { root }, true),
-        (VerifyOp::Reduce { root }, true),
-        (VerifyOp::AllReduce, true),
-        (VerifyOp::ReduceScatter, true),
-        (VerifyOp::Collect, true),
-        (VerifyOp::Scatter { root }, false),
-        (VerifyOp::Gather { root }, false),
-        (VerifyOp::Alltoall, false),
-        (VerifyOp::PipelinedBcast { root, segments: 3 }, false),
+        (PlanOp::Broadcast { root }, true),
+        (PlanOp::Reduce { root }, true),
+        (PlanOp::AllReduce, true),
+        (PlanOp::ReduceScatter, true),
+        (PlanOp::Collect, true),
+        (PlanOp::Scatter { root }, false),
+        (PlanOp::Gather { root }, false),
+        (PlanOp::Alltoall, false),
+        (PlanOp::PipelinedBcast { root, segments: 3 }, false),
     ]
 }
 
@@ -127,7 +128,7 @@ fn verifier_and_simulator_agree_conflict_free_collect_on_mesh() {
     // simulator's observed trace must concur.
     let mesh = Mesh2D::new(3, 4);
     let st = Strategy::on_mesh(vec![4, 3], StrategyKind::ScatterCollect, 1);
-    let r = verify_schedule(&VerifyOp::Collect, Some(&st), &mesh, 12).unwrap();
+    let r = verify_schedule(&PlanOp::Collect, Some(&st), &mesh, 12).unwrap();
     assert!(r.ok(), "{r}");
     assert!(r.conflict_free, "{r}");
 
@@ -151,7 +152,7 @@ fn verifier_and_simulator_agree_interleaved_broadcast_conflicts() {
     // conflict-free — and the simulator must actually observe sharing.
     let mesh = Mesh2D::new(1, 12);
     let st = Strategy::new(vec![2, 6], StrategyKind::ScatterCollect);
-    let r = verify_schedule(&VerifyOp::Broadcast { root: 0 }, Some(&st), &mesh, 1200).unwrap();
+    let r = verify_schedule(&PlanOp::Broadcast { root: 0 }, Some(&st), &mesh, 1200).unwrap();
     assert!(r.ok(), "within cost-model bounds: {r}");
     assert!(!r.conflict_free, "interleaving must be reported: {r}");
     assert!(r.max_link_sharing >= 2);

@@ -3,12 +3,13 @@
 //! the `schedule-audit` binary's probes so the checker's teeth are also
 //! exercised under `cargo test`.
 
+use intercom::ir::PlanOp;
 use intercom::trace::{MemSpan, OpRecord};
 use intercom_cost::Strategy;
 use intercom_topology::Mesh2D;
 use intercom_verify::{
     analyze_links, check_buffer_safety, check_single_port, extract_programs, match_programs, Event,
-    Schedule, VerifyOp, Violation,
+    Schedule, Violation,
 };
 
 /// Moving one MST send a step earlier makes the root talk to two
@@ -16,7 +17,7 @@ use intercom_verify::{
 #[test]
 fn moved_send_breaks_single_port() {
     let st = Strategy::pure_mst(8);
-    let programs = extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 8, 64).unwrap();
+    let programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).unwrap();
     let mut sched = match_programs(&programs).unwrap();
     assert!(check_single_port(&sched).is_empty(), "baseline is clean");
     let idx = sched
@@ -45,8 +46,7 @@ fn moved_send_breaks_single_port() {
 #[test]
 fn bumped_tag_deadlocks() {
     let st = Strategy::pure_mst(4);
-    let mut programs =
-        extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 32).unwrap();
+    let mut programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).unwrap();
     assert!(match_programs(&programs).is_ok(), "baseline matches");
     programs[1]
         .iter_mut()

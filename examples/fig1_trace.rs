@@ -13,18 +13,18 @@
 //!
 //! Run: `cargo run --example fig1_trace`
 
+use intercom::ir::PlanOp;
 use intercom_cost::{MachineParams, Strategy, StrategyKind};
 use intercom_obs::Trace;
 use intercom_suite::driver::{record_sim, residual_report};
 use intercom_topology::Mesh2D;
-use intercom_verify::VerifyOp;
 
 fn main() {
     let p = 12;
     let n = 1200usize; // 12 nodes → pieces of 100 bytes at the center
     let strategy = Strategy::new(vec![2, 2, 3], StrategyKind::Mst);
     let machine = MachineParams::PARAGON_MODEL;
-    let op = VerifyOp::Broadcast { root: 0 };
+    let op = PlanOp::Broadcast { root: 0 };
 
     println!("Fig. 1 — broadcast hybrid on a linear array of 12 nodes, root 0");
     println!("strategy {strategy}: scatter in pairs, scatter in pairs-of-pairs,");

@@ -32,13 +32,13 @@
 
 use intercom_suite::cost::{MachineParams, Strategy, StrategyKind};
 use intercom_suite::driver::{record_sim, record_threads};
+use intercom_suite::intercom::ir::PlanOp;
 use intercom_suite::intercom::plan::{AllreducePlan, BcastPlan};
 use intercom_suite::intercom::{autotune, ir::global_cache, Comm, Communicator, ReduceOp};
 use intercom_suite::obs::metrics::Snapshot;
 use intercom_suite::obs::{flight, json, metrics};
 use intercom_suite::runtime::run_world;
 use intercom_suite::topology::Mesh2D;
-use intercom_suite::verify::VerifyOp;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -130,15 +130,15 @@ fn parse_strategy(spec: &str, p: usize) -> Result<Strategy, String> {
     }
 }
 
-fn make_op(name: &str, root: usize) -> Result<VerifyOp, String> {
+fn make_op(name: &str, root: usize) -> Result<PlanOp, String> {
     Ok(match name {
-        "broadcast" => VerifyOp::Broadcast { root },
-        "reduce" => VerifyOp::Reduce { root },
-        "allreduce" => VerifyOp::AllReduce,
-        "reduce_scatter" => VerifyOp::ReduceScatter,
-        "collect" => VerifyOp::Collect,
-        "scatter" => VerifyOp::Scatter { root },
-        "gather" => VerifyOp::Gather { root },
+        "broadcast" => PlanOp::Broadcast { root },
+        "reduce" => PlanOp::Reduce { root },
+        "allreduce" => PlanOp::AllReduce,
+        "reduce_scatter" => PlanOp::ReduceScatter,
+        "collect" => PlanOp::Collect,
+        "scatter" => PlanOp::Scatter { root },
+        "gather" => PlanOp::Gather { root },
         other => return Err(format!("unknown collective {other}")),
     })
 }
@@ -177,7 +177,7 @@ fn plan_phase(p: usize, n_bytes: usize) {
 /// Runs one full pass of the workload matrix: every requested op on
 /// every requested backend (the recorded drains feed the registry via
 /// `ingest_run`), then the plan phase.
-fn workload(ops: &[VerifyOp], backends: &[&str], strategy: &Strategy, o: &Options, mesh: Mesh2D) {
+fn workload(ops: &[PlanOp], backends: &[&str], strategy: &Strategy, o: &Options, mesh: Mesh2D) {
     for op in ops {
         for backend in backends {
             match *backend {
@@ -250,7 +250,7 @@ fn check(snap: &Snapshot, planned: bool) -> Result<(), String> {
 fn run() -> Result<(), String> {
     let o = Options::parse()?;
     let strategy = parse_strategy(&o.strategy, o.p)?;
-    let ops: Vec<VerifyOp> = if o.op == "all" {
+    let ops: Vec<PlanOp> = if o.op == "all" {
         ALL_OPS
             .iter()
             .map(|name| make_op(name, o.root))

@@ -25,9 +25,9 @@
 
 use intercom_suite::cost::{MachineParams, Strategy, StrategyKind};
 use intercom_suite::driver::{record_sim, record_threads, residual_report, Recorded};
+use intercom_suite::intercom::ir::PlanOp;
 use intercom_suite::obs::{chrome_trace, json};
 use intercom_suite::topology::Mesh2D;
-use intercom_suite::verify::VerifyOp;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -121,15 +121,15 @@ fn parse_strategy(spec: &str, p: usize) -> Result<Strategy, String> {
     }
 }
 
-fn make_op(name: &str, root: usize) -> Result<VerifyOp, String> {
+fn make_op(name: &str, root: usize) -> Result<PlanOp, String> {
     Ok(match name {
-        "broadcast" => VerifyOp::Broadcast { root },
-        "reduce" => VerifyOp::Reduce { root },
-        "allreduce" => VerifyOp::AllReduce,
-        "reduce_scatter" => VerifyOp::ReduceScatter,
-        "collect" => VerifyOp::Collect,
-        "scatter" => VerifyOp::Scatter { root },
-        "gather" => VerifyOp::Gather { root },
+        "broadcast" => PlanOp::Broadcast { root },
+        "reduce" => PlanOp::Reduce { root },
+        "allreduce" => PlanOp::AllReduce,
+        "reduce_scatter" => PlanOp::ReduceScatter,
+        "collect" => PlanOp::Collect,
+        "scatter" => PlanOp::Scatter { root },
+        "gather" => PlanOp::Gather { root },
         other => return Err(format!("unknown collective {other}")),
     })
 }
@@ -148,7 +148,7 @@ const ALL_OPS: [&str; 7] = [
 /// the paths written.
 #[allow(clippy::too_many_arguments)]
 fn dump_one(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: &Strategy,
     backend: &str,
     p: usize,
@@ -228,7 +228,7 @@ fn dump_one(
 fn check_known_skew() -> Result<(), String> {
     let p = 9;
     let n = 947;
-    let op = VerifyOp::Broadcast { root: 8 };
+    let op = PlanOp::Broadcast { root: 8 };
     let strategy = Strategy::pure_long(p);
     let machine = MachineParams::PARAGON_MODEL;
     let rec = record_sim(&op, Some(&strategy), Mesh2D::new(3, 3), n, machine);
@@ -264,7 +264,7 @@ fn run() -> Result<(), String> {
         }
         None => Mesh2D::new(1, o.p),
     };
-    let ops: Vec<VerifyOp> = if o.op == "all" {
+    let ops: Vec<PlanOp> = if o.op == "all" {
         ALL_OPS
             .iter()
             .map(|name| make_op(name, o.root))

@@ -9,124 +9,38 @@
 //! same buffer shapes, same tags, same stage coordinates.
 
 use intercom::comm::GroupComm;
-use intercom::primitives::pipelined_ring_bcast;
-use intercom::{algorithms, Comm, ReduceOp, Result};
-use intercom_cost::{CollectiveOp, CostContext, MachineParams, Strategy};
+use intercom::ir::{cost_op, run_direct, OwnedArgs, PlanOp};
+use intercom::{Comm, ReduceOp, Result};
+use intercom_cost::{CostContext, HierChoice, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{analyze, ResidualReport, RunRecord};
 use intercom_runtime::run_world_recorded;
 use intercom_topology::Mesh2D;
-use intercom_verify::VerifyOp;
 
 /// Runs `op` once at base tag 0 with the exact buffer shapes
-/// [`intercom_verify::extract_program`] replays symbolically, so the
+/// [`intercom_verify::extract_programs`] replays symbolically, so the
 /// recorded events line up one-to-one with the verifier's schedule.
-/// `n` follows the [`VerifyOp`] size convention (total vector length
+/// `n` follows the [`PlanOp::args`] size convention (total vector length
 /// for broadcast/combine ops, per-member block length for the rest).
 pub fn run_collective<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> Result<()> {
-    let gc = GroupComm::world(comm);
-    let p = comm.size();
     let rank = comm.rank();
-    let fill = |buf: &mut [u8]| {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-    };
-    let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
-    match *op {
-        VerifyOp::Broadcast { root } => {
-            let mut buf = vec![0u8; n];
-            if rank == root {
-                fill(&mut buf);
-            }
-            algorithms::broadcast(&gc, st(), root, &mut buf, 0)
-        }
-        VerifyOp::Reduce { root } => {
-            let mut buf = vec![0u8; n];
-            fill(&mut buf);
-            algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0)
-        }
-        VerifyOp::AllReduce => {
-            let mut buf = vec![0u8; n];
-            fill(&mut buf);
-            algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0)
-        }
-        VerifyOp::ReduceScatter => {
-            let mut contrib = vec![0u8; p * n];
-            fill(&mut contrib);
-            let mut mine = vec![0u8; n];
-            algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0)
-        }
-        VerifyOp::Collect => {
-            let mut mine = vec![0u8; n];
-            fill(&mut mine);
-            let mut all = vec![0u8; p * n];
-            algorithms::collect(&gc, st(), &mine, &mut all, 0)
-        }
-        VerifyOp::Scatter { root } => {
-            let mut full = vec![0u8; p * n];
-            fill(&mut full);
-            let mut mine = vec![0u8; n];
-            let full = (rank == root).then_some(&full[..]);
-            algorithms::scatter(&gc, root, full, &mut mine, 0)
-        }
-        VerifyOp::Gather { root } => {
-            let mut mine = vec![0u8; n];
-            fill(&mut mine);
-            let mut full = vec![0u8; p * n];
-            let full = (rank == root).then_some(&mut full[..]);
-            algorithms::gather(&gc, root, &mine, full, 0)
-        }
-        VerifyOp::Alltoall => {
-            let mut send = vec![0u8; p * n];
-            fill(&mut send);
-            let mut recv = vec![0u8; p * n];
-            algorithms::alltoall(&gc, &send, &mut recv, 0)
-        }
-        VerifyOp::PipelinedBcast { root, segments } => {
-            let mut buf = vec![0u8; n];
-            if rank == root {
-                fill(&mut buf);
-            }
-            pipelined_ring_bcast(&gc, root, &mut buf, segments, 0)
-        }
-    }
-}
-
-/// The cost-model operation for a verifiable collective. `None` for
-/// the extensions (total exchange, pipelined broadcast) the paper's
-/// per-stage model does not price.
-pub fn cost_op(op: &VerifyOp) -> Option<CollectiveOp> {
-    match op {
-        VerifyOp::Broadcast { .. } => Some(CollectiveOp::Broadcast),
-        VerifyOp::Reduce { .. } => Some(CollectiveOp::CombineToOne),
-        VerifyOp::AllReduce => Some(CollectiveOp::CombineToAll),
-        VerifyOp::ReduceScatter => Some(CollectiveOp::DistributedCombine),
-        VerifyOp::Collect => Some(CollectiveOp::Collect),
-        VerifyOp::Scatter { .. } => Some(CollectiveOp::Scatter),
-        VerifyOp::Gather { .. } => Some(CollectiveOp::Gather),
-        VerifyOp::Alltoall | VerifyOp::PipelinedBcast { .. } => None,
-    }
-}
-
-/// The cost model prices stages by the collective's *total* vector
-/// length; `intercom-verify`'s `n` is the per-member block length for
-/// the block-wise collectives. This converts the latter to the former.
-pub fn cost_vector_len(op: &VerifyOp, p: usize, n: usize) -> usize {
-    match op {
-        VerifyOp::ReduceScatter
-        | VerifyOp::Collect
-        | VerifyOp::Scatter { .. }
-        | VerifyOp::Gather { .. }
-        | VerifyOp::Alltoall => p * n,
-        VerifyOp::Broadcast { .. } | VerifyOp::Reduce { .. } => n,
-        VerifyOp::AllReduce | VerifyOp::PipelinedBcast { .. } => n,
-    }
+    let mut bufs = OwnedArgs::<u8>::new(*op, comm.size(), n, rank);
+    bufs.fill_contribution(*op, rank, |i| (i % 251) as u8);
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    let gc = GroupComm::world(comm);
+    run_direct(
+        *op,
+        choice.as_ref(),
+        &gc,
+        ReduceOp::Max,
+        &mut bufs.bind(),
+        0,
+    )
 }
 
 /// One recorded collective run, backend-agnostic.
@@ -141,7 +55,7 @@ pub struct Recorded {
 /// Records one collective on the threaded runtime (wall-clock
 /// timestamps, per-rank ring capacity `capacity`).
 pub fn record_threads(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
@@ -159,7 +73,7 @@ pub fn record_threads(
 /// Records one collective on the mesh simulator (virtual Paragon-model
 /// timestamps; every transfer lands on its source rank's timeline).
 pub fn record_sim(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: Mesh2D,
     n: usize,
@@ -181,16 +95,17 @@ pub fn record_sim(
 
 /// Folds a recorded run against the cost model's per-stage predictions.
 /// `None` when the op has no cost-model counterpart ([`cost_op`]).
-/// `n` follows the [`VerifyOp`] convention; the conversion to the cost
-/// model's total vector length happens here.
+/// `n` follows the [`PlanOp::args`] convention; the conversion to the
+/// cost model's total vector length ([`PlanOp::cost_bytes`]) happens
+/// here.
 pub fn residual_report(
     rec: &Recorded,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: &Strategy,
     machine: &MachineParams,
     n: usize,
 ) -> Option<ResidualReport> {
-    let cop = cost_op(op)?;
+    let cop = cost_op(*op)?;
     let ctx = CostContext::linear_with(machine);
     Some(analyze(
         &rec.run,
@@ -198,7 +113,7 @@ pub fn residual_report(
         strategy,
         ctx,
         machine,
-        cost_vector_len(op, rec.run.p(), n),
+        op.cost_bytes(rec.run.p(), n, 1),
     ))
 }
 
@@ -210,7 +125,7 @@ mod tests {
     fn threads_and_sim_move_the_same_bytes() {
         let p = 4;
         let n = 64;
-        let op = VerifyOp::Broadcast { root: 0 };
+        let op = PlanOp::Broadcast { root: 0 };
         let st = Strategy::pure_mst(p);
         let threads = record_threads(&op, Some(&st), p, n, 1024);
         let sim = record_sim(
@@ -231,7 +146,7 @@ mod tests {
     fn residual_report_covers_sim_stages() {
         let p = 9;
         let n = 900;
-        let op = VerifyOp::Collect;
+        let op = PlanOp::Collect;
         let st = Strategy::pure_long(p);
         let machine = MachineParams::PARAGON_MODEL;
         let rec = record_sim(&op, Some(&st), Mesh2D::new(1, p), n, machine);

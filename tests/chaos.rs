@@ -3,11 +3,12 @@
 //! fault logs, and the watchdog's hang/stall diagnosis.
 
 use intercom::faults::{FaultEvent, FaultEventKind};
+use intercom::ir::PlanOp;
 use intercom::{AbortCause, CommError, FaultKind};
 use intercom_obs::EventKind;
 use intercom_verify::{
     chaos_sweep, diagnose_hang, fault_trace_events, hang_probe, scenario_plan, scenarios, Backend,
-    HangDiagnosis, VerifyOp,
+    HangDiagnosis,
 };
 
 fn scenario(name: &str) -> intercom_verify::Scenario {
@@ -17,13 +18,13 @@ fn scenario(name: &str) -> intercom_verify::Scenario {
         .expect("scenario exists")
 }
 
-fn run(backend: Backend, op: &VerifyOp, name: &str) -> intercom_verify::CaseRun {
+fn run(backend: Backend, op: &PlanOp, name: &str) -> intercom_verify::CaseRun {
     let sc = scenario(name);
     let plan = scenario_plan(&sc, op, 7);
     intercom_verify::chaos::run_case(backend, op, &plan)
 }
 
-fn baseline(backend: Backend, op: &VerifyOp) -> Vec<Vec<u8>> {
+fn baseline(backend: Backend, op: &PlanOp) -> Vec<Vec<u8>> {
     intercom_verify::chaos::run_case(backend, op, &intercom::FaultPlan::new(0))
         .results
         .into_iter()
@@ -45,7 +46,7 @@ fn smoke_sweep_upholds_the_contract() {
 
 #[test]
 fn delay_under_deadline_is_byte_identical() {
-    let op = VerifyOp::Broadcast { root: 0 };
+    let op = PlanOp::Broadcast { root: 0 };
     for backend in [Backend::Threads, Backend::Sim] {
         let base = baseline(backend, &op);
         let run = run(backend, &op, "delay");
@@ -62,7 +63,7 @@ fn delay_under_deadline_is_byte_identical() {
 
 #[test]
 fn drop_burst_recovers_and_logs_every_retry() {
-    let op = VerifyOp::AllReduce;
+    let op = PlanOp::AllReduce;
     let base = baseline(Backend::Threads, &op);
     let run = run(Backend::Threads, &op, "drop-burst");
     assert!(run.abort.is_none());
@@ -94,7 +95,7 @@ fn drop_burst_recovers_and_logs_every_retry() {
 
 #[test]
 fn corruption_is_caught_by_checksum_and_retried() {
-    let op = VerifyOp::Collect;
+    let op = PlanOp::Collect;
     for backend in [Backend::Threads, Backend::Sim] {
         let base = baseline(backend, &op);
         let run = run(backend, &op, "corrupt-once");
@@ -116,7 +117,7 @@ fn corruption_is_caught_by_checksum_and_retried() {
 
 #[test]
 fn drops_past_the_budget_abort_every_rank() {
-    let op = VerifyOp::Gather { root: 0 };
+    let op = PlanOp::Gather { root: 0 };
     for backend in [Backend::Threads, Backend::Sim] {
         let run = run(backend, &op, "drop-storm");
         let abort = run.abort.expect("abort record latched");
@@ -140,7 +141,7 @@ fn threaded_stall_is_diagnosed_within_the_deadline() {
     // rank times out at the same deadline — which waiter's diagnosis
     // latches first is a race, but the cause is always a bounded wait
     // naming a rank on the stalled path, and nobody hangs.
-    let op = VerifyOp::Scatter { root: 0 };
+    let op = PlanOp::Scatter { root: 0 };
     let run = run(Backend::Threads, &op, "stall");
     let abort = run.abort.expect("abort record latched");
     assert_eq!(abort.cause, AbortCause::Timeout);
@@ -163,7 +164,7 @@ fn threaded_stall_is_diagnosed_within_the_deadline() {
 
 #[test]
 fn virtual_time_stall_poisons_immediately() {
-    let run = run(Backend::Sim, &VerifyOp::AllReduce, "stall");
+    let run = run(Backend::Sim, &PlanOp::AllReduce, "stall");
     let abort = run.abort.expect("abort record latched");
     assert_eq!(abort.culprit, 0);
     assert_eq!(abort.cause, AbortCause::Stall);
@@ -173,7 +174,7 @@ fn virtual_time_stall_poisons_immediately() {
 #[test]
 fn same_seed_yields_the_same_event_stream_on_both_backends() {
     for name in ["drop-burst", "corrupt-once", "delay"] {
-        let op = VerifyOp::AllReduce;
+        let op = PlanOp::AllReduce;
         let threads: Vec<Vec<FaultEvent>> = run(Backend::Threads, &op, name).events;
         let sim: Vec<Vec<FaultEvent>> = run(Backend::Sim, &op, name).events;
         assert_eq!(
@@ -218,7 +219,7 @@ fn progress_stamps_feed_the_stall_diagnosis() {
     // past their work, one rank wedged before its forward send.
     let st = intercom_cost::Strategy::pure_mst(4);
     let programs =
-        intercom_verify::ir_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 32).unwrap();
+        intercom_verify::ir_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).unwrap();
     let stalled = 2usize;
     let completed: Vec<usize> = programs
         .iter()

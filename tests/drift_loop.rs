@@ -16,7 +16,6 @@ use intercom_suite::intercom::selector::{choose_strategy, GroupShape};
 use intercom_suite::intercom::{AutoTuner, TrackedShape};
 use intercom_suite::obs::metrics;
 use intercom_suite::topology::Mesh2D;
-use intercom_suite::verify::VerifyOp;
 
 #[test]
 fn doubled_beta_closes_the_loop_end_to_end() {
@@ -49,32 +48,34 @@ fn doubled_beta_closes_the_loop_end_to_end() {
 
     let mut tuner = AutoTuner::new(configured);
     tuner.track(TrackedShape {
-        plan_op: PlanOp::Broadcast { root: 0 },
-        cost_op: CollectiveOp::Broadcast,
+        op: PlanOp::Broadcast { root: 0 },
         shape: GroupShape::Linear(p),
-        n_elems: n,
+        n,
         elem_size: 1,
-        n_cost_bytes: n,
     });
     let cache = PlanCache::new();
+    let key = |p: usize, strategy: Strategy| PlanKey {
+        op: PlanOp::Broadcast { root: 0 },
+        p,
+        n,
+        elem_size: 1,
+        strategy: Some(strategy),
+        hier: None,
+        opt: OptLevel::Full,
+    };
+    // A bystander: the same op and length planned for another group
+    // size shares the cache and must survive the retune.
+    let bystander = key(12, Strategy::pure_mst(12));
     cache
-        .warm_up([PlanKey {
-            op: PlanOp::Broadcast { root: 0 },
-            p,
-            n,
-            elem_size: 1,
-            strategy: Some(stale.clone()),
-            hier: None,
-            opt: OptLevel::Full,
-        }])
+        .warm_up([key(p, stale.clone()), bystander.clone()])
         .expect("stale plan compiles");
-    assert_eq!(cache.stats().entries, 1);
+    assert_eq!(cache.stats().entries, 2);
 
     // Production feedback: run the collective on the *true* (degraded)
     // simulated machine, fold against the *configured* parameters. The
     // scatter-collect strategy gives the α̂/β̂ fit two independent
     // stages.
-    let op = VerifyOp::Broadcast { root: 0 };
+    let op = PlanOp::Broadcast { root: 0 };
     let fit_strategy = Strategy::pure_long(p);
     let mut retune = None;
     for fed in 1..=8 {
@@ -103,7 +104,16 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     // The stale plan was invalidated and the new winner re-warmed.
     assert_eq!(retune.invalidated, 1, "the warmed stale plan is retired");
     assert_eq!(retune.warmed, 1, "the new choice is compiled eagerly");
-    assert!(cache.stats().invalidations >= 1);
+    assert_eq!(cache.stats().invalidations, 1);
+    let before = cache.stats();
+    cache
+        .get_or_compile(&bystander)
+        .expect("bystander compiles");
+    assert_eq!(
+        cache.stats().delta(&before).hits,
+        1,
+        "another group size's plan is not this shape's to retire"
+    );
 
     // Re-selection: the new strategy matches what the selector would
     // choose with perfect knowledge, and the cost model prices it
@@ -111,7 +121,7 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     let r = retune
         .reselections
         .iter()
-        .find(|r| r.shape.cost_op == CollectiveOp::Broadcast)
+        .find(|r| r.shape.op == PlanOp::Broadcast { root: 0 })
         .expect("the tracked broadcast shape re-selects");
     assert_eq!(r.old, stale);
     assert_eq!(r.new, fresh_truth);

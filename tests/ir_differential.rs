@@ -20,8 +20,7 @@ use intercom_cost::{Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
-use intercom_verify::ir::plan_op;
-use intercom_verify::{extract_programs, ir_programs, VerifyOp};
+use intercom_verify::{extract_programs, ir_programs};
 
 /// Primes, powers of two, perfect squares and composites — the same
 /// spread the schedule audit sweeps.
@@ -34,18 +33,18 @@ fn fill(rank: usize, buf: &mut [u8]) {
     }
 }
 
-fn all_ops(p: usize) -> Vec<VerifyOp> {
+fn all_ops(p: usize) -> Vec<PlanOp> {
     let last = p - 1;
     vec![
-        VerifyOp::Broadcast { root: 0 },
-        VerifyOp::Reduce { root: last },
-        VerifyOp::AllReduce,
-        VerifyOp::ReduceScatter,
-        VerifyOp::Collect,
-        VerifyOp::Scatter { root: 0 },
-        VerifyOp::Gather { root: last },
-        VerifyOp::Alltoall,
-        VerifyOp::PipelinedBcast {
+        PlanOp::Broadcast { root: 0 },
+        PlanOp::Reduce { root: last },
+        PlanOp::AllReduce,
+        PlanOp::ReduceScatter,
+        PlanOp::Collect,
+        PlanOp::Scatter { root: 0 },
+        PlanOp::Gather { root: last },
+        PlanOp::Alltoall,
+        PlanOp::PipelinedBcast {
             root: 0,
             segments: 3,
         },
@@ -66,7 +65,7 @@ fn strategies(p: usize) -> Vec<Strategy> {
 
 /// `(op, strategy)` cells for world size `p`: strategy ops under every
 /// strategy, strategy-free ops once.
-fn cells(p: usize) -> Vec<(VerifyOp, Option<Strategy>)> {
+fn cells(p: usize) -> Vec<(PlanOp, Option<Strategy>)> {
     let mut out = Vec::new();
     for op in all_ops(p) {
         if op.takes_strategy() {
@@ -86,7 +85,7 @@ fn cells(p: usize) -> Vec<(VerifyOp, Option<Strategy>)> {
 /// that doesn't).
 fn direct_run<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> Vec<u8> {
@@ -95,7 +94,7 @@ fn direct_run<C: Comm + ?Sized>(
     let rank = comm.rank();
     let st = || strategy.expect("strategy op");
     match *op {
-        VerifyOp::Broadcast { root } => {
+        PlanOp::Broadcast { root } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(rank, &mut buf);
@@ -103,33 +102,33 @@ fn direct_run<C: Comm + ?Sized>(
             algorithms::broadcast(&gc, st(), root, &mut buf, 0).unwrap();
             buf
         }
-        VerifyOp::Reduce { root } => {
+        PlanOp::Reduce { root } => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
             algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0).unwrap();
             buf
         }
-        VerifyOp::AllReduce => {
+        PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
             algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0).unwrap();
             buf
         }
-        VerifyOp::ReduceScatter => {
+        PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(rank, &mut contrib);
             let mut mine = vec![0u8; n];
             algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0).unwrap();
             [contrib, mine].concat()
         }
-        VerifyOp::Collect => {
+        PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut all = vec![0u8; p * n];
             algorithms::collect(&gc, st(), &mine, &mut all, 0).unwrap();
             [mine, all].concat()
         }
-        VerifyOp::Scatter { root } => {
+        PlanOp::Scatter { root } => {
             let mut full = vec![0u8; p * n];
             fill(rank, &mut full);
             let mut mine = vec![0u8; n];
@@ -141,7 +140,7 @@ fn direct_run<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Gather { root } => {
+        PlanOp::Gather { root } => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut full = vec![0u8; p * n];
@@ -153,14 +152,14 @@ fn direct_run<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Alltoall => {
+        PlanOp::Alltoall => {
             let mut send = vec![0u8; p * n];
             fill(rank, &mut send);
             let mut recv = vec![0u8; p * n];
             algorithms::alltoall(&gc, &send, &mut recv, 0).unwrap();
             [send, recv].concat()
         }
-        VerifyOp::PipelinedBcast { root, segments } => {
+        PlanOp::PipelinedBcast { root, segments } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(rank, &mut buf);
@@ -176,14 +175,14 @@ fn direct_run<C: Comm + ?Sized>(
 /// same concatenation.
 fn ir_run<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> Vec<u8> {
     let gc = GroupComm::world(comm);
     let p = comm.size();
     let rank = comm.rank();
-    let pop = plan_op(op);
+    let pop = *op;
     let prog = lower(pop, strategy, p, n, 1).unwrap();
     let mut scratch = Vec::new();
     let mut run = |args: &mut [ArgBuf<'_, u8>]| {
@@ -194,7 +193,7 @@ fn ir_run<C: Comm + ?Sized>(
         }
     };
     match *op {
-        VerifyOp::Broadcast { root } | VerifyOp::PipelinedBcast { root, .. } => {
+        PlanOp::Broadcast { root } | PlanOp::PipelinedBcast { root, .. } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(rank, &mut buf);
@@ -202,27 +201,27 @@ fn ir_run<C: Comm + ?Sized>(
             run(&mut [ArgBuf::Out(&mut buf)]);
             buf
         }
-        VerifyOp::Reduce { .. } | VerifyOp::AllReduce => {
+        PlanOp::Reduce { .. } | PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
             run(&mut [ArgBuf::Out(&mut buf)]);
             buf
         }
-        VerifyOp::ReduceScatter => {
+        PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(rank, &mut contrib);
             let mut mine = vec![0u8; n];
             run(&mut [ArgBuf::In(&contrib), ArgBuf::Out(&mut mine)]);
             [contrib, mine].concat()
         }
-        VerifyOp::Collect => {
+        PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut all = vec![0u8; p * n];
             run(&mut [ArgBuf::In(&mine), ArgBuf::Out(&mut all)]);
             [mine, all].concat()
         }
-        VerifyOp::Scatter { root } => {
+        PlanOp::Scatter { root } => {
             let mut full = vec![0u8; p * n];
             fill(rank, &mut full);
             let mut mine = vec![0u8; n];
@@ -234,7 +233,7 @@ fn ir_run<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Gather { root } => {
+        PlanOp::Gather { root } => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut full = vec![0u8; p * n];
@@ -246,7 +245,7 @@ fn ir_run<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Alltoall => {
+        PlanOp::Alltoall => {
             let mut send = vec![0u8; p * n];
             fill(rank, &mut send);
             let mut recv = vec![0u8; p * n];

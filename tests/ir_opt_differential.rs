@@ -15,14 +15,12 @@
 //! messages (`comm_steps` is monotonically non-increasing).
 
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram};
+use intercom::ir::{execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram, PlanOp};
 use intercom::{Comm, ReduceOp};
 use intercom_cost::{Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
-use intercom_verify::ir::plan_op;
-use intercom_verify::VerifyOp;
 
 /// Primes, powers of two, perfect squares and composites — the same
 /// spread the schedule audit sweeps.
@@ -35,18 +33,18 @@ fn fill(rank: usize, buf: &mut [u8]) {
     }
 }
 
-fn all_ops(p: usize) -> Vec<VerifyOp> {
+fn all_ops(p: usize) -> Vec<PlanOp> {
     let last = p - 1;
     vec![
-        VerifyOp::Broadcast { root: 0 },
-        VerifyOp::Reduce { root: last },
-        VerifyOp::AllReduce,
-        VerifyOp::ReduceScatter,
-        VerifyOp::Collect,
-        VerifyOp::Scatter { root: 0 },
-        VerifyOp::Gather { root: last },
-        VerifyOp::Alltoall,
-        VerifyOp::PipelinedBcast {
+        PlanOp::Broadcast { root: 0 },
+        PlanOp::Reduce { root: last },
+        PlanOp::AllReduce,
+        PlanOp::ReduceScatter,
+        PlanOp::Collect,
+        PlanOp::Scatter { root: 0 },
+        PlanOp::Gather { root: last },
+        PlanOp::Alltoall,
+        PlanOp::PipelinedBcast {
             root: 0,
             segments: 3,
         },
@@ -67,7 +65,7 @@ fn strategies(p: usize) -> Vec<Strategy> {
 
 /// `(op, strategy)` cells for world size `p`: strategy ops under every
 /// strategy, strategy-free ops once.
-fn cells(p: usize) -> Vec<(VerifyOp, Option<Strategy>)> {
+fn cells(p: usize) -> Vec<(PlanOp, Option<Strategy>)> {
     let mut out = Vec::new();
     for op in all_ops(p) {
         if op.takes_strategy() {
@@ -84,13 +82,13 @@ fn cells(p: usize) -> Vec<(VerifyOp, Option<Strategy>)> {
 /// Compiles `op`, optionally running the pass pipeline over the
 /// compiled program.
 fn compile(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
     opt: bool,
 ) -> CollectiveProgram {
-    let prog = lower(plan_op(op), strategy, p, n, 1).unwrap();
+    let prog = lower(*op, strategy, p, n, 1).unwrap();
     if opt {
         let (o, stats) = optimize(&prog);
         assert!(!stats.reverted, "optimizer must not revert valid programs");
@@ -104,7 +102,7 @@ fn compile(
 /// buffer the call touched, concatenated.
 fn run_prog<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     prog: &CollectiveProgram,
     n: usize,
 ) -> Vec<u8> {
@@ -120,7 +118,7 @@ fn run_prog<C: Comm + ?Sized>(
         }
     };
     match *op {
-        VerifyOp::Broadcast { root } | VerifyOp::PipelinedBcast { root, .. } => {
+        PlanOp::Broadcast { root } | PlanOp::PipelinedBcast { root, .. } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(rank, &mut buf);
@@ -128,27 +126,27 @@ fn run_prog<C: Comm + ?Sized>(
             run(&mut [ArgBuf::Out(&mut buf)]);
             buf
         }
-        VerifyOp::Reduce { .. } | VerifyOp::AllReduce => {
+        PlanOp::Reduce { .. } | PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
             run(&mut [ArgBuf::Out(&mut buf)]);
             buf
         }
-        VerifyOp::ReduceScatter => {
+        PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(rank, &mut contrib);
             let mut mine = vec![0u8; n];
             run(&mut [ArgBuf::In(&contrib), ArgBuf::Out(&mut mine)]);
             [contrib, mine].concat()
         }
-        VerifyOp::Collect => {
+        PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut all = vec![0u8; p * n];
             run(&mut [ArgBuf::In(&mine), ArgBuf::Out(&mut all)]);
             [mine, all].concat()
         }
-        VerifyOp::Scatter { root } => {
+        PlanOp::Scatter { root } => {
             let mut full = vec![0u8; p * n];
             fill(rank, &mut full);
             let mut mine = vec![0u8; n];
@@ -160,7 +158,7 @@ fn run_prog<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Gather { root } => {
+        PlanOp::Gather { root } => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut full = vec![0u8; p * n];
@@ -172,7 +170,7 @@ fn run_prog<C: Comm + ?Sized>(
                 mine
             }
         }
-        VerifyOp::Alltoall => {
+        PlanOp::Alltoall => {
             let mut send = vec![0u8; p * n];
             fill(rank, &mut send);
             let mut recv = vec![0u8; p * n];
@@ -260,7 +258,7 @@ fn optimized_plans_replay_byte_identically() {
         let st = st.clone();
         run_world(p, move |c| {
             let gc = GroupComm::world(c);
-            let prog = compile(&VerifyOp::AllReduce, Some(&st), p, n, opt);
+            let prog = compile(&PlanOp::AllReduce, Some(&st), p, n, opt);
             let mut scratch = Vec::new();
             let mut rounds = Vec::new();
             for round in 0..3u8 {

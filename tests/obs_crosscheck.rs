@@ -9,10 +9,11 @@
 //! instrumentation drift (an uncounted path, a double-counted
 //! `sendrecv`, a tag-layout change) breaks the equality.
 
+use intercom::ir::PlanOp;
 use intercom_cost::Strategy;
 use intercom_suite::driver::{record_threads, run_collective};
 use intercom_suite::obs::{stage_of, EventKind, RunRecord};
-use intercom_verify::{extract_programs, match_programs, Schedule, VerifyOp};
+use intercom_verify::{extract_programs, match_programs, Schedule};
 
 /// Per-rank (bytes_out, bytes_in, msgs_sent, msgs_recvd) of a symbolic
 /// schedule: every matched event is one message src → dst.
@@ -34,7 +35,7 @@ fn recorded_traffic(run: &RunRecord) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-fn crosscheck(op: VerifyOp, strategy: Option<&Strategy>, p: usize, n: usize) {
+fn crosscheck(op: PlanOp, strategy: Option<&Strategy>, p: usize, n: usize) {
     let programs = extract_programs(&op, strategy, p, n).expect("extraction");
     let sched = match_programs(&programs).expect("schedule matches");
     let rec = record_threads(&op, strategy, p, n, 8192);
@@ -68,12 +69,12 @@ fn recorded_bytes_match_verifier_schedules_exactly() {
         // The seven collectives; vector ops at a prime length, block
         // ops at an awkward block size, roots at both ends.
         let root = p - 1;
-        let strategied: [(VerifyOp, usize); 5] = [
-            (VerifyOp::Broadcast { root }, 947),
-            (VerifyOp::Reduce { root: 0 }, 947),
-            (VerifyOp::AllReduce, 947),
-            (VerifyOp::ReduceScatter, 13),
-            (VerifyOp::Collect, 13),
+        let strategied: [(PlanOp, usize); 5] = [
+            (PlanOp::Broadcast { root }, 947),
+            (PlanOp::Reduce { root: 0 }, 947),
+            (PlanOp::AllReduce, 947),
+            (PlanOp::ReduceScatter, 13),
+            (PlanOp::Collect, 13),
         ];
         for st in [Strategy::pure_mst(p), Strategy::pure_long(p)] {
             for (op, n) in &strategied {
@@ -81,8 +82,8 @@ fn recorded_bytes_match_verifier_schedules_exactly() {
             }
         }
         for (op, n) in [
-            (VerifyOp::Scatter { root }, 13usize),
-            (VerifyOp::Gather { root: 0 }, 13),
+            (PlanOp::Scatter { root }, 13usize),
+            (PlanOp::Gather { root: 0 }, 13),
         ] {
             crosscheck(op, None, p, n);
         }
@@ -134,7 +135,7 @@ fn driver_moves_real_data() {
     let p = 4;
     let st = Strategy::pure_mst(p);
     let out = intercom_runtime::run_world(p, |c| {
-        run_collective(c, &VerifyOp::Broadcast { root: 0 }, Some(&st), 64).unwrap();
+        run_collective(c, &PlanOp::Broadcast { root: 0 }, Some(&st), 64).unwrap();
         c.rank()
     });
     assert_eq!(out, vec![0, 1, 2, 3]);

@@ -52,11 +52,28 @@ if [[ "${1:-}" == "sanitize" ]]; then
     exit 0
 fi
 
+# at_least WHAT ACTUAL MIN
+at_least() {
+    if [[ -z "$2" || "$2" -lt "$3" ]]; then
+        echo "ci.sh: the audit reports ${2:-no} $1, expected at least $3"
+        exit 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> envelope identity sweep (selection by lookup == selection by enumeration)"
+# Any mismatch fails the test; a sweep over fewer lengths than today
+# fails the count.
+sweep="$(cargo test --release -p intercom-cost --test envelope_identity -- --ignored --nocapture)" || {
+    echo "$sweep"
+    exit 1
+}
+at_least "identity-sweep points" "$(grep -o 'identity sweep: [0-9]*' <<<"$sweep" | grep -o '[0-9]*$')" 4840930
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -83,14 +100,6 @@ audit() {
 # document's top-level MEMBER (the audit prints one member per line).
 audit_count() {
     grep "^  \"$2\":" "$audit_dir/$1.json" | grep -o "\"$3\": *[0-9]*" | head -1 | grep -o '[0-9]*$'
-}
-
-# at_least WHAT ACTUAL MIN
-at_least() {
-    if [[ -z "$2" || "$2" -lt "$3" ]]; then
-        echo "ci.sh: the audit reports ${2:-no} $1, expected at least $3"
-        exit 1
-    fi
 }
 
 echo "==> schedule-audit (static verification sweep)"

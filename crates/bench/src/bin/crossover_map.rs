@@ -7,16 +7,24 @@
 //!
 //! Run: `cargo run -p intercom-bench --bin crossover_map`
 
-use intercom_cost::{best_strategy, CollectiveOp, CostContext, MachineParams, StrategyKind};
+use intercom_cost::select::{envelope, Space};
+use intercom_cost::{CollectiveOp, CostContext, MachineParams, StrategyKind};
 
-fn class(p: usize, n: usize, machine: &MachineParams) -> char {
-    let s = best_strategy(CollectiveOp::Broadcast, p, n, machine, CostContext::LINEAR);
-    match (s.ndims(), s.kind) {
-        (1, StrategyKind::Mst) => 'M',
-        (1, StrategyKind::ScatterCollect) => 'S',
-        (2, _) => 'h',
-        _ => 'H',
-    }
+/// One map row: the class of the winner at each `n = 2^e`, read off the
+/// row's envelope.
+fn row(p: usize, n_exps: &[u32], machine: &MachineParams) -> String {
+    let op = CollectiveOp::Broadcast;
+    let env = envelope(op, Space::Linear(p), machine, CostContext::LINEAR);
+    let class = |e: &u32| {
+        let s = env.at(1usize << e).0;
+        match (s.ndims(), s.kind) {
+            (1, StrategyKind::Mst) => 'M',
+            (1, StrategyKind::ScatterCollect) => 'S',
+            (2, _) => 'h',
+            _ => 'H',
+        }
+    };
+    n_exps.iter().map(class).collect()
 }
 
 fn main() {
@@ -48,21 +56,13 @@ fn main() {
         if p > 16 && p % 8 != 0 {
             continue;
         }
-        print!("{p:>5} |");
-        for &e in &n_exps {
-            print!("{}", class(p, 1usize << e, &machine));
-        }
-        println!();
+        println!("{p:>5} |{}", row(p, &n_exps, &machine));
     }
 
     println!("\ncrossover reading: below the M→hybrid boundary startups dominate;");
     println!("prime p rows show the §6 caveat (no factorization → no hybrids:");
     println!("the selector jumps straight from M to S).");
     for p in [13usize, 31, 127] {
-        let line: String = n_exps
-            .iter()
-            .map(|&e| class(p, 1usize << e, &machine))
-            .collect();
-        println!("{p:>5} |{line}   (prime)");
+        println!("{p:>5} |{}   (prime)", row(p, &n_exps, &machine));
     }
 }

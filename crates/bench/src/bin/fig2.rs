@@ -3,16 +3,16 @@
 //! machine parameters similar to those of the Paragon, for message
 //! lengths 8 B – 1 MB (log–log in the paper).
 //!
-//! Emits a CSV block (one column per hybrid) plus the per-length winner.
+//! Emits a CSV block (one column per hybrid) plus the lower envelope of
+//! the full strategy space with its exact crossover lengths.
 //!
 //! Run: `cargo run -p intercom-bench --bin fig2`
 
-use intercom_bench::report::{csv, Table};
+use intercom_bench::report::csv;
 use intercom_bench::sizes::pow2_sweep;
 use intercom_cost::collective::hybrid_cost;
-use intercom_cost::{
-    best_strategy, CollectiveOp, CostContext, MachineParams, Strategy, StrategyKind,
-};
+use intercom_cost::select::{envelope, Space};
+use intercom_cost::{CollectiveOp, CostContext, MachineParams, Strategy, StrategyKind};
 
 fn main() {
     let machine = MachineParams::PARAGON_MODEL;
@@ -48,19 +48,9 @@ fn main() {
     println!("{}", csv(&header_refs, &rows));
 
     // The winner at each length over the FULL strategy space — the
-    // "lower envelope" the library's selector follows.
-    println!("selector's choice (full enumeration) per message length:");
-    let mut t = Table::new(vec!["bytes", "strategy", "predicted time (s)"]);
-    for n in pow2_sweep(8, 1 << 20, 2) {
-        let s = best_strategy(
-            CollectiveOp::Broadcast,
-            30,
-            n,
-            &machine,
-            CostContext::LINEAR,
-        );
-        let time = hybrid_cost(CollectiveOp::Broadcast, &s, CostContext::LINEAR).eval(n, &machine);
-        t.row(vec![n.to_string(), s.to_string(), format!("{time:.6e}")]);
-    }
-    println!("{}", t.render());
+    // lower envelope the library's selector looks its choice up in.
+    println!("selector's choice (full enumeration), from the first length it wins at:");
+    let op = CollectiveOp::Broadcast;
+    let env = envelope(op, Space::Linear(30), &machine, CostContext::LINEAR);
+    println!("{env}");
 }

@@ -27,11 +27,12 @@ use crate::selector::{choose_strategy, GroupShape};
 use intercom_cost::{hybrid_cost, CostContext, MachineParams, Strategy, TunedParams};
 use intercom_obs::drift::{DriftConfig, DriftMonitor, DriftVerdict};
 use intercom_obs::residual::ResidualReport;
+use std::collections::HashSet;
 
 /// One call shape the tuner re-selects for after a refit. What the
 /// cache is keyed on and what the selector prices
 /// ([`cost_op`], [`PlanOp::cost_bytes`]) both follow from it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TrackedShape {
     /// The collective (with root/segment parameters) as cached.
     pub op: PlanOp,
@@ -88,6 +89,8 @@ pub struct AutoTuner {
     monitor: DriftMonitor,
     tuned: TunedParams,
     shapes: Vec<TrackedShape>,
+    /// `shapes` by hash: `track` runs on every `Algo::Auto` call.
+    seen: HashSet<TrackedShape>,
 }
 
 impl AutoTuner {
@@ -103,6 +106,7 @@ impl AutoTuner {
             monitor: DriftMonitor::with_config(params, cfg),
             tuned: TunedParams::new(params),
             shapes: Vec::new(),
+            seen: HashSet::new(),
         }
     }
 
@@ -124,7 +128,7 @@ impl AutoTuner {
     /// Registers a call shape for post-refit re-selection. Duplicate
     /// registrations are ignored.
     pub fn track(&mut self, shape: TrackedShape) {
-        if !self.shapes.contains(&shape) {
+        if self.seen.insert(shape.clone()) {
             self.shapes.push(shape);
         }
     }

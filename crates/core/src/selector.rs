@@ -5,9 +5,10 @@
 //! provided as well as an accurate model for their expense as a function
 //! of message length and number of interleaving subgroups" (§7.1). The
 //! selector does exactly that: given the collective, the group's physical
-//! shape, the message length and the machine parameters, it evaluates the
-//! closed-form cost of every enumerable strategy and returns the
-//! cheapest.
+//! shape, the message length and the machine parameters, it returns the
+//! enumerable strategy whose closed-form cost is lowest — looked up in
+//! the cost model's lower envelope for that shape
+//! ([`intercom_cost::select::Envelope`]), which is built once per process.
 
 use intercom_cost::select::best_mesh_strategy;
 use intercom_cost::{
@@ -20,7 +21,7 @@ use intercom_topology::{GroupStructure, Mesh2D, ProcGroup};
 /// row- and column-based techniques are used as in the whole-mesh
 /// operations. When a group is unstructured … it is treated as though it
 /// were a linear array").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupShape {
     /// A linear array (physical line or unstructured group) of `p` nodes.
     Linear(usize),

@@ -17,10 +17,8 @@ use crate::machine::MachineParams;
 /// * `None` when `a` is cheaper (or equal) everywhere.
 pub fn crossover_length(a: &CostExpr, b: &CostExpr, m: &MachineParams) -> Option<usize> {
     // time_a(n) = A1 + S1·n, time_b(n) = A2 + S2·n
-    let a1 = a.alpha_c * m.alpha + a.delta_c * m.delta;
-    let s1 = a.beta_c * m.beta + a.gamma_c * m.gamma;
-    let a2 = b.alpha_c * m.alpha + b.delta_c * m.delta;
-    let s2 = b.beta_c * m.beta + b.gamma_c * m.gamma;
+    let (a1, s1) = a.line(m);
+    let (a2, s2) = b.line(m);
     if a2 <= a1 && s2 <= s1 {
         return Some(0); // b dominates
     }

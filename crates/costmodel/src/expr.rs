@@ -83,6 +83,14 @@ impl CostExpr {
             + self.delta_c * m.delta
     }
 
+    /// The expression as a line in `n` on machine `m`: `(intercept, slope)`.
+    pub fn line(&self, m: &MachineParams) -> (f64, f64) {
+        (
+            self.alpha_c * m.alpha + self.delta_c * m.delta,
+            self.beta_c * m.beta + self.gamma_c * m.gamma,
+        )
+    }
+
     /// Renders the expression the way the paper's Table 2 does, with the
     /// β/γ coefficients shown as `(x/p)` fractions over the given
     /// denominator, e.g. `"9α + (160/30)nβ"` for `p = 30`.

@@ -30,7 +30,7 @@
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
 use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::machine::MachineParams;
-use crate::select::{best_mesh_strategy, best_strategy};
+use crate::select::{envelope, Space};
 use crate::strategy::Strategy;
 use std::fmt;
 
@@ -487,6 +487,43 @@ pub fn flat_on_cluster_cost(
     hybrid_cost(op, s, CostContext::linear_with(inter)).eval(n, inter)
 }
 
+/// Per-level selection with its price: each template stage looks up its
+/// level's envelope at its stage volume, and the cached costs at that
+/// volume sum to what [`hier_cost`] would say of the result.
+fn select_priced(
+    op: CollectiveOp,
+    shape: ClusterShape,
+    n: usize,
+    machine: &HierMachine,
+) -> Option<(HierStrategy, f64)> {
+    let mut seconds = 0.0;
+    let stages = hier_template(op, shape)?
+        .iter()
+        .map(|spec| {
+            let params = machine.level(spec.level as usize);
+            let (space, ctx) = match (spec.level, inter_mesh_2d(shape)) {
+                // A true 2-D inter mesh: the leader plane keeps the
+                // row/column structure, so the stage picks among the
+                // §7.1 mesh-aware strategies.
+                (1, Some((rows, cols))) => {
+                    (Space::Mesh { rows, cols }, CostContext::mesh_with(params))
+                }
+                _ => (Space::Linear(spec.group), CostContext::linear_with(params)),
+            };
+            let bytes = spec.bytes(n);
+            let env = envelope(spec.role.cost_op(), space, params, ctx);
+            let (strategy, cost) = env.at(bytes);
+            seconds += cost.eval(bytes, params);
+            HierStage {
+                level: spec.level,
+                role: spec.role,
+                strategy: strategy.clone(),
+            }
+        })
+        .collect();
+    Some((HierStrategy { shape, stages }, seconds))
+}
+
 /// Per-level selection: the cheapest hierarchical strategy for `op` on
 /// `shape` at `n` bytes. Each stage independently picks the best flat
 /// strategy under its level's parameters at its stage volume — globally
@@ -498,34 +535,7 @@ pub fn select_hier(
     n: usize,
     machine: &HierMachine,
 ) -> Option<HierStrategy> {
-    let specs = hier_template(op, shape)?;
-    let stages = specs
-        .iter()
-        .map(|spec| {
-            let params = machine.level(spec.level as usize);
-            let strategy = match (spec.level, inter_mesh_2d(shape)) {
-                // A true 2-D inter mesh: the leader plane keeps the
-                // row/column structure, so the stage picks among the
-                // §7.1 mesh-aware strategies.
-                (1, Some((r, c))) => {
-                    best_mesh_strategy(spec.role.cost_op(), r, c, spec.bytes(n), params)
-                }
-                _ => best_strategy(
-                    spec.role.cost_op(),
-                    spec.group,
-                    spec.bytes(n),
-                    params,
-                    CostContext::linear_with(params),
-                ),
-            };
-            HierStage {
-                level: spec.level,
-                role: spec.role,
-                strategy,
-            }
-        })
-        .collect();
-    Some(HierStrategy { shape, stages })
+    select_priced(op, shape, n, machine).map(|(h, _)| h)
 }
 
 /// What [`choose_hier`] decided: run flat, or run the hierarchical
@@ -549,7 +559,10 @@ impl fmt::Display for HierChoice {
 
 /// Prices the best hierarchical hybrid against the best flat strategy
 /// (both under the two-level model; flat pays the inter-node level per
-/// [`flat_on_cluster_cost`]) and returns the winner.
+/// [`flat_on_cluster_cost`]) and returns the winner. Both sides are
+/// envelope lookups, but the comparison happens per call: a stage
+/// volume is `⌊n·num/den⌋`, so the hybrid's price is not a line in `n`
+/// and a precomputed arbiter would move picks near the crossover.
 pub fn choose_hier(
     op: CollectiveOp,
     shape: ClusterShape,
@@ -557,17 +570,19 @@ pub fn choose_hier(
     machine: &HierMachine,
 ) -> HierChoice {
     let inter = machine.inter();
-    let flat = best_strategy(op, shape.ranks(), n, inter, CostContext::linear_with(inter));
-    let flat_t = flat_on_cluster_cost(op, &flat, n, machine);
-    match select_hier(op, shape, n, machine) {
-        Some(h) if hier_cost(op, &h, n, machine) < flat_t => HierChoice::Hier(h),
-        _ => HierChoice::Flat(flat),
+    let ctx = CostContext::linear_with(inter);
+    let env = envelope(op, Space::Linear(shape.ranks()), inter, ctx);
+    let (flat, flat_cost) = env.at(n);
+    match select_priced(op, shape, n, machine) {
+        Some((h, seconds)) if seconds < flat_cost.eval(n, inter) => HierChoice::Hier(h),
+        _ => HierChoice::Flat(flat.clone()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::best_strategy;
 
     fn cluster_machine() -> HierMachine {
         HierMachine::paragon_cluster()

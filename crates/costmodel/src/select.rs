@@ -2,16 +2,28 @@
 //!
 //! The paper favours "effective heuristics" over theoretically optimal
 //! methods (§6): with the closed-form costs available, the heuristic is
-//! simply to evaluate every enumerated strategy at the actual message
-//! length and machine parameters and take the cheapest — the approach the
-//! library uses at run time once "good short and long vector primitives
-//! are provided as well as an accurate model for their expense" (§7.1).
+//! to price every enumerated strategy at the actual message length and
+//! machine parameters and take the cheapest — the approach the library
+//! uses at run time once "good short and long vector primitives are
+//! provided as well as an accurate model for their expense" (§7.1).
+//!
+//! Every candidate's cost is a line in `n`, so the cheapest-at-`n`
+//! function is their lower envelope — the paper's Fig. 2: a few hybrids,
+//! each winning one interval of message length. An [`Envelope`] is that
+//! list of intervals, built once per selection space and kept in one
+//! process-wide table every rank shares; [`best_strategy`] and
+//! [`best_mesh_strategy`] are a binary search over it, and
+//! [`rank_strategies`] stays the per-call full ranking it must agree with.
 
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
+use crate::crossover::crossover_length;
 use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::expr::CostExpr;
 use crate::machine::MachineParams;
-use crate::strategy::Strategy;
+use crate::strategy::{ConflictModel, Strategy};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
 
 /// A strategy with its cost expression and evaluated time.
 #[derive(Debug, Clone)]
@@ -50,6 +62,178 @@ pub fn rank_strategies(
     ranked
 }
 
+/// The candidate space one selection runs over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Space {
+    /// Every hybrid of a `p`-node linear array ([`enumerate_strategies`]).
+    Linear(usize),
+    /// The mesh-aware hybrids of a physical mesh ([`enumerate_mesh_strategies`]).
+    Mesh { rows: usize, cols: usize },
+}
+
+/// The lower envelope of one selection space: for every message length,
+/// the strategy the full ranking would put first.
+///
+/// Hybrids that differ only in the order of their dims are often one
+/// line priced through different float sums (`beta_c` 3.1 against
+/// 3.0999999999999996), and the ranking's pick between them follows the
+/// rounding of [`CostExpr::eval`] at each `n`. So an interval keeps
+/// every such *co-winner* of its winner, in enumeration order, and a
+/// lookup prices just those with the same `eval` and first-minimum rule.
+#[derive(Debug)]
+pub struct Envelope {
+    machine: MachineParams,
+    /// `(first_n, strategy, cost)` sorted by `first_n`; the entries of
+    /// one interval share its `first_n`.
+    entries: Vec<(usize, Strategy, CostExpr)>,
+}
+
+/// Index of the first strict minimum of the costs at `n` bytes — the
+/// tie rule of the full ranking (a stable sort) and of the mesh scan.
+fn first_min(costs: impl IntoIterator<Item = CostExpr>, n: usize, m: &MachineParams) -> usize {
+    let mut best = (0, f64::INFINITY);
+    for (i, c) in costs.into_iter().enumerate() {
+        let t = c.eval(n, m);
+        if t < best.1 {
+            best = (i, t);
+        }
+    }
+    best.0
+}
+
+/// Whether two intercepts or slopes are equal up to float-sum rounding.
+fn close(x: f64, y: f64) -> bool {
+    (x - y).abs() <= 1e-9 * x.abs().max(y.abs())
+}
+
+impl Envelope {
+    fn build(op: CollectiveOp, space: Space, machine: MachineParams, ctx: CostContext) -> Self {
+        let strategies = match space {
+            Space::Linear(p) => enumerate_strategies(p, 0),
+            Space::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, 0),
+        };
+        let costs: Vec<CostExpr> = strategies.iter().map(|s| hybrid_cost(op, s, ctx)).collect();
+        let lines: Vec<(f64, f64)> = costs.iter().map(|c| c.line(&machine)).collect();
+        let winner = |n: usize| first_min(costs.iter().copied(), n, &machine);
+        let mut entries = Vec::new();
+        let mut start = 0;
+        'walk: loop {
+            let w = winner(start);
+            let (intercept, slope) = lines[w];
+            // `w` itself belongs even if its line is not finite.
+            let co_wins =
+                |i: usize| i == w || close(lines[i].0, intercept) && close(lines[i].1, slope);
+            let group = (0..costs.len()).filter(|&i| co_wins(i));
+            entries.extend(group.map(|i| (start, strategies[i].clone(), costs[i])));
+            let in_group = |n: usize| co_wins(winner(n));
+            // The closed form says where the next line takes over; the
+            // exact integer is where the full argmin leaves the group,
+            // searched outward from that hint (`lo` in the group, `hi`
+            // not). Lines parallel to the winner's up to rounding are
+            // left out: their "crossing" lies past 10^15 bytes, where
+            // the ranking flips with the noise of `eval`.
+            let hint = (0..costs.len())
+                .filter(|&i| !close(lines[i].1, slope))
+                .filter_map(|i| crossover_length(&costs[w], &costs[i], &machine))
+                .map(|n| n.max(start.saturating_add(1)))
+                .min();
+            let Some(mut hi) = hint else { break };
+            let (mut lo, mut step) = (start, 1usize);
+            while in_group(hi) {
+                if hi == usize::MAX {
+                    break 'walk; // the group wins to the end
+                }
+                (lo, hi, step) = (hi, hi.saturating_add(step), step.saturating_mul(2));
+            }
+            if lo == start && in_group(hi - 1) {
+                lo = hi - 1; // the usual case: the hint is exact
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if in_group(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            start = hi;
+        }
+        Envelope { machine, entries }
+    }
+
+    /// The winning strategy at `n` bytes and its symbolic cost.
+    pub fn at(&self, n: usize) -> (&Strategy, &CostExpr) {
+        let end = self.entries.partition_point(|e| e.0 <= n);
+        let first_n = self.entries[end - 1].0;
+        let begin = self.entries[..end].partition_point(|e| e.0 < first_n);
+        let co_winners = &self.entries[begin..end];
+        let e = &co_winners[first_min(co_winners.iter().map(|e| e.2), n, &self.machine)];
+        (&e.1, &e.2)
+    }
+
+    /// Every `(first_n, strategy, cost)` in order: an entry wins from
+    /// `first_n` bytes to the next larger one; equal `first_n`s co-win.
+    pub fn intervals(&self) -> impl Iterator<Item = (usize, &Strategy, &CostExpr)> {
+        self.entries.iter().map(|(n, s, c)| (*n, s, c))
+    }
+}
+
+/// Table 2's notation, one line per interval with its co-winners
+/// appended: `n ≥ 20462: (5x6, SSCC) 15α + (98/30)nβ = (6x5, SSCC)`.
+impl fmt::Display for Envelope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut prev = None;
+        for (n, s, c) in self.intervals() {
+            if prev == Some(n) {
+                write!(f, " = {s}")?;
+            } else {
+                let nl = if prev.is_some() { "\n" } else { "" };
+                write!(f, "{nl}n ≥ {n}: {s} {}", c.display_over(s.nodes()))?;
+            }
+            prev = Some(n);
+        }
+        Ok(())
+    }
+}
+
+/// What an envelope depends on. The floats (`ctx.link_excess`, then the
+/// machine's five) enter as their bits, so a refit is simply a new key.
+type Key = (CollectiveOp, Space, ConflictModel, u64, [u64; 5]);
+
+/// Refit loops mint a new key per refit; past this many envelopes the
+/// table starts over rather than grow without limit.
+const MAX_ENVELOPES: usize = 1024;
+
+static TABLE: LazyLock<RwLock<HashMap<Key, Arc<Envelope>>>> = LazyLock::new(Default::default);
+
+/// The envelope of `op` over `space` priced under `ctx` on `machine`:
+/// built by the first caller, shared with every later one.
+pub fn envelope(
+    op: CollectiveOp,
+    space: Space,
+    machine: &MachineParams,
+    ctx: CostContext,
+) -> Arc<Envelope> {
+    let m = machine;
+    let bits = [m.alpha, m.beta, m.gamma, m.delta, m.link_excess].map(f64::to_bits);
+    let key: Key = (op, space, ctx.model, ctx.link_excess.to_bits(), bits);
+    // A poisoned lock is recovered: inserts and clears leave the map valid.
+    if let Some(e) = TABLE
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
+        return e.clone();
+    }
+    let built = Arc::new(Envelope::build(op, space, *machine, ctx));
+    let mut table = TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    if table.len() >= MAX_ENVELOPES {
+        table.clear();
+    }
+    // Racing builders of one key all leave with the first insertion.
+    table.entry(key).or_insert(built).clone()
+}
+
 /// The cheapest strategy for `op` on `p` linear-array nodes at `n` bytes.
 pub fn best_strategy(
     op: CollectiveOp,
@@ -58,11 +242,7 @@ pub fn best_strategy(
     machine: &MachineParams,
     ctx: CostContext,
 ) -> Strategy {
-    rank_strategies(op, p, n, machine, ctx, 0)
-        .into_iter()
-        .next()
-        .expect("at least the trivial strategy exists")
-        .strategy
+    envelope(op, Space::Linear(p), machine, ctx).at(n).0.clone()
 }
 
 /// The cheapest mesh-aware strategy for `op` on an `rows × cols` physical
@@ -76,14 +256,8 @@ pub fn best_mesh_strategy(
     machine: &MachineParams,
 ) -> Strategy {
     let ctx = CostContext::mesh_with(machine);
-    let mut best: Option<(f64, Strategy)> = None;
-    for s in enumerate_mesh_strategies(rows, cols, 0) {
-        let t = hybrid_cost(op, &s, ctx).eval(n, machine);
-        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-            best = Some((t, s));
-        }
-    }
-    best.expect("at least one mesh strategy exists").1
+    let env = envelope(op, Space::Mesh { rows, cols }, machine, ctx);
+    env.at(n).0.clone()
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub enum StrategyKind {
 
 /// How concurrent stage groups interact on the physical network — the
 /// source of the bold-face conflict factors in the paper's §6 formulas.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConflictModel {
     /// The group occupies a linear array (or is unstructured, §9): the
     /// stage in dimension `i` interleaves `sᵢ = d1·…·dᵢ₋₁` groups over

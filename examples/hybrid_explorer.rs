@@ -6,6 +6,7 @@
 //! (defaults: p = 30, bytes = 4096 — the paper's Table 2 setting)
 
 use intercom_cost::collective::hybrid_cost;
+use intercom_cost::select::{envelope, Space};
 use intercom_cost::{crossover_length, rank_strategies, CollectiveOp, CostContext, MachineParams};
 
 fn main() {
@@ -66,23 +67,9 @@ fn main() {
         None => println!("\npure MST dominates at every length for p = {p}"),
     }
 
-    // Where the selector's choice changes over a sweep.
-    println!("\nselector's pick vs message length:");
-    let mut last = String::new();
-    for exp in 3..=20 {
-        let nn = 1usize << exp;
-        let best = &rank_strategies(
-            CollectiveOp::Broadcast,
-            p,
-            nn,
-            &machine,
-            CostContext::LINEAR,
-            0,
-        )[0];
-        let name = best.strategy.to_string();
-        if name != last {
-            println!("  from {nn:>8} B: {name}   (predicted {:.3e} s)", best.time);
-            last = name;
-        }
-    }
+    // Where the selector's choice changes: its lower envelope.
+    println!("\nselector's pick, from the first length it wins at:");
+    let op = CollectiveOp::Broadcast;
+    let env = envelope(op, Space::Linear(p), &machine, CostContext::LINEAR);
+    println!("{env}");
 }

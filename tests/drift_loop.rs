@@ -13,8 +13,9 @@ use intercom_suite::cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams
 use intercom_suite::driver::{record_sim, residual_report};
 use intercom_suite::intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
 use intercom_suite::intercom::selector::{choose_strategy, GroupShape};
-use intercom_suite::intercom::{AutoTuner, TrackedShape};
+use intercom_suite::intercom::{AutoTuner, Communicator, TrackedShape};
 use intercom_suite::obs::metrics;
+use intercom_suite::runtime::run_world;
 use intercom_suite::topology::Mesh2D;
 
 #[test]
@@ -78,11 +79,14 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     let op = PlanOp::Broadcast { root: 0 };
     let fit_strategy = Strategy::pure_long(p);
     let mut retune = None;
+    let mut reports = Vec::new();
     for fed in 1..=8 {
         let rec = record_sim(&op, Some(&fit_strategy), Mesh2D::new(1, p), n, true_machine);
         let report = residual_report(&rec, &op, &fit_strategy, &configured, n)
             .expect("broadcast has a cost-model counterpart");
-        if let Some(r) = tuner.observe_with_cache(&report, &cache) {
+        let verdict = tuner.observe_with_cache(&report, &cache);
+        reports.push(report);
+        if let Some(r) = verdict {
             assert!(fed >= 3, "confidence gate must hold until min_samples");
             retune = Some(r);
             break;
@@ -158,4 +162,17 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     assert!(sim_hist.count() >= 3, "one observation per fed report");
 
     metrics::set_enabled(false);
+
+    // Every rank's communicator, fed the same reports, adopts the refit:
+    // its next automatic selection is priced under the new parameters.
+    let picks = run_world(p, |c| {
+        let mut cc = Communicator::world(c, configured);
+        cc.attach_tuner(AutoTuner::new(configured));
+        let before = cc.auto_strategy(CollectiveOp::Broadcast, n);
+        for report in &reports {
+            cc.observe(report);
+        }
+        (before, cc.auto_strategy(CollectiveOp::Broadcast, n))
+    });
+    assert!(picks.iter().all(|(a, b)| *a == stale && *b == fresh_truth));
 }

@@ -60,11 +60,31 @@ at_least() {
     fi
 }
 
+# at_most WHAT ACTUAL MAX
+at_most() {
+    if [[ -z "$2" || "$2" -gt "$3" ]]; then
+        echo "ci.sh: the audit reports ${2:-no} $1, expected at most $3"
+        exit 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> examples (release, each under a 120 s timeout)"
+# The only user-style programs that call Comm::send directly (jacobi's
+# halo edges): a send-ordering deadlock fails here instead of hanging.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    timeout 120 "target/release/examples/$name" >/dev/null || {
+        echo "ci.sh: example $name failed or timed out"
+        exit 1
+    }
+done
 
 echo "==> envelope identity sweep (selection by lookup == selection by enumeration)"
 # Any mismatch fails the test; a sweep over fewer lengths than today
@@ -109,6 +129,10 @@ at_least "optimized-IR checks" "$(audit_count default optsweep checks)" 14943
 at_least "trace cross-checks" "$(audit_count default crosscheck checks)" 2577
 at_least "concurrent scenarios" "$(audit_count default concurrent scenarios)" 13
 at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default.json" | wc -l)" 13
+# Pinned from above: every dead copy is a local copy the direct path
+# still makes (586 975 before the bucket reduce-scatter read its input
+# in place).
+at_most "dead copies" "$(audit_count default optsweep dead_copies)" 562500
 
 echo "==> schedule-audit --source=concurrent (multi-tenant non-interference sweep)"
 audit concurrent --source=concurrent

@@ -6,7 +6,11 @@
 //! rank `r`'s block lives at slot [`slot_of`]`(dims, r)`, which makes the
 //! blocks of every recursion subtree contiguous. The permutation is a
 //! node-local memcpy (free of communication) applied once on entry
-//! (distributed combine) or once on exit (collect).
+//! (distributed combine) or once on exit (collect). Under a
+//! one-dimensional strategy slot order *is* rank order: collect skips
+//! the un-permute, and the bucket distributed combine reads the caller's
+//! contribution in place ([`ring_reduce_scatter_into`]). Every staging
+//! vector is a view of the caller's `scratch`.
 //!
 //! Per the template (Fig. 3), collect's stage 1 is void — the recursion
 //! descends straight to the innermost dimension, whose *short* center is
@@ -20,8 +24,8 @@ use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::{
-    mst_bcast, mst_gather, mst_reduce_scratch, mst_scatter, ring_collect,
-    ring_reduce_scatter_scratch,
+    mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
+    ring_reduce_scatter_into,
 };
 use intercom_cost::{Strategy, StrategyKind};
 use std::ops::Range;
@@ -33,28 +37,15 @@ fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
 /// Collect: member `j` contributes the block `mine`; on return, `all`
 /// holds every member's block concatenated in logical-rank order
 /// (`all.len() == p · mine.len()`). Blocks are equal-length per rank, as
-/// in the paper's `nᵢ ≈ n/p` setting.
+/// in the paper's `nᵢ ≈ n/p` setting. A multi-dimensional strategy
+/// stages its slot un-permutation in `scratch`.
 pub fn collect<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     strategy: &Strategy,
     mine: &[T],
     all: &mut [T],
     tag: Tag,
-) -> Result<()> {
-    collect_scratch(gc, strategy, mine, all, tag, &mut Vec::new())
-}
-
-/// [`collect`] with a caller-supplied scratch buffer for the multi-dim
-/// slot un-permutation, so repeated planned executions ([`crate::plan::CollectPlan`])
-/// reuse one steady-state allocation instead of copying `all` afresh
-/// every call.
-pub fn collect_scratch<T: Scalar, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    strategy: &Strategy,
-    mine: &[T],
-    all: &mut [T],
-    tag: Tag,
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     check_strategy(gc, strategy)?;
     let p = gc.len();
@@ -73,12 +64,11 @@ pub fn collect_scratch<T: Scalar, C: Comm + ?Sized>(
     // Un-permute into rank order (identity for one-dimensional
     // strategies).
     if dims.len() > 1 {
-        scratch.clear();
-        scratch.resize(all.len(), T::default());
-        gc.copy(all, &mut scratch[..]);
+        let slots = T::scratch(scratch, all.len());
+        gc.copy(all, slots);
         for q in 0..p {
             let s = slot_of(dims, q);
-            gc.copy(&scratch[s * b..(s + 1) * b], &mut all[q * b..(q + 1) * b]);
+            gc.copy(&slots[s * b..(s + 1) * b], &mut all[q * b..(q + 1) * b]);
         }
     }
     Ok(())
@@ -132,7 +122,8 @@ fn collect_rec<T: Scalar, C: Comm + ?Sized>(
 
 /// Distributed combine: every member contributes `contrib`
 /// (`p · mine.len()` items); on return, member `j`'s `mine` holds block
-/// `j` of the element-wise ⊕ over all contributions.
+/// `j` of the element-wise ⊕ over all contributions. `contrib` is never
+/// written; what the combine must overwrite lives in `scratch`.
 pub fn reduce_scatter<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     strategy: &Strategy,
@@ -140,6 +131,7 @@ pub fn reduce_scatter<T: Elem, C: Comm + ?Sized>(
     mine: &mut [T],
     op: ReduceOp,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     check_strategy(gc, strategy)?;
     let p = gc.len();
@@ -151,16 +143,23 @@ pub fn reduce_scatter<T: Elem, C: Comm + ?Sized>(
         });
     }
     let dims = &strategy.dims;
-    // Permute the contribution into slot order. The work buffer and the
-    // per-stage bucket scratch are each allocated once here and threaded
-    // through every recursion level.
-    let mut work = vec![T::default(); p * b];
+    if p == 1 || (dims.len() == 1 && strategy.kind == StrategyKind::ScatterCollect) {
+        // Slot order is rank order and the ring only ever sends a block
+        // it received, so nothing of `contrib` needs a writable copy.
+        let buckets = T::scratch(scratch, b * p.saturating_sub(2).min(2));
+        return ring_reduce_scatter_into(gc, contrib, mine, op, tag, buckets);
+    }
+    // The in-place stages overwrite their vector: pack the contribution
+    // into slot order, next to the one bucket every stage receives into
+    // (whole vectors for the MST combine, else the first ring stage's
+    // super-block, the largest).
+    let bucket_len = if dims.len() == 1 { p } else { p / dims[0] } * b;
+    let (work, bucket) = T::scratch(scratch, p * b + bucket_len).split_at_mut(p * b);
     for q in 0..p {
         let s = slot_of(dims, q);
         gc.copy(&contrib[q * b..(q + 1) * b], &mut work[s * b..(s + 1) * b]);
     }
-    let mut scratch = Vec::new();
-    rs_rec(gc, dims, strategy.kind, &mut work, b, op, tag, &mut scratch)?;
+    rs_rec(gc, dims, strategy.kind, work, b, op, tag, bucket)?;
     let my_slot = slot_of(dims, gc.me());
     gc.copy(&work[my_slot * b..(my_slot + 1) * b], mine);
     Ok(())
@@ -175,7 +174,7 @@ fn rs_rec<T: Elem, C: Comm + ?Sized>(
     b: usize,
     op: ReduceOp,
     tag: Tag,
-    scratch: &mut Vec<T>,
+    bucket: &mut [T],
 ) -> Result<()> {
     let p = gc.len();
     if p == 1 {
@@ -187,12 +186,10 @@ fn rs_rec<T: Elem, C: Comm + ?Sized>(
             StrategyKind::Mst => {
                 // Short distributed combine: combine-to-one followed by
                 // scatter (§5.1).
-                mst_reduce_scratch(gc, 0, work, op, tag, scratch)?;
+                mst_reduce(gc, 0, work, op, tag, bucket)?;
                 mst_scatter(gc, 0, work, &blocks, tag + 1)
             }
-            StrategyKind::ScatterCollect => {
-                ring_reduce_scatter_scratch(gc, work, &blocks, op, tag, scratch)
-            }
+            StrategyKind::ScatterCollect => ring_reduce_scatter(gc, work, &blocks, op, tag, bucket),
         };
     }
     let d0 = dims[0];
@@ -202,7 +199,7 @@ fn rs_rec<T: Elem, C: Comm + ?Sized>(
     // within my line; member j keeps super-block j (its own plane's).
     let line = gc.line(d0);
     let blocks = equal_blocks(d0, sub * b);
-    ring_reduce_scatter_scratch(&line, work, &blocks, op, tag, scratch)?;
+    ring_reduce_scatter(&line, work, &blocks, op, tag, bucket)?;
     // Stage 2 is void: recurse within my plane on my super-block.
     let plane = gc.plane(d0);
     let plane_range = my0 * sub * b..(my0 + 1) * sub * b;
@@ -214,7 +211,7 @@ fn rs_rec<T: Elem, C: Comm + ?Sized>(
         b,
         op,
         tag + LEVEL_TAG_STRIDE,
-        scratch,
+        bucket,
     )
 }
 
@@ -229,7 +226,8 @@ mod tests {
         let gc = GroupComm::world(&c);
         let mine = [9u64, 8];
         let mut all = [0u64; 2];
-        collect(&gc, &Strategy::pure_long(1), &mine, &mut all, 0).unwrap();
+        let long = Strategy::pure_long(1);
+        collect(&gc, &long, &mine, &mut all, 0, &mut Vec::new()).unwrap();
         assert_eq!(all, mine);
     }
 
@@ -246,6 +244,7 @@ mod tests {
             &mut mine,
             ReduceOp::Sum,
             0,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(mine, contrib);
@@ -255,10 +254,11 @@ mod tests {
     fn buffer_size_validated() {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
+        let short = Strategy::pure_mst(1);
         let mine = [1u8, 2];
         let mut all = [0u8; 3];
         assert!(matches!(
-            collect(&gc, &Strategy::pure_mst(1), &mine, &mut all, 0),
+            collect(&gc, &short, &mine, &mut all, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize {
                 expected: 2,
                 actual: 3
@@ -273,7 +273,8 @@ mod tests {
                 &contrib,
                 &mut m,
                 ReduceOp::Sum,
-                0
+                0,
+                &mut Vec::new()
             ),
             Err(CommError::BadBufferSize {
                 expected: 2,

@@ -13,14 +13,27 @@ use crate::block::partition;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
-use crate::primitives::{
-    mst_bcast, mst_gather, mst_reduce_scratch, ring_collect, ring_reduce_scatter_scratch,
-};
+use crate::primitives::{mst_bcast, mst_gather, mst_reduce, ring_collect, ring_reduce_scatter};
 use intercom_cost::{Strategy, StrategyKind};
+
+/// Workspace items a combine of `n` items borrows under `strategy`: the
+/// MST combine receives whole vectors, a ring stage its largest block —
+/// the first stage's, since every later stage works inside one block.
+fn bucket_len(strategy: &Strategy, n: usize) -> usize {
+    if strategy.nodes() == 1 {
+        0
+    } else if strategy.dims.len() == 1 && strategy.kind == StrategyKind::Mst {
+        n
+    } else {
+        n.div_ceil(strategy.dims[0])
+    }
+}
 
 /// Combine-to-one: every member contributes `buf`; on return, the root's
 /// `buf` holds the element-wise ⊕ of all contributions (other members'
-/// buffers are workspace).
+/// buffers are workspace). The one receive bucket every recursion level
+/// and ring stage shares is a view of `scratch`, which grows on first
+/// use and is reused as it is afterwards.
 pub fn reduce<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     strategy: &Strategy,
@@ -28,23 +41,7 @@ pub fn reduce<T: Elem, C: Comm + ?Sized>(
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
-) -> Result<()> {
-    let mut scratch = Vec::new();
-    reduce_scratch(gc, strategy, root, buf, op, tag, &mut scratch)
-}
-
-/// [`reduce`] with caller-provided scratch, threaded through every
-/// recursion level and ring stage: a persistent plan (or any caller
-/// issuing the same reduce repeatedly) pays zero steady-state
-/// allocations for temporaries.
-pub fn reduce_scratch<T: Elem, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    strategy: &Strategy,
-    root: usize,
-    buf: &mut [T],
-    op: ReduceOp,
-    tag: Tag,
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     check_strategy(gc, strategy)?;
     if root >= gc.len() {
@@ -53,6 +50,7 @@ pub fn reduce_scratch<T: Elem, C: Comm + ?Sized>(
             size: gc.len(),
         });
     }
+    let bucket = T::scratch(scratch, bucket_len(strategy, buf.len()));
     reduce_rec(
         gc,
         &strategy.dims,
@@ -61,7 +59,7 @@ pub fn reduce_scratch<T: Elem, C: Comm + ?Sized>(
         buf,
         op,
         tag,
-        scratch,
+        bucket,
     )
 }
 
@@ -74,7 +72,7 @@ fn reduce_rec<T: Elem, C: Comm + ?Sized>(
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
-    scratch: &mut Vec<T>,
+    bucket: &mut [T],
 ) -> Result<()> {
     let p = gc.len();
     if p == 1 {
@@ -82,10 +80,10 @@ fn reduce_rec<T: Elem, C: Comm + ?Sized>(
     }
     if dims.len() == 1 {
         return match kind {
-            StrategyKind::Mst => mst_reduce_scratch(gc, root, buf, op, tag, scratch),
+            StrategyKind::Mst => mst_reduce(gc, root, buf, op, tag, bucket),
             StrategyKind::ScatterCollect => {
                 let blocks = partition(buf.len(), p);
-                ring_reduce_scatter_scratch(gc, buf, &blocks, op, tag, scratch)?;
+                ring_reduce_scatter(gc, buf, &blocks, op, tag, bucket)?;
                 mst_gather(gc, root, buf, &blocks, tag + 1)
             }
         };
@@ -97,7 +95,7 @@ fn reduce_rec<T: Elem, C: Comm + ?Sized>(
     // Stage 1: every dim-0 line combines-and-scatters its members'
     // contributions; member j keeps the line-combined block j.
     let line = gc.line(d0);
-    ring_reduce_scatter_scratch(&line, buf, &blocks, op, tag, scratch)?;
+    ring_reduce_scatter(&line, buf, &blocks, op, tag, bucket)?;
     // Recurse within my plane: the plane member in the root's line
     // (plane rank root / d0) accumulates the fully-combined block `my0`.
     let plane = gc.plane(d0);
@@ -110,7 +108,7 @@ fn reduce_rec<T: Elem, C: Comm + ?Sized>(
         &mut buf[my_block],
         op,
         tag + LEVEL_TAG_STRIDE,
-        scratch,
+        bucket,
     )?;
     // Stage 2: only the root's line gathers the combined blocks to root.
     if me / d0 == root / d0 {
@@ -121,28 +119,18 @@ fn reduce_rec<T: Elem, C: Comm + ?Sized>(
 
 /// Combine-to-all: every member contributes `buf`; on return, *every*
 /// member's `buf` holds the element-wise ⊕ of all contributions.
+/// `scratch` lends the receive bucket, as for [`reduce`].
 pub fn allreduce<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     strategy: &Strategy,
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
-) -> Result<()> {
-    let mut scratch = Vec::new();
-    allreduce_scratch(gc, strategy, buf, op, tag, &mut scratch)
-}
-
-/// [`allreduce`] with caller-provided scratch (see [`reduce_scratch`]).
-pub fn allreduce_scratch<T: Elem, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    strategy: &Strategy,
-    buf: &mut [T],
-    op: ReduceOp,
-    tag: Tag,
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     check_strategy(gc, strategy)?;
-    allreduce_rec(gc, &strategy.dims, strategy.kind, buf, op, tag, scratch)
+    let bucket = T::scratch(scratch, bucket_len(strategy, buf.len()));
+    allreduce_rec(gc, &strategy.dims, strategy.kind, buf, op, tag, bucket)
 }
 
 fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
@@ -152,7 +140,7 @@ fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
-    scratch: &mut Vec<T>,
+    bucket: &mut [T],
 ) -> Result<()> {
     let p = gc.len();
     if p == 1 {
@@ -163,13 +151,13 @@ fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
             StrategyKind::Mst => {
                 // Short combine-to-all: combine-to-one followed by
                 // broadcast (§5.1), both rooted at logical 0.
-                mst_reduce_scratch(gc, 0, buf, op, tag, scratch)?;
+                mst_reduce(gc, 0, buf, op, tag, bucket)?;
                 mst_bcast(gc, 0, buf, tag + 1)
             }
             StrategyKind::ScatterCollect => {
                 // Long: distributed combine followed by collect (§5.2).
                 let blocks = partition(buf.len(), p);
-                ring_reduce_scatter_scratch(gc, buf, &blocks, op, tag, scratch)?;
+                ring_reduce_scatter(gc, buf, &blocks, op, tag, bucket)?;
                 ring_collect(gc, buf, &blocks, tag + 1)
             }
         };
@@ -178,7 +166,7 @@ fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
     let my0 = gc.me() % d0;
     let blocks = partition(buf.len(), d0);
     let line = gc.line(d0);
-    ring_reduce_scatter_scratch(&line, buf, &blocks, op, tag, scratch)?;
+    ring_reduce_scatter(&line, buf, &blocks, op, tag, bucket)?;
     let plane = gc.plane(d0);
     let my_block = blocks[my0].clone();
     allreduce_rec(
@@ -188,7 +176,7 @@ fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
         &mut buf[my_block],
         op,
         tag + LEVEL_TAG_STRIDE,
-        scratch,
+        bucket,
     )?;
     ring_collect(&line, buf, &blocks, tag + 1)
 }
@@ -203,24 +191,28 @@ mod tests {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
         let mut buf = [3.5f64, -1.0];
+        let mut scratch = Vec::new();
         for s in [Strategy::pure_mst(1), Strategy::pure_long(1)] {
-            reduce(&gc, &s, 0, &mut buf, ReduceOp::Sum, 0).unwrap();
-            allreduce(&gc, &s, &mut buf, ReduceOp::Max, 0).unwrap();
+            reduce(&gc, &s, 0, &mut buf, ReduceOp::Sum, 0, &mut scratch).unwrap();
+            allreduce(&gc, &s, &mut buf, ReduceOp::Max, 0, &mut scratch).unwrap();
         }
         assert_eq!(buf, [3.5, -1.0]);
+        assert_eq!(scratch.capacity(), 0, "nothing to receive, nothing lent");
     }
 
     #[test]
     fn reduce_validates_root_and_strategy() {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
+        let (one, two) = (Strategy::pure_mst(1), Strategy::pure_mst(2));
+        let scratch = &mut Vec::new();
         let mut buf = [1i32];
         assert!(matches!(
-            reduce(&gc, &Strategy::pure_mst(1), 1, &mut buf, ReduceOp::Sum, 0),
+            reduce(&gc, &one, 1, &mut buf, ReduceOp::Sum, 0, scratch),
             Err(CommError::InvalidRoot { .. })
         ));
         assert!(matches!(
-            allreduce(&gc, &Strategy::pure_mst(2), &mut buf, ReduceOp::Sum, 0),
+            allreduce(&gc, &two, &mut buf, ReduceOp::Sum, 0, scratch),
             Err(CommError::StrategyMismatch { .. })
         ));
     }

@@ -28,8 +28,8 @@ mod varying;
 
 pub use alltoall::alltoall;
 pub use broadcast::broadcast;
-pub use collect::{collect, collect_scratch, reduce_scatter};
-pub use combine::{allreduce, allreduce_scratch, reduce, reduce_scratch};
+pub use collect::{collect, reduce_scatter};
+pub use combine::{allreduce, reduce};
 pub use scatter_gather::{gather, scatter};
 pub use varying::{allgatherv, gatherv, scatterv};
 

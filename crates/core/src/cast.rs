@@ -2,9 +2,10 @@
 //!
 //! The point-to-point layer moves bytes; collectives are generic over
 //! element types. [`Scalar`] is a sealed trait over the fixed-size
-//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views.
-//! The single `unsafe` block in the crate lives here, justified by the
-//! sealed-POD bound.
+//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views
+//! and a typed view of the word arena the collectives borrow their
+//! workspace from. The crate's only `unsafe` blocks live here, justified
+//! by the sealed-POD bound.
 
 mod sealed {
     pub trait Sealed {}
@@ -39,6 +40,25 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed 
                 slice.len() * Self::SIZE,
             )
         }
+    }
+
+    /// Views the front of a word arena as `len` elements of workspace,
+    /// growing the arena first if it is too short. The arena only ever
+    /// grows and is never re-zeroed: the view holds whatever an earlier
+    /// borrower (of any element type) left there, so a caller writes
+    /// every element before it reads it.
+    fn scratch(arena: &mut Vec<u64>, len: usize) -> &mut [Self] {
+        const { assert!(std::mem::align_of::<Self>() <= std::mem::align_of::<u64>()) };
+        let words = (len * Self::SIZE).div_ceil(std::mem::size_of::<u64>());
+        if arena.len() < words {
+            arena.resize(words, 0);
+        }
+        // SAFETY: the arena holds at least `len * SIZE` initialized
+        // bytes (just ensured), its base is aligned for `u64` and hence
+        // for `Self` (asserted above), `u64` has no padding and every
+        // bit pattern is a valid `Self` for the sealed POD implementors;
+        // the view borrows the arena mutably for its whole lifetime.
+        unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr().cast::<Self>(), len) }
     }
 }
 
@@ -83,6 +103,24 @@ mod tests {
         let mut dst = [0.0f32; 3];
         <f32 as Scalar>::as_bytes_mut(&mut dst).copy_from_slice(<f32 as Scalar>::as_bytes(&src));
         assert_eq!(src, dst);
+    }
+
+    #[test]
+    fn scratch_grows_once_and_keeps_its_bytes() {
+        let mut arena = Vec::new();
+        assert!(<u8 as Scalar>::scratch(&mut arena, 0).is_empty());
+        assert_eq!(
+            arena.capacity(),
+            0,
+            "no workspace asked for, none allocated"
+        );
+        <u8 as Scalar>::scratch(&mut arena, 9).fill(0xAB);
+        assert_eq!(arena.len(), 2);
+        // A shorter view of another type sees the same bytes, un-zeroed.
+        let halves = <u16 as Scalar>::scratch(&mut arena, 4);
+        assert_eq!(halves, [0xABAB; 4]);
+        assert_eq!(<f64 as Scalar>::scratch(&mut arena, 3).len(), 3);
+        assert_eq!(arena.len(), 3);
     }
 
     #[test]

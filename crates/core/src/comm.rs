@@ -27,7 +27,10 @@ pub type Tag = u64;
 ///
 /// * `send`/`recv` are blocking and deliver exactly the posted bytes;
 ///   receivers know message lengths a priori (the paper's "known
-///   lengths" mode), and a length mismatch is an error.
+///   lengths" mode), and a length mismatch is an error. A `send` may
+///   complete only once its receive is posted, so a portable program is
+///   deadlock-free under rendezvous sends — what `intercom-verify`
+///   proves of every schedule and the simulator enforces.
 /// * `sendrecv` makes progress on both transfers concurrently — ring
 ///   algorithms rely on this to exchange with both neighbours without
 ///   deadlock (§2: "a processor can both send and receive at the same

@@ -65,6 +65,10 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// (see [`Communicator::attach_tuner`]).
     tuner: RefCell<Option<AutoTuner>>,
     next_tag: Cell<Tag>,
+    /// The workspace every call on the direct path borrows, whatever
+    /// its element type: empty until a call needs some, grown to the
+    /// largest need seen, never re-zeroed.
+    scratch: RefCell<Vec<u64>>,
 }
 
 impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
@@ -81,6 +85,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             hier,
             tuner: RefCell::new(None),
             next_tag: Cell::new(0),
+            scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -299,7 +304,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         args: &mut [ArgBuf<'_, T>],
     ) -> Result<()> {
         let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
-        ir::run_direct(op, Some(&choice), &self.gc, rop, args, self.fresh_tag())
+        let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+        ir::run_direct(op, Some(&choice), &self.gc, rop, args, scratch, tag)
     }
 
     /// One selector-driven non-combining call on the direct path.
@@ -311,7 +317,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         args: &mut [ArgBuf<'_, T>],
     ) -> Result<()> {
         let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
-        ir::run_direct_scalar(op, Some(&choice), &self.gc, args, self.fresh_tag())
+        let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+        ir::run_direct_scalar(op, Some(&choice), &self.gc, args, scratch, tag)
     }
 
     /// Broadcast `buf` from `root` to all members (auto-selected
@@ -544,6 +551,25 @@ mod tests {
         let mut full = vec![0.0; 2];
         cc.gather(0, &m, Some(&mut full)).unwrap();
         assert_eq!(full, mine);
+    }
+
+    #[test]
+    fn each_communicator_owns_its_scratch_and_a_failed_call_returns_it() {
+        // A recording endpoint receives nothing, so every rank's
+        // (zeroed) split table puts all four ranks in colour 0.
+        let c = crate::trace::RecordingComm::new(1, 4);
+        let cc = Communicator::world(&c, MachineParams::PARAGON);
+        assert_eq!(cc.scratch.borrow().capacity(), 0, "lazy until needed");
+        let sub = cc.split(0, 0, None).unwrap();
+        let mut v = vec![1.0f64; 64];
+        for comm in [&cc, &sub] {
+            assert!(comm.reduce(9, &mut v, ReduceOp::Sum).is_err());
+            comm.allreduce_with(&mut v, ReduceOp::Sum, &Algo::Long)
+                .unwrap();
+        }
+        let (mine, theirs) = (cc.scratch.borrow(), sub.scratch.borrow());
+        assert!(mine.len() >= 16 && theirs.len() >= 16);
+        assert_ne!(mine.as_ptr(), theirs.as_ptr());
     }
 
     #[test]

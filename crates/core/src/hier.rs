@@ -121,6 +121,7 @@ pub fn hier_reduce<T: Elem, C: Comm + ?Sized>(
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::CombineToOne, hs, gc)?;
     if root >= gc.len() {
@@ -132,7 +133,7 @@ pub fn hier_reduce<T: Elem, C: Comm + ?Sized>(
     let r = hs.shape.ranks_per_node;
     let slot = root % r;
     let line = gc.line(r);
-    algorithms::reduce(&line, &hs.stages[0].strategy, slot, buf, op, tag)?;
+    algorithms::reduce(&line, &hs.stages[0].strategy, slot, buf, op, tag, scratch)?;
     if gc.me() % r == slot {
         let plane = gc.plane(r);
         algorithms::reduce(
@@ -142,6 +143,7 @@ pub fn hier_reduce<T: Elem, C: Comm + ?Sized>(
             buf,
             op,
             tag + HIER_STAGE_STRIDE,
+            scratch,
         )?;
     }
     Ok(())
@@ -155,11 +157,12 @@ pub fn hier_allreduce<T: Elem, C: Comm + ?Sized>(
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::CombineToAll, hs, gc)?;
     let r = hs.shape.ranks_per_node;
     let line = gc.line(r);
-    algorithms::reduce(&line, &hs.stages[0].strategy, 0, buf, op, tag)?;
+    algorithms::reduce(&line, &hs.stages[0].strategy, 0, buf, op, tag, scratch)?;
     if gc.me().is_multiple_of(r) {
         let plane = gc.plane(r);
         algorithms::allreduce(
@@ -168,6 +171,7 @@ pub fn hier_allreduce<T: Elem, C: Comm + ?Sized>(
             buf,
             op,
             tag + HIER_STAGE_STRIDE,
+            scratch,
         )?;
     }
     algorithms::broadcast(
@@ -189,6 +193,7 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
     mine: &[T],
     all: &mut [T],
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::Collect, hs, gc)?;
     let b = mine.len();
@@ -211,6 +216,7 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
             &node_block,
             all,
             tag + HIER_STAGE_STRIDE,
+            scratch,
         )?;
     }
     algorithms::broadcast(
@@ -234,6 +240,7 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     mine: &mut [T],
     op: ReduceOp,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::DistributedCombine, hs, gc)?;
     let b = mine.len();
@@ -251,7 +258,8 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     // caller's contribution.
     let mut work = vec![T::default(); p * b];
     gc.copy(contrib, &mut work);
-    algorithms::reduce(&line, &hs.stages[0].strategy, 0, &mut work, op, tag)?;
+    let intra = &hs.stages[0].strategy;
+    algorithms::reduce(&line, intra, 0, &mut work, op, tag, scratch)?;
     let mut node_block = vec![T::default(); if leader { r * b } else { 0 }];
     if leader {
         let plane = gc.plane(r);
@@ -262,6 +270,7 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
             &mut node_block,
             op,
             tag + HIER_STAGE_STRIDE,
+            scratch,
         )?;
     }
     algorithms::scatter(
@@ -341,7 +350,7 @@ mod tests {
         let hs = strategy_for(CollectiveOp::CombineToAll, shape);
         let recs = replay(shape, |gc| {
             let mut buf = vec![0u32; 6];
-            hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0)
+            hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0, &mut Vec::new())
         });
         let mut bands = std::collections::BTreeSet::new();
         for ops in &recs {
@@ -359,7 +368,7 @@ mod tests {
         let hs = strategy_for(CollectiveOp::CombineToAll, shape);
         let recs = replay(shape, |gc| {
             let mut buf = vec![0u64; 4];
-            hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0)
+            hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0, &mut Vec::new())
         });
         for (rank, ops) in recs.iter().enumerate() {
             for op in ops {
@@ -402,7 +411,7 @@ mod tests {
         let gc = GroupComm::world(&rec);
         let mut buf = vec![0u64; 4];
         assert!(matches!(
-            hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Sum, 0),
+            hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Sum, 0, &mut Vec::new()),
             Err(CommError::PlanMismatch { .. })
         ));
     }
@@ -416,7 +425,7 @@ mod tests {
         let mine = vec![0u32; 4];
         let mut all = vec![0u32; 7]; // not p·b
         assert!(matches!(
-            hier_collect(&gc, &hs, &mine, &mut all, 0),
+            hier_collect(&gc, &hs, &mine, &mut all, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize { .. })
         ));
     }

@@ -3,7 +3,8 @@
 //! [`execute`](super::execute) describes a compiled one.
 //!
 //! A call is a [`PlanOp`], an algorithm choice, a group, the ⊕, the
-//! argument buffers in [`PlanOp::args`] slot order and a base tag.
+//! argument buffers in [`PlanOp::args`] slot order, the scratch arena
+//! the algorithms borrow their workspace from, and a base tag.
 //! [`run_direct`] / [`run_direct_scalar`] are the only place that maps
 //! that description onto [`algorithms`], [`hier`] or
 //! [`pipelined_ring_bcast`]: the [`Communicator`](crate::Communicator)
@@ -39,7 +40,10 @@ fn chosen(op: PlanOp, choice: Option<&HierChoice>) -> &HierChoice {
 /// Runs one combining or non-combining collective call on the direct
 /// recursive path. `choice` is the flat or hierarchical strategy
 /// (`None` for the strategy-free ops), `args` bind the slots of
-/// [`PlanOp::args`] and `rop` supplies the ⊕.
+/// [`PlanOp::args`] and `rop` supplies the ⊕. `scratch` is the
+/// reusable arena of [`execute`](super::execute): it grows to what the
+/// call needs and is handed back as it is, so a caller that keeps it
+/// pays for no workspace from the second call on.
 ///
 /// # Panics
 ///
@@ -51,27 +55,28 @@ pub fn run_direct<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     rop: ReduceOp,
     args: &mut [ArgBuf<'_, T>],
+    scratch: &mut Vec<u64>,
     base_tag: Tag,
 ) -> Result<()> {
     if !op.combines() {
-        return run_direct_scalar(op, choice, gc, args, base_tag);
+        return run_direct_scalar(op, choice, gc, args, scratch, base_tag);
     }
     match (op, args) {
         (PlanOp::Reduce { root }, [ArgBuf::Out(buf)]) => match chosen(op, choice) {
-            HierChoice::Flat(s) => algorithms::reduce(gc, s, root, buf, rop, base_tag),
-            HierChoice::Hier(h) => hier::hier_reduce(gc, h, root, buf, rop, base_tag),
+            HierChoice::Flat(s) => algorithms::reduce(gc, s, root, buf, rop, base_tag, scratch),
+            HierChoice::Hier(h) => hier::hier_reduce(gc, h, root, buf, rop, base_tag, scratch),
         },
         (PlanOp::AllReduce, [ArgBuf::Out(buf)]) => match chosen(op, choice) {
-            HierChoice::Flat(s) => algorithms::allreduce(gc, s, buf, rop, base_tag),
-            HierChoice::Hier(h) => hier::hier_allreduce(gc, h, buf, rop, base_tag),
+            HierChoice::Flat(s) => algorithms::allreduce(gc, s, buf, rop, base_tag, scratch),
+            HierChoice::Hier(h) => hier::hier_allreduce(gc, h, buf, rop, base_tag, scratch),
         },
         (PlanOp::ReduceScatter, [ArgBuf::In(contrib), ArgBuf::Out(mine)]) => {
             match chosen(op, choice) {
                 HierChoice::Flat(s) => {
-                    algorithms::reduce_scatter(gc, s, contrib, mine, rop, base_tag)
+                    algorithms::reduce_scatter(gc, s, contrib, mine, rop, base_tag, scratch)
                 }
                 HierChoice::Hier(h) => {
-                    hier::hier_reduce_scatter(gc, h, contrib, mine, rop, base_tag)
+                    hier::hier_reduce_scatter(gc, h, contrib, mine, rop, base_tag, scratch)
                 }
             }
         }
@@ -89,6 +94,7 @@ pub fn run_direct_scalar<T: Scalar, C: Comm + ?Sized>(
     choice: Option<&HierChoice>,
     gc: &GroupComm<'_, C>,
     args: &mut [ArgBuf<'_, T>],
+    scratch: &mut Vec<u64>,
     base_tag: Tag,
 ) -> Result<()> {
     if op.combines() {
@@ -107,8 +113,8 @@ pub fn run_direct_scalar<T: Scalar, C: Comm + ?Sized>(
             HierChoice::Hier(h) => hier::hier_broadcast(gc, h, root, buf, base_tag),
         },
         (PlanOp::Collect, [ArgBuf::In(mine), ArgBuf::Out(all)]) => match chosen(op, choice) {
-            HierChoice::Flat(s) => algorithms::collect(gc, s, mine, all, base_tag),
-            HierChoice::Hier(h) => hier::hier_collect(gc, h, mine, all, base_tag),
+            HierChoice::Flat(s) => algorithms::collect(gc, s, mine, all, base_tag, scratch),
+            HierChoice::Hier(h) => hier::hier_collect(gc, h, mine, all, base_tag, scratch),
         },
         (PlanOp::Scatter { root }, [full, ArgBuf::Out(mine)]) => {
             let full = match full {
@@ -290,7 +296,8 @@ mod tests {
             let mut owned = OwnedArgs::<u32>::new(op, 1, 4, 0);
             owned.fill_contribution(op, 0, |i| i as u32 + 1);
             let choice = op.takes_strategy().then_some(&choice);
-            run_direct(op, choice, &gc, ReduceOp::Sum, &mut owned.bind(), 0).unwrap();
+            let (args, scratch) = (&mut owned.bind(), &mut Vec::new());
+            run_direct(op, choice, &gc, ReduceOp::Sum, args, scratch, 0).unwrap();
             let (_, last) = owned.slots.last().unwrap();
             assert_eq!(last.as_deref(), Some(&[1, 2, 3, 4][..]), "{op}");
         }
@@ -309,6 +316,7 @@ mod tests {
                 Some(&choice),
                 &gc,
                 &mut [ArgBuf::Out(&mut buf)],
+                &mut Vec::new(),
                 0
             ),
             Err(CommError::PlanMismatch { .. })
@@ -320,6 +328,7 @@ mod tests {
                 Some(&choice),
                 &gc,
                 &mut [ArgBuf::Out(&mut buf)],
+                &mut Vec::new(),
                 0
             ),
             Err(CommError::PlanMismatch { .. })
@@ -336,6 +345,7 @@ mod tests {
             None,
             &GroupComm::world(&c),
             &mut [ArgBuf::Out(&mut buf)],
+            &mut Vec::new(),
             0,
         );
     }

@@ -11,9 +11,9 @@
 //! return.
 //!
 //! Execution is allocation-free in the steady state: the caller-provided
-//! scratch vector grows once to [`RankProgram::scratch_bytes`] and is
+//! scratch arena grows once to [`RankProgram::scratch_bytes`] and is
 //! re-zeroed (never re-allocated) on later executions, matching the
-//! fresh zeroed allocations of the direct recursive path byte for byte.
+//! zeroed workspace of the replay the program was lowered from.
 
 use super::{ArgDir, Buf, CollectiveProgram, Loc, StepKind};
 use crate::cast::Scalar;
@@ -44,7 +44,7 @@ pub fn execute<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     op: ReduceOp,
     args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
     base_tag: Tag,
 ) -> Result<()> {
     run(
@@ -64,7 +64,7 @@ pub fn execute_scalar<T: Scalar, C: Comm + ?Sized>(
     prog: &CollectiveProgram,
     gc: &GroupComm<'_, C>,
     args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
     base_tag: Tag,
 ) -> Result<()> {
     if prog.op.combines() {
@@ -81,7 +81,7 @@ fn run<T: Scalar, C: Comm + ?Sized>(
     prog: &CollectiveProgram,
     gc: &GroupComm<'_, C>,
     args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<T>,
+    scratch: &mut Vec<u64>,
     base_tag: Tag,
     fold: &mut dyn FnMut(&mut [T], &[T]),
 ) -> Result<()> {
@@ -99,10 +99,10 @@ fn run<T: Scalar, C: Comm + ?Sized>(
     let me = gc.me();
     check_args(prog, me, args)?;
     let rp = &prog.ranks[me];
-    // Re-zero (and on first use, grow) the arena: the direct path's
-    // temporaries are fresh zeroed allocations every call.
-    scratch.clear();
-    scratch.resize(rp.scratch_bytes.div_ceil(elem), T::default());
+    // Re-zero (and on first use, grow) the arena: the programs were
+    // lowered from replays over fresh zeroed workspace.
+    let scratch = T::scratch(scratch, rp.scratch_bytes.div_ceil(elem));
+    scratch.fill(T::default());
     // Production telemetry: one relaxed load each when disabled. When
     // on, the flight recorder gets a black-box entry and the metrics
     // registry a latency sample per execution (per rank — concurrent

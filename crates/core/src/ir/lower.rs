@@ -125,7 +125,8 @@ fn replay_rank<T: Elem>(
         }
     }
     let gc = GroupComm::world(&rec);
-    run_direct(op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), 0)?;
+    let scratch = &mut Vec::new();
+    run_direct(op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0)?;
     resolve_recorded::<T>(rec, op, p, n)
 }
 

@@ -35,6 +35,7 @@ use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use intercom_cost::HierChoice;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// The shared compiled-program handle every plan wraps: the frozen
@@ -44,7 +45,9 @@ use std::sync::Arc;
 struct PlanCore<T: Scalar> {
     choice: HierChoice,
     program: Result<Arc<CollectiveProgram>>,
-    scratch: RefCell<Vec<T>>,
+    scratch: RefCell<Vec<u64>>,
+    /// The element width the program was compiled for.
+    elem: PhantomData<T>,
 }
 
 impl<T: Scalar> PlanCore<T> {
@@ -76,6 +79,7 @@ impl<T: Scalar> PlanCore<T> {
             choice,
             program: ir::global_cache().get_or_compile(&key),
             scratch: RefCell::new(Vec::new()),
+            elem: PhantomData,
         }
     }
 

@@ -17,15 +17,16 @@
 //! (`&[Range<usize>]`, one consecutive item range per logical rank, as
 //! produced by [`crate::block::partition`]); primitives move and combine
 //! the block contents in place. Public MPI-style wrappers with separate
-//! send/receive buffers live in [`crate::algorithms`].
+//! send/receive buffers live in [`crate::algorithms`]. The combining
+//! primitives receive into a caller-lent bucket and allocate nothing.
 
 pub mod mst;
 pub mod pipeline;
 pub mod ring;
 
-pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_reduce_scratch, mst_scatter};
+pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_scatter};
 pub use pipeline::{optimal_segments, pipelined_ring_bcast};
-pub use ring::{ring_collect, ring_reduce_scatter, ring_reduce_scatter_scratch};
+pub use ring::{ring_collect, ring_reduce_scatter, ring_reduce_scatter_into};
 
 use std::ops::Range;
 

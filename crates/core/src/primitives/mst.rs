@@ -123,43 +123,28 @@ pub fn mst_bcast<T: Scalar, C: Comm + ?Sized>(
 /// MST combine-to-one: every member contributes `buf`; on return the
 /// root's `buf` holds the element-wise ⊕ of all contributions. Non-root
 /// buffers are used as workspace and hold partial combines on return.
-/// Cost: `⌈log₂ p⌉(α + nβ + nγ)`.
+/// `scratch` receives each arriving vector: at least `buf.len()` long,
+/// its contents ignored. Cost: `⌈log₂ p⌉(α + nβ + nγ)`.
 pub fn mst_reduce<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     buf: &mut [T],
     op: ReduceOp,
     tag: Tag,
-) -> Result<()> {
-    let mut scratch = Vec::new();
-    mst_reduce_scratch(gc, root, buf, op, tag, &mut scratch)
-}
-
-/// [`mst_reduce`] with caller-provided scratch: `scratch` is resized to
-/// `buf.len()` (growing its allocation at most once across a whole
-/// collective's steps) so composed algorithms reuse one buffer for every
-/// step instead of allocating per recursion level.
-pub fn mst_reduce_scratch<T: Elem, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    root: usize,
-    buf: &mut [T],
-    op: ReduceOp,
-    tag: Tag,
-    scratch: &mut Vec<T>,
+    scratch: &mut [T],
 ) -> Result<()> {
     check_root(gc, root)?;
     let me = gc.me();
     let path = levels(me, gc.len(), root);
-    scratch.clear();
-    scratch.resize(buf.len(), T::default());
     // Broadcast communications in reverse order, data flowing inward.
     for lvl in path.iter().rev() {
         gc.call_overhead();
         if me == lvl.other {
             gc.send(lvl.root, tag, buf)?;
         } else if me == lvl.root {
-            gc.recv(lvl.other, tag, &mut scratch[..])?;
-            gc.fold(op, buf, scratch);
+            let arrived = &mut scratch[..buf.len()];
+            gc.recv(lvl.other, tag, arrived)?;
+            gc.fold(op, buf, arrived);
         }
     }
     Ok(())
@@ -340,7 +325,7 @@ mod tests {
         let mut b = [7u32, 8];
         mst_bcast(&gc, 0, &mut b, 0).unwrap();
         assert_eq!(b, [7, 8]);
-        mst_reduce(&gc, 0, &mut b, ReduceOp::Sum, 0).unwrap();
+        mst_reduce(&gc, 0, &mut b, ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(b, [7, 8]);
         let blocks = balanced_blocks(&gc, 2);
         mst_scatter(&gc, 0, &mut b, &blocks, 0).unwrap();

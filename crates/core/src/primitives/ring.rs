@@ -53,29 +53,16 @@ pub fn ring_collect<T: Scalar, C: Comm + ?Sized>(
 /// `j`'s `buf[blocks[j]]` holds the element-wise ⊕ over all members'
 /// block `j` (other regions hold partial combines). The bucket
 /// accumulates as it circulates — the collect "executed in reverse,
-/// where the buckets are used to accumulate contributions."
+/// where the buckets are used to accumulate contributions." `bucket`
+/// receives each arriving block: at least as long as the largest one,
+/// its contents ignored.
 pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     buf: &mut [T],
     blocks: &[Range<usize>],
     op: ReduceOp,
     tag: Tag,
-) -> Result<()> {
-    let mut scratch = Vec::new();
-    ring_reduce_scatter_scratch(gc, buf, blocks, op, tag, &mut scratch)
-}
-
-/// [`ring_reduce_scatter`] with caller-provided scratch: `scratch` is
-/// resized to the largest block (growing its allocation at most once
-/// across a whole collective's steps) so composed algorithms reuse one
-/// bucket buffer for every ring stage instead of allocating per level.
-pub fn ring_reduce_scatter_scratch<T: Elem, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    buf: &mut [T],
-    blocks: &[Range<usize>],
-    op: ReduceOp,
-    tag: Tag,
-    scratch: &mut Vec<T>,
+    bucket: &mut [T],
 ) -> Result<()> {
     let p = gc.len();
     debug_check_blocks(blocks, p, buf.len());
@@ -86,16 +73,61 @@ pub fn ring_reduce_scatter_scratch<T: Elem, C: Comm + ?Sized>(
     let me = gc.me();
     let right = (me + 1) % p;
     let left = (me + p - 1) % p;
-    let max_block = blocks.iter().map(|b| b.len()).max().unwrap_or(0);
-    scratch.clear();
-    scratch.resize(max_block, T::default());
     for t in 0..p - 1 {
         let sb = (me + p - t - 1) % p; // partially-combined block sent on
         let rb = (me + p - t - 2) % p; // bucket arriving from the left
-        let recv = &mut scratch[..blocks[rb].len()];
+        let recv = &mut bucket[..blocks[rb].len()];
         gc.sendrecv(right, &buf[blocks[sb].clone()], left, recv, tag)?;
         let dst = &mut buf[blocks[rb].clone()];
         gc.fold(op, dst, recv);
+    }
+    Ok(())
+}
+
+/// The same ring with the contribution read in place, for equal blocks
+/// of `mine.len()` items: member `j`'s `mine` ends up holding block `j`
+/// of the ⊕ over every member's `contrib`, which is left untouched. The
+/// first step sends straight out of `contrib`; after that the buckets
+/// themselves carry the partial combines — each arrives in one of two
+/// block-sized halves of `buckets`, has the local block folded into it
+/// and is sent on from there, and the last one lands in `mine`. Same
+/// messages in the same order as [`ring_reduce_scatter`] and, ⊕ being
+/// commutative (§3), the same bits. `buckets` holds
+/// `min(p − 2, 2)` blocks, its contents ignored.
+pub fn ring_reduce_scatter_into<T: Elem, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    contrib: &[T],
+    mine: &mut [T],
+    op: ReduceOp,
+    tag: Tag,
+    buckets: &mut [T],
+) -> Result<()> {
+    let p = gc.len();
+    let b = mine.len();
+    debug_assert_eq!(contrib.len(), p * b, "one block per member required");
+    if p == 1 {
+        gc.copy(contrib, mine);
+        return Ok(());
+    }
+    gc.call_overhead();
+    let me = gc.me();
+    let right = (me + 1) % p;
+    let left = (me + p - 1) % p;
+    let block = |j: usize| &contrib[j * b..(j + 1) * b];
+    let used = b * (p - 2).min(2);
+    let (mut arriving, mut leaving) = buckets[..used].split_at_mut(b.min(used));
+    for t in 0..p - 1 {
+        let sb = (me + p - t - 1) % p;
+        let rb = (me + p - t - 2) % p;
+        let send = if t == 0 { block(sb) } else { &*leaving };
+        let recv = if t == p - 2 {
+            &mut *mine
+        } else {
+            &mut *arriving
+        };
+        gc.sendrecv(right, send, left, recv, tag)?;
+        gc.fold(op, recv, block(rb));
+        std::mem::swap(&mut arriving, &mut leaving);
     }
     Ok(())
 }
@@ -120,8 +152,11 @@ mod tests {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
         let mut buf = [5i32, 6];
-        ring_reduce_scatter(&gc, &mut buf, &partition(2, 1), ReduceOp::Sum, 0).unwrap();
+        ring_reduce_scatter(&gc, &mut buf, &partition(2, 1), ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(buf, [5, 6]);
+        let mut mine = [0i32; 2];
+        ring_reduce_scatter_into(&gc, &buf, &mut mine, ReduceOp::Sum, 0, &mut []).unwrap();
+        assert_eq!(mine, buf);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! hint: every pop, the empty check that precedes a park, and the
 //! parked flag the sender reads live under the mutex, so no wake-up can
 //! be lost. A sender pays the `notify_one` syscall only when the
-//! receiver recorded that it is actually asleep.
+//! receiver recorded that it is actually asleep. The poll phase is
+//! [`poll`], which the endpoint's rendezvous completion waits through
+//! as well (over its own hint).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,6 +128,36 @@ pub(crate) enum Waited {
     Parked,
 }
 
+/// The poll phase of every wait in this crate: looks at `ready` every
+/// [`LOOK_INTERVAL`] until it holds, [`POLL_BUDGET`] is spent or
+/// `deadline` passes. `ready` reads a lock-free hint; the caller
+/// re-checks under its lock afterwards and parks there if it must. The
+/// clock is first read after one fruitless look, so a wait that is
+/// already over costs none.
+pub(crate) fn poll(ready: impl Fn() -> bool, deadline: Option<Instant>) {
+    if ready() {
+        return;
+    }
+    let start = Instant::now();
+    let give_up = deadline.map_or(start + POLL_BUDGET, |d| d.min(start + POLL_BUDGET));
+    let mut look = start;
+    while look < give_up {
+        look = (look + LOOK_INTERVAL).min(give_up);
+        // Whoever shares this core (the peer we are waiting for, in an
+        // oversubscribed world) runs until the next look is due instead
+        // of after our budget.
+        loop {
+            std::thread::yield_now();
+            if Instant::now() >= look {
+                break;
+            }
+        }
+        if ready() {
+            return;
+        }
+    }
+}
+
 /// Creates a connected unbounded channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
@@ -220,7 +252,7 @@ impl<T> Receiver<T> {
         deadline: Option<Instant>,
     ) -> Result<(T, Waited), RecvTimeoutError> {
         let shared = &*self.shared;
-        self.poll(deadline);
+        poll(|| shared.len.load(Ordering::Relaxed) != 0, deadline);
         let mut waited = Waited::Polled;
         let mut st = shared.lock();
         loop {
@@ -249,35 +281,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Looks at the length mirror every [`LOOK_INTERVAL`] until it is
-    /// non-zero, [`POLL_BUDGET`] is spent or `deadline` passes. The
-    /// clock is first read after one fruitless look, so a message that
-    /// is already there costs none.
-    fn poll(&self, deadline: Option<Instant>) {
-        let ready = || self.shared.len.load(Ordering::Relaxed) != 0;
-        if ready() {
-            return;
-        }
-        let start = Instant::now();
-        let give_up = deadline.map_or(start + POLL_BUDGET, |d| d.min(start + POLL_BUDGET));
-        let mut look = start;
-        while look < give_up {
-            look = (look + LOOK_INTERVAL).min(give_up);
-            // Whoever shares this core (the peer we are waiting for,
-            // in an oversubscribed world) runs until the next look is
-            // due instead of after our budget.
-            loop {
-                std::thread::yield_now();
-                if Instant::now() >= look {
-                    break;
-                }
-            }
-            if ready() {
-                return;
-            }
-        }
-    }
-
     /// Non-blocking receive: `None` when the queue is currently empty
     /// (regardless of sender liveness).
     pub fn try_recv(&self) -> Option<T> {
@@ -296,7 +299,16 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.lock().receiver_alive = false;
+        // Nobody can pop the queue any more: drop what is in it now
+        // (outside the lock), not when the last sender goes. A queued
+        // rendezvous window releases its blocked sender from its drop.
+        let unread = {
+            let mut st = self.shared.lock();
+            st.receiver_alive = false;
+            self.shared.len.store(0, Ordering::Relaxed);
+            std::mem::take(&mut st.queue)
+        };
+        drop(unread);
     }
 }
 

@@ -6,15 +6,17 @@
 //! 1. Raw eager hops (`send`/`recv`/small `sendrecv`): after one
 //!    warm-up exchange populates the pools and channel queues, repeated
 //!    hops perform **exactly zero** heap allocations.
-//! 2. Rendezvous hops (large `sendrecv`): the zero-copy path reuses
-//!    retired completion flags, so steady-state exchanges allocate
-//!    nothing except a rare benign race (the peer's flag handle not yet
-//!    dropped when the flag is reacquired) — a handful of tiny,
-//!    payload-size-independent allocations at most.
-//! 3. Whole planned collectives: the payload-scale buffers (transport
-//!    hops, plan scratch, permutation scratch) are all reused; what
-//!    remains is the algorithm layer's small per-stage setup (block
-//!    range lists, subgroup member lists), bounded and independent of
+//! 2. Rendezvous hops (large `sendrecv` and `send`): the zero-copy
+//!    path never touches the pool and reuses retired completion flags,
+//!    so steady-state hops allocate nothing except a rare benign race
+//!    (the peer's flag handle not yet dropped when the flag is
+//!    reacquired) — a handful of tiny, payload-size-independent
+//!    allocations at most.
+//! 3. Whole collectives, planned or on the communicator's default
+//!    path: the payload-scale buffers (transport hops, plan and
+//!    communicator scratch) are all reused; what remains is the
+//!    algorithm layer's small per-stage setup (strategies, block range
+//!    lists, subgroup member lists), bounded and independent of
 //!    payload size.
 //!
 //! The counter covers every rank thread of the process, so measured
@@ -39,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set by every rank closure; const-initialized and without a
@@ -46,9 +49,10 @@ thread_local! {
     static RANK_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     if RANK_THREAD.try_with(Cell::get).unwrap_or(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -58,7 +62,7 @@ fn count_allocation() {
 // effect on layout or pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         // SAFETY: `layout` is forwarded unchanged from our caller, who
         // guarantees it is non-zero-sized as `GlobalAlloc` requires.
         unsafe { System.alloc(layout) }
@@ -72,7 +76,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         // SAFETY: `ptr`/`layout` describe a live block from this
         // allocator and `new_size` is non-zero, forwarded unchanged from
         // the caller's `realloc` contract.
@@ -91,18 +95,30 @@ fn window_guard() -> std::sync::MutexGuard<'static, ()> {
     WINDOW.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Counts the rank threads' allocations during `iters` symmetric
-/// `sendrecv` ping-pong exchanges of `n` bytes between two ranks (after
-/// `warmup` identical exchanges).
-fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
+/// Counts the rank threads' allocations, and rank 0's pool
+/// acquisitions, during `iters` hops of `n` bytes between two ranks
+/// (after `warmup` identical hops). A hop is a symmetric `sendrecv`,
+/// or with `plain` one `send`/`recv` round trip.
+fn allocations_during_hops(n: usize, warmup: usize, iters: usize, plain: bool) -> (u64, u64) {
     let _window = window_guard();
     let out = run_world(2, |c| {
         RANK_THREAD.set(true);
         let peer = 1 - c.rank();
         let mine = vec![c.rank() as u8; n];
         let mut got = vec![0u8; n];
+        let hop = |got: &mut [u8]| {
+            if !plain {
+                c.sendrecv(peer, &mine, peer, got, 1).unwrap();
+            } else if c.rank() == 0 {
+                c.send(peer, 1, &mine).unwrap();
+                c.recv(peer, 1, got).unwrap();
+            } else {
+                c.recv(peer, 1, got).unwrap();
+                c.send(peer, 1, &mine).unwrap();
+            }
+        };
         for _ in 0..warmup {
-            c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
+            hop(&mut got);
         }
         // Lockstep ping-pong keeps mailbox depth at 1, but a receiver
         // descheduled under load lets the peer's next send queue behind
@@ -113,36 +129,44 @@ fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
         // tag-2 handshake holds the peer off its receives until both
         // sends are queued: without it a prompt peer returns the first
         // buffer in time for the second send to reuse it, and the rank
-        // enters the window owning one buffer.
-        c.send(peer, 1, &mine).unwrap();
-        c.send(peer, 1, &mine).unwrap();
-        c.send(peer, 2, &[0]).unwrap();
-        c.recv(peer, 2, &mut [0]).unwrap();
-        c.recv(peer, 1, &mut got).unwrap();
-        c.recv(peer, 1, &mut got).unwrap();
-        // The two provisioned buffers return to this rank's pool only
-        // once the peer has received them; one more exchange proves it
-        // has, so the window cannot open on an empty pool.
-        c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..iters {
-            c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
+        // enters the window owning one buffer. Only eager sizes need
+        // (or survive) this: a rendezvous hop never touches the pool,
+        // and two rendezvous sends facing each other are a deadlock.
+        if n < DEFAULT_RENDEZVOUS_THRESHOLD {
+            c.send(peer, 1, &mine).unwrap();
+            c.send(peer, 1, &mine).unwrap();
+            c.send(peer, 2, &[0]).unwrap();
+            c.recv(peer, 2, &mut [0]).unwrap();
+            c.recv(peer, 1, &mut got).unwrap();
+            c.recv(peer, 1, &mut got).unwrap();
         }
-        // Symmetric exchanges double as barriers: when rank 0's last
-        // sendrecv returns, rank 1 has completed its side of every
-        // iteration, so both ranks' hops fall inside the window.
+        // The two provisioned buffers return to this rank's pool only
+        // once the peer has received them; one more hop proves it has,
+        // so the window cannot open on an empty pool.
+        hop(&mut got);
+        let acquired = || {
+            let pool = c.pool_stats();
+            pool.hits + pool.misses
+        };
+        let (pool_before, before) = (acquired(), ALLOCATIONS.load(Ordering::SeqCst));
+        for _ in 0..iters {
+            hop(&mut got);
+        }
+        // Hops double as barriers: when rank 0's last one returns,
+        // rank 1 has completed its side of every iteration, so both
+        // ranks' hops fall inside the window.
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         // The peer may still be inside its last receive: keep this
         // rank's endpoint teardown out of the peer's window.
         RANK_THREAD.set(false);
-        after - before
+        (after - before, acquired() - pool_before)
     });
     out[0]
 }
 
 #[test]
 fn eager_hops_are_strictly_allocation_free() {
-    let n = allocations_during_exchanges(1024, 4, 200);
+    let (n, _) = allocations_during_hops(1024, 4, 200, false);
     assert_eq!(
         n, 0,
         "steady-state eager hops performed {n} heap allocations"
@@ -152,20 +176,31 @@ fn eager_hops_are_strictly_allocation_free() {
 #[test]
 fn rendezvous_hops_allocate_at_most_stray_flags() {
     let iters = 100;
-    let n = allocations_during_exchanges(DEFAULT_RENDEZVOUS_THRESHOLD * 2, 4, iters);
-    // The only permitted allocation is a fresh completion flag when the
-    // retired one is reacquired before the peer drops its handle; no
-    // payload buffer is ever allocated.
-    assert!(
-        n <= 8,
-        "expected near-zero rendezvous allocations, got {n} over {iters} hops"
-    );
+    for plain in [false, true] {
+        let (n, acquired) =
+            allocations_during_hops(DEFAULT_RENDEZVOUS_THRESHOLD * 2, 4, iters, plain);
+        // The only permitted allocation is a fresh completion flag when
+        // the retired one is reacquired before the peer drops its
+        // handle; no payload buffer is ever allocated, or even pooled.
+        assert!(
+            n <= 8,
+            "expected near-zero rendezvous allocations, got {n} over {iters} hops (plain: {plain})"
+        );
+        assert_eq!(acquired, 0, "a rendezvous hop took a pool buffer");
+    }
 }
 
-/// Runs `rounds` steady-state repetitions of every planned collective on
-/// a world of `p` ranks and returns the number of heap allocations the
-/// rank threads performed during those repetitions (warm-up excluded).
-fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u64 {
+/// Runs `rounds` steady-state repetitions of every planned collective
+/// (or, with `planned` off, of the five strategy-driven calls of the
+/// communicator's default path) on a world of `p` ranks and returns the
+/// number of heap allocations the rank threads performed during those
+/// repetitions (warm-up excluded), and their bytes.
+fn allocations_during_steady_rounds(
+    p: usize,
+    elems: usize,
+    rounds: usize,
+    planned: bool,
+) -> (u64, u64) {
     let _window = window_guard();
     let out = run_world(p, |c| {
         RANK_THREAD.set(true);
@@ -178,9 +213,17 @@ fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u6
         let mine = vec![c.rank() as f64; elems];
         let mut all = vec![0.0f64; elems * c.size()];
         let mut one_round = || {
-            bcast.execute(&cc, &mut buf).unwrap();
-            collect.execute(&cc, &mine, &mut all).unwrap();
-            allreduce.execute(&cc, &mut buf).unwrap();
+            if planned {
+                bcast.execute(&cc, &mut buf).unwrap();
+                collect.execute(&cc, &mine, &mut all).unwrap();
+                allreduce.execute(&cc, &mut buf).unwrap();
+            } else {
+                cc.bcast(0, &mut buf).unwrap();
+                cc.allgather(&mine, &mut all).unwrap();
+                cc.allreduce(&mut buf, ReduceOp::Sum).unwrap();
+                cc.reduce(0, &mut buf, ReduceOp::Sum).unwrap();
+                cc.reduce_scatter(&all, &mut buf, ReduceOp::Sum).unwrap();
+            }
         };
         // Warm-up: sizes every pool free list, stash slot, queue, and
         // plan scratch buffer. Two rounds, in case the first round's
@@ -193,17 +236,23 @@ fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u6
         let mut token = [0.0f64];
         barrier.execute(&cc, &mut token).unwrap();
         barrier.execute(&cc, &mut token).unwrap();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let counters = || {
+            (
+                ALLOCATIONS.load(Ordering::SeqCst),
+                ALLOCATED_BYTES.load(Ordering::SeqCst),
+            )
+        };
+        let before = counters();
         for _ in 0..rounds {
             one_round();
         }
         // Close the window with a barrier *before* reading, so every
         // rank's rounds are inside [before, after] on rank 0.
         barrier.execute(&cc, &mut token).unwrap();
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = counters();
         // As above: teardown stays out of a slower rank's window.
         RANK_THREAD.set(false);
-        after - before
+        (after.0 - before.0, after.1 - before.1)
     });
     out[0]
 }
@@ -214,7 +263,7 @@ fn planned_collective_rounds_allocate_only_bounded_setup() {
     // builds a few block-range and subgroup-member lists; everything
     // payload-sized is reused. The bound is deliberately tight enough
     // that a single payload buffer regression per round would trip it.
-    let small = allocations_during_steady_rounds(4, 64, 10);
+    let (small, _) = allocations_during_steady_rounds(4, 64, 10, true);
     assert!(
         small <= 600,
         "setup allocations ballooned: {small} over 10 rounds"
@@ -223,9 +272,26 @@ fn planned_collective_rounds_allocate_only_bounded_setup() {
     // Size-independence: 128× larger payloads must not change the
     // allocation picture materially (same strategies modulo the cost
     // model's choice, zero payload-scale allocations).
-    let large = allocations_during_steady_rounds(4, 8192, 10);
+    let (large, _) = allocations_during_steady_rounds(4, 8192, 10, true);
     assert!(
         large <= 600,
         "large-payload rounds allocate: {large} over 10 rounds"
     );
+}
+
+#[test]
+fn default_path_rounds_allocate_only_bounded_setup() {
+    // Same picture without plans, up to rendezvous-sized hops: 50 calls
+    // on each of 4 ranks select, split and partition, and all of that
+    // together stays under one of the largest payload's vectors (the
+    // parent allocated and zeroed a work vector, a bucket or both in
+    // every combining call).
+    for elems in [64, 8192, 65_536] {
+        let (n, bytes) = allocations_during_steady_rounds(4, elems, 10, false);
+        assert!(n <= 1500, "{n} allocations over 10 rounds of {elems} f64");
+        assert!(
+            bytes < 65_536,
+            "{bytes} bytes over 10 rounds of {elems} f64"
+        );
+    }
 }

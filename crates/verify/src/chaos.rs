@@ -283,6 +283,7 @@ fn run_op<C: Comm + ?Sized>(
         &gc,
         ReduceOp::Max,
         &mut bufs.bind(),
+        &mut Vec::new(),
         0,
     )?;
     Ok(bufs

@@ -37,7 +37,8 @@ pub fn extract_programs_under(
             let rec = RecordingComm::new(rank, p);
             let mut bufs = OwnedArgs::<u8>::new(*op, p, n, rank);
             let gc = GroupComm::world(&rec);
-            run_direct(*op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), 0)?;
+            let (args, scratch) = (&mut bufs.bind(), &mut Vec::new());
+            run_direct(*op, choice, &gc, ReduceOp::Sum, args, scratch, 0)?;
             Ok(rec.into_ops())
         })
         .collect()

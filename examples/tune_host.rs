@@ -20,7 +20,7 @@ fn main() {
         MachineParams::PARAGON.alpha * 1e6
     );
     println!(
-        "           beta  = {:>10.3} ns/B ({:.1} MB/s; Paragon: {:.1} MB/s)",
+        "           beta  = {:>10.3} ns/B ({:.1} MB/s, one copy per 1 MiB hop; Paragon: {:.1} MB/s)",
         host.beta * 1e9,
         1.0 / host.beta / 1e6,
         1.0 / MachineParams::PARAGON.beta / 1e6

@@ -39,6 +39,7 @@ pub fn run_collective<C: Comm + ?Sized>(
         &gc,
         ReduceOp::Max,
         &mut bufs.bind(),
+        &mut Vec::new(),
         0,
     )
 }

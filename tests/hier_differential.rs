@@ -76,6 +76,7 @@ type CallRows = Vec<(&'static str, Vec<u64>, Vec<u64>)>;
 /// Only the root's reduce output is defined, so non-roots report empty
 /// vectors there.
 fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize) -> CallRows {
+    let scratch = &mut Vec::new();
     let machine = HierMachine::paragon_cluster();
     let gc = GroupComm::world(c);
     let p = gc.len();
@@ -128,6 +129,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut h,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     let mut f = init;
@@ -138,6 +140,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut f,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     if me != 0 {
@@ -155,6 +158,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut h,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     let mut f = init;
@@ -164,6 +168,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut f,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     out.push(("allreduce", h, f));
@@ -177,6 +182,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mine,
         &mut h,
         tag(),
+        scratch,
     )
     .unwrap();
     let mut f = vec![0u64; p * b];
@@ -186,6 +192,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mine,
         &mut f,
         tag(),
+        scratch,
     )
     .unwrap();
     out.push(("collect", h, f));
@@ -200,6 +207,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut h,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     let mut f = vec![0u64; b];
@@ -210,6 +218,7 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
         &mut f,
         ReduceOp::Sum,
         tag(),
+        scratch,
     )
     .unwrap();
     out.push(("reduce-scatter", h, f));
@@ -410,13 +419,16 @@ fn hybrids_beat_the_best_flat_strategy_on_the_delta_backbone() {
                 simulate(&cfg, |c| {
                     let gc = GroupComm::world(c);
                     let mut buf = vec![1u8; N];
+                    let scratch = &mut Vec::new();
                     match (op, hier) {
                         (CollectiveOp::Broadcast, true) => hier_broadcast(&gc, &hs, 0, &mut buf, 0),
                         (CollectiveOp::Broadcast, false) => {
                             algorithms::broadcast(&gc, &flat, 0, &mut buf, 0)
                         }
-                        (_, true) => hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Max, 0),
-                        (_, false) => algorithms::allreduce(&gc, &flat, &mut buf, ReduceOp::Max, 0),
+                        (_, true) => hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Max, 0, scratch),
+                        (_, false) => {
+                            algorithms::allreduce(&gc, &flat, &mut buf, ReduceOp::Max, 0, scratch)
+                        }
                     }
                     .unwrap();
                 })

@@ -93,6 +93,7 @@ fn direct_run<C: Comm + ?Sized>(
     let p = comm.size();
     let rank = comm.rank();
     let st = || strategy.expect("strategy op");
+    let scratch = &mut Vec::new();
     match *op {
         PlanOp::Broadcast { root } => {
             let mut buf = vec![0u8; n];
@@ -105,27 +106,28 @@ fn direct_run<C: Comm + ?Sized>(
         PlanOp::Reduce { root } => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
-            algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0).unwrap();
+            algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0, scratch).unwrap();
             buf
         }
         PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(rank, &mut buf);
-            algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0).unwrap();
+            algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0, scratch).unwrap();
             buf
         }
         PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(rank, &mut contrib);
             let mut mine = vec![0u8; n];
-            algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0).unwrap();
+            algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0, scratch)
+                .unwrap();
             [contrib, mine].concat()
         }
         PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(rank, &mut mine);
             let mut all = vec![0u8; p * n];
-            algorithms::collect(&gc, st(), &mine, &mut all, 0).unwrap();
+            algorithms::collect(&gc, st(), &mine, &mut all, 0, scratch).unwrap();
             [mine, all].concat()
         }
         PlanOp::Scatter { root } => {
@@ -371,7 +373,7 @@ fn one_program_replays_many_times() {
         for round in 0..3u8 {
             let mut buf = vec![0u8; n];
             fill(c.rank() + round as usize, &mut buf);
-            algorithms::allreduce(&gc, &st, &mut buf, ReduceOp::Max, 0).unwrap();
+            algorithms::allreduce(&gc, &st, &mut buf, ReduceOp::Max, 0, &mut Vec::new()).unwrap();
             rounds.push(buf);
         }
         rounds

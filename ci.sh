@@ -71,8 +71,11 @@ at_most() {
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test --workspace -q
+echo "==> cargo test (under a 900 s timeout)"
+# A hang (a simulated deadlock that never unwinds, a lost wake-up) fails
+# the gate instead of stalling it: the debug build takes a few minutes
+# from cold, the suite itself under one.
+timeout 900 cargo test --workspace -q
 
 echo "==> examples (release, each under a 120 s timeout)"
 # The only user-style programs that call Comm::send directly (jacobi's

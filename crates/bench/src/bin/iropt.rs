@@ -25,9 +25,7 @@
 //! repeats).
 
 use intercom::comm::GroupComm;
-use intercom::ir::{
-    execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram, PlanOp, StepKind,
-};
+use intercom::ir::{execute, lower, optimize, ArgBuf, CollectiveProgram, PlanOp, StepKind};
 use intercom::{Comm, ReduceOp};
 use intercom_bench::report::Table;
 use intercom_cost::{MachineParams, Strategy};
@@ -171,11 +169,7 @@ fn run_prog<C: Comm + ?Sized>(comm: &C, prog: &CollectiveProgram, n: usize) {
     let rank = comm.rank();
     let mut scratch = Vec::new();
     let mut run = |args: &mut [ArgBuf<'_, u8>]| {
-        if prog.op.combines() {
-            execute(prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
-        } else {
-            execute_scalar(prog, &gc, args, &mut scratch, 0).unwrap();
-        }
+        execute(prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
     };
     let fill = |buf: &mut [u8]| {
         for (i, b) in buf.iter_mut().enumerate() {

@@ -1,6 +1,6 @@
 //! The acting half of the closed autotuning loop: turn a
-//! [`DriftVerdict`] into a [`MachineParams`] refit, plan-cache
-//! invalidation and strategy re-selection.
+//! [`DriftVerdict`] into a refit of the machine's network level,
+//! plan-cache invalidation and strategy re-selection.
 //!
 //! The obs side (`obs::drift`) *senses* — it folds streaming residual
 //! reports into an online α̂/β̂ estimate and raises a verdict when the
@@ -8,23 +8,25 @@
 //! the verdict, which only the core crate can do, because it owns the
 //! plan cache and the selector:
 //!
-//! 1. install the refit via [`TunedParams::refit`] (bumping the params
-//!    version, exported as the `intercom_machine_params_version` gauge);
+//! 1. install the refit via [`TunedHier::refit_level`] (bumping the
+//!    params version, exported as the `intercom_machine_params_version`
+//!    gauge);
 //! 2. for every call shape the tuner has seen, re-run the selector
-//!    under the new parameters;
+//!    ([`choose`] — what the tracked call itself ran) under the new
+//!    parameters;
 //! 3. where the choice changed, [`PlanCache::invalidate_matching`] the
 //!    stale entries and [`PlanCache::warm_up`] the new winner, so the
 //!    next collective call compiles nothing and prices correctly;
-//! 4. report everything in a [`RetuneReport`] with both strategies
+//! 4. report everything in a [`RetuneReport`] with both choices
 //!    priced under the *new* parameters, making the win auditable.
 //!
 //! This is ROADMAP's "closed-loop autotuning from observed residuals"
 //! ("Fast Tuning of Intra-Cluster Collective Communications" rebuilt on
 //! verified schedules), end to end.
 
-use crate::ir::{cost_op, global_cache, OptLevel, PlanCache, PlanKey, PlanOp};
-use crate::selector::{choose_strategy, GroupShape};
-use intercom_cost::{hybrid_cost, CostContext, MachineParams, Strategy, TunedParams};
+use crate::ir::{cost_op, global_cache, PlanCache, PlanKey, PlanOp};
+use crate::selector::{choose, price, GroupShape};
+use intercom_cost::{HierChoice, HierMachine, MachineParams, TunedHier};
 use intercom_obs::drift::{DriftConfig, DriftMonitor, DriftVerdict};
 use intercom_obs::residual::ResidualReport;
 use std::collections::HashSet;
@@ -45,15 +47,15 @@ pub struct TrackedShape {
 }
 
 /// One re-selection performed by a retune: the shape, the stale and
-/// fresh strategies, and both priced under the *new* parameters.
+/// fresh choices, and both priced under the *new* parameters.
 #[derive(Debug, Clone)]
 pub struct Reselect {
     /// The call shape that flipped.
     pub shape: TrackedShape,
-    /// The strategy selected under the stale parameters.
-    pub old: Strategy,
-    /// The strategy selected under the refit parameters.
-    pub new: Strategy,
+    /// What the call ran under the stale parameters.
+    pub old: HierChoice,
+    /// What it runs under the refit parameters.
+    pub new: HierChoice,
     /// `old`'s predicted seconds under the refit parameters.
     pub old_cost: f64,
     /// `new`'s predicted seconds under the refit parameters.
@@ -67,9 +69,9 @@ pub struct Reselect {
 pub struct RetuneReport {
     /// The verdict that triggered the retune.
     pub verdict: DriftVerdict,
-    /// Parameters before the refit.
+    /// The refit (network) level's parameters before the refit.
     pub old_params: MachineParams,
-    /// Parameters now active.
+    /// That level's parameters now active.
     pub new_params: MachineParams,
     /// The bumped params version.
     pub version: u64,
@@ -87,7 +89,7 @@ pub struct RetuneReport {
 #[derive(Debug)]
 pub struct AutoTuner {
     monitor: DriftMonitor,
-    tuned: TunedParams,
+    tuned: TunedHier,
     shapes: Vec<TrackedShape>,
     /// `shapes` by hash: `track` runs on every `Algo::Auto` call.
     seen: HashSet<TrackedShape>,
@@ -104,20 +106,33 @@ impl AutoTuner {
     pub fn with_config(params: MachineParams, cfg: DriftConfig) -> Self {
         AutoTuner {
             monitor: DriftMonitor::with_config(params, cfg),
-            tuned: TunedParams::new(params),
+            tuned: TunedHier::new(HierMachine::flat(params)),
             shapes: Vec::new(),
             seen: HashSet::new(),
         }
     }
 
-    /// The parameters currently pricing selections.
+    /// The network-level parameters currently pricing selections.
     pub fn params(&self) -> &MachineParams {
-        &self.tuned.current
+        self.tuned.current.inter()
     }
 
     /// The current params version (1 = as configured; each refit bumps).
     pub fn version(&self) -> u64 {
         self.tuned.version
+    }
+
+    /// The versioned machine the tuner refits and re-selects under.
+    pub fn tuned(&self) -> &TunedHier {
+        &self.tuned
+    }
+
+    /// Re-selects under `tuned` from now on: a communicator hands its
+    /// own ladder and version over when the tuner is attached, so a
+    /// cluster's retune sees both levels and the two never disagree.
+    /// The monitor keeps watching the network level it was built for.
+    pub(crate) fn adopt(&mut self, tuned: TunedHier) {
+        self.tuned = tuned;
     }
 
     /// Read access to the wrapped monitor (estimate, sample count).
@@ -145,19 +160,23 @@ impl AutoTuner {
     }
 
     /// Feeds one residual report; on a drift verdict, refits the
-    /// parameters, re-selects every tracked shape and
-    /// invalidates/re-warms `cache`. Publishes the params version and
-    /// retune counters to the metrics registry.
+    /// network level (the drift monitor watches end-to-end residuals,
+    /// which the expensive level dominates), re-selects every tracked
+    /// shape and invalidates/re-warms `cache`. Publishes the params
+    /// version and retune counters to the metrics registry.
     pub fn observe_with_cache(
         &mut self,
         report: &ResidualReport,
         cache: &PlanCache,
     ) -> Option<RetuneReport> {
         let verdict = self.monitor.observe(report)?;
-        let old_params = self.tuned.current;
-        let version = self.tuned.refit(verdict.refit.alpha, verdict.refit.beta);
-        let new_params = self.tuned.current;
-        self.monitor.rebase(new_params);
+        let old_machine = self.tuned.current;
+        let net = old_machine.levels() - 1;
+        let version = self
+            .tuned
+            .refit_level(net, verdict.refit.alpha, verdict.refit.beta);
+        let new_machine = self.tuned.current;
+        self.monitor.rebase(*new_machine.inter());
 
         let mut reselections = Vec::new();
         let mut invalidated = 0usize;
@@ -169,8 +188,8 @@ impl AutoTuner {
             };
             let p = shape.shape.nodes();
             let bytes = shape.op.cost_bytes(p, shape.n, shape.elem_size);
-            let old = choose_strategy(cop, shape.shape, bytes, &old_params);
-            let new = choose_strategy(cop, shape.shape, bytes, &new_params);
+            let old = choose(cop, shape.shape, bytes, &old_machine);
+            let new = choose(cop, shape.shape, bytes, &new_machine);
             if old == new {
                 continue;
             }
@@ -183,27 +202,13 @@ impl AutoTuner {
             });
             invalidated += dropped;
             warmed += cache
-                .warm_up([PlanKey {
-                    op: shape.op,
-                    p,
-                    n: shape.n,
-                    elem_size: shape.elem_size,
-                    strategy: Some(new.clone()),
-                    hier: None,
-                    opt: OptLevel::Full,
-                }])
+                .warm_up([PlanKey::frozen(shape.op, p, shape.n, shape.elem_size, &new)])
                 .unwrap_or(0);
-            let ctx = match shape.shape {
-                GroupShape::Linear(_) | GroupShape::Cluster { .. } => {
-                    CostContext::linear_with(&new_params)
-                }
-                GroupShape::Mesh { .. } => CostContext::mesh_with(&new_params),
-            };
-            let price = |s: &Strategy| hybrid_cost(cop, s, ctx).eval(bytes, &new_params);
+            let cost = |c: &HierChoice| price(cop, shape.shape, c, bytes, &new_machine);
             reselections.push(Reselect {
                 shape: shape.clone(),
-                old_cost: price(&old),
-                new_cost: price(&new),
+                old_cost: cost(&old),
+                new_cost: cost(&new),
                 old,
                 new,
                 invalidated: dropped,
@@ -221,8 +226,8 @@ impl AutoTuner {
 
         Some(RetuneReport {
             verdict,
-            old_params,
-            new_params,
+            old_params: *old_machine.inter(),
+            new_params: *new_machine.inter(),
             version,
             reselections,
             invalidated,
@@ -254,22 +259,6 @@ pub fn publish_cache_stats(cache: &PlanCache) {
     reg.gauge_set("intercom_plancache_entries", &[], s.entries as f64);
     if let Some(rate) = s.hit_rate() {
         reg.gauge_set("intercom_plancache_hit_rate", &[], rate);
-    }
-}
-
-/// Publishes pool counters and the derived hit rate to the metrics
-/// registry (no-op when the metrics layer is disabled).
-pub fn publish_pool_stats(stats: &crate::pool::PoolStats) {
-    if !intercom_obs::metrics::enabled() {
-        return;
-    }
-    let reg = intercom_obs::metrics::global();
-    reg.counter_add("intercom_pool_acquire_hits_total", &[], stats.hits);
-    reg.counter_add("intercom_pool_acquire_misses_total", &[], stats.misses);
-    reg.counter_add("intercom_pool_recycled_total", &[], stats.recycled);
-    reg.counter_add("intercom_pool_discarded_total", &[], stats.discarded);
-    if let Some(rate) = stats.hit_rate() {
-        reg.gauge_set("intercom_pool_hit_rate", &[], rate);
     }
 }
 

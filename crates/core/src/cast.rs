@@ -2,10 +2,15 @@
 //!
 //! The point-to-point layer moves bytes; collectives are generic over
 //! element types. [`Scalar`] is a sealed trait over the fixed-size
-//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views
-//! and a typed view of the word arena the collectives borrow their
-//! workspace from. The crate's only `unsafe` blocks live here, justified
-//! by the sealed-POD bound.
+//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views,
+//! a typed view of the word arena the collectives borrow their
+//! workspace from, and the element-wise ⊕ of the combining collectives
+//! (every transportable type is numeric, so every one combines). The
+//! crate's only `unsafe` blocks live here, justified by the sealed-POD
+//! bound.
+
+use crate::op::ReduceOp;
+use std::ops::{Add, Mul};
 
 mod sealed {
     pub trait Sealed {}
@@ -20,6 +25,9 @@ mod sealed {
 pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed + 'static {
     /// Size of one element in bytes.
     const SIZE: usize;
+
+    /// Applies `op` to a pair of elements (integers wrap).
+    fn combine(op: ReduceOp, a: Self, b: Self) -> Self;
 
     /// Views a slice of elements as its underlying bytes.
     fn as_bytes(slice: &[Self]) -> &[u8] {
@@ -63,15 +71,25 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed 
 }
 
 macro_rules! impl_scalar {
-    ($($t:ty),*) => {$(
+    ($add:ident, $mul:ident; $($t:ty),*) => {$(
         impl sealed::Sealed for $t {}
         impl Scalar for $t {
             const SIZE: usize = std::mem::size_of::<$t>();
+
+            fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
+                match op {
+                    ReduceOp::Sum => a.$add(b),
+                    ReduceOp::Prod => a.$mul(b),
+                    ReduceOp::Max => a.max(b),
+                    ReduceOp::Min => a.min(b),
+                }
+            }
         }
     )*};
 }
 
-impl_scalar!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64, usize);
+impl_scalar!(wrapping_add, wrapping_mul; u8, i8, u16, i16, u32, i32, u64, i64, usize);
+impl_scalar!(add, mul; f32, f64);
 
 #[cfg(test)]
 mod tests {

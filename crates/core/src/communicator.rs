@@ -1,7 +1,8 @@
 //! The high-level, MPI-like collective interface (paper §9–§10).
 //!
 //! A [`Communicator`] binds a point-to-point endpoint, a group (whole
-//! world or arbitrary member list), the machine's cost parameters, and
+//! world or arbitrary member list), the machine's versioned cost
+//! parameters (a flat machine is the one-level [`HierMachine`]), and
 //! the group's detected physical shape. Every collective picks its
 //! algorithm automatically from the cost model ([`Algo::Auto`]), or runs
 //! a caller-specified short / long / explicit-hybrid algorithm.
@@ -13,9 +14,9 @@ use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::ir::{self, ArgBuf, PlanOp};
 use crate::op::{Elem, ReduceOp};
-use crate::selector::{choose_strategy, GroupShape};
+use crate::selector::{choose, GroupShape};
 use intercom_cost::{
-    choose_hier, CollectiveOp, HierChoice, HierMachine, HierStrategy, MachineParams, Strategy,
+    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, MachineParams, Strategy,
     TunedHier,
 };
 use intercom_obs::residual::ResidualReport;
@@ -56,11 +57,10 @@ pub const CALL_TAG_STRIDE: u64 = 1 << 20;
 /// An MPI-like communicator over a group of nodes.
 pub struct Communicator<'a, C: Comm + ?Sized> {
     gc: GroupComm<'a, C>,
-    machine: MachineParams,
+    /// The versioned per-level parameters every selection reads; one
+    /// level on everything but a cluster communicator.
+    tuned: TunedHier,
     shape: GroupShape,
-    /// Versioned per-level parameters, present on cluster communicators;
-    /// `machine` mirrors the network (outermost) level for flat pricing.
-    hier: Option<TunedHier>,
     /// Drift tuner fed automatically by every selector-driven collective
     /// (see [`Communicator::attach_tuner`]).
     tuner: RefCell<Option<AutoTuner>>,
@@ -72,17 +72,11 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
 }
 
 impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
-    fn with_shape(
-        gc: GroupComm<'a, C>,
-        machine: MachineParams,
-        shape: GroupShape,
-        hier: Option<TunedHier>,
-    ) -> Self {
+    fn with_shape(gc: GroupComm<'a, C>, machine: HierMachine, shape: GroupShape) -> Self {
         Communicator {
             gc,
-            machine,
+            tuned: TunedHier::new(machine),
             shape,
-            hier,
             tuner: RefCell::new(None),
             next_tag: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
@@ -105,7 +99,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     pub fn world(comm: &'a C, machine: MachineParams) -> Self {
         let gc = GroupComm::world(comm);
         let shape = GroupShape::Linear(gc.len());
-        Self::with_shape(gc, machine, shape, None)
+        Self::with_shape(gc, HierMachine::flat(machine), shape)
     }
 
     /// The whole world as a two-level cluster (node-major rank order:
@@ -114,14 +108,12 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// `machine` against the best flat strategy at the network level.
     pub fn world_on_cluster(comm: &'a C, machine: HierMachine, cluster: &Cluster) -> Result<Self> {
         Self::check_world(comm, cluster.ranks())?;
-        let shape = GroupShape::Cluster {
+        let shape = GroupShape::Cluster(ClusterShape {
             inter_rows: cluster.inter().rows(),
             inter_cols: cluster.inter().cols(),
             ranks_per_node: cluster.ranks_per_node(),
-        };
-        let net = *machine.inter();
-        let tuned = Some(TunedHier::new(machine));
-        Ok(Self::with_shape(GroupComm::world(comm), net, shape, tuned))
+        });
+        Ok(Self::with_shape(GroupComm::world(comm), machine, shape))
     }
 
     /// The whole world as a physical `mesh` (row-major rank order):
@@ -132,12 +124,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             rows: mesh.rows(),
             cols: mesh.cols(),
         };
-        Ok(Self::with_shape(
-            GroupComm::world(comm),
-            machine,
-            shape,
-            None,
-        ))
+        let machine = HierMachine::flat(machine);
+        Ok(Self::with_shape(GroupComm::world(comm), machine, shape))
     }
 
     /// The whole world as a physical hypercube (§11's iPSC/860 port):
@@ -152,7 +140,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         Self::check_world(comm, cube.nodes())?;
         let gc = GroupComm::new(comm, cube.gray_ring())?;
         let shape = GroupShape::Linear(gc.len());
-        Ok(Self::with_shape(gc, machine, shape, None))
+        Ok(Self::with_shape(gc, HierMachine::flat(machine), shape))
     }
 
     /// A group communicator from an explicit member list (§9). When the
@@ -170,7 +158,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             _ => GroupShape::Linear(members.len()),
         };
         let gc = GroupComm::new(comm, members)?;
-        Ok(Self::with_shape(gc, machine, shape, None))
+        Ok(Self::with_shape(gc, HierMachine::flat(machine), shape))
     }
 
     /// My logical rank within the group.
@@ -188,9 +176,10 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         &self.gc
     }
 
-    /// The machine parameters driving automatic selection.
+    /// The network-level (on a flat machine: the only) parameters
+    /// driving automatic selection.
     pub fn machine(&self) -> &MachineParams {
-        &self.machine
+        self.tuned.current.inter()
     }
 
     /// The detected physical shape driving automatic selection.
@@ -198,17 +187,20 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.shape
     }
 
-    /// The versioned per-level parameters, when this communicator runs
-    /// on a cluster.
-    pub fn hier(&self) -> Option<&TunedHier> {
-        self.hier.as_ref()
+    /// The versioned per-level parameters (one level unless this
+    /// communicator runs on a cluster).
+    pub fn tuned(&self) -> &TunedHier {
+        &self.tuned
     }
 
     /// The *flat* strategy [`Algo::Auto`] would pick for `op` at
     /// `n_bytes` (on a cluster: the best level-blind strategy, priced
     /// at the network level).
     pub fn auto_strategy(&self, op: CollectiveOp, n_bytes: usize) -> Strategy {
-        choose_strategy(op, self.shape, n_bytes, &self.machine)
+        match choose(op, self.shape.level_blind(), n_bytes, &self.tuned.current) {
+            HierChoice::Flat(s) => s,
+            HierChoice::Hier(_) => unreachable!("only a cluster shape selects a hybrid"),
+        }
     }
 
     /// What [`Algo::Auto`] would run for `op` at `n_bytes`: on a
@@ -216,18 +208,18 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// hybrid and the best flat strategy under the two-level model;
     /// elsewhere, the flat selection.
     pub fn auto_choice(&self, op: CollectiveOp, n_bytes: usize) -> HierChoice {
-        match (self.shape.cluster_shape(), &self.hier) {
-            (Some(cs), Some(th)) => choose_hier(op, cs, n_bytes, &th.current),
-            _ => HierChoice::Flat(self.auto_strategy(op, n_bytes)),
-        }
+        choose(op, self.shape, n_bytes, &self.tuned.current)
     }
 
-    /// Attaches a drift tuner. From now on every selector-driven
-    /// collective call registers its shape with the tuner — no explicit
+    /// Attaches a drift tuner, which adopts this communicator's
+    /// versioned machine. From now on every selector-driven collective
+    /// call registers its shape with the tuner — no explicit
     /// [`AutoTuner::track`] plumbing — so a drift verdict re-selects
-    /// exactly the shapes this communicator actually ran.
-    pub fn attach_tuner(&mut self, tuner: AutoTuner) {
-        *self.tuner.borrow_mut() = Some(tuner);
+    /// exactly the shapes this communicator actually ran, the way it
+    /// ran them.
+    pub fn attach_tuner(&mut self, mut tuner: AutoTuner) {
+        tuner.adopt(self.tuned);
+        *self.tuner.get_mut() = Some(tuner);
     }
 
     /// Removes and returns the attached tuner, if any.
@@ -241,19 +233,14 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     }
 
     /// Feeds one residual report to the attached tuner. On a drift
-    /// verdict the tuner refits, re-selects every tracked shape against
-    /// the process-wide plan cache, and this communicator adopts the new
-    /// parameters for subsequent selections — on a cluster, as a refit
-    /// of the *network* level (the drift monitor watches end-to-end
-    /// residuals, which the expensive level dominates), bumping the
-    /// [`TunedHier`] version.
+    /// verdict the tuner refits the *network* level, re-selects every
+    /// tracked shape against the process-wide plan cache, and this
+    /// communicator takes over the tuner's refit machine — parameters
+    /// and version as one value — for subsequent selections.
     pub fn observe(&mut self, report: &ResidualReport) -> Option<RetuneReport> {
-        let rep = self.tuner.get_mut().as_mut()?.observe(report)?;
-        self.machine = rep.new_params;
-        if let Some(th) = &mut self.hier {
-            let level = th.current.levels() - 1;
-            th.refit_level(level, rep.new_params.alpha, rep.new_params.beta);
-        }
+        let tuner = self.tuner.get_mut().as_mut()?;
+        let rep = tuner.observe(report)?;
+        self.tuned = *tuner.tuned();
         Some(rep)
     }
 
@@ -294,8 +281,10 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         }
     }
 
-    /// One selector-driven combining call on the direct path.
-    fn run<T: Elem>(
+    /// One call on the direct path: selector-driven where the op takes
+    /// a strategy. `rop` is the ⊕ of a combining op; the others never
+    /// apply it.
+    fn run<T: Scalar>(
         &self,
         op: PlanOp,
         n: usize,
@@ -303,22 +292,11 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         algo: &Algo,
         args: &mut [ArgBuf<'_, T>],
     ) -> Result<()> {
-        let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
+        let choice = op
+            .takes_strategy()
+            .then(|| self.choose(op, n, T::SIZE, algo));
         let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
-        ir::run_direct(op, Some(&choice), &self.gc, rop, args, scratch, tag)
-    }
-
-    /// One selector-driven non-combining call on the direct path.
-    fn run_scalar<T: Scalar>(
-        &self,
-        op: PlanOp,
-        n: usize,
-        algo: &Algo,
-        args: &mut [ArgBuf<'_, T>],
-    ) -> Result<()> {
-        let choice = self.choose(op, n, std::mem::size_of::<T>(), algo);
-        let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
-        ir::run_direct_scalar(op, Some(&choice), &self.gc, args, scratch, tag)
+        ir::run_direct(op, choice.as_ref(), &self.gc, rop, args, scratch, tag)
     }
 
     /// Broadcast `buf` from `root` to all members (auto-selected
@@ -341,8 +319,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
 
     /// Broadcast with an explicit algorithm choice.
     pub fn bcast_with<T: Scalar>(&self, root: usize, buf: &mut [T], algo: &Algo) -> Result<()> {
-        let n = buf.len();
-        self.run_scalar(PlanOp::Broadcast { root }, n, algo, &mut [ArgBuf::Out(buf)])
+        let (op, n) = (PlanOp::Broadcast { root }, buf.len());
+        self.run(op, n, ReduceOp::Sum, algo, &mut [ArgBuf::Out(buf)])
     }
 
     /// Combine-to-one: ⊕-combine everyone's `buf` onto the root.
@@ -413,7 +391,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// Collect with an explicit algorithm choice.
     pub fn allgather_with<T: Scalar>(&self, mine: &[T], all: &mut [T], algo: &Algo) -> Result<()> {
         let args = &mut [ArgBuf::In(mine), ArgBuf::Out(all)];
-        self.run_scalar(PlanOp::Collect, mine.len(), algo, args)
+        self.run(PlanOp::Collect, mine.len(), ReduceOp::Sum, algo, args)
     }
 
     /// Distributed combine (reduce-scatter): ⊕-combine everyone's
@@ -447,12 +425,16 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         full: Option<&[T]>,
         mine: &mut [T],
     ) -> Result<()> {
-        algorithms::scatter(&self.gc, root, full, mine, self.fresh_tag())
+        let (op, n) = (PlanOp::Scatter { root }, mine.len());
+        let args = &mut [full.map_or(ArgBuf::Absent, ArgBuf::In), ArgBuf::Out(mine)];
+        self.run(op, n, ReduceOp::Sum, &Algo::Auto, args)
     }
 
     /// Gather every member's `mine` into the root's `full`.
     pub fn gather<T: Scalar>(&self, root: usize, mine: &[T], full: Option<&mut [T]>) -> Result<()> {
-        algorithms::gather(&self.gc, root, mine, full, self.fresh_tag())
+        let (op, n) = (PlanOp::Gather { root }, mine.len());
+        let args = &mut [ArgBuf::In(mine), full.map_or(ArgBuf::Absent, ArgBuf::Out)];
+        self.run(op, n, ReduceOp::Sum, &Algo::Auto, args)
     }
 
     /// Scatter with per-rank counts (known-lengths mode).
@@ -485,7 +467,9 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// Total exchange (alltoall, extension): `send` holds one block per
     /// member in rank order; `recv` receives one block from each member.
     pub fn alltoall<T: Scalar>(&self, send: &[T], recv: &mut [T]) -> Result<()> {
-        algorithms::alltoall(&self.gc, send, recv, self.fresh_tag())
+        let n = send.len() / self.size();
+        let args = &mut [ArgBuf::In(send), ArgBuf::Out(recv)];
+        self.run(PlanOp::Alltoall, n, ReduceOp::Sum, &Algo::Auto, args)
     }
 
     /// Barrier: returns only after every member has entered. Implemented
@@ -521,7 +505,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             .into_iter()
             .map(|(_, r)| self.gc.world_rank(r))
             .collect();
-        Communicator::from_group(self.gc.comm(), self.machine, world_members, mesh)
+        Communicator::from_group(self.gc.comm(), *self.machine(), world_members, mesh)
     }
 }
 
@@ -617,13 +601,19 @@ mod tests {
             &Cluster::linear(1, 1),
         )
         .unwrap();
-        assert!(cc.hier().is_some());
+        assert_eq!(cc.tuned().current, HierMachine::paragon_cluster());
         assert_eq!(cc.shape().cluster_shape().unwrap().ranks(), 1);
-        // The flat-pricing mirror is the network level.
+        // Flat pricing reads the network level.
+        assert_eq!(cc.machine(), HierMachine::paragon_cluster().inter());
+        // Every other constructor wraps its machine as the one-level ladder.
+        let flat = Communicator::world(&c, MachineParams::DELTA);
         assert_eq!(
-            cc.machine().beta,
-            HierMachine::paragon_cluster().inter().beta
+            flat.tuned().current,
+            HierMachine::flat(MachineParams::DELTA)
         );
+        assert_eq!(flat.machine(), &MachineParams::DELTA);
+        let sub = cc.split(0, 0, None).unwrap();
+        assert_eq!(sub.tuned().current, HierMachine::flat(*cc.machine()));
     }
 
     #[test]
@@ -642,16 +632,8 @@ mod tests {
         assert_eq!(ops, [PlanOp::Broadcast { root: 0 }, PlanOp::AllReduce]);
     }
 
-    #[test]
-    fn observe_refits_the_network_level() {
-        let c = SelfComm;
-        let machine = HierMachine::paragon_cluster();
-        let configured = *machine.inter();
-        let intra_beta = machine.intra().beta;
-        let mut cc = Communicator::world_on_cluster(&c, machine, &Cluster::linear(1, 1)).unwrap();
-        cc.attach_tuner(AutoTuner::new(configured));
-        assert_eq!(cc.hier().unwrap().version, 1);
-        let report = ResidualReport {
+    fn doubled_beta_report(configured: MachineParams) -> ResidualReport {
+        ResidualReport {
             op: CollectiveOp::Broadcast,
             strategy: Strategy::pure_mst(1),
             p: 1,
@@ -666,22 +648,71 @@ mod tests {
             measured_total_secs: 0.0,
             predicted_total_secs: 0.0,
             unattributed_events: 0,
-        };
-        let mut retune = None;
-        for _ in 0..8 {
-            if let Some(r) = cc.observe(&report) {
-                retune = Some(r);
-                break;
-            }
         }
-        let retune = retune.expect("a sustained 2x beta residual must trip the drift gate");
-        // The flat mirror and the network level both adopt the refit β;
-        // the intra-node level is untouched and the hier version bumps.
+    }
+
+    #[test]
+    fn observe_refits_the_network_level_under_one_version() {
+        let c = SelfComm;
+        let machine = HierMachine::paragon_cluster();
+        let configured = *machine.inter();
+        let mut cc = Communicator::world_on_cluster(&c, machine, &Cluster::linear(1, 1)).unwrap();
+        cc.attach_tuner(AutoTuner::new(configured));
+        assert_eq!(cc.tuned().version, 1);
+        let report = doubled_beta_report(configured);
+        let retune = (0..8)
+            .find_map(|_| cc.observe(&report))
+            .expect("a sustained 2x beta residual must trip the drift gate");
+        // The network level adopts the refit β, the intra-node level is
+        // untouched, and the communicator and its tuner hold one value.
+        let th = *cc.tuned();
+        assert_eq!((th.version, retune.version), (2, 2));
         assert_eq!(cc.machine().beta, retune.new_params.beta);
-        let th = cc.hier().unwrap();
-        assert_eq!(th.version, 2);
-        let net = th.current.levels() - 1;
-        assert_eq!(th.current.level(net).beta, retune.new_params.beta);
-        assert_eq!(th.current.intra().beta, intra_beta);
+        assert_eq!(th.current.inter().beta, retune.new_params.beta);
+        assert_eq!(th.current.intra(), machine.intra());
+        let tuner = cc.detach_tuner().unwrap();
+        assert_eq!(tuner.version(), th.version);
+        assert_eq!(*tuner.tuned(), th);
+    }
+
+    #[test]
+    fn a_cluster_retune_reselects_and_warms_what_the_call_runs() {
+        // Rank 0's view of a 2×2×4 cluster; a recording endpoint lets
+        // the tracked allreduce run without peers. The network is
+        // configured at half the Paragon's β, where a level-blind
+        // strategy still wins 2 MiB; at the β the residuals report, the
+        // two-level hybrid does.
+        let c = crate::trace::RecordingComm::new(0, 16);
+        let paragon = HierMachine::paragon_cluster();
+        let mut net = *paragon.inter();
+        net.beta /= 2.0;
+        let machine = HierMachine::two_level(*paragon.intra(), net);
+        let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
+        let mut cc = Communicator::world_on_cluster(&c, machine, &cluster).unwrap();
+        cc.attach_tuner(AutoTuner::new(net));
+        let (op, n) = (CollectiveOp::CombineToAll, 1usize << 18);
+        let ran = cc.auto_choice(op, n * 8);
+        assert!(matches!(ran, HierChoice::Flat(_)), "{ran}");
+        let mut v = vec![1.0f64; n];
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        let report = doubled_beta_report(net);
+        let retune = (0..8)
+            .find_map(|_| cc.observe(&report))
+            .expect("a sustained 2x beta residual must trip the drift gate");
+        let [r] = &retune.reselections[..] else {
+            panic!("one tracked shape, got {:?}", retune.reselections);
+        };
+        assert_eq!(r.old, ran);
+        assert_eq!(r.new, cc.auto_choice(op, n * 8));
+        assert!(r.new_cost < r.old_cost);
+        let HierChoice::Hier(h) = &r.new else {
+            panic!("the hybrid wins under the refit, got {}", r.new);
+        };
+        // The warmed program is the one a plan now asks for: a hit.
+        let key = ir::PlanKey::frozen(PlanOp::AllReduce, 16, n, 8, &r.new);
+        assert_eq!((key.hier.as_ref(), &key.strategy), (Some(h), &None));
+        let before = ir::global_cache().stats();
+        ir::global_cache().get_or_compile(&key).unwrap();
+        assert_eq!(ir::global_cache().stats().delta(&before).misses, 0);
     }
 }

@@ -20,7 +20,7 @@
 
 use super::{lower, lower_hier, optimize, CollectiveProgram, OptLevel, PlanOp};
 use crate::error::Result;
-use intercom_cost::{HierStrategy, Strategy};
+use intercom_cost::{HierChoice, HierStrategy, Strategy};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -47,6 +47,29 @@ pub struct PlanKey {
     /// at different levels are distinct cache entries: an unoptimized
     /// plan and an optimized plan of the same shape coexist.
     pub opt: OptLevel,
+}
+
+impl PlanKey {
+    /// The key of the deployed program for a selection: `choice` frozen
+    /// at full optimization — flat in `strategy`, hierarchical in
+    /// `hier`. The pass pipeline's rewrites are re-proven by the
+    /// schedule audit and pinned byte-identical by the differential
+    /// suites, so the optimized program is the deployed artifact.
+    pub fn frozen(op: PlanOp, p: usize, n: usize, elem_size: usize, choice: &HierChoice) -> Self {
+        let (strategy, hier) = match choice {
+            HierChoice::Flat(s) => (Some(s.clone()), None),
+            HierChoice::Hier(h) => (None, Some(h.clone())),
+        };
+        PlanKey {
+            op,
+            p,
+            n,
+            elem_size,
+            strategy,
+            hier,
+            opt: OptLevel::Full,
+        }
+    }
 }
 
 /// Cache occupancy and lifecycle counters.

@@ -5,13 +5,13 @@
 //! A call is a [`PlanOp`], an algorithm choice, a group, the ⊕, the
 //! argument buffers in [`PlanOp::args`] slot order, the scratch arena
 //! the algorithms borrow their workspace from, and a base tag.
-//! [`run_direct`] / [`run_direct_scalar`] are the only place that maps
-//! that description onto [`algorithms`], [`hier`] or
-//! [`pipelined_ring_bcast`]: the [`Communicator`](crate::Communicator)
-//! calls them with the caller's buffers, [`lower`](super::lower)
-//! replays them against a recording backend, and the verifier, the
-//! chaos harness and the observability driver run them over
-//! [`OwnedArgs`] — so all of them agree on buffer shapes by
+//! [`run_direct`] is the only place that maps that description onto
+//! [`algorithms`], [`hier`] or [`pipelined_ring_bcast`]: the
+//! [`Communicator`](crate::Communicator) calls it with the caller's
+//! buffers, [`lower`](super::lower) replays it against a recording
+//! backend, and the verifier, the chaos harness and the observability
+//! driver run it over [`OwnedArgs`] (the last two through
+//! [`run_filled`]) — so all of them agree on buffer shapes by
 //! construction.
 
 use super::{ArgBuf, ArgDir, ArgSpec, PlanOp};
@@ -20,9 +20,9 @@ use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::hier;
-use crate::op::{Elem, ReduceOp};
+use crate::op::ReduceOp;
 use crate::primitives::pipelined_ring_bcast;
-use intercom_cost::HierChoice;
+use intercom_cost::{HierChoice, Strategy};
 
 const BAD_ARGS: CommError = CommError::PlanMismatch {
     what: "argument buffers do not match the op's slots",
@@ -37,19 +37,22 @@ fn chosen(op: PlanOp, choice: Option<&HierChoice>) -> &HierChoice {
     choice.unwrap_or_else(|| panic!("{} requires a strategy", op.name()))
 }
 
-/// Runs one combining or non-combining collective call on the direct
-/// recursive path. `choice` is the flat or hierarchical strategy
-/// (`None` for the strategy-free ops), `args` bind the slots of
-/// [`PlanOp::args`] and `rop` supplies the ⊕. `scratch` is the
+/// Runs one collective call on the direct recursive path. `choice` is
+/// the flat or hierarchical strategy (`None` for the strategy-free
+/// ops), `args` bind the slots of [`PlanOp::args`] and `rop` supplies
+/// the ⊕ (unused unless [`PlanOp::combines`]). `scratch` is the
 /// reusable arena of [`execute`](super::execute): it grows to what the
 /// call needs and is handed back as it is, so a caller that keeps it
-/// pays for no workspace from the second call on.
+/// pays for no workspace from the second call on. Fails with
+/// [`CommError::PlanMismatch`] if the buffers do not match the op's
+/// slots or a hierarchical choice is given to an op without a
+/// hierarchical template.
 ///
 /// # Panics
 ///
 /// Panics if `choice` is `None` for an op where
 /// [`PlanOp::takes_strategy`] is true.
-pub fn run_direct<T: Elem, C: Comm + ?Sized>(
+pub fn run_direct<T: Scalar, C: Comm + ?Sized>(
     op: PlanOp,
     choice: Option<&HierChoice>,
     gc: &GroupComm<'_, C>,
@@ -58,8 +61,10 @@ pub fn run_direct<T: Elem, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
     base_tag: Tag,
 ) -> Result<()> {
-    if !op.combines() {
-        return run_direct_scalar(op, choice, gc, args, scratch, base_tag);
+    if !op.takes_strategy() && matches!(choice, Some(HierChoice::Hier(_))) {
+        return Err(CommError::PlanMismatch {
+            what: "op has no hierarchical lowering",
+        });
     }
     match (op, args) {
         (PlanOp::Reduce { root }, [ArgBuf::Out(buf)]) => match chosen(op, choice) {
@@ -80,34 +85,6 @@ pub fn run_direct<T: Elem, C: Comm + ?Sized>(
                 }
             }
         }
-        _ => Err(BAD_ARGS),
-    }
-}
-
-/// The non-combining twin of [`run_direct`] (broadcast, collect,
-/// scatter, gather, total exchange, pipelined broadcast), for element
-/// types without a ⊕. Fails with [`CommError::PlanMismatch`] if `op`
-/// combines, or if a hierarchical choice is given to an op without a
-/// hierarchical template.
-pub fn run_direct_scalar<T: Scalar, C: Comm + ?Sized>(
-    op: PlanOp,
-    choice: Option<&HierChoice>,
-    gc: &GroupComm<'_, C>,
-    args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<u64>,
-    base_tag: Tag,
-) -> Result<()> {
-    if op.combines() {
-        return Err(CommError::PlanMismatch {
-            what: "combining op run without a reduce operator",
-        });
-    }
-    if !op.takes_strategy() && matches!(choice, Some(HierChoice::Hier(_))) {
-        return Err(CommError::PlanMismatch {
-            what: "op has no hierarchical lowering",
-        });
-    }
-    match (op, args) {
         (PlanOp::Broadcast { root }, [ArgBuf::Out(buf)]) => match chosen(op, choice) {
             HierChoice::Flat(s) => algorithms::broadcast(gc, s, root, buf, base_tag),
             HierChoice::Hier(h) => hier::hier_broadcast(gc, h, root, buf, base_tag),
@@ -197,11 +174,32 @@ impl<T: Scalar> OwnedArgs<T> {
     }
 }
 
+/// Runs `op` once over the whole world of `comm`, at base tag 0 under
+/// a flat `strategy`, on byte buffers filled with `i % 251` and folded
+/// with `Max` — the shapes [`lower`](super::lower) and the verifier
+/// replay symbolically, so what a backend records of this run lines up
+/// one-to-one with the extracted schedule. Returns the rank's buffers
+/// as the call left them.
+pub fn run_filled<C: Comm + ?Sized>(
+    comm: &C,
+    op: PlanOp,
+    strategy: Option<&Strategy>,
+    n: usize,
+) -> Result<OwnedArgs<u8>> {
+    let rank = comm.rank();
+    let mut bufs = OwnedArgs::new(op, comm.size(), n, rank);
+    bufs.fill_contribution(op, rank, |i| (i % 251) as u8);
+    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
+    let (gc, scratch) = (GroupComm::world(comm), &mut Vec::new());
+    let rop = ReduceOp::Max;
+    run_direct(op, choice.as_ref(), &gc, rop, &mut bufs.bind(), scratch, 0)?;
+    Ok(bufs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::SelfComm;
-    use intercom_cost::Strategy;
 
     fn all_ops(root: usize) -> [PlanOp; 9] {
         [
@@ -311,22 +309,11 @@ mod tests {
         let mut buf = [0u8; 2];
         // Wrong slot count.
         assert!(matches!(
-            run_direct_scalar(
+            run_direct(
                 PlanOp::Collect,
                 Some(&choice),
                 &gc,
-                &mut [ArgBuf::Out(&mut buf)],
-                &mut Vec::new(),
-                0
-            ),
-            Err(CommError::PlanMismatch { .. })
-        ));
-        // A combining op without its operator.
-        assert!(matches!(
-            run_direct_scalar(
-                PlanOp::AllReduce,
-                Some(&choice),
-                &gc,
+                ReduceOp::Sum,
                 &mut [ArgBuf::Out(&mut buf)],
                 &mut Vec::new(),
                 0
@@ -340,10 +327,11 @@ mod tests {
     fn missing_strategy_panics() {
         let c = SelfComm;
         let mut buf = [0u8; 2];
-        let _ = run_direct_scalar(
+        let _ = run_direct(
             PlanOp::Broadcast { root: 0 },
             None,
             &GroupComm::world(&c),
+            ReduceOp::Sum,
             &mut [ArgBuf::Out(&mut buf)],
             &mut Vec::new(),
             0,

@@ -19,7 +19,7 @@ use super::{ArgDir, Buf, CollectiveProgram, Loc, StepKind};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
-use crate::op::{Elem, ReduceOp};
+use crate::op::ReduceOp;
 use std::ops::Range;
 
 /// One argument-buffer binding for an execution (slot order per
@@ -35,55 +35,17 @@ pub enum ArgBuf<'a, T> {
     Absent,
 }
 
-/// Executes the calling rank's program of a combining collective.
-/// `args` bind the argument slots, `scratch` is the reusable private
-/// arena, `base_tag` offsets every step tag, and `op` supplies the ⊕
-/// the program left abstract.
-pub fn execute<T: Elem, C: Comm + ?Sized>(
+/// Executes the calling rank's program. `args` bind the argument
+/// slots, `scratch` is the reusable private arena, `base_tag` offsets
+/// every step tag, and `op` supplies the ⊕ the program left abstract
+/// (unused by a program without reduce steps).
+pub fn execute<T: Scalar, C: Comm + ?Sized>(
     prog: &CollectiveProgram,
     gc: &GroupComm<'_, C>,
     op: ReduceOp,
     args: &mut [ArgBuf<'_, T>],
     scratch: &mut Vec<u64>,
     base_tag: Tag,
-) -> Result<()> {
-    run(
-        prog,
-        gc,
-        args,
-        scratch,
-        base_tag,
-        &mut |acc: &mut [T], other: &[T]| op.fold_into(acc, other),
-    )
-}
-
-/// Executes the calling rank's program of a non-combining collective
-/// (broadcast, collect, scatter, gather, total exchange). Fails with
-/// [`CommError::PlanMismatch`] if the program combines.
-pub fn execute_scalar<T: Scalar, C: Comm + ?Sized>(
-    prog: &CollectiveProgram,
-    gc: &GroupComm<'_, C>,
-    args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<u64>,
-    base_tag: Tag,
-) -> Result<()> {
-    if prog.op.combines() {
-        return Err(CommError::PlanMismatch {
-            what: "combining program executed without a reduce operator",
-        });
-    }
-    run(prog, gc, args, scratch, base_tag, &mut |_, _| {
-        unreachable!("non-combining program contains no reduce steps")
-    })
-}
-
-fn run<T: Scalar, C: Comm + ?Sized>(
-    prog: &CollectiveProgram,
-    gc: &GroupComm<'_, C>,
-    args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<u64>,
-    base_tag: Tag,
-    fold: &mut dyn FnMut(&mut [T], &[T]),
 ) -> Result<()> {
     let elem = std::mem::size_of::<T>();
     if elem != prog.elem_size {
@@ -154,7 +116,7 @@ fn run<T: Scalar, C: Comm + ?Sized>(
                 }
                 StepKind::Reduce { acc, other } => {
                     let (o, a) = read_write(args, scratch, elem, &other, &acc)?;
-                    fold(a, o);
+                    op.fold_into(a, o);
                     comm.local_reduce(T::as_bytes(a), T::as_bytes(o));
                 }
                 StepKind::Compute { bytes } => gc.compute(bytes),
@@ -393,9 +355,10 @@ mod tests {
         let mine = [7u32, 8, 9];
         let mut all = [0u32; 3];
         let mut scratch = Vec::new();
-        execute_scalar(
+        execute(
             &prog,
             &gc,
+            ReduceOp::Sum,
             &mut [ArgBuf::In(&mine), ArgBuf::Out(&mut all)],
             &mut scratch,
             0,
@@ -414,9 +377,10 @@ mod tests {
         let mut all = [0u32; 2]; // wrong length
         let mut scratch = Vec::new();
         assert!(matches!(
-            execute_scalar(
+            execute(
                 &prog,
                 &gc,
+                ReduceOp::Sum,
                 &mut [ArgBuf::In(&mine), ArgBuf::Out(&mut all)],
                 &mut scratch,
                 0,
@@ -425,13 +389,6 @@ mod tests {
                 expected: 3,
                 actual: 2
             })
-        ));
-        // Combining program without an operator.
-        let prog = lower(PlanOp::AllReduce, Some(&st), 1, 2, 4).unwrap();
-        let mut buf = [0u32; 2];
-        assert!(matches!(
-            execute_scalar(&prog, &gc, &mut [ArgBuf::Out(&mut buf)], &mut scratch, 0),
-            Err(CommError::PlanMismatch { .. })
         ));
     }
 

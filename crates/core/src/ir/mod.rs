@@ -11,7 +11,7 @@
 //! schedule —
 //!
 //! * the threaded runtime and the mesh simulator *execute* it through
-//!   the backend-generic interpreter ([`execute`] / [`execute_scalar`]),
+//!   the backend-generic interpreter ([`execute`]),
 //! * `intercom-verify` checks its static safety properties directly
 //!   (deadlock-freedom, single-port, link conflicts, buffer safety),
 //! * `intercom-cost` annotates its stages with predicted costs
@@ -47,8 +47,8 @@ mod opt;
 
 pub use cache::{global_cache, CacheStats, PlanCache, PlanKey, DEFAULT_CACHE_CAPACITY};
 pub use cost::{annotate, cost_op, StageCost};
-pub use direct::{run_direct, run_direct_scalar, OwnedArgs};
-pub use exec::{execute, execute_scalar, ArgBuf};
+pub use direct::{run_direct, run_filled, OwnedArgs};
+pub use exec::{execute, ArgBuf};
 pub use lower::{lower, lower_hier};
 pub use opt::{optimize, OptLevel, OptStats};
 

@@ -1,8 +1,6 @@
 //! Combine operations ⊕ (paper §3): associative and commutative
 //! element-wise reductions such as summation or element-wise product.
 
-use crate::cast::Scalar;
-
 /// The reduction operator applied element-wise by the combining
 /// collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,44 +16,10 @@ pub enum ReduceOp {
     Min,
 }
 
-/// An element type that supports the [`ReduceOp`] combine operations.
-pub trait Elem: Scalar {
-    /// Applies `op` to a pair of elements.
-    fn combine(op: ReduceOp, a: Self, b: Self) -> Self;
-}
-
-macro_rules! impl_elem_int {
-    ($($t:ty),*) => {$(
-        impl Elem for $t {
-            fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
-                match op {
-                    ReduceOp::Sum => a.wrapping_add(b),
-                    ReduceOp::Prod => a.wrapping_mul(b),
-                    ReduceOp::Max => a.max(b),
-                    ReduceOp::Min => a.min(b),
-                }
-            }
-        }
-    )*};
-}
-
-macro_rules! impl_elem_float {
-    ($($t:ty),*) => {$(
-        impl Elem for $t {
-            fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
-                match op {
-                    ReduceOp::Sum => a + b,
-                    ReduceOp::Prod => a * b,
-                    ReduceOp::Max => a.max(b),
-                    ReduceOp::Min => a.min(b),
-                }
-            }
-        }
-    )*};
-}
-
-impl_elem_int!(u8, i8, u16, i16, u32, i32, u64, i64, usize);
-impl_elem_float!(f32, f64);
+/// The element bound of the combining collectives: the same sealed
+/// set of numeric types as [`Scalar`], under the name their signatures
+/// have always used.
+pub use crate::cast::Scalar as Elem;
 
 impl ReduceOp {
     /// Combines `other` into `acc` element-wise: `acc[i] ⊕= other[i]`.

@@ -56,25 +56,9 @@ impl<T: Scalar> PlanCore<T> {
     /// the two-level hybrid — and compiles it.
     fn compile<C: Comm + ?Sized>(cc: &Communicator<'_, C>, op: PlanOp, n: usize) -> Self {
         let cop = ir::cost_op(op).expect("every planned op takes a strategy");
-        let n_bytes = op.cost_bytes(cc.size(), n, std::mem::size_of::<T>());
+        let n_bytes = op.cost_bytes(cc.size(), n, T::SIZE);
         let choice = cc.auto_choice(cop, n_bytes);
-        let (strategy, hier) = match &choice {
-            HierChoice::Flat(s) => (Some(s.clone()), None),
-            HierChoice::Hier(h) => (None, Some(h.clone())),
-        };
-        // Persistent plans compile at full optimization: the pass
-        // pipeline's rewrites are re-proven by the schedule audit and
-        // pinned byte-identical by the differential suites, so the
-        // optimized program is the deployed artifact.
-        let key = PlanKey {
-            op,
-            p: cc.size(),
-            n,
-            elem_size: std::mem::size_of::<T>(),
-            strategy,
-            hier,
-            opt: ir::OptLevel::Full,
-        };
+        let key = PlanKey::frozen(op, cc.size(), n, T::SIZE, &choice);
         PlanCore {
             choice,
             program: ir::global_cache().get_or_compile(&key),
@@ -88,6 +72,24 @@ impl<T: Scalar> PlanCore<T> {
             Ok(p) => Ok(p),
             Err(e) => Err(e.clone()),
         }
+    }
+
+    /// Runs the compiled program over `args` under `op` (which a
+    /// program without reduce steps never applies), on a tag drawn from
+    /// the communicator's sequence: a dedicated high bit keeps plans
+    /// disjoint from ad-hoc calls that might interleave, and programs
+    /// are lowered at base tag 0, so the drawn tag offsets every
+    /// compiled step uniformly.
+    fn execute<C: Comm + ?Sized>(
+        &self,
+        cc: &Communicator<'_, C>,
+        op: ReduceOp,
+        args: &mut [ArgBuf<'_, T>],
+    ) -> Result<()> {
+        let prog = self.program()?;
+        let scratch = &mut self.scratch.borrow_mut();
+        let tag = (1 << 62) | cc.take_plan_tag();
+        ir::execute(prog, cc.group(), op, args, scratch, tag)
     }
 }
 
@@ -118,15 +120,8 @@ impl<T: Scalar> BcastPlan<T> {
     /// Executes the planned broadcast; `buf.len()` must equal the
     /// planned length.
     pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        let prog = self.core.program()?;
-        let mut scratch = self.core.scratch.borrow_mut();
-        ir::execute_scalar(
-            prog,
-            cc.group(),
-            &mut [ArgBuf::Out(buf)],
-            &mut scratch,
-            plan_tag(cc),
-        )
+        self.core
+            .execute(cc, ReduceOp::Sum, &mut [ArgBuf::Out(buf)])
     }
 }
 
@@ -163,16 +158,7 @@ impl<T: Elem> ReducePlan<T> {
 
     /// Executes the planned reduce.
     pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        let prog = self.core.program()?;
-        let mut scratch = self.core.scratch.borrow_mut();
-        ir::execute(
-            prog,
-            cc.group(),
-            self.op,
-            &mut [ArgBuf::Out(buf)],
-            &mut scratch,
-            plan_tag(cc),
-        )
+        self.core.execute(cc, self.op, &mut [ArgBuf::Out(buf)])
     }
 }
 
@@ -202,16 +188,7 @@ impl<T: Elem> AllreducePlan<T> {
 
     /// Executes the planned allreduce.
     pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        let prog = self.core.program()?;
-        let mut scratch = self.core.scratch.borrow_mut();
-        ir::execute(
-            prog,
-            cc.group(),
-            self.op,
-            &mut [ArgBuf::Out(buf)],
-            &mut scratch,
-            plan_tag(cc),
-        )
+        self.core.execute(cc, self.op, &mut [ArgBuf::Out(buf)])
     }
 }
 
@@ -249,16 +226,8 @@ impl<T: Elem> ReduceScatterPlan<T> {
         contrib: &[T],
         mine: &mut [T],
     ) -> Result<()> {
-        let prog = self.core.program()?;
-        let mut scratch = self.core.scratch.borrow_mut();
-        ir::execute(
-            prog,
-            cc.group(),
-            self.op,
-            &mut [ArgBuf::In(contrib), ArgBuf::Out(mine)],
-            &mut scratch,
-            plan_tag(cc),
-        )
+        let args = &mut [ArgBuf::In(contrib), ArgBuf::Out(mine)];
+        self.core.execute(cc, self.op, args)
     }
 }
 
@@ -292,24 +261,9 @@ impl<T: Scalar> CollectPlan<T> {
         mine: &[T],
         all: &mut [T],
     ) -> Result<()> {
-        let prog = self.core.program()?;
-        let mut scratch = self.core.scratch.borrow_mut();
-        ir::execute_scalar(
-            prog,
-            cc.group(),
-            &mut [ArgBuf::In(mine), ArgBuf::Out(all)],
-            &mut scratch,
-            plan_tag(cc),
-        )
+        let args = &mut [ArgBuf::In(mine), ArgBuf::Out(all)];
+        self.core.execute(cc, ReduceOp::Sum, args)
     }
-}
-
-fn plan_tag<C: Comm + ?Sized>(cc: &Communicator<'_, C>) -> u64 {
-    // Planned executions share the communicator's tag sequence; a
-    // dedicated high bit keeps plans disjoint from ad-hoc calls that
-    // might interleave. Programs are lowered at base tag 0, so the
-    // drawn tag offsets every compiled step uniformly.
-    (1 << 62) | cc.take_plan_tag()
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 
 use intercom_cost::select::best_mesh_strategy;
 use intercom_cost::{
-    best_strategy, ClusterShape, CollectiveOp, CostContext, MachineParams, Strategy,
+    best_strategy, choose_hier, flat_on_cluster_cost, hier_cost, hybrid_cost, ClusterShape,
+    CollectiveOp, CostContext, HierChoice, HierMachine,
 };
 use intercom_topology::{GroupStructure, Mesh2D, ProcGroup};
 
@@ -34,18 +35,10 @@ pub enum GroupShape {
         cols: usize,
     },
     /// A two-level cluster: an inter-node mesh of nodes, each holding
-    /// `ranks_per_node` ranks, numbered node-major. Hierarchical
-    /// selection applies when the communicator also carries per-level
-    /// machine parameters; flat selection treats the group as a linear
-    /// array priced at the network level.
-    Cluster {
-        /// Rows of the inter-node mesh.
-        inter_rows: usize,
-        /// Columns of the inter-node mesh.
-        inter_cols: usize,
-        /// Ranks per node.
-        ranks_per_node: usize,
-    },
+    /// the same number of ranks, numbered node-major. Hierarchical
+    /// hybrids compete with the level-blind strategies of a linear
+    /// array of all ranks priced at the network level.
+    Cluster(ClusterShape),
 }
 
 impl GroupShape {
@@ -54,36 +47,24 @@ impl GroupShape {
         match *self {
             GroupShape::Linear(p) => p,
             GroupShape::Mesh { rows, cols } => rows * cols,
-            GroupShape::Cluster {
-                inter_rows,
-                inter_cols,
-                ranks_per_node,
-            } => inter_rows * inter_cols * ranks_per_node,
-        }
-    }
-
-    /// The cluster variant for a hierarchy descriptor.
-    pub fn cluster(shape: ClusterShape) -> GroupShape {
-        GroupShape::Cluster {
-            inter_rows: shape.inter_rows,
-            inter_cols: shape.inter_cols,
-            ranks_per_node: shape.ranks_per_node,
+            GroupShape::Cluster(shape) => shape.ranks(),
         }
     }
 
     /// The hierarchy descriptor, when this shape is a cluster.
     pub fn cluster_shape(&self) -> Option<ClusterShape> {
         match *self {
-            GroupShape::Cluster {
-                inter_rows,
-                inter_cols,
-                ranks_per_node,
-            } => Some(ClusterShape {
-                inter_rows,
-                inter_cols,
-                ranks_per_node,
-            }),
+            GroupShape::Cluster(shape) => Some(shape),
             _ => None,
+        }
+    }
+
+    /// What a level-blind schedule sees of the group: a cluster is a
+    /// linear array of all its ranks, every other shape is itself.
+    pub fn level_blind(self) -> GroupShape {
+        match self {
+            GroupShape::Cluster(shape) => GroupShape::Linear(shape.ranks()),
+            flat => flat,
         }
     }
 
@@ -98,37 +79,67 @@ impl GroupShape {
     }
 }
 
-/// Picks the cheapest strategy for `op` over a group of `shape` at
-/// message length `n_bytes` on `machine`.
-pub fn choose_strategy(
+/// Picks what runs for `op` over a group of `shape` at message length
+/// `n_bytes` on `machine`: the cheapest strategy of a line or a mesh at
+/// the machine's network level (all a flat machine has), or on a
+/// cluster the cheaper of the best hierarchical hybrid under the
+/// per-level parameters and the best level-blind strategy. Everything
+/// that selects — [`Algo::Auto`](crate::Algo::Auto), the plans, the
+/// tuner's re-selection — selects through here.
+pub fn choose(
     op: CollectiveOp,
     shape: GroupShape,
     n_bytes: usize,
-    machine: &MachineParams,
-) -> Strategy {
+    machine: &HierMachine,
+) -> HierChoice {
+    let net = machine.inter();
     match shape {
-        GroupShape::Linear(p) => {
-            best_strategy(op, p, n_bytes, machine, CostContext::linear_with(machine))
-        }
-        GroupShape::Mesh { rows, cols } => best_mesh_strategy(op, rows, cols, n_bytes, machine),
-        // Flat selection over a cluster: the schedule is level-blind,
-        // so the group is a linear array of all ranks priced at the
-        // supplied (network-level) parameters. Hierarchical candidates
-        // are priced separately by `intercom_cost::choose_hier`.
-        GroupShape::Cluster { .. } => best_strategy(
+        GroupShape::Linear(p) => HierChoice::Flat(best_strategy(
             op,
-            shape.nodes(),
+            p,
             n_bytes,
-            machine,
-            CostContext::linear_with(machine),
-        ),
+            net,
+            CostContext::linear_with(net),
+        )),
+        GroupShape::Mesh { rows, cols } => {
+            HierChoice::Flat(best_mesh_strategy(op, rows, cols, n_bytes, net))
+        }
+        GroupShape::Cluster(cluster) => choose_hier(op, cluster, n_bytes, machine),
+    }
+}
+
+/// Predicted seconds of `choice` for `op` over `shape` at `n_bytes` on
+/// `machine`, under the model [`choose`] compared it by.
+pub fn price(
+    op: CollectiveOp,
+    shape: GroupShape,
+    choice: &HierChoice,
+    n_bytes: usize,
+    machine: &HierMachine,
+) -> f64 {
+    let net = machine.inter();
+    match (choice, shape) {
+        (HierChoice::Hier(h), _) => hier_cost(op, h, n_bytes, machine),
+        (HierChoice::Flat(s), GroupShape::Mesh { .. }) => {
+            hybrid_cost(op, s, CostContext::mesh_with(net)).eval(n_bytes, net)
+        }
+        // A level-blind strategy on a line or a cluster: linear-array
+        // conflicts at the network level.
+        (HierChoice::Flat(s), _) => flat_on_cluster_cost(op, s, n_bytes, machine),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intercom_cost::StrategyKind;
+    use intercom_cost::{MachineParams, Strategy, StrategyKind};
+
+    fn flat(op: CollectiveOp, shape: GroupShape, n: usize) -> Strategy {
+        match choose(op, shape, n, &HierMachine::flat(MachineParams::PARAGON)) {
+            HierChoice::Flat(s) => s,
+            HierChoice::Hier(h) => panic!("{shape:?} selected the hybrid {h}"),
+        }
+    }
 
     #[test]
     fn detect_shapes() {
@@ -147,75 +158,72 @@ mod tests {
 
     #[test]
     fn short_messages_choose_mst_kind() {
-        let s = choose_strategy(
-            CollectiveOp::Broadcast,
-            GroupShape::Linear(32),
-            8,
-            &MachineParams::PARAGON,
-        );
+        let s = flat(CollectiveOp::Broadcast, GroupShape::Linear(32), 8);
         assert_eq!(s.kind, StrategyKind::Mst);
     }
 
     #[test]
     fn long_messages_choose_long_kind() {
-        let s = choose_strategy(
-            CollectiveOp::Broadcast,
-            GroupShape::Linear(32),
-            1 << 20,
-            &MachineParams::PARAGON,
-        );
+        let s = flat(CollectiveOp::Broadcast, GroupShape::Linear(32), 1 << 20);
         assert_eq!(s.kind, StrategyKind::ScatterCollect);
     }
 
     #[test]
     fn mesh_selection_covers_all_nodes() {
         for n in [8, 1024, 1 << 20] {
-            let s = choose_strategy(
-                CollectiveOp::CombineToAll,
-                GroupShape::Mesh { rows: 16, cols: 32 },
-                n,
-                &MachineParams::PARAGON,
-            );
-            assert_eq!(s.nodes(), 512, "n={n}");
+            let shape = GroupShape::Mesh { rows: 16, cols: 32 };
+            assert_eq!(flat(CollectiveOp::CombineToAll, shape, n).nodes(), 512);
         }
     }
 
     #[test]
-    fn cluster_shape_round_trips_and_prices_flat_over_all_ranks() {
-        let shape = GroupShape::cluster(ClusterShape::linear(4, 4));
+    fn a_cluster_is_level_blind_as_a_line_of_all_its_ranks() {
+        let cluster = ClusterShape::linear(4, 4);
+        let shape = GroupShape::Cluster(cluster);
         assert_eq!(shape.nodes(), 16);
-        assert_eq!(
-            shape.cluster_shape(),
-            Some(ClusterShape {
-                inter_rows: 1,
-                inter_cols: 4,
-                ranks_per_node: 4,
-            })
-        );
+        assert_eq!(shape.cluster_shape(), Some(cluster));
         assert_eq!(GroupShape::Linear(16).cluster_shape(), None);
-        // Flat selection over a cluster is level-blind: same answer as a
-        // 16-rank linear array at the same (network-level) parameters.
-        for n in [8usize, 1 << 20] {
-            let on_cluster =
-                choose_strategy(CollectiveOp::Broadcast, shape, n, &MachineParams::PARAGON);
-            let on_line = choose_strategy(
-                CollectiveOp::Broadcast,
-                GroupShape::Linear(16),
+        assert_eq!(shape.level_blind(), GroupShape::Linear(16));
+        let mesh = GroupShape::Mesh { rows: 2, cols: 8 };
+        assert_eq!(mesh.level_blind(), mesh);
+    }
+
+    #[test]
+    fn one_function_selects_and_one_prices_for_every_shape() {
+        let machine = HierMachine::paragon_cluster();
+        let cluster = ClusterShape {
+            inter_rows: 2,
+            inter_cols: 2,
+            ranks_per_node: 4,
+        };
+        let (op, n) = (CollectiveOp::CombineToAll, 1 << 16);
+        // On a cluster the hybrid and the level-blind line compete, and
+        // `price` is the number they were compared by.
+        let shape = GroupShape::Cluster(cluster);
+        let picked = choose(op, shape, n, &machine);
+        assert_eq!(picked, choose_hier(op, cluster, n, &machine));
+        assert!(matches!(picked, HierChoice::Hier(_)));
+        let blind = choose(op, shape.level_blind(), n, &machine);
+        assert!(matches!(blind, HierChoice::Flat(_)));
+        assert!(price(op, shape, &picked, n, &machine) < price(op, shape, &blind, n, &machine));
+        // A flat machine is the one-level ladder of the same call.
+        let net = *machine.inter();
+        let line = GroupShape::Linear(16);
+        assert_eq!(
+            choose(op, line, n, &HierMachine::flat(net)),
+            HierChoice::Flat(best_strategy(
+                op,
+                16,
                 n,
-                &MachineParams::PARAGON,
-            );
-            assert_eq!(on_cluster, on_line, "n={n}");
-        }
+                &net,
+                CostContext::linear_with(&net)
+            ))
+        );
     }
 
     #[test]
     fn singleton_group() {
-        let s = choose_strategy(
-            CollectiveOp::Collect,
-            GroupShape::Linear(1),
-            64,
-            &MachineParams::PARAGON,
-        );
+        let s = flat(CollectiveOp::Collect, GroupShape::Linear(1), 64);
         assert_eq!(s.nodes(), 1);
     }
 }

@@ -1,14 +1,14 @@
-//! The two-level machine model and hierarchical strategy selection.
+//! The machine model and hierarchical strategy selection.
 //!
 //! A cluster of multi-core nodes has *per-level* wire parameters: cheap
 //! near-zero-α shared-memory links inside a node, an expensive network
 //! between nodes (Task & Chauhan's cluster model; Barchet-Estefanel &
-//! Mounié's intra-cluster characterization). [`HierMachine`] generalizes
-//! [`MachineParams`] to a list of per-level parameter sets — a flat
-//! machine is the 1-level degenerate case — and [`TunedHier`] carries
-//! the same version semantics as [`TunedParams`](crate::TunedParams):
-//! every per-level refit bumps one monotonic version that caches and
-//! persisted tables key on.
+//! Mounié's intra-cluster characterization). [`HierMachine`] is the one
+//! description of a machine everything below the public constructors
+//! reads: a short ladder of per-level [`MachineParams`], of which a flat
+//! machine is the one-level case ([`HierMachine::flat`]). [`TunedHier`]
+//! versions it: every per-level refit bumps one monotonic version that
+//! caches and persisted tables key on.
 //!
 //! A hierarchical strategy ([`HierStrategy`]) is a strategy string whose
 //! stages carry a level: e.g. combine-to-all on a cluster is "reduce
@@ -28,26 +28,32 @@
 //! flat strategy under that model and returns whichever wins.
 
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
-use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::machine::MachineParams;
 use crate::select::{envelope, Space};
 use crate::strategy::Strategy;
 use std::fmt;
 
 /// Per-level machine parameters: level 0 is the innermost (intra-node)
-/// level, the last level the outermost (inter-node) network. A flat
-/// machine is the 1-level degenerate case.
-#[derive(Debug, Clone, PartialEq)]
+/// level, the last level the outermost (inter-node) network. At most
+/// two levels, stored inline, so a machine is `Copy` and describing one
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierMachine {
-    levels: Vec<MachineParams>,
+    /// Level 0. On a flat machine the same parameters as `inter`.
+    intra: MachineParams,
+    /// The outermost level.
+    inter: MachineParams,
+    levels: u8,
 }
 
 impl HierMachine {
-    /// A flat (1-level) machine — the degenerate case; every level
-    /// query returns the same parameters.
+    /// A flat machine: the one-level ladder. Every level query returns
+    /// `params`, so per-level code runs unchanged on it.
     pub fn flat(params: MachineParams) -> Self {
         HierMachine {
-            levels: vec![params],
+            intra: params,
+            inter: params,
+            levels: 1,
         }
     }
 
@@ -55,14 +61,10 @@ impl HierMachine {
     /// inter-node level 1.
     pub fn two_level(intra: MachineParams, inter: MachineParams) -> Self {
         HierMachine {
-            levels: vec![intra, inter],
+            intra,
+            inter,
+            levels: 2,
         }
-    }
-
-    /// An arbitrary ladder of levels, innermost first. Panics on empty.
-    pub fn new(levels: Vec<MachineParams>) -> Self {
-        assert!(!levels.is_empty(), "a machine has at least one level");
-        HierMachine { levels }
     }
 
     /// A Paragon-backbone cluster: shared-memory multi-core nodes
@@ -109,49 +111,59 @@ impl HierMachine {
 
     /// Number of levels (1 for a flat machine).
     pub fn levels(&self) -> usize {
-        self.levels.len()
+        self.levels as usize
     }
 
-    /// True for the 1-level degenerate case.
+    /// True for the one-level ladder.
     pub fn is_flat(&self) -> bool {
-        self.levels.len() == 1
+        self.levels == 1
     }
 
     /// The parameters of level `i`, clamping past the last level — so a
     /// flat machine answers every level query with its only parameter
     /// set, and two-level code runs unchanged on it.
     pub fn level(&self, i: usize) -> &MachineParams {
-        &self.levels[i.min(self.levels.len() - 1)]
+        if i == 0 {
+            &self.intra
+        } else {
+            &self.inter
+        }
     }
 
     /// The innermost (intra-node) level.
     pub fn intra(&self) -> &MachineParams {
-        &self.levels[0]
+        &self.intra
     }
 
     /// The outermost (inter-node) level.
     pub fn inter(&self) -> &MachineParams {
-        &self.levels[self.levels.len() - 1]
+        &self.inter
     }
 
     /// Returns a copy with level `i`'s wire terms replaced by measured
     /// estimates (per [`MachineParams::refit`] — γ, δ, `link_excess`
     /// untouched, non-positive estimates ignored). Panics if the level
     /// does not exist: a refit names the level it measured.
-    pub fn refit_level(&self, i: usize, alpha_hat: f64, beta_hat: f64) -> Self {
-        assert!(i < self.levels.len(), "level {i} out of range");
-        let mut levels = self.levels.clone();
-        levels[i] = levels[i].refit(alpha_hat, beta_hat);
-        HierMachine { levels }
+    pub fn refit_level(mut self, i: usize, alpha_hat: f64, beta_hat: f64) -> Self {
+        assert!(i < self.levels(), "level {i} out of range");
+        let refit = self.level(i).refit(alpha_hat, beta_hat);
+        // The only level of a flat machine is both its ends.
+        if i == 0 {
+            self.intra = refit;
+        }
+        if i + 1 == self.levels() {
+            self.inter = refit;
+        }
+        self
     }
 }
 
-/// A versioned [`HierMachine`] with the same semantics as
-/// [`TunedParams`](crate::TunedParams): version 1 is the as-configured
-/// state and every per-level refit bumps the shared version, so one
-/// monotonic counter keys cache invalidation and persisted-table
-/// staleness no matter which level drifted.
-#[derive(Debug, Clone, PartialEq)]
+/// A versioned [`HierMachine`]: version 1 is the as-configured state
+/// and every per-level refit bumps the shared version, so one monotonic
+/// counter keys cache invalidation, persisted-table staleness and the
+/// `intercom_machine_params_version` gauge no matter which level
+/// drifted.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunedHier {
     /// The per-level parameters currently pricing selections.
     pub current: HierMachine,
@@ -334,6 +346,24 @@ impl StageSpec {
     pub fn bytes(&self, n: usize) -> usize {
         n * self.frac_num / self.frac_den
     }
+
+    /// The candidate space the stage draws its flat strategy from, and
+    /// with it ([`Space::context`]) the conflict model the stage is
+    /// priced under. An inter stage on a true 2-D inter mesh picks among
+    /// the §7.1 mesh-aware strategies: the leader plane keeps the inter
+    /// mesh's row/column structure. On a linear inter mesh (1×C or R×1)
+    /// the leader plane embeds as a physical line, where the
+    /// linear-array strategies are exact — as they are inside a node.
+    fn space(&self, shape: ClusterShape) -> Space {
+        if self.level == 1 && shape.inter_rows > 1 && shape.inter_cols > 1 {
+            Space::Mesh {
+                rows: shape.inter_rows,
+                cols: shape.inter_cols,
+            }
+        } else {
+            Space::Linear(self.group)
+        }
+    }
 }
 
 /// The hierarchical decomposition template for `op` on `shape`: which
@@ -391,21 +421,10 @@ pub fn hier_template(op: CollectiveOp, shape: ClusterShape) -> Option<Vec<StageS
     Some(stages)
 }
 
-/// The inter-node mesh dimensions when a level-1 stage should use the
-/// §7.1 mesh-aware strategies: a true 2-D inter mesh. On a linear inter
-/// mesh (1×C or R×1) the leader plane embeds as a physical line, where
-/// the linear-array strategies are exact.
-fn inter_mesh_2d(shape: ClusterShape) -> Option<(usize, usize)> {
-    (shape.inter_rows > 1 && shape.inter_cols > 1).then_some((shape.inter_rows, shape.inter_cols))
-}
-
 /// Every hierarchical strategy for `op` on `shape`: the template with
 /// every combination of flat per-stage strategies (`max_dims` bounds
-/// each stage's logical-mesh depth; 0 = unlimited). Inter stages on a
-/// true 2-D inter mesh draw from the mesh-aware §7.1 enumeration (the
-/// leader plane preserves the inter mesh's row/column structure); all
-/// other stages draw from the linear-array enumeration. Empty when the
-/// op has no hierarchical template.
+/// each stage's logical-mesh depth; 0 = unlimited) from its candidate
+/// space. Empty when the op has no hierarchical template.
 pub fn enumerate_hier_strategies(
     op: CollectiveOp,
     shape: ClusterShape,
@@ -416,10 +435,7 @@ pub fn enumerate_hier_strategies(
     };
     let per_stage: Vec<Vec<Strategy>> = specs
         .iter()
-        .map(|s| match (s.level, inter_mesh_2d(shape)) {
-            (1, Some((r, c))) => enumerate_mesh_strategies(r, c, max_dims),
-            _ => enumerate_strategies(s.group, max_dims),
-        })
+        .map(|s| s.space(shape).strategies(max_dims))
         .collect();
     let mut out = vec![Vec::new()];
     for (spec, cands) in specs.iter().zip(&per_stage) {
@@ -461,13 +477,7 @@ pub fn hier_cost(op: CollectiveOp, hs: &HierStrategy, n: usize, machine: &HierMa
             debug_assert_eq!(spec.role, stage.role);
             debug_assert_eq!(spec.level, stage.level);
             let params = machine.level(stage.level as usize);
-            // Mesh-mapped stage strategies price under the rows/columns
-            // conflict model, exactly as their flat counterparts do.
-            let ctx = if stage.strategy.mesh_split.is_some() {
-                CostContext::mesh_with(params)
-            } else {
-                CostContext::linear_with(params)
-            };
+            let ctx = spec.space(hs.shape).context(params);
             hybrid_cost(stage.role.cost_op(), &stage.strategy, ctx).eval(spec.bytes(n), params)
         })
         .sum()
@@ -501,17 +511,9 @@ fn select_priced(
         .iter()
         .map(|spec| {
             let params = machine.level(spec.level as usize);
-            let (space, ctx) = match (spec.level, inter_mesh_2d(shape)) {
-                // A true 2-D inter mesh: the leader plane keeps the
-                // row/column structure, so the stage picks among the
-                // §7.1 mesh-aware strategies.
-                (1, Some((rows, cols))) => {
-                    (Space::Mesh { rows, cols }, CostContext::mesh_with(params))
-                }
-                _ => (Space::Linear(spec.group), CostContext::linear_with(params)),
-            };
+            let space = spec.space(shape);
             let bytes = spec.bytes(n);
-            let env = envelope(spec.role.cost_op(), space, params, ctx);
+            let env = envelope(spec.role.cost_op(), space, params, space.context(params));
             let (strategy, cost) = env.at(bytes);
             seconds += cost.eval(bytes, params);
             HierStage {
@@ -589,17 +591,28 @@ mod tests {
     }
 
     #[test]
-    fn flat_machine_is_degenerate_one_level() {
-        let m = HierMachine::flat(MachineParams::PARAGON);
+    fn flat_machine_is_the_one_level_ladder() {
+        fn is_copy<T: Copy>(_: &T) {}
+        let params = MachineParams::PARAGON;
+        let m = HierMachine::flat(params);
+        is_copy(&m);
+        is_copy(&TunedHier::new(m));
         assert!(m.is_flat());
         assert_eq!(m.levels(), 1);
-        // Level queries clamp: intra == inter == level 7.
-        assert_eq!(m.intra(), m.inter());
-        assert_eq!(m.level(7), m.intra());
+        // Level queries clamp: intra == inter == level 7 == the machine.
+        for level in [m.intra(), m.inter(), m.level(7)] {
+            assert_eq!(level, &params);
+        }
+        // A refit of the only level is seen through every query, and a
+        // ladder equals another by its levels alone.
+        let refit = m.refit_level(0, 1e-6, 1e-9);
+        assert_eq!(refit.inter().beta, 1e-9);
+        assert_eq!(refit, HierMachine::flat(params.refit(1e-6, 1e-9)));
+        assert_ne!(m, HierMachine::two_level(params, params));
     }
 
     #[test]
-    fn tuned_hier_versions_like_tuned_params() {
+    fn every_refit_bumps_the_one_version() {
         let mut t = TunedHier::new(cluster_machine());
         assert_eq!(t.version, 1);
         let before_inter = *t.current.inter();
@@ -680,7 +693,7 @@ mod tests {
             assert_eq!(h.stages[2].role, StageRole::Bcast);
         }
         // The cross product is the product of per-stage candidate counts.
-        let per = enumerate_strategies(2, 0).len();
+        let per = Space::Linear(2).strategies(0).len();
         assert_eq!(all.len(), per * per * per);
     }
 

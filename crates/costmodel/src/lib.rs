@@ -55,6 +55,6 @@ pub use hier::{
     select_hier, ClusterShape, HierChoice, HierMachine, HierStage, HierStrategy, StageRole,
     StageSpec, TunedHier,
 };
-pub use machine::{MachineParams, TunedParams};
+pub use machine::MachineParams;
 pub use select::{best_mesh_strategy, best_strategy, rank_strategies};
 pub use strategy::{ConflictModel, Strategy, StrategyKind};

@@ -119,36 +119,6 @@ impl MachineParams {
     }
 }
 
-/// A versioned [`MachineParams`] holder: every refit bumps the version,
-/// which cache invalidation and the metrics gauge
-/// (`intercom_machine_params_version`) key on. Version 1 is the
-/// as-configured state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunedParams {
-    /// The parameters currently pricing selections.
-    pub current: MachineParams,
-    /// Monotonic version, starting at 1 and bumped by [`refit`](TunedParams::refit).
-    pub version: u64,
-}
-
-impl TunedParams {
-    /// Wraps freshly configured parameters at version 1.
-    pub fn new(params: MachineParams) -> Self {
-        TunedParams {
-            current: params,
-            version: 1,
-        }
-    }
-
-    /// Installs measured α̂/β̂ via [`MachineParams::refit`] and bumps
-    /// the version. Returns the new version.
-    pub fn refit(&mut self, alpha_hat: f64, beta_hat: f64) -> u64 {
-        self.current = self.current.refit(alpha_hat, beta_hat);
-        self.version += 1;
-        self.version
-    }
-}
-
 impl Default for MachineParams {
     fn default() -> Self {
         MachineParams::PARAGON

@@ -71,6 +71,27 @@ pub enum Space {
     Mesh { rows: usize, cols: usize },
 }
 
+impl Space {
+    /// Every candidate of the space with at most `max_dims` logical
+    /// dimensions (`0` = unlimited), in enumeration order.
+    pub fn strategies(&self, max_dims: usize) -> Vec<Strategy> {
+        match *self {
+            Space::Linear(p) => enumerate_strategies(p, max_dims),
+            Space::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, max_dims),
+        }
+    }
+
+    /// The conflict model the space's candidates are priced under on
+    /// `machine`: interleaved groups share links on a linear array and
+    /// have dedicated ones along physical mesh rows and columns (§7.1).
+    pub fn context(&self, machine: &MachineParams) -> CostContext {
+        match self {
+            Space::Linear(_) => CostContext::linear_with(machine),
+            Space::Mesh { .. } => CostContext::mesh_with(machine),
+        }
+    }
+}
+
 /// The lower envelope of one selection space: for every message length,
 /// the strategy the full ranking would put first.
 ///
@@ -108,10 +129,7 @@ fn close(x: f64, y: f64) -> bool {
 
 impl Envelope {
     fn build(op: CollectiveOp, space: Space, machine: MachineParams, ctx: CostContext) -> Self {
-        let strategies = match space {
-            Space::Linear(p) => enumerate_strategies(p, 0),
-            Space::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, 0),
-        };
+        let strategies = space.strategies(0);
         let costs: Vec<CostExpr> = strategies.iter().map(|s| hybrid_cost(op, s, ctx)).collect();
         let lines: Vec<(f64, f64)> = costs.iter().map(|c| c.line(&machine)).collect();
         let winner = |n: usize| first_min(costs.iter().copied(), n, &machine);
@@ -255,8 +273,8 @@ pub fn best_mesh_strategy(
     n: usize,
     machine: &MachineParams,
 ) -> Strategy {
-    let ctx = CostContext::mesh_with(machine);
-    let env = envelope(op, Space::Mesh { rows, cols }, machine, ctx);
+    let space = Space::Mesh { rows, cols };
+    let env = envelope(op, space, machine, space.context(machine));
     env.at(n).0.clone()
 }
 

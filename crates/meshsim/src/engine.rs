@@ -16,13 +16,12 @@
 
 use crate::fluid::FluidScratch;
 use crate::net::NetSpec;
-use crate::sim::ClusterLevels;
 use intercom::faults::POISON_TAG;
 use intercom::rng::splitmix64;
 use intercom::{AbortCause, AbortInfo, CommError, Tag};
-use intercom_cost::MachineParams;
+use intercom_cost::HierMachine;
 use intercom_obs::TraceEvent;
-use intercom_topology::HopLevel;
+use intercom_topology::{Cluster, HopLevel};
 use std::collections::{HashMap, VecDeque};
 
 /// What a rank asked the simulator to do.
@@ -114,7 +113,7 @@ struct Transfer {
     /// Current fluid rate (bytes/s).
     rate: f64,
     /// Per-transfer wire-rate ceiling, `1/β` of the transfer's level
-    /// (cluster mode; flat mode leaves it unused at ∞). Enforced as a
+    /// (cluster mode; elsewhere it stays unused at ∞). Enforced as a
     /// real fluid constraint through the sender's wire slot, which this
     /// transfer owns exclusively while in flight.
     wire_cap: f64,
@@ -125,18 +124,19 @@ struct Transfer {
 /// The single-threaded simulation core. The thread harness in
 /// [`crate::sim`] feeds it requests and drains replies.
 pub(crate) struct Engine {
+    /// "Cluster mode" is [`NetSpec::Cluster`]: intra-node transfers
+    /// charge `machine`'s intra level, inter-node transfers its inter
+    /// level, and every physical link carries its own level's capacity.
+    /// Every other network has no levels to tell apart.
     net: NetSpec,
-    machine: MachineParams,
-    /// Per-level (α, β, link-excess) pricing, present in cluster mode:
-    /// intra-node transfers charge the intra level, inter-node transfers
-    /// the inter level, and every physical link carries its own level's
-    /// capacity. `machine` then mirrors the inter (network) level.
-    levels: Option<ClusterLevels>,
+    /// Nodes compute and inject at the innermost level; on a flat
+    /// machine that is also the level of every wire.
+    machine: HierMachine,
     /// Per-link-slot fluid capacity (`link_excess/β` of the link's
-    /// level; uniform in flat mode).
+    /// level; uniform outside cluster mode).
     link_caps: Vec<f64>,
     /// Per-sender wire-slot capacity, rebuilt from the active set at
-    /// each rate solve (cluster mode only; empty in flat mode).
+    /// each rate solve (cluster mode only; empty otherwise).
     wire_caps: Vec<f64>,
     clocks: Vec<f64>,
     states: Vec<RankState>,
@@ -176,62 +176,44 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Jitter-free construction (the unit-test entry point; `sim`
-    /// always goes through [`Engine::with_jitter`]).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(net: NetSpec, machine: MachineParams, record_trace: bool) -> Self {
-        Self::with_jitter(net, machine, record_trace, 0.0, 0)
-    }
-
-    pub(crate) fn with_jitter(
+    pub(crate) fn new(
         net: NetSpec,
-        machine: MachineParams,
+        machine: HierMachine,
         record_trace: bool,
         jitter: f64,
         jitter_seed: u64,
     ) -> Self {
-        Self::with_levels(net, machine, None, record_trace, jitter, jitter_seed)
-    }
-
-    pub(crate) fn with_levels(
-        net: NetSpec,
-        machine: MachineParams,
-        levels: Option<ClusterLevels>,
-        record_trace: bool,
-        jitter: f64,
-        jitter_seed: u64,
-    ) -> Self {
-        assert!(machine.beta > 0.0, "simulator requires beta > 0");
+        assert!(
+            machine.intra().beta > 0.0 && machine.inter().beta > 0.0,
+            "simulator requires beta > 0 at every level"
+        );
         assert!(jitter >= 0.0, "jitter must be non-negative");
         let p = net.nodes();
         let n_links = net.link_slots();
+        let link_cap = |level: usize| {
+            let m = machine.level(level);
+            m.link_excess / m.beta
+        };
         // Constraint universe: injection ports, ejection ports, directed
         // links, and (cluster mode) one wire slot per sender carrying
         // the per-transfer level rate ceiling.
-        let universe = 2 * p + n_links + if levels.is_some() { p } else { 0 };
-        let link_caps = match (&levels, &net) {
-            (Some(lv), NetSpec::Cluster(cl)) => {
-                assert!(
-                    lv.intra.beta > 0.0 && lv.inter.beta > 0.0,
-                    "simulator requires beta > 0 at every level"
-                );
+        let (universe, link_caps) = match &net {
+            NetSpec::Cluster(cl) => {
                 let phys = cl.phys_mesh();
                 let mut caps = vec![0.0; n_links];
                 for l in phys.links() {
                     caps[phys.link_slot(l)] = match cl.link_level(l) {
-                        HopLevel::Intra => lv.intra.link_excess / lv.intra.beta,
-                        HopLevel::Inter => lv.inter.link_excess / lv.inter.beta,
+                        HopLevel::Intra => link_cap(0),
+                        HopLevel::Inter => link_cap(1),
                     };
                 }
-                caps
+                (3 * p + n_links, caps)
             }
-            (Some(_), _) => panic!("per-level pricing requires NetSpec::Cluster"),
-            (None, _) => vec![machine.link_excess / machine.beta; n_links],
+            _ => (2 * p + n_links, vec![link_cap(0); n_links]),
         };
         Engine {
             net,
             machine,
-            levels,
             link_caps,
             wire_caps: Vec::new(),
             clocks: vec![0.0; p],
@@ -253,6 +235,14 @@ impl Engine {
             jitter_seed,
             jitter_counter: 0,
             poisoned: None,
+        }
+    }
+
+    /// The cluster whose levels price transfers, in cluster mode.
+    fn cluster(&self) -> Option<&Cluster> {
+        match &self.net {
+            NetSpec::Cluster(cl) => Some(cl),
+            _ => None,
         }
     }
 
@@ -350,15 +340,13 @@ impl Engine {
             }
         }
         match req {
+            // Arithmetic and call overhead execute on the node: the
+            // intra (node) level's γ and δ.
             Request::Compute { bytes } => {
-                // Arithmetic executes on the node: cluster mode charges
-                // the intra (node) level's γ.
-                let gamma = self.levels.map_or(self.machine.gamma, |lv| lv.intra.gamma);
-                self.clocks[rank] += bytes as f64 * gamma;
+                self.clocks[rank] += bytes as f64 * self.machine.intra().gamma;
             }
             Request::CallOverhead => {
-                let delta = self.levels.map_or(self.machine.delta, |lv| lv.intra.delta);
-                self.clocks[rank] += delta;
+                self.clocks[rank] += self.machine.intra().delta;
             }
             Request::PlanStep { plan, step } => {
                 self.plan_steps[rank] = (plan, step);
@@ -510,20 +498,17 @@ impl Engine {
             let hops = self.net.route_slots(src, dst, 2 * p, &mut constraints);
             // Per-level pricing (cluster mode): a same-node message is an
             // intra-level transfer, everything else crosses the network.
-            // Its startup and wire rate come from that level; flat mode
-            // keeps the single machine's α with no extra ceiling (the
-            // ports already cap at 1/β).
-            let (alpha, wire_cap) = match (&self.levels, &self.net) {
-                (Some(lv), NetSpec::Cluster(cl)) => {
-                    let m = if src == dst || cl.same_node(src, dst) {
-                        &lv.intra
-                    } else {
-                        &lv.inter
-                    };
+            // Its startup and wire rate come from that level; elsewhere
+            // the one level's α applies with no extra ceiling (the ports
+            // already cap at 1/β).
+            let (alpha, wire_cap) = match self.cluster() {
+                Some(cl) => {
+                    let same_node = src == dst || cl.same_node(src, dst);
+                    let m = self.machine.level(if same_node { 0 } else { 1 });
                     constraints.push((2 * p + self.net.link_slots() + src) as u32);
                     (m.alpha, 1.0 / m.beta)
                 }
-                _ => (self.machine.alpha, f64::INFINITY),
+                None => (self.machine.intra().alpha, f64::INFINITY),
             };
             // Timing irregularities (§8) model OS interference at message
             // handoff: the *startup* is inflated, not the wire bandwidth,
@@ -706,13 +691,12 @@ impl Engine {
         if self.active.is_empty() {
             return;
         }
-        // Ports inject/eject at node speed: the intra (memory) level in
-        // cluster mode, the single machine otherwise. Slower wires are
-        // enforced per link and per transfer below.
-        let port_cap = 1.0 / self.levels.map_or(self.machine.beta, |lv| lv.intra.beta);
+        // Ports inject/eject at node speed: the intra (memory) level.
+        // Slower wires are enforced per link and per transfer below.
+        let port_cap = 1.0 / self.machine.intra().beta;
         let port_slots = (2 * self.ranks()) as u32;
         let wire_base = port_slots + self.link_caps.len() as u32;
-        if self.levels.is_some() {
+        if self.cluster().is_some() {
             self.wire_caps.clear();
             self.wire_caps.resize(self.ranks(), f64::INFINITY);
             for t in &self.active {
@@ -775,10 +759,16 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intercom_cost::MachineParams;
     use intercom_topology::Mesh2D;
 
     fn mesh_net(r: usize, c: usize) -> NetSpec {
         NetSpec::Mesh(Mesh2D::new(r, c))
+    }
+
+    /// A jitter-free engine over a flat machine.
+    fn engine(net: NetSpec, machine: MachineParams, record_trace: bool) -> Engine {
+        Engine::new(net, HierMachine::flat(machine), record_trace, 0.0, 0)
     }
 
     fn unit_machine() -> MachineParams {
@@ -803,7 +793,7 @@ mod tests {
     #[test]
     fn ping_costs_alpha_plus_n_beta() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {
@@ -834,7 +824,7 @@ mod tests {
     #[test]
     fn zero_byte_message_costs_alpha() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {
@@ -858,7 +848,7 @@ mod tests {
     #[test]
     fn rendezvous_waits_for_late_receiver() {
         let mesh = mesh_net(1, 2);
-        let e = Engine::new(mesh, unit_machine(), false);
+        let e = engine(mesh, unit_machine(), false);
         // Rank 1 computes 5 bytes' worth (γ=0 here, use alpha via
         // overhead): give rank 1 a head-start clock via Compute with a
         // gamma machine instead.
@@ -866,7 +856,7 @@ mod tests {
             gamma: 1.0,
             ..unit_machine()
         };
-        let mut e2 = Engine::new(mesh, machine, false);
+        let mut e2 = engine(mesh, machine, false);
         e2.handle(1, Request::Compute { bytes: 5 });
         e2.handle(
             1,
@@ -897,7 +887,7 @@ mod tests {
         // Transfers: A: 0→3 (links 0E,1E,2E), B: 1→2 (link 1E).
         // Fluid: both constrained by link 1E → 0.5 each until B done.
         let mesh = mesh_net(1, 4);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {
@@ -944,7 +934,7 @@ mod tests {
             link_excess: 2.0,
             ..unit_machine()
         };
-        let mut e = Engine::new(mesh, machine, false);
+        let mut e = engine(mesh, machine, false);
         e.handle(
             0,
             Request::Send {
@@ -986,7 +976,7 @@ mod tests {
     #[test]
     fn disjoint_routes_do_not_interact() {
         let mesh = mesh_net(1, 4);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {
@@ -1035,7 +1025,7 @@ mod tests {
         // in one α + nβ step except for the wrap path sharing... with a
         // 1x3 row, 0→1 (E), 1→2 (E), 2→0 (W,W): all link-disjoint.
         let mesh = mesh_net(1, 3);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         for me in 0..3usize {
             let right = (me + 1) % 3;
             let left = (me + 2) % 3;
@@ -1065,7 +1055,7 @@ mod tests {
     #[test]
     fn length_mismatch_errors_both_sides() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {
@@ -1099,7 +1089,7 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn unmatched_recv_deadlocks_with_diagnostic() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Recv {
@@ -1115,7 +1105,7 @@ mod tests {
     #[test]
     fn poison_releases_blocked_ranks_with_diagnosis() {
         let mesh = mesh_net(1, 3);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         // Ranks 1 and 2 block on receives that will never match.
         e.handle(
             1,
@@ -1201,7 +1191,7 @@ mod tests {
             delta: 0.25,
             link_excess: 1.0,
         };
-        let mut e = Engine::new(mesh, machine, false);
+        let mut e = engine(mesh, machine, false);
         e.handle(0, Request::Compute { bytes: 3 });
         e.handle(0, Request::CallOverhead);
         e.handle(0, Request::Finished);
@@ -1212,7 +1202,7 @@ mod tests {
     #[test]
     fn trace_records_transfers() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), true);
+        let mut e = engine(mesh, unit_machine(), true);
         e.handle(
             0,
             Request::Send {
@@ -1244,7 +1234,7 @@ mod tests {
     #[test]
     fn plan_step_attribution_reaches_the_trace() {
         let mesh = mesh_net(1, 2);
-        let mut e = Engine::new(mesh, unit_machine(), true);
+        let mut e = engine(mesh, unit_machine(), true);
         e.handle(0, Request::PlanStep { plan: 42, step: 6 });
         e.handle(
             0,
@@ -1272,7 +1262,7 @@ mod tests {
         // Two column transfers in different columns of a 2x2 mesh run at
         // full rate concurrently.
         let mesh = mesh_net(2, 2);
-        let mut e = Engine::new(mesh, unit_machine(), false);
+        let mut e = engine(mesh, unit_machine(), false);
         e.handle(
             0,
             Request::Send {

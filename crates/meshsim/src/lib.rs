@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use comm::SimComm;
 pub use net::NetSpec;
-pub use sim::{simulate, ClusterLevels, SimConfig, SimReport};
+pub use sim::{simulate, SimConfig, SimReport};
 pub use stats::{LinkConcurrency, LinkLoad};
 // The trace schema moved to the unified observability layer; the
 // simulator emits `intercom_obs::TraceEvent`s (one per transfer) and

@@ -1,7 +1,7 @@
 //! Topology dispatch for the simulator: the 2-D mesh of the paper's main
 //! target (§2) and the hypercube of its iPSC/860 port (§11).
 
-use intercom_topology::{route_xy, Cluster, Hypercube, Mesh2D, Torus2D};
+use intercom_topology::{route_xy, Cluster, Hypercube, Mesh2D};
 use std::fmt;
 
 /// Which physical network the simulated machine has.
@@ -11,12 +11,10 @@ pub enum NetSpec {
     Mesh(Mesh2D),
     /// A binary hypercube with e-cube routing.
     Hypercube(Hypercube),
-    /// A 2-D torus (wraparound mesh, paper ref [6]) with shortest-way
-    /// dimension-ordered routing.
-    Torus(Torus2D),
     /// A two-level cluster: world rank = global cluster rank, routed
     /// over the cluster's physical mesh embedding with XY routing. The
-    /// engine prices each link at its level's parameters.
+    /// engine prices each transfer and each link at its level's
+    /// parameters ("cluster mode").
     Cluster(Cluster),
 }
 
@@ -26,7 +24,6 @@ impl NetSpec {
         match self {
             NetSpec::Mesh(m) => m.nodes(),
             NetSpec::Hypercube(c) => c.nodes(),
-            NetSpec::Torus(t) => t.nodes(),
             NetSpec::Cluster(c) => c.ranks(),
         }
     }
@@ -36,7 +33,6 @@ impl NetSpec {
         match self {
             NetSpec::Mesh(m) => m.link_slots(),
             NetSpec::Hypercube(c) => c.links(),
-            NetSpec::Torus(t) => t.link_slots(),
             NetSpec::Cluster(c) => c.phys_mesh().link_slots(),
         }
     }
@@ -59,13 +55,6 @@ impl NetSpec {
                 }
                 route.len()
             }
-            NetSpec::Torus(t) => {
-                let route = t.route(src, dst);
-                for l in &route {
-                    out.push((base + t.link_slot(*l)) as u32);
-                }
-                route.len()
-            }
             NetSpec::Cluster(c) => {
                 let phys = c.phys_mesh();
                 let route = route_xy(&phys, c.phys_node(src), c.phys_node(dst));
@@ -83,7 +72,6 @@ impl fmt::Display for NetSpec {
         match self {
             NetSpec::Mesh(m) => write!(f, "{m}"),
             NetSpec::Hypercube(c) => write!(f, "{c}"),
-            NetSpec::Torus(t) => write!(f, "{t}"),
             NetSpec::Cluster(c) => write!(f, "{c}"),
         }
     }

@@ -6,32 +6,19 @@ use crate::net::NetSpec;
 use intercom::BufferPool;
 use intercom_cost::{HierMachine, MachineParams};
 use intercom_obs::Trace;
-use intercom_topology::{Cluster, Hypercube, Mesh2D, Torus2D};
+use intercom_topology::{Cluster, Hypercube, Mesh2D};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
-
-/// Per-level pricing of a simulated two-level cluster: intra-node
-/// transfers (and local arithmetic) charge `intra`, inter-node
-/// transfers and inter links charge `inter`.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterLevels {
-    /// The cheap intra-node (α, β, γ, δ, link-excess) parameters.
-    pub intra: MachineParams,
-    /// The expensive inter-node (network) parameters.
-    pub inter: MachineParams,
-}
 
 /// Configuration of one simulated machine.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Physical network; world rank = node id.
     pub net: NetSpec,
-    /// The α/β/γ/δ/link-excess parameters.
-    pub machine: MachineParams,
-    /// Per-level parameters, present when `net` is a cluster: each
-    /// transfer is priced at its level. `machine` then mirrors the
-    /// inter (network) level for reporting.
-    pub levels: Option<ClusterLevels>,
+    /// The per-level α/β/γ/δ/link-excess parameters. On a
+    /// [`NetSpec::Cluster`] each transfer and link is priced at its
+    /// level; every other network reads the one level of a flat machine.
+    pub machine: HierMachine,
     /// Record per-transfer trace (costs memory on big runs).
     pub record_trace: bool,
     /// Per-transfer timing irregularity: each message's *startup* (α) is
@@ -44,40 +31,25 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A mesh with the given machine, no tracing, no jitter.
-    pub fn new(mesh: Mesh2D, machine: MachineParams) -> Self {
+    /// `net` priced by `machine`, no tracing, no jitter.
+    fn on(net: NetSpec, machine: HierMachine) -> Self {
         SimConfig {
-            net: NetSpec::Mesh(mesh),
+            net,
             machine,
-            levels: None,
             record_trace: false,
             jitter: 0.0,
             jitter_seed: 0,
         }
     }
 
-    /// A torus (wraparound mesh, paper ref [6]) with the given machine.
-    pub fn torus(torus: Torus2D, machine: MachineParams) -> Self {
-        SimConfig {
-            net: NetSpec::Torus(torus),
-            machine,
-            levels: None,
-            record_trace: false,
-            jitter: 0.0,
-            jitter_seed: 0,
-        }
+    /// A mesh with the given machine, no tracing, no jitter.
+    pub fn new(mesh: Mesh2D, machine: MachineParams) -> Self {
+        Self::on(NetSpec::Mesh(mesh), HierMachine::flat(machine))
     }
 
     /// A hypercube (the §11 iPSC/860 target) with the given machine.
     pub fn hypercube(cube: Hypercube, machine: MachineParams) -> Self {
-        SimConfig {
-            net: NetSpec::Hypercube(cube),
-            machine,
-            levels: None,
-            record_trace: false,
-            jitter: 0.0,
-            jitter_seed: 0,
-        }
+        Self::on(NetSpec::Hypercube(cube), HierMachine::flat(machine))
     }
 
     /// A two-level cluster with per-level parameters: the physical
@@ -85,17 +57,7 @@ impl SimConfig {
     /// priced at `machine.intra()` and inter-node traffic at
     /// `machine.inter()`. No tracing, no jitter.
     pub fn cluster(cluster: Cluster, machine: &HierMachine) -> Self {
-        SimConfig {
-            net: NetSpec::Cluster(cluster),
-            machine: *machine.inter(),
-            levels: Some(ClusterLevels {
-                intra: *machine.intra(),
-                inter: *machine.inter(),
-            }),
-            record_trace: false,
-            jitter: 0.0,
-            jitter_seed: 0,
-        }
+        Self::on(NetSpec::Cluster(cluster), *machine)
     }
 
     /// Enables transfer tracing.
@@ -143,10 +105,9 @@ where
     F: Fn(&SimComm) -> T + Send + Sync,
 {
     let p = cfg.net.nodes();
-    let mut engine = Engine::with_levels(
+    let mut engine = Engine::new(
         cfg.net,
         cfg.machine,
-        cfg.levels,
         cfg.record_trace,
         cfg.jitter,
         cfg.jitter_seed,
@@ -163,6 +124,11 @@ where
     drop(req_tx);
     let f = &f;
     std::thread::scope(|scope| {
+        // The loop below owns the reply senders: if it panics (the
+        // engine's deadlock diagnostic), unwinding drops them, every
+        // rank blocked on a reply sees `Disconnected`, and the scope can
+        // join the rank threads and let the panic through.
+        let reply_txs = reply_txs;
         let mut handles = Vec::with_capacity(p);
         for (rank, comm) in endpoints.into_iter().enumerate() {
             let builder = std::thread::Builder::new()
@@ -446,6 +412,33 @@ mod tests {
         });
         assert!(rep.results.iter().all(|&x| x == 10));
         assert!(rep.elapsed > 0.0);
+    }
+
+    #[test]
+    fn deadlock_panics_with_the_engine_diagnostic() {
+        // Both ranks receive and nobody sends. The simulation runs on a
+        // thread of its own so that a regression — `simulate` hanging
+        // on rank threads that wait for replies nobody can send — fails
+        // this test instead of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let cfg = SimConfig::new(Mesh2D::new(1, 2), unit());
+            let outcome = std::panic::catch_unwind(|| {
+                simulate(&cfg, |c| c.recv(1 - c.rank(), 0, &mut [0u8; 4]).is_err())
+            });
+            let _ = tx.send(outcome.map(|report| report.results));
+        });
+        let panic = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a deadlocked simulation must not hang")
+            .expect_err("a deadlocked simulation must panic");
+        watched.join().expect("the panic was caught");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("simulation deadlock: 2 rank(s) blocked"),
+            "{msg}"
+        );
+        assert!(msg.contains("unmatched recv 0←1 tag 0"), "{msg}");
     }
 
     #[test]

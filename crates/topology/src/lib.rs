@@ -31,7 +31,6 @@ pub mod group;
 pub mod hypercube;
 pub mod mesh;
 pub mod routing;
-pub mod torus;
 
 pub use cluster::{Cluster, HopLevel};
 pub use coord::Coord;
@@ -41,4 +40,3 @@ pub use group::{GroupStructure, ProcGroup};
 pub use hypercube::{CubeLink, Hypercube};
 pub use mesh::{Direction, LinkId, Mesh2D, NodeId};
 pub use routing::{route_xy, RouteStep};
-pub use torus::Torus2D;

@@ -28,14 +28,13 @@
 use crate::checks::Violation;
 use crate::extract::extract_programs;
 use crate::schedule::match_programs;
-use intercom::comm::GroupComm;
 use intercom::faults::{FaultEvent, FaultEventKind};
-use intercom::ir::{run_direct, OwnedArgs, PlanOp};
+use intercom::ir::{run_filled, PlanOp};
 use intercom::trace::OpRecord;
 use intercom::{AbortCause, AbortInfo, CollectiveError, CommError, Fault, FaultKind, FaultLayer};
-use intercom::{Comm, ReduceOp, Tag};
+use intercom::{Comm, Tag};
 use intercom::{FaultPlan, FaultyComm};
-use intercom_cost::{HierChoice, MachineParams, Strategy};
+use intercom_cost::{MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{EventKind, TraceEvent};
 use intercom_runtime::{default_wait_timeout, run_world_deadline};
@@ -251,47 +250,22 @@ fn chaos_rank<C: Comm + ?Sized>(
 ) -> Result<Vec<u8>, CollectiveError> {
     let rank = comm.rank();
     let fc = FaultyComm::new(comm, layer);
-    run_op(&fc, op, strategy, CHAOS_N)
-        .and_then(|bytes| {
+    // Every buffer the rank bound, in slot order: the bytes the
+    // byte-identity check compares against the fault-free baseline.
+    run_filled(&fc, *op, strategy, CHAOS_N)
+        .and_then(|bufs| {
             confirm(&fc)?;
-            Ok(bytes)
+            Ok(bufs
+                .slots
+                .into_iter()
+                .filter_map(|(_, b)| b)
+                .flatten()
+                .collect())
         })
         .map_err(|e| {
             let (plan, step) = fc.layer().progress()[rank];
             CollectiveError::new(rank, op.name(), e).at(plan, step)
         })
-}
-
-/// Runs one collective with the buffer shapes of
-/// [`crate::extract::extract_programs`] (fill pattern `i % 251`) and
-/// returns every buffer this rank bound, in slot order — the bytes the
-/// byte-identity check compares against the fault-free baseline.
-fn run_op<C: Comm + ?Sized>(
-    comm: &C,
-    op: &PlanOp,
-    strategy: Option<&Strategy>,
-    n: usize,
-) -> intercom::Result<Vec<u8>> {
-    let rank = comm.rank();
-    let mut bufs = OwnedArgs::<u8>::new(*op, comm.size(), n, rank);
-    bufs.fill_contribution(*op, rank, |i| (i % 251) as u8);
-    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
-    let gc = GroupComm::world(comm);
-    run_direct(
-        *op,
-        choice.as_ref(),
-        &gc,
-        ReduceOp::Max,
-        &mut bufs.bind(),
-        &mut Vec::new(),
-        0,
-    )?;
-    Ok(bufs
-        .slots
-        .into_iter()
-        .filter_map(|(_, b)| b)
-        .flatten()
-        .collect())
 }
 
 /// The confirmation round: a star barrier through rank 0 on a reserved

@@ -1,6 +1,6 @@
 //! Shared observability driver: runs any verifiable collective at base
-//! tag 0 on either backend under a unified recorder, and folds the
-//! recording against the cost model.
+//! tag 0 ([`run_filled`]) on either backend under a unified recorder,
+//! and folds the recording against the cost model.
 //!
 //! The `trace-dump` binary, the `fig1_trace` example, the CI smoke gate
 //! and the counter-vs-verifier byte cross-check all go through these
@@ -8,41 +8,12 @@
 //! comparable with the symbolic schedule `intercom-verify` extracts —
 //! same buffer shapes, same tags, same stage coordinates.
 
-use intercom::comm::GroupComm;
-use intercom::ir::{cost_op, run_direct, OwnedArgs, PlanOp};
-use intercom::{Comm, ReduceOp, Result};
-use intercom_cost::{CostContext, HierChoice, MachineParams, Strategy};
+use intercom::ir::{cost_op, run_filled, PlanOp};
+use intercom_cost::{CostContext, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{analyze, ResidualReport, RunRecord};
 use intercom_runtime::run_world_recorded;
 use intercom_topology::Mesh2D;
-
-/// Runs `op` once at base tag 0 with the exact buffer shapes
-/// [`intercom_verify::extract_programs`] replays symbolically, so the
-/// recorded events line up one-to-one with the verifier's schedule.
-/// `n` follows the [`PlanOp::args`] size convention (total vector length
-/// for broadcast/combine ops, per-member block length for the rest).
-pub fn run_collective<C: Comm + ?Sized>(
-    comm: &C,
-    op: &PlanOp,
-    strategy: Option<&Strategy>,
-    n: usize,
-) -> Result<()> {
-    let rank = comm.rank();
-    let mut bufs = OwnedArgs::<u8>::new(*op, comm.size(), n, rank);
-    bufs.fill_contribution(*op, rank, |i| (i % 251) as u8);
-    let choice = strategy.map(|s| HierChoice::Flat(s.clone()));
-    let gc = GroupComm::world(comm);
-    run_direct(
-        *op,
-        choice.as_ref(),
-        &gc,
-        ReduceOp::Max,
-        &mut bufs.bind(),
-        &mut Vec::new(),
-        0,
-    )
-}
 
 /// One recorded collective run, backend-agnostic.
 pub struct Recorded {
@@ -65,7 +36,7 @@ pub fn record_threads(
     let op = *op;
     let strategy = strategy.cloned();
     let (_, run) = run_world_recorded(p, capacity, move |c| {
-        run_collective(c, &op, strategy.as_ref(), n).expect("collective failed under recording")
+        run_filled(c, op, strategy.as_ref(), n).expect("collective failed under recording");
     });
     let elapsed = run.all_events().map(|e| e.end).fold(0.0f64, f64::max);
     Recorded { run, elapsed }
@@ -85,7 +56,7 @@ pub fn record_sim(
     let op = *op;
     let strategy = strategy.cloned();
     let rep = simulate(&cfg, move |c| {
-        run_collective(c, &op, strategy.as_ref(), n).expect("collective failed under simulation")
+        run_filled(c, op, strategy.as_ref(), n).expect("collective failed under simulation");
     });
     let trace = rep.trace.expect("tracing was enabled");
     Recorded {

@@ -9,10 +9,12 @@
 //! prices cheaper than the stale choice — with the whole transaction
 //! visible in the metrics registry.
 
-use intercom_suite::cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams, Strategy};
+use intercom_suite::cost::{
+    hybrid_cost, CollectiveOp, CostContext, HierChoice, HierMachine, MachineParams, Strategy,
+};
 use intercom_suite::driver::{record_sim, residual_report};
 use intercom_suite::intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
-use intercom_suite::intercom::selector::{choose_strategy, GroupShape};
+use intercom_suite::intercom::selector::{choose, GroupShape};
 use intercom_suite::intercom::{AutoTuner, Communicator, TrackedShape};
 use intercom_suite::obs::metrics;
 use intercom_suite::runtime::run_world;
@@ -33,18 +35,19 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     // scatter-collect hybrid wins.
     let p = 8usize;
     let n = 16384usize;
-    let stale = choose_strategy(
-        CollectiveOp::Broadcast,
-        GroupShape::Linear(p),
-        n,
-        &configured,
-    );
-    let fresh_truth = choose_strategy(
-        CollectiveOp::Broadcast,
-        GroupShape::Linear(p),
-        n,
-        &true_machine,
-    );
+    let pick = |machine: MachineParams| {
+        let shape = GroupShape::Linear(p);
+        match choose(
+            CollectiveOp::Broadcast,
+            shape,
+            n,
+            &HierMachine::flat(machine),
+        ) {
+            HierChoice::Flat(s) => s,
+            HierChoice::Hier(h) => panic!("a line selected the hybrid {h}"),
+        }
+    };
+    let (stale, fresh_truth) = (pick(configured), pick(true_machine));
     assert_ne!(stale, fresh_truth, "the shape must sit at a crossover");
 
     let mut tuner = AutoTuner::new(configured);
@@ -127,8 +130,8 @@ fn doubled_beta_closes_the_loop_end_to_end() {
         .iter()
         .find(|r| r.shape.op == PlanOp::Broadcast { root: 0 })
         .expect("the tracked broadcast shape re-selects");
-    assert_eq!(r.old, stale);
-    assert_eq!(r.new, fresh_truth);
+    assert_eq!(r.old, HierChoice::Flat(stale.clone()));
+    assert_eq!(r.new, HierChoice::Flat(fresh_truth.clone()));
     assert!(
         r.new_cost < r.old_cost,
         "re-selected {} ({:.3e}s) must beat stale {} ({:.3e}s)",
@@ -140,7 +143,7 @@ fn doubled_beta_closes_the_loop_end_to_end() {
     // And under the *true* machine the switch is a real win too.
     let ctx = CostContext::linear_with(&true_machine);
     let price = |s: &Strategy| hybrid_cost(CollectiveOp::Broadcast, s, ctx).eval(n, &true_machine);
-    assert!(price(&r.new) < price(&r.old));
+    assert!(price(&fresh_truth) < price(&stale));
 
     // The transaction is visible in the always-on telemetry.
     let snap = metrics::global().snapshot();

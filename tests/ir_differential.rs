@@ -13,7 +13,7 @@
 //!   and on the mesh simulator.
 
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, execute_scalar, lower, ArgBuf, PlanOp};
+use intercom::ir::{execute, lower, ArgBuf, PlanOp};
 use intercom::primitives::pipelined_ring_bcast;
 use intercom::{algorithms, Comm, ReduceOp};
 use intercom_cost::{Strategy, StrategyKind};
@@ -188,11 +188,7 @@ fn ir_run<C: Comm + ?Sized>(
     let prog = lower(pop, strategy, p, n, 1).unwrap();
     let mut scratch = Vec::new();
     let mut run = |args: &mut [ArgBuf<'_, u8>]| {
-        if pop.combines() {
-            execute(&prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
-        } else {
-            execute_scalar(&prog, &gc, args, &mut scratch, 0).unwrap();
-        }
+        execute(&prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
     };
     match *op {
         PlanOp::Broadcast { root } | PlanOp::PipelinedBcast { root, .. } => {

@@ -15,7 +15,7 @@
 //! messages (`comm_steps` is monotonically non-increasing).
 
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, execute_scalar, lower, optimize, ArgBuf, CollectiveProgram, PlanOp};
+use intercom::ir::{execute, lower, optimize, ArgBuf, CollectiveProgram, PlanOp};
 use intercom::{Comm, ReduceOp};
 use intercom_cost::{Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimConfig};
@@ -111,11 +111,7 @@ fn run_prog<C: Comm + ?Sized>(
     let rank = comm.rank();
     let mut scratch = Vec::new();
     let mut run = |args: &mut [ArgBuf<'_, u8>]| {
-        if prog.op.combines() {
-            execute(prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
-        } else {
-            execute_scalar(prog, &gc, args, &mut scratch, 0).unwrap();
-        }
+        execute(prog, &gc, ReduceOp::Max, args, &mut scratch, 0).unwrap();
     };
     match *op {
         PlanOp::Broadcast { root } | PlanOp::PipelinedBcast { root, .. } => {

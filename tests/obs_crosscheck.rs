@@ -9,9 +9,9 @@
 //! instrumentation drift (an uncounted path, a double-counted
 //! `sendrecv`, a tag-layout change) breaks the equality.
 
-use intercom::ir::PlanOp;
+use intercom::ir::{run_filled, PlanOp};
 use intercom_cost::Strategy;
-use intercom_suite::driver::{record_threads, run_collective};
+use intercom_suite::driver::record_threads;
 use intercom_suite::obs::{stage_of, EventKind, RunRecord};
 use intercom_verify::{extract_programs, match_programs, Schedule};
 
@@ -126,17 +126,21 @@ fn obs_tag_constants_match_core_layout() {
 }
 
 /// The driver and the verifier must agree on buffer shapes — a quick
-/// end-to-end sanity check that `run_collective` actually runs (the
-/// byte equality above would vacuously pass on an op that errored out
-/// and moved nothing only if the verifier also produced zero traffic).
+/// end-to-end sanity check that the driver's `run_filled` actually runs
+/// (the byte equality above would vacuously pass on an op that errored
+/// out and moved nothing only if the verifier also produced zero
+/// traffic).
 #[test]
 fn driver_moves_real_data() {
-    use intercom::Comm;
     let p = 4;
     let st = Strategy::pure_mst(p);
     let out = intercom_runtime::run_world(p, |c| {
-        run_collective(c, &PlanOp::Broadcast { root: 0 }, Some(&st), 64).unwrap();
-        c.rank()
+        let bufs = run_filled(c, PlanOp::Broadcast { root: 0 }, Some(&st), 64).unwrap();
+        bufs.slots[0]
+            .1
+            .clone()
+            .expect("every rank binds the vector")
     });
-    assert_eq!(out, vec![0, 1, 2, 3]);
+    let root_pattern: Vec<u8> = (0..64).collect();
+    assert!(out.iter().all(|buf| *buf == root_pattern));
 }

@@ -132,6 +132,12 @@ at_least "optimized-IR checks" "$(audit_count default optsweep checks)" 14943
 at_least "trace cross-checks" "$(audit_count default crosscheck checks)" 2577
 at_least "concurrent scenarios" "$(audit_count default concurrent scenarios)" 13
 at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default.json" | wc -l)" 13
+# The rewrite counts are pinned too: zero failures over fewer rewrites
+# than today is a failure (no audited shape has a same-stage pair to
+# fuse: that pin only catches the count going missing).
+at_least "elided halves" "$(audit_count default optsweep elided)" 893576
+at_least "fused pairs" "$(audit_count default optsweep fused)" 0
+at_least "coalesced messages and copies" "$(audit_count default optsweep coalesced)" 44144
 # Pinned from above: every dead copy is a local copy the direct path
 # still makes (586 975 before the bucket reduce-scatter read its input
 # in place).
@@ -149,9 +155,6 @@ audit hier --source=hier
 for key in checks opt_checks trace_checks; do
     at_least "hierarchical $key" "$(audit_count hier hier "$key")" 1227
 done
-
-echo "==> schedule-optimizer A/B bench (smoke)"
-cargo run --release -p intercom-bench --bin iropt -- --smoke >/dev/null
 
 echo "==> observability smoke (trace export round-trip + residual reports)"
 # --check re-parses every emitted Chrome-trace JSON through the strict

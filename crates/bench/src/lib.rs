@@ -11,7 +11,7 @@
 //!
 //! The other bins regenerate EXPERIMENTS.md sections (`section5`,
 //! `crossover_map`, `groups`, `pipelined`, `hypercube`) or measure what
-//! `benchmark/` does not (`iropt`, `obs`). Performance numbers live in
+//! `benchmark/` does not (`obs`). Performance numbers live in
 //! `benchmark/`, not here.
 
 pub mod measure;

@@ -55,15 +55,16 @@ pub trait Comm {
 
     /// Concurrent exchange with independent per-half tags: send `data`
     /// to `to` under `stag` while receiving into `buf` from `from`
-    /// under `rtag`. Optimized schedules fuse adjacent cross-stage
-    /// send/recv pairs into one exchange, and tags encode stages, so
-    /// the two halves of a fused exchange may carry different tags.
+    /// under `rtag`. No library schedule needs mixed tags: tags encode
+    /// stages, and every exchange the algorithms or the optimizer emit
+    /// has both halves in one stage, so the IR interpreter calls
+    /// [`Comm::sendrecv`]. The method stays because it is part of the
+    /// porting surface wrappers outside this workspace's crates
+    /// implement (the benchmark's instrumented `Comm` forwards it).
     ///
     /// The default delegates equal tags to [`Comm::sendrecv`] and
-    /// serializes mixed tags as send-then-recv — correct for every
-    /// schedule the optimizer emits (it only fuses pairs that were
-    /// already safe in that order), but backends that can post both
-    /// halves concurrently should override for full-duplex progress.
+    /// serializes mixed tags as send-then-recv; backends that can post
+    /// both halves concurrently override it for full-duplex progress.
     fn sendrecv_tagged(
         &self,
         to: usize,
@@ -282,29 +283,6 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             self.members[from],
             T::as_bytes_mut(buf),
             tag,
-        )
-    }
-
-    /// Typed concurrent exchange with independent per-half tags (see
-    /// [`Comm::sendrecv_tagged`]).
-    pub fn sendrecv_tagged<T: Scalar>(
-        &self,
-        to: usize,
-        data: &[T],
-        stag: Tag,
-        from: usize,
-        buf: &mut [T],
-        rtag: Tag,
-    ) -> Result<()> {
-        self.check(to)?;
-        self.check(from)?;
-        self.comm.sendrecv_tagged(
-            self.members[to],
-            T::as_bytes(data),
-            stag,
-            self.members[from],
-            T::as_bytes_mut(buf),
-            rtag,
         )
     }
 

@@ -711,8 +711,8 @@ mod tests {
         // The warmed program is the one a plan now asks for: a hit.
         let key = ir::PlanKey::frozen(PlanOp::AllReduce, 16, n, 8, &r.new);
         assert_eq!((key.hier.as_ref(), &key.strategy), (Some(h), &None));
-        let before = ir::global_cache().stats();
-        ir::global_cache().get_or_compile(&key).unwrap();
-        assert_eq!(ir::global_cache().stats().delta(&before).misses, 0);
+        // (Asked per key: the process-wide counters also move under
+        // whatever the tests running beside this one compile.)
+        assert_eq!(ir::global_cache().warm_up([key]).unwrap(), 0);
     }
 }

@@ -205,7 +205,11 @@ impl PlanCache {
         };
         Ok(Arc::new(match key.opt {
             OptLevel::None => prog,
-            OptLevel::Full => optimize(&prog).0,
+            OptLevel::Full => {
+                let (opt, stats) = optimize(&prog);
+                debug_assert!(!stats.reverted, "optimize reverted {key:?}");
+                opt
+            }
         }))
     }
 

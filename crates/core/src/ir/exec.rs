@@ -104,10 +104,9 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
                     from,
                     dst,
                     tag_off,
-                    rtag_off,
                 } => {
                     let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
-                    gc.sendrecv_tagged(to, s, base_tag + tag_off, from, d, base_tag + rtag_off)?;
+                    gc.sendrecv(to, s, from, d, base_tag + tag_off)?;
                 }
                 StepKind::Copy { src, dst } => {
                     let (s, d) = read_write(args, scratch, elem, &src, &dst)?;

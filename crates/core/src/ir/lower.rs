@@ -24,7 +24,7 @@ use intercom_cost::{HierChoice, HierStrategy, Strategy};
 
 /// Scratch-arena alignment: every temporary cluster starts on a 16-byte
 /// boundary, a multiple of every supported element size.
-pub(super) const ARENA_ALIGN: usize = 16;
+const ARENA_ALIGN: usize = 16;
 
 /// Lowers one collective call into a compiled program for all `p` ranks.
 ///
@@ -187,6 +187,7 @@ fn resolve_rank(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -
                 tag,
                 rtag,
             } => {
+                debug_assert_eq!(tag, rtag, "library schedules exchange under one tag");
                 stage = stage_of(tag);
                 StepKind::SendRecv {
                     to,
@@ -194,7 +195,6 @@ fn resolve_rank(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -
                     from,
                     dst: resolve(dst),
                     tag_off: tag,
-                    rtag_off: rtag,
                 }
             }
             OpRecord::Copy { src, dst } => StepKind::Copy {

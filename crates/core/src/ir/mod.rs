@@ -13,9 +13,7 @@
 //! * the threaded runtime and the mesh simulator *execute* it through
 //!   the backend-generic interpreter ([`execute`]),
 //! * `intercom-verify` checks its static safety properties directly
-//!   (deadlock-freedom, single-port, link conflicts, buffer safety),
-//! * `intercom-cost` annotates its stages with predicted costs
-//!   ([`annotate`]), and
+//!   (deadlock-freedom, single-port, link conflicts, buffer safety), and
 //! * `intercom-obs` attributes trace events to `(plan, step)` via the
 //!   [`Comm::plan_step`](crate::comm::Comm::plan_step) hook.
 //!
@@ -39,21 +37,19 @@
 //! scratch allocation, and repeated executions allocate nothing.
 
 mod cache;
-mod cost;
 mod direct;
 mod exec;
 mod lower;
 mod opt;
 
 pub use cache::{global_cache, CacheStats, PlanCache, PlanKey, DEFAULT_CACHE_CAPACITY};
-pub use cost::{annotate, cost_op, StageCost};
 pub use direct::{run_direct, run_filled, OwnedArgs};
 pub use exec::{execute, ArgBuf};
 pub use lower::{lower, lower_hier};
 pub use opt::{optimize, OptLevel, OptStats};
 
 use crate::comm::Tag;
-use intercom_cost::{HierStrategy, Strategy};
+use intercom_cost::{CollectiveOp, HierStrategy, Strategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which collective a program implements, together with the call
@@ -98,6 +94,22 @@ pub enum PlanOp {
         /// Segment count (`m ≥ 1`).
         segments: usize,
     },
+}
+
+/// The cost-model operation a [`PlanOp`] corresponds to, if the model
+/// covers it (total exchange and the pipelined broadcast are extensions
+/// outside the paper's Table 1 stage formulas).
+pub fn cost_op(op: PlanOp) -> Option<CollectiveOp> {
+    match op {
+        PlanOp::Broadcast { .. } => Some(CollectiveOp::Broadcast),
+        PlanOp::Reduce { .. } => Some(CollectiveOp::CombineToOne),
+        PlanOp::AllReduce => Some(CollectiveOp::CombineToAll),
+        PlanOp::ReduceScatter => Some(CollectiveOp::DistributedCombine),
+        PlanOp::Collect => Some(CollectiveOp::Collect),
+        PlanOp::Scatter { .. } => Some(CollectiveOp::Scatter),
+        PlanOp::Gather { .. } => Some(CollectiveOp::Gather),
+        PlanOp::Alltoall | PlanOp::PipelinedBcast { .. } => None,
+    }
 }
 
 /// How a program touches one argument buffer.
@@ -300,13 +312,9 @@ pub enum StepKind {
         from: usize,
         /// Bytes written by the receive half.
         dst: Loc,
-        /// Tag offset of the send half.
+        /// Tag offset of both halves: tags encode stages, and an
+        /// exchange's halves always belong to one stage.
         tag_off: Tag,
-        /// Tag offset of the receive half. Equal to `tag_off` for
-        /// exchanges the algorithms emit directly; the optimizer's
-        /// cross-stage fusion produces mixed-tag exchanges (tags encode
-        /// stages, and the fused halves belong to adjacent stages).
-        rtag_off: Tag,
     },
     /// Local copy of `src` into `dst` (block permutes, root staging,
     /// own-block moves).
@@ -460,5 +468,16 @@ mod tests {
         assert_eq!(PlanOp::Collect.cost_bytes(4, 10, 8), 320);
         assert_eq!(PlanOp::ReduceScatter.cost_bytes(4, 10, 2), 80);
         assert_eq!(PlanOp::Gather { root: 1 }.cost_bytes(3, 5, 4), 60);
+    }
+
+    #[test]
+    fn extensions_are_not_priced() {
+        assert_eq!(cost_op(PlanOp::AllReduce), Some(CollectiveOp::CombineToAll));
+        assert!(cost_op(PlanOp::Alltoall).is_none());
+        let piped = PlanOp::PipelinedBcast {
+            root: 0,
+            segments: 4,
+        };
+        assert!(cost_op(piped).is_none());
     }
 }

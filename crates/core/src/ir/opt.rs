@@ -15,25 +15,23 @@
 //!    barrier semantics (an `n = 0` collective still synchronizes).
 //! 2. **Sendrecv fusion** — an adjacent send/recv pair in the same
 //!    stage (only local steps between) becomes one full-duplex
-//!    [`StepKind::SendRecv`].
-//! 3. **Cross-stage overlap** — the same fusion across stage
-//!    boundaries, where the §6 exchange lives: an MST combine's
-//!    send-up immediately precedes the broadcast's recv-down on every
-//!    non-root rank. When the two regions overlap, the receive is
-//!    detoured through fresh scratch and copied into place at the
-//!    receive's original program point, so execution stays
-//!    byte-identical. Applied only when the cost model prices the
-//!    rewritten shape cheaper (wire occupancy, see
-//!    [`StageCost::wire_bytes`](super::StageCost)).
-//! 4. **Message/copy coalescing** — adjacent contiguous messages on
+//!    [`StepKind::SendRecv`]. Pairs from different stages stay apart:
+//!    their halves are causally ordered (what comes down depends on
+//!    what went up), so co-posting them buys no wire time and only
+//!    moves the next stage's δ behind the wait.
+//! 3. **Message/copy coalescing** — adjacent contiguous messages on
 //!    one channel merge into one (both endpoints rewritten in concert),
 //!    and adjacent contiguous local copies merge, eliminating per-block
 //!    α and per-call overheads.
-//! 5. **Dead-copy elimination** — identity round-trips (a block staged
+//! 4. **Dead-copy elimination** — identity round-trips (a block staged
 //!    to scratch and copied back to where it came from, as the
 //!    multi-dimensional collect's slot un-permutation produces for
 //!    fixed points of the permutation) and scratch stores no later step
 //!    reads are dropped.
+//!
+//! Every pass is a structural rewrite: none reads a price or a machine
+//! model, so what the pipeline does to a program depends on the
+//! program alone.
 //!
 //! # Proof obligations
 //!
@@ -55,10 +53,8 @@
 //!   single-port, buffer safety and link conflicts over the whole
 //!   strategy space.
 
-use super::lower::{stage_of, ARENA_ALIGN};
-use super::{annotate, CollectiveProgram, Loc, Step, StepKind};
+use super::{CollectiveProgram, Loc, Step, StepKind};
 use crate::comm::Tag;
-use intercom_cost::CostContext;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How much optimization a compiled plan gets — the plan cache's
@@ -80,11 +76,9 @@ pub struct OptStats {
     pub elided: usize,
     /// Same-stage send/recv pairs fused into exchanges (pass 2).
     pub fused: usize,
-    /// Cross-stage pairs fused by the overlap pass (pass 3).
-    pub overlapped: usize,
-    /// Messages and local copies merged (pass 4).
+    /// Messages and local copies merged (pass 3).
     pub coalesced: usize,
-    /// Dead or identity copies removed (pass 5).
+    /// Dead or identity copies removed (pass 4).
     pub dead_copies: usize,
     /// The rewritten program failed the internal rendezvous re-proof
     /// and the unoptimized original was kept (never expected; the
@@ -95,7 +89,7 @@ pub struct OptStats {
 impl OptStats {
     /// Total rewrites applied.
     pub fn total(&self) -> usize {
-        self.elided + self.fused + self.overlapped + self.coalesced + self.dead_copies
+        self.elided + self.fused + self.coalesced + self.dead_copies
     }
 }
 
@@ -111,15 +105,7 @@ pub fn optimize(prog: &CollectiveProgram) -> (CollectiveProgram, OptStats) {
     let mut out = prog.clone();
     out.plan_id = super::fresh_plan_id();
     stats.elided = elide_empty(&mut out);
-    stats.fused = fuse_adjacent(&mut out, FuseMode::SameStage);
-    // The overlap pass is priced: apply only if the cost model says the
-    // fused shape occupies the wire for less.
-    let mut candidate = out.clone();
-    let n = fuse_adjacent(&mut candidate, FuseMode::CrossStage);
-    if n > 0 && priced_wire(&candidate) < priced_wire(&out) {
-        out = candidate;
-        stats.overlapped = n;
-    }
+    stats.fused = fuse_adjacent(&mut out);
     stats.coalesced = coalesce_messages(&mut out) + coalesce_copies(&mut out);
     stats.dead_copies = dead_copy_elim(&mut out);
     if !rendezvous_ok(&out) {
@@ -134,27 +120,6 @@ pub fn optimize(prog: &CollectiveProgram) -> (CollectiveProgram, OptStats) {
         );
     }
     (out, stats)
-}
-
-/// Total serialized wire occupancy of a program: each send counts its
-/// source, each receive its destination, each full-duplex exchange the
-/// max of its halves. Where the cost model covers the op this equals
-/// the [`annotate`] stage sum of `wire_bytes`; the direct fold also
-/// prices the extension collectives the stage model skips.
-fn priced_wire(prog: &CollectiveProgram) -> usize {
-    if let Some(stages) = annotate(prog, CostContext::LINEAR) {
-        return stages.iter().map(|s| s.wire_bytes).sum();
-    }
-    prog.ranks
-        .iter()
-        .flat_map(|r| r.steps.iter())
-        .map(|s| match s.kind {
-            StepKind::Send { src, .. } => src.len,
-            StepKind::Recv { dst, .. } => dst.len,
-            StepKind::SendRecv { src, dst, .. } => src.len.max(dst.len),
-            _ => 0,
-        })
-        .sum()
 }
 
 /// Pass 1: drop matched zero-length message halves from both endpoints.
@@ -183,7 +148,6 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
                 from,
                 dst,
                 tag_off,
-                rtag_off,
             } => match (src.len == 0, dst.len == 0) {
                 (true, true) => {
                     removed += 2;
@@ -191,18 +155,12 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
                 }
                 (true, false) => {
                     removed += 1;
-                    step.kind = StepKind::Recv {
-                        from,
-                        tag_off: rtag_off,
-                        dst,
-                    };
-                    step.stage = stage_of(rtag_off);
+                    step.kind = StepKind::Recv { from, tag_off, dst };
                     true
                 }
                 (false, true) => {
                     removed += 1;
                     step.kind = StepKind::Send { to, tag_off, src };
-                    step.stage = stage_of(tag_off);
                     true
                 }
                 (false, false) => true,
@@ -211,15 +169,6 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
         });
     }
     removed
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FuseMode {
-    /// Pass 2: both halves in the same stage (equal tags); no detour.
-    SameStage,
-    /// Pass 3 (overlap): halves from different stages; an overlapping
-    /// receive destination is detoured through fresh scratch.
-    CrossStage,
 }
 
 fn locs_overlap(a: &Loc, b: &Loc) -> bool {
@@ -236,17 +185,17 @@ fn local_footprint(kind: &StepKind) -> Option<(Vec<Loc>, Vec<Loc>)> {
     }
 }
 
-/// Passes 2 and 3: fuse adjacent send/recv pairs (only local steps
+/// Pass 2: fuse adjacent same-stage send/recv pairs (only local steps
 /// between) into full-duplex exchanges. Both orders are handled; a pair
-/// is refused when the send would ship bytes the receive (or an
-/// intervening local step) produces — fusion never reorders dependent
-/// work, it only co-posts halves the rank was already committed to.
-fn fuse_adjacent(prog: &mut CollectiveProgram, mode: FuseMode) -> usize {
+/// is refused when either half would touch bytes the other half (or an
+/// intervening local step) produces or reads — fusion never reorders
+/// dependent work, it only co-posts halves the rank was already
+/// committed to.
+fn fuse_adjacent(prog: &mut CollectiveProgram) -> usize {
     let mut count = 0;
     for rp in &mut prog.ranks {
         let steps = &rp.steps;
         let mut out: Vec<Step> = Vec::with_capacity(steps.len());
-        let mut tmp_base = rp.scratch_bytes;
         let mut i = 0;
         'scan: while i < steps.len() {
             let first = steps[i];
@@ -265,20 +214,10 @@ fn fuse_adjacent(prog: &mut CollectiveProgram, mode: FuseMode) -> usize {
                     break;
                 }
                 if j < steps.len() {
-                    if let Some((fused, copy_back, cnt)) = try_fuse(
-                        &first,
-                        &steps[j],
-                        &mid_reads,
-                        &mid_writes,
-                        mode,
-                        &mut tmp_base,
-                    ) {
+                    if let Some(fused) = try_fuse(&first, &steps[j], &mid_reads, &mid_writes) {
                         out.push(fused);
                         out.extend_from_slice(&steps[i + 1..j]);
-                        if let Some(c) = copy_back {
-                            out.push(c);
-                        }
-                        count += cnt;
+                        count += 1;
                         i = j + 1;
                         continue 'scan;
                     }
@@ -288,138 +227,70 @@ fn fuse_adjacent(prog: &mut CollectiveProgram, mode: FuseMode) -> usize {
             i += 1;
         }
         rp.steps = out;
-        rp.scratch_bytes = tmp_base;
     }
     count
 }
 
 /// Attempts to fuse the pair `(first, second)` separated by local steps
-/// with the given read/write footprint. Returns the fused step, an
-/// optional copy-back step (the cross-stage detour) and the rewrite
-/// count.
-fn try_fuse(
-    first: &Step,
-    second: &Step,
-    mid_reads: &[Loc],
-    mid_writes: &[Loc],
-    mode: FuseMode,
-    tmp_base: &mut usize,
-) -> Option<(Step, Option<Step>, usize)> {
-    let same_stage = first.stage == second.stage;
-    match mode {
-        FuseMode::SameStage if !same_stage => return None,
-        FuseMode::CrossStage if same_stage => return None,
-        _ => {}
-    }
-    // Zero-length halves are synchronization tokens: they carry no
-    // bytes (nothing to win by full-duplexing) but their blocking
-    // order *is* the schedule's serialization — e.g. an MST rank
-    // forwards to its child only after hearing from its parent. The
-    // data-dependence gates below are vacuous at length zero, so
-    // without this guard fusion would co-post the forward before the
-    // receive and break the per-stage link-conflict bounds the §6
-    // cost model proves. Empty messages are pass 1's (elision's) job.
-    let comm_len = |k: &StepKind| match *k {
-        StepKind::Send { src, .. } => src.len,
-        StepKind::Recv { dst, .. } => dst.len,
-        _ => 0,
-    };
-    if comm_len(&first.kind) == 0 || comm_len(&second.kind) == 0 {
+/// with the given read/write footprint into one exchange.
+fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) -> Option<Step> {
+    // Tags encode stages, so same stage means same tag: an exchange
+    // carries one. Halves of different stages are causally ordered and
+    // stay apart.
+    if first.stage != second.stage {
         return None;
     }
-    match (first.kind, second.kind) {
-        // send … recv: the receive half moves earlier.
-        (
-            StepKind::Send { to, tag_off, src },
-            StepKind::Recv {
-                from,
-                tag_off: rtag_off,
-                dst,
-            },
-        ) => {
+    let (to, tag_off, src, from, dst) = match (first.kind, second.kind) {
+        // send … recv: the receive half moves earlier; refuse if it
+        // would land on bytes the send ships or an intervening step
+        // touches.
+        (StepKind::Send { to, tag_off, src }, StepKind::Recv { from, dst, .. }) => {
             let mid_touches_dst = mid_reads
                 .iter()
                 .chain(mid_writes)
                 .any(|l| locs_overlap(l, &dst));
-            if !locs_overlap(&src, &dst) && !mid_touches_dst {
-                let fused = Step {
-                    kind: StepKind::SendRecv {
-                        to,
-                        src,
-                        from,
-                        dst,
-                        tag_off,
-                        rtag_off,
-                    },
-                    stage: first.stage,
-                };
-                return Some((fused, None, 1));
+            if mid_touches_dst {
+                return None;
             }
-            // Overlapping (or mid-read) destination: detour the receive
-            // through fresh scratch and copy into place at the
-            // receive's original program point — the §6 exchange. The
-            // argument buffer is untouched until the copy, so every
-            // intervening read still sees the pre-receive bytes.
-            if mode == FuseMode::CrossStage && dst.len > 0 {
-                let off = tmp_base.next_multiple_of(ARENA_ALIGN);
-                *tmp_base = off + dst.len;
-                let tmp = Loc {
-                    buf: super::Buf::Scratch,
-                    off,
-                    len: dst.len,
-                };
-                let fused = Step {
-                    kind: StepKind::SendRecv {
-                        to,
-                        src,
-                        from,
-                        dst: tmp,
-                        tag_off,
-                        rtag_off,
-                    },
-                    stage: first.stage,
-                };
-                let copy_back = Step {
-                    kind: StepKind::Copy { src: tmp, dst },
-                    stage: second.stage,
-                };
-                return Some((fused, Some(copy_back), 1));
-            }
-            None
+            (to, tag_off, src, from, dst)
         }
         // recv … send: the send half moves earlier; refuse if the send
         // ships bytes the receive or an intervening step produces.
-        (
-            StepKind::Recv {
-                from,
-                tag_off: rtag_off,
-                dst,
-            },
-            StepKind::Send { to, tag_off, src },
-        ) => {
-            if locs_overlap(&src, &dst) || mid_writes.iter().any(|l| locs_overlap(l, &src)) {
+        (StepKind::Recv { from, dst, .. }, StepKind::Send { to, tag_off, src }) => {
+            if mid_writes.iter().any(|l| locs_overlap(l, &src)) {
                 return None;
             }
-            let fused = Step {
-                kind: StepKind::SendRecv {
-                    to,
-                    src,
-                    from,
-                    dst,
-                    tag_off,
-                    rtag_off,
-                },
-                // Attribution convention: a fused exchange belongs to
-                // its send half's stage (cf. `StageCost::wire_bytes`).
-                stage: second.stage,
-            };
-            Some((fused, None, 1))
+            (to, tag_off, src, from, dst)
         }
-        _ => None,
+        _ => return None,
+    };
+    // Zero-length halves are synchronization tokens: they carry no
+    // bytes (nothing to win by full-duplexing) but their blocking
+    // order *is* the schedule's serialization — e.g. an MST rank
+    // forwards to its child only after hearing from its parent. The
+    // data-dependence gates above are vacuous at length zero, so
+    // without this guard fusion would co-post the forward before the
+    // receive and break the per-stage link-conflict bounds the §6
+    // cost model proves. Empty messages are pass 1's (elision's) job.
+    if src.len == 0 || dst.len == 0 {
+        return None;
     }
+    if locs_overlap(&src, &dst) {
+        return None;
+    }
+    Some(Step {
+        kind: StepKind::SendRecv {
+            to,
+            src,
+            from,
+            dst,
+            tag_off,
+        },
+        stage: first.stage,
+    })
 }
 
-/// Pass 4a: merge adjacent contiguous messages on one channel, both
+/// Pass 3a: merge adjacent contiguous messages on one channel, both
 /// endpoints rewritten in concert. Conservative: only plain send/recv
 /// pairs on channels no exchange half touches, and only when the k-th
 /// and (k+1)-th messages are program-adjacent on *both* sides.
@@ -439,14 +310,10 @@ fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
                         chan_recv.entry((from, r, tag_off)).or_default().push(idx)
                     }
                     StepKind::SendRecv {
-                        to,
-                        from,
-                        tag_off,
-                        rtag_off,
-                        ..
+                        to, from, tag_off, ..
                     } => {
                         tainted.insert((r, to, tag_off));
-                        tainted.insert((from, r, rtag_off));
+                        tainted.insert((from, r, tag_off));
                     }
                     _ => {}
                 }
@@ -511,7 +378,7 @@ fn contiguous(a: &Loc, b: &Loc) -> bool {
     a.buf == b.buf && b.off == a.off + a.len && a.len > 0 && b.len > 0
 }
 
-/// Pass 4b: merge adjacent local copies whose sources and destinations
+/// Pass 3b: merge adjacent local copies whose sources and destinations
 /// are both contiguous (the multi-dimensional collect's block-by-block
 /// un-permutation emits runs of these).
 fn coalesce_copies(prog: &mut CollectiveProgram) -> usize {
@@ -545,7 +412,7 @@ fn coalesce_copies(prog: &mut CollectiveProgram) -> usize {
     merged
 }
 
-/// Pass 5: remove copies that move no information — zero-length copies,
+/// Pass 4: remove copies that move no information — zero-length copies,
 /// identity round-trips (scratch bytes copied back to the argument
 /// region they were staged from, with no intervening write to either
 /// side), and stores to scratch no later step reads (scratch dies at
@@ -712,7 +579,6 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
                     from,
                     dst,
                     tag_off,
-                    rtag_off,
                 } => {
                     return Some(Cur {
                         send: Some(Half {
@@ -723,7 +589,7 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
                         }),
                         recv: Some(Half {
                             peer: from,
-                            tag: rtag_off,
+                            tag: tag_off,
                             len: dst.len,
                             done: false,
                         }),
@@ -781,9 +647,9 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::super::lower::stage_of;
     use super::super::{lower, Buf, PlanOp, RankProgram};
     use super::*;
-    use intercom_cost::Strategy;
 
     fn loc(buf: Buf, off: usize, len: usize) -> Loc {
         Loc { buf, off, len }
@@ -797,8 +663,7 @@ mod tests {
     }
 
     /// A hand-built two-rank program shell (op/strategy irrelevant to
-    /// the passes; Alltoall keeps the priced gate on the direct wire
-    /// fold).
+    /// the passes).
     fn mini(p: usize, n: usize, ranks: Vec<Vec<Step>>, scratch: usize) -> CollectiveProgram {
         CollectiveProgram {
             plan_id: 0,
@@ -926,86 +791,7 @@ mod tests {
         );
         let (opt, stats) = optimize(&prog);
         assert_eq!(stats.fused, 0);
-        assert_eq!(opt.ranks[0].steps.len(), 2, "dependent pair kept apart");
-        // Rank 1's send→recv pair on the same region overlaps, so the
-        // cross-stage detour may fire there — but never rank 0's.
-        assert!(matches!(opt.ranks[0].steps[0].kind, StepKind::Recv { .. }));
-        let _ = stats;
-    }
-
-    #[test]
-    fn cross_stage_detour_redirects_overlapping_recv() {
-        // The §6 exchange: send buf up at tag 0, receive the result
-        // back into the same buffer at tag 1 (MST allreduce non-root).
-        let buf = loc(Buf::Arg(0), 0, 8);
-        let prog = mini(
-            2,
-            8,
-            vec![
-                vec![
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: buf,
-                        },
-                        0,
-                    ),
-                    step(StepKind::CallOverhead, 0),
-                    step(
-                        StepKind::Recv {
-                            from: 1,
-                            tag_off: 1,
-                            dst: buf,
-                        },
-                        1,
-                    ),
-                ],
-                vec![
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: loc(Buf::Scratch, 0, 8),
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Send {
-                            to: 0,
-                            tag_off: 1,
-                            src: buf,
-                        },
-                        1,
-                    ),
-                ],
-            ],
-            16,
-        );
-        let (opt, stats) = optimize(&prog);
-        // Rank 0 needs the scratch detour; rank 1's recv→send pair
-        // touches disjoint regions, so it fuses plainly. Both count.
-        assert_eq!(stats.overlapped, 2);
-        assert!(!stats.reverted);
-        let r0 = &opt.ranks[0];
-        let StepKind::SendRecv {
-            src,
-            dst,
-            tag_off,
-            rtag_off,
-            ..
-        } = r0.steps[0].kind
-        else {
-            panic!("expected fused exchange, got {:?}", r0.steps[0].kind);
-        };
-        assert_eq!((tag_off, rtag_off), (0, 1), "halves keep their stage tags");
-        assert_eq!(src, buf);
-        assert_eq!(dst.buf, Buf::Scratch, "receive detoured through scratch");
-        assert!(dst.off >= 16, "detour scratch is fresh");
-        assert!(r0.scratch_bytes >= dst.off + dst.len);
-        // The copy-back lands at the receive's original program point.
-        let last = r0.steps.last().unwrap();
-        assert!(matches!(last.kind, StepKind::Copy { src, dst: d } if src == dst && d == buf));
+        assert_eq!(opt.ranks, prog.ranks, "dependent pairs kept apart");
     }
 
     #[test]
@@ -1175,15 +961,15 @@ mod tests {
     }
 
     #[test]
-    fn mst_allreduce_gets_the_exchange_detour() {
-        let st = Strategy::pure_mst(8);
+    fn cross_stage_pairs_stay_apart() {
+        // An MST allreduce's send-up is followed by the broadcast's
+        // recv-down on every non-root rank, but what comes down depends
+        // on what went up: the two stages are never fused.
+        let st = intercom_cost::Strategy::pure_mst(8);
         let prog = lower(PlanOp::AllReduce, Some(&st), 8, 16, 4).unwrap();
         let (opt, stats) = optimize(&prog);
-        assert!(!stats.reverted);
-        // Every non-root rank's send-up/recv-down pair fuses: 7 pairs.
-        assert_eq!(stats.overlapped, 7);
-        assert_eq!(opt.comm_steps(), prog.comm_steps() - 7);
-        assert!(priced_wire(&opt) < priced_wire(&prog));
+        assert_eq!(stats.total(), 0, "{stats:?}");
+        assert_eq!(opt.ranks, prog.ranks);
     }
 
     #[test]
@@ -1191,7 +977,7 @@ mod tests {
         // Scatter-collect broadcast of 1 element over 9 ranks: 8 of the
         // 9 partition blocks are empty, and every one of their sends
         // and receives disappears.
-        let st = Strategy::new(vec![9], intercom_cost::StrategyKind::ScatterCollect);
+        let st = intercom_cost::Strategy::new(vec![9], intercom_cost::StrategyKind::ScatterCollect);
         let prog = lower(PlanOp::Broadcast { root: 0 }, Some(&st), 9, 1, 8).unwrap();
         let (opt, stats) = optimize(&prog);
         assert!(!stats.reverted);
@@ -1208,28 +994,10 @@ mod tests {
     fn optimized_ring_allreduce_is_already_alpha_optimal() {
         // The paper's ring algorithms emit fused exchanges of exactly
         // the occupied blocks: nothing for the optimizer to find.
-        let st = Strategy::pure_long(4);
+        let st = intercom_cost::Strategy::pure_long(4);
         let prog = lower(PlanOp::AllReduce, Some(&st), 4, 8, 8).unwrap();
         let (opt, stats) = optimize(&prog);
         assert_eq!(stats.total(), 0, "{stats:?}");
         assert_eq!(opt.comm_steps(), prog.comm_steps());
-    }
-
-    #[test]
-    fn wire_pricing_agrees_with_annotate() {
-        let st = Strategy::pure_mst(5);
-        let prog = lower(PlanOp::AllReduce, Some(&st), 5, 10, 4).unwrap();
-        let direct: usize = prog
-            .ranks
-            .iter()
-            .flat_map(|r| r.steps.iter())
-            .map(|s| match s.kind {
-                StepKind::Send { src, .. } => src.len,
-                StepKind::Recv { dst, .. } => dst.len,
-                StepKind::SendRecv { src, dst, .. } => src.len.max(dst.len),
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(priced_wire(&prog), direct);
     }
 }

@@ -98,8 +98,8 @@ pub enum OpRecord {
         dst: MemSpan,
         /// Tag of the send half.
         tag: Tag,
-        /// Tag of the receive half (equal to `tag` except in fused
-        /// cross-stage exchanges emitted by the schedule optimizer).
+        /// Tag of the receive half (equal to `tag` except under
+        /// [`Comm::sendrecv_tagged`]; no library schedule mixes tags).
         rtag: Tag,
     },
     /// Local combine work over `bytes` bytes (the γ term).

@@ -192,11 +192,11 @@ pub struct StagePrediction {
     pub cost: CostExpr,
 }
 
-struct StageCosts {
+struct StageFormulas {
     ctx: CostContext,
 }
 
-impl StageCosts {
+impl StageFormulas {
     /// β multiplier for a stage in dim `i`: `cᵢ · Lᵢ / n = cᵢ / sᵢ`.
     fn beta_scale(&self, s: &Strategy, i: usize) -> f64 {
         s.conflict_factor(i, self.ctx.model, self.ctx.link_excess) / s.stride(i) as f64
@@ -265,7 +265,7 @@ pub fn stage_predictions(
     strategy: &Strategy,
     ctx: CostContext,
 ) -> Vec<StagePrediction> {
-    let sc = StageCosts { ctx };
+    let sc = StageFormulas { ctx };
     let s = strategy;
     let last = s.ndims() - 1;
     let mut stages = Vec::new();

@@ -43,8 +43,8 @@ pub(crate) enum Request {
         from: usize,
         /// Tag of the send half.
         tag: Tag,
-        /// Tag of the receive half (differs from `tag` in fused
-        /// cross-stage exchanges emitted by the schedule optimizer).
+        /// Tag of the receive half (differs from `tag` only under
+        /// `Comm::sendrecv_tagged`; no library schedule mixes tags).
         rtag: Tag,
         rlen: usize,
     },

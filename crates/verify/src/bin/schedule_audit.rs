@@ -118,8 +118,9 @@ const STRATEGY_OPS: [CollectiveOp; 5] = [
 /// IR, `opt_checks` with their `rewrites` on the optimized IR,
 /// `trace_checks` on the trace extraction) and a fourth hier probe
 /// mutates the optimized program; a member whose sweep did not run is
-/// absent rather than `null`.
-const JSON_SCHEMA_VERSION: u32 = 7;
+/// absent rather than `null`. v8: every `rewrites` object loses the
+/// count of the deleted cross-stage overlap pass.
+const JSON_SCHEMA_VERSION: u32 = 8;
 
 /// Summed [`OptStats`] across every `ir-opt` verification of a sweep:
 /// how much work each optimizer pass actually did over the full
@@ -129,7 +130,6 @@ const JSON_SCHEMA_VERSION: u32 = 7;
 struct OptTotals {
     elided: usize,
     fused: usize,
-    overlapped: usize,
     coalesced: usize,
     dead_copies: usize,
     reverts: usize,
@@ -140,7 +140,6 @@ impl OptTotals {
         self.merge(&OptTotals {
             elided: s.elided,
             fused: s.fused,
-            overlapped: s.overlapped,
             coalesced: s.coalesced,
             dead_copies: s.dead_copies,
             reverts: usize::from(s.reverted),
@@ -150,23 +149,21 @@ impl OptTotals {
     fn merge(&mut self, o: &OptTotals) {
         self.elided += o.elided;
         self.fused += o.fused;
-        self.overlapped += o.overlapped;
         self.coalesced += o.coalesced;
         self.dead_copies += o.dead_copies;
         self.reverts += o.reverts;
     }
 
     fn total(&self) -> usize {
-        self.elided + self.fused + self.overlapped + self.coalesced + self.dead_copies
+        self.elided + self.fused + self.coalesced + self.dead_copies
     }
 
     fn json(&self) -> String {
         format!(
-            "{{\"elided\":{},\"fused\":{},\"overlapped\":{},\"coalesced\":{},\
-             \"dead_copies\":{},\"reverts\":{},\"total\":{}}}",
+            "{{\"elided\":{},\"fused\":{},\"coalesced\":{},\"dead_copies\":{},\
+             \"reverts\":{},\"total\":{}}}",
             self.elided,
             self.fused,
-            self.overlapped,
             self.coalesced,
             self.dead_copies,
             self.reverts,
@@ -179,11 +176,10 @@ impl std::fmt::Display for OptTotals {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} (elided {}, fused {}, overlapped {}, coalesced {}, dead copies {}), {} reverts",
+            "{} (elided {}, fused {}, coalesced {}, dead copies {}), {} reverts",
             self.total(),
             self.elided,
             self.fused,
-            self.overlapped,
             self.coalesced,
             self.dead_copies,
             self.reverts,

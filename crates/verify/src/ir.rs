@@ -66,14 +66,13 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
                         from,
                         dst,
                         tag_off,
-                        rtag_off,
                     } => OpRecord::SendRecv {
                         to,
                         src: span(src.buf, src.off, src.len),
                         from,
                         dst: span(dst.buf, dst.off, dst.len),
                         tag: tag_off,
-                        rtag: rtag_off,
+                        rtag: tag_off,
                     },
                     StepKind::Copy { src, dst } => OpRecord::Copy {
                         src: span(src.buf, src.off, src.len),

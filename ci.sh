@@ -104,6 +104,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> unsafe inventory (the files that may say \`unsafe\` are a fixed list)"
+# The token outside `//` comments (lint names such as unsafe_code are
+# other tokens). A new entry is a decision: add it here, with the
+# argument for it under a SAFETY comment in the file.
+unsafe_files="$(
+    find crates/*/src -name '*.rs' | sort | while read -r f; do
+        if [[ -n "$(sed -n 's://.*$::; /\<unsafe\>/p' "$f")" ]]; then echo "${f#crates/}"; fi
+    done
+)"
+expected_unsafe_files="core/src/cast.rs
+meshsim/src/sim.rs
+meshsim/src/window.rs
+runtime/src/endpoint.rs"
+if [[ "$unsafe_files" != "$expected_unsafe_files" ]]; then
+    echo "ci.sh: the files containing \`unsafe\` changed; expected"
+    echo "$expected_unsafe_files"
+    echo "found"
+    echo "$unsafe_files"
+    exit 1
+fi
+
 # Each audit writes its --json document, and the sweep sizes in it are
 # pinned: zero failures over fewer schedules than today is a failure.
 audit_dir=target/ci-audit

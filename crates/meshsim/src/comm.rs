@@ -1,9 +1,9 @@
 //! The per-rank simulated endpoint.
 
 use crate::engine::{Reply, Request};
-use intercom::{BufferPool, Comm, CommError, PoolStats, Result, Tag};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use crate::window::{RecvWindow, SendWindow};
+use intercom::{Comm, CommError, Result, Tag};
+use std::sync::mpsc::{Receiver, SyncSender};
 
 /// A rank's endpoint inside a simulated world. Blocking operations
 /// round-trip through the central engine, which advances virtual time;
@@ -11,17 +11,15 @@ use std::sync::Arc;
 /// request channel preserves per-rank order, so accounting lands in
 /// program order).
 ///
-/// Payloads travel in pooled `Vec<u8>`s drawn from one pool shared by
-/// the whole simulated world: `send` acquires and fills a buffer, the
-/// engine moves it end to end without re-buffering, and the receiving
-/// endpoint returns it to the pool after copying into the caller's
-/// buffer — steady-state hops allocate nothing.
+/// Payloads are never handed over: `send` / `recv` / `sendrecv` lend
+/// the engine windows onto the caller's own buffers and block until it
+/// replies; the engine copies sender → receiver once, at the transfer's
+/// completion (see `window.rs` for why that is sound).
 pub struct SimComm {
     rank: usize,
     size: usize,
-    to_engine: Sender<(usize, Request)>,
+    to_engine: SyncSender<(usize, Request)>,
     from_engine: Receiver<Reply>,
-    pool: Arc<BufferPool>,
     finished: std::cell::Cell<bool>,
 }
 
@@ -29,52 +27,30 @@ impl SimComm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        to_engine: Sender<(usize, Request)>,
+        to_engine: SyncSender<(usize, Request)>,
         from_engine: Receiver<Reply>,
-        pool: Arc<BufferPool>,
     ) -> Self {
         SimComm {
             rank,
             size,
             to_engine,
             from_engine,
-            pool,
             finished: std::cell::Cell::new(false),
         }
     }
 
-    fn roundtrip(&self, req: Request) -> Result<Reply> {
+    /// Posts `req` and blocks until the engine answers it. The wait has
+    /// no timeout, and must not grow one: windows lent in `req` stay
+    /// borrowed by the caller's frame, which resumes only once the
+    /// engine has replied (it is done with them) or has dropped this
+    /// rank's reply sender (it has stopped for good).
+    fn roundtrip(&self, req: Request) -> Result<()> {
         self.to_engine
             .send((self.rank, req))
             .map_err(|_| CommError::Disconnected)?;
-        let reply = self
-            .from_engine
+        self.from_engine
             .recv()
-            .map_err(|_| CommError::Disconnected)?;
-        match reply.err {
-            Some(e) => Err(e),
-            None => Ok(reply),
-        }
-    }
-
-    /// Copies a pooled payload from `data` for shipment to the engine.
-    fn pooled_copy(&self, data: &[u8]) -> Vec<u8> {
-        let mut payload = self.pool.acquire(data.len());
-        payload.extend_from_slice(data);
-        payload
-    }
-
-    /// Unpacks a reply's payload into `buf` and recycles the buffer.
-    fn unpack(&self, reply: Reply, buf: &mut [u8]) -> Result<()> {
-        let data = reply.data.ok_or(CommError::Disconnected)?;
-        buf.copy_from_slice(&data);
-        self.pool.release(data);
-        Ok(())
-    }
-
-    /// Counters of the world-shared payload pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+            .map_err(|_| CommError::Disconnected)?
     }
 
     pub(crate) fn finish(&self) {
@@ -106,18 +82,16 @@ impl Comm for SimComm {
         self.roundtrip(Request::Send {
             to,
             tag,
-            data: self.pooled_copy(data),
-        })?;
-        Ok(())
+            data: SendWindow::lend(data),
+        })
     }
 
     fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
-        let reply = self.roundtrip(Request::Recv {
+        self.roundtrip(Request::Recv {
             from,
             tag,
-            len: buf.len(),
-        })?;
-        self.unpack(reply, buf)
+            buf: RecvWindow::lend(buf),
+        })
     }
 
     fn sendrecv(
@@ -140,15 +114,14 @@ impl Comm for SimComm {
         buf: &mut [u8],
         rtag: Tag,
     ) -> Result<()> {
-        let reply = self.roundtrip(Request::SendRecv {
+        self.roundtrip(Request::SendRecv {
             to,
-            data: self.pooled_copy(data),
+            data: SendWindow::lend(data),
             from,
             tag: stag,
             rtag,
-            rlen: buf.len(),
-        })?;
-        self.unpack(reply, buf)
+            buf: RecvWindow::lend(buf),
+        })
     }
 
     fn compute(&self, bytes: usize) {

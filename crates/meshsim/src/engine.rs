@@ -16,37 +16,39 @@
 
 use crate::fluid::FluidScratch;
 use crate::net::NetSpec;
+use crate::window::{RecvWindow, SendWindow};
 use intercom::faults::POISON_TAG;
 use intercom::rng::splitmix64;
 use intercom::{AbortCause, AbortInfo, CommError, Tag};
 use intercom_cost::HierMachine;
 use intercom_obs::TraceEvent;
 use intercom_topology::{Cluster, HopLevel};
-use std::collections::{HashMap, VecDeque};
 
-/// What a rank asked the simulator to do.
+/// What a rank asked the simulator to do. The comm requests lend the
+/// engine windows onto the caller's buffers (see [`crate::window`]):
+/// the rank stays blocked in the lending call until it is replied to.
 #[derive(Debug)]
 pub(crate) enum Request {
     Send {
         to: usize,
         tag: Tag,
-        data: Vec<u8>,
+        data: SendWindow,
     },
     Recv {
         from: usize,
         tag: Tag,
-        len: usize,
+        buf: RecvWindow,
     },
     SendRecv {
         to: usize,
-        data: Vec<u8>,
+        data: SendWindow,
         from: usize,
         /// Tag of the send half.
         tag: Tag,
         /// Tag of the receive half (differs from `tag` only under
         /// `Comm::sendrecv_tagged`; no library schedule mixes tags).
         rtag: Tag,
-        rlen: usize,
+        buf: RecvWindow,
     },
     Compute {
         bytes: usize,
@@ -63,42 +65,46 @@ pub(crate) enum Request {
     Finished,
 }
 
-/// The simulator's answer unblocking a rank.
-#[derive(Debug)]
-pub(crate) struct Reply {
-    pub data: Option<Vec<u8>>,
-    pub err: Option<CommError>,
-}
+/// The simulator's answer unblocking a rank. A received payload is
+/// already in the buffer the rank lent.
+pub(crate) type Reply = intercom::Result<()>;
 
 #[derive(Debug)]
 enum RankState {
     Running,
     Blocked {
         outstanding: u8,
-        recv_data: Option<Vec<u8>>,
         err: Option<CommError>,
     },
     Finished,
 }
 
+/// A posted send waiting for its receive, in the sender's slot.
 struct SendHalf {
+    to: usize,
+    tag: Tag,
     posted: f64,
-    data: Vec<u8>,
+    data: SendWindow,
     /// `(plan_id, step)` attribution captured from the sender at post
     /// time (the transfer event lands on the sender's timeline).
     plan: (u64, u64),
 }
 
+/// A posted receive waiting for its send, in the receiver's slot.
 struct RecvHalf {
+    from: usize,
+    tag: Tag,
     posted: f64,
-    len: usize,
+    buf: RecvWindow,
 }
 
 struct Transfer {
     src: usize,
     dst: usize,
     tag: Tag,
-    data: Vec<u8>,
+    /// Both ends' windows, copied `data` → `buf` at completion.
+    data: SendWindow,
+    buf: RecvWindow,
     /// Physical route length (for the trace).
     hops: usize,
     /// Static constraint indices: `src` injection port, `dst` ejection
@@ -121,6 +127,13 @@ struct Transfer {
     plan: (u64, u64),
 }
 
+/// What the rate solver reads of an active transfer.
+impl AsRef<[u32]> for Transfer {
+    fn as_ref(&self) -> &[u32] {
+        &self.constraints
+    }
+}
+
 /// The single-threaded simulation core. The thread harness in
 /// [`crate::sim`] feeds it requests and drains replies.
 pub(crate) struct Engine {
@@ -140,13 +153,17 @@ pub(crate) struct Engine {
     wire_caps: Vec<f64>,
     clocks: Vec<f64>,
     states: Vec<RankState>,
-    pending_sends: HashMap<(usize, usize, Tag), VecDeque<SendHalf>>,
-    pending_recvs: HashMap<(usize, usize, Tag), VecDeque<RecvHalf>>,
+    /// Unmatched halves, indexed by the rank that posted them: a
+    /// blocked rank has at most one send and one receive outstanding.
+    pending_sends: Vec<Option<SendHalf>>,
+    pending_recvs: Vec<Option<RecvHalf>>,
     /// Transfers awaiting activation (`now < activation`) or flowing.
     waiting: Vec<Transfer>,
     active: Vec<Transfer>,
     now: f64,
     ready_replies: Vec<(usize, Reply)>,
+    /// Constraint vectors of finished transfers, reused by later matches.
+    spare_constraints: Vec<Vec<u32>>,
     finished: usize,
     blocked: usize,
     trace: Option<Vec<TraceEvent>>,
@@ -218,12 +235,13 @@ impl Engine {
             wire_caps: Vec::new(),
             clocks: vec![0.0; p],
             states: (0..p).map(|_| RankState::Running).collect(),
-            pending_sends: HashMap::new(),
-            pending_recvs: HashMap::new(),
+            pending_sends: (0..p).map(|_| None).collect(),
+            pending_recvs: (0..p).map(|_| None).collect(),
             waiting: Vec::new(),
             active: Vec::new(),
             now: 0.0,
             ready_replies: Vec::new(),
+            spare_constraints: Vec::new(),
             finished: 0,
             blocked: 0,
             trace: record_trace.then(Vec::new),
@@ -284,8 +302,11 @@ impl Engine {
         self.trace.take()
     }
 
-    pub(crate) fn drain_replies(&mut self) -> Vec<(usize, Reply)> {
-        std::mem::take(&mut self.ready_replies)
+    /// Moves the replies due into `out` (empty on entry), keeping its
+    /// capacity for the next batch.
+    pub(crate) fn drain_replies(&mut self, out: &mut Vec<(usize, Reply)>) {
+        debug_assert!(out.is_empty());
+        std::mem::swap(&mut self.ready_replies, out);
     }
 
     pub(crate) fn handle(&mut self, rank: usize, req: Request) {
@@ -303,20 +324,14 @@ impl Engine {
             ..
         } = req
         {
-            let info = AbortInfo::decode(data).unwrap_or(AbortInfo {
+            let info = AbortInfo::decode(data.bytes()).unwrap_or(AbortInfo {
                 origin: rank,
                 culprit: rank,
                 plan: 0,
                 step: 0,
                 cause: AbortCause::External,
             });
-            self.ready_replies.push((
-                rank,
-                Reply {
-                    data: None,
-                    err: None,
-                },
-            ));
+            self.ready_replies.push((rank, Ok(())));
             if self.poisoned.is_none() {
                 self.poison(info);
             }
@@ -329,13 +344,8 @@ impl Engine {
                 req,
                 Request::Send { .. } | Request::Recv { .. } | Request::SendRecv { .. }
             ) {
-                self.ready_replies.push((
-                    rank,
-                    Reply {
-                        data: None,
-                        err: Some(CommError::Aborted(info)),
-                    },
-                ));
+                self.ready_replies
+                    .push((rank, Err(CommError::Aborted(info))));
                 return;
             }
         }
@@ -359,9 +369,9 @@ impl Engine {
                 self.block(rank, 1);
                 self.post_send(rank, to, tag, data);
             }
-            Request::Recv { from, tag, len } => {
+            Request::Recv { from, tag, buf } => {
                 self.block(rank, 1);
-                self.post_recv(from, rank, tag, len);
+                self.post_recv(from, rank, tag, buf);
             }
             Request::SendRecv {
                 to,
@@ -369,11 +379,11 @@ impl Engine {
                 from,
                 tag,
                 rtag,
-                rlen,
+                buf,
             } => {
                 self.block(rank, 2);
                 self.post_send(rank, to, tag, data);
-                self.post_recv(from, rank, rtag, rlen);
+                self.post_recv(from, rank, rtag, buf);
             }
         }
     }
@@ -381,24 +391,21 @@ impl Engine {
     /// Latches the abort, releases every blocked rank with the
     /// diagnosis, and clears all pending/in-flight traffic: after a
     /// poison nothing else can ever complete, and the freed ranks must
-    /// observe the abort rather than a dangling rendezvous.
+    /// observe the abort rather than a dangling rendezvous. Every
+    /// window goes with the traffic, unread and unwritten — the replies
+    /// pushed here are sent only after this returns.
     fn poison(&mut self, info: AbortInfo) {
         self.poisoned = Some(info);
         for rank in 0..self.states.len() {
             if matches!(self.states[rank], RankState::Blocked { .. }) {
                 self.states[rank] = RankState::Running;
                 self.blocked -= 1;
-                self.ready_replies.push((
-                    rank,
-                    Reply {
-                        data: None,
-                        err: Some(CommError::Aborted(info)),
-                    },
-                ));
+                self.ready_replies
+                    .push((rank, Err(CommError::Aborted(info))));
             }
         }
-        self.pending_sends.clear();
-        self.pending_recvs.clear();
+        self.pending_sends.fill_with(|| None);
+        self.pending_recvs.fill_with(|| None);
         self.waiting.clear();
         self.active.clear();
         self.rates_dirty = false;
@@ -407,13 +414,12 @@ impl Engine {
     fn block(&mut self, rank: usize, outstanding: u8) {
         self.states[rank] = RankState::Blocked {
             outstanding,
-            recv_data: None,
             err: None,
         };
         self.blocked += 1;
     }
 
-    fn post_send(&mut self, src: usize, dst: usize, tag: Tag, data: Vec<u8>) {
+    fn post_send(&mut self, src: usize, dst: usize, tag: Tag, data: SendWindow) {
         if dst >= self.ranks() {
             self.half_error(
                 src,
@@ -425,18 +431,22 @@ impl Engine {
             return;
         }
         let half = SendHalf {
+            to: dst,
+            tag,
             posted: self.clocks[src],
             data,
             plan: self.plan_steps[src],
         };
-        self.pending_sends
-            .entry((src, dst, tag))
-            .or_default()
-            .push_back(half);
-        self.try_match(src, dst, tag);
+        match self.pending_recvs[dst].take_if(|r| r.from == src && r.tag == tag) {
+            Some(r) => self.rendezvous(src, dst, half, r),
+            None => {
+                debug_assert!(self.pending_sends[src].is_none());
+                self.pending_sends[src] = Some(half);
+            }
+        }
     }
 
-    fn post_recv(&mut self, src: usize, dst: usize, tag: Tag, len: usize) {
+    fn post_recv(&mut self, src: usize, dst: usize, tag: Tag, buf: RecvWindow) {
         if src >= self.ranks() {
             self.half_error(
                 dst,
@@ -448,89 +458,76 @@ impl Engine {
             return;
         }
         let half = RecvHalf {
+            from: src,
+            tag,
             posted: self.clocks[dst],
-            len,
+            buf,
         };
-        self.pending_recvs
-            .entry((src, dst, tag))
-            .or_default()
-            .push_back(half);
-        self.try_match(src, dst, tag);
+        match self.pending_sends[src].take_if(|s| s.to == dst && s.tag == tag) {
+            Some(s) => self.rendezvous(src, dst, s, half),
+            None => {
+                debug_assert!(self.pending_recvs[dst].is_none());
+                self.pending_recvs[dst] = Some(half);
+            }
+        }
     }
 
-    fn try_match(&mut self, src: usize, dst: usize, tag: Tag) {
-        let key = (src, dst, tag);
-        loop {
-            let (s_empty, r_empty) = (
-                self.pending_sends.get(&key).is_none_or(|q| q.is_empty()),
-                self.pending_recvs.get(&key).is_none_or(|q| q.is_empty()),
-            );
-            if s_empty || r_empty {
-                return;
-            }
-            let s = self
-                .pending_sends
-                .get_mut(&key)
-                .unwrap()
-                .pop_front()
-                .unwrap();
-            let r = self
-                .pending_recvs
-                .get_mut(&key)
-                .unwrap()
-                .pop_front()
-                .unwrap();
-            if s.data.len() != r.len {
-                let err = CommError::LengthMismatch {
-                    expected: r.len,
-                    actual: s.data.len(),
-                };
-                self.half_error(src, err.clone());
-                self.half_error(dst, err);
-                continue;
-            }
-            let started = s.posted.max(r.posted);
-            let size = s.data.len();
-            let p = self.ranks();
-            let mut constraints = Vec::with_capacity(8);
-            constraints.push(src as u32);
-            constraints.push((p + dst) as u32);
-            let hops = self.net.route_slots(src, dst, 2 * p, &mut constraints);
-            // Per-level pricing (cluster mode): a same-node message is an
-            // intra-level transfer, everything else crosses the network.
-            // Its startup and wire rate come from that level; elsewhere
-            // the one level's α applies with no extra ceiling (the ports
-            // already cap at 1/β).
-            let (alpha, wire_cap) = match self.cluster() {
-                Some(cl) => {
-                    let same_node = src == dst || cl.same_node(src, dst);
-                    let m = self.machine.level(if same_node { 0 } else { 1 });
-                    constraints.push((2 * p + self.net.link_slots() + src) as u32);
-                    (m.alpha, 1.0 / m.beta)
-                }
-                None => (self.machine.intra().alpha, f64::INFINITY),
+    /// Both halves of `src → dst` are posted: starts the transfer, or
+    /// fails both ranks on a length mismatch (neither window is touched).
+    fn rendezvous(&mut self, src: usize, dst: usize, s: SendHalf, r: RecvHalf) {
+        let size = s.data.len();
+        if size != r.buf.len() {
+            let err = CommError::LengthMismatch {
+                expected: r.buf.len(),
+                actual: size,
             };
-            // Timing irregularities (§8) model OS interference at message
-            // handoff: the *startup* is inflated, not the wire bandwidth,
-            // so algorithms with longer critical message chains (e.g.
-            // pipelined broadcasts) accumulate proportionally more noise.
-            let slowdown = self.next_jitter_factor();
-            let t = Transfer {
-                src,
-                dst,
-                tag,
-                hops,
-                constraints,
-                remaining: size as f64,
-                data: s.data,
-                started,
-                activation: started + alpha * slowdown,
-                rate: 0.0,
-                wire_cap,
-                plan: s.plan,
-            };
-            self.waiting.push(t);
+            self.half_error(src, err.clone());
+            self.half_error(dst, err);
+            return;
         }
+        let started = s.posted.max(r.posted);
+        let p = self.ranks();
+        let mut constraints = self
+            .spare_constraints
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(8));
+        constraints.push(src as u32);
+        constraints.push((p + dst) as u32);
+        let hops = self.net.route_slots(src, dst, 2 * p, &mut constraints);
+        // Per-level pricing (cluster mode): a same-node message is an
+        // intra-level transfer, everything else crosses the network.
+        // Its startup and wire rate come from that level; elsewhere
+        // the one level's α applies with no extra ceiling (the ports
+        // already cap at 1/β).
+        let (alpha, wire_cap) = match self.cluster() {
+            Some(cl) => {
+                let same_node = src == dst || cl.same_node(src, dst);
+                let m = self.machine.level(if same_node { 0 } else { 1 });
+                constraints.push((2 * p + self.net.link_slots() + src) as u32);
+                (m.alpha, 1.0 / m.beta)
+            }
+            None => (self.machine.intra().alpha, f64::INFINITY),
+        };
+        // Timing irregularities (§8) model OS interference at message
+        // handoff: the *startup* is inflated, not the wire bandwidth,
+        // so algorithms with longer critical message chains (e.g.
+        // pipelined broadcasts) accumulate proportionally more noise.
+        let slowdown = self.next_jitter_factor();
+        self.waiting.push(Transfer {
+            src,
+            dst,
+            tag: s.tag,
+            hops,
+            constraints,
+            remaining: size as f64,
+            data: s.data,
+            buf: r.buf,
+            started,
+            activation: started + alpha * slowdown,
+            rate: 0.0,
+            wire_cap,
+            plan: s.plan,
+        });
     }
 
     /// Records an erroneous half-completion on `rank`.
@@ -548,17 +545,9 @@ impl Engine {
     }
 
     /// Records a successful half-completion on `rank`.
-    fn half_done(&mut self, rank: usize, data: Option<Vec<u8>>) {
-        if let RankState::Blocked {
-            outstanding,
-            recv_data,
-            ..
-        } = &mut self.states[rank]
-        {
+    fn half_done(&mut self, rank: usize) {
+        if let RankState::Blocked { outstanding, .. } = &mut self.states[rank] {
             *outstanding -= 1;
-            if data.is_some() {
-                *recv_data = data;
-            }
             if *outstanding == 0 {
                 self.unblock(rank);
             }
@@ -569,15 +558,9 @@ impl Engine {
 
     fn unblock(&mut self, rank: usize) {
         let state = std::mem::replace(&mut self.states[rank], RankState::Running);
-        if let RankState::Blocked { recv_data, err, .. } = state {
+        if let RankState::Blocked { err, .. } = state {
             self.blocked -= 1;
-            self.ready_replies.push((
-                rank,
-                Reply {
-                    data: recv_data,
-                    err: err.clone(),
-                },
-            ));
+            self.ready_replies.push((rank, err.map_or(Ok(()), Err)));
         }
     }
 
@@ -651,7 +634,11 @@ impl Engine {
         }
     }
 
-    fn finish_transfer(&mut self, t: Transfer) {
+    /// Completes `t`: the payload moves sender → receiver here and
+    /// nowhere else, while both ranks are still `Blocked` in the calls
+    /// that lent the windows (their replies are pushed below and sent
+    /// only after `advance` returns).
+    fn finish_transfer(&mut self, mut t: Transfer) {
         self.clocks[t.src] = self.clocks[t.src].max(self.now);
         self.clocks[t.dst] = self.clocks[t.dst].max(self.now);
         if let Some(trace) = &mut self.trace {
@@ -668,23 +655,18 @@ impl Engine {
                 .with_plan(t.plan.0, t.plan.1),
             );
         }
-        if t.src == t.dst {
-            // Self-message: one rank, both halves.
-            let data = t.data;
-            if let RankState::Blocked { outstanding, .. } = &self.states[t.src] {
-                debug_assert!(*outstanding >= 1);
-            }
-            self.half_done(t.src, None);
-            // The rank may already be unblocked if it was a plain
-            // send+later recv; self-traffic within one blocking call is
-            // only possible via sendrecv (outstanding 2), handled above.
-            if let RankState::Blocked { .. } = self.states[t.dst] {
-                self.half_done(t.dst, Some(data));
-            }
-        } else {
-            self.half_done(t.src, None);
-            self.half_done(t.dst, Some(t.data));
-        }
+        // Not a debug assertion: the copy below is sound only under it.
+        assert!(
+            matches!(self.states[t.src], RankState::Blocked { .. })
+                && matches!(self.states[t.dst], RankState::Blocked { .. }),
+            "a transfer outlived a lender's block"
+        );
+        t.data.copy_to(t.buf);
+        t.constraints.clear();
+        self.spare_constraints.push(t.constraints);
+        // A self-message is one rank's `sendrecv`: both halves are its.
+        self.half_done(t.src);
+        self.half_done(t.dst);
     }
 
     fn recompute_rates(&mut self) {
@@ -703,16 +685,11 @@ impl Engine {
                 self.wire_caps[t.src] = t.wire_cap;
             }
         }
-        let users: Vec<&[u32]> = self
-            .active
-            .iter()
-            .map(|t| t.constraints.as_slice())
-            .collect();
         let mut rates = std::mem::take(&mut self.rates_buf);
         let link_caps = &self.link_caps;
         let wire_caps = &self.wire_caps;
         self.fluid.solve_max_min(
-            &users,
+            &self.active,
             |c| {
                 if c < port_slots {
                     port_cap
@@ -724,7 +701,6 @@ impl Engine {
             },
             &mut rates,
         );
-        drop(users);
         for (t, &r) in self.active.iter_mut().zip(rates.iter()) {
             t.rate = r;
         }
@@ -733,20 +709,14 @@ impl Engine {
 
     fn panic_deadlock(&self) -> ! {
         let mut detail = String::new();
-        for (&(s, d, tag), q) in &self.pending_sends {
-            if !q.is_empty() {
-                detail.push_str(&format!(
-                    "  unmatched send {s}→{d} tag {tag} ×{}\n",
-                    q.len()
-                ));
+        for (s, half) in self.pending_sends.iter().enumerate() {
+            if let Some(h) = half {
+                detail.push_str(&format!("  unmatched send {s}→{} tag {}\n", h.to, h.tag));
             }
         }
-        for (&(s, d, tag), q) in &self.pending_recvs {
-            if !q.is_empty() {
-                detail.push_str(&format!(
-                    "  unmatched recv {d}←{s} tag {tag} ×{}\n",
-                    q.len()
-                ));
+        for (d, half) in self.pending_recvs.iter().enumerate() {
+            if let Some(h) = half {
+                detail.push_str(&format!("  unmatched recv {d}←{} tag {}\n", h.from, h.tag));
             }
         }
         panic!(
@@ -782,6 +752,44 @@ mod tests {
         }
     }
 
+    // The tests play the blocked ranks themselves: a buffer lent to a
+    // request below is a local that stays in place, unread, until the
+    // engine has produced the posting rank's reply.
+
+    fn send(to: usize, tag: Tag, data: &[u8]) -> Request {
+        Request::Send {
+            to,
+            tag,
+            data: SendWindow::lend(data),
+        }
+    }
+
+    fn recv(from: usize, tag: Tag, buf: &mut [u8]) -> Request {
+        Request::Recv {
+            from,
+            tag,
+            buf: RecvWindow::lend(buf),
+        }
+    }
+
+    fn sendrecv(to: usize, data: &[u8], from: usize, buf: &mut [u8], tag: Tag) -> Request {
+        Request::SendRecv {
+            to,
+            data: SendWindow::lend(data),
+            from,
+            tag,
+            rtag: tag,
+            buf: RecvWindow::lend(buf),
+        }
+    }
+
+    fn replies(e: &mut Engine) -> Vec<(usize, Reply)> {
+        let mut out = Vec::new();
+        e.drain_replies(&mut out);
+        out.sort_by_key(|(rank, _)| *rank);
+        out
+    }
+
     fn drive_to_completion(e: &mut Engine) {
         // No runnable ranks assumed; keep advancing until all blocked
         // ranks are released; callers re-post as needed.
@@ -790,184 +798,87 @@ mod tests {
         }
     }
 
+    /// A distinct, recognisable payload of `n` bytes.
+    fn pattern(n: usize, salt: u8) -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect()
+    }
+
     #[test]
     fn ping_costs_alpha_plus_n_beta() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![0u8; 10],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 10,
-            },
-        );
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let data = pattern(10, 1);
+        let mut buf = [0u8; 10];
+        e.handle(0, send(1, 0, &data));
+        e.handle(1, recv(0, 0, &mut buf));
         drive_to_completion(&mut e);
-        let replies = e.drain_replies();
+        let replies = replies(&mut e);
         assert_eq!(replies.len(), 2);
         // α + nβ = 1 + 10 = 11.
         assert!((e.clocks[0] - 11.0).abs() < 1e-9, "{}", e.clocks[0]);
         assert!((e.clocks[1] - 11.0).abs() < 1e-9);
-        for (_, r) in replies {
-            assert!(r.err.is_none());
-        }
+        assert!(replies.iter().all(|(_, r)| r.is_ok()));
+        assert_eq!(buf[..], data[..]);
     }
 
     #[test]
     fn zero_byte_message_costs_alpha() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 0,
-            },
-        );
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        e.handle(0, send(1, 0, &[]));
+        e.handle(1, recv(0, 0, &mut []));
         drive_to_completion(&mut e);
         assert!((e.clocks[0] - 1.0).abs() < 1e-9);
+        assert!(replies(&mut e).iter().all(|(_, r)| r.is_ok()));
     }
 
     #[test]
     fn rendezvous_waits_for_late_receiver() {
-        let mesh = mesh_net(1, 2);
-        let e = engine(mesh, unit_machine(), false);
-        // Rank 1 computes 5 bytes' worth (γ=0 here, use alpha via
-        // overhead): give rank 1 a head-start clock via Compute with a
-        // gamma machine instead.
+        // Rank 1 computes 5 bytes' worth before it posts its receive.
         let machine = MachineParams {
             gamma: 1.0,
             ..unit_machine()
         };
-        let mut e2 = engine(mesh, machine, false);
-        e2.handle(1, Request::Compute { bytes: 5 });
-        e2.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 4,
-            },
-        );
-        e2.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![9u8; 4],
-            },
-        );
-        drive_to_completion(&mut e2);
+        let mut e = engine(mesh_net(1, 2), machine, false);
+        let mut buf = [0u8; 4];
+        e.handle(1, Request::Compute { bytes: 5 });
+        e.handle(1, recv(0, 0, &mut buf));
+        e.handle(0, send(1, 0, &[9u8; 4]));
+        drive_to_completion(&mut e);
         // Start at max(0, 5) = 5; complete at 5 + 1 + 4 = 10.
-        assert!((e2.clocks[1] - 10.0).abs() < 1e-9, "{}", e2.clocks[1]);
-        assert!((e2.clocks[0] - 10.0).abs() < 1e-9);
-        let _ = e;
+        assert!((e.clocks[1] - 10.0).abs() < 1e-9, "{}", e.clocks[1]);
+        assert!((e.clocks[0] - 10.0).abs() < 1e-9);
+        assert_eq!(buf, [9u8; 4]);
+    }
+
+    /// 0→`a` and 1→`b` of 100 bytes each on a 1×4 row, run to the end.
+    fn two_sends_on_a_row(machine: MachineParams, a: usize, b: usize) -> Engine {
+        let mut e = engine(mesh_net(1, 4), machine, false);
+        let (d0, d1) = (pattern(100, 3), pattern(100, 5));
+        let (mut b0, mut b1) = (vec![0u8; 100], vec![0u8; 100]);
+        e.handle(0, send(a, 0, &d0));
+        e.handle(a, recv(0, 0, &mut b0));
+        e.handle(1, send(b, 1, &d1));
+        e.handle(b, recv(1, 1, &mut b1));
+        drive_to_completion(&mut e);
+        assert_eq!((&b0, &b1), (&d0, &d1), "each got its own sender's bytes");
+        e
     }
 
     #[test]
     fn contending_messages_share_link_bandwidth() {
-        // 1x4 row: 0→3 and 1→2 share links 1→2 (and 2→3 only the first).
-        // Transfers: A: 0→3 (links 0E,1E,2E), B: 1→2 (link 1E).
-        // Fluid: both constrained by link 1E → 0.5 each until B done.
-        let mesh = mesh_net(1, 4);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 3,
-                tag: 0,
-                data: vec![0; 100],
-            },
-        );
-        e.handle(
-            3,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 100,
-            },
-        );
-        e.handle(
-            1,
-            Request::Send {
-                to: 2,
-                tag: 1,
-                data: vec![0; 100],
-            },
-        );
-        e.handle(
-            2,
-            Request::Recv {
-                from: 1,
-                tag: 1,
-                len: 100,
-            },
-        );
-        drive_to_completion(&mut e);
-        // Both activate at t=1. Shared until B finishes at 1+200=201;
-        // A then has 0 left? A also got 0.5 → A remaining 0 at 201 too.
+        // 0→3 (links 0E, 1E, 2E) and 1→2 (link 1E) share link 1E:
+        // 0.5 B/s each. Both activate at t = 1 and drain at 1 + 200.
+        let e = two_sends_on_a_row(unit_machine(), 3, 2);
         assert!((e.clocks[2] - 201.0).abs() < 1e-6, "{}", e.clocks[2]);
         assert!((e.clocks[3] - 201.0).abs() < 1e-6, "{}", e.clocks[3]);
     }
 
     #[test]
     fn link_excess_removes_sharing_penalty() {
-        let mesh = mesh_net(1, 4);
         let machine = MachineParams {
             link_excess: 2.0,
             ..unit_machine()
         };
-        let mut e = engine(mesh, machine, false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 3,
-                tag: 0,
-                data: vec![0; 100],
-            },
-        );
-        e.handle(
-            3,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 100,
-            },
-        );
-        e.handle(
-            1,
-            Request::Send {
-                to: 2,
-                tag: 1,
-                data: vec![0; 100],
-            },
-        );
-        e.handle(
-            2,
-            Request::Recv {
-                from: 1,
-                tag: 1,
-                len: 100,
-            },
-        );
-        drive_to_completion(&mut e);
+        let e = two_sends_on_a_row(machine, 3, 2);
         // Link capacity 2 B/s but ports 1 B/s: both flow at port rate:
         // done at 1 + 100 = 101.
         assert!((e.clocks[3] - 101.0).abs() < 1e-6, "{}", e.clocks[3]);
@@ -975,40 +886,13 @@ mod tests {
 
     #[test]
     fn disjoint_routes_do_not_interact() {
-        let mesh = mesh_net(1, 4);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![0; 50],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 50,
-            },
-        );
-        e.handle(
-            2,
-            Request::Send {
-                to: 3,
-                tag: 0,
-                data: vec![0; 50],
-            },
-        );
-        e.handle(
-            3,
-            Request::Recv {
-                from: 2,
-                tag: 0,
-                len: 50,
-            },
-        );
+        let mut e = engine(mesh_net(1, 4), unit_machine(), false);
+        let (d0, d2) = (pattern(50, 7), pattern(50, 9));
+        let (mut b1, mut b3) = ([0u8; 50], [0u8; 50]);
+        e.handle(0, send(1, 0, &d0));
+        e.handle(1, recv(0, 0, &mut b1));
+        e.handle(2, send(3, 0, &d2));
+        e.handle(3, recv(2, 0, &mut b3));
         drive_to_completion(&mut e);
         for r in 0..4 {
             assert!(
@@ -1017,29 +901,20 @@ mod tests {
                 e.clocks[r]
             );
         }
+        assert_eq!((&b1[..], &b3[..]), (&d0[..], &d2[..]));
     }
 
     #[test]
     fn sendrecv_ring_is_one_step() {
-        // 3 ranks in a row exchange ring-style via sendrecv: all complete
-        // in one α + nβ step except for the wrap path sharing... with a
-        // 1x3 row, 0→1 (E), 1→2 (E), 2→0 (W,W): all link-disjoint.
-        let mesh = mesh_net(1, 3);
-        let mut e = engine(mesh, unit_machine(), false);
-        for me in 0..3usize {
-            let right = (me + 1) % 3;
-            let left = (me + 2) % 3;
-            e.handle(
-                me,
-                Request::SendRecv {
-                    to: right,
-                    data: vec![0; 20],
-                    from: left,
-                    tag: 0,
-                    rtag: 0,
-                    rlen: 20,
-                },
-            );
+        // 3 ranks in a row exchange ring-style via sendrecv: 0→1 (E),
+        // 1→2 (E), 2→0 (W,W) are link-disjoint, so all complete in one
+        // α + nβ step.
+        let mut e = engine(mesh_net(1, 3), unit_machine(), false);
+        let data: Vec<Vec<u8>> = (0..3).map(|me| pattern(20, me as u8)).collect();
+        let mut bufs = vec![vec![0u8; 20]; 3];
+        for (me, buf) in bufs.iter_mut().enumerate() {
+            let (right, left) = ((me + 1) % 3, (me + 2) % 3);
+            e.handle(me, sendrecv(right, &data[me], left, buf, 0));
         }
         drive_to_completion(&mut e);
         for r in 0..3 {
@@ -1048,132 +923,122 @@ mod tests {
                 "rank {r}: {}",
                 e.clocks[r]
             );
+            assert_eq!(
+                bufs[r],
+                data[(r + 2) % 3],
+                "rank {r} got its left neighbour's"
+            );
         }
-        assert_eq!(e.drain_replies().len(), 3);
+        assert_eq!(replies(&mut e).len(), 3);
     }
 
     #[test]
-    fn length_mismatch_errors_both_sides() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![0; 5],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 3,
-            },
-        );
-        let replies = e.drain_replies();
+    fn self_sendrecv_delivers_to_the_same_rank() {
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let data = pattern(6, 11);
+        let mut buf = [0u8; 6];
+        e.handle(0, sendrecv(0, &data, 0, &mut buf, 3));
+        e.handle(1, Request::Finished);
+        drive_to_completion(&mut e);
+        let replies = replies(&mut e);
+        assert_eq!(replies.len(), 1, "one reply for the two halves");
+        assert!(replies[0].1.is_ok());
+        assert_eq!(buf[..], data[..]);
+        assert!((e.clocks[0] - 7.0).abs() < 1e-9, "{}", e.clocks[0]);
+    }
+
+    #[test]
+    fn length_mismatch_errors_both_sides_and_writes_nothing() {
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let mut buf = [0xEEu8; 3];
+        e.handle(0, send(1, 0, &[1u8; 5]));
+        e.handle(1, recv(0, 0, &mut buf));
+        let replies = replies(&mut e);
         assert_eq!(replies.len(), 2);
         for (_, r) in replies {
             assert!(matches!(
-                r.err,
-                Some(CommError::LengthMismatch {
+                r,
+                Err(CommError::LengthMismatch {
                     expected: 3,
                     actual: 5
                 })
             ));
         }
+        assert!(e.waiting.is_empty(), "no transfer was started");
+        assert_eq!(buf, [0xEEu8; 3], "the receiver's buffer is untouched");
     }
 
     #[test]
     #[should_panic(expected = "deadlock")]
     fn unmatched_recv_deadlocks_with_diagnostic() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Recv {
-                from: 1,
-                tag: 0,
-                len: 1,
-            },
-        );
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        e.handle(0, recv(1, 0, &mut [0u8; 1]));
         e.handle(1, Request::Finished);
         e.advance();
     }
 
     #[test]
-    fn poison_releases_blocked_ranks_with_diagnosis() {
-        let mesh = mesh_net(1, 3);
-        let mut e = engine(mesh, unit_machine(), false);
-        // Ranks 1 and 2 block on receives that will never match.
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 4,
-                len: 8,
-            },
+    fn deadlock_diagnostic_lists_sends_then_receives_in_rank_order() {
+        // Three ranks that wait on each other, posted in an order that
+        // is neither rank order nor sends-first.
+        let mut e = engine(mesh_net(1, 3), unit_machine(), false);
+        let byte = [0u8; 1];
+        let (mut b1, mut b2) = ([0u8; 1], [0u8; 1]);
+        e.handle(2, sendrecv(0, &byte, 0, &mut b2, 7));
+        e.handle(1, recv(2, 9, &mut b1));
+        e.handle(0, send(1, 5, &byte));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.advance()))
+            .expect_err("nothing can complete");
+        assert_eq!(
+            panic.downcast_ref::<String>().expect("a formatted panic"),
+            "simulation deadlock: 3 rank(s) blocked with no transfer in flight\n\
+             \x20 unmatched send 0→1 tag 5\n\
+             \x20 unmatched send 2→0 tag 7\n\
+             \x20 unmatched recv 1←2 tag 9\n\
+             \x20 unmatched recv 2←0 tag 7\n"
         );
-        e.handle(
-            2,
-            Request::Recv {
-                from: 0,
-                tag: 5,
-                len: 8,
-            },
-        );
-        assert!(e.drain_replies().is_empty());
-        // Rank 0 poisons instead of sending data.
-        let info = AbortInfo {
+    }
+
+    fn abort_info() -> AbortInfo {
+        AbortInfo {
             origin: 0,
             culprit: 0,
             plan: 9,
             step: 2,
             cause: AbortCause::DropBudget,
-        };
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: POISON_TAG,
-                data: info.encode().to_vec(),
-            },
-        );
-        let mut replies = e.drain_replies();
-        replies.sort_by_key(|(r, _)| *r);
-        assert_eq!(replies.len(), 3);
+        }
+    }
+
+    #[test]
+    fn poison_releases_blocked_ranks_with_diagnosis() {
+        let mut e = engine(mesh_net(1, 3), unit_machine(), false);
+        // Ranks 1 and 2 block on receives that will never match.
+        let (mut b1, mut b2) = ([0u8; 8], [0u8; 8]);
+        e.handle(1, recv(0, 4, &mut b1));
+        e.handle(2, recv(0, 5, &mut b2));
+        assert!(replies(&mut e).is_empty());
+        // Rank 0 poisons instead of sending data.
+        let info = abort_info();
+        let record = info.encode();
+        e.handle(0, send(1, POISON_TAG, &record));
+        let released = replies(&mut e);
+        assert_eq!(released.len(), 3);
         // The poisoner is acknowledged without blocking...
-        assert!(replies[0].1.err.is_none());
+        assert!(released[0].1.is_ok());
         // ...and both blocked ranks wake with the same diagnosis.
-        for (rank, reply) in &replies[1..] {
+        for (rank, reply) in &released[1..] {
             assert!(
-                matches!(reply.err, Some(CommError::Aborted(i)) if i == info),
-                "rank {rank}: {:?}",
-                reply.err
+                matches!(reply, Err(CommError::Aborted(i)) if *i == info),
+                "rank {rank}: {reply:?}"
             );
         }
         // Later comm requests fail fast; a duplicate poison still acks.
-        e.handle(
-            1,
-            Request::Recv {
-                from: 2,
-                tag: 6,
-                len: 1,
-            },
-        );
-        e.handle(
-            0,
-            Request::Send {
-                to: 2,
-                tag: POISON_TAG,
-                data: info.encode().to_vec(),
-            },
-        );
-        let replies = e.drain_replies();
-        assert_eq!(replies.len(), 2);
-        assert!(matches!(replies[0].1.err, Some(CommError::Aborted(_))));
-        assert!(replies[1].1.err.is_none());
+        e.handle(1, recv(2, 6, &mut b1[..1]));
+        e.handle(0, send(2, POISON_TAG, &record));
+        let later = replies(&mut e);
+        assert_eq!(later.len(), 2);
+        assert!(later[0].1.is_ok());
+        assert!(matches!(later[1].1, Err(CommError::Aborted(_))));
         // All ranks can still finish cleanly.
         for r in 0..3 {
             e.handle(r, Request::Finished);
@@ -1182,8 +1047,53 @@ mod tests {
     }
 
     #[test]
+    fn poison_drops_matched_transfers_without_touching_their_windows() {
+        // Two matched pairs on a 1×5 row: 0→1 is long and flowing when
+        // the poison arrives, 2→3 is still inside its startup.
+        let machine = MachineParams {
+            gamma: 1.0,
+            ..unit_machine()
+        };
+        let mut e = engine(mesh_net(1, 5), machine, false);
+        let (long, short) = (pattern(100, 13), pattern(4, 17));
+        let (mut b1, mut b3) = ([0xEEu8; 100], [0xEEu8; 4]);
+        e.handle(0, send(1, 0, &long));
+        e.handle(1, recv(0, 0, &mut b1));
+        e.handle(2, Request::Compute { bytes: 2 });
+        e.handle(2, send(3, 0, &short));
+        e.handle(3, recv(2, 0, &mut b3));
+        // Rank 4 exchanges a byte with itself so that virtual time can
+        // pass (0→1 activates at t = 1; 4's message completes at t = 2,
+        // the instant 2→3 rendezvouses) and then poisons.
+        let mut own = [0u8; 1];
+        e.handle(4, sendrecv(4, &[1], 4, &mut own, 0));
+        while replies(&mut e).is_empty() {
+            e.advance();
+        }
+        assert_eq!((e.active.len(), e.waiting.len()), (1, 1));
+        let info = abort_info();
+        e.handle(4, send(0, POISON_TAG, &info.encode()));
+        let released = replies(&mut e);
+        assert_eq!(released.len(), 5, "the ack and four releases");
+        assert!(released[4].1.is_ok());
+        for (rank, reply) in &released[..4] {
+            assert!(
+                matches!(reply, Err(CommError::Aborted(i)) if *i == info),
+                "rank {rank}: {reply:?}"
+            );
+        }
+        // Nothing is left that could be copied later.
+        assert!(e.active.is_empty() && e.waiting.is_empty());
+        for r in 0..5 {
+            e.handle(r, Request::Finished);
+        }
+        assert_eq!(e.finished_count(), 5);
+        assert_eq!(b1, [0xEEu8; 100], "the flowing transfer wrote nothing");
+        assert_eq!(b3, [0xEEu8; 4], "the waiting transfer wrote nothing");
+    }
+
+    #[test]
     fn gamma_and_delta_advance_clocks() {
-        let mesh = mesh_net(1, 1);
         let machine = MachineParams {
             alpha: 1.0,
             beta: 1.0,
@@ -1191,7 +1101,7 @@ mod tests {
             delta: 0.25,
             link_excess: 1.0,
         };
-        let mut e = engine(mesh, machine, false);
+        let mut e = engine(mesh_net(1, 1), machine, false);
         e.handle(0, Request::Compute { bytes: 3 });
         e.handle(0, Request::CallOverhead);
         e.handle(0, Request::Finished);
@@ -1201,24 +1111,9 @@ mod tests {
 
     #[test]
     fn trace_records_transfers() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), true);
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 7,
-                data: vec![0; 4],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 7,
-                len: 4,
-            },
-        );
+        let mut e = engine(mesh_net(1, 2), unit_machine(), true);
+        e.handle(0, send(1, 7, &[0u8; 4]));
+        e.handle(1, recv(0, 7, &mut [0u8; 4]));
         drive_to_completion(&mut e);
         let trace = e.take_trace().unwrap();
         assert_eq!(trace.len(), 1);
@@ -1233,25 +1128,10 @@ mod tests {
 
     #[test]
     fn plan_step_attribution_reaches_the_trace() {
-        let mesh = mesh_net(1, 2);
-        let mut e = engine(mesh, unit_machine(), true);
+        let mut e = engine(mesh_net(1, 2), unit_machine(), true);
         e.handle(0, Request::PlanStep { plan: 42, step: 6 });
-        e.handle(
-            0,
-            Request::Send {
-                to: 1,
-                tag: 0,
-                data: vec![0; 4],
-            },
-        );
-        e.handle(
-            1,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 4,
-            },
-        );
+        e.handle(0, send(1, 0, &[0u8; 4]));
+        e.handle(1, recv(0, 0, &mut [0u8; 4]));
         drive_to_completion(&mut e);
         let trace = e.take_trace().unwrap();
         assert_eq!((trace[0].plan, trace[0].step), (42, 6));
@@ -1261,43 +1141,31 @@ mod tests {
     fn xy_routes_make_columns_independent_of_rows() {
         // Two column transfers in different columns of a 2x2 mesh run at
         // full rate concurrently.
-        let mesh = mesh_net(2, 2);
-        let mut e = engine(mesh, unit_machine(), false);
-        e.handle(
-            0,
-            Request::Send {
-                to: 2,
-                tag: 0,
-                data: vec![0; 30],
-            },
-        );
-        e.handle(
-            2,
-            Request::Recv {
-                from: 0,
-                tag: 0,
-                len: 30,
-            },
-        );
-        e.handle(
-            1,
-            Request::Send {
-                to: 3,
-                tag: 0,
-                data: vec![0; 30],
-            },
-        );
-        e.handle(
-            3,
-            Request::Recv {
-                from: 1,
-                tag: 0,
-                len: 30,
-            },
-        );
+        let mut e = engine(mesh_net(2, 2), unit_machine(), false);
+        let (d0, d1) = (pattern(30, 19), pattern(30, 23));
+        let (mut b2, mut b3) = ([0u8; 30], [0u8; 30]);
+        e.handle(0, send(2, 0, &d0));
+        e.handle(2, recv(0, 0, &mut b2));
+        e.handle(1, send(3, 0, &d1));
+        e.handle(3, recv(1, 0, &mut b3));
         drive_to_completion(&mut e);
         for r in 0..4 {
             assert!((e.clocks[r] - 31.0).abs() < 1e-9, "rank {r}");
+        }
+        assert_eq!((&b2[..], &b3[..]), (&d0[..], &d1[..]));
+    }
+
+    #[test]
+    fn finished_transfers_hand_their_constraint_vectors_on() {
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let mut buf = [0u8; 2];
+        for round in 0..3 {
+            e.handle(0, send(1, round, &[round as u8; 2]));
+            e.handle(1, recv(0, round, &mut buf));
+            drive_to_completion(&mut e);
+            assert_eq!(replies(&mut e).len(), 2);
+            assert_eq!(buf, [round as u8; 2]);
+            assert_eq!(e.spare_constraints.len(), 1, "one vector, reused");
         }
     }
 }

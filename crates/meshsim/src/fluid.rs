@@ -38,14 +38,14 @@ impl FluidScratch {
 
     /// Max-min fair rates over a *static* constraint universe.
     ///
-    /// `users[t]` lists transfer `t`'s constraint indices (dense, within
+    /// `users[t]` yields transfer `t`'s constraint indices (dense, within
     /// the universe); `cap_of(c)` yields constraint `c`'s capacity.
     /// Writes one rate per transfer into `rates` (resized as needed).
     /// Only constraints actually referenced are touched, so the per-call
     /// cost is O(Σ|users|·rounds), independent of universe size.
-    pub fn solve_max_min(
+    pub fn solve_max_min<U: AsRef<[u32]>>(
         &mut self,
-        users: &[&[u32]],
+        users: &[U],
         mut cap_of: impl FnMut(u32) -> f64,
         rates: &mut Vec<f64>,
     ) {
@@ -61,7 +61,7 @@ impl FluidScratch {
         }
         self.touched.clear();
         for u in users {
-            for &c in *u {
+            for &c in u.as_ref() {
                 if self.active_users[c as usize] == 0 {
                     self.touched.push(c);
                     let cap = cap_of(c);
@@ -75,7 +75,7 @@ impl FluidScratch {
         self.frozen.resize(n, false);
         let mut remaining = n;
         for (t, u) in users.iter().enumerate() {
-            if u.is_empty() {
+            if u.as_ref().is_empty() {
                 rates[t] = f64::INFINITY;
                 self.frozen[t] = true;
                 remaining -= 1;
@@ -103,14 +103,14 @@ impl FluidScratch {
             for (t, u) in users.iter().enumerate() {
                 if !self.frozen[t] {
                     rates[t] += lambda;
-                    let saturated = u.iter().any(|&c| {
+                    let saturated = u.as_ref().iter().any(|&c| {
                         self.cap_left[c as usize] <= 1e-12 * self.cap_init[c as usize].max(1.0)
                     });
                     if saturated {
                         self.frozen[t] = true;
                         remaining -= 1;
                         progressed = true;
-                        for &c in *u {
+                        for &c in u.as_ref() {
                             self.active_users[c as usize] -= 1;
                         }
                     }
@@ -134,10 +134,9 @@ pub fn max_min_rates(users: &[Vec<usize>], caps: &[f64]) -> Vec<f64> {
         .iter()
         .map(|u| u.iter().map(|&c| c as u32).collect())
         .collect();
-    let user_refs: Vec<&[u32]> = users_u32.iter().map(Vec::as_slice).collect();
     let mut scratch = FluidScratch::new(caps.len());
     let mut rates = Vec::new();
-    scratch.solve_max_min(&user_refs, |c| caps[c as usize], &mut rates);
+    scratch.solve_max_min(&users_u32, |c| caps[c as usize], &mut rates);
     rates
 }
 

@@ -8,12 +8,22 @@
 //! combined byte and `δ` per short-vector recursion level.
 //!
 //! Rank code executes *for real* (direct-execution simulation): each rank
-//! is a thread running actual library collectives over a [`SimComm`];
-//! every blocking operation rendezvouses with the central [`engine`],
-//! which advances virtual clocks. Results are therefore bit-identical to
-//! the threaded backend, while elapsed time reflects the Paragon model —
-//! the substitution that lets this reproduction regenerate the paper's
-//! Table 3 and Fig. 4 without the original hardware.
+//! runs actual library collectives over a [`SimComm`] on a worker thread
+//! — one per rank, owned by the thread that called [`simulate`] and kept
+//! parked between its worlds — and every blocking operation rendezvouses
+//! with the central [`engine`], which advances virtual clocks. Results
+//! are therefore bit-identical to the threaded backend, while elapsed
+//! time reflects the Paragon model — the substitution that lets this
+//! reproduction regenerate the paper's Table 3 and Fig. 4 without the
+//! original hardware.
+//!
+//! A payload is never handed to the engine: a blocking call lends it a
+//! *borrowed window* onto the caller's own buffer, and the engine copies
+//! sender → receiver once, when the transfer completes. The invariant
+//! (`window.rs`, docs/SIMULATOR.md): *a window is dereferenced only by
+//! the engine, only between match and completion, and a rank's blocking
+//! call returns only after the engine has replied or is gone.* A timeout
+//! on the reply wait, or a copy off the engine thread, would break it.
 //!
 //! ```
 //! use intercom_meshsim::{simulate, SimConfig};
@@ -33,7 +43,10 @@
 //! assert!(report.elapsed > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// The crate's `unsafe` inventory, kept to two places (`ci.sh` checks the
+// list): the window dereferences, and `sim::Jobs::erased`.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod comm;
 mod engine;
@@ -41,13 +54,12 @@ pub mod fluid;
 pub mod net;
 pub mod sim;
 pub mod stats;
+#[allow(unsafe_code)]
+mod window;
 
 pub use comm::SimComm;
 pub use net::NetSpec;
 pub use sim::{simulate, SimConfig, SimReport};
 pub use stats::{LinkConcurrency, LinkLoad};
-// The trace schema moved to the unified observability layer; the
-// simulator emits `intercom_obs::TraceEvent`s (one per transfer) and
-// the old names remain available from here.
-pub use intercom_obs::TraceEvent as TransferRecord;
+// The simulator emits `intercom_obs::TraceEvent`s, one per transfer.
 pub use intercom_obs::{Trace, TraceEvent};

@@ -40,30 +40,21 @@ impl NetSpec {
     /// Appends the constraint slots (offset by `base`) of the
     /// deterministic route from `src` to `dst`, returning the hop count.
     pub fn route_slots(&self, src: usize, dst: usize, base: usize, out: &mut Vec<u32>) -> usize {
+        let before = out.len();
         match self {
             NetSpec::Mesh(m) => {
-                let route = route_xy(m, src, dst);
-                for l in &route {
-                    out.push((base + m.link_slot(*l)) as u32);
-                }
-                route.len()
+                out.extend(route_xy(m, src, dst).map(|l| (base + m.link_slot(l)) as u32));
             }
             NetSpec::Hypercube(c) => {
-                let route = c.route(src, dst);
-                for l in &route {
-                    out.push((base + c.link_slot(*l)) as u32);
-                }
-                route.len()
+                out.extend(c.route(src, dst).map(|l| (base + c.link_slot(l)) as u32));
             }
             NetSpec::Cluster(c) => {
                 let phys = c.phys_mesh();
                 let route = route_xy(&phys, c.phys_node(src), c.phys_node(dst));
-                for l in &route {
-                    out.push((base + phys.link_slot(*l)) as u32);
-                }
-                route.len()
+                out.extend(route.map(|l| (base + phys.link_slot(l)) as u32));
             }
         }
+        out.len() - before
     }
 }
 

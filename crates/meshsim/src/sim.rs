@@ -1,14 +1,14 @@
-//! Simulation orchestration: rank threads + engine loop.
+//! Simulation orchestration: rank workers + engine loop.
 
 use crate::comm::SimComm;
 use crate::engine::Engine;
 use crate::net::NetSpec;
-use intercom::BufferPool;
 use intercom_cost::{HierMachine, MachineParams};
 use intercom_obs::Trace;
 use intercom_topology::{Cluster, Hypercube, Mesh2D};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
 /// Configuration of one simulated machine.
 #[derive(Debug, Clone, Copy)]
@@ -95,10 +95,109 @@ impl<T> SimReport<T> {
     }
 }
 
+/// One rank's closure, boxed for a worker with its borrows erased.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+thread_local! {
+    /// The calling thread's rank workers, by rank: parked on their job
+    /// channels between worlds, spawned when this thread first
+    /// simulates a world that large, gone when the thread is (its
+    /// locals' destruction closes the channels).
+    static WORKERS: RefCell<Vec<Sender<Job>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hands `job` to the calling thread's worker for `rank`.
+fn run_on_worker(rank: usize, job: Job) {
+    WORKERS.with_borrow_mut(|workers| {
+        debug_assert!(rank <= workers.len(), "ranks are handed out in order");
+        if rank == workers.len() {
+            let (tx, rx) = channel::<Job>();
+            // Detached on purpose: the worker ends with its channel,
+            // and a job never unwinds into it (`Jobs::erased` catches).
+            std::thread::Builder::new()
+                .name(format!("sim-rank-{rank}"))
+                .stack_size(1024 * 1024)
+                .spawn(move || rx.into_iter().for_each(|job| job()))
+                .expect("failed to spawn simulated rank");
+            workers.push(tx);
+        }
+        workers[rank]
+            .send(job)
+            .expect("a rank worker lives as long as its job sender");
+    });
+}
+
+/// How a rank's job ended: its value, or the payload it panicked with.
+type Outcome<T> = (usize, std::thread::Result<T>);
+
+/// The outcomes of one world's jobs, and the proof that the jobs are
+/// over: every job holds a sender it drops last, so the receiver
+/// disconnects only when no job can touch `simulate`'s frame again.
+/// Dropping the guard waits for that.
+struct Jobs<T> {
+    tx: Option<Sender<Outcome<T>>>,
+    rx: Receiver<Outcome<T>>,
+}
+
+impl<T: Send> Jobs<T> {
+    fn new() -> Self {
+        let (tx, rx) = channel();
+        Jobs { tx: Some(tx), rx }
+    }
+
+    /// Boxes `body` as rank `rank`'s job — run it, catch its panic,
+    /// report the outcome — with the lifetime of its borrows erased.
+    #[allow(unsafe_code)]
+    fn erased<'a>(&self, rank: usize, body: impl FnOnce() -> T + Send + 'a) -> Job
+    where
+        T: 'a,
+    {
+        let done = self.tx.clone().expect("jobs are made before the drain");
+        let job: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
+            // `body` (and with it everything borrowed from the caller)
+            // is consumed by the call; the outcome is moved into the
+            // channel; what is left to drop afterwards is `done`, which
+            // points into the channel's own heap allocation.
+            let out = catch_unwind(AssertUnwindSafe(body));
+            let _ = done.send((rank, out));
+        });
+        // SAFETY: only the lifetime bound of the trait object changes.
+        // The job borrows from `simulate`'s frame (the rank closure, and
+        // whatever `T` borrows), and that frame cannot end before the
+        // job has: `self` is declared there before anything a job can
+        // block on, so on every exit — return or unwind — the engine's
+        // channel ends are dropped first (releasing each blocked rank
+        // with `Disconnected`) and then `Jobs::drop` blocks until the
+        // last clone of `done` is gone, i.e. until this job has run to
+        // its end or was dropped unrun. `simulate` never forgets or
+        // leaks the guard.
+        unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Job>(job) }
+    }
+}
+
+impl<T> Jobs<T> {
+    /// Every job's outcome, in order of completion; ends when the last
+    /// job has.
+    fn drain(&mut self) -> impl Iterator<Item = Outcome<T>> + '_ {
+        self.tx = None;
+        self.rx.iter()
+    }
+}
+
+impl<T> Drop for Jobs<T> {
+    fn drop(&mut self) {
+        self.drain().for_each(drop);
+    }
+}
+
 /// Runs `f` on every rank of the simulated machine and returns the
 /// per-rank results plus the elapsed *virtual* time under the paper's
 /// machine model. The closure receives a [`SimComm`] implementing
 /// [`intercom::Comm`], so any library collective runs unmodified.
+///
+/// The ranks run on worker threads owned by the calling thread and kept
+/// between calls; a nested `simulate` (from inside `f`) gets workers of
+/// its own.
 pub fn simulate<T, F>(cfg: &SimConfig, f: F) -> SimReport<T>
 where
     T: Send,
@@ -112,100 +211,98 @@ where
         cfg.jitter,
         cfg.jitter_seed,
     );
-    let (req_tx, req_rx) = channel();
-    let pool = Arc::new(BufferPool::new());
+    // Declared before the channels below, so dropped after them: see
+    // `Jobs::erased`.
+    let mut jobs = Jobs::new();
+    // Bounded, so steady-state traffic allocates nothing: a rank that
+    // finds the queue full waits for the engine, which never waits for
+    // anything but this queue while a rank can run. A rank has at most
+    // one reply outstanding.
+    let (req_tx, req_rx) = sync_channel(4 * p + 64);
     let mut reply_txs = Vec::with_capacity(p);
-    let mut endpoints = Vec::with_capacity(p);
     for rank in 0..p {
-        let (tx, rx) = channel();
+        let (tx, rx) = sync_channel(1);
         reply_txs.push(tx);
-        endpoints.push(SimComm::new(rank, p, req_tx.clone(), rx, pool.clone()));
+        let comm = SimComm::new(rank, p, req_tx.clone(), rx);
+        let f = &f;
+        // A panicking rank drops `comm` as it unwinds, which tells the
+        // engine it is gone.
+        let job = jobs.erased(rank, move || {
+            let out = f(&comm);
+            comm.finish();
+            out
+        });
+        run_on_worker(rank, job);
     }
     drop(req_tx);
-    let f = &f;
-    std::thread::scope(|scope| {
-        // The loop below owns the reply senders: if it panics (the
-        // engine's deadlock diagnostic), unwinding drops them, every
-        // rank blocked on a reply sees `Disconnected`, and the scope can
-        // join the rank threads and let the panic through.
-        let reply_txs = reply_txs;
-        let mut handles = Vec::with_capacity(p);
-        for (rank, comm) in endpoints.into_iter().enumerate() {
-            let builder = std::thread::Builder::new()
-                .name(format!("sim-rank-{rank}"))
-                .stack_size(1024 * 1024);
-            handles.push(
-                builder
-                    .spawn_scoped(scope, move || {
-                        let out = f(&comm);
-                        comm.finish();
-                        out
-                    })
-                    .expect("failed to spawn simulated rank"),
+    // Engine loop: consume requests while any rank can still run;
+    // advance virtual time when everyone is blocked. If it panics (the
+    // engine's deadlock diagnostic), unwinding drops the reply senders
+    // and the request receiver, every rank blocked on either sees
+    // `Disconnected`, and `jobs` can wait the ranks out and let the
+    // panic through.
+    let mut replies = Vec::new();
+    loop {
+        engine.drain_replies(&mut replies);
+        for (rank, reply) in replies.drain(..) {
+            // A rank waits for every reply it is owed: this cannot fail.
+            let _ = reply_txs[rank].send(reply);
+        }
+        if engine.finished_count() == p {
+            break;
+        }
+        if engine.runnable_count() == 0 {
+            engine.advance();
+            continue;
+        }
+        match req_rx.recv() {
+            Ok((rank, req)) => engine.handle(rank, req),
+            Err(_) => break, // all endpoints gone
+        }
+    }
+    let mut outcomes: Vec<Outcome<T>> = jobs.drain().collect();
+    outcomes.sort_by_key(|(rank, _)| *rank);
+    let results: Vec<T> = outcomes
+        .into_iter()
+        .map(|(rank, outcome)| {
+            outcome.unwrap_or_else(|e| {
+                let msg = e
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| e.downcast_ref::<&str>().copied())
+                    .unwrap_or("<non-string panic>");
+                panic!("simulated rank {rank} panicked: {msg}");
+            })
+        })
+        .collect();
+    assert_eq!(results.len(), p, "every rank's job reported");
+    let report = SimReport {
+        results,
+        elapsed: engine.elapsed(),
+        clocks: engine.clocks().to_vec(),
+        trace: engine.take_trace().map(Trace::new),
+    };
+    // Production telemetry: virtual elapsed time and (when tracing)
+    // the transfer-derived counter totals. One branch when disabled.
+    if intercom_obs::metrics::enabled() {
+        let p_label = p.to_string();
+        let l = &[("p", p_label.as_str())][..];
+        intercom_obs::metrics::observe("intercom_sim_elapsed_seconds", l, report.elapsed);
+        if let Some(trace) = &report.trace {
+            intercom_obs::metrics::ingest_run(
+                "sim",
+                &intercom_obs::RunRecord::from_transfers(trace.records(), p),
             );
         }
-        // Engine loop: consume requests while any rank can still run;
-        // advance virtual time when everyone is blocked.
-        loop {
-            for (rank, reply) in engine.drain_replies() {
-                // A send failure means the rank thread died; its requests
-                // simply stop arriving and the join below reports it.
-                let _ = reply_txs[rank].send(reply);
-            }
-            if engine.finished_count() == p {
-                break;
-            }
-            if engine.runnable_count() == 0 {
-                engine.advance();
-                continue;
-            }
-            match req_rx.recv() {
-                Ok((rank, req)) => engine.handle(rank, req),
-                Err(_) => break, // all rank threads gone
-            }
-        }
-        let results: Vec<T> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(v) => v,
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("simulated rank {rank} panicked: {msg}");
-                }
-            })
-            .collect();
-        let report = SimReport {
-            results,
-            elapsed: engine.elapsed(),
-            clocks: engine.clocks().to_vec(),
-            trace: engine.take_trace().map(Trace::new),
-        };
-        // Production telemetry: virtual elapsed time and (when tracing)
-        // the transfer-derived counter totals. One branch when disabled.
-        if intercom_obs::metrics::enabled() {
-            let p_label = p.to_string();
-            let l = &[("p", p_label.as_str())][..];
-            intercom_obs::metrics::observe("intercom_sim_elapsed_seconds", l, report.elapsed);
-            if let Some(trace) = &report.trace {
-                intercom_obs::metrics::ingest_run(
-                    "sim",
-                    &intercom_obs::RunRecord::from_transfers(trace.records(), p),
-                );
-            }
-        }
-        report
-    })
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intercom::Comm;
+    use intercom::faults::POISON_TAG;
+    use intercom::{Comm, CommError};
 
     fn unit() -> MachineParams {
         MachineParams {
@@ -439,6 +536,130 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("unmatched recv 0←1 tag 0"), "{msg}");
+    }
+
+    /// Runs `world` on a watchdog thread and returns the message it
+    /// panicked with: a regression that hangs fails the test instead of
+    /// stalling the suite.
+    fn panic_message_of(world: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(AssertUnwindSafe(world)));
+        });
+        let panic = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the simulation must not hang")
+            .expect_err("the simulation must panic");
+        watched.join().expect("the panic was caught");
+        panic.downcast_ref::<String>().expect("formatted").clone()
+    }
+
+    #[test]
+    fn a_rank_that_panics_under_a_blocked_peer_ends_in_the_deadlock_diagnostic() {
+        // Rank 0 lends its buffer to a receive rank 1 will never serve.
+        // The engine sees rank 1 gone and rank 0 unmatched: it panics
+        // with the diagnostic, rank 0 resumes with `Disconnected`, and
+        // nothing was ever copied into the window.
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let rank0_saw = seen.clone();
+        let msg = panic_message_of(move || {
+            let cfg = SimConfig::new(Mesh2D::new(1, 2), unit());
+            simulate(&cfg, |c| {
+                if c.rank() == 1 {
+                    panic!("sim boom");
+                }
+                let mut buf = [0xEEu8; 4];
+                let outcome = c.recv(1, 0, &mut buf);
+                *rank0_saw.lock().unwrap() = Some((outcome, buf));
+            });
+        });
+        assert_eq!(
+            seen.lock().unwrap().take(),
+            Some((Err(CommError::Disconnected), [0xEEu8; 4]))
+        );
+        assert!(
+            msg.contains("simulation deadlock: 1 rank(s) blocked"),
+            "{msg}"
+        );
+        assert!(msg.contains("unmatched recv 0←1 tag 0"), "{msg}");
+    }
+
+    #[test]
+    fn length_mismatch_fails_both_ranks_and_leaves_the_buffer_alone() {
+        let cfg = SimConfig::new(Mesh2D::new(1, 2), unit());
+        let rep = simulate(&cfg, |c| {
+            let mut buf = [0xEEu8; 3];
+            let r = match c.rank() {
+                0 => c.send(1, 0, &[1u8; 5]),
+                _ => c.recv(0, 0, &mut buf),
+            };
+            (r, buf)
+        });
+        let mismatch = Err(CommError::LengthMismatch {
+            expected: 3,
+            actual: 5,
+        });
+        assert_eq!(rep.results[0].0, mismatch);
+        assert_eq!(rep.results[1], (mismatch, [0xEEu8; 3]));
+    }
+
+    #[test]
+    fn self_sendrecv_and_empty_messages_deliver() {
+        let cfg = SimConfig::new(Mesh2D::new(1, 2), unit());
+        let rep = simulate(&cfg, |c| {
+            let me = c.rank();
+            // To and from itself: both windows are this one call's.
+            let mut own = [0u8; 5];
+            c.sendrecv(me, &[me as u8 + 1; 5], me, &mut own, 0).unwrap();
+            // Nothing at all, exchanged with the peer.
+            c.sendrecv(1 - me, &[], 1 - me, &mut [], 1).unwrap();
+            own
+        });
+        assert_eq!(rep.results, vec![[1u8; 5], [2u8; 5]]);
+        // (α + 5β) + α = 7.
+        assert!((rep.elapsed - 7.0).abs() < 1e-9, "{}", rep.elapsed);
+    }
+
+    #[test]
+    fn poison_under_a_flowing_transfer_aborts_both_ends_and_copies_nothing() {
+        // 0→1 moves 1000 bytes (done at t = 1001). Ranks 2 and 3 swap a
+        // byte (done at t = 2), which lets virtual time pass, and then
+        // rank 2 poisons the world with 0→1 in mid-flight.
+        use intercom::{AbortCause, AbortInfo};
+        let info = AbortInfo {
+            origin: 2,
+            culprit: 2,
+            plan: 0,
+            step: 0,
+            cause: AbortCause::External,
+        };
+        let cfg = SimConfig::new(Mesh2D::new(1, 4), unit());
+        let rep = simulate(&cfg, |c| {
+            let mut buf = vec![0xEEu8; 1000];
+            let outcome = match c.rank() {
+                0 => c.send(1, 0, &[7u8; 1000]),
+                1 => c.recv(0, 0, &mut buf),
+                me => {
+                    let peer = 5 - me;
+                    c.sendrecv(peer, &[1], peer, &mut buf[..1], 1).unwrap();
+                    buf[0] = 0xEE;
+                    if me == 2 {
+                        c.send(0, POISON_TAG, &info.encode()).unwrap();
+                    }
+                    Ok(())
+                }
+            };
+            // The lender is back in charge of its buffer: use it.
+            let untouched = buf.iter().all(|&b| b == 0xEE);
+            buf.fill(0);
+            (outcome, untouched)
+        });
+        let aborted = Err(CommError::Aborted(info));
+        assert_eq!(rep.results[0], (aborted.clone(), true));
+        assert_eq!(rep.results[1], (aborted, true), "nothing was delivered");
+        assert_eq!(rep.results[2], (Ok(()), true));
+        // The clocks stopped where the abort found them.
+        assert!((rep.elapsed - 2.0).abs() < 1e-9, "{}", rep.elapsed);
     }
 
     #[test]

@@ -1,0 +1,260 @@
+//! What the simulator's harness costs the host, pinned from outside:
+//!
+//! 1. Steady-state hops allocate nothing that scales with the payload,
+//!    and next to nothing at all (zero bytes when this was written; the
+//!    bound leaves room for a channel's waiter list growing under an
+//!    unlucky interleaving) — a counting global allocator over the rank
+//!    workers *and* the engine thread.
+//! 2. Rank workers belong to the thread that calls `simulate` and
+//!    outlive a world: the next world on that thread reuses them, a
+//!    world whose rank panicked does not spoil them, nested and
+//!    concurrent callers each get their own, and they end with their
+//!    owner.
+//!
+//! Only threads that opt in through [`COUNTED`] are counted, so the
+//! other tests of this file (and the harness printing their results)
+//! can run beside the measured window.
+
+#![deny(unsafe_op_in_unsafe_fn)]
+
+use intercom::Comm;
+use intercom_cost::MachineParams;
+use intercom_meshsim::{simulate, SimConfig};
+use intercom_topology::Mesh2D;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
+
+struct CountingAlloc;
+
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Const-initialized and without a destructor, so reading it inside
+    /// the allocator never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation(bytes: usize) {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: a pure pass-through to `System` plus a relaxed counter bump
+// behind a thread-local flag read; every `GlobalAlloc` obligation is
+// discharged by `System` itself.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        // SAFETY: `layout` is forwarded unchanged from our caller.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this same `layout`, per the caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation(new_size);
+        // SAFETY: forwarded unchanged from the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn unit() -> MachineParams {
+    MachineParams {
+        alpha: 1.0,
+        beta: 1.0,
+        gamma: 0.0,
+        delta: 0.0,
+        link_excess: 1.0,
+    }
+}
+
+fn world_2x2() -> SimConfig {
+    SimConfig::new(Mesh2D::new(2, 2), unit())
+}
+
+/// Bytes allocated by the engine thread and the four rank workers over
+/// `hops` ring `sendrecv`s of `n` bytes, after a warm-up.
+fn bytes_allocated_during_hops(n: usize, hops: usize) -> u64 {
+    COUNTED.set(true);
+    let report = simulate(&world_2x2(), |c| {
+        COUNTED.set(true);
+        let (p, me) = (c.size(), c.rank());
+        let mine = vec![me as u8; n];
+        let mut got = vec![0u8; n];
+        let mut hop = || {
+            c.sendrecv((me + 1) % p, &mine, (me + p - 1) % p, &mut got, 1)
+                .unwrap()
+        };
+        // Warm-up sizes the engine's vectors and every thread's channel
+        // context. On a ring, a rank that has completed hop k + p knows
+        // every rank has completed hop k: p extra hops on each side
+        // keep all ranks' measured hops inside rank 0's window.
+        (0..8 + p).for_each(|_| hop());
+        let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        (0..hops + p).for_each(|_| hop());
+        let after = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        // A rank that is done reports its outcome while slower ranks
+        // are still inside the window: the world's teardown stays out.
+        COUNTED.set(false);
+        assert!(got.iter().all(|&b| b as usize == (me + p - 1) % p));
+        after - before
+    });
+    COUNTED.set(false);
+    report.results[0]
+}
+
+#[test]
+fn steady_state_hops_allocate_nothing_that_grows_with_the_payload() {
+    let small = bytes_allocated_during_hops(8, 200);
+    let large = bytes_allocated_during_hops(64 << 10, 200);
+    assert_eq!(small, large, "allocation depends on the payload size");
+    assert!(
+        small < 16 << 10,
+        "{small} bytes allocated over 200 steady-state hops"
+    );
+}
+
+/// One ring exchange of a byte: what the left neighbour sent, checked.
+fn ring_exchange(c: &impl Comm) {
+    let (p, me) = (c.size(), c.rank());
+    let mut got = [0u8; 1];
+    c.sendrecv((me + 1) % p, &[me as u8], (me + p - 1) % p, &mut got, 0)
+        .unwrap();
+    assert_eq!(got[0] as usize, (me + p - 1) % p);
+}
+
+/// The thread each rank of one 2×2 world ran on, after a ring exchange
+/// that proves the world works.
+fn rank_threads() -> Vec<ThreadId> {
+    let report = simulate(&world_2x2(), |c| {
+        ring_exchange(c);
+        std::thread::current().id()
+    });
+    report.results
+}
+
+#[test]
+fn consecutive_worlds_of_one_caller_run_on_the_same_threads() {
+    let first = rank_threads();
+    let mut distinct = first.clone();
+    distinct.push(std::thread::current().id());
+    distinct.sort_by_key(|id| format!("{id:?}"));
+    distinct.dedup();
+    assert_eq!(distinct.len(), 5, "four workers beside the caller");
+    assert_eq!(rank_threads(), first);
+    // A smaller world uses a prefix of the same workers.
+    let two = simulate(&SimConfig::new(Mesh2D::new(1, 2), unit()), |_| {
+        std::thread::current().id()
+    });
+    assert_eq!(two.results, first[..2]);
+}
+
+#[test]
+fn a_world_after_a_rank_panic_is_correct_and_keeps_the_workers() {
+    let first = rank_threads();
+    let panic = std::panic::catch_unwind(|| {
+        simulate(&world_2x2(), |c| {
+            if c.rank() == 2 {
+                panic!("boom");
+            }
+        })
+    })
+    .expect_err("the rank's panic is re-raised");
+    assert_eq!(
+        panic.downcast_ref::<String>().map(String::as_str),
+        Some("simulated rank 2 panicked: boom")
+    );
+    assert_eq!(rank_threads(), first);
+}
+
+#[test]
+fn a_rank_can_simulate_a_world_of_its_own() {
+    let outer = simulate(&SimConfig::new(Mesh2D::new(1, 2), unit()), |c| {
+        let inner = rank_threads();
+        assert!(!inner.contains(&std::thread::current().id()));
+        // The outer world still works around the nested one.
+        ring_exchange(c);
+        inner
+    });
+    let (a, b) = (&outer.results[0], &outer.results[1]);
+    assert!(a.iter().all(|id| !b.contains(id)), "each rank's own set");
+}
+
+#[test]
+fn two_callers_simulate_at_the_same_time() {
+    // Rank 0 of each world waits for the other world's rank 0: both
+    // worlds are provably alive at once.
+    let meet = Arc::new(Barrier::new(2));
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let meet = meet.clone();
+            std::thread::spawn(move || {
+                simulate(&world_2x2(), |c| {
+                    if c.rank() == 0 {
+                        meet.wait();
+                    }
+                    ring_exchange(c);
+                    std::thread::current().id()
+                })
+                .results
+            })
+        })
+        .collect();
+    let worlds: Vec<_> = callers.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(worlds[0].iter().all(|id| !worlds[1].contains(id)));
+}
+
+/// How many armed [`Sentinel`]s have been destroyed, i.e. how many of
+/// the threads that armed one have exited.
+static GONE: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
+
+struct Sentinel(Cell<bool>);
+
+impl Drop for Sentinel {
+    fn drop(&mut self) {
+        if self.0.get() {
+            *GONE.0.lock().unwrap() += 1;
+            GONE.1.notify_all();
+        }
+    }
+}
+
+thread_local! {
+    static SENTINEL: Sentinel = const { Sentinel(Cell::new(false)) };
+}
+
+#[test]
+fn workers_end_when_their_owner_does() {
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let (leave_tx, leave_rx) = std::sync::mpsc::channel::<()>();
+    let owner = std::thread::spawn(move || {
+        for _ in 0..2 {
+            simulate(&world_2x2(), |_| SENTINEL.with(|s| s.0.set(true)));
+        }
+        ready_tx.send(()).unwrap();
+        let _ = leave_rx.recv();
+    });
+    ready_rx.recv().unwrap();
+    // Two worlds have come and gone: their four workers are parked.
+    assert_eq!(*GONE.0.lock().unwrap(), 0);
+    drop(leave_tx);
+    owner.join().unwrap();
+    let (gone, timeout) = GONE
+        .1
+        .wait_timeout_while(GONE.0.lock().unwrap(), Duration::from_secs(10), |n| *n < 4)
+        .unwrap();
+    assert!(!timeout.timed_out(), "{} of 4 workers ended", *gone);
+    assert_eq!(*gone, 4);
+}

@@ -232,7 +232,6 @@ impl Cluster {
     pub fn route_levels(&self, a: usize, b: usize) -> Vec<(LinkId, HopLevel)> {
         let phys = self.phys_mesh();
         route_xy(&phys, self.phys_node(a), self.phys_node(b))
-            .into_iter()
             .map(|l| (l, self.link_level(l)))
             .collect()
     }

@@ -69,19 +69,21 @@ impl Hypercube {
     }
 
     /// E-cube (dimension-ordered) route: fix differing bits from lowest
-    /// to highest dimension. Unique, minimal, deadlock-free.
-    pub fn route(&self, src: usize, dst: usize) -> Vec<CubeLink> {
+    /// to highest dimension. Unique, minimal, deadlock-free; produced as
+    /// it is walked (nothing is allocated).
+    pub fn route(&self, src: usize, dst: usize) -> impl Iterator<Item = CubeLink> {
         debug_assert!(self.contains(src) && self.contains(dst));
-        let mut cur = src;
-        let mut out = Vec::with_capacity((src ^ dst).count_ones() as usize);
-        for dim in 0..self.dims {
-            if (cur ^ dst) & (1 << dim) != 0 {
-                out.push(CubeLink { from: cur, dim });
-                cur ^= 1 << dim;
-            }
-        }
-        debug_assert_eq!(cur, dst);
-        out
+        // Below the bit being fixed the walk is already at `dst`, at
+        // and above it still at `src`.
+        (0..self.dims)
+            .filter(move |dim| (src ^ dst) & (1 << dim) != 0)
+            .map(move |dim| {
+                let fixed = (1usize << dim) - 1;
+                CubeLink {
+                    from: (dst & fixed) | (src & !fixed),
+                    dim,
+                }
+            })
     }
 
     /// The binary-reflected Gray code sequence: a Hamiltonian ring in
@@ -127,7 +129,7 @@ mod tests {
         let c = Hypercube::new(4);
         for src in 0..c.nodes() {
             for dst in 0..c.nodes() {
-                let r = c.route(src, dst);
+                let r: Vec<_> = c.route(src, dst).collect();
                 assert_eq!(r.len(), (src ^ dst).count_ones() as usize);
                 let mut cur = src;
                 for l in &r {
@@ -142,8 +144,7 @@ mod tests {
     #[test]
     fn route_dimension_ordered() {
         let c = Hypercube::new(5);
-        let r = c.route(0, 0b10110);
-        let dims: Vec<u32> = r.iter().map(|l| l.dim).collect();
+        let dims: Vec<u32> = c.route(0, 0b10110).map(|l| l.dim).collect();
         assert_eq!(dims, vec![1, 2, 4]);
     }
 
@@ -179,7 +180,7 @@ mod tests {
             let mut used = std::collections::HashSet::new();
             for i in 0..n {
                 let (src, dst) = (ring[i], ring[(i + 1) % n]);
-                let r = c.route(src, dst);
+                let r: Vec<_> = c.route(src, dst).collect();
                 assert_eq!(r.len(), 1, "ring step must be one hop");
                 assert!(used.insert(c.link_slot(r[0])), "link reused in d={d}");
             }

@@ -12,50 +12,35 @@ use crate::mesh::{Direction, LinkId, Mesh2D, NodeId};
 /// One hop of a route: the directed link traversed.
 pub type RouteStep = LinkId;
 
-/// Computes the XY dimension-ordered route from `src` to `dst` as the list
-/// of directed links traversed, in order. The route for `src == dst` is
-/// empty (a node-local transfer touches no links).
-pub fn route_xy(mesh: &Mesh2D, src: NodeId, dst: NodeId) -> Vec<RouteStep> {
+/// The XY dimension-ordered route from `src` to `dst`: the directed
+/// links traversed, in order, produced as they are walked (nothing is
+/// allocated). The route for `src == dst` is empty (a node-local
+/// transfer touches no links).
+pub fn route_xy(mesh: &Mesh2D, src: NodeId, dst: NodeId) -> impl Iterator<Item = RouteStep> + '_ {
     let a = mesh.coord(src);
     let b = mesh.coord(dst);
-    let mut steps = Vec::with_capacity(a.manhattan(&b));
-    let mut cur = src;
-    // X leg: fix the column first.
+    // X leg: fix the column first. Y leg: then fix the row.
     let xdir = if b.col > a.col {
-        Some(Direction::East)
-    } else if b.col < a.col {
-        Some(Direction::West)
+        Direction::East
     } else {
-        None
+        Direction::West
     };
-    if let Some(dir) = xdir {
-        let hops = a.col.abs_diff(b.col);
-        for _ in 0..hops {
-            steps.push(LinkId { from: cur, dir });
-            cur = mesh
-                .neighbor(cur, dir)
-                .expect("XY route stepped off the mesh");
-        }
-    }
-    // Y leg: then fix the row.
     let ydir = if b.row > a.row {
-        Some(Direction::South)
-    } else if b.row < a.row {
-        Some(Direction::North)
+        Direction::South
     } else {
-        None
+        Direction::North
     };
-    if let Some(dir) = ydir {
-        let hops = a.row.abs_diff(b.row);
-        for _ in 0..hops {
-            steps.push(LinkId { from: cur, dir });
+    let legs = [(xdir, a.col.abs_diff(b.col)), (ydir, a.row.abs_diff(b.row))];
+    let mut cur = src;
+    legs.into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, hops))
+        .map(move |dir| {
+            let step = LinkId { from: cur, dir };
             cur = mesh
                 .neighbor(cur, dir)
                 .expect("XY route stepped off the mesh");
-        }
-    }
-    debug_assert_eq!(cur, dst);
-    steps
+            step
+        })
 }
 
 /// Returns the node reached by following `route` from `src`; used in tests
@@ -75,10 +60,14 @@ pub fn follow(mesh: &Mesh2D, src: NodeId, route: &[RouteStep]) -> Option<NodeId>
 mod tests {
     use super::*;
 
+    fn route(mesh: &Mesh2D, src: NodeId, dst: NodeId) -> Vec<RouteStep> {
+        route_xy(mesh, src, dst).collect()
+    }
+
     #[test]
     fn self_route_is_empty() {
         let m = Mesh2D::new(4, 4);
-        assert!(route_xy(&m, 5, 5).is_empty());
+        assert!(route(&m, 5, 5).is_empty());
     }
 
     #[test]
@@ -86,7 +75,7 @@ mod tests {
         let m = Mesh2D::new(7, 9);
         for s in 0..m.nodes() {
             for d in 0..m.nodes() {
-                let r = route_xy(&m, s, d);
+                let r = route(&m, s, d);
                 assert_eq!(r.len(), m.coord(s).manhattan(&m.coord(d)));
             }
         }
@@ -96,7 +85,7 @@ mod tests {
     fn x_before_y() {
         let m = Mesh2D::new(5, 5);
         // (0,0) -> (2,3): expect 3 east hops then 2 south hops.
-        let r = route_xy(&m, 0, m.id(crate::coord::Coord::new(2, 3)));
+        let r = route(&m, 0, m.id(crate::coord::Coord::new(2, 3)));
         assert_eq!(
             r.iter().map(|s| s.dir).collect::<Vec<_>>(),
             vec![
@@ -112,7 +101,7 @@ mod tests {
     #[test]
     fn neighbor_routes_single_hop() {
         let m = Mesh2D::new(3, 3);
-        let r = route_xy(&m, 4, 5);
+        let r = route(&m, 4, 5);
         assert_eq!(
             r,
             vec![LinkId {
@@ -148,7 +137,7 @@ mod tests {
                 let m = Mesh2D::new(rows, cols);
                 for src in 0..m.nodes() {
                     for dst in 0..m.nodes() {
-                        let r = route_xy(&m, src, dst);
+                        let r = route(&m, src, dst);
                         assert_eq!(follow(&m, src, &r), Some(dst), "{rows}x{cols} {src}->{dst}");
                         assert_eq!(
                             r.len(),

@@ -77,6 +77,15 @@ echo "==> cargo test (under a 900 s timeout)"
 # from cold, the suite itself under one.
 timeout 900 cargo test --workspace -q
 
+echo "==> oversubscribed world pinned to one core (the yield between looks hands the core over)"
+# Pinned, the test sees one core and runs 4 ranks on it: every hop waits
+# for a peer that can only run once the waiting rank gives the core up.
+if command -v taskset >/dev/null; then
+    timeout 120 taskset -c 0 cargo test -p intercom-runtime --test oversubscribed -q
+else
+    echo "SKIPPED: no taskset"
+fi
+
 echo "==> examples (release, each under a 120 s timeout)"
 # The only user-style programs that call Comm::send directly (jacobi's
 # halo edges): a send-ordering deadlock fails here instead of hanging.

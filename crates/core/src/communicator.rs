@@ -653,12 +653,22 @@ mod tests {
 
     #[test]
     fn observe_refits_the_network_level_under_one_version() {
-        let c = SelfComm;
+        // Rank 0's view of a 2×2×4 cluster, so that selection has
+        // something to decide (a recording endpoint needs no peers).
+        let c = crate::trace::RecordingComm::new(0, 16);
         let machine = HierMachine::paragon_cluster();
         let configured = *machine.inter();
-        let mut cc = Communicator::world_on_cluster(&c, machine, &Cluster::linear(1, 1)).unwrap();
+        let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
+        let mut cc = Communicator::world_on_cluster(&c, machine, &cluster).unwrap();
         cc.attach_tuner(AutoTuner::new(configured));
         assert_eq!(cc.tuned().version, 1);
+        // What this thread selects before the refit, and so keeps in
+        // front of the envelope table.
+        let op = CollectiveOp::Broadcast;
+        let picks = |cc: &Communicator<_>| -> Vec<Strategy> {
+            (3..24).map(|e| cc.auto_strategy(op, 1 << e)).collect()
+        };
+        let before = picks(&cc);
         let report = doubled_beta_report(configured);
         let retune = (0..8)
             .find_map(|_| cc.observe(&report))
@@ -670,6 +680,18 @@ mod tests {
         assert_eq!(cc.machine().beta, retune.new_params.beta);
         assert_eq!(th.current.inter().beta, retune.new_params.beta);
         assert_eq!(th.current.intra(), machine.intra());
+        // The same thread's next selections are the refit network's
+        // full ranking, not what it kept from before.
+        let net = th.current.inter();
+        let ranked: Vec<Strategy> = (3..24)
+            .map(|e| {
+                let ctx = intercom_cost::CostContext::linear_with(net);
+                let all = intercom_cost::rank_strategies(op, 16, 1 << e, net, ctx, 0);
+                all.into_iter().next().unwrap().strategy
+            })
+            .collect();
+        assert_eq!(picks(&cc), ranked);
+        assert_ne!(ranked, before);
         let tuner = cc.detach_tuner().unwrap();
         assert_eq!(tuner.version(), th.version);
         assert_eq!(*tuner.tuned(), th);

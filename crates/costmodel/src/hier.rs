@@ -29,7 +29,7 @@
 
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
 use crate::machine::MachineParams;
-use crate::select::{envelope, Space};
+use crate::select::{best_strategy, with_envelope, Space};
 use crate::strategy::Strategy;
 use std::fmt;
 
@@ -513,14 +513,16 @@ fn select_priced(
             let params = machine.level(spec.level as usize);
             let space = spec.space(shape);
             let bytes = spec.bytes(n);
-            let env = envelope(spec.role.cost_op(), space, params, space.context(params));
-            let (strategy, cost) = env.at(bytes);
-            seconds += cost.eval(bytes, params);
-            HierStage {
-                level: spec.level,
-                role: spec.role,
-                strategy: strategy.clone(),
-            }
+            let ctx = space.context(params);
+            with_envelope(spec.role.cost_op(), space, params, ctx, |env| {
+                let (strategy, cost) = env.at(bytes);
+                seconds += cost.eval(bytes, params);
+                HierStage {
+                    level: spec.level,
+                    role: spec.role,
+                    strategy: strategy.clone(),
+                }
+            })
         })
         .collect();
     Some((HierStrategy { shape, stages }, seconds))
@@ -573,18 +575,19 @@ pub fn choose_hier(
 ) -> HierChoice {
     let inter = machine.inter();
     let ctx = CostContext::linear_with(inter);
-    let env = envelope(op, Space::Linear(shape.ranks()), inter, ctx);
-    let (flat, flat_cost) = env.at(n);
+    let flat = Space::Linear(shape.ranks());
+    let flat_seconds = with_envelope(op, flat, inter, ctx, |env| env.at(n).1.eval(n, inter));
     match select_priced(op, shape, n, machine) {
-        Some((h, seconds)) if seconds < flat_cost.eval(n, inter) => HierChoice::Hier(h),
-        _ => HierChoice::Flat(flat.clone()),
+        Some((h, seconds)) if seconds < flat_seconds => HierChoice::Hier(h),
+        // A second lookup, so that a call the hybrid wins clones no
+        // flat strategy (the stages' lookups sit between the two).
+        _ => HierChoice::Flat(best_strategy(op, shape.ranks(), n, inter, ctx)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::best_strategy;
 
     fn cluster_machine() -> HierMachine {
         HierMachine::paragon_cluster()

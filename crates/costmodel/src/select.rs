@@ -14,6 +14,16 @@
 //! process-wide table every rank shares; [`best_strategy`] and
 //! [`best_mesh_strategy`] are a binary search over it, and
 //! [`rank_strategies`] stays the per-call full ranking it must agree with.
+//!
+//! A rank is a thread, and a thread asks for the same few envelopes
+//! call after call, so each thread keeps the ones it used last in a
+//! short list in front of the table: a repeated selection compares keys
+//! there and never reaches the table's lock, hash or reference counts,
+//! which all ranks would otherwise share a cache line for. The list is
+//! keyed like the table, by everything an envelope depends on, the
+//! machine's parameters bit for bit: a refit machine is a different key,
+//! so it misses and cannot be answered from an envelope priced before
+//! the refit, and nothing has to be invalidated.
 
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
 use crate::crossover::crossover_length;
@@ -21,6 +31,7 @@ use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::expr::CostExpr;
 use crate::machine::MachineParams;
 use crate::strategy::{ConflictModel, Strategy};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, LazyLock, PoisonError, RwLock};
@@ -218,6 +229,11 @@ impl fmt::Display for Envelope {
 /// machine's five) enter as their bits, so a refit is simply a new key.
 type Key = (CollectiveOp, Space, ConflictModel, u64, [u64; 5]);
 
+fn key(op: CollectiveOp, space: Space, m: &MachineParams, ctx: CostContext) -> Key {
+    let bits = [m.alpha, m.beta, m.gamma, m.delta, m.link_excess].map(f64::to_bits);
+    (op, space, ctx.model, ctx.link_excess.to_bits(), bits)
+}
+
 /// Refit loops mint a new key per refit; past this many envelopes the
 /// table starts over rather than grow without limit.
 const MAX_ENVELOPES: usize = 1024;
@@ -232,9 +248,10 @@ pub fn envelope(
     machine: &MachineParams,
     ctx: CostContext,
 ) -> Arc<Envelope> {
-    let m = machine;
-    let bits = [m.alpha, m.beta, m.gamma, m.delta, m.link_excess].map(f64::to_bits);
-    let key: Key = (op, space, ctx.model, ctx.link_excess.to_bits(), bits);
+    from_table(key(op, space, machine, ctx), machine, ctx)
+}
+
+fn from_table(key: Key, machine: &MachineParams, ctx: CostContext) -> Arc<Envelope> {
     // A poisoned lock is recovered: inserts and clears leave the map valid.
     if let Some(e) = TABLE
         .read()
@@ -243,6 +260,7 @@ pub fn envelope(
     {
         return e.clone();
     }
+    let (op, space, ..) = key;
     let built = Arc::new(Envelope::build(op, space, *machine, ctx));
     let mut table = TABLE.write().unwrap_or_else(PoisonError::into_inner);
     if table.len() >= MAX_ENVELOPES {
@@ -250,6 +268,56 @@ pub fn envelope(
     }
     // Racing builders of one key all leave with the first insertion.
     table.entry(key).or_insert(built).clone()
+}
+
+/// How many envelopes a thread keeps in front of the table: the ops an
+/// application cycles through on a couple of communicators (a cluster
+/// call asks for one per stage and one flat). A longer cycle evicts
+/// before it returns and pays the table's price plus a scan of the list.
+const FRONT_LEN: usize = 16;
+
+/// One remembered envelope of a thread's front.
+type Slot = Option<(Key, Arc<Envelope>)>;
+
+thread_local! {
+    /// This thread's most recently used envelopes, newest first, empty
+    /// slots last. An inline array: a rank thread's first selection
+    /// comes after the application allocated its buffers, and a heap
+    /// list growing between them cost `thr-large` a 2 MiB block of
+    /// malloc-arena fragmentation in half its runs.
+    static FRONT: RefCell<[Slot; FRONT_LEN]> = const { RefCell::new([const { None }; FRONT_LEN]) };
+}
+
+/// Runs `f` on the envelope [`envelope`] would return. A thread that
+/// asked for the same key before finds it in its own [`FRONT`] by
+/// comparing keys: no lock taken, nothing hashed, no reference count
+/// touched. The whole key is compared, machine bits included, so a
+/// refit misses and goes to the table like any first call. `f` must not
+/// select in turn: the front is borrowed while it runs.
+pub(crate) fn with_envelope<R>(
+    op: CollectiveOp,
+    space: Space,
+    machine: &MachineParams,
+    ctx: CostContext,
+    f: impl FnOnce(&Envelope) -> R,
+) -> R {
+    let key = key(op, space, machine, ctx);
+    FRONT.with_borrow_mut(|front| {
+        let hit = front
+            .iter()
+            .position(|slot| matches!(slot, Some((k, _)) if *k == key));
+        match hit {
+            Some(at) => front[..=at].rotate_right(1),
+            None => {
+                // The last slot, empty or least recently used, comes
+                // first and is overwritten.
+                front.rotate_right(1);
+                front[0] = Some((key, from_table(key, machine, ctx)));
+            }
+        }
+        let (_, env) = front[0].as_ref().expect("a hit, or the slot just filled");
+        f(env)
+    })
 }
 
 /// The cheapest strategy for `op` on `p` linear-array nodes at `n` bytes.
@@ -260,7 +328,9 @@ pub fn best_strategy(
     machine: &MachineParams,
     ctx: CostContext,
 ) -> Strategy {
-    envelope(op, Space::Linear(p), machine, ctx).at(n).0.clone()
+    with_envelope(op, Space::Linear(p), machine, ctx, |env| {
+        env.at(n).0.clone()
+    })
 }
 
 /// The cheapest mesh-aware strategy for `op` on an `rows × cols` physical
@@ -274,8 +344,8 @@ pub fn best_mesh_strategy(
     machine: &MachineParams,
 ) -> Strategy {
     let space = Space::Mesh { rows, cols };
-    let env = envelope(op, space, machine, space.context(machine));
-    env.at(n).0.clone()
+    let ctx = space.context(machine);
+    with_envelope(op, space, machine, ctx, |env| env.at(n).0.clone())
 }
 
 #[cfg(test)]
@@ -358,6 +428,89 @@ mod tests {
         );
         assert_ne!(short.kind, long.kind);
         let _ = seen_hybrid;
+    }
+
+    /// Selection by enumeration: the full ranking's first entry, which
+    /// on a mesh is the first strict minimum over the mesh's candidates.
+    fn pick(op: CollectiveOp, space: Space, n: usize, m: &MachineParams) -> Strategy {
+        let ctx = space.context(m);
+        if let Space::Linear(p) = space {
+            return rank_strategies(op, p, n, m, ctx, 0).swap_remove(0).strategy;
+        }
+        let mut all = space.strategies(0);
+        let costs = all.iter().map(|s| hybrid_cost(op, s, ctx));
+        all.swap_remove(first_min(costs, n, m))
+    }
+
+    fn lookup(op: CollectiveOp, space: Space, n: usize, m: &MachineParams) -> Strategy {
+        match space {
+            Space::Linear(p) => best_strategy(op, p, n, m, space.context(m)),
+            Space::Mesh { rows, cols } => best_mesh_strategy(op, rows, cols, n, m),
+        }
+    }
+
+    /// The lengths one below, at and one above every breakpoint.
+    fn around_breakpoints(op: CollectiveOp, space: Space, m: &MachineParams) -> Vec<usize> {
+        let env = envelope(op, space, m, space.context(m));
+        let mut ns: Vec<usize> = env
+            .intervals()
+            .flat_map(|(n, ..)| [n.saturating_sub(1), n, n + 1])
+            .collect();
+        ns.dedup();
+        ns
+    }
+
+    fn front_keys() -> Vec<Key> {
+        FRONT.with_borrow(|front| front.iter().flatten().map(|(k, _)| *k).collect())
+    }
+
+    #[test]
+    fn front_equals_the_ranking_and_a_refit_never_hits_stale() {
+        let old = MachineParams::PARAGON;
+        let new = old.refit(old.alpha, 2.0 * old.beta);
+        let mut moved = 0;
+        for space in [Space::Linear(30), Space::Mesh { rows: 8, cols: 8 }] {
+            for op in CollectiveOp::ALL {
+                let ns = around_breakpoints(op, space, &old);
+                // This thread's first question about the key misses its
+                // front, the rest hit the entry that miss left first.
+                let k = key(op, space, &old, space.context(&old));
+                assert!(!front_keys().contains(&k));
+                for &n in &ns {
+                    assert_eq!(lookup(op, space, n, &old), pick(op, space, n, &old));
+                    assert_eq!(front_keys()[0], k);
+                }
+                // Same thread, same space, `beta` doubled: the old
+                // entry is still in the front and must not answer.
+                for &n in &ns {
+                    let want = pick(op, space, n, &new);
+                    assert_eq!(lookup(op, space, n, &new), want, "{op:?} {space:?} n={n}");
+                    moved += usize::from(want != pick(op, space, n, &old));
+                }
+                assert!(front_keys().contains(&k));
+            }
+        }
+        assert!(moved > 0, "no pick depends on beta: a stale hit would pass");
+    }
+
+    #[test]
+    fn front_evicts_the_least_recently_used_and_keeps_answering() {
+        let (op, space) = (CollectiveOp::Broadcast, Space::Linear(12));
+        let machines: Vec<MachineParams> = (0..2 * FRONT_LEN + 3)
+            .map(|i| MachineParams::PARAGON.refit(1e-6 * (1 + i) as f64, 1e-9))
+            .collect();
+        for _pass in 0..2 {
+            for m in &machines {
+                for n in [8, 4096, 1 << 20] {
+                    assert_eq!(lookup(op, space, n, m), pick(op, space, n, m));
+                }
+            }
+        }
+        let recent = machines.iter().rev().take(FRONT_LEN);
+        let want: Vec<Key> = recent
+            .map(|m| key(op, space, m, space.context(m)))
+            .collect();
+        assert_eq!(front_keys(), want);
     }
 
     #[test]

@@ -76,11 +76,14 @@ fn steady_pingpong(a: &ThreadComm, peer: usize, bytes: usize, iters: usize) -> f
 
 /// Measures α (small-message ping-pong), β (large-message slope) and γ
 /// (local `f64` summation throughput) on this host. The small message
-/// is an eager pooled copy received by polling; the 1 MiB one takes the
-/// rendezvous path every long-vector hop takes — one copy, straight out
-/// of the sender's buffer — so β is the β collectives see. Takes a
-/// fraction of a second; results are indicative, not statistically
-/// rigorous — exactly the "few parameters" the paper's port needs.
+/// is an eager pooled copy received by polling, and the receiver looks
+/// back to back, so α is what a waiting hop costs on this host (a yield
+/// and the inbox's cache lines crossing cores: ≈0.8 µs on the reference
+/// 2-vCPU guest); the 1 MiB one takes the rendezvous path every
+/// long-vector hop takes — one copy, straight out of the sender's
+/// buffer — so β is the β collectives see. Takes a fraction of a
+/// second; results are indicative, not statistically rigorous — exactly
+/// the "few parameters" the paper's port needs.
 pub fn calibrate() -> Calibration {
     const SMALL: usize = 8;
     const BIG: usize = 1 << 20;

@@ -11,16 +11,18 @@
 //! asserts.
 //!
 //! Wait policy: a receive that finds the queue empty *polls before it
-//! parks*. It looks at a lock-free mirror of the queue length every
-//! [`LOOK_INTERVAL`], giving its core away with `yield_now` between
-//! looks, for at most [`POLL_BUDGET`], and only then sleeps on the
-//! condvar. The mirror is a
-//! hint: every pop, the empty check that precedes a park, and the
-//! parked flag the sender reads live under the mutex, so no wake-up can
-//! be lost. A sender pays the `notify_one` syscall only when the
-//! receiver recorded that it is actually asleep. The poll phase is
-//! [`poll`], which the endpoint's rendezvous completion waits through
-//! as well (over its own hint).
+//! parks*. It looks at a lock-free mirror of the queue length back to
+//! back, giving its core away with `yield_now` between looks, for at
+//! most [`POLL_BUDGET`], and only then sleeps on the condvar. A hop that
+//! has to wait therefore costs what the host charges (a `sched_yield`
+//! and the queue's cache lines moving between two cores), not a constant
+//! of this file. The mirror is a hint (`Relaxed`): every pop, the empty
+//! check that precedes a park, and the parked flag the sender reads live
+//! under the mutex, so no wake-up can be lost whatever the looks saw. A
+//! sender pays the `notify_one` syscall only when the receiver recorded
+//! that it is actually asleep. The poll phase is [`poll`], which the
+//! endpoint's rendezvous completion waits through as well (over its own
+//! hint).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,34 +31,14 @@ use std::time::{Duration, Instant};
 
 /// How long an empty-handed receive polls before it parks. A parked
 /// hand-off costs the sender a futex wake and the receiver a reschedule:
-/// about 18 us one way on the reference 2-vCPU guest, 37 us for the
-/// round trip (`runtime.sendrecv_us.8B` 17.6, `runtime.pingpong_rtt_us.8B`
-/// 36.7 before this policy). Polling for about that long bounds the CPU
-/// a wait can waste at what parking straight away would have cost in
-/// wake-up latency (the ski-rental bound), while a peer that answers
-/// within the budget is seen at the next look instead of after two
-/// context switches.
+/// about 21 us one way on the reference 2-vCPU guest, 47 us for the
+/// round trip (`runtime.sendrecv_us.8B` 21.2, `runtime.pingpong_rtt_us.8B`
+/// 46.6 with this budget set to zero, so that every wait parks at once).
+/// Polling for about that long bounds the CPU a wait can waste at what
+/// parking straight away would have cost in wake-up latency (the
+/// ski-rental bound), while a peer that answers within the budget is
+/// seen at the next look instead of after two context switches.
 const POLL_BUDGET: Duration = Duration::from_micros(40);
-
-/// How far apart the looks of the poll phase are, on a clock grid that
-/// starts with the wait. Between two looks the receiver only calls
-/// `yield_now`, so a peer sharing its core has the core until the next
-/// look is due: the yield, not the budget, is what keeps an
-/// oversubscribed world moving (a 2-rank world pinned to one core runs
-/// the same 11 us round as on two).
-///
-/// The interval buys steadiness with latency. Looking back to back
-/// (four `PAUSE`s per yield) made a hop a handful of cache-line
-/// transfers, 4.3 us for a three-call round of a 2-rank world, but what
-/// those transfers cost moves with where the host schedules the vCPUs:
-/// over ten 30-second runs the quartiles of that round's rate were 4-5 %
-/// apart, which at 220 000 rounds/s is more than the repo's benchmark
-/// can tell from a regression (it holds the quartile distance of a rate
-/// to a fifth of the *parent's* rate). On the grid a hop that has to
-/// wait costs a whole number of intervals whatever the transfers cost:
-/// the same round takes 11.6 us and the quartiles are 1.0 % apart (2.5 %
-/// at 3 us, 1.3 % at 5 us).
-const LOOK_INTERVAL: Duration = Duration::from_micros(4);
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -128,33 +110,28 @@ pub(crate) enum Waited {
     Parked,
 }
 
-/// The poll phase of every wait in this crate: looks at `ready` every
-/// [`LOOK_INTERVAL`] until it holds, [`POLL_BUDGET`] is spent or
-/// `deadline` passes. `ready` reads a lock-free hint; the caller
-/// re-checks under its lock afterwards and parks there if it must. The
-/// clock is first read after one fruitless look, so a wait that is
-/// already over costs none.
-pub(crate) fn poll(ready: impl Fn() -> bool, deadline: Option<Instant>) {
+/// The poll phase of every wait in this crate: looks at `ready` back to
+/// back, yielding between looks, until it holds, [`POLL_BUDGET`] is spent
+/// or `deadline` passes. `ready` reads a lock-free hint; the caller
+/// re-checks under its lock afterwards and parks there if it must, so
+/// nothing depends on what a look saw. The clock is first read after one
+/// fruitless look, so a wait that is already over costs none.
+pub(crate) fn poll(mut ready: impl FnMut() -> bool, deadline: Option<Instant>) {
     if ready() {
         return;
     }
     let start = Instant::now();
     let give_up = deadline.map_or(start + POLL_BUDGET, |d| d.min(start + POLL_BUDGET));
-    let mut look = start;
-    while look < give_up {
-        look = (look + LOOK_INTERVAL).min(give_up);
+    let mut now = start;
+    while now < give_up {
         // Whoever shares this core (the peer we are waiting for, in an
-        // oversubscribed world) runs until the next look is due instead
-        // of after our budget.
-        loop {
-            std::thread::yield_now();
-            if Instant::now() >= look {
-                break;
-            }
-        }
+        // oversubscribed world) gets it now, not after our budget:
+        // `oversubscribed.rs` runs pinned to one core in `ci.sh`.
+        std::thread::yield_now();
         if ready() {
             return;
         }
+        now = Instant::now();
     }
 }
 
@@ -504,6 +481,44 @@ mod tests {
     }
 
     #[test]
+    fn fruitless_poll_looks_back_to_back_for_the_budget() {
+        // The best of many trials, as above. Looks on a 4 us grid could
+        // number no more than 11 in a 40 us budget.
+        let (best, looks) = (0..200)
+            .map(|_| {
+                let mut looks = 0u32;
+                let start = Instant::now();
+                poll(
+                    || {
+                        looks += 1;
+                        false
+                    },
+                    None,
+                );
+                (start.elapsed(), looks)
+            })
+            .min()
+            .unwrap();
+        assert!(best >= POLL_BUDGET, "gave up early: {best:?}");
+        assert!(best < POLL_BUDGET * 4, "polled for {best:?}");
+        assert!(looks > 11, "{looks} looks in {best:?}");
+    }
+
+    #[test]
+    fn poll_past_its_deadline_looks_once() {
+        let past = Instant::now();
+        let mut looks = 0;
+        poll(
+            || {
+                looks += 1;
+                false
+            },
+            Some(past),
+        );
+        assert_eq!(looks, 1);
+    }
+
+    #[test]
     fn disconnect_during_polling_is_reported() {
         let (tx, rx) = channel::<u8>();
         let go = AtomicBool::new(false);
@@ -521,7 +536,6 @@ mod tests {
     /// from polling into parking while sends race it: the parked-flag
     /// protocol must lose no wake-up. Receives are bounded, so a lost
     /// wake-up fails with `Timeout` instead of hanging the suite.
-    /// (`./ci.sh sanitize` runs this under ThreadSanitizer.)
     #[test]
     fn racing_producers_lose_no_wakeup() {
         const PRODUCERS: u64 = 8;

@@ -82,17 +82,23 @@ impl Completion {
 
     /// Blocks until the receiver is finished with the borrowed bytes,
     /// or `timeout` elapses: polls the hint through the inbox's own
-    /// wait policy, then parks on the condvar. On timeout the window is
-    /// *withdrawn* (marked `Abandoned` under the same lock the receiver
-    /// copies under), so a late receiver can never dereference the
-    /// borrow after this frame returns; `peer`/`tag` label the
-    /// resulting [`CommError::Timeout`].
+    /// wait policy, then parks on the condvar. Like `take_matching` it
+    /// looks before it reads the clock: an exchange's receive half has
+    /// usually let the peer copy already, and a wait that is over needs
+    /// no deadline. On timeout the window is *withdrawn* (marked
+    /// `Abandoned` under the same lock the receiver copies under), so a
+    /// late receiver can never dereference the borrow after this frame
+    /// returns; `peer`/`tag` label the resulting [`CommError::Timeout`].
     fn wait(&self, timeout: Duration, peer: usize, tag: Tag) -> Result<Waited> {
-        let deadline = Instant::now() + timeout;
-        poll(|| self.settled.load(Ordering::Relaxed), Some(deadline));
+        let settled = || self.settled.load(Ordering::Relaxed);
+        let mut deadline = None;
+        if !settled() {
+            poll(settled, Some(*deadline.insert(Instant::now() + timeout)));
+        }
         let mut waited = Waited::Polled;
         let mut st = self.lock();
         while *st == CopyState::Pending {
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
             let Some(remaining) = deadline
                 .checked_duration_since(Instant::now())
                 .filter(|d| !d.is_zero())

@@ -5,6 +5,7 @@
 //!
 //! Run: `cargo run --release --example tune_host`
 
+use intercom_cost::select::{envelope, Space};
 use intercom_cost::{best_strategy, CollectiveOp, CostContext, MachineParams};
 use intercom_runtime::calibrate;
 
@@ -15,7 +16,7 @@ fn main() {
     let cal = calibrate();
     let host = cal.machine();
     println!(
-        "measured:  alpha = {:>10.3} us   (steady-state hop, received by polling; Paragon: {:.0} us)",
+        "measured:  alpha = {:>10.3} us   (steady-state hop, received by polling back to back; Paragon: {:.0} us)",
         host.alpha * 1e6,
         MachineParams::PARAGON.alpha * 1e6
     );
@@ -52,6 +53,26 @@ fn main() {
             here.to_string()
         );
     }
+    // Where the short-vector algorithm stops winning: the envelope's
+    // first breakpoint.
+    let crossover = |m: &MachineParams| {
+        let env = envelope(
+            CollectiveOp::Broadcast,
+            Space::Linear(32),
+            m,
+            CostContext::LINEAR,
+        );
+        let mut first = env.intervals().map(|(n, ..)| n).filter(|&n| n > 0);
+        first
+            .next()
+            .map_or("never".to_string(), |n| format!("{n} B"))
+    };
+    println!(
+        "\nshort→long crossover: Paragon {}, this host {} (α/β = {:.0} B)",
+        crossover(&MachineParams::PARAGON),
+        crossover(&host),
+        host.alpha / host.beta
+    );
     println!(
         "\nhigher α/β ratios push the short→long crossover to larger\n\
          messages — the same library, retuned with three numbers (§11)."

@@ -2,12 +2,13 @@
 //!
 //! The point-to-point layer moves bytes; collectives are generic over
 //! element types. [`Scalar`] is a sealed trait over the fixed-size
-//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views,
-//! a typed view of the word arena the collectives borrow their
-//! workspace from, and the element-wise ⊕ of the combining collectives
-//! (every transportable type is numeric, so every one combines). The
-//! crate's only `unsafe` blocks live here, justified by the sealed-POD
-//! bound.
+//! primitive numeric types, providing zero-copy `&[T] ↔ &[u8]` views
+//! (bytes back to elements only where they happen to be aligned: a
+//! combining receive reads a lent window that way), a typed view of the
+//! word arena the collectives borrow their workspace from, and the
+//! element-wise ⊕ of the combining collectives (every transportable
+//! type is numeric, so every one combines). The crate's only `unsafe`
+//! blocks live here, justified by the sealed-POD bound.
 
 use crate::op::ReduceOp;
 use std::ops::{Add, Mul};
@@ -50,6 +51,20 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed 
         }
     }
 
+    /// Views bytes that hold whole elements as those elements, where
+    /// they lie: `None` when the region is not aligned for `Self` or its
+    /// length is not a multiple of [`Scalar::SIZE`] (a window onto
+    /// another rank's bytes promises neither; the caller copies then).
+    fn from_bytes(bytes: &[u8]) -> Option<&[Self]> {
+        // SAFETY: every bit pattern is a valid `Self` for the sealed
+        // POD implementors, so the aligned middle `align_to` returns is
+        // a valid `&[Self]` over initialized bytes.
+        match unsafe { bytes.align_to::<Self>() } {
+            ([], elems, []) => Some(elems),
+            _ => None,
+        }
+    }
+
     /// Views the front of a word arena as `len` elements of workspace,
     /// growing the arena first if it is too short. The arena only ever
     /// grows and is never re-zeroed: the view holds whatever an earlier
@@ -67,6 +82,17 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed 
         // bit pattern is a valid `Self` for the sealed POD implementors;
         // the view borrows the arena mutably for its whole lifetime.
         unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr().cast::<Self>(), len) }
+    }
+}
+
+/// The mutable twin of [`Scalar::from_bytes`], for handing a typed
+/// buffer that travelled as [`Scalar::as_bytes_mut`] back to its owner.
+pub(crate) fn typed_mut<T: Scalar>(bytes: &mut [u8]) -> Option<&mut [T]> {
+    // SAFETY: as in `from_bytes`; every bit pattern being a valid `T`
+    // also makes every write through the typed view a valid byte state.
+    match unsafe { bytes.align_to_mut::<T>() } {
+        ([], elems, []) => Some(elems),
+        _ => None,
     }
 }
 
@@ -121,6 +147,23 @@ mod tests {
         let mut dst = [0.0f32; 3];
         <f32 as Scalar>::as_bytes_mut(&mut dst).copy_from_slice(<f32 as Scalar>::as_bytes(&src));
         assert_eq!(src, dst);
+    }
+
+    #[test]
+    fn from_bytes_views_aligned_whole_elements_only() {
+        let v = [1.5f64, -2.0, 3.25];
+        let bytes = <f64 as Scalar>::as_bytes(&v);
+        assert_eq!(<f64 as Scalar>::from_bytes(bytes), Some(&v[..]));
+        assert_eq!(<f64 as Scalar>::from_bytes(&bytes[..0]), Some(&v[..0]));
+        // Off by one byte: misaligned; one byte short: a torn element.
+        assert_eq!(<f64 as Scalar>::from_bytes(&bytes[1..17]), None);
+        assert_eq!(<f64 as Scalar>::from_bytes(&bytes[..23]), None);
+        assert_eq!(<u8 as Scalar>::from_bytes(&bytes[1..4]).unwrap().len(), 3);
+        let mut w = [7i32, 8];
+        let view = typed_mut::<i32>(<i32 as Scalar>::as_bytes_mut(&mut w)).unwrap();
+        view[1] = 9;
+        assert_eq!(w, [7, 9]);
+        assert!(typed_mut::<i32>(&mut <i32 as Scalar>::as_bytes_mut(&mut w)[1..5]).is_none());
     }
 
     #[test]

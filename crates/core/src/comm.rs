@@ -6,20 +6,29 @@
 //! blocking send/receive/send-receive triple plus two accounting hooks
 //! the timing backends use (`compute` for the γ term, `call_overhead`
 //! for the δ recursion overhead of §7.2). Real backends implement the
-//! data movement; the accounting hooks default to no-ops.
+//! data movement; the accounting hooks default to no-ops. Two provided
+//! methods, [`Comm::recv_with`] and [`Comm::sendrecv_with`], let a
+//! backend that can lend the arrived bytes hand them to the combining
+//! collectives' fold where they lie; a port that leaves them alone
+//! behaves exactly as one written before they existed.
 //!
 //! [`GroupComm`] layers the paper's §9 group abstraction on top: an
 //! ordered member list provides the logical-to-physical mapping, so every
 //! collective algorithm is written once in logical ranks and runs
 //! unchanged on the whole machine, a mesh row, or an arbitrary group.
 
-use crate::cast::Scalar;
+use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 
 /// Message tag disambiguating concurrent traffic between the same pair of
 /// nodes. Matching is FIFO per `(source, tag)`.
 pub type Tag = u64;
+
+/// What a [`Comm::recv_with`] / [`Comm::sendrecv_with`] call does with
+/// its message: called with the receive buffer and, when the backend
+/// lends them instead of filling it, the arrived bytes where they lie.
+pub type Sink<'a> = dyn FnMut(&mut [u8], Option<&[u8]>) + 'a;
 
 /// Blocking point-to-point communication endpoint of one node.
 ///
@@ -79,6 +88,45 @@ pub trait Comm {
         }
         self.send(to, stag, data)?;
         self.recv(from, rtag, buf)
+    }
+
+    /// [`Comm::recv`] with a consumer: on success the backend calls
+    /// `sink` exactly once, either after filling `buf` (`sink(buf,
+    /// None)`) or with the arrived bytes where they lie and `buf`
+    /// untouched (`sink(buf, Some(window))`); on `Err` it never does.
+    /// A combining hop hands its fold in here, so a backend that can
+    /// lend the sender's bytes (the threaded one, above its rendezvous
+    /// threshold) folds straight out of them instead of copying them
+    /// into `buf` first. The window promises no alignment.
+    ///
+    /// The default is `recv` then `sink(buf, None)`: a backend or
+    /// wrapper that implements only `send` / `recv` / `sendrecv` issues
+    /// exactly the calls it would without this method, in the same
+    /// order. A wrapper that wants the inner backend's in-place path
+    /// forwards this method too. (`#[inline]`: left out of line the
+    /// default costs a null-transport ring step 3 ns of its 4.)
+    #[inline]
+    fn recv_with(&self, from: usize, tag: Tag, buf: &mut [u8], sink: &mut Sink<'_>) -> Result<()> {
+        self.recv(from, tag, buf)?;
+        sink(buf, None);
+        Ok(())
+    }
+
+    /// [`Comm::sendrecv`] with a consumer for the receive half; the
+    /// contract and the default are [`Comm::recv_with`]'s.
+    #[inline]
+    fn sendrecv_with(
+        &self,
+        to: usize,
+        data: &[u8],
+        from: usize,
+        buf: &mut [u8],
+        tag: Tag,
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        self.sendrecv(to, data, from, buf, tag)?;
+        sink(buf, None);
+        Ok(())
     }
 
     /// Accounts local combine work over `bytes` bytes (γ term). Real
@@ -286,6 +334,49 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
         )
     }
 
+    /// Typed [`Comm::recv_with`]: `sink` runs exactly once on success,
+    /// with `buf` filled and `None`, or with `buf` untouched and the
+    /// arrived elements where they lie. A window the backend lends that
+    /// is not aligned for `T` is copied into `buf` first.
+    #[inline]
+    pub fn recv_with<T: Scalar>(
+        &self,
+        from: usize,
+        tag: Tag,
+        buf: &mut [T],
+        sink: impl FnMut(&mut [T], Option<&[T]>),
+    ) -> Result<()> {
+        self.check(from)?;
+        lend_typed(buf, sink, |bytes, sink| {
+            self.comm.recv_with(self.members[from], tag, bytes, sink)
+        })
+    }
+
+    /// Typed [`Comm::sendrecv_with`]; see [`GroupComm::recv_with`].
+    #[inline]
+    pub fn sendrecv_with<T: Scalar>(
+        &self,
+        to: usize,
+        data: &[T],
+        from: usize,
+        buf: &mut [T],
+        tag: Tag,
+        sink: impl FnMut(&mut [T], Option<&[T]>),
+    ) -> Result<()> {
+        self.check(to)?;
+        self.check(from)?;
+        lend_typed(buf, sink, |bytes, sink| {
+            self.comm.sendrecv_with(
+                self.members[to],
+                T::as_bytes(data),
+                self.members[from],
+                bytes,
+                tag,
+                sink,
+            )
+        })
+    }
+
     /// γ-accounting passthrough (in element bytes).
     pub fn compute(&self, bytes: usize) {
         self.comm.compute(bytes);
@@ -308,9 +399,57 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// γ-accounting the combining collectives charge per fold.
     pub fn fold<T: Elem>(&self, op: ReduceOp, acc: &mut [T], other: &[T]) {
         op.fold_into(acc, other);
+        self.folded(acc, other);
+    }
+
+    /// [`GroupComm::fold`] of `other` into an `acc` whose contents are
+    /// still where they arrived: `acc = arrived ⊕ other` in one pass,
+    /// the hooks those of the fold.
+    pub(crate) fn fold_arrived<T: Elem>(
+        &self,
+        op: ReduceOp,
+        acc: &mut [T],
+        arrived: &[T],
+        other: &[T],
+    ) {
+        op.combine_into(acc, arrived, other);
+        self.folded(acc, other);
+    }
+
+    /// The hooks of a fold of `other` into `acc`.
+    fn folded<T: Elem>(&self, acc: &[T], other: &[T]) {
         self.comm.local_reduce(T::as_bytes(acc), T::as_bytes(other));
         self.comm.compute(std::mem::size_of_val(acc));
     }
+}
+
+/// Runs a byte-level `*_with` call (`call`) for a typed buffer and a
+/// typed `sink`. A lent window that views as `T` goes to `sink` where
+/// it lies; otherwise `buf` holds the message when `call` returns
+/// (copied here if the window was misaligned) and `sink` runs on it
+/// then, from the typed side — so the filled-buffer case, the only one
+/// a backend without a window path has, never converts a view back.
+#[inline]
+fn lend_typed<T: Scalar>(
+    buf: &mut [T],
+    mut sink: impl FnMut(&mut [T], Option<&[T]>),
+    call: impl FnOnce(&mut [u8], &mut Sink<'_>) -> Result<()>,
+) -> Result<()> {
+    let mut filled = true;
+    call(T::as_bytes_mut(buf), &mut |bytes, window| {
+        let Some(window) = window else { return };
+        match (T::from_bytes(window), typed_mut::<T>(bytes)) {
+            (Some(arrived), Some(buf)) => {
+                sink(buf, Some(arrived));
+                filled = false;
+            }
+            _ => bytes.copy_from_slice(window),
+        }
+    })?;
+    if filled {
+        sink(buf, None);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

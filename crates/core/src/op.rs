@@ -30,6 +30,20 @@ impl ReduceOp {
             *a = T::combine(*self, *a, b);
         }
     }
+
+    /// The three-operand form: `out[i] = a[i] ⊕ b[i]`, `out`'s contents
+    /// ignored. With `a` an arrived vector read where it lies this is
+    /// `out.copy_from_slice(a); fold_into(out, b)` in one pass, operand
+    /// order and therefore bits included. Panics if lengths differ.
+    pub fn combine_into<T: Elem>(&self, out: &mut [T], a: &[T], b: &[T]) {
+        assert!(
+            out.len() == a.len() && a.len() == b.len(),
+            "combine length mismatch"
+        );
+        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+            *o = T::combine(*self, a, b);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -48,6 +62,31 @@ mod tests {
         let mut a = [2.0f64, 3.0];
         ReduceOp::Prod.fold_into(&mut a, &[4.0, 5.0]);
         assert_eq!(a, [8.0, 15.0]);
+    }
+
+    #[test]
+    fn combine_into_is_copy_then_fold_bit_for_bit() {
+        // Operand order matters for the bits of a float max/min over
+        // signed zeros and NaNs: the one-pass form must keep it.
+        let a = [0.0f64, -0.0, f64::NAN, 1.5, 1e308];
+        let b = [-0.0f64, 0.0, 2.0, f64::NAN, 1e308];
+        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
+            let mut staged = a;
+            op.fold_into(&mut staged, &b);
+            let mut fused = [7.0f64; 5];
+            op.combine_into(&mut fused, &a, &b);
+            assert_eq!(fused.map(f64::to_bits), staged.map(f64::to_bits), "{op:?}");
+        }
+        let mut out = [0u8; 2];
+        ReduceOp::Sum.combine_into(&mut out, &[200, 1], &[100, 2]);
+        assert_eq!(out, [44, 3]);
+        ReduceOp::Min.combine_into::<i32>(&mut [], &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn mismatched_combine_into_panics() {
+        ReduceOp::Sum.combine_into(&mut [0u32; 2], &[1, 2], &[1]);
     }
 
     #[test]

@@ -143,8 +143,9 @@ pub fn mst_reduce<T: Elem, C: Comm + ?Sized>(
             gc.send(lvl.root, tag, buf)?;
         } else if me == lvl.root {
             let arrived = &mut scratch[..buf.len()];
-            gc.recv(lvl.other, tag, arrived)?;
-            gc.fold(op, buf, arrived);
+            gc.recv_with(lvl.other, tag, arrived, |arrived, lent| {
+                gc.fold(op, buf, lent.unwrap_or(arrived))
+            })?;
         }
     }
     Ok(())

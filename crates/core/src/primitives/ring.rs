@@ -55,7 +55,9 @@ pub fn ring_collect<T: Scalar, C: Comm + ?Sized>(
 /// accumulates as it circulates — the collect "executed in reverse,
 /// where the buckets are used to accumulate contributions." `bucket`
 /// receives each arriving block: at least as long as the largest one,
-/// its contents ignored.
+/// its contents ignored — and left as they were by a backend that lends
+/// the arrived bytes ([`crate::Comm::sendrecv_with`]): the fold then
+/// reads them where they lie.
 pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     buf: &mut [T],
@@ -77,9 +79,10 @@ pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
         let sb = (me + p - t - 1) % p; // partially-combined block sent on
         let rb = (me + p - t - 2) % p; // bucket arriving from the left
         let recv = &mut bucket[..blocks[rb].len()];
-        gc.sendrecv(right, &buf[blocks[sb].clone()], left, recv, tag)?;
-        let dst = &mut buf[blocks[rb].clone()];
-        gc.fold(op, dst, recv);
+        let (send, dst) = disjoint_pair(buf, blocks[sb].clone(), blocks[rb].clone());
+        gc.sendrecv_with(right, send, left, recv, tag, |recv, lent| {
+            gc.fold(op, dst, lent.unwrap_or(recv))
+        })?;
     }
     Ok(())
 }
@@ -125,8 +128,10 @@ pub fn ring_reduce_scatter_into<T: Elem, C: Comm + ?Sized>(
         } else {
             &mut *arriving
         };
-        gc.sendrecv(right, send, left, recv, tag)?;
-        gc.fold(op, recv, block(rb));
+        gc.sendrecv_with(right, send, left, recv, tag, |recv, lent| match lent {
+            Some(arrived) => gc.fold_arrived(op, recv, arrived, block(rb)),
+            None => gc.fold(op, recv, block(rb)),
+        })?;
         std::mem::swap(&mut arriving, &mut leaving);
     }
     Ok(())

@@ -469,6 +469,12 @@ pub fn ingest_counters(backend: &str, c: &Counters) {
     reg.counter_add("intercom_reduce_steps_total", l, c.reduce_steps);
     reg.counter_add("intercom_pool_hits_total", l, c.pool_hits);
     reg.counter_add("intercom_pool_misses_total", l, c.pool_misses);
+    reg.counter_add("intercom_windows_in_place_total", l, c.windows_in_place);
+    reg.counter_add(
+        "intercom_sender_copied_chunks_total",
+        l,
+        c.sender_copied_chunks,
+    );
     for (kind, n) in [("polled", c.polled_waits), ("parked", c.parked_waits)] {
         let l = &[("backend", backend), ("kind", kind)][..];
         reg.counter_add("intercom_waits_total", l, n);

@@ -111,10 +111,19 @@ pub struct Counters {
     /// Receives that polled out their budget and parked on the inbox
     /// condvar (threaded backend; a futex wake and a reschedule).
     pub parked_waits: u64,
+    /// Receives whose consumer ran on the sender's bytes where they lay
+    /// (threaded backend: a combining hop at or above the rendezvous
+    /// threshold; its receive buffer was never written).
+    pub windows_in_place: u64,
+    /// Pieces of a receiver's copy that this rank, the blocked sender
+    /// of the window, copied itself (threaded backend, plain receives
+    /// of long windows).
+    pub sender_copied_chunks: u64,
     /// Seconds spent blocked waiting for a peer (recv with no matching
     /// message yet, rendezvous completion waits).
     pub wait_secs: f64,
-    /// Seconds spent actually moving bytes (payload copies in and out).
+    /// Seconds spent actually moving bytes (payload copies in and out,
+    /// and the fold a receive ran on its bytes: [`Self::windows_in_place`]).
     pub transfer_secs: f64,
 }
 
@@ -156,6 +165,8 @@ impl Counters {
         self.aborts += other.aborts;
         self.polled_waits += other.polled_waits;
         self.parked_waits += other.parked_waits;
+        self.windows_in_place += other.windows_in_place;
+        self.sender_copied_chunks += other.sender_copied_chunks;
         self.wait_secs += other.wait_secs;
         self.transfer_secs += other.transfer_secs;
     }

@@ -12,6 +12,7 @@ use crate::endpoint::ThreadComm;
 use crate::world::run_world;
 use intercom::Comm;
 use intercom_cost::MachineParams;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Measured point-to-point characteristics of the threaded backend.
@@ -40,14 +41,24 @@ impl Calibration {
     }
 }
 
-/// One-way time per message of `iters` ping-pong exchanges under tags
-/// `first_tag..`.
-fn pingpong(a: &ThreadComm, peer: usize, bytes: usize, first_tag: u64, iters: usize) -> f64 {
+/// Time per hop of `iters` hops of `bytes` bytes under tags
+/// `first_tag..`: the two one-way hops of a ping-pong, or with
+/// `exchange` one `sendrecv` in which both ranks send and receive.
+fn hops(
+    a: &ThreadComm,
+    peer: usize,
+    bytes: usize,
+    exchange: bool,
+    first_tag: u64,
+    iters: usize,
+) -> f64 {
     let payload = vec![0u8; bytes];
     let mut buf = vec![0u8; bytes];
     let start = Instant::now();
     for tag in first_tag..first_tag + iters as u64 {
-        if a.rank() == 0 {
+        if exchange {
+            a.sendrecv(peer, &payload, peer, &mut buf, tag).unwrap();
+        } else if a.rank() == 0 {
             a.send(peer, tag, &payload).unwrap();
             a.recv(peer, tag, &mut buf).unwrap();
         } else {
@@ -55,19 +66,20 @@ fn pingpong(a: &ThreadComm, peer: usize, bytes: usize, first_tag: u64, iters: us
             a.send(0, tag, &payload).unwrap();
         }
     }
-    start.elapsed().as_secs_f64() / (2.0 * iters as f64)
+    let per_iter = if exchange { 1.0 } else { 2.0 };
+    start.elapsed().as_secs_f64() / (per_iter * iters as f64)
 }
 
-/// Median over [`BATCHES`] timed batches of `iters` exchanges, after one
+/// Median over [`BATCHES`] timed batches of `iters` [`hops`], after one
 /// untimed batch. The warm-up absorbs thread-start skew, the first pool
 /// misses and the first parked wake-ups (tens of microseconds each,
 /// against a steady-state hop of about one); the median drops a batch
 /// the scheduler preempted.
-fn steady_pingpong(a: &ThreadComm, peer: usize, bytes: usize, iters: usize) -> f64 {
+fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters: usize) -> f64 {
     const BATCHES: usize = 5;
     let mut times = [0.0; BATCHES + 1];
     for (batch, t) in times.iter_mut().enumerate() {
-        *t = pingpong(a, peer, bytes, (batch * iters) as u64, iters);
+        *t = hops(a, peer, bytes, exchange, (batch * iters) as u64, iters);
     }
     let timed = &mut times[1..];
     timed.sort_by(f64::total_cmp);
@@ -79,17 +91,31 @@ fn steady_pingpong(a: &ThreadComm, peer: usize, bytes: usize, iters: usize) -> f
 /// is an eager pooled copy received by polling, and the receiver looks
 /// back to back, so α is what a waiting hop costs on this host (a yield
 /// and the inbox's cache lines crossing cores: ≈0.8 µs on the reference
-/// 2-vCPU guest); the 1 MiB one takes the rendezvous path every
-/// long-vector hop takes — one copy, straight out of the sender's
-/// buffer — so β is the β collectives see. Takes a fraction of a
-/// second; results are indicative, not statistically rigorous — exactly
-/// the "few parameters" the paper's port needs.
+/// 2-vCPU guest). The 1 MiB point is an *exchange*, because that is
+/// what the long-vector stages β prices are made of: every ring step is
+/// a `sendrecv` in which each rank consumes its neighbour's window — one
+/// pass over the bytes, straight out of the sender's buffer — with its
+/// own core, while its peer's core is busy doing the same. A one-way
+/// 1 MiB hop is about twice as fast (the blocked sender copies half of
+/// its own window) and would make every ring look cheaper than it runs;
+/// what that leaves unpriced is the MST stages' one-way long hops
+/// (ROADMAP item 3). Takes a fraction of a second; results are
+/// indicative, not statistically rigorous — exactly the "few
+/// parameters" the paper's port needs.
 pub fn calibrate() -> Calibration {
     const SMALL: usize = 8;
     const BIG: usize = 1 << 20;
+    // One at a time: an exchange keeps both of its ranks busy, so two
+    // calibrations at once would measure each other, not the host.
+    static CALIBRATING: Mutex<()> = Mutex::new(());
+    let _one_at_a_time = CALIBRATING.lock().unwrap_or_else(|p| p.into_inner());
+    // With a single core there is no second one to keep busy: an
+    // exchange is then two copies in a row, which says nothing about
+    // either, and the one-way hop is the one copy it always was.
+    let exchange = std::thread::available_parallelism().map_or(1, usize::from) > 1;
     let times = run_world(2, |c| {
-        let t_small = steady_pingpong(c, 1 - c.rank(), SMALL, 256);
-        let t_big = steady_pingpong(c, 1 - c.rank(), BIG, 8);
+        let t_small = steady_hops(c, 1 - c.rank(), SMALL, false, 256);
+        let t_big = steady_hops(c, 1 - c.rank(), BIG, exchange, 8);
         (t_small, t_big)
     });
     let (t_small, t_big) = times[0];

@@ -11,49 +11,126 @@
 //! asserted by the `alloc_free` integration test.
 //!
 //! That is the *eager* path, taken below
-//! [`DEFAULT_RENDEZVOUS_THRESHOLD`] and for self-sends. At or above the
-//! threshold `send` and `sendrecv` skip buffering entirely: the mailbox
-//! carries a borrowed window onto the sender's buffer, the receiver
-//! copies straight from it, and the sender blocks (polling before it
-//! parks, like the inbox) until that copy is signalled — one memcpy per
-//! hop instead of two, which is what bounds every long-vector
-//! primitive. A large `send` therefore completes only once the receiver
-//! has posted the matching receive, which the [`Comm`] contract allows
-//! and the schedule verifier proves deadlock-free.
+//! [`DEFAULT_RENDEZVOUS_THRESHOLD`] and for self-sends: two passes over
+//! the bytes (copy in, copy out), the sender never waits. At or above
+//! the threshold `send` and `sendrecv` skip buffering entirely: the
+//! mailbox carries a borrowed window onto the sender's buffer, and the
+//! sender blocks (polling before it parks, like the inbox) until the
+//! receiver is finished with it. Who touches a long message, and how
+//! many times:
+//!
+//! * a **combining** receive ([`Comm::recv_with`] /
+//!   [`Comm::sendrecv_with`], the ring and MST combines) hands its fold
+//!   the window where it lies: one pass, `acc ⊕= window`, by the
+//!   receiver; the receive buffer is not written at all. The model's
+//!   `nβ + nγ` hop is the two operand streams of that one pass.
+//! * a **plain** receive copies the window into its buffer: one pass,
+//!   and from two [`COPY_CHUNK`]s up the blocked sender — which would
+//!   otherwise spend the copy polling — takes pieces of it too, so a
+//!   one-way hop (an MST broadcast, scatter or gather level) runs on
+//!   both of its cores. In an exchange each rank first copies what it
+//!   receives and then helps with what is left of what it sent.
+//!
+//! A large `send` therefore completes only once the receiver has
+//! posted the matching receive, which the [`Comm`] contract allows and
+//! the schedule verifier proves deadlock-free. The protocol, its states
+//! and what its `unsafe` blocks rely on are at [`Completion`].
 
 use crate::chan::{poll, Receiver, RecvTimeoutError, Sender, Waited};
+use intercom::comm::Sink;
 use intercom::faults::POISON_TAG;
 use intercom::{AbortCause, AbortInfo, BufferPool, Comm, CommError, PoolStats, Result, Tag};
 use intercom_obs::{EventKind, Recorder, TraceEvent};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Size at or above which `send` and `sendrecv` payloads skip the
-/// pooled copy entirely: the receiver copies straight out of the
+/// pooled copy entirely: the receiver consumes them straight out of the
 /// sender's buffer (rendezvous), halving the per-hop memcpy volume for
 /// the bandwidth-bound regime. Below it, the eager pooled copy wins —
 /// the sender never waits on its peer.
 pub const DEFAULT_RENDEZVOUS_THRESHOLD: usize = 32 * 1024;
 
-/// Completion flag of a borrowed (zero-copy) payload.
+/// Size of the pieces a shared copy is cut into; a plain receive shares
+/// the copy of a window of at least two of them with its blocked sender
+/// (below that there is nothing to share). Both sides take pieces off
+/// one counter, so a piece is also the longest either waits for the
+/// other at the end of a copy, and every piece costs its taker one
+/// contended increment. Measured on the reference 2-vCPU guest, 2-rank
+/// one-way hops, p10 of 280 rounds over three runs, in us (parent: the
+/// receiver copying alone):
+///
+/// | piece   | 128 KiB hop | 256 KiB hop | 1 MiB hop | 4 MiB hop |
+/// |---------|-------------|-------------|-----------|-----------|
+/// | parent  | 9.8-13.0    | 13.4-15.6   | 56-86     | 287-344   |
+/// | 32 KiB  | 6.2-6.5     | 7.9-8.3     | 29.5-30.2 | 136-140   |
+/// | 64 KiB  | 5.9-6.4     | 7.5-7.8     | 27.9-28.3 | 128-132   |
+/// | 128 KiB | 9.6-9.9 (*) | 9.6-9.8     | 26.5-27.0 | 124-127   |
+/// | 256 KiB | (*)         | 12.6-13.0 (*) | 26.2-26.5 | 123-129 |
+/// | 1 MiB   | (*)         | (*)         | 67-77 (*) | 146-151   |
+///
+/// (*) under two pieces: not shared. From 64 KiB down the longest hops
+/// start to pay for the increments, from 128 KiB up the mid-sized ones
+/// lose the second core.
+const COPY_CHUNK: usize = 64 * 1024;
+
+/// Completion flag of a borrowed (zero-copy) payload, and the meeting
+/// point of the two ranks that may copy it.
+///
+/// The window protocol, every state change under `state`'s mutex:
+///
+/// * `Pending` -> `Copied`: the receiver consumed the window under the
+///   lock (a fused sink, or a copy too short to share).
+/// * `Pending` -> `Claimed` -> `Copied`: a plain receive published its
+///   destination (`dst`) and both ranks copy pieces, off the lock, until
+///   `copied` reaches the piece count; whoever copies the last piece
+///   marks `Copied` and notifies.
+/// * `Pending` -> `Abandoned`: the sender's deadline passed (it
+///   *withdraws* the window) or the receiver dropped it unconsumed.
+///
+/// Invariants the `unsafe` below leans on: a window or a destination is
+/// dereferenced only under the lock while `Pending`, or between the
+/// claim and `Copied` by the two frames that hold them (`consume` and
+/// `wait`), neither of which returns before `Copied`; a timeout
+/// withdraws from `Pending` only, so after a claim the sender's wait is
+/// bounded by the copy itself; and nothing between claim and `Copied`
+/// can fail or panic on either side (memcpy and atomics), so `Abandoned`
+/// is reachable from `Pending` only.
 struct Completion {
     state: Mutex<CopyState>,
     done: Condvar,
-    /// Whether `state` has left `Pending`: stored under the mutex by
-    /// whoever changes the state, read without it by the polling
-    /// sender. Like the inbox's length mirror it carries no data (the
-    /// sender re-reads `state` under the lock), so `Relaxed` is enough.
-    settled: AtomicBool,
+    /// Mirror of `state`: stored under the mutex by whoever changes the
+    /// state, read without it by a polling rank. Like the inbox's
+    /// length mirror it carries no data (every reader re-reads `state`
+    /// under the lock before acting), so `Relaxed` is enough.
+    hint: AtomicU8,
+    /// Where a claimed copy lands. Stored by the receiver under the
+    /// mutex before the state turns `Claimed`, loaded by the sender
+    /// under it after seeing `Claimed`: the mutex orders the two.
+    dst: AtomicPtr<u8>,
+    /// Next piece of a claimed copy to hand out. `Relaxed`: it
+    /// publishes nothing, the read-modify-write alone makes every index
+    /// go to exactly one taker.
+    next: AtomicUsize,
+    /// Pieces of a claimed copy finished. `AcqRel`: the increment that
+    /// reaches the piece count acquires every earlier one, so whoever
+    /// marks `Copied` (and, through the mutex, whoever then reads it)
+    /// sees every piece's bytes.
+    copied: AtomicUsize,
 }
 
 #[derive(Clone, Copy, PartialEq)]
+#[repr(u8)]
 enum CopyState {
     Pending,
+    /// A plain receive took the window; sender and receiver are copying.
+    Claimed,
     Copied,
-    /// Dropped unconsumed (receiver died or errored before copying).
+    /// Withdrawn by its sender's timeout, or dropped unconsumed
+    /// (receiver died or errored before copying).
     Abandoned,
 }
 
@@ -62,7 +139,10 @@ impl Completion {
         Completion {
             state: Mutex::new(CopyState::Pending),
             done: Condvar::new(),
-            settled: AtomicBool::new(false),
+            hint: AtomicU8::new(CopyState::Pending as u8),
+            dst: AtomicPtr::new(std::ptr::null_mut()),
+            next: AtomicUsize::new(0),
+            copied: AtomicUsize::new(0),
         }
     }
 
@@ -76,24 +156,99 @@ impl Completion {
     /// hint.
     fn set(&self, st: &mut CopyState, to: CopyState) {
         *st = to;
-        self.settled
-            .store(to != CopyState::Pending, Ordering::Relaxed);
+        self.hint.store(to as u8, Ordering::Relaxed);
     }
 
-    /// Blocks until the receiver is finished with the borrowed bytes,
-    /// or `timeout` elapses: polls the hint through the inbox's own
-    /// wait policy, then parks on the condvar. Like `take_matching` it
-    /// looks before it reads the clock: an exchange's receive half has
-    /// usually let the peer copy already, and a wait that is over needs
-    /// no deadline. On timeout the window is *withdrawn* (marked
-    /// `Abandoned` under the same lock the receiver copies under), so a
-    /// late receiver can never dereference the borrow after this frame
-    /// returns; `peer`/`tag` label the resulting [`CommError::Timeout`].
-    fn wait(&self, timeout: Duration, peer: usize, tag: Tag) -> Result<Waited> {
-        let settled = || self.settled.load(Ordering::Relaxed);
+    fn hinted(&self, state: CopyState) -> bool {
+        self.hint.load(Ordering::Relaxed) == state as u8
+    }
+
+    /// Marks the window consumed and releases whoever waits for that.
+    fn finish(&self, mut st: MutexGuard<'_, CopyState>) {
+        self.set(&mut st, CopyState::Copied);
+        drop(st);
+        self.done.notify_all();
+    }
+
+    /// The receiver's half of a shared copy, entered holding the lock
+    /// with the state `Pending`: publishes `dst`, turns the state
+    /// `Claimed` and lets go of the lock. No wake-up is sent: a sender
+    /// that polls sees the hint and helps, one that already parked
+    /// sleeps on until `Copied` and the receiver takes every piece.
+    fn claim(&self, mut st: MutexGuard<'_, CopyState>, dst: *mut u8) {
+        debug_assert!(*st == CopyState::Pending);
+        self.dst.store(dst, Ordering::Relaxed);
+        self.next.store(0, Ordering::Relaxed);
+        self.copied.store(0, Ordering::Relaxed);
+        self.set(&mut st, CopyState::Claimed);
+    }
+
+    /// Copies pieces of a claimed window until none is left to take,
+    /// then waits for `Copied`: through [`poll`] (a yield between looks,
+    /// so a peer sharing this core gets it) and then the condvar.
+    /// Returns the number of pieces this caller copied.
+    ///
+    /// # Safety
+    ///
+    /// The state is `Claimed`, `src` is the claimed window's base, `dst`
+    /// the destination published with the claim, both `len` bytes long
+    /// and not overlapping, and the caller is the window's sender (in
+    /// `wait`) or the claiming receiver (in `consume`): the two frames
+    /// that keep the bytes borrowed until this returns.
+    unsafe fn share_copy(&self, src: *const u8, dst: *mut u8, len: usize) -> usize {
+        let pieces = len.div_ceil(COPY_CHUNK);
+        let mut mine = 0;
+        let mut last = false;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= pieces {
+                break;
+            }
+            let at = i * COPY_CHUNK;
+            // SAFETY: `at < len` (as `i < pieces`) and the piece ends at
+            // or before `len`, so both ranges lie inside the regions the
+            // caller vouches for; index `i` was handed to this caller
+            // alone, so no other write touches the destination range.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src.add(at), dst.add(at), COPY_CHUNK.min(len - at));
+            }
+            mine += 1;
+            last = self.copied.fetch_add(1, Ordering::AcqRel) + 1 == pieces;
+        }
+        if last {
+            self.finish(self.lock());
+            return mine;
+        }
+        poll(|| !self.hinted(CopyState::Claimed), None);
+        let mut st = self.lock();
+        while *st == CopyState::Claimed {
+            st = self.done.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        mine
+    }
+
+    /// Blocks until the receiver is finished with the borrowed `data`,
+    /// helping it copy if it claimed them, or `timeout` elapses: polls
+    /// the hint through the inbox's own wait policy, then parks on the
+    /// condvar. Like `take_matching` it looks before it reads the
+    /// clock: an exchange's receive half has usually let the peer copy
+    /// already, and a wait that is over needs no deadline. On timeout
+    /// the window is *withdrawn* (marked `Abandoned` under the same lock
+    /// the receiver consumes or claims under), so a late receiver can
+    /// never dereference the borrow after this frame returns;
+    /// `peer`/`tag` label the resulting [`CommError::Timeout`]. Returns
+    /// how the wait went and the pieces this sender copied.
+    fn wait(
+        &self,
+        data: &[u8],
+        timeout: Duration,
+        peer: usize,
+        tag: Tag,
+    ) -> Result<(Waited, usize)> {
+        let moved = || !self.hinted(CopyState::Pending);
         let mut deadline = None;
-        if !settled() {
-            poll(settled, Some(*deadline.insert(Instant::now() + timeout)));
+        if !moved() {
+            poll(moved, Some(*deadline.insert(Instant::now() + timeout)));
         }
         let mut waited = Waited::Polled;
         let mut st = self.lock();
@@ -118,15 +273,27 @@ impl Completion {
             st = guard;
         }
         match *st {
-            CopyState::Copied => Ok(waited),
+            CopyState::Claimed => {
+                let dst = self.dst.load(Ordering::Relaxed);
+                drop(st);
+                // SAFETY: the receiver claimed this completion's window,
+                // which is `data` (the caller posted it), after checking
+                // that its buffer at `dst` is `data.len()` bytes long;
+                // it is another rank's `&mut` buffer, so it cannot
+                // overlap our `&` one; and this is the sender's frame.
+                let helped = unsafe { self.share_copy(data.as_ptr(), dst, data.len()) };
+                Ok((waited, helped))
+            }
+            CopyState::Copied => Ok((waited, 0)),
             _ => Err(CommError::Disconnected),
         }
     }
 }
 
-/// A window onto the sending rank's own buffer, valid until `done` is
-/// marked — the sender blocks inside `rendezvous` until then, so the
-/// pointed-at bytes cannot move or be dropped while `Pending`.
+/// A window onto the sending rank's own buffer, valid until `done`
+/// turns `Copied` or `Abandoned` — the sender blocks inside
+/// `rendezvous` until then, so the pointed-at bytes cannot move or be
+/// dropped before.
 struct BorrowedBytes {
     ptr: *const u8,
     len: usize,
@@ -136,14 +303,17 @@ struct BorrowedBytes {
 // SAFETY: the raw pointer crosses threads, but the bytes it names are
 // immutably borrowed by the blocked sender for as long as the receiver
 // can dereference it (the sender's `rendezvous` frame outlives every
-// access, released only by the state leaving `Pending`).
+// access, released only by the state reaching `Copied` or `Abandoned`);
+// `len` and the `Arc<Completion>` (atomics, a mutex, a condvar) are
+// `Send` themselves.
 unsafe impl Send for BorrowedBytes {}
 
 impl BorrowedBytes {
     fn as_slice(&self) -> &[u8] {
         // SAFETY: see the `Send` impl — the sender keeps the borrow
-        // alive until `done` is marked, which happens only after the
-        // last use of this slice.
+        // alive until `done` is settled, which happens only after the
+        // last use of this slice: callers hold the completion lock with
+        // the state `Pending` for as long as they use it.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -177,11 +347,22 @@ impl Payload {
         }
     }
 
-    /// Copies the payload into `buf` and retires it: pooled bytes go
-    /// back to the pool of the rank that acquired them (`src`), borrowed
-    /// bytes signal the blocked sender. A length mismatch still retires
-    /// the payload (drop marks a borrowed one `Abandoned`).
-    fn consume_into(self, buf: &mut [u8], src: usize, pools: &[BufferPool]) -> Result<()> {
+    /// Lands the payload and retires it: pooled bytes are copied into
+    /// `buf` (then `sink(buf, None)`) and go back to the pool of the
+    /// rank that acquired them (`src`); a borrowed window is handed to
+    /// `sink` where it lies, or without one copied into `buf` — by this
+    /// rank alone or, from two [`COPY_CHUNK`]s up, together with its
+    /// blocked sender — and the sender is released. Says whether the
+    /// sink ran on the window in place. A length mismatch still retires
+    /// the payload (drop marks a borrowed one `Abandoned`) and runs no
+    /// sink.
+    fn consume(
+        self,
+        buf: &mut [u8],
+        src: usize,
+        pools: &[BufferPool],
+        sink: Option<&mut Sink<'_>>,
+    ) -> Result<bool> {
         if self.len() != buf.len() {
             return Err(CommError::LengthMismatch {
                 expected: buf.len(),
@@ -190,25 +371,52 @@ impl Payload {
         }
         match self {
             Payload::Pooled(v) => {
+                // A pooled `Vec<u8>` promises no alignment: copy first.
                 buf.copy_from_slice(&v);
                 pools[src].release(v);
+                if let Some(sink) = sink {
+                    sink(buf, None);
+                }
+                Ok(false)
             }
             Payload::Borrowed(b) => {
-                // Copy *under the completion lock*: a sender whose
-                // bounded wait expired withdraws the window (state
+                // Consume or claim *under the completion lock*: a sender
+                // whose bounded wait expired withdraws the window (state
                 // flips to `Abandoned` under this same lock), so the
                 // borrow is dereferenced only while provably alive.
-                let mut st = b.done.lock();
+                let st = b.done.lock();
                 if *st != CopyState::Pending {
                     return Err(CommError::Disconnected);
                 }
-                buf.copy_from_slice(b.as_slice());
-                b.done.set(&mut st, CopyState::Copied);
-                drop(st);
-                b.done.done.notify_all();
+                match sink {
+                    Some(sink) => {
+                        sink(buf, Some(b.as_slice()));
+                        b.done.finish(st);
+                        Ok(true)
+                    }
+                    None if b.len < 2 * COPY_CHUNK => {
+                        buf.copy_from_slice(b.as_slice());
+                        b.done.finish(st);
+                        Ok(false)
+                    }
+                    None => {
+                        // From here to `Copied` `buf` is written through
+                        // this pointer only, by both ranks.
+                        let dst = buf.as_mut_ptr();
+                        b.done.claim(st, dst);
+                        // SAFETY: just claimed, with `dst` published;
+                        // `b.ptr` is the window (alive until `Copied`,
+                        // which `share_copy` returns after) and `buf`
+                        // is as long (checked above), exclusively ours
+                        // and, being another rank's buffer, disjoint
+                        // from it; this is the claiming receiver's
+                        // frame.
+                        unsafe { b.done.share_copy(b.ptr, dst, b.len) };
+                        Ok(false)
+                    }
+                }
             }
         }
-        Ok(())
     }
 }
 
@@ -271,10 +479,11 @@ impl PeerStash {
 /// pooled buffer immediately, so a `sendrecv` is send-then-receive
 /// without deadlock — the §2 machine's "send and receive at the same
 /// time". At or above it, `send` and `sendrecv` skip the copy-in: the
-/// receiver copies directly out of this rank's buffer and the call
-/// completes when it has (one memcpy per hop instead of two); a
-/// `sendrecv` posts its window before it receives, so both halves
-/// still progress together.
+/// receiver folds or copies directly out of this rank's buffer, this
+/// rank copying along when the receive is a long plain one, and the
+/// call completes when that is done (one pass over the bytes per hop
+/// instead of two); a `sendrecv` posts its window before it receives,
+/// so both halves still progress together.
 pub struct ThreadComm {
     rank: usize,
     senders: Vec<Sender<Msg>>,
@@ -284,9 +493,11 @@ pub struct ThreadComm {
     pools: Arc<Vec<BufferPool>>,
     stash: RefCell<Vec<PeerStash>>,
     departed: RefCell<Vec<bool>>,
-    /// Retired rendezvous completion flags, reused so steady-state
-    /// zero-copy exchanges allocate nothing either.
-    completions: RefCell<Vec<Arc<Completion>>>,
+    /// The completion flags this rank's windows take turns with, made
+    /// with the endpoint so that zero-copy hops allocate nothing: one
+    /// per receiver that can still be letting go of an earlier window
+    /// is enough, and there are rarely two.
+    completions: [Arc<Completion>; 8],
     /// Optional observability handle (`None` on the untraced hot path;
     /// a disabled [`Recorder`] reduces every hook to a branch — the CI
     /// gate holds the difference under 3%).
@@ -322,7 +533,7 @@ impl ThreadComm {
             pools,
             stash: RefCell::new((0..p).map(|_| PeerStash::default()).collect()),
             departed: RefCell::new(vec![false; p]),
-            completions: RefCell::new(Vec::new()),
+            completions: std::array::from_fn(|_| Arc::new(Completion::new())),
             recorder: None,
             plan_step: Cell::new((0, 0)),
             wait_timeout,
@@ -353,28 +564,22 @@ impl ThreadComm {
         }
     }
 
-    /// A fresh (`Pending`) completion flag, reusing a retired one when
-    /// the receiver has fully released it. Observing a strong count of
-    /// 1 proves the peer's [`BorrowedBytes`] clone is gone, so nothing
-    /// can race the reset: only this rank holds the flag. The scan
-    /// matters: the most recently retired flag is often still briefly
-    /// held by the peer (it marks before dropping), while older ones
-    /// are long free — with two or more flags in rotation the steady
-    /// state never allocates.
+    /// A `Pending` completion flag for this rank's next window: one of
+    /// its own that no receiver still holds. Observing a strong count
+    /// of 1 proves the peer's [`BorrowedBytes`] clone is gone, so
+    /// nothing can race the reset: only this rank holds the flag. The
+    /// scan matters: the flag of the last window is often still briefly
+    /// held by its receiver (it marks before it drops, and the wake-up
+    /// it sends may cost it its core in between), while older ones are
+    /// long free. Only with every flag so held does a window get one of
+    /// its own, freed with it.
     fn take_completion(&self) -> Arc<Completion> {
-        let mut cache = self.completions.borrow_mut();
-        if let Some(i) = cache.iter().position(|c| Arc::strong_count(c) == 1) {
-            let c = cache.swap_remove(i);
-            c.set(&mut c.lock(), CopyState::Pending);
-            return c;
-        }
-        Arc::new(Completion::new())
-    }
-
-    fn retire_completion(&self, c: Arc<Completion>) {
-        let mut cache = self.completions.borrow_mut();
-        if cache.len() < 8 {
-            cache.push(c);
+        match self.completions.iter().find(|c| Arc::strong_count(c) == 1) {
+            Some(c) => {
+                c.set(&mut c.lock(), CopyState::Pending);
+                c.clone()
+            }
+            None => Arc::new(Completion::new()),
         }
     }
 
@@ -468,7 +673,10 @@ impl ThreadComm {
     fn absorb_poison(&self, msg: Msg) -> AbortInfo {
         let decoded = match &msg.data {
             Payload::Pooled(v) => AbortInfo::decode(v),
-            Payload::Borrowed(b) => AbortInfo::decode(b.as_slice()),
+            // A poison record is a few dozen bytes: it never travels as
+            // a window, and one that did is read as malformed rather
+            // than dereferenced off the completion lock.
+            Payload::Borrowed(_) => None,
         };
         let info = decoded.unwrap_or(AbortInfo {
             origin: msg.src,
@@ -562,38 +770,11 @@ impl Comm for ThreadComm {
     }
 
     fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
-        self.check_peer(from)?;
-        let obs = self.obs();
-        let start = obs.map_or(0.0, Recorder::now);
-        let data = self.take_matching(from, tag)?;
-        // Matching payload in hand: blocking (wait) ends, the copy-out
-        // (transfer) begins.
-        let matched = obs.map_or(0.0, Recorder::now);
-        data.consume_into(buf, from, &self.pools)?;
-        if let Some(r) = obs {
-            let end = r.now();
-            let (plan, step) = self.plan_step.get();
-            r.record(TraceEvent {
-                kind: EventKind::Recv,
-                rank: self.rank,
-                src: from,
-                dst: self.rank,
-                tag,
-                bytes: buf.len(),
-                start,
-                end,
-                hops: 0,
-                plan,
-                step,
-            });
-            r.with_counters(|c| {
-                c.msgs_recvd += 1;
-                c.bytes_in += buf.len() as u64;
-                c.wait_secs += matched - start;
-                c.transfer_secs += end - matched;
-            });
-        }
-        Ok(())
+        self.receive(from, tag, buf, None)
+    }
+
+    fn recv_with(&self, from: usize, tag: Tag, buf: &mut [u8], sink: &mut Sink<'_>) -> Result<()> {
+        self.receive(from, tag, buf, Some(sink))
     }
 
     fn sendrecv(
@@ -604,7 +785,19 @@ impl Comm for ThreadComm {
         buf: &mut [u8],
         tag: Tag,
     ) -> Result<()> {
-        self.exchange(to, data, tag, from, buf, tag)
+        self.exchange(to, data, tag, || self.receive(from, tag, buf, None))
+    }
+
+    fn sendrecv_with(
+        &self,
+        to: usize,
+        data: &[u8],
+        from: usize,
+        buf: &mut [u8],
+        tag: Tag,
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        self.exchange(to, data, tag, || self.receive(from, tag, buf, Some(sink)))
     }
 
     fn sendrecv_tagged(
@@ -616,7 +809,7 @@ impl Comm for ThreadComm {
         buf: &mut [u8],
         rtag: Tag,
     ) -> Result<()> {
-        self.exchange(to, data, stag, from, buf, rtag)
+        self.exchange(to, data, stag, || self.receive(from, rtag, buf, None))
     }
 
     fn compute(&self, bytes: usize) {
@@ -651,9 +844,56 @@ impl Comm for ThreadComm {
 }
 
 impl ThreadComm {
+    /// The receive behind `recv` (no `sink`: the bytes land in `buf`)
+    /// and `recv_with`. One `Recv` event either way; what `sink` does
+    /// (a fold, and the `Reduce` event its `compute` hook records) falls
+    /// inside the event and inside `transfer_secs`.
+    fn receive(
+        &self,
+        from: usize,
+        tag: Tag,
+        buf: &mut [u8],
+        sink: Option<&mut Sink<'_>>,
+    ) -> Result<()> {
+        self.check_peer(from)?;
+        let obs = self.obs();
+        let start = obs.map_or(0.0, Recorder::now);
+        let data = self.take_matching(from, tag)?;
+        // Matching payload in hand: blocking (wait) ends, the copy-out
+        // (transfer) begins.
+        let matched = obs.map_or(0.0, Recorder::now);
+        let in_place = data.consume(buf, from, &self.pools, sink)?;
+        if let Some(r) = obs {
+            let end = r.now();
+            let (plan, step) = self.plan_step.get();
+            r.record(TraceEvent {
+                kind: EventKind::Recv,
+                rank: self.rank,
+                src: from,
+                dst: self.rank,
+                tag,
+                bytes: buf.len(),
+                start,
+                end,
+                hops: 0,
+                plan,
+                step,
+            });
+            r.with_counters(|c| {
+                c.msgs_recvd += 1;
+                c.bytes_in += buf.len() as u64;
+                c.windows_in_place += u64::from(in_place);
+                c.wait_secs += matched - start;
+                c.transfer_secs += end - matched;
+            });
+        }
+        Ok(())
+    }
+
     /// The zero-copy send: ships a borrowed window onto `data` instead
     /// of a pooled copy, runs `meanwhile` (an exchange's receive half),
-    /// then blocks until the peer has copied out of the window —
+    /// then blocks until the peer is finished with the window, copying
+    /// its share if the peer claimed it (`Completion::wait`) —
     /// `data` must not be touched after return, so the wait happens
     /// even if `meanwhile` failed, and on expiry it *withdraws* the
     /// window, which keeps the borrow sound even then. Never taken when
@@ -688,8 +928,7 @@ impl ThreadComm {
             .map_err(|_| CommError::Disconnected)?;
         let meanwhile = meanwhile();
         let wait_begun = obs.map_or(0.0, Recorder::now);
-        let waited = done.wait(self.wait_timeout, to, tag);
-        self.retire_completion(done);
+        let waited = done.wait(data, self.wait_timeout, to, tag);
         if let Some(r) = obs {
             let end = r.now();
             let (plan, step) = self.plan_step.get();
@@ -710,36 +949,33 @@ impl ThreadComm {
                 c.msgs_sent += 1;
                 c.bytes_out += data.len() as u64;
                 c.rendezvous_msgs += 1;
+                c.sender_copied_chunks += waited.as_ref().map_or(0, |&(_, n)| n as u64);
                 c.wait_secs += end - wait_begun;
             });
         }
         meanwhile?;
-        waited.map(|w| self.count_wait(w))
+        waited.map(|(w, _)| self.count_wait(w))
     }
 
-    /// The exchange engine behind both `sendrecv` flavours: the send
-    /// half travels under `stag`, the receive half matches `rtag`.
+    /// The exchange engine behind every `sendrecv` flavour: the send
+    /// half travels under `stag`, `receive` is the receive half.
     fn exchange(
         &self,
         to: usize,
         data: &[u8],
         stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
+        receive: impl FnOnce() -> Result<()>,
     ) -> Result<()> {
         // A large exchange posts its window, receives, then waits: both
         // sides post before either waits, and each side's wait is
         // satisfied by the peer's recv of the matching tag.
         if data.len() >= DEFAULT_RENDEZVOUS_THRESHOLD && to != self.rank {
-            return self.rendezvous(to, stag, data, EventKind::SendRecv, || {
-                self.recv(from, rtag, buf)
-            });
+            return self.rendezvous(to, stag, data, EventKind::SendRecv, receive);
         }
         // Eager path: the buffered send never blocks, so send-then-recv
         // is deadlock-free in either half order.
         self.send(to, stag, data)?;
-        self.recv(from, rtag, buf)
+        receive()
     }
 }
 
@@ -747,6 +983,7 @@ impl ThreadComm {
 mod tests {
     use super::*;
     use crate::chan::channel;
+    use std::sync::atomic::AtomicBool;
 
     fn make_pools(p: usize) -> Arc<Vec<BufferPool>> {
         Arc::new((0..p).map(|_| BufferPool::new()).collect())
@@ -955,10 +1192,14 @@ mod tests {
 
     #[test]
     fn dropping_the_receiver_releases_a_queued_or_stashed_window() {
-        for stashed in [false, true] {
+        let sizes = [DEFAULT_RENDEZVOUS_THRESHOLD, 4 * COPY_CHUNK];
+        for (stashed, n) in [false, true]
+            .into_iter()
+            .flat_map(|s| sizes.map(|n| (s, n)))
+        {
             let (a, b) = pair();
             let sent = std::thread::scope(|s| {
-                let sender = s.spawn(move || a.send(1, 4, &[5u8; DEFAULT_RENDEZVOUS_THRESHOLD]));
+                let sender = s.spawn(move || a.send(1, 4, &vec![5u8; n]));
                 // The window is in `b`'s inbox: put it where the case
                 // wants it (back in the queue through `b`'s own sender,
                 // or in the stash), then let `b` go without receiving.
@@ -971,7 +1212,11 @@ mod tests {
                 drop(b);
                 sender.join().unwrap()
             });
-            assert_eq!(sent, Err(CommError::Disconnected), "stashed: {stashed}");
+            assert_eq!(
+                sent,
+                Err(CommError::Disconnected),
+                "stashed: {stashed}, {n} B"
+            );
         }
     }
 
@@ -1006,34 +1251,169 @@ mod tests {
         assert!(out[2].iter().all(|&b| b == 9));
     }
 
-    /// The completion's hint protocol under the race it exists for:
-    /// the receiver copies 0, 20 or 100 us after the window is posted,
-    /// so the sender keeps crossing from polling into parking while
-    /// the mark races it. Every wait is bounded, so a lost completion
-    /// fails with `Timeout` instead of hanging; a release before the
-    /// copy shows as a payload from the wrong hop. (`./ci.sh sanitize`
-    /// runs this under ThreadSanitizer.)
+    /// The completion's hint protocol under the races it exists for,
+    /// from a window consumed under the lock (32 KiB) through one too
+    /// short to share (one piece) to shared copies of 2 pieces, 2 pieces
+    /// and a byte, 1 MiB and 4 MiB. The ranks line up on a token before
+    /// every hop and then either side starts 0, 20 or 100 us late, so
+    /// the sender keeps crossing from polling into parking while the
+    /// claim and the mark race it, and the receiver keeps finding the
+    /// window queued or having to wait for it. Every wait is bounded,
+    /// so a lost completion fails with `Timeout` instead of hanging; a
+    /// release before the copy, or a piece nobody copied, shows as a
+    /// mark from the wrong hop. Both ways a shared copy can go must
+    /// have been seen — the sender helped; the sender had parked and
+    /// the receiver copied everything — so on a host too busy to show
+    /// both in the fixed schedule, 4-piece hops follow until it has, up
+    /// to a bound. (`./ci.sh sanitize` runs this under ThreadSanitizer.)
     #[test]
     fn racing_copies_lose_no_completion() {
-        const HOPS: u64 = 3000;
-        let n = DEFAULT_RENDEZVOUS_THRESHOLD;
-        let (_, run) = crate::run_world_recorded(2, 16, |c| {
-            let mut buf = vec![0u8; n];
-            let mut rng = intercom::SplitMix64::new(7);
-            for hop in 0..HOPS {
+        const LINE_UP: Tag = 0;
+        // A sender helps only while its receiver copies on another
+        // core: with one core there is nothing to wait for.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let extra_hops = if cores > 1 { 4000 } else { 0 };
+        let t = DEFAULT_RENDEZVOUS_THRESHOLD;
+        // Few hops of the long sizes: the test shares the harness with
+        // tests that time things.
+        let schedule: Vec<usize> = [
+            (t, 150),
+            (COPY_CHUNK, 50),
+            (2 * COPY_CHUNK, 150),
+            (2 * COPY_CHUNK + 1, 50),
+            (1 << 20, 16),
+            (4 << 20, 4),
+        ]
+        .iter()
+        .flat_map(|&(n, hops)| std::iter::repeat_n(n, hops))
+        .collect();
+        // The bytes a hop stamps and checks: the last one and every
+        // 509th, so each piece has marks (at offsets that differ from
+        // piece to piece) and the test stays light in a debug build.
+        let marks = |n: usize| (0..n).step_by(509).chain([n - 1]);
+        let (out, run) = crate::run_world_recorded(2, 16, |c| {
+            let counters = || {
+                let mut now = intercom_obs::Counters::default();
+                c.obs().expect("recorded").with_counters(|c| now = *c);
+                now
+            };
+            let mut rng = intercom::SplitMix64::new(7 + c.rank() as u64);
+            let mut buf = vec![0u8; 4 << 20];
+            // Shared hops the sender helped with, and ones it had
+            // parked for and slept through.
+            let (mut helped_with, mut slept_through) = (0u64, 0u64);
+            for hop in 0..=schedule.len() + extra_hops {
+                let n = schedule.get(hop).copied().unwrap_or(4 * COPY_CHUNK);
+                let buf = &mut buf[..n];
+                let fill = (hop as u8).wrapping_add(n as u8);
+                let skew = Duration::from_micros([0, 20, 100][rng.below(3)]);
                 if c.rank() == 0 {
-                    buf.fill(hop as u8);
-                    c.send(1, hop, &buf).expect("a completion was lost");
+                    let seen = helped_with > 0 && slept_through > 0;
+                    let done =
+                        hop >= schedule.len() && (seen || hop == schedule.len() + extra_hops);
+                    c.send(1, LINE_UP, &[u8::from(!done)]).unwrap();
+                    if done {
+                        return (hop as u64, helped_with, slept_through);
+                    }
+                    marks(n).for_each(|i| buf[i] = fill);
+                    std::thread::sleep(skew);
+                    let before = counters();
+                    c.send(1, 1 + hop as Tag, buf)
+                        .expect("a completion was lost");
+                    let after = counters();
+                    let helped = after.sender_copied_chunks - before.sender_copied_chunks;
+                    let shared = n >= 2 * COPY_CHUNK;
+                    assert!(helped == 0 || shared, "{n} B: shared");
+                    helped_with += u64::from(helped > 0);
+                    let parked = after.parked_waits > before.parked_waits;
+                    slept_through += u64::from(shared && parked && helped == 0);
                 } else {
-                    std::thread::sleep(Duration::from_micros([0, 20, 100][rng.below(3)]));
-                    c.recv(0, hop, &mut buf).unwrap();
-                    assert!(buf.iter().all(|&b| b == hop as u8), "hop {hop}");
+                    let mut more = [0];
+                    c.recv(0, LINE_UP, &mut more).unwrap();
+                    if more == [0] {
+                        break;
+                    }
+                    std::thread::sleep(skew);
+                    c.recv(0, 1 + hop as Tag, buf).unwrap();
+                    assert!(marks(n).all(|i| buf[i] == fill), "{n} B, hop {hop}");
                 }
             }
+            (0, helped_with, slept_through)
         });
+        let (hops, helped_with, slept_through) = out[0];
         let sender = &run.counters[0];
-        assert_eq!(sender.polled_waits + sender.parked_waits, HOPS);
+        assert_eq!(sender.polled_waits + sender.parked_waits, hops);
         assert!(sender.polled_waits > 0 && sender.parked_waits > 0);
+        if cores > 1 {
+            assert!(helped_with > 0, "the sender never helped");
+            assert!(
+                slept_through > 0,
+                "no parked sender left a whole copy to the receiver"
+            );
+        }
+        assert_eq!(run.counters[1].windows_in_place, 0, "plain receives only");
+    }
+
+    /// A window claimed before its sender's deadline is copied, not
+    /// withdrawn: a sender whose deadline has passed when it looks finds
+    /// `Claimed`, copies what is left (here everything) and returns
+    /// `Ok`; only a `Pending` window times out.
+    #[test]
+    fn a_deadline_that_passes_after_the_claim_waits_for_the_copy() {
+        let n = 3 * COPY_CHUNK + 5;
+        let data: Vec<u8> = (0..n).map(|i| (i * 7) as u8).collect();
+        let mut got = vec![0u8; n];
+        let done = Completion::new();
+        done.claim(done.lock(), got.as_mut_ptr());
+        assert_eq!(
+            done.wait(&data, Duration::ZERO, 1, 4),
+            Ok((Waited::Polled, 4))
+        );
+        assert!(*done.lock() == CopyState::Copied);
+        assert_eq!(got, data);
+
+        let done = Completion::new();
+        assert!(matches!(
+            done.wait(&data, Duration::ZERO, 1, 4),
+            Err(CommError::Timeout {
+                from: 1,
+                tag: 4,
+                ..
+            })
+        ));
+        assert!(*done.lock() == CopyState::Abandoned);
+    }
+
+    /// A coordinated abort that reaches a rank behind a window it has
+    /// not asked for: the receive fails with the diagnosis, and the
+    /// window's sender is released when the aborted rank goes.
+    #[test]
+    fn poison_behind_a_posted_window_aborts_the_receiver_and_frees_the_sender() {
+        let info = AbortInfo {
+            origin: 1,
+            culprit: 1,
+            plan: 0,
+            step: 0,
+            cause: AbortCause::External,
+        };
+        let out = crate::run_world(3, |c| match c.rank() {
+            0 => c.send(2, 2, &vec![9u8; 4 * COPY_CHUNK]),
+            1 => {
+                // Only once rank 0's window is queued at rank 2.
+                c.recv(2, 6, &mut [0]).unwrap();
+                c.send(2, POISON_TAG, &info.encode())
+            }
+            _ => {
+                let window = next_arrival(c);
+                assert!(matches!(window.data, Payload::Borrowed(_)));
+                c.senders[2].send(window).map_err(|_| ()).unwrap();
+                c.send(1, 6, &[0]).unwrap();
+                c.recv(1, 1, &mut [0])
+            }
+        });
+        assert_eq!(out[0], Err(CommError::Disconnected));
+        assert_eq!(out[1], Ok(()));
+        assert_eq!(out[2], Err(CommError::Aborted(info)));
     }
 
     #[test]

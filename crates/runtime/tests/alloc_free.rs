@@ -12,6 +12,10 @@
 //!    (the peer's flag handle not yet dropped when the flag is
 //!    reacquired) — a handful of tiny, payload-size-independent
 //!    allocations at most.
+//!    The primitives the long-vector collectives are made of, called
+//!    with their blocks and buckets in hand, allocate **zero bytes**:
+//!    a combining hop folds out of the sender's window, a long plain
+//!    one is copied by both ranks, and neither needs a buffer.
 //! 3. Whole collectives, planned or on the communicator's default
 //!    path: the payload-scale buffers (transport hops, plan and
 //!    communicator scratch) are all reused; what remains is the
@@ -30,8 +34,12 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use intercom::block::partition;
 use intercom::plan::{AllreducePlan, BcastPlan, CollectPlan};
-use intercom::{Comm, Communicator, ReduceOp};
+use intercom::primitives::{
+    mst_bcast, mst_reduce, ring_collect, ring_reduce_scatter, ring_reduce_scatter_into,
+};
+use intercom::{Comm, Communicator, GroupComm, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_runtime::{run_world, DEFAULT_RENDEZVOUS_THRESHOLD};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,6 +195,79 @@ fn rendezvous_hops_allocate_at_most_stray_flags() {
             "expected near-zero rendezvous allocations, got {n} over {iters} hops (plain: {plain})"
         );
         assert_eq!(acquired, 0, "a rendezvous hop took a pool buffer");
+    }
+}
+
+/// Bytes the rank threads allocate over `rounds` steady-state rounds of
+/// a bucket allreduce (reduce-scatter, whose hops fold in flight, then
+/// collect), an out-of-place reduce-scatter and an MST broadcast (whose
+/// hops are plain receives) of `elems` `f64`s on `p` ranks, block
+/// tables and buckets built once outside the window.
+fn bytes_allocated_during_primitive_rounds(p: usize, elems: usize, rounds: usize) -> u64 {
+    let _window = window_guard();
+    let out = run_world(p, |c| {
+        RANK_THREAD.set(true);
+        let gc = GroupComm::world(c);
+        let blocks = partition(elems, p);
+        let b = elems / p;
+        let mut buf = vec![1.0f64; elems];
+        let mut bucket = vec![0.0f64; elems.div_ceil(p)];
+        let contrib = vec![c.rank() as f64; b * p];
+        let mut mine = vec![0.0f64; b];
+        let mut buckets = vec![0.0f64; 2 * b];
+        let mut one_round = || {
+            let sum = ReduceOp::Sum;
+            ring_reduce_scatter(&gc, &mut buf, &blocks, sum, 0, &mut bucket).unwrap();
+            ring_collect(&gc, &mut buf, &blocks, 1).unwrap();
+            ring_reduce_scatter_into(&gc, &contrib, &mut mine, sum, 2, &mut buckets).unwrap();
+            mst_bcast(&gc, 0, &mut buf, 3).unwrap();
+        };
+        // Eager, so allocation-free once its pool buffers exist.
+        let barrier = || {
+            let mut token = [0.0f64];
+            mst_reduce(&gc, 0, &mut token, ReduceOp::Sum, 4, &mut [0.0]).unwrap();
+            mst_bcast(&gc, 0, &mut token, 5).unwrap();
+        };
+        // How deep a mailbox or a stash queue gets depends on who was
+        // descheduled when (see `allocations_during_hops`), so provision
+        // them instead of hoping the warm-up rounds do: four messages
+        // from every peer, taken out of order behind a fifth.
+        let peers = || (0..p).filter(|&r| r != c.rank());
+        for peer in peers() {
+            for tag in [9, 9, 9, 9, 10] {
+                c.send(peer, tag, &[0; 8]).unwrap();
+            }
+        }
+        for tag in [10, 9, 9, 9, 9] {
+            for peer in peers() {
+                c.recv(peer, tag, &mut [0; 8]).unwrap();
+            }
+        }
+        for _ in 0..4 {
+            one_round();
+            barrier();
+        }
+        let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        for _ in 0..rounds {
+            one_round();
+        }
+        barrier();
+        let after = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        RANK_THREAD.set(false);
+        after - before
+    });
+    out[0]
+}
+
+#[test]
+fn fused_and_shared_hops_allocate_nothing() {
+    // 64 KiB on 2 ranks: every hop is a 32 KiB window, folded in place
+    // or copied under the lock. 1 MiB on 4: 256 KiB blocks, folded in
+    // place or claimed and copied by both ranks, and 1 MiB, 512 KiB
+    // broadcast levels.
+    for (p, bytes) in [(2, 64 << 10), (4, 1 << 20)] {
+        let allocated = bytes_allocated_during_primitive_rounds(p, bytes / 8, 20);
+        assert_eq!(allocated, 0, "{bytes} B on {p} ranks");
     }
 }
 

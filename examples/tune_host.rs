@@ -11,7 +11,7 @@ use intercom_runtime::calibrate;
 
 fn main() {
     println!(
-        "calibrating the threaded backend (warmed-up ping-pong, median of 5 batches, + stream)...\n"
+        "calibrating the threaded backend (warmed-up 8 B ping-pong and 1 MiB exchange, median of 5 batches, + stream)...\n"
     );
     let cal = calibrate();
     let host = cal.machine();
@@ -21,7 +21,7 @@ fn main() {
         MachineParams::PARAGON.alpha * 1e6
     );
     println!(
-        "           beta  = {:>10.3} ns/B ({:.1} MB/s, one copy per 1 MiB hop; Paragon: {:.1} MB/s)",
+        "           beta  = {:>10.3} ns/B ({:.1} MB/s per rank, both ranks of a 1 MiB exchange copying; Paragon: {:.1} MB/s)",
         host.beta * 1e9,
         1.0 / host.beta / 1e6,
         1.0 / MachineParams::PARAGON.beta / 1e6
@@ -68,7 +68,8 @@ fn main() {
             .map_or("never".to_string(), |n| format!("{n} B"))
     };
     println!(
-        "\nshort→long crossover: Paragon {}, this host {} (α/β = {:.0} B)",
+        "\nshort→long crossover: Paragon {}, this host {} (α/β = {:.0} B, β an exchange hop's:\n\
+         a one-way long hop, which its blocked sender helps copy, runs at about twice that rate)",
         crossover(&MachineParams::PARAGON),
         crossover(&host),
         host.alpha / host.beta

@@ -107,6 +107,15 @@ sweep="$(cargo test --release -p intercom-cost --test envelope_identity -- --ign
 }
 at_least "identity-sweep points" "$(grep -o 'identity sweep: [0-9]*' <<<"$sweep" | grep -o '[0-9]*$')" 4840930
 
+echo "==> program path == direct path on the 21 full-size sim-mesh rows (release)"
+# Every virtual time, clock, result and transfer bit-identical; a row
+# missing from the count fails it.
+rows="$(cargo test --release --test program_path -- --ignored --nocapture)" || {
+    echo "$rows"
+    exit 1
+}
+at_least "bit-identical sim-mesh rows" "$(grep -o 'sim-mesh rows: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 21
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -9,8 +9,11 @@
 //! data movement; the accounting hooks default to no-ops. Two provided
 //! methods, [`Comm::recv_with`] and [`Comm::sendrecv_with`], let a
 //! backend that can lend the arrived bytes hand them to the combining
-//! collectives' fold where they lie; a port that leaves them alone
-//! behaves exactly as one written before they existed.
+//! collectives' fold where they lie, and two more,
+//! [`Comm::runs_programs`] and [`Comm::run_program`], let a backend
+//! that can walk a compiled program take a whole call in one hand-off;
+//! a port that leaves them alone behaves exactly as one written before
+//! they existed.
 //!
 //! [`GroupComm`] layers the paper's §9 group abstraction on top: an
 //! ordered member list provides the logical-to-physical mapping, so every
@@ -19,6 +22,7 @@
 
 use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
+use crate::ir::BoundProgram;
 use crate::op::{Elem, ReduceOp};
 
 /// Message tag disambiguating concurrent traffic between the same pair of
@@ -160,6 +164,36 @@ pub trait Comm {
     /// `CollectiveProgram` (0 = not executing a compiled plan).
     fn plan_step(&self, plan: u64, step: u64) {
         let _ = (plan, step);
+    }
+
+    /// Whether this backend runs compiled programs itself. When it
+    /// does, [`Communicator`](crate::Communicator) calls and persistent
+    /// plans hand it each call's compiled program through
+    /// [`Comm::run_program`] instead of issuing the program's sends and
+    /// receives one by one (a `Communicator` call too large for compact
+    /// steps, [`ir::fits_steps`](crate::ir::fits_steps), still issues
+    /// them).
+    ///
+    /// The default is no: a backend or wrapper that leaves this method
+    /// and [`Comm::run_program`] alone runs exactly the calls it ran
+    /// before they existed. (A wrapper that forwarded them would hand
+    /// the inner backend programs its own hooks never see.)
+    fn runs_programs(&self) -> bool {
+        false
+    }
+
+    /// Runs the backend's part of a bound program: every step of
+    /// [`BoundProgram::span`], in order, through
+    /// [`BoundProgram::step`] — charging clock steps and completing
+    /// transfers as `compute` / `call_overhead` / `send` / `recv` /
+    /// `sendrecv` would, and returning after the last one, or with the
+    /// first error. Called only where [`Comm::runs_programs`] says yes;
+    /// the default refuses.
+    fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
+        let _ = prog;
+        Err(CommError::PlanMismatch {
+            what: "this backend does not run programs",
+        })
     }
 }
 

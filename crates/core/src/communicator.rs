@@ -65,9 +65,10 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// (see [`Communicator::attach_tuner`]).
     tuner: RefCell<Option<AutoTuner>>,
     next_tag: Cell<Tag>,
-    /// The workspace every call on the direct path borrows, whatever
-    /// its element type: empty until a call needs some, grown to the
-    /// largest need seen, never re-zeroed.
+    /// The workspace every call borrows, whatever its element type:
+    /// empty until a call needs some, grown to the largest need seen.
+    /// The direct path never re-zeroes it; a compiled program zeroes
+    /// the part it uses before its first step that touches it.
     scratch: RefCell<Vec<u64>>,
 }
 
@@ -281,9 +282,16 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         }
     }
 
-    /// One call on the direct path: selector-driven where the op takes
-    /// a strategy. `rop` is the ⊕ of a combining op; the others never
-    /// apply it.
+    /// One call: selector-driven where the op takes a strategy. `rop`
+    /// is the ⊕ of a combining op; the others never apply it.
+    ///
+    /// On a backend that runs programs the call is its plain compiled
+    /// program, looked up in the process-wide plan cache and handed over
+    /// whole; everywhere else, and for a call too large for compact
+    /// steps ([`ir::fits_steps`]), it is the direct path. The two issue
+    /// the same operations in the same order (the program was lowered
+    /// from the direct path), so results and virtual times agree bit for
+    /// bit.
     fn run<T: Scalar>(
         &self,
         op: PlanOp,
@@ -296,6 +304,11 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             .takes_strategy()
             .then(|| self.choose(op, n, T::SIZE, algo));
         let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+        if self.gc.comm().runs_programs() && ir::fits_steps(op, self.size(), n, T::SIZE) {
+            let key = ir::PlanKey::plain(op, self.size(), n, T::SIZE, choice.as_ref());
+            let prog = ir::global_cache().get_or_compile(&key)?;
+            return ir::execute(&prog, &self.gc, rop, args, scratch, tag);
+        }
         ir::run_direct(op, choice.as_ref(), &self.gc, rop, args, scratch, tag)
     }
 
@@ -554,6 +567,61 @@ mod tests {
         let (mine, theirs) = (cc.scratch.borrow(), sub.scratch.borrow());
         assert!(mine.len() >= 16 && theirs.len() >= 16);
         assert_ne!(mine.as_ptr(), theirs.as_ptr());
+    }
+
+    #[test]
+    fn a_call_too_large_for_compact_steps_runs_the_direct_path() {
+        use crate::ir::BoundProgram;
+        use crate::trace::{OpRecord, RecordingComm};
+        /// A recorder that runs programs by counting them.
+        struct Programs(RecordingComm, Cell<usize>);
+        impl Comm for Programs {
+            fn rank(&self) -> usize {
+                self.0.rank()
+            }
+            fn size(&self) -> usize {
+                self.0.size()
+            }
+            fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+                self.0.send(to, tag, data)
+            }
+            fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
+                self.0.recv(from, tag, buf)
+            }
+            fn sendrecv(
+                &self,
+                to: usize,
+                d: &[u8],
+                from: usize,
+                b: &mut [u8],
+                t: Tag,
+            ) -> Result<()> {
+                self.0.sendrecv(to, d, from, b, t)
+            }
+            fn runs_programs(&self) -> bool {
+                true
+            }
+            fn run_program(&self, _: &mut BoundProgram<'_>) -> Result<()> {
+                self.1.set(self.1.get() + 1);
+                Ok(())
+            }
+        }
+        let bcast = |p| {
+            let c = Programs(RecordingComm::new(0, p), Cell::new(0));
+            let cc = Communicator::world(&c, MachineParams::PARAGON);
+            cc.bcast_with(0, &mut [7u8; 8], &Algo::Short).unwrap();
+            drop(cc);
+            let handed = c.1.get();
+            let ops = c.0.into_ops();
+            let sends = ops.iter().filter(|op| matches!(op, OpRecord::Send { .. }));
+            (handed, sends.count())
+        };
+        // Peers past `u16`: the root of an MST broadcast over 70 000
+        // ranks sends ⌈log₂ 70 000⌉ = 17 times itself, on the direct
+        // path, where a program would not compile.
+        assert_eq!(bcast(70_000), (0, 17));
+        // A call that fits is handed over whole.
+        assert_eq!(bcast(4), (1, 0));
     }
 
     #[test]

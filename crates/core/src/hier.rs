@@ -21,8 +21,8 @@
 //! algorithm recursing through a logical mesh consumes tags only a few
 //! multiples of [`LEVEL_TAG_STRIDE`](crate::algorithms::LEVEL_TAG_STRIDE)
 //! past its base, far below the stride, so stages can never collide —
-//! and every step of stage `k` lands in a disjoint
-//! [`StageId`](crate::ir::StageId) band, which is what lets the
+//! and every step of stage `k` lands in a disjoint band of tag offsets
+//! ([`StepKind::tag_off`](crate::ir::StepKind::tag_off)), which is what lets the
 //! verifier gate link-conflict predictions per stage.
 
 use crate::algorithms;

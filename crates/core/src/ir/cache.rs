@@ -56,9 +56,29 @@ impl PlanKey {
     /// schedule audit and pinned byte-identical by the differential
     /// suites, so the optimized program is the deployed artifact.
     pub fn frozen(op: PlanOp, p: usize, n: usize, elem_size: usize, choice: &HierChoice) -> Self {
+        PlanKey {
+            opt: OptLevel::Full,
+            ..Self::plain(op, p, n, elem_size, Some(choice))
+        }
+    }
+
+    /// The key of the plain program (lowering only) of one default-path
+    /// call: `choice` is the selection of a strategy-taking op and
+    /// `None` for scatter, gather and alltoall. Its op stream is the
+    /// direct path's, call for call, which is what lets a backend that
+    /// runs programs take the default path without moving a virtual
+    /// time.
+    pub fn plain(
+        op: PlanOp,
+        p: usize,
+        n: usize,
+        elem_size: usize,
+        choice: Option<&HierChoice>,
+    ) -> Self {
         let (strategy, hier) = match choice {
-            HierChoice::Flat(s) => (Some(s.clone()), None),
-            HierChoice::Hier(h) => (None, Some(h.clone())),
+            Some(HierChoice::Flat(s)) => (Some(s.clone()), None),
+            Some(HierChoice::Hier(h)) => (None, Some(h.clone())),
+            None => (None, None),
         };
         PlanKey {
             op,
@@ -67,7 +87,7 @@ impl PlanKey {
             elem_size,
             strategy,
             hier,
-            opt: OptLevel::Full,
+            opt: OptLevel::None,
         }
     }
 }

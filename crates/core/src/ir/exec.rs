@@ -4,18 +4,31 @@
 //! One interpreter serves every backend — the threaded runtime, the mesh
 //! simulator, a [`RecordingComm`](crate::trace::RecordingComm) (which
 //! reproduces the very record stream the program was lowered from), or a
-//! single-process [`SelfComm`](crate::comm::SelfComm). Before each step
-//! the backend's [`Comm::plan_step`] hook is told `(plan_id, step
-//! index)`, so tracing backends can attribute every transfer to the
-//! exact compiled step that issued it; the hook is reset to `(0, 0)` on
-//! return.
+//! single-process [`SelfComm`](crate::comm::SelfComm). It runs in one of
+//! two ways:
+//!
+//! * **Step by step here** (every backend whose
+//!   [`Comm::runs_programs`] says no): before each step the backend's
+//!   [`Comm::plan_step`] hook is told `(plan_id, step index)`, so
+//!   tracing backends can attribute every transfer to the exact
+//!   compiled step that issued it; the hook is reset to `(0, 0)` on
+//!   return.
+//! * **Handed off** (a backend that runs programs — the simulator):
+//!   the data steps before the first transfer and after the last one
+//!   run here, on the calling rank's thread; the section between them
+//!   and every clock step go to the backend as one
+//!   [`BoundProgram`](super::BoundProgram), which it walks itself.
 //!
 //! Execution is allocation-free in the steady state: the caller-provided
 //! scratch arena grows once to [`RankProgram::scratch_bytes`] and is
 //! re-zeroed (never re-allocated) on later executions, matching the
-//! zeroed workspace of the replay the program was lowered from.
+//! zeroed workspace of the replay the program was lowered from. A
+//! handed-off run grows and zeroes it just before the first step that
+//! touches it, as the direct path would first touch its workspace.
+//!
+//! [`RankProgram::scratch_bytes`]: super::RankProgram::scratch_bytes
 
-use super::{ArgDir, Buf, CollectiveProgram, Loc, StepKind};
+use super::{ArgDir, BoundProgram, Buf, CollectiveProgram, Loc, StepKind};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
@@ -60,11 +73,6 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
     }
     let me = gc.me();
     check_args(prog, me, args)?;
-    let rp = &prog.ranks[me];
-    // Re-zero (and on first use, grow) the arena: the programs were
-    // lowered from replays over fresh zeroed workspace.
-    let scratch = T::scratch(scratch, rp.scratch_bytes.div_ceil(elem));
-    scratch.fill(T::default());
     // Production telemetry: one relaxed load each when disabled. When
     // on, the flight recorder gets a black-box entry and the metrics
     // registry a latency sample per execution (per rank — concurrent
@@ -83,48 +91,12 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
         );
     }
     let comm = gc.comm();
-    let result: Result<()> = (|| {
-        for (idx, step) in rp.steps.iter().enumerate() {
-            comm.plan_step(prog.plan_id, idx as u64);
-            if flight_on {
-                intercom_obs::flight::mark_step(prog.plan_id, idx as u64);
-            }
-            match step.kind {
-                StepKind::Send { to, tag_off, src } => {
-                    let s = read(args, scratch, elem, &src)?;
-                    gc.send(to, base_tag + tag_off, s)?;
-                }
-                StepKind::Recv { from, tag_off, dst } => {
-                    let d = write(args, scratch, elem, &dst)?;
-                    gc.recv(from, base_tag + tag_off, d)?;
-                }
-                StepKind::SendRecv {
-                    to,
-                    src,
-                    from,
-                    dst,
-                    tag_off,
-                } => {
-                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
-                    gc.sendrecv(to, s, from, d, base_tag + tag_off)?;
-                }
-                StepKind::Copy { src, dst } => {
-                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
-                    d.copy_from_slice(s);
-                    comm.local_copy(T::as_bytes(s), T::as_bytes(d));
-                }
-                StepKind::Reduce { acc, other } => {
-                    let (o, a) = read_write(args, scratch, elem, &other, &acc)?;
-                    op.fold_into(a, o);
-                    comm.local_reduce(T::as_bytes(a), T::as_bytes(o));
-                }
-                StepKind::Compute { bytes } => gc.compute(bytes),
-                StepKind::CallOverhead => gc.call_overhead(),
-            }
-        }
-        Ok(())
-    })();
-    comm.plan_step(0, 0);
+    let result = if comm.runs_programs() {
+        BoundProgram::new(prog, me, gc.members(), args, scratch, op, base_tag)
+            .and_then(|bound| bound.run_on(comm))
+    } else {
+        interpret(prog, gc, op, args, scratch, base_tag, flight_on)
+    };
     if let Some(started) = started {
         // Wall-clock on the executing thread: real latency for the
         // threaded runtime; for the simulator it is host compute time
@@ -149,7 +121,7 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
         intercom_obs::metrics::counter_add(
             "intercom_plan_steps_total",
             &[("op", prog.op.name())],
-            rp.steps.len() as u64,
+            prog.ranks[me].steps.len() as u64,
         );
     }
     if flight_on {
@@ -158,6 +130,69 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
             Err(e) => intercom_obs::flight::fail(prog.plan_id, &e.to_string()),
         }
     }
+    result
+}
+
+/// Runs the calling rank's program step by step through `gc`.
+fn interpret<T: Scalar, C: Comm + ?Sized>(
+    prog: &CollectiveProgram,
+    gc: &GroupComm<'_, C>,
+    op: ReduceOp,
+    args: &mut [ArgBuf<'_, T>],
+    scratch: &mut Vec<u64>,
+    base_tag: Tag,
+    flight_on: bool,
+) -> Result<()> {
+    let elem = T::SIZE;
+    let rp = &prog.ranks[gc.me()];
+    // Re-zero (and on first use, grow) the arena: the programs were
+    // lowered from replays over fresh zeroed workspace.
+    let scratch = T::scratch(scratch, rp.scratch_bytes.div_ceil(elem));
+    scratch.fill(T::default());
+    let comm = gc.comm();
+    let tag = |off: u32| base_tag + u64::from(off);
+    let result: Result<()> = (|| {
+        for (idx, step) in rp.steps.iter().enumerate() {
+            comm.plan_step(prog.plan_id, idx as u64);
+            if flight_on {
+                intercom_obs::flight::mark_step(prog.plan_id, idx as u64);
+            }
+            match step.kind {
+                StepKind::Send { to, tag_off, src } => {
+                    let s = read(args, scratch, elem, &src)?;
+                    gc.send(to.into(), tag(tag_off), s)?;
+                }
+                StepKind::Recv { from, tag_off, dst } => {
+                    let d = write(args, scratch, elem, &dst)?;
+                    gc.recv(from.into(), tag(tag_off), d)?;
+                }
+                StepKind::SendRecv {
+                    to,
+                    src,
+                    from,
+                    dst,
+                    tag_off,
+                } => {
+                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
+                    gc.sendrecv(to.into(), s, from.into(), d, tag(tag_off))?;
+                }
+                StepKind::Copy { src, dst } => {
+                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
+                    d.copy_from_slice(s);
+                    comm.local_copy(T::as_bytes(s), T::as_bytes(d));
+                }
+                StepKind::Reduce { acc, other } => {
+                    let (o, a) = read_write(args, scratch, elem, &other, &acc)?;
+                    op.fold_into(a, o);
+                    comm.local_reduce(T::as_bytes(a), T::as_bytes(o));
+                }
+                StepKind::Compute { bytes } => gc.compute(bytes as usize),
+                StepKind::CallOverhead => gc.call_overhead(),
+            }
+        }
+        Ok(())
+    })();
+    comm.plan_step(0, 0);
     result
 }
 
@@ -209,13 +244,22 @@ fn check_args<T: Scalar>(
     Ok(())
 }
 
-fn elem_range(loc: &Loc, elem: usize) -> Result<Range<usize>> {
-    if !loc.off.is_multiple_of(elem) || !loc.len.is_multiple_of(elem) {
-        return Err(CommError::PlanMismatch {
+/// `Err` unless `loc` starts and ends on element boundaries.
+pub(super) fn aligned(loc: &Loc, elem: usize) -> Result<()> {
+    let whole = |v: u32| (v as usize).is_multiple_of(elem);
+    if whole(loc.off) && whole(loc.len) {
+        Ok(())
+    } else {
+        Err(CommError::PlanMismatch {
             what: "step operand not aligned to the element size",
-        });
+        })
     }
-    Ok(loc.off / elem..(loc.off + loc.len) / elem)
+}
+
+fn elem_range(loc: &Loc, elem: usize) -> Result<Range<usize>> {
+    aligned(loc, elem)?;
+    let bytes = loc.bytes();
+    Ok(bytes.start / elem..bytes.end / elem)
 }
 
 const OOB: CommError = CommError::PlanMismatch {
@@ -244,7 +288,7 @@ fn arg_write<'x, T>(arg: &'x mut ArgBuf<'_, T>, r: Range<usize>) -> Result<&'x m
     }
 }
 
-fn read<'x, T: Scalar>(
+pub(super) fn read<'x, T: Scalar>(
     args: &'x [ArgBuf<'_, T>],
     scratch: &'x [T],
     elem: usize,
@@ -253,11 +297,11 @@ fn read<'x, T: Scalar>(
     let r = elem_range(loc, elem)?;
     match loc.buf {
         Buf::Scratch => scratch.get(r).ok_or(OOB),
-        Buf::Arg(i) => arg_read(args.get(i).ok_or(OOB)?, r),
+        Buf::Arg(i) => arg_read(args.get(usize::from(i)).ok_or(OOB)?, r),
     }
 }
 
-fn write<'x, T: Scalar>(
+pub(super) fn write<'x, T: Scalar>(
     args: &'x mut [ArgBuf<'_, T>],
     scratch: &'x mut [T],
     elem: usize,
@@ -266,7 +310,7 @@ fn write<'x, T: Scalar>(
     let r = elem_range(loc, elem)?;
     match loc.buf {
         Buf::Scratch => scratch.get_mut(r).ok_or(OOB),
-        Buf::Arg(i) => arg_write(args.get_mut(i).ok_or(OOB)?, r),
+        Buf::Arg(i) => arg_write(args.get_mut(usize::from(i)).ok_or(OOB)?, r),
     }
 }
 
@@ -274,7 +318,7 @@ fn write<'x, T: Scalar>(
 /// splitting borrows across (or within) buffers. Overlapping operands
 /// within one buffer are rejected — the verifier proves compiled
 /// programs never produce them.
-fn read_write<'x, T: Scalar>(
+pub(super) fn read_write<'x, T: Scalar>(
     args: &'x mut [ArgBuf<'_, T>],
     scratch: &'x mut [T],
     elem: usize,
@@ -283,17 +327,22 @@ fn read_write<'x, T: Scalar>(
 ) -> Result<(&'x [T], &'x mut [T])> {
     let rr = elem_range(rloc, elem)?;
     let wr = elem_range(wloc, elem)?;
-    match (rloc.buf, wloc.buf) {
-        (Buf::Scratch, Buf::Scratch) => split_same(scratch, rr, wr),
-        (Buf::Arg(i), Buf::Scratch) => {
+    // Argument slots as indices; `None` is the arena.
+    let slot = |b: Buf| match b {
+        Buf::Arg(i) => Some(usize::from(i)),
+        Buf::Scratch => None,
+    };
+    match (slot(rloc.buf), slot(wloc.buf)) {
+        (None, None) => split_same(scratch, rr, wr),
+        (Some(i), None) => {
             let rd = arg_read(args.get(i).ok_or(OOB)?, rr)?;
             Ok((rd, scratch.get_mut(wr).ok_or(OOB)?))
         }
-        (Buf::Scratch, Buf::Arg(j)) => {
+        (None, Some(j)) => {
             let wrt = arg_write(args.get_mut(j).ok_or(OOB)?, wr)?;
             Ok((scratch.get(rr).ok_or(OOB)?, wrt))
         }
-        (Buf::Arg(i), Buf::Arg(j)) if i == j => match args.get_mut(i).ok_or(OOB)? {
+        (Some(i), Some(j)) if i == j => match args.get_mut(i).ok_or(OOB)? {
             ArgBuf::Out(b) => split_same(b, rr, wr),
             ArgBuf::In(_) => Err(CommError::PlanMismatch {
                 what: "step writes a read-only buffer",
@@ -302,7 +351,7 @@ fn read_write<'x, T: Scalar>(
                 what: "step writes an absent buffer",
             }),
         },
-        (Buf::Arg(i), Buf::Arg(j)) => {
+        (Some(i), Some(j)) => {
             if i.max(j) >= args.len() {
                 return Err(OOB);
             }

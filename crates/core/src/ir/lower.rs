@@ -12,12 +12,11 @@
 //! share bytes) and packed into a per-rank scratch arena.
 
 use super::{
-    fresh_plan_id, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp, RankProgram,
-    StageId, Step, StepKind,
+    fresh_plan_id, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp, RankProgram, Step,
+    StepKind,
 };
-use crate::algorithms::LEVEL_TAG_STRIDE;
-use crate::comm::{GroupComm, Tag};
-use crate::error::Result;
+use crate::comm::GroupComm;
+use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::trace::{MemSpan, OpRecord, RecordingComm};
 use intercom_cost::{HierChoice, HierStrategy, Strategy};
@@ -52,9 +51,9 @@ pub fn lower(
 /// Lowers one *hierarchical* collective call into a compiled program
 /// for all `hs.shape.ranks()` ranks. The per-rank replay runs the
 /// leader-based compositions of [`crate::hier`], so the resulting
-/// program's steps land in per-stage [`StageId`] bands (stage `k` at
-/// levels `k · HIER_STAGE_STRIDE / LEVEL_TAG_STRIDE` and up) — the
-/// same IR, executors and verifier checks apply unchanged.
+/// program's transfers land in per-stage tag bands (stage `k` at
+/// levels `k · HIER_STAGE_STRIDE / LEVEL_TAG_STRIDE` and up) — the same IR, executors and verifier checks apply
+/// unchanged.
 ///
 /// Supported ops are the five with a hierarchical template: broadcast,
 /// reduce, allreduce, reduce-scatter and collect. Others err with
@@ -152,33 +151,37 @@ fn resolve_recorded<T: Elem>(
         })
         .collect();
     let ops = rec.into_ops();
-    Ok(resolve_rank(&ops, &args, std::mem::size_of::<T>()))
+    resolve_rank(&ops, &args, std::mem::size_of::<T>())
+}
+
+/// `v` in a compact step field, or the error that says it does not fit.
+fn fit<U: TryFrom<V>, V>(v: V) -> Result<U> {
+    U::try_from(v).map_err(|_| CommError::PlanMismatch {
+        what: "a step operand does not fit the compact step layout",
+    })
 }
 
 /// Resolves one rank's recorded spans into a [`RankProgram`].
-fn resolve_rank(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -> RankProgram {
+fn resolve_rank(
+    ops: &[OpRecord],
+    args: &[(usize, usize, usize)],
+    elem: usize,
+) -> Result<RankProgram> {
     let arena = Arena::build(ops, args);
     let resolve = |span: MemSpan| arena.resolve(span, args, elem);
     let mut steps = Vec::with_capacity(ops.len());
-    let mut stage = StageId::default();
     for op in ops {
         let kind = match *op {
-            OpRecord::Send { to, tag, src } => {
-                stage = stage_of(tag);
-                StepKind::Send {
-                    to,
-                    tag_off: tag,
-                    src: resolve(src),
-                }
-            }
-            OpRecord::Recv { from, tag, dst } => {
-                stage = stage_of(tag);
-                StepKind::Recv {
-                    from,
-                    tag_off: tag,
-                    dst: resolve(dst),
-                }
-            }
+            OpRecord::Send { to, tag, src } => StepKind::Send {
+                to: fit(to)?,
+                tag_off: fit(tag)?,
+                src: resolve(src)?,
+            },
+            OpRecord::Recv { from, tag, dst } => StepKind::Recv {
+                from: fit(from)?,
+                tag_off: fit(tag)?,
+                dst: resolve(dst)?,
+            },
             OpRecord::SendRecv {
                 to,
                 src,
@@ -188,39 +191,31 @@ fn resolve_rank(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -
                 rtag,
             } => {
                 debug_assert_eq!(tag, rtag, "library schedules exchange under one tag");
-                stage = stage_of(tag);
                 StepKind::SendRecv {
-                    to,
-                    src: resolve(src),
-                    from,
-                    dst: resolve(dst),
-                    tag_off: tag,
+                    to: fit(to)?,
+                    src: resolve(src)?,
+                    from: fit(from)?,
+                    dst: resolve(dst)?,
+                    tag_off: fit(tag)?,
                 }
             }
             OpRecord::Copy { src, dst } => StepKind::Copy {
-                src: resolve(src),
-                dst: resolve(dst),
+                src: resolve(src)?,
+                dst: resolve(dst)?,
             },
             OpRecord::Reduce { acc, other } => StepKind::Reduce {
-                acc: resolve(acc),
-                other: resolve(other),
+                acc: resolve(acc)?,
+                other: resolve(other)?,
             },
-            OpRecord::Compute { bytes } => StepKind::Compute { bytes },
+            OpRecord::Compute { bytes } => StepKind::Compute { bytes: fit(bytes)? },
             OpRecord::CallOverhead => StepKind::CallOverhead,
         };
-        steps.push(Step { kind, stage });
+        steps.push(Step { kind });
     }
-    RankProgram {
+    Ok(RankProgram {
         steps,
         scratch_bytes: arena.total_bytes,
-    }
-}
-
-pub(super) fn stage_of(tag: Tag) -> StageId {
-    StageId {
-        level: tag / LEVEL_TAG_STRIDE,
-        sub: tag % LEVEL_TAG_STRIDE,
-    }
+    })
 }
 
 /// The scratch arena layout of one rank: recorded temporary spans,
@@ -281,39 +276,38 @@ impl Arena {
         }
     }
 
-    fn resolve(&self, span: MemSpan, args: &[(usize, usize, usize)], elem: usize) -> Loc {
+    fn resolve(&self, span: MemSpan, args: &[(usize, usize, usize)], elem: usize) -> Result<Loc> {
         if span.len == 0 {
             // Canonical empty location: zero-length ring blocks from
             // uneven partitions carry no data.
-            return Loc {
+            return Ok(Loc {
                 buf: Buf::Scratch,
                 off: 0,
                 len: 0,
-            };
+            });
         }
-        let loc = if let Some((slot, base)) = in_arg(&span, args) {
-            Loc {
-                buf: Buf::Arg(slot),
-                off: span.addr - base,
-                len: span.len,
-            }
+        let (buf, off) = if let Some((slot, base)) = in_arg(&span, args) {
+            (Buf::Arg(fit(slot)?), span.addr - base)
         } else {
             let (cs, _, off) = *self
                 .clusters
                 .iter()
                 .find(|(cs, ce, _)| span.addr >= *cs && span.addr + span.len <= *ce)
                 .expect("recorded span lies in a scratch cluster");
-            Loc {
-                buf: Buf::Scratch,
-                off: off + (span.addr - cs),
-                len: span.len,
-            }
+            (Buf::Scratch, off + (span.addr - cs))
         };
         debug_assert!(
-            loc.off % elem == 0 && loc.len % elem == 0,
+            off.is_multiple_of(elem) && span.len.is_multiple_of(elem),
             "span not element-aligned"
         );
-        loc
+        // The end fits too, so offset arithmetic on steps never wraps.
+        let end: u32 = fit(off + span.len)?;
+        let off: u32 = fit(off)?;
+        Ok(Loc {
+            buf,
+            off,
+            len: end - off,
+        })
     }
 }
 
@@ -328,6 +322,21 @@ fn in_arg(span: &MemSpan, args: &[(usize, usize, usize)]) -> Option<(usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::LEVEL_TAG_STRIDE;
+
+    #[test]
+    fn values_beyond_the_compact_fields_are_refused() {
+        assert_eq!(fit::<u32, usize>(u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(
+            fit::<u16, usize>(70_000),
+            Err(CommError::PlanMismatch {
+                what: "a step operand does not fit the compact step layout",
+            })
+        );
+        assert!(fit::<u32, usize>(1 << 32).is_err());
+        assert!(fit::<u32, u64>(1 << 32).is_err());
+        assert!(fit::<u8, usize>(256).is_err());
+    }
 
     #[test]
     fn mst_broadcast_lowers_to_arg_only_steps() {
@@ -375,16 +384,23 @@ mod tests {
     fn stage_ids_follow_tag_discipline() {
         let st = Strategy::new(vec![3, 3], intercom_cost::StrategyKind::ScatterCollect);
         let prog = lower(PlanOp::AllReduce, Some(&st), 9, 18, 4).unwrap();
-        let mut seen_level_1 = false;
+        let mut levels = std::collections::BTreeSet::new();
         for rp in &prog.ranks {
             for s in &rp.steps {
-                if let StepKind::SendRecv { tag_off, .. } = s.kind {
-                    assert_eq!(s.stage.level, tag_off / LEVEL_TAG_STRIDE);
-                    seen_level_1 |= s.stage.level == 1;
+                match s.kind.tag_off() {
+                    Some(tag_off) => {
+                        assert!(s.kind.is_transfer());
+                        levels.insert(u64::from(tag_off) / LEVEL_TAG_STRIDE);
+                    }
+                    None => assert!(!s.kind.is_transfer(), "{s:?}"),
                 }
             }
         }
-        assert!(seen_level_1, "2-D hybrid must recurse one level down");
+        assert_eq!(
+            levels.into_iter().collect::<Vec<_>>(),
+            [0, 1],
+            "a 2-D hybrid recurses one level down"
+        );
     }
 
     #[test]
@@ -402,21 +418,15 @@ mod tests {
         assert_eq!(prog.p, 12);
         assert_eq!(prog.hier.as_ref(), Some(&hs));
         assert!(prog.strategy.is_none());
-        // Stage k's steps sit in StageId level band [k·128, (k+1)·128):
+        // Stage k's steps sit in the level band [k·128, (k+1)·128):
         // hier stage tags stride 1024 and stage levels stride by 8.
         let band = crate::hier::HIER_STAGE_STRIDE / LEVEL_TAG_STRIDE;
-        let mut bands = std::collections::BTreeSet::new();
-        for rp in &prog.ranks {
-            for s in &rp.steps {
-                if let StepKind::Send { tag_off, .. }
-                | StepKind::Recv { tag_off, .. }
-                | StepKind::SendRecv { tag_off, .. } = s.kind
-                {
-                    assert_eq!(s.stage.level, tag_off / LEVEL_TAG_STRIDE);
-                    bands.insert(s.stage.level / band);
-                }
-            }
-        }
+        let bands: std::collections::BTreeSet<u64> = prog
+            .ranks
+            .iter()
+            .flat_map(|rp| rp.steps.iter().filter_map(|s| s.kind.tag_off()))
+            .map(|tag_off| u64::from(tag_off) / LEVEL_TAG_STRIDE / band)
+            .collect();
         assert_eq!(
             bands.into_iter().collect::<Vec<_>>(),
             vec![0, 1, 2],
@@ -437,6 +447,70 @@ mod tests {
         .unwrap();
         assert!(lower_hier(PlanOp::Alltoall, &hs, 8, 4).is_err());
         assert!(lower_hier(PlanOp::Scatter { root: 0 }, &hs, 8, 4).is_err());
+    }
+
+    #[test]
+    fn arenas_take_at_most_half_the_room_fits_steps_leaves() {
+        use super::super::ARENA_HEADROOM;
+        use intercom_cost::{select_hier, ClusterShape, CollectiveOp, HierMachine, StrategyKind};
+        let check = |prog: CollectiveProgram| {
+            let largest = prog.op.cost_bytes(prog.p, prog.n, prog.elem_size);
+            for rp in &prog.ranks {
+                assert!(
+                    2 * rp.scratch_bytes <= ARENA_HEADROOM * largest,
+                    "{} p={}: a {}-byte arena beside a {largest}-byte argument",
+                    prog.op,
+                    prog.p,
+                    rp.scratch_bytes
+                );
+            }
+        };
+        let n = 100;
+        for p in [1, 4, 5, 9, 12, 16, 17] {
+            let mut strategies = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
+            if p == 12 {
+                strategies.push(Strategy::new(vec![3, 4], StrategyKind::Mst));
+                strategies.push(Strategy::new(vec![4, 3], StrategyKind::ScatterCollect));
+            }
+            for op in [
+                PlanOp::Broadcast { root: 0 },
+                PlanOp::Reduce { root: p - 1 },
+                PlanOp::AllReduce,
+                PlanOp::ReduceScatter,
+                PlanOp::Collect,
+            ] {
+                for st in &strategies {
+                    check(lower(op, Some(st), p, n, 8).unwrap());
+                }
+            }
+            for op in [
+                PlanOp::Scatter { root: 0 },
+                PlanOp::Gather { root: p - 1 },
+                PlanOp::Alltoall,
+                PlanOp::PipelinedBcast {
+                    root: 0,
+                    segments: 3,
+                },
+            ] {
+                check(lower(op, None, p, n, 8).unwrap());
+            }
+        }
+        let shape = ClusterShape::linear(4, 4);
+        for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+            for (op, cop) in [
+                (PlanOp::Broadcast { root: 0 }, CollectiveOp::Broadcast),
+                (PlanOp::Reduce { root: 0 }, CollectiveOp::CombineToOne),
+                (PlanOp::AllReduce, CollectiveOp::CombineToAll),
+                (PlanOp::ReduceScatter, CollectiveOp::DistributedCombine),
+                (PlanOp::Collect, CollectiveOp::Collect),
+            ] {
+                for bytes in [8 * n, 8 * 16 * n] {
+                    if let Some(hs) = select_hier(cop, shape, bytes, &machine) {
+                        check(lower_hier(op, &hs, n, 8).unwrap());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! schedule —
 //!
 //! * the threaded runtime and the mesh simulator *execute* it through
-//!   the backend-generic interpreter ([`execute`]),
+//!   the backend-generic interpreter ([`execute`]) — step by step, or,
+//!   on a backend that runs programs (the simulator), handed over whole
+//!   as a [`BoundProgram`] that the backend walks itself,
 //! * `intercom-verify` checks its static safety properties directly
 //!   (deadlock-freedom, single-port, link conflicts, buffer safety), and
 //! * `intercom-obs` attributes trace events to `(plan, step)` via the
-//!   [`Comm::plan_step`](crate::comm::Comm::plan_step) hook.
+//!   [`Comm::plan_step`](crate::comm::Comm::plan_step) hook, or the
+//!   stamp a program-running backend puts on each transfer.
 //!
 //! Programs are cached in a process-wide [`PlanCache`] keyed by
 //! `(op, p, n, element size, strategy)` — the same observation behind the
@@ -36,20 +39,22 @@
 //! an executing rank needs exactly its arguments plus one reusable
 //! scratch allocation, and repeated executions allocate nothing.
 
+mod bound;
 mod cache;
 mod direct;
 mod exec;
 mod lower;
 mod opt;
 
+pub use bound::{BoundProgram, StepAction};
 pub use cache::{global_cache, CacheStats, PlanCache, PlanKey, DEFAULT_CACHE_CAPACITY};
 pub use direct::{run_direct, run_filled, OwnedArgs};
 pub use exec::{execute, ArgBuf};
 pub use lower::{lower, lower_hier};
 pub use opt::{optimize, OptLevel, OptStats};
 
-use crate::comm::Tag;
 use intercom_cost::{CollectiveOp, HierStrategy, Strategy};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which collective a program implements, together with the call
@@ -251,7 +256,7 @@ impl std::fmt::Display for PlanOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Buf {
     /// Caller argument slot `i` of [`PlanOp::args`].
-    Arg(usize),
+    Arg(u8),
     /// The rank's private scratch arena.
     Scratch,
 }
@@ -264,57 +269,54 @@ pub struct Loc {
     /// Addressed buffer.
     pub buf: Buf,
     /// Byte offset within the buffer.
-    pub off: usize,
+    pub off: u32,
     /// Byte length.
-    pub len: usize,
+    pub len: u32,
 }
 
-/// Stage coordinates of a step: the recursion level and the within-level
-/// stage offset, following the library's tag discipline (`level =
-/// tag / LEVEL_TAG_STRIDE`, `sub = tag % LEVEL_TAG_STRIDE`). Local steps
-/// inherit the stage of the nearest preceding communication step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageId {
-    /// Recursion level (outermost = 0).
-    pub level: u64,
-    /// Stage offset within the level.
-    pub sub: u64,
+impl Loc {
+    /// The addressed bytes as a range of the buffer.
+    pub fn bytes(&self) -> Range<usize> {
+        let off = self.off as usize;
+        off..off + self.len as usize
+    }
 }
 
-/// One schedule action of one rank.
+/// One schedule action of one rank. Peers are logical ranks of the
+/// program's group; tag offsets are added to the execution's base tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
     /// Blocking send of `src` to logical rank `to`.
     Send {
         /// Destination logical rank.
-        to: usize,
+        to: u16,
         /// Tag offset from the execution's base tag.
-        tag_off: Tag,
+        tag_off: u32,
         /// Bytes read.
         src: Loc,
     },
     /// Blocking receive into `dst` from logical rank `from`.
     Recv {
         /// Source logical rank.
-        from: usize,
+        from: u16,
         /// Tag offset from the execution's base tag.
-        tag_off: Tag,
+        tag_off: u32,
         /// Bytes written.
         dst: Loc,
     },
     /// Concurrent send-to / receive-from (possibly different peers).
     SendRecv {
         /// Destination logical rank of the send half.
-        to: usize,
+        to: u16,
         /// Bytes read by the send half.
         src: Loc,
         /// Source logical rank of the receive half.
-        from: usize,
+        from: u16,
         /// Bytes written by the receive half.
         dst: Loc,
         /// Tag offset of both halves: tags encode stages, and an
         /// exchange's halves always belong to one stage.
-        tag_off: Tag,
+        tag_off: u32,
     },
     /// Local copy of `src` into `dst` (block permutes, root staging,
     /// own-block moves).
@@ -334,19 +336,66 @@ pub enum StepKind {
     /// γ-accounting: local combine work over `bytes` bytes.
     Compute {
         /// Combined byte count.
-        bytes: usize,
+        bytes: u32,
     },
     /// δ-accounting: one level of short-vector recursion overhead.
     CallOverhead,
 }
 
-/// One step of a rank's program: an action plus its stage coordinates.
+impl StepKind {
+    /// The tag offset of a send, receive or exchange; `None` for a
+    /// local step. It names the transfer's stage: recursion level
+    /// `tag_off / LEVEL_TAG_STRIDE`, stage `tag_off % LEVEL_TAG_STRIDE`
+    /// within it.
+    pub fn tag_off(&self) -> Option<u32> {
+        match *self {
+            StepKind::Send { tag_off, .. }
+            | StepKind::Recv { tag_off, .. }
+            | StepKind::SendRecv { tag_off, .. } => Some(tag_off),
+            _ => None,
+        }
+    }
+
+    /// A send, receive or exchange: a step that waits on a peer.
+    pub fn is_transfer(&self) -> bool {
+        self.tag_off().is_some()
+    }
+}
+
+/// One step of a rank's program.
+///
+/// Compact, because programs are kept: the 21 `sim-mesh` rows' plain
+/// programs hold ≈1.4 M steps. Offsets, lengths and tags are `u32`,
+/// peers `u16` and argument slots `u8`, and the stage is not stored (a
+/// transfer's tag offset names it, [`StepKind::tag_off`]); lowering
+/// errs with [`PlanMismatch`](crate::CommError::PlanMismatch) where a
+/// value does not fit, and [`fits_steps`] tells a caller beforehand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
     /// The action.
     pub kind: StepKind,
-    /// Stage attribution for cost and observability.
-    pub stage: StageId,
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() <= 40);
+
+/// How many times a call's largest argument [`fits_steps`] leaves room
+/// for in the scratch arena: twice the largest ratio lowering produces
+/// over the schedule audit's battery (3.25, a hierarchical
+/// reduce-scatter; pinned in `lower`'s tests).
+pub(crate) const ARENA_HEADROOM: usize = 8;
+
+/// Whether a call of `op` over `p` ranks with size parameter `n` lowers
+/// into [`Step`]s: every peer fits a `u16`, and the call's largest
+/// argument, and an arena `ARENA_HEADROOM` (8) times its size, fit `u32`
+/// offsets. A caller that can run the call either way takes the direct
+/// path where this says no, rather than have lowering refuse the call
+/// (and replay every rank at that size first).
+pub fn fits_steps(op: PlanOp, p: usize, n: usize, elem_size: usize) -> bool {
+    let largest = op.cost_bytes(p, n, elem_size);
+    p <= 1 << 16
+        && largest
+            .checked_mul(ARENA_HEADROOM)
+            .is_some_and(|bytes| bytes <= u32::MAX as usize)
 }
 
 /// One rank's compiled schedule.
@@ -392,12 +441,7 @@ impl CollectiveProgram {
         self.ranks
             .iter()
             .flat_map(|r| r.steps.iter())
-            .filter(|s| {
-                matches!(
-                    s.kind,
-                    StepKind::Send { .. } | StepKind::Recv { .. } | StepKind::SendRecv { .. }
-                )
-            })
+            .filter(|s| s.kind.is_transfer())
             .count()
     }
 }
@@ -468,6 +512,20 @@ mod tests {
         assert_eq!(PlanOp::Collect.cost_bytes(4, 10, 8), 320);
         assert_eq!(PlanOp::ReduceScatter.cost_bytes(4, 10, 2), 80);
         assert_eq!(PlanOp::Gather { root: 1 }.cost_bytes(3, 5, 4), 60);
+    }
+
+    #[test]
+    fn calls_beyond_the_compact_layout_do_not_fit() {
+        let gib = 1 << 30;
+        assert!(fits_steps(PlanOp::AllReduce, 512, 1 << 17, 8));
+        // 512 MiB: an arena of eight times that passes 4 GiB.
+        assert!(!fits_steps(PlanOp::AllReduce, 512, gib / 16, 8));
+        // A 4-rank allgather of 1 GiB blocks, by its 4 GiB result.
+        assert!(!fits_steps(PlanOp::Collect, 4, gib, 1));
+        assert!(fits_steps(PlanOp::Collect, 4, 1 << 20, 1));
+        // Peers are `u16`.
+        assert!(fits_steps(PlanOp::Broadcast { root: 0 }, 1 << 16, 8, 1));
+        assert!(!fits_steps(PlanOp::Broadcast { root: 0 }, 70_000, 8, 1));
     }
 
     #[test]

@@ -54,7 +54,6 @@
 //!   strategy space.
 
 use super::{CollectiveProgram, Loc, Step, StepKind};
-use crate::comm::Tag;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How much optimization a compiled plan gets — the plan cache's
@@ -172,7 +171,8 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
 }
 
 fn locs_overlap(a: &Loc, b: &Loc) -> bool {
-    a.len > 0 && b.len > 0 && a.buf == b.buf && a.off < b.off + b.len && b.off < a.off + a.len
+    let (ra, rb) = (a.bytes(), b.bytes());
+    a.len > 0 && b.len > 0 && a.buf == b.buf && ra.start < rb.end && rb.start < ra.end
 }
 
 /// Read/write footprint of a local step, `None` for communication.
@@ -237,7 +237,7 @@ fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) 
     // Tags encode stages, so same stage means same tag: an exchange
     // carries one. Halves of different stages are causally ordered and
     // stay apart.
-    if first.stage != second.stage {
+    if first.kind.tag_off() != second.kind.tag_off() {
         return None;
     }
     let (to, tag_off, src, from, dst) = match (first.kind, second.kind) {
@@ -286,7 +286,6 @@ fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) 
             dst,
             tag_off,
         },
-        stage: first.stage,
     })
 }
 
@@ -297,23 +296,25 @@ fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) 
 fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
     let mut merged = 0;
     loop {
-        let mut chan_send: BTreeMap<(usize, usize, Tag), Vec<usize>> = BTreeMap::new();
-        let mut chan_recv: BTreeMap<(usize, usize, Tag), Vec<usize>> = BTreeMap::new();
-        let mut tainted: BTreeSet<(usize, usize, Tag)> = BTreeSet::new();
+        let mut chan_send: BTreeMap<(usize, usize, u32), Vec<usize>> = BTreeMap::new();
+        let mut chan_recv: BTreeMap<(usize, usize, u32), Vec<usize>> = BTreeMap::new();
+        let mut tainted: BTreeSet<(usize, usize, u32)> = BTreeSet::new();
         for (r, rp) in prog.ranks.iter().enumerate() {
             for (idx, step) in rp.steps.iter().enumerate() {
                 match step.kind {
-                    StepKind::Send { to, tag_off, .. } => {
-                        chan_send.entry((r, to, tag_off)).or_default().push(idx)
-                    }
-                    StepKind::Recv { from, tag_off, .. } => {
-                        chan_recv.entry((from, r, tag_off)).or_default().push(idx)
-                    }
+                    StepKind::Send { to, tag_off, .. } => chan_send
+                        .entry((r, to.into(), tag_off))
+                        .or_default()
+                        .push(idx),
+                    StepKind::Recv { from, tag_off, .. } => chan_recv
+                        .entry((from.into(), r, tag_off))
+                        .or_default()
+                        .push(idx),
                     StepKind::SendRecv {
                         to, from, tag_off, ..
                     } => {
-                        tainted.insert((r, to, tag_off));
-                        tainted.insert((from, r, tag_off));
+                        tainted.insert((r, to.into(), tag_off));
+                        tainted.insert((from.into(), r, tag_off));
                     }
                     _ => {}
                 }
@@ -441,7 +442,7 @@ fn dead_copy_elim(prog: &mut CollectiveProgram) -> usize {
 /// dropped.
 fn remove_identity_copies(steps: &mut Vec<Step>) -> usize {
     // (scratch_off, len, arg_slot, arg_off)
-    let mut records: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut records: Vec<(u32, u32, u8, u32)> = Vec::new();
     let mut dead: Vec<usize> = Vec::new();
     let scratch = |l: &Loc| l.buf == super::Buf::Scratch;
     for (idx, step) in steps.iter().enumerate() {
@@ -537,8 +538,8 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
     #[derive(Clone, Copy)]
     struct Half {
         peer: usize,
-        tag: Tag,
-        len: usize,
+        tag: u32,
+        len: u32,
         done: bool,
     }
     #[derive(Clone, Copy, Default)]
@@ -554,7 +555,7 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
                 StepKind::Send { to, tag_off, src } => {
                     return Some(Cur {
                         send: Some(Half {
-                            peer: to,
+                            peer: to.into(),
                             tag: tag_off,
                             len: src.len,
                             done: false,
@@ -566,7 +567,7 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
                     return Some(Cur {
                         send: None,
                         recv: Some(Half {
-                            peer: from,
+                            peer: from.into(),
                             tag: tag_off,
                             len: dst.len,
                             done: false,
@@ -582,13 +583,13 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
                 } => {
                     return Some(Cur {
                         send: Some(Half {
-                            peer: to,
+                            peer: to.into(),
                             tag: tag_off,
                             len: src.len,
                             done: false,
                         }),
                         recv: Some(Half {
-                            peer: from,
+                            peer: from.into(),
                             tag: tag_off,
                             len: dst.len,
                             done: false,
@@ -647,19 +648,15 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::lower::stage_of;
     use super::super::{lower, Buf, PlanOp, RankProgram};
     use super::*;
 
-    fn loc(buf: Buf, off: usize, len: usize) -> Loc {
+    fn loc(buf: Buf, off: u32, len: u32) -> Loc {
         Loc { buf, off, len }
     }
 
-    fn step(kind: StepKind, tag: Tag) -> Step {
-        Step {
-            kind,
-            stage: stage_of(tag),
-        }
+    fn step(kind: StepKind) -> Step {
+        Step { kind }
     }
 
     /// A hand-built two-rank program shell (op/strategy irrelevant to
@@ -694,40 +691,28 @@ mod tests {
             8,
             vec![
                 vec![
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: a,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Recv {
-                            from: 1,
-                            tag_off: 0,
-                            dst: b,
-                        },
-                        0,
-                    ),
+                    step(StepKind::Send {
+                        to: 1,
+                        tag_off: 0,
+                        src: a,
+                    }),
+                    step(StepKind::Recv {
+                        from: 1,
+                        tag_off: 0,
+                        dst: b,
+                    }),
                 ],
                 vec![
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: b,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Send {
-                            to: 0,
-                            tag_off: 0,
-                            src: a,
-                        },
-                        0,
-                    ),
+                    step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 0,
+                        dst: b,
+                    }),
+                    step(StepKind::Send {
+                        to: 0,
+                        tag_off: 0,
+                        src: a,
+                    }),
                 ],
             ],
             0,
@@ -751,40 +736,28 @@ mod tests {
             4,
             vec![
                 vec![
-                    step(
-                        StepKind::Recv {
-                            from: 1,
-                            tag_off: 0,
-                            dst: r,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 1,
-                            src: r,
-                        },
-                        1,
-                    ),
+                    step(StepKind::Recv {
+                        from: 1,
+                        tag_off: 0,
+                        dst: r,
+                    }),
+                    step(StepKind::Send {
+                        to: 1,
+                        tag_off: 1,
+                        src: r,
+                    }),
                 ],
                 vec![
-                    step(
-                        StepKind::Send {
-                            to: 0,
-                            tag_off: 0,
-                            src: r,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 1,
-                            dst: r,
-                        },
-                        1,
-                    ),
+                    step(StepKind::Send {
+                        to: 0,
+                        tag_off: 0,
+                        src: r,
+                    }),
+                    step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 1,
+                        dst: r,
+                    }),
                 ],
             ],
             0,
@@ -807,56 +780,38 @@ mod tests {
             4,
             vec![
                 vec![
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: s1,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: s2,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: gap,
-                        },
-                        0,
-                    ),
+                    step(StepKind::Send {
+                        to: 1,
+                        tag_off: 0,
+                        src: s1,
+                    }),
+                    step(StepKind::Send {
+                        to: 1,
+                        tag_off: 0,
+                        src: s2,
+                    }),
+                    step(StepKind::Send {
+                        to: 1,
+                        tag_off: 0,
+                        src: gap,
+                    }),
                 ],
                 vec![
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: d1,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: d2,
-                        },
-                        0,
-                    ),
-                    step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: d3,
-                        },
-                        0,
-                    ),
+                    step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 0,
+                        dst: d1,
+                    }),
+                    step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 0,
+                        dst: d2,
+                    }),
+                    step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 0,
+                        dst: d3,
+                    }),
                 ],
             ],
             0,
@@ -887,8 +842,8 @@ mod tests {
             1,
             4,
             vec![vec![
-                step(StepKind::Copy { src: a, dst: s }, 0),
-                step(StepKind::Copy { src: s, dst: a }, 0),
+                step(StepKind::Copy { src: a, dst: s }),
+                step(StepKind::Copy { src: s, dst: a }),
             ]],
             16,
         );
@@ -905,22 +860,16 @@ mod tests {
                 2,
                 n,
                 vec![
-                    vec![step(
-                        StepKind::Send {
-                            to: 1,
-                            tag_off: 0,
-                            src: empty,
-                        },
-                        0,
-                    )],
-                    vec![step(
-                        StepKind::Recv {
-                            from: 0,
-                            tag_off: 0,
-                            dst: empty,
-                        },
-                        0,
-                    )],
+                    vec![step(StepKind::Send {
+                        to: 1,
+                        tag_off: 0,
+                        src: empty,
+                    })],
+                    vec![step(StepKind::Recv {
+                        from: 0,
+                        tag_off: 0,
+                        dst: empty,
+                    })],
                 ],
                 0,
             )
@@ -942,14 +891,11 @@ mod tests {
             2,
             4,
             vec![
-                vec![step(
-                    StepKind::Send {
-                        to: 1,
-                        tag_off: 0,
-                        src: a,
-                    },
-                    0,
-                )],
+                vec![step(StepKind::Send {
+                    to: 1,
+                    tag_off: 0,
+                    src: a,
+                })],
                 vec![],
             ],
             0,

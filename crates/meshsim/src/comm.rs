@@ -1,7 +1,8 @@
 //! The per-rank simulated endpoint.
 
 use crate::engine::{Reply, Request};
-use crate::window::{RecvWindow, SendWindow};
+use crate::window::{ProgramWindow, RecvWindow, SendWindow};
+use intercom::ir::BoundProgram;
 use intercom::{Comm, CommError, Result, Tag};
 use std::sync::mpsc::{Receiver, SyncSender};
 
@@ -15,6 +16,11 @@ use std::sync::mpsc::{Receiver, SyncSender};
 /// the engine windows onto the caller's own buffers and block until it
 /// replies; the engine copies sender → receiver once, at the transfer's
 /// completion (see `window.rs` for why that is sound).
+///
+/// A `SimComm` runs programs: a `Communicator` call or a persistent plan
+/// hands the engine its whole compiled program in one request
+/// ([`Comm::run_program`]), and the rank blocks until the engine has
+/// walked it to the end — one reply per call, whatever its step count.
 pub struct SimComm {
     rank: usize,
     size: usize,
@@ -138,5 +144,13 @@ impl Comm for SimComm {
         let _ = self
             .to_engine
             .send((self.rank, Request::PlanStep { plan, step }));
+    }
+
+    fn runs_programs(&self) -> bool {
+        true
+    }
+
+    fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
+        self.roundtrip(Request::Program(ProgramWindow::lend(prog)))
     }
 }

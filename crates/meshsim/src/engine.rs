@@ -13,11 +13,21 @@
 //! * arithmetic costs `γ` per byte and the library's short-vector
 //!   recursion overhead costs `δ` per level — both charged to the local
 //!   virtual clock.
+//!
+//! A rank reaches the engine in one of two ways. A closure's blocking
+//! call is one request and one reply. A compiled program
+//! ([`Request::Program`]) is one request too: the engine keeps a cursor
+//! over its steps in the rank's slot and runs its data steps at once;
+//! each clock step or transfer becomes the request a closure would have
+//! sent for it, charged or posted by the same `dispatch`; the cursor
+//! moves on when a transfer completes, and the rank gets one reply,
+//! when the program ends — at its last step, or at the first error.
 
 use crate::fluid::FluidScratch;
 use crate::net::NetSpec;
-use crate::window::{RecvWindow, SendWindow};
+use crate::window::{ProgramWindow, RecvWindow, SendWindow};
 use intercom::faults::POISON_TAG;
+use intercom::ir::StepAction;
 use intercom::rng::splitmix64;
 use intercom::{AbortCause, AbortInfo, CommError, Tag};
 use intercom_cost::HierMachine;
@@ -62,6 +72,9 @@ pub(crate) enum Request {
         plan: u64,
         step: u64,
     },
+    /// The rank's part of a compiled program, run by the engine; the
+    /// rank stays blocked until the program ends.
+    Program(ProgramWindow),
     Finished,
 }
 
@@ -85,8 +98,8 @@ struct SendHalf {
     tag: Tag,
     posted: f64,
     data: SendWindow,
-    /// `(plan_id, step)` attribution captured from the sender at post
-    /// time (the transfer event lands on the sender's timeline).
+    /// `(plan_id, step)` of the step that posted it (the transfer event
+    /// lands on the sender's timeline).
     plan: (u64, u64),
 }
 
@@ -96,6 +109,53 @@ struct RecvHalf {
     tag: Tag,
     posted: f64,
     buf: RecvWindow,
+    plan: (u64, u64),
+}
+
+/// A program the engine is walking for a rank blocked in it.
+struct Running {
+    prog: ProgramWindow,
+    plan_id: u64,
+    /// The next step to run, and one past the last.
+    next: usize,
+    end: usize,
+}
+
+impl Request {
+    /// The request a program step stands for, its byte views lent as
+    /// windows (so it outlives the step's borrow); `None` for a step
+    /// that has nothing left for the engine to do.
+    fn lend(action: StepAction<'_>) -> Option<Self> {
+        Some(match action {
+            StepAction::Done => return None,
+            StepAction::Compute(bytes) => Request::Compute { bytes },
+            StepAction::CallOverhead => Request::CallOverhead,
+            StepAction::Send { to, tag, data } => Request::Send {
+                to,
+                tag,
+                data: SendWindow::lend(data),
+            },
+            StepAction::Recv { from, tag, buf } => Request::Recv {
+                from,
+                tag,
+                buf: RecvWindow::lend(buf),
+            },
+            StepAction::SendRecv {
+                to,
+                data,
+                from,
+                buf,
+                tag,
+            } => Request::SendRecv {
+                to,
+                data: SendWindow::lend(data),
+                from,
+                tag,
+                rtag: tag,
+                buf: RecvWindow::lend(buf),
+            },
+        })
+    }
 }
 
 struct Transfer {
@@ -170,6 +230,10 @@ pub(crate) struct Engine {
     /// Per-rank `(plan_id, step)` currently executing (set by
     /// [`Request::PlanStep`]; `(0, 0)` outside plan execution).
     plan_steps: Vec<(u64, u64)>,
+    /// Per-rank slot of the program a rank is blocked in, if any.
+    programs: Vec<Option<Running>>,
+    /// Ranks whose program can move on: a transfer of theirs completed.
+    resumable: Vec<usize>,
     /// Static constraint universe: `node` = injection port of `node`,
     /// `p + node` = ejection port, `2p + slot` = directed link `slot`
     /// (dense per-topology slot numbering).
@@ -246,6 +310,8 @@ impl Engine {
             blocked: 0,
             trace: record_trace.then(Vec::new),
             plan_steps: vec![(0, 0); p],
+            programs: (0..p).map(|_| None).collect(),
+            resumable: Vec::with_capacity(p),
             fluid: FluidScratch::new(universe),
             rates_buf: Vec::new(),
             rates_dirty: false,
@@ -337,41 +403,55 @@ impl Engine {
             }
             return;
         }
-        // Once poisoned, every further comm request fails fast with the
-        // same diagnosis; accounting requests still apply harmlessly.
-        if let Some(info) = self.poisoned {
-            if matches!(
-                req,
-                Request::Send { .. } | Request::Recv { .. } | Request::SendRecv { .. }
-            ) {
-                self.ready_replies
-                    .push((rank, Err(CommError::Aborted(info))));
-                return;
-            }
-        }
         match req {
-            // Arithmetic and call overhead execute on the node: the
-            // intra (node) level's γ and δ.
-            Request::Compute { bytes } => {
-                self.clocks[rank] += bytes as f64 * self.machine.intra().gamma;
-            }
-            Request::CallOverhead => {
-                self.clocks[rank] += self.machine.intra().delta;
-            }
             Request::PlanStep { plan, step } => {
                 self.plan_steps[rank] = (plan, step);
+            }
+            Request::Program(mut prog) => {
+                let (plan_id, span) = prog.with(|p| (p.plan_id(), p.span()));
+                self.programs[rank] = Some(Running {
+                    prog,
+                    plan_id,
+                    next: span.start,
+                    end: span.end,
+                });
+                self.walk(rank);
             }
             Request::Finished => {
                 self.states[rank] = RankState::Finished;
                 self.finished += 1;
             }
+            req => self.dispatch(rank, req, self.plan_steps[rank]),
+        }
+    }
+
+    /// Charges a clock request, or blocks `rank` on a transfer's halves
+    /// attributed to `plan` — a closure's call and a program's step
+    /// alike. Once poisoned, a transfer fails fast with the diagnosis
+    /// (ending the rank's program, if it runs one); clock requests
+    /// still apply harmlessly.
+    fn dispatch(&mut self, rank: usize, req: Request, plan: (u64, u64)) {
+        let transfer = matches!(
+            req,
+            Request::Send { .. } | Request::Recv { .. } | Request::SendRecv { .. }
+        );
+        if let (true, Some(info)) = (transfer, self.poisoned) {
+            return self.end_program(rank, Err(CommError::Aborted(info)));
+        }
+        // Arithmetic and call overhead execute on the node: the intra
+        // (node) level's γ and δ.
+        match req {
+            Request::Compute { bytes } => {
+                self.clocks[rank] += bytes as f64 * self.machine.intra().gamma;
+            }
+            Request::CallOverhead => self.clocks[rank] += self.machine.intra().delta,
             Request::Send { to, tag, data } => {
                 self.block(rank, 1);
-                self.post_send(rank, to, tag, data);
+                self.post_send(rank, to, tag, data, plan);
             }
             Request::Recv { from, tag, buf } => {
                 self.block(rank, 1);
-                self.post_recv(from, rank, tag, buf);
+                self.post_recv(from, rank, tag, buf, plan);
             }
             Request::SendRecv {
                 to,
@@ -382,10 +462,44 @@ impl Engine {
                 buf,
             } => {
                 self.block(rank, 2);
-                self.post_send(rank, to, tag, data);
-                self.post_recv(from, rank, rtag, buf);
+                self.post_send(rank, to, tag, data, plan);
+                self.post_recv(from, rank, rtag, buf, plan);
+            }
+            Request::PlanStep { .. } | Request::Program(_) | Request::Finished => {
+                unreachable!("not a step request")
             }
         }
+    }
+
+    /// Runs `rank`'s program from its cursor until it blocks on a
+    /// transfer or ends. Data steps run and clock steps are charged on
+    /// the spot, exactly as the rank's own calls would have; a failed
+    /// step, or a transfer once the world is poisoned, ends the program
+    /// with that error.
+    fn walk(&mut self, rank: usize) {
+        while matches!(self.states[rank], RankState::Running) {
+            let Some(run) = self.programs[rank].as_mut() else {
+                return;
+            };
+            if run.next == run.end {
+                return self.end_program(rank, Ok(()));
+            }
+            let i = run.next;
+            run.next += 1;
+            let plan = (run.plan_id, i as u64);
+            match run.prog.with(|p| p.step(i).map(Request::lend)) {
+                Ok(Some(req)) => self.dispatch(rank, req, plan),
+                Ok(None) => {}
+                Err(e) => return self.end_program(rank, Err(e)),
+            }
+        }
+    }
+
+    /// Ends `rank`'s program, if it runs one, with its one reply — or
+    /// replies to a closure's blocking call.
+    fn end_program(&mut self, rank: usize, reply: Reply) {
+        self.programs[rank] = None;
+        self.ready_replies.push((rank, reply));
     }
 
     /// Latches the abort, releases every blocked rank with the
@@ -400,8 +514,7 @@ impl Engine {
             if matches!(self.states[rank], RankState::Blocked { .. }) {
                 self.states[rank] = RankState::Running;
                 self.blocked -= 1;
-                self.ready_replies
-                    .push((rank, Err(CommError::Aborted(info))));
+                self.end_program(rank, Err(CommError::Aborted(info)));
             }
         }
         self.pending_sends.fill_with(|| None);
@@ -419,7 +532,7 @@ impl Engine {
         self.blocked += 1;
     }
 
-    fn post_send(&mut self, src: usize, dst: usize, tag: Tag, data: SendWindow) {
+    fn post_send(&mut self, src: usize, dst: usize, tag: Tag, data: SendWindow, plan: (u64, u64)) {
         if dst >= self.ranks() {
             self.half_error(
                 src,
@@ -435,7 +548,7 @@ impl Engine {
             tag,
             posted: self.clocks[src],
             data,
-            plan: self.plan_steps[src],
+            plan,
         };
         match self.pending_recvs[dst].take_if(|r| r.from == src && r.tag == tag) {
             Some(r) => self.rendezvous(src, dst, half, r),
@@ -446,7 +559,7 @@ impl Engine {
         }
     }
 
-    fn post_recv(&mut self, src: usize, dst: usize, tag: Tag, buf: RecvWindow) {
+    fn post_recv(&mut self, src: usize, dst: usize, tag: Tag, buf: RecvWindow, plan: (u64, u64)) {
         if src >= self.ranks() {
             self.half_error(
                 dst,
@@ -462,6 +575,7 @@ impl Engine {
             tag,
             posted: self.clocks[dst],
             buf,
+            plan,
         };
         match self.pending_sends[src].take_if(|s| s.to == dst && s.tag == tag) {
             Some(s) => self.rendezvous(src, dst, s, half),
@@ -556,11 +670,17 @@ impl Engine {
         }
     }
 
+    /// Releases `rank` from its blocking call: a closure's call gets
+    /// its reply; a program moves on (from `advance`, once this batch of
+    /// completions is done) or, on an error, ends with it.
     fn unblock(&mut self, rank: usize) {
         let state = std::mem::replace(&mut self.states[rank], RankState::Running);
         if let RankState::Blocked { err, .. } = state {
             self.blocked -= 1;
-            self.ready_replies.push((rank, err.map_or(Ok(()), Err)));
+            match err {
+                None if self.programs[rank].is_some() => self.resumable.push(rank),
+                err => self.end_program(rank, err.map_or(Ok(()), Err)),
+            }
         }
     }
 
@@ -627,6 +747,12 @@ impl Engine {
             } else {
                 i += 1;
             }
+        }
+        // Programs whose transfer completed run on to their next one;
+        // what they post waits for the next advance, as a closure's
+        // next request would.
+        while let Some(rank) = self.resumable.pop() {
+            self.walk(rank);
         }
         if self.rates_dirty {
             self.recompute_rates();
@@ -708,15 +834,22 @@ impl Engine {
     }
 
     fn panic_deadlock(&self) -> ! {
+        // A half a program posted names its step.
+        let at = |(plan, step): (u64, u64)| match plan {
+            0 => String::new(),
+            _ => format!(" (plan {plan} step {step})"),
+        };
         let mut detail = String::new();
         for (s, half) in self.pending_sends.iter().enumerate() {
             if let Some(h) = half {
-                detail.push_str(&format!("  unmatched send {s}→{} tag {}\n", h.to, h.tag));
+                let (to, tag, at) = (h.to, h.tag, at(h.plan));
+                detail.push_str(&format!("  unmatched send {s}→{to} tag {tag}{at}\n"));
             }
         }
         for (d, half) in self.pending_recvs.iter().enumerate() {
             if let Some(h) = half {
-                detail.push_str(&format!("  unmatched recv {d}←{} tag {}\n", h.from, h.tag));
+                let (from, tag, at) = (h.from, h.tag, at(h.plan));
+                detail.push_str(&format!("  unmatched recv {d}←{from} tag {tag}{at}\n"));
             }
         }
         panic!(
@@ -1167,5 +1300,347 @@ mod tests {
             assert_eq!(buf, [round as u8; 2]);
             assert_eq!(e.spare_constraints.len(), 1, "one vector, reused");
         }
+    }
+
+    // Programs. The tests bind hand-made programs as `execute` would and
+    // lend them to the engine themselves, which walks the span from the
+    // first transfer or clock step to the last; a bound program stays
+    // in place, untouched, until its rank's reply.
+
+    use intercom::ir::{
+        ArgBuf, BoundProgram, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
+    };
+    use intercom::ReduceOp;
+
+    const PLAN: u64 = 77;
+
+    /// A program of `elem`-byte elements in which rank `r` runs
+    /// `ranks[r]`, with a 16-byte arena.
+    fn program(elem: usize, ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
+        let rank = |kinds: Vec<StepKind>| RankProgram {
+            steps: kinds.into_iter().map(|kind| Step { kind }).collect(),
+            scratch_bytes: 16,
+        };
+        CollectiveProgram {
+            plan_id: PLAN,
+            op: PlanOp::Alltoall,
+            p: ranks.len(),
+            n: 0,
+            elem_size: elem,
+            strategy: None,
+            hier: None,
+            ranks: ranks.into_iter().map(rank).collect(),
+        }
+    }
+
+    fn arg(slot: u8, off: u32, len: u32) -> Loc {
+        Loc {
+            buf: Buf::Arg(slot),
+            off,
+            len,
+        }
+    }
+
+    fn to(peer: u16, tag_off: u32, src: Loc) -> StepKind {
+        StepKind::Send {
+            to: peer,
+            tag_off,
+            src,
+        }
+    }
+
+    fn from(peer: u16, tag_off: u32, dst: Loc) -> StepKind {
+        StepKind::Recv {
+            from: peer,
+            tag_off,
+            dst,
+        }
+    }
+
+    fn swap(peer: u16, tag_off: u32, src: Loc, dst: Loc) -> StepKind {
+        StepKind::SendRecv {
+            to: peer,
+            src,
+            from: peer,
+            dst,
+            tag_off,
+        }
+    }
+
+    fn copy(src: Loc, dst: Loc) -> StepKind {
+        StepKind::Copy { src, dst }
+    }
+
+    /// Lends `bound` to the engine as rank `rank`'s program.
+    fn lend(e: &mut Engine, rank: usize, bound: &mut BoundProgram<'_>) {
+        e.handle(rank, Request::Program(ProgramWindow::lend(bound)));
+    }
+
+    #[test]
+    fn a_program_is_one_request_and_one_reply() {
+        // Two ranks swap 4-byte blocks five times and keep what arrived:
+        // ten transfers, nine copies between them, two replies. The copy
+        // after the last swap is the caller's, so the engine leaves it.
+        let ranks = (0..2u16)
+            .map(|me| {
+                let keep = |k: u32| copy(arg(0, 4, 4), arg(0, 8 + 4 * k, 4));
+                (0..5)
+                    .flat_map(|k| [swap(1 - me, k, arg(0, 0, 4), arg(0, 4, 4)), keep(k)])
+                    .collect()
+            })
+            .collect();
+        let prog = program(1, ranks);
+        let members = [0, 1];
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let mut bufs = [[1u8; 28], [2u8; 28]];
+        bufs.iter_mut().for_each(|b| b[4..].fill(0));
+        let [b0, b1] = &mut bufs;
+        let (mut a0, mut a1) = ([ArgBuf::Out(&mut b0[..])], [ArgBuf::Out(&mut b1[..])]);
+        let (mut arena0, mut arena1) = (Vec::new(), Vec::new());
+        let sum = ReduceOp::Sum;
+        let mut p0 = BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena0, sum, 0).unwrap();
+        let mut p1 = BoundProgram::new(&prog, 1, &members, &mut a1, &mut arena1, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p0);
+        lend(&mut e, 1, &mut p1);
+        let mut got = Vec::new();
+        while e.blocked > 0 {
+            assert!(replies(&mut e).is_empty(), "no reply before the end");
+            e.advance();
+            got.extend(replies(&mut e));
+        }
+        assert_eq!(got.len(), 2, "one reply per program");
+        assert!(got.iter().all(|(_, r)| r.is_ok()));
+        // Five exchanges of α + 4β each.
+        assert_eq!(e.clocks, [25.0, 25.0]);
+        for (me, b) in bufs.iter().enumerate() {
+            let theirs = 2 - me as u8;
+            assert!(b[8..24].iter().all(|&x| x == theirs), "rank {me}: {b:?}");
+            assert_eq!(b[24..], [0; 4], "rank {me}: the caller's copy");
+        }
+    }
+
+    #[test]
+    fn a_length_mismatch_ends_both_programs_and_runs_no_later_step() {
+        let prog = program(
+            1,
+            vec![
+                vec![
+                    to(1, 0, arg(0, 0, 4)),
+                    to(1, 1, arg(0, 4, 4)),
+                    copy(arg(0, 0, 4), arg(0, 8, 4)),
+                    to(1, 2, arg(0, 0, 4)),
+                ],
+                vec![
+                    from(0, 0, arg(0, 0, 4)),
+                    from(0, 1, arg(0, 4, 2)),
+                    copy(arg(0, 0, 4), arg(0, 8, 4)),
+                    from(0, 2, arg(0, 0, 4)),
+                ],
+            ],
+        );
+        let members = [0, 1];
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let (mut b0, mut b1) = (pattern(12, 29), [0xEEu8; 12]);
+        let sent = b0.clone();
+        let (mut a0, mut a1) = ([ArgBuf::Out(&mut b0[..])], [ArgBuf::Out(&mut b1[..])]);
+        let (mut arena0, mut arena1) = (Vec::new(), Vec::new());
+        let sum = ReduceOp::Sum;
+        let mut p0 = BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena0, sum, 0).unwrap();
+        let mut p1 = BoundProgram::new(&prog, 1, &members, &mut a1, &mut arena1, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p0);
+        lend(&mut e, 1, &mut p1);
+        drive_to_completion(&mut e);
+        let mismatch = Err(CommError::LengthMismatch {
+            expected: 2,
+            actual: 4,
+        });
+        assert_eq!(replies(&mut e), [(0, mismatch.clone()), (1, mismatch)]);
+        assert!(e.programs.iter().all(Option::is_none));
+        assert!(e.waiting.is_empty() && e.active.is_empty());
+        assert_eq!(b0, sent, "the sender's copy never ran");
+        assert_eq!(b1[..4], sent[..4], "the first message arrived");
+        assert_eq!(b1[4..], [0xEE; 8], "nothing after it was written");
+    }
+
+    #[test]
+    fn poison_ends_a_blocked_program_and_copies_nothing() {
+        let prog = program(
+            1,
+            vec![
+                vec![
+                    StepKind::CallOverhead,
+                    from(1, 4, arg(0, 0, 8)),
+                    copy(arg(0, 0, 4), arg(0, 4, 4)),
+                    from(1, 5, arg(0, 0, 8)),
+                ],
+                vec![],
+            ],
+        );
+        let members = [0, 1];
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let mut b0 = [0xEEu8; 8];
+        let mut a0 = [ArgBuf::Out(&mut b0[..])];
+        let mut arena = Vec::new();
+        let sum = ReduceOp::Sum;
+        let mut p0 = BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p0);
+        assert!(replies(&mut e).is_empty(), "blocked on its receive");
+        let info = abort_info();
+        e.handle(1, send(0, POISON_TAG, &info.encode()));
+        assert_eq!(
+            replies(&mut e),
+            [(0, Err(CommError::Aborted(info))), (1, Ok(()))]
+        );
+        assert!(e.programs[0].is_none());
+        // A program that starts after the poison fails at its first
+        // transfer, its clock steps charged as a closure's would be.
+        let mut p0 = BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p0);
+        assert_eq!(replies(&mut e), [(0, Err(CommError::Aborted(info)))]);
+        assert_eq!(b0, [0xEE; 8]);
+    }
+
+    #[test]
+    fn malformed_operands_reply_plan_mismatch() {
+        // One rank exchanging with itself around the bad step, so that
+        // the step is the engine's to run.
+        let ok = |tag| swap(0, tag, arg(1, 0, 4), arg(1, 4, 4));
+        let what = |what| Err(CommError::PlanMismatch { what });
+        let oob = what("step operand out of buffer bounds");
+        let scratch = Loc {
+            buf: Buf::Scratch,
+            off: 8,
+            len: 16,
+        };
+        let cases = [
+            (copy(arg(1, 6, 4), arg(1, 0, 4)), true, oob.clone()),
+            (copy(arg(5, 0, 1), arg(1, 0, 1)), true, oob.clone()),
+            (copy(scratch, arg(1, 0, 8)), true, oob),
+            (
+                copy(arg(1, 0, 4), arg(0, 0, 4)),
+                true,
+                what("step writes a read-only buffer"),
+            ),
+            (
+                copy(arg(0, 0, 4), arg(1, 0, 4)),
+                false,
+                what("step reads an absent buffer"),
+            ),
+            (
+                copy(arg(1, 0, 4), arg(1, 2, 4)),
+                true,
+                what("overlapping read/write operands in one step"),
+            ),
+            (
+                copy(arg(1, 0, 2), arg(1, 4, 4)),
+                true,
+                what("step operands differ in length"),
+            ),
+            (
+                to(3, 0, arg(1, 0, 4)),
+                true,
+                Err(CommError::InvalidRank { rank: 3, size: 1 }),
+            ),
+        ];
+        for (bad, bound, reply) in cases {
+            let prog = program(1, vec![vec![ok(0), bad, ok(1)]]);
+            let mut e = engine(mesh_net(1, 1), unit_machine(), false);
+            let (input, mut out) = ([7u8; 8], [0u8; 8]);
+            let first = if bound {
+                ArgBuf::In(&input[..])
+            } else {
+                ArgBuf::Absent
+            };
+            let mut args = [first, ArgBuf::Out(&mut out[..])];
+            let mut arena = Vec::new();
+            let sum = ReduceOp::Sum;
+            let mut p = BoundProgram::new(&prog, 0, &[0], &mut args, &mut arena, sum, 0).unwrap();
+            lend(&mut e, 0, &mut p);
+            drive_to_completion(&mut e);
+            assert_eq!(replies(&mut e), [(0, reply)], "{bad:?}");
+            assert!(e.programs[0].is_none() && e.blocked == 0, "{bad:?}");
+        }
+        // Offsets are checked against the element size too.
+        let prog = program(
+            8,
+            vec![vec![ok(0), copy(arg(1, 3, 8), arg(1, 16, 8)), ok(1)]],
+        );
+        let mut e = engine(mesh_net(1, 1), unit_machine(), false);
+        let mut out = [0u64; 4];
+        let mut args = [ArgBuf::In(&[1u64][..]), ArgBuf::Out(&mut out[..])];
+        let mut arena = Vec::new();
+        let sum = ReduceOp::Sum;
+        let mut p = BoundProgram::new(&prog, 0, &[0], &mut args, &mut arena, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p);
+        assert_eq!(
+            replies(&mut e),
+            [(0, what("step operand not aligned to the element size"))]
+        );
+    }
+
+    #[test]
+    fn a_program_without_transfers_replies_at_once() {
+        let machine = MachineParams {
+            gamma: 2.0,
+            delta: 0.25,
+            ..unit_machine()
+        };
+        let mut e = engine(mesh_net(1, 1), machine, false);
+        let steps = vec![StepKind::CallOverhead, StepKind::Compute { bytes: 3 }];
+        let prog = program(1, vec![steps]);
+        let (mut args, mut arena) = ([ArgBuf::<u8>::Absent], Vec::new());
+        let sum = ReduceOp::Sum;
+        let mut p = BoundProgram::new(&prog, 0, &[0], &mut args, &mut arena, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p);
+        assert_eq!(replies(&mut e), [(0, Ok(()))]);
+        assert_eq!(e.clocks, [6.25]);
+    }
+
+    #[test]
+    fn program_transfers_carry_their_plan_and_step() {
+        let prog = program(
+            1,
+            vec![
+                vec![StepKind::CallOverhead, to(1, 3, arg(0, 0, 4))],
+                vec![from(0, 3, arg(0, 0, 4))],
+            ],
+        );
+        let members = [0, 1];
+        let mut e = engine(mesh_net(1, 2), unit_machine(), true);
+        let (mut b0, mut b1) = ([1u8; 4], [0u8; 4]);
+        let (mut a0, mut a1) = ([ArgBuf::Out(&mut b0[..])], [ArgBuf::Out(&mut b1[..])]);
+        let (mut arena0, mut arena1) = (Vec::new(), Vec::new());
+        let sum = ReduceOp::Sum;
+        let base = 1 << 20;
+        let mut p0 =
+            BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena0, sum, base).unwrap();
+        let mut p1 =
+            BoundProgram::new(&prog, 1, &members, &mut a1, &mut arena1, sum, base).unwrap();
+        lend(&mut e, 0, &mut p0);
+        lend(&mut e, 1, &mut p1);
+        drive_to_completion(&mut e);
+        let trace = e.take_trace().unwrap();
+        let t = &trace[0];
+        assert_eq!((t.tag, t.plan, t.step), (base + 3, PLAN, 1));
+    }
+
+    #[test]
+    fn the_deadlock_diagnostic_names_a_programs_pending_half() {
+        let prog = program(1, vec![vec![from(1, 9, arg(0, 0, 1))], vec![]]);
+        let mut e = engine(mesh_net(1, 2), unit_machine(), false);
+        let mut b0 = [0u8; 1];
+        let mut a0 = [ArgBuf::Out(&mut b0[..])];
+        let mut arena = Vec::new();
+        let sum = ReduceOp::Sum;
+        let mut p0 = BoundProgram::new(&prog, 0, &[0, 1], &mut a0, &mut arena, sum, 0).unwrap();
+        lend(&mut e, 0, &mut p0);
+        e.handle(1, Request::Finished);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.advance()))
+            .expect_err("nothing can complete");
+        assert_eq!(
+            panic.downcast_ref::<String>().expect("a formatted panic"),
+            "simulation deadlock: 1 rank(s) blocked with no transfer in flight\n\
+             \x20 unmatched recv 0←1 tag 9 (plan 77 step 0)\n"
+        );
     }
 }

@@ -17,13 +17,26 @@
 //! reproduction regenerate the paper's Table 3 and Fig. 4 without the
 //! original hardware.
 //!
+//! A collective call is one hand-off. [`SimComm`] runs programs
+//! (`Comm::runs_programs`): a `Communicator` call or a persistent plan
+//! runs the data steps before its first transfer and after its last one
+//! on the rank's thread and hands the engine the rest of its plain
+//! compiled program — the direct path's op stream, step for step — in
+//! one request. The engine walks it with a per-rank cursor: copies and
+//! folds at once, γ and δ on the rank's clock, transfers through the
+//! same matching as a closure's `send` / `recv`, and one reply at the
+//! end. Virtual time is the direct path's bit for bit; what the host
+//! saves is a rank-thread round trip per message.
+//!
 //! A payload is never handed to the engine: a blocking call lends it a
 //! *borrowed window* onto the caller's own buffer, and the engine copies
 //! sender → receiver once, when the transfer completes. The invariant
 //! (`window.rs`, docs/SIMULATOR.md): *a window is dereferenced only by
 //! the engine, only between match and completion, and a rank's blocking
-//! call returns only after the engine has replied or is gone.* A timeout
-//! on the reply wait, or a copy off the engine thread, would break it.
+//! call returns only after the engine has replied or is gone.* A program
+//! is lent the same way, and its transfers' windows are derived from it
+//! while its rank is blocked. A timeout on the reply wait, or a copy off
+//! the engine thread, would break it.
 //!
 //! ```
 //! use intercom_meshsim::{simulate, SimConfig};
@@ -44,7 +57,8 @@
 //! ```
 
 // The crate's `unsafe` inventory, kept to two places (`ci.sh` checks the
-// list): the window dereferences, and `sim::Jobs::erased`.
+// list): the window dereferences (payloads and programs), and
+// `sim::Jobs::erased`.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

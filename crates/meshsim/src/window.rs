@@ -26,8 +26,64 @@
 //! thread (completion would have to wait for a second release
 //! handshake, and so would `poison`).
 //!
+//! **Programs.** `SimComm::run_program` lends a [`ProgramWindow`] onto
+//! the `BoundProgram` in its frame — the rank's steps, its group's
+//! members, its argument buffers and its arena, all borrowed by that
+//! frame — and blocks the same way. The invariant extends word for
+//! word: *a program window is dereferenced only by the engine, only
+//! between the request that lends it and the reply that ends the
+//! program, and every payload window of the program's transfers is
+//! derived from it inside that span.* The engine derives them in
+//! [`ProgramWindow::with`], which hands out the program for one step
+//! under a lifetime the step cannot smuggle out; a derived
+//! [`SendWindow`] / [`RecvWindow`] then lives only as long as its
+//! transfer, which completes (or is dropped by a length mismatch or
+//! `poison`) while the rank is still `Blocked` in that same program —
+//! so before the reply.
+//!
 //! Constructing a window is safe and dereferences nothing; the fields
 //! are private so that a window can only ever name a live borrow.
+
+use intercom::ir::BoundProgram;
+
+/// The program a rank blocked in `run_program` lends: walked by the
+/// engine, one step at a time, until it replies.
+#[derive(Debug)]
+pub(crate) struct ProgramWindow {
+    prog: *mut BoundProgram<'static>,
+}
+
+// SAFETY: `BoundProgram` is `Send` (byte views, the step list, the
+// member list, the arena and a `fn` pointer), so handing the engine
+// thread exclusive access is sound for as long as the lender cannot
+// touch it — which the module invariant guarantees.
+unsafe impl Send for ProgramWindow {}
+
+impl ProgramWindow {
+    pub(crate) fn lend(prog: &mut BoundProgram<'_>) -> Self {
+        ProgramWindow {
+            prog: (prog as *mut BoundProgram<'_>).cast(),
+        }
+    }
+
+    /// Runs `f` on the lent program. Engine only, and only before the
+    /// lender has been replied to. `f` is generic over the program's
+    /// lifetime, so nothing it returns can borrow from the program.
+    pub(crate) fn with<R>(&mut self, f: impl FnOnce(&mut BoundProgram<'_>) -> R) -> R {
+        // SAFETY: `prog` comes from a `&mut BoundProgram` (`lend`) whose
+        // frame is blocked in `run_program` until the engine replies
+        // (module invariant), so the program and everything it borrows
+        // are live, and nothing else reaches them: the engine runs one
+        // step at a time on its own thread, and `&mut self` keeps two
+        // calls from overlapping.
+        f(unsafe { &mut *self.prog })
+    }
+}
+
+const _: () = {
+    const fn sendable<T: Send>() {}
+    sendable::<BoundProgram<'static>>();
+};
 
 /// The bytes a blocked sender lends: read by the engine, never written.
 #[derive(Debug)]

@@ -5,7 +5,11 @@
 //!    bound leaves room for a channel's waiter list growing under an
 //!    unlucky interleaving) — a counting global allocator over the rank
 //!    workers *and* the engine thread.
-//! 2. Rank workers belong to the thread that calls `simulate` and
+//! 2. A steady-state default-path call — a compiled program the engine
+//!    walks — allocates nothing on the engine's side, and on the rank's
+//!    side the same few allocations (the plan-cache lookup's) whatever
+//!    the world's size or the program's step count.
+//! 3. Rank workers belong to the thread that calls `simulate` and
 //!    outlive a world: the next world on that thread reuses them, a
 //!    world whose rank panicked does not spoil them, nested and
 //!    concurrent callers each get their own, and they end with their
@@ -17,7 +21,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use intercom::Comm;
+use intercom::{Comm, Communicator};
 use intercom_cost::MachineParams;
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_topology::Mesh2D;
@@ -36,12 +40,20 @@ thread_local! {
     /// Const-initialized and without a destructor, so reading it inside
     /// the allocator never allocates.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Every allocation this thread has made, opted in or not.
+    static MADE: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_allocation(bytes: usize) {
+    let _ = MADE.try_with(|made| made.set(made.get() + 1));
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
         ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
+}
+
+/// Allocations the calling thread has made so far.
+fn made_here() -> u64 {
+    MADE.with(Cell::get)
 }
 
 // SAFETY: a pure pass-through to `System` plus a relaxed counter bump
@@ -98,9 +110,19 @@ fn bytes_allocated_during_hops(n: usize, hops: usize) -> u64 {
                 .unwrap()
         };
         // Warm-up sizes the engine's vectors and every thread's channel
-        // context. On a ring, a rank that has completed hop k + p knows
-        // every rank has completed hop k: p extra hops on each side
-        // keep all ranks' measured hops inside rank 0's window.
+        // context. A channel sizes its list of waiting threads the first
+        // time a thread blocks on it, so each rank in turn dawdles before
+        // a hop: the other ranks block on their replies meanwhile, and
+        // the engine on its requests. On a ring, a rank that has
+        // completed hop k + p knows every rank has completed hop k: p
+        // extra hops on each side keep all ranks' measured hops inside
+        // rank 0's window.
+        for slow in 0..p {
+            if me == slow {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            hop();
+        }
         (0..8 + p).for_each(|_| hop());
         let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
         (0..hops + p).for_each(|_| hop());
@@ -124,6 +146,68 @@ fn steady_state_hops_allocate_nothing_that_grows_with_the_payload() {
         small < 16 << 10,
         "{small} bytes allocated over 200 steady-state hops"
     );
+}
+
+/// Over `calls` steady-state `allgather`s of `block` bytes a rank on a
+/// `rows × cols` mesh: each rank's own allocations, and the engine
+/// thread's over the whole world (set-up and teardown included).
+fn program_call_allocations(rows: usize, cols: usize, block: usize, calls: u64) -> (Vec<u64>, u64) {
+    let mesh = Mesh2D::new(rows, cols);
+    let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
+    let before = made_here();
+    let report = simulate(&cfg, |c| {
+        let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
+        let mine = vec![c.rank() as u8; block];
+        let mut all = vec![0u8; block * c.size()];
+        // Warm-up compiles the program and sizes the arena.
+        for _ in 0..3 {
+            cc.allgather(&mine, &mut all).unwrap();
+        }
+        let t0 = made_here();
+        for _ in 0..calls {
+            cc.allgather(&mine, &mut all).unwrap();
+        }
+        let made = made_here() - t0;
+        assert_eq!(all[block * (c.size() - 1)] as usize, c.size() - 1);
+        made
+    });
+    (report.results, made_here() - before)
+}
+
+#[test]
+fn steady_program_calls_allocate_nothing_in_the_engine_and_a_constant_in_ranks() {
+    // Spawn this thread's workers outside the measured worlds.
+    program_call_allocations(4, 4, 1, 1);
+    // A thread may register on a channel's waiter list for the first
+    // time inside the measured window (an allocation or two, on an
+    // unlucky interleaving), so the counts are taken over 20 calls: an
+    // allocation per call would add 16 on the engine side, and 20 to a
+    // rank's count.
+    let per_call = |rows, cols, block| {
+        let (_, engine_short) = program_call_allocations(rows, cols, block, 4);
+        let (ranks, engine_long) = program_call_allocations(rows, cols, block, 20);
+        assert!(
+            engine_long.abs_diff(engine_short) < 16,
+            "{rows}x{cols}: sixteen more calls allocated on the engine thread \
+             ({engine_short} → {engine_long})"
+        );
+        let each = ranks[0] / 20;
+        assert!(
+            ranks.iter().all(|&made| made / 20 == each),
+            "{rows}x{cols}, {block} B: {ranks:?}"
+        );
+        each
+    };
+    // 4 and 16 ranks; 1-byte and 64-byte blocks (a 16-rank collect's
+    // program holds a step per block, and more than a 4-rank one).
+    let counts = [
+        per_call(2, 2, 1),
+        per_call(2, 2, 64),
+        per_call(4, 4, 1),
+        per_call(4, 4, 64),
+    ];
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+    assert!(counts[0] <= 8, "{} allocations per call", counts[0]);
 }
 
 /// One ring exchange of a byte: what the left neighbour sent, checked.

@@ -15,7 +15,7 @@
 //! simulator execute, while trace extraction ([`crate::extract`])
 //! remains as an independent cross-check on the lowering.
 
-use intercom::ir::{lower, Buf, CollectiveProgram, PlanOp, StepKind};
+use intercom::ir::{lower, Buf, CollectiveProgram, Loc, PlanOp, StepKind};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::Result;
 use intercom_cost::Strategy;
@@ -29,14 +29,15 @@ fn arg_base(i: usize) -> usize {
 /// Synthetic base address of the scratch arena.
 const SCRATCH_BASE: usize = 1 << 48;
 
-fn span(buf: Buf, off: usize, len: usize) -> MemSpan {
-    let base = match buf {
-        Buf::Arg(i) => arg_base(i),
+fn span(loc: Loc) -> MemSpan {
+    let base = match loc.buf {
+        Buf::Arg(i) => arg_base(i.into()),
         Buf::Scratch => SCRATCH_BASE,
     };
+    let bytes = loc.bytes();
     MemSpan {
-        addr: base + off,
-        len,
+        addr: base + bytes.start,
+        len: bytes.len(),
     }
 }
 
@@ -51,14 +52,14 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
                 .iter()
                 .map(|step| match step.kind {
                     StepKind::Send { to, tag_off, src } => OpRecord::Send {
-                        to,
-                        tag: tag_off,
-                        src: span(src.buf, src.off, src.len),
+                        to: to.into(),
+                        tag: tag_off.into(),
+                        src: span(src),
                     },
                     StepKind::Recv { from, tag_off, dst } => OpRecord::Recv {
-                        from,
-                        tag: tag_off,
-                        dst: span(dst.buf, dst.off, dst.len),
+                        from: from.into(),
+                        tag: tag_off.into(),
+                        dst: span(dst),
                     },
                     StepKind::SendRecv {
                         to,
@@ -67,22 +68,24 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
                         dst,
                         tag_off,
                     } => OpRecord::SendRecv {
-                        to,
-                        src: span(src.buf, src.off, src.len),
-                        from,
-                        dst: span(dst.buf, dst.off, dst.len),
-                        tag: tag_off,
-                        rtag: tag_off,
+                        to: to.into(),
+                        src: span(src),
+                        from: from.into(),
+                        dst: span(dst),
+                        tag: tag_off.into(),
+                        rtag: tag_off.into(),
                     },
                     StepKind::Copy { src, dst } => OpRecord::Copy {
-                        src: span(src.buf, src.off, src.len),
-                        dst: span(dst.buf, dst.off, dst.len),
+                        src: span(src),
+                        dst: span(dst),
                     },
                     StepKind::Reduce { acc, other } => OpRecord::Reduce {
-                        acc: span(acc.buf, acc.off, acc.len),
-                        other: span(other.buf, other.off, other.len),
+                        acc: span(acc),
+                        other: span(other),
                     },
-                    StepKind::Compute { bytes } => OpRecord::Compute { bytes },
+                    StepKind::Compute { bytes } => OpRecord::Compute {
+                        bytes: bytes as usize,
+                    },
                     StepKind::CallOverhead => OpRecord::CallOverhead,
                 })
                 .collect()

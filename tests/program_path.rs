@@ -1,0 +1,387 @@
+//! The simulator's program path equals its direct path.
+//!
+//! A `SimComm` runs programs: every `Communicator` call hands the engine
+//! the call's plain compiled program in one request, and the engine
+//! walks it. The reference is the same call through [`Direct`], a
+//! wrapper that forwards only the point-to-point calls and the clock
+//! hooks — so it leaves `Comm::runs_programs` at its default and the
+//! call runs the recursive algorithms, one request per message.
+//!
+//! Equal means bit for bit: the elapsed virtual time, every rank's
+//! clock, every buffer the call bound, and the transfer trace (source,
+//! destination, tag, bytes, start, end, hops — everything but the
+//! `(plan, step)` stamp, which only the program path sets).
+
+use intercom::comm::GroupComm;
+use intercom::ir::{execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind};
+use intercom::{Algo, Comm, Communicator, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
+use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy, StrategyKind};
+use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport};
+use intercom_topology::{Cluster, Mesh2D};
+
+/// Forwards rank, size, send, recv, sendrecv, compute and
+/// call_overhead; everything else is the trait's default, so a call
+/// through it takes the direct path.
+struct Direct<'a, C: Comm + ?Sized>(&'a C);
+
+impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+
+    fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        self.0.send(to, tag, data)
+    }
+
+    fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
+        self.0.recv(from, tag, buf)
+    }
+
+    fn sendrecv(
+        &self,
+        to: usize,
+        data: &[u8],
+        from: usize,
+        buf: &mut [u8],
+        tag: Tag,
+    ) -> Result<()> {
+        self.0.sendrecv(to, data, from, buf, tag)
+    }
+
+    fn compute(&self, bytes: usize) {
+        self.0.compute(bytes);
+    }
+
+    fn call_overhead(&self) {
+        self.0.call_overhead();
+    }
+}
+
+/// A transfer as both paths must produce it: the trace record without
+/// its `(plan, step)` stamp, times as bits.
+type Transfer = (usize, usize, u64, usize, u64, u64, usize);
+
+/// Everything a simulated world reports that the two paths must agree on.
+#[derive(Debug, PartialEq)]
+struct Outcome<T> {
+    elapsed: u64,
+    clocks: Vec<u64>,
+    results: Vec<T>,
+    transfers: Vec<Transfer>,
+}
+
+fn outcome<T>(report: SimReport<T>) -> Outcome<T> {
+    let mut transfers: Vec<Transfer> = report
+        .trace
+        .expect("traced world")
+        .records()
+        .iter()
+        .map(|e| {
+            let (start, end) = (e.start.to_bits(), e.end.to_bits());
+            (e.src, e.dst, e.tag, e.bytes, start, end, e.hops)
+        })
+        .collect();
+    transfers.sort_unstable();
+    Outcome {
+        elapsed: report.elapsed.to_bits(),
+        clocks: report.clocks.iter().map(|c| c.to_bits()).collect(),
+        results: report.results,
+        transfers,
+    }
+}
+
+/// Runs `body` on every rank of `cfg` twice — on the `SimComm` itself
+/// (the program path) and through [`Direct`] — and asserts the two
+/// worlds agree bit for bit. Returns the program path's results.
+fn assert_paths_agree<T, F>(cfg: &SimConfig, what: &str, body: F) -> Vec<T>
+where
+    T: Send + PartialEq + std::fmt::Debug,
+    F: Fn(&dyn Comm) -> T + Send + Sync,
+{
+    let cfg = cfg.with_trace();
+    let run = |program: bool| {
+        outcome(simulate(&cfg, |c: &SimComm| match program {
+            true => body(c),
+            false => body(&Direct(c)),
+        }))
+    };
+    let (program, direct) = (run(true), run(false));
+    assert!(
+        !program.transfers.is_empty() || cfg.net.nodes() == 1,
+        "{what}"
+    );
+    assert_eq!(program, direct, "{what}");
+    program.results
+}
+
+/// Primes, powers of two, perfect squares and composites — the
+/// battery of `ir_differential`.
+const NODE_COUNTS: [usize; 7] = [1, 4, 5, 9, 12, 16, 17];
+
+fn all_ops(p: usize) -> Vec<PlanOp> {
+    let last = p - 1;
+    vec![
+        PlanOp::Broadcast { root: 0 },
+        PlanOp::Reduce { root: last },
+        PlanOp::AllReduce,
+        PlanOp::ReduceScatter,
+        PlanOp::Collect,
+        PlanOp::Scatter { root: 0 },
+        PlanOp::Gather { root: last },
+        PlanOp::Alltoall,
+        PlanOp::PipelinedBcast {
+            root: 0,
+            segments: 3,
+        },
+    ]
+}
+
+fn strategies(p: usize) -> Vec<Strategy> {
+    let mut out = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
+    if p == 12 {
+        out.push(Strategy::new(vec![3, 4], StrategyKind::Mst));
+        out.push(Strategy::new(vec![4, 3], StrategyKind::ScatterCollect));
+    }
+    if p == 16 {
+        out.push(Strategy::new(vec![4, 4], StrategyKind::ScatterCollect));
+    }
+    out
+}
+
+/// Values whose sums round, so a fold in another order shows.
+fn value(rank: usize, i: usize) -> f64 {
+    1.0 / (3 + 7 * rank + i) as f64
+}
+
+/// One rank's call of `op` on the default path's terms: on a backend
+/// that runs programs the plain program through `execute`, elsewhere
+/// `run_direct`. Returns the bits of every buffer the call bound.
+fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<u64> {
+    let (p, rank) = (c.size(), c.rank());
+    let mut bufs = OwnedArgs::<f64>::new(op, p, n, rank);
+    bufs.fill_contribution(op, rank, |i| value(rank, i));
+    let gc = GroupComm::world(c);
+    let (scratch, tag) = (&mut Vec::new(), 3 * CALL_TAG_STRIDE);
+    let rop = ReduceOp::Sum;
+    if c.runs_programs() {
+        let key = PlanKey::plain(op, p, n, 8, choice);
+        let prog = global_cache().get_or_compile(&key).unwrap();
+        execute(&prog, &gc, rop, &mut bufs.bind(), scratch, tag).unwrap();
+    } else {
+        run_direct(op, choice, &gc, rop, &mut bufs.bind(), scratch, tag).unwrap();
+    }
+    let bound = bufs.slots.iter().filter_map(|(_, b)| b.as_deref());
+    bound.flatten().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn every_op_and_strategy_runs_the_same_on_both_paths() {
+    for p in NODE_COUNTS {
+        let cfg = SimConfig::new(Mesh2D::new(1, p), MachineParams::PARAGON);
+        for op in all_ops(p) {
+            let choices: Vec<Option<HierChoice>> = match op.takes_strategy() {
+                true => strategies(p)
+                    .into_iter()
+                    .map(HierChoice::Flat)
+                    .map(Some)
+                    .collect(),
+                false => vec![None],
+            };
+            for choice in &choices {
+                for n in [1, 13] {
+                    let what = format!("{op} p={p} n={n} {choice:?}");
+                    assert_paths_agree(&cfg, &what, |c| call(c, op, choice.as_ref(), n));
+                }
+            }
+        }
+    }
+}
+
+/// What `rank_body` of the benchmark's `sim-mesh` does, for one row:
+/// one default-path call on the world's communicator, its result
+/// summed into a checksum.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    Bcast(usize),
+    Allgather(usize),
+    Allreduce(usize),
+}
+
+fn default_path_call<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> u64 {
+    let (p, rank) = (cc.size(), cc.rank());
+    let sum = |bytes: &[u8]| bytes.iter().map(|&b| u64::from(b)).sum::<u64>();
+    match row {
+        Row::Bcast(bytes) => {
+            let mut buf: Vec<u8> = (0..bytes).map(|i| (i * 7 + rank) as u8).collect();
+            cc.bcast(0, &mut buf).unwrap();
+            sum(&buf)
+        }
+        Row::Allgather(bytes) => {
+            let block = (bytes / p).max(1);
+            let mine: Vec<u8> = (0..block).map(|i| (i + 3 * rank) as u8).collect();
+            let mut all = vec![0u8; block * p];
+            cc.allgather(&mine, &mut all).unwrap();
+            sum(&all)
+        }
+        Row::Allreduce(bytes) => {
+            let mut buf: Vec<f64> = (0..bytes / 8).map(|i| value(rank, i)).collect();
+            cc.allreduce(&mut buf, ReduceOp::Sum).unwrap();
+            buf.iter().map(|x| x.to_bits()).fold(0, u64::wrapping_add)
+        }
+    }
+}
+
+#[test]
+fn cluster_calls_run_the_same_on_both_paths_on_either_backbone() {
+    let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
+    for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+        let cfg = SimConfig::cluster(cluster, &machine);
+        for row in [
+            Row::Bcast(8 << 10),
+            Row::Allreduce(8 << 10),
+            Row::Allgather(4 << 10),
+        ] {
+            assert_paths_agree(&cfg, &format!("{row:?}"), |c| {
+                let cc = Communicator::world_on_cluster(c, machine, &cluster).unwrap();
+                default_path_call(&cc, row)
+            });
+        }
+    }
+}
+
+#[test]
+fn a_mesh_row_group_runs_the_same_on_both_paths() {
+    // Row 1 of a 3×4 mesh calls collectives as a group; the other rows
+    // exchange a byte with their neighbour meanwhile.
+    let mesh = Mesh2D::new(3, 4);
+    let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
+    let members: Vec<usize> = (4..8).collect();
+    let results = assert_paths_agree(&cfg, "row group", |c| {
+        if !members.contains(&c.rank()) {
+            let peer = c.rank() ^ 1;
+            let mut got = [0u8];
+            c.sendrecv(peer, &[c.rank() as u8], peer, &mut got, 5)
+                .unwrap();
+            return vec![u64::from(got[0])];
+        }
+        let cc = Communicator::from_group(c, MachineParams::PARAGON, members.clone(), Some(&mesh))
+            .unwrap();
+        let mut out = Vec::new();
+        for row in [Row::Bcast(3000), Row::Allgather(64), Row::Allreduce(800)] {
+            out.push(default_path_call(&cc, row));
+        }
+        let mut v = vec![cc.rank() as u32 + 1; 6];
+        cc.allreduce_with(&mut v, ReduceOp::Prod, &Algo::Long)
+            .unwrap();
+        out.push(u64::from(v[5]));
+        out
+    });
+    assert_eq!(results[5][3], 24, "1·2·3·4 over the row");
+}
+
+/// The benchmark's 21 `sim-mesh` rows at full size: Table 3's 16×32
+/// column, Fig. 4's 15×30 mesh and the 2×2×4 cluster on both
+/// backbones. Slow in a debug build; `ci.sh` runs it in release.
+#[test]
+#[ignore = "full-size rows: run in release (ci.sh)"]
+fn the_sim_mesh_rows_run_the_same_on_both_paths() {
+    let (kib64, mib) = (64 << 10, 1 << 20);
+    let mut identical = 0;
+    let mut mesh_rows = |rows: usize, cols: usize, sizes: &[usize], allreduce: bool| {
+        let mesh = Mesh2D::new(rows, cols);
+        let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
+        for &bytes in sizes {
+            let mut ops = vec![Row::Bcast(bytes), Row::Allgather(bytes)];
+            if allreduce {
+                ops.push(Row::Allreduce(bytes));
+            }
+            for row in ops {
+                assert_paths_agree(&cfg, &format!("{rows}x{cols} {row:?}"), |c| {
+                    let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
+                    default_path_call(&cc, row)
+                });
+                identical += 1;
+            }
+        }
+    };
+    mesh_rows(16, 32, &[8, kib64, mib], true);
+    mesh_rows(15, 30, &[8, kib64], false);
+    let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
+    for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+        let cfg = SimConfig::cluster(cluster, &machine);
+        for bytes in [8 << 10, 256 << 10] {
+            for row in [Row::Bcast(bytes), Row::Allreduce(bytes)] {
+                assert_paths_agree(&cfg, &format!("cluster {row:?}"), |c| {
+                    let cc = Communicator::world_on_cluster(c, machine, &cluster).unwrap();
+                    default_path_call(&cc, row)
+                });
+                identical += 1;
+            }
+        }
+    }
+    println!("sim-mesh rows: {identical} of 21 bit-identical");
+    assert_eq!(identical, 21);
+}
+
+#[test]
+fn closure_calls_and_program_calls_interleave_on_one_endpoint() {
+    // Each rank mixes its own sends and receives with default-path
+    // calls on one `SimComm`; the request channel keeps them in order.
+    let cfg = SimConfig::new(Mesh2D::new(2, 3), MachineParams::PARAGON);
+    let results = assert_paths_agree(&cfg, "interleaved", |c| {
+        let (p, me) = (c.size(), c.rank());
+        let (right, left) = ((me + 1) % p, (me + p - 1) % p);
+        let cc = Communicator::world(c, MachineParams::PARAGON);
+        let mut got = [0u8; 3];
+        c.sendrecv(right, &[me as u8; 3], left, &mut got, 7)
+            .unwrap();
+        let mut v = vec![f64::from(got[0]); 40];
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        c.compute(1000);
+        if me % 2 == 0 {
+            c.send(me + 1, 9, &[me as u8]).unwrap();
+        } else {
+            c.recv(me - 1, 9, &mut got[..1]).unwrap();
+        }
+        c.call_overhead();
+        let mut all = vec![0u8; p];
+        cc.allgather(&[got[0]], &mut all).unwrap();
+        (v[39], all)
+    });
+    assert!(results.iter().all(|(sum, _)| *sum == 15.0), "0 + 1 + … + 5");
+    assert_eq!(results[0].1, [5, 0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn only_program_path_transfers_carry_a_plan_and_step() {
+    let cfg = SimConfig::new(Mesh2D::new(1, 4), MachineParams::PARAGON).with_trace();
+    let (st, n) = (Strategy::pure_long(4), 64);
+    let body = |c: &dyn Comm| {
+        let cc = Communicator::world(c, MachineParams::PARAGON);
+        let mut v = vec![1.0f64; n];
+        let algo = Algo::Hybrid(st.clone());
+        cc.allreduce_with(&mut v, ReduceOp::Sum, &algo).unwrap();
+    };
+    let direct = simulate(&cfg, |c| body(&Direct(c))).trace.unwrap();
+    assert!(direct.records().iter().all(|e| (e.plan, e.step) == (0, 0)));
+    let program = simulate(&cfg, |c| body(c)).trace.unwrap();
+    let choice = HierChoice::Flat(st.clone());
+    let key = PlanKey::plain(PlanOp::AllReduce, 4, n, 8, Some(&choice));
+    let prog = global_cache().get_or_compile(&key).unwrap();
+    assert!(!program.records().is_empty());
+    for e in program.records() {
+        assert_eq!(e.plan, prog.plan_id, "{e:?}");
+        // The stamped step is the sender's step that posted the message
+        // (the communicator's first call runs at base tag 0).
+        match prog.ranks[e.src].steps[e.step as usize].kind {
+            StepKind::Send { to, tag_off, .. } | StepKind::SendRecv { to, tag_off, .. } => {
+                assert_eq!((usize::from(to), u64::from(tag_off)), (e.dst, e.tag))
+            }
+            other => panic!("{e:?} stamped on {other:?}"),
+        }
+    }
+}

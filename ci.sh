@@ -77,11 +77,14 @@ echo "==> cargo test (under a 900 s timeout)"
 # from cold, the suite itself under one.
 timeout 900 cargo test --workspace -q
 
-echo "==> oversubscribed world pinned to one core (the yield between looks hands the core over)"
+echo "==> pinned to one core: an oversubscribed world, and the simulator without its helper"
 # Pinned, the test sees one core and runs 4 ranks on it: every hop waits
 # for a peer that can only run once the waiting rank gives the core up.
+# The simulator sees one core too (`available_parallelism() == 1`), so
+# its engine spawns no helper and copies and folds every batch itself.
 if command -v taskset >/dev/null; then
     timeout 120 taskset -c 0 cargo test -p intercom-runtime --test oversubscribed -q
+    timeout 300 taskset -c 0 cargo test -p intercom-meshsim --test programs --test alloc_free -q
 else
     echo "SKIPPED: no taskset"
 fi
@@ -115,6 +118,14 @@ rows="$(cargo test --release --test program_path -- --ignored --nocapture)" || {
     exit 1
 }
 at_least "bit-identical sim-mesh rows" "$(grep -o 'sim-mesh rows: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 21
+
+echo "==> the p = 4 096 row: 64×64 broadcasts, every byte checked, virtual time repeated (release)"
+big="$(cargo test --release -p intercom-meshsim --test big_world -- --ignored --nocapture)" || {
+    echo "$big"
+    exit 1
+}
+grep 'p=4096' <<<"$big"
+at_least "repeated p=4096 rows" "$(grep -o 'p=4096 rows: [0-9]*' <<<"$big" | grep -o '[0-9]*$')" 2
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -14,8 +14,9 @@ use std::sync::mpsc::{Receiver, SyncSender};
 ///
 /// Payloads are never handed over: `send` / `recv` / `sendrecv` lend
 /// the engine windows onto the caller's own buffers and block until it
-/// replies; the engine copies sender → receiver once, at the transfer's
-/// completion (see `window.rs` for why that is sound).
+/// replies; the engine — or its helper, which it joins before replying —
+/// copies sender → receiver once, at the transfer's completion (see
+/// `window.rs` for why that is sound).
 ///
 /// A `SimComm` runs programs: a `Communicator` call or a persistent plan
 /// hands the engine its whole compiled program in one request

@@ -56,9 +56,10 @@
 //! assert!(report.elapsed > 0.0);
 //! ```
 
-// The crate's `unsafe` inventory, kept to two places (`ci.sh` checks the
-// list): the window dereferences (payloads and programs), and
-// `sim::Jobs::erased`.
+// The crate's `unsafe` inventory, kept to two files (`ci.sh` checks the
+// list): the window dereferences (payloads and programs), and in
+// `sim.rs` the lifetime erasures of `Jobs::erased` and of the helper's
+// hand-off (`Helper::join`).
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -6,9 +6,11 @@ use crate::net::NetSpec;
 use intercom_cost::{HierMachine, MachineParams};
 use intercom_obs::Trace;
 use intercom_topology::{Cluster, Hypercube, Mesh2D};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::{OnceCell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of one simulated machine.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +106,152 @@ thread_local! {
     /// simulates a world that large, gone when the thread is (its
     /// locals' destruction closes the channels).
     static WORKERS: RefCell<Vec<Sender<Job>>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's engine helper, parked beside its rank
+    /// workers: spawned with its first world, gone when the thread is.
+    /// None on a one-core host, where the engine keeps its byte loops.
+    static HELPER: OnceCell<Option<Rc<Helper>>> = const { OnceCell::new() };
+}
+
+/// The calling thread's engine helper, if the host has a second core.
+fn helper() -> Option<Rc<Helper>> {
+    HELPER.with(|helper| {
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spawn = || (cores() > 1).then(|| Rc::new(Helper::spawn()));
+        helper.get_or_init(spawn).clone()
+    })
+}
+
+/// The helper's half of a split loop, borrowed from the engine's frame
+/// with the lifetime of the borrow erased (see [`Helper::join`]).
+struct Task(*mut (dyn FnMut() + Send + 'static));
+
+// SAFETY: the closure behind the pointer is `Send`, and `join` hands it
+// over whole: the engine neither calls nor touches it until the helper
+// has reported that it is done with it.
+#[allow(unsafe_code)]
+unsafe impl Send for Task {}
+
+/// Where the engine and its helper meet.
+enum Slot {
+    /// No task waiting to be taken.
+    Idle,
+    /// A task for the helper to take.
+    Posted(Task),
+    /// The helper is done with its task: how the task ended.
+    Done(std::thread::Result<()>),
+    /// The helper's owner is gone: the helper ends.
+    Closed,
+}
+
+struct Meeting {
+    slot: Mutex<Slot>,
+    turn: Condvar,
+}
+
+impl Meeting {
+    /// The slot. No code panics while holding it (a task runs outside
+    /// the lock), so a poisoned lock still guards a valid slot.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits while `busy` holds of the slot.
+    fn wait_while<'a>(
+        &self,
+        slot: MutexGuard<'a, Slot>,
+        busy: impl FnMut(&mut Slot) -> bool,
+    ) -> MutexGuard<'a, Slot> {
+        let slot = self.turn.wait_while(slot, busy);
+        slot.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The helper thread: runs each posted task and reports how it
+    /// ended, until its owner closes the slot.
+    #[allow(unsafe_code)]
+    fn serve(&self) {
+        let mut slot = self.lock();
+        loop {
+            slot = self.wait_while(slot, |s| matches!(s, Slot::Idle | Slot::Done(_)));
+            let Slot::Posted(task) = std::mem::replace(&mut *slot, Slot::Idle) else {
+                return;
+            };
+            drop(slot);
+            // SAFETY: `join` posted the task and keeps every borrow
+            // behind it alive, and leaves it alone, until it sees `Done`.
+            let ended = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)() }));
+            slot = self.lock();
+            *slot = Slot::Done(ended);
+            self.turn.notify_all();
+        }
+    }
+
+    /// Waits for the helper to be done with the posted task; how the
+    /// task ended.
+    fn done(&self) -> std::thread::Result<()> {
+        let slot = self.lock();
+        let mut slot = self.wait_while(slot, |s| !matches!(s, Slot::Done(_)));
+        let Slot::Done(ended) = std::mem::replace(&mut *slot, Slot::Idle) else {
+            unreachable!("waited for the task's end");
+        };
+        ended
+    }
+}
+
+/// A thread that takes one part of the engine's byte work while the
+/// engine does the other: a large completion batch's wire copies, and
+/// the folds of the programs the batch resumes. Virtual time comes from
+/// sizes alone, so where a byte moves is free as long as it moves before
+/// the lender's reply — and `join` returns only when both parts are done.
+pub(crate) struct Helper(Arc<Meeting>);
+
+impl Helper {
+    /// Spawns a parked helper; it ends when this handle is dropped.
+    pub(crate) fn spawn() -> Self {
+        let meeting = Arc::new(Meeting {
+            slot: Mutex::new(Slot::Idle),
+            turn: Condvar::new(),
+        });
+        let theirs = meeting.clone();
+        // Detached on purpose, like a rank worker: it ends when its
+        // owner closes the slot, and a task never unwinds into it.
+        std::thread::Builder::new()
+            .name("sim-helper".into())
+            .stack_size(1024 * 1024)
+            .spawn(move || theirs.serve())
+            .expect("failed to spawn the simulator's helper");
+        Helper(meeting)
+    }
+
+    /// Runs `theirs` on the helper while the calling thread runs `mine`,
+    /// and returns once both are done; a panic of either is resumed here,
+    /// after both are done. The hand-off allocates nothing: the helper
+    /// borrows `theirs` where it lies.
+    #[allow(unsafe_code)]
+    pub(crate) fn join(&self, theirs: &mut (dyn FnMut() + Send + '_), mine: impl FnOnce()) {
+        let theirs: *mut (dyn FnMut() + Send + '_) = theirs;
+        // SAFETY: only the lifetime bound of the trait object changes.
+        // The helper calls the task only between taking it from `Posted`
+        // and reporting `Done`, and this call does not end — by return
+        // or by unwinding — before it has seen `Done`: a panic of `mine`
+        // is held until then.
+        let task = Task(unsafe {
+            std::mem::transmute::<*mut (dyn FnMut() + Send + '_), *mut (dyn FnMut() + Send)>(theirs)
+        });
+        *self.0.lock() = Slot::Posted(task);
+        self.0.turn.notify_all();
+        let mine = catch_unwind(AssertUnwindSafe(mine));
+        let theirs = self.0.done();
+        if let Err(panic) = mine.and(theirs) {
+            resume_unwind(panic);
+        }
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        *self.0.lock() = Slot::Closed;
+        self.0.turn.notify_all();
+    }
 }
 
 /// Hands `job` to the calling thread's worker for `rank`.
@@ -196,8 +344,9 @@ impl<T> Drop for Jobs<T> {
 /// [`intercom::Comm`], so any library collective runs unmodified.
 ///
 /// The ranks run on worker threads owned by the calling thread and kept
-/// between calls; a nested `simulate` (from inside `f`) gets workers of
-/// its own.
+/// between calls, beside one helper thread that shares the engine's
+/// byte work; a nested `simulate` (from inside `f`) gets workers and a
+/// helper of its own.
 pub fn simulate<T, F>(cfg: &SimConfig, f: F) -> SimReport<T>
 where
     T: Send,
@@ -210,6 +359,7 @@ where
         cfg.record_trace,
         cfg.jitter,
         cfg.jitter_seed,
+        helper(),
     );
     // Declared before the channels below, so dropped after them: see
     // `Jobs::erased`.
@@ -660,6 +810,46 @@ mod tests {
         assert_eq!(rep.results[2], (Ok(()), true));
         // The clocks stopped where the abort found them.
         assert!((rep.elapsed - 2.0).abs() < 1e-9, "{}", rep.elapsed);
+    }
+
+    #[test]
+    fn a_helper_panic_is_resumed_on_the_joining_thread() {
+        let helper = Helper::spawn();
+        let mut mine_ran = false;
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            helper.join(&mut || panic!("helper boom"), || mine_ran = true)
+        }))
+        .expect_err("the helper's panic comes through");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"helper boom"));
+        assert!(mine_ran, "the joining thread's part ran to its end");
+        // The helper serves on.
+        let mut theirs = 0;
+        helper.join(&mut || theirs = 7, || {});
+        assert_eq!(theirs, 7);
+    }
+
+    #[test]
+    fn a_joining_thread_that_panics_waits_for_the_helper_first() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let helper = Helper::spawn();
+        let (go, wait) = channel();
+        let done = &AtomicBool::new(false);
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            let mut theirs = move || {
+                wait.recv().expect("the joining thread says go");
+                std::thread::yield_now();
+                done.store(true, Ordering::SeqCst);
+            };
+            helper.join(&mut theirs, || {
+                go.send(()).expect("the helper waits");
+                panic!("engine boom");
+            })
+        }));
+        assert!(panic.is_err());
+        assert!(
+            done.load(Ordering::SeqCst),
+            "the unwind left `join` only after the helper's part"
+        );
     }
 
     #[test]

@@ -4,16 +4,25 @@
 //! A rank's `send` / `recv` / `sendrecv` lends the engine a window
 //! (`ptr + len`) onto the caller's own `&[u8]` / `&mut [u8]` and then
 //! blocks on the engine's reply. The crate-wide invariant that makes
-//! the two dereferences below sound:
+//! the dereferences below sound:
 //!
-//! > *A window is dereferenced only by the engine, only between match
-//! > and completion, and a rank's blocking call returns only after the
-//! > engine has replied or is gone.*
+//! > *A window is dereferenced only by the engine, or by the helper it
+//! > joins before any lender of the batch is replied to, only between
+//! > match and completion, and a rank's blocking call returns only after
+//! > the engine has replied or is gone.*
 //!
-//! "Between match and completion" is [`SendWindow::copy_to`], called
-//! from `Engine::finish_transfer` while both ranks are still `Blocked`
-//! (the one other read, [`SendWindow::bytes`], decodes a poison record
-//! on arrival, before its sender is acknowledged). "Replied or gone":
+//! "Between match and completion" is [`Segment::copy`]: `Engine::advance`
+//! cuts the copies of the transfers completing at one event into
+//! segments, after asserting every lender of the batch still `Blocked`,
+//! and copies them itself or splits them with its helper
+//! (`sim::Helper::join`, which returns only once the helper is done) —
+//! all before the first of those lenders is released. The receive
+//! windows of one batch are pairwise disjoint mutable borrows (a
+//! blocked rank has one receive outstanding, and a self-`sendrecv`'s
+//! two windows are a shared and a mutable borrow of one call), so the
+//! two threads never write one byte, nor read one the other writes. The
+//! one other read, [`SendWindow::bytes`], decodes a poison record on
+//! arrival, before its sender is acknowledged. "Replied or gone":
 //! `SimComm::roundtrip` waits on the reply channel *without a timeout*,
 //! so the lending frame can only resume once the engine has pushed the
 //! rank's reply — after the copy, or after `poison` / a length mismatch
@@ -22,24 +31,28 @@
 //! completion or by unwinding) and can touch no window again.
 //!
 //! What would break it: a timeout on the reply wait (the lender could
-//! leave with its window still matched), or a copy made off the engine
-//! thread (completion would have to wait for a second release
-//! handshake, and so would `poison`).
+//! leave with its window still matched), a copy made on the receiving
+//! rank (completion would have to wait for a second release handshake,
+//! and so would `poison`), or a helper the engine does not join before
+//! it releases the batch's lenders.
 //!
 //! **Programs.** `SimComm::run_program` lends a [`ProgramWindow`] onto
 //! the `BoundProgram` in its frame — the rank's steps, its group's
 //! members, its argument buffers and its arena, all borrowed by that
 //! frame — and blocks the same way. The invariant extends word for
-//! word: *a program window is dereferenced only by the engine, only
-//! between the request that lends it and the reply that ends the
-//! program, and every payload window of the program's transfers is
-//! derived from it inside that span.* The engine derives them in
-//! [`ProgramWindow::with`], which hands out the program for one step
-//! under a lifetime the step cannot smuggle out; a derived
-//! [`SendWindow`] / [`RecvWindow`] then lives only as long as its
-//! transfer, which completes (or is dropped by a length mismatch or
-//! `poison`) while the rank is still `Blocked` in that same program —
-//! so before the reply.
+//! word: *a program window is dereferenced only by the engine, or by the
+//! helper it joins before the program can be replied to, only between
+//! the request that lends it and the reply that ends the program, and
+//! every payload window of the program's transfers is derived from it
+//! inside that span.* A program is derived from in
+//! [`ProgramWindow::with`], which hands it out for one step under a
+//! lifetime the step cannot smuggle out; a derived [`SendWindow`] /
+//! [`RecvWindow`] then lives only as long as its transfer, which
+//! completes (or is dropped by a length mismatch or `poison`) while the
+//! rank is still `Blocked` in that same program — so before the reply.
+//! The helper runs data steps of resumed programs, each program on one
+//! thread at a time; one rank's data steps touch only that rank's
+//! arguments and arena.
 //!
 //! Constructing a window is safe and dereferences nothing; the fields
 //! are private so that a window can only ever name a live borrow.
@@ -55,8 +68,9 @@ pub(crate) struct ProgramWindow {
 
 // SAFETY: `BoundProgram` is `Send` (byte views, the step list, the
 // member list, the arena and a `fn` pointer), so handing the engine
-// thread exclusive access is sound for as long as the lender cannot
-// touch it — which the module invariant guarantees.
+// thread — or, for a batch's folds, its helper — exclusive access is
+// sound for as long as the lender cannot touch it, which the module
+// invariant guarantees.
 unsafe impl Send for ProgramWindow {}
 
 impl ProgramWindow {
@@ -66,16 +80,17 @@ impl ProgramWindow {
         }
     }
 
-    /// Runs `f` on the lent program. Engine only, and only before the
-    /// lender has been replied to. `f` is generic over the program's
-    /// lifetime, so nothing it returns can borrow from the program.
+    /// Runs `f` on the lent program. Engine or joined helper only, and
+    /// only before the lender has been replied to. `f` is generic over
+    /// the program's lifetime, so nothing it returns can borrow from the
+    /// program.
     pub(crate) fn with<R>(&mut self, f: impl FnOnce(&mut BoundProgram<'_>) -> R) -> R {
         // SAFETY: `prog` comes from a `&mut BoundProgram` (`lend`) whose
         // frame is blocked in `run_program` until the engine replies
         // (module invariant), so the program and everything it borrows
-        // are live, and nothing else reaches them: the engine runs one
-        // step at a time on its own thread, and `&mut self` keeps two
-        // calls from overlapping.
+        // are live, and nothing else reaches them: one step at a time
+        // runs, on the engine's thread or its helper's, and `&mut self`
+        // keeps two calls from overlapping.
         f(unsafe { &mut *self.prog })
     }
 }
@@ -130,21 +145,6 @@ impl SendWindow {
         // not written by anyone for the returned lifetime.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
-
-    /// The crate's one copy of a wire byte: sender's buffer → receiver's
-    /// buffer. Consumes both windows, so a matched pair is copied at
-    /// most once. Engine only, with both lenders still blocked; the
-    /// lengths were checked equal at the match.
-    pub(crate) fn copy_to(self, dst: RecvWindow) {
-        // SAFETY: `dst.ptr`/`dst.len` come from a `&mut [u8]`
-        // (`RecvWindow::lend`) whose lender is still blocked on the
-        // engine's reply, so the engine has exclusive access to live
-        // bytes; it cannot overlap `self.bytes()`, which a shared
-        // borrow held at the same time names (for a self-`sendrecv`
-        // both are arguments of one call).
-        let buf = unsafe { std::slice::from_raw_parts_mut(dst.ptr, dst.len) };
-        buf.copy_from_slice(self.bytes());
-    }
 }
 
 impl RecvWindow {
@@ -157,5 +157,73 @@ impl RecvWindow {
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// A piece of a completion batch's wire copies: bytes of a sender's
+/// window and the receiver's window they land in. A transfer's copy is
+/// one segment, or two once the batch is cut at its byte midpoint.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    src: *const u8,
+    dst: *mut u8,
+    len: usize,
+}
+
+// SAFETY: the pointers cross to the helper thread, but the bytes they
+// name stay borrowed by blocked lenders for as long as the segment may
+// be copied (module invariant), and no two segments of a batch write
+// the same byte or one the other reads; `len` is plain data.
+unsafe impl Send for Segment {}
+
+impl Segment {
+    /// The whole copy of a matched pair (`data` → `buf`).
+    pub(crate) fn of(data: &SendWindow, buf: &mut RecvWindow) -> Self {
+        // Not a debug assertion: `copy` is sound only under it.
+        assert_eq!(data.len, buf.len, "the match checked the lengths equal");
+        Segment {
+            src: data.ptr,
+            dst: buf.ptr,
+            len: buf.len,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Cuts the segment at `at`: it keeps its first `at` bytes, and the
+    /// rest come back as a segment of their own.
+    pub(crate) fn split_off(&mut self, at: usize) -> Self {
+        assert!(at <= self.len, "a cut inside the segment");
+        let tail = Segment {
+            src: self.src.wrapping_add(at),
+            dst: self.dst.wrapping_add(at),
+            len: self.len - at,
+        };
+        self.len = at;
+        tail
+    }
+
+    /// The crate's one copy of a wire byte: sender's buffer → receiver's
+    /// buffer. Engine or joined helper only, with both lenders still
+    /// blocked.
+    pub(crate) fn copy(&mut self) {
+        // SAFETY: `src` and `dst` point `len` bytes into a `&[u8]` and a
+        // `&mut [u8]` of equal length (`of`, and `split_off` cuts both at
+        // one offset) whose lenders are still blocked on the engine's
+        // reply (module invariant), so both are live. The writes are
+        // this thread's alone: the batch's receive windows are disjoint
+        // mutable borrows, and each of their bytes is in one segment.
+        // They cannot overlap `src`, which a shared borrow held at the
+        // same time names (for a self-`sendrecv` both are arguments of
+        // one call).
+        let (src, dst) = unsafe {
+            (
+                std::slice::from_raw_parts(self.src, self.len),
+                std::slice::from_raw_parts_mut(self.dst, self.len),
+            )
+        };
+        dst.copy_from_slice(src);
     }
 }

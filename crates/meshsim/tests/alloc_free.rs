@@ -6,14 +6,15 @@
 //!    unlucky interleaving) — a counting global allocator over the rank
 //!    workers *and* the engine thread.
 //! 2. A steady-state default-path call — a compiled program the engine
-//!    walks — allocates nothing on the engine's side, and on the rank's
-//!    side the same few allocations (the plan-cache lookup's) whatever
-//!    the world's size or the program's step count.
-//! 3. Rank workers belong to the thread that calls `simulate` and
-//!    outlive a world: the next world on that thread reuses them, a
-//!    world whose rank panicked does not spoil them, nested and
-//!    concurrent callers each get their own, and they end with their
-//!    owner.
+//!    walks — allocates nothing on the engine's side, also when the
+//!    engine splits its batches with its helper, and on the rank's side
+//!    the same few allocations (the plan-cache lookup's) whatever the
+//!    world's size, block size or the program's step count.
+//! 3. Rank workers and the engine's helper belong to the thread that
+//!    calls `simulate` and outlive a world: the next world on that thread
+//!    reuses them, a world whose rank panicked does not spoil them,
+//!    nested and concurrent callers each get their own, and the workers
+//!    end with their owner.
 //!
 //! Only threads that opt in through [`COUNTED`] are counted, so the
 //! other tests of this file (and the harness printing their results)
@@ -199,24 +200,38 @@ fn steady_program_calls_allocate_nothing_in_the_engine_and_a_constant_in_ranks()
         each
     };
     // 4 and 16 ranks; 1-byte and 64-byte blocks (a 16-rank collect's
-    // program holds a step per block, and more than a 4-rank one).
+    // program holds a step per block, and more than a 4-rank one), and
+    // 64 KiB blocks, whose 16-rank batches of 1 MiB and more the engine
+    // splits with its helper.
     let counts = [
         per_call(2, 2, 1),
         per_call(2, 2, 64),
         per_call(4, 4, 1),
         per_call(4, 4, 64),
+        per_call(4, 4, 64 << 10),
     ];
     assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     assert!(counts[0] <= 8, "{} allocations per call", counts[0]);
 }
 
-/// One ring exchange of a byte: what the left neighbour sent, checked.
-fn ring_exchange(c: &impl Comm) {
+/// One ring exchange of `n` bytes: what the left neighbour sent, checked.
+fn ring_exchange_of(c: &impl Comm, n: usize) {
     let (p, me) = (c.size(), c.rank());
-    let mut got = [0u8; 1];
-    c.sendrecv((me + 1) % p, &[me as u8], (me + p - 1) % p, &mut got, 0)
-        .unwrap();
-    assert_eq!(got[0] as usize, (me + p - 1) % p);
+    let mut got = vec![0u8; n];
+    c.sendrecv(
+        (me + 1) % p,
+        &vec![me as u8; n],
+        (me + p - 1) % p,
+        &mut got,
+        0,
+    )
+    .unwrap();
+    assert!(got.iter().all(|&b| b as usize == (me + p - 1) % p));
+}
+
+/// One ring exchange of a byte.
+fn ring_exchange(c: &impl Comm) {
+    ring_exchange_of(c, 1);
 }
 
 /// The thread each rank of one 2×2 world ran on, after a ring exchange
@@ -279,7 +294,8 @@ fn a_rank_can_simulate_a_world_of_its_own() {
 #[test]
 fn two_callers_simulate_at_the_same_time() {
     // Rank 0 of each world waits for the other world's rank 0: both
-    // worlds are provably alive at once.
+    // worlds are provably alive at once. Their 1 MiB exchanges are split
+    // by each caller's engine with its own helper.
     let meet = Arc::new(Barrier::new(2));
     let callers: Vec<_> = (0..2)
         .map(|_| {
@@ -289,7 +305,7 @@ fn two_callers_simulate_at_the_same_time() {
                     if c.rank() == 0 {
                         meet.wait();
                     }
-                    ring_exchange(c);
+                    ring_exchange_of(c, 256 << 10);
                     std::thread::current().id()
                 })
                 .results

@@ -14,7 +14,7 @@
 
 use intercom::comm::GroupComm;
 use intercom::ir::{execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind};
-use intercom::{Algo, Comm, Communicator, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
+use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport};
 use intercom_topology::{Cluster, Mesh2D};
@@ -281,6 +281,43 @@ fn a_mesh_row_group_runs_the_same_on_both_paths() {
         out
     });
     assert_eq!(results[5][3], 24, "1·2·3·4 over the row");
+}
+
+/// One rank's default-path allreduce of 256 KiB of `T` on `mesh`, its
+/// contribution `x(rank, i)`; the result's bytes.
+fn large_allreduce<T: Elem>(
+    c: &dyn Comm,
+    mesh: Mesh2D,
+    op: ReduceOp,
+    x: fn(usize, usize) -> T,
+) -> Vec<u8> {
+    let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
+    let rank = cc.rank();
+    let mut v: Vec<T> = (0..(256 << 10) / size_of::<T>())
+        .map(|i| x(rank, i))
+        .collect();
+    cc.allreduce(&mut v, op).unwrap();
+    T::as_bytes(&v).to_vec()
+}
+
+#[test]
+fn allreduces_whose_batches_are_split_run_the_same_on_both_paths() {
+    // Every message of a 32-rank allreduce of 256 KiB moves in batches
+    // of a MiB and more: the engine splits their copies with its helper,
+    // and on the program path shares the folds that follow.
+    let mesh = Mesh2D::new(4, 8);
+    let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
+    for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
+        assert_paths_agree(&cfg, &format!("f64 {op:?}"), |c| {
+            large_allreduce::<f64>(c, mesh, op, value)
+        });
+        assert_paths_agree(&cfg, &format!("i32 {op:?}"), |c| {
+            large_allreduce::<i32>(c, mesh, op, |r, i| (i as i32 - 7) * (r as i32 + 1))
+        });
+        assert_paths_agree(&cfg, &format!("u8 {op:?}"), |c| {
+            large_allreduce::<u8>(c, mesh, op, |r, i| (i * 31 + r) as u8)
+        });
+    }
 }
 
 /// The benchmark's 21 `sim-mesh` rows at full size: Table 3's 16×32

@@ -7,7 +7,7 @@
 #   ./ci.sh sanitize   - opt-in: runtime tests under ThreadSanitizer
 #                        (needs a nightly toolchain with rust-src for
 #                        -Zbuild-std)
-#   ./ci.sh miri       - opt-in: IR interpreter unit tests under Miri
+#   ./ci.sh miri       - opt-in: program-walk and IR unit tests under Miri
 #                        (needs a nightly toolchain with the miri
 #                        component)
 #
@@ -31,10 +31,10 @@ have_nightly_component() {
 }
 
 if [[ "${1:-}" == "miri" ]]; then
-    echo "==> Miri (IR interpreter unit tests, nightly)"
+    echo "==> Miri (program-walk and IR unit tests, nightly)"
     have_nightly || skip "miri needs a nightly toolchain, none is installed"
     have_nightly_component miri || skip "the nightly miri component is not installed"
-    cargo +nightly miri test -p intercom --lib -q ir::
+    cargo +nightly miri test -p intercom --lib -q -- ir:: comm::
     echo "ci.sh miri: all green"
     exit 0
 fi

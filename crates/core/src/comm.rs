@@ -9,11 +9,17 @@
 //! data movement; the accounting hooks default to no-ops. Two provided
 //! methods, [`Comm::recv_with`] and [`Comm::sendrecv_with`], let a
 //! backend that can lend the arrived bytes hand them to the combining
-//! collectives' fold where they lie, and two more,
-//! [`Comm::runs_programs`] and [`Comm::run_program`], let a backend
-//! that can walk a compiled program take a whole call in one hand-off;
-//! a port that leaves them alone behaves exactly as one written before
-//! they existed.
+//! collectives' fold where they lie; a port that leaves them alone
+//! behaves exactly as one written before they existed.
+//!
+//! A compiled program runs through one more provided method,
+//! [`Comm::run_program`]. Its default is *the* walk over a program's
+//! steps: each becomes the call a collective written against this trait
+//! would have made, so every backend runs programs with nothing to
+//! implement, and a backend that can do better (the simulator, which
+//! hands its engine a whole call) overrides it. [`Comm::runs_programs`]
+//! is only a routing bit: whether [`Communicator`](crate::Communicator)
+//! calls go through programs at all.
 //!
 //! [`GroupComm`] layers the paper's §9 group abstraction on top: an
 //! ordered member list provides the logical-to-physical mapping, so every
@@ -22,7 +28,7 @@
 
 use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
-use crate::ir::BoundProgram;
+use crate::ir::{BoundProgram, StepAction};
 use crate::op::{Elem, ReduceOp};
 
 /// Message tag disambiguating concurrent traffic between the same pair of
@@ -70,7 +76,7 @@ pub trait Comm {
     /// to `to` under `stag` while receiving into `buf` from `from`
     /// under `rtag`. No library schedule needs mixed tags: tags encode
     /// stages, and every exchange the algorithms or the optimizer emit
-    /// has both halves in one stage, so the IR interpreter calls
+    /// has both halves in one stage, so the program walk calls
     /// [`Comm::sendrecv`]. The method stays because it is part of the
     /// porting surface wrappers outside this workspace's crates
     /// implement (the benchmark's instrumented `Comm` forwards it).
@@ -166,34 +172,63 @@ pub trait Comm {
         let _ = (plan, step);
     }
 
-    /// Whether this backend runs compiled programs itself. When it
-    /// does, [`Communicator`](crate::Communicator) calls and persistent
-    /// plans hand it each call's compiled program through
-    /// [`Comm::run_program`] instead of issuing the program's sends and
-    /// receives one by one (a `Communicator` call too large for compact
-    /// steps, [`ir::fits_steps`](crate::ir::fits_steps), still issues
-    /// them).
+    /// The routing bit: whether [`Communicator`](crate::Communicator)
+    /// calls run as the call's compiled program, handed over through
+    /// [`Comm::run_program`], instead of as the direct path's recursive
+    /// algorithms (which issue the same calls; a call too large for
+    /// compact steps, [`ir::fits_steps`](crate::ir::fits_steps), takes
+    /// the direct path either way). Persistent plans and
+    /// [`ir::execute`](crate::ir::execute) run programs whatever this
+    /// says.
     ///
-    /// The default is no: a backend or wrapper that leaves this method
-    /// and [`Comm::run_program`] alone runs exactly the calls it ran
-    /// before they existed. (A wrapper that forwarded them would hand
-    /// the inner backend programs its own hooks never see.)
+    /// The default is no: a backend that leaves it alone runs every
+    /// `Communicator` call exactly as before programs existed.
     fn runs_programs(&self) -> bool {
         false
     }
 
-    /// Runs the backend's part of a bound program: every step of
-    /// [`BoundProgram::span`], in order, through
-    /// [`BoundProgram::step`] — charging clock steps and completing
-    /// transfers as `compute` / `call_overhead` / `send` / `recv` /
-    /// `sendrecv` would, and returning after the last one, or with the
-    /// first error. Called only where [`Comm::runs_programs`] says yes;
-    /// the default refuses.
+    /// Runs a bound program: every one of its steps, in order, through
+    /// [`BoundProgram::step`], returning after the last one or with the
+    /// first error.
+    ///
+    /// The default is the walk: before each step it tells
+    /// [`Comm::plan_step`] `(plan id, step index)` (and marks the step
+    /// in the flight recorder when that is on); a transfer becomes
+    /// `send` / `recv` / `sendrecv`, a clock step `compute` /
+    /// `call_overhead`, and a copy or fold — which `step` has already
+    /// run — fires `local_copy` / `local_reduce`. It stamps `(0, 0)` on
+    /// every return. A backend overrides it to run programs its own
+    /// way; the simulator hands its engine the steps from the first
+    /// transfer or clock step to the last in one request.
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
-        let _ = prog;
-        Err(CommError::PlanMismatch {
-            what: "this backend does not run programs",
-        })
+        let plan = prog.plan_id();
+        let flight = intercom_obs::flight::enabled();
+        let result = (|| {
+            for i in 0..prog.steps().len() {
+                self.plan_step(plan, i as u64);
+                if flight {
+                    intercom_obs::flight::mark_step(plan, i as u64);
+                }
+                match prog.step(i)? {
+                    StepAction::Send { to, tag, data } => self.send(to, tag, data)?,
+                    StepAction::Recv { from, tag, buf } => self.recv(from, tag, buf)?,
+                    StepAction::SendRecv {
+                        to,
+                        data,
+                        from,
+                        buf,
+                        tag,
+                    } => self.sendrecv(to, data, from, buf, tag)?,
+                    StepAction::Copy { src, dst } => self.local_copy(src, dst),
+                    StepAction::Reduce { acc, other } => self.local_reduce(acc, other),
+                    StepAction::Compute(bytes) => self.compute(bytes),
+                    StepAction::CallOverhead => self.call_overhead(),
+                }
+            }
+            Ok(())
+        })();
+        self.plan_step(0, 0);
+        result
     }
 }
 

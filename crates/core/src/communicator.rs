@@ -285,10 +285,11 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// One call: selector-driven where the op takes a strategy. `rop`
     /// is the ⊕ of a combining op; the others never apply it.
     ///
-    /// On a backend that runs programs the call is its plain compiled
-    /// program, looked up in the process-wide plan cache and handed over
-    /// whole; everywhere else, and for a call too large for compact
-    /// steps ([`ir::fits_steps`]), it is the direct path. The two issue
+    /// Where the backend's routing bit ([`Comm::runs_programs`]) is set
+    /// the call is its plain compiled program, looked up in the
+    /// process-wide plan cache and handed to [`Comm::run_program`];
+    /// everywhere else, and for a call too large for compact steps
+    /// ([`ir::fits_steps`]), it is the direct path. The two issue
     /// the same operations in the same order (the program was lowered
     /// from the direct path), so results and virtual times agree bit for
     /// bit.

@@ -227,7 +227,8 @@ pub struct FaultEvent {
 
 /// Per-rank `(plan, step)` progress stamp (0 plan = outside a compiled
 /// plan), mirrored from [`Comm::plan_step`] so the watchdog can
-/// snapshot how far each rank got.
+/// snapshot how far each rank got; once the collective has aborted, a
+/// rank's stamp stays on the step its walk failed at.
 struct Progress {
     plan: AtomicU64,
     step: AtomicU64,
@@ -315,7 +316,8 @@ impl FaultLayer {
     }
 
     /// Per-rank `(plan, step)` progress snapshot (plan 0 = the rank was
-    /// outside any compiled plan when last observed).
+    /// outside any compiled plan when last observed; after an abort, a
+    /// rank that failed inside a plan keeps the step it failed at).
     pub fn progress(&self) -> Vec<(u64, u64)> {
         self.progress
             .iter()
@@ -818,7 +820,12 @@ impl<C: Comm + ?Sized> Comm for FaultyComm<'_, C> {
     }
 
     fn plan_step(&self, plan: u64, step: u64) {
-        self.layer.set_progress(self.rank, plan, step);
+        // A walk that ends under an abort keeps the step it failed at:
+        // its closing `(0, 0)` would erase what the rank's
+        // `CollectiveError` reports.
+        if plan != 0 || !self.layer.aborted.load(Ordering::Acquire) {
+            self.layer.set_progress(self.rank, plan, step);
+        }
         self.inner.plan_step(plan, step);
     }
 }

@@ -65,9 +65,10 @@ impl PlanKey {
     /// The key of the plain program (lowering only) of one default-path
     /// call: `choice` is the selection of a strategy-taking op and
     /// `None` for scatter, gather and alltoall. Its op stream is the
-    /// direct path's, call for call, which is what lets a backend that
-    /// runs programs take the default path without moving a virtual
-    /// time.
+    /// direct path's, call for call, which is what lets a backend route
+    /// its default path through programs
+    /// ([`Comm::runs_programs`](crate::Comm::runs_programs)) without
+    /// moving a virtual time.
     pub fn plain(
         op: PlanOp,
         p: usize,

@@ -1,39 +1,30 @@
-//! The IR interpreter: executes a [`CollectiveProgram`] against any
-//! [`Comm`] backend.
+//! Executing a [`CollectiveProgram`] on any [`Comm`] backend.
 //!
-//! One interpreter serves every backend — the threaded runtime, the mesh
-//! simulator, a [`RecordingComm`](crate::trace::RecordingComm) (which
-//! reproduces the very record stream the program was lowered from), or a
-//! single-process [`SelfComm`](crate::comm::SelfComm). It runs in one of
-//! two ways:
-//!
-//! * **Step by step here** (every backend whose
-//!   [`Comm::runs_programs`] says no): before each step the backend's
-//!   [`Comm::plan_step`] hook is told `(plan_id, step index)`, so
-//!   tracing backends can attribute every transfer to the exact
-//!   compiled step that issued it; the hook is reset to `(0, 0)` on
-//!   return.
-//! * **Handed off** (a backend that runs programs — the simulator):
-//!   the data steps before the first transfer and after the last one
-//!   run here, on the calling rank's thread; the section between them
-//!   and every clock step go to the backend as one
-//!   [`BoundProgram`](super::BoundProgram), which it walks itself.
+//! [`execute`] binds the calling rank's steps to the call's buffers (a
+//! [`BoundProgram`]) and hands them to [`Comm::run_program`]. The
+//! trait's default walks them step by step through the backend's own
+//! calls — the threaded runtime, a
+//! [`RecordingComm`](crate::trace::RecordingComm) (which reproduces the
+//! very record stream the program was lowered from), a single-process
+//! [`SelfComm`](crate::comm::SelfComm), any wrapper — telling the
+//! [`Comm::plan_step`] hook `(plan_id, step index)` before each step, so
+//! tracing backends can attribute every transfer to the exact compiled
+//! step that issued it. The simulator overrides it and hands its engine
+//! the program in one request.
 //!
 //! Execution is allocation-free in the steady state: the caller-provided
 //! scratch arena grows once to [`RankProgram::scratch_bytes`] and is
-//! re-zeroed (never re-allocated) on later executions, matching the
-//! zeroed workspace of the replay the program was lowered from. A
-//! handed-off run grows and zeroes it just before the first step that
-//! touches it, as the direct path would first touch its workspace.
+//! re-zeroed (never re-allocated) by every execution, at the first step
+//! that touches it, matching the zeroed workspace of the replay the
+//! program was lowered from.
 //!
 //! [`RankProgram::scratch_bytes`]: super::RankProgram::scratch_bytes
 
-use super::{ArgDir, BoundProgram, Buf, CollectiveProgram, Loc, StepKind};
+use super::{ArgDir, BoundProgram, CollectiveProgram};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::ReduceOp;
-use std::ops::Range;
 
 /// One argument-buffer binding for an execution (slot order per
 /// [`super::PlanOp::args`]).
@@ -90,13 +81,8 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
             strategy.as_deref(),
         );
     }
-    let comm = gc.comm();
-    let result = if comm.runs_programs() {
-        BoundProgram::new(prog, me, gc.members(), args, scratch, op, base_tag)
-            .and_then(|bound| bound.run_on(comm))
-    } else {
-        interpret(prog, gc, op, args, scratch, base_tag, flight_on)
-    };
+    let result = BoundProgram::new(prog, me, gc.members(), args, scratch, op, base_tag)
+        .and_then(|mut bound| gc.comm().run_program(&mut bound));
     if let Some(started) = started {
         // Wall-clock on the executing thread: real latency for the
         // threaded runtime; for the simulator it is host compute time
@@ -130,69 +116,6 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
             Err(e) => intercom_obs::flight::fail(prog.plan_id, &e.to_string()),
         }
     }
-    result
-}
-
-/// Runs the calling rank's program step by step through `gc`.
-fn interpret<T: Scalar, C: Comm + ?Sized>(
-    prog: &CollectiveProgram,
-    gc: &GroupComm<'_, C>,
-    op: ReduceOp,
-    args: &mut [ArgBuf<'_, T>],
-    scratch: &mut Vec<u64>,
-    base_tag: Tag,
-    flight_on: bool,
-) -> Result<()> {
-    let elem = T::SIZE;
-    let rp = &prog.ranks[gc.me()];
-    // Re-zero (and on first use, grow) the arena: the programs were
-    // lowered from replays over fresh zeroed workspace.
-    let scratch = T::scratch(scratch, rp.scratch_bytes.div_ceil(elem));
-    scratch.fill(T::default());
-    let comm = gc.comm();
-    let tag = |off: u32| base_tag + u64::from(off);
-    let result: Result<()> = (|| {
-        for (idx, step) in rp.steps.iter().enumerate() {
-            comm.plan_step(prog.plan_id, idx as u64);
-            if flight_on {
-                intercom_obs::flight::mark_step(prog.plan_id, idx as u64);
-            }
-            match step.kind {
-                StepKind::Send { to, tag_off, src } => {
-                    let s = read(args, scratch, elem, &src)?;
-                    gc.send(to.into(), tag(tag_off), s)?;
-                }
-                StepKind::Recv { from, tag_off, dst } => {
-                    let d = write(args, scratch, elem, &dst)?;
-                    gc.recv(from.into(), tag(tag_off), d)?;
-                }
-                StepKind::SendRecv {
-                    to,
-                    src,
-                    from,
-                    dst,
-                    tag_off,
-                } => {
-                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
-                    gc.sendrecv(to.into(), s, from.into(), d, tag(tag_off))?;
-                }
-                StepKind::Copy { src, dst } => {
-                    let (s, d) = read_write(args, scratch, elem, &src, &dst)?;
-                    d.copy_from_slice(s);
-                    comm.local_copy(T::as_bytes(s), T::as_bytes(d));
-                }
-                StepKind::Reduce { acc, other } => {
-                    let (o, a) = read_write(args, scratch, elem, &other, &acc)?;
-                    op.fold_into(a, o);
-                    comm.local_reduce(T::as_bytes(a), T::as_bytes(o));
-                }
-                StepKind::Compute { bytes } => gc.compute(bytes as usize),
-                StepKind::CallOverhead => gc.call_overhead(),
-            }
-        }
-        Ok(())
-    })();
-    comm.plan_step(0, 0);
     result
 }
 
@@ -244,158 +167,16 @@ fn check_args<T: Scalar>(
     Ok(())
 }
 
-/// `Err` unless `loc` starts and ends on element boundaries.
-pub(super) fn aligned(loc: &Loc, elem: usize) -> Result<()> {
-    let whole = |v: u32| (v as usize).is_multiple_of(elem);
-    if whole(loc.off) && whole(loc.len) {
-        Ok(())
-    } else {
-        Err(CommError::PlanMismatch {
-            what: "step operand not aligned to the element size",
-        })
-    }
-}
-
-fn elem_range(loc: &Loc, elem: usize) -> Result<Range<usize>> {
-    aligned(loc, elem)?;
-    let bytes = loc.bytes();
-    Ok(bytes.start / elem..bytes.end / elem)
-}
-
-const OOB: CommError = CommError::PlanMismatch {
-    what: "step operand out of buffer bounds",
-};
-
-fn arg_read<'x, T>(arg: &'x ArgBuf<'_, T>, r: Range<usize>) -> Result<&'x [T]> {
-    match arg {
-        ArgBuf::In(b) => b.get(r).ok_or(OOB),
-        ArgBuf::Out(b) => b.get(r).ok_or(OOB),
-        ArgBuf::Absent => Err(CommError::PlanMismatch {
-            what: "step reads an absent buffer",
-        }),
-    }
-}
-
-fn arg_write<'x, T>(arg: &'x mut ArgBuf<'_, T>, r: Range<usize>) -> Result<&'x mut [T]> {
-    match arg {
-        ArgBuf::Out(b) => b.get_mut(r).ok_or(OOB),
-        ArgBuf::In(_) => Err(CommError::PlanMismatch {
-            what: "step writes a read-only buffer",
-        }),
-        ArgBuf::Absent => Err(CommError::PlanMismatch {
-            what: "step writes an absent buffer",
-        }),
-    }
-}
-
-pub(super) fn read<'x, T: Scalar>(
-    args: &'x [ArgBuf<'_, T>],
-    scratch: &'x [T],
-    elem: usize,
-    loc: &Loc,
-) -> Result<&'x [T]> {
-    let r = elem_range(loc, elem)?;
-    match loc.buf {
-        Buf::Scratch => scratch.get(r).ok_or(OOB),
-        Buf::Arg(i) => arg_read(args.get(usize::from(i)).ok_or(OOB)?, r),
-    }
-}
-
-pub(super) fn write<'x, T: Scalar>(
-    args: &'x mut [ArgBuf<'_, T>],
-    scratch: &'x mut [T],
-    elem: usize,
-    loc: &Loc,
-) -> Result<&'x mut [T]> {
-    let r = elem_range(loc, elem)?;
-    match loc.buf {
-        Buf::Scratch => scratch.get_mut(r).ok_or(OOB),
-        Buf::Arg(i) => arg_write(args.get_mut(usize::from(i)).ok_or(OOB)?, r),
-    }
-}
-
-/// Simultaneous shared read of `rloc` and mutable write of `wloc`,
-/// splitting borrows across (or within) buffers. Overlapping operands
-/// within one buffer are rejected — the verifier proves compiled
-/// programs never produce them.
-pub(super) fn read_write<'x, T: Scalar>(
-    args: &'x mut [ArgBuf<'_, T>],
-    scratch: &'x mut [T],
-    elem: usize,
-    rloc: &Loc,
-    wloc: &Loc,
-) -> Result<(&'x [T], &'x mut [T])> {
-    let rr = elem_range(rloc, elem)?;
-    let wr = elem_range(wloc, elem)?;
-    // Argument slots as indices; `None` is the arena.
-    let slot = |b: Buf| match b {
-        Buf::Arg(i) => Some(usize::from(i)),
-        Buf::Scratch => None,
-    };
-    match (slot(rloc.buf), slot(wloc.buf)) {
-        (None, None) => split_same(scratch, rr, wr),
-        (Some(i), None) => {
-            let rd = arg_read(args.get(i).ok_or(OOB)?, rr)?;
-            Ok((rd, scratch.get_mut(wr).ok_or(OOB)?))
-        }
-        (None, Some(j)) => {
-            let wrt = arg_write(args.get_mut(j).ok_or(OOB)?, wr)?;
-            Ok((scratch.get(rr).ok_or(OOB)?, wrt))
-        }
-        (Some(i), Some(j)) if i == j => match args.get_mut(i).ok_or(OOB)? {
-            ArgBuf::Out(b) => split_same(b, rr, wr),
-            ArgBuf::In(_) => Err(CommError::PlanMismatch {
-                what: "step writes a read-only buffer",
-            }),
-            ArgBuf::Absent => Err(CommError::PlanMismatch {
-                what: "step writes an absent buffer",
-            }),
-        },
-        (Some(i), Some(j)) => {
-            if i.max(j) >= args.len() {
-                return Err(OOB);
-            }
-            let (lo, hi) = args.split_at_mut(i.max(j));
-            let (ra, wa) = if i < j {
-                (&lo[i], &mut hi[0])
-            } else {
-                (&hi[0], &mut lo[j])
-            };
-            Ok((arg_read(ra, rr)?, arg_write(wa, wr)?))
-        }
-    }
-}
-
-/// Disjoint shared/mutable views of two ranges of one buffer.
-fn split_same<T>(buf: &mut [T], r: Range<usize>, w: Range<usize>) -> Result<(&[T], &mut [T])> {
-    if w.is_empty() {
-        return Ok((buf.get(r).ok_or(OOB)?, &mut []));
-    }
-    if r.is_empty() {
-        return Ok((&[], buf.get_mut(w).ok_or(OOB)?));
-    }
-    if r.end <= w.start {
-        let (a, b) = buf.split_at_mut(w.start);
-        Ok((a.get(r).ok_or(OOB)?, b.get_mut(..w.len()).ok_or(OOB)?))
-    } else if w.end <= r.start {
-        let (a, b) = buf.split_at_mut(r.start);
-        Ok((b.get(..r.len()).ok_or(OOB)?, a.get_mut(w).ok_or(OOB)?))
-    } else {
-        Err(CommError::PlanMismatch {
-            what: "overlapping read/write operands in one step",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{lower, PlanOp};
     use super::*;
     use crate::comm::SelfComm;
+    use crate::trace::RecordingComm;
     use intercom_cost::Strategy;
 
     #[test]
-    fn self_comm_collect_through_interpreter() {
+    fn self_comm_collect_through_the_default_walk() {
         let st = Strategy::pure_mst(1);
         let prog = lower(PlanOp::Collect, Some(&st), 1, 3, 4).unwrap();
         let c = SelfComm;
@@ -441,14 +222,24 @@ mod tests {
     }
 
     #[test]
-    fn split_same_handles_order_and_overlap() {
-        let mut v = [1, 2, 3, 4, 5, 6];
-        let (r, w) = split_same(&mut v, 0..2, 4..6).unwrap();
-        assert_eq!(r, &[1, 2]);
-        assert_eq!(w, &mut [5, 6]);
-        let (r, w) = split_same(&mut v, 3..6, 0..2).unwrap();
-        assert_eq!(r, &[4, 5, 6]);
-        assert_eq!(w.len(), 2);
-        assert!(split_same(&mut v, 0..3, 2..5).is_err());
+    fn a_program_for_a_smaller_group_is_refused_with_metrics_on() {
+        // Compiled for one rank, run as rank 1 of two: the rank has no
+        // program, and the telemetry must not look for one.
+        let st = Strategy::pure_mst(1);
+        let prog = lower(PlanOp::AllReduce, Some(&st), 1, 3, 4).unwrap();
+        let c = RecordingComm::new(1, 2);
+        let mut buf = [0u32; 3];
+        intercom_obs::metrics::set_enabled(true);
+        let out = execute(
+            &prog,
+            &GroupComm::world(&c),
+            ReduceOp::Sum,
+            &mut [ArgBuf::Out(&mut buf)],
+            &mut Vec::new(),
+            0,
+        );
+        intercom_obs::metrics::set_enabled(false);
+        let what = "group size differs from the compiled program's";
+        assert_eq!(out, Err(CommError::PlanMismatch { what }));
     }
 }

@@ -10,10 +10,11 @@
 //! stack instead of four independent re-derivations of the same
 //! schedule —
 //!
-//! * the threaded runtime and the mesh simulator *execute* it through
-//!   the backend-generic interpreter ([`execute`]) — step by step, or,
-//!   on a backend that runs programs (the simulator), handed over whole
-//!   as a [`BoundProgram`] that the backend walks itself,
+//! * the threaded runtime and the mesh simulator *execute* it: [`execute`]
+//!   binds it to the call's buffers as a [`BoundProgram`] and hands it to
+//!   `Comm::run_program`, whose default walks it step by step through
+//!   any backend's calls, and which the simulator overrides to have its
+//!   engine walk the program in one request,
 //! * `intercom-verify` checks its static safety properties directly
 //!   (deadlock-freedom, single-port, link conflicts, buffer safety), and
 //! * `intercom-obs` attributes trace events to `(plan, step)` via the

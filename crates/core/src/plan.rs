@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// The shared compiled-program handle every plan wraps: the frozen
 /// selection, the cached program (or the lowering error, stashed here
 /// and surfaced on the first execute) plus the private scratch arena
-/// the interpreter re-zeroes — never re-allocates — on each run.
+/// each run re-zeroes — never re-allocates — when it binds the program.
 struct PlanCore<T: Scalar> {
     choice: HierChoice,
     program: Result<Arc<CollectiveProgram>>,

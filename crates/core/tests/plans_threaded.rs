@@ -1,8 +1,13 @@
 //! Persistent plans on the threaded backend: repeated execution,
-//! strategy stability, interleaving with ad-hoc collectives.
+//! strategy stability, interleaving with ad-hoc collectives; and what a
+//! malformed compiled program does there.
 
+use intercom::comm::{GroupComm, SelfComm};
+use intercom::ir::{
+    execute, ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
+};
 use intercom::plan::{AllreducePlan, BcastPlan, CollectPlan};
-use intercom::{Comm, Communicator, ReduceOp};
+use intercom::{Comm, CommError, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_runtime::run_world;
 
@@ -87,4 +92,88 @@ fn barrier_synchronizes() {
         }
     });
     assert!(out.iter().all(|&x| x == 42));
+}
+
+/// A byte program over one 8-byte in-out buffer in which rank `r` runs
+/// `ranks[r]`.
+fn program(ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
+    let rank = |kinds: Vec<StepKind>| RankProgram {
+        steps: kinds.into_iter().map(|kind| Step { kind }).collect(),
+        scratch_bytes: 0,
+    };
+    CollectiveProgram {
+        plan_id: 1 << 40,
+        op: PlanOp::AllReduce,
+        p: ranks.len(),
+        n: 8,
+        elem_size: 1,
+        strategy: None,
+        hier: None,
+        ranks: ranks.into_iter().map(rank).collect(),
+    }
+}
+
+fn at(off: u32, len: u32) -> Loc {
+    Loc {
+        buf: Buf::Arg(0),
+        off,
+        len,
+    }
+}
+
+/// Executes `prog` as `c`'s rank over a buffer of `0..8`.
+fn run<C: Comm + ?Sized>(c: &C, prog: &CollectiveProgram) -> intercom::Result<()> {
+    let mut buf: Vec<u8> = (0..8).collect();
+    let args = &mut [ArgBuf::Out(&mut buf[..])];
+    execute(
+        prog,
+        &GroupComm::world(c),
+        ReduceOp::Sum,
+        args,
+        &mut Vec::new(),
+        0,
+    )
+}
+
+#[test]
+fn a_step_whose_operands_differ_in_length_is_an_error_not_a_panic() {
+    let mismatch = Err(CommError::PlanMismatch {
+        what: "step operands differ in length",
+    });
+    let copy = StepKind::Copy {
+        src: at(0, 4),
+        dst: at(4, 2),
+    };
+    let fold = StepKind::Reduce {
+        acc: at(4, 4),
+        other: at(0, 2),
+    };
+    for bad in [copy, fold] {
+        assert_eq!(
+            run(&SelfComm, &program(vec![vec![bad]])),
+            mismatch,
+            "{bad:?}"
+        );
+    }
+    // Two ranks, each failing after a message has passed between them.
+    let prog = program(vec![
+        vec![
+            StepKind::Send {
+                to: 1,
+                tag_off: 0,
+                src: at(0, 4),
+            },
+            copy,
+        ],
+        vec![
+            StepKind::Recv {
+                from: 0,
+                tag_off: 0,
+                dst: at(0, 4),
+            },
+            fold,
+        ],
+    ]);
+    let prog = &prog;
+    assert_eq!(run_world(2, |c| run(c, prog)), [mismatch.clone(), mismatch]);
 }

@@ -2,8 +2,9 @@
 
 use crate::engine::{Reply, Request};
 use crate::window::{ProgramWindow, RecvWindow, SendWindow};
-use intercom::ir::BoundProgram;
+use intercom::ir::{BoundProgram, Step, StepKind};
 use intercom::{Comm, CommError, Result, Tag};
+use std::ops::Range;
 use std::sync::mpsc::{Receiver, SyncSender};
 
 /// A rank's endpoint inside a simulated world. Blocking operations
@@ -18,10 +19,11 @@ use std::sync::mpsc::{Receiver, SyncSender};
 /// copies sender → receiver once, at the transfer's completion (see
 /// `window.rs` for why that is sound).
 ///
-/// A `SimComm` runs programs: a `Communicator` call or a persistent plan
-/// hands the engine its whole compiled program in one request
-/// ([`Comm::run_program`]), and the rank blocks until the engine has
-/// walked it to the end — one reply per call, whatever its step count.
+/// A `SimComm` runs programs its own way ([`Comm::run_program`]): a
+/// `Communicator` call or a persistent plan hands the engine its
+/// compiled program — all but the copies and folds at either end — in
+/// one request, and the rank blocks until the engine has walked it —
+/// one reply per call, whatever its step count.
 pub struct SimComm {
     rank: usize,
     size: usize,
@@ -152,6 +154,76 @@ impl Comm for SimComm {
     }
 
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
-        self.roundtrip(Request::Program(ProgramWindow::lend(prog)))
+        let (steps, len) = (handed(prog.steps()), prog.steps().len());
+        let after = steps.end..len;
+        for i in 0..steps.start {
+            prog.step(i)?;
+        }
+        if !steps.is_empty() {
+            prog.ready_scratch(steps.clone());
+            let prog = ProgramWindow::lend(prog);
+            self.roundtrip(Request::Program { prog, steps })?;
+        }
+        for i in after {
+            prog.step(i)?;
+        }
+        Ok(())
+    }
+}
+
+/// The steps of a program the engine runs: its first transfer or clock
+/// step to its last (none if it has neither). The copies and folds
+/// around them run on the rank's own thread, beside the other ranks' —
+/// a collect's block un-permutation after its last transfer is most of
+/// its bytes.
+pub(crate) fn handed(steps: &[Step]) -> Range<usize> {
+    let local = |s: &Step| matches!(s.kind, StepKind::Copy { .. } | StepKind::Reduce { .. });
+    let first = steps.iter().position(|s| !local(s)).unwrap_or(steps.len());
+    let last = steps
+        .iter()
+        .rposition(|s| !local(s))
+        .map_or(first, |i| i + 1);
+    first..last
+}
+
+#[cfg(test)]
+mod tests {
+    use super::handed;
+    use intercom::ir::{Buf, Loc, Step, StepKind};
+
+    fn steps(kinds: &[StepKind]) -> Vec<Step> {
+        kinds.iter().map(|&kind| Step { kind }).collect()
+    }
+
+    #[test]
+    fn the_engine_gets_the_first_transfer_or_clock_step_to_the_last() {
+        let at = |off| Loc {
+            buf: Buf::Arg(0),
+            off,
+            len: 1,
+        };
+        let copy = StepKind::Copy {
+            src: at(0),
+            dst: at(1),
+        };
+        let swap = StepKind::SendRecv {
+            to: 0,
+            src: at(0),
+            from: 0,
+            dst: at(1),
+            tag_off: 0,
+        };
+        let (overhead, compute) = (StepKind::CallOverhead, StepKind::Compute { bytes: 1 });
+        let cases: [(&[StepKind], _); 6] = [
+            (&[copy, overhead, swap, copy, swap, copy], 1..5),
+            (&[overhead, copy, swap], 0..3),
+            (&[swap, copy, compute], 0..3),
+            (&[copy, swap, copy], 1..2),
+            (&[copy, copy], 2..2),
+            (&[], 0..0),
+        ];
+        for (kinds, want) in cases {
+            assert_eq!(handed(&steps(kinds)), want, "{kinds:?}");
+        }
     }
 }

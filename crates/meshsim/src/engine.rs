@@ -15,13 +15,13 @@
 //!   virtual clock.
 //!
 //! A rank reaches the engine in one of two ways. A closure's blocking
-//! call is one request and one reply. A compiled program
-//! ([`Request::Program`]) is one request too: the engine keeps a cursor
-//! over its steps in the rank's slot and runs its data steps at once;
-//! each clock step or transfer becomes the request a closure would have
-//! sent for it, charged or posted by the same `dispatch`; the cursor
-//! moves on when a transfer completes, and the rank gets one reply,
-//! when the program ends — at its last step, or at the first error.
+//! call is one request and one reply. A run of a compiled program's
+//! steps ([`Request::Program`]) is one request too: the engine keeps a
+//! cursor over them in the rank's slot and runs their copies and folds
+//! at once; each clock step or transfer becomes the request a closure
+//! would have sent for it, charged or posted by the same `dispatch`; the
+//! cursor moves on when a transfer completes, and the rank gets one
+//! reply, when the run ends — at its last step, or at the first error.
 //!
 //! The engine's byte work — the wire copies of the transfers completing
 //! at one event, and the folds of the programs they resume — is split
@@ -34,12 +34,13 @@ use crate::net::NetSpec;
 use crate::sim::Helper;
 use crate::window::{ProgramWindow, RecvWindow, Segment, SendWindow};
 use intercom::faults::POISON_TAG;
-use intercom::ir::StepAction;
+use intercom::ir::{BoundProgram, StepAction};
 use intercom::rng::splitmix64;
 use intercom::{AbortCause, AbortInfo, CommError, Tag};
 use intercom_cost::HierMachine;
 use intercom_obs::TraceEvent;
 use intercom_topology::{Cluster, HopLevel};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -102,9 +103,12 @@ pub(crate) enum Request {
         plan: u64,
         step: u64,
     },
-    /// The rank's part of a compiled program, run by the engine; the
-    /// rank stays blocked until the program ends.
-    Program(ProgramWindow),
+    /// Steps `steps` of a compiled program, run by the engine; the rank
+    /// stays blocked until they end.
+    Program {
+        prog: ProgramWindow,
+        steps: Range<usize>,
+    },
     Finished,
 }
 
@@ -158,10 +162,13 @@ impl Running {
     fn fold_ahead(&mut self) {
         while self.next < self.end {
             let i = self.next;
-            if !self
-                .prog
-                .with(|p| matches!(p.step(i), Ok(StepAction::Done)))
-            {
+            let local = |p: &mut BoundProgram<'_>| {
+                matches!(
+                    p.step(i),
+                    Ok(StepAction::Copy { .. } | StepAction::Reduce { .. })
+                )
+            };
+            if !self.prog.with(local) {
                 return;
             }
             self.next += 1;
@@ -171,11 +178,11 @@ impl Running {
 
 impl Request {
     /// The request a program step stands for, its byte views lent as
-    /// windows (so it outlives the step's borrow); `None` for a step
-    /// that has nothing left for the engine to do.
+    /// windows (so it outlives the step's borrow); `None` for a copy or
+    /// a fold, which `step` has already run.
     fn lend(action: StepAction<'_>) -> Option<Self> {
         Some(match action {
-            StepAction::Done => return None,
+            StepAction::Copy { .. } | StepAction::Reduce { .. } => return None,
             StepAction::Compute(bytes) => Request::Compute { bytes },
             StepAction::CallOverhead => Request::CallOverhead,
             StepAction::Send { to, tag, data } => Request::Send {
@@ -479,13 +486,13 @@ impl Engine {
             Request::PlanStep { plan, step } => {
                 self.plan_steps[rank] = (plan, step);
             }
-            Request::Program(mut prog) => {
-                let (plan_id, span) = prog.with(|p| (p.plan_id(), p.span()));
+            Request::Program { mut prog, steps } => {
+                let plan_id = prog.with(|p| p.plan_id());
                 self.programs[rank] = Some(Running {
                     prog,
                     plan_id,
-                    next: span.start,
-                    end: span.end,
+                    next: steps.start,
+                    end: steps.end,
                 });
                 self.walk(rank);
             }
@@ -537,7 +544,7 @@ impl Engine {
                 self.post_send(rank, to, tag, data, plan);
                 self.post_recv(from, rank, rtag, buf, plan);
             }
-            Request::PlanStep { .. } | Request::Program(_) | Request::Finished => {
+            Request::PlanStep { .. } | Request::Program { .. } | Request::Finished => {
                 unreachable!("not a step request")
             }
         }
@@ -1514,13 +1521,13 @@ mod tests {
     }
 
     // Programs. The tests bind hand-made programs as `execute` would and
-    // lend them to the engine themselves, which walks the span from the
-    // first transfer or clock step to the last; a bound program stays
-    // in place, untouched, until its rank's reply.
+    // lend them to the engine themselves, whole (a `SimComm` lends the
+    // steps from its first transfer or clock step to its last,
+    // `comm::handed`); a bound program stays in place, untouched, until
+    // its rank's reply.
 
-    use intercom::ir::{
-        ArgBuf, BoundProgram, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
-    };
+    use crate::comm::handed;
+    use intercom::ir::{ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind};
     use intercom::ReduceOp;
 
     const PLAN: u64 = 77;
@@ -1582,16 +1589,24 @@ mod tests {
         StepKind::Copy { src, dst }
     }
 
-    /// Lends `bound` to the engine as rank `rank`'s program.
+    /// Lends `steps` of `bound` to the engine as rank `rank`'s program.
+    fn lend_steps(e: &mut Engine, rank: usize, bound: &mut BoundProgram<'_>, steps: Range<usize>) {
+        let prog = ProgramWindow::lend(bound);
+        e.handle(rank, Request::Program { prog, steps });
+    }
+
+    /// Lends all of `bound` to the engine as rank `rank`'s program.
     fn lend(e: &mut Engine, rank: usize, bound: &mut BoundProgram<'_>) {
-        e.handle(rank, Request::Program(ProgramWindow::lend(bound)));
+        let steps = 0..bound.steps().len();
+        lend_steps(e, rank, bound, steps);
     }
 
     #[test]
     fn a_program_is_one_request_and_one_reply() {
         // Two ranks swap 4-byte blocks five times and keep what arrived:
         // ten transfers, nine copies between them, two replies. The copy
-        // after the last swap is the caller's, so the engine leaves it.
+        // after the last swap is the caller's (`handed`), so the engine
+        // leaves it.
         let ranks = (0..2u16)
             .map(|me| {
                 let keep = |k: u32| copy(arg(0, 4, 4), arg(0, 8 + 4 * k, 4));
@@ -1611,8 +1626,11 @@ mod tests {
         let sum = ReduceOp::Sum;
         let mut p0 = BoundProgram::new(&prog, 0, &members, &mut a0, &mut arena0, sum, 0).unwrap();
         let mut p1 = BoundProgram::new(&prog, 1, &members, &mut a1, &mut arena1, sum, 0).unwrap();
-        lend(&mut e, 0, &mut p0);
-        lend(&mut e, 1, &mut p1);
+        for (rank, p) in [(0, &mut p0), (1, &mut p1)] {
+            let steps = handed(p.steps());
+            assert_eq!(steps, 0..9, "rank {rank}: the first swap to the last");
+            lend_steps(&mut e, rank, p, steps);
+        }
         let mut got = Vec::new();
         while e.blocked > 0 {
             assert!(replies(&mut e).is_empty(), "no reply before the end");

@@ -15,6 +15,9 @@
 //!    reuses them, a world whose rank panicked does not spoil them,
 //!    nested and concurrent callers each get their own, and the workers
 //!    end with their owner.
+//! 4. A rank grows its scratch arena for a compiled program before the
+//!    hand-off to the engine only when a step the engine runs touches
+//!    it, and never when no step does.
 //!
 //! Only threads that opt in through [`COUNTED`] are counted, so the
 //! other tests of this file (and the harness printing their results)
@@ -22,13 +25,17 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use intercom::{Comm, Communicator};
+use intercom::comm::GroupComm;
+use intercom::ir::{
+    execute, ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
+};
+use intercom::{Comm, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_topology::Mesh2D;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -43,12 +50,23 @@ thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
     /// Every allocation this thread has made, opted in or not.
     static MADE: Cell<u64> = const { Cell::new(0) };
+    /// Set on the rank whose arena [`arena_at_hand_off`] watches.
+    static WATCHED: Cell<bool> = const { Cell::new(false) };
 }
+
+/// The watched rank's arena: larger than anything else it allocates.
+const ARENA: usize = 24_680;
+
+/// Whether the watched rank has allocated [`ARENA`] bytes or more.
+static ARENA_GROWN: AtomicBool = AtomicBool::new(false);
 
 fn count_allocation(bytes: usize) {
     let _ = MADE.try_with(|made| made.set(made.get() + 1));
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
         ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+    if bytes >= ARENA && WATCHED.try_with(Cell::get).unwrap_or(false) {
+        ARENA_GROWN.store(true, Ordering::SeqCst);
     }
 }
 
@@ -212,6 +230,87 @@ fn steady_program_calls_allocate_nothing_in_the_engine_and_a_constant_in_ranks()
     ];
     assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     assert!(counts[0] <= 8, "{} allocations per call", counts[0]);
+}
+
+/// Runs `steps` as rank 0's program of a two-rank world, over an 8-byte
+/// buffer and an arena of [`ARENA`] bytes; rank 1 receives the message
+/// rank 0 sends first (tag 0, 4 bytes), then swaps 4 bytes with it
+/// (tag 1). Returns whether rank 0 had grown its arena when that first
+/// message arrived — it has handed the engine its program by then, and
+/// is blocked in it until the swap — and the arena's length at the end.
+fn arena_at_hand_off(steps: Vec<StepKind>) -> (bool, usize) {
+    let rank = |steps: Vec<StepKind>, scratch_bytes| RankProgram {
+        steps: steps.into_iter().map(|kind| Step { kind }).collect(),
+        scratch_bytes,
+    };
+    let prog = CollectiveProgram {
+        plan_id: 1 << 40,
+        op: PlanOp::AllReduce,
+        p: 2,
+        n: 8,
+        elem_size: 1,
+        strategy: None,
+        hier: None,
+        ranks: vec![rank(steps, ARENA), rank(Vec::new(), 0)],
+    };
+    ARENA_GROWN.store(false, Ordering::SeqCst);
+    let report = simulate(&SimConfig::new(Mesh2D::new(1, 2), unit()), |c| {
+        if c.rank() == 1 {
+            let mut got = [0u8; 4];
+            c.recv(0, 0, &mut got).unwrap();
+            let grown = ARENA_GROWN.load(Ordering::SeqCst);
+            c.sendrecv(0, &got, 0, &mut [0; 4], 1).unwrap();
+            return (grown, 0);
+        }
+        let (mut buf, mut arena) = ([7u8; 8], Vec::new());
+        let args = &mut [ArgBuf::Out(&mut buf[..])];
+        WATCHED.set(true);
+        let out = execute(
+            &prog,
+            &GroupComm::world(c),
+            ReduceOp::Sum,
+            args,
+            &mut arena,
+            0,
+        );
+        WATCHED.set(false);
+        out.unwrap();
+        (false, arena.len())
+    });
+    (report.results[1].0, report.results[0].1)
+}
+
+#[test]
+fn a_rank_readies_its_arena_only_for_the_steps_the_engine_runs() {
+    let (a, s) = (Buf::Arg(0), Buf::Scratch);
+    let at = |buf, off| Loc { buf, off, len: 4 };
+    let send = StepKind::Send {
+        to: 1,
+        tag_off: 0,
+        src: at(a, 0),
+    };
+    let swap = |src| StepKind::SendRecv {
+        to: 1,
+        src,
+        from: 1,
+        dst: at(a, 4),
+        tag_off: 1,
+    };
+    let copy = |src, dst| StepKind::Copy { src, dst };
+    let words = ARENA / 8;
+    // Touched only after the last transfer: grown after the hand-off.
+    let after = vec![
+        send,
+        swap(at(a, 0)),
+        copy(at(a, 4), at(s, 0)),
+        copy(at(s, 0), at(a, 0)),
+    ];
+    assert_eq!(arena_at_hand_off(after), (false, words));
+    // Touched between the transfers: grown before it.
+    let between = vec![send, copy(at(a, 0), at(s, 0)), swap(at(s, 0))];
+    assert_eq!(arena_at_hand_off(between), (true, words));
+    // Never touched: never grown.
+    assert_eq!(arena_at_hand_off(vec![send, swap(at(a, 0))]), (false, 0));
 }
 
 /// One ring exchange of `n` bytes: what the left neighbour sent, checked.

@@ -75,6 +75,30 @@ fn run(
 }
 
 #[test]
+fn the_copies_outside_the_transfers_run_before_and_after_them() {
+    // The rank runs the first copy before the engine's part (the swap
+    // reads what it wrote) and the last after it (it reads what the
+    // engine's last swap wrote); the engine runs the copy between.
+    let swap = |src, dst| StepKind::SendRecv {
+        to: 0,
+        src,
+        from: 0,
+        dst,
+        tag_off: 0,
+    };
+    let prog = program(vec![vec![
+        copy(at(8, 1), at(0, 1)),
+        StepKind::CallOverhead,
+        swap(at(0, 2), at(2, 2)),
+        copy(at(2, 1), at(4, 1)),
+        swap(at(4, 1), at(5, 1)),
+        copy(at(5, 1), at(6, 1)),
+    ]]);
+    let out = run(&prog, |_| std::array::from_fn(|i| i as u8));
+    assert_eq!(out, [(Ok(()), [8, 1, 8, 1, 8, 8, 8, 7, 8, 9, 10, 11])]);
+}
+
+#[test]
 fn a_length_mismatch_mid_program_fails_both_ranks_and_stops_them() {
     // Rank 0 sends 4 bytes twice; rank 1 expects 4, then 2. Both end at
     // the second message: the copies between and after the messages —

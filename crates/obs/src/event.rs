@@ -92,7 +92,7 @@ pub struct TraceEvent {
     /// Physical route length in links (simulator only; 0 on the
     /// threaded runtime, which has no physical topology).
     pub hops: usize,
-    /// The compiled plan (`intercom::ir` plan id) whose interpreter
+    /// The compiled plan (`intercom::ir` plan id) whose program walk
     /// issued this event, or 0 for ad-hoc (uncompiled) calls.
     pub plan: u64,
     /// Zero-based step index within the issuing plan's per-rank step

@@ -503,7 +503,7 @@ pub struct ThreadComm {
     /// gate holds the difference under 3%).
     recorder: Option<Recorder>,
     /// `(plan_id, step)` of the compiled-plan step currently executing
-    /// on this rank, set by the IR interpreter via [`Comm::plan_step`];
+    /// on this rank, set by the program walk via [`Comm::plan_step`];
     /// `(0, 0)` outside plan execution. Stamped onto every recorded
     /// [`TraceEvent`] so timelines attribute work to schedule steps.
     plan_step: Cell<(u64, u64)>,

@@ -1,15 +1,24 @@
 //! End-to-end fault-injection tests: the chaos contract on both
-//! backends, per-fault-type recovery, cross-backend determinism of the
-//! fault logs, and the watchdog's hang/stall diagnosis.
+//! backends, per-fault-type recovery, persistent plans under faults,
+//! cross-backend determinism of the fault logs, and the watchdog's
+//! hang/stall diagnosis.
 
 use intercom::faults::{FaultEvent, FaultEventKind};
 use intercom::ir::PlanOp;
-use intercom::{AbortCause, CommError, FaultKind};
+use intercom::plan::AllreducePlan;
+use intercom::{AbortCause, CollectiveError, Comm, CommError, Communicator, FaultKind};
+use intercom::{FaultLayer, FaultPlan, FaultyComm, ReduceOp};
+use intercom_cost::MachineParams;
+use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::EventKind;
+use intercom_runtime::{default_wait_timeout, run_world_deadline};
+use intercom_topology::Mesh2D;
+use intercom_verify::chaos::{CHAOS_N, CHAOS_WORLD};
 use intercom_verify::{
     chaos_sweep, diagnose_hang, fault_trace_events, hang_probe, scenario_plan, scenarios, Backend,
     HangDiagnosis,
 };
+use std::sync::Arc;
 
 fn scenario(name: &str) -> intercom_verify::Scenario {
     scenarios()
@@ -132,6 +141,79 @@ fn drops_past_the_budget_abort_every_rank() {
             r.as_ref().unwrap_err().cause,
             CommError::Aborted(info) if info.culprit == 1
         )));
+    }
+}
+
+/// One rank's persistent allreduce through the fault layer: the sum's
+/// bytes, or the error stamped with the `(plan, step)` the layer holds
+/// for the rank — and whether that names a transfer step of the plan's
+/// program.
+fn planned_allreduce<C: Comm + ?Sized>(
+    c: &C,
+    layer: Arc<FaultLayer>,
+) -> (Result<Vec<u8>, CollectiveError>, bool) {
+    let rank = c.rank();
+    let fc = FaultyComm::new(c, layer);
+    let cc = Communicator::world(&fc, MachineParams::PARAGON);
+    let plan = AllreducePlan::<f64>::new(&cc, CHAOS_N, ReduceOp::Sum);
+    let mut v: Vec<f64> = (0..CHAOS_N).map(|i| (7 * i + rank) as f64 / 3.0).collect();
+    let out = plan.execute(&cc, &mut v).map_err(|e| {
+        let (plan, step) = fc.layer().progress()[rank];
+        CollectiveError::new(rank, "allreduce", e).at(plan, step)
+    });
+    let prog = plan.program().expect("the plan compiled");
+    let steps = &prog.ranks[rank].steps;
+    let at_transfer = out.as_ref().is_err_and(|e| {
+        let step = steps.get(e.step as usize);
+        e.plan == prog.plan_id && step.is_some_and(|s| s.kind.is_transfer())
+    });
+    let bytes = v.iter().flat_map(|x| x.to_le_bytes()).collect();
+    (out.map(|()| bytes), at_transfer)
+}
+
+/// [`planned_allreduce`] on every rank of the chaos world under `plan`.
+fn run_planned(backend: Backend, plan: FaultPlan) -> Vec<(Result<Vec<u8>, CollectiveError>, bool)> {
+    let p = CHAOS_WORLD;
+    match backend {
+        Backend::Threads => {
+            let layer = &FaultLayer::new(plan, p);
+            run_world_deadline(p, default_wait_timeout(), |c| {
+                planned_allreduce(c, Arc::clone(layer))
+            })
+        }
+        Backend::Sim => {
+            let layer = &FaultLayer::new_virtual(plan, p);
+            let cfg = SimConfig::new(Mesh2D::new(2, 3), MachineParams::PARAGON_MODEL);
+            simulate(&cfg, |c| planned_allreduce(c, Arc::clone(layer))).results
+        }
+    }
+}
+
+#[test]
+fn plans_recover_byte_identical_or_abort_at_a_stamped_transfer() {
+    let op = PlanOp::AllReduce;
+    for backend in [Backend::Threads, Backend::Sim] {
+        let base: Vec<Vec<u8>> = run_planned(backend, FaultPlan::new(0))
+            .into_iter()
+            .map(|(res, _)| res.expect("fault-free run succeeds"))
+            .collect();
+        let once = run_planned(backend, scenario_plan(&scenario("drop-once"), &op, 7));
+        for (rank, (res, _)) in once.iter().enumerate() {
+            let res = res.as_ref().expect("drop-once recovers");
+            assert_eq!(res, &base[rank], "{backend} rank {rank}");
+        }
+        // A rank whose peer left after the abort may see it disconnect
+        // instead; the culprit always reports the abort.
+        let storm = run_planned(backend, scenario_plan(&scenario("drop-storm"), &op, 7));
+        for (res, at_transfer) in &storm {
+            let err = res.as_ref().expect_err("no rank may report success");
+            assert!(
+                err.plan != 0 && *at_transfer,
+                "{backend} {err}: not at a transfer"
+            );
+        }
+        let culprit = storm[0].0.as_ref().unwrap_err();
+        assert!(matches!(culprit.cause, CommError::Aborted(info) if info.culprit == 0));
     }
 }
 

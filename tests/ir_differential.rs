@@ -7,20 +7,24 @@
 //! * **Schedules**: the IR's per-rank op sequence (kinds, peers, tags,
 //!   region lengths, local copies/folds, γ/δ accounting) equals the
 //!   sequence a [`RecordingComm`](intercom::trace::RecordingComm) replay
-//!   of the unmodified algorithm code produces.
-//! * **Execution**: interpreting the IR produces byte-identical buffers
+//!   of the unmodified algorithm code produces — read off the compiled
+//!   steps, and recorded from `Comm::run_program`'s default walk over
+//!   them.
+//! * **Execution**: executing the IR produces byte-identical buffers
 //!   to running the recursive code directly — on the threaded runtime
 //!   and on the mesh simulator.
 
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, lower, ArgBuf, PlanOp};
+use intercom::ir::{execute, lower, ArgBuf, OwnedArgs, PlanOp};
 use intercom::primitives::pipelined_ring_bcast;
-use intercom::{algorithms, Comm, ReduceOp};
+use intercom::trace::RecordingComm;
+use intercom::{algorithms, Comm, ReduceOp, Result, Tag};
 use intercom_cost::{Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
 use intercom_verify::{extract_programs, ir_programs};
+use std::cell::{Cell, RefCell};
 
 /// Primes, powers of two, perfect squares and composites — the same
 /// spread the schedule audit sweeps.
@@ -172,7 +176,7 @@ fn direct_run<C: Comm + ?Sized>(
     }
 }
 
-/// Runs `op` by lowering to the IR and interpreting it at base tag 0,
+/// Runs `op` by lowering to the IR and executing it at base tag 0,
 /// with the same initial buffer contents as [`direct_run`]. Returns the
 /// same concatenation.
 fn ir_run<C: Comm + ?Sized>(
@@ -304,6 +308,92 @@ fn ir_schedules_equal_recorded_replays() {
     }
 }
 
+/// A [`RecordingComm`] that also notes every `plan_step` stamp, with the
+/// number of calls it had forwarded when the stamp came.
+struct Stamped {
+    rec: RecordingComm,
+    calls: Cell<usize>,
+    stamps: RefCell<Vec<(u64, u64, usize)>>,
+}
+
+impl Stamped {
+    /// Counts one forwarded call; returns the recorder to forward it to.
+    fn call(&self) -> &RecordingComm {
+        self.calls.set(self.calls.get() + 1);
+        &self.rec
+    }
+}
+
+impl Comm for Stamped {
+    fn rank(&self) -> usize {
+        self.rec.rank()
+    }
+    fn size(&self) -> usize {
+        self.rec.size()
+    }
+    fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        self.call().send(to, tag, data)
+    }
+    fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
+        self.call().recv(from, tag, buf)
+    }
+    fn sendrecv(&self, to: usize, d: &[u8], from: usize, b: &mut [u8], tag: Tag) -> Result<()> {
+        self.call().sendrecv(to, d, from, b, tag)
+    }
+    fn compute(&self, bytes: usize) {
+        self.call().compute(bytes)
+    }
+    fn call_overhead(&self) {
+        self.call().call_overhead()
+    }
+    fn local_copy(&self, src: &[u8], dst: &[u8]) {
+        self.call().local_copy(src, dst)
+    }
+    fn local_reduce(&self, acc: &[u8], other: &[u8]) {
+        self.call().local_reduce(acc, other)
+    }
+    fn plan_step(&self, plan: u64, step: u64) {
+        let calls = self.calls.get();
+        self.stamps.borrow_mut().push((plan, step, calls));
+    }
+}
+
+#[test]
+fn executed_programs_issue_the_recorded_calls() {
+    // The default walk on a recorder: every point-to-point call, clock
+    // hook and local copy or fold the direct path issues, in its order,
+    // each step stamped just before its call and the stamp cleared at
+    // the end.
+    for p in NODE_COUNTS {
+        for (op, st) in cells(p) {
+            for n in [1usize, 13] {
+                let prog = lower(op, st.as_ref(), p, n, 1).unwrap();
+                let tr = extract_programs(&op, st.as_ref(), p, n).unwrap();
+                for (rank, want) in tr.iter().enumerate() {
+                    let what = format!("{} p={p} n={n} strategy={st:?} rank {rank}", op.name());
+                    let comm = Stamped {
+                        rec: RecordingComm::new(rank, p),
+                        calls: Cell::new(0),
+                        stamps: RefCell::new(Vec::new()),
+                    };
+                    let mut bufs = OwnedArgs::<u8>::new(op, p, n, rank);
+                    let (gc, scratch) = (GroupComm::world(&comm), &mut Vec::new());
+                    execute(&prog, &gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0).unwrap();
+                    let steps = prog.ranks[rank].steps.len();
+                    let stamps: Vec<_> = (0..steps)
+                        .map(|i| (prog.plan_id, i as u64, i))
+                        .chain([(0, 0, steps)])
+                        .collect();
+                    assert_eq!(comm.stamps.into_inner(), stamps, "{what}");
+                    let got: Vec<String> = comm.rec.into_ops().iter().map(render).collect();
+                    let want: Vec<String> = want.iter().map(render).collect();
+                    assert_eq!(got, want, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn ir_execution_is_byte_identical_on_threads() {
     let n = 13;
@@ -401,7 +491,7 @@ fn trace_events_attribute_to_plan_steps_on_both_backends() {
         .collect();
     assert_eq!(plan_ids.len(), 1, "one plan executed: one plan id");
 
-    // Simulator: IR-interpreted transfers carry (plan, step).
+    // Simulator: the engine's walk stamps transfers with (plan, step).
     let st = Strategy::pure_long(p);
     let machine = MachineParams::PARAGON;
     let rep = simulate(

@@ -102,7 +102,7 @@ fn compile(
     }
 }
 
-/// Interprets `prog` with the differential payloads and returns every
+/// Executes `prog` with the differential payloads and returns every
 /// buffer the call touched, concatenated.
 fn run_prog<C: Comm + ?Sized>(
     comm: &C,

@@ -1,44 +1,52 @@
-//! The simulator's program path equals its direct path.
+//! The simulator's program path equals its direct path, and the
+//! default program walk equals both.
 //!
-//! A `SimComm` runs programs: every `Communicator` call hands the engine
-//! the call's plain compiled program in one request, and the engine
-//! walks it. The reference is the same call through [`Direct`], a
-//! wrapper that forwards only the point-to-point calls and the clock
-//! hooks — so it leaves `Comm::runs_programs` at its default and the
-//! call runs the recursive algorithms, one request per message.
+//! A `SimComm` runs programs its own way: every `Communicator` call
+//! hands the engine the call's plain compiled program in one request,
+//! and the engine walks it. Each call runs twice more through
+//! [`Direct`], a wrapper that forwards only the point-to-point calls
+//! and the clock hooks: once with its routing bit (`Comm::runs_programs`)
+//! set, so the same program runs on `Comm::run_program`'s default walk,
+//! one request per step; and once as the reference, with the bit at its
+//! default, so the call runs the recursive algorithms, one request per
+//! message.
 //!
 //! Equal means bit for bit: the elapsed virtual time, every rank's
 //! clock, every buffer the call bound, and the transfer trace (source,
 //! destination, tag, bytes, start, end, hops — everything but the
-//! `(plan, step)` stamp, which only the program path sets).
+//! `(plan, step)` stamp, which only the engine's walk sets).
 
 use intercom::comm::GroupComm;
 use intercom::ir::{execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind};
 use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy, StrategyKind};
-use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport};
+use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport, TraceEvent};
 use intercom_topology::{Cluster, Mesh2D};
 
 /// Forwards rank, size, send, recv, sendrecv, compute and
-/// call_overhead; everything else is the trait's default, so a call
-/// through it takes the direct path.
-struct Direct<'a, C: Comm + ?Sized>(&'a C);
+/// call_overhead, and says `walks` to `runs_programs`; everything else
+/// is the trait's default. So a call through it runs its program on the
+/// default walk where it `walks`, and takes the direct path elsewhere.
+struct Direct<'a, C: Comm + ?Sized> {
+    comm: &'a C,
+    walks: bool,
+}
 
 impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
     fn rank(&self) -> usize {
-        self.0.rank()
+        self.comm.rank()
     }
 
     fn size(&self) -> usize {
-        self.0.size()
+        self.comm.size()
     }
 
     fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
-        self.0.send(to, tag, data)
+        self.comm.send(to, tag, data)
     }
 
     fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
-        self.0.recv(from, tag, buf)
+        self.comm.recv(from, tag, buf)
     }
 
     fn sendrecv(
@@ -49,15 +57,19 @@ impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
         buf: &mut [u8],
         tag: Tag,
     ) -> Result<()> {
-        self.0.sendrecv(to, data, from, buf, tag)
+        self.comm.sendrecv(to, data, from, buf, tag)
     }
 
     fn compute(&self, bytes: usize) {
-        self.0.compute(bytes);
+        self.comm.compute(bytes);
     }
 
     fn call_overhead(&self) {
-        self.0.call_overhead();
+        self.comm.call_overhead();
+    }
+
+    fn runs_programs(&self) -> bool {
+        self.walks
     }
 }
 
@@ -65,7 +77,7 @@ impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
 /// its `(plan, step)` stamp, times as bits.
 type Transfer = (usize, usize, u64, usize, u64, u64, usize);
 
-/// Everything a simulated world reports that the two paths must agree on.
+/// Everything a simulated world reports that the paths must agree on.
 #[derive(Debug, PartialEq)]
 struct Outcome<T> {
     elapsed: u64,
@@ -94,28 +106,31 @@ fn outcome<T>(report: SimReport<T>) -> Outcome<T> {
     }
 }
 
-/// Runs `body` on every rank of `cfg` twice — on the `SimComm` itself
-/// (the program path) and through [`Direct`] — and asserts the two
-/// worlds agree bit for bit. Returns the program path's results.
+/// Runs `body` on every rank of `cfg` three times — on the `SimComm`
+/// itself (the engine's walk), through a [`Direct`] that walks (the
+/// default walk) and through one that does not (the direct path) — and
+/// asserts the three worlds agree bit for bit. Returns the engine
+/// walk's results.
 fn assert_paths_agree<T, F>(cfg: &SimConfig, what: &str, body: F) -> Vec<T>
 where
     T: Send + PartialEq + std::fmt::Debug,
     F: Fn(&dyn Comm) -> T + Send + Sync,
 {
     let cfg = cfg.with_trace();
-    let run = |program: bool| {
-        outcome(simulate(&cfg, |c: &SimComm| match program {
-            true => body(c),
-            false => body(&Direct(c)),
+    let run = |walks: Option<bool>| {
+        outcome(simulate(&cfg, |comm: &SimComm| match walks {
+            None => body(comm),
+            Some(walks) => body(&Direct { comm, walks }),
         }))
     };
-    let (program, direct) = (run(true), run(false));
+    let (engine, walk, direct) = (run(None), run(Some(true)), run(Some(false)));
     assert!(
-        !program.transfers.is_empty() || cfg.net.nodes() == 1,
+        !engine.transfers.is_empty() || cfg.net.nodes() == 1,
         "{what}"
     );
-    assert_eq!(program, direct, "{what}");
-    program.results
+    assert_eq!(engine, direct, "{what}: the engine's walk");
+    assert_eq!(walk, direct, "{what}: the default walk");
+    engine.results
 }
 
 /// Primes, powers of two, perfect squares and composites — the
@@ -157,8 +172,8 @@ fn value(rank: usize, i: usize) -> f64 {
     1.0 / (3 + 7 * rank + i) as f64
 }
 
-/// One rank's call of `op` on the default path's terms: on a backend
-/// that runs programs the plain program through `execute`, elsewhere
+/// One rank's call of `op` on the default path's terms: where the
+/// routing bit is set the plain program through `execute`, elsewhere
 /// `run_direct`. Returns the bits of every buffer the call bound.
 fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<u64> {
     let (p, rank) = (c.size(), c.rank());
@@ -403,8 +418,11 @@ fn only_program_path_transfers_carry_a_plan_and_step() {
         let algo = Algo::Hybrid(st.clone());
         cc.allreduce_with(&mut v, ReduceOp::Sum, &algo).unwrap();
     };
-    let direct = simulate(&cfg, |c| body(&Direct(c))).trace.unwrap();
-    assert!(direct.records().iter().all(|e| (e.plan, e.step) == (0, 0)));
+    for walks in [false, true] {
+        let trace = simulate(&cfg, |comm| body(&Direct { comm, walks }));
+        let unstamped = |e: &TraceEvent| (e.plan, e.step) == (0, 0);
+        assert!(trace.trace.unwrap().records().iter().all(unstamped));
+    }
     let program = simulate(&cfg, |c| body(c)).trace.unwrap();
     let choice = HierChoice::Flat(st.clone());
     let key = PlanKey::plain(PlanOp::AllReduce, 4, n, 8, Some(&choice));

@@ -112,12 +112,15 @@ at_least "identity-sweep points" "$(grep -o 'identity sweep: [0-9]*' <<<"$sweep"
 
 echo "==> program path == direct path on the 21 full-size sim-mesh rows (release)"
 # Every virtual time, clock, result and transfer bit-identical; a row
-# missing from the count fails it.
+# missing from the count fails it. The scratch the simulator readies
+# over the rows is pinned from above (≈889 MB before combining receives
+# folded where they land and the collect un-permuted in place).
 rows="$(cargo test --release --test program_path -- --ignored --nocapture)" || {
     echo "$rows"
     exit 1
 }
 at_least "bit-identical sim-mesh rows" "$(grep -o 'sim-mesh rows: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 21
+at_most "sim-mesh arena bytes" "$(grep -o 'sim-mesh arena bytes: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 1190208
 
 echo "==> the p = 4 096 row: 64×64 broadcasts, every byte checked, virtual time repeated (release)"
 big="$(cargo test --release -p intercom-meshsim --test big_world -- --ignored --nocapture)" || {
@@ -190,8 +193,8 @@ at_least "fused pairs" "$(audit_count default optsweep fused)" 0
 at_least "coalesced messages and copies" "$(audit_count default optsweep coalesced)" 44144
 # Pinned from above: every dead copy is a local copy the direct path
 # still makes (586 975 before the bucket reduce-scatter read its input
-# in place).
-at_most "dead copies" "$(audit_count default optsweep dead_copies)" 562500
+# in place, 562 500 before the collect un-permuted in place).
+at_most "dead copies" "$(audit_count default optsweep dead_copies)" 292388
 
 echo "==> schedule-audit --source=concurrent (multi-tenant non-interference sweep)"
 audit concurrent --source=concurrent

@@ -19,13 +19,13 @@
 //! Distributed combine is the exact dual (stage 2 void).
 
 use crate::algorithms::{check_strategy, slot_of, LEVEL_TAG_STRIDE};
-use crate::cast::Scalar;
+use crate::cast::{typed_mut, Scalar};
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::{
-    mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
-    ring_reduce_scatter_into,
+    disjoint_pair, mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect,
+    ring_reduce_scatter, ring_reduce_scatter_into,
 };
 use intercom_cost::{Strategy, StrategyKind};
 use std::ops::Range;
@@ -63,15 +63,53 @@ pub fn collect<T: Scalar, C: Comm + ?Sized>(
     collect_rec(gc, dims, strategy.kind, all, b, tag)?;
     // Un-permute into rank order (identity for one-dimensional
     // strategies).
-    if dims.len() > 1 {
-        let slots = T::scratch(scratch, all.len());
-        gc.copy(all, slots);
-        for q in 0..p {
-            let s = slot_of(dims, q);
-            gc.copy(&slots[s * b..(s + 1) * b], &mut all[q * b..(q + 1) * b]);
-        }
+    if dims.len() > 1 && b > 0 {
+        unpermute(gc, dims, all, b, scratch);
     }
     Ok(())
+}
+
+/// Moves every rank `q`'s block from slot [`slot_of`]`(dims, q)` of `all`
+/// to block `q`, in place: cycle by cycle of the permutation, the first
+/// block of a cycle held in one block of `scratch` while the others
+/// move up. Fixed points move nothing. Which blocks have moved is a
+/// bitset behind the held block, so a call allocates nothing once
+/// `scratch` has grown.
+fn unpermute<T: Scalar, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    dims: &[usize],
+    all: &mut [T],
+    b: usize,
+    scratch: &mut Vec<u64>,
+) {
+    let p = all.len() / b;
+    let words = (b * T::SIZE).div_ceil(std::mem::size_of::<u64>());
+    let need = words + p.div_ceil(64);
+    if scratch.len() < need {
+        scratch.resize(need, 0);
+    }
+    let (held, moved) = scratch[..need].split_at_mut(words);
+    let held = &mut typed_mut::<T>(u64::as_bytes_mut(held)).expect("words view as any scalar")[..b];
+    moved.fill(0);
+    let block = |q: usize| q * b..(q + 1) * b;
+    for first in 0..p {
+        if moved[first / 64] >> (first % 64) & 1 == 1 || slot_of(dims, first) == first {
+            continue;
+        }
+        gc.copy(&all[block(first)], held);
+        let mut at = first;
+        loop {
+            moved[at / 64] |= 1 << (at % 64);
+            let from = slot_of(dims, at);
+            if from == first {
+                break;
+            }
+            let (src, dst) = disjoint_pair(all, block(from), block(at));
+            gc.copy(src, dst);
+            at = from;
+        }
+        gc.copy(held, &mut all[block(at)]);
+    }
 }
 
 fn collect_rec<T: Scalar, C: Comm + ?Sized>(

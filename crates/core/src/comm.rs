@@ -194,15 +194,20 @@ pub trait Comm {
     /// The default is the walk: before each step it tells
     /// [`Comm::plan_step`] `(plan id, step index)` (and marks the step
     /// in the flight recorder when that is on); a transfer becomes
-    /// `send` / `recv` / `sendrecv`, a clock step `compute` /
-    /// `call_overhead`, and a copy or fold — which `step` has already
-    /// run — fires `local_copy` / `local_reduce`. It stamps `(0, 0)` on
-    /// every return. A backend overrides it to run programs its own
-    /// way; the simulator hands its engine the steps from the first
-    /// transfer or clock step to the last in one request.
+    /// `send` / `recv` / `sendrecv`, a fused receive `recv_with` /
+    /// `sendrecv_with` whose consumer folds the message into the
+    /// accumulator (out of the sender's bytes where the backend lends
+    /// them, else out of the program's landing) and fires
+    /// `local_reduce`, a clock step `compute` / `call_overhead`, and a
+    /// copy or fold — which `step` has already run — fires `local_copy`
+    /// / `local_reduce`. It stamps `(0, 0)` on every return. A backend
+    /// overrides it to run programs its own way; the simulator hands its
+    /// engine the steps from the first transfer or clock step to the
+    /// last in one request.
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
         let plan = prog.plan_id();
         let flight = intercom_obs::flight::enabled();
+        prog.ready_landing();
         let result = (|| {
             for i in 0..prog.steps().len() {
                 self.plan_step(plan, i as u64);
@@ -219,6 +224,32 @@ pub trait Comm {
                         buf,
                         tag,
                     } => self.sendrecv(to, data, from, buf, tag)?,
+                    StepAction::RecvReduce {
+                        from,
+                        tag,
+                        acc,
+                        landing,
+                        fold,
+                    } => self.recv_with(from, tag, landing, &mut |landing, lent| {
+                        let other = lent.unwrap_or(landing);
+                        fold.apply(acc, other);
+                        self.local_reduce(acc, other);
+                    })?,
+                    StepAction::SendRecvReduce {
+                        to,
+                        data,
+                        from,
+                        acc,
+                        landing,
+                        tag,
+                        fold,
+                    } => {
+                        self.sendrecv_with(to, data, from, landing, tag, &mut |landing, lent| {
+                            let other = lent.unwrap_or(landing);
+                            fold.apply(acc, other);
+                            self.local_reduce(acc, other);
+                        })?
+                    }
                     StepAction::Copy { src, dst } => self.local_copy(src, dst),
                     StepAction::Reduce { acc, other } => self.local_reduce(acc, other),
                     StepAction::Compute(bytes) => self.compute(bytes),

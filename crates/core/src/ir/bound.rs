@@ -17,6 +17,15 @@
 //! it, which is where the direct path first touches its workspace: a
 //! simulated 1 MiB allgather whose 512 ranks zeroed theirs up front held
 //! twice the memory (558 → 1 109 MB when measured).
+//!
+//! A fused receive ([`StepKind::RecvReduce`] /
+//! [`StepKind::SendRecvReduce`]) comes back with its accumulator and the
+//! bound ⊕ ([`Fold`]): a walker folds the message into it, out of the
+//! sender's bytes where it can see them. One that cannot receives into
+//! the landing, the arena's tail past the scratch — which exists only
+//! once the walker has asked for it ([`BoundProgram::ready_landing`]).
+//! The simulator's engine never asks: its 512 ranks' landings were
+//! 256 MiB of a 1 MiB allreduce.
 
 use super::exec::ArgBuf;
 use super::{Buf, CollectiveProgram, Loc, Step, StepKind};
@@ -49,12 +58,40 @@ pub struct BoundProgram<'a> {
     arena: &'a mut Vec<u64>,
     scratch_bytes: usize,
     zeroed: bool,
+    /// The landing past the scratch, once a walker has asked for it.
+    landing_bytes: usize,
+    landing: bool,
+    fold: Fold,
+    base_tag: Tag,
+}
+
+/// The bound ⊕ over byte views of whole elements: what a fused receive
+/// folds its message into its accumulator with.
+#[derive(Debug, Clone, Copy)]
+pub struct Fold {
     rop: ReduceOp,
     fold: fn(ReduceOp, &mut [u8], &[u8]),
     /// The element size less one: a mask, every element size being a
     /// power of two.
     align: u32,
-    base_tag: Tag,
+}
+
+impl Fold {
+    /// `acc ⊕= other`, both whole elements of equal length; `other` may
+    /// lie at any address (a lent window promises no alignment).
+    #[inline]
+    pub fn apply(&self, acc: &mut [u8], other: &[u8]) {
+        // A fold of nothing (the short-vector recursion's leaves) skips
+        // the indirect call.
+        if !acc.is_empty() {
+            (self.fold)(self.rop, acc, other);
+        }
+    }
+
+    /// The element size: a fold may be cut only at multiples of it.
+    pub fn elem_size(&self) -> usize {
+        self.align as usize + 1
+    }
 }
 
 /// What one step of a [`BoundProgram`] is for its walker. Peers are
@@ -110,6 +147,39 @@ pub enum StepAction<'p> {
         /// Absolute tag of both halves.
         tag: Tag,
     },
+    /// Receive from `from` and fold the message into `acc` with `fold`.
+    RecvReduce {
+        /// Source world rank.
+        from: usize,
+        /// Absolute tag.
+        tag: Tag,
+        /// The accumulator; its length is the expected message's.
+        acc: &'p mut [u8],
+        /// Where the message may land first: `acc`'s length once the
+        /// walker has readied it ([`BoundProgram::ready_landing`]),
+        /// empty before.
+        landing: &'p mut [u8],
+        /// The bound ⊕.
+        fold: Fold,
+    },
+    /// Send `data` to `to` while receiving from `from` into a fold into
+    /// `acc`, which is disjoint from `data`.
+    SendRecvReduce {
+        /// Destination world rank of the send half.
+        to: usize,
+        /// The bytes to send.
+        data: &'p [u8],
+        /// Source world rank of the receive half.
+        from: usize,
+        /// The accumulator of the receive half.
+        acc: &'p mut [u8],
+        /// As for [`StepAction::RecvReduce`].
+        landing: &'p mut [u8],
+        /// Absolute tag of both halves.
+        tag: Tag,
+        /// The bound ⊕.
+        fold: Fold,
+    },
 }
 
 impl<'a> BoundProgram<'a> {
@@ -161,9 +231,13 @@ impl<'a> BoundProgram<'a> {
             arena,
             scratch_bytes: rp.scratch_bytes,
             zeroed: false,
-            rop,
-            fold: fold_bytes::<T>,
-            align: T::SIZE as u32 - 1,
+            landing_bytes: rp.landing_bytes,
+            landing: false,
+            fold: Fold {
+                rop,
+                fold: fold_bytes::<T>,
+                align: T::SIZE as u32 - 1,
+            },
             base_tag,
         })
     }
@@ -186,6 +260,18 @@ impl<'a> BoundProgram<'a> {
         if touched.iter().any(|s| touches_scratch(&s.kind)) {
             self.zero_scratch();
         }
+    }
+
+    /// Readies the landing past the scratch, for a walker that receives
+    /// a fused step's message before it folds it: grows the arena (once;
+    /// never for a program without fused receives). The landing is not
+    /// zeroed: every fused receive overwrites what it folds.
+    pub fn ready_landing(&mut self) {
+        let words = (self.landing_at() + self.landing_bytes).div_ceil(WORD);
+        if self.landing_bytes > 0 && self.arena.len() < words {
+            self.arena.resize(words, 0);
+        }
+        self.landing = true;
     }
 
     /// Step `i`: a copy or a fold runs here and now and is returned with
@@ -211,25 +297,21 @@ impl<'a> BoundProgram<'a> {
             .kind;
         let base = self.base_tag;
         let tag = |off: u32| base + u64::from(off);
+        let fold = self.fold;
         Ok(match kind {
             StepKind::Copy { src, dst }
             | StepKind::Reduce {
                 acc: dst,
                 other: src,
             } => {
-                let (fold, rop) = (self.fold, self.rop);
                 let (src, dst) = self.operands(&src, &dst)?;
                 match kind {
                     StepKind::Copy { .. } => {
                         dst.copy_from_slice(src);
                         StepAction::Copy { src, dst }
                     }
-                    // A fold of nothing (the short-vector recursion's
-                    // leaves) skips the indirect call.
                     _ => {
-                        if !dst.is_empty() {
-                            fold(rop, dst, src);
-                        }
+                        fold.apply(dst, src);
                         StepAction::Reduce {
                             acc: dst,
                             other: src,
@@ -246,7 +328,7 @@ impl<'a> BoundProgram<'a> {
             }
             StepKind::Recv { from, tag_off, dst } => {
                 let (from, tag) = (self.member(from)?, tag(tag_off));
-                let buf = self.write(&dst)?;
+                let (buf, _) = self.write(&dst)?;
                 StepAction::Recv { from, tag, buf }
             }
             StepKind::SendRecv {
@@ -257,13 +339,45 @@ impl<'a> BoundProgram<'a> {
                 tag_off,
             } => {
                 let (to, from, tag) = (self.member(to)?, self.member(from)?, tag(tag_off));
-                let (data, buf) = self.read_write(&src, &dst)?;
+                let (data, buf, _) = self.read_write(&src, &dst)?;
                 StepAction::SendRecv {
                     to,
                     data,
                     from,
                     buf,
                     tag,
+                }
+            }
+            StepKind::RecvReduce { from, tag_off, acc } => {
+                let (from, tag) = (self.member(from)?, tag(tag_off));
+                let (acc, landing) = self.write(&acc)?;
+                let landing = landing_for(landing, acc.len())?;
+                StepAction::RecvReduce {
+                    from,
+                    tag,
+                    acc,
+                    landing,
+                    fold,
+                }
+            }
+            StepKind::SendRecvReduce {
+                to,
+                src,
+                from,
+                acc,
+                tag_off,
+            } => {
+                let (to, from, tag) = (self.member(to)?, self.member(from)?, tag(tag_off));
+                let (data, acc, landing) = self.read_write(&src, &acc)?;
+                let landing = landing_for(landing, acc.len())?;
+                StepAction::SendRecvReduce {
+                    to,
+                    data,
+                    from,
+                    acc,
+                    landing,
+                    tag,
+                    fold,
                 }
             }
         })
@@ -280,6 +394,12 @@ impl<'a> BoundProgram<'a> {
             .ok_or(CommError::InvalidRank { rank: r, size })
     }
 
+    /// Where the landing starts in the arena: at the first word past the
+    /// scratch.
+    fn landing_at(&self) -> usize {
+        self.scratch_bytes.next_multiple_of(WORD)
+    }
+
     /// Grows (on first use) and zeroes the arena, once per run: the
     /// programs were lowered from replays over fresh zeroed workspace.
     #[cold]
@@ -287,7 +407,7 @@ impl<'a> BoundProgram<'a> {
         if self.zeroed {
             return;
         }
-        let words = self.scratch_bytes.div_ceil(std::mem::size_of::<u64>());
+        let words = self.scratch_bytes.div_ceil(WORD);
         let kept = self.arena.len().min(words);
         self.arena[..kept].fill(0);
         if self.arena.len() < words {
@@ -296,25 +416,29 @@ impl<'a> BoundProgram<'a> {
         self.zeroed = true;
     }
 
-    /// The bound arguments and the arena's bytes, the arena grown and
-    /// zeroed first if `touch` (it has no bytes before that).
+    /// The bound arguments, the arena's scratch bytes — grown and zeroed
+    /// first if `touch`, empty before that — and its landing, if readied.
     #[inline]
-    fn buffers(&mut self, touch: bool) -> (&mut [ArgBuf<'a, u8>], &mut [u8]) {
+    fn buffers(&mut self, touch: bool) -> Buffers<'_, 'a> {
         if touch && !self.zeroed {
             self.zero_scratch();
         }
+        let at = self.landing_at();
+        let bytes = u64::as_bytes_mut(self.arena);
+        let (scratch, landing) = bytes.split_at_mut(at.min(bytes.len()));
         let scratch = match self.zeroed {
-            true => &mut u64::as_bytes_mut(self.arena)[..self.scratch_bytes],
+            true => &mut scratch[..self.scratch_bytes],
             false => &mut [],
         };
-        (&mut self.args[..self.nargs], scratch)
+        let landing = self.landing.then(|| &mut landing[..self.landing_bytes]);
+        (&mut self.args[..self.nargs], scratch, landing)
     }
 
     /// The bytes of `loc`, `Err` unless it starts and ends on element
     /// boundaries.
     #[inline]
     fn range(&self, loc: &Loc) -> Result<Range<usize>> {
-        match (loc.off | loc.len) & self.align {
+        match (loc.off | loc.len) & self.fold.align {
             0 => Ok(loc.bytes()),
             _ => Err(CommError::PlanMismatch {
                 what: "step operand not aligned to the element size",
@@ -325,50 +449,57 @@ impl<'a> BoundProgram<'a> {
     #[inline]
     fn read(&mut self, loc: &Loc) -> Result<&[u8]> {
         let r = self.range(loc)?;
-        let (args, scratch) = self.buffers(touches(loc));
+        let (args, scratch, _) = self.buffers(touches(loc));
         match loc.buf {
             Buf::Scratch => scratch.get(r).ok_or(OOB),
             Buf::Arg(i) => arg_read(args.get(usize::from(i)).ok_or(OOB)?, r),
         }
     }
 
+    /// The bytes of `loc` to write, and the landing.
     #[inline]
-    fn write(&mut self, loc: &Loc) -> Result<&mut [u8]> {
+    fn write(&mut self, loc: &Loc) -> Result<(&mut [u8], Option<&mut [u8]>)> {
         let r = self.range(loc)?;
-        let (args, scratch) = self.buffers(touches(loc));
-        match loc.buf {
-            Buf::Scratch => scratch.get_mut(r).ok_or(OOB),
-            Buf::Arg(i) => arg_write(args.get_mut(usize::from(i)).ok_or(OOB)?, r),
-        }
+        let (args, scratch, landing) = self.buffers(touches(loc));
+        let w = match loc.buf {
+            Buf::Scratch => scratch.get_mut(r).ok_or(OOB)?,
+            Buf::Arg(i) => arg_write(args.get_mut(usize::from(i)).ok_or(OOB)?, r)?,
+        };
+        Ok((w, landing))
     }
 
     /// Simultaneous shared read of `rloc` and mutable write of `wloc`,
-    /// splitting borrows across (or within) buffers. Overlapping
-    /// operands within one buffer are rejected — the verifier proves
-    /// compiled programs never produce them.
+    /// splitting borrows across (or within) buffers, and the landing.
+    /// Overlapping operands within one buffer are rejected — the
+    /// verifier proves compiled programs never produce them.
     #[inline(always)]
-    fn read_write(&mut self, rloc: &Loc, wloc: &Loc) -> Result<(&[u8], &mut [u8])> {
+    #[allow(clippy::type_complexity)]
+    fn read_write(
+        &mut self,
+        rloc: &Loc,
+        wloc: &Loc,
+    ) -> Result<(&[u8], &mut [u8], Option<&mut [u8]>)> {
         let (rr, wr) = (self.range(rloc)?, self.range(wloc)?);
-        let (args, scratch) = self.buffers(touches(rloc) || touches(wloc));
+        let (args, scratch, landing) = self.buffers(touches(rloc) || touches(wloc));
         // Argument slots as indices; `None` is the arena.
         let slot = |b: Buf| match b {
             Buf::Arg(i) => Some(usize::from(i)),
             Buf::Scratch => None,
         };
-        match (slot(rloc.buf), slot(wloc.buf)) {
-            (None, None) => split_same(scratch, rr, wr),
+        let (rd, wrt) = match (slot(rloc.buf), slot(wloc.buf)) {
+            (None, None) => split_same(scratch, rr, wr)?,
             (Some(i), None) => {
                 let rd = arg_read(args.get(i).ok_or(OOB)?, rr)?;
-                Ok((rd, scratch.get_mut(wr).ok_or(OOB)?))
+                (rd, scratch.get_mut(wr).ok_or(OOB)?)
             }
             (None, Some(j)) => {
                 let wrt = arg_write(args.get_mut(j).ok_or(OOB)?, wr)?;
-                Ok((scratch.get(rr).ok_or(OOB)?, wrt))
+                (scratch.get(rr).ok_or(OOB)?, wrt)
             }
             (Some(i), Some(j)) if i == j => match args.get_mut(i).ok_or(OOB)? {
-                ArgBuf::Out(b) => split_same(b, rr, wr),
-                ArgBuf::In(_) => Err(READ_ONLY),
-                ArgBuf::Absent => Err(ABSENT),
+                ArgBuf::Out(b) => split_same(b, rr, wr)?,
+                ArgBuf::In(_) => return Err(READ_ONLY),
+                ArgBuf::Absent => return Err(ABSENT),
             },
             (Some(i), Some(j)) => {
                 if i.max(j) >= args.len() {
@@ -380,22 +511,40 @@ impl<'a> BoundProgram<'a> {
                 } else {
                     (&hi[0], &mut lo[j])
                 };
-                Ok((arg_read(ra, rr)?, arg_write(wa, wr)?))
+                (arg_read(ra, rr)?, arg_write(wa, wr)?)
             }
-        }
+        };
+        Ok((rd, wrt, landing))
     }
 
     /// The operands of a copy or a fold, `Err` unless they are equally
     /// long.
     #[inline(always)]
     fn operands(&mut self, src: &Loc, dst: &Loc) -> Result<(&[u8], &mut [u8])> {
-        let (src, dst) = self.read_write(src, dst)?;
+        let (src, dst, _) = self.read_write(src, dst)?;
         if src.len() != dst.len() {
             return Err(CommError::PlanMismatch {
                 what: "step operands differ in length",
             });
         }
         Ok((src, dst))
+    }
+}
+
+/// What [`BoundProgram::buffers`] lends: the argument views, the scratch
+/// and the landing.
+type Buffers<'s, 'a> = (&'s mut [ArgBuf<'a, u8>], &'s mut [u8], Option<&'s mut [u8]>);
+
+/// Bytes per arena word.
+const WORD: usize = std::mem::size_of::<u64>();
+
+/// A fused receive's landing: the first `len` bytes of the readied
+/// landing, or nothing where it was not readied.
+#[inline]
+fn landing_for(landing: Option<&mut [u8]>, len: usize) -> Result<&mut [u8]> {
+    match landing {
+        Some(landing) => landing.get_mut(..len).ok_or(OOB),
+        None => Ok(&mut []),
     }
 }
 
@@ -459,24 +608,42 @@ fn touches(loc: &Loc) -> bool {
     loc.buf == Buf::Scratch && loc.len > 0
 }
 
-/// Whether `kind` reads or writes any byte of the arena.
+/// Whether `kind` reads or writes any byte of the arena (a fused
+/// receive's landing is not the scratch).
 fn touches_scratch(kind: &StepKind) -> bool {
     match kind {
-        StepKind::Send { src: a, .. } | StepKind::Recv { dst: a, .. } => touches(a),
+        StepKind::Send { src: a, .. }
+        | StepKind::Recv { dst: a, .. }
+        | StepKind::RecvReduce { acc: a, .. } => touches(a),
         StepKind::SendRecv { src: a, dst: b, .. }
+        | StepKind::SendRecvReduce { src: a, acc: b, .. }
         | StepKind::Copy { src: a, dst: b }
         | StepKind::Reduce { acc: a, other: b } => touches(a) || touches(b),
         StepKind::Compute { .. } | StepKind::CallOverhead => false,
     }
 }
 
-/// `acc ⊕= other` over byte views of `T` elements.
+/// `acc ⊕= other` over byte views of `T` elements: `acc` aligned (a `T`
+/// slice's or the word arena's, at an offset checked to be whole
+/// elements), `other` anywhere.
 fn fold_bytes<T: Scalar>(op: ReduceOp, acc: &mut [u8], other: &[u8]) {
-    // The views come from `T` slices or the word arena, at offsets and
-    // lengths checked to be whole elements.
-    let whole = "bound operands are aligned whole elements";
-    let acc = typed_mut::<T>(acc).expect(whole);
-    op.fold_into(acc, T::from_bytes(other).expect(whole));
+    let acc = typed_mut::<T>(acc).expect("bound operands are aligned whole elements");
+    match T::from_bytes(other) {
+        Some(other) => op.fold_into(acc, other),
+        // Element by element through an aligned word.
+        None => {
+            assert_eq!(acc.len() * T::SIZE, other.len(), "combine length mismatch");
+            for (a, b) in acc.iter_mut().zip(other.chunks_exact(T::SIZE)) {
+                let mut word = [0u64];
+                u64::as_bytes_mut(&mut word)[..T::SIZE].copy_from_slice(b);
+                *a = T::combine(
+                    op,
+                    *a,
+                    T::from_bytes(&u64::as_bytes(&word)[..T::SIZE]).expect("a word is aligned")[0],
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -506,6 +673,7 @@ mod tests {
             ranks: vec![RankProgram {
                 steps: steps.iter().map(|&kind| Step { kind }).collect(),
                 scratch_bytes: 4,
+                landing_bytes: 0,
             }],
         };
         // An arena an earlier call left dirty is zeroed in place; an
@@ -524,6 +692,62 @@ mod tests {
             assert_eq!(arena.len(), grown);
             assert_eq!(arena[0].to_le_bytes(), [1, 2, 3, 4, 0, 0, 0, 0]);
         }
+    }
+
+    #[test]
+    fn a_fused_receive_lands_only_once_readied_and_folds_any_window() {
+        let at = |off, len| Loc {
+            buf: Buf::Arg(0),
+            off,
+            len,
+        };
+        let fold = StepKind::RecvReduce {
+            from: 0,
+            tag_off: 0,
+            acc: at(4, 8),
+        };
+        let prog = CollectiveProgram {
+            plan_id: 3,
+            op: PlanOp::AllReduce,
+            p: 1,
+            n: 4,
+            elem_size: 4,
+            strategy: None,
+            hier: None,
+            ranks: vec![RankProgram {
+                steps: vec![Step { kind: fold }],
+                scratch_bytes: 0,
+                landing_bytes: 8,
+            }],
+        };
+        let (mut buf, mut arena) = ([1u32, 2, 3, 4], Vec::new());
+        {
+            let args = &mut [ArgBuf::Out(&mut buf[..])];
+            let mut p =
+                BoundProgram::new(&prog, 0, &[0], args, &mut arena, ReduceOp::Sum, 0).unwrap();
+            let Ok(StepAction::RecvReduce { landing, .. }) = p.step(0) else {
+                panic!("a fused receive");
+            };
+            assert!(landing.is_empty(), "no landing until a walker asks");
+            p.ready_landing();
+            let Ok(StepAction::RecvReduce {
+                acc, landing, fold, ..
+            }) = p.step(0)
+            else {
+                panic!("a fused receive");
+            };
+            assert_eq!(landing.len(), 8);
+            // A window one byte off a word: folded element by element.
+            let mut words = [0u64; 2];
+            let bytes = u64::as_bytes_mut(&mut words);
+            bytes[1..5].copy_from_slice(&10u32.to_ne_bytes());
+            bytes[5..9].copy_from_slice(&20u32.to_ne_bytes());
+            let window = &bytes[1..9];
+            assert!(u32::from_bytes(window).is_none());
+            fold.apply(acc, window);
+        }
+        assert_eq!(buf, [1, 12, 23, 4]);
+        assert_eq!(arena.len(), 1, "the landing was grown to one word");
     }
 
     #[test]

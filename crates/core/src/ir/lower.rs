@@ -9,11 +9,13 @@
 //! into [`Loc`]s: spans inside a registered argument become
 //! [`Buf::Arg`] offsets, and the remaining temporary allocations are
 //! clustered by byte overlap (data can only flow between spans that
-//! share bytes) and packed into a per-rank scratch arena.
+//! share bytes) and packed into a per-rank scratch arena. A receive
+//! whose temporary is only folded and then dead is fused with its fold
+//! first ([`fuses`]), and its temporary leaves the arena.
 
 use super::{
-    fresh_plan_id, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp, RankProgram, Step,
-    StepKind,
+    fresh_plan_id, landing_of, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp,
+    RankProgram, Step, StepKind,
 };
 use crate::comm::GroupComm;
 use crate::error::{CommError, Result};
@@ -161,16 +163,43 @@ fn fit<U: TryFrom<V>, V>(v: V) -> Result<U> {
     })
 }
 
-/// Resolves one rank's recorded spans into a [`RankProgram`].
+/// Resolves one rank's recorded spans into a [`RankProgram`], each
+/// receive that [`fuses`] with the fold after it emitted as one step.
 fn resolve_rank(
     ops: &[OpRecord],
     args: &[(usize, usize, usize)],
     elem: usize,
 ) -> Result<RankProgram> {
-    let arena = Arena::build(ops, args);
+    let fused: Vec<bool> = (0..ops.len()).map(|i| fuses(ops, i, args)).collect();
+    let arena = Arena::build(ops, args, &fused);
     let resolve = |span: MemSpan| arena.resolve(span, args, elem);
     let mut steps = Vec::with_capacity(ops.len());
-    for op in ops {
+    let mut records = ops.iter().zip(&fused);
+    while let Some((op, &fuse)) = records.next() {
+        if fuse {
+            let Some((&OpRecord::Reduce { acc, .. }, _)) = records.next() else {
+                unreachable!("a fused receive is followed by its fold")
+            };
+            let kind = match *op {
+                OpRecord::Recv { from, tag, .. } => StepKind::RecvReduce {
+                    from: fit(from)?,
+                    tag_off: fit(tag)?,
+                    acc: resolve(acc)?,
+                },
+                OpRecord::SendRecv {
+                    to, src, from, tag, ..
+                } => StepKind::SendRecvReduce {
+                    to: fit(to)?,
+                    src: resolve(src)?,
+                    from: fit(from)?,
+                    acc: resolve(acc)?,
+                    tag_off: fit(tag)?,
+                },
+                _ => unreachable!("only receives fuse"),
+            };
+            steps.push(Step { kind });
+            continue;
+        }
         let kind = match *op {
             OpRecord::Send { to, tag, src } => StepKind::Send {
                 to: fit(to)?,
@@ -213,9 +242,80 @@ fn resolve_rank(
         steps.push(Step { kind });
     }
     Ok(RankProgram {
+        landing_bytes: landing_of(&steps),
         steps,
         scratch_bytes: arena.total_bytes,
     })
+}
+
+/// Whether `ops[i]` is a receive whose message is only folded and then
+/// dead, so that it and the fold right after it are one step:
+///
+/// * it lands in a temporary `R` (no argument), and `ops[i + 1]` is a
+///   `Reduce` out of exactly `R` into an accumulator disjoint from `R`;
+/// * for an exchange, that accumulator is disjoint from the send half's
+///   bytes too (the halves may complete at different times);
+/// * no later op reads a byte of `R` before an op overwrites it.
+///
+/// These are the combining hops of the MST combine and the bucket
+/// distributed combine (`recv_with` / `sendrecv_with` on the direct
+/// path).
+fn fuses(ops: &[OpRecord], i: usize, args: &[(usize, usize, usize)]) -> bool {
+    let (dst, src) = match ops[i] {
+        OpRecord::Recv { dst, .. } => (dst, None),
+        OpRecord::SendRecv { src, dst, .. } => (dst, Some(src)),
+        _ => return false,
+    };
+    let Some(&OpRecord::Reduce { acc, other }) = ops.get(i + 1) else {
+        return false;
+    };
+    if other != dst || in_arg(&dst, args).is_some() || acc.overlaps(&dst) {
+        return false;
+    }
+    if src.is_some_and(|src| acc.overlaps(&src)) {
+        return false;
+    }
+    // The bytes of `R` no later op has overwritten yet.
+    let mut live = vec![(dst.addr, dst.addr + dst.len)];
+    for op in &ops[i + 2..] {
+        live.retain(|&(lo, hi)| lo < hi);
+        if live.is_empty() {
+            break;
+        }
+        let (reads, writes) = footprint(op);
+        let read = |s: &MemSpan| {
+            live.iter().any(|&(lo, hi)| {
+                s.overlaps(&MemSpan {
+                    addr: lo,
+                    len: hi - lo,
+                })
+            })
+        };
+        if reads.iter().flatten().any(read) {
+            return false;
+        }
+        for w in writes.iter().flatten() {
+            let (wlo, whi) = (w.addr, w.addr + w.len);
+            live = live
+                .into_iter()
+                .flat_map(|(lo, hi)| [(lo, hi.min(wlo)), (lo.max(whi), hi)])
+                .collect();
+        }
+    }
+    true
+}
+
+/// The spans `op` reads and the spans it writes.
+fn footprint(op: &OpRecord) -> ([Option<MemSpan>; 2], [Option<MemSpan>; 1]) {
+    match *op {
+        OpRecord::Send { src, .. } => ([Some(src), None], [None]),
+        OpRecord::Recv { dst, .. } => ([None, None], [Some(dst)]),
+        OpRecord::SendRecv { src, dst, .. } | OpRecord::Copy { src, dst } => {
+            ([Some(src), None], [Some(dst)])
+        }
+        OpRecord::Reduce { acc, other } => ([Some(acc), Some(other)], [Some(acc)]),
+        OpRecord::Compute { .. } | OpRecord::CallOverhead => ([None, None], [None]),
+    }
 }
 
 /// The scratch arena layout of one rank: recorded temporary spans,
@@ -227,30 +327,25 @@ struct Arena {
 }
 
 impl Arena {
-    fn build(ops: &[OpRecord], args: &[(usize, usize, usize)]) -> Arena {
+    /// The layout of the temporaries `ops` name, less the landings of
+    /// the receives `fused` marks (no step names those).
+    fn build(ops: &[OpRecord], args: &[(usize, usize, usize)], fused: &[bool]) -> Arena {
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let mut note = |s: &MemSpan| {
             if s.len > 0 && in_arg(s, args).is_none() {
                 spans.push((s.addr, s.addr + s.len));
             }
         };
-        for op in ops {
-            match op {
-                OpRecord::Send { src, .. } => note(src),
-                OpRecord::Recv { dst, .. } => note(dst),
-                OpRecord::SendRecv { src, dst, .. } => {
-                    note(src);
-                    note(dst);
+        for (i, op) in ops.iter().enumerate() {
+            let landed = i > 0 && fused[i - 1];
+            match *op {
+                OpRecord::Recv { .. } if fused[i] => {}
+                OpRecord::SendRecv { src, .. } if fused[i] => note(&src),
+                OpRecord::Reduce { acc, .. } if landed => note(&acc),
+                _ => {
+                    let (reads, writes) = footprint(op);
+                    reads.iter().chain(&writes).flatten().for_each(&mut note);
                 }
-                OpRecord::Copy { src, dst } => {
-                    note(src);
-                    note(dst);
-                }
-                OpRecord::Reduce { acc, other } => {
-                    note(acc);
-                    note(other);
-                }
-                OpRecord::Compute { .. } | OpRecord::CallOverhead => {}
             }
         }
         spans.sort_unstable();
@@ -365,19 +460,116 @@ mod tests {
         assert_eq!(sends, 3);
     }
 
+    /// How many steps of `rp` are of each kind named.
+    fn count(rp: &RankProgram, kind: fn(&StepKind) -> bool) -> usize {
+        rp.steps.iter().filter(|s| kind(&s.kind)).count()
+    }
+
     #[test]
-    fn reduce_lowering_allocates_scratch_and_is_op_agnostic() {
+    fn the_mst_combines_receives_fuse_and_leave_the_arena() {
         let st = Strategy::pure_mst(4);
         let prog = lower(PlanOp::Reduce { root: 0 }, Some(&st), 4, 16, 8).unwrap();
-        // The root folds received contributions out of a scratch buffer.
+        // The root folds ⌈log₂ 4⌉ = 2 arrivals, each in one step that
+        // names its accumulator and no landing; nothing is left in the
+        // arena, and the landing is one whole vector.
         let root = &prog.ranks[0];
-        assert!(root.scratch_bytes >= 16 * 8);
-        assert!(root
-            .steps
-            .iter()
-            .any(|s| matches!(s.kind, StepKind::Reduce { .. })));
+        let fused =
+            |k: &StepKind| matches!(k, StepKind::RecvReduce { acc, .. } if acc.buf == Buf::Arg(0));
+        assert_eq!(count(root, fused), 2);
+        assert_eq!(count(root, |k| matches!(k, StepKind::Recv { .. })), 0);
+        assert_eq!(count(root, |k| matches!(k, StepKind::Reduce { .. })), 0);
+        assert_eq!((root.scratch_bytes, root.landing_bytes), (0, 16 * 8));
+        // The leaves only send.
+        assert_eq!(prog.ranks[3].landing_bytes, 0);
         // No ReduceOp appears anywhere in the IR: the ⊕ binds at
         // execution time.
+    }
+
+    #[test]
+    fn the_bucket_combines_exchanges_fuse_and_leave_the_arena() {
+        // An allreduce of 18 elements over 4 ranks: blocks of 5, 5, 4, 4,
+        // three folding hops a rank, then the collect's three plain ones.
+        let prog = lower(PlanOp::AllReduce, Some(&Strategy::pure_long(4)), 4, 18, 8).unwrap();
+        for rp in &prog.ranks {
+            let fused = |k: &StepKind| matches!(k, StepKind::SendRecvReduce { .. });
+            assert_eq!(count(rp, fused), 3);
+            assert_eq!(count(rp, |k| matches!(k, StepKind::SendRecv { .. })), 3);
+            assert_eq!(count(rp, |k| matches!(k, StepKind::Reduce { .. })), 0);
+            assert_eq!((rp.scratch_bytes, rp.landing_bytes), (0, 5 * 8));
+        }
+        // A two-dimensional distributed combine packs its contribution
+        // into the arena; only the bucket leaves it.
+        let st = Strategy::new(vec![2, 2], intercom_cost::StrategyKind::ScatterCollect);
+        let prog = lower(PlanOp::ReduceScatter, Some(&st), 4, 6, 8).unwrap();
+        for rp in &prog.ranks {
+            assert_eq!((rp.scratch_bytes, rp.landing_bytes), (4 * 6 * 8, 2 * 6 * 8));
+        }
+    }
+
+    /// Resolves hand-written records over one 64-byte argument at 1000,
+    /// temporaries at 5000 and up: the step kinds, scratch and landing.
+    fn resolved(ops: &[OpRecord]) -> (Vec<StepKind>, usize, usize) {
+        let rp = resolve_rank(ops, &[(0, 1000, 64)], 1).unwrap();
+        let kinds = rp.steps.iter().map(|s| s.kind).collect();
+        (kinds, rp.scratch_bytes, rp.landing_bytes)
+    }
+
+    fn span(addr: usize, len: usize) -> MemSpan {
+        MemSpan { addr, len }
+    }
+
+    #[test]
+    fn a_landing_read_before_it_is_overwritten_stays_unfused() {
+        let r = span(5000, 8);
+        let recv = |dst| OpRecord::Recv {
+            from: 1,
+            tag: 0,
+            dst,
+        };
+        let fold = |other: MemSpan| OpRecord::Reduce {
+            acc: span(1000, other.len),
+            other,
+        };
+        let send = |src| OpRecord::Send { to: 1, tag: 1, src };
+        let is_fused = |k: &StepKind| matches!(k, StepKind::RecvReduce { .. });
+        // Sent on after the fold: the landing is live.
+        let (kinds, scratch, landing) = resolved(&[recv(r), fold(r), send(r)]);
+        assert!(!kinds.iter().any(is_fused), "{kinds:?}");
+        assert_eq!((kinds.len(), scratch, landing), (3, 8, 0));
+        // Overwritten by the next receive first: dead, and both fuse.
+        let (kinds, scratch, landing) = resolved(&[recv(r), fold(r), recv(r), fold(r)]);
+        assert_eq!(kinds.iter().filter(|k| is_fused(k)).count(), 2, "{kinds:?}");
+        assert_eq!((kinds.len(), scratch, landing), (2, 0, 8));
+        // Half overwritten, then the other half read: the first landing
+        // is live, the second (only the overwritten half) is dead.
+        let (lo, hi) = (span(5000, 4), span(5004, 4));
+        let ops = [recv(r), fold(r), recv(lo), fold(lo), send(hi)];
+        let (kinds, scratch, landing) = resolved(&ops);
+        assert!(matches!(kinds[0], StepKind::Recv { .. }), "{kinds:?}");
+        assert!(matches!(kinds[2], StepKind::RecvReduce { .. }), "{kinds:?}");
+        assert_eq!((kinds.len(), scratch, landing), (4, 8, 4));
+    }
+
+    #[test]
+    fn an_exchange_folding_into_what_it_sends_stays_unfused() {
+        let r = span(5000, 8);
+        let exchange = OpRecord::SendRecv {
+            to: 1,
+            src: span(1000, 8),
+            from: 2,
+            dst: r,
+            tag: 0,
+            rtag: 0,
+        };
+        for (acc, fuses) in [(span(1004, 8), false), (span(1008, 8), true)] {
+            let (kinds, _, landing) = resolved(&[exchange, OpRecord::Reduce { acc, other: r }]);
+            let fused = matches!(kinds[0], StepKind::SendRecvReduce { .. });
+            assert_eq!(
+                (fused, landing),
+                (fuses, if fuses { 8 } else { 0 }),
+                "{kinds:?}"
+            );
+        }
     }
 
     #[test]

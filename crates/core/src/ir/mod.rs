@@ -39,6 +39,13 @@
 //! temporaries are clustered by overlap and packed into the arena — so
 //! an executing rank needs exactly its arguments plus one reusable
 //! scratch allocation, and repeated executions allocate nothing.
+//!
+//! A temporary that only lands a message for the fold right after it
+//! is not in the arena at all: lowering fuses the receive and the fold
+//! into one [`StepKind::RecvReduce`] / [`StepKind::SendRecvReduce`],
+//! which a backend folds straight out of the sender's bytes where it
+//! can, and otherwise lands in the arena's tail
+//! ([`RankProgram::landing_bytes`]).
 
 mod bound;
 mod cache;
@@ -47,7 +54,7 @@ mod exec;
 mod lower;
 mod opt;
 
-pub use bound::{BoundProgram, StepAction};
+pub use bound::{BoundProgram, Fold, StepAction};
 pub use cache::{global_cache, CacheStats, PlanCache, PlanKey, DEFAULT_CACHE_CAPACITY};
 pub use direct::{run_direct, run_filled, OwnedArgs};
 pub use exec::{execute, ArgBuf};
@@ -265,7 +272,13 @@ pub enum Buf {
 /// A byte range within one buffer: the IR's explicit buffer-region
 /// operand. Offsets and lengths are in bytes and always multiples of the
 /// program's element size.
+///
+/// Ten bytes, at 2-byte alignment: the two exchange steps
+/// ([`StepKind::SendRecv`], [`StepKind::SendRecvReduce`]) hold two each
+/// and still leave their enum a byte for its tag within 32. (Read the
+/// fields by value; a reference to one would be unaligned.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(2))]
 pub struct Loc {
     /// Addressed buffer.
     pub buf: Buf,
@@ -319,6 +332,36 @@ pub enum StepKind {
         /// exchange's halves always belong to one stage.
         tag_off: u32,
     },
+    /// Blocking receive from logical rank `from` whose message is only
+    /// folded into `acc` (`acc ⊕= message`) and is dead after: a
+    /// [`StepKind::Recv`] into a temporary and the [`StepKind::Reduce`]
+    /// out of it, fused. It names no landing: a backend that cannot fold
+    /// out of the sender's bytes lands them in the arena's tail,
+    /// [`RankProgram::landing_bytes`] long.
+    RecvReduce {
+        /// Source logical rank.
+        from: u16,
+        /// Tag offset from the execution's base tag.
+        tag_off: u32,
+        /// Accumulator bytes (read and written), as long as the message.
+        acc: Loc,
+    },
+    /// A [`StepKind::SendRecv`] whose receive half is a
+    /// [`StepKind::RecvReduce`]. `acc` is disjoint from `src`: the two
+    /// halves may complete at different times, and a fold into bytes
+    /// the send half has yet to ship would ship the fold.
+    SendRecvReduce {
+        /// Destination logical rank of the send half.
+        to: u16,
+        /// Bytes read by the send half.
+        src: Loc,
+        /// Source logical rank of the receive half.
+        from: u16,
+        /// Accumulator of the receive half (read and written).
+        acc: Loc,
+        /// Tag offset of both halves.
+        tag_off: u32,
+    },
     /// Local copy of `src` into `dst` (block permutes, root staging,
     /// own-block moves).
     Copy {
@@ -352,7 +395,9 @@ impl StepKind {
         match *self {
             StepKind::Send { tag_off, .. }
             | StepKind::Recv { tag_off, .. }
-            | StepKind::SendRecv { tag_off, .. } => Some(tag_off),
+            | StepKind::SendRecv { tag_off, .. }
+            | StepKind::RecvReduce { tag_off, .. }
+            | StepKind::SendRecvReduce { tag_off, .. } => Some(tag_off),
             _ => None,
         }
     }
@@ -361,6 +406,21 @@ impl StepKind {
     pub fn is_transfer(&self) -> bool {
         self.tag_off().is_some()
     }
+
+    /// The accumulator of a fused receive ([`StepKind::RecvReduce`],
+    /// [`StepKind::SendRecvReduce`]); `None` for every other step.
+    pub fn folds_into(&self) -> Option<Loc> {
+        match *self {
+            StepKind::RecvReduce { acc, .. } | StepKind::SendRecvReduce { acc, .. } => Some(acc),
+            _ => None,
+        }
+    }
+}
+
+/// The landing a rank's fused receives need: their longest accumulator.
+pub(crate) fn landing_of(steps: &[Step]) -> usize {
+    let fused = steps.iter().filter_map(|s| s.kind.folds_into());
+    fused.map(|acc| acc.len as usize).max().unwrap_or(0)
 }
 
 /// One step of a rank's program.
@@ -377,7 +437,7 @@ pub struct Step {
     pub kind: StepKind,
 }
 
-const _: () = assert!(std::mem::size_of::<Step>() <= 40);
+const _: () = assert!(std::mem::size_of::<Step>() <= 32);
 
 /// How many times a call's largest argument [`fits_steps`] leaves room
 /// for in the scratch arena: twice the largest ratio lowering produces
@@ -406,6 +466,11 @@ pub struct RankProgram {
     pub steps: Vec<Step>,
     /// Bytes of private scratch the rank needs to execute.
     pub scratch_bytes: usize,
+    /// The longest message a fused receive folds: the landing a backend
+    /// that cannot fold out of the sender's bytes receives it into, past
+    /// the scratch in the same arena, readied only when it asks
+    /// ([`BoundProgram::ready_landing`]).
+    pub landing_bytes: usize,
 }
 
 /// A compiled collective: per-rank step programs plus the call geometry

@@ -107,6 +107,9 @@ pub fn optimize(prog: &CollectiveProgram) -> (CollectiveProgram, OptStats) {
     stats.fused = fuse_adjacent(&mut out);
     stats.coalesced = coalesce_messages(&mut out) + coalesce_copies(&mut out);
     stats.dead_copies = dead_copy_elim(&mut out);
+    for rp in &mut out.ranks {
+        rp.landing_bytes = super::landing_of(&rp.steps);
+    }
     if !rendezvous_ok(&out) {
         let mut orig = prog.clone();
         orig.plan_id = out.plan_id;
@@ -132,42 +135,108 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
     }
     let mut removed = 0;
     for rp in &mut prog.ranks {
-        rp.steps.retain_mut(|step| match step.kind {
-            StepKind::Send { src, .. } if src.len == 0 => {
-                removed += 1;
-                false
+        rp.steps.retain_mut(|step| {
+            if let StepKind::Send { src, .. } = step.kind {
+                removed += usize::from(src.len == 0);
+                return src.len > 0;
             }
-            StepKind::Recv { dst, .. } if dst.len == 0 => {
+            let Some(mut half) = RecvHalf::of(&step.kind) else {
+                return true;
+            };
+            if half.send.is_some_and(|(_, src)| src.len == 0) {
                 removed += 1;
-                false
+                half.send = None;
             }
+            if half.dst.len > 0 {
+                step.kind = half.kind();
+                return true;
+            }
+            removed += 1;
+            let Some((to, src)) = half.send else {
+                return false;
+            };
+            let tag_off = half.tag_off;
+            step.kind = StepKind::Send { to, tag_off, src };
+            true
+        });
+    }
+    removed
+}
+
+/// The receive half of a step — a receive, an exchange, or either one
+/// fused with its fold — taken apart so the passes treat all four alike.
+#[derive(Clone, Copy)]
+struct RecvHalf {
+    from: u16,
+    tag_off: u32,
+    /// The bytes it writes: the landing, or the accumulator it folds
+    /// into.
+    dst: Loc,
+    folds: bool,
+    /// The send half of an exchange: destination and bytes read.
+    send: Option<(u16, Loc)>,
+}
+
+impl RecvHalf {
+    fn of(kind: &StepKind) -> Option<RecvHalf> {
+        let half = |from, tag_off, dst, folds, send| RecvHalf {
+            from,
+            tag_off,
+            dst,
+            folds,
+            send,
+        };
+        Some(match *kind {
+            StepKind::Recv { from, tag_off, dst } => half(from, tag_off, dst, false, None),
+            StepKind::RecvReduce { from, tag_off, acc } => half(from, tag_off, acc, true, None),
             StepKind::SendRecv {
                 to,
                 src,
                 from,
                 dst,
                 tag_off,
-            } => match (src.len == 0, dst.len == 0) {
-                (true, true) => {
-                    removed += 2;
-                    false
-                }
-                (true, false) => {
-                    removed += 1;
-                    step.kind = StepKind::Recv { from, tag_off, dst };
-                    true
-                }
-                (false, true) => {
-                    removed += 1;
-                    step.kind = StepKind::Send { to, tag_off, src };
-                    true
-                }
-                (false, false) => true,
-            },
-            _ => true,
-        });
+            } => half(from, tag_off, dst, false, Some((to, src))),
+            StepKind::SendRecvReduce {
+                to,
+                src,
+                from,
+                acc,
+                tag_off,
+            } => half(from, tag_off, acc, true, Some((to, src))),
+            _ => return None,
+        })
     }
-    removed
+
+    /// The step this half (with its send half, if any) is.
+    fn kind(self) -> StepKind {
+        let (from, tag_off) = (self.from, self.tag_off);
+        match (self.send, self.folds) {
+            (None, false) => StepKind::Recv {
+                from,
+                tag_off,
+                dst: self.dst,
+            },
+            (None, true) => StepKind::RecvReduce {
+                from,
+                tag_off,
+                acc: self.dst,
+            },
+            (Some((to, src)), false) => StepKind::SendRecv {
+                to,
+                src,
+                from,
+                dst: self.dst,
+                tag_off,
+            },
+            (Some((to, src)), true) => StepKind::SendRecvReduce {
+                to,
+                src,
+                from,
+                acc: self.dst,
+                tag_off,
+            },
+        }
+    }
 }
 
 fn locs_overlap(a: &Loc, b: &Loc) -> bool {
@@ -199,7 +268,8 @@ fn fuse_adjacent(prog: &mut CollectiveProgram) -> usize {
         let mut i = 0;
         'scan: while i < steps.len() {
             let first = steps[i];
-            let want_pair = matches!(first.kind, StepKind::Send { .. } | StepKind::Recv { .. });
+            let want_pair =
+                matches!(first.kind, StepKind::Send { .. }) || lone_recv(&first.kind).is_some();
             if want_pair {
                 let mut j = i + 1;
                 let mut mid_reads: Vec<Loc> = Vec::new();
@@ -240,30 +310,33 @@ fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) 
     if first.kind.tag_off() != second.kind.tag_off() {
         return None;
     }
-    let (to, tag_off, src, from, dst) = match (first.kind, second.kind) {
-        // send … recv: the receive half moves earlier; refuse if it
-        // would land on bytes the send ships or an intervening step
-        // touches.
-        (StepKind::Send { to, tag_off, src }, StepKind::Recv { from, dst, .. }) => {
+    let (to, src, recv) = match (first.kind, second.kind) {
+        // send … recv: the receive half (and a fused one's fold) moves
+        // earlier; refuse if it would land on bytes the send ships or an
+        // intervening step touches.
+        (StepKind::Send { to, src, .. }, kind) => {
+            let recv = lone_recv(&kind)?;
             let mid_touches_dst = mid_reads
                 .iter()
                 .chain(mid_writes)
-                .any(|l| locs_overlap(l, &dst));
+                .any(|l| locs_overlap(l, &recv.dst));
             if mid_touches_dst {
                 return None;
             }
-            (to, tag_off, src, from, dst)
+            (to, src, recv)
         }
         // recv … send: the send half moves earlier; refuse if the send
         // ships bytes the receive or an intervening step produces.
-        (StepKind::Recv { from, dst, .. }, StepKind::Send { to, tag_off, src }) => {
+        (kind, StepKind::Send { to, src, .. }) => {
+            let recv = lone_recv(&kind)?;
             if mid_writes.iter().any(|l| locs_overlap(l, &src)) {
                 return None;
             }
-            (to, tag_off, src, from, dst)
+            (to, src, recv)
         }
         _ => return None,
     };
+    let dst = recv.dst;
     // Zero-length halves are synchronization tokens: they carry no
     // bytes (nothing to win by full-duplexing) but their blocking
     // order *is* the schedule's serialization — e.g. an MST rank
@@ -275,24 +348,27 @@ fn try_fuse(first: &Step, second: &Step, mid_reads: &[Loc], mid_writes: &[Loc]) 
     if src.len == 0 || dst.len == 0 {
         return None;
     }
+    // Also what makes a fused exchange sound: a fold into bytes the send
+    // half ships.
     if locs_overlap(&src, &dst) {
         return None;
     }
+    let send = Some((to, src));
     Some(Step {
-        kind: StepKind::SendRecv {
-            to,
-            src,
-            from,
-            dst,
-            tag_off,
-        },
+        kind: RecvHalf { send, ..recv }.kind(),
     })
 }
 
+/// The receive half of a receive that is not an exchange.
+fn lone_recv(kind: &StepKind) -> Option<RecvHalf> {
+    RecvHalf::of(kind).filter(|h| h.send.is_none())
+}
+
 /// Pass 3a: merge adjacent contiguous messages on one channel, both
-/// endpoints rewritten in concert. Conservative: only plain send/recv
-/// pairs on channels no exchange half touches, and only when the k-th
-/// and (k+1)-th messages are program-adjacent on *both* sides.
+/// endpoints rewritten in concert. Conservative: only send/receive
+/// pairs (a receive that folds merges only with one that folds) on
+/// channels no exchange half touches, and only when the k-th and
+/// (k+1)-th messages are program-adjacent on *both* sides.
 fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
     let mut merged = 0;
     loop {
@@ -301,22 +377,22 @@ fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
         let mut tainted: BTreeSet<(usize, usize, u32)> = BTreeSet::new();
         for (r, rp) in prog.ranks.iter().enumerate() {
             for (idx, step) in rp.steps.iter().enumerate() {
-                match step.kind {
-                    StepKind::Send { to, tag_off, .. } => chan_send
+                if let StepKind::Send { to, tag_off, .. } = step.kind {
+                    chan_send
                         .entry((r, to.into(), tag_off))
                         .or_default()
-                        .push(idx),
-                    StepKind::Recv { from, tag_off, .. } => chan_recv
-                        .entry((from.into(), r, tag_off))
-                        .or_default()
-                        .push(idx),
-                    StepKind::SendRecv {
-                        to, from, tag_off, ..
-                    } => {
-                        tainted.insert((r, to.into(), tag_off));
-                        tainted.insert((from.into(), r, tag_off));
+                        .push(idx);
+                }
+                let Some(h) = RecvHalf::of(&step.kind) else {
+                    continue;
+                };
+                let chan = (h.from.into(), r, h.tag_off);
+                match h.send {
+                    None => chan_recv.entry(chan).or_default().push(idx),
+                    Some((to, _)) => {
+                        tainted.insert((r, to.into(), h.tag_off));
+                        tainted.insert(chan);
                     }
-                    _ => {}
                 }
             }
         }
@@ -337,8 +413,12 @@ fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
                     continue;
                 }
                 let (sa, sb) = (send_src(prog, s, sends[k]), send_src(prog, s, sends[k] + 1));
-                let (ra, rb) = (recv_dst(prog, d, recvs[k]), recv_dst(prog, d, recvs[k] + 1));
-                if contiguous(&sa, &sb) && contiguous(&ra, &rb) {
+                let (ra, rb) = (
+                    recv_half(prog, d, recvs[k]),
+                    recv_half(prog, d, recvs[k] + 1),
+                );
+                let alike = ra.folds == rb.folds;
+                if contiguous(&sa, &sb) && contiguous(&ra.dst, &rb.dst) && alike {
                     found = Some(((s, sends[k]), (d, recvs[k])));
                     break 'outer;
                 }
@@ -352,9 +432,9 @@ fn coalesce_messages(prog: &mut CollectiveProgram) -> usize {
             src.len += grow;
         }
         prog.ranks[s].steps.remove(si + 1);
-        if let StepKind::Recv { dst, .. } = &mut prog.ranks[d].steps[di].kind {
-            dst.len += grow;
-        }
+        let mut recv = recv_half(prog, d, di);
+        recv.dst.len += grow;
+        prog.ranks[d].steps[di].kind = recv.kind();
         prog.ranks[d].steps.remove(di + 1);
         merged += 1;
     }
@@ -367,11 +447,10 @@ fn send_src(prog: &CollectiveProgram, rank: usize, idx: usize) -> Loc {
     }
 }
 
-fn recv_dst(prog: &CollectiveProgram, rank: usize, idx: usize) -> Loc {
-    match prog.ranks[rank].steps[idx].kind {
-        StepKind::Recv { dst, .. } => dst,
-        ref other => unreachable!("expected recv at ({rank}, {idx}), found {other:?}"),
-    }
+fn recv_half(prog: &CollectiveProgram, rank: usize, idx: usize) -> RecvHalf {
+    let kind = &prog.ranks[rank].steps[idx].kind;
+    lone_recv(kind)
+        .unwrap_or_else(|| unreachable!("expected recv at ({rank}, {idx}), found {kind:?}"))
 }
 
 /// `b` starts exactly where `a` ends, in the same buffer.
@@ -466,10 +545,9 @@ fn remove_identity_copies(steps: &mut Vec<Step>) -> usize {
         }
         // Invalidate records overlapping any byte this step writes.
         let writes: Vec<Loc> = match step.kind {
-            StepKind::Recv { dst, .. } | StepKind::SendRecv { dst, .. } => vec![dst],
             StepKind::Copy { dst, .. } => vec![dst],
             StepKind::Reduce { acc, .. } => vec![acc],
-            _ => vec![],
+            ref kind => RecvHalf::of(kind).map(|h| h.dst).into_iter().collect(),
         };
         for w in &writes {
             records.retain(|&(so, sl, rslot, ao)| {
@@ -511,6 +589,8 @@ fn remove_unread_scratch_stores(steps: &mut Vec<Step>) -> usize {
             let reads: Vec<Loc> = match s.kind {
                 StepKind::Send { src, .. } => vec![src],
                 StepKind::SendRecv { src, .. } => vec![src],
+                StepKind::SendRecvReduce { src, acc, .. } => vec![src, acc],
+                StepKind::RecvReduce { acc, .. } => vec![acc],
                 StepKind::Copy { src, .. } => vec![src],
                 StepKind::Reduce { acc, other } => vec![acc, other],
                 _ => vec![],
@@ -549,55 +629,26 @@ fn rendezvous_ok(prog: &CollectiveProgram) -> bool {
     }
     let p = prog.p;
     let load = |rank: usize, next: &mut usize| -> Option<Cur> {
+        let half = |peer: u16, tag, len| Half {
+            peer: peer.into(),
+            tag,
+            len,
+            done: false,
+        };
         let steps = &prog.ranks[rank].steps;
         while *next < steps.len() {
-            match steps[*next].kind {
-                StepKind::Send { to, tag_off, src } => {
-                    return Some(Cur {
-                        send: Some(Half {
-                            peer: to.into(),
-                            tag: tag_off,
-                            len: src.len,
-                            done: false,
-                        }),
-                        recv: None,
-                    })
-                }
-                StepKind::Recv { from, tag_off, dst } => {
-                    return Some(Cur {
-                        send: None,
-                        recv: Some(Half {
-                            peer: from.into(),
-                            tag: tag_off,
-                            len: dst.len,
-                            done: false,
-                        }),
-                    })
-                }
-                StepKind::SendRecv {
-                    to,
-                    src,
-                    from,
-                    dst,
-                    tag_off,
-                } => {
-                    return Some(Cur {
-                        send: Some(Half {
-                            peer: to.into(),
-                            tag: tag_off,
-                            len: src.len,
-                            done: false,
-                        }),
-                        recv: Some(Half {
-                            peer: from.into(),
-                            tag: tag_off,
-                            len: dst.len,
-                            done: false,
-                        }),
-                    })
-                }
-                _ => *next += 1,
+            let kind = &steps[*next].kind;
+            if let StepKind::Send { to, tag_off, src } = *kind {
+                let send = Some(half(to, tag_off, src.len));
+                return Some(Cur { send, recv: None });
             }
+            if let Some(h) = RecvHalf::of(kind) {
+                return Some(Cur {
+                    send: h.send.map(|(to, src)| half(to, h.tag_off, src.len)),
+                    recv: Some(half(h.from, h.tag_off, h.dst.len)),
+                });
+            }
+            *next += 1;
         }
         None
     };
@@ -675,6 +726,7 @@ mod tests {
                 .map(|steps| RankProgram {
                     steps,
                     scratch_bytes: scratch,
+                    landing_bytes: 0,
                 })
                 .collect(),
         }

@@ -5,6 +5,7 @@
 //! `send` / `recv` / `sendrecv` (so the trait's defaults stage every
 //! arrival in the bucket first), bit for bit.
 
+use intercom::plan::{AllreducePlan, ReduceScatterPlan};
 use intercom::primitives::{mst_reduce, ring_reduce_scatter, ring_reduce_scatter_into};
 use intercom::{
     hier_allreduce, Algo, Comm, CommError, Communicator, Elem, GroupComm, ReduceOp, Tag,
@@ -271,4 +272,74 @@ fn a_length_mismatch_runs_no_sink_and_releases_the_sender() {
         // receive may be what fails, after folding or before).
         assert!(out[0].0 == Some(CommError::Disconnected) || (exchange && out[0].0.is_some()));
     }
+}
+
+/// How many receives of `call` on a two-rank world folded out of the
+/// sender's window, and each rank's result.
+fn windows_of(
+    call: impl Fn(&Communicator<'_, ThreadComm>) -> Vec<f64> + Send + Sync,
+) -> (u64, Vec<Vec<f64>>) {
+    let (out, run) = run_world_recorded(2, 64, |c| {
+        call(&Communicator::world(c, MachineParams::PARAGON))
+    });
+    (run.totals().windows_in_place, out)
+}
+
+/// Explicit plans run optimized programs through the default walk,
+/// which issues `sendrecv_with` / `recv_with` for a fused receive: a
+/// 4 MiB allreduce plan folds out of the sender's window as often as
+/// the direct call does, to the same bits.
+#[test]
+fn an_allreduce_plan_folds_out_of_the_window_like_the_direct_call() {
+    let n = (4 << 20) / 8;
+    let vector = |rank: usize| {
+        (0..n)
+            .map(|i| (i * 3 + rank) as f64 * 0.25)
+            .collect::<Vec<f64>>()
+    };
+    let direct = windows_of(|cc| {
+        let mut v = vector(cc.rank());
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        v
+    });
+    let plan = windows_of(|cc| {
+        let plan = AllreducePlan::<f64>::new(cc, n, ReduceOp::Sum);
+        let mut v = vector(cc.rank());
+        plan.execute(cc, &mut v).unwrap();
+        v
+    });
+    assert!(direct.0 > 0, "the direct call folds out of windows");
+    assert_eq!(plan, direct);
+}
+
+/// A 4 MiB reduce-scatter on two ranks is the bucket ring that reads its
+/// contribution in place (`ring_reduce_scatter_into`): each arrival
+/// lands in a bucket and has the rank's own block folded into it
+/// (`bucket = arrived ⊕ block`). That is not a fold of the arrival into
+/// an accumulator, so lowering keeps the receive and the fold apart; a
+/// fused form would be an exchange with three regions, which a 32-byte
+/// step cannot hold. The plan stages its arrivals where the direct call
+/// folds out of the window — same bits.
+#[test]
+fn a_reduce_scatter_plan_stages_what_the_direct_call_folds_in_place() {
+    let b = (2 << 20) / 8;
+    let contrib = |rank: usize| {
+        (0..2 * b)
+            .map(|i| (i * 5 + rank) as f64 * 0.5)
+            .collect::<Vec<f64>>()
+    };
+    let direct = windows_of(|cc| {
+        let mut mine = vec![0.0; b];
+        cc.reduce_scatter(&contrib(cc.rank()), &mut mine, ReduceOp::Sum)
+            .unwrap();
+        mine
+    });
+    let plan = windows_of(|cc| {
+        let plan = ReduceScatterPlan::<f64>::new(cc, b, ReduceOp::Sum);
+        let mut mine = vec![0.0; b];
+        plan.execute(cc, &contrib(cc.rank()), &mut mine).unwrap();
+        mine
+    });
+    assert_eq!((direct.0, plan.0), (2, 0), "one window a rank, direct");
+    assert_eq!(plan.1, direct.1);
 }

@@ -100,6 +100,7 @@ fn program(ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
     let rank = |kinds: Vec<StepKind>| RankProgram {
         steps: kinds.into_iter().map(|kind| Step { kind }).collect(),
         scratch_bytes: 0,
+        landing_bytes: 0,
     };
     CollectiveProgram {
         plan_id: 1 << 40,

@@ -24,17 +24,17 @@
 //! reply, when the run ends — at its last step, or at the first error.
 //!
 //! The engine's byte work — the wire copies of the transfers completing
-//! at one event, and the folds of the programs they resume — is split
-//! with the caller's helper thread ([`Helper`]) when the event moves
-//! enough bytes to pay for the hand-off; every clock, trace record and
-//! reply stays the engine's, in the order of the serial loop.
+//! at one event, and the folds of the fused receives among them — is
+//! split with the caller's helper thread ([`Helper`]) when the event
+//! moves enough bytes to pay for the hand-off; every clock, trace record
+//! and reply stays the engine's, in the order of the serial loop.
 
 use crate::fluid::FluidScratch;
 use crate::net::NetSpec;
 use crate::sim::Helper;
 use crate::window::{ProgramWindow, RecvWindow, Segment, SendWindow};
 use intercom::faults::POISON_TAG;
-use intercom::ir::{BoundProgram, StepAction};
+use intercom::ir::StepAction;
 use intercom::rng::splitmix64;
 use intercom::{AbortCause, AbortInfo, CommError, Tag};
 use intercom_cost::HierMachine;
@@ -42,12 +42,10 @@ use intercom_obs::TraceEvent;
 use intercom_topology::{Cluster, HopLevel};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// The wire bytes a completion batch must move before the engine shares
-/// its copies — and the folds of the programs it resumes — with its
-/// helper; below it, waking the helper costs more than its half saves.
+/// The wire bytes a completion batch must move (copied or folded) before
+/// the engine shares them with its helper; below it, waking the helper
+/// costs more than its half saves.
 /// Measured on the reference 2-vCPU guest: one copy of cold bytes, by
 /// the engine alone or cut in two halves with a parked helper, median
 /// of 300 in us, over three runs:
@@ -155,31 +153,12 @@ struct Running {
     end: usize,
 }
 
-impl Running {
-    /// Runs the data steps at the cursor — the copies and folds after a
-    /// completed transfer — up to the next transfer or clock step, or up
-    /// to a step that fails, which the walk runs again and reports.
-    fn fold_ahead(&mut self) {
-        while self.next < self.end {
-            let i = self.next;
-            let local = |p: &mut BoundProgram<'_>| {
-                matches!(
-                    p.step(i),
-                    Ok(StepAction::Copy { .. } | StepAction::Reduce { .. })
-                )
-            };
-            if !self.prog.with(local) {
-                return;
-            }
-            self.next += 1;
-        }
-    }
-}
-
 impl Request {
     /// The request a program step stands for, its byte views lent as
     /// windows (so it outlives the step's borrow); `None` for a copy or
-    /// a fold, which `step` has already run.
+    /// a fold, which `step` has already run. A fused receive is a
+    /// transfer whose receive window is its accumulator, folded into
+    /// (its landing stays unused: it was never readied).
     fn lend(action: StepAction<'_>) -> Option<Self> {
         Some(match action {
             StepAction::Copy { .. } | StepAction::Reduce { .. } => return None,
@@ -208,6 +187,33 @@ impl Request {
                 tag,
                 rtag: tag,
                 buf: RecvWindow::lend(buf),
+            },
+            StepAction::RecvReduce {
+                from,
+                tag,
+                acc,
+                fold,
+                ..
+            } => Request::Recv {
+                from,
+                tag,
+                buf: RecvWindow::folding(acc, fold),
+            },
+            StepAction::SendRecvReduce {
+                to,
+                data,
+                from,
+                acc,
+                tag,
+                fold,
+                ..
+            } => Request::SendRecv {
+                to,
+                data: SendWindow::lend(data),
+                from,
+                tag,
+                rtag: tag,
+                buf: RecvWindow::folding(acc, fold),
             },
         })
     }
@@ -292,18 +298,13 @@ pub(crate) struct Engine {
     /// The caller's helper thread, which shares large completion
     /// batches (`advance`); none on a one-core host.
     helper: Option<Rc<Helper>>,
-    /// The transfers completing at the current event, the segments of
-    /// their copies, and the programs they resume while engine and
-    /// helper fold ahead in them: kept, so a batch allocates nothing.
+    /// The transfers completing at the current event and the segments
+    /// of their copies and folds: kept, so a batch allocates nothing.
     completing: Vec<Transfer>,
     segments: Vec<Segment>,
-    resumed: Vec<Mutex<Running>>,
-    /// Batches whose copies, and whose resumed programs' folds, were
-    /// split with the helper.
+    /// Batches whose copies and folds were split with the helper.
     #[cfg(test)]
     split_batches: usize,
-    #[cfg(test)]
-    shared_folds: usize,
     /// Static constraint universe: `node` = injection port of `node`,
     /// `p + node` = ejection port, `2p + slot` = directed link `slot`
     /// (dense per-topology slot numbering).
@@ -386,11 +387,8 @@ impl Engine {
             helper,
             completing: Vec::new(),
             segments: Vec::new(),
-            resumed: Vec::new(),
             #[cfg(test)]
             split_batches: 0,
-            #[cfg(test)]
-            shared_folds: 0,
             fluid: FluidScratch::new(universe),
             rates_buf: Vec::new(),
             rates_dirty: false,
@@ -826,16 +824,13 @@ impl Engine {
                 i += 1;
             }
         }
-        let split = self.copy_batch();
+        self.copy_batch();
         let mut batch = std::mem::take(&mut self.completing);
         batch.drain(..).for_each(|t| self.finish_transfer(t));
         self.completing = batch;
         // Programs whose transfer completed run on to their next one;
         // what they post waits for the next advance, as a closure's
         // next request would.
-        if split && self.resumable.len() > 1 {
-            self.fold_ahead();
-        }
         while let Some(rank) = self.resumable.pop() {
             self.walk(rank);
         }
@@ -849,11 +844,12 @@ impl Engine {
     /// sender → receiver, here and nowhere else, while every rank of the
     /// batch is still `Blocked` in the call that lent its windows (their
     /// replies are pushed after this and sent only after `advance`
-    /// returns). A batch of [`SPLIT_BYTES`] or more is cut at its byte
-    /// midpoint — one transfer may be cut in two — and the helper copies
-    /// the second half while the engine copies the first. Returns whether
-    /// the batch was split.
-    fn copy_batch(&mut self) -> bool {
+    /// returns): copied, or folded into a fused receive's accumulator.
+    /// A batch of [`SPLIT_BYTES`] or more is cut at its byte midpoint —
+    /// one transfer may be cut in two, a fold at an element boundary —
+    /// and the helper runs the second half while the engine runs the
+    /// first.
+    fn copy_batch(&mut self) {
         let mut bytes = 0;
         for t in &mut self.completing {
             // Not a debug assertion: the copy is sound only under it.
@@ -867,7 +863,7 @@ impl Engine {
         }
         let helper = self.helper.as_deref().filter(|_| bytes >= SPLIT_BYTES);
         match helper {
-            None => self.segments.iter_mut().for_each(Segment::copy),
+            None => self.segments.iter_mut().for_each(Segment::run),
             Some(helper) => {
                 // The first segment that reaches past the midpoint is cut
                 // there; its tail joins the helper's half at the end.
@@ -884,8 +880,8 @@ impl Engine {
                 let tail = cut.split_off(half - (seen - cut.len()));
                 self.segments.push(tail);
                 let (mine, theirs) = self.segments.split_at_mut(k + 1);
-                helper.join(&mut || theirs.iter_mut().for_each(Segment::copy), || {
-                    mine.iter_mut().for_each(Segment::copy)
+                helper.join(&mut || theirs.iter_mut().for_each(Segment::run), || {
+                    mine.iter_mut().for_each(Segment::run)
                 });
                 #[cfg(test)]
                 {
@@ -894,41 +890,6 @@ impl Engine {
             }
         }
         self.segments.clear();
-        helper.is_some()
-    }
-
-    /// Runs the data steps that follow the completed transfer of every
-    /// resumed program, shared with the helper: a program's fold bytes
-    /// are known only once its steps run, so each thread takes the next
-    /// program off one counter until none is left, and the bytes even
-    /// out without being known. Each program runs on one thread, and one
-    /// rank's data steps touch only that rank's arguments and arena.
-    fn fold_ahead(&mut self) {
-        let helper = self.helper.as_deref().expect("a split batch had one");
-        for &rank in &self.resumable {
-            let run = self.programs[rank]
-                .take()
-                .expect("a resumed rank runs a program");
-            self.resumed.push(Mutex::new(run));
-        }
-        // Publishes nothing: the programs are handed over by their locks
-        // and by `join`.
-        let next = AtomicUsize::new(0);
-        let resumed = &self.resumed;
-        let fold = || {
-            while let Some(run) = resumed.get(next.fetch_add(1, Ordering::Relaxed)) {
-                run.lock().expect("a fold does not panic").fold_ahead();
-            }
-        };
-        helper.join(&mut &fold, fold);
-        for (&rank, run) in self.resumable.iter().zip(self.resumed.drain(..)) {
-            let run = run.into_inner().expect("a fold does not panic");
-            self.programs[rank] = Some(run);
-        }
-        #[cfg(test)]
-        {
-            self.shared_folds += 1;
-        }
     }
 
     /// Completes `t`, whose payload `copy_batch` has moved: both ends'
@@ -1527,7 +1488,9 @@ mod tests {
     // its rank's reply.
 
     use crate::comm::handed;
-    use intercom::ir::{ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind};
+    use intercom::ir::{
+        ArgBuf, BoundProgram, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
+    };
     use intercom::ReduceOp;
 
     const PLAN: u64 = 77;
@@ -1538,6 +1501,7 @@ mod tests {
         let rank = |kinds: Vec<StepKind>| RankProgram {
             steps: kinds.into_iter().map(|kind| Step { kind }).collect(),
             scratch_bytes: 16,
+            landing_bytes: 0,
         };
         CollectiveProgram {
             plan_id: PLAN,
@@ -1874,35 +1838,48 @@ mod tests {
     }
 
     #[test]
-    fn the_helper_folds_ahead_as_the_walk_would_and_leaves_a_failing_step_to_it() {
-        // Two pairs on a 1×4 row swap 256 KiB blocks and fold what
-        // arrived, twice; then a copy reads past the buffer's end. Each
-        // swap is one 1 MiB batch that resumes four programs.
-        const N: u32 = 256 << 10;
-        let (mine, theirs) = (arg(0, 0, N), arg(0, N, N));
-        let fold = StepKind::Reduce {
-            acc: mine,
-            other: theirs,
+    fn a_fold_cut_mid_batch_splits_at_an_element_boundary_and_equals_the_serial_fold() {
+        // Ranks 0 and 2 send 40 001 and 40 000 eight-byte elements that
+        // ranks 1 and 3 fold into their vectors (fused receives); rank 2
+        // computes for the 8 bytes it sends fewer, so both complete at
+        // one event. The batch is 640 008 bytes: its midpoint, 4 bytes
+        // into an element of the first fold, is where the helper's half
+        // would start.
+        let (long, short) = (40_001u32, 40_000u32);
+        let all = |len: u32| arg(0, 0, 8 * len);
+        let fold = |from, len| StepKind::RecvReduce {
+            from,
+            tag_off: 0,
+            acc: all(len),
         };
-        let charge = StepKind::Compute { bytes: N };
-        let ranks = (0..4u16)
-            .map(|me| {
-                let bad = copy(arg(0, 2 * N, 8), arg(0, 0, 8));
-                let hop = |k| swap(me ^ 1, k, mine, theirs);
-                vec![hop(0), fold, charge, hop(1), fold, bad, charge, hop(2)]
-            })
-            .collect();
-        let prog = program(1, ranks);
+        let prog = program(
+            8,
+            vec![
+                vec![to(1, 0, all(long))],
+                vec![fold(0, long)],
+                vec![StepKind::Compute { bytes: 8 }, to(3, 0, all(short))],
+                vec![fold(2, short)],
+            ],
+        );
         let members = [0, 1, 2, 3];
         let machine = MachineParams {
-            gamma: 0.5,
+            gamma: 1.0,
             ..unit_machine()
+        };
+        let value =
+            |r: usize, i: usize| (splitmix64((r * 1_000_003 + i) as u64) >> 11) as f64 / 1e3;
+        let vectors = || -> Vec<Vec<f64>> {
+            [long, long, short, short]
+                .iter()
+                .enumerate()
+                .map(|(r, &len)| (0..len as usize).map(|i| value(r, i)).collect())
+                .collect()
         };
         let run = |helper: Option<Rc<Helper>>| {
             let net = mesh_net(1, 4);
             let mut e = Engine::new(net, HierMachine::flat(machine), false, 0.0, 0, helper);
-            let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| stamp(2 * N as usize, r)).collect();
-            let mut args: Vec<[ArgBuf<'_, u8>; 1]> =
+            let mut bufs = vectors();
+            let mut args: Vec<[ArgBuf<'_, f64>; 1]> =
                 bufs.iter_mut().map(|b| [ArgBuf::Out(&mut b[..])]).collect();
             let mut arenas = vec![Vec::new(); 4];
             let mut bound: Vec<BoundProgram<'_>> = args
@@ -1913,45 +1890,45 @@ mod tests {
                     BoundProgram::new(&prog, r, &members, a, arena, ReduceOp::Sum, 0).unwrap()
                 })
                 .collect();
-            bound
-                .iter_mut()
-                .enumerate()
-                .for_each(|(r, p)| lend(&mut e, r, p));
+            for (r, p) in bound.iter_mut().enumerate() {
+                lend(&mut e, r, p);
+            }
             drive_to_completion(&mut e);
-            let out = (
-                replies(&mut e),
-                e.clocks.clone(),
-                (e.split_batches, e.shared_folds),
-            );
+            assert!(replies(&mut e).iter().all(|(_, r)| r.is_ok()));
+            let split = e.split_batches;
             drop(bound);
             drop(args);
-            (out, bufs)
+            assert!(arenas.iter().all(Vec::is_empty), "no landing was readied");
+            (split, bufs)
         };
-        let ((replies, clocks, split), bufs) = run(Some(Rc::new(Helper::spawn())));
-        assert_eq!(split, (2, 2), "both batches and their folds were shared");
-        let oob = Err(CommError::PlanMismatch {
-            what: "step operand out of buffer bounds",
-        });
-        assert_eq!(
-            replies,
-            (0..4).map(|r| (r, oob.clone())).collect::<Vec<_>>()
-        );
-        // Each hop is α + Nβ; γ is charged for the first fold only.
-        assert_eq!(clocks, [2.0 * (1.0 + N as f64) + 0.5 * N as f64; 4]);
-        for (r, got) in bufs.iter().enumerate() {
-            let (a, b) = (stamp(N as usize, r as u64), stamp(N as usize, r as u64 ^ 1));
-            let twice: Vec<u8> = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| x.wrapping_add(*y).wrapping_mul(2))
-                .collect();
+        let want = vectors();
+        let serial: Vec<Vec<f64>> = [(1, 0), (3, 2)]
+            .iter()
+            .map(|&(acc, sent)| {
+                let mut v = want[acc].clone();
+                ReduceOp::Sum.fold_into(&mut v, &want[sent]);
+                v
+            })
+            .collect();
+        for helper in [None, Some(Rc::new(Helper::spawn()))] {
+            let shared = helper.is_some();
+            let (split, got) = run(helper);
+            assert_eq!(
+                split,
+                usize::from(shared),
+                "the batch was split iff a helper shared it"
+            );
+            for (k, r) in [1, 3].into_iter().enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&got[r]) == bits(&serial[k]),
+                    "rank {r} (helper: {shared})"
+                );
+            }
             assert!(
-                got[..N as usize] == twice[..],
-                "rank {r} folded both blocks"
+                got[0] == want[0] && got[2] == want[2],
+                "the senders kept theirs"
             );
         }
-        let (serial, serial_bufs) = run(None);
-        assert_eq!(serial, (replies, clocks, (0, 0)), "the serial walk agrees");
-        assert!(serial_bufs == bufs);
     }
 }

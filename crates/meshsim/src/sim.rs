@@ -198,10 +198,10 @@ impl Meeting {
 }
 
 /// A thread that takes one part of the engine's byte work while the
-/// engine does the other: a large completion batch's wire copies, and
-/// the folds of the programs the batch resumes. Virtual time comes from
-/// sizes alone, so where a byte moves is free as long as it moves before
-/// the lender's reply — and `join` returns only when both parts are done.
+/// engine does the other: a large completion batch's wire copies and
+/// folds. Virtual time comes from sizes alone, so where a byte moves is
+/// free as long as it moves before the lender's reply — and `join`
+/// returns only when both parts are done.
 pub(crate) struct Helper(Arc<Meeting>);
 
 impl Helper {

@@ -11,10 +11,10 @@
 //! > match and completion, and a rank's blocking call returns only after
 //! > the engine has replied or is gone.*
 //!
-//! "Between match and completion" is [`Segment::copy`]: `Engine::advance`
-//! cuts the copies of the transfers completing at one event into
-//! segments, after asserting every lender of the batch still `Blocked`,
-//! and copies them itself or splits them with its helper
+//! "Between match and completion" is [`Segment::run`]: `Engine::advance`
+//! cuts the copies (and folds) of the transfers completing at one event
+//! into segments, after asserting every lender of the batch still
+//! `Blocked`, and runs them itself or splits them with its helper
 //! (`sim::Helper::join`, which returns only once the helper is done) —
 //! all before the first of those lenders is released. The receive
 //! windows of one batch are pairwise disjoint mutable borrows (a
@@ -36,28 +36,39 @@
 //! and so would `poison`), or a helper the engine does not join before
 //! it releases the batch's lenders.
 //!
+//! **Folds.** A fused receive of a program (`RecvReduce` /
+//! `SendRecvReduce`) lends its accumulator as the receive window, with
+//! the bound ⊕ ([`RecvWindow::folding`]): at completion the sender's
+//! bytes are folded into it instead of copied, so the message never
+//! lands anywhere. A fold reads the bytes it writes, which changes
+//! nothing above (they are the receiver's, in one segment), and a cut
+//! falls on an element boundary. One more condition makes a fused
+//! *exchange* sound: its accumulator is disjoint from its send window.
+//! The two halves complete at different events — the receive half may
+//! fold while the send half is still flowing — so a fold into bytes
+//! the send half has yet to ship would ship the fold. The IR promises
+//! the disjointness (lowering fuses only such exchanges, and
+//! `BoundProgram::step` refuses overlapping operands).
+//!
 //! **Programs.** `SimComm::run_program` lends a [`ProgramWindow`] onto
 //! the `BoundProgram` in its frame — the rank's steps, its group's
 //! members, its argument buffers and its arena, all borrowed by that
 //! frame — and blocks the same way. The invariant extends word for
-//! word: *a program window is dereferenced only by the engine, or by the
-//! helper it joins before the program can be replied to, only between
-//! the request that lends it and the reply that ends the program, and
-//! every payload window of the program's transfers is derived from it
-//! inside that span.* A program is derived from in
+//! word: *a program window is dereferenced only by the engine, only
+//! between the request that lends it and the reply that ends the
+//! program, and every payload window of the program's transfers is
+//! derived from it inside that span.* A program is derived from in
 //! [`ProgramWindow::with`], which hands it out for one step under a
 //! lifetime the step cannot smuggle out; a derived [`SendWindow`] /
 //! [`RecvWindow`] then lives only as long as its transfer, which
 //! completes (or is dropped by a length mismatch or `poison`) while the
 //! rank is still `Blocked` in that same program — so before the reply.
-//! The helper runs data steps of resumed programs, each program on one
-//! thread at a time; one rank's data steps touch only that rank's
-//! arguments and arena.
+//! The helper touches no program: only the segments of a batch.
 //!
 //! Constructing a window is safe and dereferences nothing; the fields
 //! are private so that a window can only ever name a live borrow.
 
-use intercom::ir::BoundProgram;
+use intercom::ir::{BoundProgram, Fold};
 
 /// The program a rank blocked in `run_program` lends: walked by the
 /// engine, one step at a time, until it replies.
@@ -68,9 +79,8 @@ pub(crate) struct ProgramWindow {
 
 // SAFETY: `BoundProgram` is `Send` (byte views, the step list, the
 // member list, the arena and a `fn` pointer), so handing the engine
-// thread — or, for a batch's folds, its helper — exclusive access is
-// sound for as long as the lender cannot touch it, which the module
-// invariant guarantees.
+// thread exclusive access is sound for as long as the lender cannot
+// touch it, which the module invariant guarantees.
 unsafe impl Send for ProgramWindow {}
 
 impl ProgramWindow {
@@ -80,8 +90,8 @@ impl ProgramWindow {
         }
     }
 
-    /// Runs `f` on the lent program. Engine or joined helper only, and
-    /// only before the lender has been replied to. `f` is generic over
+    /// Runs `f` on the lent program. Engine only, and only before the
+    /// lender has been replied to. `f` is generic over
     /// the program's lifetime, so nothing it returns can borrow from the
     /// program.
     pub(crate) fn with<R>(&mut self, f: impl FnOnce(&mut BoundProgram<'_>) -> R) -> R {
@@ -89,8 +99,8 @@ impl ProgramWindow {
         // frame is blocked in `run_program` until the engine replies
         // (module invariant), so the program and everything it borrows
         // are live, and nothing else reaches them: one step at a time
-        // runs, on the engine's thread or its helper's, and `&mut self`
-        // keeps two calls from overlapping.
+        // runs, on the engine's thread, and `&mut self` keeps two calls
+        // from overlapping.
         f(unsafe { &mut *self.prog })
     }
 }
@@ -108,11 +118,14 @@ pub(crate) struct SendWindow {
 }
 
 /// The buffer a blocked receiver lends: written by the engine, at most
-/// once.
+/// once — with the message, or, for a fused receive, with the message
+/// folded into what it holds.
 #[derive(Debug)]
 pub(crate) struct RecvWindow {
     ptr: *mut u8,
     len: usize,
+    /// The ⊕ the message folds in with; `None` for a plain receive.
+    fold: Option<Fold>,
 }
 
 // SAFETY: the pointer crosses to the engine thread, but the bytes it
@@ -152,6 +165,16 @@ impl RecvWindow {
         RecvWindow {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
+            fold: None,
+        }
+    }
+
+    /// An accumulator the message is folded into with `fold`, in place
+    /// of a buffer it lands in.
+    pub(crate) fn folding(acc: &mut [u8], fold: Fold) -> Self {
+        RecvWindow {
+            fold: Some(fold),
+            ..RecvWindow::lend(acc)
         }
     }
 
@@ -160,14 +183,16 @@ impl RecvWindow {
     }
 }
 
-/// A piece of a completion batch's wire copies: bytes of a sender's
-/// window and the receiver's window they land in. A transfer's copy is
-/// one segment, or two once the batch is cut at its byte midpoint.
+/// A piece of a completion batch's byte work: bytes of a sender's
+/// window and the receiver's window they land in, or fold into. A
+/// transfer's copy or fold is one segment, or two once the batch is cut
+/// at its byte midpoint.
 #[derive(Debug)]
 pub(crate) struct Segment {
     src: *const u8,
     dst: *mut u8,
     len: usize,
+    fold: Option<Fold>,
 }
 
 // SAFETY: the pointers cross to the helper thread, but the bytes they
@@ -185,6 +210,7 @@ impl Segment {
             src: data.ptr,
             dst: buf.ptr,
             len: buf.len,
+            fold: buf.fold,
         }
     }
 
@@ -192,38 +218,44 @@ impl Segment {
         self.len
     }
 
-    /// Cuts the segment at `at`: it keeps its first `at` bytes, and the
-    /// rest come back as a segment of their own.
+    /// Cuts the segment at `at`, or for a fold at the element boundary
+    /// at or before it: it keeps the bytes before the cut, and the rest
+    /// come back as a segment of their own.
     pub(crate) fn split_off(&mut self, at: usize) -> Self {
         assert!(at <= self.len, "a cut inside the segment");
+        let at = self.fold.map_or(at, |f| at - at % f.elem_size());
         let tail = Segment {
             src: self.src.wrapping_add(at),
             dst: self.dst.wrapping_add(at),
             len: self.len - at,
+            fold: self.fold,
         };
         self.len = at;
         tail
     }
 
-    /// The crate's one copy of a wire byte: sender's buffer → receiver's
-    /// buffer. Engine or joined helper only, with both lenders still
-    /// blocked.
-    pub(crate) fn copy(&mut self) {
+    /// The crate's one move of a wire byte: sender's buffer → receiver's
+    /// buffer, copied, or folded into what the receiver's holds. Engine
+    /// or joined helper only, with both lenders still blocked.
+    pub(crate) fn run(&mut self) {
         // SAFETY: `src` and `dst` point `len` bytes into a `&[u8]` and a
         // `&mut [u8]` of equal length (`of`, and `split_off` cuts both at
         // one offset) whose lenders are still blocked on the engine's
-        // reply (module invariant), so both are live. The writes are
-        // this thread's alone: the batch's receive windows are disjoint
-        // mutable borrows, and each of their bytes is in one segment.
-        // They cannot overlap `src`, which a shared borrow held at the
-        // same time names (for a self-`sendrecv` both are arguments of
-        // one call).
+        // reply (module invariant), so both are live. The reads and
+        // writes of `dst` are this thread's alone: the batch's receive
+        // windows are disjoint mutable borrows, and each of their bytes
+        // is in one segment. They cannot overlap `src`, which a shared
+        // borrow held at the same time names (for a self-`sendrecv` both
+        // are arguments of one call).
         let (src, dst) = unsafe {
             (
                 std::slice::from_raw_parts(self.src, self.len),
                 std::slice::from_raw_parts_mut(self.dst, self.len),
             )
         };
-        dst.copy_from_slice(src);
+        match self.fold {
+            None => dst.copy_from_slice(src),
+            Some(fold) => fold.apply(dst, src),
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!    end with their owner.
 //! 4. A rank grows its scratch arena for a compiled program before the
 //!    hand-off to the engine only when a step the engine runs touches
-//!    it, and never when no step does.
+//!    it, and never when no step does; a 16×32 allreduce, whose receives
+//!    all fold where they land, never grows it.
 //!
 //! Only threads that opt in through [`COUNTED`] are counted, so the
 //! other tests of this file (and the harness printing their results)
@@ -27,10 +28,11 @@
 
 use intercom::comm::GroupComm;
 use intercom::ir::{
-    execute, ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
+    execute, global_cache, ArgBuf, Buf, CollectiveProgram, Loc, PlanKey, PlanOp, RankProgram, Step,
+    StepKind,
 };
 use intercom::{Comm, Communicator, ReduceOp};
-use intercom_cost::MachineParams;
+use intercom_cost::{CollectiveOp, MachineParams};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_topology::Mesh2D;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -242,6 +244,7 @@ fn arena_at_hand_off(steps: Vec<StepKind>) -> (bool, usize) {
     let rank = |steps: Vec<StepKind>, scratch_bytes| RankProgram {
         steps: steps.into_iter().map(|kind| Step { kind }).collect(),
         scratch_bytes,
+        landing_bytes: 0,
     };
     let prog = CollectiveProgram {
         plan_id: 1 << 40,
@@ -311,6 +314,36 @@ fn a_rank_readies_its_arena_only_for_the_steps_the_engine_runs() {
     assert_eq!(arena_at_hand_off(between), (true, words));
     // Never touched: never grown.
     assert_eq!(arena_at_hand_off(vec![send, swap(at(a, 0))]), (false, 0));
+}
+
+#[test]
+fn a_simulated_16x32_allreduce_never_grows_the_arena() {
+    // Every receive of the program folds into the caller's vector: no
+    // scratch, and a landing that only a walker which asks for it gets
+    // (the engine never does). The arena each rank lends stays empty.
+    let mesh = Mesh2D::new(16, 32);
+    let n = (64 << 10) / 8;
+    let report = simulate(&SimConfig::new(mesh, MachineParams::PARAGON), |c| {
+        let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
+        let choice = cc.auto_choice(CollectiveOp::CombineToAll, n * 8);
+        let key = PlanKey::plain(PlanOp::AllReduce, c.size(), n, 8, Some(&choice));
+        let prog = global_cache().get_or_compile(&key).unwrap();
+        let (mut v, mut arena) = (vec![c.rank() as f64; n], Vec::new());
+        let args = &mut [ArgBuf::Out(&mut v[..])];
+        execute(&prog, cc.group(), ReduceOp::Sum, args, &mut arena, 0).unwrap();
+        let rp = &prog.ranks[c.rank()];
+        (
+            rp.scratch_bytes,
+            rp.landing_bytes,
+            arena.capacity(),
+            v[n - 1],
+        )
+    });
+    let sum = (0..512).sum::<u32>() as f64;
+    for (rank, &(scratch, _, arena, last)) in report.results.iter().enumerate() {
+        assert_eq!((scratch, arena, last), (0, 0, sum), "rank {rank}");
+    }
+    assert!(report.results.iter().all(|&(_, landing, ..)| landing > 0));
 }
 
 /// One ring exchange of `n` bytes: what the left neighbour sent, checked.

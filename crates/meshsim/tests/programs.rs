@@ -31,6 +31,7 @@ fn program(ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
     let rank = |kinds: Vec<StepKind>| RankProgram {
         steps: kinds.into_iter().map(|kind| Step { kind }).collect(),
         scratch_bytes: 0,
+        landing_bytes: 0,
     };
     let p = ranks.len();
     CollectiveProgram {
@@ -243,4 +244,133 @@ fn a_world_of_one_runs_every_collective() {
     });
     assert_eq!(rep.results, [vec![1.5, 2.5]]);
     assert_eq!(rep.elapsed, 0.0, "one rank has nothing to wait for");
+}
+
+/// Runs `prog` on a 1 × 2 row over a buffer of `len` bytes per rank
+/// that starts as `init(rank, i)`; returns each rank's buffer.
+fn run_long(prog: CollectiveProgram, len: usize, init: fn(usize, usize) -> u8) -> Vec<Vec<u8>> {
+    let prog = &CollectiveProgram { n: len, ..prog };
+    let cfg = SimConfig::new(Mesh2D::new(1, prog.p), unit());
+    simulate(&cfg, |c| {
+        let mut buf: Vec<u8> = (0..len).map(|i| init(c.rank(), i)).collect();
+        let gc = GroupComm::world(c);
+        let args = &mut [ArgBuf::Out(&mut buf[..])];
+        execute(prog, &gc, ReduceOp::Sum, args, &mut Vec::new(), 0).unwrap();
+        buf
+    })
+    .results
+}
+
+#[test]
+fn fused_receives_fold_where_they_land_as_the_staged_pair_does() {
+    // Two ranks swap `n` bytes and fold what arrives into a second
+    // block, then rank 1 sends its folded block back to be folded into
+    // rank 0's first. Fused, the engine folds straight out of the
+    // sender's bytes (and, at 256 KiB a hop, shares the folds of a
+    // batch with its helper where there is one); staged, every arrival
+    // lands in a third block and is folded out of it.
+    for n in [12u32, 256 << 10] {
+        let (send, acc, landing) = (at(0, n), at(n, n), at(2 * n, n));
+        let fused = program(vec![
+            vec![
+                StepKind::SendRecvReduce {
+                    to: 1,
+                    src: send,
+                    from: 1,
+                    acc,
+                    tag_off: 0,
+                },
+                StepKind::RecvReduce {
+                    from: 1,
+                    tag_off: 1,
+                    acc: send,
+                },
+            ],
+            vec![
+                StepKind::SendRecvReduce {
+                    to: 0,
+                    src: send,
+                    from: 0,
+                    acc,
+                    tag_off: 0,
+                },
+                StepKind::Send {
+                    to: 0,
+                    tag_off: 1,
+                    src: acc,
+                },
+            ],
+        ]);
+        let fold_landing = |acc| StepKind::Reduce {
+            acc,
+            other: landing,
+        };
+        let staged = program(vec![
+            vec![
+                StepKind::SendRecv {
+                    to: 1,
+                    src: send,
+                    from: 1,
+                    dst: landing,
+                    tag_off: 0,
+                },
+                fold_landing(acc),
+                StepKind::Recv {
+                    from: 1,
+                    tag_off: 1,
+                    dst: landing,
+                },
+                fold_landing(send),
+            ],
+            vec![
+                StepKind::SendRecv {
+                    to: 0,
+                    src: send,
+                    from: 0,
+                    dst: landing,
+                    tag_off: 0,
+                },
+                fold_landing(acc),
+                StepKind::Send {
+                    to: 0,
+                    tag_off: 1,
+                    src: acc,
+                },
+            ],
+        ]);
+        let len = 3 * n as usize;
+        let init = |rank: usize, i: usize| (i * 31 + rank * 7 + i / 251) as u8;
+        let (fused, staged) = (run_long(fused, len, init), run_long(staged, len, init));
+        for rank in 0..2 {
+            let two = 2 * n as usize;
+            assert!(
+                fused[rank][..two] == staged[rank][..two],
+                "n={n} rank {rank}"
+            );
+            // The fused program never touched its third block.
+            assert!(fused[rank][two..]
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == init(rank, two + i)));
+        }
+    }
+}
+
+#[test]
+fn a_fused_exchange_folding_into_what_it_sends_is_refused() {
+    // The halves of an exchange complete at different times: a fold
+    // into the bytes being sent is malformed, and the rank's program
+    // ends with the error before anything moves.
+    let bad = StepKind::SendRecvReduce {
+        to: 0,
+        src: at(0, 4),
+        from: 0,
+        acc: at(2, 4),
+        tag_off: 0,
+    };
+    let out = run(&program(vec![vec![bad]]), |_| [5; 12]);
+    let overlap = CommError::PlanMismatch {
+        what: "overlapping read/write operands in one step",
+    };
+    assert_eq!(out, [(Err(overlap), [5; 12])]);
 }

@@ -29,6 +29,10 @@ fn arg_base(i: usize) -> usize {
 /// Synthetic base address of the scratch arena.
 const SCRATCH_BASE: usize = 1 << 48;
 
+/// Synthetic base address of the landing a fused receive stands for,
+/// disjoint from the arguments and the arena.
+const LANDING_BASE: usize = 1 << 47;
+
 fn span(loc: Loc) -> MemSpan {
     let base = match loc.buf {
         Buf::Arg(i) => arg_base(i.into()),
@@ -43,54 +47,100 @@ fn span(loc: Loc) -> MemSpan {
 
 /// Converts one compiled program into per-rank symbolic programs in the
 /// verifier's span form (base tag 0, so tags encode recursion levels
-/// exactly as trace extraction produces them).
+/// exactly as trace extraction produces them). A fused receive becomes
+/// the receive into a landing and the fold out of it that it stands for
+/// — the ops it was lowered from, a synthetic landing window in place of
+/// the temporary — so the checks see what they saw before fusion.
 pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
     prog.ranks
         .iter()
         .map(|rp| {
-            rp.steps
-                .iter()
-                .map(|step| match step.kind {
-                    StepKind::Send { to, tag_off, src } => OpRecord::Send {
-                        to: to.into(),
-                        tag: tag_off.into(),
-                        src: span(src),
-                    },
-                    StepKind::Recv { from, tag_off, dst } => OpRecord::Recv {
-                        from: from.into(),
-                        tag: tag_off.into(),
-                        dst: span(dst),
-                    },
-                    StepKind::SendRecv {
-                        to,
-                        src,
-                        from,
-                        dst,
-                        tag_off,
-                    } => OpRecord::SendRecv {
-                        to: to.into(),
-                        src: span(src),
-                        from: from.into(),
-                        dst: span(dst),
-                        tag: tag_off.into(),
-                        rtag: tag_off.into(),
-                    },
-                    StepKind::Copy { src, dst } => OpRecord::Copy {
-                        src: span(src),
-                        dst: span(dst),
-                    },
-                    StepKind::Reduce { acc, other } => OpRecord::Reduce {
-                        acc: span(acc),
-                        other: span(other),
-                    },
-                    StepKind::Compute { bytes } => OpRecord::Compute {
-                        bytes: bytes as usize,
-                    },
-                    StepKind::CallOverhead => OpRecord::CallOverhead,
-                })
+            let ops = rp.steps.iter().map(|step| records(step.kind));
+            ops.flat_map(|(op, fold)| std::iter::once(op).chain(fold))
                 .collect()
         })
         .collect()
+}
+
+/// The ops one step stands for: one, or a fused receive's two.
+fn records(kind: StepKind) -> (OpRecord, Option<OpRecord>) {
+    let fold = |acc: Loc| {
+        let landing = MemSpan {
+            addr: LANDING_BASE,
+            len: acc.bytes().len(),
+        };
+        let reduce = OpRecord::Reduce {
+            acc: span(acc),
+            other: landing,
+        };
+        (landing, Some(reduce))
+    };
+    let op = match kind {
+        StepKind::Send { to, tag_off, src } => OpRecord::Send {
+            to: to.into(),
+            tag: tag_off.into(),
+            src: span(src),
+        },
+        StepKind::Recv { from, tag_off, dst } => OpRecord::Recv {
+            from: from.into(),
+            tag: tag_off.into(),
+            dst: span(dst),
+        },
+        StepKind::SendRecv {
+            to,
+            src,
+            from,
+            dst,
+            tag_off,
+        } => OpRecord::SendRecv {
+            to: to.into(),
+            src: span(src),
+            from: from.into(),
+            dst: span(dst),
+            tag: tag_off.into(),
+            rtag: tag_off.into(),
+        },
+        StepKind::RecvReduce { from, tag_off, acc } => {
+            let (dst, reduce) = fold(acc);
+            let recv = OpRecord::Recv {
+                from: from.into(),
+                tag: tag_off.into(),
+                dst,
+            };
+            return (recv, reduce);
+        }
+        StepKind::SendRecvReduce {
+            to,
+            src,
+            from,
+            acc,
+            tag_off,
+        } => {
+            let (dst, reduce) = fold(acc);
+            let exchange = OpRecord::SendRecv {
+                to: to.into(),
+                src: span(src),
+                from: from.into(),
+                dst,
+                tag: tag_off.into(),
+                rtag: tag_off.into(),
+            };
+            return (exchange, reduce);
+        }
+        StepKind::Copy { src, dst } => OpRecord::Copy {
+            src: span(src),
+            dst: span(dst),
+        },
+        StepKind::Reduce { acc, other } => OpRecord::Reduce {
+            acc: span(acc),
+            other: span(other),
+        },
+        StepKind::Compute { bytes } => OpRecord::Compute {
+            bytes: bytes as usize,
+        },
+        StepKind::CallOverhead => OpRecord::CallOverhead,
+    };
+    (op, None)
 }
 
 /// Lowers one flat collective call to the schedule IR (byte elements,

@@ -362,8 +362,8 @@ impl Comm for Stamped {
 fn executed_programs_issue_the_recorded_calls() {
     // The default walk on a recorder: every point-to-point call, clock
     // hook and local copy or fold the direct path issues, in its order,
-    // each step stamped just before its call and the stamp cleared at
-    // the end.
+    // each step stamped just before its call (a fused receive's two: the
+    // receive and the fold) and the stamp cleared at the end.
     for p in NODE_COUNTS {
         for (op, st) in cells(p) {
             for n in [1usize, 13] {
@@ -379,11 +379,13 @@ fn executed_programs_issue_the_recorded_calls() {
                     let mut bufs = OwnedArgs::<u8>::new(op, p, n, rank);
                     let (gc, scratch) = (GroupComm::world(&comm), &mut Vec::new());
                     execute(&prog, &gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0).unwrap();
-                    let steps = prog.ranks[rank].steps.len();
-                    let stamps: Vec<_> = (0..steps)
-                        .map(|i| (prog.plan_id, i as u64, i))
-                        .chain([(0, 0, steps)])
-                        .collect();
+                    let mut calls = 0;
+                    let mut stamps = Vec::new();
+                    for (i, step) in prog.ranks[rank].steps.iter().enumerate() {
+                        stamps.push((prog.plan_id, i as u64, calls));
+                        calls += 1 + usize::from(step.kind.folds_into().is_some());
+                    }
+                    stamps.push((0, 0, calls));
                     assert_eq!(comm.stamps.into_inner(), stamps, "{what}");
                     let got: Vec<String> = comm.rec.into_ops().iter().map(render).collect();
                     let want: Vec<String> = want.iter().map(render).collect();

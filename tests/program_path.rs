@@ -17,7 +17,9 @@
 //! `(plan, step)` stamp, which only the engine's walk sets).
 
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind};
+use intercom::ir::{
+    cost_op, execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind,
+};
 use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy, StrategyKind};
 use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport, TraceEvent};
@@ -250,6 +252,23 @@ fn default_path_call<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> u6
     }
 }
 
+/// The arena a rank's plain program for `row` readies on the
+/// simulator, in bytes: its scratch, in words (the landing a fused
+/// receive stands for is never asked for there).
+fn arena_bytes<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> usize {
+    let p = cc.size();
+    let (op, n, elem) = match row {
+        Row::Bcast(bytes) => (PlanOp::Broadcast { root: 0 }, bytes, 1),
+        Row::Allgather(bytes) => (PlanOp::Collect, (bytes / p).max(1), 1),
+        Row::Allreduce(bytes) => (PlanOp::AllReduce, bytes / 8, 8),
+    };
+    let cop = cost_op(op).expect("every row is priced");
+    let choice = cc.auto_choice(cop, op.cost_bytes(p, n, elem));
+    let key = PlanKey::plain(op, p, n, elem, Some(&choice));
+    let prog = global_cache().get_or_compile(&key).unwrap();
+    prog.ranks[cc.rank()].scratch_bytes.next_multiple_of(8)
+}
+
 #[test]
 fn cluster_calls_run_the_same_on_both_paths_on_either_backbone() {
     let cluster = Cluster::new(Mesh2D::new(2, 2), 4);
@@ -298,40 +317,53 @@ fn a_mesh_row_group_runs_the_same_on_both_paths() {
     assert_eq!(results[5][3], 24, "1·2·3·4 over the row");
 }
 
-/// One rank's default-path allreduce of 256 KiB of `T` on `mesh`, its
+/// One rank's default-path allreduce of `bytes` of `T` on `mesh`, its
 /// contribution `x(rank, i)`; the result's bytes.
-fn large_allreduce<T: Elem>(
+fn allreduce_of<T: Elem>(
     c: &dyn Comm,
     mesh: Mesh2D,
     op: ReduceOp,
+    bytes: usize,
     x: fn(usize, usize) -> T,
 ) -> Vec<u8> {
     let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
     let rank = cc.rank();
-    let mut v: Vec<T> = (0..(256 << 10) / size_of::<T>())
-        .map(|i| x(rank, i))
-        .collect();
+    let mut v: Vec<T> = (0..bytes / size_of::<T>()).map(|i| x(rank, i)).collect();
     cc.allreduce(&mut v, op).unwrap();
     T::as_bytes(&v).to_vec()
+}
+
+/// [`allreduce_of`] under every ⊕, over `f64`, `i32` and `u8`, on the
+/// three paths.
+fn allreduces_agree(mesh: Mesh2D, bytes: usize) {
+    let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
+    for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
+        assert_paths_agree(&cfg, &format!("f64 {op:?} {bytes} B"), |c| {
+            allreduce_of::<f64>(c, mesh, op, bytes, value)
+        });
+        assert_paths_agree(&cfg, &format!("i32 {op:?} {bytes} B"), |c| {
+            allreduce_of::<i32>(c, mesh, op, bytes, |r, i| (i as i32 - 7) * (r as i32 + 1))
+        });
+        assert_paths_agree(&cfg, &format!("u8 {op:?} {bytes} B"), |c| {
+            allreduce_of::<u8>(c, mesh, op, bytes, |r, i| (i * 31 + r) as u8)
+        });
+    }
 }
 
 #[test]
 fn allreduces_whose_batches_are_split_run_the_same_on_both_paths() {
     // Every message of a 32-rank allreduce of 256 KiB moves in batches
-    // of a MiB and more: the engine splits their copies with its helper,
-    // and on the program path shares the folds that follow.
-    let mesh = Mesh2D::new(4, 8);
-    let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
-    for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
-        assert_paths_agree(&cfg, &format!("f64 {op:?}"), |c| {
-            large_allreduce::<f64>(c, mesh, op, value)
-        });
-        assert_paths_agree(&cfg, &format!("i32 {op:?}"), |c| {
-            large_allreduce::<i32>(c, mesh, op, |r, i| (i as i32 - 7) * (r as i32 + 1))
-        });
-        assert_paths_agree(&cfg, &format!("u8 {op:?}"), |c| {
-            large_allreduce::<u8>(c, mesh, op, |r, i| (i * 31 + r) as u8)
-        });
+    // of a MiB and more: the engine splits their copies, and the folds
+    // of its fused receives, with its helper.
+    allreduces_agree(Mesh2D::new(4, 8), 256 << 10);
+}
+
+#[test]
+fn fused_folds_of_uneven_and_empty_blocks_run_the_same_on_both_paths() {
+    // 1000 elements leave uneven blocks on every stage of a 32-rank
+    // hybrid; 8 bytes (one to eight elements) leave most of them empty.
+    for bytes in [8000, 8] {
+        allreduces_agree(Mesh2D::new(4, 8), bytes);
     }
 }
 
@@ -342,7 +374,12 @@ fn allreduces_whose_batches_are_split_run_the_same_on_both_paths() {
 #[ignore = "full-size rows: run in release (ci.sh)"]
 fn the_sim_mesh_rows_run_the_same_on_both_paths() {
     let (kib64, mib) = (64 << 10, 1 << 20);
-    let mut identical = 0;
+    let (mut identical, mut arena) = (0, 0);
+    // Each row's call, and what its program readied, summed over ranks.
+    let mut count = |results: Vec<(u64, usize)>| {
+        arena += results.iter().map(|&(_, bytes)| bytes).sum::<usize>();
+        identical += 1;
+    };
     let mut mesh_rows = |rows: usize, cols: usize, sizes: &[usize], allreduce: bool| {
         let mesh = Mesh2D::new(rows, cols);
         let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
@@ -352,11 +389,15 @@ fn the_sim_mesh_rows_run_the_same_on_both_paths() {
                 ops.push(Row::Allreduce(bytes));
             }
             for row in ops {
-                assert_paths_agree(&cfg, &format!("{rows}x{cols} {row:?}"), |c| {
-                    let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
-                    default_path_call(&cc, row)
-                });
-                identical += 1;
+                count(assert_paths_agree(
+                    &cfg,
+                    &format!("{rows}x{cols} {row:?}"),
+                    |c| {
+                        let cc =
+                            Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
+                        (default_path_call(&cc, row), arena_bytes(&cc, row))
+                    },
+                ));
             }
         }
     };
@@ -367,15 +408,15 @@ fn the_sim_mesh_rows_run_the_same_on_both_paths() {
         let cfg = SimConfig::cluster(cluster, &machine);
         for bytes in [8 << 10, 256 << 10] {
             for row in [Row::Bcast(bytes), Row::Allreduce(bytes)] {
-                assert_paths_agree(&cfg, &format!("cluster {row:?}"), |c| {
+                count(assert_paths_agree(&cfg, &format!("cluster {row:?}"), |c| {
                     let cc = Communicator::world_on_cluster(c, machine, &cluster).unwrap();
-                    default_path_call(&cc, row)
-                });
-                identical += 1;
+                    (default_path_call(&cc, row), arena_bytes(&cc, row))
+                }));
             }
         }
     }
     println!("sim-mesh rows: {identical} of 21 bit-identical");
+    println!("sim-mesh arena bytes: {arena}");
     assert_eq!(identical, 21);
 }
 
@@ -433,7 +474,9 @@ fn only_program_path_transfers_carry_a_plan_and_step() {
         // The stamped step is the sender's step that posted the message
         // (the communicator's first call runs at base tag 0).
         match prog.ranks[e.src].steps[e.step as usize].kind {
-            StepKind::Send { to, tag_off, .. } | StepKind::SendRecv { to, tag_off, .. } => {
+            StepKind::Send { to, tag_off, .. }
+            | StepKind::SendRecv { to, tag_off, .. }
+            | StepKind::SendRecvReduce { to, tag_off, .. } => {
                 assert_eq!((usize::from(to), u64::from(tag_off)), (e.dst, e.tag))
             }
             other => panic!("{e:?} stamped on {other:?}"),

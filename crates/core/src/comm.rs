@@ -307,6 +307,9 @@ pub struct GroupComm<'a, C: Comm + ?Sized> {
     comm: &'a C,
     members: Vec<usize>,
     me: usize,
+    /// Cleared in a recording replay ([`GroupComm::recording`]): copies
+    /// and folds then fire their hooks without touching a byte.
+    moves_data: bool,
 }
 
 impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
@@ -314,7 +317,23 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     pub fn world(comm: &'a C) -> Self {
         let members = (0..comm.size()).collect();
         let me = comm.rank();
-        GroupComm { comm, members, me }
+        GroupComm {
+            comm,
+            members,
+            me,
+            moves_data: true,
+        }
+    }
+
+    /// [`GroupComm::world`] for a replay that only records where data
+    /// would go (schedule lowering): [`GroupComm::copy`] and the folds
+    /// report to the endpoint's hooks but move nothing, and the sub-groups
+    /// carved out of it inherit that.
+    pub(crate) fn recording(comm: &'a C) -> Self {
+        GroupComm {
+            moves_data: false,
+            ..GroupComm::world(comm)
+        }
     }
 
     /// A group from an explicit member list. Fails with
@@ -324,7 +343,12 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             .iter()
             .position(|&m| m == comm.rank())
             .ok_or(CommError::NotInGroup)?;
-        Ok(GroupComm { comm, members, me })
+        Ok(GroupComm {
+            comm,
+            members,
+            me,
+            moves_data: true,
+        })
     }
 
     /// The underlying endpoint.
@@ -368,6 +392,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             comm: self.comm,
             members,
             me: self.me % d,
+            moves_data: self.moves_data,
         }
     }
 
@@ -385,6 +410,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             comm: self.comm,
             members,
             me: self.me / d,
+            moves_data: self.moves_data,
         }
     }
 
@@ -491,14 +517,20 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// schedule lowering observes in-rank data movement. Panics on
     /// length mismatch (an internal invariant, as with `copy_from_slice`).
     pub fn copy<T: Scalar>(&self, src: &[T], dst: &mut [T]) {
-        dst.copy_from_slice(src);
+        if self.moves_data {
+            dst.copy_from_slice(src);
+        } else {
+            assert_eq!(src.len(), dst.len(), "copy between unequal slices");
+        }
         self.comm.local_copy(T::as_bytes(src), T::as_bytes(dst));
     }
 
     /// Local fold of `other` into `acc` with the recording hook and the
     /// γ-accounting the combining collectives charge per fold.
     pub fn fold<T: Elem>(&self, op: ReduceOp, acc: &mut [T], other: &[T]) {
-        op.fold_into(acc, other);
+        if self.moves_data {
+            op.fold_into(acc, other);
+        }
         self.folded(acc, other);
     }
 
@@ -512,7 +544,9 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
         arrived: &[T],
         other: &[T],
     ) {
-        op.combine_into(acc, arrived, other);
+        if self.moves_data {
+            op.combine_into(acc, arrived, other);
+        }
         self.folded(acc, other);
     }
 

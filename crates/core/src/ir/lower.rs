@@ -17,7 +17,7 @@ use super::{
     fresh_plan_id, landing_of, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp,
     RankProgram, Step, StepKind,
 };
-use crate::comm::GroupComm;
+use crate::comm::{Comm, GroupComm};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::trace::{MemSpan, OpRecord, RecordingComm};
@@ -82,15 +82,13 @@ fn lower_choice(
     n: usize,
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
-    let ranks = (0..p)
-        .map(|rank| match elem_size {
-            1 => replay_rank::<u8>(op, choice.as_ref(), p, n, rank),
-            2 => replay_rank::<u16>(op, choice.as_ref(), p, n, rank),
-            4 => replay_rank::<u32>(op, choice.as_ref(), p, n, rank),
-            8 => replay_rank::<u64>(op, choice.as_ref(), p, n, rank),
-            other => panic!("unsupported element size {other} (expected 1, 2, 4 or 8)"),
-        })
-        .collect::<Result<Vec<_>>>()?;
+    let ranks = match elem_size {
+        1 => replay_ranks::<u8>(op, choice.as_ref(), p, n),
+        2 => replay_ranks::<u16>(op, choice.as_ref(), p, n),
+        4 => replay_ranks::<u32>(op, choice.as_ref(), p, n),
+        8 => replay_ranks::<u64>(op, choice.as_ref(), p, n),
+        other => panic!("unsupported element size {other} (expected 1, 2, 4 or 8)"),
+    }?;
     let (strategy, hier) = match choice {
         Some(HierChoice::Flat(s)) => (Some(s), None),
         Some(HierChoice::Hier(h)) => (None, Some(h)),
@@ -108,27 +106,47 @@ fn lower_choice(
     })
 }
 
-/// Replays rank `rank`'s direct-path call at base tag 0 with its
+/// Replays every rank's direct-path call at base tag 0 with its
 /// argument buffers registered by slot name, then resolves the
-/// recorded spans.
-fn replay_rank<T: Elem>(
+/// recorded spans. The replays record where data would go and move
+/// none: no receive fills its buffer, no copy or fold runs.
+///
+/// Each replay gets a fresh scratch arena. The arena's spans are
+/// clustered by address overlap, so one arena shared over the ranks
+/// (grown once, never moved) would merge clusters a fresh arena keeps
+/// apart when it moves as it grows, and the layouts would change.
+fn replay_ranks<T: Elem>(
     op: PlanOp,
     choice: Option<&HierChoice>,
     p: usize,
     n: usize,
-    rank: usize,
-) -> Result<RankProgram> {
-    let rec = RecordingComm::new(rank, p);
-    let mut bufs = OwnedArgs::<T>::new(op, p, n, rank);
+) -> Result<Vec<RankProgram>> {
+    (0..p)
+        .map(|rank| {
+            let rec = RecordingComm::without_fill(rank, p);
+            replay_rank::<T>(&rec, &GroupComm::recording(&rec), op, choice, n)?;
+            resolve_recorded::<T>(rec, op, p, n)
+        })
+        .collect()
+}
+
+/// Runs `gc`'s rank's direct-path call over fresh argument buffers,
+/// registered with `rec` by slot name, and a fresh arena.
+fn replay_rank<T: Elem>(
+    rec: &RecordingComm,
+    gc: &GroupComm<'_, RecordingComm>,
+    op: PlanOp,
+    choice: Option<&HierChoice>,
+    n: usize,
+) -> Result<()> {
+    let mut bufs = OwnedArgs::<T>::new(op, rec.size(), n, rec.rank());
     for (spec, buf) in &bufs.slots {
         if let Some(buf) = buf {
             rec.register(spec.name, buf);
         }
     }
-    let gc = GroupComm::world(&rec);
     let scratch = &mut Vec::new();
-    run_direct(op, choice, &gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0)?;
-    resolve_recorded::<T>(rec, op, p, n)
+    run_direct(op, choice, gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0)
 }
 
 /// Maps a finished recording's registered regions back to argument
@@ -641,23 +659,14 @@ mod tests {
         assert!(lower_hier(PlanOp::Scatter { root: 0 }, &hs, 8, 4).is_err());
     }
 
-    #[test]
-    fn arenas_take_at_most_half_the_room_fits_steps_leaves() {
-        use super::super::ARENA_HEADROOM;
+    /// The lowering grid the two tests below walk, at `n = 100` 8-byte
+    /// elements: every op under pure MST and pure long strategies for
+    /// p in {1, 4, 5, 9, 12, 16, 17} (two 2-D hybrids at 12), and the
+    /// picked hierarchical strategies on a 4×4 cluster of either
+    /// backbone, as `(op, choice, p)`.
+    fn lowering_grid(n: usize) -> Vec<(PlanOp, Option<HierChoice>, usize)> {
         use intercom_cost::{select_hier, ClusterShape, CollectiveOp, HierMachine, StrategyKind};
-        let check = |prog: CollectiveProgram| {
-            let largest = prog.op.cost_bytes(prog.p, prog.n, prog.elem_size);
-            for rp in &prog.ranks {
-                assert!(
-                    2 * rp.scratch_bytes <= ARENA_HEADROOM * largest,
-                    "{} p={}: a {}-byte arena beside a {largest}-byte argument",
-                    prog.op,
-                    prog.p,
-                    rp.scratch_bytes
-                );
-            }
-        };
-        let n = 100;
+        let mut grid = Vec::new();
         for p in [1, 4, 5, 9, 12, 16, 17] {
             let mut strategies = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
             if p == 12 {
@@ -672,7 +681,7 @@ mod tests {
                 PlanOp::Collect,
             ] {
                 for st in &strategies {
-                    check(lower(op, Some(st), p, n, 8).unwrap());
+                    grid.push((op, Some(HierChoice::Flat(st.clone())), p));
                 }
             }
             for op in [
@@ -684,7 +693,7 @@ mod tests {
                     segments: 3,
                 },
             ] {
-                check(lower(op, None, p, n, 8).unwrap());
+                grid.push((op, None, p));
             }
         }
         let shape = ClusterShape::linear(4, 4);
@@ -698,9 +707,114 @@ mod tests {
             ] {
                 for bytes in [8 * n, 8 * 16 * n] {
                     if let Some(hs) = select_hier(cop, shape, bytes, &machine) {
-                        check(lower_hier(op, &hs, n, 8).unwrap());
+                        grid.push((op, Some(HierChoice::Hier(hs)), shape.ranks()));
                     }
                 }
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn arenas_take_at_most_half_the_room_fits_steps_leaves() {
+        use super::super::ARENA_HEADROOM;
+        let n = 100;
+        for (op, choice, p) in lowering_grid(n) {
+            let prog = lower_choice(op, choice, p, n, 8).unwrap();
+            let largest = prog.op.cost_bytes(prog.p, prog.n, prog.elem_size);
+            for rp in &prog.ranks {
+                assert!(
+                    2 * rp.scratch_bytes <= ARENA_HEADROOM * largest,
+                    "{} p={}: a {}-byte arena beside a {largest}-byte argument",
+                    prog.op,
+                    prog.p,
+                    rp.scratch_bytes
+                );
+            }
+        }
+    }
+
+    /// `steps` with every arena offset set to 0. Where the arena places
+    /// its temporaries follows the order of their heap addresses, which
+    /// two replays in one process need not share.
+    fn unplaced(steps: &[Step]) -> Vec<StepKind> {
+        let u = |loc: Loc| match loc.buf {
+            Buf::Scratch => Loc { off: 0, ..loc },
+            Buf::Arg(_) => loc,
+        };
+        let unplace = |kind: StepKind| match kind {
+            StepKind::Send { to, tag_off, src } => StepKind::Send {
+                to,
+                tag_off,
+                src: u(src),
+            },
+            StepKind::Recv { from, tag_off, dst } => StepKind::Recv {
+                from,
+                tag_off,
+                dst: u(dst),
+            },
+            StepKind::SendRecv {
+                to,
+                src,
+                from,
+                dst,
+                tag_off,
+            } => StepKind::SendRecv {
+                to,
+                src: u(src),
+                from,
+                dst: u(dst),
+                tag_off,
+            },
+            StepKind::RecvReduce { from, tag_off, acc } => StepKind::RecvReduce {
+                from,
+                tag_off,
+                acc: u(acc),
+            },
+            StepKind::SendRecvReduce {
+                to,
+                src,
+                from,
+                acc,
+                tag_off,
+            } => StepKind::SendRecvReduce {
+                to,
+                src: u(src),
+                from,
+                acc: u(acc),
+                tag_off,
+            },
+            StepKind::Copy { src, dst } => StepKind::Copy {
+                src: u(src),
+                dst: u(dst),
+            },
+            StepKind::Reduce { acc, other } => StepKind::Reduce {
+                acc: u(acc),
+                other: u(other),
+            },
+            other => other,
+        };
+        steps.iter().map(|s| unplace(s.kind)).collect()
+    }
+
+    /// Lowering replays without moving a byte; a replay that fills every
+    /// landing, copies and folds for real records the same steps, up to
+    /// where the arena places its temporaries.
+    #[test]
+    fn data_free_replays_lower_to_the_programs_of_data_moving_ones() {
+        let n = 100;
+        for (op, choice, p) in lowering_grid(n) {
+            let lowered = lower_choice(op, choice.clone(), p, n, 8).unwrap();
+            for (rank, got) in lowered.ranks.iter().enumerate() {
+                let rec = RecordingComm::new(rank, p);
+                let gc = GroupComm::world(&rec);
+                replay_rank::<u64>(&rec, &gc, op, choice.as_ref(), n).unwrap();
+                let want = resolve_recorded::<u64>(rec, op, p, n).unwrap();
+                assert_eq!(
+                    (unplaced(&got.steps), got.landing_bytes),
+                    (unplaced(&want.steps), want.landing_bytes),
+                    "{op} p={p} rank {rank} under {choice:?}"
+                );
             }
         }
     }

@@ -136,6 +136,9 @@ pub struct RecordingComm {
     size: usize,
     ops: RefCell<Vec<OpRecord>>,
     regions: RefCell<Vec<Region>>,
+    /// Whether a receive zero-fills its buffer; a replay whose folds move
+    /// no data (schedule lowering) has nothing to keep deterministic.
+    fills: bool,
 }
 
 impl RecordingComm {
@@ -147,6 +150,22 @@ impl RecordingComm {
             size,
             ops: RefCell::new(Vec::new()),
             regions: RefCell::new(Vec::new()),
+            fills: true,
+        }
+    }
+
+    /// A recorder whose receives leave their buffers as they are, for a
+    /// replay over [`GroupComm::recording`](crate::comm::GroupComm).
+    pub(crate) fn without_fill(rank: usize, size: usize) -> Self {
+        RecordingComm {
+            fills: false,
+            ..RecordingComm::new(rank, size)
+        }
+    }
+
+    fn fill(&self, buf: &mut [u8]) {
+        if self.fills {
+            buf.fill(0);
         }
     }
 
@@ -216,7 +235,7 @@ impl Comm for RecordingComm {
         self.check_peer(from)?;
         // Deterministic fill: downstream combine folds see zeros, so the
         // recorded program is reproducible and overflow-free.
-        buf.fill(0);
+        self.fill(buf);
         self.ops.borrow_mut().push(OpRecord::Recv {
             from,
             tag,
@@ -235,7 +254,7 @@ impl Comm for RecordingComm {
     ) -> Result<()> {
         self.check_peer(to)?;
         self.check_peer(from)?;
-        buf.fill(0);
+        self.fill(buf);
         let src = MemSpan::of(data);
         let dst = MemSpan::of(buf);
         self.ops.borrow_mut().push(OpRecord::SendRecv {
@@ -260,7 +279,7 @@ impl Comm for RecordingComm {
     ) -> Result<()> {
         self.check_peer(to)?;
         self.check_peer(from)?;
-        buf.fill(0);
+        self.fill(buf);
         let src = MemSpan::of(data);
         let dst = MemSpan::of(buf);
         self.ops.borrow_mut().push(OpRecord::SendRecv {

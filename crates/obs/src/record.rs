@@ -105,10 +105,10 @@ pub struct Counters {
     pub timeout_waits: u64,
     /// Coordinated-abort poison deliveries observed on this rank.
     pub aborts: u64,
-    /// Receives that found the inbox empty and got their message while
-    /// polling it (threaded backend; no context switch).
+    /// Receives that found their peer's mailbox empty and got their
+    /// message while polling it (threaded backend; no context switch).
     pub polled_waits: u64,
-    /// Receives that polled out their budget and parked on the inbox
+    /// Receives that polled out their budget and parked on their rank's
     /// condvar (threaded backend; a futex wake and a reschedule).
     pub parked_waits: u64,
     /// Receives whose consumer ran on the sender's bytes where they lay

@@ -41,45 +41,46 @@ impl Calibration {
     }
 }
 
-/// Time per hop of `iters` hops of `bytes` bytes under tags
+/// Time per hop of `iters` hops of `payload` into `buf` under tags
 /// `first_tag..`: the two one-way hops of a ping-pong, or with
 /// `exchange` one `sendrecv` in which both ranks send and receive.
 fn hops(
     a: &ThreadComm,
     peer: usize,
-    bytes: usize,
+    (payload, buf): (&[u8], &mut [u8]),
     exchange: bool,
     first_tag: u64,
     iters: usize,
 ) -> f64 {
-    let payload = vec![0u8; bytes];
-    let mut buf = vec![0u8; bytes];
     let start = Instant::now();
     for tag in first_tag..first_tag + iters as u64 {
         if exchange {
-            a.sendrecv(peer, &payload, peer, &mut buf, tag).unwrap();
+            a.sendrecv(peer, payload, peer, buf, tag).unwrap();
         } else if a.rank() == 0 {
-            a.send(peer, tag, &payload).unwrap();
-            a.recv(peer, tag, &mut buf).unwrap();
+            a.send(peer, tag, payload).unwrap();
+            a.recv(peer, tag, buf).unwrap();
         } else {
-            a.recv(0, tag, &mut buf).unwrap();
-            a.send(0, tag, &payload).unwrap();
+            a.recv(0, tag, buf).unwrap();
+            a.send(0, tag, payload).unwrap();
         }
     }
     let per_iter = if exchange { 1.0 } else { 2.0 };
     start.elapsed().as_secs_f64() / (per_iter * iters as f64)
 }
 
-/// Median over [`BATCHES`] timed batches of `iters` [`hops`], after one
-/// untimed batch. The warm-up absorbs thread-start skew, the first pool
-/// misses and the first parked wake-ups (tens of microseconds each,
-/// against a steady-state hop of about one); the median drops a batch
-/// the scheduler preempted.
+/// Median over [`BATCHES`] timed batches of `iters` [`hops`] of `bytes`,
+/// after one untimed batch, all over the same two buffers. The warm-up
+/// absorbs thread-start skew, the buffers' first page faults, the first
+/// pool misses and the first parked wake-ups (tens of microseconds
+/// each, against a steady-state hop of about one); the median drops a
+/// batch the scheduler preempted.
 fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters: usize) -> f64 {
     const BATCHES: usize = 5;
+    let (payload, mut buf) = (vec![0u8; bytes], vec![0u8; bytes]);
     let mut times = [0.0; BATCHES + 1];
     for (batch, t) in times.iter_mut().enumerate() {
-        *t = hops(a, peer, bytes, exchange, (batch * iters) as u64, iters);
+        let bufs = (&payload[..], &mut buf[..]);
+        *t = hops(a, peer, bufs, exchange, (batch * iters) as u64, iters);
     }
     let timed = &mut times[1..];
     timed.sort_by(f64::total_cmp);

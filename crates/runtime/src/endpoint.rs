@@ -1,21 +1,25 @@
-//! The per-rank endpoint: channels out to every peer, one inbox, a
-//! stash for out-of-order arrivals, and pooled payload buffers.
+//! The per-rank endpoint: a mailbox to and from every peer (one
+//! single-producer/single-consumer ring per ordered pair, see
+//! [`crate::mailbox`]), a stash for out-of-order arrivals, and pooled
+//! payload buffers.
 //!
-//! Payload life-cycle (the zero-allocation hot path): `send` acquires a
-//! buffer from the *sender's* [`BufferPool`], copies the caller's bytes
-//! in, and ships it through the mailbox. `recv` copies the bytes out
-//! into the caller's buffer and returns the payload to the pool of the
-//! rank that sent it (every endpoint holds a shared handle to all
-//! pools). After one warm-up round of a repeated collective, every hop
-//! is served from a free list and the steady state allocates nothing —
+//! Payload life-cycle (the zero-allocation hot path): a message of up
+//! to 1 KiB is copied into a slot of the receiver's ring and copied (or
+//! folded) out of it where it lies; no buffer is involved. A longer
+//! eager message is copied into a buffer from the *sender's*
+//! [`BufferPool`], whose handle travels in the slot; `recv` copies the
+//! bytes out and returns the buffer to the pool of the rank that sent
+//! it (every endpoint holds a shared handle to all pools). After one
+//! warm-up round of a repeated collective, every hop is served from a
+//! ring slot or a free list and the steady state allocates nothing —
 //! asserted by the `alloc_free` integration test.
 //!
 //! That is the *eager* path, taken below
 //! [`DEFAULT_RENDEZVOUS_THRESHOLD`] and for self-sends: two passes over
 //! the bytes (copy in, copy out), the sender never waits. At or above
 //! the threshold `send` and `sendrecv` skip buffering entirely: the
-//! mailbox carries a borrowed window onto the sender's buffer, and the
-//! sender blocks (polling before it parks, like the inbox) until the
+//! slot carries a borrowed window onto the sender's buffer, and the
+//! sender blocks (polling before it parks, like a receive) until the
 //! receiver is finished with it. Who touches a long message, and how
 //! many times:
 //!
@@ -36,7 +40,8 @@
 //! the schedule verifier proves deadlock-free. The protocol, its states
 //! and what its `unsafe` blocks rely on are at [`Completion`].
 
-use crate::chan::{poll, Receiver, RecvTimeoutError, Sender, Waited};
+use crate::chan::{poll, Waited};
+use crate::mailbox::{Arrival, Arrived, Fabric, Mailbox};
 use intercom::comm::Sink;
 use intercom::faults::POISON_TAG;
 use intercom::{AbortCause, AbortInfo, BufferPool, Comm, CommError, PoolStats, Result, Tag};
@@ -103,8 +108,8 @@ struct Completion {
     state: Mutex<CopyState>,
     done: Condvar,
     /// Mirror of `state`: stored under the mutex by whoever changes the
-    /// state, read without it by a polling rank. Like the inbox's
-    /// length mirror it carries no data (every reader re-reads `state`
+    /// state, read without it by a polling rank. It is a hint that
+    /// carries no data (every reader re-reads `state`
     /// under the lock before acting), so `Relaxed` is enough.
     hint: AtomicU8,
     /// Where a claimed copy lands. Stored by the receiver under the
@@ -229,7 +234,7 @@ impl Completion {
 
     /// Blocks until the receiver is finished with the borrowed `data`,
     /// helping it copy if it claimed them, or `timeout` elapses: polls
-    /// the hint through the inbox's own wait policy, then parks on the
+    /// the hint through the receive's own wait policy, then parks on the
     /// condvar. Like `take_matching` it looks before it reads the
     /// clock: an exchange's receive half has usually let the peer copy
     /// already, and a wait that is over needs no deadline. On timeout
@@ -294,7 +299,7 @@ impl Completion {
 /// turns `Copied` or `Abandoned` — the sender blocks inside
 /// `rendezvous` until then, so the pointed-at bytes cannot move or be
 /// dropped before.
-struct BorrowedBytes {
+pub(crate) struct BorrowedBytes {
     ptr: *const u8,
     len: usize,
     done: Arc<Completion>,
@@ -332,24 +337,38 @@ impl Drop for BorrowedBytes {
     }
 }
 
-/// A message payload: pooled bytes (eager sends) or a zero-copy window
-/// onto the sender's buffer (rendezvous sends).
-enum Payload {
-    Pooled(Vec<u8>),
+/// A message payload that does not travel inline: pooled bytes (eager
+/// sends longer than a slot, spilled messages, stashed copies) or a
+/// zero-copy window onto the sender's buffer (rendezvous sends).
+pub(crate) enum Payload {
+    /// Bytes in a buffer from `pools[owner]`, where they go back.
+    Pooled {
+        bytes: Vec<u8>,
+        owner: usize,
+    },
     Borrowed(BorrowedBytes),
+}
+
+/// A length check common to every way a message lands.
+fn check_len(expected: usize, actual: usize) -> Result<()> {
+    if expected == actual {
+        Ok(())
+    } else {
+        Err(CommError::LengthMismatch { expected, actual })
+    }
 }
 
 impl Payload {
     fn len(&self) -> usize {
         match self {
-            Payload::Pooled(v) => v.len(),
+            Payload::Pooled { bytes, .. } => bytes.len(),
             Payload::Borrowed(b) => b.len,
         }
     }
 
     /// Lands the payload and retires it: pooled bytes are copied into
-    /// `buf` (then `sink(buf, None)`) and go back to the pool of the
-    /// rank that acquired them (`src`); a borrowed window is handed to
+    /// `buf` (then `sink(buf, None)`) and go back to the pool they came
+    /// from; a borrowed window is handed to
     /// `sink` where it lies, or without one copied into `buf` — by this
     /// rank alone or, from two [`COPY_CHUNK`]s up, together with its
     /// blocked sender — and the sender is released. Says whether the
@@ -359,21 +378,15 @@ impl Payload {
     fn consume(
         self,
         buf: &mut [u8],
-        src: usize,
         pools: &[BufferPool],
         sink: Option<&mut Sink<'_>>,
     ) -> Result<bool> {
-        if self.len() != buf.len() {
-            return Err(CommError::LengthMismatch {
-                expected: buf.len(),
-                actual: self.len(),
-            });
-        }
+        check_len(buf.len(), self.len())?;
         match self {
-            Payload::Pooled(v) => {
+            Payload::Pooled { bytes, owner } => {
                 // A pooled `Vec<u8>` promises no alignment: copy first.
-                buf.copy_from_slice(&v);
-                pools[src].release(v);
+                buf.copy_from_slice(&bytes);
+                pools[owner].release(bytes);
                 if let Some(sink) = sink {
                     sink(buf, None);
                 }
@@ -420,18 +433,11 @@ impl Payload {
     }
 }
 
-/// One message in flight.
-pub(crate) struct Msg {
-    pub src: usize,
-    pub tag: Tag,
-    data: Payload,
-}
-
 /// Reserved tag announcing a rank's departure (sent on endpoint drop —
 /// normal completion or panic unwind). Receivers waiting on a departed
 /// rank observe [`CommError::Disconnected`] instead of hanging; because
-/// channels are FIFO, all real traffic a rank sent before dying is still
-/// delivered first.
+/// mailboxes are FIFO, all real traffic a rank sent before dying is
+/// still delivered first.
 const FAREWELL_TAG: Tag = Tag::MAX;
 
 /// Out-of-order arrivals from one peer: a flat `(tag, queue)` list
@@ -476,21 +482,21 @@ impl PeerStash {
 ///
 /// Below the rendezvous threshold ([`DEFAULT_RENDEZVOUS_THRESHOLD`])
 /// sends are eager (buffered, non-blocking): the data is copied into a
-/// pooled buffer immediately, so a `sendrecv` is send-then-receive
-/// without deadlock — the §2 machine's "send and receive at the same
-/// time". At or above it, `send` and `sendrecv` skip the copy-in: the
-/// receiver folds or copies directly out of this rank's buffer, this
-/// rank copying along when the receive is a long plain one, and the
-/// call completes when that is done (one pass over the bytes per hop
-/// instead of two); a `sendrecv` posts its window before it receives,
-/// so both halves still progress together.
+/// ring slot (or a pooled buffer) immediately, so a `sendrecv` is
+/// send-then-receive without deadlock — the §2 machine's "send and
+/// receive at the same time". At or above it, `send` and `sendrecv`
+/// skip the copy-in: the receiver folds or copies directly out of this
+/// rank's buffer, this rank copying along when the receive is a long
+/// plain one, and the call completes when that is done (one pass over
+/// the bytes per hop instead of two); a `sendrecv` posts its window
+/// before it receives, so both halves still progress together.
 pub struct ThreadComm {
     rank: usize,
-    senders: Vec<Sender<Msg>>,
-    inbox: Receiver<Msg>,
-    /// `pools[r]` is rank `r`'s payload pool; consumed payloads go back
-    /// to the pool of the rank that acquired them.
-    pools: Arc<Vec<BufferPool>>,
+    /// The world's mailboxes, wakers and payload pools; consumed pooled
+    /// payloads go back to the pool of the rank that acquired them.
+    fabric: Arc<Fabric>,
+    /// The poison alerts already acted on (see [`Self::drain`]).
+    alerts_seen: Cell<u64>,
     stash: RefCell<Vec<PeerStash>>,
     departed: RefCell<Vec<bool>>,
     /// The completion flags this rank's windows take turns with, made
@@ -507,7 +513,7 @@ pub struct ThreadComm {
     /// `(0, 0)` outside plan execution. Stamped onto every recorded
     /// [`TraceEvent`] so timelines attribute work to schedule steps.
     plan_step: Cell<(u64, u64)>,
-    /// Bound on every blocking wait (inbox matching and rendezvous
+    /// Bound on every blocking wait (receive matching and rendezvous
     /// completion). A regression that would deadlock instead surfaces
     /// as [`CommError::Timeout`] naming the silent peer.
     wait_timeout: Duration,
@@ -517,20 +523,12 @@ pub struct ThreadComm {
 }
 
 impl ThreadComm {
-    pub(crate) fn new(
-        rank: usize,
-        senders: Vec<Sender<Msg>>,
-        inbox: Receiver<Msg>,
-        pools: Arc<Vec<BufferPool>>,
-        wait_timeout: Duration,
-    ) -> Self {
-        debug_assert_eq!(senders.len(), pools.len());
-        let p = senders.len();
+    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>, wait_timeout: Duration) -> Self {
+        let p = fabric.size();
         ThreadComm {
             rank,
-            senders,
-            inbox,
-            pools,
+            fabric,
+            alerts_seen: Cell::new(0),
             stash: RefCell::new((0..p).map(|_| PeerStash::default()).collect()),
             departed: RefCell::new(vec![false; p]),
             completions: std::array::from_fn(|_| Arc::new(Completion::new())),
@@ -584,79 +582,155 @@ impl ThreadComm {
     }
 
     fn check_peer(&self, peer: usize) -> Result<()> {
-        if peer < self.senders.len() {
+        if peer < self.fabric.size() {
             Ok(())
         } else {
             Err(CommError::InvalidRank {
                 rank: peer,
-                size: self.senders.len(),
+                size: self.fabric.size(),
             })
         }
     }
 
+    /// The mailbox this rank takes `from`'s messages from.
+    fn inbox(&self, from: usize) -> &Mailbox {
+        self.fabric.mailbox(self.rank, from)
+    }
+
+    /// Posts `data` to `to` under `tag`: inline when it fits a free
+    /// slot, else in a buffer from this rank's pool. Then wakes `to` if
+    /// it sleeps, and raises its alert for a poison record. Never
+    /// blocks; fails only once `to` is gone.
+    fn post_eager(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        let mailbox = self.fabric.mailbox(to, self.rank);
+        if mailbox.is_closed() {
+            return Err(CommError::Disconnected);
+        }
+        if !mailbox.try_post_inline(tag, data) {
+            let mut bytes = self.fabric.pools[self.rank].acquire(data.len());
+            bytes.extend_from_slice(data);
+            let owner = self.rank;
+            mailbox.post(tag, Payload::Pooled { bytes, owner });
+        }
+        let waker = self.fabric.waker(to);
+        if tag == POISON_TAG {
+            waker.raise_alert();
+        } else {
+            waker.nudge();
+        }
+        Ok(())
+    }
+
     /// Pulls the next message matching `(from, tag)`, consulting the
-    /// stash first and stashing any interleaved traffic. Observing the
-    /// peer's farewell (its endpoint dropped with no matching message
-    /// queued) yields [`CommError::Disconnected`] instead of blocking
-    /// forever; a poison record ([`POISON_TAG`]) latches the
-    /// coordinated abort and fails this and every later receive; and
-    /// the whole wait is bounded by the endpoint's deadline, so a
-    /// schedule regression that would hang instead reports
-    /// [`CommError::Timeout`] naming the silent peer.
-    fn take_matching(&self, from: usize, tag: Tag) -> Result<Payload> {
+    /// stash first and stashing any interleaved traffic from `from`.
+    /// Observing the peer's farewell (its endpoint dropped with no
+    /// matching message queued) yields [`CommError::Disconnected`]
+    /// instead of blocking forever; a poison record ([`POISON_TAG`]),
+    /// from `from` or — through the alert that wakes this wait — from
+    /// any rank, latches the coordinated abort and fails this and every
+    /// later receive; and the whole wait is bounded by the endpoint's
+    /// deadline, so a schedule regression that would hang instead
+    /// reports [`CommError::Timeout`] naming the silent peer.
+    fn take_matching(&self, from: usize, tag: Tag) -> Result<Arrived<'_>> {
         if let Some(info) = *self.aborted.borrow() {
             return Err(CommError::Aborted(info));
-        }
-        if let Some(data) = self.stash.borrow_mut()[from].pop(tag) {
-            return Ok(data);
-        }
-        if self.departed.borrow()[from] {
-            return Err(CommError::Disconnected);
         }
         // The deadline costs a clock read; a message that is already
         // queued never needs it.
         let mut deadline = None;
         loop {
-            let msg = match self.inbox.try_recv() {
-                Some(msg) => msg,
-                None => {
-                    let deadline =
-                        *deadline.get_or_insert_with(|| Instant::now() + self.wait_timeout);
-                    match self.inbox.recv_until(Some(deadline)) {
-                        Ok((msg, waited)) => {
-                            self.count_wait(waited);
-                            msg
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
-                        Err(RecvTimeoutError::Timeout) => {
-                            return Err(CommError::Timeout {
-                                from,
-                                tag,
-                                waited_ms: self.wait_timeout.as_millis() as u64,
-                            })
+            if let Some(data) = self.stash.borrow_mut()[from].pop(tag) {
+                return Ok(Arrived::Payload(data));
+            }
+            if self.departed.borrow()[from] {
+                return Err(CommError::Disconnected);
+            }
+            loop {
+                match self.inbox(from).pop() {
+                    Some(arrival) if arrival.tag == tag => return Ok(arrival.body),
+                    Some(arrival) => {
+                        self.sort(from, arrival)?;
+                        if self.departed.borrow()[from] {
+                            return Err(CommError::Disconnected);
                         }
                     }
+                    None => break,
                 }
-            };
-            if msg.tag == FAREWELL_TAG {
-                self.departed.borrow_mut()[msg.src] = true;
-                if msg.src == from {
-                    return Err(CommError::Disconnected);
-                }
-                continue;
             }
-            if msg.tag == POISON_TAG {
-                return Err(CommError::Aborted(self.absorb_poison(msg)));
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.wait_timeout);
+            if !self.wait(from, deadline) {
+                return Err(CommError::Timeout {
+                    from,
+                    tag,
+                    waited_ms: self.wait_timeout.as_millis() as u64,
+                });
             }
-            if msg.src == from && msg.tag == tag {
-                return Ok(msg.data);
+            if self.fabric.waker(self.rank).alerts() != self.alerts_seen.get() {
+                self.drain()?;
             }
-            self.stash.borrow_mut()[msg.src].push(msg.tag, msg.data);
         }
     }
 
-    /// Says where a wait went: resolved while polling the inbox, or
-    /// only after parking on its condvar.
+    /// Waits until `from`'s mailbox has a message or a poison alert is
+    /// raised: polls both through [`poll`], then parks on this rank's
+    /// waker. `false` once `deadline` passes first.
+    fn wait(&self, from: usize, deadline: Instant) -> bool {
+        let mailbox = self.inbox(from);
+        let waker = self.fabric.waker(self.rank);
+        let seen = self.alerts_seen.get();
+        let ready = || mailbox.ready() || waker.alerts() != seen;
+        poll(ready, Some(deadline));
+        let mut waited = Waited::Polled;
+        while !ready() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            waker.park(ready, deadline);
+            waited = Waited::Parked;
+        }
+        self.count_wait(waited);
+        true
+    }
+
+    /// Takes in everything queued from every peer, after a poison
+    /// alert: farewells mark their peer departed, data goes to the
+    /// stash, and the poison record aborts.
+    fn drain(&self) -> Result<()> {
+        self.alerts_seen.set(self.fabric.waker(self.rank).alerts());
+        for q in 0..self.fabric.size() {
+            while let Some(arrival) = self.inbox(q).pop() {
+                self.sort(q, arrival)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Files a message from `src` that no receive asked for yet: a
+    /// farewell marks `src` departed, a poison record latches the abort
+    /// (the error), anything else is stashed — an inline message copied
+    /// out of its slot into a buffer from this rank's pool.
+    fn sort(&self, src: usize, arrival: Arrival<'_>) -> Result<()> {
+        match arrival.tag {
+            FAREWELL_TAG => self.departed.borrow_mut()[src] = true,
+            POISON_TAG => return Err(CommError::Aborted(self.absorb_poison(src, arrival.body))),
+            tag => {
+                let data = match arrival.body {
+                    Arrived::Payload(data) => data,
+                    Arrived::Inline(msg) => {
+                        let mut bytes = self.fabric.pools[self.rank].acquire(msg.bytes().len());
+                        bytes.extend_from_slice(msg.bytes());
+                        let owner = self.rank;
+                        Payload::Pooled { bytes, owner }
+                    }
+                };
+                self.stash.borrow_mut()[src].push(tag, data);
+            }
+        }
+        Ok(())
+    }
+
+    /// Says where a wait went: resolved while polling, or only after
+    /// parking on the waker's condvar.
     fn count_wait(&self, waited: Waited) {
         if let Some(r) = self.obs() {
             r.with_counters(|c| match waited {
@@ -666,30 +740,30 @@ impl ThreadComm {
         }
     }
 
-    /// Latches an inbound poison record: decodes the abort diagnosis
-    /// (falling back to an [`AbortCause::External`] record naming the
-    /// sender when malformed), retires the payload, and arms the
-    /// fail-fast path for every later receive.
-    fn absorb_poison(&self, msg: Msg) -> AbortInfo {
-        let decoded = match &msg.data {
-            Payload::Pooled(v) => AbortInfo::decode(v),
+    /// Latches an inbound poison record from `src`: decodes the abort
+    /// diagnosis (falling back to an [`AbortCause::External`] record
+    /// naming the sender when malformed), retires the payload, and arms
+    /// the fail-fast path for every later receive.
+    fn absorb_poison(&self, src: usize, data: Arrived<'_>) -> AbortInfo {
+        let decoded = match &data {
+            Arrived::Inline(msg) => AbortInfo::decode(msg.bytes()),
+            Arrived::Payload(Payload::Pooled { bytes, .. }) => AbortInfo::decode(bytes),
             // A poison record is a few dozen bytes: it never travels as
             // a window, and one that did is read as malformed rather
-            // than dereferenced off the completion lock.
-            Payload::Borrowed(_) => None,
+            // than dereferenced off the completion lock. Dropping it
+            // marks it Abandoned, releasing the (never-expected)
+            // blocked sender.
+            Arrived::Payload(Payload::Borrowed(_)) => None,
         };
         let info = decoded.unwrap_or(AbortInfo {
-            origin: msg.src,
-            culprit: msg.src,
+            origin: src,
+            culprit: src,
             plan: 0,
             step: 0,
             cause: AbortCause::External,
         });
-        match msg.data {
-            Payload::Pooled(v) => self.pools[msg.src].release(v),
-            // Dropping a borrowed window marks it Abandoned, releasing
-            // the (never-expected) blocked sender.
-            Payload::Borrowed(_) => {}
+        if let Arrived::Payload(Payload::Pooled { bytes, owner }) = data {
+            self.fabric.pools[owner].release(bytes);
         }
         *self.aborted.borrow_mut() = Some(info);
         info
@@ -697,7 +771,7 @@ impl ThreadComm {
 
     /// Counters of this rank's payload pool (hits/misses/recycled).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pools[self.rank].stats()
+        self.fabric.pools[self.rank].stats()
     }
 }
 
@@ -705,14 +779,12 @@ impl Drop for ThreadComm {
     fn drop(&mut self) {
         // Announce departure so peers blocked on this rank fail fast
         // (normal completion after all traffic, or a panic unwind).
-        for (peer, s) in self.senders.iter().enumerate() {
-            if peer != self.rank {
-                let _ = s.send(Msg {
-                    src: self.rank,
-                    tag: FAREWELL_TAG,
-                    data: Payload::Pooled(Vec::new()),
-                });
-            }
+        for peer in (0..self.fabric.size()).filter(|&peer| peer != self.rank) {
+            let _ = self.post_eager(peer, FAREWELL_TAG, &[]);
+        }
+        // Nothing more is taken: release whoever's window is queued.
+        for from in 0..self.fabric.size() {
+            self.inbox(from).close();
         }
     }
 }
@@ -723,7 +795,7 @@ impl Comm for ThreadComm {
     }
 
     fn size(&self) -> usize {
-        self.senders.len()
+        self.fabric.size()
     }
 
     fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
@@ -734,15 +806,7 @@ impl Comm for ThreadComm {
         self.check_peer(to)?;
         let obs = self.obs();
         let start = obs.map_or(0.0, Recorder::now);
-        let mut payload = self.pools[self.rank].acquire(data.len());
-        payload.extend_from_slice(data);
-        self.senders[to]
-            .send(Msg {
-                src: self.rank,
-                tag,
-                data: Payload::Pooled(payload),
-            })
-            .map_err(|_| CommError::Disconnected)?;
+        self.post_eager(to, tag, data)?;
         if let Some(r) = obs {
             let end = r.now();
             let (plan, step) = self.plan_step.get();
@@ -862,7 +926,18 @@ impl ThreadComm {
         // Matching payload in hand: blocking (wait) ends, the copy-out
         // (transfer) begins.
         let matched = obs.map_or(0.0, Recorder::now);
-        let in_place = data.consume(buf, from, &self.pools, sink)?;
+        let in_place = match data {
+            Arrived::Inline(msg) => {
+                // The slot is 64-byte aligned: a sink folds out of it.
+                check_len(buf.len(), msg.bytes().len())?;
+                match sink {
+                    Some(sink) => sink(buf, Some(msg.bytes())),
+                    None => buf.copy_from_slice(msg.bytes()),
+                }
+                false
+            }
+            Arrived::Payload(data) => data.consume(buf, &self.fabric.pools, sink)?,
+        };
         if let Some(r) = obs {
             let end = r.now();
             let (plan, step) = self.plan_step.get();
@@ -913,19 +988,26 @@ impl ThreadComm {
         self.check_peer(to)?;
         let obs = self.obs();
         let start = obs.map_or(0.0, Recorder::now);
+        let mailbox = self.fabric.mailbox(to, self.rank);
+        if mailbox.is_closed() {
+            return Err(CommError::Disconnected);
+        }
         let done = self.take_completion();
         let window = BorrowedBytes {
             ptr: data.as_ptr(),
             len: data.len(),
             done: done.clone(),
         };
-        self.senders[to]
-            .send(Msg {
-                src: self.rank,
-                tag,
-                data: Payload::Borrowed(window),
-            })
-            .map_err(|_| CommError::Disconnected)?;
+        mailbox.post(tag, Payload::Borrowed(window));
+        self.fabric.waker(to).nudge();
+        if mailbox.is_closed() {
+            // The receiver went while we posted, and may not have seen
+            // the window: withdraw it, as a timeout would.
+            let mut st = done.lock();
+            if *st == CopyState::Pending {
+                done.set(&mut st, CopyState::Abandoned);
+            }
+        }
         let meanwhile = meanwhile();
         let wait_begun = obs.map_or(0.0, Recorder::now);
         let waited = done.wait(data, self.wait_timeout, to, tag);
@@ -982,21 +1064,18 @@ impl ThreadComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chan::channel;
+    use crate::mailbox::INLINE;
     use std::sync::atomic::AtomicBool;
 
-    fn make_pools(p: usize) -> Arc<Vec<BufferPool>> {
-        Arc::new((0..p).map(|_| BufferPool::new()).collect())
+    fn pair_waiting(wait: Duration) -> (ThreadComm, ThreadComm) {
+        let fabric = Arc::new(Fabric::new(2));
+        let a = ThreadComm::new(0, fabric.clone(), wait);
+        let b = ThreadComm::new(1, fabric, wait);
+        (a, b)
     }
 
     fn pair() -> (ThreadComm, ThreadComm) {
-        let (s0, r0) = channel();
-        let (s1, r1) = channel();
-        let pools = make_pools(2);
-        let wait = Duration::from_secs(30);
-        let a = ThreadComm::new(0, vec![s0.clone(), s1.clone()], r0, pools.clone(), wait);
-        let b = ThreadComm::new(1, vec![s0, s1], r1, pools, wait);
-        (a, b)
+        pair_waiting(Duration::from_secs(30))
     }
 
     #[test]
@@ -1065,15 +1144,101 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_world_detected() {
-        // Build an endpoint whose inbox has no remaining senders: any
-        // receive must report Disconnected rather than hang.
-        let (_s, r) = channel::<Msg>();
-        let (s_other, _r_other) = channel::<Msg>();
-        let lonely = ThreadComm::new(0, vec![s_other], r, make_pools(1), Duration::from_secs(30));
-        drop(_s);
+    fn departed_peer_is_detected_after_its_traffic() {
+        // A receive from a peer whose endpoint is gone reports
+        // Disconnected rather than hanging, once what it sent is taken;
+        // and a send to it fails.
+        let (a, b) = pair();
+        a.send(1, 2, &[5]).unwrap();
+        drop(a);
         let mut buf = [0u8; 1];
-        assert_eq!(lonely.recv(0, 0, &mut buf), Err(CommError::Disconnected));
+        assert_eq!(b.recv(0, 2, &mut buf), Ok(()));
+        assert_eq!(b.recv(0, 2, &mut buf), Err(CommError::Disconnected));
+        assert_eq!(b.send(0, 2, &buf), Err(CommError::Disconnected));
+    }
+
+    #[test]
+    fn self_sends_of_every_kind_arrive_in_order() {
+        // Inline, pooled, and a rendezvous-sized one (eager to oneself),
+        // more of them than the ring holds.
+        let (a, _b) = pair();
+        let sizes = [
+            0,
+            8,
+            INLINE,
+            INLINE + 1,
+            16 << 10,
+            DEFAULT_RENDEZVOUS_THRESHOLD * 2,
+        ];
+        let msgs: Vec<Vec<u8>> = (0..3)
+            .flat_map(|round| sizes.map(|n| vec![(n + round) as u8; n]))
+            .collect();
+        for m in &msgs {
+            a.send(0, 3, m).unwrap();
+        }
+        for m in &msgs {
+            let mut got = vec![0u8; m.len()];
+            a.recv(0, 3, &mut got).unwrap();
+            assert_eq!(&got, m);
+        }
+    }
+
+    #[test]
+    fn eager_messages_past_the_ring_overflow_and_keep_their_order() {
+        // Four rings' worth under descending tags, taken ascending: every
+        // take but the last stashes, and the ring, then the overflow,
+        // then the ring again hold them.
+        let (a, b) = pair();
+        let count = 32u64;
+        for tag in (0..count).rev() {
+            let n = if tag % 3 == 0 { 2 * INLINE } else { 8 };
+            a.send(1, tag, &vec![tag as u8; n]).unwrap();
+        }
+        for tag in 0..count {
+            let n = if tag % 3 == 0 { 2 * INLINE } else { 8 };
+            let mut got = vec![0u8; n];
+            b.recv(0, tag, &mut got).unwrap();
+            assert!(got.iter().all(|&x| x == tag as u8), "tag {tag}");
+        }
+        // And FIFO within one tag through the overflow.
+        for i in 0..count {
+            a.send(1, 9, &[i as u8]).unwrap();
+        }
+        for i in 0..count {
+            let mut got = [0u8];
+            b.recv(0, 9, &mut got).unwrap();
+            assert_eq!(got, [i as u8]);
+        }
+    }
+
+    #[test]
+    fn a_timeout_names_the_silent_peer_and_is_not_rounded_up_to_the_poll_budget() {
+        let timeout = Duration::from_micros(5);
+        let (_a, b) = pair_waiting(timeout);
+        // The best of many trials: a preempted trial says nothing about
+        // the wait policy.
+        let best = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                let got = b.recv(0, 4, &mut [0]);
+                let took = start.elapsed();
+                assert!(
+                    matches!(
+                        got,
+                        Err(CommError::Timeout {
+                            from: 0,
+                            tag: 4,
+                            ..
+                        })
+                    ),
+                    "{got:?}"
+                );
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(best >= timeout, "returned early: {best:?}");
+        assert!(best < timeout * 4, "waited {best:?} for {timeout:?}");
     }
 
     #[test]
@@ -1099,14 +1264,11 @@ mod tests {
         }
     }
 
-    /// Pops the next message off `c`'s inbox, whatever it is, so a test
+    /// Returns once a message from `from` is queued at `c`, so a test
     /// can decide where an in-flight window sits before `c` looks.
-    fn next_arrival(c: &ThreadComm) -> Msg {
-        loop {
-            match c.inbox.try_recv() {
-                Some(msg) => return msg,
-                None => std::thread::yield_now(),
-            }
+    fn until_queued(c: &ThreadComm, from: usize) {
+        while !c.inbox(from).ready() {
+            std::thread::yield_now();
         }
     }
 
@@ -1200,14 +1362,12 @@ mod tests {
             let (a, b) = pair();
             let sent = std::thread::scope(|s| {
                 let sender = s.spawn(move || a.send(1, 4, &vec![5u8; n]));
-                // The window is in `b`'s inbox: put it where the case
-                // wants it (back in the queue through `b`'s own sender,
-                // or in the stash), then let `b` go without receiving.
-                let msg = next_arrival(&b);
+                // The window is in `b`'s mailbox: leave it there or move
+                // it to the stash, then let `b` go without receiving.
+                until_queued(&b, 0);
                 if stashed {
-                    b.stash.borrow_mut()[0].push(msg.tag, msg.data);
-                } else {
-                    b.senders[1].send(msg).map_err(|_| ()).unwrap();
+                    let arrival = b.inbox(0).pop().unwrap();
+                    b.sort(0, arrival).unwrap();
                 }
                 drop(b);
                 sender.join().unwrap()
@@ -1222,33 +1382,40 @@ mod tests {
 
     #[test]
     fn out_of_order_window_is_stashed_while_its_sender_stays_blocked() {
+        // One pair, a window queued ahead of an inline message, and the
+        // inline one asked for first. The window is posted by hand (a
+        // `send` of it would block before the inline one could follow).
         let n = DEFAULT_RENDEZVOUS_THRESHOLD;
-        let released = AtomicBool::new(false);
-        let out = crate::run_world(3, |c| match c.rank() {
-            0 => {
-                c.send(2, 2, &vec![9u8; n]).unwrap();
-                released.store(true, Ordering::SeqCst);
-                Vec::new()
-            }
-            1 => {
-                c.recv(2, 6, &mut [0]).unwrap();
-                c.send(2, 1, &[1]).unwrap();
-                Vec::new()
-            }
-            _ => {
-                // Rank 0's window is queued before rank 1 is told to
-                // send: re-queueing the popped message proves it.
-                let window = next_arrival(c);
-                c.senders[2].send(window).map_err(|_| ()).unwrap();
-                c.send(1, 6, &[0]).unwrap();
-                c.recv(1, 1, &mut [0]).unwrap();
-                assert!(!released.load(Ordering::SeqCst), "sender released early");
-                let mut got = vec![0u8; n];
-                c.recv(0, 2, &mut got).unwrap();
-                got
-            }
+        let (a, b) = pair();
+        let data = vec![9u8; n];
+        let done = a.take_completion();
+        let window = BorrowedBytes {
+            ptr: data.as_ptr(),
+            len: n,
+            done: done.clone(),
+        };
+        a.fabric.mailbox(1, 0).post(2, Payload::Borrowed(window));
+        a.send(1, 1, &[1]).unwrap();
+        b.recv(0, 1, &mut [0]).unwrap();
+        assert!(done.hinted(CopyState::Pending), "sender released early");
+        let mut got = vec![0u8; n];
+        b.recv(0, 2, &mut got).unwrap();
+        assert!(done.hinted(CopyState::Copied));
+        assert_eq!(got, data);
+        // Interleaved the other way round too, through real sends.
+        let data = &data;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                a.send(1, 5, &[1; 8]).unwrap();
+                a.send(1, 6, data).unwrap();
+                a.send(1, 7, &[2; 8]).unwrap();
+            });
+            let mut got = vec![0u8; n];
+            b.recv(0, 6, &mut got).unwrap();
+            assert_eq!(&got, data);
+            b.recv(0, 7, &mut [0; 8]).unwrap();
+            b.recv(0, 5, &mut [0; 8]).unwrap();
         });
-        assert!(out[2].iter().all(|&b| b == 9));
     }
 
     /// The completion's hint protocol under the races it exists for,
@@ -1404,9 +1571,7 @@ mod tests {
                 c.send(2, POISON_TAG, &info.encode())
             }
             _ => {
-                let window = next_arrival(c);
-                assert!(matches!(window.data, Payload::Borrowed(_)));
-                c.senders[2].send(window).map_err(|_| ()).unwrap();
+                until_queued(c, 0);
                 c.send(1, 6, &[0]).unwrap();
                 c.recv(1, 1, &mut [0])
             }
@@ -1416,12 +1581,89 @@ mod tests {
         assert_eq!(out[2], Err(CommError::Aborted(info)));
     }
 
+    /// Rank 0 sleeps waiting on rank 1, which stays silent; rank 2's
+    /// poison lands in another mailbox and wakes it through the alert.
+    /// Rank 1's farewell, posted only after rank 0 has returned, leaves
+    /// nothing to wake.
     #[test]
-    fn consumed_payloads_return_to_senders_pool() {
+    fn poison_from_a_third_rank_aborts_a_receive_parked_on_another_peer() {
+        let info = AbortInfo {
+            origin: 2,
+            culprit: 2,
+            plan: 3,
+            step: 1,
+            cause: AbortCause::Stall,
+        };
+        let aborted = AtomicBool::new(false);
+        let (out, run) = crate::run_world_recorded(3, 16, |c| match c.rank() {
+            0 => {
+                let got = c.recv(1, 5, &mut [0]);
+                aborted.store(true, Ordering::SeqCst);
+                got
+            }
+            1 => {
+                while !aborted.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(())
+            }
+            _ => {
+                until_parked(c, 0);
+                c.send(0, POISON_TAG, &info.encode())
+            }
+        });
+        assert_eq!(out[0], Err(CommError::Aborted(info)));
+        assert_eq!(run.counters[0].parked_waits, 1);
+    }
+
+    /// Returns once `rank` sleeps on its waker.
+    fn until_parked(c: &ThreadComm, rank: usize) {
+        while !c.fabric.waker(rank).is_parked() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A farewell posted to a rank that waits on someone else neither
+    /// fails that receive nor the ones after it from other peers; only a
+    /// receive from the departed peer fails.
+    #[test]
+    fn a_farewell_leaves_receives_from_other_peers_alone() {
+        let out = crate::run_world(3, |c| match c.rank() {
+            // Goes while rank 1 sleeps waiting on rank 2: the farewell
+            // wakes it for nothing.
+            0 => {
+                until_parked(c, 1);
+                Ok(())
+            }
+            1 => {
+                c.recv(2, 1, &mut [0])?;
+                c.recv(2, 2, &mut [0])?;
+                c.recv(0, 3, &mut [0])
+            }
+            _ => {
+                // Only once the farewell is queued at rank 1.
+                while !c.fabric.mailbox(1, 0).ready() {
+                    std::thread::yield_now();
+                }
+                c.send(1, 1, &[1])?;
+                c.send(1, 2, &[2])
+            }
+        });
+        assert_eq!(out, [Ok(()), Err(CommError::Disconnected), Ok(())]);
+    }
+
+    #[test]
+    fn inline_hops_touch_no_pool_and_longer_ones_return_to_the_senders() {
         let (a, b) = pair();
-        let mut buf = [0u8; 64];
+        let mut buf = [0u8; INLINE];
         for round in 0..4 {
-            a.send(1, round, &[round as u8; 64]).unwrap();
+            a.send(1, round, &[round as u8; INLINE]).unwrap();
+            b.recv(0, round, &mut buf).unwrap();
+        }
+        assert_eq!(a.pool_stats(), PoolStats::default(), "inline");
+        let mut buf = [0u8; 2 * INLINE];
+        for round in 0..4 {
+            a.send(1, round, &[round as u8; 2 * INLINE]).unwrap();
             b.recv(0, round, &mut buf).unwrap();
         }
         let s = a.pool_stats();
@@ -1435,20 +1677,76 @@ mod tests {
 
     #[test]
     fn stashed_payloads_also_recycle() {
+        // Two tags arrive "backwards" each round: tag 2 is consumed
+        // first, forcing tag 1 through the stash.
         let (a, b) = pair();
-        let mut buf = [0u8; 16];
-        for round in 0..3 {
-            // Two tags arrive "backwards" each round: tag 2 is consumed
-            // first, forcing tag 1 through the stash.
-            a.send(1, 1, &[1; 16]).unwrap();
-            a.send(1, 2, &[2; 16]).unwrap();
-            b.recv(0, 2, &mut buf).unwrap();
-            b.recv(0, 1, &mut buf).unwrap();
-            let _ = round;
+        for n in [16, 2 * INLINE] {
+            let mut buf = vec![0u8; n];
+            for _ in 0..3 {
+                a.send(1, 1, &vec![1; n]).unwrap();
+                a.send(1, 2, &vec![2; n]).unwrap();
+                b.recv(0, 2, &mut buf).unwrap();
+                b.recv(0, 1, &mut buf).unwrap();
+            }
         }
-        let s = a.pool_stats();
-        assert_eq!(s.hits + s.misses, 6);
-        assert!(s.misses <= 2, "stash path must recycle payloads too: {s:?}");
-        assert_eq!(s.recycled, 6);
+        // Pooled messages recycle in the sender's pool; an inline one
+        // that has to wait is copied into the receiver's.
+        for (pool, acquired) in [(a.pool_stats(), 6), (b.pool_stats(), 3)] {
+            assert_eq!(pool.hits + pool.misses, acquired);
+            assert!(pool.misses <= 2, "stash path must recycle: {pool:?}");
+            assert_eq!(pool.recycled, acquired);
+        }
+    }
+
+    /// Eight producers that mostly sleep, so the receiver keeps crossing
+    /// from polling into parking while sends race it: the
+    /// `parked`/fence handshake must lose no wake-up. The receiver takes
+    /// from the producers in a random order, so it sleeps on one mailbox
+    /// while others fill (and spill). Receives are bounded, so a lost
+    /// wake-up fails with `Timeout` instead of hanging the suite.
+    #[test]
+    fn racing_producers_lose_no_wakeup() {
+        const PRODUCERS: usize = 8;
+        const PER_PRODUCER: u64 = 2_000;
+        let (out, run) = crate::run_world_recorded(PRODUCERS + 1, 16, |c| {
+            if c.rank() < PRODUCERS {
+                let mut rng = intercom::SplitMix64::new(c.rank() as u64);
+                for i in 0..PER_PRODUCER {
+                    // Mostly asleep: a producer never blocks on a post,
+                    // and eight that never sleep would starve the
+                    // tests that time things beside this one.
+                    match rng.next_u64() % 16 {
+                        // Long enough for the receiver to park.
+                        0..=1 => std::thread::sleep(Duration::from_micros(100)),
+                        2..=5 => std::thread::yield_now(),
+                        _ => {}
+                    }
+                    c.send(PRODUCERS, 0, &i.to_le_bytes()).unwrap();
+                }
+                return true;
+            }
+            let mut rng = intercom::SplitMix64::new(PRODUCERS as u64);
+            let mut next = [0u64; PRODUCERS];
+            while next.iter().any(|&n| n < PER_PRODUCER) {
+                let t = rng.below(PRODUCERS);
+                if next[t] == PER_PRODUCER {
+                    continue;
+                }
+                let mut got = [0u8; 8];
+                c.recv(t, 0, &mut got).expect("a wake-up was lost");
+                assert_eq!(
+                    u64::from_le_bytes(got),
+                    next[t],
+                    "producer {t} out of order"
+                );
+                next[t] += 1;
+            }
+            true
+        });
+        assert!(out.iter().all(|&ok| ok));
+        assert!(
+            run.counters[PRODUCERS].parked_waits > 0,
+            "the park path was never taken"
+        );
     }
 }

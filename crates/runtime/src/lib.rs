@@ -1,9 +1,10 @@
 //! # intercom-runtime — threaded message-passing backend
 //!
 //! A real (non-simulated) backend for the InterCom library: every rank is
-//! an OS thread, point-to-point messages travel over std-only channels
-//! whose receive polls for a bounded budget before it parks, and
-//! matching is FIFO per `(source, tag)` exactly as the [`Comm`] contract
+//! an OS thread, point-to-point messages travel through one lock-free
+//! single-producer/single-consumer mailbox per ordered pair of ranks,
+//! a receive polls for a bounded budget before it parks, and matching
+//! is FIFO per `(source, tag)` exactly as the [`Comm`] contract
 //! requires. This is the backend a downstream user runs
 //! collectives on within one shared-memory node; the sibling
 //! `intercom-meshsim` crate provides the Paragon-timing simulation
@@ -28,6 +29,7 @@
 pub mod calibrate;
 pub mod chan;
 pub mod endpoint;
+mod mailbox;
 pub mod world;
 
 pub use calibrate::{calibrate, Calibration};

@@ -1,8 +1,7 @@
-//! World construction: one thread per rank, fully-connected channels.
+//! World construction: one thread per rank, a mailbox per ordered pair.
 
-use crate::chan::channel;
-use crate::endpoint::{Msg, ThreadComm};
-use intercom::BufferPool;
+use crate::endpoint::ThreadComm;
+use crate::mailbox::Fabric;
 use intercom_obs::{RankRecord, Recorder, RunRecord};
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,28 +88,21 @@ where
         }
         None => (0..p).map(|_| None).collect(),
     };
-    let mut senders = Vec::with_capacity(p);
-    let mut inboxes = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (s, r) = channel::<Msg>();
-        senders.push(s);
-        inboxes.push(r);
-    }
-    let pools: Arc<Vec<BufferPool>> = Arc::new((0..p).map(|_| BufferPool::new()).collect());
+    // A pair's ring is allocated by its first post: a world of p ranks
+    // starts with p² empty mailboxes, not p² rings.
+    let fabric = Arc::new(Fabric::new(p));
     let f = &f;
-    let senders = &senders;
-    let pools = &pools;
+    let fabric = &fabric;
     let joined: Vec<(T, Option<RankRecord>)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
-        for (rank, inbox) in inboxes.into_iter().enumerate() {
-            let recorder = recs[rank].take();
+        for (rank, recorder) in recs.iter_mut().enumerate() {
+            let recorder = recorder.take();
             let builder = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .stack_size(2 * 1024 * 1024);
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    let mut comm =
-                        ThreadComm::new(rank, senders.clone(), inbox, pools.clone(), wait_timeout);
+                    let mut comm = ThreadComm::new(rank, fabric.clone(), wait_timeout);
                     if let Some(r) = recorder {
                         comm.attach_recorder(r);
                     }

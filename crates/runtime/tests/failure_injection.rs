@@ -15,7 +15,7 @@ where
 {
     run_world(p, |c| {
         if c.rank() == victim {
-            // Dies without participating; its channel endpoints drop.
+            // Dies without participating; its endpoint drops.
             return None;
         }
         Some(f(c).unwrap_err())
@@ -40,7 +40,7 @@ fn recv_from_dead_rank_disconnects() {
 fn sendrecv_with_dead_partner_disconnects() {
     let out = world_with_early_exit(2, 1, |c| {
         let mut buf = [0u8; 1];
-        // The send into the dead rank's dropped inbox fails (or the recv
+        // The send into the dead rank's closed mailbox fails (or the recv
         // does); either way the caller sees Disconnected rather than a
         // hang.
         c.sendrecv(1, &[9], 1, &mut buf, 0)
@@ -62,7 +62,7 @@ fn collective_with_dead_member_errors_not_hangs() {
         let cc = intercom::Communicator::world(c, intercom_cost::MachineParams::PARAGON);
         let mut buf = vec![0u8; 64];
         // Rank 2 never participates: its tree children/parents see
-        // Disconnected once the channels drop.
+        // Disconnected once their endpoints drop.
         cc.bcast(0, &mut buf)
     });
     // Rank 0 (root, sends to someone) may succeed or disconnect depending

@@ -30,6 +30,7 @@ use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
 use crate::ir::{BoundProgram, StepAction};
 use crate::op::{Elem, ReduceOp};
+use crate::trace::RecordingComm;
 
 /// Message tag disambiguating concurrent traffic between the same pair of
 /// nodes. Matching is FIFO per `(source, tag)`.
@@ -312,6 +313,21 @@ pub struct GroupComm<'a, C: Comm + ?Sized> {
     moves_data: bool,
 }
 
+impl<'a> GroupComm<'a, RecordingComm> {
+    /// [`GroupComm::world`] for a replay that only records where data
+    /// would go (schedule lowering): `rec`'s receives stop zero-filling
+    /// their buffers, [`GroupComm::copy`] and the folds report to its
+    /// hooks but move nothing, and the sub-groups carved out of it
+    /// inherit that.
+    pub(crate) fn recording(rec: &'a RecordingComm) -> Self {
+        rec.fills.set(false);
+        GroupComm {
+            moves_data: false,
+            ..GroupComm::world(rec)
+        }
+    }
+}
+
 impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// The whole world as one group, logical rank = world rank.
     pub fn world(comm: &'a C) -> Self {
@@ -322,17 +338,6 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             members,
             me,
             moves_data: true,
-        }
-    }
-
-    /// [`GroupComm::world`] for a replay that only records where data
-    /// would go (schedule lowering): [`GroupComm::copy`] and the folds
-    /// report to the endpoint's hooks but move nothing, and the sub-groups
-    /// carved out of it inherit that.
-    pub(crate) fn recording(comm: &'a C) -> Self {
-        GroupComm {
-            moves_data: false,
-            ..GroupComm::world(comm)
         }
     }
 

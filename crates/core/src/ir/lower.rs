@@ -123,7 +123,7 @@ fn replay_ranks<T: Elem>(
 ) -> Result<Vec<RankProgram>> {
     (0..p)
         .map(|rank| {
-            let rec = RecordingComm::without_fill(rank, p);
+            let rec = RecordingComm::new(rank, p);
             replay_rank::<T>(&rec, &GroupComm::recording(&rec), op, choice, n)?;
             resolve_recorded::<T>(rec, op, p, n)
         })

@@ -21,7 +21,7 @@
 
 use crate::comm::{Comm, Tag};
 use crate::error::{CommError, Result};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// A raw memory span observed during recording: the address and byte
 /// length of a slice passed to a point-to-point call. Never dereferenced
@@ -136,9 +136,10 @@ pub struct RecordingComm {
     size: usize,
     ops: RefCell<Vec<OpRecord>>,
     regions: RefCell<Vec<Region>>,
-    /// Whether a receive zero-fills its buffer; a replay whose folds move
-    /// no data (schedule lowering) has nothing to keep deterministic.
-    fills: bool,
+    /// Whether a receive zero-fills its buffer; cleared by
+    /// [`GroupComm::recording`](crate::comm::GroupComm), whose replay
+    /// moves no data and so has nothing to keep deterministic.
+    pub(crate) fills: Cell<bool>,
 }
 
 impl RecordingComm {
@@ -150,21 +151,12 @@ impl RecordingComm {
             size,
             ops: RefCell::new(Vec::new()),
             regions: RefCell::new(Vec::new()),
-            fills: true,
-        }
-    }
-
-    /// A recorder whose receives leave their buffers as they are, for a
-    /// replay over [`GroupComm::recording`](crate::comm::GroupComm).
-    pub(crate) fn without_fill(rank: usize, size: usize) -> Self {
-        RecordingComm {
-            fills: false,
-            ..RecordingComm::new(rank, size)
+            fills: Cell::new(true),
         }
     }
 
     fn fill(&self, buf: &mut [u8]) {
-        if self.fills {
+        if self.fills.get() {
             buf.fill(0);
         }
     }

@@ -76,10 +76,12 @@ mod tests {
 
     #[test]
     fn fruitless_poll_looks_back_to_back_for_the_budget() {
-        // The best of many trials: a preempted trial says nothing about
-        // the wait policy. Looks on a 4 us grid could number no more
+        // No trial may give up early, and one that was not preempted
+        // must show the policy: a preempted trial, or one whose yields
+        // handed the core to the threads of the tests beside it, says
+        // nothing about it. Looks on a 4 us grid could number no more
         // than 11 in a 40 us budget.
-        let (best, looks) = (0..200)
+        let trials: Vec<(Duration, u32)> = (0..200)
             .map(|_| {
                 let mut looks = 0u32;
                 let start = Instant::now();
@@ -92,11 +94,16 @@ mod tests {
                 );
                 (start.elapsed(), looks)
             })
-            .min()
-            .unwrap();
-        assert!(best >= POLL_BUDGET, "gave up early: {best:?}");
-        assert!(best < POLL_BUDGET * 4, "polled for {best:?}");
-        assert!(looks > 11, "{looks} looks in {best:?}");
+            .collect();
+        let (shortest, _) = trials.iter().min().unwrap();
+        assert!(*shortest >= POLL_BUDGET, "gave up early: {shortest:?}");
+        let best = trials
+            .iter()
+            .filter(|(took, _)| *took < POLL_BUDGET * 4)
+            .map(|&(_, looks)| looks)
+            .max();
+        assert!(best.is_some(), "polled for {shortest:?} at best");
+        assert!(best > Some(11), "{best:?} looks at best");
     }
 
     #[test]

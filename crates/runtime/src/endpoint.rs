@@ -626,11 +626,11 @@ impl ThreadComm {
     /// Observing the peer's farewell (its endpoint dropped with no
     /// matching message queued) yields [`CommError::Disconnected`]
     /// instead of blocking forever; a poison record ([`POISON_TAG`]),
-    /// from `from` or — through the alert that wakes this wait — from
-    /// any rank, latches the coordinated abort and fails this and every
-    /// later receive; and the whole wait is bounded by the endpoint's
-    /// deadline, so a schedule regression that would hang instead
-    /// reports [`CommError::Timeout`] naming the silent peer.
+    /// from `from` or — through its alert, looked at before the mailbox
+    /// — from any rank, latches the coordinated abort and fails this and
+    /// every later receive; and the whole wait is bounded by the
+    /// endpoint's deadline, so a schedule regression that would hang
+    /// instead reports [`CommError::Timeout`] naming the silent peer.
     fn take_matching(&self, from: usize, tag: Tag) -> Result<Arrived<'_>> {
         if let Some(info) = *self.aborted.borrow() {
             return Err(CommError::Aborted(info));
@@ -644,6 +644,12 @@ impl ThreadComm {
             }
             if self.departed.borrow()[from] {
                 return Err(CommError::Disconnected);
+            }
+            // A raised alert goes before anything in the mailbox, as
+            // the poison record went before what was posted after it.
+            if self.fabric.waker(self.rank).alerts() != self.alerts_seen.get() {
+                self.drain()?;
+                continue;
             }
             loop {
                 match self.inbox(from).pop() {
@@ -664,9 +670,6 @@ impl ThreadComm {
                     tag,
                     waited_ms: self.wait_timeout.as_millis() as u64,
                 });
-            }
-            if self.fabric.waker(self.rank).alerts() != self.alerts_seen.get() {
-                self.drain()?;
             }
         }
     }
@@ -780,7 +783,11 @@ impl Drop for ThreadComm {
         // Announce departure so peers blocked on this rank fail fast
         // (normal completion after all traffic, or a panic unwind).
         for peer in (0..self.fabric.size()).filter(|&peer| peer != self.rank) {
-            let _ = self.post_eager(peer, FAREWELL_TAG, &[]);
+            let mailbox = self.fabric.mailbox(peer, self.rank);
+            if !mailbox.is_closed() {
+                mailbox.post_farewell(FAREWELL_TAG, self.rank);
+                self.fabric.waker(peer).nudge();
+            }
         }
         // Nothing more is taken: release whoever's window is queued.
         for from in 0..self.fabric.size() {
@@ -1065,7 +1072,7 @@ impl ThreadComm {
 mod tests {
     use super::*;
     use crate::mailbox::INLINE;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     fn pair_waiting(wait: Duration) -> (ThreadComm, ThreadComm) {
         let fabric = Arc::new(Fabric::new(2));
@@ -1623,6 +1630,56 @@ mod tests {
         }
     }
 
+    /// The sender fires the moment the receiver says it is about to
+    /// receive, well inside `POLL_BUDGET` unless the host preempts one
+    /// of them; a few hundred attempts make that irrelevant. A message
+    /// already there when the receive looks is no wait at all.
+    #[test]
+    fn a_message_arriving_while_the_receiver_polls_is_taken_without_parking() {
+        const ATTEMPTS: u64 = 200;
+        let asked = AtomicU64::new(0);
+        let (_, run) = crate::run_world_recorded(2, 16, |c| {
+            for attempt in 1..=ATTEMPTS {
+                if c.rank() == 0 {
+                    while asked.load(Ordering::Acquire) != attempt {
+                        std::thread::yield_now();
+                    }
+                    c.send(1, attempt, &attempt.to_le_bytes()).unwrap();
+                } else {
+                    asked.store(attempt, Ordering::Release);
+                    let mut got = [0u8; 8];
+                    c.recv(0, attempt, &mut got).unwrap();
+                    assert_eq!(u64::from_le_bytes(got), attempt);
+                }
+            }
+        });
+        let receiver = &run.counters[1];
+        assert!(
+            receiver.polled_waits > 0,
+            "no receive was served while polling"
+        );
+        assert!(receiver.polled_waits + receiver.parked_waits <= ATTEMPTS);
+    }
+
+    /// A message posted only once its receiver sleeps wakes it: the
+    /// receive is one parked wait.
+    #[test]
+    fn a_message_arriving_after_the_poll_budget_is_taken_from_the_park() {
+        let (out, run) = crate::run_world_recorded(2, 16, |c| {
+            let mut got = [0u8];
+            if c.rank() == 0 {
+                until_parked(c, 1);
+                c.send(1, 4, &[9]).unwrap();
+            } else {
+                c.recv(0, 4, &mut got).unwrap();
+            }
+            got
+        });
+        assert_eq!(out[1], [9]);
+        let receiver = &run.counters[1];
+        assert_eq!((receiver.polled_waits, receiver.parked_waits), (0, 1));
+    }
+
     /// A farewell posted to a rank that waits on someone else neither
     /// fails that receive nor the ones after it from other peers; only a
     /// receive from the departed peer fails.
@@ -1650,6 +1707,32 @@ mod tests {
             }
         });
         assert_eq!(out, [Ok(()), Err(CommError::Disconnected), Ok(())]);
+    }
+
+    /// A pair that never talks makes no ring, its farewell included,
+    /// and the farewell still tells the receiver its peer is gone.
+    #[test]
+    fn only_pairs_that_talk_make_a_ring() {
+        let fabric = Arc::new(Fabric::new(3));
+        let wait = Duration::from_secs(30);
+        let mut comms: Vec<_> = (0..3)
+            .map(|r| ThreadComm::new(r, fabric.clone(), wait))
+            .collect();
+        comms[0].send(1, 2, &[5]).unwrap();
+        comms[1].recv(0, 2, &mut [0]).unwrap();
+        drop(comms.pop());
+        assert_eq!(comms[1].recv(2, 2, &mut [0]), Err(CommError::Disconnected));
+        drop(comms);
+        for to in 0..3 {
+            for from in 0..3 {
+                let talked = (to, from) == (1, 0);
+                assert_eq!(
+                    fabric.mailbox(to, from).has_ring(),
+                    talked,
+                    "{from} -> {to}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1707,18 +1790,15 @@ mod tests {
     #[test]
     fn racing_producers_lose_no_wakeup() {
         const PRODUCERS: usize = 8;
-        const PER_PRODUCER: u64 = 2_000;
+        const PER_PRODUCER: u64 = 10_000;
         let (out, run) = crate::run_world_recorded(PRODUCERS + 1, 16, |c| {
             if c.rank() < PRODUCERS {
                 let mut rng = intercom::SplitMix64::new(c.rank() as u64);
                 for i in 0..PER_PRODUCER {
-                    // Mostly asleep: a producer never blocks on a post,
-                    // and eight that never sleep would starve the
-                    // tests that time things beside this one.
                     match rng.next_u64() % 16 {
                         // Long enough for the receiver to park.
-                        0..=1 => std::thread::sleep(Duration::from_micros(100)),
-                        2..=5 => std::thread::yield_now(),
+                        0 => std::thread::sleep(Duration::from_micros(100)),
+                        1..=4 => std::thread::yield_now(),
                         _ => {}
                     }
                     c.send(PRODUCERS, 0, &i.to_le_bytes()).unwrap();
@@ -1731,6 +1811,9 @@ mod tests {
                 let t = rng.below(PRODUCERS);
                 if next[t] == PER_PRODUCER {
                     continue;
+                }
+                if rng.below(8) == 0 {
+                    std::thread::yield_now();
                 }
                 let mut got = [0u8; 8];
                 c.recv(t, 0, &mut got).expect("a wake-up was lost");

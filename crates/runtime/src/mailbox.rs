@@ -41,7 +41,8 @@
 //! syscall only for a receiver it finds asleep.
 //!
 //! A pair that never talks costs no ring: the producer allocates it on
-//! its first post (8 × 1 088 bytes, under the 16 KiB a pair may cost).
+//! its first post (8 × 1 088 bytes, under the 16 KiB a pair may cost),
+//! and a farewell to a peer it never posted to goes to the overflow.
 
 use crate::endpoint::Payload;
 use intercom::{BufferPool, Tag};
@@ -211,12 +212,37 @@ impl Mailbox {
                 let body = Body::Payload(payload);
                 self.publish(slot, pos, Head { tag, body }, &[]);
             }
+            None => self.spill(tag, payload),
+        }
+    }
+
+    /// Producer, as its endpoint goes: posts the empty farewell `tag`.
+    /// A pair that never talked gets it through the overflow, so its
+    /// ring is never made; with nothing posted before it, FIFO holds.
+    pub(crate) fn post_farewell(&self, tag: Tag, owner: usize) {
+        match self.ring.get().and_then(|_| self.free_slot()) {
+            Some((slot, pos)) => {
+                let body = Body::Inline(0);
+                self.publish(slot, pos, Head { tag, body }, &[]);
+            }
             None => {
-                let mut overflow = self.lock();
-                overflow.push_back((tag, payload));
-                self.spilled.store(overflow.len(), Ordering::Relaxed);
+                let bytes = Vec::new();
+                self.spill(tag, Payload::Pooled { bytes, owner });
             }
         }
+    }
+
+    /// Producer: appends to the overflow.
+    fn spill(&self, tag: Tag, payload: Payload) {
+        let mut overflow = self.lock();
+        overflow.push_back((tag, payload));
+        self.spilled.store(overflow.len(), Ordering::Relaxed);
+    }
+
+    /// Whether the pair's ring has been made.
+    #[cfg(test)]
+    pub(crate) fn has_ring(&self) -> bool {
+        self.ring.get().is_some()
     }
 
     /// Producer: the slot at the tail and its position, when the

@@ -217,13 +217,24 @@ echo "==> observability smoke (trace export round-trip + residual reports)"
 # --check re-parses every emitted Chrome-trace JSON through the strict
 # std-only parser and asserts the known (p=9, SC, 3x3) cross-stage skew
 # is detected from measured timestamps.
-cargo run --release --bin trace-dump -- --check --out target/ci-traces >/dev/null
+cargo run --release --bin intercom-cli -- trace --check --out target/ci-traces >/dev/null
 
-echo "==> observability overhead gate (disabled recorder <= 3%)"
-cargo run --release -p intercom-bench --bin obs -- --smoke >/dev/null
+echo "==> observability overhead gate (disabled recorder <= 3%, median of paired runs)"
+cargo run --release --bin intercom-cli -- obs --smoke >/dev/null
 
 echo "==> metrics exposition round-trip (export -> parse -> re-export idempotent)"
-cargo run --release --bin intercom-metrics -- --check --p 6 >/dev/null
+cargo run --release --bin intercom-cli -- metrics --check --p 6 >/dev/null
+
+echo "==> paper subcommands (each under a 120 s timeout; ~10 s in all)"
+# Every table, figure and section claim regenerates without failing or
+# hanging; table3 and fig4 on their --quick meshes.
+for cmd in table2 fig2 "table3 --quick" "fig4 --quick" section5 crossover-map groups \
+    pipelined hypercube; do
+    timeout 120 target/release/intercom-cli $cmd >/dev/null 2>&1 || {
+        echo "ci.sh: intercom-cli $cmd failed or timed out"
+        exit 1
+    }
+done
 
 echo "==> benchmark selftest (fmt, clippy, tests, quick runs of every workload, compare)"
 bash benchmark/selftest.sh >/dev/null

@@ -46,6 +46,9 @@
 //!   introduced beyond those the rank already met at the same program
 //!   point, and per-channel FIFO order is untouched. Elision removes
 //!   matched pairs symmetrically, which only removes wait-for edges.
+//!   Coalescing merges the k-th and (k+1)-th messages of one channel
+//!   only where they are adjacent on *both* endpoints, so each side
+//!   loses one wait; dead-copy elimination touches local steps alone.
 //!   As a backstop, the optimized program is re-proven by an internal
 //!   rendezvous matcher before it replaces the original (falling back
 //!   to the unoptimized program on any failure), and the full

@@ -21,9 +21,9 @@ use std::sync::Mutex;
 /// capacity at least `1 << c`, covering payloads up to 1 GiB.
 const NUM_CLASSES: usize = 31;
 
-/// Default bound on buffers retained per size class; extras are freed on
+/// Bound on buffers retained per size class; extras are freed on
 /// release rather than hoarded.
-pub const DEFAULT_MAX_PER_CLASS: usize = 64;
+const MAX_PER_CLASS: usize = 64;
 
 /// Cumulative acquire/release counters of a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,7 +77,6 @@ impl PoolStats {
 /// A size-classed recycling pool of `Vec<u8>` payload buffers.
 pub struct BufferPool {
     classes: Mutex<Vec<Vec<Vec<u8>>>>,
-    max_per_class: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     recycled: AtomicU64,
@@ -113,17 +112,10 @@ fn class_for_capacity(capacity: usize) -> usize {
 }
 
 impl BufferPool {
-    /// An empty pool with the default per-class retention bound.
+    /// An empty pool retaining at most 64 buffers per size class.
     pub fn new() -> Self {
-        Self::with_max_per_class(DEFAULT_MAX_PER_CLASS)
-    }
-
-    /// An empty pool retaining at most `max_per_class` buffers per size
-    /// class.
-    pub fn with_max_per_class(max_per_class: usize) -> Self {
         BufferPool {
             classes: Mutex::new((0..NUM_CLASSES).map(|_| Vec::new()).collect()),
-            max_per_class,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
@@ -168,7 +160,7 @@ impl BufferPool {
         }
         let class = class_for_capacity(buf.capacity());
         let mut classes = self.classes.lock().unwrap();
-        if classes[class].len() < self.max_per_class {
+        if classes[class].len() < MAX_PER_CLASS {
             classes[class].push(buf);
             self.recycled.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -237,14 +229,14 @@ mod tests {
 
     #[test]
     fn retention_bound_discards_overflow() {
-        let pool = BufferPool::with_max_per_class(2);
-        for _ in 0..4 {
+        let pool = BufferPool::new();
+        for _ in 0..MAX_PER_CLASS + 2 {
             pool.release(Vec::with_capacity(64));
         }
         let s = pool.stats();
-        assert_eq!(s.recycled, 2);
+        assert_eq!(s.recycled, MAX_PER_CLASS as u64);
         assert_eq!(s.discarded, 2);
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.free_buffers(), MAX_PER_CLASS);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! the ⊕ operation; the scatter sends only the data that resides in the
 //! other part; the gather is the scatter in reverse.
 
-use crate::block::partition;
 use crate::cast::Scalar;
 use crate::comm::{GroupComm, Tag};
 use crate::error::{CommError, Result};
@@ -234,11 +233,6 @@ pub fn mst_gather<T: Scalar, C: Comm + ?Sized>(
     Ok(())
 }
 
-/// Convenience: the balanced block table for `n` items over this group.
-pub fn balanced_blocks<C: Comm + ?Sized>(gc: &GroupComm<'_, C>, n: usize) -> Vec<Range<usize>> {
-    partition(n, gc.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +322,7 @@ mod tests {
         assert_eq!(b, [7, 8]);
         mst_reduce(&gc, 0, &mut b, ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(b, [7, 8]);
-        let blocks = balanced_blocks(&gc, 2);
+        let blocks = crate::block::partition(2, gc.len());
         mst_scatter(&gc, 0, &mut b, &blocks, 0).unwrap();
         mst_gather(&gc, 0, &mut b, &blocks, 0).unwrap();
         assert_eq!(b, [7, 8]);

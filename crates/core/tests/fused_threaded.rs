@@ -11,7 +11,10 @@ use intercom::{
     hier_allreduce, Algo, Comm, CommError, Communicator, Elem, GroupComm, ReduceOp, Tag,
 };
 use intercom_cost::{select_hier, ClusterShape, CollectiveOp, HierMachine, MachineParams};
-use intercom_runtime::{run_world, run_world_recorded, ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD};
+use intercom_obs::recorders;
+use intercom_runtime::{
+    default_wait_timeout, run_world, run_world_with, ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD,
+};
 
 /// The porting surface and nothing more: what a backend written before
 /// the `*_with` methods existed looks like to the library.
@@ -112,11 +115,13 @@ fn fused_equals_staged<T: Elem + Send>(gen: fn(u64) -> T) {
     for p in [2, 3, 4, 5] {
         for op in OPS {
             for h in [t - 1, t, t + 1, s - 1, s + 1] {
-                let (out, run) = run_world_recorded(p, 16, |c| {
+                let recs = Some(recorders(p, 16));
+                let (out, run) = run_world_with(p, default_wait_timeout(), recs, |c| {
                     let fused = combines(c, op, h, gen);
                     let staged = combines(&Staged(c), op, h, gen);
                     (fused, staged)
                 });
+                let run = run.expect("recorded");
                 for (rank, (fused, staged)) in out.iter().enumerate() {
                     for (call, (f, s)) in fused.iter().zip(staged).enumerate() {
                         assert!(
@@ -279,9 +284,10 @@ fn a_length_mismatch_runs_no_sink_and_releases_the_sender() {
 fn windows_of(
     call: impl Fn(&Communicator<'_, ThreadComm>) -> Vec<f64> + Send + Sync,
 ) -> (u64, Vec<Vec<f64>>) {
-    let (out, run) = run_world_recorded(2, 64, |c| {
+    let (out, run) = run_world_with(2, default_wait_timeout(), Some(recorders(2, 64)), |c| {
         call(&Communicator::world(c, MachineParams::PARAGON))
     });
+    let run = run.expect("recorded");
     (run.totals().windows_in_place, out)
 }
 

@@ -131,11 +131,6 @@ fn ceil_log2(d: usize) -> f64 {
     }
 }
 
-/// `⌈log₂ d⌉` as used throughout the paper's cost expressions.
-pub fn log2_ceil(d: usize) -> usize {
-    ceil_log2(d) as usize
-}
-
 /// The algorithmic building block a pipeline stage runs (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {

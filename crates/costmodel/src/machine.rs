@@ -83,19 +83,6 @@ impl MachineParams {
         link_excess: 1.0,
     };
 
-    /// Returns a copy with a different `link_excess` (ablation helper).
-    pub fn with_link_excess(mut self, k: f64) -> Self {
-        assert!(k >= 1.0, "link_excess must be >= 1");
-        self.link_excess = k;
-        self
-    }
-
-    /// Returns a copy with δ forced to zero (vendor-baseline style calls).
-    pub fn without_call_overhead(mut self) -> Self {
-        self.delta = 0.0;
-        self
-    }
-
     /// Time to send one `n`-byte message point-to-point with no conflicts:
     /// `α + nβ` (§2).
     pub fn ptp(&self, n: usize) -> f64 {
@@ -141,16 +128,5 @@ mod tests {
         // ~27 MB/s effective under OSF R1.1.
         let mbps = 1.0 / MachineParams::PARAGON.beta / 1e6;
         assert!((20.0..40.0).contains(&mbps), "got {mbps}");
-    }
-
-    #[test]
-    #[should_panic(expected = "link_excess")]
-    fn link_excess_below_one_rejected() {
-        MachineParams::PARAGON.with_link_excess(0.5);
-    }
-
-    #[test]
-    fn without_call_overhead_zeroes_delta() {
-        assert_eq!(MachineParams::PARAGON.without_call_overhead().delta, 0.0);
     }
 }

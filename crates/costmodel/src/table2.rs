@@ -1,8 +1,8 @@
 //! The paper's Table 2 as data — the canonical regression fixture.
 //!
 //! Each entry pairs a strategy with the α and β coefficients the paper
-//! prints (β as the numerator over 30). Used by tests here and by the
-//! `table2` bench binary; having the table as code keeps the crate and
+//! prints (β as the numerator over 30). Used by tests here and by
+//! `intercom-cli table2`; having the table as code keeps the crate and
 //! the paper provably in sync.
 
 use crate::strategy::{Strategy, StrategyKind};

@@ -317,10 +317,13 @@ pub(crate) struct Engine {
     /// "Timing irregularities resulting from the more complex operating
     /// systems of current generation machines" (§8): each transfer's
     /// startup and duration are inflated by up to `jitter` (fraction),
-    /// drawn deterministically from `jitter_seed` and a message counter.
+    /// drawn deterministically from `jitter_seed`, the sending rank and
+    /// that rank's count of sends so far (`sends[src]`): not from the
+    /// order transfers are matched in, which depends on which rank
+    /// thread reaches the engine first.
     jitter: f64,
     jitter_seed: u64,
-    jitter_counter: u64,
+    sends: Vec<u64>,
     /// Set once a coordinated-abort poison record arrives on
     /// [`POISON_TAG`]: every blocked rank is released with the abort
     /// diagnosis and every later comm request fails fast with it.
@@ -394,7 +397,7 @@ impl Engine {
             rates_dirty: false,
             jitter,
             jitter_seed,
-            jitter_counter: 0,
+            sends: vec![0; p],
             poisoned: None,
         }
     }
@@ -408,13 +411,15 @@ impl Engine {
     }
 
     /// Per-transfer multiplicative slowdown in `[1, 1 + jitter]`,
-    /// deterministic in (seed, message order).
-    fn next_jitter_factor(&mut self) -> f64 {
+    /// deterministic in (seed, sender, the sender's send ordinal). A
+    /// rank has one send pending at a time, so its sends are matched in
+    /// the order it posts them.
+    fn next_jitter_factor(&mut self, src: usize) -> f64 {
         if self.jitter == 0.0 {
             return 1.0;
         }
-        self.jitter_counter += 1;
-        let h = splitmix64(self.jitter_seed ^ self.jitter_counter);
+        self.sends[src] += 1;
+        let h = splitmix64(splitmix64(self.jitter_seed ^ src as u64) ^ self.sends[src]);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         1.0 + self.jitter * u
     }
@@ -703,7 +708,7 @@ impl Engine {
         // handoff: the *startup* is inflated, not the wire bandwidth,
         // so algorithms with longer critical message chains (e.g.
         // pipelined broadcasts) accumulate proportionally more noise.
-        let slowdown = self.next_jitter_factor();
+        let slowdown = self.next_jitter_factor(src);
         self.waiting.push(Transfer {
             src,
             dst,

@@ -77,6 +77,6 @@ mod window;
 pub use comm::SimComm;
 pub use net::NetSpec;
 pub use sim::{simulate, SimConfig, SimReport};
-pub use stats::{LinkConcurrency, LinkLoad};
+pub use stats::LinkConcurrency;
 // The simulator emits `intercom_obs::TraceEvent`s, one per transfer.
 pub use intercom_obs::{Trace, TraceEvent};

@@ -89,14 +89,6 @@ pub struct SimReport<T> {
     pub trace: Option<Trace>,
 }
 
-impl<T> SimReport<T> {
-    /// Clock skew: latest minus earliest finisher.
-    pub fn clock_skew(&self) -> f64 {
-        let min = self.clocks.iter().cloned().fold(f64::INFINITY, f64::min);
-        (self.elapsed - min).max(0.0)
-    }
-}
-
 /// One rank's closure, boxed for a worker with its borrows erased.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 

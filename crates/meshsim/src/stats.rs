@@ -1,83 +1,10 @@
-//! Derived network statistics over a completed trace: per-link byte
-//! loads, hottest links, and theoretical-vs-achieved bandwidth summaries
-//! — the §7.1 analysis surface ("there is an excess of bandwidth on each
-//! link of the network compared to the bandwidth from a node").
+//! Derived network statistics over a completed trace: the peak number
+//! of transfers in flight on each link, the dynamic check on the
+//! concurrent verifier's static contention bound.
 
 use crate::net::NetSpec;
 use intercom_obs::Trace;
 use std::collections::HashMap;
-
-/// Per-directed-link byte loads for a trace on a given network.
-#[derive(Debug, Clone)]
-pub struct LinkLoad {
-    /// Bytes carried per directed-link slot (sparse: only used links).
-    loads: HashMap<usize, usize>,
-    /// Total bytes injected (Σ message sizes).
-    pub total_bytes: usize,
-    /// Total byte·hops (Σ size × route length).
-    pub byte_hops: usize,
-}
-
-impl LinkLoad {
-    /// Recomputes each record's route on `net` and accumulates per-link
-    /// byte counts.
-    pub fn from_trace(trace: &Trace, net: &NetSpec) -> Self {
-        let mut loads: HashMap<usize, usize> = HashMap::new();
-        let mut total_bytes = 0;
-        let mut byte_hops = 0;
-        for r in trace.records() {
-            total_bytes += r.bytes;
-            let mut slots = Vec::new();
-            let hops = net.route_slots(r.src, r.dst, 0, &mut slots);
-            byte_hops += r.bytes * hops;
-            for s in slots {
-                *loads.entry(s as usize).or_default() += r.bytes;
-            }
-        }
-        LinkLoad {
-            loads,
-            total_bytes,
-            byte_hops,
-        }
-    }
-
-    /// Number of distinct directed links used.
-    pub fn links_used(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// The heaviest per-link byte load (0 for an empty trace).
-    pub fn max_link_bytes(&self) -> usize {
-        self.loads.values().copied().max().unwrap_or(0)
-    }
-
-    /// Mean byte load over *used* links.
-    pub fn mean_link_bytes(&self) -> f64 {
-        if self.loads.is_empty() {
-            0.0
-        } else {
-            self.byte_hops as f64 / self.loads.len() as f64
-        }
-    }
-
-    /// Load imbalance: max / mean over used links (1.0 = perfectly even).
-    pub fn imbalance(&self) -> f64 {
-        let mean = self.mean_link_bytes();
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.max_link_bytes() as f64 / mean
-        }
-    }
-
-    /// The `top` hottest (slot, bytes) pairs, descending.
-    pub fn hottest(&self, top: usize) -> Vec<(usize, usize)> {
-        let mut v: Vec<(usize, usize)> = self.loads.iter().map(|(&s, &b)| (s, b)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(top);
-        v
-    }
-}
 
 /// Per-directed-link **peak concurrency** for a trace: the maximum
 /// number of transfers simultaneously in flight on each link, from the
@@ -161,42 +88,6 @@ mod tests {
     use intercom_obs::TraceEvent;
     use intercom_topology::Mesh2D;
 
-    fn rec(src: usize, dst: usize, bytes: usize) -> TraceEvent {
-        TraceEvent::transfer(src, dst, 0, bytes, 0.0, 1.0, 0)
-    }
-
-    #[test]
-    fn single_hop_load() {
-        let net = NetSpec::Mesh(Mesh2D::new(1, 3));
-        let trace = Trace::new(vec![rec(0, 1, 100)]);
-        let load = LinkLoad::from_trace(&trace, &net);
-        assert_eq!(load.total_bytes, 100);
-        assert_eq!(load.byte_hops, 100);
-        assert_eq!(load.links_used(), 1);
-        assert_eq!(load.max_link_bytes(), 100);
-    }
-
-    #[test]
-    fn multi_hop_accumulates() {
-        let net = NetSpec::Mesh(Mesh2D::new(1, 4));
-        // 0→3 (3 hops) and 1→2 (1 hop, shared middle link).
-        let trace = Trace::new(vec![rec(0, 3, 10), rec(1, 2, 10)]);
-        let load = LinkLoad::from_trace(&trace, &net);
-        assert_eq!(load.byte_hops, 40);
-        assert_eq!(load.links_used(), 3);
-        assert_eq!(load.max_link_bytes(), 20); // the shared 1→2 link
-        assert!(load.imbalance() > 1.0);
-        assert_eq!(load.hottest(1)[0].1, 20);
-    }
-
-    #[test]
-    fn empty_trace() {
-        let net = NetSpec::Mesh(Mesh2D::new(2, 2));
-        let load = LinkLoad::from_trace(&Trace::default(), &net);
-        assert_eq!(load.links_used(), 0);
-        assert_eq!(load.imbalance(), 1.0);
-    }
-
     fn timed(src: usize, dst: usize, start: f64, end: f64) -> TraceEvent {
         TraceEvent::transfer(src, dst, 0, 8, start, end, 0)
     }
@@ -237,16 +128,5 @@ mod tests {
         let trace = Trace::new(vec![timed(0, 1, 2.0, 2.0), timed(0, 1, 1.0, 3.0)]);
         let conc = LinkConcurrency::from_trace(&trace, &net);
         assert_eq!(conc.max_peak().1, 2);
-    }
-
-    #[test]
-    fn ring_is_perfectly_balanced() {
-        // A full ring shift on a row: every east link carries the same
-        // bytes; imbalance 1 across eastward links (the west wrap link
-        // carries the same bytes spread over more links).
-        let net = NetSpec::Mesh(Mesh2D::new(1, 4));
-        let trace = Trace::new(vec![rec(0, 1, 8), rec(1, 2, 8), rec(2, 3, 8)]);
-        let load = LinkLoad::from_trace(&trace, &net);
-        assert!((load.imbalance() - 1.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,7 @@
 //! The deterministic timing-jitter model (§8 "timing irregularities").
 
+use intercom::comm::GroupComm;
+use intercom::primitives::{optimal_segments, pipelined_ring_bcast};
 use intercom::Comm;
 use intercom_cost::MachineParams;
 use intercom_meshsim::{simulate, SimConfig};
@@ -48,6 +50,30 @@ fn jitter_bounds_respected() {
 fn jitter_deterministic_per_seed() {
     let cfg = SimConfig::new(Mesh2D::new(1, 2), unit()).with_jitter(1.0, 42);
     assert_eq!(ping(&cfg), ping(&cfg));
+}
+
+#[test]
+fn jittered_collective_repeats_bit_for_bit() {
+    // 64 rank threads race to hand the engine their requests, so the
+    // order transfers are matched in varies run to run; a draw keyed on
+    // the sender and its own send count does not.
+    let p = 64;
+    let n = 64 * 1024;
+    let machine = MachineParams::PARAGON;
+    let segments = optimal_segments(p, n, &machine);
+    let cfg = SimConfig::new(Mesh2D::new(1, p), machine).with_jitter(1.0, 1);
+    let run = || {
+        simulate(&cfg, |c| {
+            let gc = GroupComm::world(c);
+            let mut buf = vec![0u8; n];
+            pipelined_ring_bcast(&gc, 0, &mut buf, segments, 0).unwrap();
+        })
+        .elapsed
+    };
+    let first = run();
+    for _ in 0..5 {
+        assert_eq!(run().to_bits(), first.to_bits());
+    }
 }
 
 #[test]

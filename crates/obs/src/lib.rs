@@ -21,8 +21,8 @@
 //!   recorded run against `intercom-cost`'s per-stage predictions to
 //!   report measured-vs-predicted α/β residuals, per-stage skew and
 //!   the slowest-rank critical path;
-//! - the [`Trace`] timeline view (step diagrams, Gantt charts, hot-pair
-//!   summaries) that previously lived inside the simulator;
+//! - the [`Trace`] timeline view (step diagrams and summaries) that
+//!   previously lived inside the simulator;
 //! - the always-on production telemetry layer: the [`metrics`]
 //!   registry (counters / gauges / log-bucketed histograms, Prometheus
 //!   and JSON exposition), the [`flight`] recorder (black box of the

@@ -25,7 +25,7 @@
 //! cover nanoseconds to days — and every bucket edge prints exactly in
 //! shortest-f64 form, which is what makes the Prometheus export →
 //! [`parse_prometheus`] → export round trip byte-idempotent (the
-//! `intercom-metrics --check` CI gate).
+//! `intercom-cli metrics --check` CI gate).
 
 use crate::record::{Counters, RunRecord};
 use std::collections::BTreeMap;
@@ -696,7 +696,7 @@ impl Snapshot {
 /// [`Snapshot::prometheus`] back into a [`Snapshot`]. Supports the
 /// subset this module emits (counter / gauge / histogram families with
 /// `# TYPE` comments); re-exporting the parsed snapshot reproduces the
-/// input byte for byte, which `intercom-metrics --check` gates.
+/// input byte for byte, which `intercom-cli metrics --check` gates.
 pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut snap = Snapshot::default();

@@ -47,11 +47,6 @@ pub struct StageResidual {
 }
 
 impl StageResidual {
-    /// `measured - predicted` in seconds.
-    pub fn residual_secs(&self) -> f64 {
-        self.measured_secs - self.predicted_secs
-    }
-
     /// `measured / predicted` (`NaN` when the prediction is 0).
     pub fn ratio(&self) -> f64 {
         self.measured_secs / self.predicted_secs

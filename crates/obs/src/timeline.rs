@@ -76,71 +76,6 @@ impl Trace {
         }
         out
     }
-
-    /// Renders an ASCII Gantt chart: one row per node, time bucketed into
-    /// `width` columns; a cell shows `▒` when the node is sending,
-    /// `░` when receiving, `█` when doing both. Rows are limited to the
-    /// first `max_nodes` nodes.
-    pub fn render_gantt(&self, width: usize, max_nodes: usize) -> String {
-        assert!(width > 0, "gantt width must be positive");
-        let t_end = self.records.iter().map(|r| r.end).fold(0.0f64, f64::max);
-        if t_end <= 0.0 {
-            return String::from("(no transfers)\n");
-        }
-        let nodes = self
-            .records
-            .iter()
-            .map(|r| r.src.max(r.dst) + 1)
-            .max()
-            .unwrap_or(0)
-            .min(max_nodes);
-        let bucket = t_end / width as f64;
-        // 0 = idle, 1 = send, 2 = recv, 3 = both.
-        let mut grid = vec![vec![0u8; width]; nodes];
-        for r in &self.records {
-            let b0 = ((r.start / bucket) as usize).min(width - 1);
-            let b1 = ((r.end / bucket).ceil() as usize).clamp(b0 + 1, width);
-            if r.src < nodes {
-                for cell in &mut grid[r.src][b0..b1] {
-                    *cell |= 1;
-                }
-            }
-            if r.dst < nodes {
-                for cell in &mut grid[r.dst][b0..b1] {
-                    *cell |= 2;
-                }
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "time 0 .. {t_end:.6} s ({width} buckets)");
-        for (node, row) in grid.iter().enumerate() {
-            let _ = write!(out, "node {node:>4} |");
-            for &cell in row {
-                out.push(match cell {
-                    0 => ' ',
-                    1 => '▒',
-                    2 => '░',
-                    _ => '█',
-                });
-            }
-            out.push_str("|\n");
-        }
-        out
-    }
-
-    /// Per-directed-pair message counts, descending — a quick hot-spot
-    /// summary for contention analysis.
-    pub fn busiest_pairs(&self, top: usize) -> Vec<((usize, usize), usize)> {
-        let mut counts: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        for r in &self.records {
-            *counts.entry((r.src, r.dst)).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(top);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -183,43 +118,5 @@ mod tests {
         let t = Trace::new(vec![rec(3, 5, 0.0, 16)]);
         let s = t.render_steps(1e-9);
         assert!(s.contains("3→5 (16 B)"), "{s}");
-    }
-
-    #[test]
-    fn gantt_marks_send_and_recv() {
-        let t = Trace::new(vec![rec(0, 1, 0.0, 8)]);
-        let g = t.render_gantt(10, 8);
-        assert!(g.contains("node    0 |▒"), "{g}");
-        assert!(g.contains("node    1 |░"), "{g}");
-    }
-
-    #[test]
-    fn gantt_empty_trace() {
-        let t = Trace::new(vec![]);
-        assert_eq!(t.render_gantt(10, 4), "(no transfers)\n");
-    }
-
-    #[test]
-    fn gantt_both_directions_merge() {
-        // Node 1 sends and receives in the same window: █.
-        let t = Trace::new(vec![rec(0, 1, 0.0, 8), rec(1, 2, 0.0, 8)]);
-        let g = t.render_gantt(4, 8);
-        assert!(
-            g.lines()
-                .any(|l| l.starts_with("node    1") && l.contains('█')),
-            "{g}"
-        );
-    }
-
-    #[test]
-    fn busiest_pairs_ordering() {
-        let t = Trace::new(vec![
-            rec(0, 1, 0.0, 8),
-            rec(0, 1, 1.0, 8),
-            rec(2, 3, 0.0, 8),
-        ]);
-        let b = t.busiest_pairs(2);
-        assert_eq!(b[0], ((0, 1), 2));
-        assert_eq!(b[1], ((2, 3), 1));
     }
 }

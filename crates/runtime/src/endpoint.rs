@@ -1337,7 +1337,7 @@ mod tests {
     #[test]
     fn unmatched_rendezvous_send_times_out_and_withdraws_its_window() {
         let n = DEFAULT_RENDEZVOUS_THRESHOLD;
-        let out = crate::run_world_deadline(2, Duration::from_millis(50), |c| {
+        let out = crate::run_world_with(2, Duration::from_millis(50), None, |c| {
             if c.rank() == 0 {
                 let sent = c.send(1, 9, &vec![7u8; n]);
                 c.send(1, 1, &[0]).unwrap();
@@ -1347,7 +1347,8 @@ mod tests {
                 while matches!(c.recv(0, 1, &mut [0]), Err(CommError::Timeout { .. })) {}
                 c.recv(0, 9, &mut vec![0u8; n])
             }
-        });
+        })
+        .0;
         assert!(matches!(
             out[0],
             Err(CommError::Timeout {
@@ -1465,7 +1466,7 @@ mod tests {
         // 509th, so each piece has marks (at offsets that differ from
         // piece to piece) and the test stays light in a debug build.
         let marks = |n: usize| (0..n).step_by(509).chain([n - 1]);
-        let (out, run) = crate::run_world_recorded(2, 16, |c| {
+        let (out, run) = crate::world::recorded(2, 16, |c| {
             let counters = || {
                 let mut now = intercom_obs::Counters::default();
                 c.obs().expect("recorded").with_counters(|c| now = *c);
@@ -1602,7 +1603,7 @@ mod tests {
             cause: AbortCause::Stall,
         };
         let aborted = AtomicBool::new(false);
-        let (out, run) = crate::run_world_recorded(3, 16, |c| match c.rank() {
+        let (out, run) = crate::world::recorded(3, 16, |c| match c.rank() {
             0 => {
                 let got = c.recv(1, 5, &mut [0]);
                 aborted.store(true, Ordering::SeqCst);
@@ -1638,7 +1639,7 @@ mod tests {
     fn a_message_arriving_while_the_receiver_polls_is_taken_without_parking() {
         const ATTEMPTS: u64 = 200;
         let asked = AtomicU64::new(0);
-        let (_, run) = crate::run_world_recorded(2, 16, |c| {
+        let (_, run) = crate::world::recorded(2, 16, |c| {
             for attempt in 1..=ATTEMPTS {
                 if c.rank() == 0 {
                     while asked.load(Ordering::Acquire) != attempt {
@@ -1665,7 +1666,7 @@ mod tests {
     /// receive is one parked wait.
     #[test]
     fn a_message_arriving_after_the_poll_budget_is_taken_from_the_park() {
-        let (out, run) = crate::run_world_recorded(2, 16, |c| {
+        let (out, run) = crate::world::recorded(2, 16, |c| {
             let mut got = [0u8];
             if c.rank() == 0 {
                 until_parked(c, 1);
@@ -1791,7 +1792,7 @@ mod tests {
     fn racing_producers_lose_no_wakeup() {
         const PRODUCERS: usize = 8;
         const PER_PRODUCER: u64 = 10_000;
-        let (out, run) = crate::run_world_recorded(PRODUCERS + 1, 16, |c| {
+        let (out, run) = crate::world::recorded(PRODUCERS + 1, 16, |c| {
             if c.rank() < PRODUCERS {
                 let mut rng = intercom::SplitMix64::new(c.rank() as u64);
                 for i in 0..PER_PRODUCER {

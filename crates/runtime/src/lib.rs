@@ -34,9 +34,7 @@ pub mod world;
 
 pub use calibrate::{calibrate, Calibration};
 pub use endpoint::{ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD};
-pub use world::{
-    default_wait_timeout, run_world, run_world_deadline, run_world_observed, run_world_recorded,
-};
+pub use world::{default_wait_timeout, run_world, run_world_with};
 
 // Re-exported so downstream tests can name the trait without an extra
 // dependency edge.

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 /// The default bound on every blocking wait inside the threaded
 /// runtime, generous enough that no healthy collective ever trips it.
-/// [`run_world_deadline`] is the way to set another (the chaos harness
+/// [`run_world_with`] is the way to set another (the chaos harness
 /// shrinks it to diagnose scripted stalls in milliseconds).
 pub fn default_wait_timeout() -> Duration {
     Duration::from_secs(30)
@@ -25,53 +25,25 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Send + Sync,
 {
-    run_world_inner(p, default_wait_timeout(), None, f).0
+    run_world_with(p, default_wait_timeout(), None, f).0
 }
 
-/// [`run_world`] with an explicit bound on every blocking wait: a
-/// receive or rendezvous completion that exceeds `deadline` fails with
-/// [`intercom::CommError::Timeout`] naming the silent peer, instead of
-/// hanging. The fault-injection harness runs its stall scenarios under
-/// a tight deadline here.
-pub fn run_world_deadline<T, F>(p: usize, deadline: Duration, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&ThreadComm) -> T + Send + Sync,
-{
-    run_world_inner(p, deadline, None, f).0
-}
-
-/// [`run_world`] with per-rank observability: every `send`/`recv`/
-/// `sendrecv`/`compute` is timestamped into the matching [`Recorder`]
-/// and the drained [`RunRecord`] is returned alongside the results.
-/// Ring capacity is per rank; see
-/// [`intercom_obs::DEFAULT_RING_CAPACITY`].
-pub fn run_world_recorded<T, F>(p: usize, capacity: usize, f: F) -> (Vec<T>, RunRecord)
-where
-    T: Send,
-    F: Fn(&ThreadComm) -> T + Send + Sync,
-{
-    run_world_observed(p, intercom_obs::recorders(p, capacity), f)
-}
-
-/// [`run_world_recorded`] with caller-built recorders — the A/B
-/// overhead gate passes [`intercom_obs::disabled_recorders`] here to
-/// price the hooks alone. `recorders[i]` must belong to rank `i`.
-pub fn run_world_observed<T, F>(p: usize, recorders: Vec<Recorder>, f: F) -> (Vec<T>, RunRecord)
-where
-    T: Send,
-    F: Fn(&ThreadComm) -> T + Send + Sync,
-{
-    let (out, run) = run_world_inner(p, default_wait_timeout(), Some(recorders), f);
-    (
-        out,
-        run.expect("run_world_inner returns a record when recorders are provided"),
-    )
-}
-
-fn run_world_inner<T, F>(
+/// [`run_world`] with an explicit bound on every blocking wait and,
+/// optionally, per-rank observability.
+///
+/// A receive or rendezvous completion that exceeds `deadline` fails
+/// with [`intercom::CommError::Timeout`] naming the silent peer,
+/// instead of hanging (the fault-injection harness runs its stall
+/// scenarios under a tight deadline).
+///
+/// With `recorders` (`recorders[i]` belongs to rank `i`), every
+/// `send`/`recv`/`sendrecv`/`compute` is timestamped into the rank's
+/// [`Recorder`] and the drained [`RunRecord`] is returned alongside the
+/// results: [`intercom_obs::recorders`] builds enabled ones,
+/// [`intercom_obs::disabled_recorders`] ones that price the hooks alone.
+pub fn run_world_with<T, F>(
     p: usize,
-    wait_timeout: Duration,
+    deadline: Duration,
     recorders: Option<Vec<Recorder>>,
     f: F,
 ) -> (Vec<T>, Option<RunRecord>)
@@ -102,7 +74,7 @@ where
                 .stack_size(2 * 1024 * 1024);
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    let mut comm = ThreadComm::new(rank, fabric.clone(), wait_timeout);
+                    let mut comm = ThreadComm::new(rank, fabric.clone(), deadline);
                     if let Some(r) = recorder {
                         comm.attach_recorder(r);
                     }
@@ -153,6 +125,18 @@ where
         intercom_obs::metrics::ingest_run("threads", run);
     }
     (out, run)
+}
+
+/// A recorded world at the default deadline: the unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn recorded<T, F>(p: usize, capacity: usize, f: F) -> (Vec<T>, RunRecord)
+where
+    T: Send,
+    F: Fn(&ThreadComm) -> T + Send + Sync,
+{
+    let recorders = Some(intercom_obs::recorders(p, capacity));
+    let (out, run) = run_world_with(p, default_wait_timeout(), recorders, f);
+    (out, run.expect("recorders were given"))
 }
 
 #[cfg(test)]
@@ -229,7 +213,7 @@ mod tests {
 
     #[test]
     fn recorded_ring_pass_counts_and_times_every_hop() {
-        let (out, run) = run_world_recorded(4, 64, |c| {
+        let (out, run) = recorded(4, 64, |c| {
             let p = c.size();
             let me = c.rank();
             let right = (me + 1) % p;
@@ -262,7 +246,7 @@ mod tests {
     #[test]
     fn recorded_rendezvous_exchange_marks_zero_copy() {
         let n = DEFAULT_RENDEZVOUS_THRESHOLD;
-        let (_, run) = run_world_recorded(2, 64, |c| {
+        let (_, run) = recorded(2, 64, |c| {
             let peer = 1 - c.rank();
             let mine = vec![1u8; n];
             let mut got = vec![0u8; n];
@@ -283,7 +267,7 @@ mod tests {
 
     #[test]
     fn recorded_waits_say_whether_they_parked() {
-        let (_, run) = run_world_recorded(2, 64, |c| {
+        let (_, run) = recorded(2, 64, |c| {
             let mut buf = [0u8; 1];
             if c.rank() == 0 {
                 // Far longer than the poll budget: rank 1 must park.
@@ -303,12 +287,14 @@ mod tests {
 
     #[test]
     fn observed_with_disabled_recorders_records_nothing() {
-        let (out, run) = run_world_observed(3, intercom_obs::disabled_recorders(3), |c| {
+        let recorders = Some(intercom_obs::disabled_recorders(3));
+        let (out, run) = run_world_with(3, default_wait_timeout(), recorders, |c| {
             c.send(c.rank(), 1, &[1, 2]).unwrap();
             let mut buf = [0u8; 2];
             c.recv(c.rank(), 1, &mut buf).unwrap();
             buf[1]
         });
+        let run = run.expect("recorders were given");
         assert_eq!(out, vec![2, 2, 2]);
         assert_eq!(run.p(), 3);
         assert!(run.all_events().count() == 0);

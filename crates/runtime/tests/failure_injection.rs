@@ -3,7 +3,7 @@
 
 use intercom::faults::POISON_TAG;
 use intercom::{AbortCause, AbortInfo, Comm, CommError};
-use intercom_runtime::{run_world, run_world_deadline};
+use intercom_runtime::{run_world, run_world_with};
 use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
@@ -81,7 +81,7 @@ fn recv_from_silent_peer_times_out_not_hangs() {
     // must expire with a Timeout naming the silent peer and the tag the
     // waiter was matching against, instead of blocking forever (or
     // reporting Disconnected — rank 1's endpoint is still up).
-    let out = run_world_deadline(2, Duration::from_millis(100), |c| {
+    let (out, _) = run_world_with(2, Duration::from_millis(100), None, |c| {
         if c.rank() == 1 {
             // Outlive rank 0's deadline without ever sending.
             std::thread::sleep(Duration::from_millis(400));
@@ -117,7 +117,7 @@ fn poison_record_wakes_a_blocked_receiver() {
         step: 3,
         cause: AbortCause::Stall,
     };
-    let out = run_world_deadline(2, Duration::from_secs(5), |c| {
+    let (out, _) = run_world_with(2, Duration::from_secs(5), None, |c| {
         if c.rank() == 1 {
             std::thread::sleep(Duration::from_millis(50));
             c.send(0, POISON_TAG, &info.encode()).unwrap();

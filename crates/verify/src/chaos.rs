@@ -37,7 +37,7 @@ use intercom::{FaultPlan, FaultyComm};
 use intercom_cost::{MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{EventKind, TraceEvent};
-use intercom_runtime::{default_wait_timeout, run_world_deadline};
+use intercom_runtime::{default_wait_timeout, run_world_with};
 use intercom_topology::Mesh2D;
 use std::fmt;
 use std::sync::Arc;
@@ -214,7 +214,7 @@ pub fn run_case(backend: Backend, op: &PlanOp, plan: &FaultPlan) -> CaseRun {
             };
             let layer_ref = &layer;
             let st = strategy.as_ref();
-            let results = run_world_deadline(p, deadline, move |c| {
+            let (results, _) = run_world_with(p, deadline, None, move |c| {
                 chaos_rank(c, Arc::clone(layer_ref), op, st)
             });
             CaseRun {
@@ -421,7 +421,7 @@ pub fn hang_probe() -> HangProbe {
         ],
     ];
     let progs = &programs;
-    let errors = run_world_deadline(2, Duration::from_millis(150), move |c| {
+    let (errors, _) = run_world_with(2, Duration::from_millis(150), None, move |c| {
         run_program(c, &progs[c.rank()]).err()
     });
     HangProbe {

@@ -8,8 +8,8 @@
 //! hybrid on the simulator through the unified observability recorder
 //! (`intercom-obs`), grouping simultaneous transfers into steps exactly
 //! like the figure, then folding the recording against the cost model's
-//! per-stage predictions. The same code path powers the `trace-dump`
-//! binary — see `docs/OBSERVABILITY.md`.
+//! per-stage predictions. The same code path powers `intercom-cli
+//! trace` — see `docs/OBSERVABILITY.md`.
 //!
 //! Run: `cargo run --example fig1_trace`
 

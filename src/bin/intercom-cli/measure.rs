@@ -7,7 +7,7 @@
 
 use intercom::{Algo, Comm, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
-use intercom_meshsim::{simulate, SimConfig};
+use intercom_meshsim::{simulate, SimComm, SimConfig};
 use intercom_topology::Mesh2D;
 
 /// Which implementation/algorithm family to measure.
@@ -45,35 +45,36 @@ impl Series {
     }
 }
 
-fn icc_world<'a, C: Comm>(
-    comm: &'a C,
-    machine: MachineParams,
+/// Elapsed simulated seconds of `body` on every node of `mesh`; an
+/// InterCom series hands it a world communicator and the series'
+/// algorithm, the NX series `None`.
+fn sim_time(
     mesh: Mesh2D,
-) -> Communicator<'a, C> {
-    Communicator::world_on_mesh(comm, machine, mesh).expect("mesh matches world")
+    machine: MachineParams,
+    series: Series,
+    body: impl Fn(&SimComm, Option<(Communicator<'_, SimComm>, Algo)>) + Send + Sync,
+) -> f64 {
+    let cfg = SimConfig::new(mesh, machine);
+    simulate(&cfg, |c| {
+        let icc = series.algo().map(|algo| {
+            let cc = Communicator::world_on_mesh(c, machine, mesh).expect("mesh matches world");
+            (cc, algo)
+        });
+        body(c, icc)
+    })
+    .elapsed
 }
 
 /// Elapsed simulated seconds for a broadcast of `n` bytes from node 0
 /// over `mesh`.
 pub fn bcast_time(mesh: Mesh2D, machine: MachineParams, n: usize, series: Series) -> f64 {
-    let cfg = SimConfig::new(mesh, machine);
-    match series.algo() {
-        Some(algo) => {
-            simulate(&cfg, move |c| {
-                let cc = icc_world(c, machine, mesh);
-                let mut buf = vec![0u8; n];
-                cc.bcast_with(0, &mut buf, &algo).unwrap();
-            })
-            .elapsed
+    sim_time(mesh, machine, series, |c, icc| {
+        let mut buf = vec![0u8; n];
+        match icc {
+            Some((cc, algo)) => cc.bcast_with(0, &mut buf, &algo).unwrap(),
+            None => intercom_nx::nx_bcast(c, 0, &mut buf).unwrap(),
         }
-        None => {
-            simulate(&cfg, move |c| {
-                let mut buf = vec![0u8; n];
-                intercom_nx::nx_bcast(c, 0, &mut buf).unwrap();
-            })
-            .elapsed
-        }
-    }
+    })
 }
 
 /// Elapsed simulated seconds for a collect whose *result* is `n` bytes
@@ -81,50 +82,27 @@ pub fn bcast_time(mesh: Mesh2D, machine: MachineParams, n: usize, series: Series
 pub fn collect_time(mesh: Mesh2D, machine: MachineParams, n: usize, series: Series) -> f64 {
     let p = mesh.nodes();
     let b = (n / p).max(1);
-    let cfg = SimConfig::new(mesh, machine);
-    match series.algo() {
-        Some(algo) => {
-            simulate(&cfg, move |c| {
-                let cc = icc_world(c, machine, mesh);
-                let mine = vec![c.rank() as u8; b];
-                let mut all = vec![0u8; p * b];
-                cc.allgather_with(&mine, &mut all, &algo).unwrap();
-            })
-            .elapsed
+    sim_time(mesh, machine, series, |c, icc| {
+        let mine = vec![c.rank() as u8; b];
+        let mut all = vec![0u8; p * b];
+        match icc {
+            Some((cc, algo)) => cc.allgather_with(&mine, &mut all, &algo).unwrap(),
+            None => intercom_nx::nx_gcolx(c, &mine, &mut all).unwrap(),
         }
-        None => {
-            simulate(&cfg, move |c| {
-                let mine = vec![c.rank() as u8; b];
-                let mut all = vec![0u8; p * b];
-                intercom_nx::nx_gcolx(c, &mine, &mut all).unwrap();
-            })
-            .elapsed
-        }
-    }
+    })
 }
 
 /// Elapsed simulated seconds for a global sum of an `n`-byte vector of
 /// doubles (`n/8` elements, minimum 1), result on every node.
 pub fn gsum_time(mesh: Mesh2D, machine: MachineParams, n: usize, series: Series) -> f64 {
     let elems = (n / 8).max(1);
-    let cfg = SimConfig::new(mesh, machine);
-    match series.algo() {
-        Some(algo) => {
-            simulate(&cfg, move |c| {
-                let cc = icc_world(c, machine, mesh);
-                let mut buf = vec![1.0f64; elems];
-                cc.allreduce_with(&mut buf, ReduceOp::Sum, &algo).unwrap();
-            })
-            .elapsed
+    sim_time(mesh, machine, series, |c, icc| {
+        let mut buf = vec![1.0f64; elems];
+        match icc {
+            Some((cc, algo)) => cc.allreduce_with(&mut buf, ReduceOp::Sum, &algo).unwrap(),
+            None => intercom_nx::nx_gdsum(c, &mut buf).unwrap(),
         }
-        None => {
-            simulate(&cfg, move |c| {
-                let mut buf = vec![1.0f64; elems];
-                intercom_nx::nx_gdsum(c, &mut buf).unwrap();
-            })
-            .elapsed
-        }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Plain-text table and CSV emission for the regeneration binaries.
+//! Plain-text tables, CSV and message-length sweeps for the paper
+//! subcommands.
 
 /// Formats seconds the way the paper's Table 3 does (4 significant-ish
 /// digits, seconds).
@@ -85,7 +86,7 @@ impl Table {
 }
 
 /// Emits a CSV block (header + rows of f64 series keyed by a size
-/// column) — the format the figure binaries print for plotting.
+/// column) — the format the figure subcommands print for plotting.
 pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = header.join(",");
     out.push('\n');
@@ -95,6 +96,21 @@ pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
     }
     out
 }
+
+/// Powers of two from `lo` to `hi` inclusive (both rounded to powers of
+/// two), optionally thinned to every `step`-th power.
+pub fn pow2_sweep(lo: usize, hi: usize, step: u32) -> Vec<usize> {
+    assert!(lo >= 1 && hi >= lo && step >= 1);
+    let lo_exp = usize::BITS - lo.next_power_of_two().leading_zeros() - 1;
+    let hi_exp = usize::BITS - hi.next_power_of_two().leading_zeros() - 1;
+    (lo_exp..=hi_exp)
+        .step_by(step as usize)
+        .map(|e| 1usize << e)
+        .collect()
+}
+
+/// The paper's Table 3 vector lengths: 8 B, 64 KB, 1 MB.
+pub const TABLE3_LENGTHS: [usize; 3] = [8, 64 * 1024, 1024 * 1024];
 
 #[cfg(test)]
 mod tests {
@@ -135,5 +151,23 @@ mod tests {
     fn csv_joins() {
         let s = csv(&["n", "t"], &[vec!["1".into(), "2.5".into()]]);
         assert_eq!(s, "n,t\n1,2.5\n");
+    }
+
+    #[test]
+    fn sweep_endpoints() {
+        let s = pow2_sweep(8, 1 << 20, 1);
+        assert_eq!(*s.first().unwrap(), 8);
+        assert_eq!(*s.last().unwrap(), 1 << 20);
+    }
+
+    #[test]
+    fn sweep_thinning() {
+        let s = pow2_sweep(8, 1 << 20, 3);
+        assert_eq!(s, vec![8, 64, 512, 4096, 32768, 262144]);
+    }
+
+    #[test]
+    fn degenerate_sweep() {
+        assert_eq!(pow2_sweep(16, 16, 1), vec![16]);
     }
 }

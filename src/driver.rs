@@ -2,7 +2,7 @@
 //! tag 0 ([`run_filled`]) on either backend under a unified recorder,
 //! and folds the recording against the cost model.
 //!
-//! The `trace-dump` binary, the `fig1_trace` example, the CI smoke gate
+//! `intercom-cli trace`, the `fig1_trace` example, the CI smoke gate
 //! and the counter-vs-verifier byte cross-check all go through these
 //! functions, so a trace produced by any of them is event-for-event
 //! comparable with the symbolic schedule `intercom-verify` extracts —
@@ -11,8 +11,8 @@
 use intercom::ir::{cost_op, run_filled, PlanOp};
 use intercom_cost::{CostContext, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
-use intercom_obs::{analyze, ResidualReport, RunRecord};
-use intercom_runtime::run_world_recorded;
+use intercom_obs::{analyze, recorders, ResidualReport, RunRecord};
+use intercom_runtime::{default_wait_timeout, run_world_with};
 use intercom_topology::Mesh2D;
 
 /// One recorded collective run, backend-agnostic.
@@ -35,9 +35,11 @@ pub fn record_threads(
 ) -> Recorded {
     let op = *op;
     let strategy = strategy.cloned();
-    let (_, run) = run_world_recorded(p, capacity, move |c| {
+    let recs = Some(recorders(p, capacity));
+    let (_, run) = run_world_with(p, default_wait_timeout(), recs, move |c| {
         run_filled(c, op, strategy.as_ref(), n).expect("collective failed under recording");
     });
+    let run = run.expect("recorded");
     let elapsed = run.all_events().map(|e| e.end).fold(0.0f64, f64::max);
     Recorded { run, elapsed }
 }

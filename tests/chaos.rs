@@ -11,7 +11,7 @@ use intercom::{FaultLayer, FaultPlan, FaultyComm, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::EventKind;
-use intercom_runtime::{default_wait_timeout, run_world_deadline};
+use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
 use intercom_verify::chaos::{CHAOS_N, CHAOS_WORLD};
 use intercom_verify::{
@@ -177,9 +177,7 @@ fn run_planned(backend: Backend, plan: FaultPlan) -> Vec<(Result<Vec<u8>, Collec
     match backend {
         Backend::Threads => {
             let layer = &FaultLayer::new(plan, p);
-            run_world_deadline(p, default_wait_timeout(), |c| {
-                planned_allreduce(c, Arc::clone(layer))
-            })
+            run_world(p, |c| planned_allreduce(c, Arc::clone(layer)))
         }
         Backend::Sim => {
             let layer = &FaultLayer::new_virtual(plan, p);

@@ -474,16 +474,19 @@ fn trace_events_attribute_to_plan_steps_on_both_backends() {
     use intercom::plan::AllreducePlan;
     use intercom::{Communicator, ReduceOp};
     use intercom_cost::MachineParams;
-    use intercom_runtime::run_world_recorded;
+    use intercom_obs::recorders;
+    use intercom_runtime::{default_wait_timeout, run_world_with};
 
     // Threaded backend: a persistent plan's events carry its plan id.
     let p = 4;
-    let (_, run) = run_world_recorded(p, 1024, move |c| {
+    let recs = Some(recorders(p, 1024));
+    let (_, run) = run_world_with(p, default_wait_timeout(), recs, move |c| {
         let cc = Communicator::world(c, MachineParams::PARAGON);
         let plan = AllreducePlan::<f64>::new(&cc, 32, ReduceOp::Sum);
         let mut buf = vec![1.0f64; 32];
         plan.execute(&cc, &mut buf).unwrap();
     });
+    let run = run.expect("recorded");
     let attributed = run.all_events().filter(|e| e.plan != 0).count();
     assert!(attributed > 0, "threaded events must carry plan ids");
     let plan_ids: std::collections::HashSet<u64> = run

@@ -104,12 +104,15 @@ fn obs_tag_constants_match_core_layout() {
     // through recorded tags of two back-to-back collective calls.
     use intercom::{Comm, Communicator};
     use intercom_cost::MachineParams;
-    let (_, run) = intercom_runtime::run_world_recorded(2, 64, |c| {
+    use intercom_runtime::{default_wait_timeout, run_world_with};
+    let recs = Some(intercom_obs::recorders(2, 64));
+    let (_, run) = run_world_with(2, default_wait_timeout(), recs, |c| {
         let cc = Communicator::world(c, MachineParams::PARAGON);
         let mut buf = vec![c.rank() as u8; 16];
         cc.bcast(0, &mut buf).unwrap();
         cc.bcast(0, &mut buf).unwrap();
     });
+    let run = run.expect("recorded");
     let tags: Vec<u64> = run.events[0]
         .iter()
         .filter(|e| e.src == 0 && e.rank == 0)

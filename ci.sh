@@ -77,16 +77,17 @@ echo "==> cargo test (under a 900 s timeout)"
 # from cold, the suite itself under one.
 timeout 900 cargo test --workspace -q
 
-echo "==> pinned to one core: an oversubscribed world, the mailbox stress, and the simulator without its helper"
-# Pinned, the test sees one core and runs 4 ranks on it: every hop waits
-# for a peer that can only run once the waiting rank gives the core up.
-# The mailbox stress runs 8 producers and their receiver on that core,
-# so a receive keeps parking while posts race its handshake.
+echo "==> pinned to one core: the threaded runtime's whole suite, and the simulator without its helper"
+# Pinned, every runtime test sees one core: `oversubscribed` runs 4
+# ranks on it, so every hop waits for a peer that can only run once the
+# waiting rank gives the core up; the mailbox stress runs 8 producers and
+# their receiver on it, so a receive keeps parking while posts race its
+# handshake; and the spill, stash and self-send paths, `alloc_free`'s
+# steady states included, run with every rank sharing the core.
 # The simulator sees one core too (`available_parallelism() == 1`), so
 # its engine spawns no helper and copies and folds every batch itself.
 if command -v taskset >/dev/null; then
-    timeout 120 taskset -c 0 cargo test -p intercom-runtime --test oversubscribed -q
-    timeout 120 taskset -c 0 cargo test -p intercom-runtime --lib -q racing_producers_lose_no_wakeup
+    timeout 240 taskset -c 0 cargo test -p intercom-runtime -q
     timeout 300 taskset -c 0 cargo test -p intercom-meshsim --test programs --test alloc_free -q
 else
     echo "SKIPPED: no taskset"

@@ -50,7 +50,6 @@ pub mod ir;
 pub mod nx_compat;
 pub mod op;
 pub mod plan;
-pub mod pool;
 pub mod primitives;
 pub mod rng;
 pub mod selector;
@@ -67,5 +66,4 @@ pub use hier::{
     HIER_STAGE_STRIDE,
 };
 pub use op::{Elem, ReduceOp};
-pub use pool::{BufferPool, PoolStats};
 pub use rng::SplitMix64;

@@ -568,7 +568,7 @@ impl Snapshot {
     }
 
     /// The counter-wise difference `self − prev` (merge-consistent with
-    /// the pool/cache `delta` helpers): counters subtract saturating,
+    /// the plan cache's `delta` helper): counters subtract saturating,
     /// gauges and histograms keep `self`'s value. The `--watch` view
     /// prints rates from this.
     pub fn delta(&self, prev: &Snapshot) -> Snapshot {

@@ -83,7 +83,7 @@ pub struct Counters {
     pub bytes_out: u64,
     /// Payload bytes received.
     pub bytes_in: u64,
-    /// Messages sent on the eager (pooled-copy) path.
+    /// Messages sent on the eager (copy-through-the-ring) path.
     pub eager_msgs: u64,
     /// Messages sent on the zero-copy rendezvous path.
     pub rendezvous_msgs: u64,
@@ -91,9 +91,10 @@ pub struct Counters {
     pub reduce_steps: u64,
     /// Bytes folded by local reductions.
     pub reduce_bytes: u64,
-    /// Payload-pool acquire hits (filled at drain from the pool).
+    /// Eager stores beyond a ring slot's inline area into storage that
+    /// existed (filled at drain from the endpoint's store counters).
     pub pool_hits: u64,
-    /// Payload-pool acquire misses (filled at drain from the pool).
+    /// Eager stores that made or grew their storage (likewise).
     pub pool_misses: u64,
     /// Scripted faults that fired on this rank (fault-injection runs).
     pub faults_injected: u64,

@@ -70,10 +70,10 @@ fn hops(
 
 /// Median over [`BATCHES`] timed batches of `iters` [`hops`] of `bytes`,
 /// after one untimed batch, all over the same two buffers. The warm-up
-/// absorbs thread-start skew, the buffers' first page faults, the first
-/// pool misses and the first parked wake-ups (tens of microseconds
-/// each, against a steady-state hop of about one); the median drops a
-/// batch the scheduler preempted.
+/// absorbs thread-start skew, the buffers' first page faults, the
+/// pair's ring allocations and the first parked wake-ups (tens of
+/// microseconds each, against a steady-state hop of about one); the
+/// median drops a batch the scheduler preempted.
 fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters: usize) -> f64 {
     const BATCHES: usize = 5;
     let (payload, mut buf) = (vec![0u8; bytes], vec![0u8; bytes]);
@@ -89,20 +89,20 @@ fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters:
 
 /// Measures α (small-message ping-pong), β (large-message slope) and γ
 /// (local `f64` summation throughput) on this host. The small message
-/// is an eager pooled copy received by polling, and the receiver looks
-/// back to back, so α is what a waiting hop costs on this host (a yield
-/// and the inbox's cache lines crossing cores: ≈0.8 µs on the reference
-/// 2-vCPU guest). The 1 MiB point is an *exchange*, because that is
-/// what the long-vector stages β prices are made of: every ring step is
-/// a `sendrecv` in which each rank consumes its neighbour's window — one
-/// pass over the bytes, straight out of the sender's buffer — with its
-/// own core, while its peer's core is busy doing the same. A one-way
-/// 1 MiB hop is about twice as fast (the blocked sender copies half of
-/// its own window) and would make every ring look cheaper than it runs;
-/// what that leaves unpriced is the MST stages' one-way long hops
-/// (ROADMAP item 3). Takes a fraction of a second; results are
-/// indicative, not statistically rigorous — exactly the "few
-/// parameters" the paper's port needs.
+/// is an eager copy through a ring slot, received by polling, and the
+/// receiver looks back to back, so α is what a waiting hop costs on
+/// this host (a yield and the inbox's cache lines crossing cores:
+/// ≈0.8 µs on the reference 2-vCPU guest). The 1 MiB point is an
+/// *exchange*, because that is what the long-vector stages β prices are
+/// made of: every ring step is a `sendrecv` in which each rank consumes
+/// its neighbour's window — one pass over the bytes, straight out of
+/// the sender's buffer — with its own core, while its peer's core is
+/// busy doing the same. A one-way 1 MiB hop is about twice as fast (the
+/// blocked sender copies half of its own window) and would make every
+/// ring look cheaper than it runs; what that leaves unpriced is the MST
+/// stages' one-way long hops (ROADMAP item 3). Takes a fraction of a
+/// second; results are indicative, not statistically rigorous — exactly
+/// the "few parameters" the paper's port needs.
 pub fn calibrate() -> Calibration {
     const SMALL: usize = 8;
     const BIG: usize = 1 << 20;
@@ -144,9 +144,8 @@ mod tests {
     #[test]
     fn calibration_produces_plausible_parameters() {
         let c = calibrate();
-        // Latency: sub-second, super-nanosecond (an eager pooled copy
-        // through the channel; steady state is seen by polling, not a
-        // wake-up).
+        // Latency: sub-second, super-nanosecond (an eager copy through
+        // a ring slot; steady state is seen by polling, not a wake-up).
         assert!(c.alpha > 1e-9 && c.alpha < 0.1, "alpha {}", c.alpha);
         // Bandwidth: between 1 MB/s and 1 TB/s, and (the best of three
         // calibrations: one the scheduler disturbed says nothing about

@@ -1,18 +1,18 @@
 //! The per-rank endpoint: a mailbox to and from every peer (one
 //! single-producer/single-consumer ring per ordered pair, see
-//! [`crate::mailbox`]), a stash for out-of-order arrivals, and pooled
-//! payload buffers.
+//! [`crate::mailbox`]) and a stash for out-of-order arrivals.
 //!
-//! Payload life-cycle (the zero-allocation hot path): a message of up
-//! to 1 KiB is copied into a slot of the receiver's ring and copied (or
-//! folded) out of it where it lies; no buffer is involved. A longer
-//! eager message is copied into a buffer from the *sender's*
-//! [`BufferPool`], whose handle travels in the slot; `recv` copies the
-//! bytes out and returns the buffer to the pool of the rank that sent
-//! it (every endpoint holds a shared handle to all pools). After one
-//! warm-up round of a repeated collective, every hop is served from a
-//! ring slot or a free list and the steady state allocates nothing —
-//! asserted by the `alloc_free` integration test.
+//! Payload life-cycle (the zero-allocation hot path): an eager message
+//! is copied into a slot of the receiver's ring — inline up to 1 KiB,
+//! else into the slot's extension in the pair's arena — and copied (or
+//! folded) out of it where it lies; the slot, extension included, goes
+//! back to the sender by the slot's lap counter. A message that arrives
+//! before its receive is copied into a buffer of the receiver's own
+//! stash, which recycles it; a self-send goes straight there. No buffer
+//! ever changes hands between ranks. After one warm-up round of a
+//! repeated collective every hop is served from storage that already
+//! exists, and the steady state allocates nothing — asserted by the
+//! `alloc_free` integration test.
 //!
 //! That is the *eager* path, taken below
 //! [`DEFAULT_RENDEZVOUS_THRESHOLD`] and for self-sends: two passes over
@@ -41,10 +41,10 @@
 //! and what its `unsafe` blocks rely on are at [`Completion`].
 
 use crate::chan::{poll, Waited};
-use crate::mailbox::{Arrival, Arrived, Fabric, Mailbox};
+use crate::mailbox::{Arrival, Arrived, Fabric, Mailbox, Store};
 use intercom::comm::Sink;
 use intercom::faults::POISON_TAG;
-use intercom::{AbortCause, AbortInfo, BufferPool, Comm, CommError, PoolStats, Result, Tag};
+use intercom::{AbortCause, AbortInfo, Comm, CommError, Result, Tag};
 use intercom_obs::{EventKind, Recorder, TraceEvent};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -53,10 +53,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Size at or above which `send` and `sendrecv` payloads skip the
-/// pooled copy entirely: the receiver consumes them straight out of the
+/// eager copy entirely: the receiver consumes them straight out of the
 /// sender's buffer (rendezvous), halving the per-hop memcpy volume for
-/// the bandwidth-bound regime. Below it, the eager pooled copy wins —
-/// the sender never waits on its peer.
+/// the bandwidth-bound regime. Below it, the eager copy through the
+/// receiver's ring wins — the sender never waits on its peer.
 pub const DEFAULT_RENDEZVOUS_THRESHOLD: usize = 32 * 1024;
 
 /// Size of the pieces a shared copy is cut into; a plain receive shares
@@ -337,18 +337,6 @@ impl Drop for BorrowedBytes {
     }
 }
 
-/// A message payload that does not travel inline: pooled bytes (eager
-/// sends longer than a slot, spilled messages, stashed copies) or a
-/// zero-copy window onto the sender's buffer (rendezvous sends).
-pub(crate) enum Payload {
-    /// Bytes in a buffer from `pools[owner]`, where they go back.
-    Pooled {
-        bytes: Vec<u8>,
-        owner: usize,
-    },
-    Borrowed(BorrowedBytes),
-}
-
 /// A length check common to every way a message lands.
 fn check_len(expected: usize, actual: usize) -> Result<()> {
     if expected == actual {
@@ -358,76 +346,58 @@ fn check_len(expected: usize, actual: usize) -> Result<()> {
     }
 }
 
-impl Payload {
-    fn len(&self) -> usize {
-        match self {
-            Payload::Pooled { bytes, .. } => bytes.len(),
-            Payload::Borrowed(b) => b.len,
-        }
+/// Lands eager `bytes`: hands them to `sink` where they lie, or without
+/// one copies them into `buf`. A length mismatch runs no sink.
+fn land(buf: &mut [u8], bytes: &[u8], sink: Option<&mut Sink<'_>>) -> Result<()> {
+    check_len(buf.len(), bytes.len())?;
+    match sink {
+        Some(sink) => sink(buf, Some(bytes)),
+        None => buf.copy_from_slice(bytes),
     }
+    Ok(())
+}
 
-    /// Lands the payload and retires it: pooled bytes are copied into
-    /// `buf` (then `sink(buf, None)`) and go back to the pool they came
-    /// from; a borrowed window is handed to
-    /// `sink` where it lies, or without one copied into `buf` — by this
-    /// rank alone or, from two [`COPY_CHUNK`]s up, together with its
-    /// blocked sender — and the sender is released. Says whether the
-    /// sink ran on the window in place. A length mismatch still retires
-    /// the payload (drop marks a borrowed one `Abandoned`) and runs no
-    /// sink.
-    fn consume(
-        self,
-        buf: &mut [u8],
-        pools: &[BufferPool],
-        sink: Option<&mut Sink<'_>>,
-    ) -> Result<bool> {
-        check_len(buf.len(), self.len())?;
-        match self {
-            Payload::Pooled { bytes, owner } => {
-                // A pooled `Vec<u8>` promises no alignment: copy first.
-                buf.copy_from_slice(&bytes);
-                pools[owner].release(bytes);
-                if let Some(sink) = sink {
-                    sink(buf, None);
-                }
+impl BorrowedBytes {
+    /// Lands the window and releases its sender: hands it to `sink`
+    /// where it lies, or without one copies it into `buf` — alone or,
+    /// from two [`COPY_CHUNK`]s up, together with its blocked sender.
+    /// Says whether the sink ran on the window in place. A length
+    /// mismatch still retires the window (drop marks it `Abandoned`)
+    /// and runs no sink.
+    fn consume(self, buf: &mut [u8], sink: Option<&mut Sink<'_>>) -> Result<bool> {
+        check_len(buf.len(), self.len)?;
+        // Consume or claim *under the completion lock*: a sender whose
+        // bounded wait expired withdraws the window (state flips to
+        // `Abandoned` under this same lock), so the borrow is
+        // dereferenced only while provably alive.
+        let st = self.done.lock();
+        if *st != CopyState::Pending {
+            return Err(CommError::Disconnected);
+        }
+        match sink {
+            Some(sink) => {
+                sink(buf, Some(self.as_slice()));
+                self.done.finish(st);
+                Ok(true)
+            }
+            None if self.len < 2 * COPY_CHUNK => {
+                buf.copy_from_slice(self.as_slice());
+                self.done.finish(st);
                 Ok(false)
             }
-            Payload::Borrowed(b) => {
-                // Consume or claim *under the completion lock*: a sender
-                // whose bounded wait expired withdraws the window (state
-                // flips to `Abandoned` under this same lock), so the
-                // borrow is dereferenced only while provably alive.
-                let st = b.done.lock();
-                if *st != CopyState::Pending {
-                    return Err(CommError::Disconnected);
-                }
-                match sink {
-                    Some(sink) => {
-                        sink(buf, Some(b.as_slice()));
-                        b.done.finish(st);
-                        Ok(true)
-                    }
-                    None if b.len < 2 * COPY_CHUNK => {
-                        buf.copy_from_slice(b.as_slice());
-                        b.done.finish(st);
-                        Ok(false)
-                    }
-                    None => {
-                        // From here to `Copied` `buf` is written through
-                        // this pointer only, by both ranks.
-                        let dst = buf.as_mut_ptr();
-                        b.done.claim(st, dst);
-                        // SAFETY: just claimed, with `dst` published;
-                        // `b.ptr` is the window (alive until `Copied`,
-                        // which `share_copy` returns after) and `buf`
-                        // is as long (checked above), exclusively ours
-                        // and, being another rank's buffer, disjoint
-                        // from it; this is the claiming receiver's
-                        // frame.
-                        unsafe { b.done.share_copy(b.ptr, dst, b.len) };
-                        Ok(false)
-                    }
-                }
+            None => {
+                // From here to `Copied` `buf` is written through this
+                // pointer only, by both ranks.
+                let dst = buf.as_mut_ptr();
+                self.done.claim(st, dst);
+                // SAFETY: just claimed, with `dst` published; `self.ptr`
+                // is the window (alive until `Copied`, which
+                // `share_copy` returns after) and `buf` is as long
+                // (checked above), exclusively ours and, being another
+                // rank's buffer, disjoint from it; this is the claiming
+                // receiver's frame.
+                unsafe { self.done.share_copy(self.ptr, dst, self.len) };
+                Ok(false)
             }
         }
     }
@@ -440,19 +410,34 @@ impl Payload {
 /// still delivered first.
 const FAREWELL_TAG: Tag = Tag::MAX;
 
+/// A message that waits in a stash: its bytes, copied into one of the
+/// stash's buffers, or a window whose sender still waits.
+enum Stashed {
+    Bytes(Vec<u8>),
+    Window(BorrowedBytes),
+}
+
+/// A message a receive matched: off the mailbox, or out of the stash.
+enum Matched<'a> {
+    Arrived(Arrived<'a>),
+    Stashed(Stashed),
+}
+
 /// Out-of-order arrivals from one peer: a flat `(tag, queue)` list
 /// scanned linearly. A collective keeps only a handful of tags in
-/// flight per peer, so the scan beats hashing, and emptied queues are
-/// parked on a spare list instead of dropped — steady-state stashing
-/// recycles both the payload buffers *and* the queue allocations.
+/// flight per peer, so the scan beats hashing, and emptied queues and
+/// byte buffers are parked on spare lists instead of dropped —
+/// steady-state stashing recycles both.
 #[derive(Default)]
 struct PeerStash {
-    entries: Vec<(Tag, VecDeque<Payload>)>,
-    spares: Vec<VecDeque<Payload>>,
+    entries: Vec<(Tag, VecDeque<Stashed>)>,
+    spares: Vec<VecDeque<Stashed>>,
+    /// Byte buffers no stashed message holds.
+    buffers: Vec<Vec<u8>>,
 }
 
 impl PeerStash {
-    fn push(&mut self, tag: Tag, data: Payload) {
+    fn push(&mut self, tag: Tag, data: Stashed) {
         if let Some((_, q)) = self.entries.iter_mut().find(|(t, _)| *t == tag) {
             q.push_back(data);
             return;
@@ -462,7 +447,25 @@ impl PeerStash {
         self.entries.push((tag, q));
     }
 
-    fn pop(&mut self, tag: Tag) -> Option<Payload> {
+    /// Stashes a copy of `data` in a spare buffer: the first one long
+    /// enough, else the last one, grown, else a new one.
+    fn push_bytes(&mut self, tag: Tag, data: &[u8]) -> Store {
+        let fits = self.buffers.iter().position(|b| b.capacity() >= data.len());
+        let mut buf = match fits {
+            Some(i) => self.buffers.swap_remove(i),
+            None => self.buffers.pop().unwrap_or_default(),
+        };
+        let store = match buf.capacity() >= data.len() {
+            true => Store::Reused,
+            false => Store::Allocated,
+        };
+        buf.clear();
+        buf.extend_from_slice(data);
+        self.push(tag, Stashed::Bytes(buf));
+        store
+    }
+
+    fn pop(&mut self, tag: Tag) -> Option<Stashed> {
         let i = self.entries.iter().position(|(t, _)| *t == tag)?;
         let data = self.entries[i].1.pop_front();
         if self.entries[i].1.is_empty() {
@@ -471,6 +474,17 @@ impl PeerStash {
         }
         data
     }
+}
+
+/// Counts of a rank's eager stores beyond a ring slot's inline area:
+/// into a slot's extension or the overflow (as sender), into a stash
+/// buffer (as receiver, or for a self-send).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Stores into storage that already existed.
+    pub hits: u64,
+    /// Stores that made or grew it: an arena, an overflow, a buffer.
+    pub misses: u64,
 }
 
 /// A rank's communication endpoint in a threaded world.
@@ -482,7 +496,7 @@ impl PeerStash {
 ///
 /// Below the rendezvous threshold ([`DEFAULT_RENDEZVOUS_THRESHOLD`])
 /// sends are eager (buffered, non-blocking): the data is copied into a
-/// ring slot (or a pooled buffer) immediately, so a `sendrecv` is
+/// ring slot (or its extension) immediately, so a `sendrecv` is
 /// send-then-receive without deadlock — the §2 machine's "send and
 /// receive at the same time". At or above it, `send` and `sendrecv`
 /// skip the copy-in: the receiver folds or copies directly out of this
@@ -492,12 +506,13 @@ impl PeerStash {
 /// before it receives, so both halves still progress together.
 pub struct ThreadComm {
     rank: usize,
-    /// The world's mailboxes, wakers and payload pools; consumed pooled
-    /// payloads go back to the pool of the rank that acquired them.
+    /// The world's mailboxes and wakers.
     fabric: Arc<Fabric>,
     /// The poison alerts already acted on (see [`Self::drain`]).
     alerts_seen: Cell<u64>,
     stash: RefCell<Vec<PeerStash>>,
+    /// What [`Self::pool_stats`] reports.
+    stores: Cell<StoreStats>,
     departed: RefCell<Vec<bool>>,
     /// The completion flags this rank's windows take turns with, made
     /// with the endpoint so that zero-copy hops allocate nothing: one
@@ -530,6 +545,7 @@ impl ThreadComm {
             fabric,
             alerts_seen: Cell::new(0),
             stash: RefCell::new((0..p).map(|_| PeerStash::default()).collect()),
+            stores: Cell::new(StoreStats::default()),
             departed: RefCell::new(vec![false; p]),
             completions: std::array::from_fn(|_| Arc::new(Completion::new())),
             recorder: None,
@@ -597,21 +613,25 @@ impl ThreadComm {
         self.fabric.mailbox(self.rank, from)
     }
 
-    /// Posts `data` to `to` under `tag`: inline when it fits a free
-    /// slot, else in a buffer from this rank's pool. Then wakes `to` if
-    /// it sleeps, and raises its alert for a poison record. Never
-    /// blocks; fails only once `to` is gone.
+    /// Posts `data` to `to` under `tag` (see [`Mailbox::post_bytes`]),
+    /// then wakes `to` if it sleeps, and raises its alert for a poison
+    /// record. A self-send goes straight to this rank's own stash, which
+    /// a receive looks at first, and a poison record to oneself latches
+    /// the abort as taking it would. Never blocks; fails only once `to`
+    /// is gone.
     fn post_eager(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        if to == self.rank {
+            match tag {
+                POISON_TAG => _ = self.absorb_poison(to, Some(data)),
+                _ => self.count(self.stash.borrow_mut()[to].push_bytes(tag, data)),
+            }
+            return Ok(());
+        }
         let mailbox = self.fabric.mailbox(to, self.rank);
         if mailbox.is_closed() {
             return Err(CommError::Disconnected);
         }
-        if !mailbox.try_post_inline(tag, data) {
-            let mut bytes = self.fabric.pools[self.rank].acquire(data.len());
-            bytes.extend_from_slice(data);
-            let owner = self.rank;
-            mailbox.post(tag, Payload::Pooled { bytes, owner });
-        }
+        self.count(mailbox.post_bytes(tag, data));
         let waker = self.fabric.waker(to);
         if tag == POISON_TAG {
             waker.raise_alert();
@@ -631,7 +651,7 @@ impl ThreadComm {
     /// every later receive; and the whole wait is bounded by the
     /// endpoint's deadline, so a schedule regression that would hang
     /// instead reports [`CommError::Timeout`] naming the silent peer.
-    fn take_matching(&self, from: usize, tag: Tag) -> Result<Arrived<'_>> {
+    fn take_matching(&self, from: usize, tag: Tag) -> Result<Matched<'_>> {
         if let Some(info) = *self.aborted.borrow() {
             return Err(CommError::Aborted(info));
         }
@@ -640,7 +660,7 @@ impl ThreadComm {
         let mut deadline = None;
         loop {
             if let Some(data) = self.stash.borrow_mut()[from].pop(tag) {
-                return Ok(Arrived::Payload(data));
+                return Ok(Matched::Stashed(data));
             }
             if self.departed.borrow()[from] {
                 return Err(CommError::Disconnected);
@@ -653,7 +673,9 @@ impl ThreadComm {
             }
             loop {
                 match self.inbox(from).pop() {
-                    Some(arrival) if arrival.tag == tag => return Ok(arrival.body),
+                    Some(arrival) if arrival.tag == tag => {
+                        return Ok(Matched::Arrived(arrival.body))
+                    }
                     Some(arrival) => {
                         self.sort(from, arrival)?;
                         if self.departed.borrow()[from] {
@@ -676,7 +698,8 @@ impl ThreadComm {
 
     /// Waits until `from`'s mailbox has a message or a poison alert is
     /// raised: polls both through [`poll`], then parks on this rank's
-    /// waker. `false` once `deadline` passes first.
+    /// waker. `false` once `deadline` passes first, or a park sleeps
+    /// until it.
     fn wait(&self, from: usize, deadline: Instant) -> bool {
         let mailbox = self.inbox(from);
         let waker = self.fabric.waker(self.rank);
@@ -685,10 +708,12 @@ impl ThreadComm {
         poll(ready, Some(deadline));
         let mut waited = Waited::Polled;
         while !ready() {
-            if Instant::now() >= deadline {
+            // A park that sleeps out the deadline times the wait out,
+            // whatever is there when it ends: a post would have woken
+            // it, so a wake-up that was lost is a timeout, not a delay.
+            if Instant::now() >= deadline || waker.park(ready, deadline) {
                 return false;
             }
-            waker.park(ready, deadline);
             waited = Waited::Parked;
         }
         self.count_wait(waited);
@@ -710,26 +735,35 @@ impl ThreadComm {
 
     /// Files a message from `src` that no receive asked for yet: a
     /// farewell marks `src` departed, a poison record latches the abort
-    /// (the error), anything else is stashed — an inline message copied
-    /// out of its slot into a buffer from this rank's pool.
+    /// (the error), anything else is stashed: eager bytes copied into a
+    /// buffer of the stash, so that their slot goes back to the sender,
+    /// and a window as it is, its sender still waiting.
     fn sort(&self, src: usize, arrival: Arrival<'_>) -> Result<()> {
         match arrival.tag {
             FAREWELL_TAG => self.departed.borrow_mut()[src] = true,
-            POISON_TAG => return Err(CommError::Aborted(self.absorb_poison(src, arrival.body))),
-            tag => {
-                let data = match arrival.body {
-                    Arrived::Payload(data) => data,
-                    Arrived::Inline(msg) => {
-                        let mut bytes = self.fabric.pools[self.rank].acquire(msg.bytes().len());
-                        bytes.extend_from_slice(msg.bytes());
-                        let owner = self.rank;
-                        Payload::Pooled { bytes, owner }
-                    }
+            POISON_TAG => {
+                let bytes = match &arrival.body {
+                    Arrived::Bytes(held) => Some(held.bytes()),
+                    Arrived::Window(_) => None,
                 };
-                self.stash.borrow_mut()[src].push(tag, data);
+                return Err(CommError::Aborted(self.absorb_poison(src, bytes)));
+            }
+            tag => {
+                let mut stash = self.stash.borrow_mut();
+                match arrival.body {
+                    Arrived::Bytes(held) => self.count(stash[src].push_bytes(tag, held.bytes())),
+                    Arrived::Window(window) => stash[src].push(tag, Stashed::Window(window)),
+                }
             }
         }
         Ok(())
+    }
+
+    fn count(&self, store: Store) {
+        let mut stores = self.stores.get();
+        stores.hits += u64::from(store == Store::Reused);
+        stores.misses += u64::from(store == Store::Allocated);
+        self.stores.set(stores);
     }
 
     /// Says where a wait went: resolved while polling, or only after
@@ -743,38 +777,29 @@ impl ThreadComm {
         }
     }
 
-    /// Latches an inbound poison record from `src`: decodes the abort
-    /// diagnosis (falling back to an [`AbortCause::External`] record
-    /// naming the sender when malformed), retires the payload, and arms
-    /// the fail-fast path for every later receive.
-    fn absorb_poison(&self, src: usize, data: Arrived<'_>) -> AbortInfo {
-        let decoded = match &data {
-            Arrived::Inline(msg) => AbortInfo::decode(msg.bytes()),
-            Arrived::Payload(Payload::Pooled { bytes, .. }) => AbortInfo::decode(bytes),
-            // A poison record is a few dozen bytes: it never travels as
-            // a window, and one that did is read as malformed rather
-            // than dereferenced off the completion lock. Dropping it
-            // marks it Abandoned, releasing the (never-expected)
-            // blocked sender.
-            Arrived::Payload(Payload::Borrowed(_)) => None,
-        };
-        let info = decoded.unwrap_or(AbortInfo {
+    /// Latches a poison record from `src`: decodes the abort diagnosis
+    /// from its `bytes` (falling back to an [`AbortCause::External`]
+    /// record naming the sender when malformed), and arms the fail-fast
+    /// path for every later receive. A poison record is a few dozen
+    /// bytes: it never travels as a window, and one that did has no
+    /// `bytes` here (it is not dereferenced off its completion lock) and
+    /// reads as malformed; dropping it releases its sender.
+    fn absorb_poison(&self, src: usize, bytes: Option<&[u8]>) -> AbortInfo {
+        let info = bytes.and_then(AbortInfo::decode).unwrap_or(AbortInfo {
             origin: src,
             culprit: src,
             plan: 0,
             step: 0,
             cause: AbortCause::External,
         });
-        if let Arrived::Payload(Payload::Pooled { bytes, owner }) = data {
-            self.fabric.pools[owner].release(bytes);
-        }
         *self.aborted.borrow_mut() = Some(info);
         info
     }
 
-    /// Counters of this rank's payload pool (hits/misses/recycled).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.fabric.pools[self.rank].stats()
+    /// Counters of the storage this rank's eager messages took beyond a
+    /// ring slot's inline area.
+    pub fn pool_stats(&self) -> StoreStats {
+        self.stores.get()
     }
 }
 
@@ -785,7 +810,7 @@ impl Drop for ThreadComm {
         for peer in (0..self.fabric.size()).filter(|&peer| peer != self.rank) {
             let mailbox = self.fabric.mailbox(peer, self.rank);
             if !mailbox.is_closed() {
-                mailbox.post_farewell(FAREWELL_TAG, self.rank);
+                mailbox.post_farewell(FAREWELL_TAG);
                 self.fabric.waker(peer).nudge();
             }
         }
@@ -934,16 +959,18 @@ impl ThreadComm {
         // (transfer) begins.
         let matched = obs.map_or(0.0, Recorder::now);
         let in_place = match data {
-            Arrived::Inline(msg) => {
-                // The slot is 64-byte aligned: a sink folds out of it.
-                check_len(buf.len(), msg.bytes().len())?;
-                match sink {
-                    Some(sink) => sink(buf, Some(msg.bytes())),
-                    None => buf.copy_from_slice(msg.bytes()),
-                }
-                false
+            // A slot's bytes are 64-byte aligned: a sink folds out of
+            // them.
+            Matched::Arrived(Arrived::Bytes(held)) => {
+                land(buf, held.bytes(), sink).map(|()| false)?
             }
-            Arrived::Payload(data) => data.consume(buf, &self.fabric.pools, sink)?,
+            Matched::Stashed(Stashed::Bytes(bytes)) => {
+                let landed = land(buf, &bytes, sink);
+                self.stash.borrow_mut()[from].buffers.push(bytes);
+                landed.map(|()| false)?
+            }
+            Matched::Arrived(Arrived::Window(window))
+            | Matched::Stashed(Stashed::Window(window)) => window.consume(buf, sink)?,
         };
         if let Some(r) = obs {
             let end = r.now();
@@ -973,7 +1000,7 @@ impl ThreadComm {
     }
 
     /// The zero-copy send: ships a borrowed window onto `data` instead
-    /// of a pooled copy, runs `meanwhile` (an exchange's receive half),
+    /// of an eager copy, runs `meanwhile` (an exchange's receive half),
     /// then blocks until the peer is finished with the window, copying
     /// its share if the peer claimed it (`Completion::wait`) —
     /// `data` must not be touched after return, so the wait happens
@@ -1005,7 +1032,7 @@ impl ThreadComm {
             len: data.len(),
             done: done.clone(),
         };
-        mailbox.post(tag, Payload::Borrowed(window));
+        mailbox.post_window(tag, window);
         self.fabric.waker(to).nudge();
         if mailbox.is_closed() {
             // The receiver went while we posted, and may not have seen
@@ -1166,7 +1193,7 @@ mod tests {
 
     #[test]
     fn self_sends_of_every_kind_arrive_in_order() {
-        // Inline, pooled, and a rendezvous-sized one (eager to oneself),
+        // Inline, mid-size, and a rendezvous-sized one (eager to oneself),
         // more of them than the ring holds.
         let (a, _b) = pair();
         let sizes = [
@@ -1402,7 +1429,7 @@ mod tests {
             len: n,
             done: done.clone(),
         };
-        a.fabric.mailbox(1, 0).post(2, Payload::Borrowed(window));
+        a.fabric.mailbox(1, 0).post_window(2, window);
         a.send(1, 1, &[1]).unwrap();
         b.recv(0, 1, &mut [0]).unwrap();
         assert!(done.hinted(CopyState::Pending), "sender released early");
@@ -1736,49 +1763,74 @@ mod tests {
         }
     }
 
+    /// A mid-size message lives in its slot's extension: the pair's
+    /// first one makes the arena (the sender's one allocation), every
+    /// later one reuses it, and the receiver stores nothing. Each
+    /// direction is a pair of its own.
     #[test]
-    fn inline_hops_touch_no_pool_and_longer_ones_return_to_the_senders() {
+    fn a_mid_size_hop_allocates_its_pair_arena_once_and_the_receiver_nothing() {
         let (a, b) = pair();
         let mut buf = [0u8; INLINE];
         for round in 0..4 {
             a.send(1, round, &[round as u8; INLINE]).unwrap();
             b.recv(0, round, &mut buf).unwrap();
         }
-        assert_eq!(a.pool_stats(), PoolStats::default(), "inline");
+        assert_eq!(a.pool_stats(), StoreStats::default(), "inline");
         let mut buf = [0u8; 2 * INLINE];
         for round in 0..4 {
             a.send(1, round, &[round as u8; 2 * INLINE]).unwrap();
             b.recv(0, round, &mut buf).unwrap();
+            assert_eq!(buf, [round as u8; 2 * INLINE]);
         }
-        let s = a.pool_stats();
-        // Round 1 allocates; every later round reuses the returned
-        // buffer (receiver releases into the *sender's* pool).
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.recycled, 4);
-        assert_eq!(b.pool_stats().misses, 0, "receiver's pool untouched");
+        let sender = StoreStats { hits: 3, misses: 1 };
+        assert_eq!(a.pool_stats(), sender);
+        assert_eq!(b.pool_stats(), StoreStats::default(), "the receiver");
+        b.send(0, 9, &buf).unwrap();
+        a.recv(1, 9, &mut buf).unwrap();
+        assert_eq!(b.pool_stats(), StoreStats { hits: 0, misses: 1 });
+        assert_eq!(a.pool_stats(), sender);
     }
 
     #[test]
-    fn stashed_payloads_also_recycle() {
+    fn stashed_payloads_recycle_rank_local_buffers() {
         // Two tags arrive "backwards" each round: tag 2 is consumed
         // first, forcing tag 1 through the stash.
         let (a, b) = pair();
         for n in [16, 2 * INLINE] {
             let mut buf = vec![0u8; n];
-            for _ in 0..3 {
-                a.send(1, 1, &vec![1; n]).unwrap();
+            for round in 0..3 {
+                a.send(1, 1, &vec![round; n]).unwrap();
                 a.send(1, 2, &vec![2; n]).unwrap();
                 b.recv(0, 2, &mut buf).unwrap();
                 b.recv(0, 1, &mut buf).unwrap();
+                assert!(buf.iter().all(|&x| x == round));
             }
         }
-        // Pooled messages recycle in the sender's pool; an inline one
-        // that has to wait is copied into the receiver's.
-        for (pool, acquired) in [(a.pool_stats(), 6), (b.pool_stats(), 3)] {
-            assert_eq!(pool.hits + pool.misses, acquired);
-            assert!(pool.misses <= 2, "stash path must recycle: {pool:?}");
-            assert_eq!(pool.recycled, acquired);
+        // The receiver copied six messages into its stash: one buffer,
+        // made for 16 B and grown once for 2 KiB. The sender made its
+        // arena for the first 2 KiB message and reused it for five.
+        assert_eq!(b.pool_stats(), StoreStats { hits: 4, misses: 2 });
+        assert_eq!(a.pool_stats(), StoreStats { hits: 5, misses: 1 });
+        assert_eq!(b.stash.borrow()[0].buffers.len(), 1);
+    }
+
+    /// A combining receive of a mid-size message folds straight out of
+    /// the slot's extension: the sink is handed the bytes where they
+    /// lie, 64-byte aligned, and the receive buffer is never written.
+    #[test]
+    fn a_mid_size_combining_receive_is_lent_its_aligned_extension() {
+        let (a, b) = pair();
+        for n in [INLINE + 1, 16 << 10, DEFAULT_RENDEZVOUS_THRESHOLD - 1] {
+            let data: Vec<u8> = (0..n).map(|i| (i * 7) as u8).collect();
+            a.send(1, 3, &data).unwrap();
+            let mut buf = vec![0u8; n];
+            let mut lent = None;
+            b.recv_with(0, 3, &mut buf, &mut |_, bytes| {
+                lent = bytes.map(|bytes| (bytes.as_ptr() as usize % 64, bytes == data));
+            })
+            .unwrap();
+            assert_eq!(lent, Some((0, true)), "{n} B");
+            assert!(buf.iter().all(|&x| x == 0), "{n} B: copied first");
         }
     }
 
@@ -1786,8 +1838,11 @@ mod tests {
     /// from polling into parking while sends race it: the
     /// `parked`/fence handshake must lose no wake-up. The receiver takes
     /// from the producers in a random order, so it sleeps on one mailbox
-    /// while others fill (and spill). Receives are bounded, so a lost
-    /// wake-up fails with `Timeout` instead of hanging the suite.
+    /// while others fill (and spill). Producer 0 holds its first post
+    /// back until the receiver sleeps, which it must do by the time it
+    /// wants that post: the park path is taken on any host, however the
+    /// scheduler runs the rest. Receives are bounded, so a lost wake-up
+    /// fails with `Timeout` instead of hanging the suite.
     #[test]
     fn racing_producers_lose_no_wakeup() {
         const PRODUCERS: usize = 8;
@@ -1796,6 +1851,9 @@ mod tests {
             if c.rank() < PRODUCERS {
                 let mut rng = intercom::SplitMix64::new(c.rank() as u64);
                 for i in 0..PER_PRODUCER {
+                    if c.rank() == 0 && i == 0 {
+                        until_parked(c, PRODUCERS);
+                    }
                     match rng.next_u64() % 16 {
                         // Long enough for the receiver to park.
                         0 => std::thread::sleep(Duration::from_micros(100)),

@@ -33,7 +33,7 @@ mod mailbox;
 pub mod world;
 
 pub use calibrate::{calibrate, Calibration};
-pub use endpoint::{ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD};
+pub use endpoint::{StoreStats, ThreadComm, DEFAULT_RENDEZVOUS_THRESHOLD};
 pub use world::{default_wait_timeout, run_world, run_world_with};
 
 // Re-exported so downstream tests can name the trait without an extra

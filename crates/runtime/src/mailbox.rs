@@ -11,9 +11,8 @@
 //!   area, also 64-byte aligned;
 //! * the producer owns the tail and the consumer the head, each on a
 //!   cache line of its own;
-//! * posting writes the header and, for a message of up to [`INLINE`]
-//!   bytes, the bytes themselves, then publishes them with one
-//!   `Release` store of `seq`; taking is an `Acquire` load of `seq`,
+//! * posting writes the header and the bytes, then publishes them with
+//!   one `Release` store of `seq`; taking is an `Acquire` load of `seq`,
 //!   the copy (or fold) out of the slot, and a `Release` store of `seq`
 //!   that hands the slot back for the producer's next lap.
 //!
@@ -22,18 +21,29 @@
 //! published and `2k + 2` once taken (free for lap `k + 1`). A slot
 //! starts at 0, free for lap 0.
 //!
-//! A longer eager message travels as a pooled `Vec` handle in the
-//! header, and a rendezvous window as its borrowed handle; neither uses
-//! the inline area. Control messages (a farewell, a poison record) are
-//! ordinary inline messages under their reserved tags.
+//! An eager message longer than [`INLINE`] bytes (they are all shorter
+//! than the rendezvous threshold) goes to its slot's *extension*: slot
+//! `i`'s stretch of one per-pair arena of 64-byte-aligned blocks, made
+//! by the pair's first such post. The extension belongs to its slot, so
+//! the same `seq` publishes it and hands it back, and a combining
+//! receive folds out of it as it does out of the inline area. A
+//! rendezvous window travels as its borrowed handle in the header.
+//! Control messages (a farewell, a poison record) are ordinary messages
+//! under their reserved tags.
 //!
 //! An eager send never blocks: when the ring is full the producer
-//! appends to the pair's overflow queue (a mutex, the rare path), and
-//! keeps appending there while it is non-empty, so nothing it posts
+//! appends to the pair's overflow (a mutex, the rare path): a queue of
+//! tags and windows, with the eager bytes in one byte log that is
+//! cleared, keeping its capacity, once the queue has emptied. It keeps
+//! appending there while the queue is non-empty, so nothing it posts
 //! later can overtake what it spilled. The consumer takes from the ring
 //! before the overflow, and re-looks at the ring under the overflow's
 //! lock before taking from it: under the lock every slot the producer
-//! published before it spilled is visible. Per-pair FIFO holds.
+//! published before it spilled is visible. Per-pair FIFO holds. Spilled
+//! bytes are read where they lie in the log, under the lock.
+//!
+//! No storage here ever changes hands between ranks: a ring, its arena
+//! and the overflow belong to the mailbox, and are reused in place.
 //!
 //! Waiting is the receiver's business alone ([`Waker`]): it polls the
 //! mailbox it waits on (through `chan::poll`), then parks. The producer
@@ -41,13 +51,17 @@
 //! syscall only for a receiver it finds asleep.
 //!
 //! A pair that never talks costs no ring: the producer allocates it on
-//! its first post (8 × 1 088 bytes, under the 16 KiB a pair may cost),
-//! and a farewell to a peer it never posted to goes to the overflow.
+//! its first post (8 × 1 088 bytes), and a farewell to a peer it never
+//! posted to goes to the overflow. The arena (8 × 32 KiB) waits for the
+//! pair's first post longer than [`INLINE`], and is never initialised:
+//! a page of it is touched only once a message is written there.
 
-use crate::endpoint::Payload;
-use intercom::{BufferPool, Tag};
+use crate::endpoint::{BorrowedBytes, DEFAULT_RENDEZVOUS_THRESHOLD};
+use intercom::Tag;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -56,16 +70,20 @@ use std::time::Instant;
 /// one peer before it spills. A collective keeps a handful.
 const SLOTS: usize = 8;
 
-/// Bytes a slot carries inline; a longer eager message is a pooled
-/// `Vec`. 1 KiB holds `thr-small`'s longest hop.
+/// Bytes a slot carries inline; a longer eager message goes to the
+/// slot's extension. 1 KiB holds `thr-small`'s longest hop.
 pub(crate) const INLINE: usize = 1024;
+
+/// Blocks of [`INLINE`] bytes in one slot's extension: room for any
+/// eager message.
+const EXTENSION: usize = DEFAULT_RENDEZVOUS_THRESHOLD / INLINE;
 
 /// What a published slot carries besides its tag.
 enum Body {
-    /// The first `len` bytes of the slot's inline area.
-    Inline(usize),
-    /// A pooled buffer or a borrowed window.
-    Payload(Payload),
+    /// `len` bytes: in the slot's inline area up to [`INLINE`], else in
+    /// its extension.
+    Bytes(usize),
+    Window(BorrowedBytes),
 }
 
 /// The header line's payload: written by the producer before it
@@ -88,12 +106,13 @@ struct Slot {
 // The header fits its line, so the inline area starts on the next one.
 const _: () = assert!(std::mem::size_of::<Slot>() == 64 + INLINE);
 
-// SAFETY: `head` and `bytes` are written only by the producer while
-// `seq` says the slot is free, and read only by the consumer while `seq`
-// says it is published; the `Release` store of `seq` that passes the
-// slot from one side to the other and the `Acquire` load that observes
-// it order every such access (see `publish` and `pop_ring`). What
-// `head` holds (`Vec<u8>`, a borrowed window) is `Send`.
+// SAFETY: `head` and `bytes` (and the slot's extension) are written
+// only by the producer while `seq` says the slot is free, and read only
+// by the consumer while `seq` says it is published; the `Release` store
+// of `seq` that passes the slot from one side to the other and the
+// `Acquire` load that observes it order every such access (see
+// `publish` and `pop_ring`). What `head` holds (a borrowed window) is
+// `Send`.
 unsafe impl Sync for Slot {}
 
 impl Slot {
@@ -102,10 +121,34 @@ impl Slot {
             seq: AtomicU64::new(0),
             head: UnsafeCell::new(Head {
                 tag: 0,
-                body: Body::Inline(0),
+                body: Body::Bytes(0),
             }),
             bytes: UnsafeCell::new(Bytes([0; INLINE])),
         }
+    }
+}
+
+/// Every slot's extension, [`EXTENSION`] blocks each, back to back.
+/// Never read before the producer has written it, so never initialised.
+struct Arena(Box<[UnsafeCell<MaybeUninit<Bytes>>]>);
+
+// SAFETY: as for `Slot`: slot `i`'s stretch is written by the producer
+// only while `seq` of slot `i` says it is free and read by the consumer
+// only while it says published.
+unsafe impl Sync for Arena {}
+
+impl Arena {
+    fn new() -> Self {
+        let blocks = (0..SLOTS * EXTENSION).map(|_| UnsafeCell::new(MaybeUninit::uninit()));
+        Arena(blocks.collect())
+    }
+
+    /// The first byte of the extension of the slot serving `pos`. The
+    /// pointer is derived from the arena's blocks from there on, so it
+    /// covers all [`EXTENSION`] blocks of the stretch.
+    fn extension(&self, pos: u64) -> *mut u8 {
+        let at = pos as usize % SLOTS * EXTENSION;
+        UnsafeCell::raw_get(self.0[at..].as_ptr()).cast()
     }
 }
 
@@ -119,6 +162,34 @@ fn published(pos: u64) -> u64 {
 #[derive(Default)]
 struct Line<T>(T);
 
+/// What a post had to store its bytes in, beyond a ring slot's inline
+/// area, for the endpoint's store counters.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Store {
+    /// A slot's inline area, or nothing (a window).
+    Inline,
+    /// Storage that already existed.
+    Reused,
+    /// Storage made or grown for it.
+    Allocated,
+}
+
+/// A spilled message: its bytes' place in the log, or a window.
+enum Spilled {
+    Bytes(Range<usize>),
+    Window(BorrowedBytes),
+}
+
+/// What the ring could not take, in posting order.
+#[derive(Default)]
+pub(crate) struct Overflow {
+    queue: VecDeque<(Tag, Spilled)>,
+    /// The spilled messages' bytes, back to back. Cleared by the next
+    /// spill once `queue` has emptied: by then the consumer has read
+    /// them all.
+    log: Vec<u8>,
+}
+
 /// The messages rank `q` sends to rank `r`: `q` is its only producer,
 /// `r` its only consumer.
 #[derive(Default)]
@@ -130,11 +201,14 @@ pub(crate) struct Mailbox {
     /// consumer's alone.
     head: Line<AtomicU64>,
     ring: OnceLock<Box<[Slot; SLOTS]>>,
-    overflow: Mutex<VecDeque<(Tag, Payload)>>,
-    /// Mirror of `overflow.len()`, stored under its lock. Only the
-    /// producer makes it non-zero, so a producer that reads 0 knows the
-    /// overflow is empty; the consumer reads it as a hint and re-checks
-    /// under the lock.
+    /// The slots' extensions, made by the first post longer than
+    /// [`INLINE`].
+    arena: OnceLock<Arena>,
+    overflow: Mutex<Overflow>,
+    /// Mirror of the overflow queue's length, stored under its lock.
+    /// Only the producer makes it non-zero, so a producer that reads 0
+    /// knows the overflow is empty; the consumer reads it as a hint and
+    /// re-checks under the lock.
     spilled: AtomicUsize,
     /// Set by the consumer when its endpoint goes; a later post fails.
     closed: AtomicBool,
@@ -147,41 +221,45 @@ pub(crate) struct Arrival<'a> {
 }
 
 pub(crate) enum Arrived<'a> {
-    /// Bytes still in their slot, which goes back to the producer when
-    /// this drops.
-    Inline(InlineMsg<'a>),
-    Payload(Payload),
+    Bytes(Held<'a>),
+    Window(BorrowedBytes),
 }
 
-/// An inline message read where it lies.
-pub(crate) struct InlineMsg<'a> {
-    slot: &'a Slot,
+/// Eager bytes read where they lie: in a slot's inline area or its
+/// extension, 64-byte aligned, or in the overflow's log.
+pub(crate) struct Held<'a> {
+    data: *const u8,
     len: usize,
-    /// `seq` that hands the slot back: free for the producer's next lap.
-    free: u64,
+    /// For bytes in a slot: its `seq`, and the value that hands it back
+    /// to the producer (free for its next lap) when this drops.
+    slot: Option<(&'a AtomicU64, u64)>,
+    /// For bytes in the log: the overflow's lock.
+    _log: Option<MutexGuard<'a, Overflow>>,
 }
 
-impl InlineMsg<'_> {
-    /// The message, 64-byte aligned.
+impl Held<'_> {
     pub fn bytes(&self) -> &[u8] {
-        // SAFETY: the slot is published and not yet handed back (that
-        // happens in `drop`), so the producer does not touch it; the
-        // consumer's `Acquire` load of `seq` made the producer's writes
-        // of these bytes visible, and `len <= INLINE` was written with
-        // them.
-        unsafe { &(&(*self.slot.bytes.get()).0)[..self.len] }
+        // SAFETY: the producer does not touch these `len` bytes at
+        // `data` until this drops: a slot is published and not yet
+        // handed back, and the log cannot change while its lock is
+        // held. Their writes are visible: the consumer's `Acquire` load
+        // of `seq`, or the lock, ordered them before this read.
+        unsafe { std::slice::from_raw_parts(self.data, self.len) }
     }
 }
 
-impl Drop for InlineMsg<'_> {
+impl Drop for Held<'_> {
     fn drop(&mut self) {
-        self.slot.seq.store(self.free, Ordering::Release);
+        if let Some((seq, free)) = self.slot {
+            seq.store(free, Ordering::Release);
+        }
     }
 }
 
 impl Mailbox {
-    fn lock(&self) -> MutexGuard<'_, VecDeque<(Tag, Payload)>> {
-        // Every critical section is one queue operation and a store.
+    fn lock(&self) -> MutexGuard<'_, Overflow> {
+        // Every producer critical section is one append and a store; a
+        // consumer that panicked mid-read left nothing half-written.
         self.overflow.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -190,53 +268,80 @@ impl Mailbox {
         self.closed.load(Ordering::Relaxed)
     }
 
-    /// Producer: posts `tag` and `data` inline when `data` fits a slot,
-    /// the ring has room and nothing is spilled. Returns `false` (having
-    /// posted nothing) otherwise; the caller then [`post`](Self::post)s
-    /// a payload.
-    pub(crate) fn try_post_inline(&self, tag: Tag, data: &[u8]) -> bool {
-        let free = (data.len() <= INLINE).then(|| self.free_slot()).flatten();
-        let Some((slot, pos)) = free else {
-            return false;
+    /// Producer: posts `tag` and `data` (shorter than the rendezvous
+    /// threshold) to the ring, inline or in the slot's extension, or to
+    /// the overflow when the ring is full or the overflow is non-empty.
+    /// Never blocks. Says what storage it took.
+    pub(crate) fn post_bytes(&self, tag: Tag, data: &[u8]) -> Store {
+        assert!(data.len() <= EXTENSION * INLINE, "an eager message");
+        let Some((slot, pos)) = self.free_slot() else {
+            return self.spill(tag, data, None);
         };
-        let body = Body::Inline(data.len());
-        self.publish(slot, pos, Head { tag, body }, data);
-        true
+        let mut store = Store::Inline;
+        let dst = if data.len() <= INLINE {
+            slot.bytes.get().cast::<u8>()
+        } else {
+            store = Store::Reused;
+            let arena = self.arena.get_or_init(|| {
+                store = Store::Allocated;
+                Arena::new()
+            });
+            arena.extension(pos)
+        };
+        // SAFETY: the slot, and with it its extension, is free for this
+        // lap (`free_slot` saw `seq` hand it back) and this is its only
+        // producer, so nothing else touches `dst` until `publish`
+        // releases it; `dst` has room for `data`: an inline area for up
+        // to `INLINE` bytes, else an extension of `EXTENSION` blocks,
+        // which the assert above bounds `data` by.
+        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), dst, data.len()) };
+        self.publish(slot, pos, tag, Body::Bytes(data.len()));
+        store
     }
 
-    /// Producer: posts a payload to the ring, or to the overflow when
-    /// the ring is full or the overflow is non-empty. Never blocks.
-    pub(crate) fn post(&self, tag: Tag, payload: Payload) {
+    /// Producer: posts a window to the ring, or to the overflow when the
+    /// ring is full or the overflow is non-empty. Never blocks.
+    pub(crate) fn post_window(&self, tag: Tag, window: BorrowedBytes) {
         match self.free_slot() {
-            Some((slot, pos)) => {
-                let body = Body::Payload(payload);
-                self.publish(slot, pos, Head { tag, body }, &[]);
-            }
-            None => self.spill(tag, payload),
+            Some((slot, pos)) => self.publish(slot, pos, tag, Body::Window(window)),
+            None => _ = self.spill(tag, &[], Some(window)),
         }
     }
 
     /// Producer, as its endpoint goes: posts the empty farewell `tag`.
     /// A pair that never talked gets it through the overflow, so its
     /// ring is never made; with nothing posted before it, FIFO holds.
-    pub(crate) fn post_farewell(&self, tag: Tag, owner: usize) {
+    pub(crate) fn post_farewell(&self, tag: Tag) {
         match self.ring.get().and_then(|_| self.free_slot()) {
-            Some((slot, pos)) => {
-                let body = Body::Inline(0);
-                self.publish(slot, pos, Head { tag, body }, &[]);
-            }
-            None => {
-                let bytes = Vec::new();
-                self.spill(tag, Payload::Pooled { bytes, owner });
-            }
+            Some((slot, pos)) => self.publish(slot, pos, tag, Body::Bytes(0)),
+            None => _ = self.spill(tag, &[], None),
         }
     }
 
-    /// Producer: appends to the overflow.
-    fn spill(&self, tag: Tag, payload: Payload) {
+    /// Producer: appends a window or, without one, `data` to the
+    /// overflow.
+    fn spill(&self, tag: Tag, data: &[u8], window: Option<BorrowedBytes>) -> Store {
         let mut overflow = self.lock();
-        overflow.push_back((tag, payload));
-        self.spilled.store(overflow.len(), Ordering::Relaxed);
+        let Overflow { queue, log } = &mut *overflow;
+        if queue.is_empty() {
+            log.clear();
+        }
+        let grows = queue.len() == queue.capacity() || log.capacity() - log.len() < data.len();
+        let spilled = match window {
+            Some(window) => Spilled::Window(window),
+            None => {
+                let at = log.len();
+                log.extend_from_slice(data);
+                Spilled::Bytes(at..log.len())
+            }
+        };
+        queue.push_back((tag, spilled));
+        self.spilled.store(queue.len(), Ordering::Relaxed);
+        if grows {
+            Store::Allocated
+        } else {
+            Store::Reused
+        }
     }
 
     /// Whether the pair's ring has been made.
@@ -260,19 +365,15 @@ impl Mailbox {
         free.then_some((slot, pos))
     }
 
-    /// Producer: writes `head` and `bytes` into `slot`, which
+    /// Producer: writes the header into `slot`, which
     /// [`free_slot`](Self::free_slot) returned for `pos`, and publishes
-    /// them.
-    fn publish(&self, slot: &Slot, pos: u64, head: Head, bytes: &[u8]) {
+    /// it with the bytes already written.
+    fn publish(&self, slot: &Slot, pos: u64, tag: Tag, body: Body) {
         // SAFETY: the slot is free for this lap (`free_slot` saw `seq`
         // hand it back) and this is its only producer, so nothing else
         // reads or writes it until the `Release` store below publishes
-        // it; `bytes` is at most `INLINE` long (`try_post_inline`) or
-        // empty.
-        unsafe {
-            *slot.head.get() = head;
-            (&mut (*slot.bytes.get()).0)[..bytes.len()].copy_from_slice(bytes);
-        }
+        // it.
+        unsafe { *slot.head.get() = Head { tag, body } };
         slot.seq.store(published(pos), Ordering::Release);
         self.tail.0.store(pos + 1, Ordering::Relaxed);
     }
@@ -302,12 +403,18 @@ impl Mailbox {
         if let Some(arrival) = self.pop_ring() {
             return Some(arrival);
         }
-        let (tag, payload) = overflow.pop_front()?;
-        self.spilled.store(overflow.len(), Ordering::Relaxed);
-        Some(Arrival {
-            tag,
-            body: Arrived::Payload(payload),
-        })
+        let (tag, spilled) = overflow.queue.pop_front()?;
+        self.spilled.store(overflow.queue.len(), Ordering::Relaxed);
+        let body = match spilled {
+            Spilled::Bytes(at) => Arrived::Bytes(Held {
+                data: overflow.log[at.clone()].as_ptr(),
+                len: at.len(),
+                slot: None,
+                _log: Some(overflow),
+            }),
+            Spilled::Window(window) => Arrived::Window(window),
+        };
+        Some(Arrival { tag, body })
     }
 
     fn pop_ring(&self) -> Option<Arrival<'_>> {
@@ -326,15 +433,28 @@ impl Mailbox {
                 &mut *slot.head.get(),
                 Head {
                     tag: 0,
-                    body: Body::Inline(0),
+                    body: Body::Bytes(0),
                 },
             )
         };
         let body = match body {
-            Body::Inline(len) => Arrived::Inline(InlineMsg { slot, len, free }),
-            Body::Payload(payload) => {
+            Body::Bytes(len) => {
+                let data = if len <= INLINE {
+                    slot.bytes.get().cast::<u8>()
+                } else {
+                    let arena = self.arena.get().expect("a long post made the arena");
+                    arena.extension(pos)
+                };
+                Arrived::Bytes(Held {
+                    data,
+                    len,
+                    slot: Some((&slot.seq, free)),
+                    _log: None,
+                })
+            }
+            Body::Window(window) => {
                 slot.seq.store(free, Ordering::Release);
-                Arrived::Payload(payload)
+                Arrived::Window(window)
             }
         };
         Some(Arrival { tag, body })
@@ -353,14 +473,11 @@ impl Mailbox {
 }
 
 /// What the ranks of one world share: a mailbox per ordered pair, and a
-/// waker and a payload pool per rank.
+/// waker per rank.
 pub(crate) struct Fabric {
     /// `mailboxes[to * p + from]`.
     mailboxes: Vec<Mailbox>,
     wakers: Vec<Waker>,
-    /// `pools[r]`: the buffers rank `r` acquires for its pooled sends
-    /// and stashed copies.
-    pub pools: Vec<BufferPool>,
 }
 
 impl Fabric {
@@ -368,7 +485,6 @@ impl Fabric {
         Fabric {
             mailboxes: (0..p * p).map(|_| Mailbox::default()).collect(),
             wakers: (0..p).map(|_| Waker::default()).collect(),
-            pools: (0..p).map(|_| BufferPool::new()).collect(),
         }
     }
 
@@ -431,16 +547,19 @@ impl Waker {
 
     /// Receiver: sleeps until nudged or `deadline`, unless `ready`
     /// holds once `parked` is visible to producers. The caller looks
-    /// again either way.
-    pub(crate) fn park(&self, ready: impl Fn() -> bool, deadline: Instant) {
+    /// again either way. Says whether it slept until `deadline`.
+    pub(crate) fn park(&self, ready: impl Fn() -> bool, deadline: Instant) -> bool {
         let guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
         self.parked.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        if !ready() {
-            if let Some(left) = deadline.checked_duration_since(Instant::now()) {
-                drop(self.wake.wait_timeout(guard, left));
-            }
-        }
+        let slept_out = !ready()
+            && deadline
+                .checked_duration_since(Instant::now())
+                .is_none_or(|left| {
+                    let woke = self.wake.wait_timeout(guard, left);
+                    woke.unwrap_or_else(|p| p.into_inner()).1.timed_out()
+                });
         self.parked.store(false, Ordering::Relaxed);
+        slept_out
     }
 }

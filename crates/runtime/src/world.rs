@@ -80,8 +80,8 @@ where
                     }
                     let out = f(&comm);
                     let record = comm.take_recorder().map(|r| {
-                        // Pool traffic is counted by the pool itself;
-                        // fold it into the drained counters.
+                        // Eager stores are counted by the endpoint;
+                        // fold them into the drained counters.
                         let stats = comm.pool_stats();
                         r.with_counters(|c| {
                             c.pool_hits = stats.hits;
@@ -255,7 +255,7 @@ mod tests {
         for c in &run.counters {
             assert_eq!(c.rendezvous_msgs, 1);
             assert_eq!(c.eager_msgs, 0);
-            assert_eq!(c.pool_hits + c.pool_misses, 0, "zero-copy skips the pool");
+            assert_eq!(c.pool_hits + c.pool_misses, 0, "zero-copy stores nothing");
         }
         // Each rank logs the SendRecv offer and the matching Recv.
         use intercom_obs::EventKind;

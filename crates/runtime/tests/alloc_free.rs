@@ -4,12 +4,13 @@
 //! Three levels of guarantee, strongest first:
 //!
 //! 1. Raw eager hops (`send`/`recv`/small `sendrecv`): after one
-//!    warm-up exchange allocates the pair's mailbox rings and populates
-//!    the pools, repeated hops perform **exactly zero** heap
-//!    allocations — up to 1 KiB a hop is copied through a ring slot
-//!    and touches no pool, above that a pooled buffer is recycled.
+//!    warm-up exchange allocates the pair's mailbox rings (and, past
+//!    1 KiB, the arena of the slots' extensions), repeated hops perform
+//!    **exactly zero** heap allocations — up to 1 KiB a hop is copied
+//!    through a ring slot's inline area and stores nothing else, above
+//!    that through the slot's extension, reused in place.
 //! 2. Rendezvous hops (large `sendrecv` and `send`): the zero-copy
-//!    path never touches the pool and reuses retired completion flags,
+//!    path stores nothing and reuses retired completion flags,
 //!    so steady-state hops allocate nothing except a rare benign race
 //!    (the peer's flag handle not yet dropped when the flag is
 //!    reacquired) — a handful of tiny, payload-size-independent
@@ -105,8 +106,8 @@ fn window_guard() -> std::sync::MutexGuard<'static, ()> {
     WINDOW.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Counts the rank threads' allocations, and rank 0's pool
-/// acquisitions, during `iters` hops of `n` bytes between two ranks
+/// Counts the rank threads' allocations, and rank 0's stores beyond a
+/// ring slot's inline area, during `iters` hops of `n` bytes between two ranks
 /// (after `warmup` identical hops). A hop is a symmetric `sendrecv`,
 /// or with `plain` one `send`/`recv` round trip.
 fn allocations_during_hops(n: usize, warmup: usize, iters: usize, plain: bool) -> (u64, u64) {
@@ -132,16 +133,14 @@ fn allocations_during_hops(n: usize, warmup: usize, iters: usize, plain: bool) -
         }
         // Lockstep ping-pong keeps mailbox depth at 1, but a receiver
         // descheduled under load lets the peer's next send queue behind
-        // an unconsumed one (depth 2) — pulling a second payload buffer
-        // from the pool for a pooled size. That is a legitimate
-        // one-time warm-up cost, so provision it here rather than
-        // letting a loaded machine pay them inside the window. The
-        // tag-2 handshake holds the peer off its receives until both
-        // sends are queued: without it a prompt peer returns the first
-        // buffer in time for the second send to reuse it, and the rank
-        // enters the window owning one buffer. Only eager sizes need
-        // (or survive) this: a rendezvous hop never touches the pool,
-        // and two rendezvous sends facing each other are a deadlock.
+        // an unconsumed one (depth 2), in a second ring slot and, past
+        // 1 KiB, its extension: storage the pair already has. Queue two
+        // here behind a tag-2 handshake the peer receives first, so it
+        // stashes both: the deepest a mailbox and a stash get, reached
+        // before the window rather than by a loaded machine inside it.
+        // Only eager sizes need (or survive) this: a rendezvous hop
+        // stores nothing, and two rendezvous sends facing each other
+        // are a deadlock.
         if n < DEFAULT_RENDEZVOUS_THRESHOLD {
             c.send(peer, 1, &mine).unwrap();
             c.send(peer, 1, &mine).unwrap();
@@ -150,9 +149,8 @@ fn allocations_during_hops(n: usize, warmup: usize, iters: usize, plain: bool) -
             c.recv(peer, 1, &mut got).unwrap();
             c.recv(peer, 1, &mut got).unwrap();
         }
-        // The two provisioned buffers return to this rank's pool only
-        // once the peer has received them; one more hop proves it has,
-        // so the window cannot open on an empty pool.
+        // One more hop proves the peer has taken both, so the window
+        // opens on mailboxes and stashes in their steady state.
         hop(&mut got);
         let acquired = || {
             let pool = c.pool_stats();
@@ -176,8 +174,8 @@ fn allocations_during_hops(n: usize, warmup: usize, iters: usize, plain: bool) -
 
 #[test]
 fn eager_hops_are_strictly_allocation_free() {
-    // 8 B and 1 KiB travel inline in a ring slot, 16 KiB in a pooled
-    // buffer; as an exchange and as a plain round trip.
+    // 8 B and 1 KiB travel inline in a ring slot, 16 KiB in the slot's
+    // extension; as an exchange and as a plain round trip.
     for n in [8, 1024, 16 << 10] {
         for plain in [false, true] {
             let (allocs, acquired) = allocations_during_hops(n, 4, 200, plain);
@@ -186,7 +184,7 @@ fn eager_hops_are_strictly_allocation_free() {
                 "steady-state {n} B hops performed {allocs} heap allocations (plain: {plain})"
             );
             if n <= 1024 {
-                assert_eq!(acquired, 0, "an inline {n} B hop took a pool buffer");
+                assert_eq!(acquired, 0, "an inline {n} B hop stored outside its slot");
             }
         }
     }
@@ -200,12 +198,12 @@ fn rendezvous_hops_allocate_at_most_stray_flags() {
             allocations_during_hops(DEFAULT_RENDEZVOUS_THRESHOLD * 2, 4, iters, plain);
         // The only permitted allocation is a fresh completion flag when
         // the retired one is reacquired before the peer drops its
-        // handle; no payload buffer is ever allocated, or even pooled.
+        // handle; no payload is ever stored, let alone allocated for.
         assert!(
             n <= 8,
             "expected near-zero rendezvous allocations, got {n} over {iters} hops (plain: {plain})"
         );
-        assert_eq!(acquired, 0, "a rendezvous hop took a pool buffer");
+        assert_eq!(acquired, 0, "a rendezvous hop stored its payload");
     }
 }
 
@@ -233,7 +231,7 @@ fn bytes_allocated_during_primitive_rounds(p: usize, elems: usize, rounds: usize
             ring_reduce_scatter_into(&gc, &contrib, &mut mine, sum, 2, &mut buckets).unwrap();
             mst_bcast(&gc, 0, &mut buf, 3).unwrap();
         };
-        // Eager, so allocation-free once its pool buffers exist.
+        // Eager and inline, so allocation-free once the rings exist.
         let barrier = || {
             let mut token = [0.0f64];
             mst_reduce(&gc, 0, &mut token, ReduceOp::Sum, 4, &mut [0.0]).unwrap();
@@ -317,7 +315,7 @@ fn allocations_during_steady_rounds(
                 cc.reduce_scatter(&all, &mut buf, ReduceOp::Sum).unwrap();
             }
         };
-        // Warm-up: sizes every pool free list, stash slot, queue, and
+        // Warm-up: makes every ring, arena, stash buffer, queue, and
         // plan scratch buffer. Two rounds, in case the first round's
         // out-of-order arrivals differ from the steady pattern.
         one_round();

@@ -1,13 +1,63 @@
 //! Port the library to *this machine* the §11 way — but measured, not
-//! typed in: calibrate α/β/γ of the threaded backend, then show how the
-//! cost-model selector's decisions shift between the 1994 Paragon and
-//! your host.
+//! typed in: calibrate α/β/γ of the threaded backend, print what one
+//! hop of the threaded transport costs across its size range, then show
+//! how the cost-model selector's decisions shift between the 1994
+//! Paragon and your host.
 //!
 //! Run: `cargo run --release --example tune_host`
 
 use intercom_cost::select::{envelope, Space};
 use intercom_cost::{best_strategy, CollectiveOp, CostContext, MachineParams};
-use intercom_runtime::calibrate;
+use intercom_runtime::{calibrate, run_world, Comm};
+use std::time::Instant;
+
+/// Sizes the hop probe prints: both sides of the inline limit (1 KiB)
+/// and of the rendezvous threshold (32 KiB), and the tiers' middles.
+const PROBE_SIZES: [usize; 9] = [
+    8,
+    1024,
+    1100,
+    2048,
+    16 << 10,
+    30_000,
+    32_767,
+    40_000,
+    64 << 10,
+];
+
+/// Median round trip of a two-rank ping-pong at each size, over
+/// `rounds` rounds after a warm-up. Rank 0 writes new bytes into its
+/// buffer before every round (untimed), and rank 1 echoes the bytes its
+/// receive has just written: no hop reads lines its receiver already
+/// holds. With a constant buffer a rendezvous hop would read a copy the
+/// receiver's cache kept from the round before, and flatter that tier.
+fn round_trips(rounds: usize) -> [f64; PROBE_SIZES.len()] {
+    const WARMUP: usize = 200;
+    let out = run_world(2, |c| {
+        PROBE_SIZES.map(|n| {
+            let (mut mine, mut got) = (vec![0u8; n], vec![0u8; n]);
+            let mut times = Vec::with_capacity(rounds);
+            for round in 0..WARMUP + rounds {
+                if c.rank() == 1 {
+                    c.recv(0, 1, &mut got).unwrap();
+                    c.send(0, 1, &got).unwrap();
+                    continue;
+                }
+                mine.fill(round as u8);
+                let start = Instant::now();
+                c.send(1, 1, &mine).unwrap();
+                c.recv(1, 1, &mut got).unwrap();
+                if round >= WARMUP {
+                    times.push(start.elapsed().as_secs_f64());
+                }
+            }
+            // Rank 1, which times nothing, reports 0.
+            times.sort_by(f64::total_cmp);
+            times.get(rounds / 2).copied().unwrap_or_default()
+        })
+    });
+    out[0]
+}
 
 fn main() {
     println!(
@@ -31,6 +81,16 @@ fn main() {
         host.gamma * 1e9,
         MachineParams::PARAGON.gamma * 1e9
     );
+
+    const ROUNDS: usize = 4000;
+    println!(
+        "round trips, 2 ranks, the sender rewriting its buffer every round (median of {ROUNDS}):"
+    );
+    println!("{:>10}  {:>10}", "bytes", "us");
+    for (n, t) in PROBE_SIZES.iter().zip(round_trips(ROUNDS)) {
+        println!("{n:>10}  {:>10.2}", t * 1e6);
+    }
+    println!();
 
     println!("selector decisions, broadcast on a 32-node group:");
     println!(

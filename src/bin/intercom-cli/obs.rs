@@ -45,7 +45,7 @@ fn bcast_loop(c: &ThreadComm, iters: usize) -> f64 {
     let cc = Communicator::world(c, MachineParams::PARAGON);
     let plan = BcastPlan::<u8>::new(&cc, 0, BYTES);
     let mut buf = vec![c.rank() as u8; BYTES];
-    plan.execute(&cc, &mut buf).unwrap(); // warm-up: pools, stashes
+    plan.execute(&cc, &mut buf).unwrap(); // warm-up: rings, stashes
     let t0 = Instant::now();
     for _ in 0..iters {
         plan.execute(&cc, &mut buf).unwrap();

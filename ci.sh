@@ -207,6 +207,13 @@ audit concurrent --source=concurrent
 echo "==> schedule-audit --source=chaos (fault-injection sweep, both backends)"
 audit chaos --source=chaos
 at_least "chaos cases" "$(audit_count chaos chaos cases)" 98
+# What the sweep recovers is pinned from both sides: each count repeated
+# exactly over five runs, so a fault layer that retried less (or more)
+# than today fails here even with zero failures.
+for pin in recoveries:56 aborts:42 retries:154; do
+    at_least "chaos ${pin%:*}" "$(audit_count chaos chaos "${pin%:*}")" "${pin#*:}"
+    at_most "chaos ${pin%:*}" "$(audit_count chaos chaos "${pin%:*}")" "${pin#*:}"
+done
 
 echo "==> schedule-audit --source=hier (hierarchical cluster-schedule sweep)"
 audit hier --source=hier

@@ -5,9 +5,21 @@ use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::primitives::{mst_gather, mst_scatter};
+use std::ops::Range;
 
-fn equal_blocks(p: usize, b: usize) -> Vec<std::ops::Range<usize>> {
+fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
     (0..p).map(|j| j * b..(j + 1) * b).collect()
+}
+
+/// The root's whole buffer, which must hold `total` items.
+fn sized<B: AsRef<[T]>, T>(full: Option<B>, total: usize) -> Result<B> {
+    match full {
+        Some(f) if f.as_ref().len() == total => Ok(f),
+        f => Err(CommError::BadBufferSize {
+            expected: total,
+            actual: f.map_or(0, |f| f.as_ref().len()),
+        }),
+    }
 }
 
 /// Scatter: the root's `full` (length `p · mine.len()`) is split into
@@ -20,35 +32,8 @@ pub fn scatter<T: Scalar, C: Comm + ?Sized>(
     mine: &mut [T],
     tag: Tag,
 ) -> Result<()> {
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let p = gc.len();
-    let b = mine.len();
-    let me = gc.me();
-    let mut work;
-    if me == root {
-        let f = full.ok_or(CommError::BadBufferSize {
-            expected: p * b,
-            actual: 0,
-        })?;
-        if f.len() != p * b {
-            return Err(CommError::BadBufferSize {
-                expected: p * b,
-                actual: f.len(),
-            });
-        }
-        work = vec![T::default(); p * b];
-        gc.copy(f, &mut work[..]);
-    } else {
-        work = vec![T::default(); p * b];
-    }
-    mst_scatter(gc, root, &mut work, &equal_blocks(p, b), tag)?;
-    gc.copy(&work[me * b..(me + 1) * b], mine);
-    Ok(())
+    let blocks = equal_blocks(gc.len(), mine.len());
+    scatter_blocks(gc, root, full, &blocks, mine, tag)
 }
 
 /// Gather: member `j` contributes `mine`; the root's `full` (length
@@ -61,30 +46,48 @@ pub fn gather<T: Scalar, C: Comm + ?Sized>(
     full: Option<&mut [T]>,
     tag: Tag,
 ) -> Result<()> {
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let p = gc.len();
-    let b = mine.len();
+    let blocks = equal_blocks(gc.len(), mine.len());
+    gather_blocks(gc, root, mine, &blocks, full, tag)
+}
+
+/// Scatter over a block table: the root stages `full` (the blocks'
+/// concatenation) in a work vector, the tree splits it, and member `j`
+/// copies block `j` out into `mine`.
+pub(super) fn scatter_blocks<T: Scalar, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    root: usize,
+    full: Option<&[T]>,
+    blocks: &[Range<usize>],
+    mine: &mut [T],
+    tag: Tag,
+) -> Result<()> {
     let me = gc.me();
-    let mut work = vec![T::default(); p * b];
-    gc.copy(mine, &mut work[me * b..(me + 1) * b]);
-    mst_gather(gc, root, &mut work, &equal_blocks(p, b), tag)?;
+    let mut work = vec![T::default(); blocks.last().map_or(0, |b| b.end)];
     if me == root {
-        let f = full.ok_or(CommError::BadBufferSize {
-            expected: p * b,
-            actual: 0,
-        })?;
-        if f.len() != p * b {
-            return Err(CommError::BadBufferSize {
-                expected: p * b,
-                actual: f.len(),
-            });
-        }
-        gc.copy(&work, f);
+        gc.copy(sized(full, work.len())?, &mut work);
+    }
+    mst_scatter(gc, root, &mut work, blocks, tag)?;
+    gc.copy(&work[blocks[me].clone()], mine);
+    Ok(())
+}
+
+/// Gather over a block table: member `j` stages `mine` as block `j` of a
+/// work vector, the tree joins them, and the root copies the whole
+/// concatenation out into `full`.
+pub(super) fn gather_blocks<T: Scalar, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    root: usize,
+    mine: &[T],
+    blocks: &[Range<usize>],
+    full: Option<&mut [T]>,
+    tag: Tag,
+) -> Result<()> {
+    let me = gc.me();
+    let mut work = vec![T::default(); blocks.last().map_or(0, |b| b.end)];
+    gc.copy(mine, &mut work[blocks[me].clone()]);
+    mst_gather(gc, root, &mut work, blocks, tag)?;
+    if me == root {
+        gc.copy(&work, sized(full, work.len())?);
     }
     Ok(())
 }

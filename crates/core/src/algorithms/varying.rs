@@ -7,10 +7,11 @@
 //! primitives already move arbitrary consecutive block ranges, so the v
 //! variants are thin layers that build the block table from the counts.
 
+use super::scatter_gather::{gather_blocks, scatter_blocks};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
-use crate::primitives::{mst_gather, mst_scatter, ring_collect};
+use crate::primitives::ring_collect;
 use std::ops::Range;
 
 /// Builds the block table from per-rank counts; `blocks[j]` spans
@@ -25,14 +26,26 @@ fn blocks_from_counts(counts: &[usize]) -> Vec<Range<usize>> {
     out
 }
 
-fn check_counts<C: Comm + ?Sized>(gc: &GroupComm<'_, C>, counts: &[usize]) -> Result<usize> {
+/// The block table of `counts`, once it holds one count per member and
+/// this member's count is `mine` items.
+fn checked_blocks<C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    counts: &[usize],
+    mine: usize,
+) -> Result<Vec<Range<usize>>> {
     if counts.len() != gc.len() {
         return Err(CommError::BadBufferSize {
             expected: gc.len(),
             actual: counts.len(),
         });
     }
-    Ok(counts.iter().sum())
+    if mine != counts[gc.me()] {
+        return Err(CommError::BadBufferSize {
+            expected: counts[gc.me()],
+            actual: mine,
+        });
+    }
+    Ok(blocks_from_counts(counts))
 }
 
 /// Scatter with per-rank counts: the root's `full` holds
@@ -46,40 +59,8 @@ pub fn scatterv<T: Scalar, C: Comm + ?Sized>(
     mine: &mut [T],
     tag: Tag,
 ) -> Result<()> {
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let total = check_counts(gc, counts)?;
-    let me = gc.me();
-    if mine.len() != counts[me] {
-        return Err(CommError::BadBufferSize {
-            expected: counts[me],
-            actual: mine.len(),
-        });
-    }
-    let blocks = blocks_from_counts(counts);
-    let mut work;
-    if me == root {
-        let f = full.ok_or(CommError::BadBufferSize {
-            expected: total,
-            actual: 0,
-        })?;
-        if f.len() != total {
-            return Err(CommError::BadBufferSize {
-                expected: total,
-                actual: f.len(),
-            });
-        }
-        work = f.to_vec();
-    } else {
-        work = vec![T::default(); total];
-    }
-    mst_scatter(gc, root, &mut work, &blocks, tag)?;
-    mine.copy_from_slice(&work[blocks[me].clone()]);
-    Ok(())
+    let blocks = checked_blocks(gc, counts, mine.len())?;
+    scatter_blocks(gc, root, full, &blocks, mine, tag)
 }
 
 /// Gather with per-rank counts: member `j` contributes `counts[j]` items;
@@ -92,38 +73,8 @@ pub fn gatherv<T: Scalar, C: Comm + ?Sized>(
     full: Option<&mut [T]>,
     tag: Tag,
 ) -> Result<()> {
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let total = check_counts(gc, counts)?;
-    let me = gc.me();
-    if mine.len() != counts[me] {
-        return Err(CommError::BadBufferSize {
-            expected: counts[me],
-            actual: mine.len(),
-        });
-    }
-    let blocks = blocks_from_counts(counts);
-    let mut work = vec![T::default(); total];
-    work[blocks[me].clone()].copy_from_slice(mine);
-    mst_gather(gc, root, &mut work, &blocks, tag)?;
-    if me == root {
-        let f = full.ok_or(CommError::BadBufferSize {
-            expected: total,
-            actual: 0,
-        })?;
-        if f.len() != total {
-            return Err(CommError::BadBufferSize {
-                expected: total,
-                actual: f.len(),
-            });
-        }
-        f.copy_from_slice(&work);
-    }
-    Ok(())
+    let blocks = checked_blocks(gc, counts, mine.len())?;
+    gather_blocks(gc, root, mine, &blocks, full, tag)
 }
 
 /// Collect with per-rank counts (`gcolx` semantics): member `j`
@@ -137,22 +88,15 @@ pub fn allgatherv<T: Scalar, C: Comm + ?Sized>(
     all: &mut [T],
     tag: Tag,
 ) -> Result<()> {
-    let total = check_counts(gc, counts)?;
-    let me = gc.me();
-    if mine.len() != counts[me] {
-        return Err(CommError::BadBufferSize {
-            expected: counts[me],
-            actual: mine.len(),
-        });
-    }
+    let blocks = checked_blocks(gc, counts, mine.len())?;
+    let total = blocks.last().map_or(0, |b| b.end);
     if all.len() != total {
         return Err(CommError::BadBufferSize {
             expected: total,
             actual: all.len(),
         });
     }
-    let blocks = blocks_from_counts(counts);
-    all[blocks[me].clone()].copy_from_slice(mine);
+    all[blocks[gc.me()].clone()].copy_from_slice(mine);
     ring_collect(gc, all, &blocks, tag)
 }
 

@@ -73,32 +73,28 @@ pub trait Comm {
     fn sendrecv(&self, to: usize, data: &[u8], from: usize, buf: &mut [u8], tag: Tag)
         -> Result<()>;
 
-    /// Concurrent exchange with independent per-half tags: send `data`
-    /// to `to` under `stag` while receiving into `buf` from `from`
-    /// under `rtag`. No library schedule needs mixed tags: tags encode
-    /// stages, and every exchange the algorithms or the optimizer emit
-    /// has both halves in one stage, so the program walk calls
-    /// [`Comm::sendrecv`]. The method stays because it is part of the
-    /// porting surface wrappers outside this workspace's crates
-    /// implement (the benchmark's instrumented `Comm` forwards it).
-    ///
-    /// The default delegates equal tags to [`Comm::sendrecv`] and
-    /// serializes mixed tags as send-then-recv; backends that can post
-    /// both halves concurrently override it for full-duplex progress.
+    /// [`Comm::sendrecv`] with a tag per half, for equal tags only: an
+    /// exchange is one recursion stage, and a stage is one tag (§6).
+    /// Equal tags go to [`Comm::sendrecv`]; mixed tags are
+    /// [`CommError::PlanMismatch`], never a send then a receive, which
+    /// would deadlock a long exchange on a backend that rendezvouses.
+    /// No backend overrides it; it stays only because the benchmark's
+    /// instrumented `Comm` forwards it, and goes with that wrapper.
     fn sendrecv_tagged(
         &self,
         to: usize,
         data: &[u8],
-        stag: Tag,
+        send_tag: Tag,
         from: usize,
         buf: &mut [u8],
-        rtag: Tag,
+        recv_tag: Tag,
     ) -> Result<()> {
-        if stag == rtag {
-            return self.sendrecv(to, data, from, buf, stag);
+        if send_tag != recv_tag {
+            return Err(CommError::PlanMismatch {
+                what: "an exchange has one tag",
+            });
         }
-        self.send(to, stag, data)?;
-        self.recv(from, rtag, buf)
+        self.sendrecv(to, data, from, buf, send_tag)
     }
 
     /// [`Comm::recv`] with a consumer: on success the backend calls

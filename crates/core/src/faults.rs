@@ -397,6 +397,16 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
         &self.layer
     }
 
+    fn log(&self, kind: FaultEventKind, peer: usize, tag: Tag, op: u64) {
+        self.layer.log_event(FaultEvent {
+            kind,
+            rank: self.rank,
+            peer: Some(peer),
+            tag,
+            op_index: op,
+        });
+    }
+
     fn check_abort(&self) -> Result<()> {
         match self.layer.aborted() {
             Some(info) => Err(CommError::Aborted(info)),
@@ -414,13 +424,7 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
                 tag: wtag,
                 waited_ms,
             }) => {
-                self.layer.log_event(FaultEvent {
-                    kind: FaultEventKind::Timeout,
-                    rank: self.rank,
-                    peer: Some(from),
-                    tag,
-                    op_index: op,
-                });
+                self.log(FaultEventKind::Timeout, from, tag, op);
                 self.poison(from, AbortCause::Timeout, tag, op);
                 Err(CommError::Timeout {
                     from,
@@ -498,13 +502,7 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
     ) -> Result<()> {
         let mut corrupt = 0u32;
         if let Some(kind) = fault {
-            self.layer.log_event(FaultEvent {
-                kind: FaultEventKind::Injected(kind),
-                rank: self.rank,
-                peer: Some(to),
-                tag,
-                op_index: op,
-            });
+            self.log(FaultEventKind::Injected(kind), to, tag, op);
             match kind {
                 FaultKind::Delay { micros } => {
                     if !self.layer.virtual_time {
@@ -526,13 +524,7 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
                     let budget = self.layer.plan.retry_budget;
                     let retries = count.min(budget);
                     for attempt in 1..=retries {
-                        self.layer.log_event(FaultEvent {
-                            kind: FaultEventKind::Retry { attempt },
-                            rank: self.rank,
-                            peer: Some(to),
-                            tag,
-                            op_index: op,
-                        });
+                        self.log(FaultEventKind::Retry { attempt }, to, tag, op);
                         self.backoff(attempt);
                     }
                     if count > budget {
@@ -546,164 +538,67 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
         transmit(corrupt)
     }
 
-    /// Framed send: prepend the checksum, transmit (corrupting the
-    /// first `corrupt` attempts), and wait for the receiver's verdict
-    /// on the control tag; NAKs retry with backoff against the budget.
-    fn framed_send(&self, to: usize, tag: Tag, data: &[u8], op: u64, corrupt: u32) -> Result<()> {
-        if !self.layer.framed {
-            debug_assert_eq!(corrupt, 0, "corruption faults require framing");
-            return self.after(self.inner.send(to, tag, data), tag, op);
-        }
-        let mut wire = frame(data);
-        let budget = self.layer.plan.retry_budget;
-        let mut attempt = 0u32;
-        loop {
-            let clean = wire.clone();
-            if attempt < corrupt {
-                let pos = FRAME_HEADER + self.corrupt_pos(op, attempt, data.len().max(1));
-                let pos = pos.min(wire.len() - 1);
-                wire[pos] ^= 0xA5;
-            }
-            self.after(self.inner.send(to, tag, &wire), tag, op)?;
-            wire = clean;
-            let mut verdict = [0u8; 1];
-            self.after(self.inner.recv(to, ack_tag(tag), &mut verdict), tag, op)?;
-            if verdict[0] == 1 {
-                return Ok(());
-            }
-            attempt += 1;
-            if attempt > budget {
-                return Err(self.poison(self.rank, AbortCause::CorruptBudget, tag, op));
-            }
-            self.layer.log_event(FaultEvent {
-                kind: FaultEventKind::Retry { attempt },
-                rank: self.rank,
-                peer: Some(to),
-                tag,
-                op_index: op,
-            });
-            self.backoff(attempt);
-        }
-    }
-
-    /// Framed receive: take the wire message, verify the checksum, and
-    /// return the verdict to the sender on the control tag. NAK loops
-    /// are unbounded on the receiver side — the *sender's* budget
-    /// decides when to give up, and its poison wakes us.
-    fn framed_recv(&self, from: usize, tag: Tag, buf: &mut [u8], op: u64) -> Result<()> {
-        if !self.layer.framed {
-            return self.after(self.inner.recv(from, tag, buf), tag, op);
-        }
-        let mut wire = vec![0u8; buf.len() + FRAME_HEADER];
-        loop {
-            self.after(self.inner.recv(from, tag, &mut wire), tag, op)?;
-            let ok = verify(&wire);
-            self.after(self.inner.send(from, ack_tag(tag), &[ok as u8]), tag, op)?;
-            if ok {
-                buf.copy_from_slice(&wire[FRAME_HEADER..]);
-                return Ok(());
-            }
-            self.layer.log_event(FaultEvent {
-                kind: FaultEventKind::Nak,
-                rank: self.rank,
-                peer: Some(from),
-                tag,
-                op_index: op,
-            });
-        }
-    }
-
-    /// Framed full-duplex exchange. The data round runs send/recv halves
-    /// as needed; the verdict round runs *reversed* (my verdict about
-    /// the incoming half goes to `from`; the peer's verdict about my
-    /// outgoing half comes from `to`), so verdict waits pair up exactly
-    /// like the data waits and inherit their deadlock-freedom.
-    #[allow(clippy::too_many_arguments)]
-    fn framed_exchange(
+    /// One transfer, framed when the plan scripts corruption: a send
+    /// half to `to` and/or a receive half from `from`, under one tag.
+    /// A framed data round sends `[checksum | payload]` (its first
+    /// `corrupt` attempts with a flipped byte) and checks what arrives;
+    /// the verdict round runs *reversed* (my verdict about the incoming
+    /// half goes to `from`, the peer's about my outgoing half comes from
+    /// `to`), so its waits pair up exactly like the data waits and
+    /// inherit their deadlock-freedom. A NAK'd send retries with backoff
+    /// against the budget; a receiver NAKs without bound — the sender's
+    /// budget decides when to give up, and its poison wakes the receiver.
+    fn framed(
         &self,
-        to: usize,
-        data: &[u8],
-        stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
+        send: Option<(usize, &[u8])>,
+        recv: Option<(usize, &mut [u8])>,
+        tag: Tag,
         op: u64,
         corrupt: u32,
     ) -> Result<()> {
         if !self.layer.framed {
             debug_assert_eq!(corrupt, 0, "corruption faults require framing");
-            return self.after(
-                self.inner.sendrecv_tagged(to, data, stag, from, buf, rtag),
-                stag,
-                op,
-            );
+            return self.after(self.transfer(send, recv, tag), tag, op);
         }
-        let swire = frame(data);
+        let mut need_send = send.is_some();
+        let mut need_recv = recv.is_some();
+        let (to, data) = send.unwrap_or((0, &[]));
+        let mut swire = frame(data);
+        let (from, buf) = recv.unwrap_or((0, &mut []));
         let mut rwire = vec![0u8; buf.len() + FRAME_HEADER];
         let budget = self.layer.plan.retry_budget;
         let mut attempt = 0u32;
-        let mut need_send = true;
-        let mut need_recv = true;
         loop {
-            if need_send {
-                let mut w = swire.clone();
-                if attempt < corrupt {
-                    let pos = FRAME_HEADER + self.corrupt_pos(op, attempt, data.len().max(1));
-                    let pos = pos.min(w.len() - 1);
-                    w[pos] ^= 0xA5;
-                }
-                if need_recv {
-                    self.after(
-                        self.inner
-                            .sendrecv_tagged(to, &w, stag, from, &mut rwire, rtag),
-                        stag,
-                        op,
-                    )?;
-                } else {
-                    self.after(self.inner.send(to, stag, &w), stag, op)?;
-                }
-            } else {
-                self.after(self.inner.recv(from, rtag, &mut rwire), rtag, op)?;
+            let flip = (need_send && attempt < corrupt).then(|| {
+                let pos = FRAME_HEADER + self.corrupt_pos(op, attempt, data.len().max(1));
+                pos.min(swire.len() - 1)
+            });
+            if let Some(pos) = flip {
+                swire[pos] ^= 0xA5;
             }
-            let my_verdict = if need_recv { verify(&rwire) } else { true };
+            let data_round = self.transfer(
+                need_send.then_some((to, &swire[..])),
+                need_recv.then_some((from, &mut rwire[..])),
+                tag,
+            );
+            self.after(data_round, tag, op)?;
+            if let Some(pos) = flip {
+                swire[pos] ^= 0xA5;
+            }
+            let my_verdict = !need_recv || verify(&rwire);
             let mut peer_verdict = [1u8; 1];
-            match (need_send, need_recv) {
-                (true, true) => self.after(
-                    self.inner.sendrecv_tagged(
-                        from,
-                        &[my_verdict as u8],
-                        ack_tag(rtag),
-                        to,
-                        &mut peer_verdict,
-                        ack_tag(stag),
-                    ),
-                    stag,
-                    op,
-                )?,
-                (true, false) => self.after(
-                    self.inner.recv(to, ack_tag(stag), &mut peer_verdict),
-                    stag,
-                    op,
-                )?,
-                (false, true) => self.after(
-                    self.inner.send(from, ack_tag(rtag), &[my_verdict as u8]),
-                    rtag,
-                    op,
-                )?,
-                (false, false) => unreachable!("exchange loop with nothing pending"),
-            }
+            let verdict_round = self.transfer(
+                need_recv.then_some((from, &[my_verdict as u8][..])),
+                need_send.then_some((to, &mut peer_verdict[..])),
+                ack_tag(tag),
+            );
+            self.after(verdict_round, tag, op)?;
             if need_recv {
                 if my_verdict {
                     buf.copy_from_slice(&rwire[FRAME_HEADER..]);
                     need_recv = false;
                 } else {
-                    self.layer.log_event(FaultEvent {
-                        kind: FaultEventKind::Nak,
-                        rank: self.rank,
-                        peer: Some(from),
-                        tag: rtag,
-                        op_index: op,
-                    });
+                    self.log(FaultEventKind::Nak, from, tag, op);
                 }
             }
             if need_send && peer_verdict[0] == 1 {
@@ -715,17 +610,26 @@ impl<'a, C: Comm + ?Sized> FaultyComm<'a, C> {
             if need_send {
                 attempt += 1;
                 if attempt > budget {
-                    return Err(self.poison(self.rank, AbortCause::CorruptBudget, stag, op));
+                    return Err(self.poison(self.rank, AbortCause::CorruptBudget, tag, op));
                 }
-                self.layer.log_event(FaultEvent {
-                    kind: FaultEventKind::Retry { attempt },
-                    rank: self.rank,
-                    peer: Some(to),
-                    tag: stag,
-                    op_index: op,
-                });
+                self.log(FaultEventKind::Retry { attempt }, to, tag, op);
                 self.backoff(attempt);
             }
+        }
+    }
+
+    /// The inner backend's call for the halves present.
+    fn transfer(
+        &self,
+        send: Option<(usize, &[u8])>,
+        recv: Option<(usize, &mut [u8])>,
+        tag: Tag,
+    ) -> Result<()> {
+        match (send, recv) {
+            (Some((to, data)), Some((from, buf))) => self.inner.sendrecv(to, data, from, buf, tag),
+            (Some((to, data)), None) => self.inner.send(to, tag, data),
+            (None, Some((from, buf))) => self.inner.recv(from, tag, buf),
+            (None, None) => Ok(()),
         }
     }
 }
@@ -761,18 +665,14 @@ impl<C: Comm + ?Sized> Comm for FaultyComm<'_, C> {
         let op = self.layer.next_op(self.rank);
         let fault = self.layer.fault_for(self.rank, op, to);
         self.faulted_op(fault, to, tag, op, |corrupt| {
-            self.framed_send(to, tag, data, op, corrupt)
+            self.framed(Some((to, data)), None, tag, op, corrupt)
         })
     }
 
     fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
         self.check_abort()?;
-        self.framed_recv(
-            from,
-            tag,
-            buf,
-            self.layer.op_counters[self.rank].load(Ordering::Acquire),
-        )
+        let op = self.layer.op_counters[self.rank].load(Ordering::Acquire);
+        self.framed(None, Some((from, buf)), tag, op, 0)
     }
 
     fn sendrecv(
@@ -783,23 +683,11 @@ impl<C: Comm + ?Sized> Comm for FaultyComm<'_, C> {
         buf: &mut [u8],
         tag: Tag,
     ) -> Result<()> {
-        self.sendrecv_tagged(to, data, tag, from, buf, tag)
-    }
-
-    fn sendrecv_tagged(
-        &self,
-        to: usize,
-        data: &[u8],
-        stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
-    ) -> Result<()> {
         self.check_abort()?;
         let op = self.layer.next_op(self.rank);
         let fault = self.layer.fault_for(self.rank, op, to);
-        self.faulted_op(fault, to, stag, op, |corrupt| {
-            self.framed_exchange(to, data, stag, from, buf, rtag, op, corrupt)
+        self.faulted_op(fault, to, tag, op, |corrupt| {
+            self.framed(Some((to, data)), Some((from, buf)), tag, op, corrupt)
         })
     }
 

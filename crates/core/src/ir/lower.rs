@@ -235,17 +235,13 @@ fn resolve_rank(
                 from,
                 dst,
                 tag,
-                rtag,
-            } => {
-                debug_assert_eq!(tag, rtag, "library schedules exchange under one tag");
-                StepKind::SendRecv {
-                    to: fit(to)?,
-                    src: resolve(src)?,
-                    from: fit(from)?,
-                    dst: resolve(dst)?,
-                    tag_off: fit(tag)?,
-                }
-            }
+            } => StepKind::SendRecv {
+                to: fit(to)?,
+                src: resolve(src)?,
+                from: fit(from)?,
+                dst: resolve(dst)?,
+                tag_off: fit(tag)?,
+            },
             OpRecord::Copy { src, dst } => StepKind::Copy {
                 src: resolve(src)?,
                 dst: resolve(dst)?,
@@ -577,7 +573,6 @@ mod tests {
             from: 2,
             dst: r,
             tag: 0,
-            rtag: 0,
         };
         for (acc, fuses) in [(span(1004, 8), false), (span(1008, 8), true)] {
             let (kinds, _, landing) = resolved(&[exchange, OpRecord::Reduce { acc, other: r }]);

@@ -86,7 +86,8 @@ pub enum OpRecord {
         /// Bytes written.
         dst: MemSpan,
     },
-    /// Concurrent send-to / receive-from (possibly different peers).
+    /// Concurrent send-to / receive-from (possibly different peers),
+    /// both halves under one tag: an exchange is one recursion stage.
     SendRecv {
         /// Destination world rank of the send half.
         to: usize,
@@ -96,11 +97,8 @@ pub enum OpRecord {
         from: usize,
         /// Bytes written by the receive half.
         dst: MemSpan,
-        /// Tag of the send half.
+        /// Message tag of both halves.
         tag: Tag,
-        /// Tag of the receive half (equal to `tag` except under
-        /// [`Comm::sendrecv_tagged`]; no library schedule mixes tags).
-        rtag: Tag,
     },
     /// Local combine work over `bytes` bytes (the γ term).
     Compute {
@@ -255,32 +253,6 @@ impl Comm for RecordingComm {
             from,
             dst,
             tag,
-            rtag: tag,
-        });
-        Ok(())
-    }
-
-    fn sendrecv_tagged(
-        &self,
-        to: usize,
-        data: &[u8],
-        stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
-    ) -> Result<()> {
-        self.check_peer(to)?;
-        self.check_peer(from)?;
-        self.fill(buf);
-        let src = MemSpan::of(data);
-        let dst = MemSpan::of(buf);
-        self.ops.borrow_mut().push(OpRecord::SendRecv {
-            to,
-            src,
-            from,
-            dst,
-            tag: stag,
-            rtag,
         });
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! The per-rank simulated endpoint.
 
 use crate::engine::{Reply, Request};
-use crate::window::{ProgramWindow, RecvWindow, SendWindow};
+use crate::window::ProgramWindow;
 use intercom::ir::{BoundProgram, Step, StepKind};
 use intercom::{Comm, CommError, Result, Tag};
 use std::ops::Range;
@@ -88,19 +88,11 @@ impl Comm for SimComm {
     }
 
     fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
-        self.roundtrip(Request::Send {
-            to,
-            tag,
-            data: SendWindow::lend(data),
-        })
+        self.roundtrip(Request::transfer(Some((to, data)), None, tag))
     }
 
     fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
-        self.roundtrip(Request::Recv {
-            from,
-            tag,
-            buf: RecvWindow::lend(buf),
-        })
+        self.roundtrip(Request::transfer(None, Some((from, buf)), tag))
     }
 
     fn sendrecv(
@@ -111,26 +103,7 @@ impl Comm for SimComm {
         buf: &mut [u8],
         tag: Tag,
     ) -> Result<()> {
-        self.sendrecv_tagged(to, data, tag, from, buf, tag)
-    }
-
-    fn sendrecv_tagged(
-        &self,
-        to: usize,
-        data: &[u8],
-        stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
-    ) -> Result<()> {
-        self.roundtrip(Request::SendRecv {
-            to,
-            data: SendWindow::lend(data),
-            from,
-            tag: stag,
-            rtag,
-            buf: RecvWindow::lend(buf),
-        })
+        self.roundtrip(Request::transfer(Some((to, data)), Some((from, buf)), tag))
     }
 
     fn compute(&self, bytes: usize) {

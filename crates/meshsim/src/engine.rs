@@ -68,26 +68,12 @@ const SPLIT_BYTES: usize = 512 * 1024;
 /// the rank stays blocked in the lending call until it is replied to.
 #[derive(Debug)]
 pub(crate) enum Request {
-    Send {
-        to: usize,
+    /// A send half to a rank, a receive half from one, or both at
+    /// once, under one tag.
+    Transfer {
+        send: Option<(usize, SendWindow)>,
+        recv: Option<(usize, RecvWindow)>,
         tag: Tag,
-        data: SendWindow,
-    },
-    Recv {
-        from: usize,
-        tag: Tag,
-        buf: RecvWindow,
-    },
-    SendRecv {
-        to: usize,
-        data: SendWindow,
-        from: usize,
-        /// Tag of the send half.
-        tag: Tag,
-        /// Tag of the receive half (differs from `tag` only under
-        /// `Comm::sendrecv_tagged`; no library schedule mixes tags).
-        rtag: Tag,
-        buf: RecvWindow,
     },
     Compute {
         bytes: usize,
@@ -154,6 +140,19 @@ struct Running {
 }
 
 impl Request {
+    /// A transfer lending the caller's buffers as windows.
+    pub(crate) fn transfer(
+        send: Option<(usize, &[u8])>,
+        recv: Option<(usize, &mut [u8])>,
+        tag: Tag,
+    ) -> Self {
+        Request::Transfer {
+            send: send.map(|(to, data)| (to, SendWindow::lend(data))),
+            recv: recv.map(|(from, buf)| (from, RecvWindow::lend(buf))),
+            tag,
+        }
+    }
+
     /// The request a program step stands for, its byte views lent as
     /// windows (so it outlives the step's borrow); `None` for a copy or
     /// a fold, which `step` has already run. A fused receive is a
@@ -164,40 +163,25 @@ impl Request {
             StepAction::Copy { .. } | StepAction::Reduce { .. } => return None,
             StepAction::Compute(bytes) => Request::Compute { bytes },
             StepAction::CallOverhead => Request::CallOverhead,
-            StepAction::Send { to, tag, data } => Request::Send {
-                to,
-                tag,
-                data: SendWindow::lend(data),
-            },
-            StepAction::Recv { from, tag, buf } => Request::Recv {
-                from,
-                tag,
-                buf: RecvWindow::lend(buf),
-            },
+            StepAction::Send { to, tag, data } => Request::transfer(Some((to, data)), None, tag),
+            StepAction::Recv { from, tag, buf } => Request::transfer(None, Some((from, buf)), tag),
             StepAction::SendRecv {
                 to,
                 data,
                 from,
                 buf,
                 tag,
-            } => Request::SendRecv {
-                to,
-                data: SendWindow::lend(data),
-                from,
-                tag,
-                rtag: tag,
-                buf: RecvWindow::lend(buf),
-            },
+            } => Request::transfer(Some((to, data)), Some((from, buf)), tag),
             StepAction::RecvReduce {
                 from,
                 tag,
                 acc,
                 fold,
                 ..
-            } => Request::Recv {
-                from,
+            } => Request::Transfer {
+                send: None,
+                recv: Some((from, RecvWindow::folding(acc, fold))),
                 tag,
-                buf: RecvWindow::folding(acc, fold),
             },
             StepAction::SendRecvReduce {
                 to,
@@ -207,13 +191,10 @@ impl Request {
                 tag,
                 fold,
                 ..
-            } => Request::SendRecv {
-                to,
-                data: SendWindow::lend(data),
-                from,
+            } => Request::Transfer {
+                send: Some((to, SendWindow::lend(data))),
+                recv: Some((from, RecvWindow::folding(acc, fold))),
                 tag,
-                rtag: tag,
-                buf: RecvWindow::folding(acc, fold),
             },
         })
     }
@@ -466,10 +447,10 @@ impl Engine {
         // immediately, then (first record only) release every blocked
         // rank with the abort diagnosis and clear all pending traffic —
         // the coordinated-abort guarantee that no rank hangs.
-        if let Request::Send {
+        if let Request::Transfer {
+            send: Some((_, ref data)),
+            recv: None,
             tag: POISON_TAG,
-            ref data,
-            ..
         } = req
         {
             let info = AbortInfo::decode(data.bytes()).unwrap_or(AbortInfo {
@@ -513,11 +494,7 @@ impl Engine {
     /// (ending the rank's program, if it runs one); clock requests
     /// still apply harmlessly.
     fn dispatch(&mut self, rank: usize, req: Request, plan: (u64, u64)) {
-        let transfer = matches!(
-            req,
-            Request::Send { .. } | Request::Recv { .. } | Request::SendRecv { .. }
-        );
-        if let (true, Some(info)) = (transfer, self.poisoned) {
+        if let (Request::Transfer { .. }, Some(info)) = (&req, self.poisoned) {
             return self.end_program(rank, Err(CommError::Aborted(info)));
         }
         // Arithmetic and call overhead execute on the node: the intra
@@ -527,25 +504,14 @@ impl Engine {
                 self.clocks[rank] += bytes as f64 * self.machine.intra().gamma;
             }
             Request::CallOverhead => self.clocks[rank] += self.machine.intra().delta,
-            Request::Send { to, tag, data } => {
-                self.block(rank, 1);
-                self.post_send(rank, to, tag, data, plan);
-            }
-            Request::Recv { from, tag, buf } => {
-                self.block(rank, 1);
-                self.post_recv(from, rank, tag, buf, plan);
-            }
-            Request::SendRecv {
-                to,
-                data,
-                from,
-                tag,
-                rtag,
-                buf,
-            } => {
-                self.block(rank, 2);
-                self.post_send(rank, to, tag, data, plan);
-                self.post_recv(from, rank, rtag, buf, plan);
+            Request::Transfer { send, recv, tag } => {
+                self.block(rank, send.is_some() as u8 + recv.is_some() as u8);
+                if let Some((to, data)) = send {
+                    self.post_send(rank, to, tag, data, plan);
+                }
+                if let Some((from, buf)) = recv {
+                    self.post_recv(from, rank, tag, buf, plan);
+                }
             }
             Request::PlanStep { .. } | Request::Program { .. } | Request::Finished => {
                 unreachable!("not a step request")
@@ -1018,30 +984,15 @@ mod tests {
     // engine has produced the posting rank's reply.
 
     fn send(to: usize, tag: Tag, data: &[u8]) -> Request {
-        Request::Send {
-            to,
-            tag,
-            data: SendWindow::lend(data),
-        }
+        Request::transfer(Some((to, data)), None, tag)
     }
 
     fn recv(from: usize, tag: Tag, buf: &mut [u8]) -> Request {
-        Request::Recv {
-            from,
-            tag,
-            buf: RecvWindow::lend(buf),
-        }
+        Request::transfer(None, Some((from, buf)), tag)
     }
 
     fn sendrecv(to: usize, data: &[u8], from: usize, buf: &mut [u8], tag: Tag) -> Request {
-        Request::SendRecv {
-            to,
-            data: SendWindow::lend(data),
-            from,
-            tag,
-            rtag: tag,
-            buf: RecvWindow::lend(buf),
-        }
+        Request::transfer(Some((to, data)), Some((from, buf)), tag)
     }
 
     fn replies(e: &mut Engine) -> Vec<(usize, Reply)> {

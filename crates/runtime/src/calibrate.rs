@@ -73,10 +73,12 @@ fn hops(
 /// absorbs thread-start skew, the buffers' first page faults, the
 /// pair's ring allocations and the first parked wake-ups (tens of
 /// microseconds each, against a steady-state hop of about one); the
-/// median drops a batch the scheduler preempted.
+/// median drops a batch the scheduler preempted. The payload is
+/// written: a zeroed one may be fresh pages that all map the kernel's
+/// one zero page, which every hop would then read out of cache.
 fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters: usize) -> f64 {
     const BATCHES: usize = 5;
-    let (payload, mut buf) = (vec![0u8; bytes], vec![0u8; bytes]);
+    let (payload, mut buf) = (vec![1u8; bytes], vec![0u8; bytes]);
     let mut times = [0.0; BATCHES + 1];
     for (batch, t) in times.iter_mut().enumerate() {
         let bufs = (&payload[..], &mut buf[..]);
@@ -140,9 +142,11 @@ pub fn calibrate() -> Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn calibration_produces_plausible_parameters() {
+        let _cores = crate::CORES.write().unwrap_or_else(PoisonError::into_inner);
         let c = calibrate();
         // Latency: sub-second, super-nanosecond (an eager copy through
         // a ring slot; steady state is seen by polling, not a wake-up).

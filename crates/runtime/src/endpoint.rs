@@ -896,18 +896,6 @@ impl Comm for ThreadComm {
         self.exchange(to, data, tag, || self.receive(from, tag, buf, Some(sink)))
     }
 
-    fn sendrecv_tagged(
-        &self,
-        to: usize,
-        data: &[u8],
-        stag: Tag,
-        from: usize,
-        buf: &mut [u8],
-        rtag: Tag,
-    ) -> Result<()> {
-        self.exchange(to, data, stag, || self.receive(from, rtag, buf, None))
-    }
-
     fn compute(&self, bytes: usize) {
         // Real arithmetic happens in caller code (γ accounting); the
         // recorder logs the step so reduce work shows on the timeline.
@@ -1100,6 +1088,7 @@ mod tests {
     use super::*;
     use crate::mailbox::INLINE;
     use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::PoisonError;
 
     fn pair_waiting(wait: Duration) -> (ThreadComm, ThreadComm) {
         let fabric = Arc::new(Fabric::new(2));
@@ -1308,6 +1297,7 @@ mod tests {
 
     #[test]
     fn payloads_around_the_threshold_are_byte_exact() {
+        let _cores = crate::CORES.read().unwrap_or_else(PoisonError::into_inner);
         let t = DEFAULT_RENDEZVOUS_THRESHOLD;
         for n in [t - 1, t, t + 1, 4 << 20] {
             for exchange in [false, true] {
@@ -1470,6 +1460,7 @@ mod tests {
     /// to a bound. (`./ci.sh sanitize` runs this under ThreadSanitizer.)
     #[test]
     fn racing_copies_lose_no_completion() {
+        let _cores = crate::CORES.read().unwrap_or_else(PoisonError::into_inner);
         const LINE_UP: Tag = 0;
         // A sender helps only while its receiver copies on another
         // core: with one core there is nothing to wait for.
@@ -1845,6 +1836,7 @@ mod tests {
     /// fails with `Timeout` instead of hanging the suite.
     #[test]
     fn racing_producers_lose_no_wakeup() {
+        let _cores = crate::CORES.read().unwrap_or_else(PoisonError::into_inner);
         const PRODUCERS: usize = 8;
         const PER_PRODUCER: u64 = 10_000;
         let (out, run) = crate::world::recorded(PRODUCERS + 1, 16, |c| {

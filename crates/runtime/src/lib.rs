@@ -39,3 +39,9 @@ pub use world::{default_wait_timeout, run_world, run_world_with};
 // Re-exported so downstream tests can name the trait without an extra
 // dependency edge.
 pub use intercom::Comm;
+
+/// The test suite's claim on the host's cores: the calibration test
+/// holds it alone (its 1 MiB exchange needs two free cores, its copy
+/// reference one), the tests that keep rank threads busy hold it shared.
+#[cfg(test)]
+static CORES: std::sync::RwLock<()> = std::sync::RwLock::new(());

@@ -14,12 +14,10 @@
 //!   ordinary [`Mesh2D`].
 //!
 //! Global ranks are numbered node-major: `rank = node · rpn + local`,
-//! where `node` is the inter-mesh row-major node id. This makes the
-//! cluster a mixed-radix [`LogicalMesh`] with dims `[nodes, rpn]`
-//! (last dim fastest), so the intra-node group of a rank is
-//! `line_through(rank, 1)` and the leader plane at a local slot is
-//! `line_through(rank, 0)` — the same embedding machinery hybrid
-//! strategies already use.
+//! where `node` is the inter-mesh row-major node id. A rank's node is
+//! [`Cluster::node_members`] and the ranks sharing its local slot are
+//! [`Cluster::leaders`]; hybrid schedules carve their own lines and
+//! planes out of a group (`GroupComm::line` / `plane` in the core crate).
 //!
 //! The cluster also embeds onto a *physical* mesh so the simulator and
 //! the link-conflict analysis run unchanged: node `(r, c)` occupies the
@@ -30,7 +28,6 @@
 //! traffic. [`Cluster::link_level`] classifies every directed link, and
 //! [`Cluster::route_levels`] classifies each hop of a route.
 
-use crate::embed::LogicalMesh;
 use crate::group::ProcGroup;
 use crate::mesh::{Direction, LinkId, Mesh2D, NodeId};
 use crate::routing::route_xy;
@@ -132,14 +129,6 @@ impl Cluster {
     /// Whether two global ranks live on the same node.
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
-    }
-
-    /// The mixed-radix logical view `[nodes, rpn]` over the physical
-    /// embedding, in global rank order: `line_through(r, 1)` is rank
-    /// `r`'s intra-node group, `line_through(r, 0)` its leader plane.
-    pub fn logical(&self) -> LogicalMesh {
-        LogicalMesh::new(self.group(), vec![self.nodes(), self.ranks_per_node])
-            .expect("cluster dims always match group size")
     }
 
     /// The whole cluster as a [`ProcGroup`] of *physical* node ids in
@@ -303,30 +292,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    fn logical_lines_match_levels() {
-        // The LogicalMesh [nodes, rpn] view reproduces node_members
-        // (dim 1 lines) and leaders (dim 0 lines) via phys ids.
-        let c = Cluster::new(Mesh2D::new(2, 2), 3);
-        let lm = c.logical();
-        for r in 0..c.ranks() {
-            let intra = lm.line_through(r, 1);
-            let expect: Vec<NodeId> = c
-                .node_members(c.node_of(r))
-                .into_iter()
-                .map(|g| c.phys_node(g))
-                .collect();
-            assert_eq!(intra.members(), expect.as_slice());
-            let plane = lm.line_through(r, 0);
-            let expect: Vec<NodeId> = c
-                .leaders(c.local_of(r))
-                .into_iter()
-                .map(|g| c.phys_node(g))
-                .collect();
-            assert_eq!(plane.members(), expect.as_slice());
-        }
     }
 
     #[test]

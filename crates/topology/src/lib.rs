@@ -20,12 +20,15 @@
 //!   [`GroupStructure`] detection (§9) distinguishes rectangular submeshes
 //!   (row/column techniques apply) from unstructured groups (treated as
 //!   linear arrays).
+//!
+//! A hybrid's logical `d1 × … × dk` view of a group is not built here:
+//! the core crate carves its lines and planes (`GroupComm::line` /
+//! `plane`) from the factorization.
 
 #![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod coord;
-pub mod embed;
 pub mod factor;
 pub mod group;
 pub mod hypercube;
@@ -34,7 +37,6 @@ pub mod routing;
 
 pub use cluster::{Cluster, HopLevel};
 pub use coord::Coord;
-pub use embed::LogicalMesh;
 pub use factor::{divisors, factorizations, prime_factors};
 pub use group::{GroupStructure, ProcGroup};
 pub use hypercube::{CubeLink, Hypercube};

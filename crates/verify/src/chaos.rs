@@ -480,10 +480,9 @@ fn run_program<C: Comm + ?Sized>(comm: &C, prog: &[OpRecord]) -> intercom::Resul
                 from,
                 dst,
                 tag,
-                rtag,
             } => {
                 let mut buf = vec![0u8; dst.len];
-                comm.sendrecv_tagged(to, &vec![0u8; src.len], tag, from, &mut buf, rtag)?;
+                comm.sendrecv(to, &vec![0u8; src.len], from, &mut buf, tag)?;
             }
             OpRecord::Compute { .. }
             | OpRecord::CallOverhead

@@ -457,7 +457,6 @@ mod tests {
             from: 1,
             dst: MemSpan { addr: 104, len: 8 },
             tag: 0,
-            rtag: 0,
         }]];
         let v = check_program_aliasing(&programs);
         assert_eq!(

@@ -411,16 +411,10 @@ fn match_candidates(t: &Tenant) -> (BTreeSet<(usize, usize, u64)>, u64) {
                     max_rel = max_rel.max(tag);
                     keys.insert((t.embedding[from], me, residue(t.base_tag, tag)));
                 }
-                OpRecord::SendRecv {
-                    to,
-                    from,
-                    tag,
-                    rtag,
-                    ..
-                } => {
-                    max_rel = max_rel.max(tag).max(rtag);
+                OpRecord::SendRecv { to, from, tag, .. } => {
+                    max_rel = max_rel.max(tag);
                     keys.insert((me, t.embedding[to], residue(t.base_tag, tag)));
-                    keys.insert((t.embedding[from], me, residue(t.base_tag, rtag)));
+                    keys.insert((t.embedding[from], me, residue(t.base_tag, tag)));
                 }
                 _ => {}
             }

@@ -98,7 +98,6 @@ fn records(kind: StepKind) -> (OpRecord, Option<OpRecord>) {
             from: from.into(),
             dst: span(dst),
             tag: tag_off.into(),
-            rtag: tag_off.into(),
         },
         StepKind::RecvReduce { from, tag_off, acc } => {
             let (dst, reduce) = fold(acc);
@@ -123,7 +122,6 @@ fn records(kind: StepKind) -> (OpRecord, Option<OpRecord>) {
                 from: from.into(),
                 dst,
                 tag: tag_off.into(),
-                rtag: tag_off.into(),
             };
             return (exchange, reduce);
         }
@@ -185,8 +183,7 @@ mod tests {
                             from,
                             dst,
                             tag,
-                            rtag,
-                        } => Some(format!("x{to}/{from}/{tag}.{rtag}/{}/{}", src.len, dst.len)),
+                        } => Some(format!("x{to}/{from}/{tag}/{}/{}", src.len, dst.len)),
                         _ => None,
                     })
                     .collect()

@@ -111,7 +111,6 @@ pub(crate) fn load(program: &[OpRecord], pc: &mut usize) -> Current {
                 from,
                 dst,
                 tag,
-                rtag,
             } => {
                 return Current {
                     send: Some(Half {
@@ -121,7 +120,7 @@ pub(crate) fn load(program: &[OpRecord], pc: &mut usize) -> Current {
                     }),
                     recv: Some(Half {
                         peer: from,
-                        tag: rtag,
+                        tag,
                         span: dst,
                     }),
                 }
@@ -287,7 +286,6 @@ mod tests {
                     from: (me + 2) % 3,
                     dst: span(me * 1000 + 500, 4),
                     tag: 0,
-                    rtag: 0,
                 }]
             })
             .collect();
@@ -394,7 +392,6 @@ mod tests {
                 from: 1,
                 dst: span(50, 4),
                 tag: 0,
-                rtag: 0,
             }],
             vec![
                 OpRecord::Recv {

@@ -111,3 +111,35 @@ fn backends_agree_byte_for_byte() {
         }
     }
 }
+
+/// Rank `r` of two exchanges 64 KiB with its peer, first sending under
+/// tag `5 + r` and receiving under `6 - r` (tags that pair up across the
+/// two ranks, but differ within each exchange), then under one tag.
+/// Returns whether the mixed-tag exchange failed and whether the
+/// one-tag exchange delivered the peer's bytes.
+fn mixed_then_equal<C: Comm + ?Sized>(c: &C) -> (bool, bool) {
+    let (me, peer) = (c.rank(), 1 - c.rank());
+    let data = vec![me as u8 + 1; 64 * 1024];
+    let mut buf = vec![0u8; data.len()];
+    let mixed = c.sendrecv_tagged(peer, &data, 5 + me as u64, peer, &mut buf, 6 - me as u64);
+    let equal = c.sendrecv_tagged(peer, &data, 7, peer, &mut buf, 7);
+    (
+        mixed.is_err(),
+        equal.is_ok() && buf.iter().all(|&b| b == peer as u8 + 1),
+    )
+}
+
+/// An exchange is one recursion stage, under one tag: a mixed-tag
+/// exchange is refused on both backends rather than run as a send then
+/// a receive, which a rendezvousing long exchange would deadlock on.
+#[test]
+fn mixed_tag_exchanges_are_refused_on_both_backends() {
+    let cfg = SimConfig::new(Mesh2D::new(1, 2), MachineParams::PARAGON);
+    let outcomes = [
+        run_world(2, mixed_then_equal),
+        simulate(&cfg, mixed_then_equal).results,
+    ];
+    for (backend, got) in ["threads", "simulator"].into_iter().zip(outcomes) {
+        assert_eq!(got, vec![(true, true); 2], "{backend}");
+    }
+}

@@ -271,9 +271,8 @@ fn render(r: &intercom::trace::OpRecord) -> String {
             from,
             dst,
             tag,
-            rtag,
         } => format!(
-            "xchg to={to} from={from} tag={tag} rtag={rtag} slen={} rlen={}",
+            "xchg to={to} from={from} tag={tag} slen={} rlen={}",
             src.len, dst.len
         ),
         OpRecord::Copy { src, dst } => format!("copy slen={} dlen={}", src.len, dst.len),

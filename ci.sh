@@ -118,13 +118,16 @@ echo "==> program path == direct path on the 21 full-size sim-mesh rows (release
 # Every virtual time, clock, result and transfer bit-identical; a row
 # missing from the count fails it. The scratch the simulator readies
 # over the rows is pinned from above (≈889 MB before combining receives
-# folded where they land and the collect un-permuted in place).
+# folded where they land and the collect un-permuted in place), and so
+# are the steps their cached programs keep (1 545 318 before a collect's
+# un-permutation compiled to one step instead of a copy per moved block).
 rows="$(cargo test --release --test program_path -- --ignored --nocapture)" || {
     echo "$rows"
     exit 1
 }
 at_least "bit-identical sim-mesh rows" "$(grep -o 'sim-mesh rows: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 21
 at_most "sim-mesh arena bytes" "$(grep -o 'sim-mesh arena bytes: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 1190208
+at_most "sim-mesh program steps" "$(grep -o 'sim-mesh program steps: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 185282
 
 echo "==> the p = 4 096 row: 64×64 broadcasts, every byte checked, virtual time repeated (release)"
 big="$(cargo test --release -p intercom-meshsim --test big_world -- --ignored --nocapture)" || {
@@ -189,7 +192,7 @@ at_least "IR checks" "$(audit_count default checks checks)" 14943
 at_least "optimized-IR checks" "$(audit_count default optsweep checks)" 14943
 at_least "trace cross-checks" "$(audit_count default crosscheck checks)" 2577
 at_least "concurrent scenarios" "$(audit_count default concurrent scenarios)" 13
-at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default.json" | wc -l)" 13
+at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default.json" | wc -l)" 15
 # The rewrite counts are pinned too: zero failures over fewer rewrites
 # than today is a failure (no audited shape has a same-stage pair to
 # fuse: that pin only catches the count going missing).

@@ -6,11 +6,14 @@
 //! rank `r`'s block lives at slot [`slot_of`]`(dims, r)`, which makes the
 //! blocks of every recursion subtree contiguous. The permutation is a
 //! node-local memcpy (free of communication) applied once on entry
-//! (distributed combine) or once on exit (collect). Under a
-//! one-dimensional strategy slot order *is* rank order: collect skips
-//! the un-permute, and the bucket distributed combine reads the caller's
-//! contribution in place ([`ring_reduce_scatter_into`]). Every staging
-//! vector is a view of the caller's `scratch`.
+//! (distributed combine, block by block) or once on exit (collect, in
+//! place, by [`unpermute`] — one call, and one step of a compiled
+//! program, [`StepKind::Permute`](crate::ir::StepKind::Permute), however
+//! many blocks it moves). Under a one-dimensional strategy slot order
+//! *is* rank order: collect skips the un-permute, and the bucket
+//! distributed combine reads the caller's contribution in place
+//! ([`ring_reduce_scatter_into`]). Every staging vector is a view of the
+//! caller's `scratch`.
 //!
 //! Per the template (Fig. 3), collect's stage 1 is void — the recursion
 //! descends straight to the innermost dimension, whose *short* center is
@@ -19,13 +22,13 @@
 //! Distributed combine is the exact dual (stage 2 void).
 
 use crate::algorithms::{check_strategy, slot_of, LEVEL_TAG_STRIDE};
-use crate::cast::{typed_mut, Scalar};
+use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::{
-    disjoint_pair, mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect,
-    ring_reduce_scatter, ring_reduce_scatter_into,
+    mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
+    ring_reduce_scatter_into,
 };
 use intercom_cost::{Strategy, StrategyKind};
 use std::ops::Range;
@@ -38,7 +41,7 @@ fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
 /// holds every member's block concatenated in logical-rank order
 /// (`all.len() == p · mine.len()`). Blocks are equal-length per rank, as
 /// in the paper's `nᵢ ≈ n/p` setting. A multi-dimensional strategy
-/// stages its slot un-permutation in `scratch`.
+/// holds one block of its slot un-permutation in `scratch`.
 pub fn collect<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     strategy: &Strategy,
@@ -64,51 +67,70 @@ pub fn collect<T: Scalar, C: Comm + ?Sized>(
     // Un-permute into rank order (identity for one-dimensional
     // strategies).
     if dims.len() > 1 && b > 0 {
-        unpermute(gc, dims, all, b, scratch);
+        gc.unpermute(all, b, dims, scratch);
     }
     Ok(())
 }
 
-/// Moves every rank `q`'s block from slot [`slot_of`]`(dims, q)` of `all`
-/// to block `q`, in place: cycle by cycle of the permutation, the first
-/// block of a cycle held in one block of `scratch` while the others
-/// move up. Fixed points move nothing. Which blocks have moved is a
-/// bitset behind the held block, so a call allocates nothing once
-/// `scratch` has grown.
-fn unpermute<T: Scalar, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    dims: &[usize],
-    all: &mut [T],
-    b: usize,
-    scratch: &mut Vec<u64>,
-) {
-    let p = all.len() / b;
-    let words = (b * T::SIZE).div_ceil(std::mem::size_of::<u64>());
-    let need = words + p.div_ceil(64);
-    if scratch.len() < need {
-        scratch.resize(need, 0);
+/// Blocks whose moves [`unpermute`] marks in a bitset on its stack
+/// (512 bytes): every group a `sim-mesh` row or a table of the paper
+/// runs on.
+const MARKED: usize = 4096;
+
+/// Moves every rank `q`'s block from slot [`slot_of`]`(radices, q)` of
+/// `all` to block `q`, in place, touching no memory but `all` and `held`
+/// (one block, whose length is the block length): cycle by cycle of the
+/// permutation, the cycle's smallest block is held while every other
+/// one moves up (`all[q] ← all[slot_of(q)]`), and the held block lands
+/// last. Fixed points move nothing. Which of the first [`MARKED`]
+/// blocks have moved is a bitset on the stack; past them, a cycle is
+/// moved from its smallest block, found by walking the cycle until it
+/// returns or passes below its start.
+///
+/// The direct path ([`GroupComm::unpermute`]) and a compiled program's
+/// permutation step both run this; `all.len()` is `held.len()` times
+/// the product of `radices`, which both check first.
+pub(crate) fn unpermute(radices: &[usize], all: &mut [u8], held: &mut [u8]) {
+    let b = held.len();
+    if b == 0 {
+        return;
     }
-    let (held, moved) = scratch[..need].split_at_mut(words);
-    let held = &mut typed_mut::<T>(u64::as_bytes_mut(held)).expect("words view as any scalar")[..b];
-    moved.fill(0);
+    let p = all.len() / b;
+    debug_assert_eq!(p, radices.iter().product::<usize>(), "blocks × radices");
     let block = |q: usize| q * b..(q + 1) * b;
+    let mut moved = [0u64; MARKED / 64];
     for first in 0..p {
-        if moved[first / 64] >> (first % 64) & 1 == 1 || slot_of(dims, first) == first {
+        if first < MARKED && moved[first / 64] >> (first % 64) & 1 == 1 {
             continue;
         }
-        gc.copy(&all[block(first)], held);
+        let mut at = slot_of(radices, first);
+        if at == first {
+            continue;
+        }
+        if first >= MARKED {
+            while at > first {
+                at = slot_of(radices, at);
+            }
+            if at < first {
+                // Moved already, from the smaller block that leads its
+                // cycle.
+                continue;
+            }
+        }
+        held.copy_from_slice(&all[block(first)]);
         let mut at = first;
         loop {
-            moved[at / 64] |= 1 << (at % 64);
-            let from = slot_of(dims, at);
+            if at < MARKED {
+                moved[at / 64] |= 1 << (at % 64);
+            }
+            let from = slot_of(radices, at);
             if from == first {
                 break;
             }
-            let (src, dst) = disjoint_pair(all, block(from), block(at));
-            gc.copy(src, dst);
+            all.copy_within(block(from), at * b);
             at = from;
         }
-        gc.copy(held, &mut all[block(at)]);
+        all[block(at)].copy_from_slice(held);
     }
 }
 

@@ -28,6 +28,7 @@ mod varying;
 
 pub use alltoall::alltoall;
 pub use broadcast::broadcast;
+pub(crate) use collect::unpermute;
 pub use collect::{collect, reduce_scatter};
 pub use combine::{allreduce, reduce};
 pub use scatter_gather::{gather, scatter};
@@ -63,14 +64,22 @@ pub(crate) fn check_strategy<C: Comm + ?Sized>(
 /// the big-endian mixed-radix position that makes every recursion
 /// subtree's slots contiguous. Used by collect / distributed combine to
 /// lay blocks out so ring stages always move contiguous memory.
+///
+/// Horner's rule over the digits, each taken off `r` with a shift and a
+/// mask where its radix is a power of two (most are) and one division
+/// elsewhere: a collect's un-permutation evaluates this about twice a
+/// block, and divisions were most of its cost.
+#[inline]
 pub(crate) fn slot_of(dims: &[usize], mut r: usize) -> usize {
-    let mut vol: usize = dims.iter().product();
     let mut slot = 0;
     for &d in dims {
-        let i = r % d;
-        r /= d;
-        vol /= d;
-        slot += i * vol;
+        let (rest, i) = if d.is_power_of_two() {
+            (r >> d.trailing_zeros(), r & (d - 1))
+        } else {
+            (r / d, r % d)
+        };
+        slot = slot * d + i;
+        r = rest;
     }
     slot
 }
@@ -95,6 +104,23 @@ mod tests {
                 let s = slot_of(&dims, r);
                 assert!(!seen[s], "slot {s} duplicated for dims {dims:?}");
                 seen[s] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn slot_is_the_big_endian_reading_of_the_digits() {
+        // r = i0 + d0·(i1 + d1·i2) reads as slot i0·d1·d2 + i1·d2 + i2.
+        for dims in [vec![2, 3, 5, 3, 5], vec![2, 16, 2, 2, 4], vec![4, 1, 6]] {
+            let p: usize = dims.iter().product();
+            for r in 0..p {
+                let (mut rest, mut vol, mut slot) = (r, p, 0);
+                for &d in &dims {
+                    vol /= d;
+                    slot += rest % d * vol;
+                    rest /= d;
+                }
+                assert_eq!(slot_of(&dims, r), slot, "{dims:?} rank {r}");
             }
         }
     }

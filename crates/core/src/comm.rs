@@ -155,6 +155,16 @@ pub trait Comm {
         let _ = (src, dst);
     }
 
+    /// Observes a completed in-place block un-permutation of `region`
+    /// ([`GroupComm::unpermute`]): block `q` moved from slot
+    /// `slot_of(radices, q)` to position `q`, one block at a time held
+    /// in `held`. Like [`Comm::local_copy`], a recording hook: the
+    /// blocks moved in caller code, and a recorder notes one operation
+    /// where the moves were one copy per moved block.
+    fn local_permute(&self, region: &[u8], held: &[u8], radices: &[usize]) {
+        let _ = (region, held, radices);
+    }
+
     /// Observes a completed local reduction (`other` was folded into
     /// `acc`). Like [`Comm::local_copy`], a recording hook: the fold
     /// itself is performed by caller code.
@@ -196,11 +206,11 @@ pub trait Comm {
     /// accumulator (out of the sender's bytes where the backend lends
     /// them, else out of the program's landing) and fires
     /// `local_reduce`, a clock step `compute` / `call_overhead`, and a
-    /// copy or fold — which `step` has already run — fires `local_copy`
-    /// / `local_reduce`. It stamps `(0, 0)` on every return. A backend
-    /// overrides it to run programs its own way; the simulator hands its
-    /// engine the steps from the first transfer or clock step to the
-    /// last in one request.
+    /// copy, fold or permutation — which `step` has already run — fires
+    /// `local_copy` / `local_reduce` / `local_permute`. It stamps
+    /// `(0, 0)` on every return. A backend overrides it to run programs
+    /// its own way; the simulator hands its engine the steps from the
+    /// first transfer or clock step to the last in one request.
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
         let plan = prog.plan_id();
         let flight = intercom_obs::flight::enabled();
@@ -249,6 +259,11 @@ pub trait Comm {
                     }
                     StepAction::Copy { src, dst } => self.local_copy(src, dst),
                     StepAction::Reduce { acc, other } => self.local_reduce(acc, other),
+                    StepAction::Permute {
+                        region,
+                        held,
+                        radices,
+                    } => self.local_permute(region, held, radices),
                     StepAction::Compute(bytes) => self.compute(bytes),
                     StepAction::CallOverhead => self.call_overhead(),
                 }
@@ -524,6 +539,36 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             assert_eq!(src.len(), dst.len(), "copy between unequal slices");
         }
         self.comm.local_copy(T::as_bytes(src), T::as_bytes(dst));
+    }
+
+    /// Un-permutes a collect's slot-ordered result in place: block `q`
+    /// of `all` (`b` elements) moves from slot `slot_of(radices, q)` to
+    /// position `q`, one block at a time held in the first `b` elements'
+    /// worth of `scratch` (grown to that if shorter, and the only scratch
+    /// touched). Fires [`Comm::local_permute`] once, so schedule lowering
+    /// records one step for the whole permutation. Panics unless
+    /// `all.len()` is `b` times the product of `radices` (an internal
+    /// invariant, as with [`GroupComm::copy`]).
+    pub fn unpermute<T: Scalar>(
+        &self,
+        all: &mut [T],
+        b: usize,
+        radices: &[usize],
+        scratch: &mut Vec<u64>,
+    ) {
+        let blocks: usize = radices.iter().product();
+        assert_eq!(all.len(), b * blocks, "un-permuting a partial vector");
+        let bytes = b * T::SIZE;
+        let words = bytes.div_ceil(std::mem::size_of::<u64>());
+        if scratch.len() < words {
+            scratch.resize(words, 0);
+        }
+        let held = &mut u64::as_bytes_mut(&mut scratch[..words])[..bytes];
+        let region = T::as_bytes_mut(all);
+        if self.moves_data {
+            crate::algorithms::unpermute(radices, region, held);
+        }
+        self.comm.local_permute(region, held, radices);
     }
 
     /// Local fold of `other` into `acc` with the recording hook and the

@@ -703,6 +703,10 @@ impl<C: Comm + ?Sized> Comm for FaultyComm<'_, C> {
         self.inner.local_copy(src, dst);
     }
 
+    fn local_permute(&self, region: &[u8], held: &[u8], radices: &[usize]) {
+        self.inner.local_permute(region, held, radices);
+    }
+
     fn local_reduce(&self, acc: &[u8], other: &[u8]) {
         self.inner.local_reduce(acc, other);
     }

@@ -6,9 +6,10 @@
 //! [`Comm::run_program`](crate::comm::Comm::run_program). Whoever walks
 //! them — the trait's default body, through the backend's own calls, or
 //! a backend that walks programs itself (the simulator's engine) — asks
-//! [`BoundProgram::step`] for each step in turn. A copy or a fold runs
-//! inside `step`, checked (element alignment, bounds, read-only and
-//! absent buffers, overlap, equal operand lengths; a failed check is an
+//! [`BoundProgram::step`] for each step in turn. A copy, a fold or a
+//! permutation runs inside `step`, checked (element alignment, bounds,
+//! read-only and absent buffers, overlap, equal operand lengths, a
+//! permutation's blocks against its radices; a failed check is an
 //! `Err`, never a panic), and comes back with the regions it touched; a
 //! clock step or a transfer comes back as a [`StepAction`] for the
 //! walker to charge or post.
@@ -29,6 +30,7 @@
 
 use super::exec::ArgBuf;
 use super::{Buf, CollectiveProgram, Loc, Step, StepKind};
+use crate::algorithms::unpermute;
 use crate::cast::{typed_mut, Scalar};
 use crate::comm::Tag;
 use crate::error::{CommError, Result};
@@ -49,6 +51,8 @@ const MAX_ARGS: usize = 2;
 pub struct BoundProgram<'a> {
     plan_id: u64,
     steps: &'a [Step],
+    /// The program's radices table, which its permutations index.
+    radices: &'a [Vec<usize>],
     /// Logical rank → world rank of the group the program runs in.
     members: &'a [usize],
     args: [ArgBuf<'a, u8>; MAX_ARGS],
@@ -111,6 +115,16 @@ pub enum StepAction<'p> {
         acc: &'p [u8],
         /// The contribution, read.
         other: &'p [u8],
+    },
+    /// A permutation [`BoundProgram::step`] ran: `region`'s blocks were
+    /// un-permuted in place, one at a time held in `held`.
+    Permute {
+        /// The bytes permuted.
+        region: &'p [u8],
+        /// The held block.
+        held: &'p [u8],
+        /// The permutation's radices.
+        radices: &'p [usize],
     },
     /// Charge local combine work over this many bytes (γ).
     Compute(usize),
@@ -225,6 +239,7 @@ impl<'a> BoundProgram<'a> {
         Ok(BoundProgram {
             plan_id: prog.plan_id,
             steps: &rp.steps,
+            radices: &prog.radices,
             members,
             args: bytes,
             nargs,
@@ -274,10 +289,11 @@ impl<'a> BoundProgram<'a> {
         self.landing = true;
     }
 
-    /// Step `i`: a copy or a fold runs here and now and is returned with
-    /// the regions it touched; a clock step or a transfer is returned
-    /// for the walker, with its peers mapped to world ranks and its
-    /// operands resolved to byte windows of the bound buffers.
+    /// Step `i`: a copy, a fold or a permutation runs here and now and
+    /// is returned with the regions it touched; a clock step or a
+    /// transfer is returned for the walker, with its peers mapped to
+    /// world ranks and its operands resolved to byte windows of the
+    /// bound buffers.
     ///
     /// Errs, and touches nothing, on a malformed operand
     /// ([`CommError::PlanMismatch`]) or a peer outside the group
@@ -317,6 +333,25 @@ impl<'a> BoundProgram<'a> {
                             other: src,
                         }
                     }
+                }
+            }
+            StepKind::Permute {
+                region,
+                held,
+                radices,
+            } => {
+                let table = self.radices;
+                let radices = table
+                    .get(usize::from(radices))
+                    .ok_or(CommError::PlanMismatch {
+                        what: "permutation radices outside the program's table",
+                    })?;
+                let (region, held) = self.permuted(&region, &held, radices)?;
+                unpermute(radices, region, held);
+                StepAction::Permute {
+                    region,
+                    held,
+                    radices,
                 }
             }
             StepKind::Compute { bytes } => StepAction::Compute(bytes as usize),
@@ -517,6 +552,34 @@ impl<'a> BoundProgram<'a> {
         Ok((rd, wrt, landing))
     }
 
+    /// The operands of a permutation over `radices`: its region and its
+    /// held block, `Err` unless the block is a non-empty block of the
+    /// arena, disjoint from the region, and the region is that block's
+    /// length times the radices' product.
+    fn permuted(
+        &mut self,
+        region: &Loc,
+        held: &Loc,
+        radices: &[usize],
+    ) -> Result<(&mut [u8], &mut [u8])> {
+        let blocks = radices.iter().try_fold(1, |n: usize, &d| n.checked_mul(d));
+        let bytes = blocks.and_then(|n| n.checked_mul(held.len as usize));
+        if held.buf != Buf::Scratch || held.len == 0 || bytes != Some(region.len as usize) {
+            return Err(CommError::PlanMismatch {
+                what: "a permutation's held block is not one of its region's blocks, in the arena",
+            });
+        }
+        let (rr, hr) = (self.range(region)?, self.range(held)?);
+        let (args, scratch, _) = self.buffers(true);
+        match region.buf {
+            Buf::Scratch => split_mut(scratch, rr, hr),
+            Buf::Arg(i) => {
+                let region = arg_write(args.get_mut(usize::from(i)).ok_or(OOB)?, rr)?;
+                Ok((region, scratch.get_mut(hr).ok_or(OOB)?))
+            }
+        }
+    }
+
     /// The operands of a copy or a fold, `Err` unless they are equally
     /// long.
     #[inline(always)]
@@ -583,18 +646,25 @@ fn arg_write<'x>(arg: &'x mut ArgBuf<'_, u8>, r: Range<usize>) -> Result<&'x mut
 /// Disjoint shared/mutable views of two ranges of one buffer.
 #[inline(always)]
 fn split_same(buf: &mut [u8], r: Range<usize>, w: Range<usize>) -> Result<(&[u8], &mut [u8])> {
-    if w.is_empty() {
-        return Ok((buf.get(r).ok_or(OOB)?, &mut []));
+    let (r, w) = split_mut(buf, r, w)?;
+    Ok((r, w))
+}
+
+/// Disjoint mutable views of two ranges of one buffer.
+#[inline(always)]
+fn split_mut(buf: &mut [u8], a: Range<usize>, b: Range<usize>) -> Result<(&mut [u8], &mut [u8])> {
+    if b.is_empty() {
+        return Ok((buf.get_mut(a).ok_or(OOB)?, &mut []));
     }
-    if r.is_empty() {
-        return Ok((&[], buf.get_mut(w).ok_or(OOB)?));
+    if a.is_empty() {
+        return Ok((&mut [], buf.get_mut(b).ok_or(OOB)?));
     }
-    if r.end <= w.start {
-        let (a, b) = buf.split_at_mut(w.start);
-        Ok((a.get(r).ok_or(OOB)?, b.get_mut(..w.len()).ok_or(OOB)?))
-    } else if w.end <= r.start {
-        let (a, b) = buf.split_at_mut(r.start);
-        Ok((b.get(..r.len()).ok_or(OOB)?, a.get_mut(w).ok_or(OOB)?))
+    if a.end <= b.start {
+        let (lo, hi) = buf.split_at_mut(b.start);
+        Ok((lo.get_mut(a).ok_or(OOB)?, hi.get_mut(..b.len()).ok_or(OOB)?))
+    } else if b.end <= a.start {
+        let (lo, hi) = buf.split_at_mut(a.start);
+        Ok((hi.get_mut(..a.len()).ok_or(OOB)?, lo.get_mut(b).ok_or(OOB)?))
     } else {
         Err(CommError::PlanMismatch {
             what: "overlapping read/write operands in one step",
@@ -618,7 +688,10 @@ fn touches_scratch(kind: &StepKind) -> bool {
         StepKind::SendRecv { src: a, dst: b, .. }
         | StepKind::SendRecvReduce { src: a, acc: b, .. }
         | StepKind::Copy { src: a, dst: b }
-        | StepKind::Reduce { acc: a, other: b } => touches(a) || touches(b),
+        | StepKind::Reduce { acc: a, other: b }
+        | StepKind::Permute {
+            region: a, held: b, ..
+        } => touches(a) || touches(b),
         StepKind::Compute { .. } | StepKind::CallOverhead => false,
     }
 }
@@ -670,6 +743,7 @@ mod tests {
             elem_size: 1,
             strategy: None,
             hier: None,
+            radices: Vec::new(),
             ranks: vec![RankProgram {
                 steps: steps.iter().map(|&kind| Step { kind }).collect(),
                 scratch_bytes: 4,
@@ -714,6 +788,7 @@ mod tests {
             elem_size: 4,
             strategy: None,
             hier: None,
+            radices: Vec::new(),
             ranks: vec![RankProgram {
                 steps: vec![Step { kind: fold }],
                 scratch_bytes: 0,
@@ -748,6 +823,84 @@ mod tests {
         }
         assert_eq!(buf, [1, 12, 23, 4]);
         assert_eq!(arena.len(), 1, "the landing was grown to one word");
+    }
+
+    #[test]
+    fn a_malformed_permutation_errs_and_moves_nothing() {
+        // Four blocks of two `u16`s under radices [2, 2], held at the
+        // start of a 24-byte arena.
+        let (arg, scr) = (
+            |off, len| Loc {
+                buf: Buf::Arg(0),
+                off,
+                len,
+            },
+            |off, len| Loc {
+                buf: Buf::Scratch,
+                off,
+                len,
+            },
+        );
+        let run = |region, held, radices, read_only: bool| {
+            let prog = CollectiveProgram {
+                plan_id: 3,
+                op: PlanOp::Broadcast { root: 0 },
+                p: 1,
+                n: 8,
+                elem_size: 2,
+                strategy: None,
+                hier: None,
+                radices: vec![vec![2, 2]],
+                ranks: vec![RankProgram {
+                    steps: vec![Step {
+                        kind: StepKind::Permute {
+                            region,
+                            held,
+                            radices,
+                        },
+                    }],
+                    scratch_bytes: 24,
+                    landing_bytes: 0,
+                }],
+            };
+            let (mut buf, mut arena) = ([0u16, 1, 2, 3, 4, 5, 6, 7], Vec::new());
+            let arg = match read_only {
+                true => ArgBuf::In(&buf[..]),
+                false => ArgBuf::Out(&mut buf[..]),
+            };
+            let ok = BoundProgram::new(&prog, 0, &[0], &mut [arg], &mut arena, ReduceOp::Sum, 0)
+                .unwrap()
+                .step(0)
+                .is_ok();
+            (ok, buf)
+        };
+        // Slots 0, 1, 2, 3 hold ranks 0, 2, 1, 3.
+        assert_eq!(
+            run(arg(0, 16), scr(0, 4), 0, false),
+            (true, [0, 1, 4, 5, 2, 3, 6, 7])
+        );
+        let untouched = (false, [0, 1, 2, 3, 4, 5, 6, 7]);
+        for (region, held, radices) in [
+            (arg(0, 16), scr(0, 4), 1),  // radices outside the table
+            (arg(0, 12), scr(0, 4), 0),  // three blocks under [2, 2]
+            (arg(0, 16), scr(0, 0), 0),  // an empty held block
+            (arg(0, 8), arg(8, 2), 0),   // a held block outside the arena
+            (scr(0, 16), scr(12, 4), 0), // held within the region
+            (arg(1, 16), scr(0, 4), 0),  // half an element in
+            (arg(4, 16), scr(0, 4), 0),  // past the argument's end
+            (arg(0, 16), scr(22, 4), 0), // past the arena's end
+        ] {
+            assert_eq!(
+                run(region, held, radices, false),
+                untouched,
+                "{region:?} {held:?}"
+            );
+        }
+        assert_eq!(
+            run(arg(0, 16), scr(0, 4), 0, true),
+            untouched,
+            "a read-only region"
+        );
     }
 
     #[test]

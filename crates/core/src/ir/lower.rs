@@ -11,7 +11,9 @@
 //! clustered by byte overlap (data can only flow between spans that
 //! share bytes) and packed into a per-rank scratch arena. A receive
 //! whose temporary is only folded and then dead is fused with its fold
-//! first ([`fuses`]), and its temporary leaves the arena.
+//! first ([`fuses`]), and its temporary leaves the arena. A collect's
+//! un-permutation is recorded once and lowers to one
+//! [`StepKind::Permute`], its radices entered in the program's table.
 
 use super::{
     fresh_plan_id, landing_of, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp,
@@ -82,7 +84,7 @@ fn lower_choice(
     n: usize,
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
-    let ranks = match elem_size {
+    let (ranks, radices) = match elem_size {
         1 => replay_ranks::<u8>(op, choice.as_ref(), p, n),
         2 => replay_ranks::<u16>(op, choice.as_ref(), p, n),
         4 => replay_ranks::<u32>(op, choice.as_ref(), p, n),
@@ -103,6 +105,7 @@ fn lower_choice(
         strategy,
         hier,
         ranks,
+        radices,
     })
 }
 
@@ -115,19 +118,24 @@ fn lower_choice(
 /// clustered by address overlap, so one arena shared over the ranks
 /// (grown once, never moved) would merge clusters a fresh arena keeps
 /// apart when it moves as it grows, and the layouts would change.
+///
+/// Returns the rank programs and the radices table their permutations
+/// index.
 fn replay_ranks<T: Elem>(
     op: PlanOp,
     choice: Option<&HierChoice>,
     p: usize,
     n: usize,
-) -> Result<Vec<RankProgram>> {
-    (0..p)
+) -> Result<(Vec<RankProgram>, Vec<Vec<usize>>)> {
+    let mut radices = Vec::new();
+    let ranks = (0..p)
         .map(|rank| {
             let rec = RecordingComm::new(rank, p);
             replay_rank::<T>(&rec, &GroupComm::recording(&rec), op, choice, n)?;
-            resolve_recorded::<T>(rec, op, p, n)
+            resolve_recorded::<T>(rec, op, p, n, &mut radices)
         })
-        .collect()
+        .collect::<Result<_>>()?;
+    Ok((ranks, radices))
 }
 
 /// Runs `gc`'s rank's direct-path call over fresh argument buffers,
@@ -151,12 +159,14 @@ fn replay_rank<T: Elem>(
 
 /// Maps a finished recording's registered regions back to argument
 /// slots by name (a non-root rank registers fewer regions than the op
-/// has slots) and resolves the recorded spans into a [`RankProgram`].
+/// has slots) and resolves the recorded spans into a [`RankProgram`],
+/// entering its permutations' radices in `radices`.
 fn resolve_recorded<T: Elem>(
     rec: RecordingComm,
     op: PlanOp,
     p: usize,
     n: usize,
+    radices: &mut Vec<Vec<usize>>,
 ) -> Result<RankProgram> {
     let specs = op.args(p, n);
     let args: Vec<(usize, usize, usize)> = rec
@@ -171,22 +181,27 @@ fn resolve_recorded<T: Elem>(
         })
         .collect();
     let ops = rec.into_ops();
-    resolve_rank(&ops, &args, std::mem::size_of::<T>())
+    resolve_rank(&ops, &args, std::mem::size_of::<T>(), radices)
 }
+
+/// What lowering errs with where a value does not fit a compact step.
+const UNFIT: CommError = CommError::PlanMismatch {
+    what: "a step operand does not fit the compact step layout",
+};
 
 /// `v` in a compact step field, or the error that says it does not fit.
 fn fit<U: TryFrom<V>, V>(v: V) -> Result<U> {
-    U::try_from(v).map_err(|_| CommError::PlanMismatch {
-        what: "a step operand does not fit the compact step layout",
-    })
+    U::try_from(v).map_err(|_| UNFIT)
 }
 
 /// Resolves one rank's recorded spans into a [`RankProgram`], each
-/// receive that [`fuses`] with the fold after it emitted as one step.
+/// receive that [`fuses`] with the fold after it emitted as one step,
+/// and each permutation's radices looked up in (or added to) `radices`.
 fn resolve_rank(
     ops: &[OpRecord],
     args: &[(usize, usize, usize)],
     elem: usize,
+    radices: &mut Vec<Vec<usize>>,
 ) -> Result<RankProgram> {
     let fused: Vec<bool> = (0..ops.len()).map(|i| fuses(ops, i, args)).collect();
     let arena = Arena::build(ops, args, &fused);
@@ -250,6 +265,25 @@ fn resolve_rank(
                 acc: resolve(acc)?,
                 other: resolve(other)?,
             },
+            OpRecord::Permute {
+                region,
+                held,
+                radices: digits,
+            } => {
+                let digits = digits.ok_or(UNFIT)?.to_vec();
+                let index = match radices.iter().position(|r| *r == digits) {
+                    Some(index) => index,
+                    None => {
+                        radices.push(digits);
+                        radices.len() - 1
+                    }
+                };
+                StepKind::Permute {
+                    region: resolve(region)?,
+                    held: resolve(held)?,
+                    radices: fit(index)?,
+                }
+            }
             OpRecord::Compute { bytes } => StepKind::Compute { bytes: fit(bytes)? },
             OpRecord::CallOverhead => StepKind::CallOverhead,
         };
@@ -320,15 +354,19 @@ fn fuses(ops: &[OpRecord], i: usize, args: &[(usize, usize, usize)]) -> bool {
 }
 
 /// The spans `op` reads and the spans it writes.
-fn footprint(op: &OpRecord) -> ([Option<MemSpan>; 2], [Option<MemSpan>; 1]) {
+fn footprint(op: &OpRecord) -> ([Option<MemSpan>; 2], [Option<MemSpan>; 2]) {
     match *op {
-        OpRecord::Send { src, .. } => ([Some(src), None], [None]),
-        OpRecord::Recv { dst, .. } => ([None, None], [Some(dst)]),
+        OpRecord::Send { src, .. } => ([Some(src), None], [None, None]),
+        OpRecord::Recv { dst, .. } => ([None, None], [Some(dst), None]),
         OpRecord::SendRecv { src, dst, .. } | OpRecord::Copy { src, dst } => {
-            ([Some(src), None], [Some(dst)])
+            ([Some(src), None], [Some(dst), None])
         }
-        OpRecord::Reduce { acc, other } => ([Some(acc), Some(other)], [Some(acc)]),
-        OpRecord::Compute { .. } | OpRecord::CallOverhead => ([None, None], [None]),
+        OpRecord::Reduce { acc, other } => ([Some(acc), Some(other)], [Some(acc), None]),
+        // The held block is written before it is read.
+        OpRecord::Permute { region, held, .. } => {
+            ([Some(region), None], [Some(region), Some(held)])
+        }
+        OpRecord::Compute { .. } | OpRecord::CallOverhead => ([None, None], [None, None]),
     }
 }
 
@@ -523,7 +561,7 @@ mod tests {
     /// Resolves hand-written records over one 64-byte argument at 1000,
     /// temporaries at 5000 and up: the step kinds, scratch and landing.
     fn resolved(ops: &[OpRecord]) -> (Vec<StepKind>, usize, usize) {
-        let rp = resolve_rank(ops, &[(0, 1000, 64)], 1).unwrap();
+        let rp = resolve_rank(ops, &[(0, 1000, 64)], 1, &mut Vec::new()).unwrap();
         let kinds = rp.steps.iter().map(|s| s.kind).collect();
         (kinds, rp.scratch_bytes, rp.landing_bytes)
     }
@@ -787,6 +825,15 @@ mod tests {
                 acc: u(acc),
                 other: u(other),
             },
+            StepKind::Permute {
+                region,
+                held,
+                radices,
+            } => StepKind::Permute {
+                region: u(region),
+                held: u(held),
+                radices,
+            },
             other => other,
         };
         steps.iter().map(|s| unplace(s.kind)).collect()
@@ -804,12 +851,16 @@ mod tests {
                 let rec = RecordingComm::new(rank, p);
                 let gc = GroupComm::world(&rec);
                 replay_rank::<u64>(&rec, &gc, op, choice.as_ref(), n).unwrap();
-                let want = resolve_recorded::<u64>(rec, op, p, n).unwrap();
+                // The radices index the lowered program's table, which
+                // holds every permutation's already.
+                let mut radices = lowered.radices.clone();
+                let want = resolve_recorded::<u64>(rec, op, p, n, &mut radices).unwrap();
                 assert_eq!(
                     (unplaced(&got.steps), got.landing_bytes),
                     (unplaced(&want.steps), want.landing_bytes),
                     "{op} p={p} rank {rank} under {choice:?}"
                 );
+                assert_eq!(radices, lowered.radices);
             }
         }
     }

@@ -370,6 +370,20 @@ pub enum StepKind {
         /// Bytes written.
         dst: Loc,
     },
+    /// A collect's block un-permutation, in place: block `q` of
+    /// `region` moves from slot `slot_of(radices, q)` to position `q`,
+    /// one block at a time held in `held` — one block of the arena,
+    /// disjoint from `region`. The step reads and writes `region` and
+    /// clobbers `held`; `region` is `held.len` times the product of the
+    /// radices.
+    Permute {
+        /// Bytes permuted (read and written).
+        region: Loc,
+        /// The held block (written, then read back).
+        held: Loc,
+        /// Index of the radices in [`CollectiveProgram::radices`].
+        radices: u16,
+    },
     /// Local fold of `other` into `acc` under the execution's ⊕.
     Reduce {
         /// Accumulator bytes (read and written).
@@ -425,8 +439,8 @@ pub(crate) fn landing_of(steps: &[Step]) -> usize {
 
 /// One step of a rank's program.
 ///
-/// Compact, because programs are kept: the 21 `sim-mesh` rows' plain
-/// programs hold ≈1.4 M steps. Offsets, lengths and tags are `u32`,
+/// Compact, because programs are kept: the plan cache holds every
+/// shape a process has called. Offsets, lengths and tags are `u32`,
 /// peers `u16` and argument slots `u8`, and the stage is not stored (a
 /// transfer's tag offset names it, [`StepKind::tag_off`]); lowering
 /// errs with [`PlanMismatch`](crate::CommError::PlanMismatch) where a
@@ -498,6 +512,10 @@ pub struct CollectiveProgram {
     pub hier: Option<HierStrategy>,
     /// Per-rank programs, indexed by logical rank.
     pub ranks: Vec<RankProgram>,
+    /// The radices the program's permutations
+    /// ([`StepKind::Permute`]) index, each once: a collect stage's
+    /// strategy dims, fastest-varying first, 1s left out.
+    pub radices: Vec<Vec<usize>>,
 }
 
 impl CollectiveProgram {

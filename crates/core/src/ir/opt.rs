@@ -22,12 +22,16 @@
 //! 3. **Message/copy coalescing** — adjacent contiguous messages on
 //!    one channel merge into one (both endpoints rewritten in concert),
 //!    and adjacent contiguous local copies merge, eliminating per-block
-//!    α and per-call overheads.
+//!    α and per-call overheads. Over the schedule audit's sweep nearly
+//!    every merge is a copy of the distributed combine's slot-order
+//!    pack (44 132 in 172 flat programs, 640 in 24 hierarchical ones,
+//!    against 12 message merges); a collect's un-permutation is one
+//!    [`StepKind::Permute`] and merges with nothing.
 //! 4. **Dead-copy elimination** — identity round-trips (a block staged
-//!    to scratch and copied back to where it came from, as the
-//!    multi-dimensional collect's slot un-permutation produces for
-//!    fixed points of the permutation) and scratch stores no later step
-//!    reads are dropped.
+//!    to scratch and copied back to where it came from, neither side
+//!    written between) and scratch stores no later step reads are
+//!    dropped. (The collect's in-place un-permutation skips fixed
+//!    points: it makes no round trips.)
 //!
 //! Every pass is a structural rewrite: none reads a price or a machine
 //! model, so what the pipeline does to a program depends on the
@@ -252,6 +256,7 @@ fn local_footprint(kind: &StepKind) -> Option<(Vec<Loc>, Vec<Loc>)> {
     match *kind {
         StepKind::Copy { src, dst } => Some((vec![src], vec![dst])),
         StepKind::Reduce { acc, other } => Some((vec![acc, other], vec![acc])),
+        StepKind::Permute { region, held, .. } => Some((vec![region], vec![region, held])),
         StepKind::Compute { .. } | StepKind::CallOverhead => Some((vec![], vec![])),
         _ => None,
     }
@@ -462,8 +467,9 @@ fn contiguous(a: &Loc, b: &Loc) -> bool {
 }
 
 /// Pass 3b: merge adjacent local copies whose sources and destinations
-/// are both contiguous (the multi-dimensional collect's block-by-block
-/// un-permutation emits runs of these).
+/// are both contiguous (the distributed combine's slot-order pack emits
+/// runs of these wherever slot order is rank order: under a
+/// one-dimensional short-vector strategy, all of it).
 fn coalesce_copies(prog: &mut CollectiveProgram) -> usize {
     let mut merged = 0;
     for rp in &mut prog.ranks {
@@ -550,6 +556,7 @@ fn remove_identity_copies(steps: &mut Vec<Step>) -> usize {
         let writes: Vec<Loc> = match step.kind {
             StepKind::Copy { dst, .. } => vec![dst],
             StepKind::Reduce { acc, .. } => vec![acc],
+            StepKind::Permute { region, held, .. } => vec![region, held],
             ref kind => RecvHalf::of(kind).map(|h| h.dst).into_iter().collect(),
         };
         for w in &writes {
@@ -596,6 +603,8 @@ fn remove_unread_scratch_stores(steps: &mut Vec<Step>) -> usize {
                 StepKind::RecvReduce { acc, .. } => vec![acc],
                 StepKind::Copy { src, .. } => vec![src],
                 StepKind::Reduce { acc, other } => vec![acc, other],
+                // The held block is written before it is read.
+                StepKind::Permute { region, .. } => vec![region],
                 _ => vec![],
             };
             reads.iter().any(|r| locs_overlap(r, &dst))
@@ -724,6 +733,7 @@ mod tests {
             elem_size: 1,
             strategy: None,
             hier: None,
+            radices: Vec::new(),
             ranks: ranks
                 .into_iter()
                 .map(|steps| RankProgram {
@@ -905,6 +915,41 @@ mod tests {
         let (opt, stats) = optimize(&prog);
         assert_eq!(stats.dead_copies, 2);
         assert!(opt.ranks[0].steps.is_empty());
+    }
+
+    #[test]
+    fn a_permutation_writes_its_region_and_clobbers_its_held_block() {
+        let (a, staged, held) = (
+            loc(Buf::Arg(0), 0, 4),
+            loc(Buf::Scratch, 0, 4),
+            loc(Buf::Scratch, 4, 4),
+        );
+        let permute = step(StepKind::Permute {
+            region: loc(Buf::Arg(0), 0, 8),
+            held,
+            radices: 0,
+        });
+        // Copied back over a block the permutation rewrote: no identity.
+        let round_trip = vec![
+            step(StepKind::Copy {
+                src: a,
+                dst: staged,
+            }),
+            permute,
+            step(StepKind::Copy {
+                src: staged,
+                dst: a,
+            }),
+        ];
+        let (opt, stats) = optimize(&mini(1, 8, vec![round_trip.clone()], 8));
+        assert_eq!((stats.dead_copies, &opt.ranks[0].steps), (0, &round_trip));
+        // A store only the permutation's stash overwrites is dead.
+        let clobbered = vec![step(StepKind::Copy { src: a, dst: held }), permute];
+        let (opt, stats) = optimize(&mini(1, 8, vec![clobbered], 8));
+        assert_eq!(
+            (stats.dead_copies, &opt.ranks[0].steps),
+            (1, &vec![permute])
+        );
     }
 
     #[test]

@@ -122,6 +122,60 @@ pub enum OpRecord {
         /// Contribution bytes (read).
         other: MemSpan,
     },
+    /// Local in-place block un-permutation of `region` (a collect's):
+    /// block `q` moved from slot `slot_of(radices, q)` to position `q`,
+    /// one block at a time held in `held`, which is one block long and
+    /// disjoint from `region`.
+    Permute {
+        /// Bytes read and written: `held.len` times the product of the
+        /// radices.
+        region: MemSpan,
+        /// The block clobbered as the moves' stash.
+        held: MemSpan,
+        /// The permutation's radices; `None` where they do not fit
+        /// [`Radices`] (a group of more than 2¹⁶ ranks).
+        radices: Option<Radices>,
+    },
+}
+
+/// The radices of a recorded permutation, held inline so a record stays
+/// `Copy`: fastest-varying first, radices of 1 (which move nothing)
+/// left out. Up to 16, each below 2¹⁶ — every factorization of a group
+/// of up to 2¹⁶ ranks, the groups a compiled program addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Radices {
+    len: u8,
+    digits: [u16; 16],
+}
+
+impl Radices {
+    /// `radices` without its 1s, if that fits.
+    pub fn new(radices: &[usize]) -> Option<Radices> {
+        let mut out = Radices {
+            len: 0,
+            digits: [0; 16],
+        };
+        for &r in radices.iter().filter(|&&r| r != 1) {
+            *out.digits.get_mut(usize::from(out.len))? = u16::try_from(r).ok()?;
+            out.len += 1;
+        }
+        Some(out)
+    }
+
+    /// The radices, fastest-varying first.
+    pub fn to_vec(&self) -> Vec<usize> {
+        let digits = &self.digits[..usize::from(self.len)];
+        digits.iter().map(|&d| usize::from(d)).collect()
+    }
+
+    /// The number of blocks the permutation moves: the radices' product
+    /// (saturated at `usize::MAX`).
+    pub fn blocks(&self) -> usize {
+        let digits = &self.digits[..usize::from(self.len)];
+        digits
+            .iter()
+            .fold(1, |n: usize, &d| n.saturating_mul(usize::from(d)))
+    }
 }
 
 /// A non-communicating [`Comm`] backend that records one rank's symbolic
@@ -269,6 +323,14 @@ impl Comm for RecordingComm {
         self.ops.borrow_mut().push(OpRecord::Copy {
             src: MemSpan::of(src),
             dst: MemSpan::of(dst),
+        });
+    }
+
+    fn local_permute(&self, region: &[u8], held: &[u8], radices: &[usize]) {
+        self.ops.borrow_mut().push(OpRecord::Permute {
+            region: MemSpan::of(region),
+            held: MemSpan::of(held),
+            radices: Radices::new(radices),
         });
     }
 

@@ -21,9 +21,9 @@ use std::sync::mpsc::{Receiver, SyncSender};
 ///
 /// A `SimComm` runs programs its own way ([`Comm::run_program`]): a
 /// `Communicator` call or a persistent plan hands the engine its
-/// compiled program — all but the copies and folds at either end — in
-/// one request, and the rank blocks until the engine has walked it —
-/// one reply per call, whatever its step count.
+/// compiled program — all but the copies, folds and permutations at
+/// either end — in one request, and the rank blocks until the engine
+/// has walked it — one reply per call, whatever its step count.
 pub struct SimComm {
     rank: usize,
     size: usize,
@@ -145,12 +145,17 @@ impl Comm for SimComm {
 }
 
 /// The steps of a program the engine runs: its first transfer or clock
-/// step to its last (none if it has neither). The copies and folds
-/// around them run on the rank's own thread, beside the other ranks' —
-/// a collect's block un-permutation after its last transfer is most of
-/// its bytes.
+/// step to its last (none if it has neither). The copies, folds and
+/// permutations around them run on the rank's own thread, beside the
+/// other ranks' — a collect's block un-permutation, one step after its
+/// last transfer, moves most of its bytes.
 pub(crate) fn handed(steps: &[Step]) -> Range<usize> {
-    let local = |s: &Step| matches!(s.kind, StepKind::Copy { .. } | StepKind::Reduce { .. });
+    let local = |s: &Step| {
+        matches!(
+            s.kind,
+            StepKind::Copy { .. } | StepKind::Reduce { .. } | StepKind::Permute { .. }
+        )
+    };
     let first = steps.iter().position(|s| !local(s)).unwrap_or(steps.len());
     let last = steps
         .iter()
@@ -186,9 +191,15 @@ mod tests {
             dst: at(1),
             tag_off: 0,
         };
+        let permute = StepKind::Permute {
+            region: at(0),
+            held: at(1),
+            radices: 0,
+        };
         let (overhead, compute) = (StepKind::CallOverhead, StepKind::Compute { bytes: 1 });
-        let cases: [(&[StepKind], _); 6] = [
+        let cases: [(&[StepKind], _); 7] = [
             (&[copy, overhead, swap, copy, swap, copy], 1..5),
+            (&[copy, swap, overhead, copy, permute], 1..3),
             (&[overhead, copy, swap], 0..3),
             (&[swap, copy, compute], 0..3),
             (&[copy, swap, copy], 1..2),

@@ -154,13 +154,15 @@ impl Request {
     }
 
     /// The request a program step stands for, its byte views lent as
-    /// windows (so it outlives the step's borrow); `None` for a copy or
-    /// a fold, which `step` has already run. A fused receive is a
+    /// windows (so it outlives the step's borrow); `None` for a copy, a
+    /// fold or a permutation, which `step` has already run. A fused receive is a
     /// transfer whose receive window is its accumulator, folded into
     /// (its landing stays unused: it was never readied).
     fn lend(action: StepAction<'_>) -> Option<Self> {
         Some(match action {
-            StepAction::Copy { .. } | StepAction::Reduce { .. } => return None,
+            StepAction::Copy { .. } | StepAction::Reduce { .. } | StepAction::Permute { .. } => {
+                return None
+            }
             StepAction::Compute(bytes) => Request::Compute { bytes },
             StepAction::CallOverhead => Request::CallOverhead,
             StepAction::Send { to, tag, data } => Request::transfer(Some((to, data)), None, tag),
@@ -1467,6 +1469,7 @@ mod tests {
             elem_size: elem,
             strategy: None,
             hier: None,
+            radices: Vec::new(),
             ranks: ranks.into_iter().map(rank).collect(),
         }
     }

@@ -254,6 +254,7 @@ fn arena_at_hand_off(steps: Vec<StepKind>) -> (bool, usize) {
         elem_size: 1,
         strategy: None,
         hier: None,
+        radices: Vec::new(),
         ranks: vec![rank(steps, ARENA), rank(Vec::new(), 0)],
     };
     ARENA_GROWN.store(false, Ordering::SeqCst);

@@ -42,6 +42,7 @@ fn program(ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
         elem_size: 1,
         strategy: None,
         hier: None,
+        radices: Vec::new(),
         ranks: ranks.into_iter().map(rank).collect(),
     }
 }

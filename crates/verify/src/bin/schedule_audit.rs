@@ -42,27 +42,29 @@
 //!
 //! Every family of checks is a [`Section`]; each brings its *mutation
 //! probes* — deliberately broken schedules and workloads (including
-//! colliding tag bases, shared memory windows, a cross-tenant wait
-//! cycle and a duplicate-node embedding) — and the audit fails unless
-//! each probe is caught, guarding the checkers themselves against
-//! silent rot.
+//! a malformed block permutation, colliding tag bases, shared memory
+//! windows, a cross-tenant wait cycle and a duplicate-node embedding) —
+//! and the audit fails unless each probe is caught, guarding the
+//! checkers themselves against silent rot.
 
 use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::groups::{col_members, row_members, submesh_members};
-use intercom::ir::{lower_hier, optimize, OptStats, PlanOp};
+use intercom::ir::{
+    lower, lower_hier, optimize, CollectiveProgram, Loc, OptStats, PlanOp, StepKind,
+};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::CommError;
 use intercom_cost::{
     enumerate_hier_strategies, enumerate_mesh_strategies, enumerate_strategies, select_hier,
-    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, Strategy,
+    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, Strategy, StrategyKind,
 };
 use intercom_obs::escape_json;
 use intercom_topology::{Cluster, Mesh2D};
 use intercom_verify::{
-    analyze_links, chaos_sweep, check_buffer_safety, check_single_port, extract_programs,
-    hang_probe, match_programs, programs_of, stall_probe, tenant_tag_base, verify_concurrent,
-    verify_schedule_from, ConcurrentViolation, Event, HangDiagnosis, Schedule, Source, Tenant,
-    Violation, Workload,
+    analyze_links, chaos_sweep, check_buffer_safety, check_permutations, check_single_port,
+    extract_programs, hang_probe, match_programs, programs_of, stall_probe, tenant_tag_base,
+    verify_concurrent, verify_schedule_from, ConcurrentViolation, Event, HangDiagnosis, Schedule,
+    Source, Tenant, Violation, Workload,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,8 +121,9 @@ const STRATEGY_OPS: [CollectiveOp; 5] = [
 /// `trace_checks` on the trace extraction) and a fourth hier probe
 /// mutates the optimized program; a member whose sweep did not run is
 /// absent rather than `null`. v8: every `rewrites` object loses the
-/// count of the deleted cross-stage overlap pass.
-const JSON_SCHEMA_VERSION: u32 = 8;
+/// count of the deleted cross-stage overlap pass. v9: a fifth flat
+/// entry in `mutation_probes`, a malformed block permutation.
+const JSON_SCHEMA_VERSION: u32 = 9;
 
 /// Summed [`OptStats`] across every `ir-opt` verification of a sweep:
 /// how much work each optimizer pass actually did over the full
@@ -430,7 +433,7 @@ fn mesh_units(node_counts: &[usize]) -> Vec<Unit> {
 }
 
 /// The flat sweep a run is named after (`--source=ir|ir-opt|trace`),
-/// with the four schedule-level probes.
+/// with the five schedule-level probes.
 fn flat_section(source: Source) -> Section {
     let units = mesh_units(&NODE_COUNTS);
     let found = sweep(&units, source);
@@ -474,6 +477,7 @@ fn flat_section(source: Source) -> Section {
             ("tag-bump -> deadlock", probe_tag_bump()),
             ("span-overlap -> buffer-safety", probe_buffer_overlap()),
             ("link-share -> conflict", probe_link_conflict()),
+            ("bad-permute -> permutation", probe_bad_permutation()),
         ],
     }
 }
@@ -611,6 +615,33 @@ fn probe_link_conflict() -> bool {
         events: vec![ev(0, 2), ev(1, 3)],
     };
     analyze_links(&sched, &mesh).max_sharing == 2
+}
+
+/// Probe 5: a 2×3 collect's block permutation whose held block is
+/// moved into its region, or whose radices entry names more blocks than
+/// its region holds, must trip the permutation check — and the
+/// program as lowered must not.
+fn probe_bad_permutation() -> bool {
+    let st = Strategy::new(vec![2, 3], StrategyKind::ScatterCollect);
+    let prog = lower(PlanOp::Collect, Some(&st), 6, 4, 1).expect("a 2×3 collect lowers");
+    let caught = |prog: &CollectiveProgram| {
+        let found = check_permutations(&programs_of(prog));
+        found
+            .iter()
+            .any(|v| matches!(v, Violation::BadPermutation { .. }))
+    };
+    let mut overlapping = prog.clone();
+    for step in overlapping.ranks.iter_mut().flat_map(|rp| &mut rp.steps) {
+        if let StepKind::Permute { region, held, .. } = &mut step.kind {
+            *held = Loc {
+                len: held.len,
+                ..*region
+            };
+        }
+    }
+    let mut miscounted = prog.clone();
+    miscounted.radices[0] = vec![2, 4];
+    !caught(&prog) && caught(&overlapping) && caught(&miscounted)
 }
 
 /// One row/column/submesh tenant for the concurrent scenario matrix.

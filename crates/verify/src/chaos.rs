@@ -487,7 +487,8 @@ fn run_program<C: Comm + ?Sized>(comm: &C, prog: &[OpRecord]) -> intercom::Resul
             OpRecord::Compute { .. }
             | OpRecord::CallOverhead
             | OpRecord::Copy { .. }
-            | OpRecord::Reduce { .. } => {}
+            | OpRecord::Reduce { .. }
+            | OpRecord::Permute { .. } => {}
         }
     }
     Ok(())

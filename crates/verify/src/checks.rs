@@ -68,6 +68,17 @@ pub enum Violation {
         /// Index of the record in the rank's program.
         op_index: usize,
     },
+    /// A block un-permutation is malformed: its held block overlaps its
+    /// region, or its region is not its radices' blocks of the held
+    /// block (caught at the program level, before matching).
+    BadPermutation {
+        /// Offending rank.
+        rank: usize,
+        /// Index of the record in the rank's program.
+        op_index: usize,
+        /// What is wrong with it.
+        what: &'static str,
+    },
     /// Same-step messages share a directed physical link beyond the
     /// allowed bound.
     LinkConflict {
@@ -141,6 +152,14 @@ impl fmt::Display for Violation {
             Violation::AliasedExchange { rank, op_index } => write!(
                 f,
                 "aliased sendrecv buffers on rank {rank} (program op {op_index})"
+            ),
+            Violation::BadPermutation {
+                rank,
+                op_index,
+                what,
+            } => write!(
+                f,
+                "malformed permutation on rank {rank} (program op {op_index}): {what}"
             ),
             Violation::LinkConflict {
                 step,
@@ -273,6 +292,40 @@ pub fn check_program_aliasing(programs: &[Vec<OpRecord>]) -> Vec<Violation> {
                     out.push(Violation::AliasedExchange { rank, op_index });
                 }
             }
+        }
+    }
+    out
+}
+
+/// Program-level permutation check: every block un-permutation holds
+/// its one block outside the region it permutes, and that region is
+/// exactly its radices' blocks of the held block — what the executor
+/// refuses to run otherwise.
+pub fn check_permutations(programs: &[Vec<OpRecord>]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (rank, prog) in programs.iter().enumerate() {
+        for (op_index, op) in prog.iter().enumerate() {
+            let OpRecord::Permute {
+                region,
+                held,
+                radices,
+            } = *op
+            else {
+                continue;
+            };
+            let blocks = radices.map(|r| r.blocks());
+            let what = if held.len == 0 || held.overlaps(&region) {
+                "its held block is empty or overlaps its region"
+            } else if blocks.and_then(|b| b.checked_mul(held.len)) != Some(region.len) {
+                "its block count disagrees with its radices"
+            } else {
+                continue;
+            };
+            out.push(Violation::BadPermutation {
+                rank,
+                op_index,
+                what,
+            });
         }
     }
     out
@@ -447,6 +500,44 @@ mod tests {
         assert_eq!(la.max_sharing, 2);
         assert_eq!(la.per_tag_max.get(&0), Some(&1));
         assert_eq!(la.per_tag_max.get(&LEVEL_TAG_STRIDE), Some(&1));
+    }
+
+    #[test]
+    fn permutation_check_flags_overlap_and_a_wrong_block_count() {
+        use intercom::trace::Radices;
+        let permute = |held: usize, radices: &[usize]| OpRecord::Permute {
+            region: MemSpan { addr: 100, len: 24 },
+            held: MemSpan { addr: held, len: 4 },
+            radices: Radices::new(radices),
+        };
+        let whats = |op| -> Vec<&str> {
+            let v = check_permutations(&[vec![OpRecord::CallOverhead, op]]);
+            v.iter()
+                .map(|v| match v {
+                    Violation::BadPermutation {
+                        rank: 0,
+                        op_index: 1,
+                        what,
+                    } => *what,
+                    other => panic!("{other}"),
+                })
+                .collect()
+        };
+        assert!(whats(permute(200, &[2, 3])).is_empty());
+        assert!(whats(permute(200, &[3, 1, 2])).is_empty());
+        assert_eq!(
+            whats(permute(120, &[2, 3])),
+            ["its held block is empty or overlaps its region"]
+        );
+        assert_eq!(
+            whats(permute(200, &[2, 4])),
+            ["its block count disagrees with its radices"]
+        );
+        assert_eq!(
+            whats(permute(200, &[70_000, 2])),
+            ["its block count disagrees with its radices"],
+            "radices that do not fit a record count as wrong"
+        );
     }
 
     #[test]

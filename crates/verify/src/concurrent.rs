@@ -704,6 +704,10 @@ fn check_buffers(w: &Workload, violations: &mut Vec<ConcurrentViolation>) {
                         push(acc);
                         push(other);
                     }
+                    OpRecord::Permute { region, held, .. } => {
+                        push(region);
+                        push(held);
+                    }
                     _ => {}
                 }
             }

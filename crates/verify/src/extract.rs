@@ -74,6 +74,7 @@ mod tests {
                     | OpRecord::CallOverhead
                     | OpRecord::Copy { .. }
                     | OpRecord::Reduce { .. }
+                    | OpRecord::Permute { .. }
             )));
         }
         // Alltoall on a world of one is a single local own-block copy.

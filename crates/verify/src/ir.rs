@@ -16,7 +16,7 @@
 //! remains as an independent cross-check on the lowering.
 
 use intercom::ir::{lower, Buf, CollectiveProgram, Loc, PlanOp, StepKind};
-use intercom::trace::{MemSpan, OpRecord};
+use intercom::trace::{MemSpan, OpRecord, Radices};
 use intercom::Result;
 use intercom_cost::Strategy;
 
@@ -50,12 +50,18 @@ fn span(loc: Loc) -> MemSpan {
 /// exactly as trace extraction produces them). A fused receive becomes
 /// the receive into a landing and the fold out of it that it stands for
 /// — the ops it was lowered from, a synthetic landing window in place of
-/// the temporary — so the checks see what they saw before fusion.
+/// the temporary — so the checks see what they saw before fusion. A
+/// permutation carries the radices its index names in the program's
+/// table (none where the index is outside it), for the checks to hold
+/// against its region.
 pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
     prog.ranks
         .iter()
         .map(|rp| {
-            let ops = rp.steps.iter().map(|step| records(step.kind));
+            let ops = rp
+                .steps
+                .iter()
+                .map(|step| records(step.kind, &prog.radices));
             ops.flat_map(|(op, fold)| std::iter::once(op).chain(fold))
                 .collect()
         })
@@ -63,7 +69,7 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
 }
 
 /// The ops one step stands for: one, or a fused receive's two.
-fn records(kind: StepKind) -> (OpRecord, Option<OpRecord>) {
+fn records(kind: StepKind, radices: &[Vec<usize>]) -> (OpRecord, Option<OpRecord>) {
     let fold = |acc: Loc| {
         let landing = MemSpan {
             addr: LANDING_BASE,
@@ -132,6 +138,17 @@ fn records(kind: StepKind) -> (OpRecord, Option<OpRecord>) {
         StepKind::Reduce { acc, other } => OpRecord::Reduce {
             acc: span(acc),
             other: span(other),
+        },
+        StepKind::Permute {
+            region,
+            held,
+            radices: index,
+        } => OpRecord::Permute {
+            region: span(region),
+            held: span(held),
+            radices: radices
+                .get(usize::from(index))
+                .and_then(|r| Radices::new(r)),
         },
         StepKind::Compute { bytes } => OpRecord::Compute {
             bytes: bytes as usize,

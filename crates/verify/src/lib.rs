@@ -83,8 +83,8 @@ pub use chaos::{
     scenarios, stall_probe, Backend, CaseRun, ChaosReport, HangDiagnosis, HangProbe, Scenario,
 };
 pub use checks::{
-    analyze_links, check_buffer_safety, check_program_aliasing, check_single_port, LinkAnalysis,
-    Violation,
+    analyze_links, check_buffer_safety, check_permutations, check_program_aliasing,
+    check_single_port, LinkAnalysis, Violation,
 };
 pub use concurrent::{
     tenant_tag_base, verify_concurrent, ConcurrentReport, ConcurrentViolation, CtxId, Tenant,

@@ -1,7 +1,8 @@
 //! The verification driver: produce programs → match → check → verdict.
 
 use crate::checks::{
-    analyze_links, check_buffer_safety, check_program_aliasing, check_single_port, Violation,
+    analyze_links, check_buffer_safety, check_permutations, check_program_aliasing,
+    check_single_port, Violation,
 };
 use crate::extract::extract_programs_under;
 use crate::ir::programs_of;
@@ -314,7 +315,11 @@ pub fn verify_programs(
         max_link_sharing: 0,
         levels: Vec::new(),
         conflict_free: false,
-        violations: check_program_aliasing(programs),
+        violations: [
+            check_program_aliasing(programs),
+            check_permutations(programs),
+        ]
+        .concat(),
     };
     let mut schedule = match match_programs(programs) {
         Ok(s) => s,

@@ -84,7 +84,8 @@ pub(crate) fn load(program: &[OpRecord], pc: &mut usize) -> Current {
             OpRecord::Compute { .. }
             | OpRecord::CallOverhead
             | OpRecord::Copy { .. }
-            | OpRecord::Reduce { .. } => {}
+            | OpRecord::Reduce { .. }
+            | OpRecord::Permute { .. } => {}
             OpRecord::Send { to, tag, src } => {
                 return Current {
                     send: Some(Half {

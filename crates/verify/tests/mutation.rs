@@ -3,13 +3,13 @@
 //! the `schedule-audit` binary's probes so the checker's teeth are also
 //! exercised under `cargo test`.
 
-use intercom::ir::PlanOp;
+use intercom::ir::{lower, Loc, PlanOp, StepKind};
 use intercom::trace::{MemSpan, OpRecord};
-use intercom_cost::Strategy;
+use intercom_cost::{Strategy, StrategyKind};
 use intercom_topology::Mesh2D;
 use intercom_verify::{
-    analyze_links, check_buffer_safety, check_single_port, extract_programs, match_programs, Event,
-    Schedule, Violation,
+    analyze_links, check_buffer_safety, check_permutations, check_single_port, extract_programs,
+    match_programs, programs_of, Event, Schedule, Violation,
 };
 
 /// Moving one MST send a step earlier makes the root talk to two
@@ -145,4 +145,41 @@ fn forced_link_sharing_is_observed() {
     let la = analyze_links(&broken, &mesh);
     assert_eq!(la.max_sharing, 2, "0→2 and 1→3 share link 1→E");
     assert_eq!(la.per_tag_max.get(&0), Some(&2));
+}
+
+/// A collect's block permutation with its held block moved into the
+/// region it permutes, or with radices naming more blocks than the
+/// region holds, must trip the permutation check; as lowered, it passes.
+#[test]
+fn malformed_permutations_are_caught() {
+    let st = Strategy::new(vec![2, 3], StrategyKind::ScatterCollect);
+    let prog = lower(PlanOp::Collect, Some(&st), 6, 4, 1).unwrap();
+    let whats = |prog| -> Vec<&'static str> {
+        let found = check_permutations(&programs_of(prog));
+        found
+            .into_iter()
+            .map(|v| match v {
+                Violation::BadPermutation { what, .. } => what,
+                other => panic!("{other}"),
+            })
+            .collect()
+    };
+    assert!(whats(&prog).is_empty());
+    let mut overlapping = prog.clone();
+    for step in overlapping.ranks.iter_mut().flat_map(|rp| &mut rp.steps) {
+        if let StepKind::Permute { region, held, .. } = &mut step.kind {
+            *held = Loc {
+                len: held.len,
+                ..*region
+            };
+        }
+    }
+    let found = whats(&overlapping);
+    assert_eq!(found.len(), 6, "one permutation a rank: {found:?}");
+    assert!(found.iter().all(|w| w.contains("overlaps")), "{found:?}");
+    let mut miscounted = prog.clone();
+    miscounted.radices[0] = vec![2, 4];
+    let found = whats(&miscounted);
+    assert_eq!(found.len(), 6, "{found:?}");
+    assert!(found.iter().all(|w| w.contains("block count")), "{found:?}");
 }

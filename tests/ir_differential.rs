@@ -279,6 +279,16 @@ fn render(r: &intercom::trace::OpRecord) -> String {
         OpRecord::Reduce { acc, other } => {
             format!("reduce alen={} olen={}", acc.len, other.len)
         }
+        OpRecord::Permute {
+            region,
+            held,
+            radices,
+        } => format!(
+            "permute rlen={} hlen={} radices={:?}",
+            region.len,
+            held.len,
+            radices.map(|r| r.to_vec())
+        ),
         OpRecord::Compute { bytes } => format!("compute {bytes}"),
         OpRecord::CallOverhead => "calloverhead".into(),
     }
@@ -347,6 +357,9 @@ impl Comm for Stamped {
     }
     fn local_copy(&self, src: &[u8], dst: &[u8]) {
         self.call().local_copy(src, dst)
+    }
+    fn local_permute(&self, region: &[u8], held: &[u8], radices: &[usize]) {
+        self.call().local_permute(region, held, radices)
     }
     fn local_reduce(&self, acc: &[u8], other: &[u8]) {
         self.call().local_reduce(acc, other)

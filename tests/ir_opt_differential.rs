@@ -287,7 +287,10 @@ fn structure(prog: &CollectiveProgram) -> Vec<Vec<Step>> {
             StepKind::SendRecv { src: a, dst: b, .. }
             | StepKind::SendRecvReduce { src: a, acc: b, .. }
             | StepKind::Copy { src: a, dst: b }
-            | StepKind::Reduce { acc: a, other: b } => {
+            | StepKind::Reduce { acc: a, other: b }
+            | StepKind::Permute {
+                region: a, held: b, ..
+            } => {
                 zero(a);
                 zero(b);
             }

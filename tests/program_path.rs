@@ -252,10 +252,10 @@ fn default_path_call<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> u6
     }
 }
 
-/// The arena a rank's plain program for `row` readies on the
-/// simulator, in bytes: its scratch, in words (the landing a fused
-/// receive stands for is never asked for there).
-fn arena_bytes<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> usize {
+/// What a rank's plain program for `row` holds: the arena it readies on
+/// the simulator, in bytes — its scratch, in words (the landing a fused
+/// receive stands for is never asked for there) — and its step count.
+fn program_size<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> (usize, usize) {
     let p = cc.size();
     let (op, n, elem) = match row {
         Row::Bcast(bytes) => (PlanOp::Broadcast { root: 0 }, bytes, 1),
@@ -266,7 +266,8 @@ fn arena_bytes<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> usize {
     let choice = cc.auto_choice(cop, op.cost_bytes(p, n, elem));
     let key = PlanKey::plain(op, p, n, elem, Some(&choice));
     let prog = global_cache().get_or_compile(&key).unwrap();
-    prog.ranks[cc.rank()].scratch_bytes.next_multiple_of(8)
+    let rp = &prog.ranks[cc.rank()];
+    (rp.scratch_bytes.next_multiple_of(8), rp.steps.len())
 }
 
 #[test]
@@ -374,10 +375,12 @@ fn fused_folds_of_uneven_and_empty_blocks_run_the_same_on_both_paths() {
 #[ignore = "full-size rows: run in release (ci.sh)"]
 fn the_sim_mesh_rows_run_the_same_on_both_paths() {
     let (kib64, mib) = (64 << 10, 1 << 20);
-    let (mut identical, mut arena) = (0, 0);
-    // Each row's call, and what its program readied, summed over ranks.
-    let mut count = |results: Vec<(u64, usize)>| {
-        arena += results.iter().map(|&(_, bytes)| bytes).sum::<usize>();
+    let (mut identical, mut arena, mut steps) = (0, 0, 0);
+    // Each row's call, and what its program readied and holds, summed
+    // over ranks.
+    let mut count = |results: Vec<(u64, (usize, usize))>| {
+        arena += results.iter().map(|&(_, (bytes, _))| bytes).sum::<usize>();
+        steps += results.iter().map(|&(_, (_, n))| n).sum::<usize>();
         identical += 1;
     };
     let mut mesh_rows = |rows: usize, cols: usize, sizes: &[usize], allreduce: bool| {
@@ -395,7 +398,7 @@ fn the_sim_mesh_rows_run_the_same_on_both_paths() {
                     |c| {
                         let cc =
                             Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
-                        (default_path_call(&cc, row), arena_bytes(&cc, row))
+                        (default_path_call(&cc, row), program_size(&cc, row))
                     },
                 ));
             }
@@ -410,13 +413,14 @@ fn the_sim_mesh_rows_run_the_same_on_both_paths() {
             for row in [Row::Bcast(bytes), Row::Allreduce(bytes)] {
                 count(assert_paths_agree(&cfg, &format!("cluster {row:?}"), |c| {
                     let cc = Communicator::world_on_cluster(c, machine, &cluster).unwrap();
-                    (default_path_call(&cc, row), arena_bytes(&cc, row))
+                    (default_path_call(&cc, row), program_size(&cc, row))
                 }));
             }
         }
     }
     println!("sim-mesh rows: {identical} of 21 bit-identical");
     println!("sim-mesh arena bytes: {arena}");
+    println!("sim-mesh program steps: {steps}");
     assert_eq!(identical, 21);
 }
 

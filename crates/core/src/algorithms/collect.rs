@@ -21,7 +21,7 @@
 //! bucket collect, then bucket-collects ever-larger super-blocks back up.
 //! Distributed combine is the exact dual (stage 2 void).
 
-use crate::algorithms::{check_strategy, slot_of, LEVEL_TAG_STRIDE};
+use crate::algorithms::{check_strategy, equal_blocks, slot_of, LEVEL_TAG_STRIDE};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
@@ -31,11 +31,6 @@ use crate::primitives::{
     ring_reduce_scatter_into,
 };
 use intercom_cost::{Strategy, StrategyKind};
-use std::ops::Range;
-
-fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
-    (0..p).map(|j| j * b..(j + 1) * b).collect()
-}
 
 /// Collect: member `j` contributes the block `mine`; on return, `all`
 /// holds every member's block concatenated in logical-rank order

@@ -31,19 +31,19 @@ pub use broadcast::broadcast;
 pub(crate) use collect::unpermute;
 pub use collect::{collect, reduce_scatter};
 pub use combine::{allreduce, reduce};
+pub use intercom_obs::LEVEL_TAG_STRIDE;
 pub use scatter_gather::{gather, scatter};
 pub use varying::{allgatherv, gatherv, scatterv};
 
 use crate::comm::{Comm, GroupComm};
 use crate::error::{CommError, Result};
 use intercom_cost::Strategy;
+use std::ops::Range;
 
-/// Tag stride reserved per recursion level; stages within one level use
-/// offsets `0..LEVEL_TAG_STRIDE`. With a base tag of 0, every event's
-/// recursion level is therefore `tag / LEVEL_TAG_STRIDE` — the invariant
-/// the `intercom-verify` schedule checker uses to attribute link traffic
-/// to §6 stages.
-pub const LEVEL_TAG_STRIDE: u64 = 8;
+/// `p` consecutive blocks of `b` items each.
+fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
+    (0..p).map(|j| j * b..(j + 1) * b).collect()
+}
 
 /// Validates that `strategy` covers exactly this group.
 pub(crate) fn check_strategy<C: Comm + ?Sized>(

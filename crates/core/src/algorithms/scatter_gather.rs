@@ -1,15 +1,12 @@
 //! Scatter and gather — primitives that serve both vector-length regimes
 //! (§4.2), exposed with MPI-style separate buffers.
 
+use crate::algorithms::equal_blocks;
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::primitives::{mst_gather, mst_scatter};
 use std::ops::Range;
-
-fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
-    (0..p).map(|j| j * b..(j + 1) * b).collect()
-}
 
 /// The root's whole buffer, which must hold `total` items.
 fn sized<B: AsRef<[T]>, T>(full: Option<B>, total: usize) -> Result<B> {

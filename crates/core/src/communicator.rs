@@ -23,6 +23,8 @@ use intercom_obs::residual::ResidualReport;
 use intercom_topology::{Cluster, Hypercube, Mesh2D, ProcGroup};
 use std::cell::{Cell, Ref, RefCell};
 
+pub use intercom_obs::CALL_TAG_STRIDE;
+
 /// Algorithm choice for one collective call.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Algo {
@@ -41,18 +43,6 @@ pub enum Algo {
     /// flat strategy under the two-level model.
     Auto,
 }
-
-/// Tag stride between successive collective calls, comfortably larger
-/// than any recursion's internal stage offsets.
-///
-/// This is also the granularity of the multi-tenant tag-space contract:
-/// a communicator's `k`-th call uses absolute tags
-/// `base + k·CALL_TAG_STRIDE + off` with every stage offset
-/// `off < CALL_TAG_STRIDE`, so two communicators sharing one physical
-/// fabric are isolated for *any* number of calls iff their tag bases
-/// (and stage offsets) are disjoint **mod `CALL_TAG_STRIDE`** — the
-/// residue arithmetic `intercom_verify::concurrent` checks statically.
-pub const CALL_TAG_STRIDE: u64 = 1 << 20;
 
 /// An MPI-like communicator over a group of nodes.
 pub struct Communicator<'a, C: Comm + ?Sized> {

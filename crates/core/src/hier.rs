@@ -11,9 +11,8 @@
 //! one stage per entry of the op's
 //! [`hier_template`](intercom_cost::hier_template), each stage running
 //! the flat [`Strategy`](intercom_cost::Strategy) its [`HierStrategy`]
-//! carries. Stages whose role is strategy-free in this library (gather,
-//! scatter) carry a strategy for *pricing* only; execution uses the
-//! fixed algorithm.
+//! names for it. Gather and scatter stages take none: they run the
+//! fixed MST primitives.
 //!
 //! ## Tag discipline
 //!
@@ -30,7 +29,7 @@ use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
-use intercom_cost::{hier_template, CollectiveOp, HierStrategy};
+use intercom_cost::{CollectiveOp, HierStrategy};
 
 /// Tag distance between consecutive hierarchical stages. Each stage's
 /// flat algorithm uses a handful of
@@ -40,40 +39,23 @@ use intercom_cost::{hier_template, CollectiveOp, HierStrategy};
 /// [`CALL_TAG_STRIDE`](crate::communicator::CALL_TAG_STRIDE).
 pub const HIER_STAGE_STRIDE: u64 = 1 << 10;
 
-/// Checks `hs` against the template for `op` on this group: the ranks
-/// match the cluster shape, the stage sequence matches the template's
-/// levels and roles, and each stage strategy covers its subgroup.
+/// Checks that `hs` fills `op`'s template over this group's ranks (a
+/// [`HierStrategy`] fits its own template by construction).
 fn validate<C: Comm + ?Sized>(
     op: CollectiveOp,
     hs: &HierStrategy,
     gc: &GroupComm<'_, C>,
 ) -> Result<()> {
-    if hs.shape.ranks() != gc.len() {
+    if hs.op() != op {
+        return Err(CommError::PlanMismatch {
+            what: "hierarchical strategy fills another op's template",
+        });
+    }
+    if hs.shape().ranks() != gc.len() {
         return Err(CommError::StrategyMismatch {
-            strategy_nodes: hs.shape.ranks(),
+            strategy_nodes: hs.shape().ranks(),
             group_len: gc.len(),
         });
-    }
-    let specs = hier_template(op, hs.shape).ok_or(CommError::PlanMismatch {
-        what: "op has no hierarchical template",
-    })?;
-    if specs.len() != hs.stages.len() {
-        return Err(CommError::PlanMismatch {
-            what: "hierarchical stage count differs from the op's template",
-        });
-    }
-    for (spec, stage) in specs.iter().zip(&hs.stages) {
-        if spec.level != stage.level || spec.role != stage.role {
-            return Err(CommError::PlanMismatch {
-                what: "hierarchical stage level/role differs from the op's template",
-            });
-        }
-        if stage.strategy.nodes() != spec.group {
-            return Err(CommError::StrategyMismatch {
-                strategy_nodes: stage.strategy.nodes(),
-                group_len: spec.group,
-            });
-        }
     }
     Ok(())
 }
@@ -94,16 +76,16 @@ pub fn hier_broadcast<T: Scalar, C: Comm + ?Sized>(
             size: gc.len(),
         });
     }
-    let r = hs.shape.ranks_per_node;
+    let r = hs.shape().ranks_per_node;
     let slot = root % r;
     if gc.me() % r == slot {
         let plane = gc.plane(r);
-        algorithms::broadcast(&plane, &hs.stages[0].strategy, root / r, buf, tag)?;
+        algorithms::broadcast(&plane, &hs.strategies()[0], root / r, buf, tag)?;
     }
     let line = gc.line(r);
     algorithms::broadcast(
         &line,
-        &hs.stages[1].strategy,
+        &hs.strategies()[1],
         slot,
         buf,
         tag + HIER_STAGE_STRIDE,
@@ -130,15 +112,15 @@ pub fn hier_reduce<T: Elem, C: Comm + ?Sized>(
             size: gc.len(),
         });
     }
-    let r = hs.shape.ranks_per_node;
+    let r = hs.shape().ranks_per_node;
     let slot = root % r;
     let line = gc.line(r);
-    algorithms::reduce(&line, &hs.stages[0].strategy, slot, buf, op, tag, scratch)?;
+    algorithms::reduce(&line, &hs.strategies()[0], slot, buf, op, tag, scratch)?;
     if gc.me() % r == slot {
         let plane = gc.plane(r);
         algorithms::reduce(
             &plane,
-            &hs.stages[1].strategy,
+            &hs.strategies()[1],
             root / r,
             buf,
             op,
@@ -160,14 +142,14 @@ pub fn hier_allreduce<T: Elem, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::CombineToAll, hs, gc)?;
-    let r = hs.shape.ranks_per_node;
+    let r = hs.shape().ranks_per_node;
     let line = gc.line(r);
-    algorithms::reduce(&line, &hs.stages[0].strategy, 0, buf, op, tag, scratch)?;
+    algorithms::reduce(&line, &hs.strategies()[0], 0, buf, op, tag, scratch)?;
     if gc.me().is_multiple_of(r) {
         let plane = gc.plane(r);
         algorithms::allreduce(
             &plane,
-            &hs.stages[1].strategy,
+            &hs.strategies()[1],
             buf,
             op,
             tag + HIER_STAGE_STRIDE,
@@ -176,7 +158,7 @@ pub fn hier_allreduce<T: Elem, C: Comm + ?Sized>(
     }
     algorithms::broadcast(
         &line,
-        &hs.stages[2].strategy,
+        &hs.strategies()[2],
         0,
         buf,
         tag + 2 * HIER_STAGE_STRIDE,
@@ -203,7 +185,7 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
             actual: all.len(),
         });
     }
-    let r = hs.shape.ranks_per_node;
+    let r = hs.shape().ranks_per_node;
     let leader = gc.me().is_multiple_of(r);
     let line = gc.line(r);
     let mut node_block = vec![T::default(); if leader { r * b } else { 0 }];
@@ -212,7 +194,7 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
         let plane = gc.plane(r);
         algorithms::collect(
             &plane,
-            &hs.stages[1].strategy,
+            &hs.strategies()[0],
             &node_block,
             all,
             tag + HIER_STAGE_STRIDE,
@@ -221,7 +203,7 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
     }
     algorithms::broadcast(
         &line,
-        &hs.stages[2].strategy,
+        &hs.strategies()[1],
         0,
         all,
         tag + 2 * HIER_STAGE_STRIDE,
@@ -251,21 +233,21 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
             actual: contrib.len(),
         });
     }
-    let r = hs.shape.ranks_per_node;
+    let r = hs.shape().ranks_per_node;
     let leader = gc.me().is_multiple_of(r);
     let line = gc.line(r);
     // The intra reduce folds in place, so work on a copy of the
     // caller's contribution.
     let mut work = vec![T::default(); p * b];
     gc.copy(contrib, &mut work);
-    let intra = &hs.stages[0].strategy;
+    let intra = &hs.strategies()[0];
     algorithms::reduce(&line, intra, 0, &mut work, op, tag, scratch)?;
     let mut node_block = vec![T::default(); if leader { r * b } else { 0 }];
     if leader {
         let plane = gc.plane(r);
         algorithms::reduce_scatter(
             &plane,
-            &hs.stages[1].strategy,
+            &hs.strategies()[1],
             &work,
             &mut node_block,
             op,
@@ -404,8 +386,8 @@ mod tests {
     #[test]
     fn wrong_stage_sequence_is_rejected() {
         let shape = ClusterShape::linear(2, 2);
-        // A broadcast strategy replayed as an allreduce: stage count and
-        // roles both disagree with the template.
+        // A broadcast strategy replayed as an allreduce fills another
+        // op's template.
         let hs = strategy_for(CollectiveOp::Broadcast, shape);
         let rec = RecordingComm::new(0, shape.ranks());
         let gc = GroupComm::world(&rec);

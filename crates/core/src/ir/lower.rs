@@ -53,7 +53,7 @@ pub fn lower(
 }
 
 /// Lowers one *hierarchical* collective call into a compiled program
-/// for all `hs.shape.ranks()` ranks. The per-rank replay runs the
+/// for all `hs.shape().ranks()` ranks. The per-rank replay runs the
 /// leader-based compositions of [`crate::hier`], so the resulting
 /// program's transfers land in per-stage tag bands (stage `k` at
 /// levels `k · HIER_STAGE_STRIDE / LEVEL_TAG_STRIDE` and up) — the same IR, executors and verifier checks apply
@@ -74,7 +74,7 @@ pub fn lower_hier(
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
     let choice = Some(HierChoice::Hier(hs.clone()));
-    lower_choice(op, choice, hs.shape.ranks(), n, elem_size)
+    lower_choice(op, choice, hs.shape().ranks(), n, elem_size)
 }
 
 fn lower_choice(

@@ -57,10 +57,9 @@ pub fn enumerate_mesh_strategies(rows: usize, cols: usize, max_dims: usize) -> V
         for cp in &col_parts {
             let mut dims = rp.clone();
             dims.extend_from_slice(cp);
-            if dims.is_empty() {
-                continue;
-            }
-            if max_dims != 0 && dims.len() > max_dims {
+            // One dim is the whole mesh as one line (a 1×c or r×1
+            // mesh), listed above.
+            if dims.len() < 2 || max_dims != 0 && dims.len() > max_dims {
                 continue;
             }
             out.push(Strategy::on_mesh(dims.clone(), StrategyKind::Mst, rp.len()));
@@ -131,11 +130,14 @@ mod tests {
 
     #[test]
     fn mesh_strategies_handle_degenerate_dims() {
-        let all = enumerate_mesh_strategies(1, 8, 0);
-        assert!(all.iter().any(|s| s.dims == [8]));
-        assert!(all.iter().all(|s| s.nodes() == 8));
-        let all = enumerate_mesh_strategies(8, 1, 0);
-        assert!(all.iter().any(|s| s.dims == [8]));
+        // A one-row or one-column mesh lists its whole line once per
+        // kind, as the linear strategy.
+        for (rows, cols) in [(1, 8), (8, 1)] {
+            let all = enumerate_mesh_strategies(rows, cols, 0);
+            let line: Vec<&Strategy> = all.iter().filter(|s| s.dims == [8]).collect();
+            assert_eq!(line, [&Strategy::pure_mst(8), &Strategy::pure_long(8)]);
+            assert!(all.iter().all(|s| s.nodes() == 8));
+        }
     }
 
     #[test]

@@ -10,15 +10,18 @@
 //! versions it: every per-level refit bumps one monotonic version that
 //! caches and persisted tables key on.
 //!
-//! A hierarchical strategy ([`HierStrategy`]) is a strategy string whose
-//! stages carry a level: e.g. combine-to-all on a cluster is "reduce
+//! A hierarchical strategy ([`HierStrategy`]) fills an op's two-level
+//! template ([`hier_template`], the one statement of which collective
+//! runs at which level): e.g. combine-to-all on a cluster is "reduce
 //! intra-node, then allreduce inter-node among node leaders, then
-//! broadcast intra-node", with each stage running an ordinary flat
-//! [`Strategy`] over its level subgroup. Because the stages execute
-//! sequentially and each stage's cost depends only on its own strategy,
-//! per-level selection ([`select_hier`]) — best flat strategy per stage
-//! under that level's parameters at that stage's message volume — is
-//! globally optimal over the full cross product ([`enumerate_hier_strategies`]).
+//! broadcast intra-node", and the strategy names the ordinary flat
+//! [`Strategy`] each stage runs over its level subgroup — every stage
+//! but a gather or scatter, which runs the fixed MST primitive. Because
+//! the stages execute sequentially and each stage's cost depends only
+//! on its own strategy, per-level selection ([`select_hier`]) — best
+//! flat strategy per stage under that level's parameters at that
+//! stage's message volume — is globally optimal over the full cross
+//! product ([`enumerate_hier_strategies`]).
 //!
 //! Flat strategies are priced on a cluster by [`flat_on_cluster_cost`]
 //! with the *inter-node* parameters: a level-blind schedule's critical
@@ -27,7 +30,7 @@
 //! [`choose_hier`] prices the best hierarchical hybrid against the best
 //! flat strategy under that model and returns whichever wins.
 
-use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
+use crate::collective::{hybrid_cost, short_cost, CollectiveOp, CostContext};
 use crate::machine::MachineParams;
 use crate::select::{best_strategy, with_envelope, Space};
 use crate::strategy::Strategy;
@@ -233,106 +236,15 @@ impl fmt::Display for ClusterShape {
     }
 }
 
-/// Which collective one stage of a hierarchical strategy runs over its
-/// level subgroup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageRole {
-    /// Broadcast within the stage group.
-    Bcast,
-    /// Combine-to-one within the stage group.
-    Reduce,
-    /// Combine-to-all within the stage group.
-    AllReduce,
-    /// Gather to the group leader.
-    Gather,
-    /// Collect (allgather) across the group.
-    Collect,
-    /// Scatter from the group leader.
-    Scatter,
-    /// Distributed combine (reduce-scatter) across the group.
-    ReduceScatter,
-}
-
-impl StageRole {
-    /// The collective whose cost formula prices this stage.
-    pub fn cost_op(&self) -> CollectiveOp {
-        match self {
-            StageRole::Bcast => CollectiveOp::Broadcast,
-            StageRole::Reduce => CollectiveOp::CombineToOne,
-            StageRole::AllReduce => CollectiveOp::CombineToAll,
-            StageRole::Gather => CollectiveOp::Gather,
-            StageRole::Collect => CollectiveOp::Collect,
-            StageRole::Scatter => CollectiveOp::Scatter,
-            StageRole::ReduceScatter => CollectiveOp::DistributedCombine,
-        }
-    }
-
-    /// Short name used in the strategy-string grammar.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StageRole::Bcast => "bcast",
-            StageRole::Reduce => "reduce",
-            StageRole::AllReduce => "allreduce",
-            StageRole::Gather => "gather",
-            StageRole::Collect => "collect",
-            StageRole::Scatter => "scatter",
-            StageRole::ReduceScatter => "reduce-scatter",
-        }
-    }
-}
-
-/// One level-tagged stage of a hierarchical strategy: which collective
-/// runs, at which level, with which flat [`Strategy`] over the level
-/// subgroup.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HierStage {
-    /// Hierarchy level the stage runs at (0 = intra-node, 1 = inter-node).
-    pub level: u8,
-    /// The collective the stage runs over its level subgroup.
-    pub role: StageRole,
-    /// The flat strategy executing that collective within the subgroup.
-    pub strategy: Strategy,
-}
-
-impl fmt::Display for HierStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}:{}{}", self.level, self.role.name(), self.strategy)
-    }
-}
-
-/// A hierarchical strategy string: level-tagged stages over a cluster
-/// shape, e.g. combine-to-all as
-/// `[L0:reduce(1x4, M) ; L1:allreduce(2x2, SMC) ; L0:bcast(1x4, M)] @1x4x4`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HierStrategy {
-    /// The cluster shape the strategy runs over.
-    pub shape: ClusterShape,
-    /// The stages, in execution order.
-    pub stages: Vec<HierStage>,
-}
-
-impl fmt::Display for HierStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ; ")?;
-            }
-            write!(f, "{s}")?;
-        }
-        write!(f, "] @{}", self.shape)
-    }
-}
-
-/// One slot of a hierarchical template, before a flat strategy has been
-/// chosen for it: the level, the collective, the subgroup size, and the
-/// stage's message volume as a fraction `num/den` of the op's `n`.
+/// One stage of a hierarchical template: the level, the collective it
+/// runs over its level subgroup, the subgroup size, and the stage's
+/// message volume as a fraction `num/den` of the op's `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSpec {
     /// Hierarchy level (0 = intra-node, 1 = inter-node).
     pub level: u8,
-    /// The collective the stage runs.
-    pub role: StageRole,
+    /// The collective the stage runs, priced by its cost formula.
+    pub op: CollectiveOp,
     /// Size of the level subgroup the stage spans.
     pub group: usize,
     /// Numerator of the stage volume as a fraction of `n`.
@@ -345,6 +257,13 @@ impl StageSpec {
     /// The stage's message volume in bytes for an op-level volume `n`.
     pub fn bytes(&self, n: usize) -> usize {
         n * self.frac_num / self.frac_den
+    }
+
+    /// Whether the stage runs a flat strategy of its own. A gather or
+    /// scatter stage runs the fixed MST primitive (§4.2), which serves
+    /// both regimes, so a strategy would change nothing it does.
+    pub fn takes_strategy(&self) -> bool {
+        !matches!(self.op, CollectiveOp::Gather | CollectiveOp::Scatter)
     }
 
     /// The candidate space the stage draws its flat strategy from, and
@@ -364,6 +283,95 @@ impl StageSpec {
             Space::Linear(self.group)
         }
     }
+
+    /// The stage's name in the strategy-string grammar.
+    fn name(&self) -> &'static str {
+        match self.op {
+            CollectiveOp::Broadcast => "bcast",
+            CollectiveOp::CombineToOne => "reduce",
+            CollectiveOp::CombineToAll => "allreduce",
+            CollectiveOp::Gather => "gather",
+            CollectiveOp::Collect => "collect",
+            CollectiveOp::Scatter => "scatter",
+            CollectiveOp::DistributedCombine => "reduce-scatter",
+        }
+    }
+}
+
+/// A hierarchical strategy: one flat [`Strategy`] for each stage of
+/// `op`'s [`hier_template`] on `shape` that takes one, in stage order.
+/// The template alone says which collective runs at which level. Its
+/// strategy string tags each stage with both, e.g. combine-to-all as
+/// `[L0:reduce(4, M) ; L1:allreduce(2x2, SMC) ; L0:bcast(4, M)] @2x2x4`
+/// and collect's strategy-free gather as `L0:gather`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct HierStrategy {
+    op: CollectiveOp,
+    shape: ClusterShape,
+    strategies: Vec<Strategy>,
+}
+
+impl HierStrategy {
+    /// The strategy running `strategies`, in order, in the stages of
+    /// `op`'s template on `shape` that take one. `None` when `op` has no
+    /// template, or the strategies are not one per such stage, each
+    /// spanning its stage's subgroup.
+    pub fn new(op: CollectiveOp, shape: ClusterShape, strategies: Vec<Strategy>) -> Option<Self> {
+        let specs = hier_template(op, shape)?;
+        let groups = specs.iter().filter(|s| s.takes_strategy()).map(|s| s.group);
+        let fits = groups.eq(strategies.iter().map(Strategy::nodes));
+        fits.then_some(HierStrategy {
+            op,
+            shape,
+            strategies,
+        })
+    }
+
+    /// The collective whose template the strategy fills.
+    pub fn op(&self) -> CollectiveOp {
+        self.op
+    }
+
+    /// The cluster shape the strategy runs over.
+    pub fn shape(&self) -> ClusterShape {
+        self.shape
+    }
+
+    /// The flat strategies of the strategy-taking stages, in order.
+    pub fn strategies(&self) -> &[Strategy] {
+        &self.strategies
+    }
+
+    /// The template's stages in execution order, each with the flat
+    /// strategy it runs (`None` for a gather or scatter stage).
+    pub fn stages(&self) -> impl Iterator<Item = (StageSpec, Option<&Strategy>)> {
+        let mut strategies = self.strategies.iter();
+        hier_template(self.op, self.shape)
+            .expect("a hierarchical strategy is built from a template")
+            .into_iter()
+            .map(move |spec| {
+                (
+                    spec,
+                    spec.takes_strategy().then(|| strategies.next()).flatten(),
+                )
+            })
+    }
+}
+
+impl fmt::Display for HierStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[")?;
+        for (i, (spec, strategy)) in self.stages().enumerate() {
+            if i > 0 {
+                write!(f, " ; ")?;
+            }
+            write!(f, "L{}:{}", spec.level, spec.name())?;
+            if let Some(s) = strategy {
+                write!(f, "{s}")?;
+            }
+        }
+        write!(f, "] @{}", self.shape)
+    }
 }
 
 /// The hierarchical decomposition template for `op` on `shape`: which
@@ -378,9 +386,9 @@ impl StageSpec {
 pub fn hier_template(op: CollectiveOp, shape: ClusterShape) -> Option<Vec<StageSpec>> {
     let m = shape.nodes();
     let r = shape.ranks_per_node;
-    let spec = |level: u8, role: StageRole, group: usize, num: usize, den: usize| StageSpec {
+    let spec = |level: u8, op: CollectiveOp, group: usize, num: usize, den: usize| StageSpec {
         level,
-        role,
+        op,
         group,
         frac_num: num,
         frac_den: den,
@@ -388,43 +396,44 @@ pub fn hier_template(op: CollectiveOp, shape: ClusterShape) -> Option<Vec<StageS
     let stages = match op {
         // Inter-node broadcast among leaders, then fan out in-node.
         CollectiveOp::Broadcast => vec![
-            spec(1, StageRole::Bcast, m, 1, 1),
-            spec(0, StageRole::Bcast, r, 1, 1),
+            spec(1, CollectiveOp::Broadcast, m, 1, 1),
+            spec(0, CollectiveOp::Broadcast, r, 1, 1),
         ],
         // Combine in-node to leaders, then across leaders to the root.
         CollectiveOp::CombineToOne => vec![
-            spec(0, StageRole::Reduce, r, 1, 1),
-            spec(1, StageRole::Reduce, m, 1, 1),
+            spec(0, CollectiveOp::CombineToOne, r, 1, 1),
+            spec(1, CollectiveOp::CombineToOne, m, 1, 1),
         ],
         // Reduce in-node, allreduce across leaders, broadcast in-node.
         CollectiveOp::CombineToAll => vec![
-            spec(0, StageRole::Reduce, r, 1, 1),
-            spec(1, StageRole::AllReduce, m, 1, 1),
-            spec(0, StageRole::Bcast, r, 1, 1),
+            spec(0, CollectiveOp::CombineToOne, r, 1, 1),
+            spec(1, CollectiveOp::CombineToAll, m, 1, 1),
+            spec(0, CollectiveOp::Broadcast, r, 1, 1),
         ],
         // Gather node blocks to leaders (n/m each), collect across
         // leaders, broadcast the full vector in-node.
         CollectiveOp::Collect => vec![
-            spec(0, StageRole::Gather, r, 1, m),
-            spec(1, StageRole::Collect, m, 1, 1),
-            spec(0, StageRole::Bcast, r, 1, 1),
+            spec(0, CollectiveOp::Gather, r, 1, m),
+            spec(1, CollectiveOp::Collect, m, 1, 1),
+            spec(0, CollectiveOp::Broadcast, r, 1, 1),
         ],
         // Reduce full vectors in-node, reduce-scatter node blocks
         // across leaders, scatter the node block (n/m) in-node.
         CollectiveOp::DistributedCombine => vec![
-            spec(0, StageRole::Reduce, r, 1, 1),
-            spec(1, StageRole::ReduceScatter, m, 1, 1),
-            spec(0, StageRole::Scatter, r, 1, m),
+            spec(0, CollectiveOp::CombineToOne, r, 1, 1),
+            spec(1, CollectiveOp::DistributedCombine, m, 1, 1),
+            spec(0, CollectiveOp::Scatter, r, 1, m),
         ],
         CollectiveOp::Scatter | CollectiveOp::Gather => return None,
     };
     Some(stages)
 }
 
-/// Every hierarchical strategy for `op` on `shape`: the template with
-/// every combination of flat per-stage strategies (`max_dims` bounds
-/// each stage's logical-mesh depth; 0 = unlimited) from its candidate
-/// space. Empty when the op has no hierarchical template.
+/// Every hierarchical strategy for `op` on `shape`: every combination
+/// of flat strategies for the template's strategy-taking stages
+/// (`max_dims` bounds each stage's logical-mesh depth; 0 = unlimited),
+/// each from its stage's candidate space. Empty when the op has no
+/// hierarchical template.
 pub fn enumerate_hier_strategies(
     op: CollectiveOp,
     shape: ClusterShape,
@@ -433,52 +442,46 @@ pub fn enumerate_hier_strategies(
     let Some(specs) = hier_template(op, shape) else {
         return Vec::new();
     };
-    let per_stage: Vec<Vec<Strategy>> = specs
-        .iter()
-        .map(|s| s.space(shape).strategies(max_dims))
-        .collect();
     let mut out = vec![Vec::new()];
-    for (spec, cands) in specs.iter().zip(&per_stage) {
-        let mut next = Vec::with_capacity(out.len() * cands.len());
-        for prefix in &out {
-            for c in cands {
-                let mut stages: Vec<HierStage> = prefix.clone();
-                stages.push(HierStage {
-                    level: spec.level,
-                    role: spec.role,
-                    strategy: c.clone(),
-                });
-                next.push(stages);
-            }
-        }
-        out = next;
+    for spec in specs.iter().filter(|s| s.takes_strategy()) {
+        let cands = spec.space(shape).strategies(max_dims);
+        out = out
+            .iter()
+            .flat_map(|prefix| {
+                cands.iter().map(|c| {
+                    let mut strategies: Vec<Strategy> = prefix.clone();
+                    strategies.push(c.clone());
+                    strategies
+                })
+            })
+            .collect();
     }
     out.into_iter()
-        .map(|stages| HierStrategy { shape, stages })
+        .map(|strategies| HierStrategy {
+            op,
+            shape,
+            strategies,
+        })
         .collect()
 }
 
 /// Predicted seconds for one hierarchical strategy at op-level volume
 /// `n` bytes: the sum of its stages, each priced by the flat hybrid
-/// cost under its *level's* parameters at its stage volume. Stages
-/// execute sequentially (each level hands off to the next), so the sum
-/// is the critical path.
+/// cost of its strategy (the MST primitive's where it takes none) under
+/// its *level's* parameters at its stage volume. Stages execute
+/// sequentially (each level hands off to the next), so the sum is the
+/// critical path.
 pub fn hier_cost(op: CollectiveOp, hs: &HierStrategy, n: usize, machine: &HierMachine) -> f64 {
-    let specs = hier_template(op, hs.shape).expect("op has a hierarchical template");
-    assert_eq!(
-        specs.len(),
-        hs.stages.len(),
-        "strategy stage count matches the template"
-    );
-    specs
-        .iter()
-        .zip(&hs.stages)
-        .map(|(spec, stage)| {
-            debug_assert_eq!(spec.role, stage.role);
-            debug_assert_eq!(spec.level, stage.level);
-            let params = machine.level(stage.level as usize);
+    assert_eq!(op, hs.op, "the strategy fills the op's template");
+    hs.stages()
+        .map(|(spec, strategy)| {
+            let params = machine.level(spec.level as usize);
             let ctx = spec.space(hs.shape).context(params);
-            hybrid_cost(stage.role.cost_op(), &stage.strategy, ctx).eval(spec.bytes(n), params)
+            let cost = match strategy {
+                Some(s) => hybrid_cost(spec.op, s, ctx),
+                None => short_cost(spec.op, spec.group, ctx),
+            };
+            cost.eval(spec.bytes(n), params)
         })
         .sum()
 }
@@ -497,8 +500,9 @@ pub fn flat_on_cluster_cost(
     hybrid_cost(op, s, CostContext::linear_with(inter)).eval(n, inter)
 }
 
-/// Per-level selection with its price: each template stage looks up its
-/// level's envelope at its stage volume, and the cached costs at that
+/// Per-level selection with its price: each strategy-taking stage
+/// looks up its level's envelope at its stage volume, a gather or
+/// scatter stage prices the MST primitive, and those costs at that
 /// volume sum to what [`hier_cost`] would say of the result.
 fn select_priced(
     op: CollectiveOp,
@@ -507,25 +511,28 @@ fn select_priced(
     machine: &HierMachine,
 ) -> Option<(HierStrategy, f64)> {
     let mut seconds = 0.0;
-    let stages = hier_template(op, shape)?
-        .iter()
-        .map(|spec| {
-            let params = machine.level(spec.level as usize);
-            let space = spec.space(shape);
-            let bytes = spec.bytes(n);
-            let ctx = space.context(params);
-            with_envelope(spec.role.cost_op(), space, params, ctx, |env| {
+    let mut strategies = Vec::new();
+    for spec in hier_template(op, shape)? {
+        let params = machine.level(spec.level as usize);
+        let space = spec.space(shape);
+        let bytes = spec.bytes(n);
+        let ctx = space.context(params);
+        seconds += if spec.takes_strategy() {
+            with_envelope(spec.op, space, params, ctx, |env| {
                 let (strategy, cost) = env.at(bytes);
-                seconds += cost.eval(bytes, params);
-                HierStage {
-                    level: spec.level,
-                    role: spec.role,
-                    strategy: strategy.clone(),
-                }
+                strategies.push(strategy.clone());
+                cost.eval(bytes, params)
             })
-        })
-        .collect();
-    Some((HierStrategy { shape, stages }, seconds))
+        } else {
+            short_cost(spec.op, spec.group, ctx).eval(bytes, params)
+        };
+    }
+    let hs = HierStrategy {
+        op,
+        shape,
+        strategies,
+    };
+    Some((hs, seconds))
 }
 
 /// Per-level selection: the cheapest hierarchical strategy for `op` on
@@ -682,22 +689,38 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_carries_levels_and_roles() {
+    fn enumeration_fills_only_the_strategy_taking_stages() {
+        // The cross product is the product of per-stage candidate
+        // counts; collect's gather and reduce-scatter's scatter take none.
         let shape = ClusterShape::linear(2, 2);
-        let all = enumerate_hier_strategies(CollectiveOp::CombineToAll, shape, 0);
-        assert!(!all.is_empty());
-        for h in &all {
-            assert_eq!(h.stages.len(), 3);
-            assert_eq!(h.stages[0].level, 0);
-            assert_eq!(h.stages[0].role, StageRole::Reduce);
-            assert_eq!(h.stages[1].level, 1);
-            assert_eq!(h.stages[1].role, StageRole::AllReduce);
-            assert_eq!(h.stages[2].level, 0);
-            assert_eq!(h.stages[2].role, StageRole::Bcast);
-        }
-        // The cross product is the product of per-stage candidate counts.
         let per = Space::Linear(2).strategies(0).len();
-        assert_eq!(all.len(), per * per * per);
+        for (op, slots) in [
+            (CollectiveOp::CombineToAll, 3),
+            (CollectiveOp::Collect, 2),
+            (CollectiveOp::DistributedCombine, 2),
+        ] {
+            let all = enumerate_hier_strategies(op, shape, 0);
+            assert_eq!(all.len(), per.pow(slots as u32));
+            assert!(all.iter().all(|h| h.strategies().len() == slots));
+        }
+    }
+
+    #[test]
+    fn a_strategy_fits_its_template_or_is_not_built() {
+        let shape = ClusterShape::linear(4, 2);
+        let (intra, inter) = (Strategy::pure_mst(2), Strategy::pure_long(4));
+        let collect = |s: Vec<Strategy>| HierStrategy::new(CollectiveOp::Collect, shape, s);
+        let h = collect(vec![inter.clone(), intra.clone()]).unwrap();
+        assert_eq!(
+            h.to_string(),
+            "[L0:gather ; L1:collect(4, SC) ; L0:bcast(2, M)] @1x4x2"
+        );
+        // A strategy for the gather stage, a missing one, or one for
+        // the wrong subgroup: no value.
+        assert!(collect(vec![intra.clone(), inter.clone(), intra.clone()]).is_none());
+        assert!(collect(vec![inter.clone()]).is_none());
+        assert!(collect(vec![intra.clone(), inter.clone()]).is_none());
+        assert!(HierStrategy::new(CollectiveOp::Gather, shape, Vec::new()).is_none());
     }
 
     #[test]
@@ -751,7 +774,7 @@ mod tests {
         let shape = ClusterShape::linear(6, 1);
         let m = cluster_machine();
         let h = select_hier(CollectiveOp::Broadcast, shape, 1024, &m).unwrap();
-        assert_eq!(h.stages[1].strategy.nodes(), 1);
+        assert_eq!(h.strategies()[1].nodes(), 1);
         let c = hier_cost(CollectiveOp::Broadcast, &h, 1024, &m);
         assert!(c.is_finite() && c > 0.0);
     }

@@ -52,8 +52,7 @@ pub use enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 pub use expr::CostExpr;
 pub use hier::{
     choose_hier, enumerate_hier_strategies, flat_on_cluster_cost, hier_cost, hier_template,
-    select_hier, ClusterShape, HierChoice, HierMachine, HierStage, HierStrategy, StageRole,
-    StageSpec, TunedHier,
+    select_hier, ClusterShape, HierChoice, HierMachine, HierStrategy, StageSpec, TunedHier,
 };
 pub use machine::MachineParams;
 pub use select::{best_mesh_strategy, best_strategy, rank_strategies};

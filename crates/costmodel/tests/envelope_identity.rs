@@ -150,8 +150,9 @@ fn degenerate_spaces_build_and_answer() {
     }
 }
 
-/// `choose_hier` by enumeration: [`pick`] per template stage and for the
-/// flat side, then the `<` arbitration on the public price functions.
+/// `choose_hier` by enumeration: [`pick`] per strategy-taking template
+/// stage and for the flat side, then the `<` arbitration on the public
+/// price functions.
 fn choose_by_enumeration(
     op: CollectiveOp,
     shape: ClusterShape,
@@ -168,15 +169,11 @@ fn choose_by_enumeration(
         } else {
             (Space::Linear(spec.group), CostContext::linear_with(params))
         };
-        HierStage {
-            level: spec.level,
-            role: spec.role,
-            strategy: pick((spec.role.cost_op(), space, params, ctx), spec.bytes(n)),
-        }
+        pick((spec.op, space, params, ctx), spec.bytes(n))
     };
-    let hier = hier_template(op, shape).map(|specs| HierStrategy {
-        shape,
-        stages: specs.iter().map(stage).collect(),
+    let hier = hier_template(op, shape).map(|specs| {
+        let strategies = specs.iter().filter(|s| s.takes_strategy()).map(stage);
+        HierStrategy::new(op, shape, strategies.collect()).expect("one per strategy stage")
     });
     match hier {
         Some(h) if hier_cost(op, &h, n, m) < flat_on_cluster_cost(op, &flat, n, m) => {

@@ -145,14 +145,26 @@ impl TraceEvent {
     }
 }
 
-/// Tag distance between successive recursion levels of one collective
-/// call. Mirrors `intercom::algorithms::LEVEL_TAG_STRIDE` (the two
-/// constants are cross-checked by an integration test; `intercom-obs`
-/// sits below `intercom` in the dependency graph and cannot import it).
+/// Tag stride reserved per recursion level of one collective call;
+/// stages within one level use offsets `0..LEVEL_TAG_STRIDE`. With a
+/// base tag of 0, every event's recursion level is therefore
+/// `tag / LEVEL_TAG_STRIDE` — the invariant the `intercom-verify`
+/// schedule checker uses to attribute link traffic to §6 stages.
+/// Defined here, the lowest crate that decodes tags; `intercom`
+/// re-exports it as `intercom::algorithms::LEVEL_TAG_STRIDE`.
 pub const LEVEL_TAG_STRIDE: u64 = 8;
 
-/// Tag distance between successive collective calls on one
-/// communicator. Mirrors the communicator's call-tag stride.
+/// Tag stride between successive collective calls on one communicator,
+/// comfortably larger than any recursion's internal stage offsets.
+///
+/// This is also the granularity of the multi-tenant tag-space contract:
+/// a communicator's `k`-th call uses absolute tags
+/// `base + k·CALL_TAG_STRIDE + off` with every stage offset
+/// `off < CALL_TAG_STRIDE`, so two communicators sharing one physical
+/// fabric are isolated for *any* number of calls iff their tag bases
+/// (and stage offsets) are disjoint **mod `CALL_TAG_STRIDE`** — the
+/// residue arithmetic `intercom_verify::concurrent` checks statically.
+/// `intercom` re-exports it as `intercom::CALL_TAG_STRIDE`.
 pub const CALL_TAG_STRIDE: u64 = 1 << 20;
 
 /// A pipeline stage of one collective call: the recursion `level`

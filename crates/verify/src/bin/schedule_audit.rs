@@ -1202,8 +1202,8 @@ fn probe_hier_step_move() -> bool {
         .any(|v| matches!(v, Violation::MultiPort { rank: 0, .. }))
 }
 
-/// Hier probe 4: a strategy whose stage sequence disagrees with the
-/// op's template must be rejected at lowering, before any check runs.
+/// Hier probe 4: a strategy that fills another op's template must be
+/// rejected at lowering, before any check runs.
 fn probe_hier_bad_strategy() -> bool {
     let hs = select_hier(
         CollectiveOp::Broadcast,

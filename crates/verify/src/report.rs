@@ -12,7 +12,7 @@ use intercom::hier::HIER_STAGE_STRIDE;
 use intercom::ir::{lower, lower_hier, optimize, OptStats, PlanOp};
 use intercom::trace::OpRecord;
 use intercom::{CommError, Result, Tag};
-use intercom_cost::{ConflictModel, HierChoice, HierStrategy, StageRole, Strategy};
+use intercom_cost::{ConflictModel, HierChoice, HierStrategy, Strategy};
 use intercom_topology::{Cluster, Mesh2D};
 use std::fmt;
 
@@ -197,7 +197,7 @@ pub fn verify_schedule_from(
 ) -> Result<(Report, OptStats)> {
     let p = machine.ranks();
     if let Some(HierChoice::Hier(hs)) = choice {
-        let (inter, s) = (machine.inter(), hs.shape);
+        let (inter, s) = (machine.inter(), hs.shape());
         if (s.inter_rows, s.inter_cols, s.ranks_per_node)
             != (inter.rows(), inter.cols(), machine.ranks_per_node())
         {
@@ -253,13 +253,7 @@ fn predicted_sharing(op: &PlanOp, choice: Option<&HierChoice>) -> Option<impl Fn
     let (stride, stages): (Tag, Vec<Option<Vec<f64>>>) = match choice {
         Some(HierChoice::Hier(hs)) => (
             HIER_STAGE_STRIDE,
-            hs.stages
-                .iter()
-                .map(|stage| {
-                    let free = matches!(stage.role, StageRole::Gather | StageRole::Scatter);
-                    (!free).then(|| profile(&stage.strategy))
-                })
-                .collect(),
+            hs.stages().map(|(_, st)| st.map(profile)).collect(),
         ),
         // A flat call is one stage spanning the whole tag space.
         Some(HierChoice::Flat(st)) if op.takes_strategy() => (Tag::MAX, vec![Some(profile(st))]),
@@ -390,8 +384,9 @@ mod tests {
     use intercom_cost::StrategyKind;
 
     fn verify_hier(op: &PlanOp, hs: &HierStrategy, n: usize, source: Source) -> Result<Report> {
-        let inter = Mesh2D::new(hs.shape.inter_rows, hs.shape.inter_cols);
-        let machine = Cluster::new(inter, hs.shape.ranks_per_node);
+        let shape = hs.shape();
+        let inter = Mesh2D::new(shape.inter_rows, shape.inter_cols);
+        let machine = Cluster::new(inter, shape.ranks_per_node);
         let choice = HierChoice::Hier(hs.clone());
         verify_schedule_from(op, Some(&choice), &machine, n, source).map(|(r, _)| r)
     }

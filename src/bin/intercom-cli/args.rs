@@ -84,8 +84,16 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I, allowed: &str) -> Result<O
 }
 
 impl Options {
-    /// The collectives `--op` names: one, or all seven for `all`.
-    pub fn ops(&self) -> Result<Vec<PlanOp>, String> {
+    /// The collectives `--op` names for a world of `p` ranks: one, or
+    /// all seven for `all`. A `--root` outside the world is refused
+    /// here, before any world runs.
+    pub fn ops(&self, p: usize) -> Result<Vec<PlanOp>, String> {
+        if self.root >= p {
+            return Err(format!(
+                "--root {} is not a rank of a {p}-rank world",
+                self.root
+            ));
+        }
         let all = collectives(self.root);
         if self.op == "all" {
             return Ok(all.to_vec());
@@ -169,15 +177,16 @@ mod tests {
                 root: 3,
                 ..Options::default()
             };
-            assert_eq!(o.ops().unwrap(), vec![op]);
+            assert_eq!(o.ops(4).unwrap(), vec![op]);
+            assert!(o.ops(3).unwrap_err().contains("--root 3"));
         }
-        let all = Options::default().ops().unwrap();
+        let all = Options::default().ops(1).unwrap();
         assert_eq!(all.len(), 7);
         let bogus = Options {
             op: "alltoall".into(),
             ..Options::default()
         };
-        assert!(bogus.ops().is_err());
+        assert!(bogus.ops(1).is_err());
     }
 
     #[test]

@@ -119,7 +119,7 @@ fn check(snap: &Snapshot, planned: bool) -> Result<(), String> {
 pub fn run(o: &Options) -> Result<(), String> {
     let p = o.p.unwrap_or(8);
     let strategy = parse_strategy(&o.strategy, p)?;
-    let ops = o.ops()?;
+    let ops = o.ops(p)?;
     let backends = o.backends()?;
 
     // This process *is* the instrumented application: turn the

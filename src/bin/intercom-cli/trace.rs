@@ -123,6 +123,7 @@ fn check_known_skew() -> Result<(), String> {
 
 pub fn run(o: &Options) -> Result<(), String> {
     let p = o.p.unwrap_or(12);
+    let ops = o.ops(p)?;
     let out = o
         .out
         .clone()
@@ -139,7 +140,6 @@ pub fn run(o: &Options) -> Result<(), String> {
         }
         None => Mesh2D::new(1, p),
     };
-    let ops = o.ops()?;
     let backends = o.backends()?;
     let mut written = 0usize;
     for op in &ops {

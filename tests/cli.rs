@@ -37,3 +37,16 @@ fn help_lists_every_subcommand_and_succeeds() {
     assert!(text.contains("section5"), "{text}");
     assert!(text.contains("--strategy <SPEC>"), "{text}");
 }
+
+#[test]
+fn a_root_outside_the_world_fails_before_any_world_runs() {
+    for sub in ["trace", "metrics"] {
+        let out = cli(&[sub, "--p", "4", "--root", "9", "--backend", "threads"]);
+        assert_eq!(out.status.code(), Some(1), "{sub}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            err,
+            format!("intercom-cli {sub}: --root 9 is not a rank of a 4-rank world\n")
+        );
+    }
+}

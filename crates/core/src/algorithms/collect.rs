@@ -13,7 +13,9 @@
 //! *is* rank order: collect skips the un-permute, and the bucket
 //! distributed combine reads the caller's contribution in place
 //! ([`ring_reduce_scatter_into`]). Every staging vector is a view of the
-//! caller's `scratch`.
+//! caller's `scratch` — as it is everywhere below
+//! [`run_direct`](crate::ir::run_direct): no algorithm of the crate,
+//! flat or hierarchical, allocates an element buffer of its own.
 //!
 //! Per the template (Fig. 3), collect's stage 1 is void — the recursion
 //! descends straight to the innermost dimension, whose *short* center is
@@ -21,10 +23,11 @@
 //! bucket collect, then bucket-collects ever-larger super-blocks back up.
 //! Distributed combine is the exact dual (stage 2 void).
 
+use crate::algorithms::combine::bucket_len;
 use crate::algorithms::{check_strategy, equal_blocks, slot_of, LEVEL_TAG_STRIDE};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
-use crate::error::{CommError, Result};
+use crate::error::{expect_len, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::{
     mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
@@ -48,19 +51,26 @@ pub fn collect<T: Scalar, C: Comm + ?Sized>(
     check_strategy(gc, strategy)?;
     let p = gc.len();
     let b = mine.len();
-    if all.len() != p * b {
-        return Err(CommError::BadBufferSize {
-            expected: p * b,
-            actual: all.len(),
-        });
-    }
-    let dims = &strategy.dims;
+    expect_len(p * b, all.len())?;
     // Place my block at my slot and run the template over slot order.
-    let my_slot = slot_of(dims, gc.me());
+    let my_slot = slot_of(&strategy.dims, gc.me());
     gc.copy(mine, &mut all[my_slot * b..(my_slot + 1) * b]);
+    collect_slotted(gc, strategy, all, b, tag, scratch)
+}
+
+/// [`collect`] once this member's `b`-item block sits at its slot of
+/// `all`: the template over slot order, then the un-permutation into
+/// rank order (none under a one-dimensional strategy).
+pub(crate) fn collect_slotted<T: Scalar, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    strategy: &Strategy,
+    all: &mut [T],
+    b: usize,
+    tag: Tag,
+    scratch: &mut Vec<u64>,
+) -> Result<()> {
+    let dims = &strategy.dims;
     collect_rec(gc, dims, strategy.kind, all, b, tag)?;
-    // Un-permute into rank order (identity for one-dimensional
-    // strategies).
     if dims.len() > 1 && b > 0 {
         gc.unpermute(all, b, dims, scratch);
     }
@@ -191,25 +201,50 @@ pub fn reduce_scatter<T: Elem, C: Comm + ?Sized>(
     check_strategy(gc, strategy)?;
     let p = gc.len();
     let b = mine.len();
-    if contrib.len() != p * b {
-        return Err(CommError::BadBufferSize {
-            expected: p * b,
-            actual: contrib.len(),
-        });
+    expect_len(p * b, contrib.len())?;
+    let workspace = T::scratch(scratch, reduce_scatter_len(strategy, b));
+    reduce_scatter_with(gc, strategy, contrib, mine, op, tag, workspace)
+}
+
+/// Whether slot order is rank order and the ring only ever sends a
+/// block it received, so that nothing of `contrib` needs a writable
+/// copy.
+fn reads_in_place(s: &Strategy) -> bool {
+    s.nodes() == 1 || (s.dims.len() == 1 && s.kind == StrategyKind::ScatterCollect)
+}
+
+/// Workspace items a distributed combine of `b`-item blocks borrows
+/// under `strategy`: the in-place ring's two buckets, or the
+/// contribution packed into slot order next to the one bucket every
+/// stage receives into.
+pub(crate) fn reduce_scatter_len(strategy: &Strategy, b: usize) -> usize {
+    let p = strategy.nodes();
+    if reads_in_place(strategy) {
+        b * p.saturating_sub(2).min(2)
+    } else {
+        p * b + bucket_len(strategy, p * b)
     }
-    let dims = &strategy.dims;
-    if p == 1 || (dims.len() == 1 && strategy.kind == StrategyKind::ScatterCollect) {
-        // Slot order is rank order and the ring only ever sends a block
-        // it received, so nothing of `contrib` needs a writable copy.
-        let buckets = T::scratch(scratch, b * p.saturating_sub(2).min(2));
-        return ring_reduce_scatter_into(gc, contrib, mine, op, tag, buckets);
+}
+
+/// [`reduce_scatter`] of a checked call, in a lent `workspace` of at
+/// least [`reduce_scatter_len`] items.
+pub(crate) fn reduce_scatter_with<T: Elem, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    strategy: &Strategy,
+    contrib: &[T],
+    mine: &mut [T],
+    op: ReduceOp,
+    tag: Tag,
+    workspace: &mut [T],
+) -> Result<()> {
+    if reads_in_place(strategy) {
+        return ring_reduce_scatter_into(gc, contrib, mine, op, tag, workspace);
     }
+    let (p, b, dims) = (gc.len(), mine.len(), &strategy.dims);
     // The in-place stages overwrite their vector: pack the contribution
-    // into slot order, next to the one bucket every stage receives into
-    // (whole vectors for the MST combine, else the first ring stage's
-    // super-block, the largest).
-    let bucket_len = if dims.len() == 1 { p } else { p / dims[0] } * b;
-    let (work, bucket) = T::scratch(scratch, p * b + bucket_len).split_at_mut(p * b);
+    // into slot order, next to the bucket (whole vectors for the MST
+    // combine, else the first ring stage's super-block, the largest).
+    let (work, bucket) = workspace.split_at_mut(p * b);
     for q in 0..p {
         let s = slot_of(dims, q);
         gc.copy(&contrib[q * b..(q + 1) * b], &mut work[s * b..(s + 1) * b]);
@@ -274,6 +309,7 @@ fn rs_rec<T: Elem, C: Comm + ?Sized>(
 mod tests {
     use super::*;
     use crate::comm::SelfComm;
+    use crate::error::CommError;
 
     #[test]
     fn single_node_collect_copies() {

@@ -11,15 +11,17 @@
 use crate::algorithms::{check_strategy, LEVEL_TAG_STRIDE};
 use crate::block::partition;
 use crate::comm::{Comm, GroupComm, Tag};
-use crate::error::{CommError, Result};
+use crate::error::Result;
 use crate::op::{Elem, ReduceOp};
-use crate::primitives::{mst_bcast, mst_gather, mst_reduce, ring_collect, ring_reduce_scatter};
+use crate::primitives::{
+    check_root, mst_bcast, mst_gather, mst_reduce, ring_collect, ring_reduce_scatter,
+};
 use intercom_cost::{Strategy, StrategyKind};
 
 /// Workspace items a combine of `n` items borrows under `strategy`: the
 /// MST combine receives whole vectors, a ring stage its largest block —
 /// the first stage's, since every later stage works inside one block.
-fn bucket_len(strategy: &Strategy, n: usize) -> usize {
+pub(crate) fn bucket_len(strategy: &Strategy, n: usize) -> usize {
     if strategy.nodes() == 1 {
         0
     } else if strategy.dims.len() == 1 && strategy.kind == StrategyKind::Mst {
@@ -44,12 +46,7 @@ pub fn reduce<T: Elem, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     check_strategy(gc, strategy)?;
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
+    check_root(gc, root)?;
     let bucket = T::scratch(scratch, bucket_len(strategy, buf.len()));
     reduce_rec(
         gc,
@@ -63,8 +60,10 @@ pub fn reduce<T: Elem, C: Comm + ?Sized>(
     )
 }
 
+/// [`reduce`]'s recursion over `dims`, receiving into a lent `bucket`
+/// of at least [`bucket_len`] items.
 #[allow(clippy::too_many_arguments)]
-fn reduce_rec<T: Elem, C: Comm + ?Sized>(
+pub(crate) fn reduce_rec<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     dims: &[usize],
     kind: StrategyKind,
@@ -185,6 +184,7 @@ fn allreduce_rec<T: Elem, C: Comm + ?Sized>(
 mod tests {
     use super::*;
     use crate::comm::SelfComm;
+    use crate::error::CommError;
 
     #[test]
     fn single_node_reduce_keeps_contribution() {

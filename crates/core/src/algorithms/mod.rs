@@ -28,9 +28,10 @@ mod varying;
 
 pub use alltoall::alltoall;
 pub use broadcast::broadcast;
-pub(crate) use collect::unpermute;
 pub use collect::{collect, reduce_scatter};
+pub(crate) use collect::{collect_slotted, reduce_scatter_len, reduce_scatter_with, unpermute};
 pub use combine::{allreduce, reduce};
+pub(crate) use combine::{bucket_len, reduce_rec};
 pub use intercom_obs::LEVEL_TAG_STRIDE;
 pub use scatter_gather::{gather, scatter};
 pub use varying::{allgatherv, gatherv, scatterv};
@@ -41,7 +42,7 @@ use intercom_cost::Strategy;
 use std::ops::Range;
 
 /// `p` consecutive blocks of `b` items each.
-fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
+pub(crate) fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
     (0..p).map(|j| j * b..(j + 1) * b).collect()
 }
 

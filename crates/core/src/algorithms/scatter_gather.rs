@@ -21,35 +21,39 @@ fn sized<B: AsRef<[T]>, T>(full: Option<B>, total: usize) -> Result<B> {
 
 /// Scatter: the root's `full` (length `p · mine.len()`) is split into
 /// equal blocks; member `j` receives block `j` into `mine`. Non-roots
-/// pass `None` for `full`. Cost: `⌈log₂ p⌉α + ((p−1)/p)nβ`.
+/// pass `None` for `full`. The tree splits the vector in a view of
+/// `scratch`. Cost: `⌈log₂ p⌉α + ((p−1)/p)nβ`.
 pub fn scatter<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     full: Option<&[T]>,
     mine: &mut [T],
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = equal_blocks(gc.len(), mine.len());
-    scatter_blocks(gc, root, full, &blocks, mine, tag)
+    scatter_blocks(gc, root, full, &blocks, mine, tag, scratch)
 }
 
 /// Gather: member `j` contributes `mine`; the root's `full` (length
 /// `p · mine.len()`) receives all blocks concatenated in rank order.
-/// Non-roots pass `None` for `full`. Cost: `⌈log₂ p⌉α + ((p−1)/p)nβ`.
+/// Non-roots pass `None` for `full` and relay through a view of
+/// `scratch`. Cost: `⌈log₂ p⌉α + ((p−1)/p)nβ`.
 pub fn gather<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     mine: &[T],
     full: Option<&mut [T]>,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = equal_blocks(gc.len(), mine.len());
-    gather_blocks(gc, root, mine, &blocks, full, tag)
+    gather_blocks(gc, root, mine, &blocks, full, tag, scratch)
 }
 
 /// Scatter over a block table: the root stages `full` (the blocks'
-/// concatenation) in a work vector, the tree splits it, and member `j`
-/// copies block `j` out into `mine`.
+/// concatenation) in a view of `scratch`, the tree splits it, and
+/// member `j` copies block `j` out into `mine`.
 pub(super) fn scatter_blocks<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
@@ -57,20 +61,21 @@ pub(super) fn scatter_blocks<T: Scalar, C: Comm + ?Sized>(
     blocks: &[Range<usize>],
     mine: &mut [T],
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let me = gc.me();
-    let mut work = vec![T::default(); blocks.last().map_or(0, |b| b.end)];
+    let work = T::scratch(scratch, blocks.last().map_or(0, |b| b.end));
     if me == root {
-        gc.copy(sized(full, work.len())?, &mut work);
+        gc.copy(sized(full, work.len())?, work);
     }
-    mst_scatter(gc, root, &mut work, blocks, tag)?;
+    mst_scatter(gc, root, work, blocks, tag)?;
     gc.copy(&work[blocks[me].clone()], mine);
     Ok(())
 }
 
-/// Gather over a block table: member `j` stages `mine` as block `j` of a
-/// work vector, the tree joins them, and the root copies the whole
-/// concatenation out into `full`.
+/// Gather over a block table: member `j` places `mine` as block `j` of
+/// the vector the tree joins — the root's `full` itself, elsewhere a
+/// view of `scratch`.
 pub(super) fn gather_blocks<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
@@ -78,15 +83,17 @@ pub(super) fn gather_blocks<T: Scalar, C: Comm + ?Sized>(
     blocks: &[Range<usize>],
     full: Option<&mut [T]>,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let me = gc.me();
-    let mut work = vec![T::default(); blocks.last().map_or(0, |b| b.end)];
+    let total = blocks.last().map_or(0, |b| b.end);
+    let work = if me == root {
+        sized(full, total)?
+    } else {
+        T::scratch(scratch, total)
+    };
     gc.copy(mine, &mut work[blocks[me].clone()]);
-    mst_gather(gc, root, &mut work, blocks, tag)?;
-    if me == root {
-        gc.copy(&work, sized(full, work.len())?);
-    }
-    Ok(())
+    mst_gather(gc, root, work, blocks, tag)
 }
 
 #[cfg(test)]
@@ -100,7 +107,7 @@ mod tests {
         let gc = GroupComm::world(&c);
         let full = [1u32, 2, 3];
         let mut mine = [0u32; 3];
-        scatter(&gc, 0, Some(&full), &mut mine, 0).unwrap();
+        scatter(&gc, 0, Some(&full), &mut mine, 0, &mut Vec::new()).unwrap();
         assert_eq!(mine, full);
     }
 
@@ -110,7 +117,7 @@ mod tests {
         let gc = GroupComm::world(&c);
         let mine = [4i64, 5];
         let mut full = [0i64; 2];
-        gather(&gc, 0, &mine, Some(&mut full), 0).unwrap();
+        gather(&gc, 0, &mine, Some(&mut full), 0, &mut Vec::new()).unwrap();
         assert_eq!(full, mine);
     }
 
@@ -120,12 +127,12 @@ mod tests {
         let gc = GroupComm::world(&c);
         let mut mine = [0u8; 2];
         assert!(matches!(
-            scatter::<u8, _>(&gc, 0, None, &mut mine, 0),
+            scatter::<u8, _>(&gc, 0, None, &mut mine, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize { .. })
         ));
         let mine2 = [0u8; 2];
         assert!(matches!(
-            gather::<u8, _>(&gc, 0, &mine2, None, 0),
+            gather::<u8, _>(&gc, 0, &mine2, None, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize { .. })
         ));
     }
@@ -137,7 +144,7 @@ mod tests {
         let full = [1u8; 5];
         let mut mine = [0u8; 2];
         assert!(matches!(
-            scatter(&gc, 0, Some(&full), &mut mine, 0),
+            scatter(&gc, 0, Some(&full), &mut mine, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize {
                 expected: 2,
                 actual: 5

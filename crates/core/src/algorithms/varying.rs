@@ -10,7 +10,7 @@
 use super::scatter_gather::{gather_blocks, scatter_blocks};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
-use crate::error::{CommError, Result};
+use crate::error::{expect_len, Result};
 use crate::primitives::ring_collect;
 use std::ops::Range;
 
@@ -33,18 +33,8 @@ fn checked_blocks<C: Comm + ?Sized>(
     counts: &[usize],
     mine: usize,
 ) -> Result<Vec<Range<usize>>> {
-    if counts.len() != gc.len() {
-        return Err(CommError::BadBufferSize {
-            expected: gc.len(),
-            actual: counts.len(),
-        });
-    }
-    if mine != counts[gc.me()] {
-        return Err(CommError::BadBufferSize {
-            expected: counts[gc.me()],
-            actual: mine,
-        });
-    }
+    expect_len(gc.len(), counts.len())?;
+    expect_len(counts[gc.me()], mine)?;
     Ok(blocks_from_counts(counts))
 }
 
@@ -58,9 +48,10 @@ pub fn scatterv<T: Scalar, C: Comm + ?Sized>(
     counts: &[usize],
     mine: &mut [T],
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = checked_blocks(gc, counts, mine.len())?;
-    scatter_blocks(gc, root, full, &blocks, mine, tag)
+    scatter_blocks(gc, root, full, &blocks, mine, tag, scratch)
 }
 
 /// Gather with per-rank counts: member `j` contributes `counts[j]` items;
@@ -72,9 +63,10 @@ pub fn gatherv<T: Scalar, C: Comm + ?Sized>(
     counts: &[usize],
     full: Option<&mut [T]>,
     tag: Tag,
+    scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = checked_blocks(gc, counts, mine.len())?;
-    gather_blocks(gc, root, mine, &blocks, full, tag)
+    gather_blocks(gc, root, mine, &blocks, full, tag, scratch)
 }
 
 /// Collect with per-rank counts (`gcolx` semantics): member `j`
@@ -90,12 +82,7 @@ pub fn allgatherv<T: Scalar, C: Comm + ?Sized>(
 ) -> Result<()> {
     let blocks = checked_blocks(gc, counts, mine.len())?;
     let total = blocks.last().map_or(0, |b| b.end);
-    if all.len() != total {
-        return Err(CommError::BadBufferSize {
-            expected: total,
-            actual: all.len(),
-        });
-    }
+    expect_len(total, all.len())?;
     all[blocks[gc.me()].clone()].copy_from_slice(mine);
     ring_collect(gc, all, &blocks, tag)
 }
@@ -104,6 +91,7 @@ pub fn allgatherv<T: Scalar, C: Comm + ?Sized>(
 mod tests {
     use super::*;
     use crate::comm::SelfComm;
+    use crate::error::CommError;
 
     #[test]
     fn single_rank_roundtrip() {
@@ -112,10 +100,10 @@ mod tests {
         let counts = [3usize];
         let full = [1u32, 2, 3];
         let mut mine = [0u32; 3];
-        scatterv(&gc, 0, Some(&full), &counts, &mut mine, 0).unwrap();
+        scatterv(&gc, 0, Some(&full), &counts, &mut mine, 0, &mut Vec::new()).unwrap();
         assert_eq!(mine, full);
         let mut back = [0u32; 3];
-        gatherv(&gc, 0, &mine, &counts, Some(&mut back), 0).unwrap();
+        gatherv(&gc, 0, &mine, &counts, Some(&mut back), 0, &mut Vec::new()).unwrap();
         assert_eq!(back, full);
         let mut all = [0u32; 3];
         allgatherv(&gc, &mine, &counts, &mut all, 0).unwrap();
@@ -128,7 +116,7 @@ mod tests {
         let gc = GroupComm::world(&c);
         let mut mine = [0u8; 1];
         assert!(matches!(
-            scatterv::<u8, _>(&gc, 0, Some(&[1]), &[1, 1], &mut mine, 0),
+            scatterv::<u8, _>(&gc, 0, Some(&[1]), &[1, 1], &mut mine, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize {
                 expected: 1,
                 actual: 2
@@ -142,7 +130,7 @@ mod tests {
         let gc = GroupComm::world(&c);
         let mut mine = [0u8; 2];
         assert!(matches!(
-            scatterv::<u8, _>(&gc, 0, Some(&[1]), &[1], &mut mine, 0),
+            scatterv::<u8, _>(&gc, 0, Some(&[1]), &[1], &mut mine, 0, &mut Vec::new()),
             Err(CommError::BadBufferSize {
                 expected: 1,
                 actual: 2

@@ -449,7 +449,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         counts: &[usize],
         mine: &mut [T],
     ) -> Result<()> {
-        algorithms::scatterv(&self.gc, root, full, counts, mine, self.fresh_tag())
+        let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+        algorithms::scatterv(&self.gc, root, full, counts, mine, tag, scratch)
     }
 
     /// Gather with per-rank counts (known-lengths mode).
@@ -460,7 +461,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         counts: &[usize],
         full: Option<&mut [T]>,
     ) -> Result<()> {
-        algorithms::gatherv(&self.gc, root, mine, counts, full, self.fresh_tag())
+        let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+        algorithms::gatherv(&self.gc, root, mine, counts, full, tag, scratch)
     }
 
     /// Collect with per-rank counts (`gcolx` known-lengths semantics).

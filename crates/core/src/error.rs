@@ -73,6 +73,16 @@ pub enum CommError {
     Aborted(AbortInfo),
 }
 
+/// `Ok` where a buffer of `actual` items has the `expected` length,
+/// else [`CommError::BadBufferSize`].
+pub(crate) fn expect_len(expected: usize, actual: usize) -> Result<()> {
+    if actual == expected {
+        Ok(())
+    } else {
+        Err(CommError::BadBufferSize { expected, actual })
+    }
+}
+
 /// Why a rank declared its collective unrecoverable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {

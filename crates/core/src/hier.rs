@@ -24,11 +24,15 @@
 //! ([`StepKind::tag_off`](crate::ir::StepKind::tag_off)), which is what lets the
 //! verifier gate link-conflict predictions per stage.
 
-use crate::algorithms;
+use crate::algorithms::{
+    allreduce, broadcast, bucket_len, collect_slotted, equal_blocks, reduce, reduce_rec,
+    reduce_scatter_len, reduce_scatter_with, slot_of,
+};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
-use crate::error::{CommError, Result};
+use crate::error::{expect_len, CommError, Result};
 use crate::op::{Elem, ReduceOp};
+use crate::primitives::{check_root, mst_gather, mst_scatter};
 use intercom_cost::{CollectiveOp, HierStrategy};
 
 /// Tag distance between consecutive hierarchical stages. Each stage's
@@ -60,6 +64,42 @@ fn validate<C: Comm + ?Sized>(
     Ok(())
 }
 
+/// Runs the in-place template of `hs` — broadcast, reduce or
+/// allreduce, each stage over `buf` — rooted at `root`. A level-0 stage
+/// runs on this rank's node ([`GroupComm::line`]) rooted at the root's
+/// local slot; a level-1 stage runs on that slot's leader plane only,
+/// rooted at the root's node. `rop` folds and `scratch` lends the
+/// combining stages' workspace.
+fn run_in_place<T: Elem, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    hs: &HierStrategy,
+    root: usize,
+    buf: &mut [T],
+    rop: ReduceOp,
+    tag: Tag,
+    scratch: &mut Vec<u64>,
+) -> Result<()> {
+    check_root(gc, root)?;
+    let r = hs.shape().ranks_per_node;
+    let slot = root % r;
+    for (k, (spec, strategy)) in hs.stages().enumerate() {
+        let strategy = strategy.expect("an in-place stage takes a strategy");
+        let tag = tag + k as u64 * HIER_STAGE_STRIDE;
+        let (group, root) = match spec.level {
+            0 => (gc.line(r), slot),
+            _ if gc.me() % r == slot => (gc.plane(r), root / r),
+            _ => continue,
+        };
+        match spec.op {
+            CollectiveOp::Broadcast => broadcast(&group, strategy, root, buf, tag),
+            CollectiveOp::CombineToOne => reduce(&group, strategy, root, buf, rop, tag, scratch),
+            CollectiveOp::CombineToAll => allreduce(&group, strategy, buf, rop, tag, scratch),
+            other => unreachable!("{other:?} is not an in-place stage"),
+        }?;
+    }
+    Ok(())
+}
+
 /// Hierarchical broadcast: inter-node broadcast among the leaders at
 /// the root's local slot, then intra-node fan-out.
 pub fn hier_broadcast<T: Scalar, C: Comm + ?Sized>(
@@ -70,26 +110,8 @@ pub fn hier_broadcast<T: Scalar, C: Comm + ?Sized>(
     tag: Tag,
 ) -> Result<()> {
     validate(CollectiveOp::Broadcast, hs, gc)?;
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let r = hs.shape().ranks_per_node;
-    let slot = root % r;
-    if gc.me() % r == slot {
-        let plane = gc.plane(r);
-        algorithms::broadcast(&plane, &hs.strategies()[0], root / r, buf, tag)?;
-    }
-    let line = gc.line(r);
-    algorithms::broadcast(
-        &line,
-        &hs.strategies()[1],
-        slot,
-        buf,
-        tag + HIER_STAGE_STRIDE,
-    )
+    // A broadcast folds nothing and borrows no workspace.
+    run_in_place(gc, hs, root, buf, ReduceOp::Sum, tag, &mut Vec::new())
 }
 
 /// Hierarchical combine-to-one: intra-node reduce to the leader at the
@@ -106,29 +128,7 @@ pub fn hier_reduce<T: Elem, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::CombineToOne, hs, gc)?;
-    if root >= gc.len() {
-        return Err(CommError::InvalidRoot {
-            root,
-            size: gc.len(),
-        });
-    }
-    let r = hs.shape().ranks_per_node;
-    let slot = root % r;
-    let line = gc.line(r);
-    algorithms::reduce(&line, &hs.strategies()[0], slot, buf, op, tag, scratch)?;
-    if gc.me() % r == slot {
-        let plane = gc.plane(r);
-        algorithms::reduce(
-            &plane,
-            &hs.strategies()[1],
-            root / r,
-            buf,
-            op,
-            tag + HIER_STAGE_STRIDE,
-            scratch,
-        )?;
-    }
-    Ok(())
+    run_in_place(gc, hs, root, buf, op, tag, scratch)
 }
 
 /// Hierarchical combine-to-all: intra-node reduce to the node leader,
@@ -142,33 +142,15 @@ pub fn hier_allreduce<T: Elem, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     validate(CollectiveOp::CombineToAll, hs, gc)?;
-    let r = hs.shape().ranks_per_node;
-    let line = gc.line(r);
-    algorithms::reduce(&line, &hs.strategies()[0], 0, buf, op, tag, scratch)?;
-    if gc.me().is_multiple_of(r) {
-        let plane = gc.plane(r);
-        algorithms::allreduce(
-            &plane,
-            &hs.strategies()[1],
-            buf,
-            op,
-            tag + HIER_STAGE_STRIDE,
-            scratch,
-        )?;
-    }
-    algorithms::broadcast(
-        &line,
-        &hs.strategies()[2],
-        0,
-        buf,
-        tag + 2 * HIER_STAGE_STRIDE,
-    )
+    run_in_place(gc, hs, 0, buf, op, tag, scratch)
 }
 
 /// Hierarchical collect (allgather): gather each node's blocks to its
 /// leader, collect node blocks across the leader plane, broadcast the
 /// full vector within each node. Node-major rank numbering makes each
-/// node's gathered block a contiguous run of `all`, in plane order.
+/// node's blocks one run of `r` blocks, so the gather lands them
+/// straight at the node's slot of `all` under the plane's strategy,
+/// where the plane collect expects its members' blocks.
 pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     hs: &HierStrategy,
@@ -179,42 +161,29 @@ pub fn hier_collect<T: Scalar, C: Comm + ?Sized>(
 ) -> Result<()> {
     validate(CollectiveOp::Collect, hs, gc)?;
     let b = mine.len();
-    if all.len() != gc.len() * b {
-        return Err(CommError::BadBufferSize {
-            expected: gc.len() * b,
-            actual: all.len(),
-        });
-    }
+    expect_len(gc.len() * b, all.len())?;
     let r = hs.shape().ranks_per_node;
-    let leader = gc.me().is_multiple_of(r);
+    let inter = &hs.strategies()[0];
     let line = gc.line(r);
-    let mut node_block = vec![T::default(); if leader { r * b } else { 0 }];
-    algorithms::gather(&line, 0, mine, leader.then_some(&mut node_block[..]), tag)?;
-    if leader {
-        let plane = gc.plane(r);
-        algorithms::collect(
-            &plane,
-            &hs.strategies()[0],
-            &node_block,
-            all,
-            tag + HIER_STAGE_STRIDE,
-            scratch,
-        )?;
+    let at = slot_of(&inter.dims, gc.me() / r) * r * b;
+    let node_blocks = &mut all[at..at + r * b];
+    gc.copy(mine, &mut node_blocks[line.me() * b..(line.me() + 1) * b]);
+    mst_gather(&line, 0, node_blocks, &equal_blocks(r, b), tag)?;
+    if line.me() == 0 {
+        let (plane, tag) = (gc.plane(r), tag + HIER_STAGE_STRIDE);
+        collect_slotted(&plane, inter, all, r * b, tag, scratch)?;
     }
-    algorithms::broadcast(
-        &line,
-        &hs.strategies()[1],
-        0,
-        all,
-        tag + 2 * HIER_STAGE_STRIDE,
-    )
+    let tag = tag + 2 * HIER_STAGE_STRIDE;
+    broadcast(&line, &hs.strategies()[1], 0, all, tag)
 }
 
 /// Hierarchical distributed combine (reduce-scatter): reduce full
 /// vectors to each node leader, reduce-scatter node blocks across the
 /// leader plane, scatter each node's block to its ranks. Node-major
 /// numbering means plane rank `j`'s reduced block is exactly the
-/// concatenation of blocks for global ranks `j·r .. (j+1)·r`.
+/// concatenation of blocks for global ranks `j·r .. (j+1)·r`. One carve
+/// of `scratch` holds the folded copy of `contrib`, the node block and
+/// the workspace the two combining stages lend in turn.
 pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     hs: &HierStrategy,
@@ -227,41 +196,25 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     validate(CollectiveOp::DistributedCombine, hs, gc)?;
     let b = mine.len();
     let p = gc.len();
-    if contrib.len() != p * b {
-        return Err(CommError::BadBufferSize {
-            expected: p * b,
-            actual: contrib.len(),
-        });
-    }
+    expect_len(p * b, contrib.len())?;
     let r = hs.shape().ranks_per_node;
-    let leader = gc.me().is_multiple_of(r);
+    let (intra, inter) = (&hs.strategies()[0], &hs.strategies()[1]);
     let line = gc.line(r);
-    // The intra reduce folds in place, so work on a copy of the
+    let lent = bucket_len(intra, p * b).max(reduce_scatter_len(inter, r * b));
+    let (work, rest) = T::scratch(scratch, p * b + r * b + lent).split_at_mut(p * b);
+    let (node_block, lent) = rest.split_at_mut(r * b);
+    // The intra reduce folds in place, so it works on a copy of the
     // caller's contribution.
-    let mut work = vec![T::default(); p * b];
-    gc.copy(contrib, &mut work);
-    let intra = &hs.strategies()[0];
-    algorithms::reduce(&line, intra, 0, &mut work, op, tag, scratch)?;
-    let mut node_block = vec![T::default(); if leader { r * b } else { 0 }];
-    if leader {
-        let plane = gc.plane(r);
-        algorithms::reduce_scatter(
-            &plane,
-            &hs.strategies()[1],
-            &work,
-            &mut node_block,
-            op,
-            tag + HIER_STAGE_STRIDE,
-            scratch,
-        )?;
+    gc.copy(contrib, work);
+    reduce_rec(&line, &intra.dims, intra.kind, 0, work, op, tag, lent)?;
+    if line.me() == 0 {
+        let (plane, tag) = (gc.plane(r), tag + HIER_STAGE_STRIDE);
+        reduce_scatter_with(&plane, inter, work, node_block, op, tag, lent)?;
     }
-    algorithms::scatter(
-        &line,
-        0,
-        leader.then_some(&node_block[..]),
-        mine,
-        tag + 2 * HIER_STAGE_STRIDE,
-    )
+    let tag = tag + 2 * HIER_STAGE_STRIDE;
+    mst_scatter(&line, 0, node_block, &equal_blocks(r, b), tag)?;
+    gc.copy(&node_block[line.me() * b..(line.me() + 1) * b], mine);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -305,40 +258,45 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_stages_occupy_disjoint_tag_bands() {
-        let shape = ClusterShape::linear(3, 4);
-        let hs = strategy_for(CollectiveOp::Broadcast, shape);
-        let recs = replay(shape, |gc| {
-            let mut buf = vec![0u64; 8];
-            hier_broadcast(gc, &hs, 0, &mut buf, 0)
-        });
-        let mut seen_inter = false;
-        let mut seen_intra = false;
-        for ops in &recs {
-            for t in tags(ops) {
-                match t / HIER_STAGE_STRIDE {
-                    0 => seen_inter = true,
-                    1 => seen_intra = true,
-                    other => panic!("tag {t} in unexpected stage band {other}"),
+    fn stage_k_runs_in_tag_band_k() {
+        // rpn = 1 leaves the intra stages singleton no-ops: a broadcast
+        // then speaks in its stage-0 band only.
+        let cases = [
+            (
+                CollectiveOp::Broadcast,
+                ClusterShape::linear(3, 4),
+                &[0, 1][..],
+            ),
+            (CollectiveOp::Broadcast, ClusterShape::linear(4, 1), &[0]),
+            (
+                CollectiveOp::CombineToOne,
+                ClusterShape::linear(2, 3),
+                &[0, 1],
+            ),
+            (
+                CollectiveOp::CombineToAll,
+                ClusterShape::linear(2, 3),
+                &[0, 1, 2],
+            ),
+        ];
+        for (op, shape, want) in cases {
+            let hs = strategy_for(op, shape);
+            let recs = replay(shape, |gc| {
+                let (mut buf, scratch) = (vec![0u64; 8], &mut Vec::new());
+                match op {
+                    CollectiveOp::Broadcast => hier_broadcast(gc, &hs, 0, &mut buf, 0),
+                    CollectiveOp::CombineToOne => {
+                        hier_reduce(gc, &hs, 0, &mut buf, ReduceOp::Sum, 0, scratch)
+                    }
+                    _ => hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0, scratch),
                 }
+            });
+            let mut bands = std::collections::BTreeSet::new();
+            for ops in &recs {
+                bands.extend(tags(ops).into_iter().map(|t| t / HIER_STAGE_STRIDE));
             }
+            assert_eq!(bands.into_iter().collect::<Vec<_>>(), want, "{hs}");
         }
-        assert!(seen_inter && seen_intra);
-    }
-
-    #[test]
-    fn allreduce_uses_three_stage_bands() {
-        let shape = ClusterShape::linear(2, 3);
-        let hs = strategy_for(CollectiveOp::CombineToAll, shape);
-        let recs = replay(shape, |gc| {
-            let mut buf = vec![0u32; 6];
-            hier_allreduce(gc, &hs, &mut buf, ReduceOp::Sum, 0, &mut Vec::new())
-        });
-        let mut bands = std::collections::BTreeSet::new();
-        for ops in &recs {
-            bands.extend(tags(ops).into_iter().map(|t| t / HIER_STAGE_STRIDE));
-        }
-        assert_eq!(bands.into_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -371,64 +329,32 @@ mod tests {
     }
 
     #[test]
-    fn shape_mismatch_is_rejected() {
+    fn mismatched_calls_are_rejected() {
         let shape = ClusterShape::linear(2, 2);
-        let hs = strategy_for(CollectiveOp::Broadcast, shape);
-        let rec = RecordingComm::new(0, 6); // 6 ranks ≠ shape's 4
+        let bcast = strategy_for(CollectiveOp::Broadcast, shape);
+        let rec = RecordingComm::new(0, shape.ranks());
         let gc = GroupComm::world(&rec);
-        let mut buf = vec![0u8; 4];
+        let (mut buf, scratch) = (vec![0u64; 4], &mut Vec::new());
         assert!(matches!(
-            hier_broadcast(&gc, &hs, 0, &mut buf, 0),
-            Err(CommError::StrategyMismatch { .. })
+            hier_broadcast(&gc, &bcast, shape.ranks(), &mut buf, 0),
+            Err(CommError::InvalidRoot { .. })
         ));
-    }
-
-    #[test]
-    fn wrong_stage_sequence_is_rejected() {
-        let shape = ClusterShape::linear(2, 2);
         // A broadcast strategy replayed as an allreduce fills another
         // op's template.
-        let hs = strategy_for(CollectiveOp::Broadcast, shape);
-        let rec = RecordingComm::new(0, shape.ranks());
-        let gc = GroupComm::world(&rec);
-        let mut buf = vec![0u64; 4];
         assert!(matches!(
-            hier_allreduce(&gc, &hs, &mut buf, ReduceOp::Sum, 0, &mut Vec::new()),
+            hier_allreduce(&gc, &bcast, &mut buf, ReduceOp::Sum, 0, scratch),
             Err(CommError::PlanMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn bad_output_length_is_rejected() {
-        let shape = ClusterShape::linear(2, 2);
-        let hs = strategy_for(CollectiveOp::Collect, shape);
-        let rec = RecordingComm::new(0, shape.ranks());
-        let gc = GroupComm::world(&rec);
-        let mine = vec![0u32; 4];
-        let mut all = vec![0u32; 7]; // not p·b
+        let collect = strategy_for(CollectiveOp::Collect, shape);
+        let mut all = vec![0u64; 7]; // not p·b
         assert!(matches!(
-            hier_collect(&gc, &hs, &mine, &mut all, 0, &mut Vec::new()),
+            hier_collect(&gc, &collect, &buf, &mut all, 0, scratch),
             Err(CommError::BadBufferSize { .. })
         ));
-    }
-
-    #[test]
-    fn single_rank_nodes_degenerate_to_inter_only() {
-        // rpn = 1: the intra stages are singleton no-ops, every message
-        // lives in the stage-0 band for broadcast.
-        let shape = ClusterShape::linear(4, 1);
-        let hs = strategy_for(CollectiveOp::Broadcast, shape);
-        let recs = replay(shape, |gc| {
-            let mut buf = vec![0u16; 8];
-            hier_broadcast(gc, &hs, 0, &mut buf, 0)
-        });
-        let mut any = false;
-        for ops in &recs {
-            for t in tags(ops) {
-                assert_eq!(t / HIER_STAGE_STRIDE, 0);
-                any = true;
-            }
-        }
-        assert!(any, "4 nodes still exchange messages");
+        let six = RecordingComm::new(0, 6); // 6 ranks ≠ shape's 4
+        assert!(matches!(
+            hier_broadcast(&GroupComm::world(&six), &bcast, 0, &mut buf, 0),
+            Err(CommError::StrategyMismatch { .. })
+        ));
     }
 }

@@ -99,7 +99,7 @@ pub fn run_direct<T: Scalar, C: Comm + ?Sized>(
                 ArgBuf::Absent => None,
                 ArgBuf::Out(_) => return Err(BAD_ARGS),
             };
-            algorithms::scatter(gc, root, full, mine, base_tag)
+            algorithms::scatter(gc, root, full, mine, base_tag, scratch)
         }
         (PlanOp::Gather { root }, [ArgBuf::In(mine), full]) => {
             let full = match full {
@@ -107,7 +107,7 @@ pub fn run_direct<T: Scalar, C: Comm + ?Sized>(
                 ArgBuf::Absent => None,
                 ArgBuf::In(_) => return Err(BAD_ARGS),
             };
-            algorithms::gather(gc, root, mine, full, base_tag)
+            algorithms::gather(gc, root, mine, full, base_tag, scratch)
         }
         (PlanOp::Alltoall, [ArgBuf::In(send), ArgBuf::Out(recv)]) => {
             algorithms::alltoall(gc, send, recv, base_tag)

@@ -7,9 +7,12 @@
 //! `(rank, size, n, strategy, root)`, so the replayed operation stream
 //! *is* the schedule. The recorded raw address spans are then resolved
 //! into [`Loc`]s: spans inside a registered argument become
-//! [`Buf::Arg`] offsets, and the remaining temporary allocations are
-//! clustered by byte overlap (data can only flow between spans that
-//! share bytes) and packed into a per-rank scratch arena. A receive
+//! [`Buf::Arg`] offsets, and the remaining temporaries are clustered by
+//! byte overlap (data can only flow between spans that share bytes) and
+//! packed into a per-rank scratch arena. Every temporary is a view of
+//! the one arena the replay lends, never a per-call heap vector, so
+//! the clusters do not depend on where the heap put one, and a call
+//! lowers to one program. A receive
 //! whose temporary is only folded and then dead is fused with its fold
 //! first ([`fuses`]), and its temporary leaves the arena. A collect's
 //! un-permutation is recorded once and lowers to one
@@ -114,10 +117,11 @@ fn lower_choice(
 /// recorded spans. The replays record where data would go and move
 /// none: no receive fills its buffer, no copy or fold runs.
 ///
-/// Each replay gets a fresh scratch arena. The arena's spans are
-/// clustered by address overlap, so one arena shared over the ranks
-/// (grown once, never moved) would merge clusters a fresh arena keeps
-/// apart when it moves as it grows, and the layouts would change.
+/// Each replay gets a fresh scratch arena, and every temporary the
+/// replay records is a view of it. The arena's spans are clustered by
+/// address overlap, so one arena shared over the ranks (grown once,
+/// never moved) would merge clusters a fresh arena keeps apart when it
+/// moves as it grows, and the layouts would change.
 ///
 /// Returns the rank programs and the radices table their permutations
 /// index.

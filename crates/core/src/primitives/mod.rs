@@ -24,6 +24,7 @@ pub mod mst;
 pub mod pipeline;
 pub mod ring;
 
+pub(crate) use mst::check_root;
 pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_scatter};
 pub use pipeline::{optimal_segments, pipelined_ring_bcast};
 pub use ring::{ring_collect, ring_reduce_scatter, ring_reduce_scatter_into};

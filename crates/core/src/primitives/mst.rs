@@ -87,7 +87,8 @@ fn levels(me: usize, p: usize, mut root: usize) -> LevelPath {
     out
 }
 
-fn check_root<C: Comm + ?Sized>(gc: &GroupComm<'_, C>, root: usize) -> Result<()> {
+/// `Ok` where `root` is a member of `gc`, else [`CommError::InvalidRoot`].
+pub(crate) fn check_root<C: Comm + ?Sized>(gc: &GroupComm<'_, C>, root: usize) -> Result<()> {
     if root < gc.len() {
         Ok(())
     } else {

@@ -17,38 +17,35 @@ use intercom::{
     Comm, Communicator, ReduceOp, CALL_TAG_STRIDE,
 };
 use intercom_cost::{
-    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierChoice, HierMachine,
+    best_strategy, enumerate_hier_strategies, select_hier, ClusterShape, CollectiveOp, CostContext,
+    HierChoice, HierMachine,
 };
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::{Cluster, Mesh2D};
 use std::cell::Cell;
 
-/// Cluster shapes under test: linear inter-node arrays with fat and
-/// thin nodes, plus a 2x3 inter mesh.
-fn shapes() -> [ClusterShape; 4] {
-    [
-        ClusterShape {
-            inter_rows: 1,
-            inter_cols: 4,
-            ranks_per_node: 4,
-        },
-        ClusterShape {
-            inter_rows: 2,
-            inter_cols: 2,
-            ranks_per_node: 4,
-        },
-        ClusterShape {
-            inter_rows: 1,
-            inter_cols: 8,
-            ranks_per_node: 2,
-        },
-        ClusterShape {
-            inter_rows: 2,
-            inter_cols: 3,
-            ranks_per_node: 2,
-        },
-    ]
+/// The audit's cluster shapes. The first four are under the selected
+/// strategies' test: linear inter-node arrays with fat and thin nodes,
+/// plus a 2x3 inter mesh. The rest add one rank a node, a two-node
+/// line of fat nodes and two more 2-D inter meshes.
+const SHAPES: [ClusterShape; 8] = [
+    shape(1, 4, 4),
+    shape(2, 2, 4),
+    shape(1, 8, 2),
+    shape(2, 3, 2),
+    shape(1, 6, 1),
+    shape(1, 2, 8),
+    shape(3, 3, 2),
+    shape(1, 3, 3),
+];
+
+const fn shape(inter_rows: usize, inter_cols: usize, ranks_per_node: usize) -> ClusterShape {
+    ClusterShape {
+        inter_rows,
+        inter_cols,
+        ranks_per_node,
+    }
 }
 
 /// Broadcast payload word `i`.
@@ -66,6 +63,21 @@ fn contrib_word(r: usize, i: usize) -> u64 {
 /// rank `g` in a reduce-scatter.
 fn rs_word(r: usize, g: usize, i: usize) -> u64 {
     (r as u64 * 131 + g as u64 * 17 + i as u64 * 3 + 5) % 4_096
+}
+
+/// A collect's result: every rank's `b`-word block, in rank order.
+fn collect_expected(p: usize, b: usize) -> Vec<u64> {
+    (0..p)
+        .flat_map(|r| (0..b).map(move |i| contrib_word(r, i)))
+        .collect()
+}
+
+/// Rank `rank`'s reduce-scatter result: its block of the summed
+/// contributions.
+fn rs_expected(p: usize, rank: usize, b: usize) -> Vec<u64> {
+    (0..b)
+        .map(|i| (0..p).map(|r| rs_word(r, rank, i)).sum())
+        .collect()
 }
 
 /// Per-call `(label, hier result, flat result)` rows from one rank.
@@ -236,9 +248,7 @@ fn check(out: &[CallRows], shape: ClusterShape, n: usize, b: usize) {
     let sum_exp: Vec<u64> = (0..n)
         .map(|i| (0..p).map(|r| contrib_word(r, i)).sum())
         .collect();
-    let collect_exp: Vec<u64> = (0..p)
-        .flat_map(|r| (0..b).map(move |i| contrib_word(r, i)))
-        .collect();
+    let collect_exp = collect_expected(p, b);
     for (rank, calls) in out.iter().enumerate() {
         for (label, h, f) in calls {
             assert_eq!(
@@ -261,11 +271,9 @@ fn check(out: &[CallRows], shape: ClusterShape, n: usize, b: usize) {
             out[rank][3].1, collect_exp,
             "collect value at rank {rank} on {shape}"
         );
-        let rs_exp: Vec<u64> = (0..b)
-            .map(|i| (0..p).map(|r| rs_word(r, rank, i)).sum())
-            .collect();
         assert_eq!(
-            out[rank][4].1, rs_exp,
+            out[rank][4].1,
+            rs_expected(p, rank, b),
             "reduce-scatter value at rank {rank} on {shape}"
         );
     }
@@ -273,7 +281,7 @@ fn check(out: &[CallRows], shape: ClusterShape, n: usize, b: usize) {
 
 #[test]
 fn hier_matches_flat_on_the_threaded_runtime() {
-    for shape in shapes() {
+    for &shape in &SHAPES[..4] {
         for (n, b) in [(2usize, 1usize), (1024, 16)] {
             let out = run_world(shape.ranks(), move |c| differential(c, shape, n, b));
             check(&out, shape, n, b);
@@ -283,7 +291,7 @@ fn hier_matches_flat_on_the_threaded_runtime() {
 
 #[test]
 fn hier_matches_flat_on_the_mesh_simulator() {
-    for shape in shapes() {
+    for &shape in &SHAPES[..4] {
         let machine = HierMachine::paragon_cluster();
         let cluster = Cluster::new(
             Mesh2D::new(shape.inter_rows, shape.inter_cols),
@@ -293,6 +301,51 @@ fn hier_matches_flat_on_the_mesh_simulator() {
             let cfg = SimConfig::cluster(cluster, &machine);
             let rep = simulate(&cfg, move |c| differential(c, shape, n, b));
             check(&rep.results, shape, n, b);
+        }
+    }
+}
+
+/// Every depth-≤2 candidate of collect and reduce-scatter, not only the
+/// selected one, on every audit shape: a multi-dimensional inter
+/// strategy places each node's gathered blocks at the node's slot, and
+/// the rank-order range would be the wrong place. Each call reuses the
+/// last call's scratch, so stale staging shows too.
+#[test]
+fn every_collect_and_reduce_scatter_candidate_is_right_by_value() {
+    for shape in SHAPES {
+        let p = shape.ranks();
+        let calls: Vec<_> = [CollectiveOp::Collect, CollectiveOp::DistributedCombine]
+            .into_iter()
+            .flat_map(|op| enumerate_hier_strategies(op, shape, 2))
+            .flat_map(|hs| [1, 13].map(|b| (hs.clone(), b)))
+            .collect();
+        let out = run_world(p, |c| {
+            let (gc, scratch) = (GroupComm::world(c), &mut Vec::new());
+            let me = gc.me();
+            let mut rows = Vec::new();
+            for ((hs, b), tag) in calls.iter().zip((0..).map(|k| k * CALL_TAG_STRIDE)) {
+                let row = if hs.op() == CollectiveOp::Collect {
+                    let mine: Vec<u64> = (0..*b).map(|i| contrib_word(me, i)).collect();
+                    let mut all = vec![0u64; p * b];
+                    hier_collect(&gc, hs, &mine, &mut all, tag, scratch).map(|()| all)
+                } else {
+                    let contrib: Vec<u64> = (0..p * b).map(|k| rs_word(me, k / b, k % b)).collect();
+                    let (mut mine, sum) = (vec![0u64; *b], ReduceOp::Sum);
+                    hier_reduce_scatter(&gc, hs, &contrib, &mut mine, sum, tag, scratch)
+                        .map(|()| mine)
+                };
+                rows.push(row.unwrap());
+            }
+            rows
+        });
+        for (rank, rows) in out.iter().enumerate() {
+            for ((hs, b), got) in calls.iter().zip(rows) {
+                let want = match hs.op() {
+                    CollectiveOp::Collect => collect_expected(p, *b),
+                    _ => rs_expected(p, rank, *b),
+                };
+                assert_eq!(got, &want, "{hs} at rank {rank}, b={b}");
+            }
         }
     }
 }
@@ -407,7 +460,7 @@ fn hybrids_beat_the_best_flat_strategy_on_the_delta_backbone() {
     let inter = machine.inter();
     for op in [CollectiveOp::Broadcast, CollectiveOp::CombineToAll] {
         let mut wins = 0;
-        for shape in &shapes()[..3] {
+        for shape in &SHAPES[..3] {
             let cluster = Cluster::new(
                 Mesh2D::new(shape.inter_rows, shape.inter_cols),
                 shape.ranks_per_node,

@@ -139,7 +139,7 @@ fn direct_run<C: Comm + ?Sized>(
             fill(rank, &mut full);
             let mut mine = vec![0u8; n];
             let src = (rank == root).then_some(&full[..]);
-            algorithms::scatter(&gc, root, src, &mut mine, 0).unwrap();
+            algorithms::scatter(&gc, root, src, &mut mine, 0, scratch).unwrap();
             if rank == root {
                 [full, mine].concat()
             } else {
@@ -151,7 +151,7 @@ fn direct_run<C: Comm + ?Sized>(
             fill(rank, &mut mine);
             let mut full = vec![0u8; p * n];
             let dst = (rank == root).then_some(&mut full[..]);
-            algorithms::gather(&gc, root, &mine, dst, 0).unwrap();
+            algorithms::gather(&gc, root, &mine, dst, 0, scratch).unwrap();
             if rank == root {
                 [mine, full].concat()
             } else {

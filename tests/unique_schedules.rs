@@ -1,14 +1,13 @@
 //! The strategy enumerators list each schedule once: no two candidates
 //! of one enumeration lower to the same program. Two candidates that do
-//! are one schedule priced, cached and audited twice.
-//!
-//! Programs are compared by their steps and radices, with scratch
-//! offsets erased: two lowerings of one hierarchical collect or
-//! reduce-scatter can lay out their scratch differently.
+//! are one schedule priced, cached and audited twice. And lowering is a
+//! function of its key: one hierarchical call lowered again and again
+//! gives one program.
 
-use intercom::ir::{lower, lower_hier, Buf, CollectiveProgram, Loc, PlanOp, StepKind};
+use intercom::ir::{lower, lower_hier, CollectiveProgram, PlanOp, RankProgram};
 use intercom_cost::{
-    enumerate_hier_strategies, enumerate_mesh_strategies, ClusterShape, CollectiveOp,
+    enumerate_hier_strategies, enumerate_mesh_strategies, select_hier, ClusterShape, CollectiveOp,
+    HierMachine,
 };
 
 /// The five collectives that run under a strategy, each with the
@@ -26,85 +25,33 @@ const NODE_COUNTS: [usize; 20] = [
     1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 31, 32,
 ];
 
-/// A program as its schedule: every rank's steps with scratch offsets
-/// erased, and the radices its permutations index.
-type Schedule = (Vec<Vec<StepKind>>, Vec<Vec<usize>>);
+/// The audit's cluster shapes: linear and 2-D inter-node meshes, fat
+/// and thin nodes, and one rank a node.
+const SHAPES: [ClusterShape; 8] = [
+    shape(1, 4, 4),
+    shape(2, 2, 4),
+    shape(1, 8, 2),
+    shape(1, 6, 1),
+    shape(1, 2, 8),
+    shape(2, 3, 2),
+    shape(3, 3, 2),
+    shape(1, 3, 3),
+];
 
-fn erase(loc: Loc) -> Loc {
-    let buf = loc.buf;
-    match buf {
-        Buf::Scratch => Loc { off: 0, ..loc },
-        Buf::Arg(_) => loc,
+const fn shape(inter_rows: usize, inter_cols: usize, ranks_per_node: usize) -> ClusterShape {
+    ClusterShape {
+        inter_rows,
+        inter_cols,
+        ranks_per_node,
     }
 }
 
-fn schedule(prog: &CollectiveProgram) -> Schedule {
-    let e = erase;
-    let steps = prog.ranks.iter().map(|rank| {
-        let erased = rank.steps.iter().map(|step| match step.kind {
-            StepKind::Send { to, tag_off, src } => StepKind::Send {
-                to,
-                tag_off,
-                src: e(src),
-            },
-            StepKind::Recv { from, tag_off, dst } => StepKind::Recv {
-                from,
-                tag_off,
-                dst: e(dst),
-            },
-            StepKind::SendRecv {
-                to,
-                src,
-                from,
-                dst,
-                tag_off,
-            } => StepKind::SendRecv {
-                to,
-                src: e(src),
-                from,
-                dst: e(dst),
-                tag_off,
-            },
-            StepKind::RecvReduce { from, tag_off, acc } => StepKind::RecvReduce {
-                from,
-                tag_off,
-                acc: e(acc),
-            },
-            StepKind::SendRecvReduce {
-                to,
-                src,
-                from,
-                acc,
-                tag_off,
-            } => StepKind::SendRecvReduce {
-                to,
-                src: e(src),
-                from,
-                acc: e(acc),
-                tag_off,
-            },
-            StepKind::Copy { src, dst } => StepKind::Copy {
-                src: e(src),
-                dst: e(dst),
-            },
-            StepKind::Permute {
-                region,
-                held,
-                radices,
-            } => StepKind::Permute {
-                region: e(region),
-                held: e(held),
-                radices,
-            },
-            StepKind::Reduce { acc, other } => StepKind::Reduce {
-                acc: e(acc),
-                other: e(other),
-            },
-            kind @ (StepKind::Compute { .. } | StepKind::CallOverhead) => kind,
-        });
-        erased.collect()
-    });
-    (steps.collect(), prog.radices.clone())
+/// A program as its schedule: every rank's steps, scratch and landing
+/// sizes, and the radices its permutations index.
+type Schedule = (Vec<RankProgram>, Vec<Vec<usize>>);
+
+fn schedule(prog: CollectiveProgram) -> Schedule {
+    (prog.ranks, prog.radices)
 }
 
 /// Lowers every candidate and names each pair that lowers to one
@@ -117,7 +64,7 @@ fn duplicates<S: std::fmt::Display>(
     let mut seen: Vec<(Schedule, &S)> = Vec::new();
     let mut out = Vec::new();
     for c in candidates {
-        let s = schedule(&lower(c));
+        let s = schedule(lower(c));
         match seen.iter().find(|(other, _)| *other == s) {
             Some((_, first)) => out.push(format!("{what}: {first} and {c}")),
             None => seen.push((s, c)),
@@ -128,23 +75,8 @@ fn duplicates<S: std::fmt::Display>(
 
 #[test]
 fn no_two_hierarchical_candidates_are_one_schedule() {
-    let shape = |inter_rows, inter_cols, ranks_per_node| ClusterShape {
-        inter_rows,
-        inter_cols,
-        ranks_per_node,
-    };
-    let shapes = [
-        shape(1, 4, 4),
-        shape(2, 2, 4),
-        shape(1, 8, 2),
-        shape(1, 6, 1),
-        shape(1, 2, 8),
-        shape(2, 3, 2),
-        shape(3, 3, 2),
-        shape(1, 3, 3),
-    ];
     let mut dups = Vec::new();
-    for shape in shapes {
+    for shape in SHAPES {
         for (cop, op, n) in OPS {
             let all = enumerate_hier_strategies(cop, shape, 0);
             dups.extend(duplicates(&format!("{op} on {shape}"), &all, |hs| {
@@ -179,5 +111,39 @@ fn no_two_mesh_candidates_are_one_schedule() {
         "{} duplicates:\n{}",
         dups.len(),
         dups.join("\n")
+    );
+}
+
+#[test]
+fn a_hierarchical_call_lowers_to_one_program() {
+    let mut varying = Vec::new();
+    for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+        for shape in SHAPES {
+            for (cop, op, _) in OPS {
+                for n in [1, 13, 947] {
+                    for elem_size in [1, 8] {
+                        // The op's whole vector: a block a rank for
+                        // collect and reduce-scatter.
+                        let blocks = match op {
+                            PlanOp::Collect | PlanOp::ReduceScatter => shape.ranks(),
+                            _ => 1,
+                        };
+                        let bytes = blocks * n * elem_size;
+                        let hs = select_hier(cop, shape, bytes, &machine).expect("a pick");
+                        let lowered = || schedule(lower_hier(op, &hs, n, elem_size).unwrap());
+                        let first = lowered();
+                        if (1..20).any(|_| lowered() != first) {
+                            varying.push(format!("{op} {hs} n={n} elem_size={elem_size}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        varying.is_empty(),
+        "{} calls lower to more than one program:\n{}",
+        varying.len(),
+        varying.join("\n")
     );
 }

@@ -140,6 +140,10 @@ at_least "repeated p=4096 rows" "$(grep -o 'p=4096 rows: [0-9]*' <<<"$big" | gre
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -- -D warnings"
+# A doc link to an item that moved or went private fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

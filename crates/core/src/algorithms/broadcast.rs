@@ -1,19 +1,16 @@
-//! Broadcast under any hybrid strategy.
-//!
-//! Short (`(1×p, M)`): MST broadcast. Long (`(1×p, SC)`): scatter
-//! followed by bucket collect (§5.2). General hybrid: scatters up the
-//! logical dimensions (only the root's line is active per level — each
-//! level's scatter hands one block to each member of the next level's
-//! planes), the innermost algorithm in the last dimension, then
-//! simultaneous bucket collects back down within *all* lines (Fig. 1).
+//! Broadcast under any hybrid strategy: scatters up the logical
+//! dimensions, only within the root's line at each level (the one line
+//! holding data, whose scatter hands one block to each member of the
+//! next level's planes), the centre in the last dimension, then bucket
+//! collects back down within *all* lines (Fig. 1).
 
-use crate::algorithms::{check_strategy, LEVEL_TAG_STRIDE};
-use crate::block::partition;
+use crate::algorithms::check_strategy;
+use crate::algorithms::template::{walk, Bcast};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
-use crate::primitives::{mst_bcast, mst_scatter, ring_collect};
-use intercom_cost::{Strategy, StrategyKind};
+use crate::op::ReduceOp;
+use intercom_cost::Strategy;
 
 /// Broadcasts `buf` (any length, any group size) from logical rank
 /// `root` to every group member, using `strategy`.
@@ -31,57 +28,8 @@ pub fn broadcast<T: Scalar, C: Comm + ?Sized>(
             size: gc.len(),
         });
     }
-    bcast_rec(gc, &strategy.dims, strategy.kind, root, buf, tag)
-}
-
-fn bcast_rec<T: Scalar, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    dims: &[usize],
-    kind: StrategyKind,
-    root: usize,
-    buf: &mut [T],
-    tag: Tag,
-) -> Result<()> {
-    let p = gc.len();
-    if p == 1 {
-        return Ok(());
-    }
-    if dims.len() == 1 {
-        return match kind {
-            StrategyKind::Mst => mst_bcast(gc, root, buf, tag),
-            StrategyKind::ScatterCollect => {
-                let blocks = partition(buf.len(), p);
-                mst_scatter(gc, root, buf, &blocks, tag)?;
-                ring_collect(gc, buf, &blocks, tag + 1)
-            }
-        };
-    }
-    let d0 = dims[0];
-    let me = gc.me();
-    let my0 = me % d0;
-    let blocks = partition(buf.len(), d0);
-    // Stage 1: scatter within the root's dim-0 line only — it is the sole
-    // line holding data at this level.
-    if me / d0 == root / d0 {
-        let line = gc.line(d0);
-        mst_scatter(&line, root % d0, buf, &blocks, tag)?;
-    }
-    // Recurse: within my plane, the member of the root's line (plane rank
-    // root / d0) now holds block `my0` and acts as the plane's root.
-    let plane = gc.plane(d0);
-    let my_block = blocks[my0].clone();
-    bcast_rec(
-        &plane,
-        &dims[1..],
-        kind,
-        root / d0,
-        &mut buf[my_block],
-        tag + LEVEL_TAG_STRIDE,
-    )?;
-    // Stage 2: simultaneous collects within every dim-0 line reassemble
-    // the full vector.
-    let line = gc.line(d0);
-    ring_collect(&line, buf, &blocks, tag + 1)
+    let (dims, kind) = (&strategy.dims, strategy.kind);
+    walk::<Bcast, T, C>(gc, dims, kind, root, buf, ReduceOp::Sum, tag, &mut [])
 }
 
 #[cfg(test)]

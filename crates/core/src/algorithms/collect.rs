@@ -17,22 +17,20 @@
 //! [`run_direct`](crate::ir::run_direct): no algorithm of the crate,
 //! flat or hierarchical, allocates an element buffer of its own.
 //!
-//! Per the template (Fig. 3), collect's stage 1 is void — the recursion
-//! descends straight to the innermost dimension, whose *short* center is
-//! a gather followed by an MST broadcast and whose *long* center is a
-//! bucket collect, then bucket-collects ever-larger super-blocks back up.
-//! Distributed combine is the exact dual (stage 2 void).
+//! Over slot order each level's blocks are the planes' super-blocks,
+//! so the walker's `partition(p·b, d0)` splits the work buffer exactly
+//! at plane boundaries: collect (stage 1 void) bucket-collects
+//! ever-larger super-blocks back up, and distributed combine (stage 2
+//! void) is its dual.
 
 use crate::algorithms::combine::bucket_len;
-use crate::algorithms::{check_strategy, equal_blocks, slot_of, LEVEL_TAG_STRIDE};
+use crate::algorithms::template::{walk, Collect, ReduceScatter};
+use crate::algorithms::{check_strategy, slot_of};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{expect_len, Result};
 use crate::op::{Elem, ReduceOp};
-use crate::primitives::{
-    mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
-    ring_reduce_scatter_into,
-};
+use crate::primitives::ring_reduce_scatter_into;
 use intercom_cost::{Strategy, StrategyKind};
 
 /// Collect: member `j` contributes the block `mine`; on return, `all`
@@ -69,8 +67,8 @@ pub(crate) fn collect_slotted<T: Scalar, C: Comm + ?Sized>(
     tag: Tag,
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
-    let dims = &strategy.dims;
-    collect_rec(gc, dims, strategy.kind, all, b, tag)?;
+    let (dims, kind) = (&strategy.dims, strategy.kind);
+    walk::<Collect, T, C>(gc, dims, kind, 0, all, ReduceOp::Sum, tag, &mut [])?;
     if dims.len() > 1 && b > 0 {
         gc.unpermute(all, b, dims, scratch);
     }
@@ -139,52 +137,6 @@ pub(crate) fn unpermute(radices: &[usize], all: &mut [u8], held: &mut [u8]) {
     }
 }
 
-fn collect_rec<T: Scalar, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    dims: &[usize],
-    kind: StrategyKind,
-    work: &mut [T],
-    b: usize,
-    tag: Tag,
-) -> Result<()> {
-    let p = gc.len();
-    if p == 1 {
-        return Ok(());
-    }
-    if dims.len() == 1 {
-        let blocks = equal_blocks(p, b);
-        return match kind {
-            StrategyKind::Mst => {
-                // Short collect: gather followed by MST broadcast (§5.1).
-                mst_gather(gc, 0, work, &blocks, tag)?;
-                mst_bcast(gc, 0, work, tag + 1)
-            }
-            StrategyKind::ScatterCollect => ring_collect(gc, work, &blocks, tag),
-        };
-    }
-    let d0 = dims[0];
-    let sub = p / d0;
-    let my0 = gc.me() % d0;
-    // Stage 1 is void: recurse within my plane over my plane's slot
-    // super-block (contiguous by construction of the slot order). The
-    // recursion owns the next tag level, keeping `tag / LEVEL_TAG_STRIDE`
-    // equal to the recursion depth for every stage of every collective.
-    let plane = gc.plane(d0);
-    let plane_range = my0 * sub * b..(my0 + 1) * sub * b;
-    collect_rec(
-        &plane,
-        &dims[1..],
-        kind,
-        &mut work[plane_range],
-        b,
-        tag + LEVEL_TAG_STRIDE,
-    )?;
-    // Stage 2: bucket-collect the d0 plane super-blocks within my line.
-    let line = gc.line(d0);
-    let blocks = equal_blocks(d0, sub * b);
-    ring_collect(&line, work, &blocks, tag + 1)
-}
-
 /// Distributed combine: every member contributes `contrib`
 /// (`p · mine.len()` items); on return, member `j`'s `mine` holds block
 /// `j` of the element-wise ⊕ over all contributions. `contrib` is never
@@ -249,60 +201,10 @@ pub(crate) fn reduce_scatter_with<T: Elem, C: Comm + ?Sized>(
         let s = slot_of(dims, q);
         gc.copy(&contrib[q * b..(q + 1) * b], &mut work[s * b..(s + 1) * b]);
     }
-    rs_rec(gc, dims, strategy.kind, work, b, op, tag, bucket)?;
+    walk::<ReduceScatter, T, C>(gc, dims, strategy.kind, 0, work, op, tag, bucket)?;
     let my_slot = slot_of(dims, gc.me());
     gc.copy(&work[my_slot * b..(my_slot + 1) * b], mine);
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rs_rec<T: Elem, C: Comm + ?Sized>(
-    gc: &GroupComm<'_, C>,
-    dims: &[usize],
-    kind: StrategyKind,
-    work: &mut [T],
-    b: usize,
-    op: ReduceOp,
-    tag: Tag,
-    bucket: &mut [T],
-) -> Result<()> {
-    let p = gc.len();
-    if p == 1 {
-        return Ok(());
-    }
-    if dims.len() == 1 {
-        let blocks = equal_blocks(p, b);
-        return match kind {
-            StrategyKind::Mst => {
-                // Short distributed combine: combine-to-one followed by
-                // scatter (§5.1).
-                mst_reduce(gc, 0, work, op, tag, bucket)?;
-                mst_scatter(gc, 0, work, &blocks, tag + 1)
-            }
-            StrategyKind::ScatterCollect => ring_reduce_scatter(gc, work, &blocks, op, tag, bucket),
-        };
-    }
-    let d0 = dims[0];
-    let sub = p / d0;
-    let my0 = gc.me() % d0;
-    // Stage 1: bucket distributed combine of the d0 plane super-blocks
-    // within my line; member j keeps super-block j (its own plane's).
-    let line = gc.line(d0);
-    let blocks = equal_blocks(d0, sub * b);
-    ring_reduce_scatter(&line, work, &blocks, op, tag, bucket)?;
-    // Stage 2 is void: recurse within my plane on my super-block.
-    let plane = gc.plane(d0);
-    let plane_range = my0 * sub * b..(my0 + 1) * sub * b;
-    rs_rec(
-        &plane,
-        &dims[1..],
-        kind,
-        &mut work[plane_range],
-        b,
-        op,
-        tag + LEVEL_TAG_STRIDE,
-        bucket,
-    )
 }
 
 #[cfg(test)]

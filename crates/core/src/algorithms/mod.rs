@@ -5,16 +5,12 @@
 //! strategy: `Strategy::pure_mst(p)` yields the §5.1 short-vector
 //! composed algorithm, `Strategy::pure_long(p)` the §5.2 long-vector
 //! composed algorithm, and multi-dimensional strategies the §6 hybrids.
-//! The recursion peels the fastest-varying logical dimension per level:
-//!
-//! ```text
-//! if p = 1 or innermost dimension:
-//!     short vector algorithm (or stage-1 + stage-2 back to back)
-//! else:
-//!     long vector alg. stage 1 within dim-0 lines
-//!     recurse within planes (remaining dimensions)
-//!     long vector alg. stage 2 within dim-0 lines
-//! ```
+//! Broadcast, combine-to-one, combine-to-all, collect and distributed
+//! combine all run one walker (`template.rs`) over their row of
+//! [`flat_template`](intercom_cost::flat_template), the table the cost
+//! model prices too; their modules keep only what is their own — the
+//! checks, and the slot-order staging of collect and distributed
+//! combine.
 //!
 //! Scatter and gather serve as their own short *and* long primitive
 //! (§4.2), so they take no strategy.
@@ -24,16 +20,18 @@ mod broadcast;
 mod collect;
 mod combine;
 mod scatter_gather;
+mod template;
 mod varying;
 
 pub use alltoall::alltoall;
 pub use broadcast::broadcast;
 pub use collect::{collect, reduce_scatter};
 pub(crate) use collect::{collect_slotted, reduce_scatter_len, reduce_scatter_with, unpermute};
+pub(crate) use combine::bucket_len;
 pub use combine::{allreduce, reduce};
-pub(crate) use combine::{bucket_len, reduce_rec};
 pub use intercom_obs::LEVEL_TAG_STRIDE;
 pub use scatter_gather::{gather, scatter};
+pub(crate) use template::{walk, Reduce};
 pub use varying::{allgatherv, gatherv, scatterv};
 
 use crate::comm::{Comm, GroupComm};

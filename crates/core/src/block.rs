@@ -24,9 +24,20 @@ pub fn block_range(n: usize, p: usize, i: usize) -> Range<usize> {
     block_start(n, p, i)..block_start(n, p, i + 1)
 }
 
-/// All `p` block ranges of an `n`-item vector, in order.
+/// All `p` block ranges of an `n`-item vector, in order: each block
+/// starts where the last ended, so the table costs one division however
+/// many blocks it has (the recursive template builds one per level of
+/// every call).
 pub fn partition(n: usize, p: usize) -> Vec<Range<usize>> {
-    (0..p).map(|i| block_range(n, p, i)).collect()
+    let (q, r) = (n / p, n % p);
+    let mut end = 0;
+    (0..p)
+        .map(|i| {
+            let start = end;
+            end += q + usize::from(i < r);
+            start..end
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -77,6 +88,9 @@ mod tests {
                 parts.windows(2).all(|w| w[0].end == w[1].start),
                 "n={n} p={p}"
             );
+            for (i, part) in parts.iter().enumerate() {
+                assert_eq!(*part, block_range(n, p, i), "n={n} p={p} i={i}");
+            }
         }
     }
 

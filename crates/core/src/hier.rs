@@ -25,8 +25,8 @@
 //! verifier gate link-conflict predictions per stage.
 
 use crate::algorithms::{
-    allreduce, broadcast, bucket_len, collect_slotted, equal_blocks, reduce, reduce_rec,
-    reduce_scatter_len, reduce_scatter_with, slot_of,
+    allreduce, broadcast, bucket_len, collect_slotted, equal_blocks, reduce, reduce_scatter_len,
+    reduce_scatter_with, slot_of, walk, Reduce,
 };
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
@@ -206,7 +206,7 @@ pub fn hier_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     // The intra reduce folds in place, so it works on a copy of the
     // caller's contribution.
     gc.copy(contrib, work);
-    reduce_rec(&line, &intra.dims, intra.kind, 0, work, op, tag, lent)?;
+    walk::<Reduce, T, C>(&line, &intra.dims, intra.kind, 0, work, op, tag, lent)?;
     if line.me() == 0 {
         let (plane, tag) = (gc.plane(r), tag + HIER_STAGE_STRIDE);
         reduce_scatter_with(&plane, inter, work, node_block, op, tag, lent)?;

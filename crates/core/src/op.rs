@@ -17,7 +17,7 @@ pub enum ReduceOp {
 }
 
 /// The element bound of the combining collectives: the same sealed
-/// set of numeric types as [`Scalar`], under the name their signatures
+/// set of numeric types as [`Scalar`](crate::Scalar), under the name their signatures
 /// have always used.
 pub use crate::cast::Scalar as Elem;
 

@@ -4,7 +4,7 @@
 //! "rows and columns of a logical mesh" computations) issue the *same*
 //! collective with the same geometry every iteration. A plan runs the
 //! cost-model selection once, compiles the chosen strategy to a
-//! [`CollectiveProgram`](crate::ir::CollectiveProgram) via the
+//! [`CollectiveProgram`] via the
 //! process-wide [plan cache](crate::ir::global_cache), and then executes
 //! the compiled step list with no per-call selection or lowering
 //! overhead — the moral equivalent of MPI's persistent requests, and the

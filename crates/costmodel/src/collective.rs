@@ -162,6 +162,59 @@ impl StageKind {
     }
 }
 
+/// Fig. 3's recursive template for one collective (§6): the long-vector
+/// stage each level runs within its dim-0 lines before recursing into
+/// its plane (`stage1`) and after (`stage2`), `None` where the template
+/// leaves it void, and the short-vector centre an `M` strategy runs in
+/// its last dimension. An `SC` strategy's centre is `stage1` then
+/// `stage2`, back to back.
+///
+/// The one statement of what every flat hybrid runs: `intercom`'s
+/// recursive walker executes it, [`stage_predictions`] prices it, and
+/// the §5 catalog ([`crate::composed::catalog`]) names its centres.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlatTemplate {
+    /// The stage run on the way up, before the recursion.
+    pub stage1: Option<StageKind>,
+    /// The stage run on the way down, after the recursion.
+    pub stage2: Option<StageKind>,
+    /// The `M` centre: the short-vector algorithm, at most two stages.
+    pub mst: [Option<StageKind>; 2],
+}
+
+impl FlatTemplate {
+    /// The stages the last dimension runs under a strategy of `kind`,
+    /// in order.
+    pub const fn centre(&self, kind: StrategyKind) -> [Option<StageKind>; 2] {
+        match kind {
+            StrategyKind::Mst => self.mst,
+            StrategyKind::ScatterCollect => [self.stage1, self.stage2],
+        }
+    }
+}
+
+/// `op`'s [`FlatTemplate`]; `None` for scatter and gather, whose MST
+/// primitives serve both regimes (§4.2), so no hybrid applies.
+pub const fn flat_template(op: CollectiveOp) -> Option<FlatTemplate> {
+    use CollectiveOp::*;
+    use StageKind::*;
+    #[rustfmt::skip]
+    let (stage1, stage2, mst) = match op {
+        //                   stage 1                    stage 2              M centre
+        Broadcast =>         (Some(MstScatter),          Some(BucketCollect), [Some(MstBcast), None]),
+        CombineToOne =>      (Some(BucketReduceScatter), Some(MstGather),     [Some(MstCombine), None]),
+        CombineToAll =>      (Some(BucketReduceScatter), Some(BucketCollect), [Some(MstCombine), Some(MstBcast)]),
+        Collect =>           (None,                      Some(BucketCollect), [Some(MstGather), Some(MstBcast)]),
+        DistributedCombine => (Some(BucketReduceScatter), None,               [Some(MstCombine), Some(MstScatter)]),
+        Scatter | Gather => return None,
+    };
+    Some(FlatTemplate {
+        stage1,
+        stage2,
+        mst,
+    })
+}
+
 /// One pipeline stage of a hybrid collective with its predicted cost.
 ///
 /// `level` is the recursion level (= logical dimension index, fastest
@@ -202,222 +255,80 @@ impl StageFormulas {
         1.0 / s.stride(i) as f64
     }
 
-    fn mst_bcast(&self, s: &Strategy, i: usize) -> CostExpr {
+    /// The cost of a `kind` stage over dimension `i` of `s`.
+    fn cost(&self, kind: StageKind, s: &Strategy, i: usize) -> CostExpr {
         let d = s.dims[i];
         let l = ceil_log2(d);
-        CostExpr::new(l, l * self.beta_scale(s, i), 0.0, l)
-    }
-
-    fn mst_combine(&self, s: &Strategy, i: usize) -> CostExpr {
-        let d = s.dims[i];
-        let l = ceil_log2(d);
-        CostExpr::new(l, l * self.beta_scale(s, i), l * self.gamma_scale(s, i), l)
-    }
-
-    fn mst_scatter(&self, s: &Strategy, i: usize) -> CostExpr {
-        let d = s.dims[i];
         let frac = (d as f64 - 1.0) / d as f64;
-        CostExpr::new(
-            ceil_log2(d),
-            frac * self.beta_scale(s, i),
-            0.0,
-            ceil_log2(d),
-        )
-    }
-
-    fn mst_gather(&self, s: &Strategy, i: usize) -> CostExpr {
-        self.mst_scatter(s, i)
-    }
-
-    fn bucket_collect(&self, s: &Strategy, i: usize) -> CostExpr {
-        let d = s.dims[i];
-        let frac = (d as f64 - 1.0) / d as f64;
-        CostExpr::new((d - 1) as f64, frac * self.beta_scale(s, i), 0.0, 1.0)
-    }
-
-    fn bucket_reduce_scatter(&self, s: &Strategy, i: usize) -> CostExpr {
-        let d = s.dims[i];
-        let frac = (d as f64 - 1.0) / d as f64;
-        CostExpr::new(
-            (d - 1) as f64,
-            frac * self.beta_scale(s, i),
-            frac * self.gamma_scale(s, i),
-            1.0,
-        )
+        let (beta, gamma) = (self.beta_scale(s, i), self.gamma_scale(s, i));
+        match kind {
+            StageKind::MstBcast => CostExpr::new(l, l * beta, 0.0, l),
+            StageKind::MstCombine => CostExpr::new(l, l * beta, l * gamma, l),
+            StageKind::MstScatter | StageKind::MstGather => CostExpr::new(l, frac * beta, 0.0, l),
+            StageKind::BucketCollect => CostExpr::new((d - 1) as f64, frac * beta, 0.0, 1.0),
+            StageKind::BucketReduceScatter => {
+                CostExpr::new((d - 1) as f64, frac * beta, frac * gamma, 1.0)
+            }
+        }
     }
 }
 
 /// Per-stage cost predictions for `op` executed with hybrid `strategy`
-/// in `ctx`, in pipeline order.
+/// in `ctx`, in pipeline order: `op`'s [`flat_template`] read the way
+/// the executing walker reads it — stage 1 at `(i, 0)` for every level
+/// `i` below the last, the centre's stages at `(last, 0)` and
+/// `(last, 1)`, then stage 2 at `(i, 1)` back down. Scatter and gather
+/// are one MST stage over the flat group.
 ///
 /// This is the stage-resolved form of [`hybrid_cost`] (which is exactly
 /// the sum of the returned costs): each entry carries the `(level, sub)`
-/// coordinates matching the tag layout of the executing algorithms, so a
-/// recorded trace can be folded stage-by-stage against the model — the
-/// residual analyzer in `intercom-obs` consumes this.
+/// coordinates of the tags its stage runs at, so a recorded trace can be
+/// folded stage-by-stage against the model — the residual analyzer in
+/// `intercom-obs` consumes this.
 pub fn stage_predictions(
     op: CollectiveOp,
     strategy: &Strategy,
     ctx: CostContext,
 ) -> Vec<StagePrediction> {
     let sc = StageFormulas { ctx };
+    let Some(t) = flat_template(op) else {
+        // Scatter and gather run one MST tree over the flat group.
+        let flat = Strategy::pure_mst(strategy.nodes());
+        let kind = if op == CollectiveOp::Scatter {
+            StageKind::MstScatter
+        } else {
+            StageKind::MstGather
+        };
+        return vec![StagePrediction {
+            level: 0,
+            sub: 0,
+            kind,
+            dim: flat.dims[0],
+            cost: sc.cost(kind, &flat, 0),
+        }];
+    };
     let s = strategy;
     let last = s.ndims() - 1;
     let mut stages = Vec::new();
-    let mut push = |level: usize, sub: u64, kind: StageKind, cost: CostExpr| {
+    let mut push = |level: usize, sub: u64, kind: StageKind| {
         stages.push(StagePrediction {
             level,
             sub,
             kind,
             dim: s.dims[level],
-            cost,
+            cost: sc.cost(kind, s, level),
         });
     };
-    match op {
-        CollectiveOp::Broadcast => {
-            // S(0) … S(k−2), [M | S C](k−1), C(k−2) … C(0)
-            for i in 0..last {
-                push(i, 0, StageKind::MstScatter, sc.mst_scatter(s, i));
-            }
-            match s.kind {
-                StrategyKind::Mst => push(last, 0, StageKind::MstBcast, sc.mst_bcast(s, last)),
-                StrategyKind::ScatterCollect => {
-                    push(last, 0, StageKind::MstScatter, sc.mst_scatter(s, last));
-                    push(
-                        last,
-                        1,
-                        StageKind::BucketCollect,
-                        sc.bucket_collect(s, last),
-                    );
-                }
-            }
-            for i in (0..last).rev() {
-                push(i, 1, StageKind::BucketCollect, sc.bucket_collect(s, i));
-            }
-        }
-        CollectiveOp::CombineToOne => {
-            // Dual of broadcast: RS(0) … RS(k−2), [Mreduce | RS G](k−1),
-            // G(k−2) … G(0).
-            for i in 0..last {
-                push(
-                    i,
-                    0,
-                    StageKind::BucketReduceScatter,
-                    sc.bucket_reduce_scatter(s, i),
-                );
-            }
-            match s.kind {
-                StrategyKind::Mst => push(last, 0, StageKind::MstCombine, sc.mst_combine(s, last)),
-                StrategyKind::ScatterCollect => {
-                    push(
-                        last,
-                        0,
-                        StageKind::BucketReduceScatter,
-                        sc.bucket_reduce_scatter(s, last),
-                    );
-                    push(last, 1, StageKind::MstGather, sc.mst_gather(s, last));
-                }
-            }
-            for i in (0..last).rev() {
-                push(i, 1, StageKind::MstGather, sc.mst_gather(s, i));
-            }
-        }
-        CollectiveOp::CombineToAll => {
-            // RS(0) … RS(k−2), [Mreduce+Mbcast | RS C](k−1), C(k−2) … C(0).
-            for i in 0..last {
-                push(
-                    i,
-                    0,
-                    StageKind::BucketReduceScatter,
-                    sc.bucket_reduce_scatter(s, i),
-                );
-            }
-            match s.kind {
-                StrategyKind::Mst => {
-                    push(last, 0, StageKind::MstCombine, sc.mst_combine(s, last));
-                    push(last, 1, StageKind::MstBcast, sc.mst_bcast(s, last));
-                }
-                StrategyKind::ScatterCollect => {
-                    push(
-                        last,
-                        0,
-                        StageKind::BucketReduceScatter,
-                        sc.bucket_reduce_scatter(s, last),
-                    );
-                    push(
-                        last,
-                        1,
-                        StageKind::BucketCollect,
-                        sc.bucket_collect(s, last),
-                    );
-                }
-            }
-            for i in (0..last).rev() {
-                push(i, 1, StageKind::BucketCollect, sc.bucket_collect(s, i));
-            }
-        }
-        CollectiveOp::Collect => {
-            // Stage 1 is void (§6): [G+Mbcast | C](k−1), C(k−2) … C(0).
-            match s.kind {
-                StrategyKind::Mst => {
-                    push(last, 0, StageKind::MstGather, sc.mst_gather(s, last));
-                    push(last, 1, StageKind::MstBcast, sc.mst_bcast(s, last));
-                }
-                StrategyKind::ScatterCollect => {
-                    push(
-                        last,
-                        0,
-                        StageKind::BucketCollect,
-                        sc.bucket_collect(s, last),
-                    );
-                }
-            }
-            for i in (0..last).rev() {
-                push(i, 1, StageKind::BucketCollect, sc.bucket_collect(s, i));
-            }
-        }
-        CollectiveOp::DistributedCombine => {
-            // Dual of collect: RS(0) … RS(k−2), [Mreduce+S | RS](k−1).
-            for i in 0..last {
-                push(
-                    i,
-                    0,
-                    StageKind::BucketReduceScatter,
-                    sc.bucket_reduce_scatter(s, i),
-                );
-            }
-            match s.kind {
-                StrategyKind::Mst => {
-                    push(last, 0, StageKind::MstCombine, sc.mst_combine(s, last));
-                    push(last, 1, StageKind::MstScatter, sc.mst_scatter(s, last));
-                }
-                StrategyKind::ScatterCollect => {
-                    push(
-                        last,
-                        0,
-                        StageKind::BucketReduceScatter,
-                        sc.bucket_reduce_scatter(s, last),
-                    );
-                }
-            }
-        }
-        CollectiveOp::Scatter | CollectiveOp::Gather => {
-            // The MST scatter/gather primitives serve both regimes (§4.2);
-            // hybrids do not apply. Cost is computed on the flat group.
-            let flat = Strategy::pure_mst(s.nodes());
-            let kind = if op == CollectiveOp::Scatter {
-                StageKind::MstScatter
-            } else {
-                StageKind::MstGather
-            };
-            stages.push(StagePrediction {
-                level: 0,
-                sub: 0,
-                kind,
-                dim: flat.dims[0],
-                cost: sc.mst_scatter(&flat, 0),
-            });
-        }
+    // Stage 1 up the dimensions, the centre in the last, stage 2 back
+    // down: the walker's order and tags.
+    if let Some(kind) = t.stage1 {
+        (0..last).for_each(|i| push(i, 0, kind));
+    }
+    for (sub, kind) in t.centre(s.kind).into_iter().flatten().enumerate() {
+        push(last, sub as u64, kind);
+    }
+    if let Some(kind) = t.stage2 {
+        (0..last).rev().for_each(|i| push(i, 1, kind));
     }
     stages
 }

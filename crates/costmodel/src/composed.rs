@@ -2,8 +2,11 @@
 //! and long-vector closed forms as data, renderable as the paper's
 //! inline cost table and usable programmatically.
 
-use crate::collective::{long_cost, short_cost, CollectiveOp, CostContext};
+use crate::collective::{
+    flat_template, long_cost, short_cost, CollectiveOp, CostContext, StageKind,
+};
 use crate::expr::CostExpr;
+use crate::strategy::StrategyKind;
 
 /// One catalog entry: a collective with its §5.1 short-vector and §5.2
 /// long-vector composed costs for a given `p`.
@@ -12,62 +15,48 @@ pub struct CatalogEntry {
     /// The collective operation.
     pub op: CollectiveOp,
     /// How §5.1 composes it from short-vector primitives.
-    pub short_recipe: &'static str,
+    pub short_recipe: String,
     /// Its short-vector cost.
     pub short: CostExpr,
     /// How §5.2 composes it from long-vector primitives.
-    pub long_recipe: &'static str,
+    pub long_recipe: String,
     /// Its long-vector cost.
     pub long: CostExpr,
 }
 
-/// Builds the complete §5 catalog for `p` nodes on a linear array.
+/// Builds the complete §5 catalog for `p` nodes on a linear array. A
+/// recipe names the stages of the op's [`flat_template`] centre: the
+/// `M` centre is the short-vector algorithm, the `SC` centre the
+/// long-vector one.
 pub fn catalog(p: usize) -> Vec<CatalogEntry> {
     let ctx = CostContext::LINEAR;
-    let entry = |op, short_recipe, long_recipe| CatalogEntry {
-        op,
-        short_recipe,
-        short: short_cost(op, p, ctx),
-        long_recipe,
-        long: long_cost(op, p, ctx),
+    let recipe = |stages: [Option<StageKind>; 2]| {
+        let names: Vec<&str> = stages.iter().flatten().map(StageKind::name).collect();
+        names.join(" + ")
     };
-    vec![
-        entry(
-            CollectiveOp::Broadcast,
-            "MST broadcast",
-            "scatter + bucket collect",
-        ),
-        entry(
-            CollectiveOp::Scatter,
-            "MST scatter",
-            "MST scatter (serves both regimes)",
-        ),
-        entry(
-            CollectiveOp::Gather,
-            "MST gather",
-            "MST gather (serves both regimes)",
-        ),
-        entry(
-            CollectiveOp::Collect,
-            "gather + MST broadcast",
-            "bucket collect",
-        ),
-        entry(
-            CollectiveOp::CombineToOne,
-            "MST combine-to-one",
-            "bucket distributed combine + gather",
-        ),
-        entry(
-            CollectiveOp::CombineToAll,
-            "combine-to-one + broadcast",
-            "distributed combine + collect",
-        ),
-        entry(
-            CollectiveOp::DistributedCombine,
-            "combine-to-one + scatter",
-            "bucket distributed combine",
-        ),
-    ]
+    CollectiveOp::ALL
+        .into_iter()
+        .map(|op| {
+            let (short_recipe, long_recipe) = match flat_template(op) {
+                Some(t) => (
+                    recipe(t.centre(StrategyKind::Mst)),
+                    recipe(t.centre(StrategyKind::ScatterCollect)),
+                ),
+                // Scatter and gather: one MST primitive serves both (§4.2).
+                None => {
+                    let mst = format!("mst-{}", op.name());
+                    (mst.clone(), format!("{mst} (serves both regimes)"))
+                }
+            };
+            CatalogEntry {
+                op,
+                short_recipe,
+                short: short_cost(op, p, ctx),
+                long_recipe,
+                long: long_cost(op, p, ctx),
+            }
+        })
+        .collect()
 }
 
 /// Renders the catalog as an aligned text table (the `section5` binary's
@@ -75,16 +64,17 @@ pub fn catalog(p: usize) -> Vec<CatalogEntry> {
 pub fn render_catalog(p: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<20} | {:<34} | {:<40}\n",
+        "{:<20} | {:<62} | {}\n",
         "operation", "short-vector algorithm", "long-vector algorithm"
     ));
-    out.push_str(&format!("{}\n", "-".repeat(100)));
+    out.push_str(&format!("{}\n", "-".repeat(150)));
     for e in catalog(p) {
+        let short = format!("{}: {}", e.short_recipe, e.short.display_over(p));
         out.push_str(&format!(
-            "{:<20} | {:<34} | {:<40}\n",
+            "{:<20} | {short:<62} | {}: {}\n",
             e.op.name(),
-            format!("{}: {}", e.short_recipe, e.short.display_over(p)),
-            format!("{}: {}", e.long_recipe, e.long.display_over(p)),
+            e.long_recipe,
+            e.long.display_over(p),
         ));
     }
     out

@@ -44,7 +44,8 @@ pub mod strategy;
 pub mod table2;
 
 pub use collective::{
-    hybrid_cost, stage_predictions, CollectiveOp, CostContext, StageKind, StagePrediction,
+    flat_template, hybrid_cost, stage_predictions, CollectiveOp, CostContext, FlatTemplate,
+    StageKind, StagePrediction,
 };
 pub use contention::{CompositeContention, TenantLoad};
 pub use crossover::crossover_length;

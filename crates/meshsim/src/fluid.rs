@@ -9,7 +9,7 @@
 //! filling. The §7.1 refinement — links carry more bandwidth than a node
 //! can inject — enters through larger link capacities.
 
-/// Reusable workspace for [`solve_max_min`]: sized once for a fixed
+/// Reusable workspace for [`FluidScratch::solve_max_min`]: sized once for a fixed
 /// constraint universe, reset per call in O(touched) rather than
 /// O(universe).
 #[derive(Debug, Default)]

@@ -11,7 +11,7 @@
 //! runs actual library collectives over a [`SimComm`] on a worker thread
 //! — one per rank, owned by the thread that called [`simulate`] and kept
 //! parked between its worlds — and every blocking operation rendezvouses
-//! with the central [`engine`], which advances virtual clocks. Results
+//! with the central engine (`engine.rs`), which advances virtual clocks. Results
 //! are therefore bit-identical to the threaded backend, while elapsed
 //! time reflects the Paragon model — the substitution that lets this
 //! reproduction regenerate the paper's Table 3 and Fig. 4 without the

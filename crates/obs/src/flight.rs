@@ -9,9 +9,9 @@
 //! last [`DEFAULT_FLIGHT_CAPACITY`] entries in a fixed-capacity
 //! [`VecDeque`]; on failure the whole ring is rendered to text — the
 //! timeline of what the process was doing *leading up to* the error —
-//! stored for [`last_dump`], and, when `INTERCOM_FLIGHT_DUMP` names a
+//! stored for [`FlightRecorder::last_dump`], and, when `INTERCOM_FLIGHT_DUMP` names a
 //! path, appended to that file. The watchdog's abort path calls
-//! [`dump_now`] for the same effect without an error entry.
+//! [`FlightRecorder::dump_now`] for the same effect without an error entry.
 //!
 //! Concurrent ranks of one collective share a plan id; the recorder
 //! refcounts [`begin`]s per plan id so a p-rank execution makes one
@@ -269,7 +269,7 @@ impl FlightRecorder {
     }
 
     /// The most recent dump, if any execution has failed (or
-    /// [`dump_now`] ran).
+    /// [`dump_now`](Self::dump_now) ran).
     pub fn last_dump(&self) -> Option<String> {
         self.lock().last_dump.clone()
     }

@@ -3,19 +3,19 @@
 //!
 //! A wait whose condition does not hold yet looks at a lock-free hint
 //! back to back, giving its core away with `yield_now` between looks,
-//! for at most [`POLL_BUDGET`], and only then sleeps. A hop that has to
+//! for at most `POLL_BUDGET`, and only then sleeps. A hop that has to
 //! wait therefore costs what the host charges (a `sched_yield` and the
 //! hint's cache line moving between two cores), not a constant of this
 //! file. The hint is never trusted: the caller re-checks what it waits
 //! for before it acts and before it sleeps, under the protocol that
-//! makes its wake-up safe. Two waits use [`poll`]:
+//! makes its wake-up safe. Two waits use `poll`:
 //!
 //! * a receive ([`crate::endpoint`]) polls the next slot's `seq` of the
 //!   one mailbox it waits on, plus its rank's poison alert, then parks
 //!   on its rank's waker: it sets `parked`, fences, re-checks the ring,
 //!   the overflow and the alert, and sleeps; a sender publishes,
 //!   fences, and wakes only a receiver it finds parked
-//!   ([`crate::mailbox`]);
+//!   (`mailbox.rs`);
 //! * a rendezvous sender polls its window's completion hint, then parks
 //!   on the completion's condvar.
 

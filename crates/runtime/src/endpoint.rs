@@ -1,6 +1,6 @@
 //! The per-rank endpoint: a mailbox to and from every peer (one
 //! single-producer/single-consumer ring per ordered pair, see
-//! [`crate::mailbox`]) and a stash for out-of-order arrivals.
+//! `mailbox.rs`) and a stash for out-of-order arrivals.
 //!
 //! Payload life-cycle (the zero-allocation hot path): an eager message
 //! is copied into a slot of the receiver's ring — inline up to 1 KiB,
@@ -29,7 +29,7 @@
 //!   receiver; the receive buffer is not written at all. The model's
 //!   `nβ + nγ` hop is the two operand streams of that one pass.
 //! * a **plain** receive copies the window into its buffer: one pass,
-//!   and from two [`COPY_CHUNK`]s up the blocked sender — which would
+//!   and from two `COPY_CHUNK`s up the blocked sender — which would
 //!   otherwise spend the copy polling — takes pieces of it too, so a
 //!   one-way hop (an MST broadcast, scatter or gather level) runs on
 //!   both of its cores. In an exchange each rank first copies what it
@@ -38,7 +38,7 @@
 //! A large `send` therefore completes only once the receiver has
 //! posted the matching receive, which the [`Comm`] contract allows and
 //! the schedule verifier proves deadlock-free. The protocol, its states
-//! and what its `unsafe` blocks rely on are at [`Completion`].
+//! and what its `unsafe` blocks rely on are at `Completion`.
 
 use crate::chan::{poll, Waited};
 use crate::mailbox::{Arrival, Arrived, Fabric, Mailbox, Store};

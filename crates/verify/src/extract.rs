@@ -4,7 +4,7 @@
 //! `(rank, size, n, strategy, root)` — never on received *values* — so
 //! replaying one rank's call through the direct-path runner
 //! ([`intercom::ir::run_direct`]) against a
-//! [`RecordingComm`](intercom::trace::RecordingComm) yields exactly the
+//! [`RecordingComm`] yields exactly the
 //! operation sequence that rank would issue against a real backend.
 //! Running the same call once per rank produces the full symbolic
 //! schedule for the matcher in [`crate::schedule`]. The size parameter

@@ -27,7 +27,7 @@
 //!    primitives must be fully conflict-free. Sharing *between* stages
 //!    (a scatter tail overlapping a collect head as blocking ranks
 //!    drift apart) is transient pipeline skew: reported in the
-//!    [`Report`](report::Report), but not a violation.
+//!    [`Report`], but not a violation.
 //! 4. **Buffer-region safety** — within one step, a rank's read and
 //!    write byte-ranges never overlap (and no two writes collide).
 //!

@@ -274,7 +274,7 @@ fn predicted_sharing(op: &PlanOp, choice: Option<&HierChoice>) -> Option<impl Fn
 /// or hierarchical. Two inputs carry that difference: the placement —
 /// rank `r` sits on `machine.phys_node(r)` of `machine.phys_mesh()`,
 /// which for a mesh (one rank per node) is node `r` of the mesh itself
-/// — and the per-tag predicted sharing ([`predicted_sharing`]).
+/// — and the per-tag predicted sharing (`predicted_sharing`).
 ///
 /// Link conflicts are gated per *stage* (per tag): the §6 formulas
 /// account each stage's β term separately, so its conflict factor

@@ -2,7 +2,7 @@
 //! dump the timeline plus the cost-model residual report.
 //!
 //! Per run it writes `<op>_<backend>_p<P>.trace.json` (Chrome-trace /
-//! Perfetto format — load via https://ui.perfetto.dev) and
+//! Perfetto format — load via <https://ui.perfetto.dev>) and
 //! `<op>_<backend>_p<P>.residual.txt` (measured-vs-predicted folding)
 //! under `--out` (default `target/traces`), and prints a one-line
 //! summary. Threaded-backend residuals are fitted against unit machine

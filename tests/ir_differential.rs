@@ -14,74 +14,24 @@
 //!   to running the recursive code directly — on the threaded runtime
 //!   and on the mesh simulator.
 
+mod common;
+
+use common::{cells, fill, NODE_COUNTS};
+use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::comm::GroupComm;
-use intercom::ir::{execute, lower, ArgBuf, OwnedArgs, PlanOp};
+use intercom::ir::{cost_op, execute, lower, ArgBuf, OwnedArgs, PlanOp};
 use intercom::primitives::pipelined_ring_bcast;
 use intercom::trace::RecordingComm;
 use intercom::{algorithms, Comm, ReduceOp, Result, Tag};
-use intercom_cost::{Strategy, StrategyKind};
+use intercom_cost::{
+    enumerate_mesh_strategies, enumerate_strategies, stage_predictions, CostContext, Strategy,
+};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
 use intercom_verify::{extract_programs, ir_programs};
 use std::cell::{Cell, RefCell};
-
-/// Primes, powers of two, perfect squares and composites — the same
-/// spread the schedule audit sweeps.
-const NODE_COUNTS: [usize; 7] = [1, 4, 5, 9, 12, 16, 17];
-
-/// Deterministic, rank- and position-dependent payload.
-fn fill(rank: usize, buf: &mut [u8]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = ((i.wrapping_mul(7) + rank.wrapping_mul(31) + 3) % 251) as u8;
-    }
-}
-
-fn all_ops(p: usize) -> Vec<PlanOp> {
-    let last = p - 1;
-    vec![
-        PlanOp::Broadcast { root: 0 },
-        PlanOp::Reduce { root: last },
-        PlanOp::AllReduce,
-        PlanOp::ReduceScatter,
-        PlanOp::Collect,
-        PlanOp::Scatter { root: 0 },
-        PlanOp::Gather { root: last },
-        PlanOp::Alltoall,
-        PlanOp::PipelinedBcast {
-            root: 0,
-            segments: 3,
-        },
-    ]
-}
-
-fn strategies(p: usize) -> Vec<Strategy> {
-    let mut out = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
-    if p == 12 {
-        out.push(Strategy::new(vec![3, 4], StrategyKind::Mst));
-        out.push(Strategy::new(vec![4, 3], StrategyKind::ScatterCollect));
-    }
-    if p == 16 {
-        out.push(Strategy::new(vec![4, 4], StrategyKind::ScatterCollect));
-    }
-    out
-}
-
-/// `(op, strategy)` cells for world size `p`: strategy ops under every
-/// strategy, strategy-free ops once.
-fn cells(p: usize) -> Vec<(PlanOp, Option<Strategy>)> {
-    let mut out = Vec::new();
-    for op in all_ops(p) {
-        if op.takes_strategy() {
-            for st in strategies(p) {
-                out.push((op, Some(st)));
-            }
-        } else {
-            out.push((op, None));
-        }
-    }
-    out
-}
+use std::collections::BTreeSet;
 
 /// Runs `op` through the unmodified recursive code at base tag 0 and
 /// returns every buffer the call touched, concatenated (inputs too — a
@@ -315,6 +265,48 @@ fn ir_schedules_equal_recorded_replays() {
             }
         }
     }
+}
+
+#[test]
+fn every_transfer_runs_in_a_priced_stage() {
+    // The walker and `stage_predictions` read one template: the
+    // `(level, sub)` of every transfer's tag offset, over all ranks, is
+    // exactly the set of stages the cost model prices — none run
+    // unpriced, none priced that never run.
+    let mut cases = 0;
+    for p in [2usize, 3, 4, 5, 6, 8, 9, 12, 16, 17, 24] {
+        let mut all = enumerate_strategies(p, 0);
+        for rows in (1..=p).filter(|r| p % r == 0) {
+            all.extend(enumerate_mesh_strategies(rows, p / rows, 0));
+        }
+        let root = p / 2;
+        let ops = [
+            PlanOp::Broadcast { root },
+            PlanOp::Reduce { root },
+            PlanOp::AllReduce,
+            PlanOp::ReduceScatter,
+            PlanOp::Collect,
+        ];
+        for (op, st) in ops.iter().flat_map(|op| all.iter().map(move |st| (op, st))) {
+            let prog = lower(*op, Some(st), p, 947, 1).unwrap();
+            let steps = prog.ranks.iter().flat_map(|r| &r.steps);
+            let ran: BTreeSet<(u64, u64)> = steps
+                .filter_map(|s| s.kind.tag_off())
+                .map(|t| {
+                    (
+                        u64::from(t) / LEVEL_TAG_STRIDE,
+                        u64::from(t) % LEVEL_TAG_STRIDE,
+                    )
+                })
+                .collect();
+            let priced = stage_predictions(cost_op(*op).unwrap(), st, CostContext::LINEAR);
+            let priced: BTreeSet<(u64, u64)> =
+                priced.iter().map(|s| (s.level as u64, s.sub)).collect();
+            assert_eq!(ran, priced, "{} p={p} {st}", op.name());
+            cases += 1;
+        }
+    }
+    assert!(cases >= 2380, "{cases} cases");
 }
 
 /// A [`RecordingComm`] that also notes every `plan_step` stamp, with the

@@ -16,72 +16,18 @@
 //! cost virtual time on the simulator — and its shape: the optimized
 //! program's structure does not depend on the vector length.
 
+mod common;
+
+use common::{all_ops, cells, fill, NODE_COUNTS};
 use intercom::comm::GroupComm;
 use intercom::ir::{
     execute, lower, optimize, ArgBuf, CollectiveProgram, Loc, OwnedArgs, PlanOp, Step, StepKind,
 };
 use intercom::{Comm, Elem, ReduceOp};
-use intercom_cost::{enumerate_strategies, Strategy, StrategyKind};
+use intercom_cost::{enumerate_strategies, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
 use intercom_topology::Mesh2D;
-
-/// Primes, powers of two, perfect squares and composites — the same
-/// spread the schedule audit sweeps.
-const NODE_COUNTS: [usize; 7] = [1, 4, 5, 9, 12, 16, 17];
-
-/// Deterministic, rank- and position-dependent payload.
-fn fill(rank: usize, buf: &mut [u8]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = ((i.wrapping_mul(7) + rank.wrapping_mul(31) + 3) % 251) as u8;
-    }
-}
-
-fn all_ops(p: usize) -> Vec<PlanOp> {
-    let last = p - 1;
-    vec![
-        PlanOp::Broadcast { root: 0 },
-        PlanOp::Reduce { root: last },
-        PlanOp::AllReduce,
-        PlanOp::ReduceScatter,
-        PlanOp::Collect,
-        PlanOp::Scatter { root: 0 },
-        PlanOp::Gather { root: last },
-        PlanOp::Alltoall,
-        PlanOp::PipelinedBcast {
-            root: 0,
-            segments: 3,
-        },
-    ]
-}
-
-fn strategies(p: usize) -> Vec<Strategy> {
-    let mut out = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
-    if p == 12 {
-        out.push(Strategy::new(vec![3, 4], StrategyKind::Mst));
-        out.push(Strategy::new(vec![4, 3], StrategyKind::ScatterCollect));
-    }
-    if p == 16 {
-        out.push(Strategy::new(vec![4, 4], StrategyKind::ScatterCollect));
-    }
-    out
-}
-
-/// `(op, strategy)` cells for world size `p`: strategy ops under every
-/// strategy, strategy-free ops once.
-fn cells(p: usize) -> Vec<(PlanOp, Option<Strategy>)> {
-    let mut out = Vec::new();
-    for op in all_ops(p) {
-        if op.takes_strategy() {
-            for st in strategies(p) {
-                out.push((op, Some(st)));
-            }
-        } else {
-            out.push((op, None));
-        }
-    }
-    out
-}
 
 /// Compiles `op`, optionally running the pass pipeline over the
 /// compiled program.

@@ -16,12 +16,15 @@
 //! destination, tag, bytes, start, end, hops — everything but the
 //! `(plan, step)` stamp, which only the engine's walk sets).
 
+mod common;
+
+use common::{all_ops, strategies, NODE_COUNTS};
 use intercom::comm::GroupComm;
 use intercom::ir::{
     cost_op, execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind,
 };
 use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
-use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy, StrategyKind};
+use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport, TraceEvent};
 use intercom_topology::{Cluster, Mesh2D};
 
@@ -133,40 +136,6 @@ where
     assert_eq!(engine, direct, "{what}: the engine's walk");
     assert_eq!(walk, direct, "{what}: the default walk");
     engine.results
-}
-
-/// Primes, powers of two, perfect squares and composites — the
-/// battery of `ir_differential`.
-const NODE_COUNTS: [usize; 7] = [1, 4, 5, 9, 12, 16, 17];
-
-fn all_ops(p: usize) -> Vec<PlanOp> {
-    let last = p - 1;
-    vec![
-        PlanOp::Broadcast { root: 0 },
-        PlanOp::Reduce { root: last },
-        PlanOp::AllReduce,
-        PlanOp::ReduceScatter,
-        PlanOp::Collect,
-        PlanOp::Scatter { root: 0 },
-        PlanOp::Gather { root: last },
-        PlanOp::Alltoall,
-        PlanOp::PipelinedBcast {
-            root: 0,
-            segments: 3,
-        },
-    ]
-}
-
-fn strategies(p: usize) -> Vec<Strategy> {
-    let mut out = vec![Strategy::pure_mst(p), Strategy::pure_long(p)];
-    if p == 12 {
-        out.push(Strategy::new(vec![3, 4], StrategyKind::Mst));
-        out.push(Strategy::new(vec![4, 3], StrategyKind::ScatterCollect));
-    }
-    if p == 16 {
-        out.push(Strategy::new(vec![4, 4], StrategyKind::ScatterCollect));
-    }
-    out
 }
 
 /// Values whose sums round, so a fold in another order shows.

@@ -77,7 +77,7 @@ echo "==> cargo test (under a 900 s timeout)"
 # from cold, the suite itself under one.
 timeout 900 cargo test --workspace -q
 
-echo "==> pinned to one core: the threaded runtime's whole suite, and the simulator without its helper"
+echo "==> pinned to one core: the threaded runtime's whole suite, the core's threaded suites, and the simulator without its helper"
 # Pinned, every runtime test sees one core: `oversubscribed` runs 4
 # ranks on it, so every hop waits for a peer that can only run once the
 # waiting rank gives the core up; the mailbox stress runs 8 producers and
@@ -86,9 +86,15 @@ echo "==> pinned to one core: the threaded runtime's whole suite, and the simula
 # steady states included, run with every rank sharing the core.
 # The simulator sees one core too (`available_parallelism() == 1`), so
 # its engine spawns no helper and copies and folds every batch itself.
+# And the core's threaded suites run their collectives on threads, whose
+# default path is the deployed program: its rendezvous hops and one-way
+# sends where the plain program exchanged run with every rank sharing
+# the core.
 if command -v taskset >/dev/null; then
     timeout 240 taskset -c 0 cargo test -p intercom-runtime -q
     timeout 300 taskset -c 0 cargo test -p intercom-meshsim --test programs --test alloc_free -q
+    timeout 300 taskset -c 0 cargo test -p intercom --test collectives_threaded \
+        --test fused_threaded --test plans_threaded --test default_path_threaded -q
 else
     echo "SKIPPED: no taskset"
 fi

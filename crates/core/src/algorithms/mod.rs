@@ -34,14 +34,14 @@ pub use scatter_gather::{gather, scatter};
 pub(crate) use template::{walk, Reduce};
 pub use varying::{allgatherv, gatherv, scatterv};
 
+use crate::block::Split;
 use crate::comm::{Comm, GroupComm};
 use crate::error::{CommError, Result};
 use intercom_cost::Strategy;
-use std::ops::Range;
 
 /// `p` consecutive blocks of `b` items each.
-pub(crate) fn equal_blocks(p: usize, b: usize) -> Vec<Range<usize>> {
-    (0..p).map(|j| j * b..(j + 1) * b).collect()
+pub(crate) fn equal_blocks(p: usize, b: usize) -> Split {
+    Split::new(p * b, p)
 }
 
 /// Validates that `strategy` covers exactly this group.

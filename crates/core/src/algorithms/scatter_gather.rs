@@ -2,11 +2,11 @@
 //! (§4.2), exposed with MPI-style separate buffers.
 
 use crate::algorithms::equal_blocks;
+use crate::block::Blocks;
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::primitives::{mst_gather, mst_scatter};
-use std::ops::Range;
 
 /// The root's whole buffer, which must hold `total` items.
 fn sized<B: AsRef<[T]>, T>(full: Option<B>, total: usize) -> Result<B> {
@@ -58,18 +58,18 @@ pub(super) fn scatter_blocks<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     full: Option<&[T]>,
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     mine: &mut [T],
     tag: Tag,
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let me = gc.me();
-    let work = T::scratch(scratch, blocks.last().map_or(0, |b| b.end));
+    let work = T::scratch(scratch, blocks.total());
     if me == root {
         gc.copy(sized(full, work.len())?, work);
     }
     mst_scatter(gc, root, work, blocks, tag)?;
-    gc.copy(&work[blocks[me].clone()], mine);
+    gc.copy(&work[blocks.block(me)], mine);
     Ok(())
 }
 
@@ -80,19 +80,19 @@ pub(super) fn gather_blocks<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     mine: &[T],
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     full: Option<&mut [T]>,
     tag: Tag,
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let me = gc.me();
-    let total = blocks.last().map_or(0, |b| b.end);
+    let total = blocks.total();
     let work = if me == root {
         sized(full, total)?
     } else {
         T::scratch(scratch, total)
     };
-    gc.copy(mine, &mut work[blocks[me].clone()]);
+    gc.copy(mine, &mut work[blocks.block(me)]);
     mst_gather(gc, root, work, blocks, tag)
 }
 

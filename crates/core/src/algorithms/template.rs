@@ -25,7 +25,7 @@
 //! `root / d0`, is the root. The rootless ops run rooted at 0.
 
 use crate::algorithms::LEVEL_TAG_STRIDE;
-use crate::block::partition;
+use crate::block::{Blocks, Split};
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::Result;
 use crate::op::{Elem, ReduceOp};
@@ -33,7 +33,6 @@ use crate::primitives::{
     mst_bcast, mst_gather, mst_reduce, mst_scatter, ring_collect, ring_reduce_scatter,
 };
 use intercom_cost::{flat_template, CollectiveOp, FlatTemplate, StageKind, StrategyKind};
-use std::ops::Range;
 
 /// A collective whose template is a compile-time constant: [`walk`] is
 /// instantiated once per op, so which stages a level runs is decided at
@@ -84,22 +83,15 @@ pub(crate) fn walk<O: Template, T: Elem, C: Comm + ?Sized>(
     }
     let template = O::TEMPLATE;
     if dims.len() == 1 {
-        let centre = template.centre(kind);
-        // A whole-vector centre (an MST broadcast or combine) needs no
-        // block table.
-        let blocks = if centre.iter().flatten().all(|&k| whole_vector(k)) {
-            Vec::new()
-        } else {
-            partition(buf.len(), p)
-        };
-        for (sub, stage) in centre.into_iter().flatten().enumerate() {
+        let blocks = Split::new(buf.len(), p);
+        for (sub, stage) in template.centre(kind).into_iter().flatten().enumerate() {
             run(stage, gc, root, buf, &blocks, op, tag + sub as Tag, bucket)?;
         }
         return Ok(());
     }
     let (d0, me) = (dims[0], gc.me());
     let on_root_line = me / d0 == root / d0;
-    let blocks = partition(buf.len(), d0);
+    let blocks = Split::new(buf.len(), d0);
     let line = gc.line(d0);
     let runs_here = |stage: StageKind| is_bucket(stage) || on_root_line;
     if let Some(stage) = template.stage1.filter(|&k| runs_here(k)) {
@@ -110,7 +102,7 @@ pub(crate) fn walk<O: Template, T: Elem, C: Comm + ?Sized>(
         &dims[1..],
         kind,
         root / d0,
-        &mut buf[blocks[me % d0].clone()],
+        &mut buf[blocks.block(me % d0)],
         op,
         tag + LEVEL_TAG_STRIDE,
         bucket,
@@ -129,11 +121,6 @@ fn is_bucket(stage: StageKind) -> bool {
     )
 }
 
-/// A stage that moves the whole vector rather than blocks of it.
-fn whole_vector(stage: StageKind) -> bool {
-    matches!(stage, StageKind::MstBcast | StageKind::MstCombine)
-}
-
 /// Runs one stage's primitive over `gc`, inlined into each instance of
 /// [`walk`].
 #[allow(clippy::too_many_arguments)]
@@ -143,7 +130,7 @@ fn run<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     buf: &mut [T],
-    blocks: &[Range<usize>],
+    blocks: &Split,
     op: ReduceOp,
     tag: Tag,
     bucket: &mut [T],

@@ -51,7 +51,7 @@ pub fn scatterv<T: Scalar, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = checked_blocks(gc, counts, mine.len())?;
-    scatter_blocks(gc, root, full, &blocks, mine, tag, scratch)
+    scatter_blocks(gc, root, full, &blocks[..], mine, tag, scratch)
 }
 
 /// Gather with per-rank counts: member `j` contributes `counts[j]` items;
@@ -66,7 +66,7 @@ pub fn gatherv<T: Scalar, C: Comm + ?Sized>(
     scratch: &mut Vec<u64>,
 ) -> Result<()> {
     let blocks = checked_blocks(gc, counts, mine.len())?;
-    gather_blocks(gc, root, mine, &blocks, full, tag, scratch)
+    gather_blocks(gc, root, mine, &blocks[..], full, tag, scratch)
 }
 
 /// Collect with per-rank counts (`gcolx` semantics): member `j`
@@ -84,7 +84,7 @@ pub fn allgatherv<T: Scalar, C: Comm + ?Sized>(
     let total = blocks.last().map_or(0, |b| b.end);
     expect_len(total, all.len())?;
     all[blocks[gc.me()].clone()].copy_from_slice(mine);
-    ring_collect(gc, all, &blocks, tag)
+    ring_collect(gc, all, &blocks[..], tag)
 }
 
 #[cfg(test)]

@@ -40,10 +40,89 @@ pub fn partition(n: usize, p: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// A table of consecutive item ranges, one per group member, starting
+/// at 0: what the block-moving primitives read. A slice of ranges is
+/// one, and so is a [`Split`], which computes each block instead of
+/// storing it.
+pub trait Blocks {
+    /// How many blocks.
+    fn count(&self) -> usize;
+
+    /// The item range of block `i`.
+    fn block(&self, i: usize) -> Range<usize>;
+
+    /// Items over all blocks: where the last one ends.
+    fn total(&self) -> usize {
+        self.count()
+            .checked_sub(1)
+            .map_or(0, |last| self.block(last).end)
+    }
+}
+
+impl Blocks for [Range<usize>] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn block(&self, i: usize) -> Range<usize> {
+        self[i].clone()
+    }
+}
+
+/// [`partition`]'s blocks of an `n`-item vector split `p` ways, each
+/// computed when asked for: the recursive template splits its vector at
+/// every level of every call, and a table would be a heap vector each
+/// time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split {
+    q: usize,
+    r: usize,
+    p: usize,
+}
+
+impl Split {
+    /// `n` items over `p` blocks.
+    pub fn new(n: usize, p: usize) -> Self {
+        Split {
+            q: n / p,
+            r: n % p,
+            p,
+        }
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i * self.q + i.min(self.r)
+    }
+}
+
+impl Blocks for Split {
+    fn count(&self) -> usize {
+        self.p
+    }
+
+    #[inline]
+    fn block(&self, i: usize) -> Range<usize> {
+        debug_assert!(i < self.p, "block index {i} out of {}", self.p);
+        self.start(i)..self.start(i + 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SplitMix64;
+
+    #[test]
+    fn a_split_computes_the_partition() {
+        for n in [0, 1, 7, 12, 100] {
+            for p in [1, 3, 4, 7, 16] {
+                let split = Split::new(n, p);
+                let computed: Vec<_> = (0..p).map(|i| split.block(i)).collect();
+                assert_eq!(computed, partition(n, p), "n={n} p={p}");
+                assert_eq!(split.total(), n);
+            }
+        }
+    }
 
     #[test]
     fn even_split() {

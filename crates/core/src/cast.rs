@@ -73,15 +73,38 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + sealed::Sealed 
     fn scratch(arena: &mut Vec<u64>, len: usize) -> &mut [Self] {
         const { assert!(std::mem::align_of::<Self>() <= std::mem::align_of::<u64>()) };
         let words = (len * Self::SIZE).div_ceil(std::mem::size_of::<u64>());
-        if arena.len() < words {
-            arena.resize(words, 0);
-        }
+        grow_arena(arena, words);
         // SAFETY: the arena holds at least `len * SIZE` initialized
         // bytes (just ensured), its base is aligned for `u64` and hence
         // for `Self` (asserted above), `u64` has no padding and every
         // bit pattern is a valid `Self` for the sealed POD implementors;
         // the view borrows the arena mutably for its whole lifetime.
         unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr().cast::<Self>(), len) }
+    }
+}
+
+/// Grows a word arena to at least `words` words, keeping what it holds.
+/// An empty arena's words come from a zeroed allocation, which the
+/// allocator hands out without writing them, so bytes no caller writes
+/// take no resident memory (`Vec::resize` writes a zero to each); a
+/// later growth reallocates as `Vec::resize` does.
+pub(crate) fn grow_arena(arena: &mut Vec<u64>, words: usize) {
+    if arena.is_empty() && words > 0 {
+        *arena = vec![0; words];
+    } else if arena.len() < words {
+        arena.resize(words, 0);
+    }
+}
+
+/// Grows a word arena to at least `words` words whose contents do not
+/// matter: the old allocation is freed before the new, zeroed one is
+/// made, so the two are never resident together and bytes no caller
+/// writes — a landing the backend never lands in because it lends the
+/// sender's bytes, a replay's arguments — take no resident memory.
+pub(crate) fn regrow_arena(arena: &mut Vec<u64>, words: usize) {
+    if arena.len() < words {
+        *arena = Vec::new();
+        *arena = vec![0; words];
     }
 }
 

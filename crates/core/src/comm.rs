@@ -17,9 +17,9 @@
 //! steps: each becomes the call a collective written against this trait
 //! would have made, so every backend runs programs with nothing to
 //! implement, and a backend that can do better (the simulator, which
-//! hands its engine a whole call) overrides it. [`Comm::runs_programs`]
-//! is only a routing bit: whether [`Communicator`](crate::Communicator)
-//! calls go through programs at all.
+//! hands its engine a whole call) overrides it. [`Comm::default_path`]
+//! only routes: which program, if any, a
+//! [`Communicator`](crate::Communicator) call runs.
 //!
 //! [`GroupComm`] layers the paper's §9 group abstraction on top: an
 //! ordered member list provides the logical-to-physical mapping, so every
@@ -28,9 +28,10 @@
 
 use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
-use crate::ir::{BoundProgram, StepAction};
+use crate::ir::{BoundProgram, OptLevel, StepAction};
 use crate::op::{Elem, ReduceOp};
 use crate::trace::RecordingComm;
+use std::sync::Arc;
 
 /// Message tag disambiguating concurrent traffic between the same pair of
 /// nodes. Matching is FIFO per `(source, tag)`.
@@ -179,19 +180,28 @@ pub trait Comm {
         let _ = (plan, step);
     }
 
-    /// The routing bit: whether [`Communicator`](crate::Communicator)
-    /// calls run as the call's compiled program, handed over through
-    /// [`Comm::run_program`], instead of as the direct path's recursive
-    /// algorithms (which issue the same calls; a call too large for
-    /// compact steps, [`ir::fits_steps`](crate::ir::fits_steps), takes
-    /// the direct path either way). Persistent plans and
+    /// Which program this backend's [`Communicator`](crate::Communicator)
+    /// calls run, by its optimization level: `None` — the direct path's
+    /// recursive algorithms —, [`OptLevel::None`] — the plain program,
+    /// lowered from the direct path, so it issues the same calls in the
+    /// same order — or [`OptLevel::Full`] — the deployed program, what
+    /// persistent plans run: the plain one with empty halves elided,
+    /// same-stage halves fused and dead copies dropped, to the same
+    /// bits with fewer messages. A program is handed over through
+    /// [`Comm::run_program`]; a call too large for compact steps
+    /// ([`ir::fits_steps`](crate::ir::fits_steps)) takes the direct path
+    /// whatever this says. Persistent plans and
     /// [`ir::execute`](crate::ir::execute) run programs whatever this
     /// says.
     ///
-    /// The default is no: a backend that leaves it alone runs every
-    /// `Communicator` call exactly as before programs existed.
-    fn runs_programs(&self) -> bool {
-        false
+    /// The default is `None`: a backend or wrapper that leaves it alone
+    /// runs every `Communicator` call exactly as before programs
+    /// existed. The simulator answers plain — its virtual times are the
+    /// cost model's, which prices the schedule as the recursion issues
+    /// it — and the threaded runtime deployed, where every message and
+    /// every step of per-call software is wall-clock time.
+    fn default_path(&self) -> Option<OptLevel> {
+        None
     }
 
     /// Runs a bound program: every one of its steps, in order, through
@@ -257,6 +267,21 @@ pub trait Comm {
                             self.local_reduce(acc, other);
                         })?
                     }
+                    StepAction::SendRecvCombine {
+                        to,
+                        data,
+                        from,
+                        dst,
+                        other,
+                        tag,
+                        fold,
+                    } => self.sendrecv_with(to, data, from, dst, tag, &mut |dst, lent| {
+                        match lent {
+                            Some(arrived) => fold.combine(dst, arrived, other),
+                            None => fold.apply(dst, other),
+                        }
+                        self.local_reduce(dst, other);
+                    })?,
                     StepAction::Copy { src, dst } => self.local_copy(src, dst),
                     StepAction::Reduce { acc, other } => self.local_reduce(acc, other),
                     StepAction::Permute {
@@ -314,10 +339,18 @@ impl Comm for SelfComm {
 ///
 /// All collective algorithms in this crate are written against
 /// `GroupComm`; sub-groups for hybrid stages are carved out with
-/// [`GroupComm::line`] and [`GroupComm::plane`].
+/// [`GroupComm::line`] and [`GroupComm::plane`]. A sub-group shares
+/// its parent's member array and views it — a line as a run of it, a
+/// plane strided — so carving one allocates nothing, at any depth of
+/// the recursive template.
 pub struct GroupComm<'a, C: Comm + ?Sized> {
     comm: &'a C,
-    members: Vec<usize>,
+    /// The member array of the group this one was carved from.
+    list: Arc<[usize]>,
+    /// Logical rank `i` is world rank `list[base + i * stride]`.
+    base: usize,
+    stride: usize,
+    len: usize,
     me: usize,
     /// Cleared in a recording replay ([`GroupComm::recording`]): copies
     /// and folds then fire their hooks without touching a byte.
@@ -342,14 +375,7 @@ impl<'a> GroupComm<'a, RecordingComm> {
 impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// The whole world as one group, logical rank = world rank.
     pub fn world(comm: &'a C) -> Self {
-        let members = (0..comm.size()).collect();
-        let me = comm.rank();
-        GroupComm {
-            comm,
-            members,
-            me,
-            moves_data: true,
-        }
+        GroupComm::of(comm, (0..comm.size()).collect(), comm.rank())
     }
 
     /// A group from an explicit member list. Fails with
@@ -359,12 +385,19 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
             .iter()
             .position(|&m| m == comm.rank())
             .ok_or(CommError::NotInGroup)?;
-        Ok(GroupComm {
+        Ok(GroupComm::of(comm, members.into(), me))
+    }
+
+    fn of(comm: &'a C, list: Arc<[usize]>, me: usize) -> Self {
+        GroupComm {
             comm,
-            members,
+            base: 0,
+            stride: 1,
+            len: list.len(),
+            list,
             me,
             moves_data: true,
-        })
+        }
     }
 
     /// The underlying endpoint.
@@ -379,7 +412,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
 
     /// Group size.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     /// Groups are never empty.
@@ -388,13 +421,43 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     }
 
     /// World rank of logical rank `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i < len()`.
     pub fn world_rank(&self, i: usize) -> usize {
-        self.members[i]
+        assert!(
+            i < self.len,
+            "logical rank {i} outside a group of {}",
+            self.len
+        );
+        self.list[self.base + i * self.stride]
     }
 
-    /// The member list (logical order).
-    pub fn members(&self) -> &[usize] {
-        &self.members
+    /// The members' world ranks, in logical order.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        (0..self.len).map(|i| self.world_rank(i))
+    }
+
+    /// The members as one run of the array the group was carved from,
+    /// where they are one (the whole group, a line of it); `None` for a
+    /// plane's strided members.
+    pub fn member_slice(&self) -> Option<&[usize]> {
+        (self.stride == 1 || self.len == 1).then(|| &self.list[self.base..self.base + self.len])
+    }
+
+    /// A sub-group of `len` members, the first at logical rank `first`,
+    /// `step` logical ranks apart; I am its member `me`.
+    fn carve(&self, first: usize, step: usize, len: usize, me: usize) -> GroupComm<'a, C> {
+        GroupComm {
+            comm: self.comm,
+            list: Arc::clone(&self.list),
+            base: self.base + first * self.stride,
+            stride: self.stride * step,
+            len,
+            me,
+            moves_data: self.moves_data,
+        }
     }
 
     /// My dimension-0 *line* for a first-dimension extent `d`: the `d`
@@ -402,14 +465,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// rank within the line is `me mod d`.
     pub fn line(&self, d: usize) -> GroupComm<'a, C> {
         debug_assert_eq!(self.len() % d, 0, "line extent must divide group");
-        let base = self.me / d * d;
-        let members = self.members[base..base + d].to_vec();
-        GroupComm {
-            comm: self.comm,
-            members,
-            me: self.me % d,
-            moves_data: self.moves_data,
-        }
+        self.carve(self.me / d * d, 1, d, self.me % d)
     }
 
     /// My dimension-0 *plane* for a first-dimension extent `d`: the
@@ -418,16 +474,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// `⌊me/d⌋`.
     pub fn plane(&self, d: usize) -> GroupComm<'a, C> {
         debug_assert_eq!(self.len() % d, 0, "plane extent must divide group");
-        let offset = self.me % d;
-        let members = (0..self.len() / d)
-            .map(|j| self.members[offset + j * d])
-            .collect();
-        GroupComm {
-            comm: self.comm,
-            members,
-            me: self.me / d,
-            moves_data: self.moves_data,
-        }
+        self.carve(self.me % d, d, self.len() / d, self.me / d)
     }
 
     /// Validates a logical peer rank.
@@ -445,14 +492,14 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     /// Typed blocking send to logical rank `to`.
     pub fn send<T: Scalar>(&self, to: usize, tag: Tag, data: &[T]) -> Result<()> {
         self.check(to)?;
-        self.comm.send(self.members[to], tag, T::as_bytes(data))
+        self.comm.send(self.world_rank(to), tag, T::as_bytes(data))
     }
 
     /// Typed blocking receive from logical rank `from`.
     pub fn recv<T: Scalar>(&self, from: usize, tag: Tag, buf: &mut [T]) -> Result<()> {
         self.check(from)?;
         self.comm
-            .recv(self.members[from], tag, T::as_bytes_mut(buf))
+            .recv(self.world_rank(from), tag, T::as_bytes_mut(buf))
     }
 
     /// Typed concurrent exchange: send `data` to `to` while receiving
@@ -468,9 +515,9 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
         self.check(to)?;
         self.check(from)?;
         self.comm.sendrecv(
-            self.members[to],
+            self.world_rank(to),
             T::as_bytes(data),
-            self.members[from],
+            self.world_rank(from),
             T::as_bytes_mut(buf),
             tag,
         )
@@ -490,7 +537,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
     ) -> Result<()> {
         self.check(from)?;
         lend_typed(buf, sink, |bytes, sink| {
-            self.comm.recv_with(self.members[from], tag, bytes, sink)
+            self.comm.recv_with(self.world_rank(from), tag, bytes, sink)
         })
     }
 
@@ -509,9 +556,9 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
         self.check(from)?;
         lend_typed(buf, sink, |bytes, sink| {
             self.comm.sendrecv_with(
-                self.members[to],
+                self.world_rank(to),
                 T::as_bytes(data),
-                self.members[from],
+                self.world_rank(from),
                 bytes,
                 tag,
                 sink,
@@ -560,9 +607,7 @@ impl<'a, C: Comm + ?Sized> GroupComm<'a, C> {
         assert_eq!(all.len(), b * blocks, "un-permuting a partial vector");
         let bytes = b * T::SIZE;
         let words = bytes.div_ceil(std::mem::size_of::<u64>());
-        if scratch.len() < words {
-            scratch.resize(words, 0);
-        }
+        crate::cast::grow_arena(scratch, words);
         let held = &mut u64::as_bytes_mut(&mut scratch[..words])[..bytes];
         let region = T::as_bytes_mut(all);
         if self.moves_data {
@@ -693,7 +738,8 @@ mod tests {
         let c = FakeComm { rank: 7, size: 12 };
         let g = GroupComm::world(&c);
         let line = g.line(3); // ranks [6, 7, 8]
-        assert_eq!(line.members(), &[6, 7, 8]);
+        assert_eq!(line.members().collect::<Vec<_>>(), [6, 7, 8]);
+        assert_eq!(line.member_slice(), Some(&[6, 7, 8][..]));
         assert_eq!(line.me(), 1);
     }
 
@@ -702,7 +748,8 @@ mod tests {
         let c = FakeComm { rank: 7, size: 12 };
         let g = GroupComm::world(&c);
         let plane = g.plane(3); // coordinate 7 % 3 == 1: ranks [1, 4, 7, 10]
-        assert_eq!(plane.members(), &[1, 4, 7, 10]);
+        assert_eq!(plane.members().collect::<Vec<_>>(), [1, 4, 7, 10]);
+        assert_eq!(plane.member_slice(), None);
         assert_eq!(plane.me(), 2);
     }
 
@@ -716,7 +763,7 @@ mod tests {
         assert_eq!(p1.me(), 3);
         let line2 = p1.line(3); // dim1 line within plane: [7/?]..
                                 // p1 members [1,3,5,7,9,11]; me=3 → base 3/3*3=3 → members[3..6] = [7,9,11]
-        assert_eq!(line2.members(), &[7, 9, 11]);
+        assert_eq!(line2.members().collect::<Vec<_>>(), [7, 9, 11]);
         assert_eq!(line2.me(), 0);
     }
 

@@ -12,7 +12,7 @@ use crate::autotune::{AutoTuner, RetuneReport, TrackedShape};
 use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::{CommError, Result};
-use crate::ir::{self, ArgBuf, PlanOp};
+use crate::ir::{self, ArgBuf, CollectiveProgram, OptLevel, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use crate::selector::{choose, GroupShape};
 use intercom_cost::{
@@ -22,6 +22,7 @@ use intercom_cost::{
 use intercom_obs::residual::ResidualReport;
 use intercom_topology::{Cluster, Hypercube, Mesh2D, ProcGroup};
 use std::cell::{Cell, Ref, RefCell};
+use std::sync::Arc;
 
 pub use intercom_obs::CALL_TAG_STRIDE;
 
@@ -60,7 +61,30 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// The direct path never re-zeroes it; a compiled program zeroes
     /// the part it uses before its first step that touches it.
     scratch: RefCell<Vec<u64>>,
+    /// The call shapes this communicator ran and their programs, for a
+    /// backend whose default path runs programs ([`Comm::default_path`]):
+    /// a repeated call selects nothing, takes no plan-cache lock and
+    /// clones no `Arc`. Emptied when the machine it was selected under
+    /// changes ([`Communicator::attach_tuner`], a refit through
+    /// [`Communicator::observe`]).
+    memo: RefCell<Vec<Memo>>,
 }
+
+/// One remembered call shape and the program it runs.
+struct Memo {
+    op: PlanOp,
+    n: usize,
+    elem_size: usize,
+    algo: Algo,
+    /// `None` while the shape has run once, on the direct path.
+    prog: Option<Arc<CollectiveProgram>>,
+}
+
+/// Call shapes a communicator remembers, the oldest forgotten first.
+/// The examples and the benchmark's threaded workloads run at most 6
+/// shapes a communicator; a rotation longer than this runs every call
+/// as its first, on the direct path.
+const MEMO_CAPACITY: usize = 16;
 
 impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     fn with_shape(gc: GroupComm<'a, C>, machine: HierMachine, shape: GroupShape) -> Self {
@@ -71,6 +95,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             tuner: RefCell::new(None),
             next_tag: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
+            memo: RefCell::new(Vec::new()),
         }
     }
 
@@ -211,6 +236,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     pub fn attach_tuner(&mut self, mut tuner: AutoTuner) {
         tuner.adopt(self.tuned);
         *self.tuner.get_mut() = Some(tuner);
+        self.memo.get_mut().clear();
     }
 
     /// Removes and returns the attached tuner, if any.
@@ -232,6 +258,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         let tuner = self.tuner.get_mut().as_mut()?;
         let rep = tuner.observe(report)?;
         self.tuned = *tuner.tuned();
+        self.memo.get_mut().clear();
         Some(rep)
     }
 
@@ -258,31 +285,98 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             Algo::Hybrid(s) => HierChoice::Flat(s.clone()),
             Algo::HierHybrid(h) => HierChoice::Hier(h.clone()),
             Algo::Auto => {
-                if let Some(t) = self.tuner.borrow_mut().as_mut() {
-                    t.track(TrackedShape {
-                        op,
-                        shape: self.shape,
-                        n,
-                        elem_size,
-                    });
-                }
+                self.track(op, n, elem_size);
                 let cop = ir::cost_op(op).expect("selector-driven ops are priced");
                 self.auto_choice(cop, op.cost_bytes(self.size(), n, elem_size))
             }
         }
     }
 
+    /// Registers a selector-driven call's shape with the attached tuner.
+    fn track(&self, op: PlanOp, n: usize, elem_size: usize) {
+        if let Some(t) = self.tuner.borrow_mut().as_mut() {
+            t.track(TrackedShape {
+                op,
+                shape: self.shape,
+                n,
+                elem_size,
+            });
+        }
+    }
+
+    /// Where in the memo the program of a call of `op` over `n` elements
+    /// of `elem_size` bytes under `algo` is — an [`Algo::Auto`] hit
+    /// still registering its shape with the tuner — or `None`: the call
+    /// runs the direct path.
+    ///
+    /// A shape's program is selected and looked up in the process-wide
+    /// plan cache at `opt` on its first call at [`OptLevel::None`] — the
+    /// simulator's, whose engine takes a program in one request — and
+    /// otherwise on its second: compiling a deployed program costs many
+    /// direct calls, and a shape that never repeats would not earn it
+    /// back, so its first call only remembers the shape.
+    fn memoized(
+        &self,
+        op: PlanOp,
+        n: usize,
+        elem_size: usize,
+        algo: &Algo,
+        opt: OptLevel,
+    ) -> Result<Option<usize>> {
+        let same = |m: &Memo| m.op == op && m.n == n && m.elem_size == elem_size && m.algo == *algo;
+        let found = self.memo.borrow().iter().position(same);
+        if let Some(i) = found {
+            if self.memo.borrow()[i].prog.is_some() {
+                if *algo == Algo::Auto {
+                    self.track(op, n, elem_size);
+                }
+                return Ok(Some(i));
+            }
+        }
+        let prog = match found.is_some() || opt == OptLevel::None {
+            true => {
+                let choice = op
+                    .takes_strategy()
+                    .then(|| self.choose(op, n, elem_size, algo));
+                let key = PlanKey {
+                    opt,
+                    ..PlanKey::plain(op, self.size(), n, elem_size, choice.as_ref())
+                };
+                Some(ir::global_cache().get_or_compile(&key)?)
+            }
+            false => None,
+        };
+        let mut memo = self.memo.borrow_mut();
+        if let Some(i) = found {
+            memo[i].prog = prog;
+            return Ok(Some(i));
+        }
+        if memo.len() == MEMO_CAPACITY {
+            memo.remove(0);
+        }
+        let compiled = prog.is_some();
+        memo.push(Memo {
+            op,
+            n,
+            elem_size,
+            algo: algo.clone(),
+            prog,
+        });
+        Ok(compiled.then(|| memo.len() - 1))
+    }
+
     /// One call: selector-driven where the op takes a strategy. `rop`
     /// is the ⊕ of a combining op; the others never apply it.
     ///
-    /// Where the backend's routing bit ([`Comm::runs_programs`]) is set
-    /// the call is its plain compiled program, looked up in the
-    /// process-wide plan cache and handed to [`Comm::run_program`];
-    /// everywhere else, and for a call too large for compact steps
-    /// ([`ir::fits_steps`]), it is the direct path. The two issue
-    /// the same operations in the same order (the program was lowered
-    /// from the direct path), so results and virtual times agree bit for
-    /// bit.
+    /// Where the backend's default path runs programs
+    /// ([`Comm::default_path`]) the call is its program at that level,
+    /// from the memo ([`Communicator::memoized`]), handed to
+    /// [`Comm::run_program`]; everywhere else — a shape's first call on
+    /// threads, a call too large for compact steps ([`ir::fits_steps`])
+    /// — it is the direct path. The plain program issues the direct path's
+    /// operations in the same order (it was lowered from it), so
+    /// results and virtual times agree bit for bit; the deployed one
+    /// issues fewer, to the same bits.
     fn run<T: Scalar>(
         &self,
         op: PlanOp,
@@ -291,15 +385,25 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         algo: &Algo,
         args: &mut [ArgBuf<'_, T>],
     ) -> Result<()> {
+        let memoized = match self.gc.comm().default_path() {
+            Some(opt) if ir::fits_steps(op, self.size(), n, T::SIZE) => {
+                self.memoized(op, n, T::SIZE, algo, opt)?
+            }
+            _ => None,
+        };
+        if let Some(i) = memoized {
+            let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
+            let memo = self.memo.borrow();
+            let prog = memo[i]
+                .prog
+                .as_ref()
+                .expect("a found entry holds its program");
+            return ir::execute(prog, &self.gc, rop, args, scratch, tag);
+        }
         let choice = op
             .takes_strategy()
             .then(|| self.choose(op, n, T::SIZE, algo));
         let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
-        if self.gc.comm().runs_programs() && ir::fits_steps(op, self.size(), n, T::SIZE) {
-            let key = ir::PlanKey::plain(op, self.size(), n, T::SIZE, choice.as_ref());
-            let prog = ir::global_cache().get_or_compile(&key)?;
-            return ir::execute(&prog, &self.gc, rop, args, scratch, tag);
-        }
         ir::run_direct(op, choice.as_ref(), &self.gc, rop, args, scratch, tag)
     }
 
@@ -591,8 +695,8 @@ mod tests {
             ) -> Result<()> {
                 self.0.sendrecv(to, d, from, b, t)
             }
-            fn runs_programs(&self) -> bool {
-                true
+            fn default_path(&self) -> Option<crate::ir::OptLevel> {
+                Some(crate::ir::OptLevel::None)
             }
             fn run_program(&self, _: &mut BoundProgram<'_>) -> Result<()> {
                 self.1.set(self.1.get() + 1);

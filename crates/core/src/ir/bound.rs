@@ -31,7 +31,7 @@
 use super::exec::ArgBuf;
 use super::{Buf, CollectiveProgram, Loc, Step, StepKind};
 use crate::algorithms::unpermute;
-use crate::cast::{typed_mut, Scalar};
+use crate::cast::{grow_arena, regrow_arena, typed_mut, Scalar};
 use crate::comm::Tag;
 use crate::error::{CommError, Result};
 use crate::op::ReduceOp;
@@ -75,6 +75,7 @@ pub struct BoundProgram<'a> {
 pub struct Fold {
     rop: ReduceOp,
     fold: fn(ReduceOp, &mut [u8], &[u8]),
+    combine: fn(ReduceOp, &mut [u8], &[u8], &[u8]),
     /// The element size less one: a mask, every element size being a
     /// power of two.
     align: u32,
@@ -89,6 +90,18 @@ impl Fold {
         // the indirect call.
         if !acc.is_empty() {
             (self.fold)(self.rop, acc, other);
+        }
+    }
+
+    /// `out = arrived ⊕ other` in one pass, all whole elements of equal
+    /// length, `out`'s contents ignored: what a fused combine
+    /// ([`StepAction::SendRecvCombine`]) does with a message it sees
+    /// where it lies, bit for bit `out = arrived` then `out ⊕= other`.
+    /// `arrived` may lie at any address.
+    #[inline]
+    pub fn combine(&self, out: &mut [u8], arrived: &[u8], other: &[u8]) {
+        if !out.is_empty() {
+            (self.combine)(self.rop, out, arrived, other);
         }
     }
 
@@ -176,6 +189,28 @@ pub enum StepAction<'p> {
         /// The bound ⊕.
         fold: Fold,
     },
+    /// Send `data` to `to` while receiving from `from`, the message
+    /// combined with `other` into `dst` (`dst = message ⊕ other`): out
+    /// of the sender's bytes with [`Fold::combine`] where the walker
+    /// sees them, else landed in `dst` and folded with [`Fold::apply`].
+    /// `dst` is disjoint from `data` and `other`.
+    SendRecvCombine {
+        /// Destination world rank of the send half.
+        to: usize,
+        /// The bytes to send.
+        data: &'p [u8],
+        /// Source world rank of the receive half.
+        from: usize,
+        /// Where the combined message goes; its length is the expected
+        /// message's.
+        dst: &'p mut [u8],
+        /// What the message is combined with.
+        other: &'p [u8],
+        /// Absolute tag of both halves.
+        tag: Tag,
+        /// The bound ⊕.
+        fold: Fold,
+    },
     /// Send `data` to `to` while receiving from `from` into a fold into
     /// `acc`, which is disjoint from `data`.
     SendRecvReduce {
@@ -251,6 +286,7 @@ impl<'a> BoundProgram<'a> {
             fold: Fold {
                 rop,
                 fold: fold_bytes::<T>,
+                combine: combine_bytes::<T>,
                 align: T::SIZE as u32 - 1,
             },
             base_tag,
@@ -280,11 +316,17 @@ impl<'a> BoundProgram<'a> {
     /// Readies the landing past the scratch, for a walker that receives
     /// a fused step's message before it folds it: grows the arena (once;
     /// never for a program without fused receives). The landing is not
-    /// zeroed: every fused receive overwrites what it folds.
+    /// zeroed, and growing it writes none of it: every fused receive
+    /// overwrites what it folds, and one the backend folds out of the
+    /// sender's bytes never touches it.
     pub fn ready_landing(&mut self) {
-        let words = (self.landing_at() + self.landing_bytes).div_ceil(WORD);
-        if self.landing_bytes > 0 && self.arena.len() < words {
-            self.arena.resize(words, 0);
+        if self.landing_bytes > 0 {
+            let words = (self.landing_at() + self.landing_bytes).div_ceil(WORD);
+            match self.zeroed {
+                true => grow_arena(self.arena, words),
+                // Nothing of this run is in the arena yet.
+                false => regrow_arena(self.arena, words),
+            }
         }
         self.landing = true;
     }
@@ -374,7 +416,7 @@ impl<'a> BoundProgram<'a> {
                 tag_off,
             } => {
                 let (to, from, tag) = (self.member(to)?, self.member(from)?, tag(tag_off));
-                let (data, buf, _) = self.read_write(&src, &dst)?;
+                let ([data], buf, _) = self.read_write([&src], &dst)?;
                 StepAction::SendRecv {
                     to,
                     data,
@@ -403,7 +445,7 @@ impl<'a> BoundProgram<'a> {
                 tag_off,
             } => {
                 let (to, from, tag) = (self.member(to)?, self.member(from)?, tag(tag_off));
-                let (data, acc, landing) = self.read_write(&src, &acc)?;
+                let ([data], acc, landing) = self.read_write([&src], &acc)?;
                 let landing = landing_for(landing, acc.len())?;
                 StepAction::SendRecvReduce {
                     to,
@@ -411,6 +453,30 @@ impl<'a> BoundProgram<'a> {
                     from,
                     acc,
                     landing,
+                    tag,
+                    fold,
+                }
+            }
+            StepKind::SendRecvCombine {
+                to,
+                from,
+                src,
+                dst,
+                other,
+                len,
+                tag_off,
+            } => {
+                let (to, from, tag) = (self.member(to)?, self.member(from)?, tag(tag_off));
+                let ([data, other], dst, _) = self.read_write(
+                    [&src.with_len(len), &other.with_len(len)],
+                    &dst.with_len(len),
+                )?;
+                StepAction::SendRecvCombine {
+                    to,
+                    data,
+                    from,
+                    dst,
+                    other,
                     tag,
                     fold,
                 }
@@ -443,10 +509,11 @@ impl<'a> BoundProgram<'a> {
             return;
         }
         let words = self.scratch_bytes.div_ceil(WORD);
-        let kept = self.arena.len().min(words);
-        self.arena[..kept].fill(0);
-        if self.arena.len() < words {
-            self.arena.resize(words, 0);
+        match self.arena.get_mut(..words) {
+            Some(scratch) => scratch.fill(0),
+            // Shorter than the scratch, so no landing is readied past
+            // it: nothing to keep.
+            None => regrow_arena(self.arena, words),
         }
         self.zeroed = true;
     }
@@ -503,53 +570,62 @@ impl<'a> BoundProgram<'a> {
         Ok((w, landing))
     }
 
-    /// Simultaneous shared read of `rloc` and mutable write of `wloc`,
-    /// splitting borrows across (or within) buffers, and the landing.
-    /// Overlapping operands within one buffer are rejected — the
-    /// verifier proves compiled programs never produce them.
+    /// Shared reads of `rlocs` and a mutable write of `wloc`, splitting
+    /// borrows across (or within) buffers, and the landing. The reads
+    /// may share bytes with each other; `Err` where one shares a byte
+    /// with the write — the verifier proves compiled programs never
+    /// produce that. An empty read of the written buffer reads nothing.
     #[inline(always)]
     #[allow(clippy::type_complexity)]
-    fn read_write(
+    fn read_write<const N: usize>(
         &mut self,
-        rloc: &Loc,
+        rlocs: [&Loc; N],
         wloc: &Loc,
-    ) -> Result<(&[u8], &mut [u8], Option<&mut [u8]>)> {
-        let (rr, wr) = (self.range(rloc)?, self.range(wloc)?);
-        let (args, scratch, landing) = self.buffers(touches(rloc) || touches(wloc));
-        // Argument slots as indices; `None` is the arena.
-        let slot = |b: Buf| match b {
-            Buf::Arg(i) => Some(usize::from(i)),
-            Buf::Scratch => None,
-        };
-        let (rd, wrt) = match (slot(rloc.buf), slot(wloc.buf)) {
-            (None, None) => split_same(scratch, rr, wr)?,
-            (Some(i), None) => {
-                let rd = arg_read(args.get(i).ok_or(OOB)?, rr)?;
-                (rd, scratch.get_mut(wr).ok_or(OOB)?)
-            }
-            (None, Some(j)) => {
-                let wrt = arg_write(args.get_mut(j).ok_or(OOB)?, wr)?;
-                (scratch.get(rr).ok_or(OOB)?, wrt)
-            }
-            (Some(i), Some(j)) if i == j => match args.get_mut(i).ok_or(OOB)? {
-                ArgBuf::Out(b) => split_same(b, rr, wr)?,
-                ArgBuf::In(_) => return Err(READ_ONLY),
-                ArgBuf::Absent => return Err(ABSENT),
-            },
-            (Some(i), Some(j)) => {
-                if i.max(j) >= args.len() {
+    ) -> Result<([&[u8]; N], &mut [u8], Option<&mut [u8]>)> {
+        let mut rr: [Range<usize>; N] = std::array::from_fn(|_| 0..0);
+        for (r, loc) in rr.iter_mut().zip(rlocs) {
+            *r = self.range(loc)?;
+        }
+        let wr = self.range(wloc)?;
+        let touch = touches(wloc) || rlocs.iter().any(|loc| touches(loc));
+        let (args, scratch, landing) = self.buffers(touch);
+        // The written buffer, lent mutably, apart from all the others.
+        let (lo, written, hi, scratch) = match wloc.buf {
+            Buf::Scratch => (&*args, scratch, &[][..], None),
+            Buf::Arg(j) => {
+                let j = usize::from(j);
+                if j >= args.len() {
                     return Err(OOB);
                 }
-                let (lo, hi) = args.split_at_mut(i.max(j));
-                let (ra, wa) = if i < j {
-                    (&lo[i], &mut hi[0])
-                } else {
-                    (&hi[0], &mut lo[j])
+                let (lo, rest) = args.split_at_mut(j);
+                let (written, hi) = rest.split_first_mut().ok_or(OOB)?;
+                let written = match written {
+                    ArgBuf::Out(b) => &mut **b,
+                    ArgBuf::In(_) => return Err(READ_ONLY),
+                    ArgBuf::Absent => return Err(ABSENT),
                 };
-                (arg_read(ra, rr)?, arg_write(wa, wr)?)
+                (&*lo, written, &*hi, Some(&*scratch))
             }
         };
-        Ok((rd, wrt, landing))
+        let (around, dst) = carve(written, wr)?;
+        let mut reads: [&[u8]; N] = [&[]; N];
+        for ((read, loc), r) in reads.iter_mut().zip(rlocs).zip(rr) {
+            *read = match (loc.buf, scratch) {
+                (b, _) if b == wloc.buf => around.read(r)?,
+                (Buf::Scratch, Some(scratch)) => scratch.get(r).ok_or(OOB)?,
+                (Buf::Arg(i), _) => {
+                    let i = usize::from(i);
+                    let arg = match (i.checked_sub(lo.len()), wloc.buf) {
+                        (None, _) => lo.get(i),
+                        (Some(k), Buf::Arg(_)) => hi.get(k.checked_sub(1).ok_or(OOB)?),
+                        (Some(_), Buf::Scratch) => None,
+                    };
+                    arg_read(arg.ok_or(OOB)?, r)?
+                }
+                (Buf::Scratch, None) => unreachable!("the write is the arena's"),
+            };
+        }
+        Ok((reads, dst, landing))
     }
 
     /// The operands of a permutation over `radices`: its region and its
@@ -584,7 +660,7 @@ impl<'a> BoundProgram<'a> {
     /// long.
     #[inline(always)]
     fn operands(&mut self, src: &Loc, dst: &Loc) -> Result<(&[u8], &mut [u8])> {
-        let (src, dst, _) = self.read_write(src, dst)?;
+        let ([src], dst, _) = self.read_write([src], dst)?;
         if src.len() != dst.len() {
             return Err(CommError::PlanMismatch {
                 what: "step operands differ in length",
@@ -643,11 +719,55 @@ fn arg_write<'x>(arg: &'x mut ArgBuf<'_, u8>, r: Range<usize>) -> Result<&'x mut
     }
 }
 
-/// Disjoint shared/mutable views of two ranges of one buffer.
+/// `buf` lent around its written range `w`: `w`'s own bytes (mutable)
+/// and the rest (shared), `Err` where `w` runs past the end.
 #[inline(always)]
-fn split_same(buf: &mut [u8], r: Range<usize>, w: Range<usize>) -> Result<(&[u8], &mut [u8])> {
-    let (r, w) = split_mut(buf, r, w)?;
-    Ok((r, w))
+fn carve(buf: &mut [u8], w: Range<usize>) -> Result<(Around<'_>, &mut [u8])> {
+    if w.end > buf.len() {
+        return Err(OOB);
+    }
+    if w.is_empty() {
+        return Ok((
+            Around {
+                before: buf,
+                after: &[],
+                w: 0..0,
+            },
+            &mut [],
+        ));
+    }
+    let (before, rest) = buf.split_at_mut(w.start);
+    let (mid, after) = rest.split_at_mut(w.len());
+    Ok((Around { before, after, w }, mid))
+}
+
+/// The readable rest of a buffer [`carve`]d around its written range
+/// `w`: the bytes before it and those after it (all of them, before,
+/// where `w` is empty).
+struct Around<'x> {
+    before: &'x [u8],
+    after: &'x [u8],
+    w: Range<usize>,
+}
+
+impl<'x> Around<'x> {
+    /// The bytes `r`, `Err` if they share one with the write.
+    #[inline(always)]
+    fn read(&self, r: Range<usize>) -> Result<&'x [u8]> {
+        if r.is_empty() {
+            Ok(&[])
+        } else if r.end <= self.w.start || self.w.is_empty() {
+            self.before.get(r).ok_or(OOB)
+        } else if r.start >= self.w.end {
+            self.after
+                .get(r.start - self.w.end..r.end - self.w.end)
+                .ok_or(OOB)
+        } else {
+            Err(CommError::PlanMismatch {
+                what: "overlapping read/write operands in one step",
+            })
+        }
+    }
 }
 
 /// Disjoint mutable views of two ranges of one buffer.
@@ -685,6 +805,15 @@ fn touches_scratch(kind: &StepKind) -> bool {
         StepKind::Send { src: a, .. }
         | StepKind::Recv { dst: a, .. }
         | StepKind::RecvReduce { acc: a, .. } => touches(a),
+        StepKind::SendRecvCombine {
+            src,
+            dst,
+            other,
+            len,
+            ..
+        } => [src, dst, other]
+            .iter()
+            .any(|at| touches(&at.with_len(*len))),
         StepKind::SendRecv { src: a, dst: b, .. }
         | StepKind::SendRecvReduce { src: a, acc: b, .. }
         | StepKind::Copy { src: a, dst: b }
@@ -693,6 +822,31 @@ fn touches_scratch(kind: &StepKind) -> bool {
             region: a, held: b, ..
         } => touches(a) || touches(b),
         StepKind::Compute { .. } | StepKind::CallOverhead => false,
+    }
+}
+
+/// `out = arrived ⊕ other` over byte views of `T` elements: `out` and
+/// `other` aligned (`T` slices' or the word arena's, at offsets checked
+/// to be whole elements), `arrived` anywhere.
+fn combine_bytes<T: Scalar>(op: ReduceOp, out: &mut [u8], arrived: &[u8], other: &[u8]) {
+    let out = typed_mut::<T>(out).expect("bound operands are aligned whole elements");
+    let other = T::from_bytes(other).expect("bound operands are aligned whole elements");
+    match T::from_bytes(arrived) {
+        Some(arrived) => op.combine_into(out, arrived, other),
+        // Element by element through an aligned word.
+        None => {
+            assert_eq!(
+                out.len() * T::SIZE,
+                arrived.len(),
+                "combine length mismatch"
+            );
+            for ((o, a), &b) in out.iter_mut().zip(arrived.chunks_exact(T::SIZE)).zip(other) {
+                let mut word = [0u64];
+                u64::as_bytes_mut(&mut word)[..T::SIZE].copy_from_slice(a);
+                let a = T::from_bytes(&u64::as_bytes(&word)[..T::SIZE]).expect("a word is aligned");
+                *o = T::combine(op, a[0], b);
+            }
+        }
     }
 }
 
@@ -749,6 +903,7 @@ mod tests {
                 scratch_bytes: 4,
                 landing_bytes: 0,
             }],
+            series: Default::default(),
         };
         // An arena an earlier call left dirty is zeroed in place; an
         // empty one is grown.
@@ -794,6 +949,7 @@ mod tests {
                 scratch_bytes: 0,
                 landing_bytes: 8,
             }],
+            series: Default::default(),
         };
         let (mut buf, mut arena) = ([1u32, 2, 3, 4], Vec::new());
         {
@@ -862,6 +1018,7 @@ mod tests {
                     scratch_bytes: 24,
                     landing_bytes: 0,
                 }],
+                series: Default::default(),
             };
             let (mut buf, mut arena) = ([0u16, 1, 2, 3, 4, 5, 6, 7], Vec::new());
             let arg = match read_only {
@@ -904,14 +1061,22 @@ mod tests {
     }
 
     #[test]
-    fn split_same_handles_order_and_overlap() {
+    fn carve_handles_order_and_overlap() {
         let mut v = [1, 2, 3, 4, 5, 6];
-        let (r, w) = split_same(&mut v, 0..2, 4..6).unwrap();
-        assert_eq!(r, &[1, 2]);
+        let (around, w) = carve(&mut v, 4..6).unwrap();
+        assert_eq!(around.read(0..2).unwrap(), &[1, 2]);
         assert_eq!(w, &mut [5, 6]);
-        let (r, w) = split_same(&mut v, 3..6, 0..2).unwrap();
-        assert_eq!(r, &[4, 5, 6]);
+        let (around, w) = carve(&mut v, 0..2).unwrap();
+        assert_eq!(around.read(3..6).unwrap(), &[4, 5, 6]);
         assert_eq!(w.len(), 2);
-        assert!(split_same(&mut v, 0..3, 2..5).is_err());
+        let (around, _) = carve(&mut v, 2..5).unwrap();
+        assert!(around.read(0..3).is_err());
+        assert!(around.read(4..6).is_err());
+        assert_eq!(around.read(3..3).unwrap(), &[] as &[u8]);
+        // An empty write lends the whole buffer to the reads.
+        let (around, w) = carve(&mut v, 3..3).unwrap();
+        assert_eq!(around.read(2..5).unwrap(), &[3, 4, 5]);
+        assert!(w.is_empty());
+        assert!(carve(&mut v, 5..7).is_err());
     }
 }

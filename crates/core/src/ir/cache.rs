@@ -9,6 +9,9 @@
 //! distinct call shape once and every later plan construction is a
 //! hash lookup.
 //!
+//! Its lowerings replay every rank over argument buffers that are views
+//! of one pool the cache keeps: never written, so never resident.
+//!
 //! The cache is **bounded**: when occupancy would exceed the capacity,
 //! the least-recently-used program is evicted (and counted). Evicting
 //! never invalidates running plans — they hold their program by `Arc`,
@@ -18,7 +21,8 @@
 //!
 //! [`warm_up`]: PlanCache::warm_up
 
-use super::{lower, lower_hier, optimize, CollectiveProgram, OptLevel, PlanOp};
+use super::lower::lower_in;
+use super::{optimize, CollectiveProgram, OptLevel, PlanOp};
 use crate::error::Result;
 use intercom_cost::{HierChoice, HierStrategy, Strategy};
 use std::collections::{BTreeMap, HashMap};
@@ -66,8 +70,8 @@ impl PlanKey {
     /// call: `choice` is the selection of a strategy-taking op and
     /// `None` for scatter, gather and alltoall. Its op stream is the
     /// direct path's, call for call, which is what lets a backend route
-    /// its default path through programs
-    /// ([`Comm::runs_programs`](crate::Comm::runs_programs)) without
+    /// its default path through plain programs
+    /// ([`Comm::default_path`](crate::Comm::default_path)) without
     /// moving a virtual time.
     pub fn plain(
         op: PlanOp,
@@ -149,7 +153,15 @@ struct Entry {
 struct Store {
     plans: HashMap<PlanKey, Entry>,
     recency: BTreeMap<u64, PlanKey>,
+    /// What the lowering replays' argument buffers are views of: kept
+    /// from one compilation to the next and never written, so never
+    /// resident (up to [`POOL_WORDS`]).
+    pool: Vec<u64>,
 }
+
+/// The largest replay pool the cache keeps (64 MiB): a bigger one is
+/// freed after its compilation.
+const POOL_WORDS: usize = 1 << 23;
 
 impl Store {
     /// Stamps `key` as used `now`, keeping `recency` in sync. Returns
@@ -207,6 +219,7 @@ impl PlanCache {
             store: Mutex::new(Store {
                 plans: HashMap::new(),
                 recency: BTreeMap::new(),
+                pool: Vec::new(),
             }),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
@@ -217,13 +230,18 @@ impl PlanCache {
         }
     }
 
-    /// Compiles `key`: lowers, then runs the optimizer pass pipeline if
-    /// the key's [`OptLevel`] asks for it.
-    fn compile(key: &PlanKey) -> Result<Arc<CollectiveProgram>> {
-        let prog = match &key.hier {
-            Some(hs) => lower_hier(key.op, hs, key.n, key.elem_size)?,
-            None => lower(key.op, key.strategy.as_ref(), key.p, key.n, key.elem_size)?,
+    /// Compiles `key`: lowers, its replays over `pool`, then runs the
+    /// optimizer pass pipeline if the key's [`OptLevel`] asks for it.
+    fn compile(key: &PlanKey, pool: &mut Vec<u64>) -> Result<Arc<CollectiveProgram>> {
+        let (choice, p) = match &key.hier {
+            Some(hs) => (Some(HierChoice::Hier(hs.clone())), hs.shape().ranks()),
+            None => (key.strategy.clone().map(HierChoice::Flat), key.p),
         };
+        let prog = lower_in(key.op, choice, p, key.n, key.elem_size, pool);
+        if pool.len() > POOL_WORDS {
+            *pool = Vec::new();
+        }
+        let prog = prog?;
         Ok(Arc::new(match key.opt {
             OptLevel::None => prog,
             OptLevel::Full => {
@@ -256,7 +274,7 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(prog);
         }
-        let prog = Self::compile(key)?;
+        let prog = Self::compile(key, &mut store.pool)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         store.insert(key.clone(), prog.clone(), now);
         self.enforce_capacity(&mut store);
@@ -282,7 +300,7 @@ impl PlanCache {
             if store.touch(&key, now).is_some() {
                 continue;
             }
-            let prog = Self::compile(&key)?;
+            let prog = Self::compile(&key, &mut store.pool)?;
             compiled += 1;
             store.insert(key, prog, now);
             self.enforce_capacity(&mut store);

@@ -81,34 +81,25 @@ pub fn execute<T: Scalar, C: Comm + ?Sized>(
             strategy.as_deref(),
         );
     }
-    let result = BoundProgram::new(prog, me, gc.members(), args, scratch, op, base_tag)
+    // A plane's members are strided through its parent's array: listed
+    // here, the one case that allocates (no default path runs one).
+    let strided: Vec<usize>;
+    let members = match gc.member_slice() {
+        Some(members) => members,
+        None => {
+            strided = gc.members().collect();
+            &strided
+        }
+    };
+    let result = BoundProgram::new(prog, me, members, args, scratch, op, base_tag)
         .and_then(|mut bound| gc.comm().run_program(&mut bound));
     if let Some(started) = started {
         // Wall-clock on the executing thread: real latency for the
         // threaded runtime; for the simulator it is host compute time
         // (virtual time lives in the SimReport, ingested separately).
-        let strategy = prog
-            .strategy
-            .as_ref()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "-".into());
-        let (p_s, n_s) = (prog.p.to_string(), prog.n.to_string());
-        let labels = &[
-            ("op", prog.op.name()),
-            ("strategy", strategy.as_str()),
-            ("p", p_s.as_str()),
-            ("n", n_s.as_str()),
-        ][..];
-        intercom_obs::metrics::observe(
-            "intercom_plan_exec_seconds",
-            labels,
-            started.elapsed().as_secs_f64(),
-        );
-        intercom_obs::metrics::counter_add(
-            "intercom_plan_steps_total",
-            &[("op", prog.op.name())],
-            prog.ranks[me].steps.len() as u64,
-        );
+        let [exec, steps] = prog.series();
+        intercom_obs::metrics::observe_at(exec, started.elapsed().as_secs_f64());
+        intercom_obs::metrics::counter_add_at(steps, prog.ranks[me].steps.len() as u64);
     }
     if flight_on {
         match &result {
@@ -125,13 +116,14 @@ fn check_args<T: Scalar>(
     me: usize,
     args: &[ArgBuf<'_, T>],
 ) -> Result<()> {
-    let specs = prog.op.args(prog.p, prog.n);
+    let (slots, count) = prog.op.slots(prog.p, prog.n);
+    let specs = &slots[..count];
     if args.len() != specs.len() {
         return Err(CommError::PlanMismatch {
             what: "argument buffer count differs from the program's slots",
         });
     }
-    for (arg, spec) in args.iter().zip(&specs) {
+    for (arg, spec) in args.iter().zip(specs) {
         let bound_here = spec.only_rank.is_none_or(|r| r == me);
         let len = match arg {
             ArgBuf::In(b) => {

@@ -19,9 +19,10 @@
 //! [`StepKind::Permute`], its radices entered in the program's table.
 
 use super::{
-    fresh_plan_id, landing_of, run_direct, Buf, CollectiveProgram, Loc, OwnedArgs, PlanOp,
-    RankProgram, Step, StepKind,
+    fresh_plan_id, landing_of, run_direct, ArgBuf, ArgDir, ArgSpec, Buf, CollectiveProgram, Loc,
+    PlanOp, RankProgram, Step, StepKind,
 };
+use crate::cast::regrow_arena;
 use crate::comm::{Comm, GroupComm};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
@@ -87,11 +88,25 @@ fn lower_choice(
     n: usize,
     elem_size: usize,
 ) -> Result<CollectiveProgram> {
+    lower_in(op, choice, p, n, elem_size, &mut Vec::new())
+}
+
+/// [`lower_choice`] with the replays' argument buffers views of `pool`
+/// ([`replay_rank`]), which it grows to the largest call's and leaves as
+/// it is.
+pub(super) fn lower_in(
+    op: PlanOp,
+    choice: Option<HierChoice>,
+    p: usize,
+    n: usize,
+    elem_size: usize,
+    pool: &mut Vec<u64>,
+) -> Result<CollectiveProgram> {
     let (ranks, radices) = match elem_size {
-        1 => replay_ranks::<u8>(op, choice.as_ref(), p, n),
-        2 => replay_ranks::<u16>(op, choice.as_ref(), p, n),
-        4 => replay_ranks::<u32>(op, choice.as_ref(), p, n),
-        8 => replay_ranks::<u64>(op, choice.as_ref(), p, n),
+        1 => replay_ranks::<u8>(op, choice.as_ref(), p, n, pool),
+        2 => replay_ranks::<u16>(op, choice.as_ref(), p, n, pool),
+        4 => replay_ranks::<u32>(op, choice.as_ref(), p, n, pool),
+        8 => replay_ranks::<u64>(op, choice.as_ref(), p, n, pool),
         other => panic!("unsupported element size {other} (expected 1, 2, 4 or 8)"),
     }?;
     let (strategy, hier) = match choice {
@@ -109,6 +124,7 @@ fn lower_choice(
         hier,
         ranks,
         radices,
+        series: Default::default(),
     })
 }
 
@@ -130,35 +146,63 @@ fn replay_ranks<T: Elem>(
     choice: Option<&HierChoice>,
     p: usize,
     n: usize,
+    pool: &mut Vec<u64>,
 ) -> Result<(Vec<RankProgram>, Vec<Vec<usize>>)> {
     let mut radices = Vec::new();
     let ranks = (0..p)
         .map(|rank| {
             let rec = RecordingComm::new(rank, p);
-            replay_rank::<T>(&rec, &GroupComm::recording(&rec), op, choice, n)?;
+            replay_rank::<T>(&rec, &GroupComm::recording(&rec), op, choice, n, pool)?;
             resolve_recorded::<T>(rec, op, p, n, &mut radices)
         })
         .collect::<Result<_>>()?;
     Ok((ranks, radices))
 }
 
-/// Runs `gc`'s rank's direct-path call over fresh argument buffers,
+/// Runs `gc`'s rank's direct-path call over its argument buffers,
 /// registered with `rec` by slot name, and a fresh arena.
+///
+/// The argument buffers are views of `pool`, 16 bytes apart: the
+/// replay moves no data, so they are never written, and a pool that
+/// outlives the replay (the plan cache keeps one) is never resident. A
+/// zeroed vector per replay would be: the allocator hands a recycled
+/// block back zeroed by writing it, which made a threaded world's first
+/// 4 MiB allreduce 4 MiB more resident than its direct call.
 fn replay_rank<T: Elem>(
     rec: &RecordingComm,
     gc: &GroupComm<'_, RecordingComm>,
     op: PlanOp,
     choice: Option<&HierChoice>,
     n: usize,
+    pool: &mut Vec<u64>,
 ) -> Result<()> {
-    let mut bufs = OwnedArgs::<T>::new(op, rec.size(), n, rec.rank());
-    for (spec, buf) in &bufs.slots {
-        if let Some(buf) = buf {
-            rec.register(spec.name, buf);
+    let (slots, count) = op.slots(rec.size(), n);
+    let slots = &slots[..count];
+    let bound = |s: &ArgSpec| s.only_rank.is_none_or(|r| r == rec.rank());
+    let gap = 16 / T::SIZE;
+    let total: usize = slots
+        .iter()
+        .filter(|s| bound(s))
+        .map(|s| s.elems + gap)
+        .sum();
+    regrow_arena(pool, (total * T::SIZE).div_ceil(8));
+    let mut rest = T::scratch(pool, total);
+    let mut args = Vec::with_capacity(count);
+    for spec in slots {
+        if !bound(spec) {
+            args.push(ArgBuf::Absent);
+            continue;
         }
+        let (view, tail) = std::mem::take(&mut rest).split_at_mut(spec.elems);
+        rest = &mut tail[gap..];
+        rec.register(spec.name, view);
+        args.push(match spec.dir {
+            ArgDir::In => ArgBuf::In(&*view),
+            ArgDir::Out => ArgBuf::Out(view),
+        });
     }
     let scratch = &mut Vec::new();
-    run_direct(op, choice, gc, ReduceOp::Sum, &mut bufs.bind(), scratch, 0)
+    run_direct(op, choice, gc, ReduceOp::Sum, &mut args, scratch, 0)
 }
 
 /// Maps a finished recording's registered regions back to argument
@@ -211,10 +255,11 @@ fn resolve_rank(
     let arena = Arena::build(ops, args, &fused);
     let resolve = |span: MemSpan| arena.resolve(span, args, elem);
     let mut steps = Vec::with_capacity(ops.len());
-    let mut records = ops.iter().zip(&fused);
-    while let Some((op, &fuse)) = records.next() {
-        if fuse {
-            let Some((&OpRecord::Reduce { acc, .. }, _)) = records.next() else {
+    let mut records = ops.iter().enumerate().zip(&fused);
+    while let Some(((i, op), &fuse)) = records.next() {
+        let combine = combines(ops, i);
+        if fuse || combine {
+            let Some(((_, &OpRecord::Reduce { acc, other }), _)) = records.next() else {
                 unreachable!("a fused receive is followed by its fold")
             };
             let kind = match *op {
@@ -222,6 +267,21 @@ fn resolve_rank(
                     from: fit(from)?,
                     tag_off: fit(tag)?,
                     acc: resolve(acc)?,
+                },
+                OpRecord::SendRecv {
+                    to,
+                    src,
+                    from,
+                    dst,
+                    tag,
+                } if combine => StepKind::SendRecvCombine {
+                    to: fit(to)?,
+                    from: fit(from)?,
+                    src: resolve(src)?.into(),
+                    dst: resolve(dst)?.into(),
+                    other: resolve(other)?.into(),
+                    len: fit(dst.len)?,
+                    tag_off: fit(tag)?,
                 },
                 OpRecord::SendRecv {
                     to, src, from, tag, ..
@@ -355,6 +415,29 @@ fn fuses(ops: &[OpRecord], i: usize, args: &[(usize, usize, usize)]) -> bool {
         }
     }
     true
+}
+
+/// Whether `ops[i]` is an exchange whose landing has a third region
+/// folded into it right after (`ops[i + 1]` is `Reduce { acc: dst,
+/// other }`), so that the two are one [`StepKind::SendRecvCombine`]:
+/// the in-place ring distributed combine's hop, `bucket = arrived ⊕
+/// block`. Its three regions are equally long and not empty (an empty
+/// hop is the optimizer's to elide), and the landing shares no byte
+/// with the bytes sent or the block (the send half may still be
+/// reading when the combine writes).
+fn combines(ops: &[OpRecord], i: usize) -> bool {
+    let OpRecord::SendRecv { src, dst, .. } = ops[i] else {
+        return false;
+    };
+    let Some(&OpRecord::Reduce { acc, other }) = ops.get(i + 1) else {
+        return false;
+    };
+    acc == dst
+        && dst.len > 0
+        && src.len == dst.len
+        && other.len == dst.len
+        && !dst.overlaps(&src)
+        && !dst.overlaps(&other)
 }
 
 /// The spans `op` reads and the spans it writes.
@@ -574,6 +657,10 @@ mod tests {
         MemSpan { addr, len }
     }
 
+    fn loc(buf: Buf, off: u32, len: u32) -> Loc {
+        Loc { buf, off, len }
+    }
+
     #[test]
     fn a_landing_read_before_it_is_overwritten_stays_unfused() {
         let r = span(5000, 8);
@@ -624,6 +711,42 @@ mod tests {
                 (fuses, if fuses { 8 } else { 0 }),
                 "{kinds:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_fold_into_an_exchange_landing_fuses_into_one_combine() {
+        // `bucket = arrived ⊕ block`: the in-place ring's hop, with the
+        // landing in the arena and the block in the argument.
+        let (bucket, block) = (span(5000, 8), span(1016, 8));
+        let hop = |src| OpRecord::SendRecv {
+            to: 1,
+            src,
+            from: 2,
+            dst: bucket,
+            tag: 0,
+        };
+        let fold = |other| OpRecord::Reduce { acc: bucket, other };
+        let (kinds, scratch, landing) = resolved(&[hop(span(1000, 8)), fold(block)]);
+        let [StepKind::SendRecvCombine {
+            dst, other, len, ..
+        }] = kinds[..]
+        else {
+            panic!("one combine, got {kinds:?}");
+        };
+        assert_eq!(
+            (dst.with_len(len), other.with_len(len)),
+            (loc(Buf::Scratch, 0, 8), loc(Buf::Arg(0), 16, 8))
+        );
+        // The landing stays named: it is sent on next.
+        assert_eq!((scratch, landing), (8, 0));
+        // Sending the landing, or folding unequal lengths, stays two steps.
+        for ops in [
+            [hop(bucket), fold(block)],
+            [hop(span(1000, 4)), fold(block)],
+        ] {
+            let (kinds, _, _) = resolved(&ops);
+            assert_eq!(kinds.len(), 2, "{kinds:?}");
         }
     }
 
@@ -854,7 +977,7 @@ mod tests {
             for (rank, got) in lowered.ranks.iter().enumerate() {
                 let rec = RecordingComm::new(rank, p);
                 let gc = GroupComm::world(&rec);
-                replay_rank::<u64>(&rec, &gc, op, choice.as_ref(), n).unwrap();
+                replay_rank::<u64>(&rec, &gc, op, choice.as_ref(), n, &mut Vec::new()).unwrap();
                 // The radices index the lowered program's table, which
                 // holds every permutation's already.
                 let mut radices = lowered.radices.clone();

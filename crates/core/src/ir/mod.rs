@@ -62,8 +62,10 @@ pub use lower::{lower, lower_hier};
 pub use opt::{optimize, OptLevel, OptStats};
 
 use intercom_cost::{CollectiveOp, HierStrategy, Strategy};
+use intercom_obs::MetricKey;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Which collective a program implements, together with the call
 /// parameters that shape the schedule (root, segment count). The size
@@ -191,37 +193,48 @@ impl PlanOp {
     /// for broadcast, combine-to-one, combine-to-all and the pipelined
     /// broadcast, and the *per-member block length* for the rest.
     pub fn args(&self, p: usize, n: usize) -> Vec<ArgSpec> {
+        let (slots, count) = self.slots(p, n);
+        slots[..count].to_vec()
+    }
+
+    /// [`PlanOp::args`] without the vector, for a check on every
+    /// execution: the slots (the first `count` of them) and `count`.
+    pub(crate) fn slots(&self, p: usize, n: usize) -> ([ArgSpec; 2], usize) {
         let spec = |name, elems, only_rank, dir| ArgSpec {
             name,
             elems,
             only_rank,
             dir,
         };
+        let pair = |a, b| ([a, b], 2);
         match *self {
-            PlanOp::Broadcast { .. } | PlanOp::PipelinedBcast { .. } => {
-                vec![spec("buf", n, None, ArgDir::Out)]
+            PlanOp::Broadcast { .. }
+            | PlanOp::PipelinedBcast { .. }
+            | PlanOp::Reduce { .. }
+            | PlanOp::AllReduce => {
+                let buf = spec("buf", n, None, ArgDir::Out);
+                ([buf, buf], 1)
             }
-            PlanOp::Reduce { .. } | PlanOp::AllReduce => vec![spec("buf", n, None, ArgDir::Out)],
-            PlanOp::ReduceScatter => vec![
+            PlanOp::ReduceScatter => pair(
                 spec("contrib", p * n, None, ArgDir::In),
                 spec("mine", n, None, ArgDir::Out),
-            ],
-            PlanOp::Collect => vec![
+            ),
+            PlanOp::Collect => pair(
                 spec("mine", n, None, ArgDir::In),
                 spec("all", p * n, None, ArgDir::Out),
-            ],
-            PlanOp::Scatter { root } => vec![
+            ),
+            PlanOp::Scatter { root } => pair(
                 spec("full", p * n, Some(root), ArgDir::In),
                 spec("mine", n, None, ArgDir::Out),
-            ],
-            PlanOp::Gather { root } => vec![
+            ),
+            PlanOp::Gather { root } => pair(
                 spec("mine", n, None, ArgDir::In),
                 spec("full", p * n, Some(root), ArgDir::Out),
-            ],
-            PlanOp::Alltoall => vec![
+            ),
+            PlanOp::Alltoall => pair(
                 spec("send", p * n, None, ArgDir::In),
                 spec("recv", p * n, None, ArgDir::Out),
-            ],
+            ),
         }
     }
 
@@ -296,6 +309,37 @@ impl Loc {
     }
 }
 
+/// Where a region of a [`StepKind::SendRecvCombine`] starts: a [`Loc`]
+/// without its length, which the step's three regions share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(2))]
+pub struct At {
+    /// Addressed buffer.
+    pub buf: Buf,
+    /// Byte offset within the buffer.
+    pub off: u32,
+}
+
+impl At {
+    /// The region `len` bytes long from here.
+    pub fn with_len(self, len: u32) -> Loc {
+        Loc {
+            buf: self.buf,
+            off: self.off,
+            len,
+        }
+    }
+}
+
+impl From<Loc> for At {
+    fn from(loc: Loc) -> Self {
+        At {
+            buf: loc.buf,
+            off: loc.off,
+        }
+    }
+}
+
 /// One schedule action of one rank. Peers are logical ranks of the
 /// program's group; tag offsets are added to the execution's base tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -362,6 +406,31 @@ pub enum StepKind {
         /// Tag offset of both halves.
         tag_off: u32,
     },
+    /// A [`StepKind::SendRecv`] whose arrival is combined with a third
+    /// region on its way in: `dst = message ⊕ other`, `dst`'s contents
+    /// ignored — the receive and the fold out of it that the in-place
+    /// ring distributed combine makes of every hop, fused. The three
+    /// regions are `len` bytes each (a [`Loc`] apiece would not fit 32
+    /// bytes); `dst` shares no byte with `src` or `other`. A backend
+    /// that lends the sender's bytes combines out of them in one pass;
+    /// one that cannot lands the message in `dst` and folds `other`
+    /// into it.
+    SendRecvCombine {
+        /// Destination logical rank of the send half.
+        to: u16,
+        /// Source logical rank of the receive half.
+        from: u16,
+        /// Bytes read by the send half.
+        src: At,
+        /// Bytes written with the combined message.
+        dst: At,
+        /// Bytes combined with the message (read).
+        other: At,
+        /// The length of each region.
+        len: u32,
+        /// Tag offset of both halves.
+        tag_off: u32,
+    },
     /// Local copy of `src` into `dst` (block permutes, root staging,
     /// own-block moves).
     Copy {
@@ -411,7 +480,8 @@ impl StepKind {
             | StepKind::Recv { tag_off, .. }
             | StepKind::SendRecv { tag_off, .. }
             | StepKind::RecvReduce { tag_off, .. }
-            | StepKind::SendRecvReduce { tag_off, .. } => Some(tag_off),
+            | StepKind::SendRecvReduce { tag_off, .. }
+            | StepKind::SendRecvCombine { tag_off, .. } => Some(tag_off),
             _ => None,
         }
     }
@@ -516,9 +586,41 @@ pub struct CollectiveProgram {
     /// ([`StepKind::Permute`]) index, each once: a collect stage's
     /// strategy dims, fastest-varying first, 1s left out.
     pub radices: Vec<Vec<usize>>,
+    /// The metric series its executions record into, built once.
+    pub series: Series,
 }
 
+/// The metric series an execution of a program records into with
+/// metrics on ([`execute`]): their label strings formatted the first
+/// time, once per program rather than once per execution. Not part of
+/// what a program is: any two compare equal.
+#[derive(Debug, Clone, Default)]
+pub struct Series(OnceLock<[MetricKey; 2]>);
+
+impl PartialEq for Series {
+    fn eq(&self, _: &Series) -> bool {
+        true
+    }
+}
+
+impl Eq for Series {}
+
 impl CollectiveProgram {
+    /// The keys of `intercom_plan_exec_seconds{op, strategy, p, n}` and
+    /// `intercom_plan_steps_total{op}` for this program.
+    pub(crate) fn series(&self) -> &[MetricKey; 2] {
+        self.series.0.get_or_init(|| {
+            let strategy = self.strategy.as_ref();
+            let strategy = strategy.map_or_else(|| "-".into(), |s| s.to_string());
+            let (p, n, op) = (self.p.to_string(), self.n.to_string(), self.op.name());
+            let exec = [("op", op), ("strategy", &strategy), ("p", &p), ("n", &n)];
+            [
+                MetricKey::new("intercom_plan_exec_seconds", &exec),
+                MetricKey::new("intercom_plan_steps_total", &[("op", op)]),
+            ]
+        })
+    }
+
     /// Total communication steps (sends + receives + exchanges) across
     /// all ranks.
     pub fn comm_steps(&self) -> usize {

@@ -60,7 +60,7 @@
 //!   single-port, buffer safety and link conflicts over the whole
 //!   strategy space.
 
-use super::{CollectiveProgram, Loc, Step, StepKind};
+use super::{At, CollectiveProgram, Loc, Step, StepKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How much optimization a compiled plan gets — the plan cache's
@@ -170,8 +170,9 @@ fn elide_empty(prog: &mut CollectiveProgram) -> usize {
     removed
 }
 
-/// The receive half of a step — a receive, an exchange, or either one
-/// fused with its fold — taken apart so the passes treat all four alike.
+/// The receive half of a step — a receive, an exchange, either one
+/// fused with its fold, or a fused combine — taken apart so the passes
+/// treat all five alike.
 #[derive(Clone, Copy)]
 struct RecvHalf {
     from: u16,
@@ -180,6 +181,8 @@ struct RecvHalf {
     /// into.
     dst: Loc,
     folds: bool,
+    /// The region a fused combine's message is combined with (read).
+    other: Option<At>,
     /// The send half of an exchange: destination and bytes read.
     send: Option<(u16, Loc)>,
 }
@@ -191,6 +194,7 @@ impl RecvHalf {
             tag_off,
             dst,
             folds,
+            other: None,
             send,
         };
         Some(match *kind {
@@ -210,6 +214,24 @@ impl RecvHalf {
                 acc,
                 tag_off,
             } => half(from, tag_off, acc, true, Some((to, src))),
+            StepKind::SendRecvCombine {
+                to,
+                from,
+                src,
+                dst,
+                other,
+                len,
+                tag_off,
+            } => RecvHalf {
+                other: Some(other),
+                ..half(
+                    from,
+                    tag_off,
+                    dst.with_len(len),
+                    false,
+                    Some((to, src.with_len(len))),
+                )
+            },
             _ => return None,
         })
     }
@@ -217,6 +239,19 @@ impl RecvHalf {
     /// The step this half (with its send half, if any) is.
     fn kind(self) -> StepKind {
         let (from, tag_off) = (self.from, self.tag_off);
+        // A combine's three regions are equally long and not empty, so
+        // no pass changes one or drops its send half.
+        if let (Some(other), Some((to, src))) = (self.other, self.send) {
+            return StepKind::SendRecvCombine {
+                to,
+                from,
+                src: src.into(),
+                dst: self.dst.into(),
+                other,
+                len: self.dst.len,
+                tag_off,
+            };
+        }
         match (self.send, self.folds) {
             (None, false) => StepKind::Recv {
                 from,
@@ -600,6 +635,9 @@ fn remove_unread_scratch_stores(steps: &mut Vec<Step>) -> usize {
                 StepKind::Send { src, .. } => vec![src],
                 StepKind::SendRecv { src, .. } => vec![src],
                 StepKind::SendRecvReduce { src, acc, .. } => vec![src, acc],
+                StepKind::SendRecvCombine {
+                    src, other, len, ..
+                } => vec![src.with_len(len), other.with_len(len)],
                 StepKind::RecvReduce { acc, .. } => vec![acc],
                 StepKind::Copy { src, .. } => vec![src],
                 StepKind::Reduce { acc, other } => vec![acc, other],
@@ -742,6 +780,7 @@ mod tests {
                     landing_bytes: 0,
                 })
                 .collect(),
+            series: Default::default(),
         }
     }
 

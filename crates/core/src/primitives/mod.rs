@@ -29,18 +29,22 @@ pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_scatter};
 pub use pipeline::{optimal_segments, pipelined_ring_bcast};
 pub use ring::{ring_collect, ring_reduce_scatter, ring_reduce_scatter_into};
 
+use crate::block::Blocks;
 use std::ops::Range;
 
 /// Debug-validates that `blocks` is an in-order partition of
 /// `0..total_len` with one block per group member.
-pub(crate) fn debug_check_blocks(blocks: &[Range<usize>], members: usize, total_len: usize) {
-    debug_assert_eq!(blocks.len(), members, "one block per member required");
-    debug_assert_eq!(blocks.first().map_or(0, |b| b.start), 0);
-    debug_assert_eq!(blocks.last().map_or(0, |b| b.end), total_len);
-    debug_assert!(
-        blocks.windows(2).all(|w| w[0].end == w[1].start),
-        "blocks must be consecutive"
-    );
+pub(crate) fn debug_check_blocks<B: Blocks + ?Sized>(blocks: &B, members: usize, total_len: usize) {
+    if cfg!(debug_assertions) {
+        let n = blocks.count();
+        assert_eq!(n, members, "one block per member required");
+        assert!(n == 0 || blocks.block(0).start == 0, "blocks start at 0");
+        assert_eq!(blocks.total(), total_len);
+        assert!(
+            (1..n).all(|i| blocks.block(i - 1).end == blocks.block(i).start),
+            "blocks must be consecutive"
+        );
+    }
 }
 
 /// Splits `buf` into a shared view of `send` and a mutable view of
@@ -126,6 +130,6 @@ mod tests {
 
     #[test]
     fn debug_check_accepts_partition() {
-        debug_check_blocks(&crate::block::partition(10, 3), 3, 10);
+        debug_check_blocks(&crate::block::partition(10, 3)[..], 3, 10);
     }
 }

@@ -9,13 +9,13 @@
 //! the ⊕ operation; the scatter sends only the data that resides in the
 //! other part; the gather is the scatter in reverse.
 
+use crate::block::Blocks;
 use crate::cast::Scalar;
 use crate::comm::{GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::debug_check_blocks;
 use crate::Comm;
-use std::ops::Range;
 
 /// One level of the recursive-halving walk: the current range, its split
 /// point and the half-roots.
@@ -158,7 +158,7 @@ pub fn mst_scatter<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     buf: &mut [T],
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     tag: Tag,
 ) -> Result<()> {
     check_root(gc, root)?;
@@ -170,9 +170,9 @@ pub fn mst_scatter<T: Scalar, C: Comm + ?Sized>(
         gc.call_overhead();
         // Region held by the half not containing the current root.
         let region = if lvl.root < lvl.mid {
-            blocks[lvl.mid].start..blocks[hi - 1].end
+            blocks.block(lvl.mid).start..blocks.block(hi - 1).end
         } else {
-            blocks[lo].start..blocks[lvl.mid - 1].end
+            blocks.block(lo).start..blocks.block(lvl.mid - 1).end
         };
         if me == lvl.root {
             gc.send(lvl.other, tag, &buf[region])?;
@@ -195,7 +195,7 @@ pub fn mst_gather<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     root: usize,
     buf: &mut [T],
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     tag: Tag,
 ) -> Result<()> {
     check_root(gc, root)?;
@@ -221,9 +221,9 @@ pub fn mst_gather<T: Scalar, C: Comm + ?Sized>(
     for (lvl, &(lo, hi)) in path.iter().zip(extents[..path.len].iter()).rev() {
         gc.call_overhead();
         let region = if lvl.root < lvl.mid {
-            blocks[lvl.mid].start..blocks[hi - 1].end
+            blocks.block(lvl.mid).start..blocks.block(hi - 1).end
         } else {
-            blocks[lo].start..blocks[lvl.mid - 1].end
+            blocks.block(lo).start..blocks.block(lvl.mid - 1).end
         };
         if me == lvl.other {
             gc.send(lvl.root, tag, &buf[region])?;
@@ -323,9 +323,9 @@ mod tests {
         assert_eq!(b, [7, 8]);
         mst_reduce(&gc, 0, &mut b, ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(b, [7, 8]);
-        let blocks = crate::block::partition(2, gc.len());
-        mst_scatter(&gc, 0, &mut b, &blocks, 0).unwrap();
-        mst_gather(&gc, 0, &mut b, &blocks, 0).unwrap();
+        let blocks: &[_] = &crate::block::partition(2, gc.len());
+        mst_scatter(&gc, 0, &mut b, blocks, 0).unwrap();
+        mst_gather(&gc, 0, &mut b, blocks, 0).unwrap();
         assert_eq!(b, [7, 8]);
     }
 }

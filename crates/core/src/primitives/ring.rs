@@ -12,13 +12,13 @@
 //! Costs (balanced blocks): bucket collect `(p−1)α + ((p−1)/p)nβ`;
 //! bucket distributed combine `(p−1)α + ((p−1)/p)nβ + ((p−1)/p)nγ`.
 
+use crate::block::Blocks;
 use crate::cast::Scalar;
 use crate::comm::{GroupComm, Tag};
 use crate::error::Result;
 use crate::op::{Elem, ReduceOp};
 use crate::primitives::{debug_check_blocks, disjoint_pair};
 use crate::Comm;
-use std::ops::Range;
 
 /// Bucket collect (ring allgather): on entry, member `j`'s
 /// `buf[blocks[j]]` holds block `j`; on return, every member's `buf`
@@ -27,7 +27,7 @@ use std::ops::Range;
 pub fn ring_collect<T: Scalar, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     buf: &mut [T],
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     tag: Tag,
 ) -> Result<()> {
     let p = gc.len();
@@ -42,7 +42,7 @@ pub fn ring_collect<T: Scalar, C: Comm + ?Sized>(
     for t in 0..p - 1 {
         let sb = (me + p - t) % p; // block sent this step
         let rb = (me + p - t - 1) % p; // block received this step
-        let (send, recv) = disjoint_pair(buf, blocks[sb].clone(), blocks[rb].clone());
+        let (send, recv) = disjoint_pair(buf, blocks.block(sb), blocks.block(rb));
         gc.sendrecv(right, send, left, recv, tag)?;
     }
     Ok(())
@@ -61,7 +61,7 @@ pub fn ring_collect<T: Scalar, C: Comm + ?Sized>(
 pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     buf: &mut [T],
-    blocks: &[Range<usize>],
+    blocks: &(impl Blocks + ?Sized),
     op: ReduceOp,
     tag: Tag,
     bucket: &mut [T],
@@ -78,8 +78,8 @@ pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     for t in 0..p - 1 {
         let sb = (me + p - t - 1) % p; // partially-combined block sent on
         let rb = (me + p - t - 2) % p; // bucket arriving from the left
-        let recv = &mut bucket[..blocks[rb].len()];
-        let (send, dst) = disjoint_pair(buf, blocks[sb].clone(), blocks[rb].clone());
+        let recv = &mut bucket[..blocks.block(rb).len()];
+        let (send, dst) = disjoint_pair(buf, blocks.block(sb), blocks.block(rb));
         gc.sendrecv_with(right, send, left, recv, tag, |recv, lent| {
             gc.fold(op, dst, lent.unwrap_or(recv))
         })?;
@@ -148,7 +148,7 @@ mod tests {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
         let mut buf = [1.0f64, 2.0];
-        ring_collect(&gc, &mut buf, &partition(2, 1), 0).unwrap();
+        ring_collect(&gc, &mut buf, &partition(2, 1)[..], 0).unwrap();
         assert_eq!(buf, [1.0, 2.0]);
     }
 
@@ -157,7 +157,15 @@ mod tests {
         let c = SelfComm;
         let gc = GroupComm::world(&c);
         let mut buf = [5i32, 6];
-        ring_reduce_scatter(&gc, &mut buf, &partition(2, 1), ReduceOp::Sum, 0, &mut []).unwrap();
+        ring_reduce_scatter(
+            &gc,
+            &mut buf,
+            &partition(2, 1)[..],
+            ReduceOp::Sum,
+            0,
+            &mut [],
+        )
+        .unwrap();
         assert_eq!(buf, [5, 6]);
         let mut mine = [0i32; 2];
         ring_reduce_scatter_into(&gc, &buf, &mut mine, ReduceOp::Sum, 0, &mut []).unwrap();

@@ -5,6 +5,7 @@
 //! `send` / `recv` / `sendrecv` (so the trait's defaults stage every
 //! arrival in the bucket first), bit for bit.
 
+use intercom::ir::{run_direct, ArgBuf, PlanOp};
 use intercom::plan::{AllreducePlan, ReduceScatterPlan};
 use intercom::primitives::{mst_reduce, ring_reduce_scatter, ring_reduce_scatter_into};
 use intercom::{
@@ -175,7 +176,7 @@ fn a_fused_hop_leaves_its_bucket_untouched() {
 
         let mut bucket = vec![SENTINEL; b];
         let mut buf = contrib.clone();
-        ring_reduce_scatter(&gc, &mut buf, &blocks, ReduceOp::Sum, 0, &mut bucket).unwrap();
+        ring_reduce_scatter(&gc, &mut buf, &blocks[..], ReduceOp::Sum, 0, &mut bucket).unwrap();
         results.push(buf[blocks[c.rank()].clone()].to_vec());
         buckets.push(bucket);
 
@@ -305,7 +306,19 @@ fn an_allreduce_plan_folds_out_of_the_window_like_the_direct_call() {
     };
     let direct = windows_of(|cc| {
         let mut v = vector(cc.rank());
-        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        let choice = cc.auto_choice(CollectiveOp::CombineToAll, n * 8);
+        let args = &mut [ArgBuf::Out(&mut v[..])];
+        let op = PlanOp::AllReduce;
+        run_direct(
+            op,
+            Some(&choice),
+            cc.group(),
+            ReduceOp::Sum,
+            args,
+            &mut Vec::new(),
+            0,
+        )
+        .unwrap();
         v
     });
     let plan = windows_of(|cc| {
@@ -321,13 +334,13 @@ fn an_allreduce_plan_folds_out_of_the_window_like_the_direct_call() {
 /// A 4 MiB reduce-scatter on two ranks is the bucket ring that reads its
 /// contribution in place (`ring_reduce_scatter_into`): each arrival
 /// lands in a bucket and has the rank's own block folded into it
-/// (`bucket = arrived ⊕ block`). That is not a fold of the arrival into
-/// an accumulator, so lowering keeps the receive and the fold apart; a
-/// fused form would be an exchange with three regions, which a 32-byte
-/// step cannot hold. The plan stages its arrivals where the direct call
-/// folds out of the window — same bits.
+/// (`bucket = arrived ⊕ block`). Lowering fuses the hop into one
+/// three-region step (`StepKind::SendRecvCombine`), which the default
+/// walk hands `sendrecv_with`: the plan, the default path (the deployed
+/// program on threads) and the direct call each combine out of the
+/// sender's window, one a rank, to the same bits.
 #[test]
-fn a_reduce_scatter_plan_stages_what_the_direct_call_folds_in_place() {
+fn a_reduce_scatter_folds_out_of_the_window_on_every_path() {
     let b = (2 << 20) / 8;
     let contrib = |rank: usize| {
         (0..2 * b)
@@ -336,8 +349,29 @@ fn a_reduce_scatter_plan_stages_what_the_direct_call_folds_in_place() {
     };
     let direct = windows_of(|cc| {
         let mut mine = vec![0.0; b];
-        cc.reduce_scatter(&contrib(cc.rank()), &mut mine, ReduceOp::Sum)
-            .unwrap();
+        let choice = cc.auto_choice(CollectiveOp::DistributedCombine, 2 * b * 8);
+        let args = &mut [ArgBuf::In(&contrib(cc.rank())), ArgBuf::Out(&mut mine)];
+        let op = PlanOp::ReduceScatter;
+        run_direct(
+            op,
+            Some(&choice),
+            cc.group(),
+            ReduceOp::Sum,
+            args,
+            &mut Vec::new(),
+            0,
+        )
+        .unwrap();
+        mine
+    });
+    // The shape's first call runs the direct path, its second the
+    // program.
+    let default = windows_of(|cc| {
+        let mut mine = vec![0.0; b];
+        for _ in 0..2 {
+            cc.reduce_scatter(&contrib(cc.rank()), &mut mine, ReduceOp::Sum)
+                .unwrap();
+        }
         mine
     });
     let plan = windows_of(|cc| {
@@ -346,6 +380,7 @@ fn a_reduce_scatter_plan_stages_what_the_direct_call_folds_in_place() {
         plan.execute(cc, &contrib(cc.rank()), &mut mine).unwrap();
         mine
     });
-    assert_eq!((direct.0, plan.0), (2, 0), "one window a rank, direct");
-    assert_eq!(plan.1, direct.1);
+    assert_eq!(direct.0, 2, "one window a rank, direct");
+    assert_eq!(default, (2 * direct.0, direct.1.clone()));
+    assert_eq!(plan, direct);
 }

@@ -1,0 +1,137 @@
+//! The recursive template allocates nothing per call: a counting
+//! allocator around the direct path at p = 64, where every level of
+//! the walker carves a line and a plane out of its group and splits its
+//! vector — views and arithmetic, no heap vectors — under the
+//! one-dimensional and the hybrid strategies of both kinds.
+
+use intercom::comm::GroupComm;
+use intercom::ir::{run_direct, OwnedArgs, PlanOp};
+use intercom::{Comm, ReduceOp, Result, Tag};
+use intercom_cost::{HierChoice, Strategy, StrategyKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Counted on this test's thread only: the harness allocates on its
+    /// own threads at any time.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: a pure pass-through to `System` plus a relaxed counter bump
+// behind a thread-local flag read; `System` discharges every
+// `GlobalAlloc` obligation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTED.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `layout` is forwarded unchanged from our caller.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` / `realloc`
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTED.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded unchanged from the caller's `realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A transport that moves nothing: every call returns at once, receive
+/// buffers keep what they held.
+struct Null {
+    rank: usize,
+    size: usize,
+}
+
+impl Comm for Null {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.size
+    }
+    fn send(&self, _: usize, _: Tag, _: &[u8]) -> Result<()> {
+        Ok(())
+    }
+    fn recv(&self, _: usize, _: Tag, _: &mut [u8]) -> Result<()> {
+        Ok(())
+    }
+    fn sendrecv(&self, _: usize, _: &[u8], _: usize, _: &mut [u8], _: Tag) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Allocations of rank 27's second and third direct-path calls of `op`
+/// over `n` `f64`s on 64 ranks under `strategy` (the first grows the
+/// scratch).
+fn allocations(op: PlanOp, strategy: &Strategy, n: usize) -> u64 {
+    let comm = Null { rank: 27, size: 64 };
+    let gc = GroupComm::world(&comm);
+    let choice = HierChoice::Flat(strategy.clone());
+    let mut bufs = OwnedArgs::<f64>::new(op, 64, n, 27);
+    let mut args = bufs.bind();
+    let mut scratch = Vec::new();
+    let mut call = |tag| {
+        run_direct(
+            op,
+            Some(&choice),
+            &gc,
+            ReduceOp::Sum,
+            &mut args,
+            &mut scratch,
+            tag,
+        )
+        .unwrap()
+    };
+    call(0);
+    COUNTED.set(true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    call(1 << 20);
+    call(2 << 20);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTED.set(false);
+    after - before
+}
+
+#[test]
+fn the_walker_allocates_nothing_per_call() {
+    let shapes: [&[usize]; 4] = [&[64], &[8, 8], &[4, 4, 4], &[2, 2, 2, 2, 2, 2]];
+    for dims in shapes {
+        for kind in [StrategyKind::Mst, StrategyKind::ScatterCollect] {
+            let strategy = Strategy::new(dims.to_vec(), kind);
+            for op in [
+                PlanOp::AllReduce,
+                PlanOp::Collect,
+                PlanOp::ReduceScatter,
+                PlanOp::Broadcast { root: 5 },
+                PlanOp::Reduce { root: 40 },
+            ] {
+                // Uneven blocks for the whole-vector ops; per-member
+                // blocks for collect and reduce-scatter.
+                let n = if op.cost_bytes(64, 1, 1) == 1 {
+                    1000
+                } else {
+                    3
+                };
+                let allocs = allocations(op, &strategy, n);
+                assert_eq!(allocs, 0, "{op} under {strategy:?}: {allocs} allocations");
+            }
+        }
+    }
+}

@@ -2,7 +2,7 @@
 
 use crate::engine::{Reply, Request};
 use crate::window::ProgramWindow;
-use intercom::ir::{BoundProgram, Step, StepKind};
+use intercom::ir::{BoundProgram, OptLevel, Step, StepKind};
 use intercom::{Comm, CommError, Result, Tag};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -122,8 +122,8 @@ impl Comm for SimComm {
             .send((self.rank, Request::PlanStep { plan, step }));
     }
 
-    fn runs_programs(&self) -> bool {
-        true
+    fn default_path(&self) -> Option<OptLevel> {
+        Some(OptLevel::None)
     }
 
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {

@@ -185,6 +185,19 @@ impl Request {
                 recv: Some((from, RecvWindow::folding(acc, fold))),
                 tag,
             },
+            StepAction::SendRecvCombine {
+                to,
+                data,
+                from,
+                dst,
+                other,
+                tag,
+                fold,
+            } => Request::Transfer {
+                send: Some((to, SendWindow::lend(data))),
+                recv: Some((from, RecvWindow::combining(dst, other, fold))),
+                tag,
+            },
             StepAction::SendRecvReduce {
                 to,
                 data,
@@ -1471,6 +1484,7 @@ mod tests {
             hier: None,
             radices: Vec::new(),
             ranks: ranks.into_iter().map(rank).collect(),
+            series: Default::default(),
         }
     }
 

@@ -18,7 +18,8 @@
 //! original hardware.
 //!
 //! A collective call is one hand-off. [`SimComm`] routes its
-//! `Communicator` calls through programs (`Comm::runs_programs`) and
+//! `Communicator` calls through their plain programs
+//! (`Comm::default_path`) and
 //! runs programs its own way (`Comm::run_program`): a call or a
 //! persistent plan runs the data steps before its first transfer or
 //! clock step and after its last one on the rank's thread and hands the

@@ -50,6 +50,16 @@
 //! the disjointness (lowering fuses only such exchanges, and
 //! `BoundProgram::step` refuses overlapping operands).
 //!
+//! A fused *combine* (`SendRecvCombine`, the in-place ring distributed
+//! combine's hop) lends its landing the same way, with the ⊕ and one
+//! more read-only window, the region the message is combined with
+//! ([`RecvWindow::combining`]): at completion the landing is written
+//! with `message ⊕ other` in one pass. That region is the receiver's
+//! own, borrowed by its blocked program for as long as the landing is,
+//! and disjoint from the landing (`BoundProgram::step` refuses it
+//! otherwise); no other segment of a batch writes it, since no other
+//! receive window of the batch is this rank's.
+//!
 //! **Programs.** `SimComm::run_program` lends a [`ProgramWindow`] onto
 //! the `BoundProgram` in its frame — the rank's steps, its group's
 //! members, its argument buffers and its arena, all borrowed by that
@@ -126,6 +136,9 @@ pub(crate) struct RecvWindow {
     len: usize,
     /// The ⊕ the message folds in with; `None` for a plain receive.
     fold: Option<Fold>,
+    /// A combine's other operand, `len` bytes: the window is written
+    /// with `message ⊕ other` rather than folded into.
+    other: Option<*const u8>,
 }
 
 // SAFETY: the pointer crosses to the engine thread, but the bytes it
@@ -166,6 +179,7 @@ impl RecvWindow {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
             fold: None,
+            other: None,
         }
     }
 
@@ -175,6 +189,20 @@ impl RecvWindow {
         RecvWindow {
             fold: Some(fold),
             ..RecvWindow::lend(acc)
+        }
+    }
+
+    /// A landing written with the message combined with `other`
+    /// (`dst = message ⊕ other`), as long as `dst`.
+    pub(crate) fn combining(dst: &mut [u8], other: &[u8], fold: Fold) -> Self {
+        assert_eq!(
+            dst.len(),
+            other.len(),
+            "a combine's regions are equally long"
+        );
+        RecvWindow {
+            other: Some(other.as_ptr()),
+            ..RecvWindow::folding(dst, fold)
         }
     }
 
@@ -193,6 +221,8 @@ pub(crate) struct Segment {
     dst: *mut u8,
     len: usize,
     fold: Option<Fold>,
+    /// A combine's other operand, `len` bytes from here.
+    other: Option<*const u8>,
 }
 
 // SAFETY: the pointers cross to the helper thread, but the bytes they
@@ -211,6 +241,7 @@ impl Segment {
             dst: buf.ptr,
             len: buf.len,
             fold: buf.fold,
+            other: buf.other,
         }
     }
 
@@ -229,6 +260,7 @@ impl Segment {
             dst: self.dst.wrapping_add(at),
             len: self.len - at,
             fold: self.fold,
+            other: self.other.map(|o| o.wrapping_add(at)),
         };
         self.len = at;
         tail
@@ -253,9 +285,17 @@ impl Segment {
                 std::slice::from_raw_parts_mut(self.dst, self.len),
             )
         };
-        match self.fold {
-            None => dst.copy_from_slice(src),
-            Some(fold) => fold.apply(dst, src),
+        match (self.fold, self.other) {
+            (None, _) => dst.copy_from_slice(src),
+            (Some(fold), None) => fold.apply(dst, src),
+            (Some(fold), Some(other)) => {
+                // SAFETY: `other` points `len` bytes into a `&[u8]` of
+                // the receiver's (`RecvWindow::combining`, cut with the
+                // segment) that its blocked program still borrows, which
+                // no segment writes and which is disjoint from `dst`.
+                let other = unsafe { std::slice::from_raw_parts(other, self.len) };
+                fold.combine(dst, src, other)
+            }
         }
     }
 }

@@ -256,6 +256,7 @@ fn arena_at_hand_off(steps: Vec<StepKind>) -> (bool, usize) {
         hier: None,
         radices: Vec::new(),
         ranks: vec![rank(steps, ARENA), rank(Vec::new(), 0)],
+        series: Default::default(),
     };
     ARENA_GROWN.store(false, Ordering::SeqCst);
     let report = simulate(&SimConfig::new(Mesh2D::new(1, 2), unit()), |c| {

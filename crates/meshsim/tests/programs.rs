@@ -44,6 +44,7 @@ fn program(ranks: Vec<Vec<StepKind>>) -> CollectiveProgram {
         hier: None,
         radices: Vec::new(),
         ranks: ranks.into_iter().map(rank).collect(),
+        series: Default::default(),
     }
 }
 

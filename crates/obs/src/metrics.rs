@@ -302,12 +302,18 @@ impl Shard {
 
     /// Adds `v` to the counter `name{labels}`.
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        if let MetricValue::Counter(c) = self
-            .metrics
-            .entry(MetricKey::new(name, labels))
-            .or_insert(MetricValue::Counter(0))
-        {
-            *c += v;
+        self.counter_add_at(&MetricKey::new(name, labels), v);
+    }
+
+    /// [`Shard::counter_add`] at a key built once: allocates only to
+    /// insert a series the shard does not have yet.
+    pub fn counter_add_at(&mut self, key: &MetricKey, v: u64) {
+        match self.metrics.get_mut(key) {
+            Some(MetricValue::Counter(c)) => *c += v,
+            Some(_) => {}
+            None => {
+                self.metrics.insert(key.clone(), MetricValue::Counter(v));
+            }
         }
     }
 
@@ -319,12 +325,20 @@ impl Shard {
 
     /// Records a histogram sample into `name{labels}`.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        if let MetricValue::Histogram(h) = self
-            .metrics
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-        {
-            h.observe(v);
+        self.observe_at(&MetricKey::new(name, labels), v);
+    }
+
+    /// [`Shard::observe`] at a key built once: allocates only to insert
+    /// a series the shard does not have yet.
+    pub fn observe_at(&mut self, key: &MetricKey, v: f64) {
+        match self.metrics.get_mut(key) {
+            Some(MetricValue::Histogram(h)) => h.observe(v),
+            Some(_) => {}
+            None => {
+                let mut h = Histogram::new();
+                h.observe(v);
+                self.metrics.insert(key.clone(), MetricValue::Histogram(h));
+            }
         }
     }
 
@@ -369,6 +383,16 @@ impl Registry {
     /// Adds `v` to a counter.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
         self.lock().counter_add(name, labels, v);
+    }
+
+    /// Adds `v` to the counter at a key built once.
+    pub fn counter_add_at(&self, key: &MetricKey, v: u64) {
+        self.lock().counter_add_at(key, v);
+    }
+
+    /// Records a histogram sample at a key built once.
+    pub fn observe_at(&self, key: &MetricKey, v: f64) {
+        self.lock().observe_at(key, v);
     }
 
     /// Sets a gauge.
@@ -421,6 +445,24 @@ pub fn global() -> &'static Registry {
 pub fn counter_add(name: &str, labels: &[(&str, &str)], v: u64) {
     if enabled() {
         global().counter_add(name, labels, v);
+    }
+}
+
+/// [`counter_add`] at a key built once — by a caller that adds to one
+/// series per call and formats its labels once, not per call — when
+/// the layer is [`enabled`].
+#[inline]
+pub fn counter_add_at(key: &MetricKey, v: u64) {
+    if enabled() {
+        global().counter_add_at(key, v);
+    }
+}
+
+/// [`observe`] at a key built once, when the layer is [`enabled`].
+#[inline]
+pub fn observe_at(key: &MetricKey, v: f64) {
+    if enabled() {
+        global().observe_at(key, v);
     }
 }
 

@@ -24,7 +24,10 @@
 //!    communicator scratch) are all reused; what remains is the
 //!    algorithm layer's small per-stage setup (strategies, block range
 //!    lists, subgroup member lists), bounded and independent of
-//!    payload size.
+//!    payload size. On threads the default path is the deployed program
+//!    from the communicator's memo, which sets nothing up: with eager
+//!    hops its steady-state rounds allocate **nothing**, metrics on or
+//!    off.
 //!
 //! The counter covers every rank thread of the process, so measured
 //! windows are bracketed by barriers (warmed planned allreduce) keeping
@@ -44,6 +47,7 @@ use intercom::primitives::{
 };
 use intercom::{Comm, Communicator, GroupComm, ReduceOp};
 use intercom_cost::MachineParams;
+use intercom_obs::metrics;
 use intercom_runtime::{run_world, DEFAULT_RENDEZVOUS_THRESHOLD};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -217,7 +221,7 @@ fn bytes_allocated_during_primitive_rounds(p: usize, elems: usize, rounds: usize
     let out = run_world(p, |c| {
         RANK_THREAD.set(true);
         let gc = GroupComm::world(c);
-        let blocks = partition(elems, p);
+        let blocks: &[_] = &partition(elems, p);
         let b = elems / p;
         let mut buf = vec![1.0f64; elems];
         let mut bucket = vec![0.0f64; elems.div_ceil(p)];
@@ -226,8 +230,8 @@ fn bytes_allocated_during_primitive_rounds(p: usize, elems: usize, rounds: usize
         let mut buckets = vec![0.0f64; 2 * b];
         let mut one_round = || {
             let sum = ReduceOp::Sum;
-            ring_reduce_scatter(&gc, &mut buf, &blocks, sum, 0, &mut bucket).unwrap();
-            ring_collect(&gc, &mut buf, &blocks, 1).unwrap();
+            ring_reduce_scatter(&gc, &mut buf, blocks, sum, 0, &mut bucket).unwrap();
+            ring_collect(&gc, &mut buf, blocks, 1).unwrap();
             ring_reduce_scatter_into(&gc, &contrib, &mut mine, sum, 2, &mut buckets).unwrap();
             mst_bcast(&gc, 0, &mut buf, 3).unwrap();
         };
@@ -383,5 +387,78 @@ fn default_path_rounds_allocate_only_bounded_setup() {
             bytes < 65_536,
             "{bytes} bytes over 10 rounds of {elems} f64"
         );
+    }
+}
+
+/// Allocations the rank threads make over `rounds` steady-state rounds
+/// of the five strategy-driven default-path calls of `elems` `f64`s on
+/// `p` ranks, with the metrics layer `metered` — every mailbox and stash
+/// provisioned to its deepest first, as in
+/// [`bytes_allocated_during_primitive_rounds`].
+fn allocations_during_default_path_rounds(
+    p: usize,
+    elems: usize,
+    rounds: usize,
+    metered: bool,
+) -> u64 {
+    let _window = window_guard();
+    metrics::set_enabled(metered);
+    let out = run_world(p, |c| {
+        RANK_THREAD.set(true);
+        let cc = Communicator::world(c, MachineParams::PARAGON);
+        let mut buf = vec![1.0f64; elems];
+        let mine = vec![c.rank() as f64; elems];
+        let mut all = vec![0.0f64; elems * p];
+        let mut one_round = || {
+            cc.bcast(0, &mut buf).unwrap();
+            cc.allgather(&mine, &mut all).unwrap();
+            cc.allreduce(&mut buf, ReduceOp::Sum).unwrap();
+            cc.reduce(0, &mut buf, ReduceOp::Sum).unwrap();
+            cc.reduce_scatter(&all, &mut buf, ReduceOp::Sum).unwrap();
+        };
+        let peers = || (0..p).filter(|&r| r != c.rank());
+        for peer in peers() {
+            for tag in [9, 9, 9, 9, 10] {
+                c.send(peer, tag, &[0; 8]).unwrap();
+            }
+        }
+        for tag in [10, 9, 9, 9, 9] {
+            for peer in peers() {
+                c.recv(peer, tag, &mut [0; 8]).unwrap();
+            }
+        }
+        for _ in 0..4 {
+            one_round();
+            cc.barrier().unwrap();
+        }
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..rounds {
+            one_round();
+        }
+        cc.barrier().unwrap();
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        RANK_THREAD.set(false);
+        after - before
+    });
+    metrics::set_enabled(false);
+    out[0]
+}
+
+#[test]
+fn default_path_rounds_allocate_nothing() {
+    // Eager hops only (up to 100 × 4 × 8 B gathered): every call is a
+    // memo hit running its deployed program over the communicator's
+    // scratch, and with metrics on its series are built once per
+    // program, in the warm-up.
+    for p in [2, 4] {
+        for elems in [1, 64, 100] {
+            for metered in [false, true] {
+                let allocs = allocations_during_default_path_rounds(p, elems, 20, metered);
+                assert_eq!(
+                    allocs, 0,
+                    "{allocs} allocations over 20 rounds of {elems} f64 on {p} ranks (metrics on: {metered})"
+                );
+            }
+        }
     }
 }

@@ -131,6 +131,30 @@ fn records(kind: StepKind, radices: &[Vec<usize>]) -> (OpRecord, Option<OpRecord
             };
             return (exchange, reduce);
         }
+        // Exactly the exchange and the fold it was fused from.
+        StepKind::SendRecvCombine {
+            to,
+            from,
+            src,
+            dst,
+            other,
+            len,
+            tag_off,
+        } => {
+            let dst = span(dst.with_len(len));
+            let exchange = OpRecord::SendRecv {
+                to: to.into(),
+                src: span(src.with_len(len)),
+                from: from.into(),
+                dst,
+                tag: tag_off.into(),
+            };
+            let reduce = OpRecord::Reduce {
+                acc: dst,
+                other: span(other.with_len(len)),
+            };
+            return (exchange, Some(reduce));
+        }
         StepKind::Copy { src, dst } => OpRecord::Copy {
             src: span(src),
             dst: span(dst),

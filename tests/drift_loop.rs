@@ -13,15 +13,30 @@ use intercom_suite::cost::{
     hybrid_cost, CollectiveOp, CostContext, HierChoice, HierMachine, MachineParams, Strategy,
 };
 use intercom_suite::driver::{record_sim, residual_report};
+use intercom_suite::intercom::ir::{global_cache, BoundProgram};
 use intercom_suite::intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
 use intercom_suite::intercom::selector::{choose, GroupShape};
 use intercom_suite::intercom::{AutoTuner, Communicator, TrackedShape};
+use intercom_suite::intercom::{Comm, Result, Tag};
 use intercom_suite::obs::metrics;
-use intercom_suite::runtime::run_world;
+use intercom_suite::obs::ResidualReport;
+use intercom_suite::runtime::{run_world, ThreadComm};
 use intercom_suite::topology::Mesh2D;
+use std::cell::Cell;
+use std::sync::Mutex;
+
+/// Both tests retune through the process-wide plan cache and publish to
+/// the metrics registry, whose counters the first one reads: one at a
+/// time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn doubled_beta_closes_the_loop_end_to_end() {
+    let _serial = serial();
     metrics::set_enabled(true);
     metrics::global().clear();
 
@@ -178,4 +193,102 @@ fn doubled_beta_closes_the_loop_end_to_end() {
         (before, cc.auto_strategy(CollectiveOp::Broadcast, n))
     });
     assert!(picks.iter().all(|(a, b)| *a == stale && *b == fresh_truth));
+}
+
+/// A threaded endpoint that notes the length of every program its
+/// default path runs on it.
+struct Programs<'a> {
+    comm: &'a ThreadComm,
+    last: Cell<usize>,
+}
+
+impl Comm for Programs<'_> {
+    fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+    fn size(&self) -> usize {
+        self.comm.size()
+    }
+    fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        self.comm.send(to, tag, data)
+    }
+    fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
+        self.comm.recv(from, tag, buf)
+    }
+    fn sendrecv(&self, to: usize, d: &[u8], from: usize, b: &mut [u8], tag: Tag) -> Result<()> {
+        self.comm.sendrecv(to, d, from, b, tag)
+    }
+    fn default_path(&self) -> Option<OptLevel> {
+        self.comm.default_path()
+    }
+    fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
+        self.last.set(prog.steps().len());
+        self.comm.run_program(prog)
+    }
+}
+
+#[test]
+fn a_threaded_refit_reselects_the_next_auto_call() {
+    let _serial = serial();
+    // The crossover shape of the test above: MST under the configured
+    // Paragon, scatter-collect once β doubles.
+    let (p, n) = (8usize, 16384usize);
+    let configured = MachineParams::PARAGON_MODEL;
+    let mut true_machine = configured;
+    true_machine.beta *= 2.0;
+    let op = PlanOp::Broadcast { root: 0 };
+    let fit_strategy = Strategy::pure_long(p);
+    let reports: Vec<ResidualReport> = (0..8)
+        .map(|_| {
+            let rec = record_sim(&op, Some(&fit_strategy), Mesh2D::new(1, p), n, true_machine);
+            residual_report(&rec, &op, &fit_strategy, &configured, n).expect("priced")
+        })
+        .collect();
+    let pick = |machine: MachineParams| {
+        let shape = GroupShape::Linear(p);
+        choose(
+            CollectiveOp::Broadcast,
+            shape,
+            n,
+            &HierMachine::flat(machine),
+        )
+    };
+    let (stale, fresh) = (pick(configured), pick(true_machine));
+    assert_ne!(stale, fresh, "the shape must sit at a crossover");
+    // Each rank's deployed steps under either choice.
+    let lengths = |choice: &HierChoice| {
+        let key = PlanKey::frozen(op, p, n, 1, choice);
+        let prog = global_cache().get_or_compile(&key).unwrap();
+        prog.ranks.iter().map(|r| r.steps.len()).collect::<Vec<_>>()
+    };
+    let (stale_steps, fresh_steps) = (lengths(&stale), lengths(&fresh));
+    assert_ne!(stale_steps, fresh_steps);
+
+    let out = run_world(p, |c| {
+        let programs = Programs {
+            comm: c,
+            last: Cell::new(0),
+        };
+        let mut cc = Communicator::world(&programs, configured);
+        cc.attach_tuner(AutoTuner::new(configured));
+        let mut buf = vec![c.rank() as u8; n];
+        // A shape's first call runs the direct path, its second the
+        // program — after the refit as before it.
+        cc.bcast(0, &mut buf).unwrap();
+        cc.bcast(0, &mut buf).unwrap();
+        let before = programs.last.get();
+        let refit = reports.iter().find_map(|r| cc.observe(r)).is_some();
+        cc.bcast(0, &mut buf).unwrap();
+        cc.bcast(0, &mut buf).unwrap();
+        (
+            refit,
+            before,
+            programs.last.get(),
+            buf.iter().all(|&b| b == 0),
+        )
+    });
+    for (rank, got) in out.iter().enumerate() {
+        let want = (true, stale_steps[rank], fresh_steps[rank], true);
+        assert_eq!(*got, want, "rank {rank}");
+    }
 }

@@ -19,7 +19,7 @@ mod common;
 use common::{cells, fill, NODE_COUNTS};
 use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::comm::GroupComm;
-use intercom::ir::{cost_op, execute, lower, ArgBuf, OwnedArgs, PlanOp};
+use intercom::ir::{cost_op, execute, lower, ArgBuf, OwnedArgs, PlanOp, StepKind};
 use intercom::primitives::pipelined_ring_bcast;
 use intercom::trace::RecordingComm;
 use intercom::{algorithms, Comm, ReduceOp, Result, Tag};
@@ -366,8 +366,9 @@ impl Comm for Stamped {
 fn executed_programs_issue_the_recorded_calls() {
     // The default walk on a recorder: every point-to-point call, clock
     // hook and local copy or fold the direct path issues, in its order,
-    // each step stamped just before its call (a fused receive's two: the
-    // receive and the fold) and the stamp cleared at the end.
+    // each step stamped just before its call (a fused receive's or
+    // combine's two: the receive and the fold) and the stamp cleared at
+    // the end.
     for p in NODE_COUNTS {
         for (op, st) in cells(p) {
             for n in [1usize, 13] {
@@ -387,7 +388,8 @@ fn executed_programs_issue_the_recorded_calls() {
                     let mut stamps = Vec::new();
                     for (i, step) in prog.ranks[rank].steps.iter().enumerate() {
                         stamps.push((prog.plan_id, i as u64, calls));
-                        calls += 1 + usize::from(step.kind.folds_into().is_some());
+                        let combines = matches!(step.kind, StepKind::SendRecvCombine { .. });
+                        calls += 1 + usize::from(step.kind.folds_into().is_some() || combines);
                     }
                     stamps.push((0, 0, calls));
                     assert_eq!(comm.stamps.into_inner(), stamps, "{what}");

@@ -240,6 +240,18 @@ fn structure(prog: &CollectiveProgram) -> Vec<Vec<Step>> {
                 zero(a);
                 zero(b);
             }
+            StepKind::SendRecvCombine {
+                src,
+                dst,
+                other,
+                len,
+                ..
+            } => {
+                for at in [src, dst, other] {
+                    at.off = 0;
+                }
+                *len = 0;
+            }
             StepKind::Compute { bytes } => *bytes = 0,
             StepKind::CallOverhead => {}
         }

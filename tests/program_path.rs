@@ -5,9 +5,9 @@
 //! hands the engine the call's plain compiled program in one request,
 //! and the engine walks it. Each call runs twice more through
 //! [`Direct`], a wrapper that forwards only the point-to-point calls
-//! and the clock hooks: once with its routing bit (`Comm::runs_programs`)
-//! set, so the same program runs on `Comm::run_program`'s default walk,
-//! one request per step; and once as the reference, with the bit at its
+//! and the clock hooks: once answering `Plain` to `Comm::default_path`,
+//! so the same program runs on `Comm::run_program`'s default walk, one
+//! request per step; and once as the reference, with the answer at its
 //! default, so the call runs the recursive algorithms, one request per
 //! message.
 //!
@@ -21,7 +21,7 @@ mod common;
 use common::{all_ops, strategies, NODE_COUNTS};
 use intercom::comm::GroupComm;
 use intercom::ir::{
-    cost_op, execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind,
+    cost_op, execute, global_cache, run_direct, OptLevel, OwnedArgs, PlanKey, PlanOp, StepKind,
 };
 use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy};
@@ -29,7 +29,7 @@ use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport, TraceEvent};
 use intercom_topology::{Cluster, Mesh2D};
 
 /// Forwards rank, size, send, recv, sendrecv, compute and
-/// call_overhead, and says `walks` to `runs_programs`; everything else
+/// call_overhead, and answers `Plain` to `default_path` where it `walks`; everything else
 /// is the trait's default. So a call through it runs its program on the
 /// default walk where it `walks`, and takes the direct path elsewhere.
 struct Direct<'a, C: Comm + ?Sized> {
@@ -73,8 +73,8 @@ impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
         self.comm.call_overhead();
     }
 
-    fn runs_programs(&self) -> bool {
-        self.walks
+    fn default_path(&self) -> Option<OptLevel> {
+        self.walks.then_some(OptLevel::None)
     }
 }
 
@@ -144,8 +144,8 @@ fn value(rank: usize, i: usize) -> f64 {
 }
 
 /// One rank's call of `op` on the default path's terms: where the
-/// routing bit is set the plain program through `execute`, elsewhere
-/// `run_direct`. Returns the bits of every buffer the call bound.
+/// backend's default path is the plain program, that through `execute`,
+/// elsewhere `run_direct`. Returns the bits of every buffer the call bound.
 fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<u64> {
     let (p, rank) = (c.size(), c.rank());
     let mut bufs = OwnedArgs::<f64>::new(op, p, n, rank);
@@ -153,7 +153,7 @@ fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<
     let gc = GroupComm::world(c);
     let (scratch, tag) = (&mut Vec::new(), 3 * CALL_TAG_STRIDE);
     let rop = ReduceOp::Sum;
-    if c.runs_programs() {
+    if c.default_path() == Some(OptLevel::None) {
         let key = PlanKey::plain(op, p, n, 8, choice);
         let prog = global_cache().get_or_compile(&key).unwrap();
         execute(&prog, &gc, rop, &mut bufs.bind(), scratch, tag).unwrap();

@@ -104,6 +104,7 @@ fn permute_program(dims: &[usize], b: usize) -> CollectiveProgram {
             landing_bytes: 0,
         }],
         radices: vec![dims.to_vec()],
+        series: Default::default(),
     }
 }
 

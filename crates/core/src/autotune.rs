@@ -201,9 +201,8 @@ impl AutoTuner {
                 k.op == shape.op && k.p == p && k.n == shape.n && k.elem_size == shape.elem_size
             });
             invalidated += dropped;
-            warmed += cache
-                .warm_up([PlanKey::frozen(shape.op, p, shape.n, shape.elem_size, &new)])
-                .unwrap_or(0);
+            let key = PlanKey::frozen(shape.op, p, shape.n, shape.elem_size, Some(&new));
+            warmed += cache.warm_up([key]).unwrap_or(0);
             let cost = |c: &HierChoice| price(cop, shape.shape, c, bytes, &new_machine);
             reselections.push(Reselect {
                 shape: shape.clone(),

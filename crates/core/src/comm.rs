@@ -18,8 +18,8 @@
 //! would have made, so every backend runs programs with nothing to
 //! implement, and a backend that can do better (the simulator, which
 //! hands its engine a whole call) overrides it. [`Comm::default_path`]
-//! only routes: which program, if any, a
-//! [`Communicator`](crate::Communicator) call runs.
+//! only routes: from which call of a shape a
+//! [`Communicator`](crate::Communicator) call runs its program.
 //!
 //! [`GroupComm`] layers the paper's §9 group abstraction on top: an
 //! ordered member list provides the logical-to-physical mapping, so every
@@ -28,7 +28,7 @@
 
 use crate::cast::{typed_mut, Scalar};
 use crate::error::{CommError, Result};
-use crate::ir::{BoundProgram, OptLevel, StepAction};
+use crate::ir::{BoundProgram, StepAction};
 use crate::op::{Elem, ReduceOp};
 use crate::trace::RecordingComm;
 use std::sync::Arc;
@@ -41,6 +41,21 @@ pub type Tag = u64;
 /// its message: called with the receive buffer and, when the backend
 /// lends them instead of filling it, the arrived bytes where they lie.
 pub type Sink<'a> = dyn FnMut(&mut [u8], Option<&[u8]>) + 'a;
+
+/// From which call of a shape a backend's
+/// [`Communicator`](crate::Communicator) calls run the shape's deployed
+/// program ([`Comm::default_path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefaultPath {
+    /// Never: every call takes the direct path.
+    Direct,
+    /// The first (the simulator: its engine takes a program in one
+    /// request, and its worlds often make one call each).
+    Program,
+    /// The second (threads: a compile costs several direct calls, which
+    /// a shape that never repeats would not earn back).
+    ProgramOnRepeat,
+}
 
 /// Blocking point-to-point communication endpoint of one node.
 ///
@@ -180,28 +195,21 @@ pub trait Comm {
         let _ = (plan, step);
     }
 
-    /// Which program this backend's [`Communicator`](crate::Communicator)
-    /// calls run, by its optimization level: `None` — the direct path's
-    /// recursive algorithms —, [`OptLevel::None`] — the plain program,
-    /// lowered from the direct path, so it issues the same calls in the
-    /// same order — or [`OptLevel::Full`] — the deployed program, what
-    /// persistent plans run: the plain one with empty halves elided,
-    /// same-stage halves fused and dead copies dropped, to the same
-    /// bits with fewer messages. A program is handed over through
-    /// [`Comm::run_program`]; a call too large for compact steps
+    /// From which call of a shape this backend's
+    /// [`Communicator`](crate::Communicator) calls run the shape's
+    /// deployed program — what persistent plans run — instead of the
+    /// direct path's recursive algorithms. A program is handed over
+    /// through [`Comm::run_program`]; a call too large for compact steps
     /// ([`ir::fits_steps`](crate::ir::fits_steps)) takes the direct path
     /// whatever this says. Persistent plans and
     /// [`ir::execute`](crate::ir::execute) run programs whatever this
     /// says.
     ///
-    /// The default is `None`: a backend or wrapper that leaves it alone
-    /// runs every `Communicator` call exactly as before programs
-    /// existed. The simulator answers plain — its virtual times are the
-    /// cost model's, which prices the schedule as the recursion issues
-    /// it — and the threaded runtime deployed, where every message and
-    /// every step of per-call software is wall-clock time.
-    fn default_path(&self) -> Option<OptLevel> {
-        None
+    /// The default is [`DefaultPath::Direct`]: a backend or wrapper that
+    /// leaves it alone runs every `Communicator` call exactly as before
+    /// programs existed.
+    fn default_path(&self) -> DefaultPath {
+        DefaultPath::Direct
     }
 
     /// Runs a bound program: every one of its steps, in order, through

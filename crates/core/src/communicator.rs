@@ -10,9 +10,9 @@
 use crate::algorithms;
 use crate::autotune::{AutoTuner, RetuneReport, TrackedShape};
 use crate::cast::Scalar;
-use crate::comm::{Comm, GroupComm, Tag};
+use crate::comm::{Comm, DefaultPath, GroupComm, Tag};
 use crate::error::{CommError, Result};
-use crate::ir::{self, ArgBuf, CollectiveProgram, OptLevel, PlanKey, PlanOp};
+use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use crate::selector::{choose, GroupShape};
 use intercom_cost::{
@@ -309,19 +309,17 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// still registering its shape with the tuner — or `None`: the call
     /// runs the direct path.
     ///
-    /// A shape's program is selected and looked up in the process-wide
-    /// plan cache at `opt` on its first call at [`OptLevel::None`] — the
-    /// simulator's, whose engine takes a program in one request — and
-    /// otherwise on its second: compiling a deployed program costs many
-    /// direct calls, and a shape that never repeats would not earn it
-    /// back, so its first call only remembers the shape.
+    /// A shape's deployed program is selected and looked up in the
+    /// process-wide plan cache on the call `path` names
+    /// ([`DefaultPath`]); a first call before that only remembers the
+    /// shape.
     fn memoized(
         &self,
         op: PlanOp,
         n: usize,
         elem_size: usize,
         algo: &Algo,
-        opt: OptLevel,
+        path: DefaultPath,
     ) -> Result<Option<usize>> {
         let same = |m: &Memo| m.op == op && m.n == n && m.elem_size == elem_size && m.algo == *algo;
         let found = self.memo.borrow().iter().position(same);
@@ -333,15 +331,12 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
                 return Ok(Some(i));
             }
         }
-        let prog = match found.is_some() || opt == OptLevel::None {
+        let prog = match found.is_some() || path == DefaultPath::Program {
             true => {
                 let choice = op
                     .takes_strategy()
                     .then(|| self.choose(op, n, elem_size, algo));
-                let key = PlanKey {
-                    opt,
-                    ..PlanKey::plain(op, self.size(), n, elem_size, choice.as_ref())
-                };
+                let key = PlanKey::frozen(op, self.size(), n, elem_size, choice.as_ref());
                 Some(ir::global_cache().get_or_compile(&key)?)
             }
             false => None,
@@ -369,14 +364,13 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// is the ⊕ of a combining op; the others never apply it.
     ///
     /// Where the backend's default path runs programs
-    /// ([`Comm::default_path`]) the call is its program at that level,
-    /// from the memo ([`Communicator::memoized`]), handed to
+    /// ([`Comm::default_path`]) the call is its shape's deployed
+    /// program, from the memo ([`Communicator::memoized`]), handed to
     /// [`Comm::run_program`]; everywhere else — a shape's first call on
     /// threads, a call too large for compact steps ([`ir::fits_steps`])
-    /// — it is the direct path. The plain program issues the direct path's
-    /// operations in the same order (it was lowered from it), so
-    /// results and virtual times agree bit for bit; the deployed one
-    /// issues fewer, to the same bits.
+    /// — it is the direct path. The program was lowered from the direct
+    /// path and optimized: empty halves elided, halves of one stage
+    /// co-posted and dead copies dropped, to the same bits.
     fn run<T: Scalar>(
         &self,
         op: PlanOp,
@@ -386,10 +380,9 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         args: &mut [ArgBuf<'_, T>],
     ) -> Result<()> {
         let memoized = match self.gc.comm().default_path() {
-            Some(opt) if ir::fits_steps(op, self.size(), n, T::SIZE) => {
-                self.memoized(op, n, T::SIZE, algo, opt)?
-            }
-            _ => None,
+            DefaultPath::Direct => None,
+            _ if !ir::fits_steps(op, self.size(), n, T::SIZE) => None,
+            path => self.memoized(op, n, T::SIZE, algo, path)?,
         };
         if let Some(i) = memoized {
             let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
@@ -695,8 +688,8 @@ mod tests {
             ) -> Result<()> {
                 self.0.sendrecv(to, d, from, b, t)
             }
-            fn default_path(&self) -> Option<crate::ir::OptLevel> {
-                Some(crate::ir::OptLevel::None)
+            fn default_path(&self) -> DefaultPath {
+                DefaultPath::Program
             }
             fn run_program(&self, _: &mut BoundProgram<'_>) -> Result<()> {
                 self.1.set(self.1.get() + 1);
@@ -895,8 +888,9 @@ mod tests {
         let HierChoice::Hier(h) = &r.new else {
             panic!("the hybrid wins under the refit, got {}", r.new);
         };
-        // The warmed program is the one a plan now asks for: a hit.
-        let key = ir::PlanKey::frozen(PlanOp::AllReduce, 16, n, 8, &r.new);
+        // The warmed program is the one a plan, a simulated call and a
+        // threaded call from its second on now run: a hit.
+        let key = ir::PlanKey::frozen(PlanOp::AllReduce, 16, n, 8, Some(&r.new));
         assert_eq!((key.hier.as_ref(), &key.strategy), (Some(h), &None));
         // (Asked per key: the process-wide counters also move under
         // whatever the tests running beside this one compile.)

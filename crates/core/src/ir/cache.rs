@@ -54,26 +54,15 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// The key of the deployed program for a selection: `choice` frozen
-    /// at full optimization — flat in `strategy`, hierarchical in
-    /// `hier`. The pass pipeline's rewrites are re-proven by the
+    /// The key of the deployed program for a selection: `choice` (of a
+    /// strategy-taking op; `None` for scatter, gather and alltoall)
+    /// frozen at full optimization — flat in `strategy`, hierarchical
+    /// in `hier`. The pass pipeline's rewrites are re-proven by the
     /// schedule audit and pinned byte-identical by the differential
-    /// suites, so the optimized program is the deployed artifact.
-    pub fn frozen(op: PlanOp, p: usize, n: usize, elem_size: usize, choice: &HierChoice) -> Self {
-        PlanKey {
-            opt: OptLevel::Full,
-            ..Self::plain(op, p, n, elem_size, Some(choice))
-        }
-    }
-
-    /// The key of the plain program (lowering only) of one default-path
-    /// call: `choice` is the selection of a strategy-taking op and
-    /// `None` for scatter, gather and alltoall. Its op stream is the
-    /// direct path's, call for call, which is what lets a backend route
-    /// its default path through plain programs
-    /// ([`Comm::default_path`](crate::Comm::default_path)) without
-    /// moving a virtual time.
-    pub fn plain(
+    /// suites, so the optimized program is the deployed artifact: what
+    /// persistent plans and every program-running
+    /// [`Communicator`](crate::Communicator) call run.
+    pub fn frozen(
         op: PlanOp,
         p: usize,
         n: usize,
@@ -92,7 +81,7 @@ impl PlanKey {
             elem_size,
             strategy,
             hier,
-            opt: OptLevel::None,
+            opt: OptLevel::Full,
         }
     }
 }

@@ -57,7 +57,7 @@ pub mod trace;
 
 pub use autotune::{AutoTuner, Reselect, RetuneReport, TrackedShape};
 pub use cast::Scalar;
-pub use comm::{Comm, GroupComm, Tag};
+pub use comm::{Comm, DefaultPath, GroupComm, Tag};
 pub use communicator::{Algo, Communicator, CALL_TAG_STRIDE};
 pub use error::{AbortCause, AbortInfo, CollectiveError, CommError, Result};
 pub use faults::{Fault, FaultKind, FaultLayer, FaultPlan, FaultyComm, POISON_TAG};

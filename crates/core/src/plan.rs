@@ -58,7 +58,7 @@ impl<T: Scalar> PlanCore<T> {
         let cop = ir::cost_op(op).expect("every planned op takes a strategy");
         let n_bytes = op.cost_bytes(cc.size(), n, T::SIZE);
         let choice = cc.auto_choice(cop, n_bytes);
-        let key = PlanKey::frozen(op, cc.size(), n, T::SIZE, &choice);
+        let key = PlanKey::frozen(op, cc.size(), n, T::SIZE, Some(&choice));
         PlanCore {
             choice,
             program: ir::global_cache().get_or_compile(&key),

@@ -2,8 +2,8 @@
 
 use crate::engine::{Reply, Request};
 use crate::window::ProgramWindow;
-use intercom::ir::{BoundProgram, OptLevel, Step, StepKind};
-use intercom::{Comm, CommError, Result, Tag};
+use intercom::ir::{BoundProgram, Step, StepKind};
+use intercom::{Comm, CommError, DefaultPath, Result, Tag};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, SyncSender};
 
@@ -122,8 +122,8 @@ impl Comm for SimComm {
             .send((self.rank, Request::PlanStep { plan, step }));
     }
 
-    fn default_path(&self) -> Option<OptLevel> {
-        Some(OptLevel::None)
+    fn default_path(&self) -> DefaultPath {
+        DefaultPath::Program
     }
 
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {

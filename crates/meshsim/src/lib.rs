@@ -17,19 +17,20 @@
 //! reproduction regenerate the paper's Table 3 and Fig. 4 without the
 //! original hardware.
 //!
-//! A collective call is one hand-off. [`SimComm`] routes its
-//! `Communicator` calls through their plain programs
-//! (`Comm::default_path`) and
-//! runs programs its own way (`Comm::run_program`): a call or a
-//! persistent plan runs the data steps before its first transfer or
-//! clock step and after its last one on the rank's thread and hands the
-//! engine the rest of its plain compiled program — the direct path's op
-//! stream, step for step — in one request. The engine walks it with a
-//! per-rank cursor: copies and folds at once, γ and δ on the rank's
-//! clock, transfers through the same matching as a closure's `send` /
-//! `recv`, and one reply at the end. Virtual time is the direct path's
-//! bit for bit; what the host saves is a rank-thread round trip per
-//! message.
+//! A collective call is one hand-off. [`SimComm`] routes every
+//! `Communicator` call, a shape's first included, through its deployed
+//! program — the one persistent plans and threaded calls run
+//! (`Comm::default_path`) — and runs programs its own way
+//! (`Comm::run_program`): a call or a persistent plan runs the data
+//! steps before its first transfer or clock step and after its last one
+//! on the rank's thread and hands the engine the rest of its compiled
+//! program in one request. The engine walks it with a per-rank cursor:
+//! copies and folds at once, γ and δ on the rank's clock, transfers
+//! through the same matching as a closure's `send` / `recv`, and one
+//! reply at the end. Results are the direct path's bit for bit, and so
+//! is virtual time on the benchmark's rows; where the direct path posts
+//! empty messages the program elides, no rank finishes later. What the
+//! host saves is a rank-thread round trip per message.
 //!
 //! A payload is never handed to the engine: a blocking call lends it a
 //! *borrowed window* onto the caller's own buffer, and the engine copies

@@ -328,7 +328,7 @@ fn a_simulated_16x32_allreduce_never_grows_the_arena() {
     let report = simulate(&SimConfig::new(mesh, MachineParams::PARAGON), |c| {
         let cc = Communicator::world_on_mesh(c, MachineParams::PARAGON, mesh).unwrap();
         let choice = cc.auto_choice(CollectiveOp::CombineToAll, n * 8);
-        let key = PlanKey::plain(PlanOp::AllReduce, c.size(), n, 8, Some(&choice));
+        let key = PlanKey::frozen(PlanOp::AllReduce, c.size(), n, 8, Some(&choice));
         let prog = global_cache().get_or_compile(&key).unwrap();
         let (mut v, mut arena) = (vec![c.rank() as f64; n], Vec::new());
         let args = &mut [ArgBuf::Out(&mut v[..])];

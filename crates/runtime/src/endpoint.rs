@@ -44,8 +44,7 @@ use crate::chan::{poll, Waited};
 use crate::mailbox::{Arrival, Arrived, Fabric, Mailbox, Store};
 use intercom::comm::Sink;
 use intercom::faults::POISON_TAG;
-use intercom::ir::OptLevel;
-use intercom::{AbortCause, AbortInfo, Comm, CommError, Result, Tag};
+use intercom::{AbortCause, AbortInfo, Comm, CommError, DefaultPath, Result, Tag};
 use intercom_obs::{EventKind, Recorder, TraceEvent};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -927,12 +926,13 @@ impl Comm for ThreadComm {
         self.plan_step.set((plan, step));
     }
 
-    /// Deployed: on threads every message is an α and every step of
-    /// per-call software wall-clock time, so a `Communicator` call runs
-    /// the optimized program persistent plans run (empty halves elided,
-    /// halves of one stage co-posted), from its communicator's memo.
-    fn default_path(&self) -> Option<OptLevel> {
-        Some(OptLevel::Full)
+    /// From a shape's second call: on threads every message is an α and
+    /// every step of per-call software wall-clock time, so a repeated
+    /// `Communicator` call runs the deployed program persistent plans
+    /// run (empty halves elided, halves of one stage co-posted), from
+    /// its communicator's memo.
+    fn default_path(&self) -> DefaultPath {
+        DefaultPath::ProgramOnRepeat
     }
 }
 

@@ -12,11 +12,15 @@
 //! exactly what this test is standing guard against (e.g. the
 //! zero-copy rendezvous path reordering or corrupting ring traffic).
 
-use intercom::{Comm, Communicator, ReduceOp};
-use intercom_cost::MachineParams;
+use intercom::ir::{global_cache, BoundProgram, PlanKey, PlanOp};
+use intercom::plan::AllreducePlan;
+use intercom::{Comm, Communicator, DefaultPath, ReduceOp, Result, Tag};
+use intercom_cost::{CollectiveOp, MachineParams};
 use intercom_meshsim::{simulate, SimConfig};
-use intercom_runtime::run_world;
+use intercom_runtime::{run_world, ThreadComm};
 use intercom_topology::Mesh2D;
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// Deterministic, rank- and index-dependent test data with enough
 /// structure that block permutation bugs can't cancel out.
@@ -141,5 +145,83 @@ fn mixed_tag_exchanges_are_refused_on_both_backends() {
     ];
     for (backend, got) in ["threads", "simulator"].into_iter().zip(outcomes) {
         assert_eq!(got, vec![(true, true); 2], "{backend}");
+    }
+}
+
+/// A threaded endpoint that notes the id of every program run on it.
+struct Programs<'a> {
+    comm: &'a ThreadComm,
+    ran: Cell<u64>,
+}
+
+impl Comm for Programs<'_> {
+    fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+    fn size(&self) -> usize {
+        self.comm.size()
+    }
+    fn send(&self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
+        self.comm.send(to, tag, data)
+    }
+    fn recv(&self, from: usize, tag: Tag, buf: &mut [u8]) -> Result<()> {
+        self.comm.recv(from, tag, buf)
+    }
+    fn sendrecv(&self, to: usize, d: &[u8], from: usize, b: &mut [u8], tag: Tag) -> Result<()> {
+        self.comm.sendrecv(to, d, from, b, tag)
+    }
+    fn default_path(&self) -> DefaultPath {
+        self.comm.default_path()
+    }
+    fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
+        self.ran.set(prog.plan_id());
+        self.comm.run_program(prog)
+    }
+}
+
+/// One call shape compiles one program: the simulator's call, a
+/// persistent plan of it and a threaded call from its second on run
+/// the shape's deployed program, one `plan_id` between them.
+#[test]
+fn one_shape_runs_one_program_on_every_backend() {
+    let (p, n) = (6usize, 40usize);
+    let machine = MachineParams::PARAGON;
+    let cfg = SimConfig::new(Mesh2D::new(1, p), machine).with_trace();
+    let simulated = simulate(&cfg, |c| {
+        let cc = Communicator::world(c, machine);
+        let mut v = vec![c.rank() as f64; n];
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        cc.auto_choice(CollectiveOp::CombineToAll, n * 8)
+    });
+    let choice = &simulated.results[0];
+    let key = PlanKey::frozen(PlanOp::AllReduce, p, n, 8, Some(choice));
+    let id = global_cache().get_or_compile(&key).unwrap().plan_id;
+    let stamped: BTreeSet<u64> = simulated
+        .trace
+        .unwrap()
+        .records()
+        .iter()
+        .map(|e| e.plan)
+        .collect();
+    assert_eq!(stamped, BTreeSet::from([id]), "the simulated call");
+    let threaded = run_world(p, |c| {
+        let programs = Programs {
+            comm: c,
+            ran: Cell::new(0),
+        };
+        let cc = Communicator::world(&programs, machine);
+        let plan = AllreducePlan::<f64>::new(&cc, n, ReduceOp::Sum);
+        let mut v = vec![c.rank() as f64; n];
+        plan.execute(&cc, &mut v).unwrap();
+        let planned = programs.ran.replace(0);
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        let first = programs.ran.replace(0);
+        cc.allreduce(&mut v, ReduceOp::Sum).unwrap();
+        let compiled = plan.program().unwrap().plan_id;
+        (compiled, planned, first, programs.ran.get())
+    });
+    for (rank, ids) in threaded.iter().enumerate() {
+        // The first call runs the direct path: no program.
+        assert_eq!(*ids, (id, id, 0, id), "rank {rank}");
     }
 }

@@ -17,7 +17,8 @@ use intercom_suite::intercom::ir::{global_cache, BoundProgram};
 use intercom_suite::intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
 use intercom_suite::intercom::selector::{choose, GroupShape};
 use intercom_suite::intercom::{AutoTuner, Communicator, TrackedShape};
-use intercom_suite::intercom::{Comm, Result, Tag};
+use intercom_suite::intercom::{Comm, DefaultPath, Result, Tag, CALL_TAG_STRIDE};
+use intercom_suite::meshsim::{simulate, SimConfig};
 use intercom_suite::obs::metrics;
 use intercom_suite::obs::ResidualReport;
 use intercom_suite::runtime::{run_world, ThreadComm};
@@ -218,7 +219,7 @@ impl Comm for Programs<'_> {
     fn sendrecv(&self, to: usize, d: &[u8], from: usize, b: &mut [u8], tag: Tag) -> Result<()> {
         self.comm.sendrecv(to, d, from, b, tag)
     }
-    fn default_path(&self) -> Option<OptLevel> {
+    fn default_path(&self) -> DefaultPath {
         self.comm.default_path()
     }
     fn run_program(&self, prog: &mut BoundProgram<'_>) -> Result<()> {
@@ -227,11 +228,21 @@ impl Comm for Programs<'_> {
     }
 }
 
-#[test]
-fn a_threaded_refit_reselects_the_next_auto_call() {
-    let _serial = serial();
-    // The crossover shape of the test above: MST under the configured
-    // Paragon, scatter-collect once β doubles.
+/// The crossover shape of the first test — an 8-rank broadcast of
+/// 16 KiB: MST under the configured Paragon, scatter-collect once β
+/// doubles — with the reports a machine of doubled β feeds back, and
+/// the choices under the configured and the true machine.
+struct Crossover {
+    p: usize,
+    n: usize,
+    op: PlanOp,
+    configured: MachineParams,
+    reports: Vec<ResidualReport>,
+    stale: HierChoice,
+    fresh: HierChoice,
+}
+
+fn crossover() -> Crossover {
     let (p, n) = (8usize, 16384usize);
     let configured = MachineParams::PARAGON_MODEL;
     let mut true_machine = configured;
@@ -255,9 +266,32 @@ fn a_threaded_refit_reselects_the_next_auto_call() {
     };
     let (stale, fresh) = (pick(configured), pick(true_machine));
     assert_ne!(stale, fresh, "the shape must sit at a crossover");
+    Crossover {
+        p,
+        n,
+        op,
+        configured,
+        reports,
+        stale,
+        fresh,
+    }
+}
+
+#[test]
+fn a_threaded_refit_reselects_the_next_auto_call() {
+    let _serial = serial();
+    let Crossover {
+        p,
+        n,
+        op,
+        configured,
+        reports,
+        stale,
+        fresh,
+    } = crossover();
     // Each rank's deployed steps under either choice.
     let lengths = |choice: &HierChoice| {
-        let key = PlanKey::frozen(op, p, n, 1, choice);
+        let key = PlanKey::frozen(op, p, n, 1, Some(choice));
         let prog = global_cache().get_or_compile(&key).unwrap();
         prog.ranks.iter().map(|r| r.steps.len()).collect::<Vec<_>>()
     };
@@ -290,5 +324,48 @@ fn a_threaded_refit_reselects_the_next_auto_call() {
     for (rank, got) in out.iter().enumerate() {
         let want = (true, stale_steps[rank], fresh_steps[rank], true);
         assert_eq!(*got, want, "rank {rank}");
+    }
+}
+
+#[test]
+fn a_simulated_refit_warms_the_program_the_next_auto_call_runs() {
+    let _serial = serial();
+    let Crossover {
+        p,
+        n,
+        op,
+        configured,
+        reports,
+        fresh,
+        ..
+    } = crossover();
+    let key = PlanKey::frozen(op, p, n, 1, Some(&fresh));
+    let cfg = SimConfig::new(Mesh2D::new(1, p), configured).with_trace();
+    let report = simulate(&cfg, |c| {
+        let mut cc = Communicator::world(c, configured);
+        cc.attach_tuner(AutoTuner::new(configured));
+        let mut buf = vec![c.rank() as u8; n];
+        cc.bcast(0, &mut buf).unwrap();
+        let refit = reports.iter().find_map(|r| cc.observe(r)).is_some();
+        // Every rank's retune re-warms the shape's program: no rank
+        // looks it up before all of them are done.
+        cc.barrier().unwrap();
+        let missing = global_cache().warm_up([key.clone()]).unwrap();
+        cc.bcast(0, &mut buf).unwrap();
+        (refit, missing, buf.iter().all(|&b| b == 0))
+    });
+    assert!(report.results.iter().all(|&r| r == (true, 0, true)));
+    // The call after the barrier (the communicator's third) ran the
+    // warmed program: every one of its transfers carries its id.
+    let warmed = global_cache().get_or_compile(&key).unwrap();
+    let trace = report.trace.unwrap();
+    let third: Vec<_> = trace
+        .records()
+        .iter()
+        .filter(|e| e.tag / CALL_TAG_STRIDE == 2)
+        .collect();
+    assert!(!third.is_empty());
+    for e in third {
+        assert_eq!(e.plan, warmed.plan_id, "{e:?}");
     }
 }

@@ -1,37 +1,45 @@
-//! The simulator's program path equals its direct path, and the
-//! default program walk equals both.
+//! The simulator's program path against its direct path, and the
+//! default program walk against the engine's.
 //!
 //! A `SimComm` runs programs its own way: every `Communicator` call
-//! hands the engine the call's plain compiled program in one request,
-//! and the engine walks it. Each call runs twice more through
+//! hands the engine the call's deployed compiled program in one
+//! request, and the engine walks it. Each call runs twice more through
 //! [`Direct`], a wrapper that forwards only the point-to-point calls
-//! and the clock hooks: once answering `Plain` to `Comm::default_path`,
-//! so the same program runs on `Comm::run_program`'s default walk, one
-//! request per step; and once as the reference, with the answer at its
-//! default, so the call runs the recursive algorithms, one request per
-//! message.
+//! and the clock hooks: once answering [`DefaultPath::Program`] to
+//! `Comm::default_path`, so the same program runs on
+//! `Comm::run_program`'s default walk, one request per step; and once
+//! as the reference, with the answer at its default, so the call runs
+//! the recursive algorithms, one request per message.
 //!
-//! Equal means bit for bit: the elapsed virtual time, every rank's
-//! clock, every buffer the call bound, and the transfer trace (source,
-//! destination, tag, bytes, start, end, hops — everything but the
-//! `(plan, step)` stamp, which only the engine's walk sets).
+//! The two walks agree bit for bit: the elapsed virtual time, every
+//! rank's clock, every buffer the call bound, and the transfer trace
+//! (source, destination, tag, bytes, start, end, hops — everything but
+//! the `(plan, step)` stamp, which only the engine's walk sets). The
+//! deployed program elides the empty messages the direct path posts
+//! where blocks are shorter than the group, so against the direct path
+//! the results agree bit for bit and no rank's clock is later; where
+//! the elapsed time and every clock are equal, so are the traces once
+//! zero-byte transfers are dropped.
 
 mod common;
 
 use common::{all_ops, strategies, NODE_COUNTS};
 use intercom::comm::GroupComm;
 use intercom::ir::{
-    cost_op, execute, global_cache, run_direct, OptLevel, OwnedArgs, PlanKey, PlanOp, StepKind,
+    cost_op, execute, global_cache, run_direct, OwnedArgs, PlanKey, PlanOp, StepKind,
 };
-use intercom::{Algo, Comm, Communicator, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE};
+use intercom::{
+    Algo, Comm, Communicator, DefaultPath, Elem, ReduceOp, Result, Tag, CALL_TAG_STRIDE,
+};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimComm, SimConfig, SimReport, TraceEvent};
 use intercom_topology::{Cluster, Mesh2D};
 
 /// Forwards rank, size, send, recv, sendrecv, compute and
-/// call_overhead, and answers `Plain` to `default_path` where it `walks`; everything else
-/// is the trait's default. So a call through it runs its program on the
-/// default walk where it `walks`, and takes the direct path elsewhere.
+/// call_overhead, and answers [`DefaultPath::Program`] to
+/// `default_path` where it `walks`; everything else is the trait's
+/// default. So a call through it runs its program on the default walk
+/// where it `walks`, and takes the direct path elsewhere.
 struct Direct<'a, C: Comm + ?Sized> {
     comm: &'a C,
     walks: bool,
@@ -73,8 +81,11 @@ impl<C: Comm + ?Sized> Comm for Direct<'_, C> {
         self.comm.call_overhead();
     }
 
-    fn default_path(&self) -> Option<OptLevel> {
-        self.walks.then_some(OptLevel::None)
+    fn default_path(&self) -> DefaultPath {
+        match self.walks {
+            true => DefaultPath::Program,
+            false => DefaultPath::Direct,
+        }
     }
 }
 
@@ -111,12 +122,18 @@ fn outcome<T>(report: SimReport<T>) -> Outcome<T> {
     }
 }
 
+/// The transfers that moved a byte.
+fn nonempty(transfers: &[Transfer]) -> Vec<Transfer> {
+    transfers.iter().copied().filter(|t| t.3 > 0).collect()
+}
+
 /// Runs `body` on every rank of `cfg` three times — on the `SimComm`
 /// itself (the engine's walk), through a [`Direct`] that walks (the
 /// default walk) and through one that does not (the direct path) — and
-/// asserts the three worlds agree bit for bit. Returns the engine
-/// walk's results.
-fn assert_paths_agree<T, F>(cfg: &SimConfig, what: &str, body: F) -> Vec<T>
+/// asserts the module's relations between the three worlds. Returns the
+/// engine walk's results and whether its elapsed time and every clock
+/// equal the direct path's.
+fn assert_paths_agree<T, F>(cfg: &SimConfig, what: &str, body: F) -> (Vec<T>, bool)
 where
     T: Send + PartialEq + std::fmt::Debug,
     F: Fn(&dyn Comm) -> T + Send + Sync,
@@ -130,12 +147,34 @@ where
     };
     let (engine, walk, direct) = (run(None), run(Some(true)), run(Some(false)));
     assert!(
-        !engine.transfers.is_empty() || cfg.net.nodes() == 1,
+        !direct.transfers.is_empty() || cfg.net.nodes() == 1,
         "{what}"
     );
-    assert_eq!(engine, direct, "{what}: the engine's walk");
-    assert_eq!(walk, direct, "{what}: the default walk");
-    engine.results
+    assert_eq!(walk, engine, "{what}: the default walk");
+    assert_eq!(engine.results, direct.results, "{what}: results");
+    let secs = |bits: &u64| f64::from_bits(*bits);
+    assert!(secs(&engine.elapsed) <= secs(&direct.elapsed), "{what}");
+    for (rank, (e, d)) in engine.clocks.iter().zip(&direct.clocks).enumerate() {
+        assert!(secs(e) <= secs(d), "{what}: rank {rank}'s clock is later");
+    }
+    let same_time = (engine.elapsed, &engine.clocks) == (direct.elapsed, &direct.clocks);
+    if same_time {
+        let (e, d) = (nonempty(&engine.transfers), nonempty(&direct.transfers));
+        assert_eq!(e, d, "{what}: transfers that moved a byte");
+    }
+    (engine.results, same_time)
+}
+
+/// [`assert_paths_agree`] where the program takes the direct path's
+/// virtual time: the elapsed time and every clock equal too.
+fn assert_paths_agree_in_time<T, F>(cfg: &SimConfig, what: &str, body: F) -> Vec<T>
+where
+    T: Send + PartialEq + std::fmt::Debug,
+    F: Fn(&dyn Comm) -> T + Send + Sync,
+{
+    let (results, same_time) = assert_paths_agree(cfg, what, body);
+    assert!(same_time, "{what}: virtual time moved");
+    results
 }
 
 /// Values whose sums round, so a fold in another order shows.
@@ -144,8 +183,9 @@ fn value(rank: usize, i: usize) -> f64 {
 }
 
 /// One rank's call of `op` on the default path's terms: where the
-/// backend's default path is the plain program, that through `execute`,
-/// elsewhere `run_direct`. Returns the bits of every buffer the call bound.
+/// backend's default path runs programs, the deployed one through
+/// `execute`, elsewhere `run_direct`. Returns the bits of every buffer
+/// the call bound.
 fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<u64> {
     let (p, rank) = (c.size(), c.rank());
     let mut bufs = OwnedArgs::<f64>::new(op, p, n, rank);
@@ -153,8 +193,8 @@ fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<
     let gc = GroupComm::world(c);
     let (scratch, tag) = (&mut Vec::new(), 3 * CALL_TAG_STRIDE);
     let rop = ReduceOp::Sum;
-    if c.default_path() == Some(OptLevel::None) {
-        let key = PlanKey::plain(op, p, n, 8, choice);
+    if c.default_path() != DefaultPath::Direct {
+        let key = PlanKey::frozen(op, p, n, 8, choice);
         let prog = global_cache().get_or_compile(&key).unwrap();
         execute(&prog, &gc, rop, &mut bufs.bind(), scratch, tag).unwrap();
     } else {
@@ -166,6 +206,7 @@ fn call(c: &dyn Comm, op: PlanOp, choice: Option<&HierChoice>, n: usize) -> Vec<
 
 #[test]
 fn every_op_and_strategy_runs_the_same_on_both_paths() {
+    let (mut points, mut earlier) = (0, 0);
     for p in NODE_COUNTS {
         let cfg = SimConfig::new(Mesh2D::new(1, p), MachineParams::PARAGON);
         for op in all_ops(p) {
@@ -180,11 +221,15 @@ fn every_op_and_strategy_runs_the_same_on_both_paths() {
             for choice in &choices {
                 for n in [1, 13] {
                     let what = format!("{op} p={p} n={n} {choice:?}");
-                    assert_paths_agree(&cfg, &what, |c| call(c, op, choice.as_ref(), n));
+                    let (_, same_time) =
+                        assert_paths_agree(&cfg, &what, |c| call(c, op, choice.as_ref(), n));
+                    points += 1;
+                    earlier += usize::from(!same_time);
                 }
             }
         }
     }
+    println!("sweep points where a rank's clock is earlier: {earlier} of {points}");
 }
 
 /// What `rank_body` of the benchmark's `sim-mesh` does, for one row:
@@ -221,7 +266,7 @@ fn default_path_call<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> u6
     }
 }
 
-/// What a rank's plain program for `row` holds: the arena it readies on
+/// What a rank's deployed program for `row` holds: the arena it readies on
 /// the simulator, in bytes — its scratch, in words (the landing a fused
 /// receive stands for is never asked for there) — and its step count.
 fn program_size<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> (usize, usize) {
@@ -233,7 +278,7 @@ fn program_size<C: Comm + ?Sized>(cc: &Communicator<'_, C>, row: Row) -> (usize,
     };
     let cop = cost_op(op).expect("every row is priced");
     let choice = cc.auto_choice(cop, op.cost_bytes(p, n, elem));
-    let key = PlanKey::plain(op, p, n, elem, Some(&choice));
+    let key = PlanKey::frozen(op, p, n, elem, Some(&choice));
     let prog = global_cache().get_or_compile(&key).unwrap();
     let rp = &prog.ranks[cc.rank()];
     (rp.scratch_bytes.next_multiple_of(8), rp.steps.len())
@@ -249,7 +294,7 @@ fn cluster_calls_run_the_same_on_both_paths_on_either_backbone() {
             Row::Allreduce(8 << 10),
             Row::Allgather(4 << 10),
         ] {
-            assert_paths_agree(&cfg, &format!("{row:?}"), |c| {
+            assert_paths_agree_in_time(&cfg, &format!("{row:?}"), |c| {
                 let cc = Communicator::world_on_cluster(c, machine, &cluster).unwrap();
                 default_path_call(&cc, row)
             });
@@ -264,7 +309,7 @@ fn a_mesh_row_group_runs_the_same_on_both_paths() {
     let mesh = Mesh2D::new(3, 4);
     let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
     let members: Vec<usize> = (4..8).collect();
-    let results = assert_paths_agree(&cfg, "row group", |c| {
+    let results = assert_paths_agree_in_time(&cfg, "row group", |c| {
         if !members.contains(&c.rank()) {
             let peer = c.rank() ^ 1;
             let mut got = [0u8];
@@ -308,13 +353,13 @@ fn allreduce_of<T: Elem>(
 fn allreduces_agree(mesh: Mesh2D, bytes: usize) {
     let cfg = SimConfig::new(mesh, MachineParams::PARAGON);
     for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
-        assert_paths_agree(&cfg, &format!("f64 {op:?} {bytes} B"), |c| {
+        assert_paths_agree_in_time(&cfg, &format!("f64 {op:?} {bytes} B"), |c| {
             allreduce_of::<f64>(c, mesh, op, bytes, value)
         });
-        assert_paths_agree(&cfg, &format!("i32 {op:?} {bytes} B"), |c| {
+        assert_paths_agree_in_time(&cfg, &format!("i32 {op:?} {bytes} B"), |c| {
             allreduce_of::<i32>(c, mesh, op, bytes, |r, i| (i as i32 - 7) * (r as i32 + 1))
         });
-        assert_paths_agree(&cfg, &format!("u8 {op:?} {bytes} B"), |c| {
+        assert_paths_agree_in_time(&cfg, &format!("u8 {op:?} {bytes} B"), |c| {
             allreduce_of::<u8>(c, mesh, op, bytes, |r, i| (i * 31 + r) as u8)
         });
     }
@@ -337,6 +382,10 @@ fn fused_folds_of_uneven_and_empty_blocks_run_the_same_on_both_paths() {
     }
 }
 
+/// A rank's checksum of one row's call, and what its program readied
+/// and holds ([`program_size`]).
+type RowResult = (u64, (usize, usize));
+
 /// The benchmark's 21 `sim-mesh` rows at full size: Table 3's 16×32
 /// column, Fig. 4's 15×30 mesh and the 2×2×4 cluster on both
 /// backbones. Slow in a debug build; `ci.sh` runs it in release.
@@ -347,10 +396,10 @@ fn the_sim_mesh_rows_run_the_same_on_both_paths() {
     let (mut identical, mut arena, mut steps) = (0, 0, 0);
     // Each row's call, and what its program readied and holds, summed
     // over ranks.
-    let mut count = |results: Vec<(u64, (usize, usize))>| {
+    let mut count = |(results, same_time): (Vec<RowResult>, bool)| {
         arena += results.iter().map(|&(_, (bytes, _))| bytes).sum::<usize>();
         steps += results.iter().map(|&(_, (_, n))| n).sum::<usize>();
-        identical += 1;
+        identical += usize::from(same_time);
     };
     let mut mesh_rows = |rows: usize, cols: usize, sizes: &[usize], allreduce: bool| {
         let mesh = Mesh2D::new(rows, cols);
@@ -398,7 +447,7 @@ fn closure_calls_and_program_calls_interleave_on_one_endpoint() {
     // Each rank mixes its own sends and receives with default-path
     // calls on one `SimComm`; the request channel keeps them in order.
     let cfg = SimConfig::new(Mesh2D::new(2, 3), MachineParams::PARAGON);
-    let results = assert_paths_agree(&cfg, "interleaved", |c| {
+    let results = assert_paths_agree_in_time(&cfg, "interleaved", |c| {
         let (p, me) = (c.size(), c.rank());
         let (right, left) = ((me + 1) % p, (me + p - 1) % p);
         let cc = Communicator::world(c, MachineParams::PARAGON);
@@ -439,7 +488,7 @@ fn only_program_path_transfers_carry_a_plan_and_step() {
     }
     let program = simulate(&cfg, |c| body(c)).trace.unwrap();
     let choice = HierChoice::Flat(st.clone());
-    let key = PlanKey::plain(PlanOp::AllReduce, 4, n, 8, Some(&choice));
+    let key = PlanKey::frozen(PlanOp::AllReduce, 4, n, 8, Some(&choice));
     let prog = global_cache().get_or_compile(&key).unwrap();
     assert!(!program.records().is_empty());
     for e in program.records() {

@@ -175,7 +175,7 @@ fn a_mesh_allgathers_program_moves_bytes_locally_in_two_steps() {
     let cc = Communicator::world_on_mesh(&rec, MachineParams::PARAGON, mesh).unwrap();
     let op = PlanOp::Collect;
     let choice = cc.auto_choice(cost_op(op).unwrap(), op.cost_bytes(p, block, 1));
-    let key = PlanKey::plain(op, p, block, 1, Some(&choice));
+    let key = PlanKey::frozen(op, p, block, 1, Some(&choice));
     let prog = global_cache().get_or_compile(&key).unwrap();
     assert_eq!(prog.radices, [ROW_RADICES[2]], "one strategy, one entry");
     for (rank, rp) in prog.ranks.iter().enumerate() {

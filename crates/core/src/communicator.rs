@@ -56,8 +56,9 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// (see [`Communicator::attach_tuner`]).
     tuner: RefCell<Option<AutoTuner>>,
     next_tag: Cell<Tag>,
-    /// The workspace every call borrows, whatever its element type:
-    /// empty until a call needs some, grown to the largest need seen.
+    /// The workspace every call and every plan it executes borrows,
+    /// whatever its element type: empty until a call needs some, grown
+    /// to the largest need seen.
     /// The direct path never re-zeroes it; a compiled program zeroes
     /// the part it uses before its first step that touches it.
     scratch: RefCell<Vec<u64>>,
@@ -268,12 +269,6 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         t
     }
 
-    /// Draws a tag from the communicator's sequence for a persistent
-    /// plan execution (see [`crate::plan`]).
-    pub(crate) fn take_plan_tag(&self) -> Tag {
-        self.fresh_tag()
-    }
-
     /// Resolves `algo` for a call of `op` over `n` elements of
     /// `elem_size` bytes. An [`Algo::Auto`] call also registers its
     /// shape with the attached tuner: those are the calls whose
@@ -336,8 +331,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
                 let choice = op
                     .takes_strategy()
                     .then(|| self.choose(op, n, elem_size, algo));
-                let key = PlanKey::frozen(op, self.size(), n, elem_size, choice.as_ref());
-                Some(ir::global_cache().get_or_compile(&key)?)
+                Some(self.compile(op, n, elem_size, choice.as_ref())?)
             }
             false => None,
         };
@@ -358,6 +352,33 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             prog,
         });
         Ok(compiled.then(|| memo.len() - 1))
+    }
+
+    /// The deployed program ([`PlanKey::frozen`]) of a call shape under
+    /// `choice`: what a memo hit and a persistent plan run.
+    pub(crate) fn compile(
+        &self,
+        op: PlanOp,
+        n: usize,
+        elem_size: usize,
+        choice: Option<&HierChoice>,
+    ) -> Result<Arc<CollectiveProgram>> {
+        let key = PlanKey::frozen(op, self.size(), n, elem_size, choice);
+        ir::global_cache().get_or_compile(&key)
+    }
+
+    /// Runs a compiled program in this communicator's scratch, on its
+    /// next tag OR-ed with `band` (programs are lowered at base tag 0;
+    /// persistent plans run in a band of their own).
+    pub(crate) fn run_compiled<T: Scalar>(
+        &self,
+        prog: &CollectiveProgram,
+        rop: ReduceOp,
+        args: &mut [ArgBuf<'_, T>],
+        band: Tag,
+    ) -> Result<()> {
+        let (scratch, tag) = (&mut self.scratch.borrow_mut(), band | self.fresh_tag());
+        ir::execute(prog, &self.gc, rop, args, scratch, tag)
     }
 
     /// One call: selector-driven where the op takes a strategy. `rop`
@@ -385,13 +406,12 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             path => self.memoized(op, n, T::SIZE, algo, path)?,
         };
         if let Some(i) = memoized {
-            let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
             let memo = self.memo.borrow();
             let prog = memo[i]
                 .prog
-                .as_ref()
+                .as_deref()
                 .expect("a found entry holds its program");
-            return ir::execute(prog, &self.gc, rop, args, scratch, tag);
+            return self.run_compiled(prog, rop, args, 0);
         }
         let choice = op
             .takes_strategy()

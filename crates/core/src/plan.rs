@@ -1,19 +1,16 @@
-//! Persistent collective plans, compiled through the schedule IR.
+//! Persistent collective plans: a call shape frozen once.
 //!
-//! Iterative applications (the paper's motivating workloads — §9's
-//! "rows and columns of a logical mesh" computations) issue the *same*
-//! collective with the same geometry every iteration. A plan runs the
-//! cost-model selection once, compiles the chosen strategy to a
-//! [`CollectiveProgram`] via the
-//! process-wide [plan cache](crate::ir::global_cache), and then executes
-//! the compiled step list with no per-call selection or lowering
-//! overhead — the moral equivalent of MPI's persistent requests, and the
-//! natural home for the paper's observation that the hybrid choice
-//! depends only on `(operation, group shape, message length, machine)`.
-//!
-//! Every plan is the same thin object: a handle on the cached program
-//! plus a reusable scratch arena, so two plans for the same call shape
-//! share one compiled schedule and repeated executions allocate nothing.
+//! Iterative applications (§9's "rows and columns of a logical mesh"
+//! computations) issue the *same* collective every iteration. A plan
+//! runs the cost-model selection once, takes the shape's deployed
+//! [`CollectiveProgram`] from the process-wide
+//! [plan cache](crate::ir::global_cache), and executes it with no
+//! per-call selection or lowering — MPI's persistent requests. It is
+//! what a repeated [`Communicator`] call on threads runs from its memo,
+//! held by the caller: the same compile and the same run, in the scratch
+//! arena of the communicator that executes it. Every plan type is one
+//! [`Plan`] handle named by a [`kind`] marker; plans of one call shape
+//! share one compiled schedule, and executions allocate nothing.
 //!
 //! ```
 //! use intercom::{Communicator, plan::AllreducePlan, ReduceOp};
@@ -28,109 +25,118 @@
 //! ```
 
 use crate::cast::Scalar;
-use crate::comm::Comm;
+use crate::comm::{Comm, Tag};
 use crate::communicator::Communicator;
 use crate::error::Result;
-use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
+use crate::ir::{self, ArgBuf, CollectiveProgram, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use intercom_cost::HierChoice;
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// The shared compiled-program handle every plan wraps: the frozen
-/// selection, the cached program (or the lowering error, stashed here
-/// and surfaced on the first execute) plus the private scratch arena
-/// each run re-zeroes — never re-allocates — when it binds the program.
-struct PlanCore<T: Scalar> {
+/// The tag band every plan execution runs in: a plan's tags stay
+/// disjoint from ad-hoc calls even where ranks interleave the two in
+/// different orders.
+const PLAN_TAG_BAND: Tag = 1 << 62;
+
+/// The operation a [`Plan`] runs, as a type: zero-sized markers.
+pub mod kind {
+    /// Broadcast ([`BcastPlan`](super::BcastPlan)).
+    pub enum Broadcast {}
+    /// Combine-to-one ([`ReducePlan`](super::ReducePlan)).
+    pub enum Reduce {}
+    /// Combine-to-all ([`AllreducePlan`](super::AllreducePlan)).
+    pub enum AllReduce {}
+    /// Distributed combine
+    /// ([`ReduceScatterPlan`](super::ReduceScatterPlan)).
+    pub enum ReduceScatter {}
+    /// Collect ([`CollectPlan`](super::CollectPlan)).
+    pub enum Collect {}
+
+    /// The kinds whose plans run over one in-place buffer.
+    pub trait InPlace {}
+    impl InPlace for Broadcast {}
+    impl InPlace for Reduce {}
+    impl InPlace for AllReduce {}
+}
+
+/// A frozen collective of kind `K` over elements of type `T`: the
+/// selection, the deployed program (or the lowering error, surfaced on
+/// the first execute) and the ⊕ it combines under.
+pub struct Plan<T, K> {
     choice: HierChoice,
     program: Result<Arc<CollectiveProgram>>,
-    scratch: RefCell<Vec<u64>>,
-    /// The element width the program was compiled for.
-    elem: PhantomData<T>,
+    op: ReduceOp,
+    kind: PhantomData<(T, K)>,
 }
 
-impl<T: Scalar> PlanCore<T> {
+/// A frozen broadcast.
+pub type BcastPlan<T> = Plan<T, kind::Broadcast>;
+/// A frozen combine-to-one (reduce): the result lands on the root, and
+/// every rank's buffer doubles as workspace as on the direct path.
+pub type ReducePlan<T> = Plan<T, kind::Reduce>;
+/// A frozen combine-to-all (allreduce).
+pub type AllreducePlan<T> = Plan<T, kind::AllReduce>;
+/// A frozen distributed combine (reduce-scatter) with equal per-rank
+/// blocks.
+pub type ReduceScatterPlan<T> = Plan<T, kind::ReduceScatter>;
+/// A frozen collect (allgather) with equal per-rank blocks.
+pub type CollectPlan<T> = Plan<T, kind::Collect>;
+
+impl<T: Scalar, K> Plan<T, K> {
     /// Freezes what [`Algo::Auto`](crate::Algo::Auto) would run for
-    /// `op` over `n` elements — flat or, on a cluster communicator,
-    /// the two-level hybrid — and compiles it.
-    fn compile<C: Comm + ?Sized>(cc: &Communicator<'_, C>, op: PlanOp, n: usize) -> Self {
-        let cop = ir::cost_op(op).expect("every planned op takes a strategy");
-        let n_bytes = op.cost_bytes(cc.size(), n, T::SIZE);
-        let choice = cc.auto_choice(cop, n_bytes);
-        let key = PlanKey::frozen(op, cc.size(), n, T::SIZE, Some(&choice));
-        PlanCore {
-            choice,
-            program: ir::global_cache().get_or_compile(&key),
-            scratch: RefCell::new(Vec::new()),
-            elem: PhantomData,
-        }
-    }
-
-    fn program(&self) -> Result<&CollectiveProgram> {
-        match &self.program {
-            Ok(p) => Ok(p),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// Runs the compiled program over `args` under `op` (which a
-    /// program without reduce steps never applies), on a tag drawn from
-    /// the communicator's sequence: a dedicated high bit keeps plans
-    /// disjoint from ad-hoc calls that might interleave, and programs
-    /// are lowered at base tag 0, so the drawn tag offsets every
-    /// compiled step uniformly.
-    fn execute<C: Comm + ?Sized>(
-        &self,
+    /// `op` over `n` elements — flat or, on a cluster communicator, the
+    /// two-level hybrid — and takes its program. A plan registers
+    /// nothing with the communicator's tuner.
+    fn freeze<C: Comm + ?Sized>(
         cc: &Communicator<'_, C>,
-        op: ReduceOp,
-        args: &mut [ArgBuf<'_, T>],
-    ) -> Result<()> {
-        let prog = self.program()?;
-        let scratch = &mut self.scratch.borrow_mut();
-        let tag = (1 << 62) | cc.take_plan_tag();
-        ir::execute(prog, cc.group(), op, args, scratch, tag)
-    }
-}
-
-/// A frozen broadcast: strategy selected and compiled once for a fixed
-/// element count.
-pub struct BcastPlan<T: Scalar> {
-    core: PlanCore<T>,
-}
-
-impl<T: Scalar> BcastPlan<T> {
-    /// Plans a broadcast of `len` elements from `root`.
-    pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, root: usize, len: usize) -> Self {
-        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, len);
-        BcastPlan { core }
+        op: PlanOp,
+        n: usize,
+        rop: ReduceOp,
+    ) -> Self {
+        let cop = ir::cost_op(op).expect("every planned op takes a strategy");
+        let choice = cc.auto_choice(cop, op.cost_bytes(cc.size(), n, T::SIZE));
+        Plan {
+            program: cc.compile(op, n, T::SIZE, Some(&choice)),
+            choice,
+            op: rop,
+            kind: PhantomData,
+        }
     }
 
     /// The frozen selection: flat, or hierarchical on a cluster
     /// communicator where the two-level hybrid prices lower.
     pub fn choice(&self) -> &HierChoice {
-        &self.core.choice
+        &self.choice
     }
 
     /// The compiled schedule this plan executes.
     pub fn program(&self) -> Result<&CollectiveProgram> {
-        self.core.program()
+        self.program.as_deref().map_err(Clone::clone)
     }
 
-    /// Executes the planned broadcast; `buf.len()` must equal the
-    /// planned length.
-    pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        self.core
-            .execute(cc, ReduceOp::Sum, &mut [ArgBuf::Out(buf)])
+    fn run<C: Comm + ?Sized>(
+        &self,
+        cc: &Communicator<'_, C>,
+        args: &mut [ArgBuf<'_, T>],
+    ) -> Result<()> {
+        cc.run_compiled(self.program()?, self.op, args, PLAN_TAG_BAND)
     }
 }
 
-/// A frozen combine-to-one (reduce): the result lands on the root, and
-/// every rank's buffer doubles as workspace exactly as in the direct
-/// recursive path.
-pub struct ReducePlan<T: Elem> {
-    core: PlanCore<T>,
-    op: ReduceOp,
+impl<T: Scalar, K: kind::InPlace> Plan<T, K> {
+    /// Executes the planned broadcast, reduce or allreduce over `buf`,
+    /// whose length must equal the planned one.
+    pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
+        self.run(cc, &mut [ArgBuf::Out(buf)])
+    }
+}
+
+impl<T: Scalar> BcastPlan<T> {
+    /// Plans a broadcast of `len` elements from `root`.
+    pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, root: usize, len: usize) -> Self {
+        Plan::freeze(cc, PlanOp::Broadcast { root }, len, ReduceOp::Sum)
+    }
 }
 
 impl<T: Elem> ReducePlan<T> {
@@ -141,80 +147,21 @@ impl<T: Elem> ReducePlan<T> {
         len: usize,
         op: ReduceOp,
     ) -> Self {
-        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, len);
-        ReducePlan { core, op }
+        Plan::freeze(cc, PlanOp::Reduce { root }, len, op)
     }
-
-    /// The frozen selection: flat, or hierarchical on a cluster
-    /// communicator where the two-level hybrid prices lower.
-    pub fn choice(&self) -> &HierChoice {
-        &self.core.choice
-    }
-
-    /// The compiled schedule this plan executes.
-    pub fn program(&self) -> Result<&CollectiveProgram> {
-        self.core.program()
-    }
-
-    /// Executes the planned reduce.
-    pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        self.core.execute(cc, self.op, &mut [ArgBuf::Out(buf)])
-    }
-}
-
-/// A frozen combine-to-all (allreduce).
-pub struct AllreducePlan<T: Elem> {
-    core: PlanCore<T>,
-    op: ReduceOp,
 }
 
 impl<T: Elem> AllreducePlan<T> {
     /// Plans an allreduce of `len` elements under `op`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, len: usize, op: ReduceOp) -> Self {
-        let core = PlanCore::compile(cc, PlanOp::AllReduce, len);
-        AllreducePlan { core, op }
+        Plan::freeze(cc, PlanOp::AllReduce, len, op)
     }
-
-    /// The frozen selection: flat, or hierarchical on a cluster
-    /// communicator where the two-level hybrid prices lower.
-    pub fn choice(&self) -> &HierChoice {
-        &self.core.choice
-    }
-
-    /// The compiled schedule this plan executes.
-    pub fn program(&self) -> Result<&CollectiveProgram> {
-        self.core.program()
-    }
-
-    /// Executes the planned allreduce.
-    pub fn execute<C: Comm + ?Sized>(&self, cc: &Communicator<'_, C>, buf: &mut [T]) -> Result<()> {
-        self.core.execute(cc, self.op, &mut [ArgBuf::Out(buf)])
-    }
-}
-
-/// A frozen distributed combine (reduce-scatter) with equal per-rank
-/// blocks.
-pub struct ReduceScatterPlan<T: Elem> {
-    core: PlanCore<T>,
-    op: ReduceOp,
 }
 
 impl<T: Elem> ReduceScatterPlan<T> {
     /// Plans a reduce-scatter leaving `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize, op: ReduceOp) -> Self {
-        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, block);
-        ReduceScatterPlan { core, op }
-    }
-
-    /// The frozen selection: flat, or hierarchical on a cluster
-    /// communicator where the two-level hybrid prices lower.
-    pub fn choice(&self) -> &HierChoice {
-        &self.core.choice
-    }
-
-    /// The compiled schedule this plan executes.
-    pub fn program(&self) -> Result<&CollectiveProgram> {
-        self.core.program()
+        Plan::freeze(cc, PlanOp::ReduceScatter, block, op)
     }
 
     /// Executes the planned reduce-scatter: `contrib` is this rank's
@@ -226,32 +173,14 @@ impl<T: Elem> ReduceScatterPlan<T> {
         contrib: &[T],
         mine: &mut [T],
     ) -> Result<()> {
-        let args = &mut [ArgBuf::In(contrib), ArgBuf::Out(mine)];
-        self.core.execute(cc, self.op, args)
+        self.run(cc, &mut [ArgBuf::In(contrib), ArgBuf::Out(mine)])
     }
-}
-
-/// A frozen collect (allgather) with equal per-rank blocks.
-pub struct CollectPlan<T: Scalar> {
-    core: PlanCore<T>,
 }
 
 impl<T: Scalar> CollectPlan<T> {
     /// Plans a collect of `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize) -> Self {
-        let core = PlanCore::compile(cc, PlanOp::Collect, block);
-        CollectPlan { core }
-    }
-
-    /// The frozen selection: flat, or hierarchical on a cluster
-    /// communicator where the two-level hybrid prices lower.
-    pub fn choice(&self) -> &HierChoice {
-        &self.core.choice
-    }
-
-    /// The compiled schedule this plan executes.
-    pub fn program(&self) -> Result<&CollectiveProgram> {
-        self.core.program()
+        Plan::freeze(cc, PlanOp::Collect, block, ReduceOp::Sum)
     }
 
     /// Executes the planned collect.
@@ -261,8 +190,7 @@ impl<T: Scalar> CollectPlan<T> {
         mine: &[T],
         all: &mut [T],
     ) -> Result<()> {
-        let args = &mut [ArgBuf::In(mine), ArgBuf::Out(all)];
-        self.core.execute(cc, ReduceOp::Sum, args)
+        self.run(cc, &mut [ArgBuf::In(mine), ArgBuf::Out(all)])
     }
 }
 
@@ -272,38 +200,6 @@ mod tests {
     use crate::comm::SelfComm;
     use crate::error::CommError;
     use intercom_cost::{CollectiveOp, MachineParams};
-
-    #[test]
-    fn plans_run_on_world_of_one() {
-        let c = SelfComm;
-        let cc = Communicator::world(&c, MachineParams::PARAGON);
-        let bp = BcastPlan::<u32>::new(&cc, 0, 3);
-        let mut v = vec![1u32, 2, 3];
-        bp.execute(&cc, &mut v).unwrap();
-        assert_eq!(v, [1, 2, 3]);
-
-        let ap = AllreducePlan::<f64>::new(&cc, 2, ReduceOp::Sum);
-        let mut w = vec![5.0, 6.0];
-        ap.execute(&cc, &mut w).unwrap();
-        assert_eq!(w, [5.0, 6.0]);
-
-        let rp = ReducePlan::<i32>::new(&cc, 0, 2, ReduceOp::Max);
-        let mut r = vec![-3i32, 9];
-        rp.execute(&cc, &mut r).unwrap();
-        assert_eq!(r, [-3, 9]);
-
-        let cp = CollectPlan::<i64>::new(&cc, 2);
-        let mine = [7i64, 8];
-        let mut all = [0i64; 2];
-        cp.execute(&cc, &mine, &mut all).unwrap();
-        assert_eq!(all, mine);
-
-        let rsp = ReduceScatterPlan::<u64>::new(&cc, 2, ReduceOp::Sum);
-        let contrib = [3u64, 4];
-        let mut block = [0u64; 2];
-        rsp.execute(&cc, &contrib, &mut block).unwrap();
-        assert_eq!(block, contrib);
-    }
 
     #[test]
     fn plan_rejects_wrong_lengths() {

@@ -6,7 +6,7 @@ use intercom::comm::{GroupComm, SelfComm};
 use intercom::ir::{
     execute, ArgBuf, Buf, CollectiveProgram, Loc, PlanOp, RankProgram, Step, StepKind,
 };
-use intercom::plan::{AllreducePlan, BcastPlan, CollectPlan};
+use intercom::plan::{AllreducePlan, BcastPlan, CollectPlan, ReducePlan, ReduceScatterPlan};
 use intercom::{Comm, CommError, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_runtime::run_world;
@@ -20,6 +20,8 @@ fn plans_execute_repeatedly_with_stable_results() {
         let bcast = BcastPlan::<i64>::new(&cc, 1, 32);
         let ar = AllreducePlan::<i64>::new(&cc, 16, ReduceOp::Sum);
         let gather = CollectPlan::<i64>::new(&cc, 4);
+        let reduce = ReducePlan::<i64>::new(&cc, 2, 24, ReduceOp::Max);
+        let scatter = ReduceScatterPlan::<i64>::new(&cc, 5, ReduceOp::Sum);
         let mut sums = Vec::new();
         for iter in 0..10i64 {
             let mut b = if me == 1 {
@@ -38,6 +40,20 @@ fn plans_execute_repeatedly_with_stable_results() {
             let mut all = vec![0i64; 4 * p];
             gather.execute(&cc, &mine, &mut all).unwrap();
             assert_eq!(all[4 * me], me as i64);
+
+            // Reduce and reduce-scatter, against the communicator's calls.
+            let (me1, p) = (me as i64 + 1, p as i64);
+            let contrib: Vec<i64> = (0..5 * p).map(|i| i * me1 - iter).collect();
+            let (mut planned, mut called) = (contrib[..24].to_vec(), contrib[..24].to_vec());
+            reduce.execute(&cc, &mut planned).unwrap();
+            cc.reduce(2, &mut called, ReduceOp::Max).unwrap();
+            assert!(me != 2 || (planned == called && planned[23] == 23 * p - iter));
+            let (mut planned, mut called) = ([0i64; 5], [0i64; 5]);
+            scatter.execute(&cc, &contrib, &mut planned).unwrap();
+            cc.reduce_scatter(&contrib, &mut called, ReduceOp::Sum)
+                .unwrap();
+            let first = 5 * (me1 - 1) * p * (p + 1) / 2 - p * iter;
+            assert_eq!((planned, planned[0]), (called, first));
 
             sums.push(v[0]);
         }

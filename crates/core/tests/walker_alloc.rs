@@ -2,12 +2,14 @@
 //! allocator around the direct path at p = 64, where every level of
 //! the walker carves a line and a plane out of its group and splits its
 //! vector — views and arithmetic, no heap vectors — under the
-//! one-dimensional and the hybrid strategies of both kinds.
+//! one-dimensional and the hybrid strategies of both kinds. And a
+//! persistent plan runs in its communicator's arena, not one of its own.
 
 use intercom::comm::GroupComm;
 use intercom::ir::{run_direct, OwnedArgs, PlanOp};
-use intercom::{Comm, ReduceOp, Result, Tag};
-use intercom_cost::{HierChoice, Strategy, StrategyKind};
+use intercom::plan::AllreducePlan;
+use intercom::{Comm, Communicator, ReduceOp, Result, Tag};
+use intercom_cost::{HierChoice, MachineParams, Strategy, StrategyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,4 +136,34 @@ fn the_walker_allocates_nothing_per_call() {
             }
         }
     }
+}
+
+/// Plans borrow the arena of the communicator that executes them: once
+/// a plan of a large shape has grown rank 27's arena, the first
+/// executions of plans of the smaller allreduce lengths of a 64-rank
+/// null-transport round allocate nothing. A plan owning an arena of
+/// its own would grow it on its first execution.
+#[test]
+fn plans_borrow_their_communicators_arena() {
+    let comm = Null { rank: 27, size: 64 };
+    let cc = Communicator::world(&comm, MachineParams::PARAGON);
+    let plan = |n| AllreducePlan::<f64>::new(&cc, n, ReduceOp::Sum);
+    plan(1 << 16).execute(&cc, &mut vec![1.0; 1 << 16]).unwrap();
+    let smaller = [1, 8, 100, 1000, 8192].map(|n| (plan(n), vec![1.0; n]));
+    let arena = |(p, _): &(AllreducePlan<f64>, _)| {
+        let rp = &p.program().unwrap().ranks[27];
+        rp.scratch_bytes + rp.landing_bytes
+    };
+    assert!(
+        smaller.iter().map(arena).sum::<usize>() > 0,
+        "they use an arena"
+    );
+    COUNTED.set(true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for (plan, mut buf) in smaller {
+        plan.execute(&cc, &mut buf).unwrap();
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNTED.set(false);
+    assert_eq!(allocs, 0, "first executions of smaller plans allocated");
 }

@@ -40,8 +40,8 @@ pub use world::{default_wait_timeout, run_world, run_world_with};
 // dependency edge.
 pub use intercom::Comm;
 
-/// The test suite's claim on the host's cores: the calibration test
-/// holds it alone (its 1 MiB exchange needs two free cores, its copy
-/// reference one), the tests that keep rank threads busy hold it shared.
+/// The test suite's claim on the host's cores: the calibration test and
+/// the wait policy's timing test hold it alone, the tests that keep rank
+/// threads busy hold it shared.
 #[cfg(test)]
 static CORES: std::sync::RwLock<()> = std::sync::RwLock::new(());

@@ -319,8 +319,8 @@ fn allocations_during_steady_rounds(
                 cc.reduce_scatter(&all, &mut buf, ReduceOp::Sum).unwrap();
             }
         };
-        // Warm-up: makes every ring, arena, stash buffer, queue, and
-        // plan scratch buffer. Two rounds, in case the first round's
+        // Warm-up: makes every ring, arena, stash buffer and queue, and
+        // the communicator's scratch. Two rounds, in case the first round's
         // out-of-order arrivals differ from the steady pattern.
         one_round();
         one_round();

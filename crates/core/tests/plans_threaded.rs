@@ -13,18 +13,26 @@ use intercom_runtime::run_world;
 
 #[test]
 fn plans_execute_repeatedly_with_stable_results() {
-    let p = 6;
+    // And on a one-rank world, where every plan runs alone.
+    for p in [1, 6] {
+        plans_run_on(p);
+    }
+}
+
+fn plans_run_on(p: usize) {
+    // Roots 1 and 2, or rank 0 alone.
+    let (b_root, r_root) = (1 % p, 2 % p);
     let out = run_world(p, |c| {
         let cc = Communicator::world(c, MachineParams::PARAGON);
         let me = c.rank();
-        let bcast = BcastPlan::<i64>::new(&cc, 1, 32);
+        let bcast = BcastPlan::<i64>::new(&cc, b_root, 32);
         let ar = AllreducePlan::<i64>::new(&cc, 16, ReduceOp::Sum);
         let gather = CollectPlan::<i64>::new(&cc, 4);
-        let reduce = ReducePlan::<i64>::new(&cc, 2, 24, ReduceOp::Max);
+        let reduce = ReducePlan::<i64>::new(&cc, r_root, 24, ReduceOp::Max);
         let scatter = ReduceScatterPlan::<i64>::new(&cc, 5, ReduceOp::Sum);
         let mut sums = Vec::new();
         for iter in 0..10i64 {
-            let mut b = if me == 1 {
+            let mut b = if me == b_root {
                 (0..32).map(|i| i + iter).collect()
             } else {
                 vec![0i64; 32]
@@ -36,19 +44,20 @@ fn plans_execute_repeatedly_with_stable_results() {
             ar.execute(&cc, &mut v).unwrap();
             assert!(v.iter().all(|&x| x == iter * p as i64));
 
-            let mine = vec![me as i64; 4];
+            let mine = vec![me as i64 + iter; 4];
             let mut all = vec![0i64; 4 * p];
             gather.execute(&cc, &mine, &mut all).unwrap();
-            assert_eq!(all[4 * me], me as i64);
+            assert!((0..4 * p).all(|i| all[i] == (i / 4) as i64 + iter));
 
             // Reduce and reduce-scatter, against the communicator's calls.
             let (me1, p) = (me as i64 + 1, p as i64);
-            let contrib: Vec<i64> = (0..5 * p).map(|i| i * me1 - iter).collect();
-            let (mut planned, mut called) = (contrib[..24].to_vec(), contrib[..24].to_vec());
+            let row = |len: i64| -> Vec<i64> { (0..len).map(|i| i * me1 - iter).collect() };
+            let (mut planned, mut called) = (row(24), row(24));
             reduce.execute(&cc, &mut planned).unwrap();
-            cc.reduce(2, &mut called, ReduceOp::Max).unwrap();
-            assert!(me != 2 || (planned == called && planned[23] == 23 * p - iter));
+            cc.reduce(r_root, &mut called, ReduceOp::Max).unwrap();
+            assert!(me != r_root || (planned == called && planned[23] == 23 * p - iter));
             let (mut planned, mut called) = ([0i64; 5], [0i64; 5]);
+            let contrib = row(5 * p);
             scatter.execute(&cc, &contrib, &mut planned).unwrap();
             cc.reduce_scatter(&contrib, &mut called, ReduceOp::Sum)
                 .unwrap();

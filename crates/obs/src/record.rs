@@ -120,10 +120,6 @@ pub struct Counters {
     /// of the window, copied itself (threaded backend, plain receives
     /// of long windows).
     pub sender_copied_chunks: u64,
-    /// Pieces of its copy that the receiver of a long window copied
-    /// itself (the same plain receives): with
-    /// [`Self::sender_copied_chunks`], every piece of the window once.
-    pub receiver_copied_chunks: u64,
     /// Seconds spent blocked waiting for a peer (recv with no matching
     /// message yet, rendezvous completion waits).
     pub wait_secs: f64,
@@ -172,7 +168,6 @@ impl Counters {
         self.parked_waits += other.parked_waits;
         self.windows_in_place += other.windows_in_place;
         self.sender_copied_chunks += other.sender_copied_chunks;
-        self.receiver_copied_chunks += other.receiver_copied_chunks;
         self.wait_secs += other.wait_secs;
         self.transfer_secs += other.transfer_secs;
     }

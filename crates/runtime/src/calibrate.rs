@@ -144,7 +144,6 @@ pub fn calibrate() -> Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::COPY_CHUNK;
     use std::sync::PoisonError;
 
     #[test]
@@ -161,16 +160,16 @@ mod tests {
         assert!(c.gamma < 1e-6, "gamma {}", c.gamma);
         let m = c.machine();
         assert_eq!(m.delta, 0.0);
-        // The exchanges β is taken from copy each window once, counted
-        // rather than timed (a ratio of two clocks fails on a loaded
-        // host): every hop is a window, and the pieces its receiver and
-        // its blocked sender copied add up to the window's length.
+        // The exchanges β is taken from travel as windows, each copied
+        // once (the piece count of a shared copy is checked in
+        // `endpoint`), counted rather than timed: a ratio of two clocks
+        // fails on a loaded host. A hop staged through an eager slot
+        // would be copied twice and post no window.
         let (_, run) =
             crate::world::recorded(2, 16, |c| steady_hops(c, 1 - c.rank(), BIG, true, 8));
         let t = run.totals();
+        assert!(t.rendezvous_msgs > 0);
         assert_eq!(t.bytes_out, t.rendezvous_msgs * BIG as u64);
-        let copied = (t.sender_copied_chunks + t.receiver_copied_chunks) * COPY_CHUNK as u64;
-        assert_eq!((copied, t.rendezvous_msgs > 0), (t.bytes_out, true));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub const DEFAULT_RENDEZVOUS_THRESHOLD: usize = 32 * 1024;
 /// (*) under two pieces: not shared. From 64 KiB down the longest hops
 /// start to pay for the increments, from 128 KiB up the mid-sized ones
 /// lose the second core.
-pub(crate) const COPY_CHUNK: usize = 64 * 1024;
+const COPY_CHUNK: usize = 64 * 1024;
 
 /// Completion flag of a borrowed (zero-copy) payload, and the meeting
 /// point of the two ranks that may copy it.
@@ -361,11 +361,10 @@ impl BorrowedBytes {
     /// Lands the window and releases its sender: hands it to `sink`
     /// where it lies, or without one copies it into `buf` — alone or,
     /// from two [`COPY_CHUNK`]s up, together with its blocked sender.
-    /// Says whether the sink ran on the window in place, and how many
-    /// pieces of a shared copy this receiver copied. A length mismatch
-    /// still retires the window (drop marks it `Abandoned`) and runs no
-    /// sink.
-    fn consume(self, buf: &mut [u8], sink: Option<&mut Sink<'_>>) -> Result<(bool, usize)> {
+    /// Says whether the sink ran on the window in place. A length
+    /// mismatch still retires the window (drop marks it `Abandoned`)
+    /// and runs no sink.
+    fn consume(self, buf: &mut [u8], sink: Option<&mut Sink<'_>>) -> Result<bool> {
         check_len(buf.len(), self.len)?;
         // Consume or claim *under the completion lock*: a sender whose
         // bounded wait expired withdraws the window (state flips to
@@ -379,12 +378,12 @@ impl BorrowedBytes {
             Some(sink) => {
                 sink(buf, Some(self.as_slice()));
                 self.done.finish(st);
-                Ok((true, 0))
+                Ok(true)
             }
             None if self.len < 2 * COPY_CHUNK => {
                 buf.copy_from_slice(self.as_slice());
                 self.done.finish(st);
-                Ok((false, 0))
+                Ok(false)
             }
             None => {
                 // From here to `Copied` `buf` is written through this
@@ -397,8 +396,8 @@ impl BorrowedBytes {
                 // (checked above), exclusively ours and, being another
                 // rank's buffer, disjoint from it; this is the claiming
                 // receiver's frame.
-                let pieces = unsafe { self.done.share_copy(self.ptr, dst, self.len) };
-                Ok((false, pieces))
+                unsafe { self.done.share_copy(self.ptr, dst, self.len) };
+                Ok(false)
             }
         }
     }
@@ -956,16 +955,16 @@ impl ThreadComm {
         // Matching payload in hand: blocking (wait) ends, the copy-out
         // (transfer) begins.
         let matched = obs.map_or(0.0, Recorder::now);
-        let (in_place, pieces) = match data {
+        let in_place = match data {
             // A slot's bytes are 64-byte aligned: a sink folds out of
             // them.
             Matched::Arrived(Arrived::Bytes(held)) => {
-                land(buf, held.bytes(), sink).map(|()| (false, 0))?
+                land(buf, held.bytes(), sink).map(|()| false)?
             }
             Matched::Stashed(Stashed::Bytes(bytes)) => {
                 let landed = land(buf, &bytes, sink);
                 self.stash.borrow_mut()[from].buffers.push(bytes);
-                landed.map(|()| (false, 0))?
+                landed.map(|()| false)?
             }
             Matched::Arrived(Arrived::Window(window))
             | Matched::Stashed(Stashed::Window(window)) => window.consume(buf, sink)?,
@@ -990,7 +989,6 @@ impl ThreadComm {
                 c.msgs_recvd += 1;
                 c.bytes_in += buf.len() as u64;
                 c.windows_in_place += u64::from(in_place);
-                c.receiver_copied_chunks += pieces as u64;
                 c.wait_secs += matched - start;
                 c.transfer_secs += end - matched;
             });
@@ -1586,6 +1584,30 @@ mod tests {
             })
         ));
         assert!(*done.lock() == CopyState::Abandoned);
+    }
+
+    /// A claimed window is copied once: the pieces its receiver and its
+    /// sender copied add up to its piece count, whether the sender
+    /// polled and helped or parked and slept through the copy.
+    #[test]
+    fn a_shared_copy_takes_every_piece_once() {
+        let n = 5 * COPY_CHUNK + 3;
+        let data: Vec<u8> = (0..n).map(|i| (i * 7) as u8).collect();
+        for _ in 0..20 {
+            let mut got = vec![0u8; n];
+            let dst = got.as_mut_ptr();
+            let done = Completion::new();
+            std::thread::scope(|s| {
+                let sender = s.spawn(|| done.wait(&data, Duration::from_secs(10), 1, 4));
+                done.claim(done.lock(), dst);
+                // SAFETY: claimed just above with `dst`, a buffer of `n`
+                // bytes apart from `data`; both outlive the scope.
+                let mine = unsafe { done.share_copy(data.as_ptr(), dst, n) };
+                let (_, helped) = sender.join().unwrap().unwrap();
+                assert_eq!(mine + helped, n.div_ceil(COPY_CHUNK));
+            });
+            assert_eq!(got, data);
+        }
     }
 
     /// A coordinated abort that reaches a rank behind a window it has

@@ -68,6 +68,15 @@ at_most() {
     fi
 }
 
+echo "==> non-test lines under crates/ (reported, not gated)"
+# Every .rs file under crates/*/src, counted up to its first
+# `#[cfg(test)]`; the tests/ directories are all test code.
+find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { counting = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+    counting { n++ }
+    END { print "non-test lines under crates/: " n }'
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

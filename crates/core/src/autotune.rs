@@ -6,7 +6,7 @@
 //! reports into an online α̂/β̂ estimate and raises a verdict when the
 //! estimate departs from the configured machine. This module *acts* on
 //! the verdict, which only the core crate can do, because it owns the
-//! plan cache and the selector:
+//! plan cache:
 //!
 //! 1. install the refit via [`TunedHier::refit_level`] (bumping the
 //!    params version, exported as the `intercom_machine_params_version`
@@ -25,7 +25,7 @@
 //! verified schedules), end to end.
 
 use crate::ir::{cost_op, global_cache, PlanCache, PlanKey, PlanOp};
-use crate::selector::{choose, price, GroupShape};
+use intercom_cost::select::{choose, price, GroupShape};
 use intercom_cost::{HierChoice, HierMachine, MachineParams, TunedHier};
 use intercom_obs::drift::{DriftConfig, DriftMonitor, DriftVerdict};
 use intercom_obs::residual::ResidualReport;

@@ -14,7 +14,7 @@ use crate::comm::{Comm, DefaultPath, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
-use crate::selector::{choose, GroupShape};
+use intercom_cost::select::{choose, choose_flat, GroupShape};
 use intercom_cost::{
     ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, MachineParams, Strategy,
     TunedHier,
@@ -214,10 +214,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// `n_bytes` (on a cluster: the best level-blind strategy, priced
     /// at the network level).
     pub fn auto_strategy(&self, op: CollectiveOp, n_bytes: usize) -> Strategy {
-        match choose(op, self.shape.level_blind(), n_bytes, &self.tuned.current) {
-            HierChoice::Flat(s) => s,
-            HierChoice::Hier(_) => unreachable!("only a cluster shape selects a hybrid"),
-        }
+        choose_flat(op, self.shape, n_bytes, self.machine())
     }
 
     /// What [`Algo::Auto`] would run for `op` at `n_bytes`: on a

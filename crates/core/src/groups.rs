@@ -139,7 +139,7 @@ impl<'a, C: Comm + ?Sized> MeshWorld<'a, C> {
 mod tests {
     use super::*;
     use crate::comm::SelfComm;
-    use crate::selector::GroupShape;
+    use crate::GroupShape;
 
     #[test]
     fn one_node_mesh_world() {

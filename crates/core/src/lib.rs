@@ -52,7 +52,6 @@ pub mod op;
 pub mod plan;
 pub mod primitives;
 pub mod rng;
-pub mod selector;
 pub mod trace;
 
 pub use autotune::{AutoTuner, Reselect, RetuneReport, TrackedShape};
@@ -65,5 +64,6 @@ pub use hier::{
     hier_allreduce, hier_broadcast, hier_collect, hier_reduce, hier_reduce_scatter,
     HIER_STAGE_STRIDE,
 };
+pub use intercom_cost::select::GroupShape;
 pub use op::{Elem, ReduceOp};
 pub use rng::SplitMix64;

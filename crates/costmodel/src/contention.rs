@@ -70,14 +70,6 @@ impl CompositeContention {
         }
     }
 
-    /// The effective per-byte transfer time on the worst shared link:
-    /// wormhole links serialize concurrent flits, so `k` co-resident
-    /// transfers see `k·β` each, exactly as the §6 factors charge a
-    /// single program's own conflicts.
-    pub fn effective_beta(&self, beta: f64) -> f64 {
-        beta * self.composite_max.max(1) as f64
-    }
-
     /// True when no interleaving shares a link beyond what the worst
     /// single tenant already does — co-residency costs nothing extra.
     pub fn interference_free(&self) -> bool {
@@ -101,16 +93,14 @@ mod tests {
         let c = CompositeContention::new(vec![load("rows", 1), load("cols", 1)], 1);
         assert!(c.interference_free());
         assert_eq!(c.contention_factor(), 1.0);
-        assert_eq!(c.effective_beta(2.0), 2.0);
     }
 
     #[test]
-    fn overlapping_tenants_inflate_beta() {
+    fn overlapping_tenants_inflate_the_factor() {
         let c = CompositeContention::new(vec![load("a", 1), load("b", 1)], 2);
         assert!(!c.interference_free());
         assert_eq!(c.solo_max, 1);
         assert_eq!(c.contention_factor(), 2.0);
-        assert_eq!(c.effective_beta(0.5), 1.0);
     }
 
     #[test]
@@ -118,7 +108,6 @@ mod tests {
         let c = CompositeContention::new(vec![], 0);
         assert_eq!(c.solo_max, 0);
         assert_eq!(c.contention_factor(), 1.0);
-        assert_eq!(c.effective_beta(3.0), 3.0);
         assert!(c.interference_free());
     }
 }

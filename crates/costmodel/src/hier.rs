@@ -27,12 +27,13 @@
 //! with the *inter-node* parameters: a level-blind schedule's critical
 //! path crosses inter-node links in every stage (any group spanning
 //! more than one node does), so its wire terms pay the expensive level.
-//! [`choose_hier`] prices the best hierarchical hybrid against the best
-//! flat strategy under that model and returns whichever wins.
+//! [`choose`](crate::select::choose) prices the best hierarchical hybrid
+//! against the best flat strategy under that model and returns
+//! whichever wins.
 
 use crate::collective::{hybrid_cost, short_cost, CollectiveOp, CostContext};
 use crate::machine::MachineParams;
-use crate::select::{best_strategy, with_envelope, Space};
+use crate::select::{candidates, flat_price, with_envelope, GroupShape};
 use crate::strategy::Strategy;
 use std::fmt;
 
@@ -266,22 +267,38 @@ impl StageSpec {
         !matches!(self.op, CollectiveOp::Gather | CollectiveOp::Scatter)
     }
 
-    /// The candidate space the stage draws its flat strategy from, and
-    /// with it ([`Space::context`]) the conflict model the stage is
-    /// priced under. An inter stage on a true 2-D inter mesh picks among
-    /// the §7.1 mesh-aware strategies: the leader plane keeps the inter
-    /// mesh's row/column structure. On a linear inter mesh (1×C or R×1)
-    /// the leader plane embeds as a physical line, where the
-    /// linear-array strategies are exact — as they are inside a node.
-    fn space(&self, shape: ClusterShape) -> Space {
-        if self.level == 1 && shape.inter_rows > 1 && shape.inter_cols > 1 {
-            Space::Mesh {
-                rows: shape.inter_rows,
-                cols: shape.inter_cols,
+    /// The shape of the stage's subgroup, which says the candidates the
+    /// stage draws its flat strategy from and the conflict model it is
+    /// priced under ([`GroupShape::flat`]). An inter stage on a true 2-D
+    /// inter mesh picks among the §7.1 mesh-aware strategies: the
+    /// leader plane keeps the inter mesh's row/column structure. On a
+    /// linear inter mesh (1×C or R×1) the leader plane embeds as a
+    /// physical line, where the linear-array strategies are exact — as
+    /// they are inside a node.
+    fn shape(&self, cluster: ClusterShape) -> GroupShape {
+        if self.level == 1 && cluster.inter_rows > 1 && cluster.inter_cols > 1 {
+            GroupShape::Mesh {
+                rows: cluster.inter_rows,
+                cols: cluster.inter_cols,
             }
         } else {
-            Space::Linear(self.group)
+            GroupShape::Linear(self.group)
         }
+    }
+
+    /// What the stage is selected and priced under at op-level volume
+    /// `n` on `machine`, on `cluster`: its level's parameters, its
+    /// shape, the conflict context of that shape at that level
+    /// ([`GroupShape::flat`]), and its volume in bytes.
+    fn inputs<'m>(
+        &self,
+        cluster: ClusterShape,
+        n: usize,
+        machine: &'m HierMachine,
+    ) -> (&'m MachineParams, GroupShape, CostContext, usize) {
+        let params = machine.level(self.level as usize);
+        let shape = self.shape(cluster);
+        (params, shape, shape.flat(params).1, self.bytes(n))
     }
 
     /// The stage's name in the strategy-string grammar.
@@ -444,7 +461,7 @@ pub fn enumerate_hier_strategies(
     };
     let mut out = vec![Vec::new()];
     for spec in specs.iter().filter(|s| s.takes_strategy()) {
-        let cands = spec.space(shape).strategies(max_dims);
+        let cands = candidates(spec.shape(shape), max_dims);
         out = out
             .iter()
             .flat_map(|prefix| {
@@ -475,13 +492,12 @@ pub fn hier_cost(op: CollectiveOp, hs: &HierStrategy, n: usize, machine: &HierMa
     assert_eq!(op, hs.op, "the strategy fills the op's template");
     hs.stages()
         .map(|(spec, strategy)| {
-            let params = machine.level(spec.level as usize);
-            let ctx = spec.space(hs.shape).context(params);
+            let (params, _, ctx, bytes) = spec.inputs(hs.shape, n, machine);
             let cost = match strategy {
                 Some(s) => hybrid_cost(spec.op, s, ctx),
                 None => short_cost(spec.op, spec.group, ctx),
             };
-            cost.eval(spec.bytes(n), params)
+            cost.eval(bytes, params)
         })
         .sum()
 }
@@ -496,15 +512,14 @@ pub fn flat_on_cluster_cost(
     n: usize,
     machine: &HierMachine,
 ) -> f64 {
-    let inter = machine.inter();
-    hybrid_cost(op, s, CostContext::linear_with(inter)).eval(n, inter)
+    flat_price(op, GroupShape::Linear(s.nodes()), s, n, machine.inter())
 }
 
 /// Per-level selection with its price: each strategy-taking stage
 /// looks up its level's envelope at its stage volume, a gather or
 /// scatter stage prices the MST primitive, and those costs at that
 /// volume sum to what [`hier_cost`] would say of the result.
-fn select_priced(
+pub(crate) fn select_priced(
     op: CollectiveOp,
     shape: ClusterShape,
     n: usize,
@@ -513,12 +528,9 @@ fn select_priced(
     let mut seconds = 0.0;
     let mut strategies = Vec::new();
     for spec in hier_template(op, shape)? {
-        let params = machine.level(spec.level as usize);
-        let space = spec.space(shape);
-        let bytes = spec.bytes(n);
-        let ctx = space.context(params);
+        let (params, space, ctx, bytes) = spec.inputs(shape, n, machine);
         seconds += if spec.takes_strategy() {
-            with_envelope(spec.op, space, params, ctx, |env| {
+            with_envelope(spec.op, space, params, |env| {
                 let (strategy, cost) = env.at(bytes);
                 strategies.push(strategy.clone());
                 cost.eval(bytes, params)
@@ -549,8 +561,8 @@ pub fn select_hier(
     select_priced(op, shape, n, machine).map(|(h, _)| h)
 }
 
-/// What [`choose_hier`] decided: run flat, or run the hierarchical
-/// hybrid.
+/// What [`choose`](crate::select::choose) decided: run flat, or run
+/// the hierarchical hybrid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HierChoice {
     /// The best flat strategy wins (or the op has no hierarchy).
@@ -565,30 +577,6 @@ impl fmt::Display for HierChoice {
             HierChoice::Flat(s) => s.fmt(f),
             HierChoice::Hier(h) => h.fmt(f),
         }
-    }
-}
-
-/// Prices the best hierarchical hybrid against the best flat strategy
-/// (both under the two-level model; flat pays the inter-node level per
-/// [`flat_on_cluster_cost`]) and returns the winner. Both sides are
-/// envelope lookups, but the comparison happens per call: a stage
-/// volume is `⌊n·num/den⌋`, so the hybrid's price is not a line in `n`
-/// and a precomputed arbiter would move picks near the crossover.
-pub fn choose_hier(
-    op: CollectiveOp,
-    shape: ClusterShape,
-    n: usize,
-    machine: &HierMachine,
-) -> HierChoice {
-    let inter = machine.inter();
-    let ctx = CostContext::linear_with(inter);
-    let flat = Space::Linear(shape.ranks());
-    let flat_seconds = with_envelope(op, flat, inter, ctx, |env| env.at(n).1.eval(n, inter));
-    match select_priced(op, shape, n, machine) {
-        Some((h, seconds)) if seconds < flat_seconds => HierChoice::Hier(h),
-        // A second lookup, so that a call the hybrid wins clones no
-        // flat strategy (the stages' lookups sit between the two).
-        _ => HierChoice::Flat(best_strategy(op, shape.ranks(), n, inter, ctx)),
     }
 }
 
@@ -693,7 +681,7 @@ mod tests {
         // The cross product is the product of per-stage candidate
         // counts; collect's gather and reduce-scatter's scatter take none.
         let shape = ClusterShape::linear(2, 2);
-        let per = Space::Linear(2).strategies(0).len();
+        let per = crate::enumerate_strategies(2, 0).len();
         for (op, slots) in [
             (CollectiveOp::CombineToAll, 3),
             (CollectiveOp::Collect, 2),
@@ -733,16 +721,10 @@ mod tests {
         for shape in [ClusterShape::linear(4, 4), ClusterShape::linear(8, 4)] {
             for op in [CollectiveOp::Broadcast, CollectiveOp::CombineToAll] {
                 for n in [8usize, 1 << 16] {
-                    match choose_hier(op, shape, n, &m) {
+                    let cluster = GroupShape::Cluster(shape);
+                    match crate::select::choose(op, cluster, n, &m) {
                         HierChoice::Hier(h) => {
-                            let inter = m.inter();
-                            let flat = best_strategy(
-                                op,
-                                shape.ranks(),
-                                n,
-                                inter,
-                                CostContext::linear_with(inter),
-                            );
+                            let flat = crate::select::choose_flat(op, cluster, n, m.inter());
                             assert!(
                                 hier_cost(op, &h, n, &m) < flat_on_cluster_cost(op, &flat, n, &m),
                                 "{op:?} {shape} n={n}"

@@ -52,9 +52,9 @@ pub use crossover::crossover_length;
 pub use enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 pub use expr::CostExpr;
 pub use hier::{
-    choose_hier, enumerate_hier_strategies, flat_on_cluster_cost, hier_cost, hier_template,
-    select_hier, ClusterShape, HierChoice, HierMachine, HierStrategy, StageSpec, TunedHier,
+    enumerate_hier_strategies, flat_on_cluster_cost, hier_cost, hier_template, select_hier,
+    ClusterShape, HierChoice, HierMachine, HierStrategy, StageSpec, TunedHier,
 };
 pub use machine::MachineParams;
-pub use select::{best_mesh_strategy, best_strategy, rank_strategies};
+pub use select::{choose, choose_flat, price, rank_strategies, GroupShape};
 pub use strategy::{ConflictModel, Strategy, StrategyKind};

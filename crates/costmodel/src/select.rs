@@ -1,4 +1,4 @@
-//! Best-strategy selection.
+//! The one selector: a group's [`GroupShape`], [`choose`] and [`price`].
 //!
 //! The paper favours "effective heuristics" over theoretically optimal
 //! methods (§6): with the closed-form costs available, the heuristic is
@@ -11,9 +11,10 @@
 //! function is their lower envelope — the paper's Fig. 2: a few hybrids,
 //! each winning one interval of message length. An [`Envelope`] is that
 //! list of intervals, built once per selection space and kept in one
-//! process-wide table every rank shares; [`best_strategy`] and
-//! [`best_mesh_strategy`] are a binary search over it, and
-//! [`rank_strategies`] stays the per-call full ranking it must agree with.
+//! process-wide table every rank shares; [`choose`] is a binary search
+//! over it (on a cluster, one per strategy-taking stage and one for the
+//! level-blind line), and [`rank_strategies`] stays the per-call full
+//! ranking it must agree with.
 //!
 //! A rank is a thread, and a thread asks for the same few envelopes
 //! call after call, so each thread keeps the ones it used last in a
@@ -29,8 +30,10 @@ use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
 use crate::crossover::crossover_length;
 use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::expr::CostExpr;
+use crate::hier::{hier_cost, select_priced, ClusterShape, HierChoice, HierMachine};
 use crate::machine::MachineParams;
 use crate::strategy::{ConflictModel, Strategy};
+use intercom_topology::{GroupStructure, Mesh2D, ProcGroup};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -73,33 +76,86 @@ pub fn rank_strategies(
     ranked
 }
 
-/// The candidate space one selection runs over.
+/// The physical shape a group is selected over (paper §9: "in cases
+/// where a group comprises a physical rectangular submesh, the same
+/// row- and column-based techniques are used as in the whole-mesh
+/// operations. When a group is unstructured … it is treated as though it
+/// were a linear array").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Space {
-    /// Every hybrid of a `p`-node linear array ([`enumerate_strategies`]).
+pub enum GroupShape {
+    /// A linear array (physical line or unstructured group) of `p` nodes.
     Linear(usize),
-    /// The mesh-aware hybrids of a physical mesh ([`enumerate_mesh_strategies`]).
-    Mesh { rows: usize, cols: usize },
+    /// A rectangular physical submesh: stages run within dedicated
+    /// physical rows and columns.
+    Mesh {
+        /// Submesh height.
+        rows: usize,
+        /// Submesh width.
+        cols: usize,
+    },
+    /// A two-level cluster: an inter-node mesh of nodes, each holding
+    /// the same number of ranks, numbered node-major. Hierarchical
+    /// hybrids compete with the level-blind strategies of a linear
+    /// array of all ranks priced at the network level.
+    Cluster(ClusterShape),
 }
 
-impl Space {
-    /// Every candidate of the space with at most `max_dims` logical
-    /// dimensions (`0` = unlimited), in enumeration order.
-    pub fn strategies(&self, max_dims: usize) -> Vec<Strategy> {
+impl GroupShape {
+    /// Number of ranks covered.
+    pub fn nodes(&self) -> usize {
         match *self {
-            Space::Linear(p) => enumerate_strategies(p, max_dims),
-            Space::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, max_dims),
+            GroupShape::Linear(p) => p,
+            GroupShape::Mesh { rows, cols } => rows * cols,
+            GroupShape::Cluster(shape) => shape.ranks(),
         }
     }
 
-    /// The conflict model the space's candidates are priced under on
-    /// `machine`: interleaved groups share links on a linear array and
-    /// have dedicated ones along physical mesh rows and columns (§7.1).
-    pub fn context(&self, machine: &MachineParams) -> CostContext {
-        match self {
-            Space::Linear(_) => CostContext::linear_with(machine),
-            Space::Mesh { .. } => CostContext::mesh_with(machine),
+    /// The hierarchy descriptor, when this shape is a cluster.
+    pub fn cluster_shape(&self) -> Option<ClusterShape> {
+        match *self {
+            GroupShape::Cluster(shape) => Some(shape),
+            _ => None,
         }
+    }
+
+    /// What a level-blind schedule sees of the group: a cluster is a
+    /// linear array of all its ranks, every other shape is itself.
+    pub fn level_blind(self) -> GroupShape {
+        match self {
+            GroupShape::Cluster(shape) => GroupShape::Linear(shape.ranks()),
+            flat => flat,
+        }
+    }
+
+    /// Classifies `group` on `mesh` per §9's structure extraction.
+    pub fn detect(group: &ProcGroup, mesh: &Mesh2D) -> GroupShape {
+        match group.structure(mesh) {
+            GroupStructure::Submesh { rows, cols, .. } => GroupShape::Mesh { rows, cols },
+            GroupStructure::PhysicalLine | GroupStructure::Unstructured => {
+                GroupShape::Linear(group.len())
+            }
+        }
+    }
+
+    /// A flat strategy's selection space over this shape at a level
+    /// priced by `params`: the level-blind form, whose hybrids are the
+    /// candidates, and the conflict model they are priced under —
+    /// interleaved groups share links on a line and have dedicated ones
+    /// along physical mesh rows and columns (§7.1).
+    pub fn flat(self, params: &MachineParams) -> (GroupShape, CostContext) {
+        match self.level_blind() {
+            mesh @ GroupShape::Mesh { .. } => (mesh, CostContext::mesh_with(params)),
+            line => (line, CostContext::linear_with(params)),
+        }
+    }
+}
+
+/// The candidates of a flat space ([`GroupShape::flat`]) with at most
+/// `max_dims` logical dimensions (`0` = unlimited), in enumeration order.
+pub(crate) fn candidates(space: GroupShape, max_dims: usize) -> Vec<Strategy> {
+    match space {
+        GroupShape::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, max_dims),
+        line => enumerate_strategies(line.nodes(), max_dims),
     }
 }
 
@@ -139,8 +195,13 @@ fn close(x: f64, y: f64) -> bool {
 }
 
 impl Envelope {
-    fn build(op: CollectiveOp, space: Space, machine: MachineParams, ctx: CostContext) -> Self {
-        let strategies = space.strategies(0);
+    fn build(
+        op: CollectiveOp,
+        space: GroupShape,
+        machine: MachineParams,
+        ctx: CostContext,
+    ) -> Self {
+        let strategies = candidates(space, 0);
         let costs: Vec<CostExpr> = strategies.iter().map(|s| hybrid_cost(op, s, ctx)).collect();
         let lines: Vec<(f64, f64)> = costs.iter().map(|c| c.line(&machine)).collect();
         let winner = |n: usize| first_min(costs.iter().copied(), n, &machine);
@@ -225,11 +286,12 @@ impl fmt::Display for Envelope {
     }
 }
 
-/// What an envelope depends on. The floats (`ctx.link_excess`, then the
-/// machine's five) enter as their bits, so a refit is simply a new key.
-type Key = (CollectiveOp, Space, ConflictModel, u64, [u64; 5]);
+/// What an envelope depends on: the op, a flat space, the conflict
+/// model and the floats (`ctx.link_excess`, then the machine's five) as
+/// their bits, so a refit is simply a new key.
+type Key = (CollectiveOp, GroupShape, ConflictModel, u64, [u64; 5]);
 
-fn key(op: CollectiveOp, space: Space, m: &MachineParams, ctx: CostContext) -> Key {
+fn key(op: CollectiveOp, space: GroupShape, m: &MachineParams, ctx: CostContext) -> Key {
     let bits = [m.alpha, m.beta, m.gamma, m.delta, m.link_excess].map(f64::to_bits);
     (op, space, ctx.model, ctx.link_excess.to_bits(), bits)
 }
@@ -240,15 +302,16 @@ const MAX_ENVELOPES: usize = 1024;
 
 static TABLE: LazyLock<RwLock<HashMap<Key, Arc<Envelope>>>> = LazyLock::new(Default::default);
 
-/// The envelope of `op` over `space` priced under `ctx` on `machine`:
-/// built by the first caller, shared with every later one.
+/// The envelope of `op` over `shape`'s level-blind form priced under
+/// `ctx` on `machine`: built by the first caller, shared with every
+/// later one.
 pub fn envelope(
     op: CollectiveOp,
-    space: Space,
+    shape: GroupShape,
     machine: &MachineParams,
     ctx: CostContext,
 ) -> Arc<Envelope> {
-    from_table(key(op, space, machine, ctx), machine, ctx)
+    from_table(key(op, shape.level_blind(), machine, ctx), machine, ctx)
 }
 
 fn from_table(key: Key, machine: &MachineParams, ctx: CostContext) -> Arc<Envelope> {
@@ -288,7 +351,9 @@ thread_local! {
     static FRONT: RefCell<[Slot; FRONT_LEN]> = const { RefCell::new([const { None }; FRONT_LEN]) };
 }
 
-/// Runs `f` on the envelope [`envelope`] would return. A thread that
+/// Runs `f` on the envelope a flat strategy over `shape` is selected
+/// from at a level priced by `params` ([`GroupShape::flat`]), as
+/// [`envelope`] would return it. A thread that
 /// asked for the same key before finds it in its own [`FRONT`] by
 /// comparing keys: no lock taken, nothing hashed, no reference count
 /// touched. The whole key is compared, machine bits included, so a
@@ -296,12 +361,12 @@ thread_local! {
 /// select in turn: the front is borrowed while it runs.
 pub(crate) fn with_envelope<R>(
     op: CollectiveOp,
-    space: Space,
-    machine: &MachineParams,
-    ctx: CostContext,
+    shape: GroupShape,
+    params: &MachineParams,
     f: impl FnOnce(&Envelope) -> R,
 ) -> R {
-    let key = key(op, space, machine, ctx);
+    let (space, ctx) = shape.flat(params);
+    let key = key(op, space, params, ctx);
     FRONT.with_borrow_mut(|front| {
         let hit = front
             .iter()
@@ -312,7 +377,7 @@ pub(crate) fn with_envelope<R>(
                 // The last slot, empty or least recently used, comes
                 // first and is overwritten.
                 front.rotate_right(1);
-                front[0] = Some((key, from_table(key, machine, ctx)));
+                front[0] = Some((key, from_table(key, params, ctx)));
             }
         }
         let (_, env) = front[0].as_ref().expect("a hit, or the slot just filled");
@@ -320,32 +385,70 @@ pub(crate) fn with_envelope<R>(
     })
 }
 
-/// The cheapest strategy for `op` on `p` linear-array nodes at `n` bytes.
-pub fn best_strategy(
-    op: CollectiveOp,
-    p: usize,
-    n: usize,
-    machine: &MachineParams,
-    ctx: CostContext,
-) -> Strategy {
-    with_envelope(op, Space::Linear(p), machine, ctx, |env| {
-        env.at(n).0.clone()
-    })
+/// Picks what runs for `op` over a group of `shape` at message length
+/// `n` bytes on `machine`: the cheapest strategy of a line or a mesh at
+/// the machine's network level (all a flat machine has), or on a
+/// cluster the cheaper of the best hierarchical hybrid under the
+/// per-level parameters and the best level-blind strategy, compared by
+/// [`price`]. `Algo::Auto`, the plans and the tuner's re-selection all
+/// select through here.
+///
+/// Every side is an envelope lookup, but a cluster's comparison
+/// happens per call: a stage volume is `⌊n·num/den⌋`, so the hybrid's
+/// price is not a line in `n` and a precomputed arbiter would move
+/// picks near the crossover.
+pub fn choose(op: CollectiveOp, shape: GroupShape, n: usize, machine: &HierMachine) -> HierChoice {
+    let inter = machine.inter();
+    let Some(cluster) = shape.cluster_shape() else {
+        return HierChoice::Flat(choose_flat(op, shape, n, inter));
+    };
+    let flat_seconds = with_envelope(op, shape, inter, |env| env.at(n).1.eval(n, inter));
+    match select_priced(op, cluster, n, machine) {
+        Some((h, seconds)) if seconds < flat_seconds => HierChoice::Hier(h),
+        // A second lookup, so that a call the hybrid wins clones no
+        // flat strategy (the stages' lookups sit between the two).
+        _ => HierChoice::Flat(choose_flat(op, shape, n, inter)),
+    }
 }
 
-/// The cheapest mesh-aware strategy for `op` on an `rows × cols` physical
-/// mesh at `n` bytes (stages within physical rows/columns, conflict-free;
-/// §7.1).
-pub fn best_mesh_strategy(
+/// The cheapest level-blind strategy for `op` over `shape` at `n` bytes
+/// on a level priced by `params`: one envelope lookup, the flat half
+/// of [`choose`].
+pub fn choose_flat(
     op: CollectiveOp,
-    rows: usize,
-    cols: usize,
+    shape: GroupShape,
     n: usize,
-    machine: &MachineParams,
+    params: &MachineParams,
 ) -> Strategy {
-    let space = Space::Mesh { rows, cols };
-    let ctx = space.context(machine);
-    with_envelope(op, space, machine, ctx, |env| env.at(n).0.clone())
+    with_envelope(op, shape, params, |env| env.at(n).0.clone())
+}
+
+/// Predicted seconds of `choice` for `op` over `shape` at `n` bytes on
+/// `machine`: the number [`choose`] compared it by.
+pub fn price(
+    op: CollectiveOp,
+    shape: GroupShape,
+    choice: &HierChoice,
+    n: usize,
+    machine: &HierMachine,
+) -> f64 {
+    match choice {
+        HierChoice::Hier(h) => hier_cost(op, h, n, machine),
+        HierChoice::Flat(s) => flat_price(op, shape, s, n, machine.inter()),
+    }
+}
+
+/// Predicted seconds of the flat strategy `s` for `op` over `shape` at
+/// `n` bytes on a level priced by `params`.
+pub(crate) fn flat_price(
+    op: CollectiveOp,
+    shape: GroupShape,
+    s: &Strategy,
+    n: usize,
+    params: &MachineParams,
+) -> f64 {
+    let (_, ctx) = shape.flat(params);
+    hybrid_cost(op, s, ctx).eval(n, params)
 }
 
 #[cfg(test)]
@@ -355,13 +458,8 @@ mod tests {
 
     #[test]
     fn tiny_messages_pick_mst() {
-        let s = best_strategy(
-            CollectiveOp::Broadcast,
-            30,
-            8,
-            &MachineParams::PARAGON_MODEL,
-            CostContext::LINEAR,
-        );
+        let m = MachineParams::PARAGON_MODEL;
+        let s = choose_flat(CollectiveOp::Broadcast, GroupShape::Linear(30), 8, &m);
         // ⌈log 30⌉ = 5 startups is latency-optimal; nothing beats it at 8 B.
         assert_eq!(s.kind, StrategyKind::Mst);
         assert_eq!(s.dims, vec![30]);
@@ -399,59 +497,27 @@ mod tests {
     }
 
     #[test]
-    fn medium_messages_can_pick_true_hybrids() {
-        // Somewhere between the extremes a strategy with 1 < dims < p
-        // must win for some n; scan a sweep and require at least one.
+    fn short_and_long_messages_pick_different_kinds() {
         let m = MachineParams::PARAGON_MODEL;
-        let mut seen_hybrid = false;
-        for exp in 6..20 {
-            let s = best_strategy(
-                CollectiveOp::Broadcast,
-                36,
-                1usize << exp,
-                &m,
-                CostContext::LINEAR,
-            );
-            if s.ndims() > 1 || (s.ndims() == 1 && s.dims[0] != 36) {
-                seen_hybrid = true;
-            }
-        }
-        // Pure M and pure SC are both 1-dim; a "true" hybrid has ≥ 2 dims
-        // OR the scan at least must switch kinds. Check kinds switch:
-        let short = best_strategy(CollectiveOp::Broadcast, 36, 8, &m, CostContext::LINEAR);
-        let long = best_strategy(
-            CollectiveOp::Broadcast,
-            36,
-            1 << 22,
-            &m,
-            CostContext::LINEAR,
-        );
-        assert_ne!(short.kind, long.kind);
-        let _ = seen_hybrid;
+        let pick = |n| choose_flat(CollectiveOp::Broadcast, GroupShape::Linear(36), n, &m);
+        assert_ne!(pick(8).kind, pick(1 << 22).kind);
     }
 
     /// Selection by enumeration: the full ranking's first entry, which
     /// on a mesh is the first strict minimum over the mesh's candidates.
-    fn pick(op: CollectiveOp, space: Space, n: usize, m: &MachineParams) -> Strategy {
-        let ctx = space.context(m);
-        if let Space::Linear(p) = space {
+    fn pick(op: CollectiveOp, space: GroupShape, n: usize, m: &MachineParams) -> Strategy {
+        let (_, ctx) = space.flat(m);
+        if let GroupShape::Linear(p) = space {
             return rank_strategies(op, p, n, m, ctx, 0).swap_remove(0).strategy;
         }
-        let mut all = space.strategies(0);
+        let mut all = candidates(space, 0);
         let costs = all.iter().map(|s| hybrid_cost(op, s, ctx));
         all.swap_remove(first_min(costs, n, m))
     }
 
-    fn lookup(op: CollectiveOp, space: Space, n: usize, m: &MachineParams) -> Strategy {
-        match space {
-            Space::Linear(p) => best_strategy(op, p, n, m, space.context(m)),
-            Space::Mesh { rows, cols } => best_mesh_strategy(op, rows, cols, n, m),
-        }
-    }
-
     /// The lengths one below, at and one above every breakpoint.
-    fn around_breakpoints(op: CollectiveOp, space: Space, m: &MachineParams) -> Vec<usize> {
-        let env = envelope(op, space, m, space.context(m));
+    fn around_breakpoints(op: CollectiveOp, space: GroupShape, m: &MachineParams) -> Vec<usize> {
+        let env = envelope(op, space, m, space.flat(m).1);
         let mut ns: Vec<usize> = env
             .intervals()
             .flat_map(|(n, ..)| [n.saturating_sub(1), n, n + 1])
@@ -464,27 +530,35 @@ mod tests {
         FRONT.with_borrow(|front| front.iter().flatten().map(|(k, _)| *k).collect())
     }
 
+    fn key_of(op: CollectiveOp, space: GroupShape, m: &MachineParams) -> Key {
+        key(op, space, m, space.flat(m).1)
+    }
+
     #[test]
     fn front_equals_the_ranking_and_a_refit_never_hits_stale() {
         let old = MachineParams::PARAGON;
         let new = old.refit(old.alpha, 2.0 * old.beta);
         let mut moved = 0;
-        for space in [Space::Linear(30), Space::Mesh { rows: 8, cols: 8 }] {
+        for space in [
+            GroupShape::Linear(30),
+            GroupShape::Mesh { rows: 8, cols: 8 },
+        ] {
             for op in CollectiveOp::ALL {
                 let ns = around_breakpoints(op, space, &old);
                 // This thread's first question about the key misses its
                 // front, the rest hit the entry that miss left first.
-                let k = key(op, space, &old, space.context(&old));
+                let k = key_of(op, space, &old);
                 assert!(!front_keys().contains(&k));
                 for &n in &ns {
-                    assert_eq!(lookup(op, space, n, &old), pick(op, space, n, &old));
+                    assert_eq!(choose_flat(op, space, n, &old), pick(op, space, n, &old));
                     assert_eq!(front_keys()[0], k);
                 }
                 // Same thread, same space, `beta` doubled: the old
                 // entry is still in the front and must not answer.
                 for &n in &ns {
                     let want = pick(op, space, n, &new);
-                    assert_eq!(lookup(op, space, n, &new), want, "{op:?} {space:?} n={n}");
+                    let got = choose_flat(op, space, n, &new);
+                    assert_eq!(got, want, "{op:?} {space:?} n={n}");
                     moved += usize::from(want != pick(op, space, n, &old));
                 }
                 assert!(front_keys().contains(&k));
@@ -495,45 +569,83 @@ mod tests {
 
     #[test]
     fn front_evicts_the_least_recently_used_and_keeps_answering() {
-        let (op, space) = (CollectiveOp::Broadcast, Space::Linear(12));
+        let (op, space) = (CollectiveOp::Broadcast, GroupShape::Linear(12));
         let machines: Vec<MachineParams> = (0..2 * FRONT_LEN + 3)
             .map(|i| MachineParams::PARAGON.refit(1e-6 * (1 + i) as f64, 1e-9))
             .collect();
         for _pass in 0..2 {
             for m in &machines {
                 for n in [8, 4096, 1 << 20] {
-                    assert_eq!(lookup(op, space, n, m), pick(op, space, n, m));
+                    assert_eq!(choose_flat(op, space, n, m), pick(op, space, n, m));
                 }
             }
         }
         let recent = machines.iter().rev().take(FRONT_LEN);
-        let want: Vec<Key> = recent
-            .map(|m| key(op, space, m, space.context(m)))
-            .collect();
+        let want: Vec<Key> = recent.map(|m| key_of(op, space, m)).collect();
         assert_eq!(front_keys(), want);
     }
 
     #[test]
-    fn best_mesh_strategy_covers_mesh() {
-        let s = best_mesh_strategy(
-            CollectiveOp::Collect,
-            16,
-            32,
-            65536,
-            &MachineParams::PARAGON,
+    fn detect_shapes() {
+        let mesh = Mesh2D::new(4, 6);
+        assert_eq!(
+            GroupShape::detect(&ProcGroup::whole_mesh(&mesh), &mesh),
+            GroupShape::Mesh { rows: 4, cols: 6 }
         );
-        assert_eq!(s.nodes(), 512);
+        assert_eq!(
+            GroupShape::detect(&ProcGroup::mesh_row(&mesh, 1), &mesh),
+            GroupShape::Linear(6)
+        );
+        let scattered = ProcGroup::new(vec![0, 7, 14, 21]).unwrap();
+        assert_eq!(GroupShape::detect(&scattered, &mesh), GroupShape::Linear(4));
     }
 
     #[test]
-    fn single_node_selection() {
-        let s = best_strategy(
-            CollectiveOp::Broadcast,
-            1,
-            1024,
-            &MachineParams::PARAGON,
-            CostContext::LINEAR,
+    fn a_cluster_is_level_blind_as_a_line_of_all_its_ranks() {
+        let cluster = ClusterShape::linear(4, 4);
+        let shape = GroupShape::Cluster(cluster);
+        assert_eq!(shape.nodes(), 16);
+        assert_eq!(shape.cluster_shape(), Some(cluster));
+        assert_eq!(GroupShape::Linear(16).cluster_shape(), None);
+        assert_eq!(shape.level_blind(), GroupShape::Linear(16));
+        let mesh = GroupShape::Mesh { rows: 2, cols: 8 };
+        assert_eq!(mesh.level_blind(), mesh);
+        // The flat space: a cluster's line at the level it is asked at.
+        let m = MachineParams::PARAGON;
+        let line = GroupShape::Linear(16).flat(&m);
+        assert_eq!(shape.flat(&m), line);
+        assert_eq!(line.1, CostContext::linear_with(&m));
+        assert_eq!(mesh.flat(&m), (mesh, CostContext::mesh_with(&m)));
+    }
+
+    #[test]
+    fn one_function_selects_and_one_prices_for_every_shape() {
+        let machine = HierMachine::paragon_cluster();
+        let cluster = ClusterShape {
+            inter_rows: 2,
+            inter_cols: 2,
+            ranks_per_node: 4,
+        };
+        let (op, n) = (CollectiveOp::CombineToAll, 1 << 16);
+        // On a cluster the hybrid and the level-blind line compete, and
+        // `price` is the number they were compared by.
+        let shape = GroupShape::Cluster(cluster);
+        let picked = choose(op, shape, n, &machine);
+        assert!(matches!(picked, HierChoice::Hier(_)));
+        let blind = choose(op, shape.level_blind(), n, &machine);
+        assert!(matches!(blind, HierChoice::Flat(_)));
+        assert!(price(op, shape, &picked, n, &machine) < price(op, shape, &blind, n, &machine));
+        // A flat machine is the one-level ladder of the same call.
+        let net = *machine.inter();
+        let line = GroupShape::Linear(16);
+        assert_eq!(
+            choose(op, line, n, &HierMachine::flat(net)),
+            HierChoice::Flat(choose_flat(op, line, n, &net))
         );
-        assert_eq!(s.nodes(), 1);
+        for n in [8, 1024, 1 << 20] {
+            let mesh = GroupShape::Mesh { rows: 16, cols: 32 };
+            assert_eq!(choose_flat(op, mesh, n, &net).nodes(), 512);
+            assert_eq!(choose_flat(op, GroupShape::Linear(1), n, &net).nodes(), 1);
+        }
     }
 }

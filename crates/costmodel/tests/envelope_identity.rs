@@ -1,9 +1,11 @@
-//! The envelope lookup picks what per-call enumeration picks, at every
-//! message length: `best_strategy` against `rank_strategies`,
-//! `best_mesh_strategy` against the first strict minimum over the mesh
-//! enumeration, `choose_hier` against both per stage plus arbitration.
+//! The selector picks what per-call enumeration picks, at every message
+//! length, and prices its pick as the enumeration does: `choose` on a
+//! line against `rank_strategies`, on a mesh against the first strict
+//! minimum over the mesh enumeration, on a cluster against both per
+//! stage plus arbitration; an envelope priced under another context
+//! (the §2 model, `CostContext::LINEAR`) against the ranking under it.
 
-use intercom_cost::select::{envelope, Space};
+use intercom_cost::select::envelope;
 use intercom_cost::*;
 
 fn machines() -> Vec<MachineParams> {
@@ -29,15 +31,20 @@ fn lengths(dense: usize, num: usize, den: usize) -> Vec<usize> {
     ns
 }
 
-/// One selection space: collective, candidates, machine, cost context.
-type Sel<'a> = (CollectiveOp, Space, &'a MachineParams, CostContext);
+/// One selection space: collective, a line or a mesh, machine, cost
+/// context.
+type Sel<'a> = (CollectiveOp, GroupShape, &'a MachineParams, CostContext);
 
 /// Selection by enumeration: the first strict minimum of the price at
 /// `n` — the full ranking's tie rule (its sort is stable).
 fn pick((op, space, m, ctx): Sel, n: usize) -> Strategy {
     let (rows, cols) = match space {
-        Space::Linear(p) => return rank_strategies(op, p, n, m, ctx, 0).swap_remove(0).strategy,
-        Space::Mesh { rows, cols } => (rows, cols),
+        GroupShape::Mesh { rows, cols } => (rows, cols),
+        line => {
+            return rank_strategies(op, line.nodes(), n, m, ctx, 0)
+                .swap_remove(0)
+                .strategy
+        }
     };
     let priced = enumerate_mesh_strategies(rows, cols, 0)
         .into_iter()
@@ -48,8 +55,10 @@ fn pick((op, space, m, ctx): Sel, n: usize) -> Strategy {
 }
 
 /// Compares lookup and enumeration over one space at `ns` and around
-/// every breakpoint, and every breakpoint against the closed form.
-/// Returns the number of lengths compared.
+/// every breakpoint, and every breakpoint against the closed form. In
+/// the space's own context (the machine's link excess) the lookup is
+/// [`choose`], whose [`price`] must be the enumeration's price of its
+/// pick bit for bit. Returns the number of lengths compared.
 fn check_space(sel: Sel, ns: &[usize]) -> usize {
     let (op, space, m, ctx) = sel;
     let env = envelope(op, space, m, ctx);
@@ -66,12 +75,20 @@ fn check_space(sel: Sel, ns: &[usize]) -> usize {
         let closed = crossover_length(prev, next, m).expect("the next line wins eventually");
         assert!(closed.max(1).abs_diff(b) <= 1, "{sel:?}: {closed} vs {b}");
     }
+    let machine = HierMachine::flat(*m);
+    let own = ctx == space.flat(m).1;
     for &n in &points {
-        let got = match space {
-            Space::Linear(p) => best_strategy(op, p, n, m, ctx),
-            Space::Mesh { rows, cols } => best_mesh_strategy(op, rows, cols, n, m),
-        };
-        assert_eq!(got, pick(sel, n), "{sel:?} n={n}");
+        let want = pick(sel, n);
+        if !own {
+            assert_eq!(env.at(n).0, &want, "{sel:?} n={n}");
+            continue;
+        }
+        let want_price = hybrid_cost(op, &want, ctx).eval(n, m);
+        let want = HierChoice::Flat(want);
+        let got = choose(op, space, n, &machine);
+        assert_eq!(got, want, "{sel:?} n={n}");
+        let got_price = price(op, space, &got, n, &machine);
+        assert_eq!(got_price.to_bits(), want_price.to_bits(), "{sel:?} n={n}");
     }
     points.len()
 }
@@ -82,12 +99,12 @@ fn sweep(lines: &[usize], meshes: &[(usize, usize)], ns: &[usize]) -> usize {
         for m in machines() {
             for &p in lines {
                 for ctx in [CostContext::LINEAR, CostContext::linear_with(&m)] {
-                    points += check_space((op, Space::Linear(p), &m, ctx), ns);
+                    points += check_space((op, GroupShape::Linear(p), &m, ctx), ns);
                 }
             }
             for &(rows, cols) in meshes {
                 let ctx = CostContext::mesh_with(&m);
-                points += check_space((op, Space::Mesh { rows, cols }, &m, ctx), ns);
+                points += check_space((op, GroupShape::Mesh { rows, cols }, &m, ctx), ns);
             }
         }
     }
@@ -127,9 +144,10 @@ fn rounding_ties_between_permuted_dims_follow_the_enumeration() {
         (20, 22_232, "(4x5, SSCC)"),
         (450, 27_586, "(5x9x10, SSSCCC)"),
     ] {
-        let got = best_strategy(op, p, n, &m, ctx);
+        let line = GroupShape::Linear(p);
+        let got = envelope(op, line, &m, ctx).at(n).0.clone();
         assert_eq!(got.to_string(), want);
-        assert_eq!(got, pick((op, Space::Linear(p), &m, ctx), n));
+        assert_eq!(got, pick((op, line, &m, ctx), n));
     }
 }
 
@@ -142,32 +160,39 @@ fn degenerate_spaces_build_and_answer() {
         m.gamma = gamma;
         for op in CollectiveOp::ALL {
             for (p, n) in [(1, 0), (1, usize::MAX / 2), (13, 0), (13, usize::MAX / 2)] {
-                let s = best_strategy(op, p, n, &m, CostContext::linear_with(&m));
-                assert_eq!(s.nodes(), p);
-                assert_eq!(best_mesh_strategy(op, 1, p, n, &m).nodes(), p);
+                let line = GroupShape::Linear(p);
+                let mesh = GroupShape::Mesh { rows: 1, cols: p };
+                assert_eq!(choose_flat(op, line, n, &m).nodes(), p);
+                assert_eq!(choose_flat(op, mesh, n, &m).nodes(), p);
             }
         }
     }
 }
 
-/// `choose_hier` by enumeration: [`pick`] per strategy-taking template
-/// stage and for the flat side, then the `<` arbitration on the public
-/// price functions.
+/// [`choose`] on a cluster by enumeration: [`pick`] per strategy-taking
+/// template stage and for the flat side, then the `<` arbitration on
+/// the public price functions. Returns the pick and its price.
 fn choose_by_enumeration(
     op: CollectiveOp,
     shape: ClusterShape,
     n: usize,
     m: &HierMachine,
-) -> HierChoice {
+) -> (HierChoice, f64) {
     let ctx = CostContext::linear_with(m.inter());
-    let flat = pick((op, Space::Linear(shape.ranks()), m.inter(), ctx), n);
+    let flat = pick((op, GroupShape::Linear(shape.ranks()), m.inter(), ctx), n);
     let (rows, cols) = (shape.inter_rows, shape.inter_cols);
     let stage = |spec: &StageSpec| {
         let params = m.level(spec.level as usize);
         let (space, ctx) = if spec.level == 1 && rows > 1 && cols > 1 {
-            (Space::Mesh { rows, cols }, CostContext::mesh_with(params))
+            (
+                GroupShape::Mesh { rows, cols },
+                CostContext::mesh_with(params),
+            )
         } else {
-            (Space::Linear(spec.group), CostContext::linear_with(params))
+            (
+                GroupShape::Linear(spec.group),
+                CostContext::linear_with(params),
+            )
         };
         pick((spec.op, space, params, ctx), spec.bytes(n))
     };
@@ -175,30 +200,37 @@ fn choose_by_enumeration(
         let strategies = specs.iter().filter(|s| s.takes_strategy()).map(stage);
         HierStrategy::new(op, shape, strategies.collect()).expect("one per strategy stage")
     });
-    match hier {
-        Some(h) if hier_cost(op, &h, n, m) < flat_on_cluster_cost(op, &flat, n, m) => {
-            HierChoice::Hier(h)
-        }
-        _ => HierChoice::Flat(flat),
+    let flat_seconds = flat_on_cluster_cost(op, &flat, n, m);
+    match hier.map(|h| (hier_cost(op, &h, n, m), h)) {
+        Some((seconds, h)) if seconds < flat_seconds => (HierChoice::Hier(h), seconds),
+        _ => (HierChoice::Flat(flat), flat_seconds),
     }
 }
 
 #[test]
-fn choose_hier_equals_selection_by_enumeration() {
+fn choose_on_a_cluster_equals_selection_by_enumeration() {
     // The dense lengths cover every remainder of n modulo the node
     // count: stage volumes are floored.
     let ns = lengths(600, 5, 4);
     for (inter_rows, inter_cols, ranks_per_node) in [(1, 4, 4), (2, 2, 4), (1, 8, 2), (4, 4, 2)] {
-        let shape = ClusterShape {
+        let cluster = ClusterShape {
             inter_rows,
             inter_cols,
             ranks_per_node,
         };
+        let shape = GroupShape::Cluster(cluster);
         for m in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
             for op in CollectiveOp::ALL {
                 for &n in &ns {
-                    let want = choose_by_enumeration(op, shape, n, &m);
-                    assert_eq!(choose_hier(op, shape, n, &m), want, "{op:?} {shape} n={n}");
+                    let (want, want_price) = choose_by_enumeration(op, cluster, n, &m);
+                    let chosen = choose(op, shape, n, &m);
+                    assert_eq!(chosen, want, "{op:?} {cluster} n={n}");
+                    let priced = price(op, shape, &chosen, n, &m);
+                    assert_eq!(
+                        priced.to_bits(),
+                        want_price.to_bits(),
+                        "{op:?} {cluster} n={n}"
+                    );
                 }
             }
         }

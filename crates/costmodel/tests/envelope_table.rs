@@ -1,15 +1,17 @@
 //! The process-wide envelope table is shared by racing threads and
 //! bounded. One test: nothing else may touch the table while it counts.
 
-use intercom_cost::select::{envelope, Space};
-use intercom_cost::{best_strategy, rank_strategies, CollectiveOp, CostContext, MachineParams};
+use intercom_cost::select::envelope;
+use intercom_cost::{
+    choose_flat, rank_strategies, CollectiveOp, CostContext, GroupShape, MachineParams,
+};
 use std::sync::{Arc, Barrier};
 
 #[test]
 fn one_build_is_shared_and_the_table_stays_bounded() {
     let op = CollectiveOp::Collect;
     let m = MachineParams::PARAGON;
-    let get = || envelope(op, Space::Linear(60), &m, CostContext::LINEAR);
+    let get = || envelope(op, GroupShape::Linear(60), &m, CostContext::LINEAR);
 
     // Eight threads race on the cold key: all leave with the envelope
     // the table kept, and the table keeps exactly one.
@@ -36,7 +38,8 @@ fn one_build_is_shared_and_the_table_stays_bounded() {
         let ctx = CostContext::linear_with(&refit);
         for n in [8, 20_000, 1 << 20] {
             let want = rank_strategies(op, 12, n, &refit, ctx, 0).swap_remove(0);
-            assert_eq!(best_strategy(op, 12, n, &refit, ctx), want.strategy);
+            let got = choose_flat(op, GroupShape::Linear(12), n, &refit);
+            assert_eq!(got, want.strategy);
         }
     }
     let rebuilt = get();

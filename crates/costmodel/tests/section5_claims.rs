@@ -114,16 +114,16 @@ fn no_hybrid_beats_both_pure_extremes_at_both_ends() {
 
 #[test]
 fn selection_agrees_with_brute_force() {
-    // best_strategy must equal the argmin over the full enumeration.
+    // The selection must equal the argmin over the full enumeration
+    // (`PARAGON_MODEL`'s link excess is 1: its context is `LINEAR`).
     let machine = MachineParams::PARAGON_MODEL;
     for p in [8usize, 30, 36] {
         for n in [8usize, 1024, 65536, 1 << 20] {
-            let best = intercom_cost::best_strategy(
+            let best = intercom_cost::choose_flat(
                 CollectiveOp::Broadcast,
-                p,
+                intercom_cost::GroupShape::Linear(p),
                 n,
                 &machine,
-                CostContext::LINEAR,
             );
             let best_t =
                 hybrid_cost(CollectiveOp::Broadcast, &best, CostContext::LINEAR).eval(n, &machine);

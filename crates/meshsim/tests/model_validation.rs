@@ -213,7 +213,8 @@ fn mesh_rows_and_columns_are_conflict_free() {
     let n = p * b;
     let m = machine();
     let mesh = Mesh2D::new(r, c);
-    let strategy = intercom_cost::select::best_mesh_strategy(CollectiveOp::Collect, r, c, n, &m);
+    let shape = intercom_cost::GroupShape::Mesh { rows: r, cols: c };
+    let strategy = intercom_cost::choose_flat(CollectiveOp::Collect, shape, n, &m);
     let cfg = SimConfig::new(mesh, m);
     let s2 = strategy.clone();
     let rep = simulate(&cfg, |comm| {

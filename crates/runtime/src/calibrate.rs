@@ -178,12 +178,11 @@ mod tests {
         // end-to-end.
         let _cores = crate::CORES.read().unwrap_or_else(PoisonError::into_inner);
         let m = calibrate().machine();
-        let s = intercom_cost::best_strategy(
+        let s = intercom_cost::choose_flat(
             intercom_cost::CollectiveOp::Broadcast,
-            8,
+            intercom_cost::GroupShape::Linear(8),
             1 << 16,
             &m,
-            intercom_cost::CostContext::LINEAR,
         );
         assert_eq!(s.nodes(), 8);
     }

@@ -47,24 +47,21 @@
 //! and the audit fails unless each probe is caught, guarding the
 //! checkers themselves against silent rot.
 
-use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::groups::{col_members, row_members, submesh_members};
-use intercom::ir::{
-    lower, lower_hier, optimize, CollectiveProgram, Loc, OptStats, PlanOp, StepKind,
-};
+use intercom::ir::{lower_hier, optimize, CollectiveProgram, OptStats, PlanOp};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::CommError;
 use intercom_cost::{
     enumerate_hier_strategies, enumerate_mesh_strategies, enumerate_strategies, select_hier,
-    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, Strategy, StrategyKind,
+    ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, Strategy,
 };
 use intercom_obs::escape_json;
 use intercom_topology::{Cluster, Mesh2D};
 use intercom_verify::{
     analyze_links, chaos_sweep, check_buffer_safety, check_permutations, check_single_port,
-    extract_programs, hang_probe, match_programs, programs_of, stall_probe, tenant_tag_base,
-    verify_concurrent, verify_schedule_from, ConcurrentViolation, Event, HangDiagnosis, Schedule,
-    Source, Tenant, Violation, Workload,
+    hang_probe, match_programs, mutation, programs_of, stall_probe, tenant_tag_base,
+    verify_concurrent, verify_schedule_from, ConcurrentViolation, HangDiagnosis, Source, Tenant,
+    Violation, Workload,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -520,101 +517,35 @@ fn crosscheck_section() -> Section {
     }
 }
 
-/// Moves the first communication of `rank`'s program to the next tag:
-/// its partner then waits on the original tag forever.
-fn bump_first_tag(programs: &mut [Vec<OpRecord>], rank: usize) {
-    let bumped = programs[rank].iter_mut().find_map(|op| match op {
-        OpRecord::Send { tag, .. }
-        | OpRecord::Recv { tag, .. }
-        | OpRecord::SendRecv { tag, .. } => {
-            *tag += 1;
-            Some(())
-        }
-        _ => None,
-    });
-    bumped.expect("the rank communicates");
-}
-
 /// Probe 1: moving a send one step earlier must trip the single-port
 /// check (the MST root would talk to two children at once).
 fn probe_step_move() -> bool {
-    let st = Strategy::pure_mst(8);
-    let programs =
-        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).expect("extract");
-    let mut sched = match_programs(&programs).expect("valid schedule");
-    let idx = sched
-        .events
-        .iter()
-        .position(|e| e.src == 0 && e.step == 1)
-        .expect("root sends at step 1");
-    sched.events[idx].step = 0;
-    sched.events.sort_by_key(|e| e.step);
-    check_single_port(&sched)
-        .iter()
-        .any(|v| matches!(v, Violation::MultiPort { rank: 0, .. }))
+    let (clean, moved) = mutation::step_move();
+    let multi_port = |v: &Violation| matches!(v, Violation::MultiPort { rank: 0, .. });
+    check_single_port(&clean).is_empty() && check_single_port(&moved).iter().any(multi_port)
 }
 
 /// Probe 2: bumping one rank's first tag must deadlock the matcher
 /// (its partner waits on the original tag forever).
 fn probe_tag_bump() -> bool {
-    let st = Strategy::pure_mst(4);
-    let mut programs =
-        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).expect("extract");
-    bump_first_tag(&mut programs, 1);
-    matches!(match_programs(&programs), Err(Violation::Deadlock { .. }))
+    let (clean, bumped) = mutation::tag_bump();
+    match_programs(&clean).is_ok()
+        && matches!(match_programs(&bumped), Err(Violation::Deadlock { .. }))
 }
 
 /// Probe 3: a receive landing inside a concurrently-sent span must trip
 /// the buffer-safety check.
 fn probe_buffer_overlap() -> bool {
-    let sched = Schedule {
-        p: 2,
-        steps: 1,
-        events: vec![
-            Event {
-                step: 0,
-                src: 0,
-                dst: 1,
-                tag: 0,
-                bytes: 8,
-                read: MemSpan { addr: 100, len: 8 },
-                write: MemSpan { addr: 500, len: 8 },
-            },
-            Event {
-                step: 0,
-                src: 1,
-                dst: 0,
-                tag: 0,
-                bytes: 8,
-                read: MemSpan { addr: 700, len: 8 },
-                write: MemSpan { addr: 104, len: 8 },
-            },
-        ],
-    };
-    check_buffer_safety(&sched)
-        .iter()
-        .any(|v| matches!(v, Violation::BufferOverlap { rank: 0, .. }))
+    let (clean, broken) = mutation::buffer_overlap();
+    let overlap = |v: &Violation| matches!(v, Violation::BufferOverlap { rank: 0, .. });
+    check_buffer_safety(&clean).is_empty() && check_buffer_safety(&broken).iter().any(overlap)
 }
 
 /// Probe 4: two same-step messages crossing the same east link must be
 /// observed by the link analysis.
 fn probe_link_conflict() -> bool {
-    let mesh = Mesh2D::new(1, 4);
-    let ev = |src: usize, dst: usize| Event {
-        step: 0,
-        src,
-        dst,
-        tag: LEVEL_TAG_STRIDE,
-        bytes: 4,
-        read: MemSpan { addr: 0, len: 4 },
-        write: MemSpan { addr: 64, len: 4 },
-    };
-    let sched = Schedule {
-        p: 4,
-        steps: 1,
-        events: vec![ev(0, 2), ev(1, 3)],
-    };
-    analyze_links(&sched, &mesh).max_sharing == 2
+    let (mesh, clean, shared) = mutation::link_share();
+    analyze_links(&clean, &mesh).max_sharing == 1 && analyze_links(&shared, &mesh).max_sharing == 2
 }
 
 /// Probe 5: a 2×3 collect's block permutation whose held block is
@@ -622,26 +553,14 @@ fn probe_link_conflict() -> bool {
 /// its region holds, must trip the permutation check — and the
 /// program as lowered must not.
 fn probe_bad_permutation() -> bool {
-    let st = Strategy::new(vec![2, 3], StrategyKind::ScatterCollect);
-    let prog = lower(PlanOp::Collect, Some(&st), 6, 4, 1).expect("a 2×3 collect lowers");
+    let [clean, overlapping, miscounted] = mutation::bad_permutations();
     let caught = |prog: &CollectiveProgram| {
         let found = check_permutations(&programs_of(prog));
         found
             .iter()
             .any(|v| matches!(v, Violation::BadPermutation { .. }))
     };
-    let mut overlapping = prog.clone();
-    for step in overlapping.ranks.iter_mut().flat_map(|rp| &mut rp.steps) {
-        if let StepKind::Permute { region, held, .. } = &mut step.kind {
-            *held = Loc {
-                len: held.len,
-                ..*region
-            };
-        }
-    }
-    let mut miscounted = prog.clone();
-    miscounted.radices[0] = vec![2, 4];
-    !caught(&prog) && caught(&overlapping) && caught(&miscounted)
+    !caught(&clean) && caught(&overlapping) && caught(&miscounted)
 }
 
 /// One row/column/submesh tenant for the concurrent scenario matrix.
@@ -1168,7 +1087,7 @@ fn probe_hier_tag_bump(optimized: bool) -> bool {
         prog = optimize(&prog).0;
     }
     let mut programs = programs_of(&prog);
-    bump_first_tag(&mut programs, 1);
+    mutation::bump_first_tag(&mut programs, 1);
     matches!(match_programs(&programs), Err(Violation::Deadlock { .. }))
 }
 

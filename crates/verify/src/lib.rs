@@ -75,6 +75,7 @@ pub mod checks;
 pub mod concurrent;
 pub mod extract;
 pub mod ir;
+pub mod mutation;
 pub mod report;
 pub mod schedule;
 

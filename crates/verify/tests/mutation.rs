@@ -1,33 +1,21 @@
 //! Mutation tests: seed a known defect into a valid schedule (or its
-//! programs) and assert the corresponding check catches it. These mirror
-//! the `schedule-audit` binary's probes so the checker's teeth are also
-//! exercised under `cargo test`.
+//! programs) and assert the corresponding check catches it. The defects
+//! are [`intercom_verify::mutation`]'s, the ones the `schedule-audit`
+//! binary's probes seed, so the checker's teeth are also exercised
+//! under `cargo test`.
 
-use intercom::ir::{lower, Loc, PlanOp, StepKind};
-use intercom::trace::{MemSpan, OpRecord};
-use intercom_cost::{Strategy, StrategyKind};
-use intercom_topology::Mesh2D;
 use intercom_verify::{
-    analyze_links, check_buffer_safety, check_permutations, check_single_port, extract_programs,
-    match_programs, programs_of, Event, Schedule, Violation,
+    analyze_links, check_buffer_safety, check_permutations, check_single_port, match_programs,
+    mutation, programs_of, Violation,
 };
 
 /// Moving one MST send a step earlier makes the root talk to two
 /// children at once — the single-port check must fire.
 #[test]
 fn moved_send_breaks_single_port() {
-    let st = Strategy::pure_mst(8);
-    let programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).unwrap();
-    let mut sched = match_programs(&programs).unwrap();
-    assert!(check_single_port(&sched).is_empty(), "baseline is clean");
-    let idx = sched
-        .events
-        .iter()
-        .position(|e| e.src == 0 && e.step == 1)
-        .expect("root sends at step 1");
-    sched.events[idx].step = 0;
-    sched.events.sort_by_key(|e| e.step);
-    let v = check_single_port(&sched);
+    let (clean, moved) = mutation::step_move();
+    assert!(check_single_port(&clean).is_empty(), "baseline is clean");
+    let v = check_single_port(&moved);
     assert!(
         v.iter().any(|v| matches!(
             v,
@@ -45,22 +33,9 @@ fn moved_send_breaks_single_port() {
 /// must report a deadlock naming the stalled ranks.
 #[test]
 fn bumped_tag_deadlocks() {
-    let st = Strategy::pure_mst(4);
-    let mut programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).unwrap();
-    assert!(match_programs(&programs).is_ok(), "baseline matches");
-    programs[1]
-        .iter_mut()
-        .find_map(|op| match op {
-            OpRecord::Send { tag, .. }
-            | OpRecord::Recv { tag, .. }
-            | OpRecord::SendRecv { tag, .. } => {
-                *tag += 1;
-                Some(())
-            }
-            _ => None,
-        })
-        .expect("rank 1 communicates");
-    match match_programs(&programs) {
+    let (clean, bumped) = mutation::tag_bump();
+    assert!(match_programs(&clean).is_ok(), "baseline matches");
+    match match_programs(&bumped) {
         Err(Violation::Deadlock { stuck, .. }) => {
             assert!(!stuck.is_empty());
         }
@@ -72,37 +47,8 @@ fn bumped_tag_deadlocks() {
 /// trip the buffer-safety check.
 #[test]
 fn overlapping_spans_break_buffer_safety() {
-    let ev = |src: usize, dst: usize, read: MemSpan, write: MemSpan| Event {
-        step: 0,
-        src,
-        dst,
-        tag: 0,
-        bytes: read.len,
-        read,
-        write,
-    };
-    let clean = Schedule {
-        p: 2,
-        steps: 1,
-        events: vec![
-            ev(
-                0,
-                1,
-                MemSpan { addr: 100, len: 8 },
-                MemSpan { addr: 500, len: 8 },
-            ),
-            ev(
-                1,
-                0,
-                MemSpan { addr: 700, len: 8 },
-                MemSpan { addr: 300, len: 8 },
-            ),
-        ],
-    };
+    let (clean, broken) = mutation::buffer_overlap();
     assert!(check_buffer_safety(&clean).is_empty());
-    let mut broken = clean.clone();
-    // Receive into the middle of the span rank 0 is still sending from.
-    broken.events[1].write = MemSpan { addr: 104, len: 8 };
     let v = check_buffer_safety(&broken);
     assert!(
         v.iter().any(|v| matches!(
@@ -121,28 +67,9 @@ fn overlapping_spans_break_buffer_safety() {
 /// visible to the link analysis.
 #[test]
 fn forced_link_sharing_is_observed() {
-    let mesh = Mesh2D::new(1, 4);
-    let ev = |step: usize, src: usize, dst: usize| Event {
-        step,
-        src,
-        dst,
-        tag: 0,
-        bytes: 4,
-        read: MemSpan { addr: 0, len: 4 },
-        write: MemSpan { addr: 64, len: 4 },
-    };
-    let clean = Schedule {
-        p: 4,
-        steps: 2,
-        events: vec![ev(0, 0, 2), ev(1, 1, 3)],
-    };
+    let (mesh, clean, shared) = mutation::link_share();
     assert_eq!(analyze_links(&clean, &mesh).max_sharing, 1);
-    let broken = Schedule {
-        p: 4,
-        steps: 1,
-        events: vec![ev(0, 0, 2), ev(0, 1, 3)],
-    };
-    let la = analyze_links(&broken, &mesh);
+    let la = analyze_links(&shared, &mesh);
     assert_eq!(la.max_sharing, 2, "0→2 and 1→3 share link 1→E");
     assert_eq!(la.per_tag_max.get(&0), Some(&2));
 }
@@ -152,8 +79,7 @@ fn forced_link_sharing_is_observed() {
 /// region holds, must trip the permutation check; as lowered, it passes.
 #[test]
 fn malformed_permutations_are_caught() {
-    let st = Strategy::new(vec![2, 3], StrategyKind::ScatterCollect);
-    let prog = lower(PlanOp::Collect, Some(&st), 6, 4, 1).unwrap();
+    let [clean, overlapping, miscounted] = mutation::bad_permutations();
     let whats = |prog| -> Vec<&'static str> {
         let found = check_permutations(&programs_of(prog));
         found
@@ -164,21 +90,10 @@ fn malformed_permutations_are_caught() {
             })
             .collect()
     };
-    assert!(whats(&prog).is_empty());
-    let mut overlapping = prog.clone();
-    for step in overlapping.ranks.iter_mut().flat_map(|rp| &mut rp.steps) {
-        if let StepKind::Permute { region, held, .. } = &mut step.kind {
-            *held = Loc {
-                len: held.len,
-                ..*region
-            };
-        }
-    }
+    assert!(whats(&clean).is_empty());
     let found = whats(&overlapping);
     assert_eq!(found.len(), 6, "one permutation a rank: {found:?}");
     assert!(found.iter().all(|w| w.contains("overlaps")), "{found:?}");
-    let mut miscounted = prog.clone();
-    miscounted.radices[0] = vec![2, 4];
     let found = whats(&miscounted);
     assert_eq!(found.len(), 6, "{found:?}");
     assert!(found.iter().all(|w| w.contains("block count")), "{found:?}");

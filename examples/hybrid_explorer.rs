@@ -6,7 +6,7 @@
 //! (defaults: p = 30, bytes = 4096 — the paper's Table 2 setting)
 
 use intercom_cost::collective::hybrid_cost;
-use intercom_cost::select::{envelope, Space};
+use intercom_cost::select::{envelope, GroupShape};
 use intercom_cost::{crossover_length, rank_strategies, CollectiveOp, CostContext, MachineParams};
 
 fn main() {
@@ -70,6 +70,6 @@ fn main() {
     // Where the selector's choice changes: its lower envelope.
     println!("\nselector's pick, from the first length it wins at:");
     let op = CollectiveOp::Broadcast;
-    let env = envelope(op, Space::Linear(p), &machine, CostContext::LINEAR);
+    let env = envelope(op, GroupShape::Linear(p), &machine, CostContext::LINEAR);
     println!("{env}");
 }

@@ -6,7 +6,7 @@
 //! (defaults: 8 × 16 mesh, 64 KiB broadcast)
 
 use intercom::{Algo, Communicator};
-use intercom_cost::{CollectiveOp, MachineParams};
+use intercom_cost::{choose, price, CollectiveOp, GroupShape, HierMachine, MachineParams};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_topology::Mesh2D;
 
@@ -45,13 +45,9 @@ fn main() {
     }
 
     // What did the selector pick, and what did the model predict?
-    let chosen =
-        intercom_cost::select::best_mesh_strategy(CollectiveOp::Broadcast, rows, cols, n, &machine);
-    let predicted = intercom_cost::collective::hybrid_cost(
-        CollectiveOp::Broadcast,
-        &chosen,
-        intercom_cost::CostContext::mesh_with(&machine),
-    )
-    .eval(n, &machine);
+    let (op, shape) = (CollectiveOp::Broadcast, GroupShape::Mesh { rows, cols });
+    let flat = HierMachine::flat(machine);
+    let chosen = choose(op, shape, n, &flat);
+    let predicted = price(op, shape, &chosen, n, &flat);
     println!("\nauto-selected strategy: {chosen}   (model predicts {predicted:.6} s)");
 }

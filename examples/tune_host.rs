@@ -6,8 +6,8 @@
 //!
 //! Run: `cargo run --release --example tune_host`
 
-use intercom_cost::select::{envelope, Space};
-use intercom_cost::{best_strategy, CollectiveOp, CostContext, MachineParams};
+use intercom_cost::select::{envelope, Envelope, GroupShape};
+use intercom_cost::{CollectiveOp, CostContext, MachineParams};
 use intercom_runtime::{calibrate, run_world, Comm};
 use std::time::Instant;
 
@@ -97,31 +97,23 @@ fn main() {
         "{:>10}  {:<22} {:<22}",
         "bytes", "Paragon pick", "this-host pick"
     );
+    // A broadcast's picks on 32 nodes of the §2 linear array.
+    let bcast32 = |m: &MachineParams| {
+        let line = GroupShape::Linear(32);
+        envelope(CollectiveOp::Broadcast, line, m, CostContext::LINEAR)
+    };
+    let (paragon, here) = (bcast32(&MachineParams::PARAGON), bcast32(&host));
     for exp in [3u32, 8, 12, 16, 20] {
         let n = 1usize << exp;
-        let paragon = best_strategy(
-            CollectiveOp::Broadcast,
-            32,
-            n,
-            &MachineParams::PARAGON,
-            CostContext::LINEAR,
-        );
-        let here = best_strategy(CollectiveOp::Broadcast, 32, n, &host, CostContext::LINEAR);
         println!(
             "{n:>10}  {:<22} {:<22}",
-            paragon.to_string(),
-            here.to_string()
+            paragon.at(n).0.to_string(),
+            here.at(n).0.to_string()
         );
     }
     // Where the short-vector algorithm stops winning: the envelope's
     // first breakpoint.
-    let crossover = |m: &MachineParams| {
-        let env = envelope(
-            CollectiveOp::Broadcast,
-            Space::Linear(32),
-            m,
-            CostContext::LINEAR,
-        );
+    let crossover = |env: &Envelope| {
         let mut first = env.intervals().map(|(n, ..)| n).filter(|&n| n > 0);
         first
             .next()
@@ -130,8 +122,8 @@ fn main() {
     println!(
         "\nshort→long crossover: Paragon {}, this host {} (α/β = {:.0} B, β an exchange hop's:\n\
          a one-way long hop, which its blocked sender helps copy, runs at about twice that rate)",
-        crossover(&MachineParams::PARAGON),
-        crossover(&host),
+        crossover(&paragon),
+        crossover(&here),
         host.alpha / host.beta
     );
     println!(

@@ -9,7 +9,7 @@ use intercom::primitives::{optimal_segments, pipelined_ring_bcast};
 use intercom::{Algo, Comm, Communicator, ReduceOp};
 use intercom_cost::collective::hybrid_cost;
 use intercom_cost::composed::render_catalog;
-use intercom_cost::select::{envelope, Space};
+use intercom_cost::select::{envelope, GroupShape};
 use intercom_cost::table2::paper_table2;
 use intercom_cost::{
     enumerate_strategies, CollectiveOp, CostContext, CostExpr, MachineParams, Strategy,
@@ -126,7 +126,7 @@ pub fn fig2(_: &Options) -> Result<(), String> {
     // lower envelope the library's selector looks its choice up in.
     println!("selector's choice (full enumeration), from the first length it wins at:");
     let op = CollectiveOp::Broadcast;
-    let env = envelope(op, Space::Linear(30), &machine, CostContext::LINEAR);
+    let env = envelope(op, GroupShape::Linear(30), &machine, CostContext::LINEAR);
     println!("{env}");
     Ok(())
 }
@@ -289,7 +289,7 @@ pub fn section5(o: &Options) -> Result<(), String> {
 /// read off the row's envelope.
 fn crossover_row(p: usize, n_exps: &[u32], machine: &MachineParams) -> String {
     let op = CollectiveOp::Broadcast;
-    let env = envelope(op, Space::Linear(p), machine, CostContext::LINEAR);
+    let env = envelope(op, GroupShape::Linear(p), machine, CostContext::LINEAR);
     let class = |e: &u32| {
         let s = env.at(1usize << e).0;
         match (s.ndims(), s.kind) {

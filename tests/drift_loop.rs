@@ -10,12 +10,12 @@
 //! visible in the metrics registry.
 
 use intercom_suite::cost::{
-    hybrid_cost, CollectiveOp, CostContext, HierChoice, HierMachine, MachineParams, Strategy,
+    choose, hybrid_cost, CollectiveOp, CostContext, GroupShape, HierChoice, HierMachine,
+    MachineParams, Strategy,
 };
 use intercom_suite::driver::{record_sim, residual_report};
 use intercom_suite::intercom::ir::{global_cache, BoundProgram};
 use intercom_suite::intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
-use intercom_suite::intercom::selector::{choose, GroupShape};
 use intercom_suite::intercom::{AutoTuner, Communicator, TrackedShape};
 use intercom_suite::intercom::{Comm, DefaultPath, Result, Tag, CALL_TAG_STRIDE};
 use intercom_suite::meshsim::{simulate, SimConfig};

@@ -17,7 +17,7 @@ use intercom::{
     Comm, Communicator, ReduceOp, CALL_TAG_STRIDE,
 };
 use intercom_cost::{
-    best_strategy, enumerate_hier_strategies, select_hier, ClusterShape, CollectiveOp, CostContext,
+    choose_flat, enumerate_hier_strategies, select_hier, ClusterShape, CollectiveOp, GroupShape,
     HierChoice, HierMachine,
 };
 use intercom_meshsim::{simulate, SimConfig};
@@ -94,9 +94,9 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
     let p = gc.len();
     let me = gc.me();
     let params = machine.inter();
-    let ctx = CostContext::linear_with(params);
     let hs = |op: CollectiveOp, bytes: usize| select_hier(op, shape, bytes, &machine).unwrap();
-    let flat = |op: CollectiveOp, bytes: usize| best_strategy(op, p, bytes, params, ctx);
+    let flat =
+        |op: CollectiveOp, bytes: usize| choose_flat(op, GroupShape::Linear(p), bytes, params);
     let mut out = Vec::new();
     let mut call = 0u64;
     let mut tag = || {
@@ -466,7 +466,7 @@ fn hybrids_beat_the_best_flat_strategy_on_the_delta_backbone() {
                 shape.ranks_per_node,
             );
             let hs = select_hier(op, *shape, N, &machine).unwrap();
-            let flat = best_strategy(op, shape.ranks(), N, inter, CostContext::linear_with(inter));
+            let flat = choose_flat(op, GroupShape::Cluster(*shape), N, inter);
             let virt = |hier: bool| {
                 let cfg = SimConfig::cluster(cluster, &machine);
                 simulate(&cfg, |c| {

@@ -70,10 +70,17 @@ at_most() {
 
 echo "==> non-test lines under crates/ (reported, not gated)"
 # Every .rs file under crates/*/src, counted up to its first
-# `#[cfg(test)]`; the tests/ directories are all test code.
+# `#[cfg(test)]` module (the attribute line directly followed by a
+# `mod` line); a `#[cfg(test)]` field, function or static before it is
+# counted. The tests/ directories are all test code.
 find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-    FNR == 1 { counting = 1 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+    FNR == 1 { counting = 1; held = 0 }
+    held {
+        held = 0
+        if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod /) counting = 0
+        else n++
+    }
+    counting && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
     counting { n++ }
     END { print "non-test lines under crates/: " n }'
 

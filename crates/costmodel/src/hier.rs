@@ -269,7 +269,7 @@ impl StageSpec {
 
     /// The shape of the stage's subgroup, which says the candidates the
     /// stage draws its flat strategy from and the conflict model it is
-    /// priced under ([`GroupShape::flat`]). An inter stage on a true 2-D
+    /// priced under ([`GroupShape::context`]). An inter stage on a true 2-D
     /// inter mesh picks among the §7.1 mesh-aware strategies: the
     /// leader plane keeps the inter mesh's row/column structure. On a
     /// linear inter mesh (1×C or R×1) the leader plane embeds as a
@@ -289,7 +289,7 @@ impl StageSpec {
     /// What the stage is selected and priced under at op-level volume
     /// `n` on `machine`, on `cluster`: its level's parameters, its
     /// shape, the conflict context of that shape at that level
-    /// ([`GroupShape::flat`]), and its volume in bytes.
+    /// ([`GroupShape::context`]), and its volume in bytes.
     fn inputs<'m>(
         &self,
         cluster: ClusterShape,
@@ -298,7 +298,7 @@ impl StageSpec {
     ) -> (&'m MachineParams, GroupShape, CostContext, usize) {
         let params = machine.level(self.level as usize);
         let shape = self.shape(cluster);
-        (params, shape, shape.flat(params).1, self.bytes(n))
+        (params, shape, shape.context(params), self.bytes(n))
     }
 
     /// The stage's name in the strategy-string grammar.

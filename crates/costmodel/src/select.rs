@@ -137,23 +137,24 @@ impl GroupShape {
         }
     }
 
-    /// A flat strategy's selection space over this shape at a level
-    /// priced by `params`: the level-blind form, whose hybrids are the
-    /// candidates, and the conflict model they are priced under —
-    /// interleaved groups share links on a line and have dedicated ones
-    /// along physical mesh rows and columns (§7.1).
-    pub fn flat(self, params: &MachineParams) -> (GroupShape, CostContext) {
-        match self.level_blind() {
-            mesh @ GroupShape::Mesh { .. } => (mesh, CostContext::mesh_with(params)),
-            line => (line, CostContext::linear_with(params)),
+    /// The conflict model a level-blind strategy over this shape is
+    /// priced under at a level priced by `params`: interleaved groups
+    /// share links on a line (a cluster's level-blind line included)
+    /// and have dedicated ones along physical mesh rows and columns
+    /// (§7.1).
+    pub fn context(self, params: &MachineParams) -> CostContext {
+        match self {
+            GroupShape::Mesh { .. } => CostContext::mesh_with(params),
+            _ => CostContext::linear_with(params),
         }
     }
 }
 
-/// The candidates of a flat space ([`GroupShape::flat`]) with at most
-/// `max_dims` logical dimensions (`0` = unlimited), in enumeration order.
-pub(crate) fn candidates(space: GroupShape, max_dims: usize) -> Vec<Strategy> {
-    match space {
+/// The level-blind candidates over `shape` with at most `max_dims`
+/// logical dimensions (`0` = unlimited), in enumeration order: the
+/// §7.1 mesh strategies on a mesh, the linear-array ones otherwise.
+pub(crate) fn candidates(shape: GroupShape, max_dims: usize) -> Vec<Strategy> {
+    match shape {
         GroupShape::Mesh { rows, cols } => enumerate_mesh_strategies(rows, cols, max_dims),
         line => enumerate_strategies(line.nodes(), max_dims),
     }
@@ -286,7 +287,7 @@ impl fmt::Display for Envelope {
     }
 }
 
-/// What an envelope depends on: the op, a flat space, the conflict
+/// What an envelope depends on: the op, a level-blind shape, the conflict
 /// model and the floats (`ctx.link_excess`, then the machine's five) as
 /// their bits, so a refit is simply a new key.
 type Key = (CollectiveOp, GroupShape, ConflictModel, u64, [u64; 5]);
@@ -352,7 +353,7 @@ thread_local! {
 }
 
 /// Runs `f` on the envelope a flat strategy over `shape` is selected
-/// from at a level priced by `params` ([`GroupShape::flat`]), as
+/// from at a level priced by `params` ([`GroupShape::context`]), as
 /// [`envelope`] would return it. A thread that
 /// asked for the same key before finds it in its own [`FRONT`] by
 /// comparing keys: no lock taken, nothing hashed, no reference count
@@ -365,8 +366,8 @@ pub(crate) fn with_envelope<R>(
     params: &MachineParams,
     f: impl FnOnce(&Envelope) -> R,
 ) -> R {
-    let (space, ctx) = shape.flat(params);
-    let key = key(op, space, params, ctx);
+    let ctx = shape.context(params);
+    let key = key(op, shape.level_blind(), params, ctx);
     FRONT.with_borrow_mut(|front| {
         let hit = front
             .iter()
@@ -447,8 +448,7 @@ pub(crate) fn flat_price(
     n: usize,
     params: &MachineParams,
 ) -> f64 {
-    let (_, ctx) = shape.flat(params);
-    hybrid_cost(op, s, ctx).eval(n, params)
+    hybrid_cost(op, s, shape.context(params)).eval(n, params)
 }
 
 #[cfg(test)]
@@ -501,12 +501,18 @@ mod tests {
         let m = MachineParams::PARAGON_MODEL;
         let pick = |n| choose_flat(CollectiveOp::Broadcast, GroupShape::Linear(36), n, &m);
         assert_ne!(pick(8).kind, pick(1 << 22).kind);
+        // Under the Paragon's link excess, the context a communicator
+        // selects under: MST at 8 B, scatter/collect at 1 MiB.
+        let m = MachineParams::PARAGON;
+        let pick = |n| choose_flat(CollectiveOp::Broadcast, GroupShape::Linear(32), n, &m);
+        assert_eq!(pick(8).kind, StrategyKind::Mst);
+        assert_eq!(pick(1 << 20).kind, StrategyKind::ScatterCollect);
     }
 
     /// Selection by enumeration: the full ranking's first entry, which
     /// on a mesh is the first strict minimum over the mesh's candidates.
     fn pick(op: CollectiveOp, space: GroupShape, n: usize, m: &MachineParams) -> Strategy {
-        let (_, ctx) = space.flat(m);
+        let ctx = space.context(m);
         if let GroupShape::Linear(p) = space {
             return rank_strategies(op, p, n, m, ctx, 0).swap_remove(0).strategy;
         }
@@ -517,7 +523,7 @@ mod tests {
 
     /// The lengths one below, at and one above every breakpoint.
     fn around_breakpoints(op: CollectiveOp, space: GroupShape, m: &MachineParams) -> Vec<usize> {
-        let env = envelope(op, space, m, space.flat(m).1);
+        let env = envelope(op, space, m, space.context(m));
         let mut ns: Vec<usize> = env
             .intervals()
             .flat_map(|(n, ..)| [n.saturating_sub(1), n, n + 1])
@@ -531,7 +537,7 @@ mod tests {
     }
 
     fn key_of(op: CollectiveOp, space: GroupShape, m: &MachineParams) -> Key {
-        key(op, space, m, space.flat(m).1)
+        key(op, space, m, space.context(m))
     }
 
     #[test]
@@ -610,12 +616,10 @@ mod tests {
         assert_eq!(shape.level_blind(), GroupShape::Linear(16));
         let mesh = GroupShape::Mesh { rows: 2, cols: 8 };
         assert_eq!(mesh.level_blind(), mesh);
-        // The flat space: a cluster's line at the level it is asked at.
+        // A cluster's level-blind line, priced at the level it is asked at.
         let m = MachineParams::PARAGON;
-        let line = GroupShape::Linear(16).flat(&m);
-        assert_eq!(shape.flat(&m), line);
-        assert_eq!(line.1, CostContext::linear_with(&m));
-        assert_eq!(mesh.flat(&m), (mesh, CostContext::mesh_with(&m)));
+        assert_eq!(shape.context(&m), CostContext::linear_with(&m));
+        assert_eq!(mesh.context(&m), CostContext::mesh_with(&m));
     }
 
     #[test]

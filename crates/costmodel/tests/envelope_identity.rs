@@ -76,7 +76,7 @@ fn check_space(sel: Sel, ns: &[usize]) -> usize {
         assert!(closed.max(1).abs_diff(b) <= 1, "{sel:?}: {closed} vs {b}");
     }
     let machine = HierMachine::flat(*m);
-    let own = ctx == space.flat(m).1;
+    let own = ctx == space.context(m);
     for &n in &points {
         let want = pick(sel, n);
         if !own {

@@ -14,7 +14,7 @@ use crate::comm::{Comm, DefaultPath, GroupComm, Tag};
 use crate::error::{CommError, Result};
 use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
-use intercom_cost::select::{choose, choose_flat, GroupShape};
+use intercom_cost::select::{choose, choose_flat, with_flat_choice, GroupShape};
 use intercom_cost::{
     ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, MachineParams, Strategy,
     TunedHier,
@@ -69,7 +69,20 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// changes ([`Communicator::attach_tuner`], a refit through
     /// [`Communicator::observe`]).
     memo: RefCell<Vec<Memo>>,
+    /// Every algorithm choice this communicator ran, each once, the
+    /// pure short and long ones first ([`SHORT`], [`LONG`]): a call
+    /// borrows its pick from here instead of cloning it, so a pick that
+    /// ran before costs the direct path no allocation.
+    picks: RefCell<Vec<HierChoice>>,
 }
+
+/// Where [`Algo::Short`]'s and [`Algo::Long`]'s picks are kept.
+const SHORT: usize = 0;
+const LONG: usize = 1;
+
+/// Picks a communicator keeps, [`SHORT`] and [`LONG`] included; past
+/// it, the oldest of the others is forgotten.
+const PICKS_CAPACITY: usize = 32;
 
 /// One remembered call shape and the program it runs.
 struct Memo {
@@ -90,13 +103,17 @@ const MEMO_CAPACITY: usize = 16;
 impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     fn with_shape(gc: GroupComm<'a, C>, machine: HierMachine, shape: GroupShape) -> Self {
         Communicator {
-            gc,
             tuned: TunedHier::new(machine),
             shape,
             tuner: RefCell::new(None),
             next_tag: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
             memo: RefCell::new(Vec::new()),
+            picks: RefCell::new(vec![
+                HierChoice::Flat(Strategy::pure_mst(gc.len())),
+                HierChoice::Flat(Strategy::pure_long(gc.len())),
+            ]),
+            gc,
         }
     }
 
@@ -267,21 +284,47 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     }
 
     /// Resolves `algo` for a call of `op` over `n` elements of
-    /// `elem_size` bytes. An [`Algo::Auto`] call also registers its
-    /// shape with the attached tuner: those are the calls whose
-    /// strategy a refit can change.
-    fn choose(&self, op: PlanOp, n: usize, elem_size: usize, algo: &Algo) -> HierChoice {
+    /// `elem_size` bytes to where [`Communicator::picks`] keeps it. An
+    /// [`Algo::Auto`] call also registers its shape with the attached
+    /// tuner: those are the calls whose strategy a refit can change.
+    fn choose(&self, op: PlanOp, n: usize, elem_size: usize, algo: &Algo) -> usize {
+        let flat = |s: &Strategy| {
+            let same = |c: &HierChoice| matches!(c, HierChoice::Flat(f) if f == s);
+            self.pick(same, || HierChoice::Flat(s.clone()))
+        };
         match algo {
-            Algo::Short => HierChoice::Flat(Strategy::pure_mst(self.size())),
-            Algo::Long => HierChoice::Flat(Strategy::pure_long(self.size())),
-            Algo::Hybrid(s) => HierChoice::Flat(s.clone()),
-            Algo::HierHybrid(h) => HierChoice::Hier(h.clone()),
+            Algo::Short => SHORT,
+            Algo::Long => LONG,
+            Algo::Hybrid(s) => flat(s),
+            Algo::HierHybrid(h) => {
+                let same = |c: &HierChoice| matches!(c, HierChoice::Hier(g) if g == h);
+                self.pick(same, || HierChoice::Hier(h.clone()))
+            }
             Algo::Auto => {
                 self.track(op, n, elem_size);
                 let cop = ir::cost_op(op).expect("selector-driven ops are priced");
-                self.auto_choice(cop, op.cost_bytes(self.size(), n, elem_size))
+                let bytes = op.cost_bytes(self.size(), n, elem_size);
+                if self.shape.cluster_shape().is_none() {
+                    return with_flat_choice(cop, self.shape, bytes, self.machine(), flat);
+                }
+                let choice = self.auto_choice(cop, bytes);
+                self.pick(|c| *c == choice, || choice.clone())
             }
         }
+    }
+
+    /// Where in [`Communicator::picks`] the choice `same` accepts is,
+    /// added as `make` builds it if it is not there.
+    fn pick(&self, same: impl Fn(&HierChoice) -> bool, make: impl FnOnce() -> HierChoice) -> usize {
+        let mut picks = self.picks.borrow_mut();
+        if let Some(at) = picks.iter().position(same) {
+            return at;
+        }
+        if picks.len() == PICKS_CAPACITY {
+            picks.remove(LONG + 1);
+        }
+        picks.push(make());
+        picks.len() - 1
     }
 
     /// Registers a selector-driven call's shape with the attached tuner.
@@ -325,10 +368,11 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         }
         let prog = match found.is_some() || path == DefaultPath::Program {
             true => {
-                let choice = op
+                let at = op
                     .takes_strategy()
                     .then(|| self.choose(op, n, elem_size, algo));
-                Some(self.compile(op, n, elem_size, choice.as_ref())?)
+                let picks = self.picks.borrow();
+                Some(self.compile(op, n, elem_size, at.map(|i| &picks[i]))?)
             }
             false => None,
         };
@@ -410,11 +454,12 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
                 .expect("a found entry holds its program");
             return self.run_compiled(prog, rop, args, 0);
         }
-        let choice = op
+        let at = op
             .takes_strategy()
             .then(|| self.choose(op, n, T::SIZE, algo));
+        let picks = self.picks.borrow();
         let (scratch, tag) = (&mut self.scratch.borrow_mut(), self.fresh_tag());
-        ir::run_direct(op, choice.as_ref(), &self.gc, rop, args, scratch, tag)
+        ir::run_direct(op, at.map(|i| &picks[i]), &self.gc, rop, args, scratch, tag)
     }
 
     /// Broadcast `buf` from `root` to all members (auto-selected

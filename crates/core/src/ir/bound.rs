@@ -96,7 +96,9 @@ impl Fold {
     /// `out = arrived ⊕ other` in one pass, all whole elements of equal
     /// length, `out`'s contents ignored: what a fused combine
     /// ([`StepAction::SendRecvCombine`]) does with a message it sees
-    /// where it lies, bit for bit `out = arrived` then `out ⊕= other`.
+    /// where it lies, bit for bit `out = arrived` then `out ⊕= other`
+    /// (a NaN ⊕ NaN is a NaN of either payload, as in
+    /// [`ReduceOp::combine_into`]).
     /// `arrived` may lie at any address.
     #[inline]
     pub fn combine(&self, out: &mut [u8], arrived: &[u8], other: &[u8]) {
@@ -877,6 +879,63 @@ fn fold_bytes<T: Scalar>(op: ReduceOp, acc: &mut [u8], other: &[u8]) {
 mod tests {
     use super::super::{PlanOp, RankProgram};
     use super::*;
+    use crate::cast::tests::{assert_same, for_every_scalar, operand, Edges, OPS};
+
+    /// `T`'s `fold_bytes` and `combine_bytes` with the arrived operand
+    /// one byte off its alignment — the element-by-element word path —
+    /// against the aligned operand, which the kernel folds.
+    fn misaligned_operands_fold_as_aligned_ones<T: Edges>() {
+        for op in OPS {
+            for len in 0..=129 {
+                let salt = (len as u64) << 8 | T::SIZE as u64;
+                let (a, b) = (operand::<T>(len, salt), operand::<T>(len, !salt));
+                let bytes = len * T::SIZE;
+                let mut words = vec![0u64; bytes.div_ceil(8) + 1];
+                let shifted = &mut u64::as_bytes_mut(&mut words)[1..=bytes];
+                shifted.copy_from_slice(T::as_bytes(&b));
+                let what = format!("{op:?} over {len} {}", std::any::type_name::<T>());
+
+                let mut aligned = a.clone();
+                fold_bytes::<T>(op, T::as_bytes_mut(&mut aligned), T::as_bytes(&b));
+                let mut misaligned = a.clone();
+                fold_bytes::<T>(op, T::as_bytes_mut(&mut misaligned), shifted);
+                assert_same(
+                    &misaligned,
+                    &aligned,
+                    &a,
+                    &b,
+                    &format!("fold_bytes, {what}"),
+                );
+
+                let mut aligned = vec![T::default(); len];
+                combine_bytes::<T>(
+                    op,
+                    T::as_bytes_mut(&mut aligned),
+                    T::as_bytes(&b),
+                    T::as_bytes(&a),
+                );
+                let mut misaligned = vec![T::default(); len];
+                combine_bytes::<T>(
+                    op,
+                    T::as_bytes_mut(&mut misaligned),
+                    shifted,
+                    T::as_bytes(&a),
+                );
+                assert_same(
+                    &misaligned,
+                    &aligned,
+                    &b,
+                    &a,
+                    &format!("combine_bytes, {what}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn misaligned_folds_and_combines_equal_the_kernels() {
+        for_every_scalar!(misaligned_operands_fold_as_aligned_ones);
+    }
 
     #[test]
     fn the_arena_is_zeroed_at_the_first_step_that_touches_it() {

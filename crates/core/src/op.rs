@@ -1,5 +1,19 @@
 //! Combine operations ⊕ (paper §3): associative and commutative
 //! element-wise reductions such as summation or element-wise product.
+//!
+//! Every fold and combine of the library ends in [`ReduceOp::fold_into`]
+//! or [`ReduceOp::combine_into`]: the direct path's, a compiled
+//! program's (`ir::Fold`; only an operand that lies misaligned is
+//! folded element by element there), a backend's combines out of a lent
+//! window and the simulator engine's. Both run the ⊕ kernel of
+//! [`cast`]: one loop body compiled for the target's
+//! baseline and, on x86-64, for AVX2 and AVX-512, of which the widest
+//! the CPU runs is detected once per process. The tiers agree bit for
+//! bit except on a NaN ⊕ NaN, whose result is a NaN of either
+//! operand's sign and payload (Rust leaves them unspecified): the
+//! scalar instructions return the first operand's, the vector bodies
+//! may return the second's. `Max` and `Min` agree on signed zeros and
+//! NaNs against numbers.
 
 /// The reduction operator applied element-wise by the combining
 /// collectives.
@@ -21,28 +35,27 @@ pub enum ReduceOp {
 /// have always used.
 pub use crate::cast::Scalar as Elem;
 
+use crate::cast::{self, Tier};
+
 impl ReduceOp {
     /// Combines `other` into `acc` element-wise: `acc[i] ⊕= other[i]`.
     /// Panics if lengths differ (an internal invariant, not user input).
     pub fn fold_into<T: Elem>(&self, acc: &mut [T], other: &[T]) {
         assert_eq!(acc.len(), other.len(), "combine length mismatch");
-        for (a, &b) in acc.iter_mut().zip(other) {
-            *a = T::combine(*self, *a, b);
-        }
+        cast::fold(Tier::detected(), *self, acc, other);
     }
 
     /// The three-operand form: `out[i] = a[i] ⊕ b[i]`, `out`'s contents
     /// ignored. With `a` an arrived vector read where it lies this is
     /// `out.copy_from_slice(a); fold_into(out, b)` in one pass, operand
-    /// order and therefore bits included. Panics if lengths differ.
+    /// order and therefore bits included, but for a NaN ⊕ NaN's payload
+    /// (see the module docs). Panics if lengths differ.
     pub fn combine_into<T: Elem>(&self, out: &mut [T], a: &[T], b: &[T]) {
         assert!(
             out.len() == a.len() && a.len() == b.len(),
             "combine length mismatch"
         );
-        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
-            *o = T::combine(*self, a, b);
-        }
+        cast::combine(Tier::detected(), *self, out, a, b);
     }
 }
 

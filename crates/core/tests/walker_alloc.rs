@@ -2,14 +2,17 @@
 //! allocator around the direct path at p = 64, where every level of
 //! the walker carves a line and a plane out of its group and splits its
 //! vector — views and arithmetic, no heap vectors — under the
-//! one-dimensional and the hybrid strategies of both kinds. And a
-//! persistent plan runs in its communicator's arena, not one of its own.
+//! one-dimensional and the hybrid strategies of both kinds; a
+//! `Communicator` call on that path borrows its algorithm choice rather
+//! than building one. And a persistent plan runs in its communicator's
+//! arena, not one of its own.
 
 use intercom::comm::GroupComm;
 use intercom::ir::{run_direct, OwnedArgs, PlanOp};
 use intercom::plan::AllreducePlan;
-use intercom::{Comm, Communicator, ReduceOp, Result, Tag};
+use intercom::{Algo, Comm, Communicator, ReduceOp, Result, Tag};
 use intercom_cost::{HierChoice, MachineParams, Strategy, StrategyKind};
+use intercom_topology::Mesh2D;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,6 +137,49 @@ fn the_walker_allocates_nothing_per_call() {
                 let allocs = allocations(op, &strategy, n);
                 assert_eq!(allocs, 0, "{op} under {strategy:?}: {allocs} allocations");
             }
+        }
+    }
+}
+
+/// Allocations of the second and third of three `f()` calls (the
+/// first grows the scratch and keeps the pick).
+fn steady_allocations(mut f: impl FnMut()) -> u64 {
+    f();
+    COUNTED.set(true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    f();
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTED.set(false);
+    after - before
+}
+
+/// A `Communicator` call on a backend whose default path is the direct
+/// path borrows the strategy it runs — from the communicator's picks,
+/// which the selector's envelope is compared against — so rank 27's
+/// repeated 8 192-`f64` allreduce on a 64-rank null transport allocates
+/// nothing, over a line and over an 8×8 mesh, under `Auto`, `Short`,
+/// `Long` and 8×8 hybrids of both kinds.
+#[test]
+fn communicator_calls_on_the_direct_path_allocate_nothing() {
+    let comm = Null { rank: 27, size: 64 };
+    let line = Communicator::world(&comm, MachineParams::PARAGON);
+    let mesh = Communicator::world_on_mesh(&comm, MachineParams::PARAGON, Mesh2D::new(8, 8))
+        .expect("an 8x8 mesh holds 64 ranks");
+    let algos = [
+        Algo::Auto,
+        Algo::Short,
+        Algo::Long,
+        Algo::Hybrid(Strategy::new(vec![8, 8], StrategyKind::Mst)),
+        Algo::Hybrid(Strategy::new(vec![8, 8], StrategyKind::ScatterCollect)),
+    ];
+    let mut buf = vec![1.0f64; 8192];
+    for (name, cc) in [("line", &line), ("mesh", &mesh)] {
+        for algo in &algos {
+            let allocs = steady_allocations(|| {
+                cc.allreduce_with(&mut buf, ReduceOp::Sum, algo).unwrap();
+            });
+            assert_eq!(allocs, 0, "{name} under {algo:?}: {allocs} allocations");
         }
     }
 }

@@ -421,7 +421,21 @@ pub fn choose_flat(
     n: usize,
     params: &MachineParams,
 ) -> Strategy {
-    with_envelope(op, shape, params, |env| env.at(n).0.clone())
+    with_flat_choice(op, shape, n, params, Strategy::clone)
+}
+
+/// Runs `f` on [`choose_flat`]'s pick where its envelope keeps it: a
+/// caller that already holds an equal strategy clones nothing. `f` must
+/// not select in turn: the thread's envelopes are borrowed while it
+/// runs.
+pub fn with_flat_choice<R>(
+    op: CollectiveOp,
+    shape: GroupShape,
+    n: usize,
+    params: &MachineParams,
+    f: impl FnOnce(&Strategy) -> R,
+) -> R {
+    with_envelope(op, shape, params, |env| f(env.at(n).0))
 }
 
 /// Predicted seconds of `choice` for `op` over `shape` at `n` bytes on

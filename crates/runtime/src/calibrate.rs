@@ -10,7 +10,7 @@
 
 use crate::endpoint::ThreadComm;
 use crate::world::run_world;
-use intercom::Comm;
+use intercom::{Comm, ReduceOp};
 use intercom_cost::MachineParams;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -93,7 +93,8 @@ fn steady_hops(a: &ThreadComm, peer: usize, bytes: usize, exchange: bool, iters:
 }
 
 /// Measures α (small-message ping-pong), β (large-message slope) and γ
-/// (local `f64` summation throughput) on this host. The small message
+/// (the time per byte of an `f64` [`ReduceOp::Sum`] fold, the
+/// collectives' own kernel) on this host. The small message
 /// is an eager copy through a ring slot, received by polling, and the
 /// receiver looks back to back, so α is what a waiting hop costs on
 /// this host (a yield and the inbox's cache lines crossing cores:
@@ -127,14 +128,13 @@ pub fn calibrate() -> Calibration {
     let alpha = t_small.max(1e-9);
     let beta = ((t_big - t_small) / (BIG - SMALL) as f64).max(1e-12);
 
-    // γ: stream-sum two large f64 buffers.
+    // γ: one `f64` sum fold of two large buffers, by the kernel every
+    // combining collective folds with.
     let n = 1 << 20;
     let a = vec![1.0f64; n];
     let mut b = vec![2.0f64; n];
     let start = Instant::now();
-    for (x, &y) in b.iter_mut().zip(&a) {
-        *x += y;
-    }
+    ReduceOp::Sum.fold_into(&mut b, std::hint::black_box(&a));
     std::hint::black_box(&b);
     let gamma = (start.elapsed().as_secs_f64() / (n * 8) as f64).max(1e-13);
 

@@ -96,8 +96,8 @@ timeout 900 cargo test --workspace -q
 echo "==> the ⊕ kernel's tests in release (every tier's vectorized body against the scalar loop)"
 # The debug build above never vectorizes the `#[target_feature]` bodies,
 # so the kernel's identity tests, the ops' and the byte-level folds' run
-# again optimized.
-cargo test --release -p intercom --lib -q -- cast:: op:: ir::bound::
+# again optimized; the cold release build of the lib tests is most of it.
+timeout 600 cargo test --release -p intercom --lib -q -- cast:: op:: ir::bound::
 
 echo "==> pinned to one core: the threaded runtime's whole suite, the core's threaded suites, and the simulator without its helper"
 # Pinned, every runtime test sees one core: `oversubscribed` runs 4

@@ -17,7 +17,7 @@ use crate::op::{Elem, ReduceOp};
 use intercom_cost::select::{choose, choose_flat, with_flat_choice, GroupShape};
 use intercom_cost::{
     ClusterShape, CollectiveOp, HierChoice, HierMachine, HierStrategy, MachineParams, Strategy,
-    TunedHier,
+    StrategyKind, TunedHier,
 };
 use intercom_obs::residual::ResidualReport;
 use intercom_topology::{Cluster, Hypercube, Mesh2D, ProcGroup};
@@ -69,20 +69,18 @@ pub struct Communicator<'a, C: Comm + ?Sized> {
     /// changes ([`Communicator::attach_tuner`], a refit through
     /// [`Communicator::observe`]).
     memo: RefCell<Vec<Memo>>,
-    /// Every algorithm choice this communicator ran, each once, the
-    /// pure short and long ones first ([`SHORT`], [`LONG`]): a call
+    /// Every algorithm choice this communicator ran, each once: a call
     /// borrows its pick from here instead of cloning it, so a pick that
     /// ran before costs the direct path no allocation.
     picks: RefCell<Vec<HierChoice>>,
 }
 
-/// Where [`Algo::Short`]'s and [`Algo::Long`]'s picks are kept.
-const SHORT: usize = 0;
-const LONG: usize = 1;
-
-/// Picks a communicator keeps, [`SHORT`] and [`LONG`] included; past
-/// it, the oldest of the others is forgotten.
-const PICKS_CAPACITY: usize = 32;
+/// Picks a communicator keeps; past it, the oldest is forgotten, and a
+/// rotation of more picks than this rebuilds one on every call. Each of
+/// the benchmark's communicators holds at most 4 (`cpu-p64`'s, over a
+/// whole sweep cycle; `thr-*`'s 2, `sim-mesh`'s 1); `walker_alloc`'s
+/// 64-rank line holds 8.
+const PICKS_CAPACITY: usize = 16;
 
 /// One remembered call shape and the program it runs.
 struct Memo {
@@ -109,10 +107,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             next_tag: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
             memo: RefCell::new(Vec::new()),
-            picks: RefCell::new(vec![
-                HierChoice::Flat(Strategy::pure_mst(gc.len())),
-                HierChoice::Flat(Strategy::pure_long(gc.len())),
-            ]),
+            picks: RefCell::new(Vec::new()),
             gc,
         }
     }
@@ -292,9 +287,18 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             let same = |c: &HierChoice| matches!(c, HierChoice::Flat(f) if f == s);
             self.pick(same, || HierChoice::Flat(s.clone()))
         };
+        // `Strategy::new(vec![p], kind)`, matched without building it.
+        let pure = |kind: StrategyKind| {
+            let p = self.size();
+            let same = |c: &HierChoice| {
+                matches!(c, HierChoice::Flat(f)
+                    if f.kind == kind && f.dims == [p] && f.mesh_split.is_none())
+            };
+            self.pick(same, || HierChoice::Flat(Strategy::new(vec![p], kind)))
+        };
         match algo {
-            Algo::Short => SHORT,
-            Algo::Long => LONG,
+            Algo::Short => pure(StrategyKind::Mst),
+            Algo::Long => pure(StrategyKind::ScatterCollect),
             Algo::Hybrid(s) => flat(s),
             Algo::HierHybrid(h) => {
                 let same = |c: &HierChoice| matches!(c, HierChoice::Hier(g) if g == h);
@@ -321,7 +325,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
             return at;
         }
         if picks.len() == PICKS_CAPACITY {
-            picks.remove(LONG + 1);
+            picks.remove(0);
         }
         picks.push(make());
         picks.len() - 1

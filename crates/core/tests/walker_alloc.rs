@@ -142,7 +142,7 @@ fn the_walker_allocates_nothing_per_call() {
 }
 
 /// Allocations of the second and third of three `f()` calls (the
-/// first grows the scratch and keeps the pick).
+/// first grows the scratch and keeps the picks).
 fn steady_allocations(mut f: impl FnMut()) -> u64 {
     f();
     COUNTED.set(true);
@@ -156,10 +156,14 @@ fn steady_allocations(mut f: impl FnMut()) -> u64 {
 
 /// A `Communicator` call on a backend whose default path is the direct
 /// path borrows the strategy it runs — from the communicator's picks,
-/// which the selector's envelope is compared against — so rank 27's
-/// repeated 8 192-`f64` allreduce on a 64-rank null transport allocates
-/// nothing, over a line and over an 8×8 mesh, under `Auto`, `Short`,
-/// `Long` and 8×8 hybrids of both kinds.
+/// which the selector's envelope is compared against — so rank 27 of a
+/// 64-rank null transport, over a line and over an 8×8 mesh, allocates
+/// nothing in a repeated cycle of calls: an 8 192-`f64` allreduce under
+/// `Short`, `Long` and 8×8 hybrids of both kinds, and under `Auto` an
+/// allreduce at lengths spanning 8 B to 256 KiB (the benchmark's sweep
+/// range), a 1 KiB broadcast, an allgather of 64 B blocks and a
+/// reduce-scatter of 128-`f64` blocks. A communicator that kept fewer
+/// picks than one cycle selects would rebuild some every cycle.
 #[test]
 fn communicator_calls_on_the_direct_path_allocate_nothing() {
     let comm = Null { rank: 27, size: 64 };
@@ -167,20 +171,30 @@ fn communicator_calls_on_the_direct_path_allocate_nothing() {
     let mesh = Communicator::world_on_mesh(&comm, MachineParams::PARAGON, Mesh2D::new(8, 8))
         .expect("an 8x8 mesh holds 64 ranks");
     let algos = [
-        Algo::Auto,
         Algo::Short,
         Algo::Long,
         Algo::Hybrid(Strategy::new(vec![8, 8], StrategyKind::Mst)),
         Algo::Hybrid(Strategy::new(vec![8, 8], StrategyKind::ScatterCollect)),
     ];
-    let mut buf = vec![1.0f64; 8192];
+    let sweep: Vec<usize> = (1..=(256 << 10) / 8).step_by(127).collect();
+    let mut buf = vec![1.0f64; (256 << 10) / 8];
+    let (mut bytes, mine, mut all) = (vec![0u8; 1024], [7u8; 64], vec![0u8; 64 * 64]);
+    let (contrib, mut block) = (vec![1.0f64; 128 * 64], vec![0.0f64; 128]);
     for (name, cc) in [("line", &line), ("mesh", &mesh)] {
-        for algo in &algos {
-            let allocs = steady_allocations(|| {
-                cc.allreduce_with(&mut buf, ReduceOp::Sum, algo).unwrap();
-            });
-            assert_eq!(allocs, 0, "{name} under {algo:?}: {allocs} allocations");
-        }
+        let allocs = steady_allocations(|| {
+            for algo in &algos {
+                cc.allreduce_with(&mut buf[..8192], ReduceOp::Sum, algo)
+                    .unwrap();
+            }
+            for &n in &sweep {
+                cc.allreduce(&mut buf[..n], ReduceOp::Sum).unwrap();
+            }
+            cc.bcast(0, &mut bytes).unwrap();
+            cc.allgather(&mine, &mut all).unwrap();
+            cc.reduce_scatter(&contrib, &mut block, ReduceOp::Sum)
+                .unwrap();
+        });
+        assert_eq!(allocs, 0, "{name}: {allocs} allocations in two cycles");
     }
 }
 

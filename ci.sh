@@ -158,6 +158,17 @@ at_least "bit-identical sim-mesh rows" "$(grep -o 'sim-mesh rows: [0-9]*' <<<"$r
 at_most "sim-mesh arena bytes" "$(grep -o 'sim-mesh arena bytes: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 1190208
 at_most "sim-mesh program steps" "$(grep -o 'sim-mesh program steps: [0-9]*' <<<"$rows" | grep -o '[0-9]*$')" 178110
 
+echo "==> what cpu-p64's calls move on one rank, counted (direct path and plans)"
+# The test pins every count; its table is printed here so a change that
+# moves one can quote it. The mesh's reduce-scatter copied 66 560 bytes
+# and the line's 31 744 while the distributed combine packed its whole
+# contribution into slot order.
+moved="$(cargo test --release --test moved_bytes -- --nocapture)" || {
+    echo "$moved"
+    exit 1
+}
+grep -E '^(  |[0-9])' <<<"$moved"
+
 echo "==> the p = 4 096 row: 64×64 broadcasts, every byte checked, virtual time repeated (release)"
 big="$(cargo test --release -p intercom-meshsim --test big_world -- --ignored --nocapture)" || {
     echo "$big"
@@ -232,16 +243,19 @@ at_least "caught mutation probes" "$(grep -o '"caught":true' "$audit_dir/default
 # The rewrite counts are pinned too: zero failures over fewer rewrites
 # than today is a failure (no audited shape has a same-stage pair to
 # fuse: that pin only catches the count going missing). 893 576 elided
-# and 44 144 coalesced while the 798 duplicate schedules were swept.
+# and 44 144 coalesced while the 798 duplicate schedules were swept;
+# 35 932 coalesced while the short-form distributed combine packed its
+# contribution (all but 12 were merges of that pack's block copies).
 at_least "elided halves" "$(audit_count default optsweep elided)" 845460
 at_least "fused pairs" "$(audit_count default optsweep fused)" 0
-at_least "coalesced messages and copies" "$(audit_count default optsweep coalesced)" 35932
+at_least "coalesced messages and copies" "$(audit_count default optsweep coalesced)" 12
 # Pinned from above: every dead copy is a local copy the direct path
 # still makes (586 975 before the bucket reduce-scatter read its input
 # in place, 562 500 before the collect un-permuted in place, 292 388
 # before the 798 duplicate schedules left, 287 326 before a gathering
-# root gathered straight into its output).
-at_most "dead copies" "$(audit_count default optsweep dead_copies)" 287191
+# root gathered straight into its output, 287 191 before every
+# distributed combine read its contribution in place).
+at_most "dead copies" "$(audit_count default optsweep dead_copies)" 116094
 
 echo "==> schedule-audit --source=concurrent (multi-tenant non-interference sweep)"
 audit concurrent --source=concurrent
@@ -267,10 +281,13 @@ for key in checks opt_checks trace_checks; do
 done
 # The rewrites over them, pinned when the hierarchical collect and
 # reduce-scatter stopped staging in per-call vectors: elided 19 110 ->
-# 19 110, coalesced 820 -> 820, dead copies 3 856 -> 3 176.
+# 19 110, coalesced 820 -> 820, dead copies 3 856 -> 3 176; and when
+# every distributed combine read its contribution in place: coalesced
+# 820 -> 0 (all merges of the short form's packed block copies), dead
+# copies 3 176 -> 2 386.
 at_least "hierarchical elided halves" "$(audit_count hier hier elided)" 19110
-at_least "hierarchical coalesced messages and copies" "$(audit_count hier hier coalesced)" 820
-at_most "hierarchical dead copies" "$(audit_count hier hier dead_copies)" 3176
+at_least "hierarchical coalesced messages and copies" "$(audit_count hier hier coalesced)" 0
+at_most "hierarchical dead copies" "$(audit_count hier hier dead_copies)" 2386
 
 echo "==> observability smoke (trace export round-trip + residual reports)"
 # --check re-parses every emitted Chrome-trace JSON through the strict

@@ -66,8 +66,9 @@ pub(crate) fn check_strategy<C: Comm + ?Sized>(
 ///
 /// Horner's rule over the digits, each taken off `r` with a shift and a
 /// mask where its radix is a power of two (most are) and one division
-/// elsewhere: a collect's un-permutation evaluates this about twice a
-/// block, and divisions were most of its cost.
+/// elsewhere: the un-permutation of a group past its table's blocks
+/// evaluates this about twice a block, and divisions were most of its
+/// cost. Visiting every rank in slot order is [`ranks_in_slot_order`].
 #[inline]
 pub(crate) fn slot_of(dims: &[usize], mut r: usize) -> usize {
     let mut slot = 0;
@@ -81,6 +82,24 @@ pub(crate) fn slot_of(dims: &[usize], mut r: usize) -> usize {
         r = rest;
     }
     slot
+}
+
+/// Calls `f` on every rank of a group under `dims` in slot order: the
+/// `s`-th call gets the rank whose [`slot_of`] is `s`. A mixed-radix
+/// count, no division: the slot's last digit (`dims`' last) steps
+/// fastest and moves the rank by the product of the dims before it.
+#[inline]
+pub(crate) fn ranks_in_slot_order(dims: &[usize], mut f: impl FnMut(usize)) {
+    fn count(dims: &[usize], rank: usize, stride: usize, f: &mut impl FnMut(usize)) {
+        match *dims {
+            [] => f(rank),
+            [d] => (0..d).for_each(|i| f(rank + i * stride)),
+            [d, ref rest @ ..] => {
+                (0..d).for_each(|i| count(rest, rank + i * stride, stride * d, f));
+            }
+        }
+    }
+    count(dims, 0, 1, &mut f);
 }
 
 #[cfg(test)]
@@ -121,6 +140,16 @@ mod tests {
                 }
                 assert_eq!(slot_of(&dims, r), slot, "{dims:?} rank {r}");
             }
+        }
+    }
+
+    #[test]
+    fn ranks_in_slot_order_invert_slot_of() {
+        for dims in [vec![], vec![5], vec![2, 3, 5], vec![4, 1, 6], vec![2; 6]] {
+            let mut slots = Vec::new();
+            ranks_in_slot_order(&dims, |r| slots.push(slot_of(&dims, r)));
+            let p: usize = dims.iter().product();
+            assert_eq!(slots, (0..p).collect::<Vec<_>>(), "{dims:?}");
         }
     }
 

@@ -636,12 +636,14 @@ mod tests {
             assert_eq!(count(rp, |k| matches!(k, StepKind::Reduce { .. })), 0);
             assert_eq!((rp.scratch_bytes, rp.landing_bytes), (0, 5 * 8));
         }
-        // A two-dimensional distributed combine packs its contribution
-        // into the arena; only the bucket leaves it.
+        // A two-dimensional distributed combine keeps its super-block
+        // and the one it packs to send first in the arena; the dim-0 hop
+        // folds its pieces one by one, so only the plane's hop fuses and
+        // only its bucket leaves the arena.
         let st = Strategy::new(vec![2, 2], intercom_cost::StrategyKind::ScatterCollect);
         let prog = lower(PlanOp::ReduceScatter, Some(&st), 4, 6, 8).unwrap();
         for rp in &prog.ranks {
-            assert_eq!((rp.scratch_bytes, rp.landing_bytes), (4 * 6 * 8, 2 * 6 * 8));
+            assert_eq!((rp.scratch_bytes, rp.landing_bytes), (2 * 2 * 6 * 8, 6 * 8));
         }
     }
 

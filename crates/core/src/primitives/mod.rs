@@ -25,8 +25,9 @@ pub mod pipeline;
 pub mod ring;
 
 pub(crate) use mst::check_root;
-pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_scatter};
+pub use mst::{mst_bcast, mst_gather, mst_reduce, mst_reduce_into, mst_scatter};
 pub use pipeline::{optimal_segments, pipelined_ring_bcast};
+pub(crate) use ring::into_buckets;
 pub use ring::{ring_collect, ring_reduce_scatter, ring_reduce_scatter_into};
 
 use crate::block::Blocks;

@@ -133,6 +133,42 @@ pub fn mst_reduce<T: Elem, C: Comm + ?Sized>(
     tag: Tag,
     scratch: &mut [T],
 ) -> Result<()> {
+    mst_combine(gc, root, None, buf, op, tag, scratch)
+}
+
+/// The same combine with the contribution read in place: every member
+/// contributes `contrib`, which is left untouched, and the root's `buf`
+/// ends up holding the ⊕ of all contributions (`buf`'s contents on
+/// entry are ignored; other members' are workspace). A leaf sends
+/// `contrib` as it is; every other member folds `contrib` into the
+/// first vector that arrives, in `buf`, and the later ones into that.
+/// Same messages as [`mst_reduce`] and, ⊕ being commutative (§3), the
+/// same bits. `scratch` receives the later arrivals, as there.
+pub fn mst_reduce_into<T: Elem, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    root: usize,
+    contrib: &[T],
+    buf: &mut [T],
+    op: ReduceOp,
+    tag: Tag,
+    scratch: &mut [T],
+) -> Result<()> {
+    debug_assert_eq!(contrib.len(), buf.len(), "one vector per member");
+    mst_combine(gc, root, Some(contrib), buf, op, tag, scratch)
+}
+
+/// The MST combine of [`mst_reduce`] (`own` is `None`: `buf` holds the
+/// member's contribution) and [`mst_reduce_into`] (`own` holds it until
+/// it is sent or folded into the first arrival).
+fn mst_combine<T: Elem, C: Comm + ?Sized>(
+    gc: &GroupComm<'_, C>,
+    root: usize,
+    mut own: Option<&[T]>,
+    buf: &mut [T],
+    op: ReduceOp,
+    tag: Tag,
+    scratch: &mut [T],
+) -> Result<()> {
     check_root(gc, root)?;
     let me = gc.me();
     let path = levels(me, gc.len(), root);
@@ -140,13 +176,25 @@ pub fn mst_reduce<T: Elem, C: Comm + ?Sized>(
     for lvl in path.iter().rev() {
         gc.call_overhead();
         if me == lvl.other {
-            gc.send(lvl.root, tag, buf)?;
+            gc.send(lvl.root, tag, own.take().unwrap_or(buf))?;
         } else if me == lvl.root {
-            let arrived = &mut scratch[..buf.len()];
-            gc.recv_with(lvl.other, tag, arrived, |arrived, lent| {
-                gc.fold(op, buf, lent.unwrap_or(arrived))
-            })?;
+            match own.take() {
+                Some(own) => gc.recv_with(lvl.other, tag, buf, |acc, lent| match lent {
+                    Some(arrived) => gc.fold_arrived(op, acc, arrived, own),
+                    None => gc.fold(op, acc, own),
+                })?,
+                None => {
+                    let arrived = &mut scratch[..buf.len()];
+                    gc.recv_with(lvl.other, tag, arrived, |arrived, lent| {
+                        gc.fold(op, buf, lent.unwrap_or(arrived))
+                    })?
+                }
+            }
         }
+    }
+    // A group of one: nothing came or went.
+    if let Some(own) = own {
+        gc.copy(own, buf);
     }
     Ok(())
 }
@@ -323,6 +371,9 @@ mod tests {
         assert_eq!(b, [7, 8]);
         mst_reduce(&gc, 0, &mut b, ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(b, [7, 8]);
+        let mut root = [0u32; 2];
+        mst_reduce_into(&gc, 0, &b, &mut root, ReduceOp::Sum, 0, &mut []).unwrap();
+        assert_eq!(root, [7, 8]);
         let blocks: &[_] = &crate::block::partition(2, gc.len());
         mst_scatter(&gc, 0, &mut b, blocks, 0).unwrap();
         mst_gather(&gc, 0, &mut b, blocks, 0).unwrap();

@@ -11,7 +11,15 @@
 //!
 //! Costs (balanced blocks): bucket collect `(p−1)α + ((p−1)/p)nβ`;
 //! bucket distributed combine `(p−1)α + ((p−1)/p)nβ + ((p−1)/p)nγ`.
+//!
+//! The paper's price has no local-copy term, and the in-place form
+//! ([`ring_reduce_scatter_into`]) comes close to it: it reads the
+//! caller's contribution where it lies, as strided views when its ring
+//! blocks are the super-blocks of a multi-dimensional strategy's planes,
+//! and copies only the one block a member sends before anything
+//! arrives, and that only where the block is not contiguous.
 
+use crate::algorithms::ranks_in_slot_order;
 use crate::block::Blocks;
 use crate::cast::Scalar;
 use crate::comm::{GroupComm, Tag};
@@ -87,54 +95,113 @@ pub fn ring_reduce_scatter<T: Elem, C: Comm + ?Sized>(
     Ok(())
 }
 
-/// The same ring with the contribution read in place, for equal blocks
-/// of `mine.len()` items: member `j`'s `mine` ends up holding block `j`
-/// of the ⊕ over every member's `contrib`, which is left untouched. The
-/// first step sends straight out of `contrib`; after that the buckets
-/// themselves carry the partial combines — each arrives in one of two
-/// block-sized halves of `buckets`, has the local block folded into it
-/// and is sent on from there, and the last one lands in `mine`. Same
-/// messages in the same order as [`ring_reduce_scatter`] and, ⊕ being
+/// Blocks of `buckets` that [`ring_reduce_scatter_into`] borrows over
+/// `members` ring members whose blocks each gather `plane_blocks`
+/// pieces: a block that arrives and one that leaves, fewer where the
+/// ring is too short to need both, and one more where the first block
+/// sent is packed.
+pub(crate) fn into_buckets(members: usize, plane_blocks: usize) -> usize {
+    let sent_first = usize::from(plane_blocks > 1);
+    (members + sent_first).saturating_sub(2).min(2)
+}
+
+/// The same ring with the contribution read in place: member `j`'s
+/// `mine` ends up holding ring block `j` of the ⊕ over every member's
+/// `contrib`, which is left untouched. Ring block `j` of `contrib`
+/// gathers the `b`-item pieces of the ranks `j + d·q` (`d` ring
+/// members, `q` every rank of a plane under the radices `plane`), in
+/// the plane's slot order (big-endian mixed radix): the dim-0 line of a
+/// multi-dimensional distributed combine, whose `mine` is the member's
+/// super-block. `plane` is empty in one dimension, where block `j` is
+/// `contrib`'s `j`-th. `mine` holds `b · ∏plane` items.
+///
+/// The first step sends a block of `contrib`: where it lies in one
+/// dimension, else packed into a bucket, the only copy the ring makes.
+/// After that the buckets themselves carry the partial combines — each
+/// arrives in one of two halves of `buckets`, has the local block
+/// folded into it piece by piece and is sent on from there, and the
+/// last one lands in `mine`. Same messages in the same order as
+/// [`ring_reduce_scatter`] over the slot-ordered vector and, ⊕ being
 /// commutative (§3), the same bits. `buckets` holds
-/// `min(p − 2, 2)` blocks, its contents ignored.
+/// [`into_buckets`]`(d, ∏plane)` blocks, its contents ignored.
 pub fn ring_reduce_scatter_into<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     contrib: &[T],
+    plane: &[usize],
     mine: &mut [T],
     op: ReduceOp,
     tag: Tag,
     buckets: &mut [T],
 ) -> Result<()> {
-    let p = gc.len();
-    let b = mine.len();
-    debug_assert_eq!(contrib.len(), p * b, "one block per member required");
-    if p == 1 {
-        gc.copy(contrib, mine);
+    let (d, len) = (gc.len(), mine.len());
+    let per_block: usize = plane.iter().product();
+    let b = len / per_block;
+    debug_assert_eq!(b * per_block, len, "whole pieces per block");
+    debug_assert_eq!(contrib.len(), d * len, "one block per member required");
+    let me = gc.me();
+    if d == 1 {
+        pieces(contrib, plane, d, b, me, |at, piece| {
+            gc.copy(piece, &mut mine[at..at + b]);
+        });
         return Ok(());
     }
     gc.call_overhead();
-    let me = gc.me();
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    let block = |j: usize| &contrib[j * b..(j + 1) * b];
-    let used = b * (p - 2).min(2);
-    let (mut arriving, mut leaving) = buckets[..used].split_at_mut(b.min(used));
-    for t in 0..p - 1 {
-        let sb = (me + p - t - 1) % p;
-        let rb = (me + p - t - 2) % p;
-        let send = if t == 0 { block(sb) } else { &*leaving };
-        let recv = if t == p - 2 {
+    let right = (me + 1) % d;
+    let left = (me + d - 1) % d;
+    let packs = per_block > 1;
+    let used = len * into_buckets(d, per_block);
+    let (mut arriving, mut leaving) = buckets[..used].split_at_mut(len.min(used));
+    if packs {
+        let sb = (me + d - 1) % d;
+        pieces(contrib, plane, d, b, sb, |at, piece| {
+            gc.copy(piece, &mut arriving[at..at + b]);
+        });
+        std::mem::swap(&mut arriving, &mut leaving);
+    }
+    for t in 0..d - 1 {
+        let sb = (me + d - t - 1) % d;
+        let rb = (me + d - t - 2) % d;
+        let send = if t == 0 && !packs {
+            &contrib[sb * len..(sb + 1) * len]
+        } else {
+            &*leaving
+        };
+        let recv = if t == d - 2 {
             &mut *mine
         } else {
             &mut *arriving
         };
-        gc.sendrecv_with(right, send, left, recv, tag, |recv, lent| match lent {
-            Some(arrived) => gc.fold_arrived(op, recv, arrived, block(rb)),
-            None => gc.fold(op, recv, block(rb)),
+        gc.sendrecv_with(right, send, left, recv, tag, |recv, lent| {
+            pieces(contrib, plane, d, b, rb, |at, piece| {
+                let acc = &mut recv[at..at + b];
+                match lent {
+                    Some(arrived) => gc.fold_arrived(op, acc, &arrived[at..at + b], piece),
+                    None => gc.fold(op, acc, piece),
+                }
+            })
         })?;
         std::mem::swap(&mut arriving, &mut leaving);
     }
     Ok(())
+}
+
+/// Calls `f(at, piece)` on every piece of ring block `j` of `contrib`
+/// ([`ring_reduce_scatter_into`]'s layout), `at` being the piece's
+/// offset within the block.
+fn pieces<'c, T>(
+    contrib: &'c [T],
+    plane: &[usize],
+    d: usize,
+    b: usize,
+    j: usize,
+    mut f: impl FnMut(usize, &'c [T]),
+) {
+    let mut at = 0;
+    ranks_in_slot_order(plane, |q| {
+        let r = j + d * q;
+        f(at, &contrib[r * b..(r + 1) * b]);
+        at += b;
+    });
 }
 
 #[cfg(test)]
@@ -168,8 +235,14 @@ mod tests {
         .unwrap();
         assert_eq!(buf, [5, 6]);
         let mut mine = [0i32; 2];
-        ring_reduce_scatter_into(&gc, &buf, &mut mine, ReduceOp::Sum, 0, &mut []).unwrap();
+        ring_reduce_scatter_into(&gc, &buf, &[], &mut mine, ReduceOp::Sum, 0, &mut []).unwrap();
         assert_eq!(mine, buf);
+        // A one-member ring over a plane packs its block into slot order.
+        let contrib = [0i32, 1, 2, 3, 4, 5];
+        let mut own = [0i32; 6];
+        ring_reduce_scatter_into(&gc, &contrib, &[2, 3], &mut own, ReduceOp::Sum, 0, &mut [])
+            .unwrap();
+        assert_eq!(own, [0, 2, 4, 1, 3, 5]);
     }
 
     #[test]

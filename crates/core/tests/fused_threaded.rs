@@ -184,7 +184,8 @@ fn a_fused_hop_leaves_its_bucket_untouched() {
         // last one lands in `mine`.
         let mut bucket = vec![SENTINEL; b];
         let mut mine = vec![SENTINEL; b];
-        ring_reduce_scatter_into(&gc, &contrib, &mut mine, ReduceOp::Sum, 1, &mut bucket).unwrap();
+        ring_reduce_scatter_into(&gc, &contrib, &[], &mut mine, ReduceOp::Sum, 1, &mut bucket)
+            .unwrap();
         results.push(mine);
 
         let mut bucket = vec![SENTINEL; p * b];

@@ -232,7 +232,7 @@ fn bytes_allocated_during_primitive_rounds(p: usize, elems: usize, rounds: usize
             let sum = ReduceOp::Sum;
             ring_reduce_scatter(&gc, &mut buf, blocks, sum, 0, &mut bucket).unwrap();
             ring_collect(&gc, &mut buf, blocks, 1).unwrap();
-            ring_reduce_scatter_into(&gc, &contrib, &mut mine, sum, 2, &mut buckets).unwrap();
+            ring_reduce_scatter_into(&gc, &contrib, &[], &mut mine, sum, 2, &mut buckets).unwrap();
             mst_bcast(&gc, 0, &mut buf, 3).unwrap();
         };
         // Eager and inline, so allocation-free once the rings exist.

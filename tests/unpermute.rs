@@ -26,6 +26,10 @@ const ROW_RADICES: [&[usize]; 4] = [
     &[2, 3, 5, 3, 5],
 ];
 
+/// The radices of `cpu-p64`'s allgathers and reduce-scatters: the 8×8
+/// mesh's 64 B allgather and its hybrids, and the 30-rank line's.
+const CPU_P64_RADICES: [&[usize]; 4] = [&[2; 6], &[2, 4, 2, 4], &[2, 15], &[2, 3, 5]];
+
 /// Block lengths in bytes: one byte, an odd length, a word, and the
 /// 1 MiB row's 2 KiB.
 const BLOCKS: [usize; 4] = [1, 3, 8, 2048];
@@ -47,15 +51,20 @@ fn slot(dims: &[usize], mut r: usize) -> usize {
 }
 
 /// Every ordered factorization of every p ≤ 64 into more than one
-/// factor, the rows' radices, and three groups past the 4 096 blocks
-/// whose moves the permutation marks on its stack (beyond them it finds
-/// a cycle's smallest block by walking the cycle).
+/// factor, the rows' and `cpu-p64`'s radices, and three groups past the
+/// 4 096 blocks whose slots the permutation tables on its stack (beyond
+/// them it finds a cycle's smallest block by walking the cycle).
 fn cases() -> Vec<Vec<usize>> {
     let mut cases: Vec<Vec<usize>> = (2..=64)
         .flat_map(|p| factorizations(p, 0))
         .filter(|dims| dims.len() > 1)
         .collect();
-    cases.extend(ROW_RADICES.iter().map(|r| r.to_vec()));
+    cases.extend(
+        ROW_RADICES
+            .iter()
+            .chain(&CPU_P64_RADICES)
+            .map(|r| r.to_vec()),
+    );
     cases.extend([vec![2; 13], vec![65, 64], vec![7, 11, 61]]);
     cases
 }
@@ -195,5 +204,44 @@ fn a_mesh_allgathers_program_moves_bytes_locally_in_two_steps() {
             "rank {rank}: {} steps",
             rp.steps.len()
         );
+    }
+}
+
+#[test]
+fn cpu_p64s_allgathers_un_permute_in_one_step_holding_one_block() {
+    // The benchmark's 64 B allgather on the 8×8 mesh and the 30-rank
+    // line, under the strategy the selector picks for each.
+    let worlds = [(Some(Mesh2D::new(8, 8)), 64), (None, 30)];
+    for (mesh, p) in worlds {
+        let rec = RecordingComm::new(0, p);
+        let params = MachineParams::PARAGON;
+        let cc = match mesh {
+            Some(mesh) => Communicator::world_on_mesh(&rec, params, mesh).unwrap(),
+            None => Communicator::world(&rec, params),
+        };
+        let (op, block) = (PlanOp::Collect, 64);
+        let choice = cc.auto_choice(cost_op(op).unwrap(), op.cost_bytes(p, block, 1));
+        let key = PlanKey::frozen(op, p, block, 1, Some(&choice));
+        let prog = global_cache().get_or_compile(&key).unwrap();
+        assert!(
+            CPU_P64_RADICES.contains(&&prog.radices[0][..]),
+            "p = {p}: {:?}",
+            prog.radices
+        );
+        for (rank, rp) in prog.ranks.iter().enumerate() {
+            let permutes: Vec<_> = rp
+                .steps
+                .iter()
+                .filter_map(|s| match s.kind {
+                    StepKind::Permute { held, .. } => Some(held),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                matches!(permutes[..], [held] if held.buf == Buf::Scratch && held.len == 64),
+                "p = {p}, rank {rank}: {permutes:?}"
+            );
+            assert_eq!(rp.scratch_bytes, 64, "p = {p}, rank {rank}");
+        }
     }
 }

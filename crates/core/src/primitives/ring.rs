@@ -123,7 +123,8 @@ pub(crate) fn into_buckets(members: usize, plane_blocks: usize) -> usize {
 /// last one lands in `mine`. Same messages in the same order as
 /// [`ring_reduce_scatter`] over the slot-ordered vector and, ⊕ being
 /// commutative (§3), the same bits. `buckets` holds
-/// [`into_buckets`]`(d, ∏plane)` blocks, its contents ignored.
+/// `min(d − 2 + s, 2)` blocks (`s` is 1 where the first block sent is
+/// packed, else 0), its contents ignored.
 pub fn ring_reduce_scatter_into<T: Elem, C: Comm + ?Sized>(
     gc: &GroupComm<'_, C>,
     contrib: &[T],
